@@ -17,10 +17,12 @@ use orchestra_model::{
 use orchestra_obs::Obs;
 use orchestra_recon::{
     resolution::resolve_conflicts, CandidateTransaction, ConflictGroup, ReconcileEngine,
-    ReconcileInput, ReconcileOutcome, ResolutionChoice, SoftState,
+    ReconcileInput, ResolutionChoice, SoftState,
 };
 use orchestra_storage::{Database, InstanceCheckpoint, Result, StorageError};
-use orchestra_store::{ReconciliationSession, SessionClient, StoreTiming, UpdateStore};
+use orchestra_store::{
+    poll_ready, InProcessClient, SessionClient, SessionInfo, StoreTiming, Timed, UpdateStore,
+};
 use std::time::{Duration, Instant};
 
 /// Default page size for session-based candidate retrieval: bounds the
@@ -378,28 +380,55 @@ impl Participant {
     ///
     /// In causal mode the participant allocates its own [`CausalStamp`]
     /// (per-publisher sequence plus its observed frontier as the parent set)
-    /// and publishes through [`UpdateStore::publish_stamped`] — no central
-    /// allocation round trip. While [offline](Participant::go_offline) the
-    /// stamped batch is buffered locally instead and `None` is returned; it
-    /// reaches the store when the participant [rejoins](Participant::rejoin).
+    /// and publishes it with the batch — no central allocation round trip.
+    /// While [offline](Participant::go_offline) the stamped batch is buffered
+    /// locally instead and `None` is returned; it reaches the store when the
+    /// participant [rejoins](Participant::rejoin).
+    ///
+    /// This is the blocking form of [`Participant::publish_with`]: the same
+    /// code, polled once over the [`InProcessClient`].
     pub fn publish<S: UpdateStore + ?Sized>(
         &mut self,
         store: &S,
     ) -> Result<Option<orchestra_model::Epoch>> {
-        let Some(batch) = self.stage_publish_batch() else {
+        let client = InProcessClient::new(store, self.id);
+        poll_ready(self.publish_with(store, &client))
+    }
+
+    /// The one publish routine: the batch travels through `client` —
+    /// in-process, a single service's
+    /// [`ServiceClient`](orchestra_store::ServiceClient) or a whole fabric's
+    /// [`FabricClient`](orchestra_store::FabricClient) — and the cost the
+    /// client reports (store time in-process, virtual frame time when
+    /// framed) is charged to store time. Decisions and store state end up
+    /// identical on every path.
+    pub async fn publish_with<S: UpdateStore + ?Sized, C: SessionClient>(
+        &mut self,
+        store: &S,
+        client: &C,
+    ) -> Result<Option<orchestra_model::Epoch>> {
+        if self.pending_publish.is_empty() {
             return Ok(None);
-        };
+        }
+        let batch = std::mem::take(&mut self.pending_publish);
+        // Accumulate, do not overwrite: publishing twice before reconciling
+        // must keep the first batch in the own-delta, or a trusted remote
+        // transaction conflicting with it would wrongly be accepted.
+        self.last_published_updates.extend(batch.iter().flat_map(|t| t.updates().iter().cloned()));
+        if self.offline {
+            let stamp = self.next_stamp();
+            self.buffered.push((stamp, batch));
+            return Ok(None);
+        }
         let txns = batch.len() as u64;
-        let published = if store.causal_mode() {
+        let stamp = store.causal_mode().then(|| {
             // Resynchronise the client-side sequence (a participant built
             // with `new` against a store that already holds its stamps would
             // otherwise replay a taken sequence number).
             self.causal_seq = self.causal_seq.max(store.next_publisher_seq(self.id));
-            let stamp = self.next_stamp();
-            store.publish_stamped(stamp, batch)?
-        } else {
-            store.publish(self.id, batch)?
-        };
+            self.next_stamp()
+        });
+        let published = client.publish(stamp, batch).await?;
         self.record_timing(TimingBreakdown {
             store: published.timing.total(),
             local: Duration::ZERO,
@@ -413,57 +442,6 @@ impl Participant {
             ],
         );
         Ok(Some(published.value))
-    }
-
-    /// [`Participant::publish`] over the store service: the batch travels as
-    /// a framed `Publish`/`PublishStamped` request through a
-    /// [`SessionClient`] — a single service's
-    /// [`ServiceClient`](orchestra_store::ServiceClient) or a whole
-    /// fabric's [`FabricClient`](orchestra_store::FabricClient) — with frame
-    /// latency charged to the driver's virtual clock. Decisions and store
-    /// state end up identical to the in-process path.
-    pub async fn publish_service<S: UpdateStore + ?Sized, C: SessionClient>(
-        &mut self,
-        store: &S,
-        client: &C,
-    ) -> Result<Option<orchestra_model::Epoch>> {
-        let Some(batch) = self.stage_publish_batch() else {
-            return Ok(None);
-        };
-        let start_us = client.clock().now_us();
-        let epoch = if store.causal_mode() {
-            self.causal_seq = self.causal_seq.max(store.next_publisher_seq(self.id));
-            let stamp = self.next_stamp();
-            client.publish_stamped(stamp, batch).await?
-        } else {
-            client.publish(batch).await?
-        };
-        self.record_timing(TimingBreakdown {
-            store: Duration::from_micros(client.clock().now_us() - start_us),
-            local: Duration::ZERO,
-        });
-        Ok(Some(epoch))
-    }
-
-    /// Shared head of the publish paths: takes the pending batch, folds it
-    /// into the own-delta, and buffers it with a causal stamp while offline.
-    /// Returns the batch to send, or `None` when nothing reaches the store
-    /// (nothing pending, or offline-buffered).
-    fn stage_publish_batch(&mut self) -> Option<Vec<Transaction>> {
-        if self.pending_publish.is_empty() {
-            return None;
-        }
-        let batch = std::mem::take(&mut self.pending_publish);
-        // Accumulate, do not overwrite: publishing twice before reconciling
-        // must keep the first batch in the own-delta, or a trusted remote
-        // transaction conflicting with it would wrongly be accepted.
-        self.last_published_updates.extend(batch.iter().flat_map(|t| t.updates().iter().cloned()));
-        if self.offline {
-            let stamp = self.next_stamp();
-            self.buffered.push((stamp, batch));
-            return None;
-        }
-        Some(batch)
     }
 
     /// Allocates the participant's next causal stamp: its own next sequence
@@ -561,13 +539,43 @@ impl Participant {
     /// client-centric algorithm, applies the accepted ones to the local
     /// instance, and commits the session (decisions plus reconciliation
     /// record) back at the store.
+    ///
+    /// This is the blocking form of [`Participant::reconcile_with`]: the
+    /// same code, polled once over the [`InProcessClient`].
     pub fn reconcile<S: UpdateStore + ?Sized>(&mut self, store: &S) -> Result<ReconcileReport> {
+        let client = InProcessClient::new(store, self.id);
+        poll_ready(self.reconcile_with(store, &client))
+    }
+
+    /// The one reconcile routine: the paged session protocol travels through
+    /// `client` — begin (with admission-control retry when framed), page
+    /// streaming, commit (or error-path abort) — while the engine runs
+    /// locally, so the decisions are identical on every path. Store cost is
+    /// what the client reports: the store's own time in-process, the
+    /// *virtual* time the frames took when framed, which under a concurrent
+    /// driver includes queueing at the service. Over a
+    /// [`FabricClient`](orchestra_store::FabricClient) the session spans one
+    /// shard session per store shard, merged into one candidate timeline.
+    pub async fn reconcile_with<S: UpdateStore + ?Sized, C: SessionClient>(
+        &mut self,
+        store: &S,
+        client: &C,
+    ) -> Result<ReconcileReport> {
         self.require_online()?;
         let _span =
             self.obs.tracer.span("reconcile", &[("participant", u64::from(self.id.as_u32()))]);
-        let mut session = ReconciliationSession::open(store, self.id)?;
-        let candidates = session.drain(self.reconcile_batch_size)?;
-        self.finish_reconcile(store, session, candidates, None)
+        let began = client.begin_session().await?;
+        let info = began.value;
+        let drained = match client.drain_candidates(info.session, self.reconcile_batch_size).await {
+            Ok(drained) => drained,
+            Err(e) => {
+                let _ = client.abort(info.session).await;
+                return Err(e);
+            }
+        };
+        let mut retrieval = began.timing;
+        retrieval.accumulate(drained.timing);
+        self.decide_and_commit(store, client, info, retrieval, drained.value, None).await
     }
 
     /// Reconciles in the network-centric mode of Section 5: antecedent
@@ -581,18 +589,24 @@ impl Participant {
         store: &orchestra_store::DhtStore,
     ) -> Result<ReconcileReport> {
         self.require_online()?;
-        let timed = store.begin_network_centric_reconciliation(self.id)?;
-        let retrieval = timed.timing;
-        let plan = timed.value;
-        self.finish_reconcile_raw(
+        let Timed { value: plan, timing: retrieval } =
+            store.begin_network_centric_reconciliation(self.id)?;
+        let info = SessionInfo {
+            session: plan.session,
+            recno: plan.recno,
+            epoch: plan.epoch,
+            pending: plan.candidates.len(),
+        };
+        let client = InProcessClient::new(store, self.id);
+        let conflicts = Some(plan.conflicts);
+        poll_ready(self.decide_and_commit(
             store,
-            plan.session,
-            plan.recno,
-            plan.epoch,
+            &client,
+            info,
             retrieval,
             plan.candidates,
-            Some(plan.conflicts),
-        )
+            conflicts,
+        ))
     }
 
     /// Refuses store-touching operations while partitioned.
@@ -606,85 +620,28 @@ impl Participant {
         Ok(())
     }
 
-    /// Shared tail of the session-based reconciliation: run the engine over
-    /// the streamed candidates, apply, and commit the session.
-    fn finish_reconcile<S: UpdateStore + ?Sized>(
+    /// The engine-and-commit tail every reconciliation ends in: run the
+    /// client-centric engine over the streamed candidates against the
+    /// participant's soft-state snapshots, apply, commit the session through
+    /// `client` (aborting it if the commit fails), and absorb the outcome
+    /// into the participant's caches, timing and report.
+    async fn decide_and_commit<S: UpdateStore + ?Sized, C: SessionClient>(
         &mut self,
         store: &S,
-        session: ReconciliationSession<'_, S>,
-        candidates: Vec<CandidateTransaction>,
-        precomputed_conflicts: Option<
-            rustc_hash::FxHashMap<TransactionId, rustc_hash::FxHashSet<TransactionId>>,
-        >,
-    ) -> Result<ReconcileReport> {
-        let recno = session.recno();
-        let epoch = session.epoch();
-        let retrieval = session.timing();
-        // Detach the RAII wrapper: the commit (or error-path abort) below
-        // finishes the session.
-        let session_id = session.detach();
-        self.finish_reconcile_raw(
-            store,
-            session_id,
-            recno,
-            epoch,
-            retrieval,
-            candidates,
-            precomputed_conflicts,
-        )
-    }
-
-    /// The engine + commit tail shared by the client-centric and
-    /// network-centric paths.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_reconcile_raw<S: UpdateStore + ?Sized>(
-        &mut self,
-        store: &S,
-        session: orchestra_store::SessionId,
-        recno: orchestra_model::ReconciliationId,
-        epoch: orchestra_model::Epoch,
+        client: &C,
+        session: SessionInfo,
         retrieval: StoreTiming,
         candidates: Vec<CandidateTransaction>,
         precomputed_conflicts: Option<
             rustc_hash::FxHashMap<TransactionId, rustc_hash::FxHashSet<TransactionId>>,
         >,
     ) -> Result<ReconcileReport> {
-        let (outcome, local_elapsed) =
-            self.run_engine(store, recno, candidates, precomputed_conflicts);
-
-        let commit_timing = match store.commit_reconciliation(
-            session,
-            &outcome.accepted_members,
-            &outcome.rejected,
-        ) {
-            Ok(timing) => timing,
-            Err(e) => {
-                let _ = store.abort_reconciliation(session);
-                return Err(e);
-            }
-        };
-        Ok(self.absorb_commit(store, outcome, retrieval, commit_timing, epoch, local_elapsed))
-    }
-
-    /// Runs the client-centric engine over the streamed candidates against
-    /// the participant's soft-state snapshots. Shared by the in-process and
-    /// service reconciliation paths so their decisions are computed by the
-    /// exact same code.
-    fn run_engine<S: UpdateStore + ?Sized>(
-        &mut self,
-        store: &S,
-        recno: orchestra_model::ReconciliationId,
-        candidates: Vec<CandidateTransaction>,
-        precomputed_conflicts: Option<
-            rustc_hash::FxHashMap<TransactionId, rustc_hash::FxHashSet<TransactionId>>,
-        >,
-    ) -> (ReconcileOutcome, Duration) {
         let previously_rejected = self.rejected_set_cached(store);
         let previously_accepted = store.accepted_set(self.id);
 
         let local_start = Instant::now();
         let input = ReconcileInput {
-            recno,
+            recno: session.recno,
             candidates,
             own_updates: std::mem::take(&mut self.last_published_updates),
             previously_rejected,
@@ -692,21 +649,17 @@ impl Participant {
             precomputed_conflicts,
         };
         let outcome = self.engine.reconcile(input, &mut self.instance, &mut self.soft);
-        (outcome, local_start.elapsed())
-    }
+        let local_elapsed = local_start.elapsed();
 
-    /// Absorbs a committed reconciliation into the participant's caches and
-    /// timing, and builds the report. Shared commit tail of the in-process
-    /// and service paths.
-    fn absorb_commit<S: UpdateStore + ?Sized>(
-        &mut self,
-        store: &S,
-        outcome: ReconcileOutcome,
-        retrieval: StoreTiming,
-        commit_timing: StoreTiming,
-        epoch: orchestra_model::Epoch,
-        local_elapsed: Duration,
-    ) -> ReconcileReport {
+        let committed =
+            client.commit(session.session, &outcome.accepted_members, &outcome.rejected).await;
+        let commit_timing = match committed {
+            Ok(timing) => timing,
+            Err(e) => {
+                let _ = client.abort(session.session).await;
+                return Err(e);
+            }
+        };
         self.extend_rejected_cache(&outcome.rejected);
         // The session's candidates covered everything at or behind the
         // store's causal frontier, so the participant has now observed it
@@ -718,57 +671,15 @@ impl Participant {
         let timing = TimingBreakdown { store: store_time.total(), local: local_elapsed };
         self.record_timing(timing);
 
-        ReconcileReport {
+        Ok(ReconcileReport {
             recno: outcome.recno,
-            epoch,
+            epoch: session.epoch,
             accepted: outcome.accepted_roots,
             rejected: outcome.rejected,
             deferred: outcome.deferred,
             conflict_groups: outcome.conflict_groups,
             timing,
-        }
-    }
-
-    /// [`Participant::reconcile`] over the store service: the paged session
-    /// protocol travels as framed requests through a [`SessionClient`] —
-    /// begin (with admission-control retry), page streaming, commit (or
-    /// error-path abort) — while the engine runs locally on the exact same
-    /// code as the in-process path, so the decisions are identical. Store
-    /// cost is the *virtual* time the frames took, which under a concurrent
-    /// driver includes queueing at the service. Over a
-    /// [`FabricClient`](orchestra_store::FabricClient) the session spans one
-    /// shard session per store shard, merged into one candidate timeline.
-    pub async fn reconcile_service<S: UpdateStore + ?Sized, C: SessionClient>(
-        &mut self,
-        store: &S,
-        client: &C,
-    ) -> Result<ReconcileReport> {
-        self.require_online()?;
-        let _span =
-            self.obs.tracer.span("reconcile", &[("participant", u64::from(self.id.as_u32()))]);
-        let clock = client.clock().clone();
-        let retrieval_start = clock.now_us();
-        let info = client.begin_session().await?;
-        let candidates = client.drain_candidates(info.session, self.reconcile_batch_size).await?;
-        let retrieval = StoreTiming {
-            compute: Duration::ZERO,
-            network: Duration::from_micros(clock.now_us() - retrieval_start),
-        };
-
-        let (outcome, local_elapsed) = self.run_engine(store, info.recno, candidates, None);
-
-        let commit_start = clock.now_us();
-        if let Err(e) =
-            client.commit(info.session, &outcome.accepted_members, &outcome.rejected).await
-        {
-            let _ = client.abort(info.session).await;
-            return Err(e);
-        }
-        let commit_timing = StoreTiming {
-            compute: Duration::ZERO,
-            network: Duration::from_micros(clock.now_us() - commit_start),
-        };
-        Ok(self.absorb_commit(store, outcome, retrieval, commit_timing, info.epoch, local_elapsed))
+        })
     }
 
     /// Publishes pending transactions (if any) and then reconciles — the

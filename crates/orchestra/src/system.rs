@@ -3,16 +3,49 @@
 use crate::metrics;
 use crate::participant::{Participant, ParticipantConfig};
 use crate::report::ReconcileReport;
-use orchestra_model::{ParticipantId, Schema, TransactionId, Update};
+use orchestra_model::{Epoch, ParticipantId, Schema, TransactionId, Update};
+use orchestra_net::{NetworkStats, NodeId, SimNetwork, Transport};
 use orchestra_obs::Obs;
+use orchestra_rt::{LocalExecutor, VirtualClock};
 use orchestra_storage::{Database, Result, StorageError};
-use orchestra_store::UpdateStore;
+use orchestra_store::{
+    FabricClient, FabricConfig, ServiceConfig, ServiceStats, SessionClient, StoreFabric,
+    StoreService, UpdateStore,
+};
+use rustc_hash::FxHashSet;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 fn unknown_participant(id: ParticipantId) -> StorageError {
     StorageError::Model(orchestra_model::ModelError::InvalidTransaction(format!(
         "unknown participant {id}"
     )))
+}
+
+/// Fails on the first of `ids` that names no participant — the one place a
+/// driver validates the ids it was handed, before anything commits.
+fn require_known<'i>(
+    participants: &BTreeMap<ParticipantId, Participant>,
+    ids: impl IntoIterator<Item = &'i ParticipantId>,
+) -> Result<()> {
+    match ids.into_iter().find(|id| !participants.contains_key(id)) {
+        Some(missing) => Err(unknown_participant(*missing)),
+        None => Ok(()),
+    }
+}
+
+/// The participants named by `ids`, in id order; duplicate ids collapse to
+/// one entry. Every id is validated first, so an unknown id cannot leave a
+/// partially applied wave behind.
+fn select<'p>(
+    participants: &'p mut BTreeMap<ParticipantId, Participant>,
+    ids: &[ParticipantId],
+) -> Result<Vec<(ParticipantId, &'p mut Participant)>> {
+    require_known(participants, ids)?;
+    let wanted: FxHashSet<ParticipantId> = ids.iter().copied().collect();
+    let chosen = participants.iter_mut().filter(|(id, _)| wanted.contains(id));
+    Ok(chosen.map(|(id, participant)| (*id, participant)).collect())
 }
 
 fn duplicate_participant(id: ParticipantId) -> StorageError {
@@ -205,16 +238,10 @@ impl<S: UpdateStore> CdssSystem<S> {
         &mut self,
         ids: &[ParticipantId],
     ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
-        if let Some(missing) = ids.iter().find(|id| !self.participants.contains_key(id)) {
-            return Err(unknown_participant(*missing));
-        }
         let store = &self.store;
         let mut out = Vec::with_capacity(ids.len());
-        for (id, participant) in self.participants.iter_mut() {
-            if !ids.contains(id) {
-                continue;
-            }
-            out.push((*id, participant.reconcile(store)?));
+        for (id, participant) in select(&mut self.participants, ids)? {
+            out.push((id, participant.reconcile(store)?));
         }
         Ok(out)
     }
@@ -248,9 +275,7 @@ impl<S: UpdateStore> CdssSystem<S> {
     /// locally and refuse to reconcile. Every id is validated before any
     /// participant is taken offline.
     pub fn partition(&mut self, ids: &[ParticipantId]) -> Result<()> {
-        if let Some(missing) = ids.iter().find(|id| !self.participants.contains_key(id)) {
-            return Err(unknown_participant(*missing));
-        }
+        require_known(&self.participants, ids)?;
         for id in ids {
             self.participants.get_mut(id).expect("validated above").go_offline();
         }
@@ -324,18 +349,13 @@ impl<S: UpdateStore + Sync> CdssSystem<S> {
         &mut self,
         ids: &[ParticipantId],
     ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
-        if let Some(missing) = ids.iter().find(|id| !self.participants.contains_key(id)) {
-            return Err(unknown_participant(*missing));
-        }
         let store = &self.store;
+        let selected = select(&mut self.participants, ids)?;
         let mut results: Vec<(ParticipantId, Result<ReconcileReport>)> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .participants
-                    .iter_mut()
-                    .filter(|(id, _)| ids.contains(id))
+                let handles: Vec<_> = selected
+                    .into_iter()
                     .map(|(id, participant)| {
-                        let id = *id;
                         scope.spawn(move || (id, participant.reconcile(store)))
                     })
                     .collect();
@@ -361,187 +381,17 @@ pub struct ServiceDriveReport {
     pub results: Vec<(ParticipantId, ReconcileReport)>,
     /// Epochs assigned to the round's publishes, in publish order (`None`
     /// when a participant had nothing pending).
-    pub published: Vec<(ParticipantId, Option<orchestra_model::Epoch>)>,
+    pub published: Vec<(ParticipantId, Option<Epoch>)>,
     /// Virtual end-to-end session latency per reconciling participant
     /// (begin to commit, *including* queueing at the service), in
     /// microseconds, in participant-id order.
     pub latencies_us: Vec<u64>,
     /// Service counters accumulated over the round's phases.
-    pub stats: orchestra_store::ServiceStats,
+    pub stats: ServiceStats,
     /// Frame traffic charged to the simulated network.
-    pub net: orchestra_net::NetworkStats,
+    pub net: NetworkStats,
     /// Virtual time consumed by the round, in microseconds.
     pub virtual_elapsed_us: u64,
-}
-
-impl<S: UpdateStore> CdssSystem<S> {
-    /// Drives one confederation round through the [`StoreService`]: the
-    /// `publish_ids` participants publish their pending batches (sequential,
-    /// so epoch assignment is deterministic), then the `reconcile_ids`
-    /// participants all reconcile **concurrently** — thousands of framed
-    /// sessions multiplexed onto the service's bounded worker pool on a
-    /// single OS thread, with latency modelled in virtual time.
-    ///
-    /// Decisions are identical to [`CdssSystem::reconcile_each`] /
-    /// [`CdssSystem::reconcile_each_parallel`] over the same schedule: the
-    /// service serialises store calls per participant, and a session's
-    /// outcome depends only on the published log and the reconciler's own
-    /// record.
-    ///
-    /// [`StoreService`]: orchestra_store::StoreService
-    pub fn run_service_round(
-        &mut self,
-        publish_ids: &[ParticipantId],
-        reconcile_ids: &[ParticipantId],
-        config: &orchestra_store::ServiceConfig,
-    ) -> Result<ServiceDriveReport> {
-        use orchestra_rt::{LocalExecutor, VirtualClock};
-        use orchestra_store::StoreService;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        if let Some(missing) =
-            publish_ids.iter().chain(reconcile_ids).find(|id| !self.participants.contains_key(id))
-        {
-            return Err(unknown_participant(*missing));
-        }
-        let store = &self.store;
-        let clock = VirtualClock::new();
-        // Trace in deterministic simulated time, and report the round's
-        // frame traffic and service counters into the shared sink.
-        self.obs.tracer.bind_virtual(clock.shared_now());
-        let net = Rc::new(orchestra_net::SimNetwork::with_observability(
-            vec![StoreService::server_node()],
-            std::time::Duration::from_micros(orchestra_net::SimNetwork::PAPER_LATENCY_US),
-            &self.obs.metrics,
-        ));
-        let config = {
-            let mut config = config.clone();
-            config.obs = self.obs.clone();
-            config
-        };
-        let mut stats = orchestra_store::ServiceStats::default();
-
-        // Publish phase: one task, sequential awaits — the epoch order is
-        // the id order, exactly as the in-process drivers produce it.
-        let mut published = Vec::new();
-        if !publish_ids.is_empty() {
-            let _phase = self
-                .obs
-                .tracer
-                .span("service.publish_phase", &[("publishers", publish_ids.len() as u64)]);
-            let mut ex = LocalExecutor::new(clock.clone());
-            let service = StoreService::start(
-                store,
-                &config,
-                &mut ex,
-                Rc::clone(&net) as Rc<dyn orchestra_net::Transport>,
-            );
-            let outcomes = Rc::new(RefCell::new(Vec::new()));
-            let mut publishers: Vec<_> = self
-                .participants
-                .iter_mut()
-                .filter(|(id, _)| publish_ids.contains(id))
-                .map(|(id, participant)| (*id, participant, service.client_for(*id)))
-                .collect();
-            let task_outcomes = Rc::clone(&outcomes);
-            ex.spawn(async move {
-                for (id, participant, client) in &mut publishers {
-                    let result = participant.publish_service(store, client).await;
-                    task_outcomes.borrow_mut().push((*id, result));
-                }
-            });
-            ex.run();
-            service.shutdown();
-            if ex.run() != 0 {
-                return Err(StorageError::Session(
-                    "service publish phase left tasks blocked".to_string(),
-                ));
-            }
-            stats.absorb(service.stats());
-            for (id, result) in
-                Rc::try_unwrap(outcomes).expect("publish tasks finished").into_inner()
-            {
-                published.push((id, result?));
-            }
-        }
-
-        // Reconcile phase: one client task per participant, all in flight at
-        // once against the worker pool.
-        let mut outcomes = {
-            let _phase = self
-                .obs
-                .tracer
-                .span("service.reconcile_phase", &[("reconcilers", reconcile_ids.len() as u64)]);
-            let mut ex = LocalExecutor::new(clock.clone());
-            let service = StoreService::start(
-                store,
-                &config,
-                &mut ex,
-                Rc::clone(&net) as Rc<dyn orchestra_net::Transport>,
-            );
-            let outcomes = Rc::new(RefCell::new(Vec::new()));
-            for (id, participant) in
-                self.participants.iter_mut().filter(|(id, _)| reconcile_ids.contains(id))
-            {
-                let id = *id;
-                let client = service.client_for(id);
-                let task_clock = clock.clone();
-                let task_outcomes = Rc::clone(&outcomes);
-                ex.spawn(async move {
-                    let start_us = task_clock.now_us();
-                    let result = participant.reconcile_service(store, &client).await;
-                    let latency_us = task_clock.now_us() - start_us;
-                    task_outcomes.borrow_mut().push((id, result, latency_us));
-                });
-            }
-            ex.run();
-            service.shutdown();
-            if ex.run() != 0 {
-                return Err(StorageError::Session(
-                    "service reconcile phase left tasks blocked".to_string(),
-                ));
-            }
-            stats.absorb(service.stats());
-            Rc::try_unwrap(outcomes).expect("reconcile tasks finished").into_inner()
-        };
-
-        outcomes.sort_by_key(|(id, _, _)| *id);
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut latencies_us = Vec::with_capacity(outcomes.len());
-        for (id, result, latency_us) in outcomes {
-            results.push((id, result?));
-            latencies_us.push(latency_us);
-        }
-        Ok(ServiceDriveReport {
-            results,
-            published,
-            latencies_us,
-            stats,
-            net: net.stats(),
-            virtual_elapsed_us: clock.now_us(),
-        })
-    }
-
-    /// Reconciles the given participants through the store service (no
-    /// publish phase; see [`CdssSystem::run_service_round`]).
-    pub fn reconcile_each_service(
-        &mut self,
-        ids: &[ParticipantId],
-        config: &orchestra_store::ServiceConfig,
-    ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
-        Ok(self.run_service_round(&[], ids, config)?.results)
-    }
-
-    /// Reconciles every participant through the store service (see
-    /// [`CdssSystem::run_service_round`]).
-    pub fn reconcile_all_service(
-        &mut self,
-        config: &orchestra_store::ServiceConfig,
-    ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
-        let ids = self.participant_ids();
-        self.reconcile_each_service(&ids, config)
-    }
 }
 
 /// What one fabric-driven round produced: reports in id order, per-session
@@ -552,16 +402,16 @@ pub struct FabricDriveReport {
     pub results: Vec<(ParticipantId, ReconcileReport)>,
     /// Epochs assigned to the round's publishes, in publish order (`None`
     /// when a participant had nothing pending).
-    pub published: Vec<(ParticipantId, Option<orchestra_model::Epoch>)>,
+    pub published: Vec<(ParticipantId, Option<Epoch>)>,
     /// Virtual end-to-end session latency per reconciling participant
     /// (begin at the first shard to commit at the last, *including* queueing
     /// at the shard services), in microseconds, in participant-id order.
     pub latencies_us: Vec<u64>,
     /// Per-shard service counters accumulated over the round's phases, in
     /// shard order.
-    pub shard_stats: Vec<orchestra_store::ServiceStats>,
+    pub shard_stats: Vec<ServiceStats>,
     /// Frame traffic charged to the simulated network (all shards).
-    pub net: orchestra_net::NetworkStats,
+    pub net: NetworkStats,
     /// Request frames that arrived at each shard's server node, in shard
     /// order — the fabric's traffic skew.
     pub shard_frames: Vec<u64>,
@@ -569,173 +419,134 @@ pub struct FabricDriveReport {
     pub virtual_elapsed_us: u64,
 }
 
-impl CdssSystem<orchestra_store::StoreFabric> {
-    /// Drives one confederation round through a **sharded store fabric**:
-    /// one [`StoreService`] per shard of the system's
-    /// [`StoreFabric`], all on one simulated network. The `publish_ids`
-    /// participants publish sequentially (primary at the home shard, pinned
-    /// replicas everywhere else, so every shard logs the same global epoch
-    /// order), then the `reconcile_ids` participants reconcile
-    /// **concurrently**, each through a
-    /// [`FabricClient`](orchestra_store::FabricClient) that merges one
-    /// session per shard into a single candidate timeline.
+/// One store a round serves: the store a [`StoreService`] fronts, that
+/// service's configuration, and the overlay node it answers at. A single
+/// service round has one; a fabric round has one per shard.
+type Served<'a, T> = (&'a T, ServiceConfig, NodeId);
+
+/// The services of one phase, on that phase's own executor.
+struct Phase<'a> {
+    ex: LocalExecutor<'a>,
+    services: Vec<StoreService>,
+}
+
+impl<'a> Phase<'a> {
+    /// A fresh executor on the round's clock with one service per served
+    /// store started on it.
+    fn start<T: UpdateStore>(
+        clock: &VirtualClock,
+        net: &Rc<SimNetwork>,
+        served: &[Served<'a, T>],
+    ) -> Phase<'a> {
+        let mut ex = LocalExecutor::new(clock.clone());
+        let services = served
+            .iter()
+            .map(|(store, config, node)| {
+                let net = Rc::clone(net) as Rc<dyn Transport>;
+                StoreService::start_at(*store, config, &mut ex, net, *node)
+            })
+            .collect();
+        Phase { ex, services }
+    }
+
+    /// Runs the spawned client tasks to quiescence, shuts the services down
+    /// and folds each service's counters into `shard_stats`.
+    fn finish(mut self, phase: &str, shard_stats: &mut [ServiceStats]) -> Result<()> {
+        self.ex.run();
+        for service in &self.services {
+            service.shutdown();
+        }
+        if self.ex.run() != 0 {
+            return Err(StorageError::Session(format!("{phase} left tasks blocked")));
+        }
+        for (stats, service) in shard_stats.iter_mut().zip(&self.services) {
+            stats.absorb(service.stats());
+        }
+        Ok(())
+    }
+}
+
+impl<S: UpdateStore> CdssSystem<S> {
+    /// The one round driver. The `publish_ids` participants publish their
+    /// pending batches from one task with sequential awaits — the epoch
+    /// order is the id order, exactly as the in-process drivers produce it,
+    /// and on a fabric every shard logs the round's publishes in that order,
+    /// so pinned replica epochs always match their primaries. Then the
+    /// `reconcile_ids` participants all reconcile **concurrently**, one
+    /// client task each, multiplexed onto the services' bounded worker pools
+    /// on a single OS thread, with latency modelled in virtual time.
     ///
-    /// Decisions are identical to the sequential and single-service drivers
-    /// over the same schedule — the `fabric_driver` integration tests prove
-    /// it property-based.
-    ///
-    /// [`StoreService`]: orchestra_store::StoreService
-    /// [`StoreFabric`]: orchestra_store::StoreFabric
-    pub fn run_fabric_round(
+    /// `served` says which services each phase starts (every one reports
+    /// into the system's sink) and `client_for` how a participant reaches
+    /// them; that is all that differs between a single service and a fabric.
+    /// `labels` name the two phase spans. Every id is validated before
+    /// anything is published. The result is reported per served store, i.e.
+    /// in the fabric round's shape; a single service is its one-shard case.
+    fn run_round<T: UpdateStore, C: SessionClient>(
         &mut self,
+        labels: [&'static str; 2],
+        served: impl for<'a> FnOnce(&'a S) -> Vec<Served<'a, T>>,
+        client_for: impl Fn(&[StoreService], ParticipantId) -> C,
         publish_ids: &[ParticipantId],
         reconcile_ids: &[ParticipantId],
-        config: &orchestra_store::FabricConfig,
     ) -> Result<FabricDriveReport> {
-        use orchestra_net::Transport;
-        use orchestra_rt::{LocalExecutor, VirtualClock};
-        use orchestra_store::{FabricClient, StoreService};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        if let Some(missing) =
-            publish_ids.iter().chain(reconcile_ids).find(|id| !self.participants.contains_key(id))
-        {
-            return Err(unknown_participant(*missing));
-        }
-        let fabric = &self.store;
-        let shards = fabric.router().shards();
-        if shards != config.shards {
-            return Err(StorageError::Session(format!(
-                "fabric config speaks {} shards but the store fabric has {shards}",
-                config.shards
-            )));
+        let CdssSystem { store, participants, obs, .. } = self;
+        let store = &*store;
+        require_known(participants, publish_ids.iter().chain(reconcile_ids))?;
+        let mut served = served(store);
+        for (_, config, _) in &mut served {
+            config.obs = obs.clone();
         }
         let clock = VirtualClock::new();
-        // Trace in deterministic simulated time, and report frame traffic
-        // into the shared sink.
-        self.obs.tracer.bind_virtual(clock.shared_now());
-        let server_nodes: Vec<_> = (0..shards).map(StoreService::shard_server_node).collect();
-        let net = Rc::new(orchestra_net::SimNetwork::with_observability(
-            server_nodes,
-            std::time::Duration::from_micros(orchestra_net::SimNetwork::PAPER_LATENCY_US),
-            &self.obs.metrics,
+        // Trace in deterministic simulated time, and report the round's
+        // frame traffic and service counters into the shared sink.
+        obs.tracer.bind_virtual(clock.shared_now());
+        let net = Rc::new(SimNetwork::with_observability(
+            served.iter().map(|(_, _, node)| *node).collect(),
+            std::time::Duration::from_micros(SimNetwork::PAPER_LATENCY_US),
+            &obs.metrics,
         ));
-        let mut shard_stats = vec![orchestra_store::ServiceStats::default(); shards];
+        let mut shard_stats = vec![ServiceStats::default(); served.len()];
 
-        fn start_services<'a>(
-            fabric: &'a orchestra_store::StoreFabric,
-            config: &orchestra_store::FabricConfig,
-            obs: &Obs,
-            net: &Rc<orchestra_net::SimNetwork>,
-            ex: &mut LocalExecutor<'a>,
-        ) -> Vec<StoreService> {
-            (0..fabric.router().shards())
-                .map(|shard| {
-                    // Each shard service reports under its own metric keys
-                    // (`service.requests{shard=N}`) and stamps its trace
-                    // events with the shard, so per-shard skew — the
-                    // admission gate at shard 0 — is directly visible.
-                    let mut service_config = config.service.clone();
-                    service_config.obs = obs.clone();
-                    service_config.obs_shard = Some(shard as u64);
-                    StoreService::start_at(
-                        fabric.shard(shard),
-                        &service_config,
-                        ex,
-                        Rc::clone(net) as Rc<dyn Transport>,
-                        StoreService::shard_server_node(shard),
-                    )
-                })
-                .collect()
-        }
-        let fabric_client = |services: &[StoreService], id: ParticipantId| -> FabricClient {
-            FabricClient::new(
-                fabric.router(),
-                services.iter().map(|service| service.client_for(id)).collect(),
-            )
-        };
-
-        // Publish phase: one task, sequential awaits — every shard logs the
-        // round's publishes in id order, so the pinned replica epochs always
-        // match their primaries.
         let mut published = Vec::new();
         if !publish_ids.is_empty() {
-            let _phase = self
-                .obs
-                .tracer
-                .span("fabric.publish_phase", &[("publishers", publish_ids.len() as u64)]);
-            let mut ex = LocalExecutor::new(clock.clone());
-            let services = start_services(fabric, config, &self.obs, &net, &mut ex);
+            let _phase = obs.tracer.span(labels[0], &[("publishers", publish_ids.len() as u64)]);
+            let mut phase = Phase::start(&clock, &net, &served);
             let outcomes = Rc::new(RefCell::new(Vec::new()));
-            let mut publishers: Vec<_> = self
-                .participants
-                .iter_mut()
-                .filter(|(id, _)| publish_ids.contains(id))
-                .map(|(id, participant)| (*id, participant, fabric_client(&services, *id)))
+            let mut publishers: Vec<_> = select(participants, publish_ids)?
+                .into_iter()
+                .map(|(id, participant)| (id, participant, client_for(&phase.services, id)))
                 .collect();
             let task_outcomes = Rc::clone(&outcomes);
-            ex.spawn(async move {
+            phase.ex.spawn(async move {
                 for (id, participant, client) in &mut publishers {
-                    let result = participant.publish_service(fabric, client).await;
+                    let result = participant.publish_with(store, client).await;
                     task_outcomes.borrow_mut().push((*id, result));
                 }
             });
-            ex.run();
-            for service in &services {
-                service.shutdown();
-            }
-            if ex.run() != 0 {
-                return Err(StorageError::Session(
-                    "fabric publish phase left tasks blocked".to_string(),
-                ));
-            }
-            for (shard, service) in services.iter().enumerate() {
-                shard_stats[shard].absorb(service.stats());
-            }
-            for (id, result) in
-                Rc::try_unwrap(outcomes).expect("publish tasks finished").into_inner()
-            {
+            phase.finish(labels[0], &mut shard_stats)?;
+            let outcomes = Rc::try_unwrap(outcomes).expect("publish task finished");
+            for (id, result) in outcomes.into_inner() {
                 published.push((id, result?));
             }
         }
 
-        // Reconcile phase: one client task per participant, each holding one
-        // session per shard, all multiplexed onto the shard worker pools.
         let mut outcomes = {
-            let _phase = self
-                .obs
-                .tracer
-                .span("fabric.reconcile_phase", &[("reconcilers", reconcile_ids.len() as u64)]);
-            let mut ex = LocalExecutor::new(clock.clone());
-            let services = start_services(fabric, config, &self.obs, &net, &mut ex);
+            let _phase = obs.tracer.span(labels[1], &[("reconcilers", reconcile_ids.len() as u64)]);
+            let mut phase = Phase::start(&clock, &net, &served);
             let outcomes = Rc::new(RefCell::new(Vec::new()));
-            for (id, participant) in
-                self.participants.iter_mut().filter(|(id, _)| reconcile_ids.contains(id))
-            {
-                let id = *id;
-                let client = fabric_client(&services, id);
+            for (id, participant) in select(participants, reconcile_ids)? {
+                let client = client_for(&phase.services, id);
                 let task_clock = clock.clone();
                 let task_outcomes = Rc::clone(&outcomes);
-                ex.spawn(async move {
+                phase.ex.spawn(async move {
                     let start_us = task_clock.now_us();
-                    let result = participant.reconcile_service(fabric, &client).await;
+                    let result = participant.reconcile_with(store, &client).await;
                     let latency_us = task_clock.now_us() - start_us;
                     task_outcomes.borrow_mut().push((id, result, latency_us));
                 });
             }
-            ex.run();
-            for service in &services {
-                service.shutdown();
-            }
-            if ex.run() != 0 {
-                return Err(StorageError::Session(
-                    "fabric reconcile phase left tasks blocked".to_string(),
-                ));
-            }
-            for (shard, service) in services.iter().enumerate() {
-                shard_stats[shard].absorb(service.stats());
-            }
+            phase.finish(labels[1], &mut shard_stats)?;
             Rc::try_unwrap(outcomes).expect("reconcile tasks finished").into_inner()
         };
 
@@ -748,9 +559,7 @@ impl CdssSystem<orchestra_store::StoreFabric> {
         }
         // Per-shard skew: every frame that arrived at a shard server was
         // either served (`requests`) or shed at admission
-        // (`busy_rejections`), so the service counters reproduce the old
-        // link-traffic derivation exactly — and expose the two components
-        // separately in `shard_stats`.
+        // (`busy_rejections`).
         let shard_frames =
             shard_stats.iter().map(|stats| stats.requests + stats.busy_rejections).collect();
         Ok(FabricDriveReport {
@@ -764,24 +573,92 @@ impl CdssSystem<orchestra_store::StoreFabric> {
         })
     }
 
-    /// Reconciles the given participants through the store fabric (no
-    /// publish phase; see [`CdssSystem::run_fabric_round`]).
-    pub fn reconcile_each_fabric(
+    /// Drives one confederation round through the [`StoreService`]: the
+    /// `publish_ids` participants publish their pending batches (sequential,
+    /// so epoch assignment is deterministic), then the `reconcile_ids`
+    /// participants all reconcile **concurrently** — thousands of framed
+    /// sessions multiplexed onto the service's bounded worker pool on a
+    /// single OS thread, with latency modelled in virtual time. An empty
+    /// `publish_ids` makes it a pure reconciliation wave.
+    ///
+    /// Decisions are identical to [`CdssSystem::reconcile_each`] /
+    /// [`CdssSystem::reconcile_each_parallel`] over the same schedule: the
+    /// service serialises store calls per participant, and a session's
+    /// outcome depends only on the published log and the reconciler's own
+    /// record.
+    pub fn run_service_round(
         &mut self,
-        ids: &[ParticipantId],
-        config: &orchestra_store::FabricConfig,
-    ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
-        Ok(self.run_fabric_round(&[], ids, config)?.results)
+        publish_ids: &[ParticipantId],
+        reconcile_ids: &[ParticipantId],
+        config: &ServiceConfig,
+    ) -> Result<ServiceDriveReport> {
+        let round = self.run_round(
+            ["service.publish_phase", "service.reconcile_phase"],
+            |store| vec![(store, config.clone(), StoreService::server_node())],
+            |services, id| services[0].client_for(id),
+            publish_ids,
+            reconcile_ids,
+        )?;
+        Ok(ServiceDriveReport {
+            results: round.results,
+            published: round.published,
+            latencies_us: round.latencies_us,
+            stats: round.shard_stats[0],
+            net: round.net,
+            virtual_elapsed_us: round.virtual_elapsed_us,
+        })
     }
+}
 
-    /// Reconciles every participant through the store fabric (see
-    /// [`CdssSystem::run_fabric_round`]).
-    pub fn reconcile_all_fabric(
+impl CdssSystem<StoreFabric> {
+    /// Drives one confederation round through a **sharded store fabric**:
+    /// one [`StoreService`] per shard of the system's [`StoreFabric`], all on
+    /// one simulated network. The `publish_ids` participants publish
+    /// sequentially (primary at the home shard, pinned replicas everywhere
+    /// else, so every shard logs the same global epoch order), then the
+    /// `reconcile_ids` participants reconcile **concurrently**, each through
+    /// a [`FabricClient`] that merges one session per shard into a single
+    /// candidate timeline.
+    ///
+    /// Decisions are identical to the sequential and single-service drivers
+    /// over the same schedule — the `fabric_driver` integration tests prove
+    /// it property-based.
+    pub fn run_fabric_round(
         &mut self,
-        config: &orchestra_store::FabricConfig,
-    ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
-        let ids = self.participant_ids();
-        self.reconcile_each_fabric(&ids, config)
+        publish_ids: &[ParticipantId],
+        reconcile_ids: &[ParticipantId],
+        config: &FabricConfig,
+    ) -> Result<FabricDriveReport> {
+        let router = self.store.router();
+        if router.shards() != config.shards {
+            return Err(StorageError::Session(format!(
+                "fabric config speaks {} shards but the store fabric has {}",
+                config.shards,
+                router.shards()
+            )));
+        }
+        let tracer = self.obs.tracer.clone();
+        self.run_round(
+            ["fabric.publish_phase", "fabric.reconcile_phase"],
+            // Each shard service reports under its own metric keys
+            // (`service.requests{shard=N}`) and stamps its trace events with
+            // the shard, so per-shard skew — the admission gate at shard 0 —
+            // is directly visible.
+            |fabric| {
+                let shard_service = |shard| {
+                    let labelled =
+                        ServiceConfig { obs_shard: Some(shard as u64), ..config.service.clone() };
+                    (fabric.shard(shard), labelled, StoreService::shard_server_node(shard))
+                };
+                (0..router.shards()).map(shard_service).collect()
+            },
+            |services, id| {
+                let clients = services.iter().map(|service| service.client_for(id)).collect();
+                FabricClient::new(router, clients, tracer.clone())
+            },
+            publish_ids,
+            reconcile_ids,
+        )
     }
 }
 
@@ -967,7 +844,7 @@ mod tests {
         assert!(report.net.messages >= report.stats.requests, "every frame is charged");
         assert!((served.state_ratio() - reference.state_ratio()).abs() < 1e-9);
         // Unknown ids are rejected up front.
-        assert!(served.reconcile_each_service(&[p(9)], &config).is_err());
+        assert!(served.run_service_round(&[], &[p(9)], &config).is_err());
         assert!(served.run_service_round(&[p(9)], &[], &config).is_err());
     }
 

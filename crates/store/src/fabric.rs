@@ -14,12 +14,11 @@
 //!   the new epoch, so each epoch's candidates are served by exactly one
 //!   shard.
 //! * **A fabric session is N shard sessions merged into one virtual
-//!   timeline.** [`FabricClient::begin_session`] opens a session at every
-//!   shard (in shard order, so concurrent sessions cannot deadlock on
-//!   admission slots); [`FabricClient::drain_candidates`] drains each
-//!   shard's stream and k-way merges by `(epoch, shard)` — epochs are
-//!   globally unique, so the merge reproduces the exact candidate order a
-//!   single store would have streamed.
+//!   timeline.** [`FabricClient`] opens a session at every shard (in shard
+//!   order, so concurrent sessions cannot deadlock on admission slots),
+//!   drains each shard's stream and k-way merges by `(epoch, shard)` —
+//!   epochs are globally unique, so the merge reproduces the exact
+//!   candidate order a single store would have streamed.
 //! * **Commits fan the full decision lists to every shard.** Each shard
 //!   records the complete accepted/rejected sets, keeping every shard's
 //!   decision record, epoch cursors and reconciliation numbers identical —
@@ -30,24 +29,28 @@
 //! `fabric_driver` integration tests prove it property-based), while
 //! publishes and candidate streaming spread across N worker pools.
 //!
+//! The fan-out logic — ordered begin with rollback, the `(epoch, shard)`
+//! merge, commit and abort fan-out, primary-then-replica publish — lives in
+//! [`FabricClient`] only, generic over its per-shard [`ShardClient`]: the
+//! framed fabric driver runs it over one
+//! [`ServiceClient`](crate::ServiceClient) per shard, and [`StoreFabric`]'s
+//! own [`UpdateStore`] session and publish methods run it over one
+//! [`InProcessClient`] per shard store.
+//!
 //! Routing is pluggable through [`ShardRouter`]; [`FabricConfig`] bundles
-//! the shard count with the per-shard [`ServiceConfig`]. [`StoreFabric`]
-//! owns the shard stores for in-process use; [`FabricClient`] is the
-//! framed-protocol client driving one service per shard. Both the fabric
-//! client and the single-service [`ServiceClient`] implement the
-//! [`SessionClient`] trait, so drivers are generic over "one store or
-//! many".
+//! the shard count with the per-shard [`ServiceConfig`].
 
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 use crate::central::CentralStore;
-use crate::service::{ServiceClient, ServiceConfig};
+use crate::client::{poll_ready, InProcessClient, SessionClient, ShardClient};
+use crate::service::ServiceConfig;
 use orchestra_model::schema::Schema;
 use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction,
     TransactionId, TrustPolicy,
 };
+use orchestra_obs::Tracer;
 use orchestra_recon::CandidateTransaction;
-use orchestra_rt::VirtualClock;
 use orchestra_storage::{InstanceCheckpoint, Result, StorageError};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cell::RefCell;
@@ -138,6 +141,7 @@ pub struct StoreFabric {
 
 /// Per-shard state of one in-process fabric session.
 struct FabricSession {
+    participant: ParticipantId,
     /// The shard session handles, in shard order.
     shards: Vec<SessionId>,
     /// The merged candidate stream, buffered on the first `next_batch` (each
@@ -189,44 +193,56 @@ impl StoreFabric {
         Ok(())
     }
 
-    fn unknown_session(session: SessionId) -> StorageError {
-        StorageError::Session(format!(
-            "fabric session {}: unknown or already closed",
-            session.as_u64()
-        ))
+    /// `participant`'s fabric client over the shard stores themselves, built
+    /// per call: every [`UpdateStore`] session and publish method below is
+    /// [`poll_ready`] over the same [`FabricClient`] code the framed driver
+    /// awaits. The session table stays on the fabric (behind a `Mutex`, so
+    /// the fabric remains `Sync` for the threads driver); a call on an open
+    /// session seeds the client's own table with that session's handles.
+    fn client(
+        &self,
+        participant: ParticipantId,
+        open: Option<(SessionId, &FabricSession)>,
+    ) -> FabricClient<InProcessClient<'_, CentralStore>> {
+        let clients =
+            self.shards.iter().map(|store| InProcessClient::new(store, participant)).collect();
+        let client = FabricClient::new(self.router, clients, Tracer::disabled());
+        if let Some((session, state)) = open {
+            client.sessions.borrow_mut().insert(session, state.shards.clone());
+        }
+        client
     }
 
-    /// Merges every shard's candidate stream for one session into global
-    /// publication order, paging each shard with `page`-sized batches.
-    fn merge_streams(
-        &self,
-        shard_sessions: &[SessionId],
-        page: usize,
-        timing: &mut StoreTiming,
-    ) -> Result<VecDeque<CandidateTransaction>> {
-        let mut merged: Vec<(Epoch, usize, CandidateTransaction)> = Vec::new();
-        for (shard, (store, shard_session)) in self.shards.iter().zip(shard_sessions).enumerate() {
-            loop {
-                let batch = store.next_batch(*shard_session, page)?;
-                timing.accumulate(batch.timing);
-                let exhausted = batch.value.len() < page;
-                for candidate in batch.value {
-                    let epoch = store.epoch_of(candidate.id).ok_or_else(|| {
-                        StorageError::Session(format!(
-                            "candidate {:?} has no publication epoch",
-                            candidate.id
-                        ))
-                    })?;
-                    merged.push((epoch, shard, candidate));
-                }
-                if exhausted {
-                    break;
-                }
-            }
-        }
-        merged.sort_by_key(|entry| (entry.0, entry.1));
-        Ok(merged.into_iter().map(|(_, _, candidate)| candidate).collect())
+    fn sessions(&self) -> std::sync::MutexGuard<'_, FxHashMap<SessionId, FabricSession>> {
+        self.sessions.lock().expect("fabric session table poisoned")
     }
+
+    /// A publish (stamped in causal mode) under the fabric's publish lock,
+    /// so shards log publishes in one global order.
+    fn publish_ordered(
+        &self,
+        publisher: ParticipantId,
+        stamp: Option<CausalStamp>,
+        transactions: Vec<Transaction>,
+    ) -> Result<Timed<Epoch>> {
+        let _order = self.publish_lock.lock().expect("fabric publish lock poisoned");
+        self.published.store(true, Ordering::SeqCst);
+        poll_ready(self.client(publisher, None).publish(stamp, transactions))
+    }
+}
+
+fn unknown_session(session: SessionId) -> StorageError {
+    StorageError::Session(format!("fabric session {}: unknown or already closed", session.as_u64()))
+}
+
+/// Restores global publication order over per-shard candidate streams.
+/// Epochs are globally unique across the fabric, so ordering by
+/// `(epoch, shard)` is exactly the order a single store would stream.
+fn merge_by_epoch(
+    mut entries: Vec<(Epoch, usize, CandidateTransaction)>,
+) -> Vec<CandidateTransaction> {
+    entries.sort_by_key(|entry| (entry.0, entry.1));
+    entries.into_iter().map(|(_, _, candidate)| candidate).collect()
 }
 
 impl UpdateStore for StoreFabric {
@@ -249,117 +265,79 @@ impl UpdateStore for StoreFabric {
     }
 
     /// Primary publish at the publisher's home shard, then pinned replicas
-    /// at every other shard, all under the fabric's publish lock so shards
-    /// log publishes in one global order. The returned cost is the home
-    /// shard's (a real fabric replicates off the publisher's critical path).
+    /// at every other shard, all under the fabric's publish lock. The
+    /// returned cost covers the whole fan-out — what the caller waited for.
     fn publish(
         &self,
         participant: ParticipantId,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let _order = self.publish_lock.lock().expect("fabric publish lock poisoned");
-        self.published.store(true, Ordering::SeqCst);
-        let home = self.router.home_of(participant);
-        let published = self.shards[home].publish(participant, transactions.clone())?;
-        for (index, store) in self.shards.iter().enumerate() {
-            if index != home {
-                store.publish_replica(participant, published.value, transactions.clone())?;
-            }
-        }
-        Ok(published)
+        self.publish_ordered(participant, None, transactions)
     }
 
     /// Opens one session per shard and merges them behind a single synthetic
     /// handle: the home shard's reconciliation number (they advance in
     /// lockstep), the largest pinned epoch, and the summed candidate bound.
     fn begin_reconciliation(&self, participant: ParticipantId) -> Result<Timed<SessionInfo>> {
-        let mut timing = StoreTiming::default();
-        let mut infos: Vec<SessionInfo> = Vec::with_capacity(self.shards.len());
-        for store in &self.shards {
-            match store.begin_reconciliation(participant) {
-                Ok(timed) => {
-                    timing.accumulate(timed.timing);
-                    infos.push(timed.value);
-                }
-                Err(error) => {
-                    for (shard, info) in infos.iter().enumerate() {
-                        let _ = self.shards[shard].abort_reconciliation(info.session);
-                    }
-                    return Err(error);
-                }
-            }
-        }
-        let home = self.router.home_of(participant);
-        let handle = SessionId(self.next_session.fetch_add(1, Ordering::SeqCst) + 1);
-        let merged = SessionInfo {
-            session: handle,
-            recno: infos[home].recno,
-            epoch: infos.iter().map(|info| info.epoch).max().unwrap_or(Epoch::ZERO),
-            pending: infos.iter().map(|info| info.pending).sum(),
-        };
-        let state =
-            FabricSession { shards: infos.iter().map(|info| info.session).collect(), merged: None };
-        self.sessions.lock().expect("fabric session table poisoned").insert(handle, state);
-        Ok(Timed::new(merged, timing))
+        let client = self.client(participant, None);
+        let mut began = poll_ready(client.begin_session())?;
+        let shards = client.sessions.take().remove(&began.value.session);
+        let shards = shards.expect("begin_session records the shard handles");
+        began.value.session = SessionId(self.next_session.fetch_add(1, Ordering::SeqCst) + 1);
+        let state = FabricSession { participant, shards, merged: None };
+        self.sessions().insert(began.value.session, state);
+        Ok(began)
     }
 
     /// Pages the merged stream: the first call drains every shard session
-    /// (each serves only the epochs homed there) and k-way merges by
-    /// `(epoch, shard)` — exactly the publication order a single store would
-    /// stream — then batches are served from the merged buffer.
+    /// into publication order — exactly what a single store would stream —
+    /// then batches are served from the merged buffer.
     fn next_batch(
         &self,
         session: SessionId,
         max_candidates: usize,
     ) -> Result<Timed<Vec<CandidateTransaction>>> {
-        let mut sessions = self.sessions.lock().expect("fabric session table poisoned");
-        let state = sessions.get_mut(&session).ok_or_else(|| Self::unknown_session(session))?;
+        let mut sessions = self.sessions();
+        let state = sessions.get_mut(&session).ok_or_else(|| unknown_session(session))?;
         let mut timing = StoreTiming::default();
         if state.merged.is_none() {
-            let shard_sessions = state.shards.clone();
-            let page = max_candidates.max(1);
-            state.merged = Some(self.merge_streams(&shard_sessions, page, &mut timing)?);
+            let client = self.client(state.participant, Some((session, state)));
+            let drained = poll_ready(client.drain_candidates(session, max_candidates))?;
+            timing = drained.timing;
+            state.merged = Some(drained.value.into());
         }
         let buffer = state.merged.as_mut().expect("merged stream just filled");
         let take = max_candidates.min(buffer.len());
         Ok(Timed::new(buffer.drain(..take).collect(), timing))
     }
 
-    /// Commits every shard session with the **full** decision lists. Every
-    /// shard needs the complete record: antecedent exclusion on a shard's
-    /// own candidates must see accepts homed at other shards. A failed shard
-    /// commit leaves the fabric session open, as the single-store contract
-    /// requires (the client aborts it).
+    /// Commits every shard session with the **full** decision lists. A
+    /// failed shard commit leaves the fabric session open, as the
+    /// single-store contract requires (the client aborts it).
     fn commit_reconciliation(
         &self,
         session: SessionId,
         accepted: &[TransactionId],
         rejected: &[TransactionId],
     ) -> Result<StoreTiming> {
-        let shard_sessions = {
-            let sessions = self.sessions.lock().expect("fabric session table poisoned");
-            sessions.get(&session).ok_or_else(|| Self::unknown_session(session))?.shards.clone()
+        let client = {
+            let sessions = self.sessions();
+            let state = sessions.get(&session).ok_or_else(|| unknown_session(session))?;
+            self.client(state.participant, Some((session, state)))
         };
-        let mut timing = StoreTiming::default();
-        for (store, shard_session) in self.shards.iter().zip(&shard_sessions) {
-            timing.accumulate(store.commit_reconciliation(*shard_session, accepted, rejected)?);
-        }
-        self.sessions.lock().expect("fabric session table poisoned").remove(&session);
+        let timing = poll_ready(client.commit(session, accepted, rejected))?;
+        self.sessions().remove(&session);
         Ok(timing)
     }
 
-    /// Aborts every shard session. Aborting an unknown fabric session is a
-    /// no-op, matching the single-store contract.
+    /// Aborts every shard session and releases the handle. Aborting an
+    /// unknown or already-closed fabric session is a no-op, matching the
+    /// single-store contract.
     fn abort_reconciliation(&self, session: SessionId) -> Result<()> {
-        let Some(state) =
-            self.sessions.lock().expect("fabric session table poisoned").remove(&session)
-        else {
+        let Some(state) = self.sessions().remove(&session) else {
             return Ok(());
         };
-        for (store, shard_session) in self.shards.iter().zip(&state.shards) {
-            store.abort_reconciliation(*shard_session)?;
-        }
-        Ok(())
+        poll_ready(self.client(state.participant, Some((session, &state))).abort(session))
     }
 
     fn retire_participant(&self, participant: ParticipantId) -> Result<()> {
@@ -419,15 +397,14 @@ impl UpdateStore for StoreFabric {
     /// relevance is homed at its *publisher's* shard), so the recovery read
     /// merges across shards into publication order.
     fn undecided_candidates(&self, participant: ParticipantId) -> Vec<CandidateTransaction> {
-        let mut merged: Vec<(Epoch, usize, CandidateTransaction)> = Vec::new();
+        let mut entries = Vec::new();
         for (shard, store) in self.shards.iter().enumerate() {
             for candidate in store.undecided_candidates(participant) {
                 let epoch = store.epoch_of(candidate.id).unwrap_or(Epoch::ZERO);
-                merged.push((epoch, shard, candidate));
+                entries.push((epoch, shard, candidate));
             }
         }
-        merged.sort_by_key(|entry| (entry.0, entry.1));
-        merged.into_iter().map(|(_, _, candidate)| candidate).collect()
+        merge_by_epoch(entries)
     }
 
     fn causal_mode(&self) -> bool {
@@ -458,20 +435,7 @@ impl UpdateStore for StoreFabric {
         stamp: CausalStamp,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let _order = self.publish_lock.lock().expect("fabric publish lock poisoned");
-        self.published.store(true, Ordering::SeqCst);
-        let home = self.router.home_of(stamp.publisher);
-        let published = self.shards[home].publish_stamped(stamp.clone(), transactions.clone())?;
-        for (index, store) in self.shards.iter().enumerate() {
-            if index != home {
-                store.publish_replica_stamped(
-                    stamp.clone(),
-                    published.value,
-                    transactions.clone(),
-                )?;
-            }
-        }
-        Ok(published)
+        self.publish_ordered(stamp.publisher, Some(stamp), transactions)
     }
 
     fn record_instance_checkpoint(
@@ -498,131 +462,41 @@ impl UpdateStore for StoreFabric {
     }
 }
 
-/// The session-protocol surface a reconciliation driver needs, abstracted
-/// over "one service" ([`ServiceClient`]) vs "one service per shard"
-/// ([`FabricClient`]). Drivers written against this trait run unchanged on a
-/// single store service or a whole fabric.
-#[allow(async_fn_in_trait)]
-pub trait SessionClient {
-    /// The participant this client acts for.
-    fn participant(&self) -> ParticipantId;
-
-    /// The virtual clock the client's latencies accrue on.
-    fn clock(&self) -> &VirtualClock;
-
-    /// Opens a reconciliation session (fabric: one per shard, merged into a
-    /// single handle).
-    async fn begin_session(&self) -> Result<SessionInfo>;
-
-    /// Drains the session's candidate stream in pages of `batch_size`,
-    /// returning all candidates in publication (epoch) order.
-    async fn drain_candidates(
-        &self,
-        session: SessionId,
-        batch_size: usize,
-    ) -> Result<Vec<CandidateTransaction>>;
-
-    /// Commits the session with the full decision lists.
-    async fn commit(
-        &self,
-        session: SessionId,
-        accepted: &[TransactionId],
-        rejected: &[TransactionId],
-    ) -> Result<()>;
-
-    /// Aborts the session.
-    async fn abort(&self, session: SessionId) -> Result<()>;
-
-    /// Publishes a batch, returning its epoch.
-    async fn publish(&self, transactions: Vec<Transaction>) -> Result<Epoch>;
-
-    /// Publishes a causally stamped batch, returning its arrival epoch.
-    async fn publish_stamped(
-        &self,
-        stamp: CausalStamp,
-        transactions: Vec<Transaction>,
-    ) -> Result<Epoch>;
-}
-
-impl SessionClient for ServiceClient {
-    fn participant(&self) -> ParticipantId {
-        ServiceClient::participant(self)
-    }
-
-    fn clock(&self) -> &VirtualClock {
-        ServiceClient::clock(self)
-    }
-
-    async fn begin_session(&self) -> Result<SessionInfo> {
-        ServiceClient::begin_session(self).await
-    }
-
-    async fn drain_candidates(
-        &self,
-        session: SessionId,
-        batch_size: usize,
-    ) -> Result<Vec<CandidateTransaction>> {
-        ServiceClient::drain_candidates(self, session, batch_size).await
-    }
-
-    async fn commit(
-        &self,
-        session: SessionId,
-        accepted: &[TransactionId],
-        rejected: &[TransactionId],
-    ) -> Result<()> {
-        ServiceClient::commit(self, session, accepted, rejected).await
-    }
-
-    async fn abort(&self, session: SessionId) -> Result<()> {
-        ServiceClient::abort(self, session).await
-    }
-
-    async fn publish(&self, transactions: Vec<Transaction>) -> Result<Epoch> {
-        ServiceClient::publish(self, transactions).await
-    }
-
-    async fn publish_stamped(
-        &self,
-        stamp: CausalStamp,
-        transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        ServiceClient::publish_stamped(self, stamp, transactions).await
-    }
-}
-
-/// One participant's client onto a whole fabric: one [`ServiceClient`] per
+/// One participant's client onto a whole fabric: one [`ShardClient`] per
 /// shard, presenting the N shard sessions as a single virtual session.
 ///
 /// Sessions are opened in shard order (all concurrent fabric sessions
 /// acquire admission slots in the same order, so a starved shard delays but
 /// never deadlocks them), candidate streams are merged by `(epoch, shard)`,
-/// and commits fan the full decision lists to every shard.
-pub struct FabricClient {
+/// and commits fan the full decision lists to every shard. A call's cost is
+/// the sum over its shard calls.
+pub struct FabricClient<C: ShardClient> {
     router: ShardRouter,
-    clients: Vec<ServiceClient>,
+    clients: Vec<C>,
+    /// Where the `fabric.publish` span of each publish fan-out is recorded.
+    tracer: Tracer,
     /// Open fabric sessions: home-shard session handle → per-shard handles.
     sessions: RefCell<FxHashMap<SessionId, Vec<SessionId>>>,
 }
 
-impl FabricClient {
-    /// A fabric client over one [`ServiceClient`] per shard (in shard
-    /// order), all bound to the same participant.
+impl<C: ShardClient> FabricClient<C> {
+    /// A fabric client over one shard client per shard (in shard order), all
+    /// bound to the same participant, tracing publish fan-outs to `tracer`.
     ///
     /// Panics if the client count does not match the router's shard count or
     /// the clients disagree on the participant.
-    pub fn new(router: ShardRouter, clients: Vec<ServiceClient>) -> FabricClient {
+    pub fn new(router: ShardRouter, clients: Vec<C>, tracer: Tracer) -> FabricClient<C> {
         assert_eq!(
             clients.len(),
             router.shards(),
-            "a fabric client needs exactly one service client per shard"
+            "a fabric client needs exactly one shard client per shard"
         );
         let participant = clients[0].participant();
         assert!(
             clients.iter().all(|c| c.participant() == participant),
             "every shard client must act for the same participant"
         );
-        FabricClient { router, clients, sessions: RefCell::new(FxHashMap::default()) }
+        FabricClient { router, clients, tracer, sessions: RefCell::new(FxHashMap::default()) }
     }
 
     /// The home shard of this client's participant.
@@ -631,84 +505,80 @@ impl FabricClient {
     }
 
     fn shard_sessions(&self, session: SessionId) -> Result<Vec<SessionId>> {
-        self.sessions.borrow().get(&session).cloned().ok_or_else(|| {
-            StorageError::Session(format!(
-                "fabric session {}: unknown or already closed",
-                session.as_u64()
-            ))
-        })
+        self.sessions.borrow().get(&session).cloned().ok_or_else(|| unknown_session(session))
+    }
+
+    /// Aborts the given shard sessions (a prefix of the shards, in shard
+    /// order). Every shard is attempted even if an earlier abort fails; the
+    /// first error is returned afterwards.
+    async fn abort_shards(&self, shard_sessions: &[SessionId]) -> Result<()> {
+        let mut outcome = Ok(());
+        for (client, session) in self.clients.iter().zip(shard_sessions) {
+            let aborted = client.abort(*session).await;
+            if outcome.is_ok() {
+                outcome = aborted;
+            }
+        }
+        outcome
     }
 }
 
-impl SessionClient for FabricClient {
+impl<C: ShardClient> SessionClient for FabricClient<C> {
     fn participant(&self) -> ParticipantId {
         self.clients[0].participant()
-    }
-
-    fn clock(&self) -> &VirtualClock {
-        self.clients[0].clock()
     }
 
     /// Opens one session per shard, in shard order. The returned info uses
     /// the **home shard's** handle and reconciliation number (they advance in
     /// lockstep across shards), the largest pinned epoch, and the summed
     /// candidate bound.
-    async fn begin_session(&self) -> Result<SessionInfo> {
+    async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
+        let mut timing = StoreTiming::default();
         let mut infos: Vec<SessionInfo> = Vec::with_capacity(self.clients.len());
         for client in &self.clients {
             match client.begin_session().await {
-                Ok(info) => infos.push(info),
+                Ok(began) => {
+                    timing.accumulate(began.timing);
+                    infos.push(began.value);
+                }
                 Err(error) => {
                     // Release the shard sessions already opened so a failed
                     // open does not leak admission slots.
-                    for (shard, info) in infos.iter().enumerate() {
-                        let _ = self.clients[shard].abort(info.session).await;
-                    }
+                    let opened: Vec<SessionId> = infos.iter().map(|info| info.session).collect();
+                    let _ = self.abort_shards(&opened).await;
                     return Err(error);
                 }
             }
         }
         let home = self.home_shard();
-        let handle = infos[home].session;
         let merged = SessionInfo {
-            session: handle,
+            session: infos[home].session,
             recno: infos[home].recno,
             epoch: infos.iter().map(|info| info.epoch).max().unwrap_or(Epoch::ZERO),
             pending: infos.iter().map(|info| info.pending).sum(),
         };
         let shard_sessions = infos.iter().map(|info| info.session).collect();
-        self.sessions.borrow_mut().insert(handle, shard_sessions);
-        Ok(merged)
+        self.sessions.borrow_mut().insert(merged.session, shard_sessions);
+        Ok(Timed::new(merged, timing))
     }
 
     /// Drains every shard's stream (each shard serves only the epochs homed
-    /// there) and k-way merges by `(epoch, shard)`. Epochs are globally
-    /// unique across the fabric, so the merge is exactly the publication
-    /// order a single store would stream.
+    /// there) and k-way merges by `(epoch, shard)`.
     async fn drain_candidates(
         &self,
         session: SessionId,
         batch_size: usize,
-    ) -> Result<Vec<CandidateTransaction>> {
+    ) -> Result<Timed<Vec<CandidateTransaction>>> {
         let shard_sessions = self.shard_sessions(session)?;
-        let batch_size = batch_size.max(1);
-        let mut merged: Vec<(Epoch, usize, CandidateTransaction)> = Vec::new();
-        for (shard, (client, shard_session)) in self.clients.iter().zip(&shard_sessions).enumerate()
-        {
-            loop {
-                let (candidates, epochs) =
-                    client.next_batch_with_epochs(*shard_session, batch_size).await?;
-                let exhausted = candidates.len() < batch_size;
-                for (candidate, epoch) in candidates.into_iter().zip(epochs) {
-                    merged.push((epoch, shard, candidate));
-                }
-                if exhausted {
-                    break;
-                }
-            }
+        let mut timing = StoreTiming::default();
+        let mut entries = Vec::new();
+        for (shard, (client, session)) in self.clients.iter().zip(&shard_sessions).enumerate() {
+            let drained = client.drain_with_epochs(*session, batch_size).await?;
+            timing.accumulate(drained.timing);
+            let (candidates, epochs) = drained.value;
+            entries.extend(epochs.into_iter().zip(candidates).map(|(e, c)| (e, shard, c)));
         }
-        merged.sort_by_key(|entry| (entry.0, entry.1));
-        Ok(merged.into_iter().map(|(_, _, candidate)| candidate).collect())
+        Ok(Timed::new(merge_by_epoch(entries), timing))
     }
 
     /// Commits every shard session with the **full** accepted/rejected
@@ -719,72 +589,57 @@ impl SessionClient for FabricClient {
         session: SessionId,
         accepted: &[TransactionId],
         rejected: &[TransactionId],
-    ) -> Result<()> {
+    ) -> Result<StoreTiming> {
         let shard_sessions = self.shard_sessions(session)?;
+        let mut timing = StoreTiming::default();
         for (client, shard_session) in self.clients.iter().zip(&shard_sessions) {
-            client.commit(*shard_session, accepted, rejected).await?;
+            timing.accumulate(client.commit(*shard_session, accepted, rejected).await?);
         }
         self.sessions.borrow_mut().remove(&session);
-        Ok(())
+        Ok(timing)
     }
 
+    /// Releases the handle, then aborts every shard session.
     async fn abort(&self, session: SessionId) -> Result<()> {
-        let shard_sessions = self.shard_sessions(session)?;
-        for (client, shard_session) in self.clients.iter().zip(&shard_sessions) {
-            client.abort(*shard_session).await?;
+        let released = self.sessions.borrow_mut().remove(&session);
+        match released {
+            Some(shard_sessions) => self.abort_shards(&shard_sessions).await,
+            None => Ok(()),
         }
-        self.sessions.borrow_mut().remove(&session);
-        Ok(())
     }
 
-    /// Primary publish at the home shard, then pinned replicas everywhere
-    /// else. The driver must serialise fabric publishes (one publisher task)
-    /// so every shard logs them in the same global order; a divergent order
-    /// fails loudly with a pinned-epoch mismatch.
+    /// Primary publish at the publisher's home shard, then pinned replicas
+    /// everywhere else. The caller must serialise fabric publishes (one
+    /// publisher task, or the in-process fabric's publish lock) so every
+    /// shard logs them in the same global order; a divergent order fails
+    /// loudly with a pinned-epoch mismatch.
     ///
-    /// The whole fan-out is one `fabric.publish` trace span (on the home
-    /// shard client's tracer), so a trace shows the primary publish and its
-    /// replicas as a unit.
-    async fn publish(&self, transactions: Vec<Transaction>) -> Result<Epoch> {
-        let home = self.home_shard();
-        let _span = self.clients[home].tracer().span(
-            "fabric.publish",
-            &[
-                ("participant", u64::from(self.participant().as_u32())),
-                ("home", home as u64),
-                ("txns", transactions.len() as u64),
-            ],
-        );
-        let epoch = self.clients[home].publish(transactions.clone()).await?;
-        for (shard, client) in self.clients.iter().enumerate() {
-            if shard != home {
-                client.replicate(epoch, transactions.clone()).await?;
-            }
-        }
-        Ok(epoch)
-    }
-
-    async fn publish_stamped(
+    /// The whole fan-out is one `fabric.publish` trace span, so a trace
+    /// shows the primary publish and its replicas as a unit.
+    async fn publish(
         &self,
-        stamp: CausalStamp,
+        stamp: Option<CausalStamp>,
         transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        let home = self.router.home_of(stamp.publisher);
-        let _span = self.clients[home].tracer().span(
+    ) -> Result<Timed<Epoch>> {
+        let publisher = stamp.as_ref().map_or(self.participant(), |stamp| stamp.publisher);
+        let home = self.router.home_of(publisher);
+        let _span = self.tracer.span(
             "fabric.publish",
             &[
-                ("participant", u64::from(stamp.publisher.as_u32())),
+                ("participant", u64::from(publisher.as_u32())),
                 ("home", home as u64),
                 ("txns", transactions.len() as u64),
             ],
         );
-        let epoch = self.clients[home].publish_stamped(stamp.clone(), transactions.clone()).await?;
+        let mut published = self.clients[home].publish(stamp.clone(), transactions.clone()).await?;
         for (shard, client) in self.clients.iter().enumerate() {
             if shard != home {
-                client.replicate_stamped(stamp.clone(), epoch, transactions.clone()).await?;
+                let replica =
+                    client.replicate(stamp.clone(), published.value, transactions.clone()).await?;
+                published.timing.accumulate(replica.timing);
             }
         }
-        Ok(epoch)
+        Ok(published)
     }
 }
 
@@ -796,7 +651,7 @@ mod tests {
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{Tuple, Update};
     use orchestra_net::SimNetwork;
-    use orchestra_rt::LocalExecutor;
+    use orchestra_rt::{LocalExecutor, VirtualClock};
     use std::rc::Rc;
 
     fn p(i: u32) -> ParticipantId {
@@ -891,6 +746,23 @@ mod tests {
         fabric.register_participant(TrustPolicy::new(p(9)));
     }
 
+    /// One service per shard of `fabric`, all on one simulated network.
+    fn start_shard_services<'a>(
+        fabric: &'a StoreFabric,
+        config: &ServiceConfig,
+        ex: &mut LocalExecutor<'a>,
+    ) -> Vec<StoreService> {
+        let shards = fabric.router().shards();
+        let nodes: Vec<_> = (0..shards).map(StoreService::shard_server_node).collect();
+        let net: Rc<dyn orchestra_net::Transport> = Rc::new(SimNetwork::new(nodes));
+        (0..shards)
+            .map(|shard| {
+                let node = StoreService::shard_server_node(shard);
+                StoreService::start_at(fabric.shard(shard), config, ex, Rc::clone(&net), node)
+            })
+            .collect()
+    }
+
     /// Drives a full framed round over a fabric of `shards` services and
     /// checks the decisions against a single in-process store fed the same
     /// schedule.
@@ -903,32 +775,20 @@ mod tests {
             fabric.publish(p(i), vec![txn(i, 0, &format!("k{i}"))]).unwrap();
         }
 
-        let clock = VirtualClock::new();
-        let mut ex = LocalExecutor::new(clock.clone());
-        let nodes: Vec<_> = (0..shards).map(StoreService::shard_server_node).collect();
-        let net = Rc::new(SimNetwork::new(nodes));
+        let mut ex = LocalExecutor::new(VirtualClock::new());
         let config = ServiceConfig { workers: 2, ..ServiceConfig::default() };
-        let services: Vec<_> = (0..shards)
-            .map(|shard| {
-                StoreService::start_at(
-                    fabric.shard(shard),
-                    &config,
-                    &mut ex,
-                    Rc::clone(&net) as Rc<dyn orchestra_net::Transport>,
-                    StoreService::shard_server_node(shard),
-                )
-            })
-            .collect();
+        let services = start_shard_services(&fabric, &config, &mut ex);
 
         for i in 1..=n {
             let client = FabricClient::new(
                 fabric.router(),
                 services.iter().map(|s| s.client_for(p(i))).collect(),
+                Tracer::disabled(),
             );
             let fabric = &fabric;
             ex.spawn(async move {
-                let info = client.begin_session().await.unwrap();
-                let candidates = client.drain_candidates(info.session, 2).await.unwrap();
+                let info = client.begin_session().await.unwrap().value;
+                let candidates = client.drain_candidates(info.session, 2).await.unwrap().value;
                 // The merged stream must be in global publication order.
                 let epochs: Vec<_> =
                     candidates.iter().map(|c| fabric.shard(0).epoch_of(c.id).unwrap()).collect();
@@ -1031,5 +891,49 @@ mod tests {
             .collect();
         assert_eq!(before, after);
         assert!(fabric.next_batch(info.session, 2).is_err(), "the handle is consumed");
+    }
+
+    /// The framed fabric client honours the single-store abort contract over
+    /// real shard services: aborting an unknown or already-closed session is
+    /// `Ok(())`, and an aborted session leaves no shard session open. (That
+    /// every shard is attempted when one abort fails is checked against a
+    /// failing shard client in `tests/fabric_driver.rs`.)
+    #[test]
+    fn framed_fabric_abort_of_an_unknown_or_closed_session_is_a_no_op() {
+        let shards = 2;
+        let fabric = mutual_fabric(2, shards);
+        let mut ex = LocalExecutor::new(VirtualClock::new());
+        let services = start_shard_services(&fabric, &ServiceConfig::default(), &mut ex);
+        let client = FabricClient::new(
+            fabric.router(),
+            services.iter().map(|s| s.client_for(p(1))).collect(),
+            Tracer::disabled(),
+        );
+        ex.spawn(async move {
+            client.abort(SessionId(424_242)).await.unwrap();
+            let info = client.begin_session().await.unwrap().value;
+            client.abort(info.session).await.unwrap();
+            client.abort(info.session).await.unwrap();
+        });
+        ex.run();
+        for service in &services {
+            assert_eq!(service.stats().open_sessions, 0, "an abort must release every shard");
+        }
+    }
+
+    /// The blocking wrapper refuses a future that has to wait — here a
+    /// framed client's `Begin` — with a typed error, not a hang or a panic.
+    #[test]
+    fn poll_ready_refuses_a_pending_future_with_a_typed_error() {
+        let store = mutual_store(1);
+        let mut ex = LocalExecutor::new(VirtualClock::new());
+        let net = Rc::new(SimNetwork::new(vec![StoreService::server_node()]));
+        let service = StoreService::start(&store, &ServiceConfig::default(), &mut ex, net);
+        let framed = service.client_for(p(1));
+        let error = poll_ready(framed.begin_session()).unwrap_err();
+        assert!(matches!(error, StorageError::Session(_)), "got {error:?}");
+        assert!(error.to_string().contains("would have to wait"), "got {error}");
+        // The same call over the in-process client is ready at once.
+        poll_ready(InProcessClient::new(&store, p(1)).begin_session()).unwrap();
     }
 }

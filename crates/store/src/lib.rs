@@ -24,6 +24,9 @@
 //!   request/response messages over a simulated network, handled by a
 //!   bounded worker pool on the hand-rolled `orchestra-rt` runtime, with
 //!   per-participant FIFO routing, admission control and request batching.
+//! * [`SessionClient`] — the one seam a participant publishes and reconciles
+//!   through, implemented by [`InProcessClient`] (direct calls on a `&S`),
+//!   [`ServiceClient`] (framed) and [`FabricClient`] (N shards as one).
 //! * [`Durability`] — the pluggable persistence backend of the shared
 //!   [`StoreCatalog`]: [`Durability::Ephemeral`] (default) keeps the store
 //!   in-memory, [`Durability::FileWal`] appends every publish, decision
@@ -52,6 +55,7 @@
 pub mod api;
 pub mod catalog;
 pub mod central;
+pub mod client;
 pub mod dht;
 pub mod durability;
 pub mod fabric;
@@ -63,9 +67,10 @@ pub mod service;
 pub use api::{ReconciliationSession, SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 pub use catalog::{OpenedSession, SessionBatch, StoreCatalog};
 pub use central::{CentralStore, RetrievalMode};
+pub use client::{poll_ready, InProcessClient, SessionClient, ShardClient};
 pub use dht::DhtStore;
 pub use durability::{Durability, FileWalBackend, WalOptions};
-pub use fabric::{FabricClient, FabricConfig, SessionClient, ShardRouter, StoreFabric};
+pub use fabric::{FabricClient, FabricConfig, ShardRouter, StoreFabric};
 pub use network_centric::NetworkCentricPlan;
 pub use protocol::{StoreRequest, StoreResponse, PROTOCOL_VERSION};
 pub use pruner::AutoPruner;

@@ -35,7 +35,8 @@
 //! service shuts down or is dropped, tying the background prune loop to the
 //! server lifecycle.
 
-use crate::api::{SessionId, SessionInfo, UpdateStore};
+use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
+use crate::client::{SessionClient, ShardClient};
 use crate::protocol::{StoreRequest, StoreResponse};
 use crate::pruner::AutoPruner;
 use orchestra_model::{CausalStamp, Epoch, ParticipantId, Transaction, TransactionId};
@@ -49,6 +50,7 @@ use orchestra_storage::{PruneReport, Result, StorageError};
 use rustc_hash::FxHashSet;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::time::Duration;
 
 /// Tuning knobs for a [`StoreService`].
 #[derive(Debug, Clone)]
@@ -284,6 +286,27 @@ impl ServiceShared {
                 self.tracer.event(name, &all);
             }
             None => self.tracer.event(name, fields),
+        }
+    }
+
+    /// Answers a publish or replicate (`event` names which): the assigned
+    /// epoch, traced with its publisher and batch size, or the failure.
+    fn published(
+        &self,
+        event: &'static str,
+        publisher: ParticipantId,
+        txns: u64,
+        published: Result<Timed<Epoch>>,
+    ) -> StoreResponse {
+        match published {
+            Ok(Timed { value: epoch, .. }) => {
+                let publisher = u64::from(publisher.as_u32());
+                let fields =
+                    [("participant", publisher), ("epoch", epoch.as_u64()), ("txns", txns)];
+                self.trace(event, &fields);
+                StoreResponse::Published(epoch)
+            }
+            Err(error) => StoreResponse::Failed(error.to_string()),
         }
     }
 }
@@ -614,73 +637,23 @@ fn serve<S: UpdateStore + ?Sized>(
         },
         StoreRequest::Publish { participant, transactions } => {
             let txns = transactions.len() as u64;
-            match store.publish(participant, transactions) {
-                Ok(timed) => {
-                    shared.trace(
-                        "publish",
-                        &[
-                            ("participant", u64::from(participant.as_u32())),
-                            ("epoch", timed.value.as_u64()),
-                            ("txns", txns),
-                        ],
-                    );
-                    StoreResponse::Published(timed.value)
-                }
-                Err(error) => StoreResponse::Failed(error.to_string()),
-            }
+            let published = store.publish(participant, transactions);
+            shared.published("publish", participant, txns, published)
         }
         StoreRequest::PublishStamped { stamp, transactions } => {
-            let publisher = stamp.publisher;
-            let txns = transactions.len() as u64;
-            match store.publish_stamped(stamp, transactions) {
-                Ok(timed) => {
-                    shared.trace(
-                        "publish",
-                        &[
-                            ("participant", u64::from(publisher.as_u32())),
-                            ("epoch", timed.value.as_u64()),
-                            ("txns", txns),
-                        ],
-                    );
-                    StoreResponse::Published(timed.value)
-                }
-                Err(error) => StoreResponse::Failed(error.to_string()),
-            }
+            let (publisher, txns) = (stamp.publisher, transactions.len() as u64);
+            let published = store.publish_stamped(stamp, transactions);
+            shared.published("publish", publisher, txns, published)
         }
         StoreRequest::Replicate { participant, epoch, transactions } => {
             let txns = transactions.len() as u64;
-            match store.publish_replica(participant, epoch, transactions) {
-                Ok(timed) => {
-                    shared.trace(
-                        "replicate",
-                        &[
-                            ("participant", u64::from(participant.as_u32())),
-                            ("epoch", timed.value.as_u64()),
-                            ("txns", txns),
-                        ],
-                    );
-                    StoreResponse::Published(timed.value)
-                }
-                Err(error) => StoreResponse::Failed(error.to_string()),
-            }
+            let published = store.publish_replica(participant, epoch, transactions);
+            shared.published("replicate", participant, txns, published)
         }
         StoreRequest::ReplicateStamped { stamp, epoch, transactions } => {
-            let publisher = stamp.publisher;
-            let txns = transactions.len() as u64;
-            match store.publish_replica_stamped(stamp, epoch, transactions) {
-                Ok(timed) => {
-                    shared.trace(
-                        "replicate",
-                        &[
-                            ("participant", u64::from(publisher.as_u32())),
-                            ("epoch", timed.value.as_u64()),
-                            ("txns", txns),
-                        ],
-                    );
-                    StoreResponse::Published(timed.value)
-                }
-                Err(error) => StoreResponse::Failed(error.to_string()),
-            }
+            let (publisher, txns) = (stamp.publisher, transactions.len() as u64);
+            let published = store.publish_replica_stamped(stamp, epoch, transactions);
+            shared.published("replicate", publisher, txns, published)
         }
     }
 }
@@ -712,22 +685,6 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// The participant this client issues frames for.
-    pub fn participant(&self) -> ParticipantId {
-        self.participant
-    }
-
-    /// The virtual clock the client's latencies accrue on.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    /// The trace sink this client's events are recorded into (the service's
-    /// tracer; disabled unless the service was configured with one).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Issues one framed request and awaits its response. Charges the
     /// request frame, sleeps the one-way frame latency, parks while the
     /// worker inbox is full (backpressure), then sleeps the reply frame's
@@ -748,13 +705,39 @@ impl ServiceClient {
         Ok(response)
     }
 
+    /// The store cost of a call that started at `start_us`: the virtual time
+    /// its frames took, queueing at the service included.
+    fn cost_since(&self, start_us: u64) -> StoreTiming {
+        let network = Duration::from_micros(self.clock.now_us() - start_us);
+        StoreTiming { compute: Duration::ZERO, network }
+    }
+
+    /// Issues a publish or replicate request; all four answer `Published`.
+    async fn published(&self, request: StoreRequest) -> Result<Timed<Epoch>> {
+        let start_us = self.clock.now_us();
+        match self.request(request).await? {
+            StoreResponse::Published(epoch) => Ok(Timed::new(epoch, self.cost_since(start_us))),
+            StoreResponse::Failed(message) => Err(remote_error(message)),
+            other => Err(protocol_error("Published", &other)),
+        }
+    }
+}
+
+impl SessionClient for ServiceClient {
+    fn participant(&self) -> ParticipantId {
+        self.participant
+    }
+
     /// Opens a reconciliation session, retrying [`StoreResponse::Busy`]
     /// admission rejections with linear virtual backoff.
-    pub async fn begin_session(&self) -> Result<SessionInfo> {
+    async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
+        let start_us = self.clock.now_us();
         let mut attempt = 0u32;
         loop {
             match self.request(StoreRequest::Begin { participant: self.participant }).await? {
-                StoreResponse::Began(info) => return Ok(info),
+                StoreResponse::Began(info) => {
+                    return Ok(Timed::new(info, self.cost_since(start_us)))
+                }
                 StoreResponse::Busy => {
                     if attempt >= self.busy_retries {
                         return Err(StorageError::Session(
@@ -783,70 +766,35 @@ impl ServiceClient {
         }
     }
 
-    /// Streams one page of candidates.
-    pub async fn next_batch(
-        &self,
-        session: SessionId,
-        max_candidates: usize,
-    ) -> Result<Vec<CandidateTransaction>> {
-        Ok(self.next_batch_with_epochs(session, max_candidates).await?.0)
-    }
-
-    /// Streams one page of candidates together with the publication epoch of
-    /// each (parallel vectors). Fabric clients merge shard streams by epoch.
-    pub async fn next_batch_with_epochs(
-        &self,
-        session: SessionId,
-        max_candidates: usize,
-    ) -> Result<(Vec<CandidateTransaction>, Vec<Epoch>)> {
-        match self.request(StoreRequest::NextBatch { session, max_candidates }).await? {
-            StoreResponse::Batch { candidates, epochs } => Ok((candidates, epochs)),
-            StoreResponse::Failed(message) => Err(remote_error(message)),
-            other => Err(protocol_error("Batch", &other)),
-        }
-    }
-
-    /// Drains the session's candidate stream in pages of `batch_size`,
-    /// stopping at the first short page (the [`UpdateStore::next_batch`]
-    /// end-of-stream contract).
-    pub async fn drain_candidates(
+    async fn drain_candidates(
         &self,
         session: SessionId,
         batch_size: usize,
-    ) -> Result<Vec<CandidateTransaction>> {
-        let batch_size = batch_size.max(1);
-        let mut candidates = Vec::new();
-        loop {
-            let page = self.next_batch(session, batch_size).await?;
-            let exhausted = page.len() < batch_size;
-            candidates.extend(page);
-            if exhausted {
-                return Ok(candidates);
-            }
-        }
+    ) -> Result<Timed<Vec<CandidateTransaction>>> {
+        let drained = self.drain_with_epochs(session, batch_size).await?;
+        Ok(Timed::new(drained.value.0, drained.timing))
     }
 
-    /// Commits the session with its decisions.
-    pub async fn commit(
+    async fn commit(
         &self,
         session: SessionId,
         accepted: &[TransactionId],
         rejected: &[TransactionId],
-    ) -> Result<()> {
+    ) -> Result<StoreTiming> {
+        let start_us = self.clock.now_us();
         let request = StoreRequest::Commit {
             session,
             accepted: accepted.to_vec(),
             rejected: rejected.to_vec(),
         };
         match self.request(request).await? {
-            StoreResponse::Committed => Ok(()),
+            StoreResponse::Committed => Ok(self.cost_since(start_us)),
             StoreResponse::Failed(message) => Err(remote_error(message)),
             other => Err(protocol_error("Committed", &other)),
         }
     }
 
-    /// Aborts the session.
-    pub async fn abort(&self, session: SessionId) -> Result<()> {
+    async fn abort(&self, session: SessionId) -> Result<()> {
         match self.request(StoreRequest::Abort { session }).await? {
             StoreResponse::Aborted => Ok(()),
             StoreResponse::Failed(message) => Err(remote_error(message)),
@@ -854,54 +802,47 @@ impl ServiceClient {
         }
     }
 
-    /// Publishes a batch, returning its epoch.
-    pub async fn publish(&self, transactions: Vec<Transaction>) -> Result<Epoch> {
-        let request = StoreRequest::Publish { participant: self.participant, transactions };
-        match self.request(request).await? {
-            StoreResponse::Published(epoch) => Ok(epoch),
-            StoreResponse::Failed(message) => Err(remote_error(message)),
-            other => Err(protocol_error("Published", &other)),
-        }
-    }
-
-    /// Publishes a causally stamped batch, returning its arrival epoch.
-    pub async fn publish_stamped(
+    async fn publish(
         &self,
-        stamp: CausalStamp,
+        stamp: Option<CausalStamp>,
         transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        match self.request(StoreRequest::PublishStamped { stamp, transactions }).await? {
-            StoreResponse::Published(epoch) => Ok(epoch),
-            StoreResponse::Failed(message) => Err(remote_error(message)),
-            other => Err(protocol_error("Published", &other)),
-        }
+    ) -> Result<Timed<Epoch>> {
+        let request = match stamp {
+            Some(stamp) => StoreRequest::PublishStamped { stamp, transactions },
+            None => StoreRequest::Publish { participant: self.participant, transactions },
+        };
+        self.published(request).await
     }
+}
 
-    /// Replicates a batch already published at another shard, pinning it to
-    /// the epoch the home shard assigned.
-    pub async fn replicate(&self, epoch: Epoch, transactions: Vec<Transaction>) -> Result<Epoch> {
-        let request =
-            StoreRequest::Replicate { participant: self.participant, epoch, transactions };
-        match self.request(request).await? {
-            StoreResponse::Published(epoch) => Ok(epoch),
-            StoreResponse::Failed(message) => Err(remote_error(message)),
-            other => Err(protocol_error("Published", &other)),
-        }
-    }
-
-    /// Replicates a causally stamped batch already published at another
-    /// shard (causal counterpart of [`ServiceClient::replicate`]).
-    pub async fn replicate_stamped(
+impl ShardClient for ServiceClient {
+    async fn next_batch_with_epochs(
         &self,
-        stamp: CausalStamp,
+        session: SessionId,
+        max_candidates: usize,
+    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>> {
+        let start_us = self.clock.now_us();
+        match self.request(StoreRequest::NextBatch { session, max_candidates }).await? {
+            StoreResponse::Batch { candidates, epochs } => {
+                Ok(Timed::new((candidates, epochs), self.cost_since(start_us)))
+            }
+            StoreResponse::Failed(message) => Err(remote_error(message)),
+            other => Err(protocol_error("Batch", &other)),
+        }
+    }
+
+    async fn replicate(
+        &self,
+        stamp: Option<CausalStamp>,
         epoch: Epoch,
         transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        match self.request(StoreRequest::ReplicateStamped { stamp, epoch, transactions }).await? {
-            StoreResponse::Published(epoch) => Ok(epoch),
-            StoreResponse::Failed(message) => Err(remote_error(message)),
-            other => Err(protocol_error("Published", &other)),
-        }
+    ) -> Result<Timed<Epoch>> {
+        let participant = self.participant;
+        let request = match stamp {
+            Some(stamp) => StoreRequest::ReplicateStamped { stamp, epoch, transactions },
+            None => StoreRequest::Replicate { participant, epoch, transactions },
+        };
+        self.published(request).await
     }
 }
 
@@ -967,16 +908,16 @@ mod tests {
         let publisher = service.client_for(p(1));
         let publisher2 = service.client_for(p(2));
         ex.spawn(async move {
-            publisher.publish(vec![txn(1, 0, "k1")]).await.unwrap();
-            publisher2.publish(vec![txn(2, 0, "k2")]).await.unwrap();
+            publisher.publish(None, vec![txn(1, 0, "k1")]).await.unwrap();
+            publisher2.publish(None, vec![txn(2, 0, "k2")]).await.unwrap();
         });
         assert_eq!(ex.run(), config.workers);
 
         for i in 1..=n {
             let client = service.client_for(p(i));
             ex.spawn(async move {
-                let info = client.begin_session().await.unwrap();
-                let candidates = client.drain_candidates(info.session, 8).await.unwrap();
+                let info = client.begin_session().await.unwrap().value;
+                let candidates = client.drain_candidates(info.session, 8).await.unwrap().value;
                 let accepted = all_member_ids(&candidates);
                 client.commit(info.session, &accepted, &[]).await.unwrap();
             });
@@ -1031,8 +972,8 @@ mod tests {
             let client = service.client_for(p(i));
             let done = Rc::clone(&done);
             ex.spawn(async move {
-                let info = client.begin_session().await.unwrap();
-                let candidates = client.drain_candidates(info.session, 8).await.unwrap();
+                let info = client.begin_session().await.unwrap().value;
+                let candidates = client.drain_candidates(info.session, 8).await.unwrap().value;
                 client.commit(info.session, &all_member_ids(&candidates), &[]).await.unwrap();
                 done.set(done.get() + 1);
             });
@@ -1061,7 +1002,7 @@ mod tests {
         let holder = service.client_for(p(1));
         let holder_clock = clock.clone();
         ex.spawn(async move {
-            let info = holder.begin_session().await.unwrap();
+            let info = holder.begin_session().await.unwrap().value;
             holder_clock.sleep_us(1_000_000).await;
             holder.abort(info.session).await.unwrap();
         });
@@ -1099,7 +1040,7 @@ mod tests {
             let client = service.client_for(p(1));
             let epochs = Rc::clone(&epochs);
             ex.spawn(async move {
-                let epoch = client.publish(vec![txn(1, slot, "k")]).await.unwrap();
+                let epoch = client.publish(None, vec![txn(1, slot, "k")]).await.unwrap().value;
                 epochs.borrow_mut()[slot as usize] = epoch;
             });
         }
@@ -1245,14 +1186,15 @@ mod tests {
                 let key = format!("k{round}");
                 let batch = vec![txn(1 + round % 3, u64::from(round), &key)];
                 ex.spawn(async move {
-                    publisher.publish(batch).await.unwrap();
+                    publisher.publish(None, batch).await.unwrap();
                 });
                 assert_eq!(ex.run(), config.workers);
                 for i in 1..=3 {
                     let client = service.client_for(p(i));
                     ex.spawn(async move {
-                        let info = client.begin_session().await.unwrap();
-                        let candidates = client.drain_candidates(info.session, 4).await.unwrap();
+                        let info = client.begin_session().await.unwrap().value;
+                        let candidates =
+                            client.drain_candidates(info.session, 4).await.unwrap().value;
                         client
                             .commit(info.session, &all_member_ids(&candidates), &[])
                             .await

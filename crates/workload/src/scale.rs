@@ -327,6 +327,15 @@ pub fn run_churn_scale_observed<S: UpdateStore + Sync>(
     obs: &Obs,
 ) -> ScaleRunResult {
     let service_config = config.service_config();
+    let service_round = |system: &mut CdssSystem<S>, publish: &[_], due: &[_], result: &mut _| {
+        let report = system
+            .run_service_round(publish, due, &service_config)
+            .expect("service round succeeds");
+        absorb_round(result, &report.published, &report.latencies_us, &[report.stats]);
+        result.net_messages += report.net.messages;
+        result.net_bytes += report.net.bytes;
+        result.virtual_elapsed_us += report.virtual_elapsed_us;
+    };
     run_churn_loop(
         store,
         config,
@@ -339,14 +348,7 @@ pub fn run_churn_scale_observed<S: UpdateStore + Sync>(
                     }
                 }
             }
-            ScaleDriver::Service => {
-                let report = system
-                    .run_service_round(ids, &[], &service_config)
-                    .expect("service publish phase succeeds");
-                result.publishes +=
-                    report.published.iter().filter(|(_, epoch)| epoch.is_some()).count() as u64;
-                absorb_service_report(result, &report);
-            }
+            ScaleDriver::Service => service_round(system, ids, &[], result),
         },
         |system, due, result| match driver {
             ScaleDriver::Sequential => {
@@ -357,14 +359,7 @@ pub fn run_churn_scale_observed<S: UpdateStore + Sync>(
                 let reports = system.reconcile_each_parallel(due).expect("threaded wave succeeds");
                 result.sessions += reports.len() as u64;
             }
-            ScaleDriver::Service => {
-                let report = system
-                    .run_service_round(&[], due, &service_config)
-                    .expect("service wave succeeds");
-                result.sessions += report.results.len() as u64;
-                result.latencies_us.extend_from_slice(&report.latencies_us);
-                absorb_service_report(result, &report);
-            }
+            ScaleDriver::Service => service_round(system, &[], due, result),
         },
     )
 }
@@ -388,25 +383,27 @@ pub fn run_churn_scale_fabric(config: &ScaleConfig) -> ScaleRunResult {
 /// shard-0 admission gate directly.
 pub fn run_churn_scale_fabric_observed(config: &ScaleConfig, obs: &Obs) -> ScaleRunResult {
     let fabric_config = config.fabric_config();
+    let fabric_round = |system: &mut CdssSystem<_>, publish: &[_], due: &[_], result: &mut _| {
+        let report =
+            system.run_fabric_round(publish, due, &fabric_config).expect("fabric round succeeds");
+        absorb_round(result, &report.published, &report.latencies_us, &report.shard_stats);
+        result.net_messages += report.net.messages;
+        result.net_bytes += report.net.bytes;
+        result.virtual_elapsed_us += report.virtual_elapsed_us;
+        // Only the fabric reports per-shard load: the spread is its skew.
+        result.shard_busy.resize(report.shard_stats.len(), 0);
+        result.shard_frames.resize(report.shard_frames.len(), 0);
+        for (shard, stats) in report.shard_stats.iter().enumerate() {
+            result.shard_busy[shard] += stats.busy_rejections;
+            result.shard_frames[shard] += report.shard_frames[shard];
+        }
+    };
     run_churn_loop(
         StoreFabric::new(bioinformatics_schema(), config.fabric_shards),
         config,
         obs,
-        |system, ids, result| {
-            let report = system
-                .run_fabric_round(ids, &[], &fabric_config)
-                .expect("fabric publish phase succeeds");
-            result.publishes +=
-                report.published.iter().filter(|(_, epoch)| epoch.is_some()).count() as u64;
-            absorb_fabric_report(result, &report);
-        },
-        |system, due, result| {
-            let report =
-                system.run_fabric_round(&[], due, &fabric_config).expect("fabric wave succeeds");
-            result.sessions += report.results.len() as u64;
-            result.latencies_us.extend_from_slice(&report.latencies_us);
-            absorb_fabric_report(result, &report);
-        },
+        |system, ids, result| fabric_round(system, ids, &[], result),
+        |system, due, result| fabric_round(system, &[], due, result),
     )
 }
 
@@ -505,33 +502,22 @@ fn run_churn_loop<S: UpdateStore + Sync>(
     result
 }
 
-fn absorb_service_report(result: &mut ScaleRunResult, report: &orchestra::ServiceDriveReport) {
-    result.requests += report.stats.requests;
-    result.busy_rejections += report.stats.busy_rejections;
-    result.batches += report.stats.batches;
-    result.net_messages += report.net.messages;
-    result.net_bytes += report.net.bytes;
-    result.virtual_elapsed_us += report.virtual_elapsed_us;
-}
-
-fn absorb_fabric_report(result: &mut ScaleRunResult, report: &orchestra::FabricDriveReport) {
-    if result.shard_busy.len() < report.shard_stats.len() {
-        result.shard_busy.resize(report.shard_stats.len(), 0);
-    }
-    for (shard, stats) in report.shard_stats.iter().enumerate() {
+/// Folds one service or fabric round into the run: a publish phase counts
+/// its epochs, a wave its sessions (one virtual latency each), and both the
+/// counters of every service that served them.
+fn absorb_round(
+    result: &mut ScaleRunResult,
+    published: &[(ParticipantId, Option<orchestra_model::Epoch>)],
+    latencies_us: &[u64],
+    stats: &[orchestra_store::ServiceStats],
+) {
+    result.publishes += published.iter().filter(|(_, epoch)| epoch.is_some()).count() as u64;
+    result.sessions += latencies_us.len() as u64;
+    result.latencies_us.extend_from_slice(latencies_us);
+    for stats in stats {
         result.requests += stats.requests;
         result.busy_rejections += stats.busy_rejections;
         result.batches += stats.batches;
-        result.shard_busy[shard] += stats.busy_rejections;
-    }
-    result.net_messages += report.net.messages;
-    result.net_bytes += report.net.bytes;
-    result.virtual_elapsed_us += report.virtual_elapsed_us;
-    if result.shard_frames.len() < report.shard_frames.len() {
-        result.shard_frames.resize(report.shard_frames.len(), 0);
-    }
-    for (total, frames) in result.shard_frames.iter_mut().zip(&report.shard_frames) {
-        *total += frames;
     }
 }
 

@@ -356,7 +356,7 @@ pub enum ReconcileDriver {
     Parallel,
     /// One async session per due participant, multiplexed through the framed
     /// store service on the single-threaded runtime
-    /// (`CdssSystem::reconcile_each_service` with default service knobs).
+    /// (`CdssSystem::run_service_round` with default service knobs).
     Service,
 }
 
@@ -437,9 +437,9 @@ pub fn run_churn_concurrent<S: UpdateStore + Sync>(
         let reports = match driver {
             ReconcileDriver::Sequential => system.reconcile_each(due),
             ReconcileDriver::Parallel => system.reconcile_each_parallel(due),
-            ReconcileDriver::Service => {
-                system.reconcile_each_service(due, &orchestra_store::ServiceConfig::default())
-            }
+            ReconcileDriver::Service => system
+                .run_service_round(&[], due, &orchestra_store::ServiceConfig::default())
+                .map(|round| round.results),
         }
         .expect("reconcile wave succeeds");
         result.reconcile_wall += wave_start.elapsed();

@@ -1,15 +1,27 @@
 //! Equivalence and starvation tests for the sharded fabric driver: on
 //! arbitrary publish/reconcile schedules — scalar *and* causal-DAG epoch
-//! mode — a multi-shard store fabric reaches decisions identical to both
-//! the sequential driver and the single-service driver, and a fabric whose
-//! every shard admits only one session at a time still completes every
-//! cross-shard session without changing a single decision.
+//! mode — a store fabric of 1 or 4 shards, driven in-process or through its
+//! framed services, reaches decisions identical to both the sequential
+//! driver and the single-service driver, and a fabric whose every shard
+//! admits only one session at a time still completes every cross-shard
+//! session without changing a single decision.
 
 use orchestra::{CdssSystem, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{KeyValue, ParticipantId, TransactionId, TrustPolicy, Tuple, Update};
-use orchestra_store::{CentralStore, FabricConfig, ServiceConfig, StoreFabric, UpdateStore};
+use orchestra_model::{
+    CausalStamp, Epoch, KeyValue, ParticipantId, ReconciliationId, Transaction, TransactionId,
+    TrustPolicy, Tuple, Update,
+};
+use orchestra_obs::Tracer;
+use orchestra_recon::CandidateTransaction;
+use orchestra_storage::{Result, StorageError};
+use orchestra_store::{
+    poll_ready, CentralStore, FabricClient, FabricConfig, ServiceConfig, SessionClient, SessionId,
+    SessionInfo, ShardClient, ShardRouter, StoreFabric, StoreTiming, Timed, UpdateStore,
+};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn p(i: u32) -> ParticipantId {
     ParticipantId(i)
@@ -110,6 +122,11 @@ fn run_single(ops: &[Op], driver: Driver, causal: bool) -> Vec<ParticipantSnapsh
         system.enable_causal_mode().unwrap();
     }
     let config = ServiceConfig::default();
+    let ids = system.participant_ids();
+    let wave = |system: &mut CdssSystem<CentralStore>| match driver {
+        Driver::Sequential => system.reconcile_all().map(|_| ()).unwrap(),
+        Driver::Service => system.run_service_round(&[], &ids, &config).map(|_| ()).unwrap(),
+    };
     for &(who, key, value, reconcile_wave) in ops {
         let who = p((who % PARTICIPANTS as usize) as u32 + 1);
         execute(&mut system, who, key % KEY_POOL, value % VALUE_POOL);
@@ -122,52 +139,77 @@ fn run_single(ops: &[Op], driver: Driver, causal: bool) -> Vec<ParticipantSnapsh
             }
         }
         if reconcile_wave % 2 == 1 {
-            match driver {
-                Driver::Sequential => system.reconcile_all().map(|_| ()).unwrap(),
-                Driver::Service => system.reconcile_all_service(&config).map(|_| ()).unwrap(),
-            }
+            wave(&mut system);
         }
     }
-    match driver {
-        Driver::Sequential => system.reconcile_all().map(|_| ()).unwrap(),
-        Driver::Service => system.reconcile_all_service(&config).map(|_| ()).unwrap(),
-    }
+    wave(&mut system);
     snapshots(&system)
 }
 
-/// Runs the same schedule against a [`StoreFabric`]: publishes route to the
-/// participant's home shard and fan out to every replica, and each
-/// reconciliation session merges candidates from every shard into one
-/// virtual timeline.
-fn run_fabric(ops: &[Op], causal: bool) -> Vec<ParticipantSnapshot> {
+/// Runs the same schedule against a [`StoreFabric`] of `shards` shards:
+/// publishes route to the participant's home shard and fan out to every
+/// replica, and each reconciliation session merges candidates from every
+/// shard into one virtual timeline. `framed` drives it through one service
+/// per shard (`run_fabric_round`); otherwise through the fabric's own
+/// in-process `UpdateStore` methods (`publish` / `reconcile_all`) — the same
+/// fan-out code over in-process shard clients.
+fn run_fabric(ops: &[Op], causal: bool, shards: usize, framed: bool) -> Vec<ParticipantSnapshot> {
     let mut system =
-        CdssSystem::new(bioinformatics_schema(), StoreFabric::new(bioinformatics_schema(), SHARDS));
+        CdssSystem::new(bioinformatics_schema(), StoreFabric::new(bioinformatics_schema(), shards));
     for policy in mutual_policies(PARTICIPANTS) {
         system.add_participant(ParticipantConfig::new(policy)).unwrap();
     }
     if causal {
         system.enable_causal_mode().unwrap();
     }
-    let config = FabricConfig { shards: SHARDS, ..FabricConfig::default() };
+    let config = FabricConfig { shards, ..FabricConfig::default() };
+    let ids = system.participant_ids();
+    let wave = |system: &mut CdssSystem<StoreFabric>| {
+        if framed {
+            system.run_fabric_round(&[], &ids, &config).unwrap();
+        } else {
+            system.reconcile_all().unwrap();
+        }
+    };
     for &(who, key, value, reconcile_wave) in ops {
         let who = p((who % PARTICIPANTS as usize) as u32 + 1);
         execute(&mut system, who, key % KEY_POOL, value % VALUE_POOL);
-        system.run_fabric_round(&[who], &[], &config).unwrap();
+        if framed {
+            system.run_fabric_round(&[who], &[], &config).unwrap();
+        } else {
+            system.publish(who).unwrap();
+        }
         if reconcile_wave % 2 == 1 {
-            system.reconcile_all_fabric(&config).unwrap();
+            wave(&mut system);
         }
     }
-    system.reconcile_all_fabric(&config).unwrap();
+    wave(&mut system);
     snapshots(&system)
+}
+
+/// In-process fabric ≡ framed fabric ≡ single service ≡ sequential, for a
+/// degenerate one-shard fabric and for one where every session is a
+/// cross-shard merge.
+fn assert_all_routes_agree(ops: &[Op], causal: bool) {
+    let sequential = run_single(ops, Driver::Sequential, causal);
+    let service = run_single(ops, Driver::Service, causal);
+    assert_eq!(sequential, service, "single-service driver diverged");
+    for shards in [1, SHARDS] {
+        let framed = run_fabric(ops, causal, shards, true);
+        assert_eq!(sequential, framed, "framed {shards}-shard fabric diverged");
+        let in_process = run_fabric(ops, causal, shards, false);
+        assert_eq!(sequential, in_process, "in-process {shards}-shard fabric diverged");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Scalar epochs: the fabric reaches decisions (accepted and rejected
-    /// sets, final instances) identical to both the sequential and the
-    /// single-service drivers on random publish/reconcile schedules,
-    /// including schedules that force genuine cross-shard conflicts.
+    /// Scalar epochs: the fabric — framed and in-process, 1 and 4 shards —
+    /// reaches decisions (accepted and rejected sets, final instances)
+    /// identical to both the sequential and the single-service drivers on
+    /// random publish/reconcile schedules, including schedules that force
+    /// genuine cross-shard conflicts.
     #[test]
     fn fabric_driver_is_equivalent_on_scalar_schedules(
         ops in prop::collection::vec(
@@ -175,20 +217,16 @@ proptest! {
             1..24,
         )
     ) {
-        let sequential = run_single(&ops, Driver::Sequential, false);
-        let service = run_single(&ops, Driver::Service, false);
-        let fabric = run_fabric(&ops, false);
-        prop_assert_eq!(&sequential, &service, "single-service driver diverged");
-        prop_assert_eq!(&sequential, &fabric, "fabric driver diverged");
+        assert_all_routes_agree(&ops, false);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Causal-DAG epochs: the same three-way equivalence with causal mode
-    /// enabled, so fabric publishes carry client causal stamps to the home
-    /// shard and replay them verbatim on every replica.
+    /// Causal-DAG epochs: the same equivalence with causal mode enabled, so
+    /// fabric publishes carry client causal stamps to the home shard and
+    /// replay them verbatim on every replica.
     #[test]
     fn fabric_driver_is_equivalent_on_causal_schedules(
         ops in prop::collection::vec(
@@ -196,11 +234,7 @@ proptest! {
             1..16,
         )
     ) {
-        let sequential = run_single(&ops, Driver::Sequential, true);
-        let service = run_single(&ops, Driver::Service, true);
-        let fabric = run_fabric(&ops, true);
-        prop_assert_eq!(&sequential, &service, "single-service driver diverged");
-        prop_assert_eq!(&sequential, &fabric, "fabric driver diverged");
+        assert_all_routes_agree(&ops, true);
     }
 }
 
@@ -250,7 +284,7 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
 
     let mut roomy = build();
     roomy
-        .reconcile_all_fabric(&FabricConfig { shards: SHARDS, ..FabricConfig::default() })
+        .run_fabric_round(&[], &ids, &FabricConfig { shards: SHARDS, ..FabricConfig::default() })
         .unwrap();
     for &id in &ids {
         assert_eq!(
@@ -260,4 +294,105 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
         );
         assert_eq!(starved.store().rejected_set(id), roomy.store().rejected_set(id));
     }
+}
+
+/// A shard client that only records aborts — and fails them on demand —
+/// so the fan-out's abort contract can be checked on every shard.
+struct AbortProbe {
+    shard: usize,
+    fail_abort: bool,
+    aborted: Rc<RefCell<Vec<usize>>>,
+}
+
+fn refused<T>() -> Result<T> {
+    Err(StorageError::Session("the abort probe serves sessions only".to_string()))
+}
+
+impl SessionClient for AbortProbe {
+    fn participant(&self) -> ParticipantId {
+        p(1)
+    }
+
+    async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
+        let info = SessionInfo {
+            session: SessionId(10 + self.shard as u64),
+            recno: ReconciliationId(1),
+            epoch: Epoch::ZERO,
+            pending: 0,
+        };
+        Ok(Timed::new(info, StoreTiming::default()))
+    }
+
+    async fn drain_candidates(
+        &self,
+        _: SessionId,
+        _: usize,
+    ) -> Result<Timed<Vec<CandidateTransaction>>> {
+        refused()
+    }
+
+    async fn commit(
+        &self,
+        _: SessionId,
+        _: &[TransactionId],
+        _: &[TransactionId],
+    ) -> Result<StoreTiming> {
+        refused()
+    }
+
+    async fn abort(&self, _: SessionId) -> Result<()> {
+        self.aborted.borrow_mut().push(self.shard);
+        if self.fail_abort {
+            return Err(StorageError::Session(format!("shard {} abort failed", self.shard)));
+        }
+        Ok(())
+    }
+
+    async fn publish(&self, _: Option<CausalStamp>, _: Vec<Transaction>) -> Result<Timed<Epoch>> {
+        refused()
+    }
+}
+
+impl ShardClient for AbortProbe {
+    async fn next_batch_with_epochs(
+        &self,
+        _: SessionId,
+        _: usize,
+    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>> {
+        refused()
+    }
+
+    async fn replicate(
+        &self,
+        _: Option<CausalStamp>,
+        _: Epoch,
+        _: Vec<Transaction>,
+    ) -> Result<Timed<Epoch>> {
+        refused()
+    }
+}
+
+/// The one abort contract of every fabric session: an unknown handle is
+/// a no-op, every shard is attempted even when an earlier shard's abort
+/// fails (the first error is returned afterwards), and the handle is
+/// released either way.
+#[test]
+fn fabric_abort_attempts_every_shard_and_always_releases_the_handle() {
+    let aborted = Rc::new(RefCell::new(Vec::new()));
+    let probes = (0..3)
+        .map(|shard| AbortProbe { shard, fail_abort: shard == 0, aborted: Rc::clone(&aborted) })
+        .collect();
+    let client = FabricClient::new(ShardRouter::new(3), probes, Tracer::disabled());
+
+    poll_ready(client.abort(SessionId(99))).unwrap();
+    assert!(aborted.borrow().is_empty(), "an unknown handle reaches no shard");
+
+    let info = poll_ready(client.begin_session()).unwrap().value;
+    let error = poll_ready(client.abort(info.session)).unwrap_err();
+    assert!(error.to_string().contains("shard 0 abort failed"), "got {error}");
+    assert_eq!(*aborted.borrow(), vec![0, 1, 2], "later shards must still be aborted");
+
+    poll_ready(client.abort(info.session)).unwrap();
+    assert_eq!(aborted.borrow().len(), 3, "the handle was released by the failed abort");
+    assert!(poll_ready(client.commit(info.session, &[], &[])).is_err());
 }

@@ -48,9 +48,20 @@ fn identical_service_runs_export_byte_identical_traces() {
     // service-side vocabulary is present.
     let events = export::parse_text(&trace_a).unwrap();
     assert!(!events.is_empty());
-    for name in ["service.publish_phase", "service.reconcile_phase", "session.begin", "publish"] {
+    for name in [
+        "service.publish_phase",
+        "service.reconcile_phase",
+        "session.begin",
+        "publish",
+        "participant.publish",
+    ] {
         assert!(events.iter().any(|e| e.name == name), "trace lacks {name} events");
     }
+    // Every publish the service served is also reported by its participant,
+    // with the epoch it was assigned — on this path as on the in-process one.
+    let served = events.iter().filter(|e| e.name == "publish").count();
+    let reported = events.iter().filter(|e| e.name == "participant.publish").count();
+    assert_eq!(reported, served, "one participant.publish per served publish");
 }
 
 #[test]
@@ -65,6 +76,17 @@ fn fabric_trace_capture_is_deterministic_and_shard_stamped() {
     assert_eq!(fingerprint_a, fingerprint_b);
     assert_eq!(trace_a, trace_b);
     let events = export::parse_text(&trace_a).unwrap();
+    // One participant.publish (participant, epoch, txns) per fabric publish
+    // fan-out, as on every other path.
+    let fan_outs = events
+        .iter()
+        .filter(|e| e.name == "fabric.publish" && e.kind == orchestra_obs::EventKind::Open)
+        .count();
+    let reported: Vec<_> = events.iter().filter(|e| e.name == "participant.publish").collect();
+    assert!(fan_outs > 0 && reported.len() == fan_outs, "{} vs {fan_outs}", reported.len());
+    for field in ["participant", "epoch", "txns"] {
+        assert!(reported.iter().all(|e| e.fields.iter().any(|(k, _)| k.as_str() == field)));
+    }
     let shards = mini_config().fabric_shards as u64;
     for shard in 0..shards {
         assert!(

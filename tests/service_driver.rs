@@ -75,7 +75,7 @@ type ParticipantSnapshot = (Vec<(KeyValue, Tuple)>, Vec<TransactionId>, Vec<Tran
 
 /// Runs a schedule under one driver. The service driver also routes its
 /// *publishes* through the framed protocol, so the proptest covers
-/// `publish_service` (scalar and causal-stamped) as well as the session
+/// the framed publish (scalar and causal-stamped) as well as the session
 /// protocol.
 fn run(ops: &[Op], driver: Driver, causal: bool) -> Vec<ParticipantSnapshot> {
     let schema = bioinformatics_schema();
@@ -131,7 +131,8 @@ fn wave(system: &mut CdssSystem<CentralStore>, driver: Driver, config: &ServiceC
             system.reconcile_all_parallel().unwrap();
         }
         Driver::Service => {
-            system.reconcile_all_service(config).unwrap();
+            let ids = system.participant_ids();
+            system.run_service_round(&[], &ids, config).unwrap();
         }
     }
 }
@@ -218,7 +219,7 @@ fn starved_admission_cap_completes_every_session_with_identical_decisions() {
     assert_eq!(report.stats.open_sessions, 0, "no session may leak past the round");
 
     let mut roomy = build();
-    roomy.reconcile_all_service(&ServiceConfig::default()).unwrap();
+    roomy.run_service_round(&[], &ids, &ServiceConfig::default()).unwrap();
     for &id in &ids {
         assert_eq!(
             starved.store().accepted_set(id),
