@@ -14,7 +14,9 @@ use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
     ParticipantId, Priority, ReconciliationId, Transaction, TrustPolicy, Tuple, Update,
 };
-use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
+use orchestra_recon::{
+    CandidateTransaction, FlatExtension, ReconcileEngine, ReconcileInput, SoftState,
+};
 use orchestra_storage::Database;
 use orchestra_store::{DhtStore, UpdateStore};
 use std::time::Duration;
@@ -168,7 +170,7 @@ fn bench_conflict_detection(c: &mut Criterion) {
     // against a naive all-pairs scan over the same flattened extensions.
     let schema = bioinformatics_schema();
     let candidates = chained_candidates(300, true);
-    let flattened: Vec<Vec<Update>> =
+    let flattened: Vec<FlatExtension> =
         candidates.iter().map(|cand| cand.flattened(&schema)).collect();
 
     let mut group = c.benchmark_group("conflict_detection");
@@ -201,9 +203,9 @@ fn bench_conflict_detection(c: &mut Criterion) {
             let mut conflicts = 0usize;
             for i in 0..candidates.len() {
                 for j in (i + 1)..candidates.len() {
-                    let hit = flattened[i]
-                        .iter()
-                        .any(|a| flattened[j].iter().any(|b| a.conflicts_with(b, &schema)));
+                    let hit = flattened[i].updates().iter().any(|a| {
+                        flattened[j].updates().iter().any(|b| a.conflicts_with(b, &schema))
+                    });
                     if hit {
                         conflicts += 1;
                     }

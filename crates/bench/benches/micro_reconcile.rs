@@ -1,6 +1,9 @@
 //! Microbenchmarks of the reconciliation building blocks: flattening,
 //! conflict detection between update extensions, and a single
-//! `ReconcileUpdates` run over a synthetic candidate set.
+//! `ReconcileUpdates` run over a synthetic candidate set — thin candidates
+//! with conflicts, and wide conflict-free candidates against a non-empty own
+//! delta (the benchmark's `durable_crash` shape, where the per-applied-update
+//! constant is what matters).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orchestra_model::schema::bioinformatics_schema;
@@ -76,5 +79,77 @@ fn bench_reconcile(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flatten, bench_reconcile);
+/// A 26-update transaction in the generator's shape: 13 new `Function` rows,
+/// each with one cross-reference, over keys private to `(origin, local)`.
+fn wide_txn(origin: u32, local: u64) -> Transaction {
+    let mut updates = Vec::with_capacity(26);
+    for k in 0..13usize {
+        let key = origin as usize * 10_000 + local as usize * 100 + k;
+        updates.push(Update::insert("Function", func(key, 0), p(origin)));
+        let xref = Tuple::of_text(&["organism", &format!("prot{key:05}"), "db", "accession"]);
+        updates.push(Update::insert("XRef", xref, p(origin)));
+    }
+    Transaction::from_parts(p(origin), local, updates).unwrap()
+}
+
+/// One conflict-free reconciliation in `durable_crash`'s shape: eight
+/// candidates of 26 updates each (208 applied updates per run) against the
+/// participant's own freshly published delta.
+fn bench_wide_txn_own_delta(c: &mut Criterion) {
+    let schema = bioinformatics_schema();
+    let mut group = c.benchmark_group("wide_txn_own_delta");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(5));
+    group.warm_up_time(Duration::from_secs(1));
+
+    let independent: Vec<CandidateTransaction> = (0..8u32)
+        .map(|i| CandidateTransaction::new(&wide_txn(2 + i, 0), Priority(1), vec![]))
+        .collect();
+    // Same 208 updates, but the last two candidates share an undecided
+    // antecedent, so the second of them is applied through the
+    // `flattened_excluding` fallback.
+    let mut shared_antecedent = independent[..5].to_vec();
+    let antecedent = wide_txn(7, 0);
+    for origin in [8u32, 9] {
+        shared_antecedent.push(CandidateTransaction::new(
+            &wide_txn(origin, 0),
+            Priority(1),
+            vec![antecedent.clone()],
+        ));
+    }
+    let own_delta = |txns: u64| -> Vec<Update> {
+        (0..txns).flat_map(|local| wide_txn(1, local).updates().to_vec()).collect()
+    };
+
+    let arms = [
+        ("own_26", &independent, own_delta(1)),
+        ("own_52", &independent, own_delta(2)),
+        ("own_26_shared_antecedent", &shared_antecedent, own_delta(1)),
+    ];
+    for (label, cands, own_updates) in arms {
+        group.bench_function(BenchmarkId::new(label, 208), |b| {
+            let engine = ReconcileEngine::new(schema.clone());
+            // The participant has already applied its own delta locally.
+            let mut base = Database::new(schema.clone());
+            base.apply_all(&own_updates).unwrap();
+            b.iter(|| {
+                let mut db = base.clone();
+                let mut soft = SoftState::new();
+                engine.reconcile(
+                    ReconcileInput {
+                        recno: ReconciliationId(1),
+                        candidates: cands.clone(),
+                        own_updates: own_updates.clone(),
+                        ..Default::default()
+                    },
+                    &mut db,
+                    &mut soft,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_flatten, bench_reconcile, bench_wide_txn_own_delta);
 criterion_main!(benches);

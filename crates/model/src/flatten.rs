@@ -47,14 +47,18 @@ enum NetEffect {
 ///
 /// Updates over relations unknown to the schema are passed through untouched;
 /// flattening never drops information it cannot interpret.
-pub fn flatten(schema: &Schema, updates: &[Update]) -> Vec<Update> {
+///
+/// The input is any sequence of borrowed updates — a slice, or a chain over
+/// several shared update lists — so callers never copy a footprint together
+/// just to flatten it.
+pub fn flatten<'a>(schema: &Schema, updates: impl IntoIterator<Item = &'a Update>) -> Vec<Update> {
     // Per relation: key -> (net effect, origin of last contribution, sequence
     // number of first contribution, used to keep output order stable).
     type ChainMap = FxHashMap<KeyValue, (NetEffect, crate::ids::ParticipantId, usize)>;
     let mut chains: FxHashMap<crate::intern::RelName, ChainMap> = FxHashMap::default();
     let mut passthrough: Vec<(usize, Update)> = Vec::new();
 
-    for (seq, u) in updates.iter().enumerate() {
+    for (seq, u) in updates.into_iter().enumerate() {
         let Ok(rel) = schema.relation(&u.relation) else {
             passthrough.push((seq, u.clone()));
             continue;

@@ -197,9 +197,8 @@ impl Participant {
                     }
                 }
             }
-            let footprint: Vec<Update> =
-                unit.iter().flat_map(|t| t.updates().iter().cloned()).collect();
-            for update in orchestra_model::flatten(&schema, &footprint) {
+            let footprint = unit.iter().flat_map(|t| t.updates());
+            for update in orchestra_model::flatten(&schema, footprint) {
                 Self::apply_lenient(&mut participant.instance, &update);
             }
         }

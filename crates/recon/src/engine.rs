@@ -8,7 +8,9 @@
 //! ones, and rebuilds the soft state (dirty values and conflict groups) from
 //! the deferred ones.
 
-use crate::extension::{CandidateTransaction, ExtensionCache};
+use crate::extension::{
+    conflict_sets, CandidateTransaction, ExtensionCache, FlatExtension, KeyIndex,
+};
 use crate::softstate::{ConflictGroup, SoftState};
 use orchestra_model::{
     flatten, Priority, ReconciliationId, Schema, TransactionId, Update, UpdateOp,
@@ -78,8 +80,9 @@ pub struct ReconcileOutcome {
     pub rejected: Vec<TransactionId>,
     /// Root transactions that were deferred.
     pub deferred: Vec<TransactionId>,
-    /// The net updates applied to the local instance.
-    pub applied_updates: Vec<Update>,
+    /// How many net updates were applied to the local instance (updates
+    /// whose effect was already present are not counted).
+    pub applied: usize,
     /// The conflict groups recorded for the deferred transactions.
     pub conflict_groups: Vec<ConflictGroup>,
 }
@@ -144,40 +147,42 @@ impl ReconcileEngine {
         // only bites candidates re-presented by conflict resolution.
         if !input.previously_accepted.is_empty() {
             for cand in &mut candidates {
-                cand.prune_accepted_members(&input.previously_accepted);
+                cand.prune_accepted_members(|id| input.previously_accepted.contains(id));
             }
         }
         let candidates = candidates;
-        let own_flat = flatten(schema, &input.own_updates);
+        // The participant's own net delta, indexed once per run by the keys
+        // it touches; every candidate probes the index with its own keys.
+        let own = FlatExtension::new(schema, flatten(schema, &input.own_updates));
+        let own_by_key = own.by_key();
 
-        // Lines 5-8: per-candidate flattened extensions and CheckState. The
-        // flattenings come from the cache: a candidate deferred by an earlier
-        // reconciliation arrives with an unchanged antecedent chain and is
-        // not re-flattened.
+        // Lines 5-8: per-candidate flattened extensions and CheckState. Each
+        // candidate is flattened once, through the cache (a candidate deferred
+        // by an earlier reconciliation arrives with an unchanged antecedent
+        // chain and is not re-flattened); every later step reads that one
+        // flattening and its keys.
+        let flats: Vec<Arc<FlatExtension>> =
+            candidates.iter().map(|cand| self.cache.flattened(cand, schema)).collect();
         let mut decisions: FxHashMap<TransactionId, TransactionDecision> = FxHashMap::default();
-        let mut flattened: FxHashMap<TransactionId, Arc<Vec<Update>>> = FxHashMap::default();
-        for cand in &candidates {
-            let flat = self.cache.flattened(cand, schema);
+        for (cand, flat) in candidates.iter().zip(&flats) {
             let decision = self.check_state(
                 cand,
-                &flat,
+                flat,
                 instance,
                 soft,
-                &own_flat,
+                &own_by_key,
                 &input.previously_rejected,
             );
             decisions.insert(cand.id, decision);
-            flattened.insert(cand.id, flat);
         }
 
         // Line 9: FindConflicts — pairwise direct conflicts between
         // candidates, skipping pairs where one subsumes the other. In
         // network-centric mode the conflicts arrive precomputed from the
         // store and the local step is skipped.
-        let conflicts = match input.precomputed_conflicts {
-            Some(conflicts) => conflicts,
-            None => Self::find_conflicts(&candidates, &flattened, schema),
-        };
+        let conflicts = input
+            .precomputed_conflicts
+            .unwrap_or_else(|| conflict_sets(&candidates, &flats, schema));
 
         // Lines 10-12: DoGroup per priority, in decreasing order.
         let by_id: FxHashMap<TransactionId, &CandidateTransaction> =
@@ -190,17 +195,23 @@ impl ReconcileEngine {
             Self::do_group(prio, &candidates, &conflicts, &by_id, &mut decisions);
         }
 
-        // Lines 14-19: apply accepted candidates, recomputing each update
-        // extension against the set of transactions already used so shared
-        // antecedents are applied exactly once.
+        // Lines 14-19: apply accepted candidates. An extension none of whose
+        // members has been applied yet is applied as flattened above; one
+        // that shares an antecedent with an already applied candidate is
+        // re-flattened without the used members, so shared antecedents are
+        // applied exactly once.
         let mut used: FxHashSet<TransactionId> = FxHashSet::default();
         let mut outcome = ReconcileOutcome { recno: input.recno, ..Default::default() };
-        for cand in &candidates {
+        for (cand, flat) in candidates.iter().zip(&flats) {
             if decisions[&cand.id] != TransactionDecision::Accept {
                 continue;
             }
-            let net = cand.flattened_excluding(schema, &used);
-            match Self::apply_net(instance, &net) {
+            let applied = if cand.members.iter().any(|(id, _)| used.contains(id)) {
+                Self::apply_net(instance, &cand.flattened_excluding(schema, &used))
+            } else {
+                Self::apply_net(instance, flat.updates())
+            };
+            match applied {
                 Ok(applied) => {
                     for (id, _) in &cand.members {
                         if used.insert(*id) {
@@ -208,7 +219,7 @@ impl ReconcileEngine {
                         }
                     }
                     outcome.accepted_roots.push(cand.id);
-                    outcome.applied_updates.extend(applied);
+                    outcome.applied += applied;
                 }
                 Err(_) => {
                     // The accepted set should always apply cleanly; if an
@@ -236,19 +247,21 @@ impl ReconcileEngine {
             }
         }
 
-        // Line 21: UpdateSoftState — previously deferred transactions remain
-        // deferred alongside the newly deferred ones. Their chains are
-        // pruned against everything accepted up to and *including* this run,
-        // so the soft state never holds a member whose effects are already
-        // in the instance (and crash recovery, which rebuilds deferred
-        // candidates from the store's current accepted set, reproduces the
-        // same chains).
-        let accepted_now: FxHashSet<TransactionId> = input
-            .previously_accepted
-            .iter()
-            .chain(outcome.accepted_members.iter())
-            .copied()
-            .collect();
+        // Line 21: UpdateSoftState. The common case first: nothing was
+        // deferred before this run and nothing is now, so the soft state is
+        // already what a rebuild would produce and no flattening can recur.
+        if soft.deferred().is_empty() && outcome.deferred.is_empty() {
+            soft.advance(input.recno);
+            self.cache.retain(|_| false);
+            return outcome;
+        }
+        // Otherwise previously deferred transactions remain deferred
+        // alongside the newly deferred ones. Their chains are pruned against
+        // everything accepted up to and *including* this run (probing the
+        // two sets in place — the accepted history is never copied), so the
+        // soft state never holds a member whose effects are already in the
+        // instance (and crash recovery, which rebuilds deferred candidates
+        // from the store's current accepted set, reproduces the same chains).
         let mut all_deferred: Vec<CandidateTransaction> =
             soft.deferred().values().cloned().collect();
         all_deferred.sort_by_key(|c| c.id);
@@ -268,7 +281,9 @@ impl ReconcileEngine {
                 && decisions.get(&c.id).map(|d| *d == TransactionDecision::Defer).unwrap_or(true)
         });
         for cand in &mut all_deferred {
-            cand.prune_accepted_members(&accepted_now);
+            cand.prune_accepted_members(|id| {
+                input.previously_accepted.contains(id) || used.contains(id)
+            });
         }
         soft.rebuild(input.recno, all_deferred, schema, &self.cache);
         // Accepted and rejected transactions are durably decided at the store
@@ -285,23 +300,14 @@ impl ReconcileEngine {
     fn check_state(
         &self,
         cand: &CandidateTransaction,
-        flat: &[Update],
+        flat: &FlatExtension,
         instance: &Database,
         soft: &SoftState,
-        own_flat: &[Update],
+        own_by_key: &KeyIndex<'_>,
         previously_rejected: &FxHashSet<TransactionId>,
     ) -> TransactionDecision {
-        let schema = &self.schema;
-        // 1-2: touches a dirty value -> defer. The flattened extension has
-        // already been computed, so derive the touched keys from it rather
-        // than flattening again.
-        let touches_dirty = flat.iter().any(|u| {
-            schema
-                .relation(&u.relation)
-                .map(|rel| u.touched_keys(rel).iter().any(|k| soft.is_dirty(&u.relation, k)))
-                .unwrap_or(false)
-        });
-        if touches_dirty {
+        // 1-2: touches a dirty value -> defer.
+        if flat.touched().any(|(relation, key, _)| soft.is_dirty(relation, key)) {
             return TransactionDecision::Defer;
         }
         // 3-4: extension contains an already rejected transaction -> reject.
@@ -309,100 +315,18 @@ impl ReconcileEngine {
             return TransactionDecision::Reject;
         }
         // 5-6: incompatible with the instance -> reject.
-        for u in flat {
+        for u in flat.updates() {
             if !instance.is_compatible(u) || instance.check_constraints(u).is_err() {
                 return TransactionDecision::Reject;
             }
         }
-        // 7-8: conflicts with the participant's own delta -> reject.
-        for u in flat {
-            for own in own_flat {
-                if u.conflicts_with(own, schema) {
-                    return TransactionDecision::Reject;
-                }
-            }
+        // 7-8: conflicts with the participant's own delta -> reject. Every
+        // conflicting pair of updates shares a touched key, so probing the
+        // own delta's index with the candidate's keys finds them all.
+        if !flat.conflict_keys_with(own_by_key, &self.schema).is_empty() {
+            return TransactionDecision::Reject;
         }
         TransactionDecision::Accept
-    }
-
-    /// `FindConflicts` (Figure 5): pairwise direct conflicts between the
-    /// candidates' update extensions, skipping pairs where one subsumes the
-    /// other.
-    ///
-    /// A hash index from touched `(relation, key)` pairs to candidates keeps
-    /// the common case near-linear (the paper's analysis assumes a hash
-    /// table-based conflict detection step): only candidates that touch a
-    /// common key are compared, and the precomputed flattened extensions are
-    /// reused unless the pair shares extension members, in which case the
-    /// exact Definition 4 check (excluding shared members) is performed.
-    fn find_conflicts(
-        candidates: &[CandidateTransaction],
-        flattened: &FxHashMap<TransactionId, Arc<Vec<Update>>>,
-        schema: &Schema,
-    ) -> FxHashMap<TransactionId, FxHashSet<TransactionId>> {
-        let mut conflicts: FxHashMap<TransactionId, FxHashSet<TransactionId>> =
-            FxHashMap::default();
-
-        // Index candidates by the keys their flattened extensions touch.
-        let mut by_key: FxHashMap<
-            (orchestra_model::RelName, orchestra_model::KeyValue),
-            Vec<usize>,
-        > = FxHashMap::default();
-        for (i, cand) in candidates.iter().enumerate() {
-            let mut seen: FxHashSet<(orchestra_model::RelName, orchestra_model::KeyValue)> =
-                FxHashSet::default();
-            for u in flattened[&cand.id].iter() {
-                if let Ok(rel) = schema.relation(&u.relation) {
-                    for key in u.touched_keys(rel) {
-                        let entry = (u.relation.clone(), key);
-                        if seen.insert(entry.clone()) {
-                            by_key.entry(entry).or_default().push(i);
-                        }
-                    }
-                }
-            }
-        }
-
-        let member_sets: Vec<FxHashSet<TransactionId>> =
-            candidates.iter().map(|c| c.member_ids()).collect();
-        let mut checked: FxHashSet<(usize, usize)> = FxHashSet::default();
-        for indices in by_key.values() {
-            for a_pos in 0..indices.len() {
-                for b_pos in (a_pos + 1)..indices.len() {
-                    let (i, j) =
-                        (indices[a_pos].min(indices[b_pos]), indices[a_pos].max(indices[b_pos]));
-                    if i == j || !checked.insert((i, j)) {
-                        continue;
-                    }
-                    let a = &candidates[i];
-                    let b = &candidates[j];
-                    let a_members = &member_sets[i];
-                    let b_members = &member_sets[j];
-                    let a_subsumes = b_members.iter().all(|id| a_members.contains(id));
-                    let b_subsumes = a_members.iter().all(|id| b_members.contains(id));
-                    if a_subsumes || b_subsumes {
-                        continue;
-                    }
-                    let shares_members = a_members.iter().any(|id| b_members.contains(id));
-                    let conflicting = if shares_members {
-                        // Exact Definition 4 check excluding shared members.
-                        a.directly_conflicts_with(b, schema)
-                    } else {
-                        !crate::extension::conflict_keys_between(
-                            &flattened[&a.id],
-                            &flattened[&b.id],
-                            schema,
-                        )
-                        .is_empty()
-                    };
-                    if conflicting {
-                        conflicts.entry(a.id).or_default().insert(b.id);
-                        conflicts.entry(b.id).or_default().insert(a.id);
-                    }
-                }
-            }
-        }
-        conflicts
     }
 
     /// `DoGroup` (Figure 5): within one priority group, reject transactions
@@ -470,13 +394,13 @@ impl ReconcileEngine {
 
     /// Applies the net updates of an accepted extension, tolerating updates
     /// whose effect is already present (shared effects of previously applied
-    /// extensions). Returns the updates actually applied; on error everything
-    /// applied by this call is rolled back.
+    /// extensions). Returns how many updates were actually applied; on error
+    /// everything applied by this call is rolled back.
     fn apply_net(
         instance: &mut Database,
         net: &[Update],
-    ) -> Result<Vec<Update>, orchestra_storage::StorageError> {
-        let mut applied: Vec<Update> = Vec::with_capacity(net.len());
+    ) -> Result<usize, orchestra_storage::StorageError> {
+        let mut applied: Vec<&Update> = Vec::with_capacity(net.len());
         for u in net {
             let already_satisfied = match &u.op {
                 UpdateOp::Insert(t) => instance.contains_tuple_exact(&u.relation, t),
@@ -490,7 +414,7 @@ impl ReconcileEngine {
                 continue;
             }
             match instance.apply_update(u) {
-                Ok(()) => applied.push(u.clone()),
+                Ok(()) => applied.push(u),
                 Err(e) => {
                     // Roll back what this call applied.
                     for prev in applied.iter().rev() {
@@ -514,7 +438,7 @@ impl ReconcileEngine {
                 }
             }
         }
-        Ok(applied)
+        Ok(applied.len())
     }
 }
 
@@ -561,7 +485,7 @@ mod tests {
         assert!(out.rejected.is_empty());
         assert!(out.deferred.is_empty());
         assert_eq!(db.total_tuples(), 2);
-        assert_eq!(out.applied_updates.len(), 2);
+        assert_eq!(out.applied, 2);
         assert_eq!(out.decision_of(x1.id()), Some(TransactionDecision::Accept));
     }
 
@@ -885,6 +809,39 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_defers_nothing_leaves_the_soft_state_as_an_empty_rebuild_would() {
+        let (engine, mut db, mut soft) = setup();
+        db.apply_update(&Update::insert("Function", func("rat", "prot1", "own"), p(1))).unwrap();
+        let accepted =
+            txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "immune"), p(2))]);
+        let rejected =
+            txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "theirs"), p(3))]);
+        let out = engine.reconcile(
+            ReconcileInput {
+                recno: ReconciliationId(7),
+                candidates: vec![cand(&accepted, 1), cand(&rejected, 1)],
+                own_updates: vec![Update::insert("Function", func("rat", "prot1", "own"), p(1))],
+                ..Default::default()
+            },
+            &mut db,
+            &mut soft,
+        );
+        assert_eq!(out.accepted_roots, vec![accepted.id()]);
+        assert_eq!(out.rejected, vec![rejected.id()]);
+        assert!(out.deferred.is_empty() && out.conflict_groups.is_empty());
+
+        // Nothing was deferred before or after: the soft state was only
+        // advanced, and reads exactly as a rebuild from no candidates would.
+        let mut rebuilt = SoftState::new();
+        rebuilt.rebuild(ReconciliationId(7), vec![], engine.schema(), &ExtensionCache::new());
+        assert_eq!(soft.dirty_len(), rebuilt.dirty_len());
+        assert_eq!(soft.deferred(), rebuilt.deferred());
+        assert_eq!(soft.conflict_groups(), rebuilt.conflict_groups());
+        assert_eq!(soft.last_recno(), rebuilt.last_recno());
+        assert!(engine.extension_cache().is_empty());
+    }
+
+    #[test]
     fn identical_remote_insert_is_accepted_as_noop() {
         let (engine, mut db, mut soft) = setup();
         db.apply_update(&Update::insert("Function", func("rat", "prot1", "immune"), p(1))).unwrap();
@@ -902,7 +859,7 @@ mod tests {
         );
         assert_eq!(out.accepted_roots, vec![remote.id()]);
         // Nothing new was applied; the value was already there.
-        assert!(out.applied_updates.is_empty());
+        assert_eq!(out.applied, 0);
         assert_eq!(db.total_tuples(), 1);
     }
 }

@@ -9,52 +9,185 @@
 //! if it accepted the transaction.
 
 use orchestra_model::{
-    flatten, ConflictKey, Priority, RelName, Schema, Transaction, TransactionId, Update,
+    flatten, ConflictKey, KeyValue, Priority, Schema, Transaction, TransactionId, Update,
 };
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Finds the conflict-group keys on which two flattened update sets conflict,
-/// comparing only updates that touch a common `(relation, key)` pair.
+/// A flattened update extension together with the `(relation, key)` pairs it
+/// touches.
 ///
-/// This is complete with respect to the paper's conflict definition: every
-/// conflicting pair of updates (divergent inserts, delete versus write,
-/// divergent replacements of the same source) necessarily touches a common
-/// key, so indexing by key loses nothing while avoiding the quadratic
-/// comparison of unrelated updates.
-pub fn conflict_keys_between(
-    left: &[Update],
-    right: &[Update],
-    schema: &Schema,
-) -> Vec<ConflictKey> {
-    use rustc_hash::FxHashMap;
-    let mut right_by_key: FxHashMap<(&str, orchestra_model::KeyValue), Vec<&Update>> =
-        FxHashMap::default();
-    for u in right {
-        if let Ok(rel) = schema.relation(&u.relation) {
-            for key in u.touched_keys(rel) {
-                right_by_key.entry((u.relation.as_str(), key)).or_default().push(u);
+/// The keys are computed once per flattening, here, and every check that
+/// probes a key index — dirty values, the participant's own delta,
+/// `FindConflicts`, `UpdateSoftState` — borrows them instead of deriving (and
+/// allocating) them again.
+#[derive(Debug, Clone)]
+pub struct FlatExtension {
+    updates: Vec<Update>,
+    /// Every key an update reads or writes, with the index of that update
+    /// (whose relation completes the pair). Updates over relations unknown
+    /// to the schema touch no key.
+    keys: Vec<(usize, KeyValue)>,
+}
+
+/// Updates indexed by the `(relation, key)` pairs they touch.
+pub(crate) type KeyIndex<'a> = FxHashMap<(&'a str, &'a KeyValue), Vec<&'a Update>>;
+
+impl FlatExtension {
+    /// Wraps an already flattened update set, deriving the keys it touches.
+    pub fn new(schema: &Schema, updates: Vec<Update>) -> Self {
+        let mut keys = Vec::with_capacity(updates.len());
+        for (i, u) in updates.iter().enumerate() {
+            if let Ok(rel) = schema.relation(&u.relation) {
+                keys.extend(u.touched_keys(rel).into_iter().map(|key| (i, key)));
             }
         }
+        FlatExtension { updates, keys }
     }
-    let mut keys = Vec::new();
-    for u in left {
-        let Ok(rel) = schema.relation(&u.relation) else { continue };
-        for key in u.touched_keys(rel) {
-            if let Some(others) = right_by_key.get(&(u.relation.as_str(), key)) {
-                for other in others {
-                    if let Some((kind, ckey)) = u.conflict_kind_with(other, schema) {
-                        let ck = ConflictKey::new(kind, u.relation.clone(), ckey);
-                        if !keys.contains(&ck) {
-                            keys.push(ck);
-                        }
+
+    /// The net updates, mutually independent.
+    pub fn updates(&self) -> &[Update] {
+        &self.updates
+    }
+
+    /// Every `(relation, key)` pair read or written, with the update that
+    /// touches it. A pair touched by two updates appears twice.
+    pub fn touched(&self) -> impl Iterator<Item = (&str, &KeyValue, &Update)> {
+        self.keys.iter().map(|(i, key)| {
+            let update = &self.updates[*i];
+            (update.relation.as_str(), key, update)
+        })
+    }
+
+    /// Indexes the updates by the pairs they touch, borrowing every key.
+    pub fn by_key(&self) -> KeyIndex<'_> {
+        let mut index = KeyIndex::default();
+        for (relation, key, update) in self.touched() {
+            index.entry((relation, key)).or_default().push(update);
+        }
+        index
+    }
+
+    /// The conflict-group keys on which these updates conflict with the
+    /// updates indexed in `other`, comparing only updates that touch a common
+    /// `(relation, key)` pair.
+    ///
+    /// This is complete with respect to the paper's conflict definition:
+    /// every conflicting pair of updates (divergent inserts, delete versus
+    /// write, divergent replacements of the same source) necessarily touches
+    /// a common key, so probing by key loses nothing while avoiding the
+    /// quadratic comparison of unrelated updates.
+    pub fn conflict_keys_with(&self, other: &KeyIndex<'_>, schema: &Schema) -> Vec<ConflictKey> {
+        let mut keys = Vec::new();
+        for (relation, key, u) in self.touched() {
+            for other in other.get(&(relation, key)).into_iter().flatten() {
+                if let Some((kind, ckey)) = u.conflict_kind_with(other, schema) {
+                    let ck = ConflictKey::new(kind, u.relation.clone(), ckey);
+                    if !keys.contains(&ck) {
+                        keys.push(ck);
                     }
                 }
             }
         }
+        keys
     }
-    keys
+}
+
+/// Finds the conflict-group keys on which two flattened update sets conflict
+/// (see [`FlatExtension::conflict_keys_with`]).
+pub fn conflict_keys_between(
+    left: &FlatExtension,
+    right: &FlatExtension,
+    schema: &Schema,
+) -> Vec<ConflictKey> {
+    left.conflict_keys_with(&right.by_key(), schema)
+}
+
+/// Indexes candidates (by position) under every `(relation, key)` pair their
+/// flattened extensions touch, each candidate at most once per pair.
+pub fn candidates_by_key(flats: &[Arc<FlatExtension>]) -> FxHashMap<(&str, &KeyValue), Vec<usize>> {
+    let mut by_key: FxHashMap<(&str, &KeyValue), Vec<usize>> = FxHashMap::default();
+    for (i, flat) in flats.iter().enumerate() {
+        for (relation, key, _) in flat.touched() {
+            // A candidate's entries under one pair are consecutive, so
+            // comparing with the last entry deduplicates.
+            let touching = by_key.entry((relation, key)).or_default();
+            if touching.last() != Some(&i) {
+                touching.push(i);
+            }
+        }
+    }
+    by_key
+}
+
+/// `FindConflicts` (Figure 5): the pairwise direct conflicts among
+/// `candidates`, whose flattened extensions are `flats` (in the same order).
+/// Returns `(i, j, keys)` for every pair `i < j` that directly conflicts, with
+/// the conflict-group keys it conflicts on; pairs where one candidate
+/// subsumes the other are skipped.
+///
+/// A hash index from touched `(relation, key)` pairs to candidates keeps the
+/// common case near-linear (the paper's analysis assumes a hash table-based
+/// conflict detection step): only candidates that touch a common key are
+/// compared, and the flattened extensions are reused unless the pair shares
+/// extension members, in which case the exact Definition 4 check (excluding
+/// shared members) is performed.
+pub fn direct_conflicts(
+    candidates: &[CandidateTransaction],
+    flats: &[Arc<FlatExtension>],
+    schema: &Schema,
+) -> Vec<(usize, usize, Vec<ConflictKey>)> {
+    let by_key = candidates_by_key(flats);
+    let mut found = Vec::new();
+    if by_key.values().all(|touching| touching.len() < 2) {
+        return found;
+    }
+
+    let member_sets: Vec<FxHashSet<TransactionId>> =
+        candidates.iter().map(|c| c.member_ids()).collect();
+    let mut checked: FxHashSet<(usize, usize)> = FxHashSet::default();
+    for touching in by_key.values() {
+        for (pos, &i) in touching.iter().enumerate() {
+            for &j in &touching[pos + 1..] {
+                if !checked.insert((i, j)) {
+                    continue;
+                }
+                let (a_members, b_members) = (&member_sets[i], &member_sets[j]);
+                let a_subsumes = b_members.iter().all(|id| a_members.contains(id));
+                let b_subsumes = a_members.iter().all(|id| b_members.contains(id));
+                if a_subsumes || b_subsumes {
+                    continue;
+                }
+                let shares_members = a_members.iter().any(|id| b_members.contains(id));
+                let keys = if shares_members {
+                    candidates[i].direct_conflict_keys(&candidates[j], schema)
+                } else {
+                    conflict_keys_between(&flats[i], &flats[j], schema)
+                };
+                if !keys.is_empty() {
+                    found.push((i, j, keys));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// The [`direct_conflicts`] as `DoGroup` consumes them: every conflicting
+/// root transaction with the roots it directly conflicts with.
+pub fn conflict_sets(
+    candidates: &[CandidateTransaction],
+    flats: &[Arc<FlatExtension>],
+    schema: &Schema,
+) -> FxHashMap<TransactionId, FxHashSet<TransactionId>> {
+    let mut conflicts: FxHashMap<TransactionId, FxHashSet<TransactionId>> = FxHashMap::default();
+    for (i, j, _) in direct_conflicts(candidates, flats, schema) {
+        let (a, b) = (candidates[i].id, candidates[j].id);
+        conflicts.entry(a).or_default().insert(b);
+        conflicts.entry(b).or_default().insert(a);
+    }
+    conflicts
 }
 
 /// A trusted, undecided transaction together with its transaction extension,
@@ -111,9 +244,12 @@ impl CandidateTransaction {
     /// conflict detection and subsumption. This also makes a deferred
     /// candidate reconstructible from the store alone (crash recovery builds
     /// it against the current accepted set and must get the same chain).
-    pub fn prune_accepted_members(&mut self, accepted: &FxHashSet<TransactionId>) {
-        if self.members.iter().any(|(id, _)| *id != self.id && accepted.contains(id)) {
-            self.members.retain(|(id, _)| *id == self.id || !accepted.contains(id));
+    ///
+    /// `accepted` is a predicate so the caller can probe several sets in
+    /// place instead of materialising their union.
+    pub fn prune_accepted_members(&mut self, accepted: impl Fn(&TransactionId) -> bool) {
+        if self.members.iter().any(|(id, _)| *id != self.id && accepted(id)) {
+            self.members.retain(|(id, _)| *id == self.id || !accepted(id));
         }
     }
 
@@ -136,28 +272,24 @@ impl CandidateTransaction {
         self.members.iter().flat_map(|(_, us)| us.iter().cloned()).collect()
     }
 
-    /// The flattened update extension: the net effect of the whole extension
-    /// with intermediate steps removed.
-    pub fn flattened(&self, schema: &Schema) -> Vec<Update> {
-        flatten(schema, &self.update_footprint())
+    /// The flattened update extension — the net effect of the whole extension
+    /// with intermediate steps removed — with the keys it touches.
+    pub fn flattened(&self, schema: &Schema) -> FlatExtension {
+        FlatExtension::new(schema, self.flattened_excluding(schema, &FxHashSet::default()))
     }
 
     /// The flattened update extension restricted to members *not* in
     /// `exclude` — used both for direct-conflict detection (excluding shared
     /// antecedents) and at application time (excluding already-used
-    /// transactions).
+    /// transactions). Flattens straight from the shared member lists; no
+    /// update is copied on the way in.
     pub fn flattened_excluding(
         &self,
         schema: &Schema,
         exclude: &FxHashSet<TransactionId>,
     ) -> Vec<Update> {
-        let updates: Vec<Update> = self
-            .members
-            .iter()
-            .filter(|(id, _)| !exclude.contains(id))
-            .flat_map(|(_, us)| us.iter().cloned())
-            .collect();
-        flatten(schema, &updates)
+        let members = self.members.iter().filter(|(id, _)| !exclude.contains(id));
+        flatten(schema, members.flat_map(|(_, us)| us.iter()))
     }
 
     /// Returns true if this candidate subsumes `other`: its extension is a
@@ -185,39 +317,24 @@ impl CandidateTransaction {
         let mine = self.member_ids();
         let theirs = other.member_ids();
         let shared: FxHashSet<TransactionId> = mine.intersection(&theirs).copied().collect();
-        let ours = self.flattened_excluding(schema, &shared);
-        let others = other.flattened_excluding(schema, &shared);
+        let ours = FlatExtension::new(schema, self.flattened_excluding(schema, &shared));
+        let others = FlatExtension::new(schema, other.flattened_excluding(schema, &shared));
         conflict_keys_between(&ours, &others, schema)
-    }
-
-    /// All `(relation, key)` pairs read or written by the flattened
-    /// extension. Used for dirty-value checks.
-    pub fn touched_keys(&self, schema: &Schema) -> Vec<(RelName, orchestra_model::KeyValue)> {
-        let mut out = Vec::new();
-        let mut seen = FxHashSet::default();
-        for u in self.flattened(schema) {
-            if let Ok(rel) = schema.relation(&u.relation) {
-                for key in u.touched_keys(rel) {
-                    let entry = (u.relation.clone(), key);
-                    if seen.insert(entry.clone()) {
-                        out.push(entry);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
-/// Memoised flattened update extensions.
+/// Memoised flattened update extensions, each with the keys it touches.
 ///
-/// Flattening an extension is the dominant local cost of reconciliation, and
-/// a deferred candidate is re-presented — with an unchanged antecedent chain —
-/// at every subsequent reconciliation until its conflict resolves. The cache
+/// A reconciliation flattens every candidate exactly once, through this
+/// cache: `CheckState`'s dirty-value and own-delta probes, `FindConflicts`,
+/// the apply step (unless a shared antecedent was already applied) and
+/// `UpdateSoftState` all read that one [`FlatExtension`] and its borrowed
+/// keys. Across reconciliations, a deferred candidate is re-presented — with
+/// an unchanged antecedent chain — until its conflict resolves. The cache
 /// keys each flattening by `(root id, member fingerprint)`, so an unchanged
-/// chain is flattened exactly once and re-used for free, while a chain that
-/// gained or lost members (for example because an antecedent was accepted in
-/// the meantime) misses and is recomputed.
+/// chain is re-used for free, while a chain that gained or lost members (for
+/// example because an antecedent was accepted in the meantime) misses and is
+/// recomputed.
 ///
 /// Entries are shared ([`Arc`]), so a cache hit costs one reference-count
 /// bump. The owner is responsible for pruning entries for transactions that
@@ -230,7 +347,7 @@ pub struct ExtensionCache {
 }
 
 /// Cached flattenings keyed by `(root id, member fingerprint)`.
-type CacheMap = rustc_hash::FxHashMap<(TransactionId, u64), Arc<Vec<Update>>>;
+type CacheMap = FxHashMap<(TransactionId, u64), Arc<FlatExtension>>;
 
 impl ExtensionCache {
     /// Creates an empty cache.
@@ -240,7 +357,7 @@ impl ExtensionCache {
 
     /// The flattened update extension of a candidate, computed at most once
     /// per distinct antecedent chain.
-    pub fn flattened(&self, cand: &CandidateTransaction, schema: &Schema) -> Arc<Vec<Update>> {
+    pub fn flattened(&self, cand: &CandidateTransaction, schema: &Schema) -> Arc<FlatExtension> {
         let key = (cand.id, cand.member_fingerprint());
         if let Some(hit) = self.entries.borrow().get(&key) {
             self.hits.set(self.hits.get() + 1);
@@ -316,8 +433,8 @@ mod tests {
         assert_eq!(cand.member_ids().len(), 2);
         assert_eq!(cand.update_footprint().len(), 2);
         let flat = cand.flattened(&schema);
-        assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].written_tuple().unwrap(), &func("rat", "prot1", "immune"));
+        assert_eq!(flat.updates().len(), 1);
+        assert_eq!(flat.updates()[0].written_tuple().unwrap(), &func("rat", "prot1", "immune"));
     }
 
     #[test]
@@ -422,9 +539,9 @@ mod tests {
             ],
         );
         let cand = CandidateTransaction::new(&x0, Priority(1), vec![]);
-        let keys = cand.touched_keys(&schema);
+        let flat = cand.flattened(&schema);
+        let keys: Vec<_> = flat.touched().map(|(relation, key, _)| (relation, key)).collect();
         // Flattened to a single insert of (mouse, prot3, ...): only that key.
-        assert_eq!(keys.len(), 1);
-        assert_eq!(keys[0].1, orchestra_model::KeyValue::of_text(&["mouse", "prot3"]));
+        assert_eq!(keys, vec![("Function", &KeyValue::of_text(&["mouse", "prot3"]))]);
     }
 }

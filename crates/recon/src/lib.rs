@@ -5,8 +5,9 @@
 //! * [`append_only`] — the append-only reconciliation problem (Definition 2),
 //!   where every transaction can be considered independently.
 //! * [`extension`] — candidate transactions carrying their transaction
-//!   extension (Definition 3), flattened update extension, subsumption and
-//!   the *direct conflict* relation (Definition 4).
+//!   extension (Definition 3), flattened update extension (with the keys it
+//!   touches, computed once), subsumption and the *direct conflict* relation
+//!   (Definition 4).
 //! * [`softstate`] — the client's soft state: dirty values, deferred
 //!   transactions, conflict groups and options.
 //! * [`engine`] — the client-centric `ReconcileUpdates` algorithm of
@@ -27,6 +28,6 @@ pub mod softstate;
 
 pub use append_only::append_only_reconcile;
 pub use engine::{ReconcileEngine, ReconcileInput, ReconcileOutcome, TransactionDecision};
-pub use extension::{CandidateTransaction, ExtensionCache};
+pub use extension::{CandidateTransaction, ExtensionCache, FlatExtension};
 pub use resolution::{ResolutionChoice, ResolutionOutcome};
 pub use softstate::{ConflictGroup, ConflictOption, SoftState};

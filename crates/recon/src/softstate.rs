@@ -8,10 +8,11 @@
 //! the deferred transactions applicable), and conflict groups/options are the
 //! unit of user-driven conflict resolution.
 
-use crate::extension::{CandidateTransaction, ExtensionCache};
+use crate::extension::{direct_conflicts, CandidateTransaction, ExtensionCache, FlatExtension};
 use orchestra_model::{ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId};
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A group of transactions within a conflict group that make the same
 /// modification to the conflicting key value. At most one option per conflict
@@ -77,11 +78,6 @@ impl SoftState {
         self.dirty.get(relation).map(|keys| keys.contains(key)).unwrap_or(false)
     }
 
-    /// Returns true if any of the given `(relation, key)` pairs is dirty.
-    pub fn any_dirty(&self, keys: &[(RelName, KeyValue)]) -> bool {
-        keys.iter().any(|(r, k)| self.is_dirty(r, k))
-    }
-
     /// The number of dirty key values.
     pub fn dirty_len(&self) -> usize {
         self.dirty.values().map(FxHashSet::len).sum()
@@ -114,6 +110,16 @@ impl SoftState {
         self.deferred.remove(&id)
     }
 
+    /// Records that reconciliation `recno` ran with nothing deferred before it
+    /// and nothing deferred by it: the state is already what
+    /// [`SoftState::rebuild`] with no candidates would produce, so only the
+    /// reconciliation number moves.
+    pub fn advance(&mut self, recno: ReconciliationId) {
+        debug_assert!(self.deferred.is_empty() && self.dirty_len() == 0);
+        debug_assert!(self.conflict_groups.is_empty());
+        self.last_recno = recno;
+    }
+
     /// Implements the paper's `UpdateSoftState` (Figure 5): clears the soft
     /// state of the previous reconciliation and rebuilds it from the set of
     /// transactions deferred at `recno`.
@@ -135,66 +141,19 @@ impl SoftState {
         self.deferred.clear();
         self.last_recno = recno;
 
-        // Flatten each deferred candidate once and index the keys it touches,
-        // so only candidates sharing a key are compared (the same hash-based
-        // conflict detection the paper assumes).
-        let flattened: Vec<std::sync::Arc<Vec<orchestra_model::Update>>> =
+        // Every key a deferred candidate's flattened extension touches is
+        // dirty; pairwise direct conflicts are grouped by conflict key.
+        let flattened: Vec<Arc<FlatExtension>> =
             deferred.iter().map(|c| cache.flattened(c, schema)).collect();
-        let mut by_key: FxHashMap<(RelName, KeyValue), Vec<usize>> = FxHashMap::default();
-        for (i, (cand, flat)) in deferred.iter().zip(&flattened).enumerate() {
-            let _ = cand;
-            let mut seen: FxHashSet<(RelName, KeyValue)> = FxHashSet::default();
-            for u in flat.iter() {
-                if let Ok(rel) = schema.relation(&u.relation) {
-                    for key in u.touched_keys(rel) {
-                        let entry = (u.relation.clone(), key);
-                        if seen.insert(entry.clone()) {
-                            self.dirty.entry(entry.0.clone()).or_default().insert(entry.1.clone());
-                            by_key.entry(entry).or_default().push(i);
-                        }
-                    }
-                }
+        for flat in &flattened {
+            for (_, key, update) in flat.touched() {
+                self.dirty.entry(update.relation.clone()).or_default().insert(key.clone());
             }
         }
-
-        // Group pairwise conflicts by conflict key, comparing only candidates
-        // that touch a common key.
-        let member_sets: Vec<FxHashSet<TransactionId>> =
-            deferred.iter().map(|c| c.member_ids()).collect();
         let mut groups: FxHashMap<ConflictKey, FxHashSet<TransactionId>> = FxHashMap::default();
-        let mut checked: FxHashSet<(usize, usize)> = FxHashSet::default();
-        for indices in by_key.values() {
-            for a_pos in 0..indices.len() {
-                for b_pos in (a_pos + 1)..indices.len() {
-                    let (i, j) =
-                        (indices[a_pos].min(indices[b_pos]), indices[a_pos].max(indices[b_pos]));
-                    if i == j || !checked.insert((i, j)) {
-                        continue;
-                    }
-                    let a = &deferred[i];
-                    let b = &deferred[j];
-                    let a_subsumes = member_sets[j].iter().all(|id| member_sets[i].contains(id));
-                    let b_subsumes = member_sets[i].iter().all(|id| member_sets[j].contains(id));
-                    if a_subsumes || b_subsumes {
-                        continue;
-                    }
-                    let shares_members =
-                        member_sets[i].iter().any(|id| member_sets[j].contains(id));
-                    let keys = if shares_members {
-                        a.direct_conflict_keys(b, schema)
-                    } else {
-                        crate::extension::conflict_keys_between(
-                            &flattened[i],
-                            &flattened[j],
-                            schema,
-                        )
-                    };
-                    for key in keys {
-                        let entry = groups.entry(key).or_default();
-                        entry.insert(a.id);
-                        entry.insert(b.id);
-                    }
-                }
+        for (i, j, keys) in direct_conflicts(&deferred, &flattened, schema) {
+            for key in keys {
+                groups.entry(key).or_default().extend([deferred[i].id, deferred[j].id]);
             }
         }
 
@@ -246,6 +205,7 @@ impl SoftState {
                 let rep_cand = by_id[&rep];
                 let mut change: Vec<String> = cache
                     .flattened(rep_cand, schema)
+                    .updates()
                     .iter()
                     .map(|u| {
                         format!(

@@ -25,11 +25,12 @@
 
 use crate::api::{SessionId, StoreTiming, Timed, UpdateStore};
 use crate::dht::DhtStore;
-use orchestra_model::{Epoch, KeyValue, ParticipantId, ReconciliationId, RelName, TransactionId};
-use orchestra_recon::extension::conflict_keys_between;
+use orchestra_model::{Epoch, ParticipantId, ReconciliationId, TransactionId};
+use orchestra_recon::extension::{candidates_by_key, conflict_sets, FlatExtension};
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::Result;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 
 /// Approximate size of a control message in bytes.
 const CONTROL_BYTES: u64 = 64;
@@ -99,13 +100,13 @@ impl DhtStore {
         // updates. Antecedent resolution happens controller-to-controller and
         // is charged as one round trip per undecided antecedent between
         // controllers (not involving the peer).
-        let mut flattened: FxHashMap<TransactionId, Vec<orchestra_model::Update>> =
-            FxHashMap::default();
+        let mut flattened: Vec<Arc<FlatExtension>> = Vec::with_capacity(candidates.len());
         for cand in &candidates {
-            let net = cand.flattened(&schema);
+            let net = Arc::new(cand.flattened(&schema));
             let antecedents: Vec<TransactionId> =
                 cand.members.iter().map(|(id, _)| *id).filter(|id| *id != cand.id).collect();
-            let summary_bytes = CONTROL_BYTES + SUMMARY_BYTES_PER_UPDATE * net.len() as u64;
+            let summary_bytes =
+                CONTROL_BYTES + SUMMARY_BYTES_PER_UPDATE * net.updates().len() as u64;
             let ((), latency) = self.charged(|network| {
                 let txn_key = DhtStore::txn_key(cand.id);
                 if let Some(controller) = network.ring().owner_of(txn_key) {
@@ -118,75 +119,30 @@ impl DhtStore {
                 }
             });
             timing.network += latency;
-            flattened.insert(cand.id, net);
+            flattened.push(net);
         }
 
         // Key controllers detect conflicts: each candidate's summary is
         // forwarded to the controller of every key it touches; each key
         // controller compares the summaries it received and reports verdicts
         // to the reconciling peer.
-        let mut by_key: FxHashMap<(RelName, KeyValue), Vec<usize>> = FxHashMap::default();
-        for (i, cand) in candidates.iter().enumerate() {
-            let mut seen: FxHashSet<(RelName, KeyValue)> = FxHashSet::default();
-            for u in &flattened[&cand.id] {
-                if let Ok(rel) = schema.relation(&u.relation) {
-                    for key in u.touched_keys(rel) {
-                        let entry = (u.relation.clone(), key);
-                        if seen.insert(entry.clone()) {
-                            by_key.entry(entry).or_default().push(i);
-                        }
-                    }
-                }
-            }
-        }
-
-        let member_sets: Vec<FxHashSet<TransactionId>> =
-            candidates.iter().map(|c| c.member_ids()).collect();
-        let mut conflicts: FxHashMap<TransactionId, FxHashSet<TransactionId>> =
-            FxHashMap::default();
-        let mut checked: FxHashSet<(usize, usize)> = FxHashSet::default();
-        for ((relation, key), indices) in &by_key {
+        for ((relation, key), received) in &candidates_by_key(&flattened) {
             // One summary message per candidate touching the key, one verdict
             // reply from the key controller to the reconciling peer.
             let ((), latency) = self.charged(|network| {
                 let key_node = orchestra_net::NodeId::hash_str(&format!("key/{relation}/{key}"));
                 if let Some(owner) = network.ring().owner_of(key_node) {
-                    for _ in 0..indices.len() {
+                    for _ in 0..received.len() {
                         network.send_to_key(owner, key_node, CONTROL_BYTES);
                     }
                     network.send_direct(owner, peer, CONTROL_BYTES);
                 }
             });
             timing.network += latency;
-            for a_pos in 0..indices.len() {
-                for b_pos in (a_pos + 1)..indices.len() {
-                    let (i, j) =
-                        (indices[a_pos].min(indices[b_pos]), indices[a_pos].max(indices[b_pos]));
-                    if i == j || !checked.insert((i, j)) {
-                        continue;
-                    }
-                    let a = &candidates[i];
-                    let b = &candidates[j];
-                    let a_subsumes = member_sets[j].iter().all(|id| member_sets[i].contains(id));
-                    let b_subsumes = member_sets[i].iter().all(|id| member_sets[j].contains(id));
-                    if a_subsumes || b_subsumes {
-                        continue;
-                    }
-                    let shares_members =
-                        member_sets[i].iter().any(|id| member_sets[j].contains(id));
-                    let conflicting = if shares_members {
-                        a.directly_conflicts_with(b, &schema)
-                    } else {
-                        !conflict_keys_between(&flattened[&a.id], &flattened[&b.id], &schema)
-                            .is_empty()
-                    };
-                    if conflicting {
-                        conflicts.entry(a.id).or_default().insert(b.id);
-                        conflicts.entry(b.id).or_default().insert(a.id);
-                    }
-                }
-            }
         }
+        // The verdicts are the engine's own `FindConflicts`, computed where
+        // the keys live.
+        let conflicts = conflict_sets(&candidates, &flattened, &schema);
 
         Ok(Timed::new(
             NetworkCentricPlan {

@@ -38,11 +38,24 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 /// Expands a list of actions into a sequence of applicable updates (relative
 /// to an initially empty instance), skipping actions that do not apply.
 fn realise(actions: &[Action], origin: ParticipantId, schema: &Schema) -> Vec<Update> {
-    let mut instance = Database::new(schema.clone());
+    realise_on(&mut Database::new(schema.clone()), actions, origin, &[0, 1, 2, 3, 4, 5])
+}
+
+/// Like [`realise`], but relative to (and applied to) the given instance, with
+/// every action's key folded onto `keys`.
+fn realise_on(
+    instance: &mut Database,
+    actions: &[Action],
+    origin: ParticipantId,
+    keys: &[u8],
+) -> Vec<Update> {
+    let schema = instance.schema().clone();
+    let fold = |key: &u8| keys[usize::from(*key) % keys.len()];
     let mut updates = Vec::new();
     for action in actions {
         let update = match action {
             Action::Insert { key, value } => {
+                let key = &fold(key);
                 let t = func(*key, *value);
                 let key_value = schema.relation("Function").unwrap().key_of(&t);
                 if instance.value_at("Function", &key_value).is_some() {
@@ -51,6 +64,7 @@ fn realise(actions: &[Action], origin: ParticipantId, schema: &Schema) -> Vec<Up
                 Update::insert("Function", t, origin)
             }
             Action::Revise { key, value } => {
+                let key = &fold(key);
                 let probe = func(*key, 0);
                 let key_value = schema.relation("Function").unwrap().key_of(&probe);
                 match instance.value_at("Function", &key_value) {
@@ -65,6 +79,7 @@ fn realise(actions: &[Action], origin: ParticipantId, schema: &Schema) -> Vec<Up
                 }
             }
             Action::Remove { key } => {
+                let key = &fold(key);
                 let probe = func(*key, 0);
                 let key_value = schema.relation("Function").unwrap().key_of(&probe);
                 match instance.value_at("Function", &key_value) {
@@ -77,6 +92,63 @@ fn realise(actions: &[Action], origin: ParticipantId, schema: &Schema) -> Vec<Up
         updates.push(update);
     }
     updates
+}
+
+/// One group of candidates over three keys private to it: a chain of
+/// antecedent transactions (any of the three keys), a root over the first two
+/// keys and, when `fork` realises to anything, a second root over the third —
+/// two candidates sharing every undecided antecedent that cannot conflict
+/// with each other. `(realised against the base instance?, antecedents, root,
+/// fork)`.
+type CandidateGroup = (u8, Vec<Vec<Action>>, Vec<Action>, Vec<Action>);
+
+fn group_strategy() -> impl Strategy<Value = CandidateGroup> {
+    let actions = |size| prop::collection::vec(action_strategy(), size);
+    (0u8..2, prop::collection::vec(actions(1..5), 0..3), actions(1..5), actions(0..4))
+}
+
+/// Expands the groups into candidates, in publication order. Group `g`
+/// publishes as participant `10 + g` over keys `3g..3g + 3`, starting from
+/// `base` or from an empty instance.
+fn grouped_candidates(groups: &[CandidateGroup], base: &Database) -> Vec<CandidateTransaction> {
+    let mut candidates = Vec::new();
+    for (g, (on_base, antecedents, root, fork)) in groups.iter().enumerate() {
+        let (g, origin) = (g as u8, p(10 + g as u32));
+        let mut view =
+            if *on_base == 1 { base.clone() } else { Database::new(base.schema().clone()) };
+        let mut chain = Vec::new();
+        for actions in antecedents {
+            let updates = realise_on(&mut view, actions, origin, &[3 * g, 3 * g + 1, 3 * g + 2]);
+            if !updates.is_empty() {
+                chain.push(Transaction::from_parts(origin, chain.len() as u64, updates).unwrap());
+            }
+        }
+        let roots: [(&Vec<Action>, &[u8]); 2] = [(root, &[3 * g, 3 * g + 1]), (fork, &[3 * g + 2])];
+        for (local, (actions, keys)) in roots.into_iter().enumerate() {
+            let updates = realise_on(&mut view.clone(), actions, origin, keys);
+            if !updates.is_empty() {
+                let txn = Transaction::from_parts(origin, 100 + local as u64, updates).unwrap();
+                let priority = Priority(1 + u32::from(g) % 2);
+                candidates.push(CandidateTransaction::new(&txn, priority, chain.clone()));
+            }
+        }
+    }
+    candidates
+}
+
+/// `CheckState` steps 5 to 8 as the paper words them: a candidate is rejected
+/// iff some update of its flattened extension is incompatible with the
+/// instance, or conflicts with some update of the flattened own delta — every
+/// pair compared, no index.
+fn oracle_rejects(
+    cand: &CandidateTransaction,
+    own_flat: &[Update],
+    instance: &Database,
+    schema: &Schema,
+) -> bool {
+    let extension = flatten(schema, &cand.update_footprint());
+    extension.iter().any(|u| !instance.is_compatible(u))
+        || extension.iter().any(|u| own_flat.iter().any(|own| u.conflicts_with(own, schema)))
 }
 
 proptest! {
@@ -206,7 +278,7 @@ proptest! {
         // Accepted candidates' final values are present in the instance.
         for id in &first.accepted_roots {
             let cand = candidates.iter().find(|c| c.id == *id).unwrap();
-            for u in cand.flattened(&schema) {
+            for u in cand.flattened(&schema).updates() {
                 if let Some(written) = u.written_tuple() {
                     prop_assert!(
                         db_first.contains_tuple_exact(&u.relation, written),
@@ -255,5 +327,78 @@ proptest! {
         if distinct.len() > 1 {
             prop_assert!(outcome.deferred.len() >= 2, "divergent writers must be deferred");
         }
+    }
+
+    /// The engine's key-indexed `CheckState` agrees with the paper's
+    /// definition taken literally ([`oracle_rejects`]), for candidates with
+    /// antecedent chains against a non-empty own delta; and the instance ends
+    /// up as if the accepted extensions had been applied one after the other,
+    /// each without the members an earlier one already applied.
+    #[test]
+    fn indexed_check_state_agrees_with_the_all_pairs_definition(
+        base in prop::collection::vec(0u8..7, 9),
+        own_actions in prop::collection::vec(action_strategy(), 0..10),
+        own_applied in 0u8..2,
+        groups in prop::collection::vec(group_strategy(), 1..4),
+    ) {
+        let schema = bioinformatics_schema();
+        // History everyone has seen: a value under some of the nine keys.
+        let mut base_db = Database::new(schema.clone());
+        for (key, value) in base.iter().enumerate().filter(|(_, value)| **value < 5) {
+            let seen = Update::insert("Function", func(key as u8, *value), p(9));
+            base_db.apply_update(&seen).unwrap();
+        }
+        // The own delta touches keys of every group and of every role. Its
+        // first two actions make it non-empty whatever the base holds.
+        let mut actions = vec![Action::Remove { key: 0 }, Action::Insert { key: 0, value: 0 }];
+        actions.extend(own_actions);
+        let own_updates = realise_on(&mut base_db.clone(), &actions, p(1), &[0, 2, 3, 5, 6, 8]);
+        prop_assert!(!own_updates.is_empty());
+        // The engine's contract does not depend on whether the participant
+        // has applied its delta yet; when it has not, the own-delta check is
+        // all that stands between a conflicting candidate and the instance.
+        let mut instance = base_db.clone();
+        if own_applied == 1 {
+            instance.apply_all(&own_updates).unwrap();
+        }
+        let candidates = grouped_candidates(&groups, &base_db);
+
+        let own_flat = flatten(&schema, &own_updates);
+        let (mut accepted, mut rejected) = (Vec::new(), Vec::new());
+        let mut expected = instance.clone();
+        let mut applied = std::collections::HashSet::new();
+        for cand in &candidates {
+            if oracle_rejects(cand, &own_flat, &instance, &schema) {
+                rejected.push(cand.id);
+                continue;
+            }
+            accepted.push(cand.id);
+            let fresh: Vec<Update> = cand
+                .members
+                .iter()
+                .filter(|(id, _)| applied.insert(*id))
+                .flat_map(|(_, updates)| updates.iter().cloned())
+                .collect();
+            for u in flatten(&schema, &fresh) {
+                // An error here is an effect that is already present.
+                let _ = expected.apply_update(&u);
+            }
+        }
+
+        let mut db = instance.clone();
+        let outcome = ReconcileEngine::new(schema.clone()).reconcile(
+            ReconcileInput {
+                recno: ReconciliationId(1),
+                candidates,
+                own_updates,
+                ..Default::default()
+            },
+            &mut db,
+            &mut SoftState::new(),
+        );
+        prop_assert_eq!(outcome.accepted_roots, accepted);
+        prop_assert_eq!(outcome.rejected, rejected);
+        prop_assert!(outcome.deferred.is_empty(), "the groups' keys are disjoint");
+        prop_assert_eq!(db.relation_contents("Function"), expected.relation_contents("Function"));
     }
 }
