@@ -9,8 +9,8 @@
 //! With no `--fig` arguments, every figure is regenerated. `--full` uses the
 //! paper's parameter ranges (slower); the default "quick" scale finishes in a
 //! few seconds. CSV and JSON output is written under `--out` (default
-//! `target/figures`); the `fig*.json` documents are the machine-readable
-//! benchmark trajectory.
+//! `target/figures`). A malformed command line prints the usage and exits 2
+//! without running a figure.
 
 use orchestra_bench::{
     fig08_transaction_size, fig09_recon_interval_ratio, fig10_recon_interval_time,
@@ -19,48 +19,53 @@ use orchestra_bench::{
 };
 use std::path::PathBuf;
 
+const USAGE: &str = "usage: figures [--fig N]... [--full] [--out DIR]   (N: 8, 9, 10, 11, 12)";
+
+#[derive(Debug, PartialEq)]
 struct Args {
     figures: Vec<u32>,
     scale: FigureScale,
     out: PathBuf,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line; `Ok(None)` is a request for the usage text.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut figures = Vec::new();
     let mut scale = FigureScale::Quick;
     let mut out = PathBuf::from("target/figures");
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--fig" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    figures.push(n);
+                let value = args.next().ok_or("--fig needs a figure number")?;
+                match value.parse() {
+                    Ok(n @ 8..=12) => figures.push(n),
+                    _ => return Err(format!("unknown figure {value:?}")),
                 }
             }
             "--full" => scale = FigureScale::Full,
-            "--out" => {
-                if let Some(dir) = args.next() {
-                    out = PathBuf::from(dir);
-                }
-            }
-            "--help" | "-h" => {
-                println!("usage: figures [--fig N]... [--full] [--out DIR]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--out" => out = PathBuf::from(args.next().ok_or("--out needs a directory")?),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
     if figures.is_empty() {
         figures = vec![8, 9, 10, 11, 12];
     }
-    Args { figures, scale, out }
+    Ok(Some(Args { figures, scale, out }))
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(message) => {
+            eprintln!("figures: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     for fig in &args.figures {
         match fig {
             8 => {
@@ -158,7 +163,29 @@ fn main() {
                 write_csv(&args.out.join("fig12.csv"), &rows).expect("write fig12.csv");
                 write_json(&args.out.join("fig12.json"), "fig12", &rows).expect("write fig12.json");
             }
-            other => eprintln!("unknown figure {other}; available: 8, 9, 10, 11, 12"),
+            other => unreachable!("parse_args admits figures 8-12 only, got {other}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Option<Args>, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_and_good_ones_parse() {
+        for bad in ["--fig abc", "--fig 7", "--fig", "--fig 9 --out", "--quick"] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected, not defaulted");
+        }
+        assert_eq!(parse("").unwrap().unwrap().figures, vec![8, 9, 10, 11, 12]);
+        assert_eq!(
+            parse("--fig 9 --full --fig 11 --out d"),
+            Ok(Some(Args { figures: vec![9, 11], scale: FigureScale::Full, out: "d".into() }))
+        );
+        assert_eq!(parse("--fig 9 --help"), Ok(None));
     }
 }

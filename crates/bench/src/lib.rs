@@ -16,47 +16,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod churn;
-pub mod churn_durable;
-pub mod churn_offline;
-pub mod churn_parallel;
-pub mod churn_retention;
-pub mod churn_scale;
 pub mod figures;
 pub mod output;
-pub mod trajectory;
 
-pub use churn::{
-    churn_config, run_churn_bench, run_churn_bench_with, write_churn_json, ChurnBenchReport,
-    ChurnBenchRow, ChurnSummary,
-};
-pub use churn_durable::{
-    churn_durable_config, run_churn_durable_bench, run_churn_durable_bench_with,
-    write_churn_durable_json, ChurnDurableReport, ChurnDurableRow, ChurnDurableSummary,
-    RecoveryRow,
-};
-pub use churn_offline::{
-    churn_offline_config, publish_concurrency_config, run_churn_offline_bench,
-    run_churn_offline_bench_with, time_concurrent_publishes, write_churn_offline_json,
-    ChurnOfflineReport, ChurnOfflineRow, ChurnOfflineSummary, PublishConcurrencyConfig,
-};
-pub use churn_parallel::{
-    churn_parallel_config, run_churn_parallel_bench, run_churn_parallel_bench_with,
-    write_churn_parallel_json, ChurnParallelReport, ChurnParallelRow, ChurnParallelSummary,
-};
-pub use churn_retention::{
-    churn_retention_config, run_churn_retention_bench, run_churn_retention_bench_with,
-    write_churn_retention_json, ChurnRetentionReport, ChurnRetentionRow, ChurnRetentionSummary,
-};
-pub use churn_scale::{
-    capture_fabric_trace, churn_scale_config, metrics_snapshot_value, run_churn_scale_bench,
-    run_churn_scale_bench_with, write_churn_scale_json, ChurnScaleReport, ChurnScaleRow,
-    ChurnScaleSummary,
-};
 pub use figures::{
     fig08_transaction_size, fig09_recon_interval_ratio, fig10_recon_interval_time,
     fig11_participants_ratio, fig12_participants_time, Fig08Row, Fig09Row, Fig10Row, Fig11Row,
     Fig12Row, FigureScale,
 };
-pub use output::{bench_meta, meta_value, render_table, write_csv, write_json, BenchMeta};
-pub use trajectory::{check_trajectory, TrajectoryReport, TrajectoryViolation};
+pub use output::{render_table, write_csv, write_json};

@@ -1,51 +1,10 @@
 //! Rendering figure series as aligned text tables, CSV files and JSON
-//! documents (the `fig*.json` files are the seed of the benchmark
-//! trajectory format).
+//! documents.
 
 use serde::Serialize;
 use std::fs;
 use std::io;
 use std::path::Path;
-
-/// Host metadata stamped into every benchmark-trajectory document, so
-/// entries recorded on different machines (a laptop, the CI runner) can be
-/// told apart when the trajectory is compared over time. `BENCH_churn.json`
-/// originally omitted the hardware parallelism that
-/// `BENCH_churn_parallel.json` recorded ad hoc; this helper is the single
-/// source for all of it.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchMeta {
-    /// Hardware threads available to the run.
-    pub available_parallelism: usize,
-    /// Short git revision of the working tree (`"unknown"` outside a
-    /// checkout).
-    pub git_rev: String,
-    /// Cargo profile the binary was built with (`debug`/`release`).
-    pub cargo_profile: String,
-}
-
-/// Collects the host metadata for the current process.
-pub fn bench_meta() -> BenchMeta {
-    let git_rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    BenchMeta {
-        available_parallelism: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        git_rev,
-        cargo_profile: if cfg!(debug_assertions) { "debug" } else { "release" }.to_string(),
-    }
-}
-
-/// Serialises the host metadata as a JSON value ready to be inserted under a
-/// document's `"meta"` key.
-pub fn meta_value() -> serde_json::Value {
-    serde_json::to_value(bench_meta()).expect("metadata serialises")
-}
 
 /// Renders a table with a header row and aligned columns.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
@@ -189,19 +148,6 @@ mod tests {
         assert_eq!(first.get("x").unwrap().as_u64(), Some(1));
         assert_eq!(first.get("label").unwrap().as_str(), Some("central"));
         fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bench_meta_is_complete() {
-        let meta = bench_meta();
-        assert!(meta.available_parallelism >= 1);
-        assert!(!meta.git_rev.is_empty());
-        assert!(meta.cargo_profile == "debug" || meta.cargo_profile == "release");
-        let value = meta_value();
-        let obj = value.as_object().unwrap();
-        assert!(obj.get("available_parallelism").unwrap().as_u64().unwrap() >= 1);
-        assert!(obj.contains_key("git_rev"));
-        assert!(obj.contains_key("cargo_profile"));
     }
 
     #[test]

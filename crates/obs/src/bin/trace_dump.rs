@@ -1,8 +1,8 @@
 //! Trace inspection tool — the `wal_dump` sibling for captured traces.
 //!
 //! Reads traces written by `Tracer::export` (the `orchestra-obs-trace v1`
-//! text format, e.g. `churn_scale --trace FILE`) and renders them three
-//! ways:
+//! text format, e.g. `cargo run --release --example fabric_trace > FILE`)
+//! and renders them three ways:
 //!
 //! ```text
 //! trace_dump <file>...             pretty-print events, indented by span depth
@@ -22,17 +22,28 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: trace_dump [--timeline|--json] <trace-file>...
+  pretty-prints an orchestra-obs trace; --timeline groups by shard,
+  --json exports the events as a JSON array";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if files.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: trace_dump [--timeline|--json] <trace-file>...");
-        eprintln!("  pretty-prints an orchestra-obs trace; --timeline groups by shard,");
-        eprintln!("  --json exports the events as a JSON array");
-        return if files.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-    let timeline = args.iter().any(|a| a == "--timeline");
-    let json = args.iter().any(|a| a == "--json");
+    let (flags, files): (Vec<&String>, Vec<&String>) =
+        args.iter().partition(|a| a.starts_with("--"));
+    let unknown = flags.iter().find(|f| !matches!(f.as_str(), "--timeline" | "--json"));
+    let problem = unknown
+        .map(|flag| format!("unknown argument: {flag}"))
+        .or_else(|| files.is_empty().then(|| "no trace file given".to_string()));
+    if let Some(problem) = problem {
+        eprintln!("trace_dump: {problem}\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    let timeline = flags.iter().any(|f| *f == "--timeline");
+    let json = flags.iter().any(|f| *f == "--json");
     let mut failed = false;
     for file in files {
         if let Err(e) = dump_file(Path::new(file), timeline, json) {

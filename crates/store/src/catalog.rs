@@ -44,8 +44,8 @@
 //! session epoch; [`StoreCatalog::batch`] then materialises candidate
 //! extensions page by page, sharing the log's update lists by reference count
 //! — peak memory is bounded by the page size, not by history. The pre-cursor
-//! full-log path survives as the `rescan` session mode purely as the churn
-//! benchmark's baseline.
+//! full-log path survives as the `rescan` session mode, the tests' reference
+//! route for this one ([`crate::RetrievalMode::RescanBaseline`] names them).
 //!
 //! # Convergence-horizon retention
 //!
@@ -84,7 +84,6 @@ use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// One entry of the per-epoch relevance index: a transaction some participant
 /// may need to consider, with the priority its policy assigned at publication
@@ -180,8 +179,8 @@ struct SessionState {
     next: usize,
     /// Accepted-set snapshot taken at open, used for extension pruning.
     accepted: Arc<FxHashSet<TransactionId>>,
-    /// Baseline mode: deep-copy candidate update lists as the pre-cursor
-    /// code did.
+    /// The tests' reference route: deep-copy candidate update lists as the
+    /// pre-cursor code did.
     rescan: bool,
 }
 
@@ -243,13 +242,6 @@ pub struct StoreCatalog {
     /// durable state: a recovered catalogue starts at the default
     /// (`KeepAll`) until the operator sets it again.
     retention: RwLock<RetentionPolicy>,
-    /// Simulated latency of one epoch-allocation round trip (configuration,
-    /// like `retention` — not durable, not rendered by `Debug`). Scalar
-    /// publishes pay it *inside* the log write lock (the central allocator is
-    /// held across the round trip, so concurrent publishers serialise on it);
-    /// causal publishes pay it before taking any lock (stamps are allocated
-    /// client-side, so the waits overlap). Replay never pays it.
-    alloc_latency: RwLock<Duration>,
 }
 
 impl StoreCatalog {
@@ -268,7 +260,6 @@ impl StoreCatalog {
             next_session: AtomicU64::new(1),
             durability,
             retention: RwLock::new(RetentionPolicy::default()),
-            alloc_latency: RwLock::new(Duration::ZERO),
         }
     }
 
@@ -281,20 +272,6 @@ impl StoreCatalog {
     /// [`StoreCatalog::prune_to_horizon`]; nothing is pruned eagerly.
     pub fn set_retention(&self, policy: RetentionPolicy) {
         *self.retention.write().expect("retention lock") = policy;
-    }
-
-    /// The simulated epoch-allocation round-trip latency.
-    pub fn alloc_latency(&self) -> Duration {
-        *self.alloc_latency.read().expect("alloc latency lock")
-    }
-
-    /// Sets the simulated epoch-allocation round-trip latency. Scalar
-    /// publishes sleep this long while holding the log write lock (the
-    /// paper's central sequence round trip); causal publishes sleep it
-    /// before locking anything, so publishes from distinct participants
-    /// overlap their waits.
-    pub fn set_alloc_latency(&self, latency: Duration) {
-        *self.alloc_latency.write().expect("alloc latency lock") = latency;
     }
 
     /// Whether the catalogue is in causal mode (see
@@ -469,31 +446,24 @@ impl StoreCatalog {
     /// Publishes a causally stamped batch (causal mode only). The stamp was
     /// allocated client-side — the store validates its per-publisher FIFO
     /// sequence and parent frontier, ingests it into the causal DAG, and
-    /// assigns the arrival epoch exactly as a scalar publish would. Because
-    /// no central sequence round trip happens inside the log lock, the
-    /// simulated allocation latency is paid *before* locking: publishes from
-    /// distinct participants overlap their waits instead of serialising.
+    /// assigns the arrival epoch exactly as a scalar publish would.
     pub fn publish_causal(
         &self,
         stamp: CausalStamp,
         transactions: Vec<Transaction>,
     ) -> Result<Epoch> {
-        let latency = self.alloc_latency();
-        if !latency.is_zero() {
-            std::thread::sleep(latency);
-        }
         self.publish_impl(stamp.publisher, transactions, None, Some(&stamp))
     }
 
     /// Appends a batch already published at another fabric shard, pinned to
     /// the epoch that shard assigned. The batch takes the replay path:
-    /// no allocation latency (the home shard already paid it), no WAL append
-    /// (fabric shards are ephemeral; a replica is not this store's publish),
-    /// and **no relevance extension** — the epoch's candidates are served by
-    /// its home shard, this store merely keeps its log and epoch numbering
-    /// identical. The publisher's own-accept record *is* written, exactly as
-    /// a local publish would. Errors if this store derives a different epoch
-    /// — the fabric's fan-out reached shards in different orders.
+    /// no WAL append (fabric shards are ephemeral; a replica is not this
+    /// store's publish) and **no relevance extension** — the epoch's
+    /// candidates are served by its home shard, this store merely keeps its
+    /// log and epoch numbering identical. The publisher's own-accept record
+    /// *is* written, exactly as a local publish would. Errors if this store
+    /// derives a different epoch — the fabric's fan-out reached shards in
+    /// different orders.
     pub fn publish_replica(
         &self,
         participant: ParticipantId,
@@ -556,16 +526,6 @@ impl StoreCatalog {
                     "transaction {} already published",
                     txn.id()
                 )));
-            }
-        }
-
-        // The scalar allocator's simulated round trip happens *here*, with
-        // the log write lock held — concurrent scalar publishers queue on
-        // the central sequence exactly as they do in the paper's store.
-        if replay_epoch.is_none() && stamp.is_none() {
-            let latency = self.alloc_latency();
-            if !latency.is_zero() {
-                std::thread::sleep(latency);
             }
         }
 
@@ -667,9 +627,9 @@ impl StoreCatalog {
     ///
     /// With `rescan` set, the entries are recomputed by scanning the full
     /// publication log (origin, decision and trust re-filtered per call, the
-    /// decided set rebuilt from scratch) — the pre-cursor baseline the churn
-    /// benchmark measures against. Semantics are identical; cost is O(total
-    /// history) per open instead of O(new epochs).
+    /// decided set rebuilt from scratch) — the pre-cursor route the
+    /// equivalence tests compare against. Semantics are identical; cost is
+    /// O(total history) per open instead of O(new epochs).
     ///
     /// At most one session may be open per participant: overlapping sessions
     /// for the same participant would commit duplicate reconciliation
@@ -1460,7 +1420,6 @@ impl StoreCatalog {
             next_session: AtomicU64::new(1),
             durability: Durability::Ephemeral,
             retention: RwLock::new(RetentionPolicy::default()),
-            alloc_latency: RwLock::new(Duration::ZERO),
         })
     }
 
@@ -1772,7 +1731,6 @@ impl Clone for StoreCatalog {
             next_session: AtomicU64::new(1),
             durability: Durability::Ephemeral,
             retention: RwLock::new(self.retention()),
-            alloc_latency: RwLock::new(self.alloc_latency()),
         }
     }
 }
@@ -2774,56 +2732,5 @@ mod tests {
         assert_eq!(ids, vec![x3.id()]);
         // Skipping the full prefix leaves nothing.
         assert!(cat.accepted_replay_units_after(p(1), 3).is_empty());
-    }
-
-    #[test]
-    fn scalar_alloc_latency_serialises_and_causal_overlaps() {
-        use std::time::Instant;
-        let latency = Duration::from_millis(40);
-        let elapsed_publishing = |cat: &StoreCatalog, causal: bool| {
-            cat.set_alloc_latency(latency);
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for i in 1..=3u32 {
-                    let cat = &*cat;
-                    scope.spawn(move || {
-                        let t = txn(
-                            i,
-                            0,
-                            vec![Update::insert(
-                                "Function",
-                                func("rat", &format!("prot{i}"), "a"),
-                                p(i),
-                            )],
-                        );
-                        if causal {
-                            // Stamp against whatever frontier is current;
-                            // retry on FIFO races is unnecessary: distinct
-                            // publishers never contend on sequences.
-                            cat.publish_causal(stamp(cat, p(i)), vec![t]).unwrap();
-                        } else {
-                            cat.publish(p(i), vec![t]).unwrap();
-                        }
-                    });
-                }
-            });
-            start.elapsed()
-        };
-
-        let scalar = catalog_with_policies();
-        let scalar_elapsed = elapsed_publishing(&scalar, false);
-        // Three publishers queue on the central allocator: ≥ 3 round trips.
-        assert!(scalar_elapsed >= latency * 3, "scalar publishes overlapped: {scalar_elapsed:?}");
-
-        let causal = catalog_with_policies();
-        causal.enable_causal_mode().unwrap();
-        let causal_elapsed = elapsed_publishing(&causal, true);
-        // Client-side stamping pays the round trip outside any lock: the
-        // waits overlap, so the wall clock stays well under 3 round trips.
-        assert!(
-            causal_elapsed < latency * 3,
-            "causal publishes serialised their allocation waits: {causal_elapsed:?}"
-        );
-        assert_eq!(causal.log_len(), 3);
     }
 }

@@ -10,13 +10,8 @@
 //! reconciliation sessions from many participants in parallel against one
 //! `&CentralStore`.
 //!
-//! Its default cost model charges only store-side compute time (the constant
-//! number of LAN round trips is negligible at the paper's scale). For
-//! concurrency experiments, [`CentralStore::with_simulated_latency`] makes
-//! the LAN round trip *real*: every store call additionally blocks for the
-//! configured latency (charged to `network` time), so drivers that overlap
-//! calls from many threads show genuine wall-clock wins over serial drivers
-//! — the effect the paper's store sees when many peers reconcile at once.
+//! Its cost model charges only store-side compute time (the constant
+//! number of LAN round trips is negligible at the paper's scale).
 
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 use crate::catalog::StoreCatalog;
@@ -37,11 +32,13 @@ pub enum RetrievalMode {
     /// is proportional to the newly published epochs.
     #[default]
     Incremental,
-    /// The pre-cursor baseline: rescan the full publication log, re-filter by
+    /// The pre-cursor route: rescan the full publication log, re-filter by
     /// trust and decision record, and rebuild the decided set on every
-    /// session open. Kept (and exercised by the churn benchmark) to quantify
-    /// the win of the incremental path; per-session work grows with total
-    /// history.
+    /// session open; per-session work grows with total history. Kept as the
+    /// tests' reference route for the incremental path
+    /// (`tests/store_equivalence_smoke.rs`,
+    /// `catalog::tests::relevance_index_matches_rescan_baseline`,
+    /// `scenario::tests::churn_decisions_are_identical_across_retrieval_modes`).
     RescanBaseline,
 }
 
@@ -50,21 +47,18 @@ pub enum RetrievalMode {
 pub struct CentralStore {
     catalog: StoreCatalog,
     retrieval: RetrievalMode,
-    /// Optional per-call LAN latency, physically slept and charged to
-    /// network time (zero by default).
-    latency: Duration,
 }
 
 impl CentralStore {
     /// Creates an empty central store for the given schema, using incremental
-    /// cursor-based retrieval and no simulated latency.
+    /// cursor-based retrieval.
     pub fn new(schema: Schema) -> Self {
         CentralStore::with_retrieval(schema, RetrievalMode::Incremental)
     }
 
     /// Creates an empty central store with an explicit retrieval mode.
     pub fn with_retrieval(schema: Schema, retrieval: RetrievalMode) -> Self {
-        CentralStore { catalog: StoreCatalog::new(schema), retrieval, latency: Duration::ZERO }
+        CentralStore { catalog: StoreCatalog::new(schema), retrieval }
     }
 
     /// Creates an empty central store over an explicit durability backend
@@ -73,7 +67,6 @@ impl CentralStore {
         CentralStore {
             catalog: StoreCatalog::with_durability(schema, durability),
             retrieval: RetrievalMode::default(),
-            latency: Duration::ZERO,
         }
     }
 
@@ -106,7 +99,6 @@ impl CentralStore {
         Ok(CentralStore {
             catalog: StoreCatalog::recover(dir)?,
             retrieval: RetrievalMode::default(),
-            latency: Duration::ZERO,
         })
     }
 
@@ -141,28 +133,9 @@ impl CentralStore {
         self.catalog.prune_to_horizon()
     }
 
-    /// Creates an empty central store that blocks for `latency` on every
-    /// mutating or retrieving call, emulating the LAN round trip to the
-    /// paper's RDBMS-backed store. The latency is charged to the call's
-    /// `network` time. Used by the concurrent-churn benchmark: a parallel
-    /// driver overlaps the waits of many participants, a serial driver pays
-    /// their sum.
-    pub fn with_simulated_latency(schema: Schema, latency: Duration) -> Self {
-        CentralStore {
-            catalog: StoreCatalog::new(schema),
-            retrieval: RetrievalMode::default(),
-            latency,
-        }
-    }
-
     /// The retrieval mode in use.
     pub fn retrieval_mode(&self) -> RetrievalMode {
         self.retrieval
-    }
-
-    /// The per-call simulated LAN latency (zero unless configured).
-    pub fn simulated_latency(&self) -> Duration {
-        self.latency
     }
 
     /// The underlying catalogue (for inspection in tests and tools).
@@ -170,16 +143,11 @@ impl CentralStore {
         &self.catalog
     }
 
-    /// Runs a catalogue operation, measuring its compute time and charging
-    /// (and sleeping) the configured LAN latency.
+    /// Runs a catalogue operation, measuring its compute time.
     fn timed<T>(&self, f: impl FnOnce(&StoreCatalog) -> T) -> Timed<T> {
         let start = Instant::now();
         let value = f(&self.catalog);
-        let compute = start.elapsed();
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-        Timed::new(value, StoreTiming { compute, network: self.latency })
+        Timed::new(value, StoreTiming { compute: start.elapsed(), network: Duration::ZERO })
     }
 }
 
@@ -450,20 +418,6 @@ mod tests {
         let batch = s.next_batch(opened.value.session, 8).unwrap();
         assert_eq!(batch.value.len(), 1);
         s.abort_reconciliation(opened.value.session).unwrap();
-    }
-
-    #[test]
-    fn simulated_latency_is_slept_and_charged() {
-        let s =
-            CentralStore::with_simulated_latency(bioinformatics_schema(), Duration::from_millis(2));
-        s.register_participant(TrustPolicy::new(p(1)).trusting(p(2), 1u32));
-        s.register_participant(TrustPolicy::new(p(2)).trusting(p(1), 1u32));
-        assert_eq!(s.simulated_latency(), Duration::from_millis(2));
-        let x = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
-        let wall = Instant::now();
-        let published = s.publish(p(2), vec![x]).unwrap();
-        assert!(published.timing.network >= Duration::from_millis(2));
-        assert!(wall.elapsed() >= Duration::from_millis(2));
     }
 
     #[test]

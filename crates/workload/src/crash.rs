@@ -28,12 +28,11 @@ use orchestra::{CdssSystem, Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::ParticipantId;
 use orchestra_store::CentralStore;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Instant;
 
 /// Configuration of one crash-restart run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrashChurnConfig {
     /// The underlying churn schedule (participants, rounds, workload, seed).
     pub churn: ChurnConfig,
@@ -62,7 +61,7 @@ impl CrashChurnConfig {
 
 /// Decision totals of one (possibly interrupted) churn run — everything that
 /// must be identical between the baseline and the recovered run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnTotals {
     /// Reconciliations performed.
     pub reconciliations: usize,
@@ -81,7 +80,7 @@ pub struct ChurnTotals {
 }
 
 /// The outcome of one crash-restart experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrashChurnReport {
     /// Totals of the uninterrupted baseline run.
     pub baseline: ChurnTotals,

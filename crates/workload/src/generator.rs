@@ -7,7 +7,6 @@ use orchestra_storage::Database;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Parameters of the synthetic workload, matching Section 6 of the paper
@@ -15,7 +14,7 @@ use std::sync::Arc;
 /// cross-reference tuples per newly inserted key) and configurable where the
 /// paper leaves the choice open (size of the key universe, skew of key
 /// selection).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of updates per generated transaction.
     pub transaction_size: usize,

@@ -30,11 +30,10 @@ use crate::scenario::ChurnConfig;
 use orchestra::CdssSystem;
 use orchestra_model::ParticipantId;
 use orchestra_store::{CentralStore, UpdateStore};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Which epoch allocator the store runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochMode {
     /// The classic store-side scalar counter.
     Scalar,
@@ -44,7 +43,7 @@ pub enum EpochMode {
 }
 
 /// Configuration of one offline-churn run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OfflineChurnConfig {
     /// The underlying churn schedule (participants, rounds, workload, seed).
     pub churn: ChurnConfig,
@@ -81,7 +80,7 @@ impl OfflineChurnConfig {
 }
 
 /// The outcome of one offline-churn run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OfflineChurnResult {
     /// Decision totals of the run (online publishes only).
     pub totals: ChurnTotals,

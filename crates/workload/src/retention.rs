@@ -9,9 +9,8 @@
 //! the pinned-ancestor set, so the live set tracks the size of the *data*
 //! (live value lineage + undecided suffix), not the length of the history.
 //! Decisions must be identical between the two policies — pruning is
-//! decision-invariant by construction, and the benchmark gate
-//! (`BENCH_churn_retention.json`) checks both that and the boundedness of
-//! the `ConvergedOnly` live set.
+//! decision-invariant by construction, and this module's tests check both
+//! that and the boundedness of the `ConvergedOnly` live set.
 
 use crate::crash::{fresh_system, make_generators, reconcile_one, step};
 use crate::scenario::ChurnConfig;
@@ -19,11 +18,10 @@ use crate::ChurnTotals;
 use orchestra::CdssSystem;
 use orchestra_model::ParticipantId;
 use orchestra_store::{CentralStore, RetentionPolicy};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration of one retention run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RetentionChurnConfig {
     /// The underlying churn schedule (participants, rounds, workload, seed).
     pub churn: ChurnConfig,
@@ -43,7 +41,7 @@ impl RetentionChurnConfig {
 }
 
 /// One per-round sample of the store's memory footprint.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RetentionSample {
     /// The round just finished.
     pub round: usize,
@@ -94,8 +92,8 @@ pub struct RetentionChurnResult {
 
 impl RetentionChurnResult {
     /// The live set at the sample closest to the given fraction of the run
-    /// (0.5 = mid-history). Used by the boundedness gate: a bounded live set
-    /// stops growing between mid-history and the end.
+    /// (0.5 = mid-history). A bounded live set stops growing between
+    /// mid-history and the end.
     pub fn live_set_at(&self, fraction: f64) -> usize {
         if self.samples.is_empty() {
             return 0;
@@ -267,6 +265,11 @@ mod tests {
         assert!(converged.prunes > 0, "schedule must converge enough to prune");
         assert!(converged.pruned_log_entries > 0);
         assert!(converged.final_live_set() < keepall.final_live_set());
+        // Bounded: the pruned live set stops growing between mid-history and
+        // the end and finishes under half of the unpruned one, which grows.
+        assert!(converged.final_live_set() <= converged.live_set_at(0.5) * 3 / 2);
+        assert!(2 * converged.final_live_set() <= keepall.final_live_set());
+        assert!(keepall.final_live_set() > keepall.live_set_at(0.5));
         assert_eq!(converged.total_published, keepall.total_published);
         // Samples cover every round plus the final catch-up.
         assert_eq!(converged.samples.len(), tiny_churn().rounds + 1);

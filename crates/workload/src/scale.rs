@@ -44,17 +44,15 @@ use orchestra_store::{FabricConfig, ServiceConfig, StoreFabric, UpdateStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::{FxHashSet, FxHasher};
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of one `churn_scale` run.
 ///
-/// The service knobs mirror [`ServiceConfig`] field for field (that struct
-/// carries no serde impls; this one must be serialisable into benchmark
-/// metadata) — [`ScaleConfig::service_config`] converts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The service knobs mirror [`ServiceConfig`] field for field;
+/// [`ScaleConfig::service_config`] converts.
+#[derive(Debug, Clone)]
 pub struct ScaleConfig {
     /// Confederation size.
     pub participants: usize,
@@ -91,7 +89,7 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// Reduced scale for tests and the CI quick benchmark: tens of
+    /// Reduced scale for tests and the `fabric_trace` example: tens of
     /// participants, hundreds of updates, the same schedule shape.
     pub fn quick() -> ScaleConfig {
         ScaleConfig {
@@ -187,7 +185,7 @@ impl ScaleConfig {
 /// ([`run_churn_scale_fabric`]) rather than a variant here: it needs to
 /// construct the [`StoreFabric`] itself, while [`run_churn_scale`] is
 /// generic over any caller-supplied store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDriver {
     /// One session after another (decision baseline).
     Sequential,
@@ -584,10 +582,13 @@ mod tests {
         assert!(sequential.transactions > 0 && sequential.updates > 0);
         assert_eq!(sequential.transactions, threads.transactions);
         assert_eq!(sequential.transactions, service.transactions);
+        assert_eq!(sequential.publishes, threads.publishes);
         assert_eq!(sequential.publishes, service.publishes);
+        assert_eq!(sequential.sessions, threads.sessions);
         assert_eq!(sequential.sessions, service.sessions);
         assert_eq!(sequential.decision_fingerprint, threads.decision_fingerprint);
         assert_eq!(sequential.decision_fingerprint, service.decision_fingerprint);
+        assert_eq!(sequential.state_ratio, threads.state_ratio);
         assert_eq!(sequential.state_ratio, service.state_ratio);
 
         // Only the service driver reports frame traffic and latencies.

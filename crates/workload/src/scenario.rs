@@ -6,11 +6,10 @@ use orchestra::{CdssSystem, ParticipantConfig, TimingBreakdown};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, TrustPolicy};
 use orchestra_store::UpdateStore;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Configuration of one experiment run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Number of participants. As in the paper's experiments, every
     /// participant trusts every other at the same priority, so conflicts must
@@ -156,7 +155,7 @@ pub fn run_scenario<S: UpdateStore>(store: S, config: &ScenarioConfig) -> Scenar
 /// every `1 + i mod max_reconcile_interval` rounds, offset by `i`), so at any
 /// moment different participants are lagging the stable frontier by different
 /// amounts — the "churn" the update store must serve incrementally.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnConfig {
     /// Number of participants (mutual trust at equal priority).
     pub participants: usize,
@@ -191,7 +190,7 @@ impl Default for ChurnConfig {
 }
 
 /// One per-reconciliation sample of a churn run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChurnSample {
     /// How many reconciliations (across all participants) preceded this one.
     pub sequence: usize,
@@ -346,7 +345,7 @@ pub fn run_churn_scenario<S: UpdateStore>(store: S, config: &ChurnConfig) -> Chu
 }
 
 /// How the concurrent-churn scenario drives its reconciliation waves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconcileDriver {
     /// One participant after another (the baseline the parallel driver is
     /// measured against).

@@ -9,7 +9,6 @@
 //! strings for the secondary table.
 
 use orchestra_model::{Tuple, Value};
-use serde::{Deserialize, Serialize};
 
 /// Organism names used to synthesise keys (model organisms that dominate
 /// curated protein databases).
@@ -60,7 +59,7 @@ const XREF_DATABASES: &[&str] =
     &["genbank", "embl", "pdb", "interpro", "pfam", "prosite", "refseq", "ensembl"];
 
 /// Deterministic pools of synthetic SWISS-PROT-like values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SwissProtPools {
     keys: Vec<(String, String)>,
     functions: Vec<String>,
