@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for three design choices of the reconciliation path:
 //!
 //! * client-centric versus network-centric reconciliation on the DHT store
 //!   (the trade-off of the paper's Figure 3);

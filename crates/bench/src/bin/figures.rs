@@ -67,105 +67,82 @@ fn main() {
         }
     };
     for fig in &args.figures {
-        match fig {
-            8 => {
-                let rows = fig08_transaction_size(args.scale);
-                let table = render_table(
-                    "Figure 8: transaction size vs. state ratio (10 peers, constant updates per reconciliation)",
-                    &["txn_size", "txns/recon", "state_ratio"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.transaction_size.to_string(),
-                                r.transactions_per_reconciliation.to_string(),
-                                format!("{:.3}", r.state_ratio),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                println!("{table}");
-                write_csv(&args.out.join("fig08.csv"), &rows).expect("write fig08.csv");
-                write_json(&args.out.join("fig08.json"), "fig08", &rows).expect("write fig08.json");
-            }
-            9 => {
-                let rows = fig09_recon_interval_ratio(args.scale);
-                let table = render_table(
-                    "Figure 9: reconciliation interval vs. state ratio (10 peers, txn size 1)",
-                    &["interval", "state_ratio"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.reconciliation_interval.to_string(),
-                                format!("{:.3}", r.state_ratio),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                println!("{table}");
-                write_csv(&args.out.join("fig09.csv"), &rows).expect("write fig09.csv");
-                write_json(&args.out.join("fig09.json"), "fig09", &rows).expect("write fig09.json");
-            }
-            10 => {
-                let rows = fig10_recon_interval_time(args.scale);
-                let table = render_table(
-                    "Figure 10: reconciliation interval vs. total reconciliation time per participant",
-                    &["interval", "store", "store_time_s", "local_time_s"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.reconciliation_interval.to_string(),
-                                r.store_kind.clone(),
-                                format!("{:.6}", r.store_time_secs),
-                                format!("{:.6}", r.local_time_secs),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                println!("{table}");
-                write_csv(&args.out.join("fig10.csv"), &rows).expect("write fig10.csv");
-                write_json(&args.out.join("fig10.json"), "fig10", &rows).expect("write fig10.json");
-            }
-            11 => {
-                let rows = fig11_participants_ratio(args.scale);
-                let table = render_table(
-                    "Figure 11: number of participants vs. state ratio",
-                    &["participants", "state_ratio"],
-                    &rows
-                        .iter()
-                        .map(|r| vec![r.participants.to_string(), format!("{:.3}", r.state_ratio)])
-                        .collect::<Vec<_>>(),
-                );
-                println!("{table}");
-                write_csv(&args.out.join("fig11.csv"), &rows).expect("write fig11.csv");
-                write_json(&args.out.join("fig11.json"), "fig11", &rows).expect("write fig11.json");
-            }
-            12 => {
-                let rows = fig12_participants_time(args.scale);
-                let table = render_table(
-                    "Figure 12: number of participants vs. average time per reconciliation",
-                    &["participants", "store", "store_time_s", "local_time_s"],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            vec![
-                                r.participants.to_string(),
-                                r.store_kind.clone(),
-                                format!("{:.6}", r.store_time_secs),
-                                format!("{:.6}", r.local_time_secs),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                println!("{table}");
-                write_csv(&args.out.join("fig12.csv"), &rows).expect("write fig12.csv");
-                write_json(&args.out.join("fig12.json"), "fig12", &rows).expect("write fig12.json");
-            }
+        let (title, header, rows): (&str, &[&str], Vec<Vec<String>>) = match fig {
+            8 => (
+                "Figure 8: transaction size vs. state ratio (10 peers, constant updates per reconciliation)",
+                &["transaction_size", "transactions_per_reconciliation", "state_ratio"],
+                fig08_transaction_size(args.scale)
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.transaction_size.to_string(),
+                            r.transactions_per_reconciliation.to_string(),
+                            float(r.state_ratio),
+                        ]
+                    })
+                    .collect(),
+            ),
+            9 => (
+                "Figure 9: reconciliation interval vs. state ratio (10 peers, txn size 1)",
+                &["reconciliation_interval", "state_ratio"],
+                fig09_recon_interval_ratio(args.scale)
+                    .iter()
+                    .map(|r| vec![r.reconciliation_interval.to_string(), float(r.state_ratio)])
+                    .collect(),
+            ),
+            10 => (
+                "Figure 10: reconciliation interval vs. total reconciliation time per participant",
+                &["reconciliation_interval", "store_kind", "store_time_secs", "local_time_secs"],
+                fig10_recon_interval_time(args.scale)
+                    .iter()
+                    .map(|r| {
+                        timed_row(
+                            r.reconciliation_interval,
+                            &r.store_kind,
+                            r.store_time_secs,
+                            r.local_time_secs,
+                        )
+                    })
+                    .collect(),
+            ),
+            11 => (
+                "Figure 11: number of participants vs. state ratio",
+                &["participants", "state_ratio"],
+                fig11_participants_ratio(args.scale)
+                    .iter()
+                    .map(|r| vec![r.participants.to_string(), float(r.state_ratio)])
+                    .collect(),
+            ),
+            12 => (
+                "Figure 12: number of participants vs. average time per reconciliation",
+                &["participants", "store_kind", "store_time_secs", "local_time_secs"],
+                fig12_participants_time(args.scale)
+                    .iter()
+                    .map(|r| {
+                        timed_row(r.participants, &r.store_kind, r.store_time_secs, r.local_time_secs)
+                    })
+                    .collect(),
+            ),
             other => unreachable!("parse_args admits figures 8-12 only, got {other}"),
-        }
+        };
+        println!("{}", render_table(title, header, &rows));
+        let stem = format!("fig{fig:02}");
+        write_csv(&args.out.join(format!("{stem}.csv")), header, &rows).expect("write the CSV");
+        write_json(&args.out.join(format!("{stem}.json")), &stem, header, &rows)
+            .expect("write the JSON");
     }
+}
+
+/// A float cell: the shortest spelling that reads back to the same value,
+/// integral values with their `.0`.
+fn float(x: f64) -> String {
+    format!("{x:?}")
+}
+
+/// A row of Figures 10 and 12: the swept parameter, the store, and the two
+/// halves of the reconciliation time.
+fn timed_row(x: usize, store_kind: &str, store_secs: f64, local_secs: f64) -> Vec<String> {
+    vec![x.to_string(), store_kind.to_string(), float(store_secs), float(local_secs)]
 }
 
 #[cfg(test)]

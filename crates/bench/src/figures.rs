@@ -3,7 +3,6 @@
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_store::{CentralStore, DhtStore};
 use orchestra_workload::{run_scenario, ScenarioConfig, WorkloadConfig};
-use serde::Serialize;
 
 /// How large an experiment to run. `Quick` keeps every figure under a few
 /// seconds (for CI and `cargo bench`); `Full` uses parameter ranges closer to
@@ -57,7 +56,7 @@ fn base_scenario(
 
 /// One row of Figure 8: transaction size versus state ratio, holding the
 /// number of updates between reconciliations constant.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig08Row {
     /// Updates per transaction.
     pub transaction_size: usize,
@@ -92,7 +91,7 @@ pub fn fig08_transaction_size(scale: FigureScale) -> Vec<Fig08Row> {
 }
 
 /// One row of Figure 9: reconciliation interval versus state ratio.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig09Row {
     /// Transactions (of size 1) published between reconciliations.
     pub reconciliation_interval: usize,
@@ -119,7 +118,7 @@ pub fn fig09_recon_interval_ratio(scale: FigureScale) -> Vec<Fig09Row> {
 
 /// One row of Figure 10: reconciliation interval versus execution time,
 /// split into store time and local time, for both stores.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// Transactions (of size 1) published between reconciliations.
     pub reconciliation_interval: usize,
@@ -171,7 +170,7 @@ pub fn fig10_recon_interval_time(scale: FigureScale) -> Vec<Fig10Row> {
 }
 
 /// One row of Figure 11: number of participants versus state ratio.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Number of participants.
     pub participants: usize,
@@ -198,7 +197,7 @@ pub fn fig11_participants_ratio(scale: FigureScale) -> Vec<Fig11Row> {
 
 /// One row of Figure 12: number of participants versus time per
 /// reconciliation for each store.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Row {
     /// Number of participants.
     pub participants: usize,

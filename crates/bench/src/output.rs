@@ -1,7 +1,6 @@
 //! Rendering figure series as aligned text tables, CSV files and JSON
-//! documents.
+//! documents. All three take the same `(header, rows)` of string cells.
 
-use serde::Serialize;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -38,66 +37,97 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
     out
 }
 
-/// Writes a slice of serialisable rows as a CSV file (header derived from the
-/// JSON field names of the first row).
-pub fn write_csv<T: Serialize>(path: &Path, rows: &[T]) -> io::Result<()> {
-    let mut csv = String::new();
-    let values: Vec<serde_json::Value> =
-        rows.iter().map(|r| serde_json::to_value(r).expect("figure rows serialise")).collect();
-    if let Some(serde_json::Value::Object(first)) = values.first() {
-        let columns: Vec<String> = first.keys().cloned().collect();
-        csv.push_str(&columns.join(","));
-        csv.push('\n');
-        for value in &values {
-            if let serde_json::Value::Object(map) = value {
-                let row: Vec<String> = columns
-                    .iter()
-                    .map(|c| match map.get(c) {
-                        Some(serde_json::Value::String(s)) => s.clone(),
-                        Some(other) => other.to_string(),
-                        None => String::new(),
-                    })
-                    .collect();
-                csv.push_str(&row.join(","));
-                csv.push('\n');
-            }
-        }
-    }
+fn write_file(path: &Path, text: String) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    fs::write(path, csv)
+    fs::write(path, text)
 }
 
-/// Writes a slice of serialisable rows as a pretty-printed JSON document:
-/// `{"figure": <label>, "rows": [...]}`.
-pub fn write_json<T: Serialize>(path: &Path, figure: &str, rows: &[T]) -> io::Result<()> {
-    let mut doc = serde_json::Map::new();
-    doc.insert("figure".to_string(), serde_json::Value::String(figure.to_string()));
-    doc.insert(
-        "rows".to_string(),
-        serde_json::Value::Array(
-            rows.iter().map(|r| serde_json::to_value(r).expect("figure rows serialise")).collect(),
-        ),
-    );
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
+/// Writes the rows as a CSV file under the given header line. Cells are
+/// written as they are: the figures' column names and values hold no comma,
+/// quote or newline.
+pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
+    let mut csv = header.join(",");
+    csv.push('\n');
+    for row in rows {
+        csv.push_str(&row.join(","));
+        csv.push('\n');
     }
-    let mut text = serde_json::to_string_pretty(&serde_json::Value::Object(doc))
-        .expect("figure document serialises");
-    text.push('\n');
-    fs::write(path, text)
+    write_file(path, csv)
+}
+
+/// A cell as a JSON value: a number when it reads as one (re-rendered, so
+/// the output is valid JSON whatever spelling the cell used), a string
+/// otherwise.
+fn json_value(cell: &str) -> String {
+    if let Ok(n) = cell.parse::<i128>() {
+        return n.to_string();
+    }
+    match cell.parse::<f64>() {
+        Ok(x) if x.is_finite() => format!("{x:?}"),
+        _ => json_string(cell),
+    }
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Writes the rows as a pretty-printed JSON document
+/// `{"figure": <label>, "rows": [{<column>: <cell>, ...}, ...]}`, numeric
+/// cells unquoted.
+pub fn write_json(
+    path: &Path,
+    figure: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    let objects: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let fields: Vec<String> = header
+                .iter()
+                .zip(row)
+                .map(|(column, cell)| {
+                    format!("      {}: {}", json_string(column), json_value(cell))
+                })
+                .collect();
+            format!("    {{\n{}\n    }}", fields.join(",\n"))
+        })
+        .collect();
+    let rows_text = if objects.is_empty() {
+        "[]".to_string()
+    } else {
+        format!("[\n{}\n  ]", objects.join(",\n"))
+    };
+    write_file(
+        path,
+        format!("{{\n  \"figure\": {},\n  \"rows\": {rows_text}\n}}\n", json_string(figure)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[derive(Serialize)]
-    struct Row {
-        x: usize,
-        label: String,
-        y: f64,
+    const HEADER: [&str; 3] = ["x", "label", "y"];
+
+    fn rows() -> Vec<Vec<String>> {
+        vec![
+            vec!["1".into(), "central".into(), "0.5".into()],
+            vec!["2".into(), "distributed".into(), "2.0".into()],
+        ]
     }
 
     #[test]
@@ -117,15 +147,9 @@ mod tests {
     fn csv_round_trips_field_names_and_values() {
         let dir = std::env::temp_dir().join("orchestra-bench-test");
         let path = dir.join("rows.csv");
-        let rows = vec![
-            Row { x: 1, label: "central".into(), y: 0.5 },
-            Row { x: 2, label: "distributed".into(), y: 1.5 },
-        ];
-        write_csv(&path, &rows).unwrap();
+        write_csv(&path, &HEADER, &rows()).unwrap();
         let contents = fs::read_to_string(&path).unwrap();
-        assert!(contents.lines().next().unwrap().contains("x"));
-        assert!(contents.contains("distributed"));
-        assert_eq!(contents.lines().count(), 3);
+        assert_eq!(contents, "x,label,y\n1,central,0.5\n2,distributed,2.0\n");
         fs::remove_file(&path).ok();
     }
 
@@ -133,20 +157,30 @@ mod tests {
     fn json_documents_carry_label_and_rows() {
         let dir = std::env::temp_dir().join("orchestra-bench-test");
         let path = dir.join("rows.json");
-        let rows = vec![
-            Row { x: 1, label: "central".into(), y: 0.5 },
-            Row { x: 2, label: "distributed".into(), y: 1.5 },
-        ];
-        write_json(&path, "fig99", &rows).unwrap();
-        let doc: serde_json::Value =
-            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
-        let obj = doc.as_object().unwrap();
-        assert_eq!(obj.get("figure").unwrap().as_str(), Some("fig99"));
-        let parsed_rows = obj.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(parsed_rows.len(), 2);
-        let first = parsed_rows[0].as_object().unwrap();
-        assert_eq!(first.get("x").unwrap().as_u64(), Some(1));
-        assert_eq!(first.get("label").unwrap().as_str(), Some("central"));
+        write_json(&path, "fig99", &HEADER, &rows()).unwrap();
+        let contents = fs::read_to_string(&path).unwrap();
+        let expected = r#"{
+  "figure": "fig99",
+  "rows": [
+    {
+      "x": 1,
+      "label": "central",
+      "y": 0.5
+    },
+    {
+      "x": 2,
+      "label": "distributed",
+      "y": 2.0
+    }
+  ]
+}
+"#;
+        assert_eq!(contents, expected);
+        // Only finite numbers go unquoted, and always in JSON's spelling.
+        assert_eq!(json_value("+7"), "7");
+        assert_eq!(json_value("1."), "1.0");
+        assert_eq!(json_value("NaN"), "\"NaN\"");
+        assert_eq!(json_value("a\"b"), "\"a\\\"b\"");
         fs::remove_file(&path).ok();
     }
 
@@ -154,9 +188,8 @@ mod tests {
     fn empty_rows_produce_empty_csv() {
         let dir = std::env::temp_dir().join("orchestra-bench-test");
         let path = dir.join("empty.csv");
-        let rows: Vec<Row> = vec![];
-        write_csv(&path, &rows).unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "");
+        write_csv(&path, &HEADER, &[]).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "x,label,y\n", "the header, no records");
         fs::remove_file(&path).ok();
     }
 }

@@ -33,13 +33,12 @@
 //! when intermediate history has been pruned below the retention horizon.
 
 use crate::ids::ParticipantId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// One event in the causal DAG: a publisher plus its per-publisher sequence
 /// number (1-based; sequence 0 never exists, the empty clock is the root).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StampId {
     /// The publishing participant.
     pub publisher: ParticipantId,
@@ -75,7 +74,7 @@ impl fmt::Display for StampId {
 /// clock keeps at most one stamp per publisher — inserting `p3:7` absorbs
 /// `p3:5`. Members are held sorted by publisher, so equal clocks compare,
 /// hash, render and serialise identically regardless of insertion order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct AntichainClock {
     members: Vec<StampId>,
 }
@@ -656,17 +655,5 @@ mod tests {
         let stamp = CausalStamp::new(p(2), 5, AntichainClock::from_stamps([s(1, 3), s(3, 7)]));
         assert_eq!(stamp.id(), s(2, 5));
         assert_eq!(stamp.to_string(), "p2#5<-{p1:3,p3:7}");
-    }
-
-    #[test]
-    fn clocks_serialise_round_trip() {
-        let clock = AntichainClock::from_stamps([s(1, 3), s(2, 1)]);
-        let json = serde_json::to_string(&clock).unwrap();
-        let back: AntichainClock = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, clock);
-        let stamp = CausalStamp::new(p(2), 5, clock);
-        let json = serde_json::to_string(&stamp).unwrap();
-        let back: CausalStamp = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stamp);
     }
 }

@@ -8,11 +8,10 @@
 
 use crate::intern::RelName;
 use crate::tuple::KeyValue;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a pairwise conflict between updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ConflictKind {
     /// Two insertions write the same key with different non-key attributes.
     DivergentInsert,
@@ -39,7 +38,7 @@ impl fmt::Display for ConflictKind {
 
 /// Identifies a conflict group: the `(type, value)` pair of the paper's
 /// `UpdateSoftState` helper, qualified with the relation name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConflictKey {
     /// The kind of conflict.
     pub kind: ConflictKind,

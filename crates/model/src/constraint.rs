@@ -10,7 +10,6 @@ use crate::error::{ModelError, Result};
 use crate::schema::Schema;
 use crate::tuple::{KeyValue, Tuple};
 use crate::update::{Update, UpdateOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Read-only view of a database instance, sufficient to evaluate integrity
@@ -31,7 +30,7 @@ pub trait InstanceView {
 }
 
 /// A declared integrity constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Constraint {
     /// Every value of `columns` in `relation` must appear as the value of
     /// `ref_columns` in `ref_relation`.

@@ -2,7 +2,6 @@
 //! reconciliations, causal stamps, and trust priorities.
 
 use crate::causal::{AntichainClock, StampId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a participant (peer) in the CDSS confederation.
@@ -10,7 +9,7 @@ use std::fmt;
 /// Participants are the unit of autonomy in the paper: each one owns a local
 /// database instance, publishes transactions annotated with its identity, and
 /// reconciles against the update store according to its own trust policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ParticipantId(pub u32);
 
 impl ParticipantId {
@@ -38,7 +37,7 @@ impl From<u32> for ParticipantId {
 /// The paper assumes local identifiers are assigned in increasing order, so
 /// ordering first by participant then by local id gives a total order that is
 /// consistent with each participant's publication order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransactionId {
     /// Originating participant (the `i` in `X_{i:j}`).
     pub participant: ParticipantId,
@@ -64,9 +63,7 @@ impl fmt::Display for TransactionId {
 /// The update store owns a single monotonically increasing epoch counter; it
 /// is incremented each time a participant publishes. Epoch 0 is the initial,
 /// empty state; the first publication defines the beginning of epoch 1.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(pub u64);
 
 impl Epoch {
@@ -101,7 +98,7 @@ impl fmt::Display for Epoch {
 /// ingest them in any interleaving, and a partitioned publisher can keep
 /// stamping offline; the DAG spanned by `parents` is what
 /// [`crate::causal::compare_clocks`] walks to order or merge histories.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CausalStamp {
     /// The publishing participant.
     pub publisher: ParticipantId,
@@ -132,9 +129,7 @@ impl fmt::Display for CausalStamp {
 
 /// Identifies one reconciliation operation performed by a participant
 /// (the `recno` of the paper's Figure 4).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReconciliationId(pub u64);
 
 impl ReconciliationId {
@@ -155,9 +150,7 @@ impl fmt::Display for ReconciliationId {
 /// The paper uses non-negative integers where `0` means *untrusted*; larger
 /// values mean more authoritative. [`Priority::UNTRUSTED`] is the bottom
 /// element.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(pub u32);
 
 impl Priority {

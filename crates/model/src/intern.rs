@@ -10,7 +10,6 @@
 //! comparison, and the pool stays tiny (one entry per distinct relation name
 //! ever seen).
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
@@ -151,18 +150,6 @@ impl From<String> for RelName {
     }
 }
 
-impl Serialize for RelName {
-    fn to_json(&self) -> serde::Value {
-        serde::Value::String(self.0.to_string())
-    }
-}
-
-impl Deserialize for RelName {
-    fn from_json(value: &serde::Value) -> Result<Self, serde::Error> {
-        String::from_json(value).map(|s| RelName::new(&s))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,15 +182,6 @@ mod tests {
         map.insert(RelName::new("Function"), 1);
         assert_eq!(map.get("Function"), Some(&1));
         assert_eq!(map.get("XRef"), None);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = RelName::new("Entry");
-        let json = serde_json::to_string(&a).unwrap();
-        assert_eq!(json, "\"Entry\"");
-        let back: RelName = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 
     #[test]

@@ -5,11 +5,10 @@ use crate::error::{ModelError, Result};
 use crate::tuple::{KeyValue, Tuple};
 use crate::value::ValueType;
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Declaration of a single column of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name, unique within its relation.
     pub name: String,
@@ -36,7 +35,7 @@ impl ColumnDef {
 ///
 /// The paper's running example is
 /// `F(organism, protein, function)` with key `(organism, protein)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSchema {
     name: String,
     columns: Vec<ColumnDef>,
@@ -161,7 +160,7 @@ impl RelationSchema {
 
 /// The system-wide schema `Σ`: a collection of relation schemas plus the
 /// integrity constraints that every participant instance must satisfy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     relations: BTreeMap<String, RelationSchema>,
     constraints: Vec<Constraint>,
@@ -184,12 +183,6 @@ impl Schema {
         }
         self.relations.insert(relation.name().to_owned(), relation);
         Ok(())
-    }
-
-    /// Builder-style variant of [`Schema::add_relation`].
-    pub fn with_relation(mut self, relation: RelationSchema) -> Result<Self> {
-        self.add_relation(relation)?;
-        Ok(self)
     }
 
     /// Adds an integrity constraint. The constraint must reference only
@@ -377,13 +370,5 @@ mod tests {
         assert!(schema.relation("Function").is_ok());
         assert!(schema.relation("Gene").is_err());
         assert_eq!(schema.relation_names(), vec!["Function", "XRef"]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let schema = bioinformatics_schema();
-        let json = serde_json::to_string(&schema).unwrap();
-        let back: Schema = serde_json::from_str(&json).unwrap();
-        assert_eq!(schema, back);
     }
 }

@@ -8,7 +8,6 @@ use crate::schema::Schema;
 use crate::tuple::KeyValue;
 use crate::update::Update;
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use std::sync::Arc;
 /// The paper's semantics treat the transaction as the unit of acceptance,
 /// rejection and deferral: either all of its updates are applied at a
 /// reconciliation, or none are.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     id: TransactionId,
     /// Shared so that cloning a transaction (store-side retrieval, candidate

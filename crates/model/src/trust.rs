@@ -15,7 +15,6 @@ use crate::ids::{ParticipantId, Priority};
 use crate::transaction::Transaction;
 use crate::update::{Update, UpdateKind};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A predicate `θ` over updates, used by acceptance rules.
@@ -23,7 +22,7 @@ use std::fmt;
 /// Predicates can inspect the origin of an update, the relation it targets,
 /// its kind, and the values it writes. Compound predicates are built with
 /// [`Predicate::And`], [`Predicate::Or`] and [`Predicate::Not`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
     /// Matches every update.
     True,
@@ -134,7 +133,7 @@ impl fmt::Display for Predicate {
 
 /// An acceptance rule `(θ, v)`: a predicate plus the priority assigned to
 /// updates satisfying it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcceptanceRule {
     /// Predicate over updates.
     pub predicate: Predicate,
@@ -158,7 +157,7 @@ impl AcceptanceRule {
 
 /// The trust policy `A(p_i)` of one participant: its identity plus its set of
 /// acceptance rules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrustPolicy {
     owner: ParticipantId,
     rules: Vec<AcceptanceRule>,
@@ -377,16 +376,5 @@ mod tests {
         assert!(s.contains("from(p2)"));
         assert!(s.contains("relation(F)"));
         assert!(s.contains("AND"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let policy = TrustPolicy::new(p(1)).trusting(p(2), 1u32).with_rule(AcceptanceRule::new(
-            Predicate::WritesValue { column: "organism".into(), equals: "rat".into() },
-            7u32,
-        ));
-        let json = serde_json::to_string(&policy).unwrap();
-        let back: TrustPolicy = serde_json::from_str(&json).unwrap();
-        assert_eq!(policy, back);
     }
 }

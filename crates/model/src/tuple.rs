@@ -1,7 +1,6 @@
 //! Tuples and key values.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A relational tuple: an ordered list of attribute values.
@@ -9,7 +8,7 @@ use std::fmt;
 /// Tuples are schema-agnostic; conformance to a particular
 /// [`crate::schema::RelationSchema`] is checked by
 /// [`crate::schema::RelationSchema::validate_tuple`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
     values: Vec<Value>,
 }
@@ -83,7 +82,7 @@ impl From<Vec<Value>> for Tuple {
 /// Key values identify the "antecedent data value" of the paper's conflict
 /// definition — two updates that write the same key value for a relation are
 /// candidates for conflicting.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KeyValue {
     values: Vec<Value>,
 }

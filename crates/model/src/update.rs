@@ -4,11 +4,10 @@ use crate::ids::ParticipantId;
 use crate::intern::RelName;
 use crate::schema::{RelationSchema, Schema};
 use crate::tuple::{KeyValue, Tuple};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of an update, without its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpdateKind {
     /// `+R(ā; i)` — insertion of a tuple.
     Insert,
@@ -30,7 +29,7 @@ impl fmt::Display for UpdateKind {
 }
 
 /// The payload of an update.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum UpdateOp {
     /// Insert a new tuple.
     Insert(Tuple),
@@ -48,7 +47,7 @@ pub enum UpdateOp {
 
 /// A single update to a relation, annotated with the identity of the
 /// participant that originated it (its provenance).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Update {
     /// Name of the relation the update targets (interned, cheap to clone).
     pub relation: RelName,

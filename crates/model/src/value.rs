@@ -1,13 +1,12 @@
 //! Attribute values and value types.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// The type of an attribute value, used by [`crate::schema::ColumnDef`] to
 /// declare column types and to validate tuples against a schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,
@@ -39,7 +38,7 @@ impl fmt::Display for ValueType {
 /// their bit pattern, which makes `NaN == NaN` for the purposes of this data
 /// model; that is the right semantics for key lookup even though it differs
 /// from IEEE comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// The SQL-style NULL marker (absence of a value).
     Null,
@@ -300,19 +299,5 @@ mod tests {
         assert_eq!(Value::text("x").as_int(), None);
         assert!(Value::Null.is_null());
         assert!(!Value::int(0).is_null());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let values = vec![
-            Value::Null,
-            Value::int(5),
-            Value::Float(3.25),
-            Value::text("cell-metab"),
-            Value::Bool(true),
-        ];
-        let json = serde_json::to_string(&values).unwrap();
-        let back: Vec<Value> = serde_json::from_str(&json).unwrap();
-        assert_eq!(values, back);
     }
 }

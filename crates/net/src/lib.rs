@@ -26,5 +26,5 @@ pub mod transport;
 
 pub use node::NodeId;
 pub use ring::{Ring, RoutePath};
-pub use simnet::{LinkTraffic, NetworkStats, PeerTraffic, SimNetwork};
+pub use simnet::{NetworkStats, SimNetwork};
 pub use transport::Transport;

@@ -1,6 +1,5 @@
 //! Node identifiers and key hashing for the DHT key space.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 128-bit identifier in the DHT key space.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Both overlay nodes and stored keys (epoch numbers, transaction
 /// identifiers) are mapped into the same space; a key is owned by the node
 /// whose identifier is its clockwise successor on the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u128);
 
 impl NodeId {

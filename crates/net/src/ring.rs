@@ -2,11 +2,10 @@
 
 use crate::node::NodeId;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// The route a message takes through the overlay: the sequence of nodes
 /// visited after the source, ending at the node that owns the key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutePath {
     /// Nodes visited, in order (the final element owns the key).
     pub hops: Vec<NodeId>,
@@ -26,7 +25,7 @@ impl RoutePath {
 
 /// Per-node Pastry-style routing state: a routing table indexed by
 /// (shared-prefix length, next digit) plus a leaf set of ring neighbours.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct RoutingState {
     /// `table[row]` maps a hexadecimal digit to a node sharing `row` prefix
     /// digits with the owner and having that digit at position `row`.
@@ -43,7 +42,7 @@ struct RoutingState {
 /// which yields the same routing behaviour (O(log₁₆ N) hops) without
 /// modelling churn, faithful to the paper's assumption of successful message
 /// delivery and no failures.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Ring {
     members: Vec<NodeId>,
     routing: FxHashMap<NodeId, RoutingState>,

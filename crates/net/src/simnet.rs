@@ -2,22 +2,17 @@
 //! message/byte accounting.
 //!
 //! Accounting is interior-mutable: every charge method takes `&self` and
-//! updates atomics, so many concurrent service sessions can charge traffic
-//! through one shared network without a global lock. Per-peer counters live
-//! behind an `RwLock`ed map that is only write-locked the first time a peer
-//! is seen; the hot path takes the read lock and bumps atomics.
+//! bumps four atomic counters, so many concurrent service sessions can charge
+//! traffic through one shared network without a lock.
 
 use crate::node::NodeId;
 use crate::ring::Ring;
 use orchestra_obs::{Counter, MetricsRegistry};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Cumulative statistics of a simulated network.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Number of application-level messages sent (requests and replies).
     pub messages: u64,
@@ -34,34 +29,6 @@ impl NetworkStats {
     pub fn latency(&self) -> Duration {
         Duration::from_micros(self.latency_us)
     }
-}
-
-/// Per-peer traffic counters, as returned by [`SimNetwork::peer_traffic`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PeerTraffic {
-    /// Messages this peer originated.
-    pub sent: u64,
-    /// Messages delivered to this peer.
-    pub received: u64,
-    /// Bytes this peer originated.
-    pub bytes_out: u64,
-    /// Bytes delivered to this peer.
-    pub bytes_in: u64,
-}
-
-/// Per-link traffic counters for one directed `(from, to)` endpoint pair, as
-/// returned by [`SimNetwork::link_traffic`].
-///
-/// [`PeerTraffic`] aggregates everything a node sent or received regardless
-/// of the other endpoint; per-link counters keep each directed pair separate,
-/// which is what a sharded deployment needs to report traffic *skew* (how
-/// unevenly clients load each shard server).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkTraffic {
-    /// Messages sent from the link's source to its destination.
-    pub messages: u64,
-    /// Bytes sent from the link's source to its destination.
-    pub bytes: u64,
 }
 
 /// Atomic counterpart of [`NetworkStats`], backed by `orchestra-obs`
@@ -121,42 +88,6 @@ impl AtomicStats {
     }
 }
 
-/// Atomic counterpart of [`PeerTraffic`].
-#[derive(Debug, Default)]
-struct PeerCounters {
-    sent: AtomicU64,
-    received: AtomicU64,
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
-}
-
-impl PeerCounters {
-    fn snapshot(&self) -> PeerTraffic {
-        PeerTraffic {
-            sent: self.sent.load(Ordering::Relaxed),
-            received: self.received.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Atomic counterpart of [`LinkTraffic`].
-#[derive(Debug, Default)]
-struct LinkCounters {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl LinkCounters {
-    fn snapshot(&self) -> LinkTraffic {
-        LinkTraffic {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A deterministic virtual-time network over a DHT overlay.
 ///
 /// Every message charged through the network adds `latency_per_message` per
@@ -169,8 +100,6 @@ pub struct SimNetwork {
     ring: Ring,
     latency_per_message_us: u64,
     stats: AtomicStats,
-    peers: RwLock<BTreeMap<NodeId, PeerCounters>>,
-    links: RwLock<BTreeMap<(NodeId, NodeId), LinkCounters>>,
 }
 
 impl SimNetwork {
@@ -189,8 +118,6 @@ impl SimNetwork {
             ring: Ring::new(members),
             latency_per_message_us: latency.as_micros() as u64,
             stats: AtomicStats::default(),
-            peers: RwLock::new(BTreeMap::new()),
-            links: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -208,8 +135,6 @@ impl SimNetwork {
             ring: Ring::new(members),
             latency_per_message_us: latency.as_micros() as u64,
             stats: AtomicStats::resolved(registry),
-            peers: RwLock::new(BTreeMap::new()),
-            links: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -233,81 +158,16 @@ impl SimNetwork {
         self.stats.snapshot()
     }
 
-    /// Per-peer traffic counters so far, keyed by peer identifier.
-    pub fn peer_traffic(&self) -> BTreeMap<NodeId, PeerTraffic> {
-        let peers = self.peers.read().expect("peer lock");
-        peers.iter().map(|(node, counters)| (*node, counters.snapshot())).collect()
-    }
-
-    /// Traffic counters of a single peer (zero if the peer never moved a
-    /// message).
-    pub fn peer_traffic_for(&self, node: NodeId) -> PeerTraffic {
-        let peers = self.peers.read().expect("peer lock");
-        peers.get(&node).map(PeerCounters::snapshot).unwrap_or_default()
-    }
-
-    /// Per-link traffic counters so far, keyed by directed `(from, to)`
-    /// endpoint pair.
-    pub fn link_traffic(&self) -> BTreeMap<(NodeId, NodeId), LinkTraffic> {
-        let links = self.links.read().expect("link lock");
-        links.iter().map(|(link, counters)| (*link, counters.snapshot())).collect()
-    }
-
-    /// Traffic counters of a single directed link (zero if no message ever
-    /// travelled from `from` to `to`).
-    pub fn link_traffic_for(&self, from: NodeId, to: NodeId) -> LinkTraffic {
-        let links = self.links.read().expect("link lock");
-        links.get(&(from, to)).map(LinkCounters::snapshot).unwrap_or_default()
-    }
-
     /// Resets the statistics (e.g. between measured reconciliations).
     pub fn reset_stats(&self) {
         self.stats.reset();
-        self.peers.write().expect("peer lock").clear();
-        self.links.write().expect("link lock").clear();
     }
 
-    fn with_peer(&self, node: NodeId, f: impl Fn(&PeerCounters)) {
-        {
-            let peers = self.peers.read().expect("peer lock");
-            if let Some(counters) = peers.get(&node) {
-                f(counters);
-                return;
-            }
-        }
-        let mut peers = self.peers.write().expect("peer lock");
-        f(peers.entry(node).or_default());
-    }
-
-    fn with_link(&self, from: NodeId, to: NodeId, f: impl Fn(&LinkCounters)) {
-        {
-            let links = self.links.read().expect("link lock");
-            if let Some(counters) = links.get(&(from, to)) {
-                f(counters);
-                return;
-            }
-        }
-        let mut links = self.links.write().expect("link lock");
-        f(links.entry((from, to)).or_default());
-    }
-
-    fn charge(&self, from: NodeId, to: NodeId, hops: u64, bytes: u64) {
+    fn charge(&self, hops: u64, bytes: u64) {
         self.stats.messages.inc();
         self.stats.hops.add(hops);
         self.stats.bytes.add(bytes);
         self.stats.latency_us.add(hops * self.latency_per_message_us);
-        self.with_peer(from, |c| {
-            c.sent.fetch_add(1, Ordering::Relaxed);
-            c.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-        });
-        self.with_peer(to, |c| {
-            c.received.fetch_add(1, Ordering::Relaxed);
-            c.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-        });
-        self.with_link(from, to, |c| {
-            c.messages.fetch_add(1, Ordering::Relaxed);
-            c.bytes.fetch_add(bytes, Ordering::Relaxed);
-        });
     }
 
     /// Charges a request routed from `from` to the owner of `key`, returning
@@ -316,14 +176,14 @@ impl SimNetwork {
         let path = self.ring.route(from, key)?;
         let hops = path.hop_count() as u64;
         let destination = path.destination()?;
-        self.charge(from, destination, hops, bytes);
+        self.charge(hops, bytes);
         Some(destination)
     }
 
     /// Charges a direct (single-hop) message from one node to another, e.g. a
     /// reply to a request or a framed service request.
-    pub fn send_direct(&self, from: NodeId, to: NodeId, bytes: u64) {
-        self.charge(from, to, 1, bytes);
+    pub fn send_direct(&self, _from: NodeId, _to: NodeId, bytes: u64) {
+        self.charge(1, bytes);
     }
 
     /// Charges a request/reply round trip: a routed request to the owner of
@@ -356,42 +216,6 @@ impl Clone for SimNetwork {
             ring: self.ring.clone(),
             latency_per_message_us: self.latency_per_message_us,
             stats,
-            peers: RwLock::new(
-                self.peers
-                    .read()
-                    .expect("peer lock")
-                    .iter()
-                    .map(|(node, counters)| {
-                        let t = counters.snapshot();
-                        (
-                            *node,
-                            PeerCounters {
-                                sent: AtomicU64::new(t.sent),
-                                received: AtomicU64::new(t.received),
-                                bytes_out: AtomicU64::new(t.bytes_out),
-                                bytes_in: AtomicU64::new(t.bytes_in),
-                            },
-                        )
-                    })
-                    .collect(),
-            ),
-            links: RwLock::new(
-                self.links
-                    .read()
-                    .expect("link lock")
-                    .iter()
-                    .map(|(link, counters)| {
-                        let t = counters.snapshot();
-                        (
-                            *link,
-                            LinkCounters {
-                                messages: AtomicU64::new(t.messages),
-                                bytes: AtomicU64::new(t.bytes),
-                            },
-                        )
-                    })
-                    .collect(),
-            ),
         }
     }
 }
@@ -441,10 +265,8 @@ mod tests {
         let from = net.ring().members()[0];
         net.round_trip(from, NodeId::hash_u64(1), 1, 1);
         assert!(net.stats().messages > 0);
-        assert!(!net.peer_traffic().is_empty());
         net.reset_stats();
         assert_eq!(net.stats(), NetworkStats::default());
-        assert!(net.peer_traffic().is_empty());
     }
 
     #[test]
@@ -467,81 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn send_direct_records_both_peers() {
-        let net = network(4);
-        let a = net.ring().members()[0];
-        let b = net.ring().members()[1];
-        net.send_direct(a, b, 64);
-        net.send_direct(a, b, 16);
-        net.send_direct(b, a, 8);
-
-        let from_a = net.peer_traffic_for(a);
-        assert_eq!(from_a.sent, 2);
-        assert_eq!(from_a.received, 1);
-        assert_eq!(from_a.bytes_out, 80);
-        assert_eq!(from_a.bytes_in, 8);
-
-        let from_b = net.peer_traffic_for(b);
-        assert_eq!(from_b.sent, 1);
-        assert_eq!(from_b.received, 2);
-        assert_eq!(from_b.bytes_out, 8);
-        assert_eq!(from_b.bytes_in, 80);
-    }
-
-    #[test]
-    fn link_counters_keep_directions_separate() {
-        let net = network(4);
-        let a = net.ring().members()[0];
-        let b = net.ring().members()[1];
-        let c = net.ring().members()[2];
-        net.send_direct(a, b, 64);
-        net.send_direct(a, b, 16);
-        net.send_direct(b, a, 8);
-        net.send_direct(a, c, 4);
-
-        let ab = net.link_traffic_for(a, b);
-        assert_eq!(ab.messages, 2);
-        assert_eq!(ab.bytes, 80);
-        let ba = net.link_traffic_for(b, a);
-        assert_eq!(ba.messages, 1);
-        assert_eq!(ba.bytes, 8);
-        assert_eq!(net.link_traffic_for(a, c).bytes, 4);
-        assert_eq!(net.link_traffic_for(c, a), LinkTraffic::default());
-
-        // The link map partitions the peer aggregates: summing every link a
-        // node originates reproduces its PeerTraffic sent counters.
-        let links = net.link_traffic();
-        let a_out: u64 = links.iter().filter(|((f, _), _)| *f == a).map(|(_, t)| t.bytes).sum();
-        assert_eq!(a_out, net.peer_traffic_for(a).bytes_out);
-
-        net.reset_stats();
-        assert!(net.link_traffic().is_empty());
-    }
-
-    #[test]
-    fn clone_preserves_link_counters() {
+    fn a_clone_keeps_the_counts_and_counts_on_its_own() {
         let net = network(4);
         let a = net.ring().members()[0];
         let b = net.ring().members()[1];
         net.send_direct(a, b, 32);
         let copy = net.clone();
         net.send_direct(a, b, 32);
-        assert_eq!(copy.link_traffic_for(a, b).messages, 1);
-        assert_eq!(net.link_traffic_for(a, b).messages, 2);
-    }
-
-    #[test]
-    fn routed_sends_credit_the_destination_peer() {
-        let net = network(8);
-        let from = net.ring().members()[0];
-        let owner = net.send_to_key(from, NodeId::hash_u64(3), 32).unwrap();
-        assert_eq!(net.peer_traffic_for(from).sent, 1);
-        if owner != from {
-            assert_eq!(net.peer_traffic_for(owner).received, 1);
-        }
-        let traffic = net.peer_traffic();
-        let total_sent: u64 = traffic.values().map(|t| t.sent).sum();
-        assert_eq!(total_sent, net.stats().messages);
+        assert_eq!(copy.stats().messages, 1);
+        assert_eq!(net.stats().messages, 2);
     }
 
     #[test]
@@ -588,7 +344,5 @@ mod tests {
         assert_eq!(stats.messages, 800);
         assert_eq!(stats.bytes, 8_000);
         assert_eq!(stats.latency_us, 800 * 500);
-        assert_eq!(net.peer_traffic_for(a).sent, 800);
-        assert_eq!(net.peer_traffic_for(b).received, 800);
     }
 }

@@ -125,13 +125,6 @@ impl Tracer {
         }
     }
 
-    /// Reverts to wall-clock stamping, re-anchored at "now".
-    pub fn bind_wall(&self) {
-        if let Some(inner) = &self.inner {
-            inner.lock().expect("trace lock poisoned").time = TimeSource::wall();
-        }
-    }
-
     fn record(
         inner: &Arc<Mutex<TraceState>>,
         kind: EventKind,

@@ -269,12 +269,6 @@ impl Participant {
         &self.pending_publish
     }
 
-    /// Updates published since the last reconciliation (the own-delta the
-    /// next reconciliation will treat as this participant's own version).
-    pub fn own_publish_delta(&self) -> &[Update] {
-        &self.last_published_updates
-    }
-
     /// Cumulative timing across every operation performed so far.
     pub fn total_timing(&self) -> TimingBreakdown {
         self.total_timing

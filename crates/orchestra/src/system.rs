@@ -110,12 +110,6 @@ impl<S: UpdateStore> CdssSystem<S> {
         &self.store
     }
 
-    /// Mutable access to the update store. Rarely needed now that the store
-    /// API is `&self`; kept for store-specific configuration hooks.
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
-
     /// Adds a participant, registering its trust policy with the update
     /// store, and returns its identity. Registering the same
     /// [`ParticipantId`] twice is an error — the first registration stays

@@ -17,11 +17,10 @@ use orchestra_model::{
 };
 use orchestra_storage::Database;
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The decision made about one candidate transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransactionDecision {
     /// Accept and apply the transaction (and its extension).
     Accept,

@@ -12,7 +12,6 @@ use orchestra_model::{
     flatten, ConflictKey, KeyValue, Priority, Schema, Transaction, TransactionId, Update,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A flattened update extension together with the `(relation, key)` pairs it
@@ -192,7 +191,7 @@ pub fn conflict_sets(
 
 /// A trusted, undecided transaction together with its transaction extension,
 /// as handed to the reconciliation engine by the update store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateTransaction {
     /// The root transaction id (the transaction the peer is deciding on).
     pub id: TransactionId,

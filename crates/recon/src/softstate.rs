@@ -11,13 +11,12 @@
 use crate::extension::{direct_conflicts, CandidateTransaction, ExtensionCache, FlatExtension};
 use orchestra_model::{ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId};
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A group of transactions within a conflict group that make the same
 /// modification to the conflicting key value. At most one option per conflict
 /// group can be accepted when the user resolves the conflict.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictOption {
     /// The transactions proposing this modification.
     pub transactions: Vec<TransactionId>,
@@ -27,7 +26,7 @@ pub struct ConflictOption {
 }
 
 /// All options recorded for one conflict-group key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictGroup {
     /// The `(type, relation, key)` identity of the group.
     pub key: ConflictKey,
@@ -51,7 +50,7 @@ impl ConflictGroup {
 }
 
 /// The reconciling participant's soft state between reconciliations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SoftState {
     /// Key values made dirty by deferred transactions, per relation. Keyed
     /// by relation first so lookups borrow a `&str` and never intern or

@@ -82,11 +82,6 @@ impl VirtualClock {
         Arc::clone(&self.state.borrow().shared_now)
     }
 
-    /// True when at least one timer is pending.
-    pub fn has_timers(&self) -> bool {
-        !self.state.borrow().timers.is_empty()
-    }
-
     /// Advances virtual time to the earliest pending deadline and wakes every
     /// timer due at that instant. Returns `false` when no timers are pending
     /// (time does not move).

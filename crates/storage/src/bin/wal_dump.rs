@@ -1,17 +1,17 @@
 //! WAL and snapshot inspection tool.
 //!
 //! Pretty-prints any WAL segment (`wal.<gen>.log`, `wal.<gen>.p<id>.log`) or
-//! snapshot (`snapshot.orc`) in either codec: per-frame offsets, payload
-//! lengths, CRCs (with verification), `(epoch, seq)` stamps and one-line
-//! record summaries. The tool never writes — point it at a live directory or
-//! a torn-tail report and read.
+//! snapshot (`snapshot.orc`): per-frame offsets, payload lengths, CRCs (with
+//! verification), `(epoch, seq)` stamps and one-line record summaries. The
+//! tool never writes — point it at a live directory or a torn-tail report and
+//! read.
 //!
 //! ```text
 //! wal_dump <file>...          dump the given segment/snapshot files
 //! wal_dump <dir>              dump every wal.*.log and snapshot.orc in dir
 //! ```
 
-use orchestra_storage::codec::{decode_record, decode_snapshot, payload_codec};
+use orchestra_storage::codec::{decode_record, decode_snapshot};
 use orchestra_storage::segment::parse_stamp;
 use orchestra_storage::wal::{crc32, WalRecord};
 use orchestra_storage::Decision;
@@ -125,10 +125,9 @@ fn describe_record(payload: &[u8]) {
                 None => String::new(),
             };
             let note = format!("stamp (epoch {}, seq {}{causal})", stamp.epoch, stamp.seq);
-            let codec = payload_codec(record_bytes);
             match decode_record(record_bytes) {
-                Ok(record) => println!(", {note}, {codec}: {}", summarise(&record)),
-                Err(e) => println!(", {note}, {codec}: undecodable: {e}"),
+                Ok(record) => println!(", {note}: {}", summarise(&record)),
+                Err(e) => println!(", {note}: undecodable: {e}"),
             }
         }
         Err(e) => println!(", unstamped or corrupt payload: {e}"),
@@ -138,9 +137,9 @@ fn describe_record(payload: &[u8]) {
 /// Prints a summary of a snapshot frame payload.
 fn describe_snapshot(payload: &[u8]) {
     match decode_snapshot(payload) {
-        Ok((snap, codec)) => {
+        Ok(snap) => {
             println!(
-                "  {codec} snapshot: generation {}, {} epoch record(s), {} log entr(ies), \
+                "  snapshot: generation {}, {} epoch record(s), {} log entr(ies), \
                  {} participant(s), membership frontier {}, pruned through {}",
                 snap.wal_generation,
                 snap.registry.len(),

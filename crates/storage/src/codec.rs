@@ -1,15 +1,13 @@
 //! Binary record codec for the write-ahead log and snapshots.
 //!
-//! The durability layer originally serialised every [`WalRecord`] and
-//! [`StoreSnapshot`] as JSON. That keeps the log inspectable, but the
-//! vendored JSON codec dominates both append and replay cost once histories
-//! grow. This module adds a compact binary encoding and keeps JSON available
-//! as a debug/inspection mode ([`Codec::Json`]); the two are interchangeable
-//! record by record because every payload is *sniffable*.
+//! Every [`WalRecord`] and [`StoreSnapshot`] on disk is written by this
+//! module, and nothing else in the workspace serialises anything: there is
+//! one durable encoding. Inspection goes through tools that read it
+//! (`wal_dump`), not through a second, greppable format.
 //!
 //! # Payload format
 //!
-//! A binary WAL-record payload is
+//! A WAL-record payload is
 //!
 //! ```text
 //! ┌──────┬─────┬─────────────────────────┐
@@ -17,10 +15,9 @@
 //! └──────┴─────┴─────────────────────────┘
 //! ```
 //!
-//! and a binary snapshot payload starts with `0xC5` instead. A JSON payload
-//! starts with `{` (0x7B), so the first byte of any payload names its codec
-//! — [`decode_record`] and [`decode_snapshot`] dispatch on it, which is what
-//! makes Json↔Binary cross-generation recovery work without configuration.
+//! and a snapshot payload starts with `0xC5` instead. [`decode_record`] and
+//! [`decode_snapshot`] reject a payload whose first byte is not their magic
+//! with a typed [`StorageError::Persistence`].
 //!
 //! Integers are LEB128 varints (signed ones zigzag-encoded), floats are raw
 //! IEEE-754 bits, strings are length-prefixed UTF-8. Relation names — by far
@@ -30,9 +27,8 @@
 //! Hash-backed maps are written in sorted key order so the encoding of equal
 //! states is byte-identical regardless of insertion history.
 //!
-//! CRC-32 framing is unchanged: payloads produced here still travel inside
-//! the [`crate::wal::FrameLog`] frame format, torn tails and bit flips are
-//! detected exactly as before.
+//! Payloads travel inside the CRC-32 [`crate::wal::FrameLog`] frame format,
+//! which is what detects torn tails and bit flips.
 
 use crate::decisions::{Decision, ParticipantRecord};
 use crate::epoch::{CausalNode, EpochRecord, EpochRegistry, PublicationStatus};
@@ -49,45 +45,27 @@ use orchestra_model::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// First byte of a binary WAL-record payload (not a valid JSON start byte).
+/// First byte of a WAL-record payload.
 pub(crate) const WAL_MAGIC: u8 = 0xC1;
-/// First byte of a binary snapshot payload.
+/// First byte of a snapshot payload.
 pub(crate) const SNAPSHOT_MAGIC: u8 = 0xC5;
 
-/// How WAL records and snapshots are serialised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The encoding of WAL records and snapshots. There is exactly one; the enum
+/// and [`encode_record`]'s second argument remain only because
+/// `examples/benchmark/src/probes.rs` names them and only a `[benchmark]` PR
+/// may edit that package — the next one drops both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
     /// Compact binary payloads: varint integers, per-payload interned
-    /// relation names. The default.
-    #[default]
+    /// relation names.
     Binary,
-    /// JSON payloads — the debug/inspection mode; the log stays readable
-    /// with standard text tools. Decoding always accepts both codecs.
-    Json,
 }
 
-impl Codec {
-    /// Stable lowercase name (used in benchmark rows and `wal_dump` output).
-    pub fn label(self) -> &'static str {
-        match self {
-            Codec::Binary => "binary",
-            Codec::Json => "json",
-        }
-    }
-}
-
-impl std::fmt::Display for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// The codec a payload was written with, from its first byte.
-pub fn payload_codec(payload: &[u8]) -> Codec {
-    match payload.first() {
-        Some(&WAL_MAGIC) | Some(&SNAPSHOT_MAGIC) => Codec::Binary,
-        _ => Codec::Json,
-    }
+fn bad_magic(what: &str, expected: u8, payload: &[u8]) -> StorageError {
+    StorageError::Persistence(format!(
+        "{what} payload starts with {:02x?}, not the magic byte {expected:#04x}",
+        payload.first()
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -761,94 +739,80 @@ fn dec_schema(d: &mut Dec<'_>) -> Result<Schema> {
 // WAL records
 // ---------------------------------------------------------------------------
 
-/// Serialises a WAL record as a frame payload in the given codec.
-pub fn encode_record(record: &WalRecord, codec: Codec) -> Vec<u8> {
-    match codec {
-        Codec::Json => serde_json::to_string(record).expect("WAL records serialise").into_bytes(),
-        Codec::Binary => {
-            let mut e = Enc::new(WAL_MAGIC);
-            match record {
-                WalRecord::Init { schema } => {
-                    e.u8(0);
-                    enc_schema(&mut e, schema);
-                }
-                WalRecord::RegisterPolicy { policy } => {
-                    e.u8(1);
-                    enc_policy(&mut e, policy);
-                }
-                WalRecord::Publish { participant, epoch, transactions } => {
-                    e.u8(2);
-                    enc_participant(&mut e, *participant);
-                    e.u64(epoch.as_u64());
-                    e.u64(transactions.len() as u64);
-                    for txn in transactions {
-                        enc_transaction(&mut e, txn);
-                    }
-                }
-                WalRecord::CommitReconciliation {
-                    participant,
-                    recno,
-                    epoch,
-                    accepted,
-                    rejected,
-                } => {
-                    e.u8(3);
-                    enc_participant(&mut e, *participant);
-                    e.u64(recno.0);
-                    e.u64(epoch.as_u64());
-                    enc_txn_ids(&mut e, accepted);
-                    enc_txn_ids(&mut e, rejected);
-                }
-                WalRecord::Decisions { participant, accepted, rejected } => {
-                    e.u8(4);
-                    enc_participant(&mut e, *participant);
-                    enc_txn_ids(&mut e, accepted);
-                    enc_txn_ids(&mut e, rejected);
-                }
-                WalRecord::MembershipFrontier { epoch } => {
-                    e.u8(5);
-                    e.u64(epoch.as_u64());
-                }
-                WalRecord::RetireParticipant { participant } => {
-                    e.u8(6);
-                    enc_participant(&mut e, *participant);
-                }
-                WalRecord::Prune { horizon } => {
-                    e.u8(7);
-                    e.u64(horizon.as_u64());
-                }
-                WalRecord::EpochMode { causal } => {
-                    e.u8(8);
-                    e.bool(*causal);
-                }
-                WalRecord::PublishCausal { epoch, stamp, transactions } => {
-                    e.u8(9);
-                    e.u64(epoch.as_u64());
-                    enc_causal_stamp(&mut e, stamp);
-                    e.u64(transactions.len() as u64);
-                    for txn in transactions {
-                        enc_transaction(&mut e, txn);
-                    }
-                }
-                WalRecord::InstanceCheckpoint { participant, checkpoint } => {
-                    e.u8(10);
-                    enc_participant(&mut e, *participant);
-                    enc_checkpoint(&mut e, checkpoint);
-                }
+/// Serialises a WAL record as a frame payload. The `Codec` argument has one
+/// possible value (see [`Codec`]).
+pub fn encode_record(record: &WalRecord, _codec: Codec) -> Vec<u8> {
+    let mut e = Enc::new(WAL_MAGIC);
+    match record {
+        WalRecord::Init { schema } => {
+            e.u8(0);
+            enc_schema(&mut e, schema);
+        }
+        WalRecord::RegisterPolicy { policy } => {
+            e.u8(1);
+            enc_policy(&mut e, policy);
+        }
+        WalRecord::Publish { participant, epoch, transactions } => {
+            e.u8(2);
+            enc_participant(&mut e, *participant);
+            e.u64(epoch.as_u64());
+            e.u64(transactions.len() as u64);
+            for txn in transactions {
+                enc_transaction(&mut e, txn);
             }
-            e.buf
+        }
+        WalRecord::CommitReconciliation { participant, recno, epoch, accepted, rejected } => {
+            e.u8(3);
+            enc_participant(&mut e, *participant);
+            e.u64(recno.0);
+            e.u64(epoch.as_u64());
+            enc_txn_ids(&mut e, accepted);
+            enc_txn_ids(&mut e, rejected);
+        }
+        WalRecord::Decisions { participant, accepted, rejected } => {
+            e.u8(4);
+            enc_participant(&mut e, *participant);
+            enc_txn_ids(&mut e, accepted);
+            enc_txn_ids(&mut e, rejected);
+        }
+        WalRecord::MembershipFrontier { epoch } => {
+            e.u8(5);
+            e.u64(epoch.as_u64());
+        }
+        WalRecord::RetireParticipant { participant } => {
+            e.u8(6);
+            enc_participant(&mut e, *participant);
+        }
+        WalRecord::Prune { horizon } => {
+            e.u8(7);
+            e.u64(horizon.as_u64());
+        }
+        WalRecord::EpochMode { causal } => {
+            e.u8(8);
+            e.bool(*causal);
+        }
+        WalRecord::PublishCausal { epoch, stamp, transactions } => {
+            e.u8(9);
+            e.u64(epoch.as_u64());
+            enc_causal_stamp(&mut e, stamp);
+            e.u64(transactions.len() as u64);
+            for txn in transactions {
+                enc_transaction(&mut e, txn);
+            }
+        }
+        WalRecord::InstanceCheckpoint { participant, checkpoint } => {
+            e.u8(10);
+            enc_participant(&mut e, *participant);
+            enc_checkpoint(&mut e, checkpoint);
         }
     }
+    e.buf
 }
 
-/// Deserialises a WAL record from a frame payload, sniffing the codec from
-/// the payload's first byte (see the module docs).
+/// Deserialises a WAL record from a frame payload.
 pub fn decode_record(payload: &[u8]) -> Result<WalRecord> {
     if payload.first() != Some(&WAL_MAGIC) {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| StorageError::Persistence(format!("WAL record is not UTF-8: {e}")))?;
-        return serde_json::from_str(text)
-            .map_err(|e| StorageError::Persistence(format!("WAL record parse: {e}")));
+        return Err(bad_magic("WAL record", WAL_MAGIC, payload));
     }
     let mut d = Dec::new(&payload[1..]);
     let record = match d.u8()? {
@@ -949,89 +913,75 @@ fn dec_record_map(d: &mut Dec<'_>) -> Result<ParticipantRecord> {
         let epoch = Epoch(d.u64()?);
         record.reconciliations.push((recno, epoch));
     }
-    // Derived sets stay empty: the caller rebuilds them, exactly as after a
-    // JSON deserialisation.
+    // Derived sets stay empty: the caller rebuilds them.
     Ok(record)
 }
 
-/// Serialises a snapshot as a frame payload in the given codec.
-pub fn encode_snapshot(snapshot: &StoreSnapshot, codec: Codec) -> Result<Vec<u8>> {
-    match codec {
-        Codec::Json => serde_json::to_string(snapshot)
-            .map(String::into_bytes)
-            .map_err(|e| StorageError::Persistence(format!("snapshot serialise: {e}"))),
-        Codec::Binary => {
-            let mut e = Enc::new(SNAPSHOT_MAGIC);
-            enc_schema(&mut e, &snapshot.schema);
-            e.u64(snapshot.registry.records.len() as u64);
-            for (&epoch, record) in &snapshot.registry.records {
-                e.u64(epoch);
-                enc_participant(&mut e, record.publisher);
-                e.u8(match record.status {
-                    PublicationStatus::Started => 0,
-                    PublicationStatus::Finished => 1,
-                });
+/// Serialises a snapshot as a frame payload.
+pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
+    let mut e = Enc::new(SNAPSHOT_MAGIC);
+    enc_schema(&mut e, &snapshot.schema);
+    e.u64(snapshot.registry.records.len() as u64);
+    for (&epoch, record) in &snapshot.registry.records {
+        e.u64(epoch);
+        enc_participant(&mut e, record.publisher);
+        e.u8(match record.status {
+            PublicationStatus::Started => 0,
+            PublicationStatus::Finished => 1,
+        });
+    }
+    e.u64(snapshot.registry.next);
+    e.u64(snapshot.registry.stable);
+    let causal = &snapshot.registry.causal;
+    e.bool(causal.enabled);
+    e.u64(causal.nodes.len() as u64);
+    for (&id, node) in &causal.nodes {
+        enc_stamp_id(&mut e, id);
+        enc_clock(&mut e, &node.parents);
+        e.u64(node.epoch.as_u64());
+    }
+    enc_clock(&mut e, &causal.frontier);
+    e.u64(snapshot.log.entries.len() as u64);
+    for (&pos, entry) in &snapshot.log.entries {
+        e.u64(pos);
+        e.u64(entry.epoch.as_u64());
+        enc_transaction(&mut e, &entry.transaction);
+    }
+    e.u64(snapshot.log.next_pos);
+    e.u64(snapshot.membership_frontier.as_u64());
+    e.u64(snapshot.pruned_through.as_u64());
+    e.u64(snapshot.participants.len() as u64);
+    for p in &snapshot.participants {
+        enc_participant(&mut e, p.id);
+        enc_policy(&mut e, &p.policy);
+        e.bool(p.registered);
+        e.bool(p.retired);
+        match p.cursor {
+            Some(cursor) => {
+                e.u8(1);
+                e.u64(cursor.as_u64());
             }
-            e.u64(snapshot.registry.next);
-            e.u64(snapshot.registry.stable);
-            let causal = &snapshot.registry.causal;
-            e.bool(causal.enabled);
-            e.u64(causal.nodes.len() as u64);
-            for (&id, node) in &causal.nodes {
-                enc_stamp_id(&mut e, id);
-                enc_clock(&mut e, &node.parents);
-                e.u64(node.epoch.as_u64());
+            None => e.u8(0),
+        }
+        e.u64(p.relevance_floor.as_u64());
+        enc_record_map(&mut e, &p.record);
+        match &p.checkpoint {
+            Some(checkpoint) => {
+                e.u8(1);
+                enc_checkpoint(&mut e, checkpoint);
             }
-            enc_clock(&mut e, &causal.frontier);
-            e.u64(snapshot.log.entries.len() as u64);
-            for (&pos, entry) in &snapshot.log.entries {
-                e.u64(pos);
-                e.u64(entry.epoch.as_u64());
-                enc_transaction(&mut e, &entry.transaction);
-            }
-            e.u64(snapshot.log.next_pos);
-            e.u64(snapshot.membership_frontier.as_u64());
-            e.u64(snapshot.pruned_through.as_u64());
-            e.u64(snapshot.participants.len() as u64);
-            for p in &snapshot.participants {
-                enc_participant(&mut e, p.id);
-                enc_policy(&mut e, &p.policy);
-                e.bool(p.registered);
-                e.bool(p.retired);
-                match p.cursor {
-                    Some(cursor) => {
-                        e.u8(1);
-                        e.u64(cursor.as_u64());
-                    }
-                    None => e.u8(0),
-                }
-                e.u64(p.relevance_floor.as_u64());
-                enc_record_map(&mut e, &p.record);
-                match &p.checkpoint {
-                    Some(checkpoint) => {
-                        e.u8(1);
-                        enc_checkpoint(&mut e, checkpoint);
-                    }
-                    None => e.u8(0),
-                }
-            }
-            e.u64(snapshot.wal_generation);
-            Ok(e.buf)
+            None => e.u8(0),
         }
     }
+    e.u64(snapshot.wal_generation);
+    e.buf
 }
 
-/// Deserialises a snapshot from a frame payload, sniffing the codec from the
-/// first byte. Returns the snapshot together with the codec it was written
-/// in (so recovery can keep appending in the same codec). Derived indexes
-/// and sets are *not* rebuilt — callers do that, as after JSON decoding.
-pub fn decode_snapshot(payload: &[u8]) -> Result<(StoreSnapshot, Codec)> {
+/// Deserialises a snapshot from a frame payload. Derived indexes and sets
+/// are *not* rebuilt — callers do that.
+pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
     if payload.first() != Some(&SNAPSHOT_MAGIC) {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| StorageError::Persistence(format!("snapshot is not UTF-8: {e}")))?;
-        let snapshot = serde_json::from_str(text)
-            .map_err(|e| StorageError::Persistence(format!("snapshot parse: {e}")))?;
-        return Ok((snapshot, Codec::Json));
+        return Err(bad_magic("snapshot", SNAPSHOT_MAGIC, payload));
     }
     let mut d = Dec::new(&payload[1..]);
     let schema = dec_schema(&mut d)?;
@@ -1106,18 +1056,15 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<(StoreSnapshot, Codec)> {
     }
     let wal_generation = d.u64()?;
     d.finish()?;
-    Ok((
-        StoreSnapshot {
-            schema,
-            registry,
-            log,
-            membership_frontier,
-            pruned_through,
-            participants,
-            wal_generation,
-        },
-        Codec::Binary,
-    ))
+    Ok(StoreSnapshot {
+        schema,
+        registry,
+        log,
+        membership_frontier,
+        pruned_through,
+        participants,
+        wal_generation,
+    })
 }
 
 #[cfg(test)]
@@ -1233,15 +1180,11 @@ mod tests {
     }
 
     #[test]
-    fn records_round_trip_in_both_codecs_and_sniff() {
+    fn records_round_trip() {
         for record in sample_records() {
-            let json = encode_record(&record, Codec::Json);
-            let binary = encode_record(&record, Codec::Binary);
-            assert_eq!(payload_codec(&json), Codec::Json);
-            assert_eq!(payload_codec(&binary), Codec::Binary);
-            assert_eq!(decode_record(&json).unwrap(), record, "json round trip");
-            assert_eq!(decode_record(&binary).unwrap(), record, "binary round trip");
-            assert!(binary.len() < json.len(), "binary should be smaller than JSON");
+            let payload = encode_record(&record, Codec::Binary);
+            assert_eq!(payload[0], WAL_MAGIC);
+            assert_eq!(decode_record(&payload).unwrap(), record);
         }
     }
 
@@ -1253,6 +1196,30 @@ mod tests {
                 encode_record(&record, Codec::Binary)
             );
         }
+    }
+
+    /// What the parent commit's JSON debug codec wrote for these values: a
+    /// payload that does not start with the magic byte is a typed error, not
+    /// a second format to sniff and not a panic.
+    #[test]
+    fn payloads_without_the_magic_byte_are_typed_errors() {
+        let json_record = br#"{"Prune":{"horizon":7}}"#;
+        let json_snapshot = concat!(
+            r#"{"schema":{"relations":[],"constraints":[]},"#,
+            r#""registry":{"records":[],"next":1,"stable":0,"#,
+            r#""causal":{"enabled":false,"nodes":[],"frontier":{"members":[]}}},"#,
+            r#""log":{"entries":[],"next_pos":0},"membership_frontier":0,"#,
+            r#""pruned_through":0,"participants":[],"wal_generation":1}"#,
+        )
+        .as_bytes();
+        for payload in [&json_record[..], json_snapshot, &[], &[0x00], &[0xFF, 0xFE]] {
+            assert!(matches!(decode_record(payload), Err(StorageError::Persistence(_))));
+            assert!(matches!(decode_snapshot(payload), Err(StorageError::Persistence(_))));
+        }
+        // Each decoder refuses the other's magic, too.
+        let record = encode_record(&WalRecord::Prune { horizon: Epoch(7) }, Codec::Binary);
+        assert!(matches!(decode_snapshot(&record), Err(StorageError::Persistence(_))));
+        assert!(matches!(decode_record(&[SNAPSHOT_MAGIC, 0]), Err(StorageError::Persistence(_))));
     }
 
     #[test]
@@ -1292,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_round_trip_in_both_codecs() {
+    fn snapshots_round_trip() {
         let p = ParticipantId(1);
         let mut registry = EpochRegistry::new();
         let e1 = registry.begin_publish(p);
@@ -1333,39 +1300,37 @@ mod tests {
             }],
             wal_generation: 5,
         };
-        for codec in [Codec::Binary, Codec::Json] {
-            let payload = encode_snapshot(&snapshot, codec).unwrap();
-            let (mut back, sniffed) = decode_snapshot(&payload).unwrap();
-            assert_eq!(sniffed, codec);
-            back.log.rebuild_indexes();
-            for p in &mut back.participants {
-                p.record.rebuild_sets();
-            }
-            assert_eq!(back.wal_generation, 5);
-            assert_eq!(back.schema, snapshot.schema);
-            assert_eq!(back.registry.largest_stable_epoch(), Epoch(1));
-            assert_eq!(back.registry.latest_allocated(), Epoch(2));
-            assert!(back.registry.causal().is_enabled());
-            assert_eq!(back.registry.causal().last_seq(p), 1);
-            assert_eq!(
-                back.registry.causal().epoch_of(StampId::new(p, 1)),
-                Some(Epoch(1)),
-                "causal DAG node survives the snapshot"
-            );
-            assert_eq!(back.participants[0].checkpoint, snapshot.participants[0].checkpoint);
-            assert_eq!(back.log.get(txn.id()).unwrap(), &txn);
-            assert_eq!(back.participants.len(), 1);
-            assert_eq!(back.participants[0].record.accepted_set().len(), 1);
-            assert_eq!(back.participants[0].record.rejected_set().len(), 1);
-            assert_eq!(
-                back.participants[0].record.last_reconciliation(),
-                Some((ReconciliationId(1), Epoch(1)))
-            );
-            // The full rendering (decision maps, orders, cursors) matches.
-            assert_eq!(
-                format!("{:?}", back.participants[0].record),
-                format!("{:?}", snapshot.participants[0].record)
-            );
+        let payload = encode_snapshot(&snapshot);
+        assert_eq!(payload[0], SNAPSHOT_MAGIC);
+        let mut back = decode_snapshot(&payload).unwrap();
+        back.log.rebuild_indexes();
+        for p in &mut back.participants {
+            p.record.rebuild_sets();
         }
+        assert_eq!(back.wal_generation, 5);
+        assert_eq!(back.schema, snapshot.schema);
+        assert_eq!(back.registry.largest_stable_epoch(), Epoch(1));
+        assert_eq!(back.registry.latest_allocated(), Epoch(2));
+        assert!(back.registry.causal().is_enabled());
+        assert_eq!(back.registry.causal().last_seq(p), 1);
+        assert_eq!(
+            back.registry.causal().epoch_of(StampId::new(p, 1)),
+            Some(Epoch(1)),
+            "causal DAG node survives the snapshot"
+        );
+        assert_eq!(back.participants[0].checkpoint, snapshot.participants[0].checkpoint);
+        assert_eq!(back.log.get(txn.id()).unwrap(), &txn);
+        assert_eq!(back.participants.len(), 1);
+        assert_eq!(back.participants[0].record.accepted_set().len(), 1);
+        assert_eq!(back.participants[0].record.rejected_set().len(), 1);
+        assert_eq!(
+            back.participants[0].record.last_reconciliation(),
+            Some((ReconciliationId(1), Epoch(1)))
+        );
+        // The full rendering (decision maps, orders, cursors) matches.
+        assert_eq!(
+            format!("{:?}", back.participants[0].record),
+            format!("{:?}", snapshot.participants[0].record)
+        );
     }
 }

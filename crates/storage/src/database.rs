@@ -4,7 +4,6 @@
 use crate::error::Result;
 use crate::table::Table;
 use orchestra_model::{InstanceView, KeyValue, Schema, Transaction, Tuple, Update, UpdateOp};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A participant's database instance (or any relational instance conforming
@@ -12,7 +11,7 @@ use std::collections::BTreeMap;
 ///
 /// `Database` enforces primary keys structurally (through [`Table`]) and the
 /// schema's declared [`orchestra_model::Constraint`]s on every applied update.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
     schema: Schema,
     tables: BTreeMap<String, Table>,

@@ -8,12 +8,10 @@
 //!
 //! [`ParticipantRecord`] is the single-participant building block. The update
 //! store keeps one per participant *shard*, so that decisions from different
-//! participants never contend on a shared structure; [`DecisionLog`] bundles
-//! many records behind one map for callers that want the store-wide view.
+//! participants never contend on a shared structure.
 
-use orchestra_model::{Epoch, ParticipantId, ReconciliationId, TransactionId};
+use orchestra_model::{Epoch, ReconciliationId, TransactionId};
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The durable decision a participant has recorded about a transaction.
@@ -21,7 +19,7 @@ use std::sync::Arc;
 /// Deferral is deliberately *not* represented here: deferred transactions are
 /// soft state at the client (they may be accepted or rejected later), exactly
 /// as in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// The transaction was accepted and applied to the participant's
     /// instance.
@@ -40,11 +38,11 @@ pub enum Decision {
 /// with a reference-count bump instead of cloning a fresh set per call —
 /// the key to making per-reconciliation work scale with new epochs rather
 /// than with total history.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct ParticipantRecord {
-    /// Authoritative decision map. `pub(crate)` (like the other serialised
-    /// fields) so the binary snapshot codec ([`crate::codec`]) can serialise
-    /// and rebuild the record; the derived sets stay skip-and-rebuild.
+    /// Authoritative decision map. `pub(crate)` (like the other durable
+    /// fields) so the snapshot codec ([`crate::codec`]) can write and rebuild
+    /// the record; the derived sets are never written, only rebuilt.
     pub(crate) decisions: FxHashMap<TransactionId, Decision>,
     /// Transaction ids in the order the participant first *accepted* them.
     /// This is the order the participant's instance applied their effects
@@ -58,9 +56,7 @@ pub struct ParticipantRecord {
     /// exactly those interleavings.
     pub(crate) accepted_order: Vec<TransactionId>,
     pub(crate) reconciliations: Vec<(ReconciliationId, Epoch)>,
-    #[serde(skip)]
     accepted: Arc<FxHashSet<TransactionId>>,
-    #[serde(skip)]
     rejected: Arc<FxHashSet<TransactionId>>,
 }
 
@@ -125,8 +121,8 @@ impl ParticipantRecord {
         &self.accepted_order
     }
 
-    /// Rebuilds the derived accepted/rejected sets (used after
-    /// deserialisation, mirroring `TransactionLog::rebuild_indexes`).
+    /// Rebuilds the derived accepted/rejected sets (used after decoding a
+    /// snapshot, mirroring `TransactionLog::rebuild_indexes`).
     pub fn rebuild_sets(&mut self) {
         let accepted = Arc::make_mut(&mut self.accepted);
         let rejected = Arc::make_mut(&mut self.rejected);
@@ -198,180 +194,67 @@ impl ParticipantRecord {
     }
 }
 
-/// Store-side record of every participant's decisions and reconciliations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DecisionLog {
-    participants: FxHashMap<ParticipantId, ParticipantRecord>,
-}
-
-impl DecisionLog {
-    /// Creates an empty decision log.
-    pub fn new() -> Self {
-        DecisionLog::default()
-    }
-
-    /// Records a decision for a participant about a transaction (see
-    /// [`ParticipantRecord::record`]).
-    pub fn record(&mut self, participant: ParticipantId, txn: TransactionId, decision: Decision) {
-        self.participants.entry(participant).or_default().record(txn, decision);
-    }
-
-    /// Rebuilds the derived accepted/rejected sets (used after
-    /// deserialisation, mirroring `TransactionLog::rebuild_indexes`).
-    pub fn rebuild_indexes(&mut self) {
-        for rec in self.participants.values_mut() {
-            rec.rebuild_sets();
-        }
-    }
-
-    /// The decision a participant has recorded about a transaction, if any.
-    pub fn decision(&self, participant: ParticipantId, txn: TransactionId) -> Option<Decision> {
-        self.participants.get(&participant).and_then(|r| r.decision(txn))
-    }
-
-    /// Returns true if the participant has recorded *any* decision about the
-    /// transaction.
-    pub fn is_decided(&self, participant: ParticipantId, txn: TransactionId) -> bool {
-        self.decision(participant, txn).is_some()
-    }
-
-    /// Returns true if the participant has accepted the transaction.
-    pub fn is_accepted(&self, participant: ParticipantId, txn: TransactionId) -> bool {
-        self.decision(participant, txn) == Some(Decision::Accepted)
-    }
-
-    /// Returns true if the participant has rejected the transaction.
-    pub fn is_rejected(&self, participant: ParticipantId, txn: TransactionId) -> bool {
-        self.decision(participant, txn) == Some(Decision::Rejected)
-    }
-
-    /// All transactions the participant has accepted.
-    pub fn accepted(&self, participant: ParticipantId) -> Vec<TransactionId> {
-        self.participants
-            .get(&participant)
-            .map(|r| r.with_decision(Decision::Accepted))
-            .unwrap_or_default()
-    }
-
-    /// All transactions the participant has rejected.
-    pub fn rejected(&self, participant: ParticipantId) -> Vec<TransactionId> {
-        self.participants
-            .get(&participant)
-            .map(|r| r.with_decision(Decision::Rejected))
-            .unwrap_or_default()
-    }
-
-    /// The participant's accepted set, maintained incrementally — O(1) to
-    /// consult, shared by reference so reconciliations never rebuild it.
-    pub fn accepted_set(&self, participant: ParticipantId) -> Option<&FxHashSet<TransactionId>> {
-        self.participants.get(&participant).map(|r| r.accepted_set())
-    }
-
-    /// The participant's rejected set, maintained incrementally.
-    pub fn rejected_set(&self, participant: ParticipantId) -> Option<&FxHashSet<TransactionId>> {
-        self.participants.get(&participant).map(|r| r.rejected_set())
-    }
-
-    /// Records that a participant performed reconciliation `recno` against
-    /// the given epoch.
-    pub fn record_reconciliation(
-        &mut self,
-        participant: ParticipantId,
-        recno: ReconciliationId,
-        epoch: Epoch,
-    ) {
-        self.participants.entry(participant).or_default().record_reconciliation(recno, epoch);
-    }
-
-    /// The participant's most recent reconciliation, if any.
-    pub fn last_reconciliation(
-        &self,
-        participant: ParticipantId,
-    ) -> Option<(ReconciliationId, Epoch)> {
-        self.participants.get(&participant).and_then(|r| r.last_reconciliation())
-    }
-
-    /// The epoch of the participant's most recent reconciliation
-    /// (`Epoch::ZERO` if it has never reconciled).
-    pub fn last_reconciliation_epoch(&self, participant: ParticipantId) -> Epoch {
-        self.last_reconciliation(participant).map(|(_, e)| e).unwrap_or(Epoch::ZERO)
-    }
-
-    /// The next reconciliation number for the participant.
-    pub fn next_reconciliation_id(&self, participant: ParticipantId) -> ReconciliationId {
-        self.participants
-            .get(&participant)
-            .map(|r| r.next_reconciliation_id())
-            .unwrap_or(ReconciliationId(1))
-    }
-
-    /// The full reconciliation history of a participant.
-    pub fn reconciliations(&self, participant: ParticipantId) -> Vec<(ReconciliationId, Epoch)> {
-        self.participants
-            .get(&participant)
-            .map(|r| r.reconciliations().to_vec())
-            .unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(i: u32) -> ParticipantId {
-        ParticipantId(i)
-    }
+    use orchestra_model::ParticipantId;
 
     fn x(i: u32, j: u64) -> TransactionId {
-        TransactionId::new(p(i), j)
+        TransactionId::new(ParticipantId(i), j)
     }
 
     #[test]
     fn decisions_are_recorded_per_participant() {
-        let mut log = DecisionLog::new();
-        log.record(p(1), x(2, 0), Decision::Accepted);
-        log.record(p(1), x(3, 0), Decision::Rejected);
-        log.record(p(2), x(2, 0), Decision::Rejected);
+        let mut p1 = ParticipantRecord::new();
+        let mut p2 = ParticipantRecord::new();
+        p1.record(x(2, 0), Decision::Accepted);
+        p1.record(x(3, 0), Decision::Rejected);
+        p2.record(x(2, 0), Decision::Rejected);
 
-        assert!(log.is_accepted(p(1), x(2, 0)));
-        assert!(log.is_rejected(p(1), x(3, 0)));
-        assert!(log.is_rejected(p(2), x(2, 0)));
-        assert!(!log.is_decided(p(3), x(2, 0)));
-        assert_eq!(log.accepted(p(1)), vec![x(2, 0)]);
-        assert_eq!(log.rejected(p(1)), vec![x(3, 0)]);
+        assert_eq!(p1.decision(x(2, 0)), Some(Decision::Accepted));
+        assert_eq!(p1.decision(x(3, 0)), Some(Decision::Rejected));
+        assert_eq!(p2.decision(x(2, 0)), Some(Decision::Rejected));
+        assert_eq!(p2.decision(x(3, 0)), None);
+        assert_eq!(p1.with_decision(Decision::Accepted), vec![x(2, 0)]);
+        assert_eq!(p1.with_decision(Decision::Rejected), vec![x(3, 0)]);
     }
 
     #[test]
     fn incremental_sets_track_decisions_and_rebuild() {
-        let mut log = DecisionLog::new();
-        log.record(p(1), x(2, 0), Decision::Rejected);
-        log.record(p(1), x(3, 0), Decision::Accepted);
+        let mut rec = ParticipantRecord::new();
+        rec.record(x(2, 0), Decision::Rejected);
+        rec.record(x(3, 0), Decision::Accepted);
         // Rejection superseded by acceptance moves between the sets.
-        log.record(p(1), x(2, 0), Decision::Accepted);
-        let accepted = log.accepted_set(p(1)).unwrap();
-        assert!(accepted.contains(&x(2, 0)) && accepted.contains(&x(3, 0)));
-        assert!(log.rejected_set(p(1)).unwrap().is_empty());
-        assert!(log.accepted_set(p(9)).is_none());
+        rec.record(x(2, 0), Decision::Accepted);
+        assert!(rec.accepted_set().contains(&x(2, 0)) && rec.accepted_set().contains(&x(3, 0)));
+        assert!(rec.rejected_set().is_empty());
 
-        // The sets survive a serde round trip via rebuild_indexes.
-        let json = serde_json::to_string(&log).unwrap();
-        let mut back: DecisionLog = serde_json::from_str(&json).unwrap();
-        assert!(back.accepted_set(p(1)).map(|s| s.is_empty()).unwrap_or(true));
-        back.rebuild_indexes();
-        assert_eq!(back.accepted_set(p(1)).unwrap().len(), 2);
+        // A decoded record carries the durable fields only; the sets come
+        // back through rebuild_sets.
+        let mut back = ParticipantRecord {
+            decisions: rec.decisions.clone(),
+            accepted_order: rec.accepted_order.clone(),
+            reconciliations: rec.reconciliations.clone(),
+            ..ParticipantRecord::new()
+        };
+        assert!(back.accepted_set().is_empty());
+        back.rebuild_sets();
+        assert_eq!(back.accepted_set(), rec.accepted_set());
+        assert_eq!(format!("{back:?}"), format!("{rec:?}"));
     }
 
     #[test]
     fn acceptance_is_monotone() {
-        let mut log = DecisionLog::new();
-        log.record(p(1), x(2, 0), Decision::Accepted);
-        log.record(p(1), x(2, 0), Decision::Rejected);
-        assert!(log.is_accepted(p(1), x(2, 0)));
+        let mut rec = ParticipantRecord::new();
+        rec.record(x(2, 0), Decision::Accepted);
+        rec.record(x(2, 0), Decision::Rejected);
+        assert_eq!(rec.decision(x(2, 0)), Some(Decision::Accepted));
         // A rejection can later be superseded by acceptance (conflict
         // resolution can accept a previously deferred option).
-        log.record(p(1), x(3, 0), Decision::Rejected);
-        log.record(p(1), x(3, 0), Decision::Accepted);
-        assert!(log.is_accepted(p(1), x(3, 0)));
+        rec.record(x(3, 0), Decision::Rejected);
+        rec.record(x(3, 0), Decision::Accepted);
+        assert_eq!(rec.decision(x(3, 0)), Some(Decision::Accepted));
+        assert_eq!(rec.accepted_in_order(), &[x(2, 0), x(3, 0)]);
     }
 
     #[test]
@@ -391,17 +274,14 @@ mod tests {
 
     #[test]
     fn reconciliation_history() {
-        let mut log = DecisionLog::new();
-        assert_eq!(log.last_reconciliation(p(1)), None);
-        assert_eq!(log.last_reconciliation_epoch(p(1)), Epoch::ZERO);
-        assert_eq!(log.next_reconciliation_id(p(1)), ReconciliationId(1));
+        let mut rec = ParticipantRecord::new();
+        assert_eq!(rec.last_reconciliation(), None);
+        assert_eq!(rec.next_reconciliation_id(), ReconciliationId(1));
 
-        log.record_reconciliation(p(1), ReconciliationId(1), Epoch(3));
-        log.record_reconciliation(p(1), ReconciliationId(2), Epoch(7));
-        assert_eq!(log.last_reconciliation(p(1)), Some((ReconciliationId(2), Epoch(7))));
-        assert_eq!(log.last_reconciliation_epoch(p(1)), Epoch(7));
-        assert_eq!(log.next_reconciliation_id(p(1)), ReconciliationId(3));
-        assert_eq!(log.reconciliations(p(1)).len(), 2);
-        assert!(log.reconciliations(p(9)).is_empty());
+        rec.record_reconciliation(ReconciliationId(1), Epoch(3));
+        rec.record_reconciliation(ReconciliationId(2), Epoch(7));
+        assert_eq!(rec.last_reconciliation(), Some((ReconciliationId(2), Epoch(7))));
+        assert_eq!(rec.next_reconciliation_id(), ReconciliationId(3));
+        assert_eq!(rec.reconciliations().len(), 2);
     }
 }

@@ -25,11 +25,10 @@ use crate::error::{Result, StorageError};
 use orchestra_model::{
     compare_clocks, AntichainClock, CausalRelation, CausalStamp, Epoch, ParticipantId, StampId,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Publication status of one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PublicationStatus {
     /// The publishing peer has requested the epoch but not finished writing
     /// its transactions.
@@ -43,7 +42,7 @@ pub enum PublicationStatus {
 ///
 /// Fields are `pub(crate)` so the binary codec ([`crate::codec`]) can
 /// serialise and rebuild records without an intermediate representation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct EpochRecord {
     pub(crate) publisher: ParticipantId,
     pub(crate) status: PublicationStatus,
@@ -51,7 +50,7 @@ pub(crate) struct EpochRecord {
 
 /// One ingested causal stamp's durable DAG node: the parent frontier it
 /// descends from and the arrival epoch the store assigned on ingest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalNode {
     /// The frontier the stamped publication causally descends from.
     pub parents: AntichainClock,
@@ -68,7 +67,7 @@ pub struct CausalNode {
 /// drops DAG nodes but never the frontier, so comparisons against pruned
 /// history degrade gracefully (unknown parents act as roots) and sequence
 /// validation keeps working.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CausalRegistry {
     pub(crate) enabled: bool,
     /// DAG nodes by stamp id.
@@ -196,7 +195,7 @@ impl CausalRegistry {
 }
 
 /// The epoch sequence plus per-epoch publication records.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EpochRegistry {
     pub(crate) records: BTreeMap<u64, EpochRecord>,
     pub(crate) next: u64,
@@ -476,21 +475,5 @@ mod tests {
             reg.causal().compare(&head, &pruned, 100),
             CausalRelation::StrictDescends { .. }
         ));
-    }
-
-    #[test]
-    fn causal_registry_serialises_round_trip() {
-        let mut causal = CausalRegistry::default();
-        causal.enable();
-        causal.ingest(&stamp(1, 1, &[]), Epoch(1)).unwrap();
-        causal.ingest(&stamp(2, 1, &[StampId::new(p(1), 1)]), Epoch(2)).unwrap();
-        let json = serde_json::to_string(&causal).unwrap();
-        let back: CausalRegistry = serde_json::from_str(&json).unwrap();
-        assert!(back.is_enabled());
-        assert_eq!(back.frontier(), causal.frontier());
-        assert_eq!(
-            back.parents_of(StampId::new(p(2), 1)),
-            causal.parents_of(StampId::new(p(2), 1))
-        );
     }
 }

@@ -41,7 +41,7 @@ pub enum StorageError {
     UnknownEpoch(u64),
     /// A transaction id was published twice or referenced before publication.
     TransactionLog(String),
-    /// Persistence (serialisation or deserialisation) failed.
+    /// Persistence failed: an I/O error, or a payload the codec rejects.
     Persistence(String),
     /// A reconciliation-session operation referenced an unknown, expired or
     /// foreign session handle.
@@ -52,16 +52,6 @@ pub enum StorageError {
     /// A causal stamp was rejected (out-of-order per-publisher sequence,
     /// unknown parent, or a causal operation in scalar mode).
     Causal(String),
-    /// A wire-protocol frame was rejected: its version byte did not match
-    /// the version this build speaks, or its payload was malformed.
-    Protocol {
-        /// The protocol version this build speaks.
-        expected: u8,
-        /// The version byte found on the frame (0 for an empty frame).
-        found: u8,
-        /// What went wrong while decoding.
-        detail: String,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -84,9 +74,6 @@ impl fmt::Display for StorageError {
             StorageError::Session(msg) => write!(f, "reconciliation session error: {msg}"),
             StorageError::Retention(msg) => write!(f, "retention error: {msg}"),
             StorageError::Causal(msg) => write!(f, "causal stamp error: {msg}"),
-            StorageError::Protocol { expected, found, detail } => {
-                write!(f, "protocol error (speaking v{expected}, frame carried v{found}): {detail}")
-            }
         }
     }
 }
@@ -130,11 +117,5 @@ mod tests {
         };
         assert!(stale.to_string().contains("expected"));
         assert!(StorageError::UnknownEpoch(7).to_string().contains('7'));
-        let proto =
-            StorageError::Protocol { expected: 2, found: 9, detail: "unknown frame".into() };
-        let rendered = proto.to_string();
-        assert!(rendered.contains("v2"));
-        assert!(rendered.contains("v9"));
-        assert!(rendered.contains("unknown frame"));
     }
 }

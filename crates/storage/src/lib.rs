@@ -8,7 +8,7 @@
 //!   indexes.
 //! * [`Database`] — a set of tables conforming to a
 //!   [`orchestra_model::Schema`], with update application, constraint
-//!   enforcement, snapshots and JSON persistence. Implements
+//!   enforcement and in-memory snapshots. Implements
 //!   [`orchestra_model::InstanceView`], so integrity constraints and the
 //!   reconciliation algorithm's `CheckState` can evaluate against it.
 //! * [`TransactionLog`] — the append-only log of published transactions, with
@@ -16,13 +16,15 @@
 //!   central store design).
 //! * [`EpochRegistry`] — the epoch sequence with started/finished publication
 //!   records and the "largest stable epoch" computation of Section 5.2.1.
-//! * [`DecisionLog`] — the per-participant record of accepted and rejected
-//!   transactions that the paper moves into the update store so that client
-//!   state stays soft.
-//! * [`wal`] / [`snapshot`] — the durability layer: an append-only log of
-//!   CRC-checked [`WalRecord`] frames plus a compacting [`StoreSnapshot`]
-//!   format, from which `orchestra_store::StoreCatalog::recover` rebuilds the
-//!   exact durable store state after a crash.
+//! * [`ParticipantRecord`] — one participant's record of accepted and
+//!   rejected transactions, which the paper moves into the update store so
+//!   that client state stays soft.
+//! * [`wal`] / [`segment`] / [`snapshot`] — the durability layer: per-shard
+//!   append-only segments of CRC-checked [`WalRecord`] frames plus a
+//!   compacting [`StoreSnapshot`], from which
+//!   `orchestra_store::StoreCatalog::recover` rebuilds the exact durable
+//!   store state after a crash. [`codec`] is the one encoding both use —
+//!   nothing else in the workspace is ever serialised.
 //! * [`retention`] — convergence-horizon retention: the [`RetentionPolicy`]
 //!   knob and [`PruneReport`] accounting behind the bounded-memory store
 //!   (`orchestra_store::StoreCatalog::prune_to_horizon`), plus the
@@ -37,16 +39,14 @@ pub mod decisions;
 pub mod epoch;
 pub mod error;
 pub mod log;
-pub mod persist;
 pub mod retention;
 pub mod segment;
 pub mod snapshot;
 pub mod table;
 pub mod wal;
 
-pub use codec::Codec;
 pub use database::Database;
-pub use decisions::{Decision, DecisionLog, ParticipantRecord};
+pub use decisions::{Decision, ParticipantRecord};
 pub use epoch::{CausalNode, CausalRegistry, EpochRegistry, PublicationStatus};
 pub use error::{Result, StorageError};
 pub use log::{LogEntry, TransactionLog};

@@ -24,7 +24,6 @@
 use crate::error::{Result, StorageError};
 use orchestra_model::{Epoch, ParticipantId, RelName, Schema, Transaction, TransactionId, Tuple};
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use std::sync::Arc;
 /// The transaction is stored behind an [`Arc`] so that read paths (candidate
 /// construction, replay streams, point lookups) hand out shared references
 /// instead of deep copies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogEntry {
     /// Epoch in which the transaction was published.
     pub epoch: Epoch,
@@ -44,7 +43,7 @@ pub struct LogEntry {
 
 /// Append-only log of published transactions with epoch, id and
 /// written-tuple indexes, supporting convergence-horizon retention.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct TransactionLog {
     /// Live entries keyed by permanent log position (publication order).
     /// Dense until the first prune, sparse afterwards. `pub(crate)` for the
@@ -54,16 +53,13 @@ pub struct TransactionLog {
     /// The next position to assign — the number of transactions ever
     /// published, including pruned ones.
     pub(crate) next_pos: u64,
-    #[serde(skip)]
     by_id: FxHashMap<TransactionId, u64>,
-    #[serde(skip)]
     by_epoch: BTreeMap<u64, Vec<u64>>,
     /// For each relation, then each tuple value ever written in it, the log
     /// positions of the live transactions that wrote it, in publication
     /// order. Two levels so lookups borrow the update's relation and tuple —
     /// the hot paths (indexing a publish, chasing antecedents) never clone a
     /// tuple except the first time a value is written.
-    #[serde(skip)]
     writers: FxHashMap<RelName, FxHashMap<Tuple, Vec<u64>>>,
 }
 
@@ -512,8 +508,18 @@ mod tests {
         assert_eq!(ext, vec![x2.id()]);
     }
 
+    /// A log as [`crate::codec::decode_snapshot`] leaves it: the entries and
+    /// the position counter, the derived indexes not yet rebuilt.
+    fn as_decoded(log: &TransactionLog) -> TransactionLog {
+        TransactionLog {
+            entries: log.entries.clone(),
+            next_pos: log.next_pos,
+            ..TransactionLog::new()
+        }
+    }
+
     #[test]
-    fn rebuild_indexes_after_serde() {
+    fn rebuild_indexes_after_decoding() {
         let schema = bioinformatics_schema();
         let mut log = TransactionLog::new();
         let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
@@ -529,8 +535,8 @@ mod tests {
         );
         log.publish(Epoch(1), x0.clone()).unwrap();
         log.publish(Epoch(2), x1.clone()).unwrap();
-        let json = serde_json::to_string(&log).unwrap();
-        let mut back: TransactionLog = serde_json::from_str(&json).unwrap();
+        let mut back = as_decoded(&log);
+        assert!(back.get(x0.id()).is_none(), "lookups are derived, not decoded");
         back.rebuild_indexes();
         assert_eq!(back.len(), 2);
         assert_eq!(back.total_published(), 2);
@@ -644,9 +650,8 @@ mod tests {
         assert!(log.epoch_of(d1.id()).is_none());
         assert!(log.in_epoch(Epoch(1)).is_empty());
         assert_eq!(log.in_range(Epoch(0), Epoch(4)).len(), 2);
-        // A sparse log round-trips through serde with positions intact.
-        let json = serde_json::to_string(&log).unwrap();
-        let mut back: TransactionLog = serde_json::from_str(&json).unwrap();
+        // A sparse log rebuilds its indexes with positions intact.
+        let mut back = as_decoded(&log);
         back.rebuild_indexes();
         assert_eq!(back.position_of(d2.id()), Some(2));
         assert_eq!(back.total_published(), 4);

@@ -44,10 +44,9 @@
 //! reconciliation protocol itself needs survive pruning in full.
 
 use orchestra_model::Epoch;
-use serde::{Deserialize, Serialize};
 
 /// How aggressively the store prunes converged history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetentionPolicy {
     /// Never prune (the paper's behaviour, and the default): the log,
     /// relevance index and durable state grow with history.
@@ -81,7 +80,7 @@ impl RetentionPolicy {
 
 /// What one [`prune`](RetentionPolicy) pass did — returned by
 /// `StoreCatalog::prune_to_horizon` and recorded by the retention workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneReport {
     /// The epoch pruned through (the policy-capped convergence horizon at the
     /// time of the call; `Epoch::ZERO` means the pass was a no-op).

@@ -49,7 +49,7 @@
 //! deterministic linear extension of the causal order rather than an
 //! arrival-order accident.
 
-use crate::codec::{read_varint, write_varint, Codec};
+use crate::codec::{read_varint, write_varint};
 use crate::error::{Result, StorageError};
 use crate::snapshot::{shard_wal_path, wal_path};
 use crate::wal::{FlushPolicy, FrameLog, WalRecord};
@@ -150,15 +150,11 @@ fn route(record: &WalRecord) -> SegmentId {
 /// Appends take `&self`: the shared state (segment map, flush policy) is
 /// behind short-lived locks, and the file write happens under the target
 /// segment's own mutex — commits on different shards do not serialise on
-/// each other. With `per_shard` off, every record routes to the log-shard
-/// segment (still stamped), which is the single-segment layout the benches
-/// compare against.
+/// each other.
 #[derive(Debug)]
 pub struct SegmentedWal {
     dir: PathBuf,
     generation: u64,
-    codec: Codec,
-    per_shard: bool,
     seq: AtomicU64,
     /// Largest epoch ever carried by a publish append; stamps every
     /// non-publish record without touching the log shard's lock.
@@ -174,15 +170,13 @@ pub struct SegmentedWal {
 impl SegmentedWal {
     /// Creates a fresh, empty generation (truncating any existing log-shard
     /// segment file of the same name).
-    pub fn create(dir: &Path, generation: u64, codec: Codec, per_shard: bool) -> Result<Self> {
+    pub fn create(dir: &Path, generation: u64) -> Result<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
         let log = FrameLog::create(&wal_path(dir, generation))?;
         Ok(SegmentedWal {
             dir: dir.to_path_buf(),
             generation,
-            codec,
-            per_shard,
             seq: AtomicU64::new(0),
             epoch_watermark: AtomicU64::new(0),
             flush: Mutex::new(FlushPolicy::default()),
@@ -195,21 +189,11 @@ impl SegmentedWal {
     /// Opens every segment of a generation, truncating torn tails, and
     /// returns the manager positioned for appends together with the merged
     /// record sequence in `(epoch, seq)` order — the deterministic replay
-    /// order. Reading sniffs the codec per record, so generations written in
-    /// either codec (or mixed) replay fine; new appends use `codec`, or —
-    /// when `None` — the codec of the generation's first record (so a
-    /// recovered store keeps writing the way it was configured), falling
-    /// back to the default for an empty generation.
-    pub fn open(
-        dir: &Path,
-        generation: u64,
-        codec: Option<Codec>,
-        per_shard: bool,
-    ) -> Result<(Self, Vec<WalRecord>)> {
+    /// order.
+    pub fn open(dir: &Path, generation: u64) -> Result<(Self, Vec<WalRecord>)> {
         let mut stamped: Vec<(FrameStamp, WalRecord)> = Vec::new();
         let mut max_seq = 0u64;
         let mut max_epoch = 0u64;
-        let mut first: Option<(FrameStamp, Codec)> = None;
         let mut read_segment = |path: &Path| -> Result<FrameLog> {
             let (log, frames) = FrameLog::open(path)?;
             for frame in &frames {
@@ -217,13 +201,6 @@ impl SegmentedWal {
                 let record = WalRecord::decode(record_bytes)?;
                 max_seq = max_seq.max(stamp.seq + 1);
                 max_epoch = max_epoch.max(stamp.epoch);
-                let earliest = match first {
-                    Some((s, _)) => stamp.merge_cmp(&s).is_lt(),
-                    None => true,
-                };
-                if earliest {
-                    first = Some((stamp, crate::codec::payload_codec(record_bytes)));
-                }
                 stamped.push((stamp, record));
             }
             Ok(log)
@@ -236,13 +213,10 @@ impl SegmentedWal {
         }
         stamped.sort_by(|(a, _), (b, _)| a.merge_cmp(b));
         let records = stamped.into_iter().map(|(_, record)| record).collect();
-        let codec = codec.or(first.map(|(_, c)| c)).unwrap_or_default();
         Ok((
             SegmentedWal {
                 dir: dir.to_path_buf(),
                 generation,
-                codec,
-                per_shard,
                 seq: AtomicU64::new(max_seq),
                 epoch_watermark: AtomicU64::new(max_epoch),
                 flush: Mutex::new(FlushPolicy::default()),
@@ -257,14 +231,8 @@ impl SegmentedWal {
     /// [`SegmentedWal::open`] with observability bound from the start: every
     /// segment reports into `obs`, the merged replay is counted under
     /// `wal.replayed_frames`, and a `wal.replay` trace event records it.
-    pub fn open_observed(
-        dir: &Path,
-        generation: u64,
-        codec: Option<Codec>,
-        per_shard: bool,
-        obs: &Obs,
-    ) -> Result<(Self, Vec<WalRecord>)> {
-        let (wal, records) = SegmentedWal::open(dir, generation, codec, per_shard)?;
+    pub fn open_observed(dir: &Path, generation: u64, obs: &Obs) -> Result<(Self, Vec<WalRecord>)> {
+        let (wal, records) = SegmentedWal::open(dir, generation)?;
         wal.set_observability(obs);
         obs.metrics.counter("wal.replayed_frames").add(records.len() as u64);
         obs.tracer
@@ -305,11 +273,10 @@ impl SegmentedWal {
             _ => (self.epoch_watermark.load(Ordering::SeqCst), None),
         };
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let payload =
-            stamp_payload(FrameStamp { epoch, seq, stamp: causal }, &record.encode(self.codec));
+        let payload = stamp_payload(FrameStamp { epoch, seq, stamp: causal }, &record.encode());
         let segment = match route(record) {
-            SegmentId::Participant(p) if self.per_shard => self.shard_segment(p)?,
-            _ => Arc::clone(&self.log),
+            SegmentId::Participant(p) => self.shard_segment(p)?,
+            SegmentId::Log => Arc::clone(&self.log),
         };
         let result = segment.lock().expect("segment lock").append(&payload);
         result
@@ -383,23 +350,6 @@ impl SegmentedWal {
     /// The generation this manager appends to.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The codec new appends are written in.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// Switches the codec used for future appends. Existing frames are
-    /// untouched — reads sniff the codec per record, so a generation may mix
-    /// codecs freely.
-    pub fn set_codec(&mut self, codec: Codec) {
-        self.codec = codec;
-    }
-
-    /// Whether reconciliation commits get per-participant segments.
-    pub fn per_shard(&self) -> bool {
-        self.per_shard
     }
 
     /// The directory holding the segments.
@@ -521,7 +471,7 @@ mod tests {
     #[test]
     fn causal_publishes_route_to_the_publisher_segment() {
         let dir = tmp_dir("causal-routing");
-        let wal = SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap();
+        let wal = SegmentedWal::create(&dir, 0).unwrap();
         let stamp = orchestra_model::CausalStamp::new(
             ParticipantId(3),
             1,
@@ -531,7 +481,7 @@ mod tests {
         wal.append(&record).unwrap();
         assert!(dir.join("wal.0.p3.log").exists());
         drop(wal);
-        let (_, replay) = SegmentedWal::open(&dir, 0, Some(Codec::Binary), true).unwrap();
+        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
         assert_eq!(replay, vec![record]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -539,7 +489,7 @@ mod tests {
     #[test]
     fn records_route_to_their_shard_segment() {
         let dir = tmp_dir("routing");
-        let wal = SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap();
+        let wal = SegmentedWal::create(&dir, 0).unwrap();
         wal.append(&publish(1, 1)).unwrap();
         wal.append(&commit(1, 1, 1)).unwrap();
         wal.append(&commit(2, 1, 1)).unwrap();
@@ -554,18 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn single_segment_mode_keeps_one_file() {
-        let dir = tmp_dir("single");
-        let wal = SegmentedWal::create(&dir, 0, Codec::Binary, false).unwrap();
-        wal.append(&publish(1, 1)).unwrap();
-        wal.append(&commit(1, 1, 1)).unwrap();
-        assert_eq!(wal.segment_count(), 1);
-        assert!(!dir.join("wal.0.p1.log").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merged_open_replays_in_stamp_order_in_both_layouts() {
+    fn merged_open_replays_in_stamp_order() {
         let records = vec![
             publish(1, 1),
             commit(2, 1, 1),
@@ -574,39 +513,33 @@ mod tests {
             commit(4, 1, 2),
             WalRecord::MembershipFrontier { epoch: Epoch(2) },
         ];
-        let mut merged = Vec::new();
-        for (layout, per_shard) in [("sharded", true), ("flat", false)] {
-            let dir = tmp_dir(&format!("merge-{layout}"));
-            let wal = SegmentedWal::create(&dir, 0, Codec::Binary, per_shard).unwrap();
-            for record in &records {
-                wal.append(record).unwrap();
-            }
-            drop(wal);
-            let (reopened, replay) =
-                SegmentedWal::open(&dir, 0, Some(Codec::Binary), per_shard).unwrap();
-            assert_eq!(replay, records, "replay order ({layout})");
-            assert_eq!(reopened.records(), records.len() as u64);
-            merged.push(replay);
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = tmp_dir("merge");
+        let wal = SegmentedWal::create(&dir, 0).unwrap();
+        for record in &records {
+            wal.append(record).unwrap();
         }
-        // Byte-identical replay across layouts.
-        assert_eq!(merged[0], merged[1]);
+        assert_eq!(wal.segment_count(), 3);
+        drop(wal);
+        let (reopened, replay) = SegmentedWal::open(&dir, 0).unwrap();
+        assert_eq!(replay, records);
+        assert_eq!(reopened.records(), records.len() as u64);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn appends_continue_after_reopen_without_stamp_collisions() {
         let dir = tmp_dir("reopen");
         {
-            let wal = SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap();
+            let wal = SegmentedWal::create(&dir, 0).unwrap();
             wal.append(&publish(1, 1)).unwrap();
             wal.append(&commit(2, 1, 1)).unwrap();
         }
-        let (wal, replay) = SegmentedWal::open(&dir, 0, Some(Codec::Binary), true).unwrap();
+        let (wal, replay) = SegmentedWal::open(&dir, 0).unwrap();
         assert_eq!(replay.len(), 2);
         wal.append(&commit(2, 2, 1)).unwrap();
         wal.append(&publish(1, 2)).unwrap();
         drop(wal);
-        let (_, replay) = SegmentedWal::open(&dir, 0, Some(Codec::Binary), true).unwrap();
+        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
         assert_eq!(replay, vec![publish(1, 1), commit(2, 1, 1), commit(2, 2, 1), publish(1, 2)]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -615,7 +548,7 @@ mod tests {
     fn torn_tail_in_one_segment_does_not_hurt_the_others() {
         let dir = tmp_dir("torn");
         {
-            let wal = SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap();
+            let wal = SegmentedWal::create(&dir, 0).unwrap();
             wal.append(&publish(1, 1)).unwrap();
             wal.append(&commit(2, 1, 1)).unwrap();
             wal.append(&commit(2, 2, 1)).unwrap();
@@ -624,32 +557,16 @@ mod tests {
         let shard = dir.join("wal.0.p2.log");
         let bytes = std::fs::read(&shard).unwrap();
         std::fs::write(&shard, &bytes[..bytes.len() - 3]).unwrap();
-        let (wal, replay) = SegmentedWal::open(&dir, 0, Some(Codec::Binary), true).unwrap();
+        let (wal, replay) = SegmentedWal::open(&dir, 0).unwrap();
         assert_eq!(replay, vec![publish(1, 1), commit(2, 1, 1)]);
         assert_eq!(wal.records(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn mixed_codec_generations_replay() {
-        let dir = tmp_dir("mixed");
-        {
-            let wal = SegmentedWal::create(&dir, 0, Codec::Json, true).unwrap();
-            wal.append(&publish(1, 1)).unwrap();
-        }
-        {
-            let (wal, _) = SegmentedWal::open(&dir, 0, Some(Codec::Binary), true).unwrap();
-            wal.append(&commit(2, 1, 1)).unwrap();
-        }
-        let (_, replay) = SegmentedWal::open(&dir, 0, Some(Codec::Json), true).unwrap();
-        assert_eq!(replay, vec![publish(1, 1), commit(2, 1, 1)]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn delete_generation_removes_all_segments() {
         let dir = tmp_dir("delete");
-        let wal = SegmentedWal::create(&dir, 4, Codec::Binary, true).unwrap();
+        let wal = SegmentedWal::create(&dir, 4).unwrap();
         wal.append(&commit(1, 1, 0)).unwrap();
         wal.append(&commit(2, 1, 0)).unwrap();
         drop(wal);
@@ -663,7 +580,7 @@ mod tests {
     #[test]
     fn flush_policy_reaches_every_segment() {
         let dir = tmp_dir("flush");
-        let wal = SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap();
+        let wal = SegmentedWal::create(&dir, 0).unwrap();
         wal.set_flush_policy(FlushPolicy::EveryN(10));
         wal.append(&commit(1, 1, 0)).unwrap();
         assert_eq!(wal.flush_policy(), FlushPolicy::EveryN(10));
@@ -681,7 +598,7 @@ mod tests {
         let dir = tmp_dir("observed");
         let obs = Obs::enabled();
         {
-            let wal = SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap();
+            let wal = SegmentedWal::create(&dir, 0).unwrap();
             wal.set_observability(&obs);
             wal.append(&publish(1, 1)).unwrap();
             // A shard segment created after the bind inherits the sink.
@@ -694,8 +611,7 @@ mod tests {
         assert_eq!(obs.metrics.counter("wal.syncs").get(), 2);
 
         // Observed reopen counts the merged replay once.
-        let (wal, replay) =
-            SegmentedWal::open_observed(&dir, 0, Some(Codec::Binary), true, &obs).unwrap();
+        let (wal, replay) = SegmentedWal::open_observed(&dir, 0, &obs).unwrap();
         assert_eq!(replay.len(), 2);
         assert_eq!(obs.metrics.counter("wal.replayed_frames").get(), 2);
         assert!(wal.observability().tracer.is_enabled());
@@ -706,7 +622,7 @@ mod tests {
     #[test]
     fn parallel_appends_on_distinct_shards_interleave_safely() {
         let dir = tmp_dir("parallel");
-        let wal = std::sync::Arc::new(SegmentedWal::create(&dir, 0, Codec::Binary, true).unwrap());
+        let wal = std::sync::Arc::new(SegmentedWal::create(&dir, 0).unwrap());
         let threads: Vec<_> = (1..=4u32)
             .map(|p| {
                 let wal = std::sync::Arc::clone(&wal);
@@ -722,7 +638,7 @@ mod tests {
         }
         assert_eq!(wal.records(), 200);
         drop(wal);
-        let (_, replay) = SegmentedWal::open(&dir, 0, Some(Codec::Binary), true).unwrap();
+        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
         assert_eq!(replay.len(), 200);
         // Per-shard order is preserved within the merged order.
         for p in 1..=4u32 {

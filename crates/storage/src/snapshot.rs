@@ -18,14 +18,12 @@
 //! place, so a crash mid-snapshot leaves the previous snapshot (and its WAL
 //! generation) intact.
 
-use crate::codec::Codec;
 use crate::decisions::ParticipantRecord;
 use crate::epoch::EpochRegistry;
 use crate::error::{Result, StorageError};
 use crate::log::TransactionLog;
 use crate::wal::{decode_frames, encode_frame};
 use orchestra_model::{Epoch, ParticipantId, Schema, TrustPolicy, Tuple};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -66,7 +64,7 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
 /// Tuples are kept sorted per relation so equal instances serialise (and
 /// `Debug`-render) byte-identically regardless of the apply order that
 /// produced them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceCheckpoint {
     /// Materialised tuples per relation name.
     pub relations: BTreeMap<String, Vec<Tuple>>,
@@ -87,7 +85,7 @@ pub struct InstanceCheckpoint {
 /// One participant's durable slice of the store: policy, registration flag,
 /// epoch cursor and decision record. The relevance index is derived state and
 /// is rebuilt from the log after loading.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParticipantSnapshot {
     /// The participant.
     pub id: ParticipantId,
@@ -112,7 +110,7 @@ pub struct ParticipantSnapshot {
 }
 
 /// The complete durable state of an update store at one point in time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     /// The schema the store serves.
     pub schema: Schema,
@@ -131,12 +129,12 @@ pub struct StoreSnapshot {
     pub wal_generation: u64,
 }
 
-/// Writes a snapshot as a single CRC-checked frame in the given codec,
-/// atomically (temp file + rename), then syncs it to stable storage.
-pub fn write_snapshot(dir: &Path, snapshot: &StoreSnapshot, codec: Codec) -> Result<()> {
+/// Writes a snapshot as a single CRC-checked frame, atomically (temp file +
+/// rename), then syncs it to stable storage.
+pub fn write_snapshot(dir: &Path, snapshot: &StoreSnapshot) -> Result<()> {
     std::fs::create_dir_all(dir)
         .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
-    let payload = crate::codec::encode_snapshot(snapshot, codec)?;
+    let payload = crate::codec::encode_snapshot(snapshot);
     let frame = encode_frame(&payload);
     let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
     {
@@ -154,13 +152,6 @@ pub fn write_snapshot(dir: &Path, snapshot: &StoreSnapshot, codec: Codec) -> Res
 /// state still carries un-derived indexes — callers rebuild them (the store
 /// does so inside `recover`).
 pub fn read_snapshot(dir: &Path) -> Result<Option<StoreSnapshot>> {
-    Ok(read_snapshot_with_codec(dir)?.map(|(snapshot, _)| snapshot))
-}
-
-/// Like [`read_snapshot`], but also reports the codec the snapshot was
-/// written in (sniffed from the payload), so recovery can keep appending new
-/// records in the same codec.
-pub fn read_snapshot_with_codec(dir: &Path) -> Result<Option<(StoreSnapshot, Codec)>> {
     let path = snapshot_path(dir);
     let bytes = match std::fs::read(&path) {
         Ok(bytes) => bytes,
@@ -242,12 +233,7 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         assert!(read_snapshot(&dir).unwrap().is_none());
         let snapshot = sample_snapshot();
-        write_snapshot(&dir, &snapshot, Codec::Json).unwrap();
-        let (_, codec) = read_snapshot_with_codec(&dir).unwrap().unwrap();
-        assert_eq!(codec, Codec::Json);
-        write_snapshot(&dir, &snapshot, Codec::Binary).unwrap();
-        let (_, codec) = read_snapshot_with_codec(&dir).unwrap().unwrap();
-        assert_eq!(codec, Codec::Binary);
+        write_snapshot(&dir, &snapshot).unwrap();
         let mut back = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(back.wal_generation, 3);
         assert_eq!(back.schema, snapshot.schema);
@@ -276,9 +262,9 @@ mod tests {
     fn rewriting_replaces_atomically() {
         let dir = tmp_dir("rewrite");
         let mut snapshot = sample_snapshot();
-        write_snapshot(&dir, &snapshot, Codec::Binary).unwrap();
+        write_snapshot(&dir, &snapshot).unwrap();
         snapshot.wal_generation = 9;
-        write_snapshot(&dir, &snapshot, Codec::Binary).unwrap();
+        write_snapshot(&dir, &snapshot).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap().unwrap().wal_generation, 9);
         // No stray temp file is left behind.
         assert!(!dir.join(format!("{SNAPSHOT_FILE}.tmp")).exists());
@@ -288,7 +274,7 @@ mod tests {
     #[test]
     fn corrupt_snapshots_are_reported_not_half_loaded() {
         let dir = tmp_dir("corrupt");
-        write_snapshot(&dir, &sample_snapshot(), Codec::Binary).unwrap();
+        write_snapshot(&dir, &sample_snapshot()).unwrap();
         let path = snapshot_path(&dir);
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;

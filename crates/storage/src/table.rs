@@ -4,11 +4,10 @@
 use crate::error::{Result, StorageError};
 use orchestra_model::{KeyValue, RelationSchema, Tuple, Value};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A non-unique secondary index over a subset of columns.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SecondaryIndex {
     /// Column indexes this index covers, in order.
     columns: Vec<usize>,
@@ -42,55 +41,11 @@ impl SecondaryIndex {
 
 /// A relation instance: rows indexed by primary key, plus any number of
 /// named secondary indexes.
-///
-/// Serialisation uses a row-list representation ([`TableRepr`]) because JSON
-/// cannot encode structured map keys; indexes are rebuilt on deserialisation.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-#[serde(from = "TableRepr", into = "TableRepr")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     schema: RelationSchema,
     rows: BTreeMap<KeyValue, Tuple>,
     indexes: FxHashMap<String, SecondaryIndex>,
-}
-
-/// Serialised form of a [`Table`]: the schema, the rows, and the secondary
-/// index definitions by column name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TableRepr {
-    schema: RelationSchema,
-    rows: Vec<Tuple>,
-    indexes: Vec<(String, Vec<String>)>,
-}
-
-impl From<Table> for TableRepr {
-    fn from(table: Table) -> Self {
-        let indexes = table
-            .indexes
-            .iter()
-            .map(|(name, idx)| {
-                let cols =
-                    idx.columns.iter().map(|&i| table.schema.columns()[i].name.clone()).collect();
-                (name.clone(), cols)
-            })
-            .collect();
-        TableRepr { rows: table.rows.values().cloned().collect(), schema: table.schema, indexes }
-    }
-}
-
-impl From<TableRepr> for Table {
-    fn from(repr: TableRepr) -> Self {
-        let mut table = Table::new(repr.schema);
-        for (name, cols) in &repr.indexes {
-            let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
-            // Index definitions were valid when serialised.
-            let _ = table.create_index(name.clone(), &cols);
-        }
-        for row in repr.rows {
-            // Rows were valid and key-unique when serialised.
-            let _ = table.insert(row);
-        }
-        table
-    }
 }
 
 impl Table {

@@ -19,8 +19,8 @@
 //! `crc` is the CRC-32 (IEEE) of the payload. A reader stops at the first
 //! frame whose length or checksum does not hold — a crash mid-append leaves a
 //! *torn tail*, which is truncated on the next open, exactly like a database
-//! WAL. Payloads are JSON ([`WalRecord::encode`]) so the log stays
-//! inspectable with standard tools.
+//! WAL. Payloads are written by the binary codec ([`crate::codec`]); the
+//! `wal_dump` tool renders them for inspection.
 //!
 //! The default crash model is process death: appends reach the operating
 //! system before the call returns (one `write` syscall per frame), but the
@@ -39,7 +39,6 @@ use orchestra_model::{
     TrustPolicy,
 };
 use orchestra_obs::{Counter, Obs, Tracer};
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -351,7 +350,7 @@ impl FrameLog {
 /// The records mirror the catalogue's four state-changing entry points; a
 /// replay that applies them in order over the snapshot state reproduces the
 /// durable catalogue byte for byte.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// First record of a generation-zero log: pins the schema so that
     /// recovery is self-contained even before the first snapshot exists.
@@ -450,14 +449,12 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Serialises the record to its frame payload in the given codec.
-    pub fn encode(&self, codec: crate::codec::Codec) -> Vec<u8> {
-        crate::codec::encode_record(self, codec)
+    /// Serialises the record to its frame payload (see [`crate::codec`]).
+    pub fn encode(&self) -> Vec<u8> {
+        crate::codec::encode_record(self, crate::codec::Codec::Binary)
     }
 
-    /// Deserialises a record from a frame payload. The codec is sniffed from
-    /// the payload's first byte, so binary and JSON records can be mixed
-    /// freely within one log (see [`crate::codec`]).
+    /// Deserialises a record from a frame payload.
     pub fn decode(payload: &[u8]) -> Result<WalRecord> {
         crate::codec::decode_record(payload)
     }
@@ -717,12 +714,9 @@ mod tests {
             },
         ];
         for record in records {
-            for codec in [crate::codec::Codec::Binary, crate::codec::Codec::Json] {
-                let back = WalRecord::decode(&record.encode(codec)).unwrap();
-                assert_eq!(back, record);
-            }
+            assert_eq!(WalRecord::decode(&record.encode()).unwrap(), record);
         }
-        assert!(WalRecord::decode(b"{not json").is_err());
+        assert!(WalRecord::decode(b"{not binary").is_err());
         assert!(WalRecord::decode(&[0xFF, 0xFE]).is_err());
     }
 }

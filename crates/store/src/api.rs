@@ -85,9 +85,7 @@ impl<T> Timed<T> {
 }
 
 /// An opaque handle naming one open reconciliation session at a store.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u64);
 
 impl SessionId {
@@ -100,7 +98,7 @@ impl SessionId {
 /// Metadata of a freshly opened reconciliation session: the reconciliation
 /// number the store will assign at commit, the epoch the session is pinned
 /// to, and an upper bound on the candidates still to stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionInfo {
     /// The session handle for the follow-up `next_batch` / `commit` /
     /// `abort` calls.
@@ -467,15 +465,6 @@ impl<'a, S: UpdateStore + ?Sized> ReconciliationSession<'a, S> {
     pub fn abort(mut self) -> Result<()> {
         self.finished = true;
         self.store.abort_reconciliation(self.info.session)
-    }
-
-    /// Consumes the wrapper *without* finishing the session at the store,
-    /// returning the raw handle. The caller takes over responsibility for
-    /// calling [`UpdateStore::commit_reconciliation`] or
-    /// [`UpdateStore::abort_reconciliation`] on it.
-    pub fn detach(mut self) -> SessionId {
-        self.finished = true;
-        self.info.session
     }
 }
 

@@ -1304,10 +1304,7 @@ impl StoreCatalog {
     /// to the same log. The result is byte-identical durable state — the
     /// recovery tests pin this down through the canonical `Debug` rendering.
     pub fn recover(dir: &Path) -> Result<StoreCatalog> {
-        let (snap, snap_codec) = match snapshot::read_snapshot_with_codec(dir)? {
-            Some((snap, codec)) => (Some(snap), Some(codec)),
-            None => (None, None),
-        };
+        let snap = snapshot::read_snapshot(dir)?;
         let generation = snap.as_ref().map(|s| s.wal_generation).unwrap_or(0);
         let wal_file = snapshot::wal_path(dir, generation);
         if snap.is_none() && !wal_file.exists() {
@@ -1318,10 +1315,8 @@ impl StoreCatalog {
         }
         // Open every segment of the generation and replay the merged
         // `(epoch, seq)` order — deterministic regardless of how many
-        // segments the records were spread over. New appends continue in the
-        // snapshot's codec, or the codec of the generation's first record
-        // when there is no snapshot.
-        let (wal, records) = SegmentedWal::open(dir, generation, snap_codec, true)?;
+        // segments the records were spread over.
+        let (wal, records) = SegmentedWal::open(dir, generation)?;
         let mut records = records.into_iter();
 
         let catalog = match snap {

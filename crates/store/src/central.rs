@@ -71,23 +71,10 @@ impl CentralStore {
     }
 
     /// Creates an empty central store whose state is made durable in `dir`
-    /// through a file-backed write-ahead log, with the default
-    /// [`crate::WalOptions`] (binary codec, per-shard segments). Refuses to
-    /// clobber an existing durable store — use [`CentralStore::recover`] for
-    /// that.
+    /// through a file-backed write-ahead log. Refuses to clobber an existing
+    /// durable store — use [`CentralStore::recover`] for that.
     pub fn durable(schema: Schema, dir: &std::path::Path) -> Result<Self> {
-        CentralStore::durable_with(schema, dir, crate::WalOptions::default())
-    }
-
-    /// Like [`CentralStore::durable`], but with explicit [`crate::WalOptions`]
-    /// — e.g. `Codec::Json` for a log inspectable with text tools, or
-    /// `per_shard: false` for the single-segment layout.
-    pub fn durable_with(
-        schema: Schema,
-        dir: &std::path::Path,
-        options: crate::WalOptions,
-    ) -> Result<Self> {
-        let backend = crate::FileWalBackend::create_with(dir, &schema, options)?;
+        let backend = crate::FileWalBackend::create(dir, &schema)?;
         Ok(CentralStore::with_durability(schema, crate::Durability::FileWal(backend)))
     }
 
@@ -131,11 +118,6 @@ impl CentralStore {
     /// [`StoreCatalog::prune_to_horizon`]).
     pub fn prune_to_horizon(&self) -> Result<orchestra_storage::PruneReport> {
         self.catalog.prune_to_horizon()
-    }
-
-    /// The retrieval mode in use.
-    pub fn retrieval_mode(&self) -> RetrievalMode {
-        self.retrieval
     }
 
     /// The underlying catalogue (for inspection in tests and tools).

@@ -82,20 +82,10 @@ impl DhtStore {
     }
 
     /// Creates an empty DHT store whose state is made durable in `dir`
-    /// through the file-backed write-ahead log, with the default
-    /// [`crate::WalOptions`]. Refuses to clobber an existing durable store —
-    /// use [`DhtStore::recover`] for that.
+    /// through the file-backed write-ahead log. Refuses to clobber an
+    /// existing durable store — use [`DhtStore::recover`] for that.
     pub fn durable(schema: Schema, dir: &std::path::Path) -> Result<Self> {
-        DhtStore::durable_with(schema, dir, crate::WalOptions::default())
-    }
-
-    /// Like [`DhtStore::durable`], but with explicit [`crate::WalOptions`].
-    pub fn durable_with(
-        schema: Schema,
-        dir: &std::path::Path,
-        options: crate::WalOptions,
-    ) -> Result<Self> {
-        let backend = crate::FileWalBackend::create_with(dir, &schema, options)?;
+        let backend = crate::FileWalBackend::create(dir, &schema)?;
         Ok(DhtStore::with_durability(schema, crate::Durability::FileWal(backend)))
     }
 

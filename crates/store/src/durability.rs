@@ -22,43 +22,19 @@
 //! record describes (the log shard's write lock for publishes, the
 //! participant shard's write lock for decision commits), so each segment's
 //! order always matches apply order, and commits on *different* shards write
-//! to different segments concurrently — the backend no longer funnels them
-//! through one mutex. Recovery merges the segments by their `(epoch, seq)`
-//! stamps (see [`orchestra_storage::segment`]).
+//! to different segments concurrently. Recovery merges the segments by their
+//! `(epoch, seq)` stamps (see [`orchestra_storage::segment`]).
 //!
-//! Records are written in the codec chosen at creation time
-//! ([`WalOptions::codec`]): the compact binary codec by default, or JSON as
-//! a debug/inspection mode. Reading always sniffs per record, so recovery
-//! handles either codec — or a mix, e.g. after flipping the codec between
-//! generations.
+//! Records and snapshots are written by the binary codec
+//! ([`orchestra_storage::codec`]) — the only durable encoding there is.
 
 use orchestra_obs::Obs;
-use orchestra_storage::codec::Codec;
 use orchestra_storage::segment::{self, SegmentedWal};
 use orchestra_storage::snapshot::{self, StoreSnapshot};
 use orchestra_storage::wal::WalRecord;
 use orchestra_storage::{Result, StorageError};
 use std::path::{Path, PathBuf};
 use std::sync::RwLock;
-
-/// Configuration of a file-backed WAL: which codec records are written in
-/// and whether reconciliation commits get per-participant segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalOptions {
-    /// The codec new records and snapshots are written in.
-    pub codec: Codec,
-    /// Whether reconciliation commits and decisions are routed to
-    /// per-participant segments (`true`, the default) or everything shares
-    /// the log-shard segment (`false` — the pre-segmentation layout, kept
-    /// for comparison benchmarks). Both layouts recover identically.
-    pub per_shard: bool,
-}
-
-impl Default for WalOptions {
-    fn default() -> Self {
-        WalOptions { codec: Codec::Binary, per_shard: true }
-    }
-}
 
 /// The write side of a file-backed durability directory.
 #[derive(Debug)]
@@ -72,21 +48,11 @@ pub struct FileWalBackend {
 }
 
 impl FileWalBackend {
-    /// Starts a *fresh* durability directory for a new store with the
-    /// default [`WalOptions`] (binary codec, per-shard segments).
-    pub fn create(dir: &Path, schema: &orchestra_model::Schema) -> Result<Self> {
-        FileWalBackend::create_with(dir, schema, WalOptions::default())
-    }
-
     /// Starts a *fresh* durability directory for a new store: creates the
     /// directory, refuses to clobber existing durable state (use
     /// [`crate::StoreCatalog::recover`] for that), and writes the
     /// [`WalRecord::Init`] record pinning the schema.
-    pub fn create_with(
-        dir: &Path,
-        schema: &orchestra_model::Schema,
-        options: WalOptions,
-    ) -> Result<Self> {
+    pub fn create(dir: &Path, schema: &orchestra_model::Schema) -> Result<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
         if snapshot::snapshot_path(dir).exists() {
@@ -104,7 +70,7 @@ impl FileWalBackend {
                 dir.display()
             )));
         }
-        let wal = SegmentedWal::create(dir, 0, options.codec, options.per_shard)?;
+        let wal = SegmentedWal::create(dir, 0)?;
         wal.append(&WalRecord::Init { schema: schema.clone() })?;
         Ok(FileWalBackend { dir: dir.to_path_buf(), wal: RwLock::new(wal) })
     }
@@ -124,24 +90,6 @@ impl FileWalBackend {
     /// The current WAL generation.
     pub fn generation(&self) -> u64 {
         self.wal.read().expect("wal lock").generation()
-    }
-
-    /// The codec records are written in (reading sniffs per record).
-    pub fn codec(&self) -> Codec {
-        self.wal.read().expect("wal lock").codec()
-    }
-
-    /// Whether reconciliation commits get per-participant segments.
-    pub fn per_shard(&self) -> bool {
-        self.wal.read().expect("wal lock").per_shard()
-    }
-
-    /// Switches the codec for future appends and generations — e.g. flipping
-    /// a long-lived store into JSON inspection mode and back. Frames already
-    /// on disk keep their codec; recovery sniffs per record, so generations
-    /// with mixed codecs replay fine.
-    pub fn set_codec(&self, codec: Codec) {
-        self.wal.write().expect("wal lock").set_codec(codec);
     }
 
     /// Number of live segments in the current generation (1 log shard plus
@@ -201,7 +149,7 @@ impl FileWalBackend {
     }
 
     /// Installs a compacting snapshot: writes `snapshot` (stamped with the
-    /// *next* generation, in the backend's codec) atomically, starts fresh
+    /// *next* generation) atomically, starts fresh
     /// segments for that generation, and deletes the old generation's
     /// segment files. The caller must hold whatever catalogue locks make
     /// `snapshot` a consistent cut — records appended after this call belong
@@ -211,8 +159,8 @@ impl FileWalBackend {
         let old = wal.generation();
         let next = old + 1;
         snapshot.wal_generation = next;
-        snapshot::write_snapshot(&self.dir, &snapshot, wal.codec())?;
-        let new_wal = SegmentedWal::create(&self.dir, next, wal.codec(), wal.per_shard())?;
+        snapshot::write_snapshot(&self.dir, &snapshot)?;
+        let new_wal = SegmentedWal::create(&self.dir, next)?;
         // The flush (group-commit) policy and the observability sink are
         // properties of the backend, not of one generation's files: carry
         // them over.
@@ -282,8 +230,6 @@ mod tests {
         let dir = tmp_dir("fresh");
         let backend = FileWalBackend::create(&dir, &bioinformatics_schema()).unwrap();
         assert_eq!(backend.generation(), 0);
-        assert_eq!(backend.codec(), Codec::Binary);
-        assert!(backend.per_shard());
         assert_eq!(backend.segment_count(), 1);
         assert_eq!(backend.wal_records(), 1);
         assert!(backend.wal_bytes() > 0);
@@ -296,20 +242,6 @@ mod tests {
             FileWalBackend::create(&dir, &bioinformatics_schema()),
             Err(StorageError::Persistence(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn json_mode_writes_inspectable_records() {
-        let dir = tmp_dir("json");
-        let options = WalOptions { codec: Codec::Json, per_shard: true };
-        let backend = FileWalBackend::create_with(&dir, &bioinformatics_schema(), options).unwrap();
-        assert_eq!(backend.codec(), Codec::Json);
-        drop(backend);
-        // The record bytes (after the frame header and stamp) are JSON.
-        let bytes = std::fs::read(dir.join("wal.0.log")).unwrap();
-        let text = String::from_utf8_lossy(&bytes);
-        assert!(text.contains("Init"), "JSON mode should be greppable: {text:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

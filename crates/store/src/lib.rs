@@ -69,12 +69,12 @@ pub use catalog::{OpenedSession, SessionBatch, StoreCatalog};
 pub use central::{CentralStore, RetrievalMode};
 pub use client::{poll_ready, InProcessClient, SessionClient, ShardClient};
 pub use dht::DhtStore;
-pub use durability::{Durability, FileWalBackend, WalOptions};
+pub use durability::{Durability, FileWalBackend};
 pub use fabric::{FabricClient, FabricConfig, ShardRouter, StoreFabric};
 pub use network_centric::NetworkCentricPlan;
-pub use protocol::{StoreRequest, StoreResponse, PROTOCOL_VERSION};
+pub use protocol::{StoreRequest, StoreResponse};
 pub use pruner::AutoPruner;
 pub use service::{ServiceClient, ServiceConfig, ServiceConfigBuilder, ServiceStats, StoreService};
 // Retention and group-commit knobs, re-exported so drivers need not depend
 // on `orchestra-storage` directly.
-pub use orchestra_storage::{Codec, FlushPolicy, PruneReport, RetentionPolicy};
+pub use orchestra_storage::{FlushPolicy, PruneReport, RetentionPolicy};

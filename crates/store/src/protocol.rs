@@ -1,44 +1,21 @@
-//! The versioned wire protocol of the store service.
+//! The wire protocol of the store service.
 //!
-//! PR 8 kept the request/response enums inside `service.rs`, private to the
-//! simulated deployment: frames only ever travelled through in-process
-//! channels, so their shape *was* the simnet's shape. This module makes the
-//! protocol a first-class seam:
-//!
-//! * [`StoreRequest`] / [`StoreResponse`] are the explicit wire enums, one
-//!   variant per paged-session, publish or replication step.
-//! * Every encoded frame starts with a **version byte**
-//!   ([`PROTOCOL_VERSION`]); [`decode_request`] / [`decode_response`] reject
-//!   a mismatched version with the typed [`StorageError::Protocol`] instead
-//!   of a decode panic, so a future socket transport can fail a handshake
-//!   cleanly.
-//! * The payload after the version byte is self-describing JSON (the same
-//!   vendored `serde_json` the WAL's portable mode uses), so frames
-//!   round-trip symmetrically: `decode(encode(f)) == f` for every variant —
-//!   see the exhaustive tests at the bottom.
-//!
-//! Version history:
-//!
-//! * **v1** — PR 8's implicit in-memory protocol (never written to a wire).
-//! * **v2** — adds the fabric frames [`StoreRequest::Replicate`] /
-//!   [`StoreRequest::ReplicateStamped`] and per-candidate epochs on
-//!   [`StoreResponse::Batch`] (a fabric client merges shard streams by
-//!   `(epoch, shard)`, so a page must say which epoch each candidate was
-//!   published in).
+//! [`StoreRequest`] / [`StoreResponse`] are the explicit wire enums, one
+//! variant per paged-session, publish or replication step. They are the only
+//! frame representation: the service, the clients and the fabric pass the
+//! enums through `orchestra-rt` channels and charge the network with each
+//! frame's *modelled* size ([`StoreRequest::frame_bytes`]); nothing encodes
+//! them to bytes yet. When real frames land (ROADMAP item 3) the byte codec
+//! is written fresh, in binary with its version byte, on
+//! `orchestra_storage::codec`'s varint primitives.
 
 use crate::api::{SessionId, SessionInfo};
 use crate::dht::{REQUEST_BYTES, UPDATE_BYTES};
 use orchestra_model::{CausalStamp, Epoch, ParticipantId, Transaction, TransactionId};
 use orchestra_recon::CandidateTransaction;
-use orchestra_storage::{Result, StorageError};
-use serde::{Deserialize, Serialize};
-
-/// The protocol version this build speaks; the first byte of every encoded
-/// frame.
-pub const PROTOCOL_VERSION: u8 = 2;
 
 /// A request frame: one paged-session, publish or replication protocol step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoreRequest {
     /// Open a reconciliation session (subject to admission control).
     Begin {
@@ -131,7 +108,7 @@ impl StoreRequest {
 }
 
 /// A response frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoreResponse {
     /// The session is open.
     Began(SessionInfo),
@@ -196,80 +173,14 @@ impl StoreResponse {
     }
 }
 
-fn malformed(detail: impl Into<String>) -> StorageError {
-    StorageError::Protocol {
-        expected: PROTOCOL_VERSION,
-        found: PROTOCOL_VERSION,
-        detail: detail.into(),
-    }
-}
-
-fn check_version(frame: &[u8]) -> Result<&[u8]> {
-    match frame.split_first() {
-        None => Err(StorageError::Protocol {
-            expected: PROTOCOL_VERSION,
-            found: 0,
-            detail: "empty frame".to_string(),
-        }),
-        Some((&version, _)) if version != PROTOCOL_VERSION => Err(StorageError::Protocol {
-            expected: PROTOCOL_VERSION,
-            found: version,
-            detail: "version mismatch".to_string(),
-        }),
-        Some((_, payload)) => Ok(payload),
-    }
-}
-
-fn encode<T: Serialize>(value: &T) -> Vec<u8> {
-    let body = serde_json::to_string(value).expect("protocol frames always serialise");
-    let mut frame = Vec::with_capacity(1 + body.len());
-    frame.push(PROTOCOL_VERSION);
-    frame.extend_from_slice(body.as_bytes());
-    frame
-}
-
-fn decode<T: Deserialize>(frame: &[u8]) -> Result<T> {
-    let payload = check_version(frame)?;
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| malformed(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| malformed(format!("malformed payload: {e}")))
-}
-
-/// Encodes a request frame: the version byte followed by a self-describing
-/// payload.
-pub fn encode_request(request: &StoreRequest) -> Vec<u8> {
-    encode(request)
-}
-
-/// Decodes a request frame, rejecting a mismatched version byte or a
-/// malformed payload with [`StorageError::Protocol`].
-pub fn decode_request(frame: &[u8]) -> Result<StoreRequest> {
-    decode(frame)
-}
-
-/// Encodes a response frame (same layout as [`encode_request`]).
-pub fn encode_response(response: &StoreResponse) -> Vec<u8> {
-    encode(response)
-}
-
-/// Decodes a response frame, rejecting a mismatched version byte or a
-/// malformed payload with [`StorageError::Protocol`].
-pub fn decode_response(frame: &[u8]) -> Result<StoreResponse> {
-    decode(frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orchestra_model::{AntichainClock, Priority, Tuple, Update};
+    use orchestra_model::{Priority, Tuple, Update};
     use std::sync::Arc;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
-    }
-
-    fn stamp(i: u32, seq: u64) -> CausalStamp {
-        CausalStamp::new(p(i), seq, AntichainClock::default())
     }
 
     fn txn(i: u32, j: u64) -> Transaction {
@@ -284,125 +195,6 @@ mod tests {
             priority: Priority::from(3u32),
             members: vec![(t.id(), Arc::new(t.updates().to_vec()))],
         }
-    }
-
-    fn sample_requests() -> Vec<StoreRequest> {
-        vec![
-            StoreRequest::Begin { participant: p(1) },
-            StoreRequest::NextBatch { session: SessionId(7), max_candidates: 16 },
-            StoreRequest::Commit {
-                session: SessionId(7),
-                accepted: vec![txn(1, 0).id()],
-                rejected: vec![txn(2, 0).id()],
-            },
-            StoreRequest::Abort { session: SessionId(7) },
-            StoreRequest::Publish { participant: p(1), transactions: vec![txn(1, 1)] },
-            StoreRequest::PublishStamped { stamp: stamp(1, 1), transactions: vec![txn(1, 2)] },
-            StoreRequest::Replicate {
-                participant: p(1),
-                epoch: Epoch(9),
-                transactions: vec![txn(1, 3)],
-            },
-            StoreRequest::ReplicateStamped {
-                stamp: stamp(1, 2),
-                epoch: Epoch(10),
-                transactions: vec![txn(1, 4)],
-            },
-        ]
-    }
-
-    fn sample_responses() -> Vec<StoreResponse> {
-        vec![
-            StoreResponse::Began(SessionInfo {
-                session: SessionId(7),
-                recno: orchestra_model::ReconciliationId(3),
-                epoch: Epoch(12),
-                pending: 5,
-            }),
-            StoreResponse::Batch { candidates: vec![candidate()], epochs: vec![Epoch(4)] },
-            StoreResponse::Committed,
-            StoreResponse::Aborted,
-            StoreResponse::Published(Epoch(13)),
-            StoreResponse::Busy,
-            StoreResponse::Failed("boom".to_string()),
-        ]
-    }
-
-    #[test]
-    fn every_request_variant_round_trips() {
-        let samples = sample_requests();
-        // Exhaustiveness guard: one sample per variant — extend this list
-        // when a variant is added (the match below fails to compile
-        // otherwise).
-        for request in &samples {
-            match request {
-                StoreRequest::Begin { .. }
-                | StoreRequest::NextBatch { .. }
-                | StoreRequest::Commit { .. }
-                | StoreRequest::Abort { .. }
-                | StoreRequest::Publish { .. }
-                | StoreRequest::PublishStamped { .. }
-                | StoreRequest::Replicate { .. }
-                | StoreRequest::ReplicateStamped { .. } => {}
-            }
-            let frame = encode_request(request);
-            assert_eq!(frame[0], PROTOCOL_VERSION);
-            assert_eq!(&decode_request(&frame).unwrap(), request);
-        }
-        assert_eq!(samples.len(), 8, "one sample per request variant");
-    }
-
-    #[test]
-    fn every_response_variant_round_trips() {
-        let samples = sample_responses();
-        for response in &samples {
-            match response {
-                StoreResponse::Began(_)
-                | StoreResponse::Batch { .. }
-                | StoreResponse::Committed
-                | StoreResponse::Aborted
-                | StoreResponse::Published(_)
-                | StoreResponse::Busy
-                | StoreResponse::Failed(_) => {}
-            }
-            let frame = encode_response(response);
-            assert_eq!(frame[0], PROTOCOL_VERSION);
-            assert_eq!(&decode_response(&frame).unwrap(), response);
-        }
-        assert_eq!(samples.len(), 7, "one sample per response variant");
-    }
-
-    #[test]
-    fn mismatched_versions_are_rejected_with_a_typed_error() {
-        let mut frame = encode_request(&StoreRequest::Begin { participant: p(1) });
-        frame[0] = PROTOCOL_VERSION + 1;
-        match decode_request(&frame) {
-            Err(StorageError::Protocol { expected, found, .. }) => {
-                assert_eq!(expected, PROTOCOL_VERSION);
-                assert_eq!(found, PROTOCOL_VERSION + 1);
-            }
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
-        // Same for responses, and for the empty frame.
-        let mut frame = encode_response(&StoreResponse::Busy);
-        frame[0] = 0;
-        assert!(matches!(decode_response(&frame), Err(StorageError::Protocol { found: 0, .. })));
-        assert!(matches!(decode_request(&[]), Err(StorageError::Protocol { found: 0, .. })));
-    }
-
-    #[test]
-    fn malformed_payloads_are_typed_errors_not_panics() {
-        let frame = [PROTOCOL_VERSION, b'{', b'o', b'o', b'p', b's'];
-        match decode_request(&frame) {
-            Err(StorageError::Protocol { detail, .. }) => {
-                assert!(detail.contains("malformed"), "got: {detail}");
-            }
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
-        // Valid JSON of the wrong shape is rejected the same way.
-        let mut frame = vec![PROTOCOL_VERSION];
-        frame.extend_from_slice(br#"{"NotAVariant":{}}"#);
-        assert!(matches!(decode_response(&frame), Err(StorageError::Protocol { .. })));
     }
 
     #[test]

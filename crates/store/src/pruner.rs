@@ -17,6 +17,7 @@
 
 use orchestra_obs::Obs;
 use orchestra_storage::{PruneReport, Result};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -26,6 +27,15 @@ use std::time::Duration;
 struct Signal {
     stopped: Mutex<bool>,
     wake: Condvar,
+}
+
+/// What the pruning thread has done so far, in constant space: the pruner
+/// exists to bound memory, so it keeps a count and the latest report, not a
+/// history.
+#[derive(Debug, Default)]
+struct Progress {
+    rounds: AtomicUsize,
+    last: Mutex<Option<Result<PruneReport>>>,
 }
 
 /// A background thread that prunes converged history on a fixed interval.
@@ -49,9 +59,7 @@ struct Signal {
 pub struct AutoPruner {
     signal: Arc<Signal>,
     thread: Option<JoinHandle<()>>,
-    /// Reports of completed prune rounds (errors are retained too, so an
-    /// operator can notice a persistently failing prune).
-    history: Arc<Mutex<Vec<Result<PruneReport>>>>,
+    progress: Arc<Progress>,
 }
 
 impl std::fmt::Debug for Signal {
@@ -72,9 +80,9 @@ impl AutoPruner {
         mut prune: impl FnMut() -> Result<PruneReport> + Send + 'static,
     ) -> AutoPruner {
         let signal = Arc::new(Signal { stopped: Mutex::new(false), wake: Condvar::new() });
-        let history: Arc<Mutex<Vec<Result<PruneReport>>>> = Arc::new(Mutex::new(Vec::new()));
+        let progress = Arc::new(Progress::default());
         let thread_signal = Arc::clone(&signal);
-        let thread_history = Arc::clone(&history);
+        let thread_progress = Arc::clone(&progress);
         let thread = std::thread::Builder::new()
             .name("orchestra-auto-pruner".to_string())
             .spawn(move || loop {
@@ -89,11 +97,14 @@ impl AutoPruner {
                 drop(stopped);
                 if timeout.timed_out() {
                     let report = prune();
-                    thread_history.lock().expect("pruner history").push(report);
+                    *thread_progress.last.lock().expect("pruner report") = Some(report);
+                    // After the report: a reader that saw round `n` counted
+                    // finds a report at least that recent.
+                    thread_progress.rounds.fetch_add(1, Ordering::SeqCst);
                 }
             })
             .expect("spawn auto-pruner thread");
-        AutoPruner { signal, thread: Some(thread), history }
+        AutoPruner { signal, thread: Some(thread), progress }
     }
 
     /// [`AutoPruner::spawn`] with observability: every round runs under a
@@ -121,12 +132,13 @@ impl AutoPruner {
 
     /// Number of prune rounds completed so far (including failed ones).
     pub fn rounds(&self) -> usize {
-        self.history.lock().expect("pruner history").len()
+        self.progress.rounds.load(Ordering::SeqCst)
     }
 
-    /// Drains the reports of completed prune rounds, oldest first.
-    pub fn take_reports(&self) -> Vec<Result<PruneReport>> {
-        std::mem::take(&mut *self.history.lock().expect("pruner history"))
+    /// The report of the most recent completed round (an error too, so an
+    /// operator can notice a failing prune); `None` before the first round.
+    pub fn last_report(&self) -> Option<Result<PruneReport>> {
+        self.progress.last.lock().expect("pruner report").clone()
     }
 
     /// Stops the thread and waits for it: any in-flight prune finishes, no
@@ -152,7 +164,6 @@ impl Drop for AutoPruner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn prunes_repeatedly_until_stopped() {
@@ -196,14 +207,22 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_collected_and_drainable() {
-        let pruner = AutoPruner::spawn(Duration::from_millis(3), || Ok(PruneReport::default()));
+    fn rounds_keep_counting_after_the_report_is_read() {
+        let pruner = AutoPruner::spawn(Duration::from_millis(3), || {
+            Ok(PruneReport { horizon: orchestra_model::Epoch(7), ..PruneReport::default() })
+        });
+        assert!(pruner.last_report().is_none(), "no round has run yet");
         while pruner.rounds() < 2 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let reports = pruner.take_reports();
-        assert!(reports.len() >= 2);
-        assert!(reports.iter().all(|r| r.is_ok()));
+        let report = pruner.last_report().expect("two rounds completed").expect("prune succeeds");
+        assert_eq!(report.horizon, orchestra_model::Epoch(7));
+        // Reading the report consumes nothing: the count only grows.
+        let seen = pruner.rounds();
+        assert!(seen >= 2);
+        while pruner.rounds() == seen {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         pruner.stop();
     }
 }

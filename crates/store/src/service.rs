@@ -46,7 +46,7 @@ use orchestra_recon::CandidateTransaction;
 use orchestra_rt::{
     channel, oneshot, LocalExecutor, OneshotSender, Receiver, Sender, VirtualClock,
 };
-use orchestra_storage::{PruneReport, Result, StorageError};
+use orchestra_storage::{Result, StorageError};
 use rustc_hash::FxHashSet;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -230,11 +230,10 @@ impl ServiceConfigBuilder {
 /// reply slot and the sender's overlay node (for reply-frame accounting).
 ///
 /// The envelope is deliberately *not* the wire shape: the wire shape is the
-/// versioned [`StoreRequest`] / [`StoreResponse`] enums of the
-/// [`protocol`](crate::protocol) module, which encode and decode
-/// independently of how frames travel. The envelope only exists because the
-/// simulated transport delivers frames through in-process channels and needs
-/// a reply slot; a socket transport would carry the encoded frames instead.
+/// [`StoreRequest`] / [`StoreResponse`] enums of the
+/// [`protocol`](crate::protocol) module. The envelope only exists because
+/// the simulated transport delivers frames through in-process channels and
+/// needs a reply slot; a socket transport would carry encoded frames instead.
 struct Envelope {
     from: NodeId,
     request: StoreRequest,
@@ -501,11 +500,6 @@ impl StoreService {
     /// Completed prune rounds of the attached pruner (`0` if none).
     pub fn prune_rounds(&self) -> usize {
         self.pruner.borrow().as_ref().map_or(0, AutoPruner::rounds)
-    }
-
-    /// Drains the attached pruner's reports (empty if none attached).
-    pub fn take_prune_reports(&self) -> Vec<Result<PruneReport>> {
-        self.pruner.borrow().as_ref().map_or_else(Vec::new, AutoPruner::take_reports)
     }
 
     /// Closes the service: drops the routes (workers exit once the queued

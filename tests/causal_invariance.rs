@@ -13,9 +13,9 @@
 //! * in one random linear extension over an ephemeral causal store (the
 //!   reference);
 //! * in a *different* random linear extension over a second ephemeral store;
-//! * in the second extension again over a *durable* store (binary or JSON
-//!   WAL codec) that crashes — drop the store, recover from disk — at an
-//!   arbitrary point of the publication stream.
+//! * in the second extension again over a *durable* store that crashes —
+//!   drop the store, recover from disk — at an arbitrary point of the
+//!   publication stream.
 //!
 //! Epoch numbers differ between extensions (arrival order assigns them),
 //! but decisions must not: after everyone reconciles, resolves every
@@ -23,15 +23,14 @@
 //! decision stream, the store's durable accept/reject sets, the final
 //! instances and the causal frontier must be identical across all three
 //! runs — and the recovered durable state must be byte-identical to the
-//! pre-crash one under either codec.
+//! pre-crash one.
 
 use orchestra::{Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
     AntichainClock, CausalStamp, ParticipantId, Transaction, TrustPolicy, Tuple, Update,
 };
-use orchestra_storage::Codec;
-use orchestra_store::{CentralStore, UpdateStore, WalOptions};
+use orchestra_store::{CentralStore, UpdateStore};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -255,7 +254,6 @@ proptest! {
         choices_a in prop::collection::vec(0usize..97, 24),
         choices_b in prop::collection::vec(0usize..97, 24),
         crash_at in 0usize..24,
-        codec_raw in 0u32..2,
     ) {
         let publications = build_dag(&spec);
         let order_a = linear_extension(&publications, &choices_a);
@@ -273,22 +271,17 @@ proptest! {
         let (other_store, other_clients, other_log) =
             run_extension(other_store, None, &publications, &order_b, usize::MAX);
 
-        // Extension B again, durable under the generated codec, crashing
-        // (and recovering byte-identically) at an arbitrary point.
-        let codec = if codec_raw == 0 { Codec::Binary } else { Codec::Json };
+        // Extension B again, durable, crashing (and recovering
+        // byte-identically) at an arbitrary point.
         let dir = scratch_dir();
-        let durable_store = CentralStore::durable_with(
-            bioinformatics_schema(),
-            &dir,
-            WalOptions { codec, per_shard: true },
-        )
-        .expect("fresh durability directory");
+        let durable_store = CentralStore::durable(bioinformatics_schema(), &dir)
+            .expect("fresh durability directory");
         setup(&durable_store);
         let (durable_store, durable_clients, durable_log) =
             run_extension(durable_store, Some(&dir), &publications, &order_b, crash_at);
 
         prop_assert_eq!(&other_log, &reference_log, "decision streams diverged across extensions");
-        prop_assert_eq!(&durable_log, &reference_log, "decision streams diverged across codecs");
+        prop_assert_eq!(&durable_log, &reference_log, "decision streams diverged across the crash");
         prop_assert_eq!(
             decision_sets(&other_store),
             decision_sets(&reference_store),

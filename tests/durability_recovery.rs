@@ -16,18 +16,10 @@
 use orchestra::{CdssSystem, Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, TrustPolicy, Tuple, Update};
-use orchestra_store::{CentralStore, Codec, RetentionPolicy, WalOptions};
+use orchestra_store::{CentralStore, RetentionPolicy};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The codec × segment-layout matrix every recovery property must hold over.
-const LAYOUTS: [WalOptions; 4] = [
-    WalOptions { codec: Codec::Binary, per_shard: true },
-    WalOptions { codec: Codec::Binary, per_shard: false },
-    WalOptions { codec: Codec::Json, per_shard: true },
-    WalOptions { codec: Codec::Json, per_shard: false },
-];
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -187,11 +179,9 @@ proptest! {
         steps in prop::collection::vec(step_strategy(), 4..40),
         crash_at in 0usize..40,
         snapshot_raw in 0usize..60,
-        layout in 0usize..4,
     ) {
         let crash_at = crash_at.min(steps.len());
         let snapshot_at = (snapshot_raw < 40).then_some(snapshot_raw);
-        let options = LAYOUTS[layout];
 
         // Uninterrupted reference run (ephemeral store).
         let mut reference = fresh_system(CentralStore::new(bioinformatics_schema()));
@@ -204,8 +194,7 @@ proptest! {
         // `snapshot_at` if that lands before the crash).
         let dir = scratch_dir();
         let mut system = fresh_system(
-            CentralStore::durable_with(bioinformatics_schema(), &dir, options)
-                .expect("fresh dir"),
+            CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh dir"),
         );
         let mut log = Vec::new();
         for (i, step) in steps[..crash_at].iter().enumerate() {
@@ -284,9 +273,8 @@ fn recovery_is_idempotent() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A fixed, conflict-bearing schedule used by the cross-layout tests: every
-/// run of it is deterministic, so durable state may be compared across
-/// codecs and segment layouts.
+/// A fixed, conflict-bearing schedule: every run of it is deterministic, so
+/// durable state may be compared across runs.
 fn fixed_schedule() -> Vec<Step> {
     vec![
         Step::Publish { who: 1, key: 0, value: 0 },
@@ -305,154 +293,120 @@ fn fixed_schedule() -> Vec<Step> {
     ]
 }
 
-/// The same schedule written through every codec × layout combination
-/// recovers to the same catalogue (the `Debug` fingerprint excludes the
-/// durability backend, so the comparison is across layouts) with the same
-/// decision stream — the per-shard segmented layout is byte-equivalent to
-/// the single-segment one, in both codecs.
-#[test]
-fn every_layout_recovers_the_same_catalogue() {
-    let mut outcomes: Vec<(String, Vec<String>)> = Vec::new();
-    for options in LAYOUTS {
-        let dir = scratch_dir();
-        let mut system = fresh_system(
-            CentralStore::durable_with(bioinformatics_schema(), &dir, options).expect("fresh dir"),
-        );
-        let mut log = Vec::new();
-        for step in fixed_schedule() {
-            apply_step(&mut system, &step, &mut log);
-        }
-        let fingerprint = format!("{:?}", system.store().catalog());
-        drop(system);
-        let recovered = CentralStore::recover(&dir).expect("recovery");
-        assert_eq!(format!("{:?}", recovered.catalog()), fingerprint, "{options:?} diverged");
-        outcomes.push((fingerprint, log));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    for pair in outcomes.windows(2) {
-        assert_eq!(pair[0], pair[1], "layouts disagreed");
-    }
-}
-
-/// Prune-then-crash and crash-then-prune reach the same durable state in
-/// every codec × layout combination (the `Prune` record does not persist the
-/// pinned-ancestor closure, so this checks replay re-derives it identically
-/// through the segmented merge path too).
-#[test]
-fn pruning_commutes_with_recovery_across_layouts() {
-    for options in LAYOUTS {
-        let dir_a = scratch_dir();
-        let mut system = fresh_system(
-            CentralStore::durable_with(bioinformatics_schema(), &dir_a, options)
-                .expect("fresh dir"),
-        );
-        let mut log = Vec::new();
-        for step in fixed_schedule() {
-            apply_step(&mut system, &step, &mut log);
-        }
-        system.store().set_retention(RetentionPolicy::ConvergedOnly);
-        let report_a = system.store().prune_to_horizon().expect("prune");
-        drop(system);
-        let recovered_a = CentralStore::recover(&dir_a).expect("recovery after prune");
-
-        let dir_b = scratch_dir();
-        let mut system = fresh_system(
-            CentralStore::durable_with(bioinformatics_schema(), &dir_b, options)
-                .expect("fresh dir"),
-        );
-        let mut log = Vec::new();
-        for step in fixed_schedule() {
-            apply_step(&mut system, &step, &mut log);
-        }
-        drop(system);
-        let recovered_b = CentralStore::recover(&dir_b).expect("recovery before prune");
-        recovered_b.set_retention(RetentionPolicy::ConvergedOnly);
-        let report_b = recovered_b.prune_to_horizon().expect("prune after recovery");
-
-        assert_eq!(report_a.is_noop(), report_b.is_noop(), "{options:?}");
-        assert_eq!(
-            format!("{:?}", recovered_a.catalog()),
-            format!("{:?}", recovered_b.catalog()),
-            "{options:?}: prune and recovery do not commute"
-        );
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
-    }
-}
-
-/// Switching the codec on a live store (JSON inspection mode ↔ binary)
-/// recovers byte-identically whether the switch lands mid-generation (a
-/// mixed-codec generation, sniffed per record) or is followed by a snapshot
-/// (a cross-codec generation boundary). The recovered backend keeps writing
-/// in the codec the directory last used.
-#[test]
-fn codec_switches_recover_across_generations() {
-    for (first, second) in [(Codec::Json, Codec::Binary), (Codec::Binary, Codec::Json)] {
-        for snapshot_after_switch in [false, true] {
-            let dir = scratch_dir();
-            let options = WalOptions { codec: first, per_shard: true };
-            let mut system = fresh_system(
-                CentralStore::durable_with(bioinformatics_schema(), &dir, options)
-                    .expect("fresh dir"),
-            );
-            let mut log = Vec::new();
-            apply_step(&mut system, &Step::Publish { who: 1, key: 0, value: 0 }, &mut log);
-            apply_step(&mut system, &Step::Reconcile { who: 2 }, &mut log);
-            system
-                .store()
-                .catalog()
-                .durability()
-                .file_backend()
-                .expect("durable")
-                .set_codec(second);
-            apply_step(&mut system, &Step::Publish { who: 2, key: 1, value: 1 }, &mut log);
-            if snapshot_after_switch {
-                system.store().snapshot().expect("snapshot succeeds");
-            }
-            apply_step(&mut system, &Step::Reconcile { who: 1 }, &mut log);
-            let fingerprint = format!("{:?}", system.store().catalog());
-            drop(system);
-
-            let recovered = CentralStore::recover(&dir).expect("recovery");
-            assert_eq!(format!("{:?}", recovered.catalog()), fingerprint);
-            let backend = recovered.catalog().durability().file_backend().expect("durable");
-            // With a snapshot the whole surviving generation is in `second`;
-            // without one the generation starts in `first` and recovery keeps
-            // the directory's original configured codec.
-            let expected = if snapshot_after_switch { second } else { first };
-            assert_eq!(backend.codec(), expected);
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-}
-
-/// The compacting snapshot round-trips through both codecs: re-encoding the
-/// recovered snapshot either way decodes to the same state, and each
-/// encoding sniffs back to its own codec.
-#[test]
-fn snapshot_round_trips_through_both_codecs() {
-    let dir = scratch_dir();
-    let mut system =
-        fresh_system(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh dir"));
+/// Runs the fixed schedule on `store`; returns the system and its decision
+/// stream.
+fn run_fixed_schedule(store: CentralStore) -> (CdssSystem<CentralStore>, Vec<String>) {
+    let mut system = fresh_system(store);
     let mut log = Vec::new();
     for step in fixed_schedule() {
         apply_step(&mut system, &step, &mut log);
     }
+    (system, log)
+}
+
+/// The fixed schedule written through the WAL recovers to the catalogue the
+/// live store held, and that catalogue and its decision stream are the ones
+/// an ephemeral store reaches (the `Debug` fingerprint excludes the
+/// durability backend): writing the per-participant segments changes nothing
+/// a participant can observe.
+#[test]
+fn the_durable_layout_recovers_the_same_catalogue() {
+    let dir = scratch_dir();
+    let (system, log) =
+        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh"));
+    let fingerprint = format!("{:?}", system.store().catalog());
+    drop(system);
+    let recovered = CentralStore::recover(&dir).expect("recovery");
+    assert_eq!(format!("{:?}", recovered.catalog()), fingerprint, "recovery diverged");
+
+    let (ephemeral, ephemeral_log) = run_fixed_schedule(CentralStore::new(bioinformatics_schema()));
+    assert_eq!(format!("{:?}", ephemeral.store().catalog()), fingerprint);
+    assert_eq!(ephemeral_log, log);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Prune-then-crash and crash-then-prune reach the same durable state (the
+/// `Prune` record does not persist the pinned-ancestor closure, so this
+/// checks replay re-derives it identically through the segmented merge
+/// path).
+#[test]
+fn pruning_commutes_with_recovery() {
+    let dir_a = scratch_dir();
+    let (system, _) =
+        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir_a).expect("fresh"));
+    system.store().set_retention(RetentionPolicy::ConvergedOnly);
+    let report_a = system.store().prune_to_horizon().expect("prune");
+    drop(system);
+    let recovered_a = CentralStore::recover(&dir_a).expect("recovery after prune");
+
+    let dir_b = scratch_dir();
+    let (system, _) =
+        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir_b).expect("fresh"));
+    drop(system);
+    let recovered_b = CentralStore::recover(&dir_b).expect("recovery before prune");
+    recovered_b.set_retention(RetentionPolicy::ConvergedOnly);
+    let report_b = recovered_b.prune_to_horizon().expect("prune after recovery");
+
+    assert_eq!(report_a.is_noop(), report_b.is_noop());
+    assert_eq!(
+        format!("{:?}", recovered_a.catalog()),
+        format!("{:?}", recovered_b.catalog()),
+        "prune and recovery do not commute"
+    );
+    std::fs::remove_dir_all(&dir_a).ok();
+    std::fs::remove_dir_all(&dir_b).ok();
+}
+
+/// A directory holding a frame that is intact (length and CRC hold) but
+/// whose record does not start with the codec's magic byte — here the JSON
+/// text the removed debug codec wrote — is refused with a typed error, for
+/// the WAL and for the snapshot alike. It is not a second format to sniff,
+/// and it is not a torn tail to truncate silently.
+#[test]
+fn recovery_refuses_a_frame_without_the_magic_byte() {
+    use orchestra_storage::wal::encode_frame;
+    use orchestra_storage::StorageError;
+
+    // A generation-0 log whose only frame is a stamped JSON `Init` record.
+    let dir = scratch_dir();
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut payload = vec![0, 0, 0, 0]; // stamp: epoch 0, seq 0, no causal id
+    payload.extend_from_slice(br#"{"Init":{"schema":{"relations":[],"constraints":[]}}}"#);
+    std::fs::write(dir.join("wal.0.log"), encode_frame(&payload)).expect("write segment");
+    assert!(matches!(CentralStore::recover(&dir), Err(StorageError::Persistence(_))));
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A healthy directory whose snapshot is replaced by a JSON one.
+    let dir = scratch_dir();
+    let (system, _) =
+        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh"));
+    system.store().snapshot().expect("snapshot succeeds");
+    drop(system);
+    CentralStore::recover(&dir).expect("the binary snapshot recovers");
+    let json = br#"{"schema":{"relations":[],"constraints":[]},"wal_generation":1}"#;
+    std::fs::write(orchestra_storage::snapshot::snapshot_path(&dir), encode_frame(json))
+        .expect("write snapshot");
+    assert!(matches!(CentralStore::recover(&dir), Err(StorageError::Persistence(_))));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The compacting snapshot round-trips through the codec: re-encoding the
+/// snapshot read back from disk decodes to the same state, byte for byte.
+#[test]
+fn snapshot_round_trips_through_the_codec() {
+    let dir = scratch_dir();
+    let (system, _) =
+        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh"));
     system.store().snapshot().expect("snapshot succeeds");
     drop(system);
 
-    let (snapshot, codec) = orchestra_storage::snapshot::read_snapshot_with_codec(&dir)
+    let snapshot = orchestra_storage::snapshot::read_snapshot(&dir)
         .expect("snapshot reads")
         .expect("snapshot present");
-    assert_eq!(codec, Codec::Binary, "default codec");
-    let reference = format!("{snapshot:?}");
-    for codec in [Codec::Binary, Codec::Json] {
-        let bytes = orchestra_storage::codec::encode_snapshot(&snapshot, codec).expect("encodes");
-        let (decoded, sniffed) =
-            orchestra_storage::codec::decode_snapshot(&bytes).expect("decodes");
-        assert_eq!(sniffed, codec);
-        assert_eq!(format!("{decoded:?}"), reference);
-    }
+    let bytes = orchestra_storage::codec::encode_snapshot(&snapshot);
+    let decoded = orchestra_storage::codec::decode_snapshot(&bytes).expect("decodes");
+    assert_eq!(format!("{decoded:?}"), format!("{snapshot:?}"));
+    assert_eq!(orchestra_storage::codec::encode_snapshot(&decoded), bytes);
     std::fs::remove_dir_all(&dir).ok();
 }
 

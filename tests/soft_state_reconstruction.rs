@@ -1,13 +1,12 @@
 //! The paper's soft-state claim: everything a participant needs besides its
 //! trust policy lives in the update store, so a participant that lost its
 //! local state can be reconstructed by reconciling from scratch against the
-//! store. These tests exercise that claim and the JSON persistence of
-//! instances.
+//! store. These tests exercise that claim and the hand-over of an instance
+//! to a new participant.
 
 use orchestra::{Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, TrustPolicy, Tuple, Update};
-use orchestra_storage::persist;
 use orchestra_store::{CentralStore, UpdateStore};
 
 fn p(i: u32) -> ParticipantId {
@@ -91,7 +90,7 @@ fn a_participant_can_be_rebuilt_from_the_update_store() {
 }
 
 #[test]
-fn instances_round_trip_through_json_persistence() {
+fn a_participant_resumes_from_a_handed_over_instance() {
     let schema = bioinformatics_schema();
     let store = CentralStore::new(schema.clone());
     let pols = policies(2);
@@ -106,14 +105,13 @@ fn instances_round_trip_through_json_persistence() {
     .unwrap();
     p1.publish_and_reconcile(&store).unwrap();
 
-    // Persist, reload, and hand the instance to a new participant as its
-    // initial state.
-    let json = persist::database_to_json(p1.instance()).unwrap();
-    let restored = persist::database_from_json(&json).unwrap();
-    assert_eq!(&restored, p1.instance());
-
-    let resumed =
-        Participant::new(schema, ParticipantConfig::new(pols[0].clone()).with_instance(restored));
+    // Hand a copy of the instance to a new participant as its initial state
+    // (a durable copy is `checkpoint_to_store`'s job).
+    let handed_over = p1.instance().clone();
+    let resumed = Participant::new(
+        schema,
+        ParticipantConfig::new(pols[0].clone()).with_instance(handed_over),
+    );
     assert_eq!(
         resumed.instance().relation_contents("Function"),
         p1.instance().relation_contents("Function")

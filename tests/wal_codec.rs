@@ -1,6 +1,5 @@
-//! Property tests of the WAL codecs: arbitrary records and snapshots must
-//! round-trip byte-exactly through both the length-prefixed binary codec and
-//! the JSON debug codec, the binary encoding must actually be smaller, and
+//! Property tests of the WAL codec: arbitrary records must round-trip
+//! byte-exactly through the binary codec, encoding must be deterministic, and
 //! the CRC framing must turn torn tails and bit flips into clean truncation —
 //! never into a silently wrong record.
 
@@ -9,9 +8,8 @@ use orchestra_model::{
     AcceptanceRule, Epoch, ParticipantId, Predicate, ReconciliationId, Schema, Transaction,
     TransactionId, TrustPolicy, Tuple, Update, UpdateKind, Value,
 };
-use orchestra_storage::codec::{decode_record, encode_record, payload_codec};
+use orchestra_storage::codec::{decode_record, encode_record, Codec};
 use orchestra_storage::wal::{decode_frames, encode_frame, WalRecord};
-use orchestra_storage::Codec;
 use proptest::prelude::*;
 
 fn pid() -> impl Strategy<Value = ParticipantId> {
@@ -27,8 +25,8 @@ fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (0u32..1).prop_map(|_| Value::Null),
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
-        // Eighths keep the floats exact in both codecs (no NaN, no rounding),
-        // while still exercising non-integer bit patterns.
+        // Eighths compare equal after the round trip (no NaN) while still
+        // exercising non-integer bit patterns.
         (-40_000i64..40_000).prop_map(|n| Value::Float(n as f64 / 8.0)),
         word().prop_map(Value::Text),
         (0u32..2).prop_map(|b| Value::Bool(b == 1)),
@@ -149,24 +147,11 @@ fn record() -> impl Strategy<Value = WalRecord> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Every record round-trips byte-exactly through both codecs, each
-    /// encoding is sniffed back to the codec that produced it, and the
-    /// binary encoding is strictly smaller than the JSON one.
+    /// Every record round-trips through the codec.
     #[test]
-    fn records_round_trip_through_both_codecs(record in record()) {
-        let binary = encode_record(&record, Codec::Binary);
-        let json = encode_record(&record, Codec::Json);
-        prop_assert_eq!(payload_codec(&binary), Codec::Binary);
-        prop_assert_eq!(payload_codec(&json), Codec::Json);
-        prop_assert_eq!(&decode_record(&binary).expect("binary decodes"), &record);
-        prop_assert_eq!(&decode_record(&json).expect("json decodes"), &record);
-        prop_assert!(
-            binary.len() < json.len(),
-            "binary ({}) not smaller than json ({}) for {:?}",
-            binary.len(),
-            json.len(),
-            record
-        );
+    fn records_round_trip(record in record()) {
+        let payload = encode_record(&record, Codec::Binary);
+        prop_assert_eq!(&decode_record(&payload).expect("decodes"), &record);
     }
 
     /// Encoding is deterministic: two encodes of one record are identical,
@@ -211,13 +196,11 @@ proptest! {
     fn bit_flips_are_caught_by_the_crc(
         records in prop::collection::vec(record(), 1..6),
         flip_seed in 0usize..100_000,
-        codec_json in 0u32..2,
     ) {
-        let codec = if codec_json == 1 { Codec::Json } else { Codec::Binary };
         let mut bytes = Vec::new();
         let mut boundaries = Vec::new();
         for record in &records {
-            bytes.extend_from_slice(&encode_frame(&encode_record(record, codec)));
+            bytes.extend_from_slice(&encode_frame(&encode_record(record, Codec::Binary)));
             boundaries.push(bytes.len());
         }
         let flip_at = flip_seed % (bytes.len() * 8);
