@@ -110,9 +110,9 @@ pub struct SessionInfo {
     /// transactions published after the participant's previous reconciliation
     /// epoch up to and including this one.
     pub epoch: Epoch,
-    /// Upper bound on the number of candidates the session will stream
-    /// (undecided relevant entries pinned at open; untrusted entries are
-    /// filtered out batch-side and make the actual count smaller).
+    /// The number of candidates the session will stream: the undecided
+    /// entries pinned at open, every one trusted by the participant's policy
+    /// (untrusted transactions are never offered, so never counted).
     pub pending: usize,
 }
 

@@ -28,24 +28,40 @@
 //!   catalogue byte-identical.
 //!
 //! Lock order is strictly `log → shard map → shard`, with the session table
-//! innermost: it may be taken while catalogue locks are held (session open
-//! does, so a new session is visible to a concurrent prune before the log
-//! lock is released), but no catalogue lock is ever acquired while holding
-//! it. That discipline makes the catalogue deadlock-free by construction.
+//! and the trust index innermost: either may be taken while catalogue locks
+//! are held (session open does, so a new session is visible to a concurrent
+//! prune before the log lock is released; registration and retirement update
+//! the index under the shard lock, so it always describes the shard's
+//! current policy), but no catalogue lock is ever acquired while holding
+//! one of them. That discipline makes the catalogue deadlock-free by
+//! construction.
 //!
 //! # Incremental, paged retrieval
 //!
 //! Reconciliation cost must scale with the *new* epochs a participant has not
 //! yet seen, not with total history. Each shard therefore maintains a
-//! per-epoch, trust-evaluated relevance index (extended at publication time,
-//! exactly where the paper pushes trust-predicate evaluation into the store)
-//! and an epoch cursor advanced at session commit. Opening a session pins the
-//! undecided `(transaction, priority)` entries between the cursor and the
-//! session epoch; [`StoreCatalog::batch`] then materialises candidate
-//! extensions page by page, sharing the log's update lists by reference count
-//! — peak memory is bounded by the page size, not by history. The pre-cursor
-//! full-log path survives as the `rescan` session mode, the tests' reference
-//! route for this one ([`crate::RetrievalMode::RescanBaseline`] names them).
+//! per-epoch, trust-evaluated relevance index and an epoch cursor advanced at
+//! session commit. The index is extended at publication time, exactly where
+//! the paper pushes trust-predicate evaluation into the store, and holds
+//! **trusted entries only**: nothing downstream — the session filter, the
+//! convergence horizon, the deferred-set recovery stream — ever reads an
+//! untrusted one. A publish does not visit every shard either. The trust
+//! mappings are known before any data flows, so the catalogue keeps their
+//! reverse adjacency (`TrustIndex`: update origin → the shards whose policy
+//! holds a positive rule that can match an update of that origin, plus the
+//! shards holding a positive rule no origin set bounds) and evaluates the
+//! real policy on those shards alone. That is complete: a transaction is
+//! trusted only if every one of its updates is, every update of a
+//! transaction carries the transaction's origin, and a policy outside the
+//! visited set has no positive rule that can match an update of that origin.
+//!
+//! Opening a session pins the undecided `(transaction, priority)` entries
+//! between the cursor and the session epoch; [`StoreCatalog::batch`] then
+//! materialises candidate extensions page by page, sharing the log's update
+//! lists by reference count — peak memory is bounded by the page size, not
+//! by history. The pre-cursor full-log path survives as the `rescan` session
+//! mode, the tests' reference route for this one
+//! ([`crate::RetrievalMode::RescanBaseline`] names them).
 //!
 //! # Convergence-horizon retention
 //!
@@ -68,8 +84,8 @@
 use crate::api::{SessionId, SessionInfo};
 use crate::durability::{Durability, FileWalBackend};
 use orchestra_model::{
-    AntichainClock, CausalStamp, Epoch, ParticipantId, Priority, ReconciliationId, Schema,
-    Transaction, TransactionId, TrustPolicy,
+    AntichainClock, CausalStamp, Epoch, ParticipantId, Predicate, Priority, ReconciliationId,
+    Schema, Transaction, TransactionId, TrustPolicy,
 };
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::snapshot::{self, ParticipantSnapshot, StoreSnapshot};
@@ -85,11 +101,169 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// One entry of the per-epoch relevance index: a transaction some participant
-/// may need to consider, with the priority its policy assigned at publication
-/// time. Untrusted entries are kept (with [`Priority::UNTRUSTED`]) because the
-/// DHT cost model still charges a request/notification round trip for them.
+/// One entry of the per-epoch relevance index: a transaction the participant
+/// trusts, with the (non-zero) priority its policy assigned at publication
+/// time. Untrusted transactions are never stored: no reader of the index
+/// wants them, and the one consumer that counts them — the DHT store's
+/// Figure 7 accounting — asks [`StoreCatalog::untrusted_undecided`] instead.
 type RelevanceEntry = (TransactionId, Priority);
+
+/// Appends the update origins a predicate can match to `out`, or returns
+/// `false` when no finite set bounds them (`out` is then meaningless). An
+/// over-approximation read off the predicate's shape, never an evaluation —
+/// `And` intersects its bounded children (none bounded: unbounded), `Or` is
+/// unbounded as soon as one child is, and everything that does not name an
+/// origin (`Not` included) is unbounded.
+fn bounded_origins(predicate: &Predicate, out: &mut Vec<ParticipantId>) -> bool {
+    match predicate {
+        Predicate::False => true,
+        Predicate::FromParticipant(p) => {
+            out.push(*p);
+            true
+        }
+        Predicate::FromAnyOf(ps) => {
+            out.extend_from_slice(ps);
+            true
+        }
+        Predicate::Or(children) => children.iter().all(|child| bounded_origins(child, out)),
+        Predicate::And(children) => {
+            let mut meet: Option<Vec<ParticipantId>> = None;
+            for child in children {
+                let mut origins = Vec::new();
+                if bounded_origins(child, &mut origins) {
+                    if let Some(meet) = &mut meet {
+                        meet.retain(|p| origins.contains(p));
+                    } else {
+                        meet = Some(origins);
+                    }
+                }
+            }
+            match meet {
+                Some(meet) => {
+                    out.extend(meet);
+                    true
+                }
+                None => false,
+            }
+        }
+        Predicate::True
+        | Predicate::OverRelation(_)
+        | Predicate::OfKind(_)
+        | Predicate::WritesValue { .. }
+        | Predicate::Not(_) => false,
+    }
+}
+
+/// The update origins a policy can give a non-zero priority, sorted and
+/// distinct: the union over its positive rules (zero-priority rules trust
+/// nothing), `None` when one of them is unbounded. The owner's own updates
+/// are not listed — a participant is never offered its own transactions.
+fn trusted_origins(policy: &TrustPolicy) -> Option<Vec<ParticipantId>> {
+    let mut origins = Vec::new();
+    for rule in policy.rules().iter().filter(|rule| rule.priority.is_trusted()) {
+        if !bounded_origins(&rule.predicate, &mut origins) {
+            return None;
+        }
+    }
+    origins.sort_unstable();
+    origins.dedup();
+    Some(origins)
+}
+
+/// A participant's shard as the shard map and the trust index share it.
+type SharedShard = Arc<RwLock<ParticipantShard>>;
+
+/// Reverse adjacency of the registered trust mappings: who has to look at a
+/// publish. Derived state, maintained at registration and retirement in
+/// O(rules of the one policy) — the edges a policy contributed are re-read
+/// from the policy itself when it is replaced — and rebuilt from the shards
+/// by [`StoreCatalog::from_snapshot`] and `Clone`. Owners are listed with
+/// their shard, so a publish reaches them without the shard map.
+#[derive(Debug, Default)]
+struct TrustIndex {
+    /// Update origin → owners of the registered policies holding a positive
+    /// rule that can match an update of that origin.
+    by_origin: FxHashMap<ParticipantId, BTreeMap<ParticipantId, SharedShard>>,
+    /// Owners of the registered policies holding a positive rule whose
+    /// origins cannot be bounded: every publish evaluates them.
+    any_origin: BTreeMap<ParticipantId, SharedShard>,
+}
+
+impl TrustIndex {
+    /// The index over the registered shards of a freshly built shard map.
+    fn over(shards: &FxHashMap<ParticipantId, SharedShard>) -> Self {
+        let mut index = TrustIndex::default();
+        for shard in shards.values() {
+            let guard = shard.read().expect("shard lock");
+            if guard.registered {
+                index.insert(&guard.policy, shard);
+            }
+        }
+        index
+    }
+
+    fn insert(&mut self, policy: &TrustPolicy, shard: &SharedShard) {
+        match trusted_origins(policy) {
+            None => {
+                self.any_origin.insert(policy.owner(), Arc::clone(shard));
+            }
+            Some(origins) => {
+                for origin in origins {
+                    self.by_origin
+                        .entry(origin)
+                        .or_default()
+                        .insert(policy.owner(), Arc::clone(shard));
+                }
+            }
+        }
+    }
+
+    /// Removes exactly the edges `insert(policy, _)` added.
+    fn remove(&mut self, policy: &TrustPolicy) {
+        match trusted_origins(policy) {
+            None => {
+                self.any_origin.remove(&policy.owner());
+            }
+            Some(origins) => {
+                for origin in origins {
+                    if let Some(owners) = self.by_origin.get_mut(&origin) {
+                        owners.remove(&policy.owner());
+                        if owners.is_empty() {
+                            self.by_origin.remove(&origin);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The shards that may trust a transaction of one of `origins`, each
+    /// once: a superset of those whose policy gives it a non-zero priority.
+    fn candidates(
+        &self,
+        origins: impl Iterator<Item = ParticipantId>,
+    ) -> Vec<(ParticipantId, SharedShard)> {
+        let mut out: Vec<(ParticipantId, SharedShard)> = Vec::new();
+        let mut list = |owners: &BTreeMap<ParticipantId, SharedShard>| {
+            out.extend(owners.iter().map(|(id, shard)| (*id, Arc::clone(shard))));
+        };
+        list(&self.any_origin);
+        let mut seen: Vec<ParticipantId> = Vec::new();
+        for origin in origins {
+            if !seen.contains(&origin) {
+                seen.push(origin);
+                self.by_origin.get(&origin).into_iter().for_each(&mut list);
+            }
+        }
+        // A shard is listed once per origin it trusts, so only a batch of
+        // several origins can list one twice.
+        if seen.len() > 1 {
+            out.sort_unstable_by_key(|(id, _)| *id);
+            out.dedup_by_key(|(id, _)| *id);
+        }
+        out
+    }
+}
 
 /// The globally shared shard: epoch registry plus publication log, plus the
 /// retention frontiers (all durable state — rendered by the canonical
@@ -172,8 +346,7 @@ struct SessionState {
     /// (Defence in depth: the horizon is also capped by the owner's cursor,
     /// which cannot move while its one allowed session is open.)
     previous: Epoch,
-    /// Undecided relevant entries pinned at open, in publication order
-    /// (untrusted entries included for the DHT notification accounting).
+    /// Undecided trusted entries pinned at open, in publication order.
     pending: Vec<RelevanceEntry>,
     /// Streaming position inside `pending`.
     next: usize,
@@ -195,7 +368,7 @@ pub struct OpenedSession {
     pub previous: Epoch,
     /// Epoch the session is pinned to (inclusive upper bound).
     pub epoch: Epoch,
-    /// Number of pinned undecided entries (trusted and untrusted).
+    /// Number of pinned undecided entries — every one a trusted candidate.
     pub pending: usize,
 }
 
@@ -217,12 +390,9 @@ impl OpenedSession {
 pub struct SessionBatch {
     /// The session's participant.
     pub participant: ParticipantId,
-    /// Trusted candidates with, for each, the number of extension members
+    /// The page's candidates with, for each, the number of extension members
     /// that had to be fetched (used by the DHT store's message accounting).
     pub candidates: Vec<(CandidateTransaction, usize)>,
-    /// Untrusted entries consumed by this page — no candidate travels, but
-    /// the DHT cost model charges a request/notification round trip each.
-    pub untrusted: Vec<TransactionId>,
     /// True once the session has streamed every pinned entry.
     pub exhausted: bool,
 }
@@ -231,7 +401,11 @@ pub struct SessionBatch {
 pub struct StoreCatalog {
     schema: Schema,
     log: RwLock<LogShard>,
-    shards: RwLock<FxHashMap<ParticipantId, Arc<RwLock<ParticipantShard>>>>,
+    shards: RwLock<FxHashMap<ParticipantId, SharedShard>>,
+    /// Who has to look at a publish (see [`TrustIndex`]). Written under the
+    /// owning shard's write lock, read by publishes under the log write
+    /// lock; never held while another lock is acquired.
+    trust: Mutex<TrustIndex>,
     sessions: Mutex<FxHashMap<u64, SessionState>>,
     next_session: AtomicU64,
     /// Where state-changing operations are logged (see [`Durability`]).
@@ -256,6 +430,7 @@ impl StoreCatalog {
             schema,
             log: RwLock::new(LogShard::default()),
             shards: RwLock::new(FxHashMap::default()),
+            trust: Mutex::new(TrustIndex::default()),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
             durability,
@@ -341,14 +516,14 @@ impl StoreCatalog {
         self.log.read().expect("log lock").registry.largest_stable_epoch()
     }
 
-    fn shard_of(&self, participant: ParticipantId) -> Option<Arc<RwLock<ParticipantShard>>> {
+    fn shard_of(&self, participant: ParticipantId) -> Option<SharedShard> {
         self.shards.read().expect("shard map lock").get(&participant).cloned()
     }
 
     /// The shard for a participant, auto-created (unregistered, empty policy)
     /// if missing — a publisher or reconciler does not have to register a
     /// trust policy to own a decision record.
-    fn ensure_shard(&self, participant: ParticipantId) -> Arc<RwLock<ParticipantShard>> {
+    fn ensure_shard(&self, participant: ParticipantId) -> SharedShard {
         if let Some(shard) = self.shard_of(participant) {
             return shard;
         }
@@ -377,8 +552,8 @@ impl StoreCatalog {
         let log = self.log.read().expect("log lock");
         let record = (durable && self.durability.is_durable())
             .then(|| WalRecord::RegisterPolicy { policy: policy.clone() });
-        let shard = self.ensure_shard(participant);
-        let mut shard = shard.write().expect("shard lock");
+        let shared = self.ensure_shard(participant);
+        let mut shard = shared.write().expect("shard lock");
         // Every registration — first-time, rejoin after retirement, or a
         // policy replacement — sees only history above the membership
         // frontier (clamped to the epochs that actually exist): it joins
@@ -399,6 +574,16 @@ impl StoreCatalog {
         let floor = joined.max(log.pruned_through);
         shard.relevance = relevance_slice(&log.log, &self.schema, &policy, floor);
         shard.relevance_floor = floor;
+        {
+            // Inside the shard write lock, so two racing registrations of one
+            // participant leave the index describing whichever policy the
+            // shard ends up holding. A replacement drops the stale edges.
+            let mut trust = self.trust.lock().expect("trust index lock");
+            if shard.registered {
+                trust.remove(&shard.policy);
+            }
+            trust.insert(&policy, &shared);
+        }
         shard.policy = policy;
         shard.registered = true;
         shard.retired = false;
@@ -431,10 +616,11 @@ impl StoreCatalog {
     }
 
     /// Publishes a batch of transactions from a peer as one epoch, marking
-    /// the publisher's own transactions as accepted by it and extending every
-    /// registered participant's relevance index with the new epoch's trust
-    /// evaluation. Publishes serialise on the log shard's write lock; they
-    /// run in parallel with session paging only up to that lock.
+    /// the publisher's own transactions as accepted by it and extending the
+    /// relevance index of every registered participant that trusts one of
+    /// them with the new epoch's trust evaluation. Publishes serialise on the
+    /// log shard's write lock; they run in parallel with session paging only
+    /// up to that lock.
     pub fn publish(
         &self,
         participant: ParticipantId,
@@ -549,10 +735,17 @@ impl StoreCatalog {
         // load derives it) instead of re-evaluating trust shard by shard at
         // every replayed publish.
         if replay_epoch.is_none() {
-            let shards: Vec<(ParticipantId, Arc<RwLock<ParticipantShard>>)> = {
-                let map = self.shards.read().expect("shard map lock");
-                map.iter().map(|(id, shard)| (*id, Arc::clone(shard))).collect()
-            };
+            // Only the shards whose policy can trust one of the batch's
+            // origins are visited (`Transaction::new` guarantees every update
+            // carries its transaction's origin). Registration holds the log
+            // read lock, so the index cannot gain an edge under this publish;
+            // a concurrent retirement can only shrink it, and the retired
+            // shard is skipped below.
+            let shards = self
+                .trust
+                .lock()
+                .expect("trust index lock")
+                .candidates(transactions.iter().map(Transaction::origin));
             // Each shard is locked once per *batch*, not once per
             // transaction — the whole block runs inside the log write lock,
             // so the serialised section should stay as short as possible.
@@ -571,8 +764,10 @@ impl StoreCatalog {
                     if txn.origin() == *other {
                         continue;
                     }
-                    entries
-                        .push((txn.id(), shard.policy.priority_of_transaction(txn, &self.schema)));
+                    let priority = shard.policy.priority_of_transaction(txn, &self.schema);
+                    if priority.is_trusted() {
+                        entries.push((txn.id(), priority));
+                    }
                 }
                 if !entries.is_empty() {
                     shard.relevance.entry(epoch.as_u64()).or_default().extend(entries);
@@ -667,6 +862,7 @@ impl StoreCatalog {
                 .filter(|t| t.origin() != participant)
                 .filter(|t| !decided.contains(&t.id()))
                 .map(|t| (t.id(), shard.policy.priority_of_transaction(t, &self.schema)))
+                .filter(|(_, priority)| priority.is_trusted())
                 .collect();
             let accepted: FxHashSet<TransactionId> =
                 shard.record.accepted_set().iter().copied().collect();
@@ -731,10 +927,9 @@ impl StoreCatalog {
         Ok(opened)
     }
 
-    /// Streams the next page of a session: at most `max_candidates` trusted
-    /// candidates (with extensions), plus every untrusted entry passed over
-    /// on the way. Entries stream in publication order; an exhausted session
-    /// returns an empty page with `exhausted` set.
+    /// Streams the next page of a session: at most `max_candidates`
+    /// candidates (with extensions). Entries stream in publication order; an
+    /// exhausted session returns an empty page with `exhausted` set.
     ///
     /// Contract: a page with fewer than `max_candidates` candidates means
     /// the session is exhausted — the only way a page ends early is running
@@ -751,33 +946,21 @@ impl StoreCatalog {
             let state = sessions.get_mut(&session.as_u64()).ok_or_else(|| {
                 StorageError::Session(format!("unknown session {}", session.as_u64()))
             })?;
-            let mut entries = Vec::new();
-            let mut trusted = 0usize;
-            while state.next < state.pending.len() && trusted < max {
-                let entry = state.pending[state.next];
-                state.next += 1;
-                if !entry.1.is_untrusted() {
-                    trusted += 1;
-                }
-                entries.push(entry);
-            }
-            let exhausted = state.next >= state.pending.len();
+            let end = state.pending.len().min(state.next.saturating_add(max));
+            let entries = state.pending[state.next..end].to_vec();
+            state.next = end;
+            let exhausted = end == state.pending.len();
             (state.participant, entries, Arc::clone(&state.accepted), state.rescan, exhausted)
         };
 
         let log = self.log.read().expect("log lock");
-        let mut candidates = Vec::new();
-        let mut untrusted = Vec::new();
+        let mut candidates = Vec::with_capacity(entries.len());
         for (id, priority) in entries {
-            if priority.is_untrusted() {
-                untrusted.push(id);
-                continue;
-            }
             let Some(txn) = log.log.get(id) else { continue };
             let built = build_candidate(&log.log, &self.schema, &accepted, txn, priority, rescan);
             candidates.push(built);
         }
-        Ok(SessionBatch { participant, candidates, untrusted, exhausted })
+        Ok(SessionBatch { participant, candidates, exhausted })
     }
 
     /// Commits a session: records the decisions, the reconciliation `(recno,
@@ -886,7 +1069,8 @@ impl StoreCatalog {
     }
 
     /// Live relevance-index entries summed over every shard (the second
-    /// component of the retention live set).
+    /// component of the retention live set): one per (participant, live
+    /// transaction its policy trusts) pair.
     pub fn relevance_len(&self) -> usize {
         let map = self.shards.read().expect("shard map lock");
         map.values()
@@ -959,6 +1143,8 @@ impl StoreCatalog {
         shard.registered = false;
         shard.retired = true;
         shard.relevance.clear();
+        // Under the shard write lock, like registration's update.
+        self.trust.lock().expect("trust index lock").remove(&shard.policy);
         if let Some(record) = record {
             // Appended inside the shard write lock: the retirement lands in
             // the participant's record stream in apply order.
@@ -1284,7 +1470,7 @@ impl StoreCatalog {
         let mut out = Vec::new();
         for entries in shard.relevance.range(1..=cursor.as_u64()).map(|(_, e)| e) {
             for (id, priority) in entries {
-                if priority.is_untrusted() || shard.record.decision(*id).is_some() {
+                if shard.record.decision(*id).is_some() {
                     continue;
                 }
                 let Some(txn) = log.log.get(*id) else { continue };
@@ -1294,6 +1480,41 @@ impl StoreCatalog {
             }
         }
         out
+    }
+
+    /// The transactions of epochs `(previous, epoch]` a session of the
+    /// participant over that range is *not* offered because its policy gives
+    /// them priority zero: foreign, undecided, untrusted, above the shard's
+    /// relevance floor. The relevance index does not store them; this is for
+    /// the DHT store's Figure 7 accounting, where the reconciling peer learns
+    /// each one's fate from its transaction controller by a
+    /// request/notification round trip. Re-evaluates the policy over the
+    /// range — the cost belongs to the one store that models it. A
+    /// participant without a registered policy is offered nothing and asks
+    /// about nothing.
+    pub fn untrusted_undecided(
+        &self,
+        participant: ParticipantId,
+        previous: Epoch,
+        epoch: Epoch,
+    ) -> Vec<TransactionId> {
+        let Some(shard) = self.shard_of(participant) else { return Vec::new() };
+        // Lock order: log before shard.
+        let log = self.log.read().expect("log lock");
+        let shard = shard.read().expect("shard lock");
+        if !shard.registered {
+            return Vec::new();
+        }
+        log.log
+            .in_range(previous.max(shard.relevance_floor), epoch)
+            .into_iter()
+            .filter(|txn| {
+                txn.origin() != participant
+                    && shard.record.decision(txn.id()).is_none()
+                    && shard.policy.priority_of_transaction(txn, &self.schema).is_untrusted()
+            })
+            .map(Transaction::id)
+            .collect()
     }
 
     /// Rebuilds a catalogue from a durability directory: loads the snapshot
@@ -1366,7 +1587,13 @@ impl StoreCatalog {
                     continue;
                 }
                 let priority = shard.policy.priority_of_transaction(txn, &self.schema);
-                shard.relevance.entry(entry.epoch.as_u64()).or_default().push((txn.id(), priority));
+                if priority.is_trusted() {
+                    shard
+                        .relevance
+                        .entry(entry.epoch.as_u64())
+                        .or_default()
+                        .push((txn.id(), priority));
+                }
             }
         }
     }
@@ -1386,8 +1613,7 @@ impl StoreCatalog {
             ..
         } = snap;
         log.rebuild_indexes();
-        let mut shards: FxHashMap<ParticipantId, Arc<RwLock<ParticipantShard>>> =
-            FxHashMap::default();
+        let mut shards: FxHashMap<ParticipantId, SharedShard> = FxHashMap::default();
         for p in participants {
             let mut record = p.record;
             record.rebuild_sets();
@@ -1410,6 +1636,7 @@ impl StoreCatalog {
         Ok(StoreCatalog {
             schema,
             log: RwLock::new(LogShard { registry, log, membership_frontier, pruned_through }),
+            trust: Mutex::new(TrustIndex::over(&shards)),
             shards: RwLock::new(shards),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
@@ -1526,8 +1753,8 @@ impl StoreCatalog {
 /// re-derives the index a snapshot does not carry (the floor is the shard's
 /// recorded one, so a pruned store's pinned sub-horizon entries do not leak
 /// back in). The slice skips the participant's own transactions (by
-/// *origin*, matching the publish-time extension) and keeps untrusted
-/// entries for the DHT notification accounting.
+/// *origin*) and everything its policy does not trust, matching the
+/// publish-time extension.
 fn relevance_slice(
     log: &TransactionLog,
     schema: &Schema,
@@ -1545,7 +1772,9 @@ fn relevance_slice(
             continue;
         }
         let priority = policy.priority_of_transaction(txn, schema);
-        index.entry(entry.epoch.as_u64()).or_default().push((txn.id(), priority));
+        if priority.is_trusted() {
+            index.entry(entry.epoch.as_u64()).or_default().push((txn.id(), priority));
+        }
     }
     index
 }
@@ -1581,9 +1810,7 @@ fn converged_horizon<'a>(
         // rose (registration floors start empty, prune floors require full
         // decision), so the scan is over the live slice only.
         for (&epoch, entries) in shard.relevance.range(..=h) {
-            let undecided = entries.iter().any(|(id, priority)| {
-                !priority.is_untrusted() && shard.record.decision(*id).is_none()
-            });
+            let undecided = entries.iter().any(|(id, _)| shard.record.decision(*id).is_none());
             if undecided {
                 h = epoch - 1;
                 break;
@@ -1709,7 +1936,7 @@ impl Clone for StoreCatalog {
     /// copy (use [`StoreCatalog::recover`] to reopen durable state).
     fn clone(&self) -> Self {
         let log = self.log.read().expect("log lock").clone();
-        let shards: FxHashMap<ParticipantId, Arc<RwLock<ParticipantShard>>> = self
+        let shards: FxHashMap<ParticipantId, SharedShard> = self
             .shards
             .read()
             .expect("shard map lock")
@@ -1721,6 +1948,7 @@ impl Clone for StoreCatalog {
         StoreCatalog {
             schema: self.schema.clone(),
             log: RwLock::new(log),
+            trust: Mutex::new(TrustIndex::over(&shards)),
             shards: RwLock::new(shards),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
@@ -1755,7 +1983,8 @@ impl fmt::Debug for StoreCatalog {
 mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
-    use orchestra_model::{Tuple, Update};
+    use orchestra_model::{AcceptanceRule, Tuple, Update, UpdateKind};
+    use proptest::prelude::*;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -1784,7 +2013,6 @@ mod tests {
         loop {
             let batch = cat.batch(opened.session, 100).unwrap();
             out.extend(batch.candidates.iter().map(|(c, _)| (c.id, c.priority)));
-            out.extend(batch.untrusted.iter().map(|id| (*id, Priority::UNTRUSTED)));
             if batch.exhausted {
                 break;
             }
@@ -1988,7 +2216,6 @@ mod tests {
             loop {
                 let batch = cat.batch(opened.session, 100).unwrap();
                 rescan.extend(batch.candidates.iter().map(|(c, _)| (c.id, c.priority)));
-                rescan.extend(batch.untrusted.iter().map(|id| (*id, Priority::UNTRUSTED)));
                 if batch.exhausted {
                     break;
                 }
@@ -2010,6 +2237,119 @@ mod tests {
         cat.register_policy(TrustPolicy::new(p(1)).trusting(p(2), 3u32));
         let found = session_entries(&cat, p(1));
         assert_eq!(found, vec![(x2.id(), Priority(3))]);
+    }
+
+    /// A shard's stored relevance slice, epoch by epoch.
+    fn stored_slice(
+        cat: &StoreCatalog,
+        participant: ParticipantId,
+    ) -> BTreeMap<u64, Vec<RelevanceEntry>> {
+        cat.shard_of(participant)
+            .map(|shard| shard.read().unwrap().relevance.clone())
+            .unwrap_or_default()
+    }
+
+    /// The trust index's edges: per origin the owners that may trust it, and
+    /// the owners every publish evaluates — checking on the way that each
+    /// owner is listed with the catalogue's own shard for it.
+    fn trust_edges(
+        cat: &StoreCatalog,
+    ) -> (BTreeMap<ParticipantId, Vec<ParticipantId>>, Vec<ParticipantId>) {
+        let shards = cat.shards.read().unwrap();
+        let trust = cat.trust.lock().unwrap();
+        let owners = |listed: &BTreeMap<ParticipantId, SharedShard>| {
+            assert!(listed.iter().all(|(id, shard)| Arc::ptr_eq(shard, &shards[id])));
+            listed.keys().copied().collect::<Vec<_>>()
+        };
+        (trust.by_origin.iter().map(|(o, l)| (*o, owners(l))).collect(), owners(&trust.any_origin))
+    }
+
+    fn insert_by(i: u32, j: u64) -> Transaction {
+        txn(i, j, vec![Update::insert("Function", func("rat", &format!("p{i}-{j}"), "a"), p(i))])
+    }
+
+    #[test]
+    fn trusted_origins_follow_the_predicate_grammar() {
+        use Predicate::{And, False, FromAnyOf, FromParticipant, Not, OfKind, Or, True};
+        let set = |ids: &[u32]| Some(ids.iter().map(|i| p(*i)).collect::<Vec<_>>());
+        let kind = || OfKind(UpdateKind::Insert);
+        for (predicate, expected) in [
+            (True, None),
+            (False, set(&[])),
+            (FromParticipant(p(2)), set(&[2])),
+            (FromAnyOf(vec![p(3), p(2), p(3)]), set(&[2, 3])),
+            (Predicate::OverRelation("Function".into()), None),
+            (kind(), None),
+            (Not(Box::new(FromParticipant(p(2)))), None),
+            (And(vec![]), None),
+            (And(vec![True, kind()]), None),
+            (And(vec![kind(), FromParticipant(p(2))]), set(&[2])),
+            (And(vec![FromAnyOf(vec![p(2), p(3)]), FromParticipant(p(3))]), set(&[3])),
+            (And(vec![FromParticipant(p(2)), FromParticipant(p(3))]), set(&[])),
+            (Or(vec![]), set(&[])),
+            (Or(vec![FromParticipant(p(2)), FromAnyOf(vec![p(4)])]), set(&[2, 4])),
+            (Or(vec![FromParticipant(p(2)), kind()]), None),
+            (Or(vec![And(vec![True, FromParticipant(p(5))]), False]), set(&[5])),
+        ] {
+            let policy = TrustPolicy::new(p(1)).with_rule(AcceptanceRule::new(predicate, 1u32));
+            assert_eq!(trusted_origins(&policy), expected, "{}", policy.rules()[0].predicate);
+        }
+        // Only positive rules count: a zero-priority `True` trusts nothing.
+        let policy = TrustPolicy::new(p(1))
+            .with_rule(AcceptanceRule::new(True, 0u32))
+            .trusting(p(3), 1u32)
+            .trusting(p(2), 1u32);
+        assert_eq!(trusted_origins(&policy), set(&[2, 3]));
+        assert_eq!(trusted_origins(&TrustPolicy::new(p(1))), set(&[]));
+        let open = policy.with_rule(AcceptanceRule::new(kind(), 2u32));
+        assert_eq!(trusted_origins(&open), None);
+    }
+
+    #[test]
+    fn replacing_a_policy_drops_its_stale_edges() {
+        let cat = StoreCatalog::new(bioinformatics_schema());
+        cat.register_policy(TrustPolicy::new(p(1)).trusting(p(2), 1u32));
+        cat.register_policy(TrustPolicy::new(p(1)).trusting(p(3), 2u32));
+        // The stale edge p2 → p1 is gone.
+        assert_eq!(trust_edges(&cat), (BTreeMap::from([(p(3), vec![p(1)])]), vec![]));
+        cat.publish(p(2), vec![insert_by(2, 0)]).unwrap();
+        assert!(stored_slice(&cat, p(1)).is_empty(), "p1 no longer trusts p2");
+        let x3 = insert_by(3, 0);
+        cat.publish(p(3), vec![x3.clone()]).unwrap();
+        assert_eq!(stored_slice(&cat, p(1)), BTreeMap::from([(2, vec![(x3.id(), Priority(2))])]));
+
+        // Bounded → unbounded → bounded moves the owner between the two
+        // halves of the index and back.
+        let any = AcceptanceRule::new(Predicate::True, 1u32);
+        cat.register_policy(TrustPolicy::new(p(1)).with_rule(any));
+        assert_eq!(trust_edges(&cat), (BTreeMap::new(), vec![p(1)]));
+        cat.register_policy(TrustPolicy::new(p(1)).trusting(p(2), 1u32));
+        assert_eq!(trust_edges(&cat), (BTreeMap::from([(p(2), vec![p(1)])]), vec![]));
+    }
+
+    #[test]
+    fn retirement_removes_the_owner_and_rejoining_re_adds_it_at_the_frontier() {
+        let cat = StoreCatalog::new(bioinformatics_schema());
+        let policy = TrustPolicy::new(p(1)).trusting(p(2), 1u32);
+        cat.register_policy(policy.clone());
+        cat.register_policy(TrustPolicy::new(p(2)));
+        cat.publish(p(2), vec![insert_by(2, 0)]).unwrap();
+        assert_eq!(cat.relevance_len(), 1);
+
+        cat.retire_participant(p(1)).unwrap();
+        assert_eq!(trust_edges(&cat), (BTreeMap::new(), vec![]));
+        cat.publish(p(2), vec![insert_by(2, 1)]).unwrap();
+        assert_eq!(cat.relevance_len(), 0, "a retired participant is not visited");
+
+        // Rejoining re-adds the edge; history at or below the frontier is
+        // not offered, later publishes are.
+        cat.advance_membership_frontier(Epoch(2)).unwrap();
+        cat.register_policy(policy);
+        assert_eq!(trust_edges(&cat), (BTreeMap::from([(p(2), vec![p(1)])]), vec![]));
+        assert!(stored_slice(&cat, p(1)).is_empty());
+        let x = insert_by(2, 2);
+        cat.publish(p(2), vec![x.clone()]).unwrap();
+        assert_eq!(stored_slice(&cat, p(1)), BTreeMap::from([(3, vec![(x.id(), Priority(1))])]));
     }
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -2063,6 +2403,51 @@ mod tests {
         let recovered2 = StoreCatalog::recover(&dir).unwrap();
         assert_eq!(format!("{recovered2:?}"), live2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovered_and_cloned_catalogues_answer_the_next_publish_like_the_live_one() {
+        for snapshot_midway in [false, true] {
+            let dir = tmp_dir(&format!("trust-index-{snapshot_midway}"));
+            let cat = durable_catalog(&dir);
+            run_history(&cat);
+            if snapshot_midway {
+                cat.snapshot().unwrap();
+            }
+            // Churn the trust mappings: p3 swaps p2 for p1, p2 leaves, p4
+            // turns to an origin-free rule — after the snapshot, so recovery
+            // has to replay index maintenance on top of a rebuilt index.
+            cat.register_policy(TrustPolicy::new(p(3)).trusting(p(1), 1u32));
+            cat.retire_participant(p(2)).unwrap();
+            let inserts = Predicate::OfKind(UpdateKind::Insert);
+            cat.register_policy(
+                TrustPolicy::new(p(4)).with_rule(AcceptanceRule::new(inserts, 2u32)),
+            );
+
+            let twin = cat.clone();
+            let copy = tmp_dir(&format!("trust-index-copy-{snapshot_midway}"));
+            std::fs::create_dir_all(&copy).unwrap();
+            for file in std::fs::read_dir(&dir).unwrap() {
+                let file = file.unwrap();
+                std::fs::copy(file.path(), copy.join(file.file_name())).unwrap();
+            }
+            let recovered = StoreCatalog::recover(&copy).unwrap();
+
+            // One batch, two origins, one of them published on its behalf.
+            let batch = vec![insert_by(1, 7), insert_by(2, 7)];
+            for store in [&cat, &twin, &recovered] {
+                store.publish(p(1), batch.clone()).unwrap();
+            }
+            let live = format!("{cat:?}");
+            assert_eq!(format!("{twin:?}"), live, "clone diverged");
+            assert_eq!(format!("{recovered:?}"), live, "recovered catalogue diverged");
+            // p3 and p4 trust p1's transaction, nobody p2's but p1; p2 is gone.
+            assert_eq!(stored_slice(&cat, p(3)).values().last().unwrap().len(), 1);
+            assert_eq!(stored_slice(&cat, p(4)).values().last().unwrap().len(), 2);
+            assert!(stored_slice(&cat, p(2)).is_empty());
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&copy).ok();
+        }
     }
 
     #[test]
@@ -2727,5 +3112,160 @@ mod tests {
         assert_eq!(ids, vec![x3.id()]);
         // Skipping the full prefix leaves nothing.
         assert!(cat.accepted_replay_units_after(p(1), 3).is_empty());
+    }
+
+    /// A bounded stream of choices a property case decodes its policies and
+    /// schedule from (the vendored proptest has no recursive strategies).
+    struct Tape<'a>(std::slice::Iter<'a, u32>);
+
+    impl Tape<'_> {
+        /// The next choice in `0..n`; an exhausted tape answers 0.
+        fn pick(&mut self, n: u32) -> u32 {
+            self.0.next().map_or(0, |v| v % n)
+        }
+
+        fn participant(&mut self) -> ParticipantId {
+            p(1 + self.pick(6))
+        }
+
+        /// A predicate drawn from the whole grammar.
+        fn predicate(&mut self, depth: u32) -> Predicate {
+            let children = |tape: &mut Self| {
+                (0..tape.pick(4)).map(|_| tape.predicate(depth - 1)).collect::<Vec<_>>()
+            };
+            match self.pick(if depth == 0 { 7 } else { 10 }) {
+                0 => Predicate::True,
+                1 => Predicate::False,
+                2 => Predicate::FromParticipant(self.participant()),
+                3 => Predicate::FromAnyOf((0..self.pick(4)).map(|_| self.participant()).collect()),
+                4 => Predicate::OverRelation(["Function", "XRef"][self.pick(2) as usize].into()),
+                5 => Predicate::OfKind(
+                    [UpdateKind::Insert, UpdateKind::Delete, UpdateKind::Modify]
+                        [self.pick(3) as usize],
+                ),
+                6 => Predicate::WritesValue {
+                    column: "function".into(),
+                    equals: ["a", "b"][self.pick(2) as usize].into(),
+                },
+                7 => Predicate::And(children(self)),
+                8 => Predicate::Or(children(self)),
+                _ => Predicate::Not(Box::new(self.predicate(depth - 1))),
+            }
+        }
+
+        /// A policy of zero to three rules, zero priorities included.
+        fn policy(&mut self, owner: ParticipantId) -> TrustPolicy {
+            (0..self.pick(4)).fold(TrustPolicy::new(owner), |policy, _| {
+                let rule = AcceptanceRule::new(self.predicate(2), self.pick(4));
+                policy.with_rule(rule)
+            })
+        }
+
+        /// A transaction of one or two updates by `origin` (`Transaction::new`
+        /// admits neither an empty transaction nor a foreign update).
+        fn transaction(&mut self, origin: ParticipantId, local: u64) -> Transaction {
+            let updates = (0..1 + self.pick(2))
+                .map(|k| {
+                    let value = |tape: &mut Self| ["a", "b"][tape.pick(2) as usize];
+                    let tuple = |f: &str| func("rat", &format!("{origin}-{local}-{k}"), f);
+                    match self.pick(4) {
+                        0 => Update::insert("Function", tuple(value(self)), origin),
+                        1 => Update::delete("Function", tuple(value(self)), origin),
+                        2 => Update::modify("Function", tuple("a"), tuple(value(self)), origin),
+                        _ => Update::insert(
+                            "XRef",
+                            Tuple::of_text(&["rat", &format!("{origin}-{local}-{k}"), "db", "x"]),
+                            origin,
+                        ),
+                    }
+                })
+                .collect();
+            Transaction::from_parts(origin, local, updates).unwrap()
+        }
+    }
+
+    /// What every shard's slice must hold, by the definition: the real
+    /// policy evaluated on every live log entry, for every registered shard,
+    /// own and untrusted transactions left out.
+    fn brute_force_slices(
+        cat: &StoreCatalog,
+    ) -> BTreeMap<ParticipantId, BTreeMap<u64, Vec<RelevanceEntry>>> {
+        let log = cat.log.read().unwrap();
+        let shards = cat.shards.read().unwrap();
+        let mut all = BTreeMap::new();
+        for (id, shard) in shards.iter() {
+            let shard = shard.read().unwrap();
+            let mut slice: BTreeMap<u64, Vec<RelevanceEntry>> = BTreeMap::new();
+            for entry in log.log.entries() {
+                let txn = entry.transaction.as_ref();
+                if !shard.registered || entry.epoch <= shard.relevance_floor || txn.origin() == *id
+                {
+                    continue;
+                }
+                let priority = shard.policy.priority_of_transaction(txn, cat.schema());
+                if priority != Priority::UNTRUSTED {
+                    slice.entry(entry.epoch.as_u64()).or_default().push((txn.id(), priority));
+                }
+            }
+            all.insert(*id, slice);
+        }
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The oracle for the trust index: whatever the policies and
+        /// whatever is published, registered, replaced or retired in
+        /// between, visiting only the index's candidates leaves every shard
+        /// holding exactly what evaluating every policy on every transaction
+        /// would — and never an untrusted entry.
+        #[test]
+        fn indexed_publish_matches_brute_force_trust_evaluation(
+            choices in prop::collection::vec(0u32..1 << 16, 40..400),
+        ) {
+            let mut tape = Tape(choices.iter());
+            let cat = StoreCatalog::new(bioinformatics_schema());
+            for i in 1..=5 {
+                cat.register_policy(tape.policy(p(i)));
+            }
+            for local in 0..12u64 {
+                match tape.pick(8) {
+                    // Replace (or first register, for p6) a policy.
+                    0 => {
+                        let owner = tape.participant();
+                        cat.register_policy(tape.policy(owner));
+                    }
+                    // Retire; an unregistered or already retired id errors.
+                    1 => {
+                        cat.retire_participant(tape.participant()).ok();
+                    }
+                    2 => {
+                        cat.advance_membership_frontier(cat.largest_stable_epoch()).unwrap();
+                    }
+                    // Publish zero to three transactions of any origins —
+                    // the publisher's own, others' on their behalf, and p7,
+                    // which no store has heard of.
+                    _ => {
+                        let publisher = p(1 + tape.pick(7));
+                        let batch = (0..tape.pick(4))
+                            .map(|k| {
+                                let origin = p(1 + tape.pick(7));
+                                tape.transaction(origin, local * 4 + u64::from(k))
+                            })
+                            .collect();
+                        cat.publish(publisher, batch).unwrap();
+                    }
+                }
+                let expected = brute_force_slices(&cat);
+                for (id, slice) in &expected {
+                    prop_assert_eq!(&stored_slice(&cat, *id), slice, "shard {}", id);
+                    prop_assert!(slice.values().flatten().all(|(_, pr)| *pr != Priority::UNTRUSTED));
+                }
+            }
+            // The incrementally maintained index is the one a rebuild
+            // derives from the shards.
+            prop_assert_eq!(trust_edges(&cat), trust_edges(&cat.clone()));
+        }
     }
 }

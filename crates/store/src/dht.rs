@@ -14,10 +14,12 @@
 //! configured per-message latency (500 µs by default, as in the paper's
 //! setup) and counts messages. Under the session API the Figure 7 message
 //! pattern is charged as the session streams: the allocator, epoch-controller
-//! and coordinator round trips at [`UpdateStore::begin_reconciliation`], and
-//! the per-transaction and per-antecedent requests with each
-//! [`UpdateStore::next_batch`] page. The totals are identical to the old
-//! single-shot retrieval.
+//! and coordinator round trips at [`UpdateStore::begin_reconciliation`] —
+//! together with one request/notification round trip per published
+//! transaction the participant's policy does not trust, which is where the
+//! peer learns that nothing will travel for it — and the per-candidate and
+//! per-antecedent requests with each [`UpdateStore::next_batch`] page. The
+//! totals are identical to the old single-shot retrieval.
 //!
 //! The simulated network is a virtual-time model behind one `Mutex`: message
 //! charging is serialised (and each call's latency is attributed exactly to
@@ -249,6 +251,11 @@ impl UpdateStore for DhtStore {
         let peer = self.peer_node(participant);
         let start = Instant::now();
         let opened = self.catalog.open_session(participant, false)?;
+        // Figure 7 asks every transaction controller of the new epochs; the
+        // catalogue's relevance index holds only what the participant
+        // trusts, so the ones that answer "not for you" are derived here.
+        let untrusted =
+            self.catalog.untrusted_undecided(participant, opened.previous, opened.epoch);
         let compute = start.elapsed();
 
         let ((), network) = self.charged(|net| {
@@ -258,6 +265,11 @@ impl UpdateStore for DhtStore {
             // reconciliation from its epoch controller.
             for e in (opened.previous.as_u64() + 1)..=opened.epoch.as_u64() {
                 net.round_trip(peer, DhtStore::epoch_key(Epoch(e)), REQUEST_BYTES, REQUEST_BYTES);
+            }
+            // A request/notification round trip for every untrusted
+            // transaction: no payload travels, but the controller is asked.
+            for id in &untrusted {
+                net.round_trip(peer, DhtStore::txn_key(*id), REQUEST_BYTES, REQUEST_BYTES);
             }
             // Record the reconciliation epoch at the peer coordinator.
             net.round_trip(
@@ -281,13 +293,9 @@ impl UpdateStore for DhtStore {
         let peer = self.peer_node(batch.participant);
 
         // Charge the Figure 7 per-transaction traffic for this page: a
-        // request/notification round trip for every untrusted entry, a
-        // request/payload round trip for every trusted candidate, and one
-        // round trip per fetched antecedent.
+        // request/payload round trip for every candidate and one round trip
+        // per fetched antecedent.
         let ((), network) = self.charged(|net| {
-            for id in &batch.untrusted {
-                net.round_trip(peer, DhtStore::txn_key(*id), REQUEST_BYTES, REQUEST_BYTES);
-            }
             for (cand, fetched) in &batch.candidates {
                 let root_bytes = cand
                     .members
@@ -626,6 +634,46 @@ mod tests {
         assert!(session.drain(16).unwrap().is_empty());
         session.abort().unwrap();
         assert!(s.network_stats().messages > before);
+    }
+
+    /// One small session of p1 over four published epochs: one transaction
+    /// it trusts, two it does not, one it has already decided. Returns the
+    /// messages the session charged, drained `page` candidates at a time.
+    fn mixed_session_messages(page: usize) -> u64 {
+        let s = DhtStore::new(bioinformatics_schema());
+        s.register_participant(TrustPolicy::new(p(1)).trusting(p(2), 1u32).trusting(p(5), 1u32));
+        for i in 2..=5 {
+            s.register_participant(TrustPolicy::new(p(i)).trusting(p(1), 1u32));
+        }
+        let mut ids = Vec::new();
+        for i in 2..=5u32 {
+            let t = txn(
+                i,
+                0,
+                vec![Update::insert("Function", func("rat", &format!("prot{i}"), "v"), p(i))],
+            );
+            ids.push(t.id());
+            s.publish(p(i), vec![t]).unwrap();
+        }
+        // p5's transaction is trusted but already decided.
+        s.record_decisions(p(1), &[], &[ids[3]]).unwrap();
+        let before = s.network_stats().messages;
+        let mut session = ReconciliationSession::open(&s, p(1)).unwrap();
+        let candidates = session.drain(page).unwrap();
+        assert_eq!(candidates.iter().map(|c| c.id).collect::<Vec<_>>(), vec![ids[0]]);
+        session.abort().unwrap();
+        s.network_stats().messages - before
+    }
+
+    #[test]
+    fn untrusted_notifications_are_charged_exactly() {
+        // Allocator round trip (2) + 4 epoch controllers (8) + coordinator
+        // (2) + 1 trusted request/payload (2) + 2 untrusted
+        // request/notification round trips (4); the decided entry costs
+        // nothing. Charging the untrusted ones at begin or page by page (as
+        // the catalogue's stored untrusted entries once did) totals the same.
+        assert_eq!(mixed_session_messages(16), 18);
+        assert_eq!(mixed_session_messages(1), 18);
     }
 
     #[test]

@@ -49,7 +49,9 @@ pub struct RetentionSample {
     pub total_published: u64,
     /// Live transaction-log entries.
     pub live_log_entries: usize,
-    /// Live relevance-index entries, summed over shards.
+    /// Live relevance-index entries, summed over shards: one per
+    /// (participant, transaction it trusts) pair — the index stores no
+    /// untrusted entries.
     pub live_relevance_entries: usize,
     /// The epoch pruned through so far.
     pub pruned_through: u64,
