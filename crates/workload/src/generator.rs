@@ -6,7 +6,7 @@ use orchestra_model::{KeyValue, ParticipantId, Tuple, Update};
 use orchestra_storage::Database;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Parameters of the synthetic workload, matching Section 6 of the paper
@@ -43,6 +43,17 @@ impl Default for WorkloadConfig {
             xref_mean: 7.3,
         }
     }
+}
+
+/// What a transaction or batch under generation has written so far, read in
+/// front of the instance it is generated against: the generator only ever
+/// asks for the `Function` row under a key and for the presence of an `XRef`
+/// tuple, and it never deletes, so these two collections answer exactly as an
+/// instance with the writes applied would.
+#[derive(Debug, Default)]
+struct PendingWrites {
+    functions: FxHashMap<KeyValue, Tuple>,
+    xrefs: FxHashSet<Tuple>,
 }
 
 /// Generates transactions that mimic curators updating a SWISS-PROT-style
@@ -126,15 +137,22 @@ impl WorkloadGenerator {
         participant: ParticipantId,
         instance: &Database,
     ) -> Vec<Update> {
+        self.transaction_over(participant, instance, &mut PendingWrites::default())
+    }
+
+    /// One transaction relative to `instance` with `pending` applied on top;
+    /// its own writes are added to `pending`.
+    fn transaction_over(
+        &mut self,
+        participant: ParticipantId,
+        instance: &Database,
+        pending: &mut PendingWrites,
+    ) -> Vec<Update> {
         let mut updates = Vec::with_capacity(self.config.transaction_size);
-        // Values written earlier in this transaction, so later updates chain
-        // off them instead of the instance.
-        let mut pending: FxHashMap<KeyValue, Tuple> = FxHashMap::default();
         let function_rel = instance
             .schema()
             .relation("Function")
-            .expect("workload schema has a Function relation")
-            .clone();
+            .expect("workload schema has a Function relation");
 
         for _ in 0..self.config.transaction_size {
             let key_index = self.key_sampler.sample(&mut self.rng);
@@ -142,8 +160,11 @@ impl WorkloadGenerator {
             let proposed = self.pools.function_tuple(key_index, value_index);
             let key = function_rel.key_of(&proposed);
 
-            let current: Option<Tuple> =
-                pending.get(&key).cloned().or_else(|| instance.value_at("Function", &key));
+            let current: Option<Tuple> = pending
+                .functions
+                .get(&key)
+                .cloned()
+                .or_else(|| instance.value_at("Function", &key));
 
             match current {
                 Some(existing) => {
@@ -155,20 +176,22 @@ impl WorkloadGenerator {
                         if alt == existing {
                             continue;
                         }
-                        pending.insert(key.clone(), alt.clone());
+                        pending.functions.insert(key, alt.clone());
                         updates.push(Update::modify("Function", existing, alt, participant));
                     } else {
-                        pending.insert(key.clone(), proposed.clone());
+                        pending.functions.insert(key, proposed.clone());
                         updates.push(Update::modify("Function", existing, proposed, participant));
                     }
                 }
                 None => {
-                    pending.insert(key.clone(), proposed.clone());
+                    pending.functions.insert(key, proposed.clone());
                     updates.push(Update::insert("Function", proposed, participant));
                     let xrefs = self.sample_xref_count();
                     for n in 0..xrefs {
                         let xref = self.pools.xref_tuple(key_index, n);
-                        if !instance.contains_tuple_exact("XRef", &xref) {
+                        if !instance.contains_tuple_exact("XRef", &xref)
+                            && pending.xrefs.insert(xref.clone())
+                        {
                             updates.push(Update::insert("XRef", xref, participant));
                         }
                     }
@@ -179,10 +202,32 @@ impl WorkloadGenerator {
     }
 
     /// Generates a whole batch of transactions (each sized per the
-    /// configuration), applying each to a scratch copy of the instance so the
-    /// batch is internally consistent. Returns the update lists, one per
-    /// transaction.
+    /// configuration), each relative to the instance as the earlier ones of
+    /// the batch leave it, so the batch is internally consistent. Returns the
+    /// update lists, one per transaction.
+    ///
+    /// The earlier transactions are carried as their pending writes, not
+    /// applied to a copy of the instance: a generated transaction applies to
+    /// the state it was generated against by construction (its revisions name
+    /// the current row, its insertions a free key).
     pub fn next_batch(
+        &mut self,
+        participant: ParticipantId,
+        instance: &Database,
+        transactions: usize,
+    ) -> Vec<Vec<Update>> {
+        let mut pending = PendingWrites::default();
+        (0..transactions)
+            .map(|_| self.transaction_over(participant, instance, &mut pending))
+            .filter(|updates| !updates.is_empty())
+            .collect()
+    }
+
+    /// [`WorkloadGenerator::next_batch`] as it used to be written — every
+    /// transaction generated against, then applied to, a scratch copy of the
+    /// instance. Kept as the reference `next_batch` is tested against.
+    #[cfg(test)]
+    fn next_batch_on_scratch_copy(
         &mut self,
         participant: ParticipantId,
         instance: &Database,
@@ -195,8 +240,6 @@ impl WorkloadGenerator {
             if updates.is_empty() {
                 continue;
             }
-            // Keep the scratch instance in sync so later transactions of the
-            // batch observe the earlier ones.
             if scratch.apply_all(&updates).is_ok() {
                 batch.push(updates);
             }
@@ -210,6 +253,7 @@ mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::UpdateKind;
+    use proptest::prelude::*;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -299,6 +343,35 @@ mod tests {
         assert_eq!(batch.len(), 25);
         for updates in &batch {
             db.apply_all(updates).expect("batch transactions must apply in order");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Carrying the batch's pending writes draws the same random numbers
+        /// and emits the same updates as generating against a scratch copy of
+        /// the instance, round after round against a growing instance, from
+        /// contended single-key universes to sparse ones.
+        #[test]
+        fn batches_over_pending_writes_equal_batches_on_a_scratch_copy(
+            seed in 0u64..1_000_000,
+            key_universe in 1usize..40,
+            transaction_size in 1usize..9,
+            batch_sizes in prop::collection::vec(0usize..12, 1..6),
+        ) {
+            let config = WorkloadConfig { transaction_size, key_universe, ..small_config() };
+            let mut overlay = WorkloadGenerator::new(config.clone(), seed);
+            let mut reference = WorkloadGenerator::new(config, seed);
+            let mut db = Database::new(bioinformatics_schema());
+            for transactions in batch_sizes {
+                let batch = overlay.next_batch(p(1), &db, transactions);
+                let expected = reference.next_batch_on_scratch_copy(p(1), &db, transactions);
+                prop_assert_eq!(&batch, &expected);
+                for updates in &batch {
+                    db.apply_all(updates).expect("batch transactions apply in order");
+                }
+            }
         }
     }
 
