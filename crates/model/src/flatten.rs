@@ -11,17 +11,91 @@
 //! intermediate states of a tuple are disregarded, only final states are
 //! compared for conflicts.
 
-use crate::schema::Schema;
+use crate::ids::ParticipantId;
+use crate::intern::RelName;
+use crate::schema::{RelationSchema, Schema};
 use crate::tuple::{KeyValue, Tuple};
 use crate::update::{Update, UpdateOp};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 
-/// The net effect on a single key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum NetEffect {
-    Insert(Tuple),
-    Delete(Tuple),
-    Modify { from: Tuple, to: Tuple },
+/// A set of mutually independent updates together with the keys each one
+/// touches, as [`flatten_keyed`] produces them.
+///
+/// The keys are derived once, while flattening, and every later step that
+/// needs one — the conflict indexes, the dirty-value probe, the instance's
+/// compatibility check and its apply — borrows it from here.
+#[derive(Debug, Clone)]
+pub struct NetUpdates {
+    /// Shared: when nothing had to be rewritten this is the flattened
+    /// transaction's own update list.
+    updates: Arc<Vec<Update>>,
+    /// The touched keys of every update, update after update.
+    keys: Vec<KeyValue>,
+    /// `ends[i]` is where update `i`'s keys end in `keys` (and update
+    /// `i + 1`'s begin).
+    ends: Vec<usize>,
+}
+
+impl NetUpdates {
+    /// Files each update's touched keys (in the updates' order) behind it.
+    fn new(
+        updates: Arc<Vec<Update>>,
+        touched: impl IntoIterator<Item = Option<TouchedKeys>>,
+    ) -> Self {
+        let mut keys = Vec::with_capacity(updates.len());
+        let mut ends = Vec::with_capacity(updates.len());
+        for touched in touched {
+            if let Some((first, second)) = touched {
+                keys.push(first);
+                keys.extend(second);
+            }
+            ends.push(keys.len());
+        }
+        NetUpdates { updates, keys, ends }
+    }
+
+    /// The net updates, in an order they apply in (see [`flatten`]).
+    pub fn updates(&self) -> &[Update] {
+        &self.updates
+    }
+
+    /// Every update with the keys it touches: the key of the tuple it reads
+    /// (or, for an insertion, writes) first, then the key of the tuple it
+    /// writes when a modification changes it. An update over a relation the
+    /// schema does not declare touches no key.
+    pub fn iter(&self) -> impl Iterator<Item = (&Update, &[KeyValue])> {
+        let mut start = 0;
+        self.updates.iter().zip(&self.ends).map(move |(update, &end)| {
+            let keys = &self.keys[start..end];
+            start = end;
+            (update, keys)
+        })
+    }
+
+    /// Every `(relation, key)` pair read or written, with the update that
+    /// touches it. A pair touched by two updates appears twice.
+    pub fn touched(&self) -> impl Iterator<Item = (&str, &KeyValue, &Update)> {
+        self.iter().flat_map(|(update, keys)| {
+            keys.iter().map(move |key| (update.relation.as_str(), key, update))
+        })
+    }
+}
+
+/// The keys one update touches, in [`NetUpdates::iter`]'s order: the key of
+/// the tuple it reads (or inserts), and the key it writes if that is another.
+type TouchedKeys = (KeyValue, Option<KeyValue>);
+
+/// The keys `update` touches; none if the schema does not declare its
+/// relation.
+fn touched_keys(schema: &Schema, update: &Update) -> Option<TouchedKeys> {
+    let rel = schema.relation(&update.relation).ok()?;
+    Some(match &update.op {
+        UpdateOp::Insert(t) | UpdateOp::Delete(t) => (rel.key_of(t), None),
+        UpdateOp::Modify { from, to } => {
+            (rel.key_of(from), (!rel.same_key(from, to)).then(|| rel.key_of(to)))
+        }
+    })
 }
 
 /// Flattens an ordered sequence of updates into a set of mutually independent
@@ -41,6 +115,13 @@ enum NetEffect {
 /// | modify a→b          | delete b          | delete a                   |
 /// | delete a            | insert b (same key) | modify a→b (or nothing if a = b) |
 ///
+/// The last rule holds however the two meet under `a`'s key: `b` may be
+/// inserted elsewhere and moved there, and `a` may be moved away, replaced,
+/// and deleted afterwards. A tuple moved under a key whose tuple another
+/// chain deleted or moved away stays an update of its own; the two touch
+/// that key, and the one that vacates it comes first in the result. Otherwise
+/// the net updates are in the order their chains began.
+///
 /// The provenance (`origin`) of each resulting update is taken from the last
 /// update contributing to the chain, matching the paper's treatment of the
 /// final state as the one that matters.
@@ -52,115 +133,291 @@ enum NetEffect {
 /// several shared update lists — so callers never copy a footprint together
 /// just to flatten it.
 pub fn flatten<'a>(schema: &Schema, updates: impl IntoIterator<Item = &'a Update>) -> Vec<Update> {
-    // Per relation: key -> (net effect, origin of last contribution, sequence
-    // number of first contribution, used to keep output order stable).
-    type ChainMap = FxHashMap<KeyValue, (NetEffect, crate::ids::ParticipantId, usize)>;
-    let mut chains: FxHashMap<crate::intern::RelName, ChainMap> = FxHashMap::default();
-    let mut passthrough: Vec<(usize, Update)> = Vec::new();
+    flatten_chains(schema, updates).into_iter().map(|(update, _)| update).collect()
+}
 
-    for (seq, u) in updates.into_iter().enumerate() {
-        let Ok(rel) = schema.relation(&u.relation) else {
-            passthrough.push((seq, u.clone()));
-            continue;
-        };
-        let per_rel = chains.entry(u.relation.clone()).or_default();
-        match &u.op {
-            UpdateOp::Insert(t) => {
-                let key = rel.key_of(t);
-                match per_rel.remove(&key) {
-                    None => {
-                        per_rel.insert(key, (NetEffect::Insert(t.clone()), u.origin, seq));
-                    }
-                    Some((NetEffect::Delete(old), _, first)) => {
-                        if old != *t {
-                            per_rel.insert(
-                                key,
-                                (NetEffect::Modify { from: old, to: t.clone() }, u.origin, first),
-                            );
-                        }
-                        // delete a; insert a  => no net effect
-                    }
-                    Some((prev, origin, first)) => {
-                        // Inserting over an existing insert/modify of the same
-                        // key is not a well-formed chain; keep the previous
-                        // effect and record the insert separately so no
-                        // information is lost.
-                        per_rel.insert(key, (prev, origin, first));
-                        passthrough.push((seq, u.clone()));
-                    }
+/// [`flatten`] over the update lists of a transaction extension's members, in
+/// publication order, returning the net updates with the keys they touch.
+///
+/// When the extension is a single transaction whose updates touch pairwise
+/// distinct keys, no chain forms and the net updates *are* the transaction's
+/// updates: its list is shared, not rebuilt. That test is made here, on what
+/// the input is, so no caller chooses between the two routes.
+pub fn flatten_keyed<'a>(
+    schema: &Schema,
+    members: impl IntoIterator<Item = &'a Arc<Vec<Update>>>,
+) -> NetUpdates {
+    let mut members = members.into_iter();
+    let (first, second) = (members.next(), members.next());
+    if let (Some(only), None) = (first, second) {
+        if let Some(net) = as_its_own_net(schema, only) {
+            return net;
+        }
+    }
+    let members = first.into_iter().chain(second).chain(members);
+    let (updates, touched): (Vec<_>, Vec<_>) =
+        flatten_chains(schema, members.flat_map(|updates| updates.iter())).into_iter().unzip();
+    NetUpdates::new(Arc::new(updates), touched)
+}
+
+/// `updates` as their own flattening, if every `(relation, key)` pair they
+/// touch is touched once: each update then starts a chain nothing continues,
+/// and [`flatten_chains`] would emit it unchanged and in place.
+fn as_its_own_net(schema: &Schema, updates: &Arc<Vec<Update>>) -> Option<NetUpdates> {
+    let touched = updates.iter().map(|u| touched_keys(schema, u));
+    let net = NetUpdates::new(Arc::clone(updates), touched);
+    let distinct = net.keys.len() < 2 || {
+        let mut seen = FxHashSet::with_capacity_and_hasher(net.keys.len(), Default::default());
+        net.touched().all(|(relation, key, _)| seen.insert((relation, key)))
+    };
+    distinct.then_some(net)
+}
+
+/// One tuple's life over the sequence: what the state held when the sequence
+/// began (`pre`; none for a tuple the sequence inserted) and what it holds at
+/// the end (`post`; none for a tuple the sequence deleted), each with its key.
+/// Neither: the chain has no net effect.
+struct Chain {
+    pre: Option<(KeyValue, Tuple)>,
+    post: Option<(KeyValue, Tuple)>,
+    /// Origin of the last contribution.
+    origin: ParticipantId,
+    /// Sequence number of the first contribution.
+    first: usize,
+}
+
+impl Chain {
+    /// Sets the tuple the chain ends in; false if that is the tuple it began
+    /// with (a→…→a), which leaves the chain no net effect.
+    fn end_in(&mut self, key: KeyValue, tuple: &Tuple, origin: ParticipantId) -> bool {
+        self.origin = origin;
+        if self.pre.as_ref().is_some_and(|(_, pre)| pre == tuple) {
+            (self.pre, self.post) = (None, None);
+            return false;
+        }
+        self.post = Some((key, tuple.clone()));
+        true
+    }
+}
+
+/// The chains of one relation.
+struct Chains<'s> {
+    rel: &'s RelationSchema,
+    all: Vec<Chain>,
+    /// The chain whose tuple lives under a key now.
+    live: FxHashMap<KeyValue, usize>,
+    /// The chain that ended in the deletion of what the state held under a
+    /// key.
+    gone: FxHashMap<KeyValue, usize>,
+}
+
+impl<'s> Chains<'s> {
+    fn new(rel: &'s RelationSchema) -> Self {
+        Chains { rel, all: Vec::new(), live: FxHashMap::default(), gone: FxHashMap::default() }
+    }
+
+    fn begin(
+        &mut self,
+        pre: Option<(KeyValue, Tuple)>,
+        origin: ParticipantId,
+        seq: usize,
+    ) -> usize {
+        self.all.push(Chain { pre, post: None, origin, first: seq });
+        self.all.len() - 1
+    }
+
+    /// Chain `idx`'s tuple comes to live under `key` as `tuple`.
+    fn arrive(&mut self, mut idx: usize, key: KeyValue, tuple: &Tuple, origin: ParticipantId) {
+        if self.all[idx].pre.is_none() {
+            if let Some(deleted) = self.gone.remove(&key) {
+                // delete a; insert b under a's key => modify a→b, whether b
+                // was inserted there or moved there.
+                self.all[idx].post = None;
+                idx = deleted;
+            }
+        }
+        if self.all[idx].end_in(key.clone(), tuple, origin) {
+            self.live.insert(key, idx);
+        }
+    }
+
+    /// Chain `idx`'s tuple, no longer live, is deleted.
+    fn depart(&mut self, idx: usize, origin: ParticipantId) {
+        self.all[idx].origin = origin;
+        self.all[idx].post = None;
+        // insert a; delete a => nothing
+        let Some((key, pre)) = self.all[idx].pre.clone() else { return };
+        match self.live.get(&key) {
+            // A tuple inserted under the key this one left before it was
+            // deleted replaces it: modify a→b (or nothing if a = b).
+            Some(&inserted) if self.all[inserted].pre.is_none() => {
+                let post = self.all[inserted].post.take();
+                if post.as_ref().is_some_and(|(_, post)| *post == pre) {
+                    self.all[idx].pre = None;
+                    self.live.remove(&key);
+                } else {
+                    self.all[idx].post = post;
+                    self.live.insert(key, idx);
                 }
             }
+            _ => {
+                self.gone.entry(key).or_insert(idx);
+            }
+        }
+    }
+
+    /// Takes one update into the chains; false if it continues no chain and
+    /// can begin none (it is not well formed after what came before it).
+    fn take(&mut self, seq: usize, u: &Update) -> bool {
+        match &u.op {
+            UpdateOp::Insert(t) => {
+                let key = self.rel.key_of(t);
+                if self.live.contains_key(&key) {
+                    // Inserting over an insert/modify of the same key: keep
+                    // the chain and record the insert separately, so no
+                    // information is lost.
+                    return false;
+                }
+                let idx = self.begin(None, u.origin, seq);
+                self.arrive(idx, key, t, u.origin);
+            }
             UpdateOp::Delete(t) => {
-                let key = rel.key_of(t);
-                match per_rel.remove(&key) {
+                let key = self.rel.key_of(t);
+                match self.live.remove(&key) {
+                    Some(idx) => self.depart(idx, u.origin),
+                    // Double delete of the same key: keep the first.
+                    None if self.gone.contains_key(&key) => {}
                     None => {
-                        per_rel.insert(key, (NetEffect::Delete(t.clone()), u.origin, seq));
-                    }
-                    Some((NetEffect::Insert(_), _, _)) => {
-                        // insert a; delete a => nothing
-                    }
-                    Some((NetEffect::Modify { from, .. }, _, first)) => {
-                        per_rel.insert(key, (NetEffect::Delete(from), u.origin, first));
-                    }
-                    Some((NetEffect::Delete(old), origin, first)) => {
-                        // Double delete of the same key: keep the first.
-                        per_rel.insert(key, (NetEffect::Delete(old), origin, first));
+                        let idx = self.begin(Some((key, t.clone())), u.origin, seq);
+                        self.depart(idx, u.origin);
                     }
                 }
             }
             UpdateOp::Modify { from, to } => {
-                let from_key = rel.key_of(from);
-                let to_key = rel.key_of(to);
-                match per_rel.remove(&from_key) {
-                    None => {
-                        per_rel.insert(
-                            to_key,
-                            (
-                                NetEffect::Modify { from: from.clone(), to: to.clone() },
-                                u.origin,
-                                seq,
-                            ),
-                        );
-                    }
-                    Some((NetEffect::Insert(_), _, first)) => {
-                        per_rel.insert(to_key, (NetEffect::Insert(to.clone()), u.origin, first));
-                    }
-                    Some((NetEffect::Modify { from: orig, .. }, _, first)) => {
-                        if orig == *to {
-                            // a -> b -> a: no net effect.
-                        } else {
-                            per_rel.insert(
-                                to_key,
-                                (NetEffect::Modify { from: orig, to: to.clone() }, u.origin, first),
-                            );
+                let from_key = self.rel.key_of(from);
+                let stays = self.rel.same_key(from, to);
+                match self.live.get(&from_key) {
+                    // In place: the chain keeps its key and its index entry.
+                    Some(&idx) if stays => {
+                        let (key, _) = self.all[idx].post.take().expect("a live chain has a tuple");
+                        if !self.all[idx].end_in(key, to, u.origin) {
+                            self.live.remove(&from_key);
                         }
                     }
-                    Some((NetEffect::Delete(old), origin, first)) => {
-                        // delete a; modify a->b is not well formed; keep the
-                        // delete and pass the modify through.
-                        per_rel.insert(from_key, (NetEffect::Delete(old), origin, first));
-                        passthrough.push((seq, u.clone()));
+                    Some(&idx) => {
+                        self.live.remove(&from_key);
+                        self.arrive(idx, self.rel.key_of(to), to, u.origin);
+                    }
+                    // delete a; modify a→b: keep the delete and pass the
+                    // modify through.
+                    None if self.gone.contains_key(&from_key) => return false,
+                    None => {
+                        let to_key = if stays { from_key.clone() } else { self.rel.key_of(to) };
+                        let idx = self.begin(Some((from_key, from.clone())), u.origin, seq);
+                        self.all[idx].post = Some((to_key.clone(), to.clone()));
+                        self.live.insert(to_key, idx);
                     }
                 }
             }
         }
+        true
     }
+}
 
-    let mut out: Vec<(usize, Update)> = passthrough;
-    for (relation, per_rel) in chains {
-        for (_key, (effect, origin, first)) in per_rel {
-            let update = match effect {
-                NetEffect::Insert(t) => Update::insert(relation.clone(), t, origin),
-                NetEffect::Delete(t) => Update::delete(relation.clone(), t, origin),
-                NetEffect::Modify { from, to } => {
-                    Update::modify(relation.clone(), from, to, origin)
-                }
-            };
-            out.push((first, update));
+/// A net update with the sequence number its chain began at and the keys it
+/// touches (none under an unknown relation).
+type Net = (usize, Update, Option<TouchedKeys>);
+
+/// The chaining rules of [`flatten`]: every net update with the keys it
+/// touches — the keys its chain began and ended under are handed on, not
+/// derived again.
+fn flatten_chains<'a>(
+    schema: &Schema,
+    updates: impl IntoIterator<Item = &'a Update>,
+) -> Vec<(Update, Option<TouchedKeys>)> {
+    let mut chains: FxHashMap<RelName, Chains<'_>> = FxHashMap::default();
+    // Updates passed through as they are: (sequence number, update).
+    let mut passthrough: Vec<(usize, &Update)> = Vec::new();
+    for (seq, u) in updates.into_iter().enumerate() {
+        let taken = schema.relation(&u.relation).is_ok_and(|rel| {
+            chains.entry(u.relation.clone()).or_insert_with(|| Chains::new(rel)).take(seq, u)
+        });
+        if !taken {
+            passthrough.push((seq, u));
         }
     }
-    out.sort_by_key(|(seq, _)| *seq);
-    out.into_iter().map(|(_, u)| u).collect()
+
+    let mut out: Vec<Net> =
+        passthrough.into_iter().map(|(seq, u)| (seq, u.clone(), touched_keys(schema, u))).collect();
+    for (relation, per_rel) in chains {
+        for Chain { pre, post, origin, first } in per_rel.all {
+            let (update, touched) = match (pre, post) {
+                (None, None) => continue,
+                (None, Some((key, t))) => {
+                    (Update::insert(relation.clone(), t, origin), (key, None))
+                }
+                (Some((key, t)), None) => {
+                    (Update::delete(relation.clone(), t, origin), (key, None))
+                }
+                (Some((from_key, from)), Some((to_key, to))) => {
+                    let moved = (from_key != to_key).then_some(to_key);
+                    (Update::modify(relation.clone(), from, to, origin), (from_key, moved))
+                }
+            };
+            out.push((first, update, Some(touched)));
+        }
+    }
+    out.sort_by_key(|(seq, ..)| *seq);
+    vacate_before_filling(out).into_iter().map(|(_, update, touched)| (update, touched)).collect()
+}
+
+/// Puts every update that places a tuple under a key behind the update that
+/// takes away what the state holds there, keeping the order otherwise.
+///
+/// Only a modification that changes the key can fill a key another update
+/// vacates (a deletion and an insertion under one key are one chain), so a
+/// flattening without one is in order already. Tuples that swap keys need
+/// each other to go first; they are left as they stand.
+fn vacate_before_filling(nets: Vec<Net>) -> Vec<Net> {
+    let moves = |(_, _, touched): &Net| matches!(touched, Some((_, Some(_))));
+    if !nets.iter().any(moves) {
+        return nets;
+    }
+    // The key each update vacates and the key it fills, if any.
+    fn ends((_, update, touched): &Net) -> Option<(Option<&KeyValue>, Option<&KeyValue>)> {
+        let (first, second) = touched.as_ref()?;
+        Some(match (&update.op, second) {
+            (UpdateOp::Insert(_), _) => (None, Some(first)),
+            (UpdateOp::Delete(_), _) => (Some(first), None),
+            (UpdateOp::Modify { .. }, Some(second)) => (Some(first), Some(second)),
+            (UpdateOp::Modify { .. }, None) => (None, None),
+        })
+    }
+    let mut vacated_by: FxHashMap<(&str, &KeyValue), usize> = FxHashMap::default();
+    for (i, net) in nets.iter().enumerate() {
+        if let Some((Some(key), _)) = ends(net) {
+            vacated_by.entry((net.1.relation.as_str(), key)).or_insert(i);
+        }
+    }
+    let mut order = Vec::with_capacity(nets.len());
+    let mut placed = vec![false; nets.len()];
+    for i in 0..nets.len() {
+        // Whoever vacates the key `i` fills goes first, and so on back.
+        let mut waiting = Vec::new();
+        let mut next = Some(i);
+        while let Some(j) = next.filter(|j| !placed[*j] && !waiting.contains(j)) {
+            waiting.push(j);
+            next = ends(&nets[j])
+                .and_then(|(_, fills)| vacated_by.get(&(nets[j].1.relation.as_str(), fills?)))
+                .copied();
+        }
+        for j in waiting.into_iter().rev() {
+            placed[j] = true;
+            order.push(j);
+        }
+    }
+    let mut nets: Vec<Option<Net>> = nets.into_iter().map(Some).collect();
+    order.into_iter().filter_map(|i| nets[i].take()).collect()
 }
 
 #[cfg(test)]
@@ -310,6 +567,132 @@ mod tests {
         let updates = vec![Update::insert("Mystery", Tuple::of_text(&["x"]), p(1))];
         let flat = flatten(&schema, &updates);
         assert_eq!(flat, updates);
+    }
+
+    #[test]
+    fn one_transaction_on_distinct_keys_is_its_own_flattening() {
+        let schema = bioinformatics_schema();
+        let own = Arc::new(vec![
+            Update::insert("Function", func("rat", "prot1", "a"), p(1)),
+            Update::modify(
+                "Function",
+                func("mouse", "prot2", "x"),
+                func("mouse", "prot3", "x"),
+                p(1),
+            ),
+            Update::insert("Mystery", Tuple::of_text(&["x"]), p(1)),
+            Update::insert("XRef", Tuple::of_text(&["rat", "prot1", "db", "acc"]), p(1)),
+        ]);
+        let net = flatten_keyed(&schema, [&own]);
+        assert!(Arc::ptr_eq(&net.updates, &own), "the list is shared, not rebuilt");
+        let keys: Vec<Vec<String>> =
+            net.iter().map(|(_, keys)| keys.iter().map(|k| k.to_string()).collect()).collect();
+        assert_eq!(
+            keys,
+            vec![
+                vec!["[rat, prot1]".to_owned()],
+                // The key read, then the key written.
+                vec!["[mouse, prot2]".to_owned(), "[mouse, prot3]".to_owned()],
+                vec![],
+                vec!["[rat, prot1, db, acc]".to_owned()],
+            ]
+        );
+        assert_eq!(net.touched().count(), 4);
+
+        // The same key twice — a chain — or a second member: rebuilt.
+        let chained = Arc::new(vec![
+            Update::insert("Function", func("rat", "prot1", "a"), p(1)),
+            Update::modify("Function", func("rat", "prot1", "a"), func("rat", "prot1", "b"), p(1)),
+        ]);
+        let net = flatten_keyed(&schema, [&chained]);
+        assert!(!Arc::ptr_eq(&net.updates, &chained));
+        assert_eq!(net.updates(), flatten(&schema, chained.iter()));
+        let net = flatten_keyed(&schema, [&own, &chained]);
+        assert_eq!(net.updates(), flatten(&schema, own.iter().chain(chained.iter())));
+    }
+
+    #[test]
+    fn a_deletion_and_an_insertion_under_one_key_are_one_replacement_however_they_meet() {
+        // a(k1) -> b(k2), delete b, and c inserted under k1 before or after
+        // that deletion: `a` is replaced by `c`, one update on k1.
+        let schema = bioinformatics_schema();
+        let moved =
+            Update::modify("Function", func("rat", "prot1", "a"), func("rat", "prot2", "b"), p(1));
+        let deleted = Update::delete("Function", func("rat", "prot2", "b"), p(1));
+        let inserted = |f| Update::insert("Function", func("rat", "prot1", f), p(1));
+        for updates in [
+            vec![moved.clone(), deleted.clone(), inserted("c")],
+            vec![moved.clone(), inserted("c"), deleted.clone()],
+        ] {
+            let net = flatten_keyed(&schema, [&Arc::new(updates)]);
+            let replaced = Update::modify(
+                "Function",
+                func("rat", "prot1", "a"),
+                func("rat", "prot1", "c"),
+                p(1),
+            );
+            assert_eq!(net.updates(), [replaced]);
+            let keys: Vec<&[KeyValue]> = net.iter().map(|(_, keys)| keys).collect();
+            assert_eq!(keys, [[KeyValue::of_text(&["rat", "prot1"])]]);
+        }
+        // Replaced by itself: nothing.
+        assert!(flatten(&schema, &[moved.clone(), inserted("a"), deleted.clone()]).is_empty());
+        assert!(flatten(&schema, &[moved, deleted, inserted("a")]).is_empty());
+
+        // d inserted under k3 and moved under k1, which `a` was deleted from.
+        let updates = [
+            Update::insert("Function", func("rat", "prot3", "d"), p(1)),
+            Update::delete("Function", func("rat", "prot1", "a"), p(2)),
+            Update::modify("Function", func("rat", "prot3", "d"), func("rat", "prot1", "d"), p(3)),
+        ];
+        assert_eq!(
+            flatten(&schema, &updates),
+            [Update::modify(
+                "Function",
+                func("rat", "prot1", "a"),
+                func("rat", "prot1", "d"),
+                p(3)
+            )]
+        );
+    }
+
+    #[test]
+    fn a_tuple_moved_under_a_vacated_key_follows_the_update_that_vacates_it() {
+        let schema = bioinformatics_schema();
+        // y's chain begins first, but y can only move under k1 once `a` has
+        // left it; x is deleted from k2 after `a`'s chain began, but before
+        // `a` can move there.
+        let updates = [
+            Update::modify("Function", func("rat", "prot3", "y"), func("rat", "prot3", "z"), p(1)),
+            Update::modify("Function", func("rat", "prot1", "a"), func("rat", "prot1", "b"), p(1)),
+            Update::delete("Function", func("rat", "prot2", "x"), p(1)),
+            Update::modify("Function", func("rat", "prot1", "b"), func("rat", "prot2", "b"), p(1)),
+            Update::modify("Function", func("rat", "prot3", "z"), func("rat", "prot1", "z"), p(1)),
+        ];
+        let net = flatten_keyed(&schema, [&Arc::new(updates.to_vec())]);
+        assert_eq!(
+            net.updates(),
+            [
+                Update::delete("Function", func("rat", "prot2", "x"), p(1)),
+                Update::modify(
+                    "Function",
+                    func("rat", "prot1", "a"),
+                    func("rat", "prot2", "b"),
+                    p(1)
+                ),
+                Update::modify(
+                    "Function",
+                    func("rat", "prot3", "y"),
+                    func("rat", "prot1", "z"),
+                    p(1)
+                ),
+            ]
+        );
+        let key = |protein| KeyValue::of_text(&["rat", protein]);
+        let keys: Vec<&[KeyValue]> = net.iter().map(|(_, keys)| keys).collect();
+        assert_eq!(keys[0], [key("prot2")]);
+        assert_eq!(keys[1], [key("prot1"), key("prot2")]);
+        assert_eq!(keys[2], [key("prot3"), key("prot1")]);
     }
 
     #[test]

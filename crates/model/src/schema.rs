@@ -156,6 +156,18 @@ impl RelationSchema {
     pub fn key_of(&self, tuple: &Tuple) -> KeyValue {
         KeyValue::from_values(self.key.iter().map(|&i| tuple.values()[i].clone()).collect())
     }
+
+    /// Returns true if `key` is the key value of `tuple`, without building
+    /// that key value.
+    pub fn is_key_of(&self, key: &KeyValue, tuple: &Tuple) -> bool {
+        key.arity() == self.key.len()
+            && self.key.iter().zip(key.values()).all(|(&i, k)| tuple.get(i) == Some(k))
+    }
+
+    /// Returns true if the two tuples have the same key value.
+    pub fn same_key(&self, a: &Tuple, b: &Tuple) -> bool {
+        self.key.iter().all(|&i| a.get(i) == b.get(i))
+    }
 }
 
 /// The system-wide schema `Σ`: a collection of relation schemas plus the
@@ -350,6 +362,20 @@ mod tests {
         let t = Tuple::new(vec!["rat".into(), "prot1".into(), "immune".into()]);
         let key = rs.key_of(&t);
         assert_eq!(key.values(), &[Value::text("rat"), Value::text("prot1")]);
+    }
+
+    #[test]
+    fn key_comparisons_agree_with_key_extraction() {
+        let rs = function_schema();
+        let a = Tuple::of_text(&["rat", "prot1", "immune"]);
+        let b = Tuple::of_text(&["rat", "prot1", "cell-resp"]);
+        let c = Tuple::of_text(&["rat", "prot2", "immune"]);
+        assert!(rs.same_key(&a, &b) && rs.key_of(&a) == rs.key_of(&b));
+        assert!(!rs.same_key(&a, &c) && rs.key_of(&a) != rs.key_of(&c));
+        assert!(rs.is_key_of(&rs.key_of(&a), &b));
+        assert!(!rs.is_key_of(&rs.key_of(&a), &c));
+        assert!(!rs.is_key_of(&KeyValue::of_text(&["rat"]), &a));
+        assert!(!rs.is_key_of(&rs.key_of(&a), &Tuple::of_text(&["rat"])));
     }
 
     #[test]

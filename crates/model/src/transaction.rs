@@ -3,11 +3,8 @@
 
 use crate::error::{ModelError, Result};
 use crate::ids::{ParticipantId, TransactionId};
-use crate::intern::RelName;
 use crate::schema::Schema;
-use crate::tuple::KeyValue;
 use crate::update::Update;
-use rustc_hash::FxHashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,23 +91,6 @@ impl Transaction {
         Ok(())
     }
 
-    /// All `(relation, key)` pairs read or written by this transaction.
-    pub fn touched_keys(&self, schema: &Schema) -> Vec<(RelName, KeyValue)> {
-        let mut out = Vec::new();
-        let mut seen: FxHashSet<(RelName, KeyValue)> = FxHashSet::default();
-        for u in self.updates.iter() {
-            if let Ok(rel) = schema.relation(&u.relation) {
-                for key in u.touched_keys(rel) {
-                    let entry = (u.relation.clone(), key);
-                    if seen.insert(entry.clone()) {
-                        out.push(entry);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Returns true if any update of `self` conflicts with any update of
     /// `other` under the schema (the paper's transaction-level conflict).
     pub fn conflicts_with(&self, other: &Transaction, schema: &Schema) -> bool {
@@ -169,23 +149,6 @@ mod tests {
         assert!(!x.is_empty());
         assert_eq!(x.updates(), &[u1, u2]);
         assert!(x.to_string().starts_with("X3:7: {"));
-    }
-
-    #[test]
-    fn touched_keys_deduplicates() {
-        let schema = bioinformatics_schema();
-        let u1 = Update::insert("Function", func("rat", "prot1", "immune"), p(3));
-        let u2 = Update::modify(
-            "Function",
-            func("rat", "prot1", "immune"),
-            func("rat", "prot1", "cell-resp"),
-            p(3),
-        );
-        let x = Transaction::from_parts(p(3), 0, vec![u1, u2]).unwrap();
-        let keys = x.touched_keys(&schema);
-        assert_eq!(keys.len(), 1);
-        assert_eq!(keys[0].0, "Function");
-        assert_eq!(keys[0].1, KeyValue::of_text(&["rat", "prot1"]));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::ids::ParticipantId;
 use crate::intern::RelName;
-use crate::schema::{RelationSchema, Schema};
+use crate::schema::Schema;
 use crate::tuple::{KeyValue, Tuple};
 use std::fmt;
 
@@ -106,31 +106,6 @@ impl Update {
             UpdateOp::Delete(_) => None,
             UpdateOp::Modify { to, .. } => Some(to),
         }
-    }
-
-    /// Key value of the tuple this update reads, if any.
-    pub fn read_key(&self, rel: &RelationSchema) -> Option<KeyValue> {
-        self.read_tuple().map(|t| rel.key_of(t))
-    }
-
-    /// Key value of the tuple this update writes, if any.
-    pub fn written_key(&self, rel: &RelationSchema) -> Option<KeyValue> {
-        self.written_tuple().map(|t| rel.key_of(t))
-    }
-
-    /// All key values this update touches (reads or writes), deduplicated.
-    /// A modification that changes a key attribute touches two keys.
-    pub fn touched_keys(&self, rel: &RelationSchema) -> Vec<KeyValue> {
-        let mut keys = Vec::with_capacity(2);
-        if let Some(k) = self.read_key(rel) {
-            keys.push(k);
-        }
-        if let Some(k) = self.written_key(rel) {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        keys
     }
 
     /// Validates that all tuples in this update conform to the schema.
@@ -254,30 +229,6 @@ mod tests {
         assert_eq!(m.kind(), UpdateKind::Modify);
         assert_eq!(m.read_tuple().unwrap(), &func("rat", "prot1", "cell-metab"));
         assert_eq!(m.written_tuple().unwrap(), &func("rat", "prot1", "immune"));
-    }
-
-    #[test]
-    fn touched_keys_of_key_changing_modify() {
-        let schema = bioinformatics_schema();
-        let rel = schema.relation("Function").unwrap();
-        let m = Update::modify(
-            "Function",
-            func("mouse", "prot2", "cell-resp"),
-            func("mouse", "prot3", "cell-resp"),
-            p(3),
-        );
-        let keys = m.touched_keys(rel);
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains(&KeyValue::of_text(&["mouse", "prot2"])));
-        assert!(keys.contains(&KeyValue::of_text(&["mouse", "prot3"])));
-
-        let m2 = Update::modify(
-            "Function",
-            func("rat", "prot1", "cell-metab"),
-            func("rat", "prot1", "immune"),
-            p(3),
-        );
-        assert_eq!(m2.touched_keys(rel).len(), 1);
     }
 
     #[test]

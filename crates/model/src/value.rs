@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The type of an attribute value, used by [`crate::schema::ColumnDef`] to
 /// declare column types and to validate tuples against a schema.
@@ -46,8 +47,11 @@ pub enum Value {
     Int(i64),
     /// 64-bit floating point.
     Float(f64),
-    /// UTF-8 text.
-    Text(String),
+    /// UTF-8 text. The buffer is shared: cloning a text value — and so a
+    /// tuple or a key holding one — bumps a reference count and copies no
+    /// string. Equality, ordering and hashing go through the `str`, so they
+    /// are those of the text, whoever holds the buffer.
+    Text(Arc<str>),
     /// Boolean.
     Bool(bool),
 }
@@ -79,7 +83,7 @@ impl Value {
     }
 
     /// Convenience constructor for text values.
-    pub fn text(s: impl Into<String>) -> Value {
+    pub fn text(s: impl Into<Arc<str>>) -> Value {
         Value::Text(s.into())
     }
 
@@ -118,7 +122,11 @@ impl Value {
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        match (self, other) {
+            // Two holders of one buffer are equal without reading it.
+            (Value::Text(a), Value::Text(b)) => Arc::ptr_eq(a, b) || a == b,
+            _ => self.cmp(other) == Ordering::Equal,
+        }
     }
 }
 
@@ -177,13 +185,13 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_owned())
+        Value::Text(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 
@@ -289,6 +297,17 @@ mod tests {
         assert_eq!(Value::text("immune").to_string(), "immune");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(ValueType::Text.to_string(), "text");
+    }
+
+    #[test]
+    fn text_clones_share_the_buffer_and_a_value_stays_three_words() {
+        assert!(std::mem::size_of::<Value>() <= 24);
+        let a = Value::text("cell-metabolism");
+        let (Value::Text(x), Value::Text(y)) = (&a, &a.clone()) else { unreachable!() };
+        assert!(Arc::ptr_eq(x, y));
+        // Equality is the text's, not the buffer's.
+        assert_eq!(a, Value::text(String::from("cell-metabolism")));
+        assert_eq!(hash_of(&a), hash_of(&Value::from("cell-metabolism")));
     }
 
     #[test]

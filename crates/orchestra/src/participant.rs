@@ -11,8 +11,8 @@
 
 use crate::report::{ReconcileReport, ResolutionReport, TimingBreakdown};
 use orchestra_model::{
-    AntichainClock, CausalStamp, ParticipantId, Schema, Transaction, TransactionId, TrustPolicy,
-    Update,
+    flatten_keyed, AntichainClock, CausalStamp, NetUpdates, ParticipantId, Schema, Transaction,
+    TransactionId, TrustPolicy, Update,
 };
 use orchestra_obs::Obs;
 use orchestra_recon::{
@@ -23,6 +23,7 @@ use orchestra_storage::{Database, InstanceCheckpoint, Result, StorageError};
 use orchestra_store::{
     poll_ready, InProcessClient, SessionClient, SessionInfo, StoreTiming, Timed, UpdateStore,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default page size for session-based candidate retrieval: bounds the
@@ -165,12 +166,12 @@ impl Participant {
         let cursor = store.epoch_cursor(participant.id);
         let mut skip = 0u64;
         if let Some(checkpoint) = store.instance_checkpoint(participant.id) {
+            // The instance is still empty, so no row's effect can be present
+            // already; a row that does not apply is dropped, as in replay.
             for (relation, tuples) in &checkpoint.relations {
                 for tuple in tuples {
-                    Self::apply_lenient(
-                        &mut participant.instance,
-                        &Update::insert(relation, tuple.clone(), participant.id),
-                    );
+                    let row = Update::insert(relation, tuple.clone(), participant.id);
+                    let _ = participant.instance.apply_update(&row);
                 }
             }
             participant.next_local_txn = checkpoint.next_local;
@@ -197,10 +198,8 @@ impl Participant {
                     }
                 }
             }
-            let footprint = unit.iter().flat_map(|t| t.updates());
-            for update in orchestra_model::flatten(&schema, footprint) {
-                Self::apply_lenient(&mut participant.instance, &update);
-            }
+            let members: Vec<Arc<Vec<Update>>> = unit.iter().map(|t| t.shared_updates()).collect();
+            Self::apply_lenient(&mut participant.instance, &flatten_keyed(&schema, &members));
         }
         participant.next_local_txn = max_local;
         participant.last_published_updates = own_delta;
@@ -220,21 +219,14 @@ impl Participant {
         Ok(participant)
     }
 
-    /// Applies an update, tolerating effects that are already present or no
-    /// longer applicable (replay of accepted transactions may encounter
-    /// values that a later accepted transaction already superseded).
-    fn apply_lenient(instance: &mut Database, update: &Update) {
-        use orchestra_model::UpdateOp;
-        let already_satisfied = match &update.op {
-            UpdateOp::Insert(t) => instance.contains_tuple_exact(&update.relation, t),
-            UpdateOp::Delete(t) => !instance.key_present(&update.relation, t),
-            UpdateOp::Modify { from, to } => {
-                !instance.contains_tuple_exact(&update.relation, from)
-                    && instance.contains_tuple_exact(&update.relation, to)
+    /// Applies net updates one by one, tolerating effects that are already
+    /// present or no longer applicable (replay of accepted transactions may
+    /// encounter values that a later accepted transaction already superseded).
+    fn apply_lenient(instance: &mut Database, net: &NetUpdates) {
+        for (update, keys) in net.iter() {
+            if !instance.already_satisfied(update, keys) {
+                let _ = instance.apply_keyed(update, keys);
             }
-        };
-        if !already_satisfied {
-            let _ = instance.apply_update(update);
         }
     }
 

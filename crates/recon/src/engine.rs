@@ -9,12 +9,11 @@
 //! the deferred ones.
 
 use crate::extension::{
-    conflict_sets, CandidateTransaction, ExtensionCache, FlatExtension, KeyIndex,
+    by_key, conflict_keys_with, conflict_sets, CandidateTransaction, ExtensionCache, FlatExtension,
+    KeyIndex,
 };
 use crate::softstate::{ConflictGroup, SoftState};
-use orchestra_model::{
-    flatten, Priority, ReconciliationId, Schema, TransactionId, Update, UpdateOp,
-};
+use orchestra_model::{flatten_keyed, Priority, ReconciliationId, Schema, TransactionId, Update};
 use orchestra_storage::Database;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
@@ -152,8 +151,8 @@ impl ReconcileEngine {
         let candidates = candidates;
         // The participant's own net delta, indexed once per run by the keys
         // it touches; every candidate probes the index with its own keys.
-        let own = FlatExtension::new(schema, flatten(schema, &input.own_updates));
-        let own_by_key = own.by_key();
+        let own = flatten_keyed(schema, [&Arc::new(input.own_updates)]);
+        let own_by_key = by_key(&own);
 
         // Lines 5-8: per-candidate flattened extensions and CheckState. Each
         // candidate is flattened once, through the cache (a candidate deferred
@@ -183,15 +182,18 @@ impl ReconcileEngine {
             .precomputed_conflicts
             .unwrap_or_else(|| conflict_sets(&candidates, &flats, schema));
 
-        // Lines 10-12: DoGroup per priority, in decreasing order.
-        let by_id: FxHashMap<TransactionId, &CandidateTransaction> =
-            candidates.iter().map(|c| (c.id, c)).collect();
-        let mut priorities: Vec<Priority> = candidates.iter().map(|c| c.priority).collect();
-        priorities.sort_unstable();
-        priorities.dedup();
-        priorities.reverse();
-        for prio in priorities {
-            Self::do_group(prio, &candidates, &conflicts, &by_id, &mut decisions);
+        // Lines 10-12: DoGroup per priority, in decreasing order. It only
+        // ever revises the decisions of conflicting candidates.
+        if !conflicts.is_empty() {
+            let by_id: FxHashMap<TransactionId, &CandidateTransaction> =
+                candidates.iter().map(|c| (c.id, c)).collect();
+            let mut priorities: Vec<Priority> = candidates.iter().map(|c| c.priority).collect();
+            priorities.sort_unstable();
+            priorities.dedup();
+            priorities.reverse();
+            for prio in priorities {
+                Self::do_group(prio, &candidates, &conflicts, &by_id, &mut decisions);
+            }
         }
 
         // Lines 14-19: apply accepted candidates. An extension none of whose
@@ -206,9 +208,9 @@ impl ReconcileEngine {
                 continue;
             }
             let applied = if cand.members.iter().any(|(id, _)| used.contains(id)) {
-                Self::apply_net(instance, &cand.flattened_excluding(schema, &used))
+                instance.apply_net(&cand.flattened_excluding(schema, &used))
             } else {
-                Self::apply_net(instance, flat.updates())
+                instance.apply_net(flat)
             };
             match applied {
                 Ok(applied) => {
@@ -223,8 +225,8 @@ impl ReconcileEngine {
                 Err(_) => {
                     // The accepted set should always apply cleanly; if an
                     // application fails despite the checks (e.g. an exotic
-                    // constraint interaction), the transaction is rejected
-                    // rather than leaving the instance partially updated.
+                    // constraint interaction), the instance is as it was
+                    // before the attempt and the transaction is rejected.
                     decisions.insert(cand.id, TransactionDecision::Reject);
                 }
             }
@@ -314,15 +316,15 @@ impl ReconcileEngine {
             return TransactionDecision::Reject;
         }
         // 5-6: incompatible with the instance -> reject.
-        for u in flat.updates() {
-            if !instance.is_compatible(u) || instance.check_constraints(u).is_err() {
+        for (u, keys) in flat.iter() {
+            if !instance.is_compatible_keyed(u, keys) || instance.check_constraints(u).is_err() {
                 return TransactionDecision::Reject;
             }
         }
         // 7-8: conflicts with the participant's own delta -> reject. Every
         // conflicting pair of updates shares a touched key, so probing the
         // own delta's index with the candidate's keys finds them all.
-        if !flat.conflict_keys_with(own_by_key, &self.schema).is_empty() {
+        if !conflict_keys_with(flat, own_by_key, &self.schema).is_empty() {
             return TransactionDecision::Reject;
         }
         TransactionDecision::Accept
@@ -339,7 +341,7 @@ impl ReconcileEngine {
         by_id: &FxHashMap<TransactionId, &CandidateTransaction>,
         decisions: &mut FxHashMap<TransactionId, TransactionDecision>,
     ) {
-        let mut group: Vec<TransactionId> = candidates
+        let group: Vec<TransactionId> = candidates
             .iter()
             .filter(|c| c.priority == prio)
             .filter(|c| decisions[&c.id] != TransactionDecision::Reject)
@@ -353,7 +355,6 @@ impl ReconcileEngine {
         // (An earlier version decided per conflict while iterating a hash
         // set, so a Defer encountered after a Reject overwrote it and the
         // outcome depended on hash-iteration order.)
-        let mut removed: FxHashSet<TransactionId> = FxHashSet::default();
         for &t in &group {
             let Some(cs) = conflicts.get(&t) else { continue };
             let mut any_accepted = false;
@@ -372,72 +373,29 @@ impl ReconcileEngine {
             if any_accepted {
                 // Reject is sticky: it wins over any deferred conflict.
                 decisions.insert(t, TransactionDecision::Reject);
-                removed.insert(t);
             } else if any_deferred {
                 decisions.insert(t, TransactionDecision::Defer);
             }
         }
-        group.retain(|t| !removed.contains(t));
 
-        // Conflicts within the group: defer both sides.
-        for i in 0..group.len() {
-            for j in (i + 1)..group.len() {
-                let (a, b) = (group[i], group[j]);
-                if conflicts.get(&a).map(|s| s.contains(&b)).unwrap_or(false) {
-                    decisions.insert(a, TransactionDecision::Defer);
-                    decisions.insert(b, TransactionDecision::Defer);
-                }
-            }
-        }
-    }
-
-    /// Applies the net updates of an accepted extension, tolerating updates
-    /// whose effect is already present (shared effects of previously applied
-    /// extensions). Returns how many updates were actually applied; on error
-    /// everything applied by this call is rolled back.
-    fn apply_net(
-        instance: &mut Database,
-        net: &[Update],
-    ) -> Result<usize, orchestra_storage::StorageError> {
-        let mut applied: Vec<&Update> = Vec::with_capacity(net.len());
-        for u in net {
-            let already_satisfied = match &u.op {
-                UpdateOp::Insert(t) => instance.contains_tuple_exact(&u.relation, t),
-                UpdateOp::Delete(t) => !instance.key_present(&u.relation, t),
-                UpdateOp::Modify { from, to } => {
-                    !instance.contains_tuple_exact(&u.relation, from)
-                        && instance.contains_tuple_exact(&u.relation, to)
-                }
-            };
-            if already_satisfied {
+        // Conflicts within the group — the members not rejected above:
+        // defer both sides. A conflicting pair is named in its members'
+        // conflict sets, so those are walked, not every pair of the group.
+        let in_group = |id: &TransactionId, decisions: &FxHashMap<_, _>| {
+            by_id.get(id).is_some_and(|c| c.priority == prio)
+                && decisions[id] != TransactionDecision::Reject
+        };
+        for a in &group {
+            if !in_group(a, decisions) {
                 continue;
             }
-            match instance.apply_update(u) {
-                Ok(()) => applied.push(u),
-                Err(e) => {
-                    // Roll back what this call applied.
-                    for prev in applied.iter().rev() {
-                        let inv = match &prev.op {
-                            UpdateOp::Insert(t) => {
-                                Update::delete(prev.relation.clone(), t.clone(), prev.origin)
-                            }
-                            UpdateOp::Delete(t) => {
-                                Update::insert(prev.relation.clone(), t.clone(), prev.origin)
-                            }
-                            UpdateOp::Modify { from, to } => Update::modify(
-                                prev.relation.clone(),
-                                to.clone(),
-                                from.clone(),
-                                prev.origin,
-                            ),
-                        };
-                        let _ = instance.apply_update(&inv);
-                    }
-                    return Err(e);
+            for b in conflicts.get(a).into_iter().flatten() {
+                if in_group(b, decisions) {
+                    decisions.insert(*a, TransactionDecision::Defer);
+                    decisions.insert(*b, TransactionDecision::Defer);
                 }
             }
         }
-        Ok(applied.len())
     }
 }
 

@@ -9,112 +9,110 @@
 //! if it accepted the transaction.
 
 use orchestra_model::{
-    flatten, ConflictKey, KeyValue, Priority, Schema, Transaction, TransactionId, Update,
+    flatten_keyed, ConflictKey, KeyValue, NetUpdates, Priority, Schema, Transaction, TransactionId,
+    Update,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// A flattened update extension together with the `(relation, key)` pairs it
-/// touches.
+/// touches: what [`flatten_keyed`] returns, under the name the paper's
+/// `ReconcileUpdates` knows it by.
 ///
-/// The keys are computed once per flattening, here, and every check that
-/// probes a key index — dirty values, the participant's own delta,
-/// `FindConflicts`, `UpdateSoftState` — borrows them instead of deriving (and
-/// allocating) them again.
-#[derive(Debug, Clone)]
-pub struct FlatExtension {
-    updates: Vec<Update>,
-    /// Every key an update reads or writes, with the index of that update
-    /// (whose relation completes the pair). Updates over relations unknown
-    /// to the schema touch no key.
-    keys: Vec<(usize, KeyValue)>,
-}
+/// The keys are computed once per flattening, and every check that needs one
+/// — dirty values, the participant's own delta, `FindConflicts`,
+/// `UpdateSoftState`, the instance's compatibility check and its apply —
+/// borrows it instead of deriving (and allocating) it again.
+///
+/// The updates may alias the update store's log: an extension that is one
+/// transaction touching pairwise distinct keys flattens to that transaction's
+/// own shared update list, so holding a `FlatExtension` can keep a log entry's
+/// updates alive, and nothing here may assume it owns them.
+pub type FlatExtension = NetUpdates;
 
 /// Updates indexed by the `(relation, key)` pairs they touch.
 pub(crate) type KeyIndex<'a> = FxHashMap<(&'a str, &'a KeyValue), Vec<&'a Update>>;
 
-impl FlatExtension {
-    /// Wraps an already flattened update set, deriving the keys it touches.
-    pub fn new(schema: &Schema, updates: Vec<Update>) -> Self {
-        let mut keys = Vec::with_capacity(updates.len());
-        for (i, u) in updates.iter().enumerate() {
-            if let Ok(rel) = schema.relation(&u.relation) {
-                keys.extend(u.touched_keys(rel).into_iter().map(|key| (i, key)));
-            }
-        }
-        FlatExtension { updates, keys }
+/// Indexes a flattened extension's updates by the pairs they touch, borrowing
+/// every key.
+pub(crate) fn by_key(flat: &FlatExtension) -> KeyIndex<'_> {
+    let mut index = KeyIndex::default();
+    for (relation, key, update) in flat.touched() {
+        index.entry((relation, key)).or_default().push(update);
     }
+    index
+}
 
-    /// The net updates, mutually independent.
-    pub fn updates(&self) -> &[Update] {
-        &self.updates
-    }
-
-    /// Every `(relation, key)` pair read or written, with the update that
-    /// touches it. A pair touched by two updates appears twice.
-    pub fn touched(&self) -> impl Iterator<Item = (&str, &KeyValue, &Update)> {
-        self.keys.iter().map(|(i, key)| {
-            let update = &self.updates[*i];
-            (update.relation.as_str(), key, update)
-        })
-    }
-
-    /// Indexes the updates by the pairs they touch, borrowing every key.
-    pub fn by_key(&self) -> KeyIndex<'_> {
-        let mut index = KeyIndex::default();
-        for (relation, key, update) in self.touched() {
-            index.entry((relation, key)).or_default().push(update);
-        }
-        index
-    }
-
-    /// The conflict-group keys on which these updates conflict with the
-    /// updates indexed in `other`, comparing only updates that touch a common
-    /// `(relation, key)` pair.
-    ///
-    /// This is complete with respect to the paper's conflict definition:
-    /// every conflicting pair of updates (divergent inserts, delete versus
-    /// write, divergent replacements of the same source) necessarily touches
-    /// a common key, so probing by key loses nothing while avoiding the
-    /// quadratic comparison of unrelated updates.
-    pub fn conflict_keys_with(&self, other: &KeyIndex<'_>, schema: &Schema) -> Vec<ConflictKey> {
-        let mut keys = Vec::new();
-        for (relation, key, u) in self.touched() {
-            for other in other.get(&(relation, key)).into_iter().flatten() {
-                if let Some((kind, ckey)) = u.conflict_kind_with(other, schema) {
-                    let ck = ConflictKey::new(kind, u.relation.clone(), ckey);
-                    if !keys.contains(&ck) {
-                        keys.push(ck);
-                    }
+/// The conflict-group keys on which `flat`'s updates conflict with the
+/// updates indexed in `other`, comparing only updates that touch a common
+/// `(relation, key)` pair.
+///
+/// This is complete with respect to the paper's conflict definition: every
+/// conflicting pair of updates (divergent inserts, delete versus write,
+/// divergent replacements of the same source) necessarily touches a common
+/// key, so probing by key loses nothing while avoiding the quadratic
+/// comparison of unrelated updates.
+pub(crate) fn conflict_keys_with(
+    flat: &FlatExtension,
+    other: &KeyIndex<'_>,
+    schema: &Schema,
+) -> Vec<ConflictKey> {
+    let mut keys = Vec::new();
+    for (relation, key, u) in flat.touched() {
+        for other in other.get(&(relation, key)).into_iter().flatten() {
+            if let Some((kind, ckey)) = u.conflict_kind_with(other, schema) {
+                let ck = ConflictKey::new(kind, u.relation.clone(), ckey);
+                if !keys.contains(&ck) {
+                    keys.push(ck);
                 }
             }
         }
-        keys
     }
+    keys
 }
 
 /// Finds the conflict-group keys on which two flattened update sets conflict
-/// (see [`FlatExtension::conflict_keys_with`]).
+/// (see [`conflict_keys_with`]).
 pub fn conflict_keys_between(
     left: &FlatExtension,
     right: &FlatExtension,
     schema: &Schema,
 ) -> Vec<ConflictKey> {
-    left.conflict_keys_with(&right.by_key(), schema)
+    conflict_keys_with(left, &by_key(right), schema)
+}
+
+/// The candidates (by position) touching one `(relation, key)` pair, in
+/// position order. Nearly every pair is touched by one candidate, so the
+/// first is held inline and only a second one allocates.
+#[derive(Debug)]
+pub struct Touching {
+    first: usize,
+    rest: Vec<usize>,
+}
+
+impl Touching {
+    /// The touching candidates' positions, ascending (at least one).
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
 }
 
 /// Indexes candidates (by position) under every `(relation, key)` pair their
 /// flattened extensions touch, each candidate at most once per pair.
-pub fn candidates_by_key(flats: &[Arc<FlatExtension>]) -> FxHashMap<(&str, &KeyValue), Vec<usize>> {
-    let mut by_key: FxHashMap<(&str, &KeyValue), Vec<usize>> = FxHashMap::default();
+pub fn candidates_by_key(flats: &[Arc<FlatExtension>]) -> FxHashMap<(&str, &KeyValue), Touching> {
+    let mut by_key: FxHashMap<(&str, &KeyValue), Touching> = FxHashMap::default();
     for (i, flat) in flats.iter().enumerate() {
         for (relation, key, _) in flat.touched() {
             // A candidate's entries under one pair are consecutive, so
             // comparing with the last entry deduplicates.
-            let touching = by_key.entry((relation, key)).or_default();
-            if touching.last() != Some(&i) {
-                touching.push(i);
-            }
+            by_key
+                .entry((relation, key))
+                .and_modify(|touching| {
+                    if touching.rest.last().unwrap_or(&touching.first) != &i {
+                        touching.rest.push(i);
+                    }
+                })
+                .or_insert(Touching { first: i, rest: Vec::new() });
         }
     }
     by_key
@@ -139,16 +137,16 @@ pub fn direct_conflicts(
 ) -> Vec<(usize, usize, Vec<ConflictKey>)> {
     let by_key = candidates_by_key(flats);
     let mut found = Vec::new();
-    if by_key.values().all(|touching| touching.len() < 2) {
+    if by_key.values().all(|touching| touching.rest.is_empty()) {
         return found;
     }
 
     let member_sets: Vec<FxHashSet<TransactionId>> =
         candidates.iter().map(|c| c.member_ids()).collect();
     let mut checked: FxHashSet<(usize, usize)> = FxHashSet::default();
-    for touching in by_key.values() {
-        for (pos, &i) in touching.iter().enumerate() {
-            for &j in &touching[pos + 1..] {
+    for touching in by_key.values().filter(|touching| !touching.rest.is_empty()) {
+        for (pos, i) in touching.iter().enumerate() {
+            for &j in &touching.rest[pos..] {
                 if !checked.insert((i, j)) {
                     continue;
                 }
@@ -274,7 +272,7 @@ impl CandidateTransaction {
     /// The flattened update extension — the net effect of the whole extension
     /// with intermediate steps removed — with the keys it touches.
     pub fn flattened(&self, schema: &Schema) -> FlatExtension {
-        FlatExtension::new(schema, self.flattened_excluding(schema, &FxHashSet::default()))
+        self.flattened_excluding(schema, &FxHashSet::default())
     }
 
     /// The flattened update extension restricted to members *not* in
@@ -286,9 +284,9 @@ impl CandidateTransaction {
         &self,
         schema: &Schema,
         exclude: &FxHashSet<TransactionId>,
-    ) -> Vec<Update> {
+    ) -> FlatExtension {
         let members = self.members.iter().filter(|(id, _)| !exclude.contains(id));
-        flatten(schema, members.flat_map(|(_, us)| us.iter()))
+        flatten_keyed(schema, members.map(|(_, updates)| updates))
     }
 
     /// Returns true if this candidate subsumes `other`: its extension is a
@@ -316,9 +314,11 @@ impl CandidateTransaction {
         let mine = self.member_ids();
         let theirs = other.member_ids();
         let shared: FxHashSet<TransactionId> = mine.intersection(&theirs).copied().collect();
-        let ours = FlatExtension::new(schema, self.flattened_excluding(schema, &shared));
-        let others = FlatExtension::new(schema, other.flattened_excluding(schema, &shared));
-        conflict_keys_between(&ours, &others, schema)
+        conflict_keys_between(
+            &self.flattened_excluding(schema, &shared),
+            &other.flattened_excluding(schema, &shared),
+            schema,
+        )
     }
 }
 
@@ -519,6 +519,33 @@ mod tests {
         let c2 = CandidateTransaction::new(&x2, Priority(1), vec![]);
         assert!(c1.directly_conflicts_with(&c2, &schema));
         assert!(c2.directly_conflicts_with(&c1, &schema));
+    }
+
+    #[test]
+    fn candidates_are_indexed_once_per_key_in_position_order() {
+        let schema = bioinformatics_schema();
+        let flat = |updates: Vec<Update>| {
+            let cand = CandidateTransaction::new(&txn(1, 0, updates), Priority(1), vec![]);
+            Arc::new(cand.flattened(&schema))
+        };
+        let flats = [
+            flat(vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]),
+            flat(vec![Update::insert("Function", func("rat", "prot2", "b"), p(1))]),
+            flat(vec![
+                Update::delete("Function", func("rat", "prot1", "a"), p(1)),
+                Update::insert("Function", func("rat", "prot3", "c"), p(1)),
+            ]),
+            flat(vec![Update::insert("Function", func("rat", "prot1", "d"), p(1))]),
+        ];
+        let by_key = candidates_by_key(&flats);
+        let touching = |protein: &str| {
+            let key = KeyValue::of_text(&["rat", protein]);
+            by_key[&("Function", &key)].iter().collect::<Vec<usize>>()
+        };
+        assert_eq!(by_key.len(), 3);
+        assert_eq!(touching("prot1"), vec![0, 2, 3]);
+        assert_eq!(touching("prot2"), vec![1]);
+        assert_eq!(touching("prot3"), vec![2]);
     }
 
     #[test]

@@ -335,7 +335,7 @@ fn dec_value(d: &mut Dec<'_>) -> Result<Value> {
         0 => Value::Null,
         1 => Value::Int(d.i64()?),
         2 => Value::Float(d.f64()?),
-        3 => Value::Text(d.str()?),
+        3 => Value::Text(d.str()?.into()),
         4 => Value::Bool(d.bool()?),
         other => return Err(StorageError::Persistence(format!("invalid value tag {other}"))),
     })
@@ -1103,7 +1103,7 @@ mod tests {
                         Predicate::FromAnyOf(vec![ParticipantId(1), ParticipantId(2)]),
                         Predicate::WritesValue {
                             column: "function".to_string(),
-                            equals: Value::Text("immune".to_string()),
+                            equals: Value::Text("immune".into()),
                         },
                         Predicate::True,
                         Predicate::False,

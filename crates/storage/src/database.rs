@@ -3,7 +3,9 @@
 
 use crate::error::Result;
 use crate::table::Table;
-use orchestra_model::{InstanceView, KeyValue, Schema, Transaction, Tuple, Update, UpdateOp};
+use orchestra_model::{
+    InstanceView, KeyValue, NetUpdates, Schema, Transaction, Tuple, Update, UpdateOp,
+};
 use std::collections::BTreeMap;
 
 /// A participant's database instance (or any relational instance conforming
@@ -67,6 +69,37 @@ impl Database {
         }
     }
 
+    /// [`Database::is_compatible`] for a caller that already holds the keys
+    /// the update touches, as [`NetUpdates::iter`] hands them out.
+    pub fn is_compatible_keyed(&self, update: &Update, keys: &[KeyValue]) -> bool {
+        let (Some(table), Some(first), Some(last)) =
+            (self.tables.get(update.relation.as_str()), keys.first(), keys.last())
+        else {
+            return false;
+        };
+        match &update.op {
+            UpdateOp::Insert(t) => table.can_insert_keyed(first, t),
+            UpdateOp::Delete(t) => table.can_delete_keyed(first, t),
+            UpdateOp::Modify { from, to } => table.can_modify_keyed(first, from, last, to),
+        }
+    }
+
+    /// Returns true if the state already shows the update's effect: the
+    /// inserted tuple is present, nothing is left under the deleted key, or
+    /// the replacement is in place and the replaced tuple is gone. `keys` are
+    /// the keys the update touches ([`NetUpdates::iter`]).
+    pub fn already_satisfied(&self, update: &Update, keys: &[KeyValue]) -> bool {
+        let table = self.tables.get(update.relation.as_str());
+        let row = |key: Option<&KeyValue>| table?.get(key?);
+        match &update.op {
+            UpdateOp::Insert(t) => row(keys.first()) == Some(t),
+            UpdateOp::Delete(_) => row(keys.first()).is_none(),
+            UpdateOp::Modify { from, to } => {
+                row(keys.first()) != Some(from) && row(keys.last()) == Some(to)
+            }
+        }
+    }
+
     /// Checks the schema's declared constraints against applying `update` to
     /// the current state.
     pub fn check_constraints(&self, update: &Update) -> Result<()> {
@@ -79,13 +112,41 @@ impl Database {
     /// Applies a single update, enforcing primary keys and declared
     /// constraints. On error the instance is unchanged.
     pub fn apply_update(&mut self, update: &Update) -> Result<()> {
+        // Validated first: the key of a malformed tuple cannot be taken.
         update.validate(&self.schema)?;
+        let rel = self.schema.relation(&update.relation)?;
+        let (first, last) = match &update.op {
+            UpdateOp::Insert(t) | UpdateOp::Delete(t) => (rel.key_of(t), None),
+            UpdateOp::Modify { from, to } => (rel.key_of(from), Some(rel.key_of(to))),
+        };
+        self.apply_validated(update, &first, last.as_ref().unwrap_or(&first))
+    }
+
+    /// [`Database::apply_update`] for a caller that already holds the keys
+    /// the update touches ([`NetUpdates::iter`]); with none handed over, they
+    /// are derived.
+    pub fn apply_keyed(&mut self, update: &Update, keys: &[KeyValue]) -> Result<()> {
+        let (Some(first), Some(last)) = (keys.first(), keys.last()) else {
+            return self.apply_update(update);
+        };
+        update.validate(&self.schema)?;
+        self.apply_validated(update, first, last)
+    }
+
+    /// Applies an update that [`Update::validate`] has passed, given the key
+    /// of the tuple it reads (or inserts) and the key of the tuple it writes.
+    fn apply_validated(
+        &mut self,
+        update: &Update,
+        first: &KeyValue,
+        last: &KeyValue,
+    ) -> Result<()> {
         self.check_constraints(update)?;
         let table = self.table_mut(&update.relation)?;
         match &update.op {
-            UpdateOp::Insert(t) => table.insert(t.clone()),
-            UpdateOp::Delete(t) => table.delete(t),
-            UpdateOp::Modify { from, to } => table.modify(from, to.clone()),
+            UpdateOp::Insert(t) => table.insert_keyed(first, t),
+            UpdateOp::Delete(t) => table.delete_keyed(first, t),
+            UpdateOp::Modify { from, to } => table.modify_keyed(first, from, last, to),
         }
     }
 
@@ -93,18 +154,10 @@ impl Database {
     /// previously applied updates of the sequence are rolled back and the
     /// error is returned.
     pub fn apply_all(&mut self, updates: &[Update]) -> Result<()> {
-        let mut undo: Vec<Update> = Vec::with_capacity(updates.len());
-        for u in updates {
-            match self.apply_update(u) {
-                Ok(()) => undo.push(Self::inverse(u)),
-                Err(e) => {
-                    for inv in undo.iter().rev() {
-                        // Undo operations reverse successful forward
-                        // operations, so they cannot fail.
-                        self.apply_unchecked(inv).expect("undo of applied update");
-                    }
-                    return Err(e);
-                }
+        for (done, u) in updates.iter().enumerate() {
+            if let Err(e) = self.apply_update(u) {
+                self.undo(updates[..done].iter());
+                return Err(e);
             }
         }
         Ok(())
@@ -115,29 +168,39 @@ impl Database {
         self.apply_all(txn.updates())
     }
 
-    /// Applies an update without constraint checking (used for undo).
-    fn apply_unchecked(&mut self, update: &Update) -> Result<()> {
-        let table = self.table_mut(&update.relation)?;
-        match &update.op {
-            UpdateOp::Insert(t) => table.insert(t.clone()),
-            UpdateOp::Delete(t) => table.delete(t),
-            UpdateOp::Modify { from, to } => table.modify(from, to.clone()),
+    /// Applies a set of net updates atomically, skipping those whose effect
+    /// is already present (the shared effects of extensions applied earlier).
+    /// Returns how many were applied; if one fails, those this call applied
+    /// are rolled back, the instance is as it was, and the error is returned.
+    ///
+    /// Whether an effect is present is asked before the constraints are, so
+    /// an update the state already shows is never the one that fails.
+    pub fn apply_net(&mut self, net: &NetUpdates) -> Result<usize> {
+        let mut applied: Vec<&Update> = Vec::with_capacity(net.updates().len());
+        for (update, keys) in net.iter() {
+            if self.already_satisfied(update, keys) {
+                continue;
+            }
+            if let Err(e) = self.apply_keyed(update, keys) {
+                self.undo(applied.into_iter());
+                return Err(e);
+            }
+            applied.push(update);
         }
+        Ok(applied.len())
     }
 
-    /// The inverse of an update (used to roll back partially applied
-    /// sequences).
-    fn inverse(update: &Update) -> Update {
-        match &update.op {
-            UpdateOp::Insert(t) => {
-                Update::delete(update.relation.clone(), t.clone(), update.origin)
+    /// Reverses updates this instance has just applied, last first, without
+    /// consulting the constraints: every step restores a state that held.
+    fn undo<'a>(&mut self, applied: impl DoubleEndedIterator<Item = &'a Update>) {
+        for update in applied.rev() {
+            let table = self.table_mut(&update.relation).expect("applied to this relation");
+            match &update.op {
+                UpdateOp::Insert(t) => table.delete(t),
+                UpdateOp::Delete(t) => table.insert(t),
+                UpdateOp::Modify { from, to } => table.modify(to, from),
             }
-            UpdateOp::Delete(t) => {
-                Update::insert(update.relation.clone(), t.clone(), update.origin)
-            }
-            UpdateOp::Modify { from, to } => {
-                Update::modify(update.relation.clone(), to.clone(), from.clone(), update.origin)
-            }
+            .expect("the reverse of an applied update applies");
         }
     }
 
@@ -149,15 +212,6 @@ impl Database {
     /// Returns true if the relation currently contains exactly this tuple.
     pub fn contains_tuple_exact(&self, relation: &str, tuple: &Tuple) -> bool {
         self.tables.get(relation).map(|t| t.contains(tuple)).unwrap_or(false)
-    }
-
-    /// Returns true if some row exists under the primary key of `tuple`
-    /// (whatever its non-key attributes are).
-    pub fn key_present(&self, relation: &str, tuple: &Tuple) -> bool {
-        self.tables
-            .get(relation)
-            .map(|t| t.get(&t.schema().key_of(tuple)).is_some())
-            .unwrap_or(false)
     }
 
     /// The value stored under `(relation, key)`, if any. Used by the
@@ -192,8 +246,10 @@ impl InstanceView for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use orchestra_model::schema::bioinformatics_schema;
-    use orchestra_model::{Constraint, ParticipantId};
+    use orchestra_model::{flatten_keyed, Constraint, ParticipantId};
+    use std::sync::Arc;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -293,6 +349,15 @@ mod tests {
 
     #[test]
     fn constraints_are_enforced_on_apply() {
+        let mut d = Database::new(referencing_schema());
+        let xref =
+            Update::insert("XRef", Tuple::of_text(&["rat", "prot1", "genbank", "ACC1"]), p(1));
+        assert!(d.apply_update(&xref).is_err());
+        d.apply_update(&Update::insert("Function", func("rat", "prot1", "immune"), p(1))).unwrap();
+        assert!(d.apply_update(&xref).is_ok());
+    }
+
+    fn referencing_schema() -> Schema {
         let mut schema = bioinformatics_schema();
         schema
             .add_constraint(Constraint::ForeignKey {
@@ -302,12 +367,99 @@ mod tests {
                 ref_columns: vec!["organism".into(), "protein".into()],
             })
             .unwrap();
-        let mut d = Database::new(schema);
-        let xref =
-            Update::insert("XRef", Tuple::of_text(&["rat", "prot1", "genbank", "ACC1"]), p(1));
-        assert!(d.apply_update(&xref).is_err());
+        schema
+    }
+
+    #[test]
+    fn apply_net_skips_present_effects_and_counts_the_rest() {
+        let schema = bioinformatics_schema();
+        let mut d = Database::new(schema.clone());
         d.apply_update(&Update::insert("Function", func("rat", "prot1", "immune"), p(1))).unwrap();
-        assert!(d.apply_update(&xref).is_ok());
+        let net = flatten_keyed(
+            &schema,
+            [&Arc::new(vec![
+                // Already there, already gone, already replaced: all skipped.
+                Update::insert("Function", func("rat", "prot1", "immune"), p(2)),
+                Update::delete("Function", func("dog", "prot9", "z"), p(2)),
+                Update::insert("Function", func("mouse", "prot2", "a"), p(2)),
+                Update::insert("Mystery", func("x", "y", "z"), p(2)),
+            ])],
+        );
+        // The unknown relation's insert is the one that fails, after one
+        // update was applied: nothing of the call survives.
+        let before = d.clone();
+        assert!(d.apply_net(&net).is_err());
+        assert_eq!(d, before);
+
+        let net = flatten_keyed(&schema, [&Arc::new(net.updates()[..3].to_vec())]);
+        assert_eq!(d.apply_net(&net).unwrap(), 1);
+        assert_eq!(d.apply_net(&net).unwrap(), 0, "every effect is present now");
+        assert_eq!(d.total_tuples(), 2);
+    }
+
+    #[test]
+    fn apply_net_leaves_the_pre_image_when_the_kth_update_breaks_the_foreign_key() {
+        let schema = referencing_schema();
+        let mut d = Database::new(schema.clone());
+        for u in [
+            Update::insert("Function", func("rat", "prot1", "immune"), p(1)),
+            Update::insert("Function", func("rat", "prot2", "immune"), p(1)),
+            Update::insert("XRef", Tuple::of_text(&["rat", "prot2", "genbank", "ACC2"]), p(1)),
+        ] {
+            d.apply_update(&u).unwrap();
+        }
+        let before = d.clone();
+        let net = flatten_keyed(
+            &schema,
+            [&Arc::new(vec![
+                Update::insert("Function", func("mouse", "prot2", "a"), p(2)),
+                Update::modify(
+                    "Function",
+                    func("rat", "prot1", "immune"),
+                    func("rat", "prot3", "immune"),
+                    p(2),
+                ),
+                Update::delete("XRef", Tuple::of_text(&["rat", "prot2", "genbank", "ACC2"]), p(2)),
+                Update::delete("Function", func("rat", "prot2", "immune"), p(2)),
+                // No `Function` row for (dog, prot9): the fifth update fails.
+                Update::insert("XRef", Tuple::of_text(&["dog", "prot9", "genbank", "ACC1"]), p(2)),
+            ])],
+        );
+        let err = d.apply_net(&net).unwrap_err();
+        assert!(matches!(err, StorageError::Model(_)), "a constraint violation: {err}");
+        assert_eq!(d, before);
+    }
+
+    #[test]
+    fn keyed_check_and_apply_take_the_keys_the_flattening_hands_on() {
+        let schema = bioinformatics_schema();
+        let mut d = Database::new(schema.clone());
+        d.apply_update(&Update::insert("Function", func("rat", "prot1", "a"), p(1))).unwrap();
+        let net = flatten_keyed(
+            &schema,
+            [&Arc::new(vec![
+                Update::modify(
+                    "Function",
+                    func("rat", "prot1", "a"),
+                    func("rat", "prot2", "a"),
+                    p(2),
+                ),
+                Update::insert("Function", func("rat", "prot3", "c"), p(2)),
+                Update::delete("Function", func("rat", "prot4", "d"), p(2)),
+            ])],
+        );
+        for (update, keys) in net.iter() {
+            assert_eq!(d.is_compatible_keyed(update, keys), d.is_compatible(update));
+            let mut unkeyed = d.clone();
+            assert_eq!(d.apply_keyed(update, keys).is_ok(), unkeyed.apply_update(update).is_ok());
+            assert_eq!(d, unkeyed);
+        }
+        assert!(d.contains_tuple_exact("Function", &func("rat", "prot2", "a")));
+        assert_eq!(d.total_tuples(), 2);
+        // With no key handed over, the keys are derived.
+        let late = Update::insert("Function", func("rat", "prot5", "e"), p(2));
+        d.apply_keyed(&late, &[]).unwrap();
+        assert_eq!(d.total_tuples(), 3);
     }
 
     #[test]

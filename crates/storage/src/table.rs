@@ -4,6 +4,7 @@
 use crate::error::{Result, StorageError};
 use orchestra_model::{KeyValue, RelationSchema, Tuple, Value};
 use rustc_hash::FxHashMap;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A non-unique secondary index over a subset of columns.
@@ -115,20 +116,30 @@ impl Table {
     /// Validates and inserts a tuple. Inserting a tuple identical to one
     /// already present is a no-op; inserting a different tuple under an
     /// existing key is a [`StorageError::DuplicateKey`].
-    pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
-        self.schema.validate_tuple(&tuple)?;
-        let key = self.schema.key_of(&tuple);
-        match self.rows.get(&key) {
-            Some(existing) if *existing == tuple => Ok(()),
-            Some(_) => Err(StorageError::DuplicateKey {
+    pub fn insert(&mut self, tuple: &Tuple) -> Result<()> {
+        self.schema.validate_tuple(tuple)?;
+        self.insert_keyed(&self.schema.key_of(tuple), tuple)
+    }
+
+    /// [`Table::insert`] for a caller that already holds the tuple's key.
+    ///
+    /// # Panics
+    /// Panics if `key` is not the key of `tuple`: a row filed under another
+    /// key would be unreachable through its own.
+    pub fn insert_keyed(&mut self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
+        self.schema.validate_tuple(tuple)?;
+        assert!(self.schema.is_key_of(key, tuple), "{key} is not the key of {tuple}");
+        match self.rows.entry(key.clone()) {
+            Entry::Occupied(row) if row.get() == tuple => Ok(()),
+            Entry::Occupied(_) => Err(StorageError::DuplicateKey {
                 relation: self.schema.name().to_owned(),
                 key: key.to_string(),
             }),
-            None => {
+            Entry::Vacant(slot) => {
                 for idx in self.indexes.values_mut() {
-                    idx.add(&tuple, &key);
+                    idx.add(tuple, key);
                 }
-                self.rows.insert(key, tuple);
+                slot.insert(tuple.clone());
                 Ok(())
             }
         }
@@ -139,8 +150,63 @@ impl Table {
     /// [`StorageError::MissingTuple`] and deleting a row whose value has
     /// diverged is [`StorageError::StaleTuple`].
     pub fn delete(&mut self, tuple: &Tuple) -> Result<()> {
-        let key = self.schema.key_of(tuple);
-        match self.rows.get(&key) {
+        self.delete_keyed(&self.schema.key_of(tuple), tuple)
+    }
+
+    /// [`Table::delete`] for a caller that already holds the tuple's key.
+    pub fn delete_keyed(&mut self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
+        self.expect_row(key, tuple)?;
+        for idx in self.indexes.values_mut() {
+            idx.remove(tuple, key);
+        }
+        self.rows.remove(key);
+        Ok(())
+    }
+
+    /// Replaces `from` with `to`. The `from` tuple must be present exactly;
+    /// if the key changes, the new key must not collide with another row.
+    pub fn modify(&mut self, from: &Tuple, to: &Tuple) -> Result<()> {
+        self.schema.validate_tuple(to)?;
+        self.modify_keyed(&self.schema.key_of(from), from, &self.schema.key_of(to), to)
+    }
+
+    /// [`Table::modify`] for a caller that already holds both tuples' keys.
+    ///
+    /// # Panics
+    /// Panics if `to_key` is not the key of `to`.
+    pub fn modify_keyed(
+        &mut self,
+        from_key: &KeyValue,
+        from: &Tuple,
+        to_key: &KeyValue,
+        to: &Tuple,
+    ) -> Result<()> {
+        self.schema.validate_tuple(to)?;
+        assert!(self.schema.is_key_of(to_key, to), "{to_key} is not the key of {to}");
+        self.expect_row(from_key, from)?;
+        let moves = to_key != from_key;
+        if moves && self.rows.get(to_key).is_some_and(|other| other != to) {
+            return Err(StorageError::DuplicateKey {
+                relation: self.schema.name().to_owned(),
+                key: to_key.to_string(),
+            });
+        }
+        for idx in self.indexes.values_mut() {
+            idx.remove(from, from_key);
+            idx.add(to, to_key);
+        }
+        if moves {
+            self.rows.remove(from_key);
+            self.rows.insert(to_key.clone(), to.clone());
+        } else if let Some(row) = self.rows.get_mut(from_key) {
+            *row = to.clone();
+        }
+        Ok(())
+    }
+
+    /// The row under `key` must be exactly `tuple`.
+    fn expect_row(&self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
+        match self.rows.get(key) {
             None => Err(StorageError::MissingTuple {
                 relation: self.schema.name().to_owned(),
                 tuple: tuple.to_string(),
@@ -150,92 +216,51 @@ impl Table {
                 expected: tuple.to_string(),
                 found: existing.to_string(),
             }),
-            Some(_) => {
-                for idx in self.indexes.values_mut() {
-                    idx.remove(tuple, &key);
-                }
-                self.rows.remove(&key);
-                Ok(())
-            }
+            Some(_) => Ok(()),
         }
-    }
-
-    /// Replaces `from` with `to`. The `from` tuple must be present exactly;
-    /// if the key changes, the new key must not collide with another row.
-    pub fn modify(&mut self, from: &Tuple, to: Tuple) -> Result<()> {
-        self.schema.validate_tuple(&to)?;
-        let from_key = self.schema.key_of(from);
-        let to_key = self.schema.key_of(&to);
-        match self.rows.get(&from_key) {
-            None => {
-                return Err(StorageError::MissingTuple {
-                    relation: self.schema.name().to_owned(),
-                    tuple: from.to_string(),
-                })
-            }
-            Some(existing) if existing != from => {
-                return Err(StorageError::StaleTuple {
-                    relation: self.schema.name().to_owned(),
-                    expected: from.to_string(),
-                    found: existing.to_string(),
-                })
-            }
-            Some(_) => {}
-        }
-        if to_key != from_key {
-            if let Some(other) = self.rows.get(&to_key) {
-                if *other != to {
-                    return Err(StorageError::DuplicateKey {
-                        relation: self.schema.name().to_owned(),
-                        key: to_key.to_string(),
-                    });
-                }
-            }
-        }
-        for idx in self.indexes.values_mut() {
-            idx.remove(from, &from_key);
-            idx.add(&to, &to_key);
-        }
-        self.rows.remove(&from_key);
-        self.rows.insert(to_key, to);
-        Ok(())
     }
 
     /// Checks whether an insertion of `tuple` would succeed, without applying
     /// it.
     pub fn can_insert(&self, tuple: &Tuple) -> bool {
-        if self.schema.validate_tuple(tuple).is_err() {
-            return false;
-        }
-        match self.rows.get(&self.schema.key_of(tuple)) {
-            Some(existing) => existing == tuple,
-            None => true,
-        }
+        self.schema.validate_tuple(tuple).is_ok()
+            && self.can_insert_keyed(&self.schema.key_of(tuple), tuple)
+    }
+
+    /// [`Table::can_insert`] for a caller that already holds the tuple's key.
+    pub fn can_insert_keyed(&self, key: &KeyValue, tuple: &Tuple) -> bool {
+        self.schema.validate_tuple(tuple).is_ok()
+            && self.rows.get(key).map_or(true, |existing| existing == tuple)
     }
 
     /// Checks whether a deletion of `tuple` would succeed.
     pub fn can_delete(&self, tuple: &Tuple) -> bool {
-        self.rows.get(&self.schema.key_of(tuple)) == Some(tuple)
+        self.can_delete_keyed(&self.schema.key_of(tuple), tuple)
+    }
+
+    /// [`Table::can_delete`] for a caller that already holds the tuple's key.
+    pub fn can_delete_keyed(&self, key: &KeyValue, tuple: &Tuple) -> bool {
+        self.rows.get(key) == Some(tuple)
     }
 
     /// Checks whether replacing `from` with `to` would succeed.
     pub fn can_modify(&self, from: &Tuple, to: &Tuple) -> bool {
-        if self.schema.validate_tuple(to).is_err() {
-            return false;
-        }
-        if self.rows.get(&self.schema.key_of(from)) != Some(from) {
-            return false;
-        }
-        let from_key = self.schema.key_of(from);
-        let to_key = self.schema.key_of(to);
-        if to_key != from_key {
-            match self.rows.get(&to_key) {
-                Some(other) => other == to,
-                None => true,
-            }
-        } else {
-            true
-        }
+        self.schema.validate_tuple(to).is_ok()
+            && self.can_modify_keyed(&self.schema.key_of(from), from, &self.schema.key_of(to), to)
+    }
+
+    /// [`Table::can_modify`] for a caller that already holds both tuples'
+    /// keys.
+    pub fn can_modify_keyed(
+        &self,
+        from_key: &KeyValue,
+        from: &Tuple,
+        to_key: &KeyValue,
+        to: &Tuple,
+    ) -> bool {
+        self.schema.validate_tuple(to).is_ok()
+            && self.rows.get(from_key) == Some(from)
+            && (to_key == from_key || self.rows.get(to_key).map_or(true, |other| other == to))
     }
 }
 
@@ -256,7 +281,7 @@ mod tests {
     fn insert_get_and_contains() {
         let mut t = function_table();
         assert!(t.is_empty());
-        t.insert(func("rat", "prot1", "immune")).unwrap();
+        t.insert(&func("rat", "prot1", "immune")).unwrap();
         assert_eq!(t.len(), 1);
         assert!(t.contains(&func("rat", "prot1", "immune")));
         assert!(!t.contains(&func("rat", "prot1", "cell-resp")));
@@ -267,19 +292,19 @@ mod tests {
     #[test]
     fn duplicate_inserts() {
         let mut t = function_table();
-        t.insert(func("rat", "prot1", "immune")).unwrap();
+        t.insert(&func("rat", "prot1", "immune")).unwrap();
         // Identical insert is a no-op.
-        t.insert(func("rat", "prot1", "immune")).unwrap();
+        t.insert(&func("rat", "prot1", "immune")).unwrap();
         assert_eq!(t.len(), 1);
         // Divergent insert under the same key is an error.
-        let err = t.insert(func("rat", "prot1", "cell-resp")).unwrap_err();
+        let err = t.insert(&func("rat", "prot1", "cell-resp")).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKey { .. }));
     }
 
     #[test]
     fn delete_requires_exact_match() {
         let mut t = function_table();
-        t.insert(func("rat", "prot1", "immune")).unwrap();
+        t.insert(&func("rat", "prot1", "immune")).unwrap();
         let missing = t.delete(&func("mouse", "prot2", "x")).unwrap_err();
         assert!(matches!(missing, StorageError::MissingTuple { .. }));
         let stale = t.delete(&func("rat", "prot1", "cell-resp")).unwrap_err();
@@ -291,13 +316,13 @@ mod tests {
     #[test]
     fn modify_in_place_and_key_change() {
         let mut t = function_table();
-        t.insert(func("rat", "prot1", "cell-metab")).unwrap();
-        t.modify(&func("rat", "prot1", "cell-metab"), func("rat", "prot1", "immune")).unwrap();
+        t.insert(&func("rat", "prot1", "cell-metab")).unwrap();
+        t.modify(&func("rat", "prot1", "cell-metab"), &func("rat", "prot1", "immune")).unwrap();
         assert!(t.contains(&func("rat", "prot1", "immune")));
 
         // Key-changing modify, as in the paper's X3:3.
-        t.insert(func("mouse", "prot2", "cell-resp")).unwrap();
-        t.modify(&func("mouse", "prot2", "cell-resp"), func("mouse", "prot3", "cell-resp"))
+        t.insert(&func("mouse", "prot2", "cell-resp")).unwrap();
+        t.modify(&func("mouse", "prot2", "cell-resp"), &func("mouse", "prot3", "cell-resp"))
             .unwrap();
         assert!(t.get(&KeyValue::of_text(&["mouse", "prot2"])).is_none());
         assert!(t.contains(&func("mouse", "prot3", "cell-resp")));
@@ -306,9 +331,9 @@ mod tests {
     #[test]
     fn modify_collision_detected() {
         let mut t = function_table();
-        t.insert(func("rat", "prot1", "a")).unwrap();
-        t.insert(func("rat", "prot2", "b")).unwrap();
-        let err = t.modify(&func("rat", "prot1", "a"), func("rat", "prot2", "c")).unwrap_err();
+        t.insert(&func("rat", "prot1", "a")).unwrap();
+        t.insert(&func("rat", "prot2", "b")).unwrap();
+        let err = t.modify(&func("rat", "prot1", "a"), &func("rat", "prot2", "c")).unwrap_err();
         assert!(matches!(err, StorageError::DuplicateKey { .. }));
     }
 
@@ -316,12 +341,12 @@ mod tests {
     fn modify_of_missing_or_stale_tuple_fails() {
         let mut t = function_table();
         assert!(matches!(
-            t.modify(&func("rat", "prot1", "a"), func("rat", "prot1", "b")),
+            t.modify(&func("rat", "prot1", "a"), &func("rat", "prot1", "b")),
             Err(StorageError::MissingTuple { .. })
         ));
-        t.insert(func("rat", "prot1", "x")).unwrap();
+        t.insert(&func("rat", "prot1", "x")).unwrap();
         assert!(matches!(
-            t.modify(&func("rat", "prot1", "a"), func("rat", "prot1", "b")),
+            t.modify(&func("rat", "prot1", "a"), &func("rat", "prot1", "b")),
             Err(StorageError::StaleTuple { .. })
         ));
     }
@@ -329,7 +354,7 @@ mod tests {
     #[test]
     fn can_apply_probes_match_apply_behaviour() {
         let mut t = function_table();
-        t.insert(func("rat", "prot1", "a")).unwrap();
+        t.insert(&func("rat", "prot1", "a")).unwrap();
         assert!(t.can_insert(&func("mouse", "prot2", "b")));
         assert!(t.can_insert(&func("rat", "prot1", "a")));
         assert!(!t.can_insert(&func("rat", "prot1", "z")));
@@ -344,9 +369,9 @@ mod tests {
     fn secondary_index_lookup() {
         let mut t = function_table();
         t.create_index("by_function", &["function"]).unwrap();
-        t.insert(func("rat", "prot1", "immune")).unwrap();
-        t.insert(func("mouse", "prot2", "immune")).unwrap();
-        t.insert(func("dog", "prot3", "cell-resp")).unwrap();
+        t.insert(&func("rat", "prot1", "immune")).unwrap();
+        t.insert(&func("mouse", "prot2", "immune")).unwrap();
+        t.insert(&func("dog", "prot3", "cell-resp")).unwrap();
         let immune = t.index_lookup("by_function", &[Value::text("immune")]).unwrap();
         assert_eq!(immune.len(), 2);
         let none = t.index_lookup("by_function", &[Value::text("nothing")]).unwrap();
@@ -355,7 +380,7 @@ mod tests {
 
         // Index is maintained across deletes and modifies.
         t.delete(&func("rat", "prot1", "immune")).unwrap();
-        t.modify(&func("mouse", "prot2", "immune"), func("mouse", "prot2", "cell-resp")).unwrap();
+        t.modify(&func("mouse", "prot2", "immune"), &func("mouse", "prot2", "cell-resp")).unwrap();
         let immune = t.index_lookup("by_function", &[Value::text("immune")]).unwrap();
         assert!(immune.is_empty());
         let resp = t.index_lookup("by_function", &[Value::text("cell-resp")]).unwrap();
@@ -371,8 +396,8 @@ mod tests {
     #[test]
     fn rows_are_returned_in_key_order() {
         let mut t = function_table();
-        t.insert(func("zebra", "prot9", "a")).unwrap();
-        t.insert(func("ant", "prot1", "b")).unwrap();
+        t.insert(&func("zebra", "prot9", "a")).unwrap();
+        t.insert(&func("ant", "prot1", "b")).unwrap();
         let rows = t.rows();
         assert_eq!(rows[0], func("ant", "prot1", "b"));
         assert_eq!(rows[1], func("zebra", "prot9", "a"));

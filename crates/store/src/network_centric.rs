@@ -132,7 +132,7 @@ impl DhtStore {
             let ((), latency) = self.charged(|network| {
                 let key_node = orchestra_net::NodeId::hash_str(&format!("key/{relation}/{key}"));
                 if let Some(owner) = network.ring().owner_of(key_node) {
-                    for _ in 0..received.len() {
+                    for _ in received.iter() {
                         network.send_to_key(owner, key_node, CONTROL_BYTES);
                     }
                     network.send_direct(owner, peer, CONTROL_BYTES);

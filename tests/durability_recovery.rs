@@ -92,20 +92,11 @@ fn apply_step(system: &mut CdssSystem<CentralStore>, step: &Step, log: &mut Vec<
             // abandoning an edit).
             let instance = system.participant(id).expect("participant").instance();
             let tuple = func(*key, *value);
-            let update = if instance.key_present("Function", &tuple) {
-                let existing = instance
-                    .relation_contents("Function")
-                    .into_iter()
-                    .find(|(k, _)| {
-                        *k == orchestra_model::KeyValue::of_text(&["rat", &format!("prot{key}")])
-                    })
-                    .map(|(_, t)| t);
-                match existing {
-                    Some(from) if from != tuple => Update::modify("Function", from, tuple, id),
-                    _ => return,
-                }
-            } else {
-                Update::insert("Function", tuple, id)
+            let at = orchestra_model::KeyValue::of_text(&["rat", &format!("prot{key}")]);
+            let update = match instance.value_at("Function", &at) {
+                Some(from) if from != tuple => Update::modify("Function", from, tuple, id),
+                Some(_) => return,
+                None => Update::insert("Function", tuple, id),
             };
             if system.execute(id, vec![update]).is_ok() {
                 let epoch = system.publish(id).expect("publish succeeds");

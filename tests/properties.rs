@@ -3,11 +3,13 @@
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    flatten, ParticipantId, Priority, ReconciliationId, Schema, Transaction, Tuple, Update,
+    flatten, flatten_keyed, ParticipantId, Priority, ReconciliationId, Schema, Transaction, Tuple,
+    Update, UpdateOp, Value,
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
-use orchestra_storage::Database;
+use orchestra_storage::{Database, StorageError, Table};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn p(i: u32) -> ParticipantId {
     ParticipantId(i)
@@ -22,9 +24,23 @@ fn func(key: u8, value: u8) -> Tuple {
 /// scratch instance so that the generated sequence is always applicable.
 #[derive(Debug, Clone)]
 enum Action {
-    Insert { key: u8, value: u8 },
-    Revise { key: u8, value: u8 },
-    Remove { key: u8 },
+    Insert {
+        key: u8,
+        value: u8,
+    },
+    Revise {
+        key: u8,
+        value: u8,
+    },
+    Remove {
+        key: u8,
+    },
+    /// A modification that changes the key. Only ever to a higher key, so no
+    /// two tuples swap keys: no sequence of independent updates says a swap.
+    Move {
+        key: u8,
+        to: u8,
+    },
 }
 
 fn action_strategy() -> impl Strategy<Value = Action> {
@@ -33,6 +49,11 @@ fn action_strategy() -> impl Strategy<Value = Action> {
         (0u8..6, 0u8..5).prop_map(|(key, value)| Action::Revise { key, value }),
         (0u8..6).prop_map(|key| Action::Remove { key }),
     ]
+}
+
+/// [`action_strategy`] with key-changing modifications among the actions.
+fn moving_action_strategy() -> impl Strategy<Value = Action> {
+    prop_oneof![action_strategy(), (0u8..6, 0u8..6).prop_map(|(key, to)| Action::Move { key, to }),]
 }
 
 /// Expands a list of actions into a sequence of applicable updates (relative
@@ -87,11 +108,48 @@ fn realise_on(
                     None => continue,
                 }
             }
+            Action::Move { key, to } => {
+                let rel = schema.relation("Function").unwrap();
+                let (key, to) = (fold(key), fold(to));
+                let existing = instance.value_at("Function", &rel.key_of(&func(key, 0)));
+                let taken = instance.value_at("Function", &rel.key_of(&func(to, 0)));
+                match (existing, taken) {
+                    (Some(existing), None) if key < to => {
+                        let moved = existing.with_value(1, Value::text(format!("prot{to}")));
+                        Update::modify("Function", existing, moved, origin)
+                    }
+                    _ => continue,
+                }
+            }
         };
         instance.apply_update(&update).expect("realised updates apply");
         updates.push(update);
     }
     updates
+}
+
+/// An update over a domain of four keys and three values — or, rarely, a tuple
+/// of the wrong type or a relation the schema does not declare — with nothing
+/// to say it applies to any state or follows the update before it.
+fn raw_update_strategy() -> impl Strategy<Value = Update> {
+    let tuple = || {
+        (0u8..4, 0u8..3, 0u8..24).prop_map(|(key, value, shape)| match shape {
+            0 => func(key, value).with_value(2, Value::int(value.into())),
+            1 => func(key, value).with_value(1, Value::int(key.into())),
+            _ => func(key, value),
+        })
+    };
+    let relation = || (0u8..12).prop_map(|r| if r == 0 { "Mystery" } else { "Function" });
+    prop_oneof![
+        (relation(), tuple()).prop_map(|(r, t)| Update::insert(r, t, p(1))),
+        (relation(), tuple()).prop_map(|(r, t)| Update::delete(r, t, p(2))),
+        (relation(), tuple(), tuple()).prop_map(|(r, from, to)| Update::modify(r, from, to, p(3))),
+    ]
+}
+
+/// The variant of a storage error, with what it says left out.
+fn error_kind(e: &StorageError) -> std::mem::Discriminant<StorageError> {
+    std::mem::discriminant(e)
 }
 
 /// One group of candidates over three keys private to it: a chain of
@@ -174,6 +232,33 @@ proptest! {
         );
     }
 
+    /// The same over a state that holds tuples already and a sequence that
+    /// moves tuples from key to key, into keys the state held included: the
+    /// net updates apply in the order they come in, by themselves and through
+    /// the keyed net apply, and leave what the sequence leaves.
+    #[test]
+    fn flatten_preserves_the_net_effect_of_key_changing_sequences(
+        base in prop::collection::vec(0u8..8, 6),
+        actions in prop::collection::vec(moving_action_strategy(), 0..40),
+    ) {
+        let schema = bioinformatics_schema();
+        let mut base_db = Database::new(schema.clone());
+        for (key, value) in base.iter().enumerate().filter(|(_, value)| **value < 5) {
+            base_db.apply_update(&Update::insert("Function", func(key as u8, *value), p(9))).unwrap();
+        }
+        let mut sequential = base_db.clone();
+        let updates = realise_on(&mut sequential, &actions, p(1), &[0, 1, 2, 3, 4, 5]);
+
+        let flat = flatten(&schema, &updates);
+        let mut flattened_instance = base_db.clone();
+        prop_assert!(flattened_instance.apply_all(&flat).is_ok(), "{:?} from {:?}", flat, updates);
+        prop_assert_eq!(&flattened_instance, &sequential);
+
+        let net = flatten_keyed(&schema, [&Arc::new(updates)]);
+        prop_assert!(base_db.apply_net(&net).is_ok());
+        prop_assert_eq!(&base_db, &sequential);
+    }
+
     /// Flattening is idempotent: flattening an already flattened sequence
     /// changes nothing.
     #[test]
@@ -190,21 +275,116 @@ proptest! {
     #[test]
     fn flattened_updates_are_per_key_independent(actions in prop::collection::vec(action_strategy(), 0..40)) {
         let schema = bioinformatics_schema();
-        let updates = realise(&actions, p(1), &schema);
-        let flat = flatten(&schema, &updates);
-        let rel = schema.relation("Function").unwrap();
+        let updates = Arc::new(realise(&actions, p(1), &schema));
+        let net = flatten_keyed(&schema, [&updates]);
         let mut seen = std::collections::HashSet::new();
-        for u in &flat {
-            if let Some(read) = u.read_key(rel) {
-                prop_assert!(seen.insert(("r", read.clone())) || !seen.contains(&("r", read)));
-            }
+        for (relation, key, _) in net.touched() {
+            prop_assert!(seen.insert((relation, key)), "two net updates touch one key");
         }
-        // Written keys must be unique across the flattened set.
-        let mut written = std::collections::HashSet::new();
-        for u in &flat {
-            if let Some(key) = u.written_key(rel) {
-                prop_assert!(written.insert(key), "duplicate written key in flattened set");
+    }
+
+    /// The keyed flatten is `flatten` plus, for every net update, the keys
+    /// `key_of` derives from the tuples it reads and writes — over extensions
+    /// of several members, ill-formed chains, key-changing modifications and
+    /// relations the schema does not declare. It hands back the member's own
+    /// update list exactly when the extension is one member touching pairwise
+    /// distinct keys, and those updates are then the member's.
+    #[test]
+    fn keyed_flatten_is_flatten_with_the_keys_of_its_net_updates(
+        members in prop::collection::vec(prop::collection::vec(raw_update_strategy(), 1..6), 1..4)
+    ) {
+        let schema = bioinformatics_schema();
+        let rel = schema.relation("Function").unwrap();
+        let members: Vec<Arc<Vec<Update>>> = members.into_iter().map(Arc::new).collect();
+        let net = flatten_keyed(&schema, &members);
+
+        let footprint: Vec<&Update> = members.iter().flat_map(|m| m.iter()).collect();
+        prop_assert_eq!(net.updates(), flatten(&schema, footprint.iter().copied()));
+        let keys_of = |update: &Update| match &update.op {
+            _ if update.relation != "Function" => vec![],
+            UpdateOp::Insert(t) | UpdateOp::Delete(t) => vec![rel.key_of(t)],
+            UpdateOp::Modify { from, to } if rel.key_of(from) == rel.key_of(to) => {
+                vec![rel.key_of(from)]
             }
+            UpdateOp::Modify { from, to } => vec![rel.key_of(from), rel.key_of(to)],
+        };
+        for (update, keys) in net.iter() {
+            prop_assert_eq!(keys, keys_of(update));
+        }
+
+        let mut seen = std::collections::HashSet::new();
+        let distinct = members[0]
+            .iter()
+            .flat_map(|u| keys_of(u).into_iter().map(|key| (u.relation.clone(), key)))
+            .all(|touched| seen.insert(touched));
+        let shared = std::ptr::eq(net.updates().as_ptr(), members[0].as_ptr());
+        prop_assert_eq!(shared, members.len() == 1 && distinct);
+        if shared {
+            prop_assert_eq!(net.updates(), members[0].as_slice());
+        }
+    }
+
+    /// The keyed and unkeyed `Table` operations are one implementation: the
+    /// same verdict from `can_*`, the same error, the same rows and secondary
+    /// index after every step of a random sequence with stale, missing,
+    /// duplicate and ill-typed cases and key-changing modifications — and
+    /// `can_*` says whether the operation then succeeds. So are `Database`'s
+    /// `apply_update` and `apply_keyed`, unknown relations included.
+    #[test]
+    fn keyed_and_unkeyed_operations_agree(
+        ops in prop::collection::vec(raw_update_strategy(), 1..40)
+    ) {
+        let schema = bioinformatics_schema();
+        let rel = schema.relation("Function").unwrap();
+        let mut unkeyed = Table::new(rel.clone());
+        unkeyed.create_index("by_function", &["function"]).unwrap();
+        let mut keyed = unkeyed.clone();
+        for op in ops.iter().filter(|u| u.relation == "Function").map(|u| &u.op) {
+            let (can, can_keyed, done, done_keyed) = match op {
+                UpdateOp::Insert(t) => {
+                    let key = rel.key_of(t);
+                    (
+                        unkeyed.can_insert(t),
+                        keyed.can_insert_keyed(&key, t),
+                        unkeyed.insert(t),
+                        keyed.insert_keyed(&key, t),
+                    )
+                }
+                UpdateOp::Delete(t) => {
+                    let key = rel.key_of(t);
+                    (
+                        unkeyed.can_delete(t),
+                        keyed.can_delete_keyed(&key, t),
+                        unkeyed.delete(t),
+                        keyed.delete_keyed(&key, t),
+                    )
+                }
+                UpdateOp::Modify { from, to } => {
+                    let (from_key, to_key) = (rel.key_of(from), rel.key_of(to));
+                    (
+                        unkeyed.can_modify(from, to),
+                        keyed.can_modify_keyed(&from_key, from, &to_key, to),
+                        unkeyed.modify(from, to),
+                        keyed.modify_keyed(&from_key, from, &to_key, to),
+                    )
+                }
+            };
+            prop_assert_eq!(can, can_keyed);
+            prop_assert_eq!(can, done.is_ok());
+            prop_assert_eq!(done.as_ref().err().map(error_kind), done_keyed.as_ref().err().map(error_kind));
+            prop_assert_eq!(&unkeyed, &keyed);
+        }
+
+        let mut unkeyed = Database::new(schema.clone());
+        let mut keyed = unkeyed.clone();
+        for op in ops {
+            // The keys as the engine gets them: from the flattening.
+            let net = flatten_keyed(&schema, [&Arc::new(vec![op])]);
+            let (update, keys) = net.iter().next().unwrap();
+            prop_assert_eq!(unkeyed.is_compatible(update), keyed.is_compatible_keyed(update, keys));
+            let (done, done_keyed) = (unkeyed.apply_update(update), keyed.apply_keyed(update, keys));
+            prop_assert_eq!(done.as_ref().err().map(error_kind), done_keyed.as_ref().err().map(error_kind));
+            prop_assert_eq!(&unkeyed, &keyed);
         }
     }
 

@@ -124,21 +124,11 @@ fn apply_step(
         Step::Publish { key, value, .. } => {
             let id = p(who);
             let tuple = func(*key, *value);
-            let update = if participant.instance().key_present("Function", &tuple) {
-                let existing = participant
-                    .instance()
-                    .relation_contents("Function")
-                    .into_iter()
-                    .find(|(k, _)| {
-                        *k == orchestra_model::KeyValue::of_text(&["rat", &format!("prot{key}")])
-                    })
-                    .map(|(_, t)| t);
-                match existing {
-                    Some(from) if from != tuple => Update::modify("Function", from, tuple, id),
-                    _ => return,
-                }
-            } else {
-                Update::insert("Function", tuple, id)
+            let at = orchestra_model::KeyValue::of_text(&["rat", &format!("prot{key}")]);
+            let update = match participant.instance().value_at("Function", &at) {
+                Some(from) if from != tuple => Update::modify("Function", from, tuple, id),
+                Some(_) => return,
+                None => Update::insert("Function", tuple, id),
             };
             if participant.execute_transaction(vec![update]).is_ok() {
                 let epoch = participant.publish(store).expect("publish succeeds");

@@ -28,7 +28,7 @@ fn value() -> impl Strategy<Value = Value> {
         // Eighths compare equal after the round trip (no NaN) while still
         // exercising non-integer bit patterns.
         (-40_000i64..40_000).prop_map(|n| Value::Float(n as f64 / 8.0)),
-        word().prop_map(Value::Text),
+        word().prop_map(Value::from),
         (0u32..2).prop_map(|b| Value::Bool(b == 1)),
     ]
 }
