@@ -11,10 +11,11 @@
 //! trace_dump --json <file>...      JSON array of events
 //! ```
 //!
-//! The timeline view is the one that answers "which shard is the admission
-//! gate": it counts `admission.shed` events per `shard` field value, so the
-//! shard-0 skew PR 9 had to infer from frame-count deltas is printed
-//! directly.
+//! The timeline view is the one that answers "where is the fabric loaded":
+//! it counts sessions, publishes and `admission.shed` events per `shard`
+//! field value. A session runs at its participant's home shard and a publish
+//! reaches every shard, so the columns show the participants' spread over
+//! the shards and any skew in who gets turned away.
 
 use orchestra_obs::export::{export_json, parse_text, ParsedEvent};
 use orchestra_obs::EventKind;
@@ -163,13 +164,13 @@ fn print_timeline(events: &[ParsedEvent]) {
     }
     let total_sheds: u64 = shards.values().map(|l| l.sheds).sum();
     if total_sheds > 0 {
-        let (gate, gate_line) =
+        let (busiest, line) =
             shards.iter().max_by_key(|(_, l)| l.sheds).expect("non-empty shard map");
         println!(
-            "  admission gate: shard {gate} absorbed {}/{} shed(s) ({}%)",
-            gate_line.sheds,
+            "  most sheds: shard {busiest} turned away {}/{} Begin(s) ({}%)",
+            line.sheds,
             total_sheds,
-            gate_line.sheds * 100 / total_sheds
+            line.sheds * 100 / total_sheds
         );
     }
     if unsharded > 0 {

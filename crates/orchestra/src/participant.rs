@@ -539,8 +539,8 @@ impl Participant {
     /// what the client reports: the store's own time in-process, the
     /// *virtual* time the frames took when framed, which under a concurrent
     /// driver includes queueing at the service. Over a
-    /// [`FabricClient`](orchestra_store::FabricClient) the session spans one
-    /// shard session per store shard, merged into one candidate timeline.
+    /// [`FabricClient`](orchestra_store::FabricClient) the session is one
+    /// session at the participant's home shard.
     pub async fn reconcile_with<S: UpdateStore + ?Sized, C: SessionClient>(
         &mut self,
         store: &S,

@@ -398,8 +398,8 @@ pub struct FabricDriveReport {
     /// when a participant had nothing pending).
     pub published: Vec<(ParticipantId, Option<Epoch>)>,
     /// Virtual end-to-end session latency per reconciling participant
-    /// (begin at the first shard to commit at the last, *including* queueing
-    /// at the shard services), in microseconds, in participant-id order.
+    /// (begin to commit at its home shard, *including* queueing at that
+    /// shard's service), in microseconds, in participant-id order.
     pub latencies_us: Vec<u64>,
     /// Per-shard service counters accumulated over the round's phases, in
     /// shard order.
@@ -611,8 +611,8 @@ impl CdssSystem<StoreFabric> {
     /// sequentially (primary at the home shard, pinned replicas everywhere
     /// else, so every shard logs the same global epoch order), then the
     /// `reconcile_ids` participants reconcile **concurrently**, each through
-    /// a [`FabricClient`] that merges one session per shard into a single
-    /// candidate timeline.
+    /// a [`FabricClient`] that runs the session at the participant's home
+    /// shard — three frames, one admission, whatever the shard count.
     ///
     /// Decisions are identical to the sequential and single-service drivers
     /// over the same schedule — the `fabric_driver` integration tests prove
@@ -636,8 +636,9 @@ impl CdssSystem<StoreFabric> {
             ["fabric.publish_phase", "fabric.reconcile_phase"],
             // Each shard service reports under its own metric keys
             // (`service.requests{shard=N}`) and stamps its trace events with
-            // the shard, so per-shard skew — the admission gate at shard 0 —
-            // is directly visible.
+            // the shard, so per-shard skew — how the participants, and with
+            // them the sessions and the sheds, spread over the shards — is
+            // directly visible.
             |fabric| {
                 let shard_service = |shard| {
                     let labelled =

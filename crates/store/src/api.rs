@@ -300,13 +300,14 @@ pub trait UpdateStore: Send + Sync {
     // replica entry points error. A store that can serve as a fabric shard
     // (the central store) overrides them.
 
-    /// Appends a batch already published at another fabric shard to this
-    /// store's log under the epoch the home shard assigned. Replication
-    /// keeps every shard's log identical — same transactions, same epoch
-    /// numbering — while only the *home* shard extends its relevance index
-    /// for the batch (the epoch's candidates are served from there). Errors
-    /// if this store would derive a different epoch (the fabric fan-out got
-    /// out of order) or if it does not support replication (the default).
+    /// Publishes, at the epoch the home shard assigned, a batch already
+    /// published at another fabric shard. Replication keeps every shard's log
+    /// identical — same transactions, same epoch numbering — and is otherwise
+    /// an ordinary publish: the store extends the relevance of the policies
+    /// registered *on it*, which on a fabric are those of the participants
+    /// homed there. Errors if this store would assign a different epoch (the
+    /// fabric fan-out got out of order) or if it does not support
+    /// replication (the default).
     fn publish_replica(
         &self,
         participant: ParticipantId,
@@ -317,8 +318,8 @@ pub trait UpdateStore: Send + Sync {
         Err(StorageError::Persistence("this store does not support fabric replication".to_string()))
     }
 
-    /// Causal-mode counterpart of [`UpdateStore::publish_replica`]: appends
-    /// a causally stamped batch under the home shard's epoch, validating and
+    /// Causal-mode counterpart of [`UpdateStore::publish_replica`]: publishes
+    /// a causally stamped batch at the home shard's epoch, validating and
     /// ingesting the stamp exactly as the home shard did. The default
     /// errors.
     fn publish_replica_stamped(

@@ -397,6 +397,18 @@ pub struct SessionBatch {
     pub exhausted: bool,
 }
 
+/// Where a publish gets its epoch (see `StoreCatalog::publish_impl`).
+#[derive(Clone, Copy)]
+enum Epochs {
+    /// A live publish: this store assigns the next epoch.
+    Assign,
+    /// A live publish at the epoch another fabric shard assigned.
+    Pinned(Epoch),
+    /// WAL replay of a publish recorded at this epoch: no WAL append, and no
+    /// relevance extension — `recover` rebuilds every slice once at the end.
+    Replayed(Epoch),
+}
+
 /// The logical contents of an update store, sharded for concurrent access.
 pub struct StoreCatalog {
     schema: Schema,
@@ -626,7 +638,7 @@ impl StoreCatalog {
         participant: ParticipantId,
         transactions: Vec<Transaction>,
     ) -> Result<Epoch> {
-        self.publish_impl(participant, transactions, None, None)
+        self.publish_impl(participant, transactions, Epochs::Assign, None)
     }
 
     /// Publishes a causally stamped batch (causal mode only). The stamp was
@@ -638,25 +650,25 @@ impl StoreCatalog {
         stamp: CausalStamp,
         transactions: Vec<Transaction>,
     ) -> Result<Epoch> {
-        self.publish_impl(stamp.publisher, transactions, None, Some(&stamp))
+        self.publish_impl(stamp.publisher, transactions, Epochs::Assign, Some(&stamp))
     }
 
-    /// Appends a batch already published at another fabric shard, pinned to
-    /// the epoch that shard assigned. The batch takes the replay path:
-    /// no WAL append (fabric shards are ephemeral; a replica is not this
-    /// store's publish) and **no relevance extension** — the epoch's
-    /// candidates are served by its home shard, this store merely keeps its
-    /// log and epoch numbering identical. The publisher's own-accept record
-    /// *is* written, exactly as a local publish would. Errors if this store
-    /// derives a different epoch — the fabric's fan-out reached shards in
-    /// different orders.
+    /// Publishes a batch at a **pinned epoch**: the batch was already
+    /// published at another fabric shard, which assigned `epoch`. Everything
+    /// else is [`StoreCatalog::publish`] — the log append, the publisher's
+    /// own-accept record, the relevance extension for the policies
+    /// registered *on this store* (a fabric registers each policy at its
+    /// owner's home shard only, so every shard extends exactly its own
+    /// participants' slices) and, on a durable catalogue, the WAL record.
+    /// Errors, before anything is mutated, if this store's next epoch is not
+    /// `epoch` — the fabric's fan-out reached shards in different orders.
     pub fn publish_replica(
         &self,
         participant: ParticipantId,
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Epoch> {
-        self.publish_impl(participant, transactions, Some(epoch), None)
+        self.publish_impl(participant, transactions, Epochs::Pinned(epoch), None)
     }
 
     /// Causal-mode counterpart of [`StoreCatalog::publish_replica`]: the
@@ -668,23 +680,25 @@ impl StoreCatalog {
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Epoch> {
-        self.publish_impl(stamp.publisher, transactions, Some(epoch), Some(stamp))
+        self.publish_impl(stamp.publisher, transactions, Epochs::Pinned(epoch), Some(stamp))
     }
 
     /// The publish path shared by scalar and causal publishes, live callers
-    /// and WAL replay. Live calls (`replay_epoch` = `None`) append a
-    /// [`WalRecord::Publish`] (or [`WalRecord::PublishCausal`] when `stamp`
-    /// is given) inside the log write lock once the batch has fully applied;
-    /// replay calls skip the append and instead assert that the re-derived
-    /// epoch matches the recorded one.
+    /// and WAL replay. Live calls ([`Epochs::Assign`], [`Epochs::Pinned`])
+    /// extend the relevance index and append a [`WalRecord::Publish`] (or
+    /// [`WalRecord::PublishCausal`] when `stamp` is given) inside the log
+    /// write lock once the batch has fully applied; [`Epochs::Replayed`]
+    /// skips both. A pinned or replayed epoch must be the one this store
+    /// would assign next.
     fn publish_impl(
         &self,
         participant: ParticipantId,
         transactions: Vec<Transaction>,
-        replay_epoch: Option<Epoch>,
+        epochs: Epochs,
         stamp: Option<&CausalStamp>,
     ) -> Result<Epoch> {
-        let durable = replay_epoch.is_none() && self.durability.is_durable();
+        let replay = matches!(epochs, Epochs::Replayed(_));
+        let durable = !replay && self.durability.is_durable();
         let publisher = self.ensure_shard(participant);
         let mut log = self.log.write().expect("log lock");
 
@@ -715,26 +729,28 @@ impl StoreCatalog {
             }
         }
 
-        let epoch = log.registry.begin_publish(participant);
-        if let Some(expected) = replay_epoch {
-            if epoch != expected {
+        if let Epochs::Pinned(expected) | Epochs::Replayed(expected) = epochs {
+            let next = Epoch(log.registry.latest_allocated().as_u64() + 1);
+            if next != expected {
                 return Err(StorageError::Persistence(format!(
-                    "replayed publish diverged: re-derived epoch {epoch}, caller \
-                     expected {expected}"
+                    "publish at a pinned epoch diverged: this store's next epoch is {next}, \
+                     caller expected {expected}"
                 )));
             }
         }
+
+        let epoch = log.registry.begin_publish(participant);
         if let Some(stamp) = stamp {
             // Cannot fail: the stamp was validated above, before any
             // mutation, and the log lock has been held throughout.
             log.registry.causal_mut().ingest(stamp, epoch)?;
         }
-        // Replay skips the per-shard relevance extension: the index is
+        // Only replay skips the per-shard relevance extension: the index is
         // derived state, and `recover` batch-rebuilds every shard's slice
         // from the final log in one pass at the end (exactly as a snapshot
         // load derives it) instead of re-evaluating trust shard by shard at
         // every replayed publish.
-        if replay_epoch.is_none() {
+        if !replay {
             // Only the shards whose policy can trust one of the batch's
             // origins are visited (`Transaction::new` guarantees every update
             // carries its transaction's origin). Registration holds the log
@@ -1658,7 +1674,7 @@ impl StoreCatalog {
             }
             WalRecord::RegisterPolicy { policy } => self.register_policy_impl(policy, false),
             WalRecord::Publish { participant, epoch, transactions } => {
-                self.publish_impl(participant, transactions, Some(epoch), None)?;
+                self.publish_impl(participant, transactions, Epochs::Replayed(epoch), None)?;
             }
             WalRecord::CommitReconciliation { participant, recno, epoch, accepted, rejected } => {
                 let shard = self.ensure_shard(participant);
@@ -1690,7 +1706,12 @@ impl StoreCatalog {
                 }
             }
             WalRecord::PublishCausal { epoch, stamp, transactions } => {
-                self.publish_impl(stamp.publisher, transactions, Some(epoch), Some(&stamp))?;
+                self.publish_impl(
+                    stamp.publisher,
+                    transactions,
+                    Epochs::Replayed(epoch),
+                    Some(&stamp),
+                )?;
             }
             WalRecord::InstanceCheckpoint { participant, checkpoint } => {
                 self.record_instance_checkpoint_impl(participant, checkpoint, false)?;
@@ -2352,6 +2373,82 @@ mod tests {
         assert_eq!(stored_slice(&cat, p(1)), BTreeMap::from([(3, vec![(x.id(), Priority(1))])]));
     }
 
+    /// A publish at a pinned epoch is a publish: the same log, the same
+    /// own-accept, and the same relevance on the same shards — scalar and
+    /// stamped — as the publish that assigned the epoch.
+    #[test]
+    fn a_pinned_publish_leaves_what_the_assigning_publish_leaves() {
+        for causal in [false, true] {
+            let home = catalog_with_policies();
+            let replica = catalog_with_policies();
+            // A policy that can trust nobody: no publish may touch its shard.
+            home.register_policy(TrustPolicy::new(p(4)));
+            replica.register_policy(TrustPolicy::new(p(4)));
+            if causal {
+                home.enable_causal_mode().unwrap();
+                replica.enable_causal_mode().unwrap();
+            }
+            for (who, seq) in [(3u32, 0u64), (2, 0), (3, 1)] {
+                let batch = vec![insert_by(who, seq), insert_by(who, seq + 10)];
+                let epoch = if causal {
+                    let stamp = stamp(&home, p(who));
+                    let epoch = home.publish_causal(stamp.clone(), batch.clone()).unwrap();
+                    assert_eq!(replica.publish_replica_stamped(&stamp, epoch, batch), Ok(epoch));
+                    epoch
+                } else {
+                    let epoch = home.publish(p(who), batch.clone()).unwrap();
+                    assert_eq!(replica.publish_replica(p(who), epoch, batch), Ok(epoch));
+                    epoch
+                };
+                assert_eq!(replica.largest_stable_epoch(), epoch);
+            }
+            assert_eq!(format!("{replica:?}"), format!("{home:?}"), "durable state differs");
+            for i in 1..=4 {
+                assert_eq!(stored_slice(&replica, p(i)), stored_slice(&home, p(i)), "slice of {i}");
+                assert_eq!(
+                    replica.accepted_set(p(i)),
+                    home.accepted_set(p(i)),
+                    "own-accepts of {i}"
+                );
+                assert_eq!(session_entries(&replica, p(i)), session_entries(&home, p(i)));
+            }
+            assert!(stored_slice(&replica, p(4)).is_empty(), "nobody p4 trusts has published");
+            assert_eq!(stored_slice(&replica, p(3)).len(), 1, "p3 trusts p2 only");
+            assert_eq!(trust_edges(&replica), trust_edges(&home));
+        }
+    }
+
+    /// A pinned epoch that is not this store's next one is refused before
+    /// anything is mutated: no started epoch is left dangling (it would
+    /// freeze the stable frontier), no log entry, no own-accept, no
+    /// relevance, no ingested stamp — and the right epoch still goes through.
+    #[test]
+    fn a_mismatching_pinned_epoch_errors_before_anything_is_mutated() {
+        let cat = catalog_with_policies();
+        cat.publish(p(3), vec![insert_by(3, 0)]).unwrap();
+        let before = format!("{cat:?}");
+        for wrong in [Epoch(1), Epoch(3)] {
+            let error = cat.publish_replica(p(2), wrong, vec![insert_by(2, 0)]).unwrap_err();
+            assert!(error.to_string().contains("next epoch is e2"), "got {error}");
+            assert_eq!(format!("{cat:?}"), before);
+            assert_eq!(cat.relevance_len(), 2, "p1 and p2 hold p3's entry and nothing else");
+        }
+        assert_eq!(cat.publish_replica(p(2), Epoch(2), vec![insert_by(2, 0)]), Ok(Epoch(2)));
+        assert_eq!(cat.largest_stable_epoch(), Epoch(2));
+
+        let causal = catalog_with_policies();
+        causal.enable_causal_mode().unwrap();
+        let stamp = stamp(&causal, p(2));
+        let before = format!("{causal:?}");
+        assert!(causal.publish_replica_stamped(&stamp, Epoch(2), vec![insert_by(2, 0)]).is_err());
+        assert_eq!(format!("{causal:?}"), before);
+        assert_eq!(causal.next_publisher_seq(p(2)), 1, "the stamp was not ingested");
+        assert_eq!(
+            causal.publish_replica_stamped(&stamp, Epoch(1), vec![insert_by(2, 0)]),
+            Ok(Epoch(1))
+        );
+    }
+
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
             .join(format!("orchestra-catalog-test-{}-{name}", std::process::id()));
@@ -2382,6 +2479,26 @@ mod tests {
         cat.publish(p(1), vec![x1]).unwrap();
         cat.record_decisions(p(2), &[], &[x3.id()]).unwrap();
         cat.register_policy(TrustPolicy::new(p(4)).trusting(p(1), 3u32));
+    }
+
+    /// On a durable catalogue a pinned publish is logged like any other, so
+    /// a fabric shard recovers as an ordinary store: `recover` replays it
+    /// without extending relevance and rebuilds every slice at the end.
+    #[test]
+    fn a_pinned_publish_is_durable_and_recovers_byte_identically() {
+        let dir = tmp_dir("pinned");
+        let cat = durable_catalog(&dir);
+        cat.publish(p(1), vec![insert_by(1, 0)]).unwrap();
+        cat.publish_replica(p(2), Epoch(2), vec![insert_by(2, 0)]).unwrap();
+        let live = format!("{cat:?}");
+        let slices: Vec<_> = (1..=3).map(|i| stored_slice(&cat, p(i))).collect();
+        assert_eq!(slices.iter().map(BTreeMap::len).collect::<Vec<_>>(), [1, 1, 1]);
+        drop(cat);
+
+        let recovered = StoreCatalog::recover(&dir).unwrap();
+        assert_eq!(format!("{recovered:?}"), live, "recovered state diverged");
+        assert_eq!((1..=3).map(|i| stored_slice(&recovered, p(i))).collect::<Vec<_>>(), slices);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //!   [`poll_ready`], which is all the in-process path is.
 //! * [`ServiceClient`](crate::ServiceClient): framed requests to one
 //!   [`StoreService`](crate::StoreService) on the virtual clock.
-//! * [`FabricClient`](crate::FabricClient): one [`ShardClient`] per shard,
-//!   merged into one virtual session — over service clients in the framed
-//!   fabric driver, over in-process clients inside
-//!   [`StoreFabric`](crate::StoreFabric)'s own [`UpdateStore`] methods.
+//! * [`FabricClient`](crate::FabricClient): one [`ShardClient`] per shard.
+//!   A session is the participant's home shard's session, forwarded as is;
+//!   a publish is a primary publish at the home shard plus a pinned replica
+//!   at every other — over service clients in the framed fabric driver, over
+//!   in-process clients inside [`StoreFabric`](crate::StoreFabric)'s own
+//!   [`UpdateStore::publish`].
 
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 use orchestra_model::{CausalStamp, Epoch, ParticipantId, Transaction, TransactionId};
@@ -36,8 +38,8 @@ pub trait SessionClient {
     /// The participant this client acts for.
     fn participant(&self) -> ParticipantId;
 
-    /// Opens a reconciliation session (fabric: one per shard, merged into a
-    /// single handle).
+    /// Opens a reconciliation session (fabric: at the participant's home
+    /// shard).
     async fn begin_session(&self) -> Result<Timed<SessionInfo>>;
 
     /// Drains the session's candidate stream in pages of `batch_size`,
@@ -71,20 +73,10 @@ pub trait SessionClient {
 }
 
 /// What a [`FabricClient`](crate::FabricClient) additionally needs of the
-/// client onto **one shard**: pages that carry their publication epochs (the
-/// merge key) and the pinned replica publish. A fabric client is not itself
-/// a shard, hence a sub-trait.
+/// client onto **one shard**: the pinned replica publish. A fabric client is
+/// not itself a shard, hence a sub-trait.
 #[allow(async_fn_in_trait)]
 pub trait ShardClient: SessionClient {
-    /// Streams one page of candidates together with the publication epoch of
-    /// each (parallel vectors). A page shorter than `max_candidates` ends
-    /// the stream (the [`UpdateStore::next_batch`] contract).
-    async fn next_batch_with_epochs(
-        &self,
-        session: SessionId,
-        max_candidates: usize,
-    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>>;
-
     /// Replicates a batch already published at another shard, pinning it to
     /// the epoch the home shard assigned (stamped in causal mode).
     async fn replicate(
@@ -93,33 +85,13 @@ pub trait ShardClient: SessionClient {
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>>;
-
-    /// Pages the session to its end, stopping at the first short page.
-    async fn drain_with_epochs(
-        &self,
-        session: SessionId,
-        batch_size: usize,
-    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>> {
-        let batch_size = batch_size.max(1);
-        let mut drained = Timed::new((Vec::new(), Vec::new()), StoreTiming::default());
-        loop {
-            let page = self.next_batch_with_epochs(session, batch_size).await?;
-            drained.timing.accumulate(page.timing);
-            let exhausted = page.value.0.len() < batch_size;
-            drained.value.0.extend(page.value.0);
-            drained.value.1.extend(page.value.1);
-            if exhausted {
-                return Ok(drained);
-            }
-        }
-    }
 }
 
 /// The in-process client: every call is a ready future over a direct call
 /// on `&S`, reporting the store's own cost. It takes no configuration.
 /// Blocking callers run the shared async session code over it with
 /// [`poll_ready`]; [`StoreFabric`](crate::StoreFabric) runs
-/// [`FabricClient`](crate::FabricClient) over one per shard.
+/// [`FabricClient`](crate::FabricClient)'s publish fan-out over one per shard.
 #[derive(Debug)]
 pub struct InProcessClient<'a, S: UpdateStore + ?Sized> {
     store: &'a S,
@@ -142,7 +114,7 @@ impl<S: UpdateStore + ?Sized> SessionClient for InProcessClient<'_, S> {
         self.store.begin_reconciliation(self.participant)
     }
 
-    /// Pages without looking epochs up: only a fabric merge needs them.
+    /// Pages the session to its end, stopping at the first short page.
     async fn drain_candidates(
         &self,
         session: SessionId,
@@ -187,24 +159,6 @@ impl<S: UpdateStore + ?Sized> SessionClient for InProcessClient<'_, S> {
 }
 
 impl<S: UpdateStore + ?Sized> ShardClient for InProcessClient<'_, S> {
-    async fn next_batch_with_epochs(
-        &self,
-        session: SessionId,
-        max_candidates: usize,
-    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>> {
-        let page = self.store.next_batch(session, max_candidates)?;
-        let epoch_of = |candidate: &CandidateTransaction| {
-            self.store.epoch_of(candidate.id).ok_or_else(|| {
-                StorageError::Session(format!(
-                    "candidate {:?} has no publication epoch",
-                    candidate.id
-                ))
-            })
-        };
-        let epochs = page.value.iter().map(epoch_of).collect::<Result<Vec<Epoch>>>()?;
-        Ok(Timed::new((page.value, epochs), page.timing))
-    }
-
     async fn replicate(
         &self,
         stamp: Option<CausalStamp>,

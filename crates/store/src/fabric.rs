@@ -1,41 +1,46 @@
 //! The sharded store fabric: one confederation served by N store shards.
 //!
 //! A single [`StoreService`](crate::StoreService) bounds a confederation by
-//! one store's worker pool. The fabric splits the load across `N`
-//! [`CentralStore`] shards while keeping the paper's *decision semantics*
-//! exactly those of one store:
+//! one store's worker pool. The fabric spreads the confederation's
+//! *participants* over `N` [`CentralStore`] shards — a read-scaling replica
+//! set with one home per participant — while keeping the paper's *decision
+//! semantics* exactly those of one store:
 //!
-//! * **The publication log is replicated; the relevance index is
-//!   partitioned.** Every publish lands on every shard in the same order
-//!   (primary publish at the publisher's home shard, pinned *replica*
-//!   publishes everywhere else via
-//!   [`UpdateStore::publish_replica`]), so all shards agree on the global
-//!   epoch numbering. Only the home shard extends its relevance index for
-//!   the new epoch, so each epoch's candidates are served by exactly one
-//!   shard.
-//! * **A fabric session is N shard sessions merged into one virtual
-//!   timeline.** [`FabricClient`] opens a session at every shard (in shard
-//!   order, so concurrent sessions cannot deadlock on admission slots),
-//!   drains each shard's stream and k-way merges by `(epoch, shard)` —
-//!   epochs are globally unique, so the merge reproduces the exact
-//!   candidate order a single store would have streamed.
-//! * **Commits fan the full decision lists to every shard.** Each shard
-//!   records the complete accepted/rejected sets, keeping every shard's
-//!   decision record, epoch cursors and reconciliation numbers identical —
-//!   required, because a shard's antecedent exclusion must see accepts that
-//!   happened on candidates homed elsewhere.
+//! * **The publication log is replicated.** Every publish lands on every
+//!   shard in the same order (primary publish at the publisher's home shard,
+//!   *pinned* publishes everywhere else via
+//!   [`UpdateStore::publish_replica`]), so all shards agree on the log and
+//!   on the global epoch numbering.
+//! * **Everything per participant lives at its home shard only.** A
+//!   participant's trust policy is registered at
+//!   [`ShardRouter::home_of`]`(participant)` and nowhere else, so that shard
+//!   alone keeps its relevance index (every publish, primary or pinned,
+//!   extends the slices of the policies registered where it lands), its
+//!   decision record, epoch cursor, reconciliation number and instance
+//!   checkpoint. The paper's contract — a participant's decisions are a
+//!   function of the published log and *its own* policy and record — makes
+//!   the reader the natural shard key.
+//! * **A fabric session is one ordinary shard session** at the home shard:
+//!   begin, page, commit and abort are forwarded there unchanged, and the
+//!   home shard streams exactly what a single store would, because it holds
+//!   the whole log and the whole of the participant's state.
 //!
 //! The fabric therefore decides *byte-identically* to a single store (the
 //! `fabric_driver` integration tests prove it property-based), while
-//! publishes and candidate streaming spread across N worker pools.
+//! candidate streaming and decision recording spread across N worker pools.
+//! Its remaining price is the publish: N frames, one per shard.
 //!
-//! The fan-out logic — ordered begin with rollback, the `(epoch, shard)`
-//! merge, commit and abort fan-out, primary-then-replica publish — lives in
-//! [`FabricClient`] only, generic over its per-shard [`ShardClient`]: the
-//! framed fabric driver runs it over one
+//! **Admission** happens once per session, at the home shard, so
+//! [`ServiceConfig::max_open_sessions`] bounds the open sessions of the
+//! participants *homed at one shard* (N × the cap fabric-wide). A session
+//! holds one slot at one shard; nothing is acquired in order, so nothing can
+//! deadlock.
+//!
+//! The publish fan-out lives in [`FabricClient`] only, generic over its
+//! per-shard [`ShardClient`]: the framed fabric driver runs it over one
 //! [`ServiceClient`](crate::ServiceClient) per shard, and [`StoreFabric`]'s
-//! own [`UpdateStore`] session and publish methods run it over one
-//! [`InProcessClient`] per shard store.
+//! own [`UpdateStore::publish`] runs it over one [`InProcessClient`] per
+//! shard store.
 //!
 //! Routing is pluggable through [`ShardRouter`]; [`FabricConfig`] bundles
 //! the shard count with the per-shard [`ServiceConfig`].
@@ -51,19 +56,17 @@ use orchestra_model::{
 };
 use orchestra_obs::Tracer;
 use orchestra_recon::CandidateTransaction;
-use orchestra_storage::{InstanceCheckpoint, Result, StorageError};
-use rustc_hash::{FxHashMap, FxHashSet};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use orchestra_storage::{InstanceCheckpoint, Result};
+use rustc_hash::FxHashSet;
 use std::sync::{Arc, Mutex};
 
 /// Maps participants to their home shard.
 ///
-/// The home shard is where a participant's publishes are *primary* (relevance
-/// extension happens there) and where its per-participant reads resolve. The
-/// routing must be deterministic and agreed by every client — it is pure
-/// arithmetic over the participant id.
+/// The home shard is where a participant's publishes are *primary* (the
+/// epoch is assigned there) and where everything that is the participant's
+/// own lives: its registered policy, relevance index, decision record and
+/// sessions. The routing must be deterministic and agreed by every client —
+/// it is pure arithmetic over the participant id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     shards: usize,
@@ -93,7 +96,9 @@ impl ShardRouter {
 pub struct FabricConfig {
     /// Number of store shards.
     pub shards: usize,
-    /// The per-shard service configuration (every shard uses the same).
+    /// The per-shard service configuration (every shard uses the same). Its
+    /// `max_open_sessions` caps the open sessions of the participants homed
+    /// at one shard, so the fabric admits `shards` times as many.
     pub service: ServiceConfig,
 }
 
@@ -112,42 +117,24 @@ impl FabricConfig {
 
 /// N [`CentralStore`] shards owned as one confederation store.
 ///
-/// The fabric keeps the shards' logs identical (replicated log) and their
-/// relevance indexes disjoint (partitioned by home shard) — see the
-/// [module docs](crate::fabric). Shard stores are exposed through
-/// [`StoreFabric::shard_stores`] so a driver can front each with its own
-/// [`StoreService`](crate::StoreService).
+/// The fabric keeps the shards' logs identical (replicated log) and each
+/// participant's policy, relevance, decisions and sessions at its home shard
+/// only — see the [module docs](crate::fabric). Shard stores are exposed
+/// through [`StoreFabric::shard_stores`] so a driver can front each with its
+/// own [`StoreService`](crate::StoreService).
 ///
 /// # Registration order
 ///
-/// Every participant must be registered **before the first publish**. A late
-/// registration would rebuild the participant's relevance from each shard's
-/// *full replicated log*, duplicating candidates that are supposed to be
-/// homed at exactly one shard. [`StoreFabric::register_participant`] panics
-/// if a publish has already happened.
+/// There is none to observe. A registration — before the first publish or
+/// after the thousandth — builds the participant's relevance from its home
+/// shard's log, which is the full log, exactly as a late registration on a
+/// single [`CentralStore`] does.
 pub struct StoreFabric {
     router: ShardRouter,
     shards: Vec<CentralStore>,
     /// Held across the primary + replica fan-out of one publish so every
     /// shard's log receives all publishes in the same global order.
     publish_lock: Mutex<()>,
-    published: AtomicBool,
-    /// Open fabric-level sessions: synthetic handle → per-shard state.
-    /// Synthetic because two shards can hand out the same raw session
-    /// number; shard handles are only unique per shard.
-    sessions: Mutex<FxHashMap<SessionId, FabricSession>>,
-    next_session: AtomicU64,
-}
-
-/// Per-shard state of one in-process fabric session.
-struct FabricSession {
-    participant: ParticipantId,
-    /// The shard session handles, in shard order.
-    shards: Vec<SessionId>,
-    /// The merged candidate stream, buffered on the first `next_batch` (each
-    /// shard streams only the epochs homed there; the merge restores global
-    /// publication order).
-    merged: Option<VecDeque<CandidateTransaction>>,
 }
 
 impl StoreFabric {
@@ -155,14 +142,7 @@ impl StoreFabric {
     pub fn new(schema: Schema, shards: usize) -> StoreFabric {
         let router = ShardRouter::new(shards);
         let shards = (0..shards).map(|_| CentralStore::new(schema.clone())).collect();
-        StoreFabric {
-            router,
-            shards,
-            publish_lock: Mutex::new(()),
-            published: AtomicBool::new(false),
-            sessions: Mutex::new(FxHashMap::default()),
-            next_session: AtomicU64::new(0),
-        }
+        StoreFabric { router, shards, publish_lock: Mutex::new(()) }
     }
 
     /// The fabric's router.
@@ -193,32 +173,22 @@ impl StoreFabric {
         Ok(())
     }
 
-    /// `participant`'s fabric client over the shard stores themselves, built
-    /// per call: every [`UpdateStore`] session and publish method below is
-    /// [`poll_ready`] over the same [`FabricClient`] code the framed driver
-    /// awaits. The session table stays on the fabric (behind a `Mutex`, so
-    /// the fabric remains `Sync` for the threads driver); a call on an open
-    /// session seeds the client's own table with that session's handles.
-    fn client(
-        &self,
-        participant: ParticipantId,
-        open: Option<(SessionId, &FabricSession)>,
-    ) -> FabricClient<InProcessClient<'_, CentralStore>> {
-        let clients =
-            self.shards.iter().map(|store| InProcessClient::new(store, participant)).collect();
-        let client = FabricClient::new(self.router, clients, Tracer::disabled());
-        if let Some((session, state)) = open {
-            client.sessions.borrow_mut().insert(session, state.shards.clone());
-        }
-        client
-    }
-
-    fn sessions(&self) -> std::sync::MutexGuard<'_, FxHashMap<SessionId, FabricSession>> {
-        self.sessions.lock().expect("fabric session table poisoned")
+    /// The shard store a fabric session handle names, and that store's own
+    /// handle for the session. Shard handles are only unique per shard, so
+    /// the handle [`UpdateStore::begin_reconciliation`] returns is the home
+    /// shard's handle tagged with the shard (`raw * shards + shard`): the
+    /// later calls of the session, which carry nothing but the handle, find
+    /// their way home by arithmetic, and the fabric keeps no session table.
+    fn session_home(&self, session: SessionId) -> (&CentralStore, SessionId) {
+        let shards = self.shards.len() as u64;
+        let store = &self.shards[(session.as_u64() % shards) as usize];
+        (store, SessionId(session.as_u64() / shards))
     }
 
     /// A publish (stamped in causal mode) under the fabric's publish lock,
-    /// so shards log publishes in one global order.
+    /// so shards log publishes in one global order: the same
+    /// [`FabricClient::publish`] fan-out the framed driver awaits, run to
+    /// completion over the shard stores themselves.
     fn publish_ordered(
         &self,
         publisher: ParticipantId,
@@ -226,42 +196,19 @@ impl StoreFabric {
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
         let _order = self.publish_lock.lock().expect("fabric publish lock poisoned");
-        self.published.store(true, Ordering::SeqCst);
-        poll_ready(self.client(publisher, None).publish(stamp, transactions))
+        let clients =
+            self.shards.iter().map(|store| InProcessClient::new(store, publisher)).collect();
+        let client = FabricClient::new(self.router, clients, Tracer::disabled());
+        poll_ready(client.publish(stamp, transactions))
     }
 }
 
-fn unknown_session(session: SessionId) -> StorageError {
-    StorageError::Session(format!("fabric session {}: unknown or already closed", session.as_u64()))
-}
-
-/// Restores global publication order over per-shard candidate streams.
-/// Epochs are globally unique across the fabric, so ordering by
-/// `(epoch, shard)` is exactly the order a single store would stream.
-fn merge_by_epoch(
-    mut entries: Vec<(Epoch, usize, CandidateTransaction)>,
-) -> Vec<CandidateTransaction> {
-    entries.sort_by_key(|entry| (entry.0, entry.1));
-    entries.into_iter().map(|(_, _, candidate)| candidate).collect()
-}
-
 impl UpdateStore for StoreFabric {
-    /// Registers the participant's trust policy at **every** shard (all
-    /// shards hold the full log, so all need the policy to evaluate trust
-    /// and record decisions).
-    ///
-    /// Panics if a publish has already gone through the fabric — a late
-    /// registration would rebuild relevance from each shard's *replicated*
-    /// log and home the same candidates at every shard.
+    /// Registers the participant's trust policy at its **home shard** only:
+    /// that shard holds the full log, so it alone evaluates the policy,
+    /// keeps the relevance index it induces and records the decisions.
     fn register_participant(&self, policy: TrustPolicy) {
-        assert!(
-            !self.published.load(Ordering::SeqCst),
-            "fabric registration must happen before the first publish \
-             (a late registration would home the same candidates at every shard)"
-        );
-        for store in &self.shards {
-            store.register_participant(policy.clone());
-        }
+        self.home_store(policy.owner()).register_participant(policy);
     }
 
     /// Primary publish at the publisher's home shard, then pinned replicas
@@ -275,76 +222,42 @@ impl UpdateStore for StoreFabric {
         self.publish_ordered(participant, None, transactions)
     }
 
-    /// Opens one session per shard and merges them behind a single synthetic
-    /// handle: the home shard's reconciliation number (they advance in
-    /// lockstep), the largest pinned epoch, and the summed candidate bound.
+    /// Opens the session at the participant's home shard. The handle is the
+    /// home shard's, tagged with the shard (see `session_home`).
     fn begin_reconciliation(&self, participant: ParticipantId) -> Result<Timed<SessionInfo>> {
-        let client = self.client(participant, None);
-        let mut began = poll_ready(client.begin_session())?;
-        let shards = client.sessions.take().remove(&began.value.session);
-        let shards = shards.expect("begin_session records the shard handles");
-        began.value.session = SessionId(self.next_session.fetch_add(1, Ordering::SeqCst) + 1);
-        let state = FabricSession { participant, shards, merged: None };
-        self.sessions().insert(began.value.session, state);
+        let home = self.router.home_of(participant);
+        let mut began = self.shards[home].begin_reconciliation(participant)?;
+        let raw = began.value.session.as_u64();
+        began.value.session = SessionId(raw * self.shards.len() as u64 + home as u64);
         Ok(began)
     }
 
-    /// Pages the merged stream: the first call drains every shard session
-    /// into publication order — exactly what a single store would stream —
-    /// then batches are served from the merged buffer.
     fn next_batch(
         &self,
         session: SessionId,
         max_candidates: usize,
     ) -> Result<Timed<Vec<CandidateTransaction>>> {
-        let mut sessions = self.sessions();
-        let state = sessions.get_mut(&session).ok_or_else(|| unknown_session(session))?;
-        let mut timing = StoreTiming::default();
-        if state.merged.is_none() {
-            let client = self.client(state.participant, Some((session, state)));
-            let drained = poll_ready(client.drain_candidates(session, max_candidates))?;
-            timing = drained.timing;
-            state.merged = Some(drained.value.into());
-        }
-        let buffer = state.merged.as_mut().expect("merged stream just filled");
-        let take = max_candidates.min(buffer.len());
-        Ok(Timed::new(buffer.drain(..take).collect(), timing))
+        let (store, session) = self.session_home(session);
+        store.next_batch(session, max_candidates)
     }
 
-    /// Commits every shard session with the **full** decision lists. A
-    /// failed shard commit leaves the fabric session open, as the
-    /// single-store contract requires (the client aborts it).
     fn commit_reconciliation(
         &self,
         session: SessionId,
         accepted: &[TransactionId],
         rejected: &[TransactionId],
     ) -> Result<StoreTiming> {
-        let client = {
-            let sessions = self.sessions();
-            let state = sessions.get(&session).ok_or_else(|| unknown_session(session))?;
-            self.client(state.participant, Some((session, state)))
-        };
-        let timing = poll_ready(client.commit(session, accepted, rejected))?;
-        self.sessions().remove(&session);
-        Ok(timing)
+        let (store, session) = self.session_home(session);
+        store.commit_reconciliation(session, accepted, rejected)
     }
 
-    /// Aborts every shard session and releases the handle. Aborting an
-    /// unknown or already-closed fabric session is a no-op, matching the
-    /// single-store contract.
     fn abort_reconciliation(&self, session: SessionId) -> Result<()> {
-        let Some(state) = self.sessions().remove(&session) else {
-            return Ok(());
-        };
-        poll_ready(self.client(state.participant, Some((session, &state))).abort(session))
+        let (store, session) = self.session_home(session);
+        store.abort_reconciliation(session)
     }
 
     fn retire_participant(&self, participant: ParticipantId) -> Result<()> {
-        for store in &self.shards {
-            store.retire_participant(participant)?;
-        }
-        Ok(())
+        self.home_store(participant).retire_participant(participant)
     }
 
     fn record_decisions(
@@ -353,11 +266,7 @@ impl UpdateStore for StoreFabric {
         accepted: &[TransactionId],
         rejected: &[TransactionId],
     ) -> Result<StoreTiming> {
-        let mut timing = StoreTiming::default();
-        for store in &self.shards {
-            timing.accumulate(store.record_decisions(participant, accepted, rejected)?);
-        }
-        Ok(timing)
+        self.home_store(participant).record_decisions(participant, accepted, rejected)
     }
 
     fn current_reconciliation(&self, participant: ParticipantId) -> ReconciliationId {
@@ -393,18 +302,8 @@ impl UpdateStore for StoreFabric {
         self.home_store(participant).epoch_cursor(participant)
     }
 
-    /// A participant's deferred candidates live on every shard (an epoch's
-    /// relevance is homed at its *publisher's* shard), so the recovery read
-    /// merges across shards into publication order.
     fn undecided_candidates(&self, participant: ParticipantId) -> Vec<CandidateTransaction> {
-        let mut entries = Vec::new();
-        for (shard, store) in self.shards.iter().enumerate() {
-            for candidate in store.undecided_candidates(participant) {
-                let epoch = store.epoch_of(candidate.id).unwrap_or(Epoch::ZERO);
-                entries.push((epoch, shard, candidate));
-            }
-        }
-        merge_by_epoch(entries)
+        self.home_store(participant).undecided_candidates(participant)
     }
 
     fn causal_mode(&self) -> bool {
@@ -443,10 +342,7 @@ impl UpdateStore for StoreFabric {
         participant: ParticipantId,
         checkpoint: InstanceCheckpoint,
     ) -> Result<()> {
-        for store in &self.shards {
-            store.record_instance_checkpoint(participant, checkpoint.clone())?;
-        }
-        Ok(())
+        self.home_store(participant).record_instance_checkpoint(participant, checkpoint)
     }
 
     fn instance_checkpoint(&self, participant: ParticipantId) -> Option<InstanceCheckpoint> {
@@ -463,20 +359,15 @@ impl UpdateStore for StoreFabric {
 }
 
 /// One participant's client onto a whole fabric: one [`ShardClient`] per
-/// shard, presenting the N shard sessions as a single virtual session.
-///
-/// Sessions are opened in shard order (all concurrent fabric sessions
-/// acquire admission slots in the same order, so a starved shard delays but
-/// never deadlocks them), candidate streams are merged by `(epoch, shard)`,
-/// and commits fan the full decision lists to every shard. A call's cost is
-/// the sum over its shard calls.
+/// shard. Sessions are the **home shard's** sessions — begin, drain, commit
+/// and abort are forwarded to the home shard's client as they are, handle
+/// and cost included, and no other shard sees a session frame. Only a
+/// publish touches every shard.
 pub struct FabricClient<C: ShardClient> {
     router: ShardRouter,
     clients: Vec<C>,
     /// Where the `fabric.publish` span of each publish fan-out is recorded.
     tracer: Tracer,
-    /// Open fabric sessions: home-shard session handle → per-shard handles.
-    sessions: RefCell<FxHashMap<SessionId, Vec<SessionId>>>,
 }
 
 impl<C: ShardClient> FabricClient<C> {
@@ -496,7 +387,7 @@ impl<C: ShardClient> FabricClient<C> {
             clients.iter().all(|c| c.participant() == participant),
             "every shard client must act for the same participant"
         );
-        FabricClient { router, clients, tracer, sessions: RefCell::new(FxHashMap::default()) }
+        FabricClient { router, clients, tracer }
     }
 
     /// The home shard of this client's participant.
@@ -504,22 +395,9 @@ impl<C: ShardClient> FabricClient<C> {
         self.router.home_of(self.participant())
     }
 
-    fn shard_sessions(&self, session: SessionId) -> Result<Vec<SessionId>> {
-        self.sessions.borrow().get(&session).cloned().ok_or_else(|| unknown_session(session))
-    }
-
-    /// Aborts the given shard sessions (a prefix of the shards, in shard
-    /// order). Every shard is attempted even if an earlier abort fails; the
-    /// first error is returned afterwards.
-    async fn abort_shards(&self, shard_sessions: &[SessionId]) -> Result<()> {
-        let mut outcome = Ok(());
-        for (client, session) in self.clients.iter().zip(shard_sessions) {
-            let aborted = client.abort(*session).await;
-            if outcome.is_ok() {
-                outcome = aborted;
-            }
-        }
-        outcome
+    /// The client onto the home shard, where this participant's sessions run.
+    fn home(&self) -> &C {
+        &self.clients[self.home_shard()]
     }
 }
 
@@ -528,84 +406,29 @@ impl<C: ShardClient> SessionClient for FabricClient<C> {
         self.clients[0].participant()
     }
 
-    /// Opens one session per shard, in shard order. The returned info uses
-    /// the **home shard's** handle and reconciliation number (they advance in
-    /// lockstep across shards), the largest pinned epoch, and the summed
-    /// candidate bound.
     async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
-        let mut timing = StoreTiming::default();
-        let mut infos: Vec<SessionInfo> = Vec::with_capacity(self.clients.len());
-        for client in &self.clients {
-            match client.begin_session().await {
-                Ok(began) => {
-                    timing.accumulate(began.timing);
-                    infos.push(began.value);
-                }
-                Err(error) => {
-                    // Release the shard sessions already opened so a failed
-                    // open does not leak admission slots.
-                    let opened: Vec<SessionId> = infos.iter().map(|info| info.session).collect();
-                    let _ = self.abort_shards(&opened).await;
-                    return Err(error);
-                }
-            }
-        }
-        let home = self.home_shard();
-        let merged = SessionInfo {
-            session: infos[home].session,
-            recno: infos[home].recno,
-            epoch: infos.iter().map(|info| info.epoch).max().unwrap_or(Epoch::ZERO),
-            pending: infos.iter().map(|info| info.pending).sum(),
-        };
-        let shard_sessions = infos.iter().map(|info| info.session).collect();
-        self.sessions.borrow_mut().insert(merged.session, shard_sessions);
-        Ok(Timed::new(merged, timing))
+        self.home().begin_session().await
     }
 
-    /// Drains every shard's stream (each shard serves only the epochs homed
-    /// there) and k-way merges by `(epoch, shard)`.
     async fn drain_candidates(
         &self,
         session: SessionId,
         batch_size: usize,
     ) -> Result<Timed<Vec<CandidateTransaction>>> {
-        let shard_sessions = self.shard_sessions(session)?;
-        let mut timing = StoreTiming::default();
-        let mut entries = Vec::new();
-        for (shard, (client, session)) in self.clients.iter().zip(&shard_sessions).enumerate() {
-            let drained = client.drain_with_epochs(*session, batch_size).await?;
-            timing.accumulate(drained.timing);
-            let (candidates, epochs) = drained.value;
-            entries.extend(epochs.into_iter().zip(candidates).map(|(e, c)| (e, shard, c)));
-        }
-        Ok(Timed::new(merge_by_epoch(entries), timing))
+        self.home().drain_candidates(session, batch_size).await
     }
 
-    /// Commits every shard session with the **full** accepted/rejected
-    /// lists. Every shard needs the complete record: antecedent exclusion on
-    /// a shard's own candidates must see accepts homed at other shards.
     async fn commit(
         &self,
         session: SessionId,
         accepted: &[TransactionId],
         rejected: &[TransactionId],
     ) -> Result<StoreTiming> {
-        let shard_sessions = self.shard_sessions(session)?;
-        let mut timing = StoreTiming::default();
-        for (client, shard_session) in self.clients.iter().zip(&shard_sessions) {
-            timing.accumulate(client.commit(*shard_session, accepted, rejected).await?);
-        }
-        self.sessions.borrow_mut().remove(&session);
-        Ok(timing)
+        self.home().commit(session, accepted, rejected).await
     }
 
-    /// Releases the handle, then aborts every shard session.
     async fn abort(&self, session: SessionId) -> Result<()> {
-        let released = self.sessions.borrow_mut().remove(&session);
-        match released {
-            Some(shard_sessions) => self.abort_shards(&shard_sessions).await,
-            None => Ok(()),
-        }
+        self.home().abort(session).await
     }
 
     /// Primary publish at the publisher's home shard, then pinned replicas
@@ -652,6 +475,7 @@ mod tests {
     use orchestra_model::{Tuple, Update};
     use orchestra_net::SimNetwork;
     use orchestra_rt::{LocalExecutor, VirtualClock};
+    use orchestra_storage::StorageError;
     use std::rc::Rc;
 
     fn p(i: u32) -> ParticipantId {
@@ -663,16 +487,17 @@ mod tests {
         Transaction::from_parts(p(i), j, vec![Update::insert("Function", tuple, p(i))]).unwrap()
     }
 
+    /// Participant `i`'s policy: trust everyone else in `1..=n` at priority 1.
+    fn mutual_policy(i: u32, n: u32) -> TrustPolicy {
+        (1..=n)
+            .filter(|j| *j != i)
+            .fold(TrustPolicy::new(p(i)), |policy, j| policy.trusting(p(j), 1u32))
+    }
+
     fn mutual_fabric(n: u32, shards: usize) -> StoreFabric {
         let fabric = StoreFabric::new(bioinformatics_schema(), shards);
         for i in 1..=n {
-            let mut policy = TrustPolicy::new(p(i));
-            for j in 1..=n {
-                if i != j {
-                    policy = policy.trusting(p(j), 1u32);
-                }
-            }
-            fabric.register_participant(policy);
+            fabric.register_participant(mutual_policy(i, n));
         }
         fabric
     }
@@ -680,13 +505,7 @@ mod tests {
     fn mutual_store(n: u32) -> CentralStore {
         let s = CentralStore::new(bioinformatics_schema());
         for i in 1..=n {
-            let mut policy = TrustPolicy::new(p(i));
-            for j in 1..=n {
-                if i != j {
-                    policy = policy.trusting(p(j), 1u32);
-                }
-            }
-            s.register_participant(policy);
+            s.register_participant(mutual_policy(i, n));
         }
         s
     }
@@ -702,6 +521,19 @@ mod tests {
             }
         }
         ids
+    }
+
+    /// Everything a participant's store-side state amounts to.
+    type Decided =
+        (Arc<FxHashSet<TransactionId>>, Arc<FxHashSet<TransactionId>>, Epoch, ReconciliationId);
+
+    fn decided<S: UpdateStore>(store: &S, who: ParticipantId) -> Decided {
+        (
+            store.accepted_set(who),
+            store.rejected_set(who),
+            store.epoch_cursor(who),
+            store.current_reconciliation(who),
+        )
     }
 
     #[test]
@@ -738,14 +570,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "before the first publish")]
-    fn late_registration_panics() {
-        let fabric = mutual_fabric(2, 2);
-        fabric.publish(p(1), vec![txn(1, 0, "a")]).unwrap();
-        fabric.register_participant(TrustPolicy::new(p(9)));
-    }
-
     /// One service per shard of `fabric`, all on one simulated network.
     fn start_shard_services<'a>(
         fabric: &'a StoreFabric,
@@ -763,65 +587,99 @@ mod tests {
             .collect()
     }
 
-    /// Drives a full framed round over a fabric of `shards` services and
-    /// checks the decisions against a single in-process store fed the same
-    /// schedule.
-    fn fabric_round_matches_single_store(shards: usize) {
-        let n = 5u32;
-        let fabric = mutual_fabric(n, shards);
-        // Publish in-process (the driver's framed path is exercised in the
-        // fabric_driver integration tests; here we isolate session merging).
+    /// Splits a drained stream into the members to accept and — so rejected
+    /// sets are exercised too — the members `p(1)` originated, to reject.
+    fn accept_all_but_the_first_origin(
+        candidates: &[CandidateTransaction],
+    ) -> (Vec<TransactionId>, Vec<TransactionId>) {
+        all_member_ids(candidates).into_iter().partition(|id| id.participant != p(1))
+    }
+
+    /// One reconciliation of each of `1..=n` against `store`, in-process.
+    fn reconcile_in_process<S: UpdateStore>(store: &S, n: u32) {
         for i in 1..=n {
-            fabric.publish(p(i), vec![txn(i, 0, &format!("k{i}"))]).unwrap();
+            let mut session = ReconciliationSession::open(store, p(i)).unwrap();
+            let candidates = session.drain(2).unwrap();
+            let (accepted, rejected) = accept_all_but_the_first_origin(&candidates);
+            session.commit(&accepted, &rejected).unwrap();
         }
+    }
 
+    /// The same wave through one framed service per shard, all sessions
+    /// concurrent.
+    fn reconcile_framed(fabric: &StoreFabric, n: u32, config: &ServiceConfig) {
         let mut ex = LocalExecutor::new(VirtualClock::new());
-        let config = ServiceConfig { workers: 2, ..ServiceConfig::default() };
-        let services = start_shard_services(&fabric, &config, &mut ex);
-
+        let services = start_shard_services(fabric, config, &mut ex);
         for i in 1..=n {
             let client = FabricClient::new(
                 fabric.router(),
                 services.iter().map(|s| s.client_for(p(i))).collect(),
                 Tracer::disabled(),
             );
-            let fabric = &fabric;
             ex.spawn(async move {
                 let info = client.begin_session().await.unwrap().value;
                 let candidates = client.drain_candidates(info.session, 2).await.unwrap().value;
-                // The merged stream must be in global publication order.
+                // The home shard streams in global publication order.
                 let epochs: Vec<_> =
-                    candidates.iter().map(|c| fabric.shard(0).epoch_of(c.id).unwrap()).collect();
-                let mut sorted = epochs.clone();
-                sorted.sort();
-                assert_eq!(epochs, sorted, "merge must restore publication order");
-                let accepted = all_member_ids(&candidates);
-                client.commit(info.session, &accepted, &[]).await.unwrap();
+                    candidates.iter().map(|c| fabric.epoch_of(c.id).unwrap()).collect();
+                assert!(epochs.is_sorted(), "candidates must stream in publication order");
+                let (accepted, rejected) = accept_all_but_the_first_origin(&candidates);
+                client.commit(info.session, &accepted, &rejected).await.unwrap();
             });
         }
-        assert_eq!(ex.run(), shards * config.workers);
+        assert_eq!(ex.run(), fabric.router().shards() * config.workers);
         for service in &services {
             service.shutdown();
         }
         assert_eq!(ex.run(), 0);
+    }
 
-        // The same schedule through one in-process store.
+    /// Drives a full framed round over a fabric of `shards` services and
+    /// checks the decisions against a single in-process store fed the same
+    /// schedule — and that each participant's state sits at its home shard
+    /// and nowhere else, over logs that are identical everywhere.
+    fn fabric_round_matches_single_store(shards: usize) {
+        let n = 5u32;
+        let fabric = mutual_fabric(n, shards);
         let single = mutual_store(n);
+        // Publish in-process (the driver's framed path is exercised in the
+        // fabric_driver integration tests; here we isolate the sessions).
         for i in 1..=n {
-            single.publish(p(i), vec![txn(i, 0, &format!("k{i}"))]).unwrap();
+            let batch = vec![txn(i, 0, &format!("k{i}"))];
+            fabric.publish(p(i), batch.clone()).unwrap();
+            single.publish(p(i), batch).unwrap();
         }
+        let config = ServiceConfig { workers: 2, ..ServiceConfig::default() };
+        reconcile_framed(&fabric, n, &config);
+        reconcile_in_process(&single, n);
+
         for i in 1..=n {
-            let mut session = ReconciliationSession::open(&single, p(i)).unwrap();
-            let candidates = session.drain(2).unwrap();
-            let accepted = all_member_ids(&candidates);
-            session.commit(&accepted, &[]).unwrap();
+            assert_eq!(decided(&fabric, p(i)), decided(&single, p(i)), "participant {i}");
         }
-        for i in 1..=n {
-            for store in fabric.shard_stores() {
-                assert_eq!(store.accepted_set(p(i)), single.accepted_set(p(i)));
-                assert_eq!(store.rejected_set(p(i)), single.rejected_set(p(i)));
-                assert_eq!(store.epoch_cursor(p(i)), single.epoch_cursor(p(i)));
-                assert_eq!(store.current_reconciliation(p(i)), single.current_reconciliation(p(i)));
+        let router = fabric.router();
+        for (shard, store) in fabric.shard_stores().iter().enumerate() {
+            // The log is replicated: same length, same epochs, every shard.
+            assert_eq!(store.catalog().log_len(), single.catalog().log_len());
+            for i in 1..=n {
+                let id = txn(i, 0, "x").id();
+                assert_eq!(store.epoch_of(id), single.epoch_of(id), "shard {shard} log diverged");
+            }
+            // Policy, relevance and decisions: at the home shard only.
+            for i in 1..=n {
+                let who = p(i);
+                if router.home_of(who) == shard {
+                    assert!(store.catalog().policy(who).is_some());
+                    assert_eq!(decided(store, who), decided(&single, who));
+                    continue;
+                }
+                assert!(store.catalog().policy(who).is_none(), "{who} is not homed at {shard}");
+                assert!(store.undecided_candidates(who).is_empty(), "no relevance off home");
+                assert!(store.rejected_set(who).is_empty());
+                assert_eq!(store.epoch_cursor(who), Epoch::ZERO);
+                assert_eq!(store.current_reconciliation(who), ReconciliationId(0));
+                // All a replica records for a participant homed elsewhere is
+                // the own-accept its replicated publishes write.
+                assert!(store.accepted_set(who).iter().all(|id| id.participant == who));
             }
         }
     }
@@ -834,6 +692,55 @@ mod tests {
     #[test]
     fn one_shard_fabric_degenerates_to_a_single_service() {
         fabric_round_matches_single_store(1);
+    }
+
+    /// A participant that registers after `k` publishes — ROADMAP item 7's
+    /// old "register before the first publish" gap — decides exactly like a
+    /// late joiner on a single store: its home shard holds the full log, so
+    /// the registration builds the relevance a `CentralStore` would.
+    #[test]
+    fn a_late_joiner_on_the_fabric_decides_like_one_on_a_single_store() {
+        let n = 4u32;
+        let late = n + 1;
+        // Everyone already trusts the late joiner; it is just not there yet.
+        let schedule = |store: &dyn UpdateStore| {
+            for i in 1..=n {
+                store.register_participant(mutual_policy(i, late));
+            }
+            for round in 0..2u64 {
+                for i in 1..=n {
+                    store.publish(p(i), vec![txn(i, round, &format!("k{i}-{round}"))]).unwrap();
+                }
+            }
+            store.register_participant(mutual_policy(late, late));
+            for i in 1..=late {
+                store.publish(p(i), vec![txn(i, 2, &format!("k{i}-2"))]).unwrap();
+            }
+        };
+        let single = CentralStore::new(bioinformatics_schema());
+        schedule(&single);
+        reconcile_in_process(&single, late);
+        assert_eq!(single.accepted_set(p(late)).len(), 1 + 3 * 3, "own + all of 2, 3 and 4");
+        assert_eq!(single.rejected_set(p(late)).len(), 3, "all of participant 1");
+
+        for shards in [1, 4] {
+            for framed in [false, true] {
+                let fabric = StoreFabric::new(bioinformatics_schema(), shards);
+                schedule(&fabric);
+                if framed {
+                    reconcile_framed(&fabric, late, &ServiceConfig::default());
+                } else {
+                    reconcile_in_process(&fabric, late);
+                }
+                for i in 1..=late {
+                    assert_eq!(
+                        decided(&fabric, p(i)),
+                        decided(&single, p(i)),
+                        "participant {i}, {shards} shards, framed: {framed}"
+                    );
+                }
+            }
+        }
     }
 
     /// The in-process `UpdateStore` impl: paged sessions over the fabric
@@ -854,7 +761,6 @@ mod tests {
         for i in 1..=n {
             let mut fabric_session = ReconciliationSession::open(&fabric, p(i)).unwrap();
             let mut single_session = ReconciliationSession::open(&single, p(i)).unwrap();
-            // Page with a size that straddles shard boundaries.
             loop {
                 let fabric_page = fabric_session.next_batch(4).unwrap();
                 let single_page = single_session.next_batch(4).unwrap();
@@ -870,6 +776,24 @@ mod tests {
             fabric_session.commit(&[], &[]).unwrap();
             single_session.commit(&[], &[]).unwrap();
             assert_eq!(fabric.epoch_cursor(p(i)), single.epoch_cursor(p(i)));
+        }
+    }
+
+    /// Sessions open at once on different shards may carry the same raw
+    /// shard handle; the fabric's handles still tell them apart.
+    #[test]
+    fn in_process_handles_of_concurrent_sessions_are_distinct() {
+        let fabric = mutual_fabric(4, 4);
+        fabric.publish(p(1), vec![txn(1, 0, "a")]).unwrap();
+        let infos: Vec<_> =
+            (1..=4).map(|i| fabric.begin_reconciliation(p(i)).unwrap().value).collect();
+        let handles: FxHashSet<_> = infos.iter().map(|info| info.session).collect();
+        assert_eq!(handles.len(), 4, "every open session has its own handle");
+        for (i, info) in (1u32..).zip(&infos) {
+            let page = fabric.next_batch(info.session, 8).unwrap().value;
+            assert_eq!(page.len(), usize::from(i != 1), "participant {i} sees p1's publish");
+            fabric.commit_reconciliation(info.session, &all_member_ids(&page), &[]).unwrap();
+            assert_eq!(fabric.current_reconciliation(p(i)), info.recno);
         }
     }
 
@@ -896,8 +820,8 @@ mod tests {
     /// The framed fabric client honours the single-store abort contract over
     /// real shard services: aborting an unknown or already-closed session is
     /// `Ok(())`, and an aborted session leaves no shard session open. (That
-    /// every shard is attempted when one abort fails is checked against a
-    /// failing shard client in `tests/fabric_driver.rs`.)
+    /// an abort reaches the home shard and no other is checked against a
+    /// recording shard client in `tests/fabric_driver.rs`.)
     #[test]
     fn framed_fabric_abort_of_an_unknown_or_closed_session_is_a_no_op() {
         let shards = 2;

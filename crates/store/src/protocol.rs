@@ -57,10 +57,10 @@ pub enum StoreRequest {
         /// The batch.
         transactions: Vec<Transaction>,
     },
-    /// Replicate a batch already published elsewhere in the fabric: append
-    /// it to this shard's log under the epoch the home shard assigned,
-    /// without extending this shard's relevance index (the home shard owns
-    /// the epoch's relevance).
+    /// Replicate a batch already published elsewhere in the fabric: publish
+    /// it on this shard at the epoch the home shard assigned (the shard
+    /// extends the relevance of the participants homed on it, like any
+    /// publish).
     Replicate {
         /// The publishing participant (home shard elsewhere).
         participant: ParticipantId,
@@ -112,14 +112,9 @@ impl StoreRequest {
 pub enum StoreResponse {
     /// The session is open.
     Began(SessionInfo),
-    /// A page of candidates (short page = stream exhausted).
-    Batch {
-        /// The candidates, in the shard's publication order.
-        candidates: Vec<CandidateTransaction>,
-        /// The publication epoch of each candidate, parallel to
-        /// `candidates`; a fabric client merges shard pages by epoch.
-        epochs: Vec<Epoch>,
-    },
+    /// A page of candidates in publication order (short page = stream
+    /// exhausted).
+    Batch(Vec<CandidateTransaction>),
     /// The session committed.
     Committed,
     /// The session aborted (durable state untouched).
@@ -138,9 +133,8 @@ impl StoreResponse {
     /// [`StoreRequest::frame_bytes`]).
     pub fn frame_bytes(&self) -> u64 {
         match self {
-            StoreResponse::Batch { candidates, epochs } => {
+            StoreResponse::Batch(candidates) => {
                 REQUEST_BYTES
-                    + 8 * epochs.len() as u64
                     + candidates
                         .iter()
                         .map(|c| {
@@ -163,7 +157,7 @@ impl StoreResponse {
     pub fn label(&self) -> &'static str {
         match self {
             StoreResponse::Began(_) => "Began",
-            StoreResponse::Batch { .. } => "Batch",
+            StoreResponse::Batch(_) => "Batch",
             StoreResponse::Committed => "Committed",
             StoreResponse::Aborted => "Aborted",
             StoreResponse::Published(_) => "Published",
@@ -209,9 +203,9 @@ mod tests {
             transactions: vec![txn(1, 0)],
         };
         assert_eq!(replicate.frame_bytes(), publish.frame_bytes());
-        let batch = StoreResponse::Batch { candidates: vec![candidate()], epochs: vec![Epoch(1)] };
-        // Frame header + one epoch + one candidate header + one member
-        // (header + one update's payload).
-        assert_eq!(batch.frame_bytes(), 3 * REQUEST_BYTES + UPDATE_BYTES + 8);
+        let batch = StoreResponse::Batch(vec![candidate()]);
+        // Frame header + one candidate header + one member (header + one
+        // update's payload).
+        assert_eq!(batch.frame_bytes(), 3 * REQUEST_BYTES + UPDATE_BYTES);
     }
 }

@@ -61,7 +61,9 @@ pub struct ServiceConfig {
     /// Frames a worker inbox holds before senders park (backpressure).
     pub inbox_capacity: usize,
     /// Admission-control cap: reconciliation sessions open at once before
-    /// `Begin` is answered [`StoreResponse::Busy`].
+    /// `Begin` is answered [`StoreResponse::Busy`]. A fabric shard's service
+    /// only ever opens sessions of the participants homed at that shard, so
+    /// there the cap is per shard.
     pub max_open_sessions: usize,
     /// Frames a worker drains per wake-up, amortising one store access
     /// latency over the batch.
@@ -588,21 +590,8 @@ fn serve<S: UpdateStore + ?Sized>(
         StoreRequest::NextBatch { session, max_candidates } => {
             match store.next_batch(session, max_candidates) {
                 Ok(timed) => {
-                    let candidates = timed.value;
-                    let mut epochs = Vec::with_capacity(candidates.len());
-                    for candidate in &candidates {
-                        match store.epoch_of(candidate.id) {
-                            Some(epoch) => epochs.push(epoch),
-                            None => {
-                                return StoreResponse::Failed(format!(
-                                    "candidate {:?} has no publication epoch",
-                                    candidate.id
-                                ))
-                            }
-                        }
-                    }
-                    shared.trace("session.batch", &[("frames", candidates.len() as u64)]);
-                    StoreResponse::Batch { candidates, epochs }
+                    shared.trace("session.batch", &[("frames", timed.value.len() as u64)]);
+                    StoreResponse::Batch(timed.value)
                 }
                 Err(error) => StoreResponse::Failed(error.to_string()),
             }
@@ -760,13 +749,28 @@ impl SessionClient for ServiceClient {
         }
     }
 
+    /// Pages the session to its end, stopping at the first short page.
     async fn drain_candidates(
         &self,
         session: SessionId,
         batch_size: usize,
     ) -> Result<Timed<Vec<CandidateTransaction>>> {
-        let drained = self.drain_with_epochs(session, batch_size).await?;
-        Ok(Timed::new(drained.value.0, drained.timing))
+        let max_candidates = batch_size.max(1);
+        let start_us = self.clock.now_us();
+        let mut drained = Vec::new();
+        loop {
+            let page =
+                match self.request(StoreRequest::NextBatch { session, max_candidates }).await? {
+                    StoreResponse::Batch(candidates) => candidates,
+                    StoreResponse::Failed(message) => return Err(remote_error(message)),
+                    other => return Err(protocol_error("Batch", &other)),
+                };
+            let exhausted = page.len() < max_candidates;
+            drained.extend(page);
+            if exhausted {
+                return Ok(Timed::new(drained, self.cost_since(start_us)));
+            }
+        }
     }
 
     async fn commit(
@@ -810,21 +814,6 @@ impl SessionClient for ServiceClient {
 }
 
 impl ShardClient for ServiceClient {
-    async fn next_batch_with_epochs(
-        &self,
-        session: SessionId,
-        max_candidates: usize,
-    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>> {
-        let start_us = self.clock.now_us();
-        match self.request(StoreRequest::NextBatch { session, max_candidates }).await? {
-            StoreResponse::Batch { candidates, epochs } => {
-                Ok(Timed::new((candidates, epochs), self.cost_since(start_us)))
-            }
-            StoreResponse::Failed(message) => Err(remote_error(message)),
-            other => Err(protocol_error("Batch", &other)),
-        }
-    }
-
     async fn replicate(
         &self,
         stamp: Option<CausalStamp>,

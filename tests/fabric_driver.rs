@@ -2,9 +2,10 @@
 //! arbitrary publish/reconcile schedules — scalar *and* causal-DAG epoch
 //! mode — a store fabric of 1 or 4 shards, driven in-process or through its
 //! framed services, reaches decisions identical to both the sequential
-//! driver and the single-service driver, and a fabric whose every shard
-//! admits only one session at a time still completes every cross-shard
-//! session without changing a single decision.
+//! driver and the single-service driver; a fabric whose every shard admits
+//! only one session at a time still completes every session without
+//! changing a single decision; a session costs its home shard three frames
+//! and every other shard none.
 
 use orchestra::{CdssSystem, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
@@ -12,7 +13,7 @@ use orchestra_model::{
     CausalStamp, Epoch, KeyValue, ParticipantId, ReconciliationId, Transaction, TransactionId,
     TrustPolicy, Tuple, Update,
 };
-use orchestra_obs::Tracer;
+use orchestra_obs::{Obs, Tracer};
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::{Result, StorageError};
 use orchestra_store::{
@@ -46,7 +47,8 @@ fn mutual_policies(n: u32) -> Vec<TrustPolicy> {
 }
 
 /// With 4 participants over 4 shards every participant is homed on a
-/// different shard, so every session is a cross-shard merge.
+/// different shard, so every session streams candidates that were published
+/// at the three other shards and replicated to its own.
 const PARTICIPANTS: u32 = 4;
 const SHARDS: usize = 4;
 const KEY_POOL: usize = 6;
@@ -148,11 +150,11 @@ fn run_single(ops: &[Op], driver: Driver, causal: bool) -> Vec<ParticipantSnapsh
 
 /// Runs the same schedule against a [`StoreFabric`] of `shards` shards:
 /// publishes route to the participant's home shard and fan out to every
-/// replica, and each reconciliation session merges candidates from every
-/// shard into one virtual timeline. `framed` drives it through one service
-/// per shard (`run_fabric_round`); otherwise through the fabric's own
-/// in-process `UpdateStore` methods (`publish` / `reconcile_all`) — the same
-/// fan-out code over in-process shard clients.
+/// replica, and each reconciliation session runs at the reconciler's home
+/// shard. `framed` drives it through one service per shard
+/// (`run_fabric_round`); otherwise through the fabric's own in-process
+/// `UpdateStore` methods (`publish` / `reconcile_all`) — the same publish
+/// fan-out over in-process shard clients.
 fn run_fabric(ops: &[Op], causal: bool, shards: usize, framed: bool) -> Vec<ParticipantSnapshot> {
     let mut system =
         CdssSystem::new(bioinformatics_schema(), StoreFabric::new(bioinformatics_schema(), shards));
@@ -188,8 +190,8 @@ fn run_fabric(ops: &[Op], causal: bool, shards: usize, framed: bool) -> Vec<Part
 }
 
 /// In-process fabric ≡ framed fabric ≡ single service ≡ sequential, for a
-/// degenerate one-shard fabric and for one where every session is a
-/// cross-shard merge.
+/// degenerate one-shard fabric and for one where every participant has a
+/// shard of its own.
 fn assert_all_routes_agree(ops: &[Op], causal: bool) {
     let sequential = run_single(ops, Driver::Sequential, causal);
     let service = run_single(ops, Driver::Service, causal);
@@ -238,9 +240,10 @@ proptest! {
     }
 }
 
-/// Every shard capped at one open session: every cross-shard fabric session
-/// still completes (ordered shard acquisition means `Busy` retries cannot
-/// deadlock) and the decisions are identical to an uncapped fabric.
+/// Every shard capped at one open session: every fabric session still
+/// completes (a session holds one slot, at its home shard, so `Busy` retries
+/// cannot deadlock), a shard only ever answers `Busy` to a participant homed
+/// there, and the decisions are identical to an uncapped fabric.
 #[test]
 fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() {
     const N: u32 = 6;
@@ -254,7 +257,7 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
             system.add_participant(ParticipantConfig::new(policy)).unwrap();
         }
         // Everyone publishes a conflicting edit of one shared key, so every
-        // session must merge candidates published on every home shard.
+        // session must see candidates published on every home shard.
         for i in 1..=N {
             let who = p(i);
             system
@@ -269,6 +272,8 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
     };
 
     let mut starved = build();
+    let obs = Obs::enabled();
+    starved.set_observability(&obs);
     let starved_config = FabricConfig {
         shards: SHARDS,
         service: ServiceConfig { max_open_sessions: 1, workers: 1, ..ServiceConfig::default() },
@@ -280,6 +285,17 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
     assert!(shed > 0, "a cap of 1 per shard over {N} concurrent sessions must shed Begins");
     for (shard, stats) in report.shard_stats.iter().enumerate() {
         assert_eq!(stats.open_sessions, 0, "shard {shard} leaked a session past the round");
+    }
+    let field = |event: &orchestra_obs::TraceEvent, name: &str| {
+        event.fields.iter().find(|(key, _)| *key == name).expect("field recorded").1
+    };
+    let sheds: Vec<_> =
+        obs.tracer.events().into_iter().filter(|event| event.name == "admission.shed").collect();
+    assert_eq!(sheds.len() as u64, shed, "one shed event per Busy");
+    for event in &sheds {
+        let who = p(field(event, "participant") as u32);
+        let home = starved.store().router().home_of(who) as u64;
+        assert_eq!(field(event, "shard"), home, "{who} was turned away by a shard not its home");
     }
 
     let mut roomy = build();
@@ -296,19 +312,64 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
     }
 }
 
-/// A shard client that only records aborts — and fails them on demand —
-/// so the fan-out's abort contract can be checked on every shard.
-struct AbortProbe {
+/// The fabric's frame arithmetic, whatever the shard count: a publish is one
+/// request frame per shard (primary plus pinned replicas), and a session is
+/// three — begin, one page, commit — all at the reconciler's home shard.
+#[test]
+fn a_session_costs_three_frames_and_a_publish_one_per_shard() {
+    const N: u32 = 6;
+    for shards in [1, 2, SHARDS] {
+        let mut system = CdssSystem::new(
+            bioinformatics_schema(),
+            StoreFabric::new(bioinformatics_schema(), shards),
+        );
+        for policy in mutual_policies(N) {
+            system.add_participant(ParticipantConfig::new(policy)).unwrap();
+        }
+        for i in 1..=N {
+            let tuple = func("org", &format!("prot{i}"), "f");
+            system.execute(p(i), vec![Update::insert("Function", tuple, p(i))]).unwrap();
+        }
+        let ids = system.participant_ids();
+        let config = FabricConfig { shards, ..FabricConfig::default() };
+        let router = system.store().router();
+
+        let published = system.run_fabric_round(&ids, &[], &config).unwrap();
+        // Every shard serves every publish exactly once.
+        assert_eq!(published.shard_frames, vec![u64::from(N); shards], "{shards} shards");
+
+        let wave = system.run_fabric_round(&[], &ids, &config).unwrap();
+        let busy: u64 = wave.shard_stats.iter().map(|stats| stats.busy_rejections).sum();
+        assert_eq!(busy, 0, "the default cap admits the whole wave");
+        let mut homed = vec![0u64; shards];
+        for &id in &ids {
+            homed[router.home_of(id)] += 1;
+        }
+        let expected: Vec<u64> = homed.iter().map(|sessions| 3 * sessions).collect();
+        assert_eq!(wave.shard_frames, expected, "{shards} shards");
+        assert_eq!(wave.shard_frames.iter().sum::<u64>(), 3 * u64::from(N));
+    }
+}
+
+/// A shard client that records which session calls reach it, refuses them on
+/// demand, and serves nothing else.
+struct SessionProbe {
     shard: usize,
-    fail_abort: bool,
-    aborted: Rc<RefCell<Vec<usize>>>,
+    refuse: bool,
+    calls: Rc<RefCell<Vec<(usize, &'static str)>>>,
 }
 
-fn refused<T>() -> Result<T> {
-    Err(StorageError::Session("the abort probe serves sessions only".to_string()))
+impl SessionProbe {
+    fn called<T>(&self, call: &'static str, answer: T) -> Result<T> {
+        self.calls.borrow_mut().push((self.shard, call));
+        if self.refuse {
+            return Err(StorageError::Session(format!("shard {} refused {call}", self.shard)));
+        }
+        Ok(answer)
+    }
 }
 
-impl SessionClient for AbortProbe {
+impl SessionClient for SessionProbe {
     fn participant(&self) -> ParticipantId {
         p(1)
     }
@@ -320,7 +381,7 @@ impl SessionClient for AbortProbe {
             epoch: Epoch::ZERO,
             pending: 0,
         };
-        Ok(Timed::new(info, StoreTiming::default()))
+        self.called("begin", Timed::new(info, StoreTiming::default()))
     }
 
     async fn drain_candidates(
@@ -328,7 +389,7 @@ impl SessionClient for AbortProbe {
         _: SessionId,
         _: usize,
     ) -> Result<Timed<Vec<CandidateTransaction>>> {
-        refused()
+        self.called("drain", Timed::new(Vec::new(), StoreTiming::default()))
     }
 
     async fn commit(
@@ -337,62 +398,67 @@ impl SessionClient for AbortProbe {
         _: &[TransactionId],
         _: &[TransactionId],
     ) -> Result<StoreTiming> {
-        refused()
+        self.called("commit", StoreTiming::default())
     }
 
     async fn abort(&self, _: SessionId) -> Result<()> {
-        self.aborted.borrow_mut().push(self.shard);
-        if self.fail_abort {
-            return Err(StorageError::Session(format!("shard {} abort failed", self.shard)));
-        }
-        Ok(())
+        self.called("abort", ())
     }
 
     async fn publish(&self, _: Option<CausalStamp>, _: Vec<Transaction>) -> Result<Timed<Epoch>> {
-        refused()
+        Err(StorageError::Session("the session probe serves sessions only".to_string()))
     }
 }
 
-impl ShardClient for AbortProbe {
-    async fn next_batch_with_epochs(
-        &self,
-        _: SessionId,
-        _: usize,
-    ) -> Result<Timed<(Vec<CandidateTransaction>, Vec<Epoch>)>> {
-        refused()
-    }
-
+impl ShardClient for SessionProbe {
     async fn replicate(
         &self,
         _: Option<CausalStamp>,
         _: Epoch,
         _: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        refused()
+        Err(StorageError::Session("the session probe serves sessions only".to_string()))
     }
 }
 
-/// The one abort contract of every fabric session: an unknown handle is
-/// a no-op, every shard is attempted even when an earlier shard's abort
-/// fails (the first error is returned afterwards), and the handle is
-/// released either way.
-#[test]
-fn fabric_abort_attempts_every_shard_and_always_releases_the_handle() {
-    let aborted = Rc::new(RefCell::new(Vec::new()));
-    let probes = (0..3)
-        .map(|shard| AbortProbe { shard, fail_abort: shard == 0, aborted: Rc::clone(&aborted) })
-        .collect();
-    let client = FabricClient::new(ShardRouter::new(3), probes, Tracer::disabled());
+fn probed_client(
+    refuse: bool,
+    calls: &Rc<RefCell<Vec<(usize, &'static str)>>>,
+) -> FabricClient<SessionProbe> {
+    let probes =
+        (0..3).map(|shard| SessionProbe { shard, refuse, calls: Rc::clone(calls) }).collect();
+    FabricClient::new(ShardRouter::new(3), probes, Tracer::disabled())
+}
 
-    poll_ready(client.abort(SessionId(99))).unwrap();
-    assert!(aborted.borrow().is_empty(), "an unknown handle reaches no shard");
+/// The one session contract of a fabric client: every session call —
+/// abort included, of a known handle or an unknown one — reaches the home
+/// shard and no other, with the home shard's own handle. The client keeps no
+/// session state, so a refusal by the home shard leaves nothing behind on
+/// the client: the next call is forwarded like the first.
+#[test]
+fn a_fabric_session_and_its_abort_reach_the_home_shard_only() {
+    let calls = Rc::new(RefCell::new(Vec::new()));
+    let client = probed_client(false, &calls);
+    let home = client.home_shard();
+    assert_eq!(home, 1, "participant 1 of 3 shards");
 
     let info = poll_ready(client.begin_session()).unwrap().value;
-    let error = poll_ready(client.abort(info.session)).unwrap_err();
-    assert!(error.to_string().contains("shard 0 abort failed"), "got {error}");
-    assert_eq!(*aborted.borrow(), vec![0, 1, 2], "later shards must still be aborted");
-
+    assert_eq!(info.session, SessionId(10 + home as u64), "the home shard's handle, as it is");
+    poll_ready(client.drain_candidates(info.session, 4)).unwrap();
+    poll_ready(client.commit(info.session, &[], &[])).unwrap();
     poll_ready(client.abort(info.session)).unwrap();
-    assert_eq!(aborted.borrow().len(), 3, "the handle was released by the failed abort");
-    assert!(poll_ready(client.commit(info.session, &[], &[])).is_err());
+    poll_ready(client.abort(SessionId(99))).unwrap();
+    let expected = ["begin", "drain", "commit", "abort", "abort"].map(|call| (home, call));
+    assert_eq!(*calls.borrow(), expected, "a session frame went to a shard that is not home");
+
+    // A refusing home shard: the error is the caller's, no other shard is
+    // tried, and nothing is remembered — a second abort goes home again.
+    calls.borrow_mut().clear();
+    let refusing = probed_client(true, &calls);
+    let error = poll_ready(refusing.abort(info.session)).unwrap_err();
+    assert!(error.to_string().contains("shard 1 refused abort"), "got {error}");
+    let error = poll_ready(refusing.commit(info.session, &[], &[])).unwrap_err();
+    assert!(error.to_string().contains("shard 1 refused commit"), "got {error}");
+    assert!(poll_ready(refusing.abort(info.session)).is_err());
+    assert_eq!(*calls.borrow(), [(home, "abort"), (home, "commit"), (home, "abort")]);
 }
