@@ -3,9 +3,10 @@
 //! Each function in [`figures`] regenerates one figure of the paper: it runs
 //! the corresponding experiment over the synthetic SWISS-PROT-style workload
 //! and returns the series the figure plots. The `figures` binary prints the
-//! series as aligned tables and writes CSV plus JSON documents; the
-//! Criterion benches wrap the same runners so `cargo bench` exercises every
-//! experiment.
+//! series as aligned tables and writes CSV plus JSON documents. The
+//! Criterion benches of this crate measure layers no figure does: the
+//! engine (`micro_reconcile`, `ablation_modes`) and the store's publish
+//! path (`micro_publish`).
 //!
 //! Absolute numbers differ from the paper (different decade, language,
 //! hardware, and a simulated network), but the qualitative shapes are the

@@ -10,7 +10,7 @@
 //! * [`Update`] and [`Transaction`] — provenance-annotated insertions,
 //!   deletions and modifications, grouped into transactions identified by
 //!   their originating participant.
-//! * [`flatten`] — the Heraclitus-style net-effect computation used to remove
+//! * [`flatten()`] — the Heraclitus-style net-effect computation used to remove
 //!   intermediate steps from a chain of updates before conflict detection.
 //! * [`TrustPolicy`] and [`AcceptanceRule`] — per-participant acceptance rules
 //!   mapping predicates over updates to integer trust priorities, and the

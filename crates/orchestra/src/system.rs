@@ -9,7 +9,7 @@ use orchestra_obs::Obs;
 use orchestra_rt::{LocalExecutor, VirtualClock};
 use orchestra_storage::{Database, Result, StorageError};
 use orchestra_store::{
-    FabricClient, FabricConfig, ServiceConfig, ServiceStats, SessionClient, StoreFabric,
+    DhtStore, FabricClient, FabricConfig, ServiceConfig, ServiceStats, SessionClient, StoreFabric,
     StoreService, UpdateStore,
 };
 use rustc_hash::FxHashSet;
@@ -364,6 +364,24 @@ impl<S: UpdateStore + Sync> CdssSystem<S> {
     pub fn reconcile_all_parallel(&mut self) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
         let ids = self.participant_ids();
         self.reconcile_each_parallel(&ids)
+    }
+}
+
+impl CdssSystem<DhtStore> {
+    /// [`CdssSystem::reconcile_each`] in the paper's network-centric mode
+    /// (see [`Participant::reconcile_network_centric`]): same validation,
+    /// same decisions, same report order; the DHT peers do the antecedent
+    /// resolution and conflict detection.
+    pub fn reconcile_each_network_centric(
+        &mut self,
+        ids: &[ParticipantId],
+    ) -> Result<Vec<(ParticipantId, ReconcileReport)>> {
+        let store = &self.store;
+        let mut out = Vec::with_capacity(ids.len());
+        for (id, participant) in select(&mut self.participants, ids)? {
+            out.push((id, participant.reconcile_network_centric(store)?));
+        }
+        Ok(out)
     }
 }
 

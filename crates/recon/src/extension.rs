@@ -71,8 +71,9 @@ pub(crate) fn conflict_keys_with(
     keys
 }
 
-/// Finds the conflict-group keys on which two flattened update sets conflict
-/// (see [`conflict_keys_with`]).
+/// Finds the conflict-group keys on which two flattened update sets conflict,
+/// comparing only updates that touch a common `(relation, key)` pair — which
+/// every conflicting pair does.
 pub fn conflict_keys_between(
     left: &FlatExtension,
     right: &FlatExtension,

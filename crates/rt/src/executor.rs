@@ -1,7 +1,7 @@
 //! A deterministic single-threaded executor over non-`Send` futures.
 //!
 //! Tasks are polled from a FIFO ready queue. When the queue drains, the
-//! executor advances the [`VirtualClock`](crate::VirtualClock) to the
+//! executor advances the [`VirtualClock`] to the
 //! earliest pending timer and continues; when there are neither ready tasks
 //! nor timers, `run` returns. The executor is lifetime-parameterised so
 //! spawned futures may borrow from the caller's scope — service drivers

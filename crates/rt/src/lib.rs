@@ -15,7 +15,7 @@
 //!   store latencies become [`sleep_us`](VirtualClock::sleep_us) awaits, so
 //!   latency *overlaps* across sessions exactly as it would in a real async
 //!   server, and measured p50/p99 session latencies are deterministic.
-//! * [`channel`] / [`oneshot`] — single-threaded channels. The bounded mpsc
+//! * [`channel()`] / [`oneshot`] — single-threaded channels. The bounded mpsc
 //!   channel is the service's backpressure primitive: `send` on a full inbox
 //!   parks the sender until the worker drains, so admission control is real
 //!   rather than simulated.

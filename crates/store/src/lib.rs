@@ -74,7 +74,7 @@ pub use fabric::{FabricClient, FabricConfig, ShardRouter, StoreFabric};
 pub use network_centric::NetworkCentricPlan;
 pub use protocol::{StoreRequest, StoreResponse};
 pub use pruner::AutoPruner;
-pub use service::{ServiceClient, ServiceConfig, ServiceConfigBuilder, ServiceStats, StoreService};
+pub use service::{ServiceClient, ServiceConfig, ServiceStats, StoreService};
 // Retention and group-commit knobs, re-exported so drivers need not depend
 // on `orchestra-storage` directly.
 pub use orchestra_storage::{FlushPolicy, PruneReport, RetentionPolicy};

@@ -52,7 +52,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Tuning knobs for a [`StoreService`].
+/// Base backoff before a client retries a [`StoreResponse::Busy`] `Begin`, in
+/// microseconds of virtual time — one message latency; attempt `n` waits
+/// `n` times as long.
+const BUSY_BACKOFF_US: u64 = SimNetwork::PAPER_LATENCY_US;
+
+/// Tuning knobs for a [`StoreService`]. Set the public fields over
+/// `..ServiceConfig::default()`; [`StoreService::start`] checks
+/// [`ServiceConfig::validate`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker tasks serving requests. Participants are sharded across
@@ -74,9 +81,6 @@ pub struct ServiceConfig {
     /// Virtual store access latency a worker pays per drained batch, in
     /// microseconds.
     pub store_latency_us: u64,
-    /// Base backoff before a client retries a [`StoreResponse::Busy`]
-    /// `Begin`; attempt `n` waits `n * busy_backoff_us` of virtual time.
-    pub busy_backoff_us: u64,
     /// `Busy` retries before [`ServiceClient::begin_session`] gives up with
     /// an admission-control error.
     pub busy_retries: u32,
@@ -100,7 +104,6 @@ impl Default for ServiceConfig {
             max_batch: 16,
             frame_latency_us: SimNetwork::PAPER_LATENCY_US,
             store_latency_us: 0,
-            busy_backoff_us: SimNetwork::PAPER_LATENCY_US,
             busy_retries: 10_000,
             obs: Obs::disabled(),
             obs_shard: None,
@@ -109,15 +112,15 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Starts building a config from the defaults; see
-    /// [`ServiceConfigBuilder`]. Invariants are validated once at
-    /// [`ServiceConfigBuilder::build`] time.
-    pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder { config: ServiceConfig::default() }
-    }
-
     /// Checks the config's invariants: at least one worker, at least one
     /// frame per worker batch, a non-zero inbox and a non-zero session cap.
+    ///
+    /// ```
+    /// use orchestra_store::ServiceConfig;
+    /// let config = ServiceConfig { workers: 4, max_open_sessions: 64, ..ServiceConfig::default() };
+    /// assert!(config.validate().is_ok());
+    /// assert!(ServiceConfig { workers: 0, ..config }.validate().is_err());
+    /// ```
     pub fn validate(&self) -> Result<()> {
         fn invalid(what: &str) -> StorageError {
             StorageError::Session(format!("service config: {what}"))
@@ -135,96 +138,6 @@ impl ServiceConfig {
             return Err(invalid("admission control needs at least one session slot"));
         }
         Ok(())
-    }
-}
-
-/// Builds a [`ServiceConfig`], validating invariants (workers ≥ 1,
-/// max_batch ≥ 1, inbox_capacity ≥ 1, max_open_sessions ≥ 1) once at
-/// [`ServiceConfigBuilder::build`] time instead of panicking inside
-/// [`StoreService::start`]:
-///
-/// ```
-/// use orchestra_store::ServiceConfig;
-/// let config = ServiceConfig::builder()
-///     .workers(4)
-///     .max_open_sessions(64)
-///     .store_latency_us(1_000)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.workers, 4);
-/// assert!(ServiceConfig::builder().workers(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ServiceConfigBuilder {
-    config: ServiceConfig,
-}
-
-impl ServiceConfigBuilder {
-    /// Sets the number of worker tasks (must end up ≥ 1).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Sets the per-worker inbox capacity (must end up ≥ 1).
-    pub fn inbox_capacity(mut self, capacity: usize) -> Self {
-        self.config.inbox_capacity = capacity;
-        self
-    }
-
-    /// Sets the admission-control session cap (must end up ≥ 1).
-    pub fn max_open_sessions(mut self, cap: usize) -> Self {
-        self.config.max_open_sessions = cap;
-        self
-    }
-
-    /// Sets the frames a worker drains per wake-up (must end up ≥ 1).
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the virtual one-way frame latency, in microseconds.
-    pub fn frame_latency_us(mut self, latency_us: u64) -> Self {
-        self.config.frame_latency_us = latency_us;
-        self
-    }
-
-    /// Sets the virtual per-batch store access latency, in microseconds.
-    pub fn store_latency_us(mut self, latency_us: u64) -> Self {
-        self.config.store_latency_us = latency_us;
-        self
-    }
-
-    /// Sets the base backoff before a `Busy` retry, in microseconds.
-    pub fn busy_backoff_us(mut self, backoff_us: u64) -> Self {
-        self.config.busy_backoff_us = backoff_us;
-        self
-    }
-
-    /// Sets how many `Busy` rejections a `Begin` retries before giving up.
-    pub fn busy_retries(mut self, retries: u32) -> Self {
-        self.config.busy_retries = retries;
-        self
-    }
-
-    /// Sets the observability sink the service reports into.
-    pub fn observability(mut self, obs: Obs) -> Self {
-        self.config.obs = obs;
-        self
-    }
-
-    /// Labels the service as fabric shard `shard` in metrics and traces.
-    pub fn obs_shard(mut self, shard: u64) -> Self {
-        self.config.obs_shard = Some(shard);
-        self
-    }
-
-    /// Validates the invariants and returns the config, or a typed error
-    /// naming the violated invariant.
-    pub fn build(self) -> Result<ServiceConfig> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -353,7 +266,6 @@ pub struct StoreService {
     routes: RefCell<Option<Rc<Vec<Sender<Envelope>>>>>,
     shared: Rc<ServiceShared>,
     frame_latency_us: u64,
-    busy_backoff_us: u64,
     busy_retries: u32,
     pruner: RefCell<Option<AutoPruner>>,
 }
@@ -391,9 +303,9 @@ impl StoreService {
     /// use the executor's [`VirtualClock`]. A fabric starts one service per
     /// shard, each under its own [`StoreService::shard_server_node`].
     ///
-    /// Panics if the config violates its invariants; build configs through
-    /// [`ServiceConfig::builder`] to surface the violation as a typed error
-    /// instead.
+    /// Panics if the config violates its invariants; call
+    /// [`ServiceConfig::validate`] first to surface the violation as a typed
+    /// error instead.
     pub fn start_at<'a, S: UpdateStore + ?Sized>(
         store: &'a S,
         config: &ServiceConfig,
@@ -450,7 +362,6 @@ impl StoreService {
             routes: RefCell::new(Some(Rc::new(routes))),
             shared,
             frame_latency_us: config.frame_latency_us,
-            busy_backoff_us: config.busy_backoff_us,
             busy_retries: config.busy_retries,
             pruner: RefCell::new(None),
         }
@@ -469,7 +380,6 @@ impl StoreService {
             net: Rc::clone(&self.net),
             routes: Rc::clone(routes),
             frame_latency_us: self.frame_latency_us,
-            busy_backoff_us: self.busy_backoff_us,
             busy_retries: self.busy_retries,
             tracer: self.shared.tracer.clone(),
             shard: self.shared.shard,
@@ -661,7 +571,6 @@ pub struct ServiceClient {
     net: Rc<dyn Transport>,
     routes: Rc<Vec<Sender<Envelope>>>,
     frame_latency_us: u64,
-    busy_backoff_us: u64,
     busy_retries: u32,
     tracer: Tracer,
     shard: Option<u64>,
@@ -729,7 +638,7 @@ impl SessionClient for ServiceClient {
                         ));
                     }
                     attempt += 1;
-                    let wait_us = self.busy_backoff_us * u64::from(attempt);
+                    let wait_us = BUSY_BACKOFF_US * u64::from(attempt);
                     if self.tracer.is_enabled() {
                         let mut fields = vec![
                             ("participant", u64::from(self.participant.as_u32())),

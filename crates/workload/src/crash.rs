@@ -22,11 +22,10 @@
 //! the recovered catalogue was byte-identical to the pre-crash one (compared
 //! through the canonical durable-state `Debug` rendering).
 
-use crate::generator::WorkloadGenerator;
-use crate::scenario::{mutual_trust_policies, ChurnConfig};
+use crate::scenario::{churn_confederation, churn_schedule, mutual_trust_policies, ChurnConfig};
+use crate::schedule::{churn_turns, ChurnTotals, Confederation, Driver, Step};
 use orchestra::{CdssSystem, Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::ParticipantId;
 use orchestra_store::CentralStore;
 use std::path::Path;
 use std::time::Instant;
@@ -59,26 +58,6 @@ impl CrashChurnConfig {
     }
 }
 
-/// Decision totals of one (possibly interrupted) churn run — everything that
-/// must be identical between the baseline and the recovered run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChurnTotals {
-    /// Reconciliations performed.
-    pub reconciliations: usize,
-    /// Publish calls performed.
-    pub publishes: usize,
-    /// Root transactions accepted.
-    pub accepted: usize,
-    /// Root transactions rejected.
-    pub rejected: usize,
-    /// Root transactions deferred.
-    pub deferred: usize,
-    /// Conflict-resolution rounds performed.
-    pub resolutions: usize,
-    /// Final state ratio over the `Function` relation.
-    pub state_ratio: f64,
-}
-
 /// The outcome of one crash-restart experiment.
 #[derive(Debug, Clone)]
 pub struct CrashChurnReport {
@@ -103,104 +82,29 @@ pub struct CrashChurnReport {
     pub recover_micros: u64,
 }
 
-pub(crate) fn make_generators(
-    config: &ChurnConfig,
-    ids: &[ParticipantId],
-) -> Vec<WorkloadGenerator> {
-    // Same per-participant seed derivation as `run_churn_scenario`, so the
-    // schedules (and therefore the trajectories) stay comparable.
-    ids.iter()
-        .map(|id| {
-            WorkloadGenerator::new(
-                config.workload.clone(),
-                config.seed.wrapping_add(u64::from(id.as_u32()) * 6151),
-            )
-        })
-        .collect()
-}
-
-/// One participant's actions in one round of the churn schedule: execute and
-/// publish a batch, reconcile if due, resolve deferred conflicts if due.
-/// Mirrors `run_churn_scenario` exactly.
-pub(crate) fn step(
-    system: &mut CdssSystem<CentralStore>,
-    generators: &mut [WorkloadGenerator],
-    config: &ChurnConfig,
-    round: usize,
-    idx: usize,
-    id: ParticipantId,
-    totals: &mut ChurnTotals,
-) {
-    let batch = {
-        let participant = system.participant(id).expect("participant exists");
-        generators[idx].next_batch(id, participant.instance(), config.transactions_per_publish)
-    };
-    for updates in batch {
-        let _ = system.execute(id, updates);
-    }
-    if system.publish(id).expect("publish succeeds").is_some() {
-        totals.publishes += 1;
-    }
-    let interval = 1 + idx % config.max_reconcile_interval.max(1);
-    if (round + idx) % interval == 0 {
-        reconcile_one(system, id, totals);
-    }
-    if config.resolve_every > 0 && (round + idx) % config.resolve_every == 0 {
-        let groups: Vec<_> = system
-            .participant(id)
-            .expect("participant exists")
-            .deferred_conflicts()
-            .iter()
-            .map(|g| g.key.clone())
-            .collect();
-        if !groups.is_empty() {
-            let choices: Vec<orchestra_recon::ResolutionChoice> = groups
-                .into_iter()
-                .map(|key| orchestra_recon::ResolutionChoice { group: key, chosen_option: Some(0) })
-                .collect();
-            system.resolve_conflicts(id, &choices).expect("resolution succeeds");
-            totals.resolutions += 1;
+/// Applies `turns[from..]`, taking a compacting snapshot before every
+/// `snapshot_every`-th turn (0 = never). With a `crash_at` epoch it stops
+/// after the first turn that leaves the store's stable epoch at or beyond it
+/// and returns that turn's index.
+fn run_turns(
+    conf: &mut Confederation<CentralStore>,
+    turns: &[Vec<Step>],
+    from: usize,
+    snapshot_every: usize,
+    crash_at: Option<u64>,
+) -> Option<usize> {
+    let driver = Driver::sequential();
+    for (at, turn) in turns.iter().enumerate().skip(from) {
+        if at > 0 && snapshot_every > 0 && at % snapshot_every == 0 {
+            conf.system.store().snapshot().expect("snapshot succeeds");
+        }
+        conf.run(turn, &driver, |_| ()).expect("churn step succeeds");
+        let stable = conf.system.store().catalog().largest_stable_epoch().as_u64();
+        if crash_at.is_some_and(|epoch| stable >= epoch) {
+            return Some(at);
         }
     }
-}
-
-pub(crate) fn reconcile_one(
-    system: &mut CdssSystem<CentralStore>,
-    id: ParticipantId,
-    totals: &mut ChurnTotals,
-) {
-    let report = system.reconcile(id).expect("reconcile succeeds");
-    totals.reconciliations += 1;
-    totals.accepted += report.accepted.len();
-    totals.rejected += report.rejected.len();
-    totals.deferred += report.deferred.len();
-}
-
-pub(crate) fn fresh_system(store: CentralStore, config: &ChurnConfig) -> CdssSystem<CentralStore> {
-    let mut system = CdssSystem::new(bioinformatics_schema(), store);
-    for policy in mutual_trust_policies(config.participants, 1) {
-        system.add_participant(ParticipantConfig::new(policy)).expect("unique participants");
-    }
-    system
-}
-
-/// Runs the churn schedule uninterrupted over the given store and returns the
-/// decision totals.
-fn run_uninterrupted(store: CentralStore, config: &ChurnConfig) -> ChurnTotals {
-    let mut system = fresh_system(store, config);
-    let ids = system.participant_ids();
-    let mut generators = make_generators(config, &ids);
-    let mut totals = ChurnTotals::default();
-    for round in 0..config.rounds {
-        for (idx, &id) in ids.iter().enumerate() {
-            step(&mut system, &mut generators, config, round, idx, id, &mut totals);
-        }
-    }
-    for &id in &ids {
-        reconcile_one(&mut system, id, &mut totals);
-    }
-    totals.state_ratio = system.state_ratio_for("Function");
-    totals
+    None
 }
 
 /// Runs the crash-restart experiment in `dir` (which must not already hold a
@@ -211,38 +115,30 @@ fn run_uninterrupted(store: CentralStore, config: &ChurnConfig) -> ChurnTotals {
 pub fn run_crash_restart_scenario(dir: &Path, config: &CrashChurnConfig) -> CrashChurnReport {
     let churn = &config.churn;
     let schema = bioinformatics_schema();
+    let driver = Driver::sequential();
 
     // Uninterrupted baseline over an ephemeral store (durability must not
     // change decisions, so the cheaper store is the reference).
-    let baseline = run_uninterrupted(CentralStore::new(schema.clone()), churn);
+    let mut baseline = churn_confederation(CentralStore::new(schema.clone()), churn);
+    let ids = baseline.system.participant_ids();
+    baseline.run(&churn_schedule(churn, &ids), &driver, |_| ()).expect("churn step succeeds");
+    let baseline = baseline.closing_totals();
 
-    // The durable run, up to the crash.
+    // The durable run, up to the crash. The crash falls between two turns:
+    // mid-round, so some of the round's due participants have reconciled and
+    // the rest have not, but never between an execute and its publish.
+    let turns = churn_turns(churn, &ids);
     let store = CentralStore::durable(schema.clone(), dir).expect("fresh durability directory");
-    let mut system = fresh_system(store, churn);
-    let ids = system.participant_ids();
-    let mut generators = make_generators(churn, &ids);
-    let mut totals = ChurnTotals::default();
-    let mut crash_point: Option<(usize, usize)> = None;
-    'schedule: for round in 0..churn.rounds {
-        if config.snapshot_every_rounds > 0
-            && round > 0
-            && round % config.snapshot_every_rounds == 0
-        {
-            system.store().snapshot().expect("snapshot succeeds");
-        }
-        for (idx, &id) in ids.iter().enumerate() {
-            step(&mut system, &mut generators, churn, round, idx, id, &mut totals);
-            if system.store().catalog().largest_stable_epoch().as_u64() >= config.crash_at_epoch {
-                crash_point = Some((round, idx));
-                break 'schedule;
-            }
-        }
-    }
-    let (crash_round, crash_idx) =
-        crash_point.expect("crash_at_epoch lies beyond the schedule; lower it or raise rounds");
+    let mut conf = churn_confederation(store, churn);
+    // Snapshots fall on round boundaries.
+    let snapshot_every = config.snapshot_every_rounds * ids.len();
+    let crash_turn = run_turns(&mut conf, &turns, 0, snapshot_every, Some(config.crash_at_epoch))
+        .expect("crash_at_epoch lies beyond the schedule; lower it or raise rounds");
 
     // The crash: record what the durable state looked like, then drop every
-    // in-memory structure — catalogue, sessions, instances, soft state.
+    // in-memory structure — catalogue, sessions, instances, soft state. The
+    // generators and the totals so far are the schedule's, not the system's.
+    let Confederation { system, generators, totals } = conf;
     let crash_epoch = system.store().catalog().largest_stable_epoch().as_u64();
     let fingerprint = format!("{:?}", system.store().catalog());
     let wal_records_at_crash =
@@ -267,32 +163,19 @@ pub fn run_crash_restart_scenario(dir: &Path, config: &CrashChurnConfig) -> Cras
         system.adopt_participant(participant).expect("unique participants");
     }
 
-    // Resume the schedule at the participant right after the crash.
-    for round in crash_round..churn.rounds {
-        if config.snapshot_every_rounds > 0
-            && round > crash_round
-            && round % config.snapshot_every_rounds == 0
-        {
-            system.store().snapshot().expect("snapshot succeeds");
-        }
-        let start_idx = if round == crash_round { crash_idx + 1 } else { 0 };
-        for (idx, &id) in ids.iter().enumerate().skip(start_idx) {
-            step(&mut system, &mut generators, churn, round, idx, id, &mut totals);
-        }
-    }
-    for &id in &ids {
-        reconcile_one(&mut system, id, &mut totals);
-    }
-    totals.state_ratio = system.state_ratio_for("Function");
+    // Resume the schedule at the turn right after the crash.
+    let mut conf = Confederation { system, generators, totals };
+    run_turns(&mut conf, &turns, crash_turn + 1, snapshot_every, None);
+    conf.apply(&Step::Reconcile(ids.clone()), &driver).expect("catch-up wave succeeds");
+    let recovered = conf.closing_totals();
 
-    let decisions_match = totals == baseline;
     CrashChurnReport {
+        decisions_match: recovered == baseline,
         baseline,
-        recovered: totals,
-        decisions_match,
+        recovered,
         durable_state_identical,
-        crash_round,
-        crash_participant_index: crash_idx,
+        crash_round: crash_turn / ids.len(),
+        crash_participant_index: crash_turn % ids.len(),
         crash_epoch,
         wal_records_at_crash,
         recover_micros,

@@ -6,9 +6,12 @@
 //! relation, with update values drawn from a Zipfian distribution (s = 1.5)
 //! over the set of protein functions, and an average of 7.3 cross-reference
 //! tuples inserted into a secondary table for every newly inserted primary
-//! key. This crate reproduces that generator and adds a scenario driver that
-//! runs whole multi-participant experiments and reports the paper's metrics
-//! (state ratio, store time, local time).
+//! key. This crate reproduces that generator ([`generator`]) and drives whole
+//! multi-participant experiments with it. An experiment is a schedule — a
+//! `Vec` of [`Step`]s — applied to a [`Confederation`] under a [`Driver`]
+//! ([`schedule`]); every runner ([`scenario`], [`scale`], [`crash`],
+//! [`offline`], [`retention`]) builds one and folds the step outcomes into
+//! the paper's metrics (state ratio, store time, local time) or its own.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -19,23 +22,24 @@ pub mod offline;
 pub mod retention;
 pub mod scale;
 pub mod scenario;
+pub mod schedule;
 pub mod swissprot;
 pub mod zipf;
 
-pub use crash::{run_crash_restart_scenario, ChurnTotals, CrashChurnConfig, CrashChurnReport};
+pub use crash::{run_crash_restart_scenario, CrashChurnConfig, CrashChurnReport};
 pub use generator::{WorkloadConfig, WorkloadGenerator};
 pub use offline::{run_offline_scenario, EpochMode, OfflineChurnConfig, OfflineChurnResult};
 pub use retention::{
     run_retention_scenario, RetentionChurnConfig, RetentionChurnResult, RetentionSample,
 };
 pub use scale::{
-    run_churn_scale, run_churn_scale_fabric, run_churn_scale_fabric_observed,
-    run_churn_scale_observed, zipf_fanin_policies, ScaleConfig, ScaleDriver, ScaleRunResult,
+    run_churn_scale, run_churn_scale_fabric_observed, run_churn_scale_observed,
+    zipf_fanin_policies, ScaleConfig, ScaleDriver, ScaleRunResult,
 };
 pub use scenario::{
     mutual_trust_policies, run_churn_concurrent, run_churn_scenario, run_scenario, ChurnConfig,
-    ChurnResult, ChurnSample, ConcurrentChurnResult, ReconcileDriver, ScenarioConfig,
-    ScenarioResult,
+    ChurnResult, ChurnSample, ScenarioConfig, ScenarioResult,
 };
+pub use schedule::{ChurnTotals, Confederation, Driver, Outcome, Step};
 pub use swissprot::SwissProtPools;
 pub use zipf::ZipfSampler;

@@ -24,10 +24,8 @@
 //! of the confederation is the meaningful property, and it is checked against
 //! the store's own retention machinery rather than a scenario-side shadow.
 
-use crate::crash::{fresh_system, make_generators, reconcile_one, step, ChurnTotals};
-use crate::retention::resolve_everything;
-use crate::scenario::ChurnConfig;
-use orchestra::CdssSystem;
+use crate::scenario::{churn_confederation, ChurnConfig};
+use crate::schedule::{churn_turns, converge, ChurnTotals, Driver, Step};
 use orchestra_model::ParticipantId;
 use orchestra_store::{CentralStore, UpdateStore};
 use std::time::{Duration, Instant};
@@ -102,6 +100,33 @@ pub struct OfflineChurnResult {
     pub wall: Duration,
 }
 
+/// The offline-churn schedule: the interleaved churn rounds with a
+/// [`Step::Partition`] of the window's victims (rotating through `ids`) in
+/// front of the round that opens a window and a [`Step::Heal`] in front of
+/// the round that closes it, then the catch-up. A window opens only if it
+/// also closes within the schedule. A partitioned participant's turn is the
+/// same steps as anyone's; the interpreter skips its store conversations.
+fn offline_schedule(config: &OfflineChurnConfig, ids: &[ParticipantId]) -> Vec<Step> {
+    let (churn, every, len) = (&config.churn, config.partition_every, config.partition_rounds);
+    let opens =
+        |round: usize| every > 0 && round > 0 && round % every == 0 && round + len < churn.rounds;
+    let span = config.partition_size.min(ids.len().saturating_sub(1)).max(1);
+    let mut steps = Vec::new();
+    for (round, turns) in churn_turns(churn, ids).chunks(ids.len()).enumerate() {
+        if round >= len && opens(round - len) {
+            steps.push(Step::Heal);
+        }
+        if opens(round) {
+            let first = (round / every - 1) * span;
+            steps
+                .push(Step::Partition((first..first + span).map(|j| ids[j % ids.len()]).collect()));
+        }
+        steps.extend(turns.concat());
+    }
+    steps.extend(converge(ids));
+    steps
+}
+
 /// Runs the offline-churn schedule over the given store in the given mode.
 ///
 /// With `partition_every == 0` this is exactly the plain churn schedule (plus
@@ -112,9 +137,11 @@ pub fn run_offline_scenario(
     config: &OfflineChurnConfig,
 ) -> OfflineChurnResult {
     assert!(
-        config.partition_every == 0 || config.partition_every > config.partition_rounds,
-        "partition windows must not overlap"
+        config.partition_every == 0
+            || (1..config.partition_every).contains(&config.partition_rounds),
+        "a partition window lasts at least a round and heals before the next one opens"
     );
+    assert!(config.churn.participants >= 1, "a round is one turn per participant");
     if mode == EpochMode::Causal {
         store.enable_causal_mode().expect("fresh store accepts causal mode");
     }
@@ -122,60 +149,15 @@ pub fn run_offline_scenario(
     // the end of the run.
     store.catalog().close_membership().expect("membership closes");
 
-    let churn = &config.churn;
     let start = Instant::now();
-    let mut system = fresh_system(store, churn);
-    let ids = system.participant_ids();
-    let mut generators = make_generators(churn, &ids);
-    let mut totals = ChurnTotals::default();
-    let mut partitions = 0usize;
+    let mut conf = churn_confederation(store, &config.churn);
+    let ids = conf.system.participant_ids();
+    let steps = offline_schedule(config, &ids);
     let mut healed_batches = 0usize;
-    let mut heal_round: Option<usize> = None;
-    let mut rotation = 0usize;
+    conf.run(&steps, &Driver::sequential(), |outcome| healed_batches += outcome.healed_batches)
+        .expect("churn step succeeds");
 
-    for round in 0..churn.rounds {
-        if heal_round == Some(round) {
-            healed_batches += heal(&mut system);
-            heal_round = None;
-        }
-        if config.partition_every > 0
-            && heal_round.is_none()
-            && round > 0
-            && round % config.partition_every == 0
-            && round + config.partition_rounds < churn.rounds
-        {
-            let span = config.partition_size.min(ids.len().saturating_sub(1)).max(1);
-            let victims: Vec<ParticipantId> =
-                (0..span).map(|j| ids[(rotation + j) % ids.len()]).collect();
-            system.partition(&victims).expect("partition succeeds");
-            rotation = (rotation + span) % ids.len();
-            partitions += 1;
-            heal_round = Some(round + config.partition_rounds);
-        }
-        for (idx, &id) in ids.iter().enumerate() {
-            let offline = system.participant(id).map(|p| p.is_offline()).unwrap_or(false);
-            if offline {
-                offline_step(&mut system, &mut generators, churn, idx, id);
-            } else {
-                step(&mut system, &mut generators, churn, round, idx, id, &mut totals);
-            }
-        }
-    }
-
-    // Tail heal (a window may still be open) and catch-up: reconcile all →
-    // resolve everything → reconcile all, as in the retention scenario.
-    if !system.offline_ids().is_empty() {
-        healed_batches += heal(&mut system);
-    }
-    for &id in &ids {
-        reconcile_one(&mut system, id, &mut totals);
-    }
-    resolve_everything(&mut system, &mut totals);
-    for &id in &ids {
-        reconcile_one(&mut system, id, &mut totals);
-    }
-    totals.state_ratio = system.state_ratio_for("Function");
-
+    let system = &conf.system;
     let buffered: usize = ids
         .iter()
         .filter_map(|&id| system.participant(id))
@@ -194,8 +176,8 @@ pub fn run_offline_scenario(
     };
 
     OfflineChurnResult {
-        totals,
-        partitions,
+        totals: conf.closing_totals(),
+        partitions: steps.iter().filter(|step| matches!(step, Step::Partition(_))).count(),
         healed_batches,
         final_epoch,
         convergence_horizon,
@@ -203,30 +185,6 @@ pub fn run_offline_scenario(
         final_frontier,
         wall: start.elapsed(),
     }
-}
-
-/// One offline participant's actions in one round: execute the generated
-/// batch and publish it into the client-side buffer. Reconciliation and
-/// resolution are store conversations, so they wait for the heal.
-fn offline_step(
-    system: &mut CdssSystem<CentralStore>,
-    generators: &mut [crate::generator::WorkloadGenerator],
-    config: &ChurnConfig,
-    idx: usize,
-    id: ParticipantId,
-) {
-    let batch = {
-        let participant = system.participant(id).expect("participant exists");
-        generators[idx].next_batch(id, participant.instance(), config.transactions_per_publish)
-    };
-    for updates in batch {
-        let _ = system.execute(id, updates);
-    }
-    system.publish(id).expect("offline publish buffers");
-}
-
-fn heal(system: &mut CdssSystem<CentralStore>) -> usize {
-    system.heal().expect("heal succeeds").iter().map(|(_, epochs)| epochs.len()).sum()
 }
 
 #[cfg(test)]

@@ -12,11 +12,9 @@
 //! decision-invariant by construction, and this module's tests check both
 //! that and the boundedness of the `ConvergedOnly` live set.
 
-use crate::crash::{fresh_system, make_generators, reconcile_one, step};
-use crate::scenario::ChurnConfig;
-use crate::ChurnTotals;
+use crate::scenario::{churn_confederation, ChurnConfig};
+use crate::schedule::{churn_turns, converge, ChurnTotals, Driver};
 use orchestra::CdssSystem;
-use orchestra_model::ParticipantId;
 use orchestra_store::{CentralStore, RetentionPolicy};
 use std::time::{Duration, Instant};
 
@@ -122,6 +120,11 @@ fn sample(system: &CdssSystem<CentralStore>, round: usize) -> RetentionSample {
     }
 }
 
+fn record(result: &mut RetentionChurnResult, sample: RetentionSample) {
+    result.peak_live_set = result.peak_live_set.max(sample.live_set());
+    result.samples.push(sample);
+}
+
 fn prune_pass(system: &mut CdssSystem<CentralStore>, result: &mut RetentionChurnResult) {
     let report = system.store().prune_to_horizon().expect("prune succeeds");
     if !report.is_noop() {
@@ -139,32 +142,6 @@ fn prune_pass(system: &mut CdssSystem<CentralStore>, result: &mut RetentionChurn
     }
 }
 
-/// Resolves every open conflict group at every participant, keeping the
-/// first option — the curation pass that lets the horizon reach the end of
-/// the schedule. Participants can also hold deferred transactions that
-/// belong to *no* conflict group (a candidate deferred over a dirty value
-/// whose only relatives subsume it never forms a group of its own); an
-/// empty-choices resolution re-runs the whole deferred set and decides
-/// those too, so the pass fires whenever anything at all is deferred.
-pub(crate) fn resolve_everything(system: &mut CdssSystem<CentralStore>, totals: &mut ChurnTotals) {
-    for id in system.participant_ids() {
-        let participant = system.participant(id).expect("participant exists");
-        if participant.soft_state().deferred().is_empty() {
-            continue;
-        }
-        let choices: Vec<orchestra_recon::ResolutionChoice> = participant
-            .deferred_conflicts()
-            .iter()
-            .map(|g| orchestra_recon::ResolutionChoice {
-                group: g.key.clone(),
-                chosen_option: Some(0),
-            })
-            .collect();
-        system.resolve_conflicts(id, &choices).expect("resolution succeeds");
-        totals.resolutions += 1;
-    }
-}
-
 /// Runs the retention scenario: the interleaved churn schedule with periodic
 /// pruning, then a catch-up phase (reconcile all → resolve all → reconcile
 /// all → final prune) so the last sample shows the fully converged live set.
@@ -174,48 +151,31 @@ pub fn run_retention_scenario(
 ) -> RetentionChurnResult {
     store.set_retention(config.retention);
     let churn = &config.churn;
+    assert!(churn.participants >= 1, "a round is one turn per participant");
     let start = Instant::now();
-    let mut system = fresh_system(store, churn);
+    let mut conf = churn_confederation(store, churn);
     // Every participant of the run is registered up front: declare the
     // membership closed, otherwise the horizon is pinned at zero forever.
-    system.store().catalog().close_membership().expect("close membership");
-    let ids: Vec<ParticipantId> = system.participant_ids();
-    let mut generators = make_generators(churn, &ids);
+    conf.system.store().catalog().close_membership().expect("close membership");
+    let ids = conf.system.participant_ids();
+    let driver = Driver::sequential();
 
     let mut result = RetentionChurnResult::default();
-    let mut totals = ChurnTotals::default();
-    for round in 0..churn.rounds {
-        for (idx, &id) in ids.iter().enumerate() {
-            step(&mut system, &mut generators, churn, round, idx, id, &mut totals);
-        }
+    for (round, turns) in churn_turns(churn, &ids).chunks(ids.len()).enumerate() {
+        conf.run(&turns.concat(), &driver, |_| ()).expect("churn step succeeds");
         if config.prune_every_rounds > 0 && (round + 1) % config.prune_every_rounds == 0 {
-            prune_pass(&mut system, &mut result);
+            prune_pass(&mut conf.system, &mut result);
         }
-        let s = sample(&system, round);
-        result.peak_live_set = result.peak_live_set.max(s.live_set());
-        result.samples.push(s);
+        record(&mut result, sample(&conf.system, round));
     }
+    conf.run(&converge(&ids), &driver, |_| ()).expect("catch-up step succeeds");
+    prune_pass(&mut conf.system, &mut result);
+    record(&mut result, sample(&conf.system, churn.rounds));
 
-    // Catch-up: everyone sees the full history, leftover conflicts are
-    // curated away, and one more reconcile wave records the rerun decisions
-    // before the final prune.
-    for &id in &ids {
-        reconcile_one(&mut system, id, &mut totals);
-    }
-    resolve_everything(&mut system, &mut totals);
-    for &id in &ids {
-        reconcile_one(&mut system, id, &mut totals);
-    }
-    prune_pass(&mut system, &mut result);
-    let last = sample(&system, churn.rounds);
-    result.peak_live_set = result.peak_live_set.max(last.live_set());
-    result.samples.push(last);
-
-    totals.state_ratio = system.state_ratio_for("Function");
-    result.totals = totals;
-    result.total_published = system.store().catalog().log_total_published();
-    for id in system.participant_ids() {
-        let timing = system.participant(id).expect("participant exists").total_timing();
+    result.totals = conf.closing_totals();
+    result.total_published = conf.system.store().catalog().log_total_published();
+    for id in ids {
+        let timing = conf.system.participant(id).expect("participant exists").total_timing();
         result.store_time += timing.store;
         result.local_time += timing.local;
     }

@@ -1,7 +1,7 @@
 //! The `churn_scale` scenario: confederation-scale churn through the store
 //! service.
 //!
-//! Where [`crate::scenario::run_churn_concurrent`] compares reconciliation
+//! Where [`crate::run_churn_concurrent`] compares reconciliation
 //! drivers on a handful of participants, this module stresses the *service*
 //! deployment model at the paper's confederation scale: a thousand-plus
 //! participants publishing hundreds of thousands of updates while sustained
@@ -14,29 +14,18 @@
 //! most of the confederation while the long tail is relevant to almost
 //! nobody — the interest skew the paper observes in bioinformatics sharing.
 //!
-//! Four drivers run the *same* publish/reconcile schedule:
-//!
-//! * [`ScaleDriver::Sequential`] — one session after another; the decision
-//!   baseline.
-//! * [`ScaleDriver::Threads`] — the thread-per-participant driver
-//!   (`reconcile_each_parallel`), the pre-service deployment model.
-//! * [`ScaleDriver::Service`] — sessions multiplexed through the bounded
-//!   worker pool of the store service on the single-threaded runtime.
-//! * the **fabric** driver ([`run_churn_scale_fabric`]) — the same sessions
-//!   against a confederation of [`ScaleConfig::fabric_shards`] store
-//!   services, each fronting one shard of an
-//!   [`orchestra_store::StoreFabric`]; every session runs at its
-//!   participant's home shard, every publish reaches every shard.
-//!
-//! Because publishes are schedule-ordered in every driver and a wave pins
-//! the log, all four reach identical decisions; the run result carries an
-//! order-invariant [`ScaleRunResult::decision_fingerprint`] so a benchmark
-//! can assert that equivalence cheaply at full scale.
+//! Four [`Driver`]s run the *same* publish/reconcile schedule: the three of
+//! [`ScaleDriver`] over a caller's store, and the fabric
+//! ([`run_churn_scale_fabric_observed`]) over
+//! [`ScaleConfig::fabric_shards`] store services, each fronting one shard of
+//! a [`StoreFabric`]. Because publishes are schedule-ordered in every driver
+//! and a wave pins the log, all four reach identical decisions; the run
+//! result carries an order-invariant [`ScaleRunResult::decision_fingerprint`]
+//! so a benchmark can assert that equivalence cheaply at full scale.
 
-use crate::generator::{WorkloadConfig, WorkloadGenerator};
-use crate::swissprot::SwissProtPools;
+use crate::generator::WorkloadConfig;
+use crate::schedule::{wave_schedule, Confederation, Driver};
 use crate::zipf::ZipfSampler;
-use orchestra::{CdssSystem, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, TransactionId, TrustPolicy};
 use orchestra_obs::{MetricsSnapshot, Obs};
@@ -45,7 +34,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rustc_hash::{FxHashSet, FxHasher};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of one `churn_scale` run.
@@ -182,12 +170,9 @@ impl ScaleConfig {
     }
 }
 
-/// How a `churn_scale` run drives its reconciliation waves.
-///
-/// The sharded fabric deployment is its own entry point
-/// ([`run_churn_scale_fabric`]) rather than a variant here: it needs to
-/// construct the [`StoreFabric`] itself, while [`run_churn_scale`] is
-/// generic over any caller-supplied store.
+/// The [`Driver`] of a `churn_scale` run over a caller-supplied store. The
+/// fabric is its own entry point ([`run_churn_scale_fabric_observed`]): it
+/// constructs the [`StoreFabric`] itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDriver {
     /// One session after another (decision baseline).
@@ -325,199 +310,88 @@ pub fn run_churn_scale_observed<S: UpdateStore + Sync>(
     driver: ScaleDriver,
     obs: &Obs,
 ) -> ScaleRunResult {
-    let service_config = config.service_config();
-    let service_round = |system: &mut CdssSystem<S>, publish: &[_], due: &[_], result: &mut _| {
-        let report = system
-            .run_service_round(publish, due, &service_config)
-            .expect("service round succeeds");
-        absorb_round(result, &report.published, &report.latencies_us, &[report.stats]);
-        result.net_messages += report.net.messages;
-        result.net_bytes += report.net.bytes;
-        result.virtual_elapsed_us += report.virtual_elapsed_us;
+    let driver = match driver {
+        ScaleDriver::Sequential => Driver::sequential(),
+        ScaleDriver::Threads => Driver::threads(),
+        ScaleDriver::Service => Driver::service(config.service_config()),
     };
-    run_churn_loop(
-        store,
-        config,
-        obs,
-        |system, ids, result| match driver {
-            ScaleDriver::Sequential | ScaleDriver::Threads => {
-                for &id in ids {
-                    if system.publish(id).expect("publish succeeds").is_some() {
-                        result.publishes += 1;
-                    }
-                }
-            }
-            ScaleDriver::Service => service_round(system, ids, &[], result),
-        },
-        |system, due, result| match driver {
-            ScaleDriver::Sequential => {
-                let reports = system.reconcile_each(due).expect("sequential wave succeeds");
-                result.sessions += reports.len() as u64;
-            }
-            ScaleDriver::Threads => {
-                let reports = system.reconcile_each_parallel(due).expect("threaded wave succeeds");
-                result.sessions += reports.len() as u64;
-            }
-            ScaleDriver::Service => service_round(system, &[], due, result),
-        },
-    )
+    run_schedule(store, config, obs, &driver)
 }
 
-/// Runs the `churn_scale` schedule against a sharded [`StoreFabric`]: the
-/// confederation is spread over [`ScaleConfig::fabric_shards`] store
-/// services (one per shard of the publication log), publishes fan out from
-/// each participant's home shard to every replica, and each reconciliation
-/// session is one session at the reconciler's home shard.
-///
-/// The schedule — and therefore the decisions — is identical to
-/// [`run_churn_scale`]'s; [`ScaleRunResult::shard_frames`] additionally
-/// records the per-shard frame load.
-pub fn run_churn_scale_fabric(config: &ScaleConfig) -> ScaleRunResult {
-    run_churn_scale_fabric_observed(config, &Obs::disabled())
-}
-
-/// [`run_churn_scale_fabric`] reporting into a caller-supplied sink; the
-/// per-shard services label their metrics (`service.requests{shard=N}`) and
-/// stamp their trace events with the shard, so a captured trace shows each
-/// shard's sessions, publishes and admission sheds directly.
+/// Runs the `churn_scale` schedule — the decisions, therefore, of
+/// [`run_churn_scale`] — under [`Driver::fabric`] over a fresh
+/// [`StoreFabric`] of [`ScaleConfig::fabric_shards`] shards;
+/// [`ScaleRunResult::shard_frames`] additionally records the per-shard frame
+/// load. The per-shard services label their metrics
+/// (`service.requests{shard=N}`) and stamp their trace events with the
+/// shard, so a trace captured by `obs` shows each shard's sessions,
+/// publishes and admission sheds directly.
 pub fn run_churn_scale_fabric_observed(config: &ScaleConfig, obs: &Obs) -> ScaleRunResult {
-    let fabric_config = config.fabric_config();
-    let fabric_round = |system: &mut CdssSystem<_>, publish: &[_], due: &[_], result: &mut _| {
-        let report =
-            system.run_fabric_round(publish, due, &fabric_config).expect("fabric round succeeds");
-        absorb_round(result, &report.published, &report.latencies_us, &report.shard_stats);
-        result.net_messages += report.net.messages;
-        result.net_bytes += report.net.bytes;
-        result.virtual_elapsed_us += report.virtual_elapsed_us;
-        // Only the fabric reports per-shard load: the spread is its skew.
-        result.shard_busy.resize(report.shard_stats.len(), 0);
-        result.shard_frames.resize(report.shard_frames.len(), 0);
-        for (shard, stats) in report.shard_stats.iter().enumerate() {
-            result.shard_busy[shard] += stats.busy_rejections;
-            result.shard_frames[shard] += report.shard_frames[shard];
-        }
-    };
-    run_churn_loop(
-        StoreFabric::new(bioinformatics_schema(), config.fabric_shards),
-        config,
-        obs,
-        |system, ids, result| fabric_round(system, ids, &[], result),
-        |system, due, result| fabric_round(system, &[], due, result),
-    )
+    let fabric = StoreFabric::new(bioinformatics_schema(), config.fabric_shards);
+    run_schedule(fabric, config, obs, &Driver::fabric(config.fabric_config()))
 }
 
-/// The schedule every driver shares: per round, every participant executes
-/// a generated batch, `publish` pushes the round's pending transactions to
-/// the store, and `wave` reconciles the round's due participants; a final
-/// catch-up wave converges everybody.
-fn run_churn_loop<S: UpdateStore + Sync>(
+/// The waved churn schedule over a Zipf fan-in confederation, under any
+/// driver: the fold of its outcomes into a [`ScaleRunResult`].
+fn run_schedule<S: UpdateStore>(
     store: S,
     config: &ScaleConfig,
     obs: &Obs,
-    mut publish: impl FnMut(&mut CdssSystem<S>, &[ParticipantId], &mut ScaleRunResult),
-    mut wave: impl FnMut(&mut CdssSystem<S>, &[ParticipantId], &mut ScaleRunResult),
+    driver: &Driver<S>,
 ) -> ScaleRunResult {
-    let schema = bioinformatics_schema();
-    let mut system = CdssSystem::new(schema, store);
-    system.set_observability(obs);
     let policies = zipf_fanin_policies(
         config.participants,
         config.trusted_publishers,
         config.zipf_s,
         config.seed.wrapping_add(0x9e37_79b9),
     );
-    for policy in policies {
-        system.add_participant(ParticipantConfig::new(policy)).expect("unique participants");
-    }
-    let ids = system.participant_ids();
-
-    // One pool set for the whole confederation: pools depend only on the
-    // universe sizes, and a per-participant copy of a multi-million-key
-    // universe would dwarf the store itself.
-    let pools =
-        Arc::new(SwissProtPools::new(config.workload.key_universe, config.workload.function_pool));
-    let mut generators: Vec<WorkloadGenerator> = ids
-        .iter()
-        .map(|id| {
-            WorkloadGenerator::with_shared_pools(
-                config.workload.clone(),
-                Arc::clone(&pools),
-                config.seed.wrapping_add(u64::from(id.as_u32()) * 6151),
-            )
-        })
-        .collect();
+    let mut conf = Confederation::new(store, policies);
+    conf.system.set_observability(obs);
+    conf.seed_generators(&config.workload, config.seed, 6151);
+    let ids = conf.system.participant_ids();
+    let steps = wave_schedule(
+        config.rounds,
+        config.transactions_per_publish,
+        config.max_reconcile_interval,
+        0,
+        &ids,
+    );
 
     let mut result = ScaleRunResult::default();
     let run_start = Instant::now();
-
-    for round in 0..config.rounds {
-        // Phase 1: everyone executes its batch. Publishes follow in id
-        // order under every driver, so epochs — and decisions — are
-        // schedule-determined.
-        for (idx, &id) in ids.iter().enumerate() {
-            let batch = {
-                let participant = system.participant(id).expect("participant exists");
-                generators[idx].next_batch(
-                    id,
-                    participant.instance(),
-                    config.transactions_per_publish,
-                )
-            };
-            for updates in batch {
-                result.transactions += 1;
-                result.updates += updates.len() as u64;
-                let _ = system.execute(id, updates);
-            }
+    conf.run(&steps, driver, |outcome| {
+        result.transactions += outcome.transactions;
+        result.updates += outcome.updates;
+        if !outcome.reconciled.is_empty() {
+            result.reconcile_wall += outcome.wall;
         }
-        publish(&mut system, &ids, &mut result);
-
-        // Phase 2: the round's due participants reconcile as one wave.
-        let due: Vec<ParticipantId> = ids
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| {
-                let interval = 1 + idx % config.max_reconcile_interval.max(1);
-                (round + idx) % interval == 0
-            })
-            .map(|(_, &id)| id)
-            .collect();
-        if !due.is_empty() {
-            let wave_start = Instant::now();
-            wave(&mut system, &due, &mut result);
-            result.reconcile_wall += wave_start.elapsed();
+        result.latencies_us.extend(outcome.latencies_us);
+        for stats in &outcome.shard_stats {
+            result.requests += stats.requests;
+            result.busy_rejections += stats.busy_rejections;
+            result.batches += stats.batches;
         }
-    }
+        result.net_messages += outcome.net_messages;
+        result.net_bytes += outcome.net_bytes;
+        result.virtual_elapsed_us += outcome.virtual_elapsed_us;
+        // Only the fabric reports per-shard load: the spread is its skew.
+        let shards = result.shard_frames.len().max(outcome.shard_frames.len());
+        result.shard_frames.resize(shards, 0);
+        result.shard_busy.resize(shards, 0);
+        for (shard, frames) in outcome.shard_frames.iter().enumerate() {
+            result.shard_frames[shard] += frames;
+            result.shard_busy[shard] += outcome.shard_stats[shard].busy_rejections;
+        }
+    })
+    .expect("churn_scale step succeeds");
 
-    // Final catch-up wave: everyone reconciles once more, so every driver
-    // ends at the same converged frontier.
-    let wave_start = Instant::now();
-    wave(&mut system, &ids, &mut result);
-    result.reconcile_wall += wave_start.elapsed();
-
+    result.sessions = conf.totals.reconciliations as u64;
+    result.publishes = conf.totals.publishes as u64;
     result.total_wall = run_start.elapsed();
-    result.state_ratio = system.state_ratio_for("Function");
-    result.decision_fingerprint = decision_fingerprint(system.store(), &ids);
+    result.state_ratio = conf.system.state_ratio_for("Function");
+    result.decision_fingerprint = decision_fingerprint(conf.system.store(), &ids);
     result.metrics = obs.metrics.snapshot();
     result
-}
-
-/// Folds one service or fabric round into the run: a publish phase counts
-/// its epochs, a wave its sessions (one virtual latency each), and both the
-/// counters of every service that served them.
-fn absorb_round(
-    result: &mut ScaleRunResult,
-    published: &[(ParticipantId, Option<orchestra_model::Epoch>)],
-    latencies_us: &[u64],
-    stats: &[orchestra_store::ServiceStats],
-) {
-    result.publishes += published.iter().filter(|(_, epoch)| epoch.is_some()).count() as u64;
-    result.sessions += latencies_us.len() as u64;
-    result.latencies_us.extend_from_slice(latencies_us);
-    for stats in stats {
-        result.requests += stats.requests;
-        result.busy_rejections += stats.busy_rejections;
-        result.batches += stats.batches;
-    }
 }
 
 #[cfg(test)]
@@ -611,7 +485,7 @@ mod tests {
             &config,
             ScaleDriver::Sequential,
         );
-        let fabric = run_churn_scale_fabric(&config);
+        let fabric = run_churn_scale_fabric_observed(&config, &Obs::disabled());
 
         assert_eq!(fabric.transactions, sequential.transactions);
         assert_eq!(fabric.publishes, sequential.publishes);

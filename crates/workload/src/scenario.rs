@@ -1,12 +1,13 @@
 //! End-to-end experiment scenarios: drive a whole CDSS under the synthetic
 //! workload and report the paper's metrics.
 
-use crate::generator::{WorkloadConfig, WorkloadGenerator};
-use orchestra::{CdssSystem, ParticipantConfig, TimingBreakdown};
-use orchestra_model::schema::bioinformatics_schema;
+use crate::generator::WorkloadConfig;
+use crate::schedule::{churn_turns, wave_schedule, Confederation, Driver, Step};
+use orchestra::TimingBreakdown;
 use orchestra_model::{ParticipantId, TrustPolicy};
 use orchestra_store::UpdateStore;
-use std::time::Duration;
+use rustc_hash::FxHashMap;
+use std::time::{Duration, Instant};
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone)]
@@ -89,61 +90,40 @@ pub fn mutual_trust_policies(participants: usize, priority: u32) -> Vec<TrustPol
 /// Runs one experiment: `rounds` cycles in which every participant executes
 /// its share of the workload, publishes, and reconciles.
 pub fn run_scenario<S: UpdateStore>(store: S, config: &ScenarioConfig) -> ScenarioResult {
-    let schema = bioinformatics_schema();
-    let mut system = CdssSystem::new(schema, store);
-    for policy in mutual_trust_policies(config.participants, 1) {
-        system.add_participant(ParticipantConfig::new(policy)).expect("unique participants");
-    }
-    let ids = system.participant_ids();
+    let mut conf = Confederation::new(store, mutual_trust_policies(config.participants, 1));
+    conf.seed_generators(&config.workload, config.seed, 7919);
+    let ids = conf.system.participant_ids();
+    let turn = |&id: &ParticipantId| {
+        let transactions = config.transactions_between_reconciliations;
+        [
+            Step::Generate { who: id, transactions },
+            Step::Publish(vec![id]),
+            Step::Reconcile(vec![id]),
+        ]
+    };
+    let steps: Vec<Step> = (0..config.rounds).flat_map(|_| ids.iter().flat_map(turn)).collect();
 
-    let mut generators: Vec<WorkloadGenerator> = ids
-        .iter()
-        .map(|id| {
-            WorkloadGenerator::new(
-                config.workload.clone(),
-                config.seed.wrapping_add(u64::from(id.as_u32()) * 7919),
-            )
-        })
-        .collect();
-
-    let mut result = ScenarioResult::default();
     let mut total_timing = TimingBreakdown::default();
-
-    for _round in 0..config.rounds {
-        for (idx, &id) in ids.iter().enumerate() {
-            // Generate and execute this participant's batch.
-            let batch = {
-                let participant = system.participant(id).expect("participant exists");
-                generators[idx].next_batch(
-                    id,
-                    participant.instance(),
-                    config.transactions_between_reconciliations,
-                )
-            };
-            for updates in batch {
-                // Transactions are generated against the instance as of the
-                // start of the batch; apply failures (e.g. a reconciliation
-                // in a previous round changed the value) are skipped, which
-                // mirrors a curator abandoning an edit that no longer
-                // applies.
-                let _ = system.execute(id, updates);
-            }
-            let report = system.publish_and_reconcile(id).expect("publish and reconcile succeeds");
-            result.reconciliations += 1;
-            result.accepted += report.accepted.len();
-            result.rejected += report.rejected.len();
-            result.deferred += report.deferred.len();
+    conf.run(&steps, &Driver::sequential(), |outcome| {
+        for (_, report) in outcome.reconciled {
             total_timing.accumulate(report.timing);
         }
-    }
+    })
+    .expect("publish and reconcile succeeds");
 
-    result.state_ratio = system.state_ratio_for("Function");
-    result.overall_state_ratio = system.state_ratio();
+    let totals = conf.totals;
     let participants = config.participants.max(1) as u32;
-    result.store_time_per_participant = total_timing.store / participants;
-    result.local_time_per_participant = total_timing.local / participants;
-    result.time_per_reconciliation = total_timing.total() / (result.reconciliations.max(1) as u32);
-    result
+    ScenarioResult {
+        state_ratio: conf.system.state_ratio_for("Function"),
+        overall_state_ratio: conf.system.state_ratio(),
+        reconciliations: totals.reconciliations,
+        accepted: totals.accepted,
+        rejected: totals.rejected,
+        deferred: totals.deferred,
+        store_time_per_participant: total_timing.store / participants,
+        local_time_per_participant: total_timing.local / participants,
+        time_per_reconciliation: total_timing.total() / (totals.reconciliations.max(1) as u32),
+    }
 }
 
 /// Configuration of a churn experiment: a long history of interleaved
@@ -224,6 +204,11 @@ pub struct ChurnResult {
     pub store_time: Duration,
     /// Total local (client algorithm) time across all reconciliations.
     pub local_time: Duration,
+    /// Wall-clock time of the reconciliation steps alone — the quantity a
+    /// concurrent driver shrinks by overlapping the sessions of a wave.
+    pub reconcile_wall: Duration,
+    /// Wall-clock time of the whole schedule.
+    pub total_wall: Duration,
     /// Final state ratio over the `Function` relation.
     pub state_ratio: f64,
     /// Per-reconciliation samples, in execution order.
@@ -245,284 +230,109 @@ impl ChurnResult {
     }
 }
 
+/// A mutual-trust confederation over `store` with the churn schedules'
+/// generator seeding — shared by every runner of a [`ChurnConfig`], so their
+/// trajectories stay comparable.
+pub(crate) fn churn_confederation<S: UpdateStore>(
+    store: S,
+    config: &ChurnConfig,
+) -> Confederation<S> {
+    let mut conf = Confederation::new(store, mutual_trust_policies(config.participants, 1));
+    conf.seed_generators(&config.workload, config.seed, 6151);
+    conf
+}
+
+/// The interleaved churn schedule: `rounds` rounds of participant turns, then
+/// a catch-up wave so every participant observes the full history.
+pub(crate) fn churn_schedule(config: &ChurnConfig, ids: &[ParticipantId]) -> Vec<Step> {
+    let mut steps = churn_turns(config, ids).concat();
+    steps.push(Step::Reconcile(ids.to_vec()));
+    steps
+}
+
 /// Runs a churn experiment: a long interleaved publish/reconcile history over
 /// the given store, sampling the store-side cost of every reconciliation.
 pub fn run_churn_scenario<S: UpdateStore>(store: S, config: &ChurnConfig) -> ChurnResult {
-    let schema = bioinformatics_schema();
-    let mut system = CdssSystem::new(schema, store);
-    for policy in mutual_trust_policies(config.participants, 1) {
-        system.add_participant(ParticipantConfig::new(policy)).expect("unique participants");
-    }
-    let ids = system.participant_ids();
-
-    let mut generators: Vec<WorkloadGenerator> = ids
-        .iter()
-        .map(|id| {
-            WorkloadGenerator::new(
-                config.workload.clone(),
-                config.seed.wrapping_add(u64::from(id.as_u32()) * 6151),
-            )
-        })
-        .collect();
-
-    let mut result = ChurnResult::default();
-    let mut last_epoch: Vec<u64> = vec![0; ids.len()];
-
-    let reconcile_one = |system: &mut CdssSystem<S>,
-                         result: &mut ChurnResult,
-                         last_epoch: &mut Vec<u64>,
-                         idx: usize,
-                         id| {
-        let report = system.reconcile(id).expect("reconcile succeeds");
-        let covered = report.epoch.as_u64().saturating_sub(last_epoch[idx]);
-        last_epoch[idx] = report.epoch.as_u64();
-        result.samples.push(ChurnSample {
-            sequence: result.reconciliations,
-            epochs_covered: covered,
-            total_epochs: report.epoch.as_u64(),
-            store_micros: report.timing.store.as_micros() as u64,
-        });
-        result.reconciliations += 1;
-        result.accepted += report.accepted.len();
-        result.rejected += report.rejected.len();
-        result.deferred += report.deferred.len();
-        result.store_time += report.timing.store;
-        result.local_time += report.timing.local;
-    };
-
-    for round in 0..config.rounds {
-        for (idx, &id) in ids.iter().enumerate() {
-            let batch = {
-                let participant = system.participant(id).expect("participant exists");
-                generators[idx].next_batch(
-                    id,
-                    participant.instance(),
-                    config.transactions_per_publish,
-                )
-            };
-            for updates in batch {
-                let _ = system.execute(id, updates);
-            }
-            if system.publish(id).expect("publish succeeds").is_some() {
-                result.publishes += 1;
-            }
-            let interval = 1 + idx % config.max_reconcile_interval.max(1);
-            if (round + idx) % interval == 0 {
-                reconcile_one(&mut system, &mut result, &mut last_epoch, idx, id);
-            }
-            // Periodic curation: keep the first option of every open
-            // conflict group so deferred chains stay bounded.
-            if config.resolve_every > 0 && (round + idx) % config.resolve_every == 0 {
-                let groups: Vec<_> = system
-                    .participant(id)
-                    .expect("participant exists")
-                    .deferred_conflicts()
-                    .iter()
-                    .map(|g| g.key.clone())
-                    .collect();
-                if !groups.is_empty() {
-                    let choices: Vec<orchestra_recon::ResolutionChoice> = groups
-                        .into_iter()
-                        .map(|key| orchestra_recon::ResolutionChoice {
-                            group: key,
-                            chosen_option: Some(0),
-                        })
-                        .collect();
-                    system.resolve_conflicts(id, &choices).expect("resolution succeeds");
-                    result.resolutions += 1;
-                }
-            }
-        }
-    }
-    // Final catch-up pass so every participant observes the full history.
-    for (idx, &id) in ids.iter().enumerate() {
-        reconcile_one(&mut system, &mut result, &mut last_epoch, idx, id);
-    }
-
-    result.epochs = result.publishes as u64;
-    result.state_ratio = system.state_ratio_for("Function");
-    result
+    run_churn(store, config, churn_schedule, &Driver::sequential())
 }
 
-/// How the concurrent-churn scenario drives its reconciliation waves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconcileDriver {
-    /// One participant after another (the baseline the parallel driver is
-    /// measured against).
-    Sequential,
-    /// One thread per due participant, all against the one shared store
-    /// (`CdssSystem::reconcile_each_parallel`).
-    Parallel,
-    /// One async session per due participant, multiplexed through the framed
-    /// store service on the single-threaded runtime
-    /// (`CdssSystem::run_service_round` with default service knobs).
-    Service,
-}
-
-/// Aggregate results of one concurrent-churn run.
-#[derive(Debug, Clone, Default)]
-pub struct ConcurrentChurnResult {
-    /// Reconciliations performed.
-    pub reconciliations: usize,
-    /// Publish calls performed.
-    pub publishes: usize,
-    /// Root transactions accepted / rejected / deferred, summed.
-    pub accepted: usize,
-    /// Total rejected roots.
-    pub rejected: usize,
-    /// Total deferred roots.
-    pub deferred: usize,
-    /// Conflict-resolution rounds performed.
-    pub resolutions: usize,
-    /// Total store-side time summed over all reconciliations (thread time,
-    /// not wall clock).
-    pub store_time: Duration,
-    /// Total local (client algorithm) time summed over all reconciliations.
-    pub local_time: Duration,
-    /// Wall-clock time of the reconciliation waves alone — the quantity the
-    /// parallel driver shrinks by overlapping sessions.
-    pub reconcile_wall: Duration,
-    /// Wall-clock time of the whole run.
-    pub total_wall: Duration,
-    /// Final state ratio over the `Function` relation.
-    pub state_ratio: f64,
-}
-
-/// Runs the concurrent-churn scenario: the same interleaved
-/// publish/reconcile/resolve schedule as [`run_churn_scenario`], but with
-/// each round's due reconciliations grouped into one *wave* that the chosen
-/// [`ReconcileDriver`] executes — serially, or with one thread per due
-/// participant against the shared store.
+/// Runs the concurrent-churn scenario: the schedule of
+/// [`run_churn_scenario`] with each round's phases gathered, so the round's
+/// due reconciliations form one *wave* that the given [`Driver`] executes —
+/// serially, with one thread per due participant, or as sessions multiplexed
+/// through a store service.
 ///
-/// Publishes stay sequential in every driver, so the epoch order (and with
-/// it every decision) is deterministic; within a wave no publish intervenes,
-/// so a participant's session depends only on the pinned log and its own
-/// decision record and all drivers reach **identical decisions** — the
+/// Every driver reaches **identical decisions** (see [`Driver`]) — the
 /// equivalence the parallel-driver proptest asserts. What changes is the
-/// wall clock: the parallel driver overlaps the store latency and the local
+/// wall clock: a concurrent driver overlaps the store latency and the local
 /// engine work of all due participants.
-pub fn run_churn_concurrent<S: UpdateStore + Sync>(
+pub fn run_churn_concurrent<S: UpdateStore>(
     store: S,
     config: &ChurnConfig,
-    driver: ReconcileDriver,
-) -> ConcurrentChurnResult {
-    let schema = bioinformatics_schema();
-    let mut system = CdssSystem::new(schema, store);
-    for policy in mutual_trust_policies(config.participants, 1) {
-        system.add_participant(ParticipantConfig::new(policy)).expect("unique participants");
-    }
-    let ids = system.participant_ids();
+    driver: &Driver<S>,
+) -> ChurnResult {
+    let waved = |config: &ChurnConfig, ids: &[ParticipantId]| {
+        wave_schedule(
+            config.rounds,
+            config.transactions_per_publish,
+            config.max_reconcile_interval,
+            config.resolve_every,
+            ids,
+        )
+    };
+    run_churn(store, config, waved, driver)
+}
 
-    let mut generators: Vec<WorkloadGenerator> = ids
-        .iter()
-        .map(|id| {
-            WorkloadGenerator::new(
-                config.workload.clone(),
-                config.seed.wrapping_add(u64::from(id.as_u32()) * 6151),
-            )
-        })
-        .collect();
+/// The churn runners' one body: they differ in the schedule they build and
+/// the driver that executes its publishes and waves.
+fn run_churn<S: UpdateStore>(
+    store: S,
+    config: &ChurnConfig,
+    schedule: impl Fn(&ChurnConfig, &[ParticipantId]) -> Vec<Step>,
+    driver: &Driver<S>,
+) -> ChurnResult {
+    let mut conf = churn_confederation(store, config);
+    let steps = schedule(config, &conf.system.participant_ids());
 
-    let mut result = ConcurrentChurnResult::default();
-    let run_start = std::time::Instant::now();
-
-    let reconcile_wave = |system: &mut CdssSystem<S>,
-                          result: &mut ConcurrentChurnResult,
-                          due: &[orchestra_model::ParticipantId]| {
-        if due.is_empty() {
-            return;
+    let mut result = ChurnResult::default();
+    let mut last_epoch: FxHashMap<ParticipantId, u64> = FxHashMap::default();
+    let run_start = Instant::now();
+    conf.run(&steps, driver, |outcome| {
+        if !outcome.reconciled.is_empty() {
+            result.reconcile_wall += outcome.wall;
         }
-        let wave_start = std::time::Instant::now();
-        let reports = match driver {
-            ReconcileDriver::Sequential => system.reconcile_each(due),
-            ReconcileDriver::Parallel => system.reconcile_each_parallel(due),
-            ReconcileDriver::Service => system
-                .run_service_round(&[], due, &orchestra_store::ServiceConfig::default())
-                .map(|round| round.results),
-        }
-        .expect("reconcile wave succeeds");
-        result.reconcile_wall += wave_start.elapsed();
-        for (_, report) in reports {
-            result.reconciliations += 1;
-            result.accepted += report.accepted.len();
-            result.rejected += report.rejected.len();
-            result.deferred += report.deferred.len();
+        for (id, report) in outcome.reconciled {
+            let epoch = report.epoch.as_u64();
+            let covered = epoch.saturating_sub(last_epoch.insert(id, epoch).unwrap_or(0));
+            result.samples.push(ChurnSample {
+                sequence: result.samples.len(),
+                epochs_covered: covered,
+                total_epochs: epoch,
+                store_micros: report.timing.store.as_micros() as u64,
+            });
             result.store_time += report.timing.store;
             result.local_time += report.timing.local;
         }
-    };
-
-    for round in 0..config.rounds {
-        // Phase 1 (sequential in every driver): everyone executes its batch
-        // and publishes, so the epoch order is schedule-determined.
-        for (idx, &id) in ids.iter().enumerate() {
-            let batch = {
-                let participant = system.participant(id).expect("participant exists");
-                generators[idx].next_batch(
-                    id,
-                    participant.instance(),
-                    config.transactions_per_publish,
-                )
-            };
-            for updates in batch {
-                let _ = system.execute(id, updates);
-            }
-            if system.publish(id).expect("publish succeeds").is_some() {
-                result.publishes += 1;
-            }
-        }
-
-        // Phase 2: the round's due participants reconcile as one wave.
-        let due: Vec<orchestra_model::ParticipantId> = ids
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| {
-                let interval = 1 + idx % config.max_reconcile_interval.max(1);
-                (round + idx) % interval == 0
-            })
-            .map(|(_, &id)| id)
-            .collect();
-        reconcile_wave(&mut system, &mut result, &due);
-
-        // Phase 3 (sequential): periodic curation, keeping the first option
-        // of every open conflict group.
-        if config.resolve_every > 0 {
-            for (idx, &id) in ids.iter().enumerate() {
-                if (round + idx) % config.resolve_every != 0 {
-                    continue;
-                }
-                let groups: Vec<_> = system
-                    .participant(id)
-                    .expect("participant exists")
-                    .deferred_conflicts()
-                    .iter()
-                    .map(|g| g.key.clone())
-                    .collect();
-                if !groups.is_empty() {
-                    let choices: Vec<orchestra_recon::ResolutionChoice> = groups
-                        .into_iter()
-                        .map(|key| orchestra_recon::ResolutionChoice {
-                            group: key,
-                            chosen_option: Some(0),
-                        })
-                        .collect();
-                    system.resolve_conflicts(id, &choices).expect("resolution succeeds");
-                    result.resolutions += 1;
-                }
-            }
-        }
-    }
-    // Final catch-up wave so every participant observes the full history.
-    reconcile_wave(&mut system, &mut result, &ids);
-
+    })
+    .expect("churn step succeeds");
     result.total_wall = run_start.elapsed();
-    result.state_ratio = system.state_ratio_for("Function");
+
+    let totals = conf.closing_totals();
+    result.reconciliations = totals.reconciliations;
+    result.publishes = totals.publishes;
+    result.epochs = totals.publishes as u64;
+    result.accepted = totals.accepted;
+    result.rejected = totals.rejected;
+    result.deferred = totals.deferred;
+    result.resolutions = totals.resolutions;
+    result.state_ratio = totals.state_ratio;
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orchestra_model::schema::bioinformatics_schema;
     use orchestra_store::{CentralStore, DhtStore};
 
     fn tiny_config() -> ScenarioConfig {
@@ -630,21 +440,12 @@ mod tests {
     #[test]
     fn concurrent_churn_drivers_reach_identical_decisions() {
         let config = tiny_churn();
-        let sequential = run_churn_concurrent(
-            CentralStore::new(bioinformatics_schema()),
-            &config,
-            ReconcileDriver::Sequential,
-        );
-        let parallel = run_churn_concurrent(
-            CentralStore::new(bioinformatics_schema()),
-            &config,
-            ReconcileDriver::Parallel,
-        );
-        let service = run_churn_concurrent(
-            CentralStore::new(bioinformatics_schema()),
-            &config,
-            ReconcileDriver::Service,
-        );
+        let run = |driver| {
+            run_churn_concurrent(CentralStore::new(bioinformatics_schema()), &config, &driver)
+        };
+        let sequential = run(Driver::sequential());
+        let parallel = run(Driver::threads());
+        let service = run(Driver::service(orchestra_store::ServiceConfig::default()));
         for other in [&parallel, &service] {
             assert_eq!(sequential.reconciliations, other.reconciliations);
             assert_eq!(sequential.accepted, other.accepted);

@@ -9,11 +9,10 @@
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_obs::Obs;
 use orchestra_store::{CentralStore, RetentionPolicy};
-use orchestra_workload::ReconcileDriver as Driver;
 use orchestra_workload::{
     run_churn_concurrent, run_churn_scale, run_churn_scale_fabric_observed, run_churn_scenario,
     run_crash_restart_scenario, run_offline_scenario, run_retention_scenario, run_scenario,
-    ChurnConfig, ChurnTotals, CrashChurnConfig, EpochMode, OfflineChurnConfig,
+    ChurnConfig, ChurnTotals, CrashChurnConfig, Driver, EpochMode, OfflineChurnConfig,
     RetentionChurnConfig, ScaleConfig, ScaleDriver, ScaleRunResult, ScenarioConfig, WorkloadConfig,
 };
 
@@ -117,8 +116,9 @@ fn run_churn_scenario_is_pinned() {
 
 #[test]
 fn run_churn_concurrent_is_pinned_under_each_driver() {
-    for driver in [Driver::Sequential, Driver::Parallel, Driver::Service] {
-        let r = run_churn_concurrent(central(), &contended_churn(10), driver);
+    let service = Driver::service(orchestra_store::ServiceConfig::default());
+    for driver in [Driver::sequential(), Driver::threads(), service] {
+        let r = run_churn_concurrent(central(), &contended_churn(10), &driver);
         assert_eq!(
             format!(
                 "rec {} pub {} acc {} rej {} def {} res {} ratio {:?}",

@@ -25,46 +25,25 @@
 //! runs — and the recovered durable state must be byte-identical to the
 //! pre-crash one.
 
+mod common;
+
+use common::p;
 use orchestra::{Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{
-    AntichainClock, CausalStamp, ParticipantId, Transaction, TrustPolicy, Tuple, Update,
-};
+use orchestra_model::{AntichainClock, CausalStamp, Transaction, TrustPolicy, Tuple, Update};
 use orchestra_store::{CentralStore, UpdateStore};
+use orchestra_workload::{mutual_trust_policies, Confederation, Driver, Step};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "orchestra-causal-prop-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-fn p(i: u32) -> ParticipantId {
-    ParticipantId(i)
+    common::scratch_dir("causal-prop")
 }
 
 const PUBLISHERS: u32 = 3;
 
 fn policies() -> Vec<TrustPolicy> {
-    (1..=PUBLISHERS)
-        .map(|i| {
-            let mut policy = TrustPolicy::new(p(i));
-            for j in 1..=PUBLISHERS {
-                if i != j {
-                    policy = policy.trusting(p(j), 1u32);
-                }
-            }
-            policy
-        })
-        .collect()
+    mutual_trust_policies(PUBLISHERS as usize, 1)
 }
 
 fn clients() -> Vec<Participant> {
@@ -154,18 +133,16 @@ fn linear_extension(publications: &[Publication], choices: &[usize]) -> Vec<usiz
 }
 
 /// Publishes the DAG in the given order, reconciling/resolving at the end,
-/// and returns the per-participant decision stream. `crash_at` (durable
-/// stores only) drops the store mid-stream and recovers it from disk,
-/// asserting byte-identical durable state.
+/// and returns the confederation with its decision stream. `crash_at`
+/// (durable stores only) drops the store mid-stream and recovers it from
+/// disk, asserting byte-identical durable state.
 fn run_extension(
     mut store: CentralStore,
     dir: Option<&PathBuf>,
     publications: &[Publication],
     order: &[usize],
     crash_at: usize,
-) -> (CentralStore, Vec<Participant>, Vec<String>) {
-    let mut participants = clients();
-    let mut log = Vec::new();
+) -> (Confederation<CentralStore>, Vec<String>) {
     for (step, &i) in order.iter().enumerate() {
         if let Some(dir) = dir {
             if step == crash_at.min(order.len()) && step > 0 {
@@ -184,62 +161,16 @@ fn run_extension(
             .publish_stamped(publication.stamp.clone(), vec![publication.transaction.clone()])
             .expect("stamped publish succeeds");
     }
-    for round in 0..2 {
-        for (idx, participant) in participants.iter_mut().enumerate() {
-            let report = participant.reconcile(&store).expect("reconcile succeeds");
-            let mut accepted = report.accepted.clone();
-            accepted.sort();
-            let mut rejected = report.rejected.clone();
-            rejected.sort();
-            let mut deferred = report.deferred.clone();
-            deferred.sort();
-            log.push(format!(
-                "round {round} reconcile p{} acc {accepted:?} rej {rejected:?} def {deferred:?}",
-                idx + 1
-            ));
-        }
-        if round > 0 {
-            break;
-        }
-        for (idx, participant) in participants.iter_mut().enumerate() {
-            let groups: Vec<_> =
-                participant.deferred_conflicts().iter().map(|g| g.key.clone()).collect();
-            if groups.is_empty() {
-                continue;
-            }
-            let choices: Vec<orchestra_recon::ResolutionChoice> = groups
-                .into_iter()
-                .map(|key| orchestra_recon::ResolutionChoice { group: key, chosen_option: Some(0) })
-                .collect();
-            let outcome =
-                participant.resolve_conflicts(&store, &choices).expect("resolution succeeds");
-            let mut acc = outcome.newly_accepted.clone();
-            acc.sort();
-            let mut rej = outcome.newly_rejected.clone();
-            rej.sort();
-            log.push(format!("resolve p{} acc {acc:?} rej {rej:?}", idx + 1));
-        }
-    }
-    (store, participants, log)
-}
-
-/// The per-participant durable accept/reject sets, sorted for comparison.
-fn decision_sets(store: &CentralStore) -> Vec<(Vec<String>, Vec<String>)> {
-    (1..=PUBLISHERS)
-        .map(|i| {
-            let mut acc: Vec<String> =
-                store.accepted_set(p(i)).iter().map(|id| id.to_string()).collect();
-            acc.sort();
-            let mut rej: Vec<String> =
-                store.rejected_set(p(i)).iter().map(|id| id.to_string()).collect();
-            rej.sort();
-            (acc, rej)
-        })
-        .collect()
-}
-
-fn instances_fingerprint(participants: &[Participant]) -> Vec<String> {
-    participants.iter().map(|participant| format!("{:?}", participant.instance())).collect()
+    // Everyone reconciles, keeps option 0 of every open conflict, and
+    // reconciles again, one participant after another.
+    let reconcile = (1..=PUBLISHERS).map(|who| Step::Reconcile(vec![p(who)]));
+    let resolve = (1..=PUBLISHERS).map(|who| Step::Resolve { who: p(who), option: 0 });
+    let steps: Vec<Step> = reconcile.clone().chain(resolve).chain(reconcile).collect();
+    let mut conf = common::adopt(store, clients());
+    let mut log = Vec::new();
+    conf.run(&steps, &Driver::sequential(), |outcome| log.push(common::decisions(&outcome)))
+        .expect("step succeeds");
+    (conf, log)
 }
 
 proptest! {
@@ -262,13 +193,13 @@ proptest! {
         // Reference: extension A over an ephemeral causal store.
         let reference_store = CentralStore::new(bioinformatics_schema());
         setup(&reference_store);
-        let (reference_store, reference_clients, reference_log) =
+        let (reference, reference_log) =
             run_extension(reference_store, None, &publications, &order_a, usize::MAX);
 
         // Extension B over a second ephemeral store.
         let other_store = CentralStore::new(bioinformatics_schema());
         setup(&other_store);
-        let (other_store, other_clients, other_log) =
+        let (other, other_log) =
             run_extension(other_store, None, &publications, &order_b, usize::MAX);
 
         // Extension B again, durable, crashing (and recovering
@@ -277,41 +208,26 @@ proptest! {
         let durable_store = CentralStore::durable(bioinformatics_schema(), &dir)
             .expect("fresh durability directory");
         setup(&durable_store);
-        let (durable_store, durable_clients, durable_log) =
+        let (durable, durable_log) =
             run_extension(durable_store, Some(&dir), &publications, &order_b, crash_at);
 
         prop_assert_eq!(&other_log, &reference_log, "decision streams diverged across extensions");
         prop_assert_eq!(&durable_log, &reference_log, "decision streams diverged across the crash");
         prop_assert_eq!(
-            decision_sets(&other_store),
-            decision_sets(&reference_store),
-            "durable decision sets diverged across extensions"
+            common::snapshot(&other.system),
+            common::snapshot(&reference.system),
+            "durable decision sets or final instances diverged across extensions"
         );
         prop_assert_eq!(
-            decision_sets(&durable_store),
-            decision_sets(&reference_store),
-            "durable decision sets diverged across crash points"
+            common::snapshot(&durable.system),
+            common::snapshot(&reference.system),
+            "durable decision sets or final instances diverged across crash points"
         );
-        prop_assert_eq!(
-            instances_fingerprint(&other_clients),
-            instances_fingerprint(&reference_clients),
-            "final instances diverged"
-        );
-        prop_assert_eq!(
-            instances_fingerprint(&durable_clients),
-            instances_fingerprint(&reference_clients),
-            "final durable-run instances diverged"
-        );
-        prop_assert_eq!(
-            other_store.causal_frontier().to_string(),
-            reference_store.causal_frontier().to_string(),
-            "causal frontiers diverged"
-        );
-        prop_assert_eq!(
-            durable_store.causal_frontier().to_string(),
-            reference_store.causal_frontier().to_string(),
-            "durable causal frontier diverged"
-        );
+        let frontier = |conf: &Confederation<CentralStore>| {
+            conf.system.store().causal_frontier().to_string()
+        };
+        prop_assert_eq!(frontier(&other), frontier(&reference), "causal frontiers diverged");
+        prop_assert_eq!(frontier(&durable), frontier(&reference), "durable frontier diverged");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,11 +7,13 @@
 //! changing a single decision; a session costs its home shard three frames
 //! and every other shard none.
 
-use orchestra::{CdssSystem, ParticipantConfig};
+mod common;
+
+use common::Turn::{EditPublish, EditPublishWave};
+use common::{func, p, Turn};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    CausalStamp, Epoch, KeyValue, ParticipantId, ReconciliationId, Transaction, TransactionId,
-    TrustPolicy, Tuple, Update,
+    CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction, TransactionId, Update,
 };
 use orchestra_obs::{Obs, Tracer};
 use orchestra_recon::CandidateTransaction;
@@ -20,31 +22,10 @@ use orchestra_store::{
     poll_ready, CentralStore, FabricClient, FabricConfig, ServiceConfig, SessionClient, SessionId,
     SessionInfo, ShardClient, ShardRouter, StoreFabric, StoreTiming, Timed, UpdateStore,
 };
+use orchestra_workload::{Driver, Step};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn p(i: u32) -> ParticipantId {
-    ParticipantId(i)
-}
-
-fn func(org: &str, prot: &str, f: &str) -> Tuple {
-    Tuple::of_text(&[org, prot, f])
-}
-
-fn mutual_policies(n: u32) -> Vec<TrustPolicy> {
-    (1..=n)
-        .map(|i| {
-            let mut policy = TrustPolicy::new(p(i));
-            for j in 1..=n {
-                if i != j {
-                    policy = policy.trusting(p(j), 1u32);
-                }
-            }
-            policy
-        })
-        .collect()
-}
 
 /// With 4 participants over 4 shards every participant is homed on a
 /// different shard, so every session streams candidates that were published
@@ -54,152 +35,36 @@ const SHARDS: usize = 4;
 const KEY_POOL: usize = 6;
 const VALUE_POOL: usize = 4;
 
-/// One step of a schedule: `(participant, key, value, reconcile_wave)`.
-/// Every step executes a state-dependent edit and publishes it; when
-/// `reconcile_wave` is odd, all participants then reconcile as one wave.
-type Op = (usize, usize, usize, u8);
+/// Every turn executes a state-dependent edit and publishes it; after every
+/// other one all participants reconcile as one wave.
+const WAVES: &[Turn] = &[EditPublish, EditPublishWave];
 
-/// Everything compared between the drivers, per participant: the final
-/// instance contents and the durable accepted/rejected records.
-type ParticipantSnapshot = (Vec<(KeyValue, Tuple)>, Vec<TransactionId>, Vec<TransactionId>);
-
-fn execute<S: UpdateStore>(
-    system: &mut CdssSystem<S>,
-    who: ParticipantId,
-    key: usize,
-    value: usize,
-) {
-    let prot = format!("prot{key}");
-    let new_tuple = func("org", &prot, &format!("f{value}"));
-    let existing = system
-        .participant(who)
-        .unwrap()
-        .instance()
-        .value_at("Function", &KeyValue::of_text(&["org", &prot]));
-    let update = match existing {
-        None => Update::insert("Function", new_tuple, who),
-        Some(current) => {
-            if current == new_tuple {
-                return;
-            }
-            Update::modify("Function", current, new_tuple, who)
-        }
-    };
-    let _ = system.execute(who, vec![update]);
-}
-
-fn snapshots<S: UpdateStore>(system: &CdssSystem<S>) -> Vec<ParticipantSnapshot> {
-    let sorted = |mut v: Vec<TransactionId>| {
-        v.sort();
-        v
-    };
-    system
-        .participant_ids()
-        .into_iter()
-        .map(|id| {
-            (
-                system.participant(id).unwrap().instance().relation_contents("Function"),
-                sorted(system.store().accepted_set(id).iter().copied().collect()),
-                sorted(system.store().rejected_set(id).iter().copied().collect()),
-            )
-        })
-        .collect()
-}
-
-/// The single-store deployment models the fabric is compared against.
-#[derive(Clone, Copy, PartialEq)]
-enum Driver {
-    Sequential,
-    Service,
-}
-
-/// Runs a schedule against one [`CentralStore`].
-fn run_single(ops: &[Op], driver: Driver, causal: bool) -> Vec<ParticipantSnapshot> {
-    let mut system =
-        CdssSystem::new(bioinformatics_schema(), CentralStore::new(bioinformatics_schema()));
-    for policy in mutual_policies(PARTICIPANTS) {
-        system.add_participant(ParticipantConfig::new(policy)).unwrap();
-    }
-    if causal {
-        system.enable_causal_mode().unwrap();
-    }
-    let config = ServiceConfig::default();
-    let ids = system.participant_ids();
-    let wave = |system: &mut CdssSystem<CentralStore>| match driver {
-        Driver::Sequential => system.reconcile_all().map(|_| ()).unwrap(),
-        Driver::Service => system.run_service_round(&[], &ids, &config).map(|_| ()).unwrap(),
-    };
-    for &(who, key, value, reconcile_wave) in ops {
-        let who = p((who % PARTICIPANTS as usize) as u32 + 1);
-        execute(&mut system, who, key % KEY_POOL, value % VALUE_POOL);
-        match driver {
-            Driver::Sequential => {
-                system.publish(who).unwrap();
-            }
-            Driver::Service => {
-                system.run_service_round(&[who], &[], &config).unwrap();
-            }
-        }
-        if reconcile_wave % 2 == 1 {
-            wave(&mut system);
-        }
-    }
-    wave(&mut system);
-    snapshots(&system)
-}
-
-/// Runs the same schedule against a [`StoreFabric`] of `shards` shards:
-/// publishes route to the participant's home shard and fan out to every
-/// replica, and each reconciliation session runs at the reconciler's home
-/// shard. `framed` drives it through one service per shard
-/// (`run_fabric_round`); otherwise through the fabric's own in-process
-/// `UpdateStore` methods (`publish` / `reconcile_all`) — the same publish
-/// fan-out over in-process shard clients.
-fn run_fabric(ops: &[Op], causal: bool, shards: usize, framed: bool) -> Vec<ParticipantSnapshot> {
-    let mut system =
-        CdssSystem::new(bioinformatics_schema(), StoreFabric::new(bioinformatics_schema(), shards));
-    for policy in mutual_policies(PARTICIPANTS) {
-        system.add_participant(ParticipantConfig::new(policy)).unwrap();
-    }
-    if causal {
-        system.enable_causal_mode().unwrap();
-    }
-    let config = FabricConfig { shards, ..FabricConfig::default() };
-    let ids = system.participant_ids();
-    let wave = |system: &mut CdssSystem<StoreFabric>| {
-        if framed {
-            system.run_fabric_round(&[], &ids, &config).unwrap();
-        } else {
-            system.reconcile_all().unwrap();
-        }
-    };
-    for &(who, key, value, reconcile_wave) in ops {
-        let who = p((who % PARTICIPANTS as usize) as u32 + 1);
-        execute(&mut system, who, key % KEY_POOL, value % VALUE_POOL);
-        if framed {
-            system.run_fabric_round(&[who], &[], &config).unwrap();
-        } else {
-            system.publish(who).unwrap();
-        }
-        if reconcile_wave % 2 == 1 {
-            wave(&mut system);
-        }
-    }
-    wave(&mut system);
-    snapshots(&system)
+fn fabric(shards: usize) -> StoreFabric {
+    StoreFabric::new(bioinformatics_schema(), shards)
 }
 
 /// In-process fabric ≡ framed fabric ≡ single service ≡ sequential, for a
 /// degenerate one-shard fabric and for one where every participant has a
-/// shard of its own.
-fn assert_all_routes_agree(ops: &[Op], causal: bool) {
-    let sequential = run_single(ops, Driver::Sequential, causal);
-    let service = run_single(ops, Driver::Service, causal);
+/// shard of its own. Framed, a fabric is driven through one service per
+/// shard: publishes route to the participant's home shard and fan out to
+/// every replica, and each session runs at the reconciler's home shard.
+/// In-process it is driven through its own `UpdateStore` methods — the same
+/// publish fan-out over in-process shard clients.
+fn assert_all_routes_agree(turns: &[Vec<Step>], causal: bool) {
+    let mut steps = turns.concat();
+    // Final catch-up wave.
+    steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
+    let central = || CentralStore::new(bioinformatics_schema());
+    let sequential = common::run(central(), PARTICIPANTS, causal, &steps, &Driver::sequential());
+    let service = Driver::service(ServiceConfig::default());
+    let service = common::run(central(), PARTICIPANTS, causal, &steps, &service);
     assert_eq!(sequential, service, "single-service driver diverged");
     for shards in [1, SHARDS] {
-        let framed = run_fabric(ops, causal, shards, true);
+        let driver = Driver::fabric(FabricConfig { shards, ..FabricConfig::default() });
+        let framed = common::run(fabric(shards), PARTICIPANTS, causal, &steps, &driver);
         assert_eq!(sequential, framed, "framed {shards}-shard fabric diverged");
-        let in_process = run_fabric(ops, causal, shards, false);
+        let in_process =
+            common::run(fabric(shards), PARTICIPANTS, causal, &steps, &Driver::sequential());
         assert_eq!(sequential, in_process, "in-process {shards}-shard fabric diverged");
     }
 }
@@ -214,12 +79,9 @@ proptest! {
     /// genuine cross-shard conflicts.
     #[test]
     fn fabric_driver_is_equivalent_on_scalar_schedules(
-        ops in prop::collection::vec(
-            (0..PARTICIPANTS as usize, 0..KEY_POOL, 0..VALUE_POOL, 0..2u8),
-            1..24,
-        )
+        turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, WAVES, 1..24)
     ) {
-        assert_all_routes_agree(&ops, false);
+        assert_all_routes_agree(&turns, false);
     }
 }
 
@@ -231,12 +93,9 @@ proptest! {
     /// replay them verbatim on every replica.
     #[test]
     fn fabric_driver_is_equivalent_on_causal_schedules(
-        ops in prop::collection::vec(
-            (0..PARTICIPANTS as usize, 0..KEY_POOL, 0..VALUE_POOL, 0..2u8),
-            1..16,
-        )
+        turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, WAVES, 1..16)
     ) {
-        assert_all_routes_agree(&ops, true);
+        assert_all_routes_agree(&turns, true);
     }
 }
 
@@ -249,13 +108,7 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
     const N: u32 = 6;
 
     let build = || {
-        let mut system = CdssSystem::new(
-            bioinformatics_schema(),
-            StoreFabric::new(bioinformatics_schema(), SHARDS),
-        );
-        for policy in mutual_policies(N) {
-            system.add_participant(ParticipantConfig::new(policy)).unwrap();
-        }
+        let mut system = common::confederation(fabric(SHARDS), N).system;
         // Everyone publishes a conflicting edit of one shared key, so every
         // session must see candidates published on every home shard.
         for i in 1..=N {
@@ -319,13 +172,7 @@ fn starved_shards_complete_every_cross_shard_session_with_identical_decisions() 
 fn a_session_costs_three_frames_and_a_publish_one_per_shard() {
     const N: u32 = 6;
     for shards in [1, 2, SHARDS] {
-        let mut system = CdssSystem::new(
-            bioinformatics_schema(),
-            StoreFabric::new(bioinformatics_schema(), shards),
-        );
-        for policy in mutual_policies(N) {
-            system.add_participant(ParticipantConfig::new(policy)).unwrap();
-        }
+        let mut system = common::confederation(fabric(shards), N).system;
         for i in 1..=N {
             let tuple = func("org", &format!("prot{i}"), "f");
             system.execute(p(i), vec![Update::insert("Function", tuple, p(i))]).unwrap();

@@ -14,8 +14,8 @@ use orchestra_model::schema::bioinformatics_schema;
 use orchestra_obs::{export, Obs};
 use orchestra_store::CentralStore;
 use orchestra_workload::{
-    run_churn_scale, run_churn_scale_fabric, run_churn_scale_fabric_observed,
-    run_churn_scale_observed, ScaleConfig, ScaleDriver,
+    run_churn_scale, run_churn_scale_fabric_observed, run_churn_scale_observed, ScaleConfig,
+    ScaleDriver,
 };
 
 /// A schedule small enough for debug-build CI but large enough to exercise
@@ -114,7 +114,7 @@ fn tracing_changes_no_decisions() {
     assert_eq!(dark.sessions, lit.sessions);
     assert_eq!(dark.state_ratio, lit.state_ratio);
 
-    let dark_fabric = run_churn_scale_fabric(&config);
+    let dark_fabric = run_churn_scale_fabric_observed(&config, &Obs::disabled());
     let lit_fabric = run_churn_scale_fabric_observed(&config, &Obs::enabled());
     assert_eq!(dark_fabric.decision_fingerprint, lit_fabric.decision_fingerprint);
     assert_eq!(dark_fabric.sessions, lit_fabric.sessions);

@@ -3,32 +3,13 @@
 //! one shared `CentralStore`, and a proptest asserting the parallel driver
 //! reaches decisions identical to the sequential one on random schedules.
 
-use orchestra::{CdssSystem, ParticipantConfig};
+mod common;
+
+use common::{func, p};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{ParticipantId, Transaction, TransactionId, TrustPolicy, Tuple, Update};
+use orchestra_model::{ParticipantId, Transaction, TransactionId, Update};
 use orchestra_store::{CentralStore, ReconciliationSession, UpdateStore};
-
-fn p(i: u32) -> ParticipantId {
-    ParticipantId(i)
-}
-
-fn func(org: &str, prot: &str, f: &str) -> Tuple {
-    Tuple::of_text(&[org, prot, f])
-}
-
-fn mutual_policies(n: u32) -> Vec<TrustPolicy> {
-    (1..=n)
-        .map(|i| {
-            let mut policy = TrustPolicy::new(p(i));
-            for j in 1..=n {
-                if i != j {
-                    policy = policy.trusting(p(j), 1u32);
-                }
-            }
-            policy
-        })
-        .collect()
-}
+use orchestra_workload::mutual_trust_policies;
 
 /// Eight threads — one per participant — publish and reconcile concurrently
 /// against one shared `&CentralStore` for several rounds. The test asserts
@@ -42,7 +23,7 @@ fn eight_threads_publish_and_reconcile_against_one_store() {
     const ROUNDS: u64 = 6;
 
     let store = CentralStore::new(bioinformatics_schema());
-    for policy in mutual_policies(THREADS) {
+    for policy in mutual_trust_policies(THREADS as usize, 1) {
         store.register_participant(policy);
     }
 
@@ -122,89 +103,13 @@ fn eight_threads_publish_and_reconcile_against_one_store() {
 
 mod equivalence {
     use super::*;
-    use orchestra_model::KeyValue;
-    use orchestra_workload::{run_churn_concurrent, ChurnConfig, ReconcileDriver, WorkloadConfig};
+    use common::Turn::{EditPublish, EditPublishWave};
+    use orchestra_workload::{run_churn_concurrent, ChurnConfig, Driver, Step, WorkloadConfig};
     use proptest::prelude::*;
 
     const PARTICIPANTS: u32 = 4;
     const KEY_POOL: usize = 6;
     const VALUE_POOL: usize = 4;
-
-    /// One step of a schedule: `(participant, key, value, reconcile_wave)`.
-    /// Every step executes a state-dependent edit and publishes it; when
-    /// `reconcile_wave` is odd, all participants then reconcile as one wave.
-    type Op = (usize, usize, usize, u8);
-
-    fn execute(
-        system: &mut CdssSystem<CentralStore>,
-        who: ParticipantId,
-        key: usize,
-        value: usize,
-    ) {
-        let prot = format!("prot{key}");
-        let new_tuple = func("org", &prot, &format!("f{value}"));
-        let existing = system
-            .participant(who)
-            .unwrap()
-            .instance()
-            .value_at("Function", &KeyValue::of_text(&["org", &prot]));
-        let update = match existing {
-            None => Update::insert("Function", new_tuple, who),
-            Some(current) => {
-                if current == new_tuple {
-                    return;
-                }
-                Update::modify("Function", current, new_tuple, who)
-            }
-        };
-        let _ = system.execute(who, vec![update]);
-    }
-
-    /// Everything compared between the two drivers, per participant: the
-    /// final instance contents and the durable accepted/rejected records.
-    type ParticipantSnapshot = (Vec<(KeyValue, Tuple)>, Vec<TransactionId>, Vec<TransactionId>);
-
-    /// Runs a schedule; reconciliation waves go through the chosen driver.
-    fn run(ops: &[Op], parallel: bool) -> Vec<ParticipantSnapshot> {
-        let schema = bioinformatics_schema();
-        let mut system = CdssSystem::new(schema, CentralStore::new(bioinformatics_schema()));
-        for policy in mutual_policies(PARTICIPANTS) {
-            system.add_participant(ParticipantConfig::new(policy)).unwrap();
-        }
-        let wave = |system: &mut CdssSystem<CentralStore>| {
-            if parallel {
-                system.reconcile_all_parallel().unwrap();
-            } else {
-                system.reconcile_all().unwrap();
-            }
-        };
-        for &(who, key, value, reconcile_wave) in ops {
-            let who = p((who % PARTICIPANTS as usize) as u32 + 1);
-            execute(&mut system, who, key % KEY_POOL, value % VALUE_POOL);
-            system.publish(who).unwrap();
-            if reconcile_wave % 2 == 1 {
-                wave(&mut system);
-            }
-        }
-        // Final catch-up wave.
-        wave(&mut system);
-
-        let sorted = |mut v: Vec<TransactionId>| {
-            v.sort();
-            v
-        };
-        system
-            .participant_ids()
-            .into_iter()
-            .map(|id| {
-                (
-                    system.participant(id).unwrap().instance().relation_contents("Function"),
-                    sorted(system.store().accepted_set(id).iter().copied().collect()),
-                    sorted(system.store().rejected_set(id).iter().copied().collect()),
-                )
-            })
-            .collect()
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -212,17 +117,27 @@ mod equivalence {
         /// The parallel confederation driver reaches decisions (accepted and
         /// rejected sets, final instances) identical to the sequential one on
         /// random publish/reconcile schedules, including schedules that force
-        /// genuine conflicts on shared keys.
+        /// genuine conflicts on shared keys: every turn executes a
+        /// state-dependent edit and publishes it, and after every other one
+        /// all participants reconcile as one wave.
         #[test]
         fn parallel_driver_is_equivalent_to_sequential(
-            ops in prop::collection::vec(
-                (0..PARTICIPANTS as usize, 0..KEY_POOL, 0..VALUE_POOL, 0..2u8),
+            turns in common::schedule(
+                PARTICIPANTS,
+                KEY_POOL,
+                VALUE_POOL,
+                &[EditPublish, EditPublishWave],
                 1..30,
             )
         ) {
-            let sequential = run(&ops, false);
-            let parallel = run(&ops, true);
-            prop_assert_eq!(&sequential, &parallel, "drivers diverged");
+            let mut steps = turns.concat();
+            // Final catch-up wave.
+            steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
+            let run = |driver| {
+                let store = CentralStore::new(bioinformatics_schema());
+                common::run(store, PARTICIPANTS, false, &steps, &driver)
+            };
+            prop_assert_eq!(run(Driver::sequential()), run(Driver::threads()), "drivers diverged");
         }
     }
 
@@ -246,16 +161,11 @@ mod equivalence {
             },
             seed: 17,
         };
-        let sequential = run_churn_concurrent(
-            CentralStore::new(bioinformatics_schema()),
-            &config,
-            ReconcileDriver::Sequential,
-        );
-        let parallel = run_churn_concurrent(
-            CentralStore::new(bioinformatics_schema()),
-            &config,
-            ReconcileDriver::Parallel,
-        );
+        let run = |driver| {
+            run_churn_concurrent(CentralStore::new(bioinformatics_schema()), &config, &driver)
+        };
+        let sequential = run(Driver::sequential());
+        let parallel = run(Driver::threads());
         assert_eq!(sequential.accepted, parallel.accepted);
         assert_eq!(sequential.rejected, parallel.rejected);
         assert_eq!(sequential.deferred, parallel.deferred);

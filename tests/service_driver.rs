@@ -4,137 +4,44 @@
 //! sequential and the thread-per-participant drivers, and a starved
 //! admission cap sheds `Begin`s without losing a single session.
 
-use orchestra::{CdssSystem, ParticipantConfig};
+mod common;
+
+use common::Turn::{EditPublish, EditPublishWave, Heal, Partition, Resolve};
+use common::{func, p, Turn};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{KeyValue, ParticipantId, TransactionId, TrustPolicy, Tuple, Update};
+use orchestra_model::Update;
 use orchestra_store::{CentralStore, ServiceConfig, UpdateStore};
+use orchestra_workload::{Driver, Step};
 use proptest::prelude::*;
-
-fn p(i: u32) -> ParticipantId {
-    ParticipantId(i)
-}
-
-fn func(org: &str, prot: &str, f: &str) -> Tuple {
-    Tuple::of_text(&[org, prot, f])
-}
-
-fn mutual_policies(n: u32) -> Vec<TrustPolicy> {
-    (1..=n)
-        .map(|i| {
-            let mut policy = TrustPolicy::new(p(i));
-            for j in 1..=n {
-                if i != j {
-                    policy = policy.trusting(p(j), 1u32);
-                }
-            }
-            policy
-        })
-        .collect()
-}
 
 const PARTICIPANTS: u32 = 4;
 const KEY_POOL: usize = 6;
 const VALUE_POOL: usize = 4;
 
-/// One step of a schedule: `(participant, key, value, reconcile_wave)`.
-/// Every step executes a state-dependent edit and publishes it; when
-/// `reconcile_wave` is odd, all participants then reconcile as one wave.
-type Op = (usize, usize, usize, u8);
+/// Every turn executes a state-dependent edit and publishes it; after every
+/// other one all participants reconcile as one wave.
+const WAVES: &[Turn] = &[EditPublish, EditPublishWave];
 
-/// The three deployment models under comparison.
-#[derive(Clone, Copy, PartialEq)]
-enum Driver {
-    Sequential,
-    Threads,
-    Service,
+/// The same with curation and partitions: a participant resolves its open
+/// conflicts, goes offline (publishing into its buffer, sitting out the
+/// waves), or everyone offline rejoins.
+const PARTITIONED_WAVES: &[Turn] =
+    &[EditPublish, EditPublish, EditPublishWave, EditPublishWave, Resolve, Partition, Heal];
+
+/// Where the schedule ends up under one driver, after a heal and a final
+/// catch-up wave. The service driver also routes its *publishes* through
+/// the framed protocol, so the proptests cover the framed publish (scalar
+/// and causal-stamped) as well as the session protocol.
+fn run(turns: &[Vec<Step>], driver: Driver<CentralStore>, causal: bool) -> common::Snapshot {
+    let mut steps = turns.concat();
+    steps.push(Step::Heal);
+    steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
+    let store = CentralStore::new(bioinformatics_schema());
+    common::run(store, PARTICIPANTS, causal, &steps, &driver)
 }
 
-fn execute(system: &mut CdssSystem<CentralStore>, who: ParticipantId, key: usize, value: usize) {
-    let prot = format!("prot{key}");
-    let new_tuple = func("org", &prot, &format!("f{value}"));
-    let existing = system
-        .participant(who)
-        .unwrap()
-        .instance()
-        .value_at("Function", &KeyValue::of_text(&["org", &prot]));
-    let update = match existing {
-        None => Update::insert("Function", new_tuple, who),
-        Some(current) => {
-            if current == new_tuple {
-                return;
-            }
-            Update::modify("Function", current, new_tuple, who)
-        }
-    };
-    let _ = system.execute(who, vec![update]);
-}
-
-/// Everything compared between the drivers, per participant: the final
-/// instance contents and the durable accepted/rejected records.
-type ParticipantSnapshot = (Vec<(KeyValue, Tuple)>, Vec<TransactionId>, Vec<TransactionId>);
-
-/// Runs a schedule under one driver. The service driver also routes its
-/// *publishes* through the framed protocol, so the proptest covers
-/// the framed publish (scalar and causal-stamped) as well as the session
-/// protocol.
-fn run(ops: &[Op], driver: Driver, causal: bool) -> Vec<ParticipantSnapshot> {
-    let schema = bioinformatics_schema();
-    let mut system = CdssSystem::new(schema, CentralStore::new(bioinformatics_schema()));
-    for policy in mutual_policies(PARTICIPANTS) {
-        system.add_participant(ParticipantConfig::new(policy)).unwrap();
-    }
-    if causal {
-        system.enable_causal_mode().unwrap();
-    }
-    let config = ServiceConfig::default();
-    for &(who, key, value, reconcile_wave) in ops {
-        let who = p((who % PARTICIPANTS as usize) as u32 + 1);
-        execute(&mut system, who, key % KEY_POOL, value % VALUE_POOL);
-        match driver {
-            Driver::Sequential | Driver::Threads => {
-                system.publish(who).unwrap();
-            }
-            Driver::Service => {
-                system.run_service_round(&[who], &[], &config).unwrap();
-            }
-        }
-        if reconcile_wave % 2 == 1 {
-            wave(&mut system, driver, &config);
-        }
-    }
-    // Final catch-up wave.
-    wave(&mut system, driver, &config);
-
-    let sorted = |mut v: Vec<TransactionId>| {
-        v.sort();
-        v
-    };
-    system
-        .participant_ids()
-        .into_iter()
-        .map(|id| {
-            (
-                system.participant(id).unwrap().instance().relation_contents("Function"),
-                sorted(system.store().accepted_set(id).iter().copied().collect()),
-                sorted(system.store().rejected_set(id).iter().copied().collect()),
-            )
-        })
-        .collect()
-}
-
-fn wave(system: &mut CdssSystem<CentralStore>, driver: Driver, config: &ServiceConfig) {
-    match driver {
-        Driver::Sequential => {
-            system.reconcile_all().unwrap();
-        }
-        Driver::Threads => {
-            system.reconcile_all_parallel().unwrap();
-        }
-        Driver::Service => {
-            let ids = system.participant_ids();
-            system.run_service_round(&[], &ids, config).unwrap();
-        }
-    }
+fn service() -> Driver<CentralStore> {
+    Driver::service(ServiceConfig::default())
 }
 
 proptest! {
@@ -146,16 +53,11 @@ proptest! {
     /// schedules, including schedules that force genuine conflicts.
     #[test]
     fn service_driver_is_equivalent_on_scalar_schedules(
-        ops in prop::collection::vec(
-            (0..PARTICIPANTS as usize, 0..KEY_POOL, 0..VALUE_POOL, 0..2u8),
-            1..30,
-        )
+        turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, WAVES, 1..30)
     ) {
-        let sequential = run(&ops, Driver::Sequential, false);
-        let threads = run(&ops, Driver::Threads, false);
-        let service = run(&ops, Driver::Service, false);
-        prop_assert_eq!(&sequential, &threads, "threaded driver diverged");
-        prop_assert_eq!(&sequential, &service, "service driver diverged");
+        let sequential = run(&turns, Driver::sequential(), false);
+        prop_assert_eq!(&sequential, &run(&turns, Driver::threads(), false), "threads diverged");
+        prop_assert_eq!(&sequential, &run(&turns, service(), false), "service driver diverged");
     }
 }
 
@@ -167,16 +69,27 @@ proptest! {
     /// `publish_stamped` frame.
     #[test]
     fn service_driver_is_equivalent_on_causal_schedules(
-        ops in prop::collection::vec(
-            (0..PARTICIPANTS as usize, 0..KEY_POOL, 0..VALUE_POOL, 0..2u8),
-            1..20,
-        )
+        turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, WAVES, 1..20)
     ) {
-        let sequential = run(&ops, Driver::Sequential, true);
-        let threads = run(&ops, Driver::Threads, true);
-        let service = run(&ops, Driver::Service, true);
-        prop_assert_eq!(&sequential, &threads, "threaded driver diverged");
-        prop_assert_eq!(&sequential, &service, "service driver diverged");
+        let sequential = run(&turns, Driver::sequential(), true);
+        prop_assert_eq!(&sequential, &run(&turns, Driver::threads(), true), "threads diverged");
+        prop_assert_eq!(&sequential, &run(&turns, service(), true), "service driver diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Partitions and heals at arbitrary points of a causal schedule: what a
+    /// participant buffered offline reaches the store at the heal, the waves
+    /// it sat out are made up by the next one, and the service driver still
+    /// decides exactly as the sequential one.
+    #[test]
+    fn service_driver_is_equivalent_on_partitioned_schedules(
+        turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, PARTITIONED_WAVES, 1..30)
+    ) {
+        let sequential = run(&turns, Driver::sequential(), true);
+        prop_assert_eq!(&sequential, &run(&turns, service(), true), "service driver diverged");
     }
 }
 
@@ -189,10 +102,7 @@ fn starved_admission_cap_completes_every_session_with_identical_decisions() {
 
     let build = || {
         let mut system =
-            CdssSystem::new(bioinformatics_schema(), CentralStore::new(bioinformatics_schema()));
-        for policy in mutual_policies(N) {
-            system.add_participant(ParticipantConfig::new(policy)).unwrap();
-        }
+            common::confederation(CentralStore::new(bioinformatics_schema()), N).system;
         for i in 1..=N {
             let who = p(i);
             system

@@ -12,18 +12,13 @@
 //! central store, the rescan-baseline central store, the DHT store
 //! (client-centric), and the DHT store's network-centric mode.
 
-use orchestra::{CdssSystem, ParticipantConfig};
+mod common;
+
+use common::{func, p};
+use orchestra::CdssSystem;
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{ParticipantId, TrustPolicy, Tuple, Update};
+use orchestra_model::{Tuple, Update};
 use orchestra_store::{CentralStore, DhtStore, UpdateStore};
-
-fn p(i: u32) -> ParticipantId {
-    ParticipantId(i)
-}
-
-fn func(org: &str, prot: &str, f: &str) -> Tuple {
-    Tuple::of_text(&[org, prot, f])
-}
 
 fn xref(org: &str, prot: &str, db: &str, accession: &str) -> Tuple {
     Tuple::of_text(&[org, prot, db, accession])
@@ -34,17 +29,7 @@ fn xref(org: &str, prot: &str, db: &str, accession: &str) -> Tuple {
 /// and one genuine conflict (two participants writing divergent values for
 /// the same key in the same reconciliation round).
 fn drive<S: UpdateStore>(store: S) -> CdssSystem<S> {
-    let schema = bioinformatics_schema();
-    let mut system = CdssSystem::new(schema, store);
-    for i in 1..=3u32 {
-        let mut policy = TrustPolicy::new(p(i));
-        for j in 1..=3u32 {
-            if i != j {
-                policy = policy.trusting(p(j), 1u32);
-            }
-        }
-        system.add_participant(ParticipantConfig::new(policy)).unwrap();
-    }
+    let mut system = common::confederation(store, 3).system;
 
     // Round 1: independent facts from every participant.
     system
@@ -116,181 +101,52 @@ fn central_and_dht_final_instances_are_identical() {
 
 mod random_schedules {
     use super::*;
-    use orchestra::{Participant, ReconcileReport};
-    use orchestra_model::{KeyValue, TransactionId};
-    use orchestra_recon::ResolutionChoice;
+    use common::Turn::{Edit, Publish, PublishReconcile, ResolveChosen};
     use orchestra_store::RetrievalMode;
+    use orchestra_workload::{Driver, Step};
     use proptest::prelude::*;
 
     const PARTICIPANTS: u32 = 4;
     const KEY_POOL: usize = 6;
     const VALUE_POOL: usize = 4;
 
-    /// One step of a schedule: `(participant, action, key, value)`. The
-    /// action decodes as 0-1 = execute a transaction, 2 = publish,
-    /// 3 = publish + reconcile, 4 = resolve open conflicts.
-    type Op = (usize, u8, usize, usize);
-
-    /// Everything observable about a confederation after a schedule ran:
-    /// per-participant instance contents, durable accept/reject records, and
-    /// soft deferred sets.
-    #[derive(Debug, PartialEq, Eq)]
-    struct Snapshot {
-        instances: Vec<Vec<(KeyValue, Tuple)>>,
-        accepted: Vec<Vec<TransactionId>>,
-        rejected: Vec<Vec<TransactionId>>,
-        deferred: Vec<Vec<TransactionId>>,
-    }
-
-    fn policies() -> Vec<TrustPolicy> {
-        (1..=PARTICIPANTS)
-            .map(|i| {
-                let mut policy = TrustPolicy::new(p(i));
-                for j in 1..=PARTICIPANTS {
-                    if i != j {
-                        policy = policy.trusting(p(j), 1u32);
-                    }
-                }
-                policy
-            })
-            .collect()
-    }
-
-    /// Executes a deterministic state-dependent edit: insert the key if the
-    /// participant doesn't have it, revise it otherwise. Failures (e.g. a
-    /// no-op modify) are ignored, as in the workload driver.
-    fn execute(participant: &mut Participant, key: usize, value: usize) {
-        let id = participant.id();
-        let prot = format!("prot{key}");
-        let new_tuple = func("org", &prot, &format!("f{value}"));
-        let existing =
-            participant.instance().value_at("Function", &KeyValue::of_text(&["org", &prot]));
-        let update = match existing {
-            None => Update::insert("Function", new_tuple, id),
-            Some(current) => {
-                if current == new_tuple {
-                    return;
-                }
-                Update::modify("Function", current, new_tuple, id)
-            }
-        };
-        let _ = participant.execute_transaction(vec![update]);
-    }
-
-    fn resolve<S: UpdateStore>(participant: &mut Participant, store: &S, value: usize) {
-        let groups: Vec<_> = participant
-            .deferred_conflicts()
-            .iter()
-            .map(|g| (g.key.clone(), g.options.len()))
-            .collect();
-        if groups.is_empty() {
-            return;
+    /// Runs the turns against a store under a driver — so the DHT's
+    /// network-centric mode rides the same schedule — and ends with a
+    /// catch-up publish + reconcile for every participant.
+    fn run<S: UpdateStore>(store: S, turns: &[Vec<Step>], driver: Driver<S>) -> common::Snapshot {
+        let mut steps = turns.concat();
+        for who in (1..=PARTICIPANTS).map(p) {
+            steps.extend(common::turn(PublishReconcile, who, &[], 0, 0));
         }
-        let choices: Vec<ResolutionChoice> = groups
-            .into_iter()
-            .map(|(key, options)| ResolutionChoice {
-                group: key,
-                // Deterministic but schedule-dependent choice; `options` is
-                // identical across stores because decisions are.
-                chosen_option: Some(value % options),
-            })
-            .collect();
-        let _ = participant.resolve_conflicts(store, &choices);
-    }
-
-    /// Runs a schedule against a store, with the reconciliation step
-    /// abstracted so the DHT's network-centric mode can ride the same
-    /// driver. Ends with a catch-up publish+reconcile for every participant.
-    fn run_schedule<S: UpdateStore>(
-        store: S,
-        ops: &[Op],
-        reconcile: impl Fn(&mut Participant, &S) -> ReconcileReport,
-    ) -> Snapshot {
-        let schema = bioinformatics_schema();
-        let mut participants: Vec<Participant> = policies()
-            .into_iter()
-            .map(|policy| {
-                store.register_participant(policy.clone());
-                Participant::new(schema.clone(), ParticipantConfig::new(policy))
-            })
-            .collect();
-
-        for &(who, action, key, value) in ops {
-            let participant = &mut participants[who % PARTICIPANTS as usize];
-            match action % 5 {
-                0 | 1 => execute(participant, key % KEY_POOL, value % VALUE_POOL),
-                2 => {
-                    participant.publish(&store).unwrap();
-                }
-                3 => {
-                    participant.publish(&store).unwrap();
-                    reconcile(participant, &store);
-                }
-                _ => resolve(participant, &store, value),
-            }
-        }
-        for participant in &mut participants {
-            participant.publish(&store).unwrap();
-            reconcile(participant, &store);
-        }
-
-        let sorted = |mut v: Vec<TransactionId>| {
-            v.sort();
-            v
-        };
-        Snapshot {
-            instances: participants
-                .iter()
-                .map(|p| p.instance().relation_contents("Function"))
-                .collect(),
-            accepted: participants
-                .iter()
-                .map(|p| sorted(store.accepted_set(p.id()).iter().copied().collect()))
-                .collect(),
-            rejected: participants
-                .iter()
-                .map(|p| sorted(store.rejected_set(p.id()).iter().copied().collect()))
-                .collect(),
-            deferred: participants
-                .iter()
-                .map(|p| sorted(p.soft_state().deferred().keys().copied().collect()))
-                .collect(),
-        }
+        common::run(store, PARTICIPANTS, false, &steps, &driver)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn all_store_modes_agree_on_random_schedules(
-            ops in prop::collection::vec(
-                (0..PARTICIPANTS as usize, 0..5u8, 0..KEY_POOL, 0..VALUE_POOL),
+            // Two turns in five execute a transaction and leave it pending;
+            // the others publish, publish and reconcile, or resolve the open
+            // conflicts — keeping a schedule-dependent option, which is the
+            // same one under every store because the decisions are.
+            turns in common::schedule(
+                PARTICIPANTS,
+                KEY_POOL,
+                VALUE_POOL,
+                &[Edit, Edit, Publish, PublishReconcile, ResolveChosen],
                 1..40,
             )
         ) {
-            let client_centric = |p: &mut Participant, s: &_| p.reconcile(s).unwrap();
-            let central = run_schedule(
-                CentralStore::new(bioinformatics_schema()),
-                &ops,
-                |p, s| p.reconcile(s).unwrap(),
+            let schema = bioinformatics_schema;
+            let central = run(CentralStore::new(schema()), &turns, Driver::sequential());
+            let rescan = run(
+                CentralStore::with_retrieval(schema(), RetrievalMode::RescanBaseline),
+                &turns,
+                Driver::sequential(),
             );
-            let rescan = run_schedule(
-                CentralStore::with_retrieval(
-                    bioinformatics_schema(),
-                    RetrievalMode::RescanBaseline,
-                ),
-                &ops,
-                |p, s| p.reconcile(s).unwrap(),
-            );
-            let dht = run_schedule(
-                DhtStore::new(bioinformatics_schema()),
-                &ops,
-                client_centric,
-            );
-            let network_centric = run_schedule(
-                DhtStore::new(bioinformatics_schema()),
-                &ops,
-                |p: &mut Participant, s: &DhtStore| p.reconcile_network_centric(s).unwrap(),
-            );
+            let dht = run(DhtStore::new(schema()), &turns, Driver::sequential());
+            let network_centric =
+                run(DhtStore::new(schema()), &turns, Driver::network_centric());
 
             prop_assert_eq!(&central, &rescan, "rescan baseline diverged");
             prop_assert_eq!(&central, &dht, "dht store diverged");
