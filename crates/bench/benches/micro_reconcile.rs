@@ -1,17 +1,19 @@
 //! Microbenchmarks of the reconciliation building blocks: flattening,
 //! conflict detection between update extensions, and a single
 //! `ReconcileUpdates` run over a synthetic candidate set — thin candidates
-//! with conflicts, and wide conflict-free candidates against a non-empty own
+//! with conflicts, wide conflict-free candidates against a non-empty own
 //! delta (the benchmark's `durable_crash` shape, where the per-applied-update
-//! constant is what matters).
+//! constant is what matters), and thin candidates as the store hands them out
+//! reconciled by every participant trusting them (`wide_insert`'s fan-out).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    flatten, ParticipantId, Priority, ReconciliationId, Transaction, Tuple, Update,
+    flatten, ParticipantId, Priority, ReconciliationId, Transaction, TrustPolicy, Tuple, Update,
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
 use orchestra_storage::Database;
+use orchestra_store::StoreCatalog;
 use std::time::Duration;
 
 fn p(i: u32) -> ParticipantId {
@@ -151,5 +153,59 @@ fn bench_wide_txn_own_delta(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_flatten, bench_reconcile, bench_wide_txn_own_delta);
+/// `wide_insert`'s fan-out at the engine: 64 two-insert transactions, each
+/// reconciled by the eight participants that trust it. The candidates are
+/// built once, as the store hands them out (so a transaction that is its own
+/// extension carries the flattening its log entry derived); each iteration
+/// reconciles all 64 with 8 fresh engines and instances. Divide the mean by
+/// 512 for the time per candidate.
+fn bench_thin_fanout(c: &mut Criterion) {
+    let schema = bioinformatics_schema();
+    let store = StoreCatalog::new(schema.clone());
+    store.register_policy(TrustPolicy::new(p(1)).trusting(p(2), 1u32));
+    let txns: Vec<Transaction> = (0..64u64)
+        .map(|local| {
+            let key = 2 * local as usize;
+            let updates = (key..key + 2)
+                .map(|key| Update::insert("Function", func(key, 0), p(2)))
+                .collect::<Vec<_>>();
+            Transaction::from_parts(p(2), local, updates).unwrap()
+        })
+        .collect();
+    store.publish(p(2), txns).unwrap();
+    let session = store.open_session(p(1), false).unwrap().session;
+    let candidates: Vec<CandidateTransaction> =
+        store.batch(session, 64).unwrap().candidates.into_iter().map(|(c, _)| c).collect();
+    assert_eq!(candidates.len(), 64);
+
+    let mut group = c.benchmark_group("thin_fanout");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(5));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function(BenchmarkId::new("two_inserts_x8_participants", 64), |b| {
+        b.iter(|| {
+            for _ in 0..8 {
+                let engine = ReconcileEngine::new(schema.clone());
+                engine.reconcile(
+                    ReconcileInput {
+                        recno: ReconciliationId(1),
+                        candidates: candidates.clone(),
+                        ..Default::default()
+                    },
+                    &mut Database::new(schema.clone()),
+                    &mut SoftState::new(),
+                );
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_flatten,
+    bench_reconcile,
+    bench_wide_txn_own_delta,
+    bench_thin_fanout
+);
 criterion_main!(benches);

@@ -25,16 +25,19 @@ use std::sync::Arc;
 /// The keys are derived once, while flattening, and every later step that
 /// needs one — the conflict indexes, the dirty-value probe, the instance's
 /// compatibility check and its apply — borrows it from here.
+///
+/// The keys are held without spare capacity: an update store keeps one of
+/// these per published transaction (see [`flatten_own`]).
 #[derive(Debug, Clone)]
 pub struct NetUpdates {
     /// Shared: when nothing had to be rewritten this is the flattened
     /// transaction's own update list.
     updates: Arc<Vec<Update>>,
     /// The touched keys of every update, update after update.
-    keys: Vec<KeyValue>,
+    keys: Box<[KeyValue]>,
     /// `ends[i]` is where update `i`'s keys end in `keys` (and update
-    /// `i + 1`'s begin).
-    ends: Vec<usize>,
+    /// `i + 1`'s begin); none when every update touches exactly one key.
+    ends: Option<Box<[usize]>>,
 }
 
 impl NetUpdates {
@@ -52,12 +55,20 @@ impl NetUpdates {
             }
             ends.push(keys.len());
         }
-        NetUpdates { updates, keys, ends }
+        let one_each = ends.iter().enumerate().all(|(i, &end)| end == i + 1);
+        let ends = (!one_each).then(|| ends.into_boxed_slice());
+        NetUpdates { updates, keys: keys.into_boxed_slice(), ends }
     }
 
     /// The net updates, in an order they apply in (see [`flatten`]).
     pub fn updates(&self) -> &[Update] {
         &self.updates
+    }
+
+    /// Whether the net updates are `updates` itself, shared rather than
+    /// rebuilt (see [`flatten_keyed`]).
+    pub fn shares(&self, updates: &Arc<Vec<Update>>) -> bool {
+        Arc::ptr_eq(&self.updates, updates)
     }
 
     /// Every update with the keys it touches: the key of the tuple it reads
@@ -66,7 +77,8 @@ impl NetUpdates {
     /// schema does not declare touches no key.
     pub fn iter(&self) -> impl Iterator<Item = (&Update, &[KeyValue])> {
         let mut start = 0;
-        self.updates.iter().zip(&self.ends).map(move |(update, &end)| {
+        self.updates.iter().enumerate().map(move |(i, update)| {
+            let end = self.ends.as_ref().map_or(i + 1, |ends| ends[i]);
             let keys = &self.keys[start..end];
             start = end;
             (update, keys)
@@ -150,7 +162,7 @@ pub fn flatten_keyed<'a>(
     let mut members = members.into_iter();
     let (first, second) = (members.next(), members.next());
     if let (Some(only), None) = (first, second) {
-        if let Some(net) = as_its_own_net(schema, only) {
+        if let Some(net) = flatten_own(schema, only) {
             return net;
         }
     }
@@ -160,10 +172,14 @@ pub fn flatten_keyed<'a>(
     NetUpdates::new(Arc::new(updates), touched)
 }
 
-/// `updates` as their own flattening, if every `(relation, key)` pair they
-/// touch is touched once: each update then starts a chain nothing continues,
-/// and [`flatten_chains`] would emit it unchanged and in place.
-fn as_its_own_net(schema: &Schema, updates: &Arc<Vec<Update>>) -> Option<NetUpdates> {
+/// `updates` as their own flattening — what [`flatten_keyed`] returns for
+/// that one list when it shares it — or none when it would rebuild it.
+///
+/// That is when every `(relation, key)` pair the updates touch is touched
+/// once: each update then starts a chain nothing continues, and the chaining
+/// rules would emit it unchanged and in place. A transaction that touches a
+/// key twice has none.
+pub fn flatten_own(schema: &Schema, updates: &Arc<Vec<Update>>) -> Option<NetUpdates> {
     let touched = updates.iter().map(|u| touched_keys(schema, u));
     let net = NetUpdates::new(Arc::clone(updates), touched);
     let distinct = net.keys.len() < 2 || {

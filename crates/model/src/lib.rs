@@ -42,7 +42,7 @@ pub use causal::{compare_clocks, AntichainClock, CausalRelation, StampId};
 pub use conflict::{ConflictKey, ConflictKind};
 pub use constraint::{Constraint, InstanceView};
 pub use error::{ModelError, Result};
-pub use flatten::{flatten, flatten_keyed, NetUpdates};
+pub use flatten::{flatten, flatten_keyed, flatten_own, NetUpdates};
 pub use ids::{CausalStamp, Epoch, ParticipantId, Priority, ReconciliationId, TransactionId};
 pub use intern::RelName;
 pub use schema::{ColumnDef, RelationSchema, Schema};

@@ -154,7 +154,7 @@ impl RelationSchema {
 
     /// Extracts the key value of a tuple under this schema.
     pub fn key_of(&self, tuple: &Tuple) -> KeyValue {
-        KeyValue::from_values(self.key.iter().map(|&i| tuple.values()[i].clone()).collect())
+        KeyValue::collect(self.key.iter().map(|&i| tuple.values()[i].clone()))
     }
 
     /// Returns true if `key` is the key value of `tuple`, without building

@@ -1,7 +1,11 @@
 //! Tuples and key values.
 
 use crate::value::Value;
+use rustc_hash::FxHasher;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A relational tuple: an ordered list of attribute values.
 ///
@@ -82,20 +86,43 @@ impl From<Vec<Value>> for Tuple {
 /// Key values identify the "antecedent data value" of the paper's conflict
 /// definition — two updates that write the same key value for a relation are
 /// candidates for conflicting.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// A key carries the Fx hash of its values, computed once when it is made:
+/// [`Hash`] writes only that word, so every hash table keyed by keys (the
+/// flattening's chains, the conflict and own-delta indexes, the dirty set)
+/// hashes eight bytes instead of walking the strings, and equality compares
+/// the hashes before the values. Ordering, `Debug` and `Display` are over the
+/// values alone. Whatever hasher a table uses, keys that collide under Fx
+/// collide in it.
+///
+/// The values live in one shared buffer, so cloning a key — into an instance
+/// row, a table index, the dirty set — bumps a reference count: every
+/// participant's row under a key that a published transaction's flattening
+/// derived shares that flattening's buffer. The key is as large as the `Vec`
+/// it replaced (24 bytes).
+#[derive(Clone)]
 pub struct KeyValue {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
+    hash: u64,
 }
 
 impl KeyValue {
     /// Creates a key value from its component values.
     pub fn from_values(values: Vec<Value>) -> Self {
-        KeyValue { values }
+        KeyValue::collect(values)
+    }
+
+    /// A key of `values`, collected straight into its shared buffer.
+    pub(crate) fn collect(values: impl IntoIterator<Item = Value>) -> Self {
+        let values: Arc<[Value]> = values.into_iter().collect();
+        let mut hasher = FxHasher::default();
+        values.hash(&mut hasher);
+        KeyValue { values, hash: hasher.finish() }
     }
 
     /// Creates a key value of text components.
     pub fn of_text<S: AsRef<str>>(values: &[S]) -> Self {
-        KeyValue { values: values.iter().map(|s| Value::text(s.as_ref())).collect() }
+        KeyValue::from_values(values.iter().map(|s| Value::text(s.as_ref())).collect())
     }
 
     /// The key component values.
@@ -106,6 +133,40 @@ impl KeyValue {
     /// Number of key components.
     pub fn arity(&self) -> usize {
         self.values.len()
+    }
+}
+
+impl PartialEq for KeyValue {
+    fn eq(&self, other: &Self) -> bool {
+        // Two holders of one buffer are equal without reading it.
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.values, &other.values) || self.values == other.values)
+    }
+}
+
+impl Eq for KeyValue {}
+
+impl Hash for KeyValue {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialOrd for KeyValue {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for KeyValue {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values.cmp(&other.values)
+    }
+}
+
+impl fmt::Debug for KeyValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyValue").field("values", &self.values).finish()
     }
 }
 
@@ -165,6 +226,44 @@ mod tests {
         set.insert(KeyValue::of_text(&["rat", "prot1"]));
         assert!(set.contains(&KeyValue::of_text(&["rat", "prot1"])));
         assert!(!set.contains(&KeyValue::of_text(&["rat", "prot2"])));
+    }
+
+    #[test]
+    fn a_key_is_its_values_with_their_hash_and_stays_three_words() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash_of = |key: &KeyValue| {
+            let mut h = DefaultHasher::new();
+            key.hash(&mut h);
+            h.finish()
+        };
+        let keys: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![Value::text("rat")],
+            vec![Value::text("rat"), Value::text("prot1")],
+            vec![Value::text("rat"), Value::text("prot2")],
+            vec![Value::text("ratprot1")],
+            vec![Value::int(1), Value::Null],
+            vec![Value::int(1)],
+            vec![Value::Float(f64::NAN), Value::Bool(true)],
+        ];
+        for a in &keys {
+            for b in &keys {
+                let (ka, kb) = (KeyValue::from_values(a.clone()), KeyValue::from_values(b.clone()));
+                assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
+                assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} vs {b:?}");
+                if ka == kb {
+                    assert_eq!(hash_of(&ka), hash_of(&kb));
+                }
+            }
+        }
+        // Built from separate buffers, the same text is the same key.
+        let owned = KeyValue::from_values(vec![Value::text(String::from("rat"))]);
+        assert_eq!(owned, KeyValue::of_text(&["rat"]));
+        assert_eq!(hash_of(&owned), hash_of(&KeyValue::of_text(&["rat"])));
+        assert_eq!(format!("{owned:?}"), r#"KeyValue { values: [Text("rat")] }"#);
+        assert_eq!(std::mem::size_of::<KeyValue>(), 24);
+        // A clone shares the buffer.
+        assert!(Arc::ptr_eq(&owned.values, &owned.clone().values));
     }
 
     #[test]

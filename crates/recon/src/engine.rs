@@ -154,13 +154,20 @@ impl ReconcileEngine {
         let own = flatten_keyed(schema, [&Arc::new(input.own_updates)]);
         let own_by_key = by_key(&own);
 
-        // Lines 5-8: per-candidate flattened extensions and CheckState. Each
-        // candidate is flattened once, through the cache (a candidate deferred
-        // by an earlier reconciliation arrives with an unchanged antecedent
-        // chain and is not re-flattened); every later step reads that one
-        // flattening and its keys.
-        let flats: Vec<Arc<FlatExtension>> =
-            candidates.iter().map(|cand| self.cache.flattened(cand, schema)).collect();
+        // Lines 5-8: per-candidate flattened extensions and CheckState. A
+        // candidate that is one transaction arrives with the flattening the
+        // store derived once for every participant, and is used as it is;
+        // any other is flattened once, through the cache (a candidate
+        // deferred by an earlier reconciliation arrives with an unchanged
+        // antecedent chain and is not re-flattened). Every later step reads
+        // that one flattening and its keys.
+        let flats: Vec<Arc<FlatExtension>> = candidates
+            .iter()
+            .map(|cand| match cand.shared_flattening() {
+                Some(shared) => Arc::clone(shared),
+                None => self.cache.flattened(cand, schema),
+            })
+            .collect();
         let mut decisions: FxHashMap<TransactionId, TransactionDecision> = FxHashMap::default();
         for (cand, flat) in candidates.iter().zip(&flats) {
             let decision = self.check_state(

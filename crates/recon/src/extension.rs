@@ -13,6 +13,7 @@ use orchestra_model::{
     Update,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::fmt;
 use std::sync::Arc;
 
 /// A flattened update extension together with the `(relation, key)` pairs it
@@ -190,7 +191,10 @@ pub fn conflict_sets(
 
 /// A trusted, undecided transaction together with its transaction extension,
 /// as handed to the reconciliation engine by the update store.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Debug` and equality are over the id, the priority and the members: the
+/// shared flattening a candidate may carry is derived from them.
+#[derive(Clone)]
 pub struct CandidateTransaction {
     /// The root transaction id (the transaction the peer is deciding on).
     pub id: TransactionId,
@@ -202,6 +206,9 @@ pub struct CandidateTransaction {
     /// The update lists are shared (`Arc`) with the update store's log, so
     /// building and cloning candidates never copies an update.
     pub members: Vec<(TransactionId, Arc<Vec<Update>>)>,
+    /// The root's own flattening, as the update store derived it once for
+    /// every participant (see [`CandidateTransaction::shared_flattening`]).
+    shared: Option<Arc<FlatExtension>>,
 }
 
 impl CandidateTransaction {
@@ -214,7 +221,7 @@ impl CandidateTransaction {
         if members.last().map(|(id, _)| *id) != Some(root.id()) {
             members.push((root.id(), root.shared_updates()));
         }
-        CandidateTransaction { id: root.id(), priority, members }
+        CandidateTransaction::from_members(root.id(), priority, members)
     }
 
     /// Builds a candidate directly from already-shared member update lists
@@ -226,7 +233,37 @@ impl CandidateTransaction {
         priority: Priority,
         members: Vec<(TransactionId, Arc<Vec<Update>>)>,
     ) -> Self {
-        CandidateTransaction { id, priority, members }
+        CandidateTransaction { id, priority, members, shared: None }
+    }
+
+    /// Hands the candidate the flattening of its root transaction that the
+    /// update store derived once for every participant reconciling it (see
+    /// [`orchestra_storage::LogEntry::own_flattening`]).
+    pub fn with_shared_flattening(mut self, flat: Option<&Arc<FlatExtension>>) -> Self {
+        self.shared = flat.cloned();
+        self
+    }
+
+    /// The flattened extension the update store shares with every
+    /// participant: present when the extension is the root alone and the
+    /// flattening handed over is that root's update list itself, shared
+    /// rather than rebuilt — so it is exactly what [`Self::flattened`] would
+    /// compute.
+    pub fn shared_flattening(&self) -> Option<&Arc<FlatExtension>> {
+        let shared = self.shared.as_ref()?;
+        match self.members.as_slice() {
+            [(id, updates)] if *id == self.id && shared.shares(updates) => Some(shared),
+            _ => None,
+        }
+    }
+
+    /// The flattened update extension, shared: the store's flattening when
+    /// the candidate carries one, a fresh one otherwise.
+    pub fn flattened_shared(&self, schema: &Schema) -> Arc<FlatExtension> {
+        match self.shared_flattening() {
+            Some(shared) => Arc::clone(shared),
+            None => Arc::new(self.flattened(schema)),
+        }
     }
 
     /// The ids of every member of the extension (antecedents plus root).
@@ -323,18 +360,39 @@ impl CandidateTransaction {
     }
 }
 
+impl fmt::Debug for CandidateTransaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CandidateTransaction")
+            .field("id", &self.id)
+            .field("priority", &self.priority)
+            .field("members", &self.members)
+            .finish()
+    }
+}
+
+impl PartialEq for CandidateTransaction {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.priority == other.priority && self.members == other.members
+    }
+}
+
+impl Eq for CandidateTransaction {}
+
 /// Memoised flattened update extensions, each with the keys it touches.
 ///
-/// A reconciliation flattens every candidate exactly once, through this
-/// cache: `CheckState`'s dirty-value and own-delta probes, `FindConflicts`,
-/// the apply step (unless a shared antecedent was already applied) and
-/// `UpdateSoftState` all read that one [`FlatExtension`] and its borrowed
-/// keys. Across reconciliations, a deferred candidate is re-presented — with
-/// an unchanged antecedent chain — until its conflict resolves. The cache
-/// keys each flattening by `(root id, member fingerprint)`, so an unchanged
-/// chain is re-used for free, while a chain that gained or lost members (for
-/// example because an antecedent was accepted in the meantime) misses and is
-/// recomputed.
+/// A reconciliation flattens every candidate at most once: a candidate that
+/// carries the store's [shared flattening](CandidateTransaction::shared_flattening)
+/// is not flattened by the participant at all, every other one is flattened
+/// through this cache. `CheckState`'s dirty-value and own-delta probes,
+/// `FindConflicts`, the apply step (unless a shared antecedent was already
+/// applied) and `UpdateSoftState` all read that one [`FlatExtension`] and its
+/// borrowed keys. Across reconciliations, a deferred candidate is
+/// re-presented — with an unchanged antecedent chain — until its conflict
+/// resolves. The cache holds the flattening of every deferred candidate,
+/// shared ones included, keyed by `(root id, member fingerprint)`, so an
+/// unchanged chain is re-used for free, while a chain that gained or lost
+/// members (for example because an antecedent was accepted in the meantime)
+/// misses and is recomputed.
 ///
 /// Entries are shared ([`Arc`]), so a cache hit costs one reference-count
 /// bump. The owner is responsible for pruning entries for transactions that
@@ -356,7 +414,8 @@ impl ExtensionCache {
     }
 
     /// The flattened update extension of a candidate, computed at most once
-    /// per distinct antecedent chain.
+    /// per distinct antecedent chain (and not at all when the candidate
+    /// carries the store's shared flattening).
     pub fn flattened(&self, cand: &CandidateTransaction, schema: &Schema) -> Arc<FlatExtension> {
         let key = (cand.id, cand.member_fingerprint());
         if let Some(hit) = self.entries.borrow().get(&key) {
@@ -364,7 +423,7 @@ impl ExtensionCache {
             return Arc::clone(hit);
         }
         self.misses.set(self.misses.get() + 1);
-        let flat = Arc::new(cand.flattened(schema));
+        let flat = cand.flattened_shared(schema);
         self.entries.borrow_mut().insert(key, Arc::clone(&flat));
         flat
     }

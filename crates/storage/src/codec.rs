@@ -1017,7 +1017,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
         let pos = d.u64()?;
         let epoch = Epoch(d.u64()?);
         let transaction = Arc::new(dec_transaction(&mut d)?);
-        log.entries.insert(pos, LogEntry { epoch, transaction });
+        log.entries.insert(pos, LogEntry::new(epoch, transaction));
     }
     log.next_pos = d.u64()?;
     let membership_frontier = Epoch(d.u64()?);

@@ -22,24 +22,74 @@
 //! and pruning retains exactly those.
 
 use crate::error::{Result, StorageError};
-use orchestra_model::{Epoch, ParticipantId, RelName, Schema, Transaction, TransactionId, Tuple};
+use orchestra_model::{
+    flatten_own, Epoch, NetUpdates, ParticipantId, RelName, Schema, Transaction, TransactionId,
+    Tuple,
+};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One entry of the published-transaction log.
 ///
 /// The transaction is stored behind an [`Arc`] so that read paths (candidate
 /// construction, replay streams, point lookups) hand out shared references
 /// instead of deep copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// An entry also carries its transaction's own flattening, derived state
+/// that `Debug` and equality leave out (see [`LogEntry::own_flattening`]).
+#[derive(Clone)]
 pub struct LogEntry {
     /// Epoch in which the transaction was published.
     pub epoch: Epoch,
     /// The published transaction, shared with every reader.
     pub transaction: Arc<Transaction>,
+    /// [`flatten_own`] of the transaction's updates, derived on first use.
+    own_flattening: OnceLock<Option<Arc<NetUpdates>>>,
 }
+
+impl LogEntry {
+    /// An entry for a transaction published in `epoch`.
+    pub fn new(epoch: Epoch, transaction: Arc<Transaction>) -> Self {
+        LogEntry { epoch, transaction, own_flattening: OnceLock::new() }
+    }
+
+    /// The transaction's updates as their own flattening, with their keys —
+    /// what [`orchestra_model::flatten_keyed`] returns for this transaction
+    /// alone when it shares the update list — or none when the transaction
+    /// touches a key twice.
+    ///
+    /// Derived at most once per entry, on the first call, and shared by every
+    /// participant whose candidate extension is this transaction alone, so
+    /// the keys of a transaction trusted by many are derived once. `schema`
+    /// is the update store's: Σ, the schema every participant of the
+    /// confederation is built over, so the keys are the ones each
+    /// participant's engine would derive. Nothing calls this on the publish
+    /// path.
+    pub fn own_flattening(&self, schema: &Schema) -> Option<&Arc<NetUpdates>> {
+        self.own_flattening
+            .get_or_init(|| flatten_own(schema, &self.transaction.shared_updates()).map(Arc::new))
+            .as_ref()
+    }
+}
+
+impl fmt::Debug for LogEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LogEntry")
+            .field("epoch", &self.epoch)
+            .field("transaction", &self.transaction)
+            .finish()
+    }
+}
+
+impl PartialEq for LogEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.epoch == other.epoch && self.transaction == other.transaction
+    }
+}
+
+impl Eq for LogEntry {}
 
 /// Append-only log of published transactions with epoch, id and
 /// written-tuple indexes, supporting convergence-horizon retention.
@@ -128,7 +178,7 @@ impl TransactionLog {
         }
         let pos = self.next_pos;
         self.next_pos += 1;
-        self.entries.insert(pos, LogEntry { epoch, transaction: Arc::new(transaction) });
+        self.entries.insert(pos, LogEntry::new(epoch, Arc::new(transaction)));
         self.index_entry(pos);
         Ok(())
     }
@@ -153,20 +203,25 @@ impl TransactionLog {
         self.next_pos - self.entries.len() as u64
     }
 
+    /// Looks up a transaction's log entry by id.
+    pub fn entry(&self, id: TransactionId) -> Option<&LogEntry> {
+        self.by_id.get(&id).map(|pos| &self.entries[pos])
+    }
+
     /// Looks up a transaction by id.
     pub fn get(&self, id: TransactionId) -> Option<&Transaction> {
-        self.by_id.get(&id).map(|pos| self.entries[pos].transaction.as_ref())
+        self.entry(id).map(|entry| entry.transaction.as_ref())
     }
 
     /// Looks up a transaction by id, returning a shared handle (a
     /// reference-count bump, never a deep copy).
     pub fn get_arc(&self, id: TransactionId) -> Option<Arc<Transaction>> {
-        self.by_id.get(&id).map(|pos| Arc::clone(&self.entries[pos].transaction))
+        self.entry(id).map(|entry| Arc::clone(&entry.transaction))
     }
 
     /// The epoch in which a transaction was published.
     pub fn epoch_of(&self, id: TransactionId) -> Option<Epoch> {
-        self.by_id.get(&id).map(|pos| self.entries[pos].epoch)
+        self.entry(id).map(|entry| entry.epoch)
     }
 
     /// The log position (publication order) of a transaction. Positions are
@@ -284,8 +339,7 @@ impl TransactionLog {
         }
         while let Some((id, pos)) = stack.pop() {
             if let Some(txn) = self.get(id) {
-                let txn = txn.clone();
-                for ante in self.antecedents_of(&txn, schema, pos) {
+                for ante in self.antecedents_of(txn, schema, pos) {
                     if !already_applied.contains(&ante) && members.insert(ante) {
                         if let Some(p) = self.position_of(ante) {
                             stack.push((ante, p));

@@ -91,7 +91,7 @@ use orchestra_recon::CandidateTransaction;
 use orchestra_storage::snapshot::{self, ParticipantSnapshot, StoreSnapshot};
 use orchestra_storage::wal::WalRecord;
 use orchestra_storage::{
-    Decision, EpochRegistry, InstanceCheckpoint, ParticipantRecord, PruneReport, Result,
+    Decision, EpochRegistry, InstanceCheckpoint, LogEntry, ParticipantRecord, PruneReport, Result,
     RetentionPolicy, SegmentedWal, StorageError, TransactionLog,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -972,8 +972,8 @@ impl StoreCatalog {
         let log = self.log.read().expect("log lock");
         let mut candidates = Vec::with_capacity(entries.len());
         for (id, priority) in entries {
-            let Some(txn) = log.log.get(id) else { continue };
-            let built = build_candidate(&log.log, &self.schema, &accepted, txn, priority, rescan);
+            let Some(entry) = log.log.entry(id) else { continue };
+            let built = build_candidate(&log.log, &self.schema, &accepted, entry, priority, rescan);
             candidates.push(built);
         }
         Ok(SessionBatch { participant, candidates, exhausted })
@@ -1489,9 +1489,9 @@ impl StoreCatalog {
                 if shard.record.decision(*id).is_some() {
                     continue;
                 }
-                let Some(txn) = log.log.get(*id) else { continue };
+                let Some(entry) = log.log.entry(*id) else { continue };
                 let (candidate, _) =
-                    build_candidate(&log.log, &self.schema, &accepted, txn, *priority, false);
+                    build_candidate(&log.log, &self.schema, &accepted, entry, *priority, false);
                 out.push(candidate);
             }
         }
@@ -1922,15 +1922,18 @@ fn apply_reconciliation(
 /// had to be fetched (used by the DHT store's message accounting). In
 /// `rescan` mode every member's update list is deep-copied, reproducing the
 /// pre-interning baseline cost; otherwise members share the log's update
-/// lists by reference count.
+/// lists by reference count, and an extension that is the root alone comes
+/// with the root entry's own flattening, derived the first time it is needed
+/// and shared by every participant since.
 fn build_candidate(
     log: &TransactionLog,
     schema: &Schema,
     accepted: &FxHashSet<TransactionId>,
-    txn: &Transaction,
+    entry: &LogEntry,
     priority: Priority,
     rescan: bool,
 ) -> (CandidateTransaction, usize) {
+    let txn = &entry.transaction;
     let member_ids = log.transaction_extension(txn, schema, accepted);
     let mut members = Vec::with_capacity(member_ids.len());
     let mut fetched = 0usize;
@@ -1946,7 +1949,11 @@ fn build_candidate(
     }
     let root_updates = if rescan { Arc::new(txn.updates().to_vec()) } else { txn.shared_updates() };
     members.push((txn.id(), root_updates));
-    (CandidateTransaction::from_members(txn.id(), priority, members), fetched)
+    // Only the root alone, holding the entry's own list (a rescan holds a
+    // copy), is what the entry's flattening flattens.
+    let shared = if rescan || fetched > 0 { None } else { entry.own_flattening(schema) };
+    let candidate = CandidateTransaction::from_members(txn.id(), priority, members);
+    (candidate.with_shared_flattening(shared), fetched)
 }
 
 impl Clone for StoreCatalog {
@@ -2139,6 +2146,66 @@ mod tests {
             batch.candidates.iter().find(|(c, _)| c.id == x1.id()).cloned().unwrap();
         assert_eq!(fetched, 0);
         assert_eq!(cand.members.len(), 1);
+    }
+
+    /// Drains one page of a fresh session for `participant`, aborting it.
+    fn one_page(
+        cat: &StoreCatalog,
+        participant: ParticipantId,
+        rescan: bool,
+    ) -> Vec<CandidateTransaction> {
+        let opened = cat.open_session(participant, rescan).unwrap();
+        let batch = cat.batch(opened.session, 10).unwrap();
+        cat.abort_session(opened.session);
+        batch.candidates.into_iter().map(|(c, _)| c).collect()
+    }
+
+    #[test]
+    fn a_root_alone_carries_its_entrys_flattening_to_every_participant() {
+        let cat = catalog_with_policies();
+        let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "v1"), p(3))]);
+        let x2 = txn(
+            2,
+            0,
+            vec![Update::modify(
+                "Function",
+                func("rat", "prot1", "v1"),
+                func("rat", "prot1", "v2"),
+                p(2),
+            )],
+        );
+        // One key twice: no flattening of its own.
+        let twice = txn(
+            3,
+            1,
+            vec![
+                Update::insert("Function", func("dog", "prot9", "a"), p(3)),
+                Update::modify(
+                    "Function",
+                    func("dog", "prot9", "a"),
+                    func("dog", "prot9", "b"),
+                    p(3),
+                ),
+            ],
+        );
+        cat.publish(p(3), vec![x3.clone()]).unwrap();
+        cat.publish(p(2), vec![x2.clone()]).unwrap();
+        cat.publish(p(3), vec![twice.clone()]).unwrap();
+        let find =
+            |page: &[CandidateTransaction], id| page.iter().find(|c| c.id == id).cloned().unwrap();
+
+        // p1 and p2 both reconcile x3, the root alone: one flattening, shared
+        // by both and equal to the one either would have computed.
+        let (of_p1, of_p2) = (one_page(&cat, p(1), false), one_page(&cat, p(2), false));
+        let (a, b) = (find(&of_p1, x3.id()), find(&of_p2, x3.id()));
+        let (a_flat, b_flat) = (a.shared_flattening().unwrap(), b.shared_flattening().unwrap());
+        assert!(Arc::ptr_eq(a_flat, b_flat));
+        assert_eq!(a_flat.updates(), a.flattened(cat.schema()).updates());
+        // x2's extension is x3 and x2: a chain, flattened by the participant.
+        assert!(find(&of_p1, x2.id()).shared_flattening().is_none());
+        assert!(find(&of_p1, twice.id()).shared_flattening().is_none());
+        // A rescan copies the updates, so it shares nothing.
+        assert!(find(&one_page(&cat, p(1), true), x3.id()).shared_flattening().is_none());
     }
 
     #[test]
@@ -2519,6 +2586,36 @@ mod tests {
         drop(recovered);
         let recovered2 = StoreCatalog::recover(&dir).unwrap();
         assert_eq!(format!("{recovered2:?}"), live2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The flattenings sessions derive on log entries are in no rendering and
+    /// no comparison: the live catalogue reads as, and equals, its recovered
+    /// twin, whose entries have derived nothing.
+    #[test]
+    fn derived_flattenings_leave_the_recovered_twin_identical() {
+        let dir = tmp_dir("flattenings");
+        let cat = durable_catalog(&dir);
+        run_history(&cat);
+        let mut derived = 0;
+        for who in [p(2), p(3), p(4)] {
+            let opened = cat.open_session(who, false).unwrap();
+            let batch = cat.batch(opened.session, 10).unwrap();
+            let ids: Vec<TransactionId> = batch.candidates.iter().map(|(c, _)| c.id).collect();
+            derived +=
+                batch.candidates.iter().filter(|(c, _)| c.shared_flattening().is_some()).count();
+            cat.commit_session(opened.session, &ids, &[]).unwrap();
+        }
+        assert!(derived >= 3, "every participant reconciled a root alone");
+        let entries = |cat: &StoreCatalog| -> Vec<LogEntry> {
+            cat.log.read().expect("log lock").log.entries().cloned().collect()
+        };
+        let (live, live_entries) = (format!("{cat:?}"), entries(&cat));
+        drop(cat);
+
+        let recovered = StoreCatalog::recover(&dir).unwrap();
+        assert_eq!(format!("{recovered:?}"), live);
+        assert_eq!(entries(&recovered), live_entries);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -184,11 +184,11 @@ mod tests {
 
     fn candidate() -> CandidateTransaction {
         let t = txn(1, 0);
-        CandidateTransaction {
-            id: t.id(),
-            priority: Priority::from(3u32),
-            members: vec![(t.id(), Arc::new(t.updates().to_vec()))],
-        }
+        CandidateTransaction::from_members(
+            t.id(),
+            Priority::from(3u32),
+            vec![(t.id(), Arc::new(t.updates().to_vec()))],
+        )
     }
 
     #[test]

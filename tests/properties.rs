@@ -3,11 +3,11 @@
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    flatten, flatten_keyed, ParticipantId, Priority, ReconciliationId, Schema, Transaction, Tuple,
-    Update, UpdateOp, Value,
+    flatten, flatten_keyed, Epoch, ParticipantId, Priority, ReconciliationId, Schema, Transaction,
+    Tuple, Update, UpdateOp, Value,
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
-use orchestra_storage::{Database, StorageError, Table};
+use orchestra_storage::{Database, LogEntry, StorageError, Table};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -322,6 +322,38 @@ proptest! {
         if shared {
             prop_assert_eq!(net.updates(), members[0].as_slice());
         }
+    }
+
+    /// A log entry's own flattening — the one the store derives once and
+    /// hands to every participant reconciling the transaction alone — is
+    /// `flatten_keyed` of that transaction: the same updates in the same
+    /// order with the same keys, which the chaining route gives too. It is
+    /// there exactly when `flatten_keyed` shares the transaction's list, so
+    /// not when a key is touched twice, and it is derived once.
+    #[test]
+    fn a_log_entrys_own_flattening_is_its_transactions_keyed_flattening(
+        updates in prop::collection::vec(raw_update_strategy(), 1..6)
+    ) {
+        let schema = bioinformatics_schema();
+        let updates = updates.into_iter().map(|u| Update { origin: p(1), ..u }).collect();
+        let txn = Arc::new(Transaction::from_parts(p(1), 0, updates).unwrap());
+        let entry = LogEntry::new(Epoch(1), Arc::clone(&txn));
+        let own = txn.shared_updates();
+        let keyed = flatten_keyed(&schema, [&own]);
+        // An empty second member sends the same updates down the chains.
+        let chained = flatten_keyed(&schema, [&own, &Arc::new(Vec::new())]);
+        prop_assert!(!chained.shares(&own));
+
+        let derived = entry.own_flattening(&schema);
+        prop_assert_eq!(derived.is_some(), keyed.shares(&own));
+        if let Some(derived) = derived {
+            prop_assert!(derived.shares(&own));
+            let derived: Vec<_> = derived.iter().collect();
+            prop_assert_eq!(&derived, &keyed.iter().collect::<Vec<_>>());
+            prop_assert_eq!(&derived, &chained.iter().collect::<Vec<_>>());
+        }
+        let again = entry.own_flattening(&schema).map(Arc::as_ptr);
+        prop_assert_eq!(derived.map(Arc::as_ptr), again);
     }
 
     /// The keyed and unkeyed `Table` operations are one implementation: the
