@@ -3,17 +3,20 @@
 //! `ReconcileUpdates` run over a synthetic candidate set — thin candidates
 //! with conflicts, wide conflict-free candidates against a non-empty own
 //! delta (the benchmark's `durable_crash` shape, where the per-applied-update
-//! constant is what matters), and thin candidates as the store hands them out
-//! reconciled by every participant trusting them (`wide_insert`'s fan-out).
+//! constant is what matters), thin candidates as the store hands them out
+//! reconciled by every participant trusting them (`wide_insert`'s fan-out),
+//! and thin modifications against an instance of `deep_conflict`'s size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    flatten, ParticipantId, Priority, ReconciliationId, Transaction, TrustPolicy, Tuple, Update,
+    flatten, flatten_own, ParticipantId, Priority, ReconciliationId, Transaction, TrustPolicy,
+    Tuple, Update,
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
 use orchestra_storage::Database;
 use orchestra_store::StoreCatalog;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn p(i: u32) -> ParticipantId {
@@ -201,11 +204,73 @@ fn bench_thin_fanout(c: &mut Criterion) {
     group.finish();
 }
 
+/// `deep_conflict`'s instance at the end of a run — 800 `Function` rows and
+/// 5 800 cross-references — reconciling one-update modifications of its
+/// `Function` rows, each candidate carrying its own flattening as the store
+/// hands it out. An iteration is two reconciliations of 64 candidates: the
+/// first moves 64 rows to another function, the second moves them back, so
+/// the instance is where it started and no clone is timed. Divide the mean by
+/// 128 for the time per applied update.
+fn bench_large_instance(c: &mut Criterion) {
+    let schema = bioinformatics_schema();
+    let mut base = Database::new(schema.clone());
+    for key in 0..800 {
+        base.apply_update(&Update::insert("Function", func(key, 0), p(9))).unwrap();
+    }
+    for i in 0..5_800usize {
+        let (protein, db, accession) =
+            (format!("prot{:05}", i % 800), format!("db{}", i / 800), format!("acc{i}"));
+        let xref = Tuple::of_text(&["organism", &protein, &db, &accession]);
+        base.apply_update(&Update::insert("XRef", xref, p(9))).unwrap();
+    }
+    let wave = |from: usize, to: usize, first_local: u64| -> Vec<CandidateTransaction> {
+        (0..64usize)
+            .map(|i| {
+                let (key, origin) = (12 * i + 5, p(2 + (i % 8) as u32));
+                let modify = Update::modify("Function", func(key, from), func(key, to), origin);
+                let txn =
+                    Transaction::from_parts(origin, first_local + i as u64, vec![modify]).unwrap();
+                let own = flatten_own(&schema, &txn.shared_updates()).map(Arc::new);
+                CandidateTransaction::new(&txn, Priority(1), vec![])
+                    .with_shared_flattening(own.as_ref())
+            })
+            .collect()
+    };
+    let waves = [wave(0, 1, 0), wave(1, 0, 64)];
+    let engine = ReconcileEngine::new(schema.clone());
+    // Returns how many candidates were accepted.
+    let reconcile = |db: &mut Database| -> usize {
+        let mut accepted = 0;
+        for candidates in &waves {
+            let input = ReconcileInput {
+                recno: ReconciliationId(1),
+                candidates: candidates.clone(),
+                ..Default::default()
+            };
+            accepted += engine.reconcile(input, db, &mut SoftState::new()).accepted_roots.len();
+        }
+        accepted
+    };
+    let mut db = base.clone();
+    assert_eq!(reconcile(&mut db), 128, "every modification applies");
+    assert_eq!(db, base, "every row is back where it started");
+
+    let mut group = c.benchmark_group("large_instance");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(5));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function(BenchmarkId::new("modify_there_and_back", 128), |b| {
+        b.iter(|| reconcile(&mut db))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_flatten,
     bench_reconcile,
     bench_wide_txn_own_delta,
-    bench_thin_fanout
+    bench_thin_fanout,
+    bench_large_instance
 );
 criterion_main!(benches);

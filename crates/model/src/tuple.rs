@@ -12,15 +12,22 @@ use std::sync::Arc;
 /// Tuples are schema-agnostic; conformance to a particular
 /// [`crate::schema::RelationSchema`] is checked by
 /// [`crate::schema::RelationSchema::validate_tuple`].
+///
+/// The values live in one shared buffer, so cloning a tuple — into an
+/// instance row, out of one, into a constraint check — bumps a reference
+/// count: a participant's row shares the buffer of the published update that
+/// wrote it. Equality, ordering, hashing and `Debug` are the slice's, the same
+/// as those of the values as a `Vec`; equality skips reading one shared
+/// buffer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Creates a tuple from a list of values.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple { values: values.into() }
     }
 
     /// Creates a tuple of text values — a convenience for the bioinformatics
@@ -46,14 +53,14 @@ impl Tuple {
 
     /// Returns a copy with the attribute at `index` replaced by `value`.
     pub fn with_value(&self, index: usize, value: Value) -> Tuple {
-        let mut values = self.values.clone();
+        let mut values = self.values.to_vec();
         values[index] = value;
-        Tuple { values }
+        Tuple::new(values)
     }
 
     /// Consumes the tuple, returning its values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.to_vec()
     }
 
     /// Projects the tuple onto the given column indexes, in the given order.
@@ -96,10 +103,10 @@ impl From<Vec<Value>> for Tuple {
 /// collide in it.
 ///
 /// The values live in one shared buffer, so cloning a key — into an instance
-/// row, a table index, the dirty set — bumps a reference count: every
-/// participant's row under a key that a published transaction's flattening
-/// derived shares that flattening's buffer. The key is as large as the `Vec`
-/// it replaced (24 bytes).
+/// row, the dirty set — bumps a reference count: every participant's row
+/// under a key that a published transaction's flattening derived shares that
+/// flattening's buffer. The key is as large as the `Vec` it replaced (24
+/// bytes).
 #[derive(Clone)]
 pub struct KeyValue {
     values: Arc<[Value]>,
@@ -228,15 +235,16 @@ mod tests {
         assert!(!set.contains(&KeyValue::of_text(&["rat", "prot2"])));
     }
 
-    #[test]
-    fn a_key_is_its_values_with_their_hash_and_stays_three_words() {
-        use std::collections::hash_map::DefaultHasher;
-        let hash_of = |key: &KeyValue| {
-            let mut h = DefaultHasher::new();
-            key.hash(&mut h);
-            h.finish()
-        };
-        let keys: Vec<Vec<Value>> = vec![
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// Value lists that differ in length, in one value, in type, and in where
+    /// one string ends and the next begins.
+    fn value_matrix() -> Vec<Vec<Value>> {
+        vec![
             vec![],
             vec![Value::text("rat")],
             vec![Value::text("rat"), Value::text("prot1")],
@@ -245,7 +253,12 @@ mod tests {
             vec![Value::int(1), Value::Null],
             vec![Value::int(1)],
             vec![Value::Float(f64::NAN), Value::Bool(true)],
-        ];
+        ]
+    }
+
+    #[test]
+    fn a_key_is_its_values_with_their_hash_and_stays_three_words() {
+        let keys = value_matrix();
         for a in &keys {
             for b in &keys {
                 let (ka, kb) = (KeyValue::from_values(a.clone()), KeyValue::from_values(b.clone()));
@@ -264,6 +277,29 @@ mod tests {
         assert_eq!(std::mem::size_of::<KeyValue>(), 24);
         // A clone shares the buffer.
         assert!(Arc::ptr_eq(&owned.values, &owned.clone().values));
+    }
+
+    #[test]
+    fn a_tuple_is_its_values_as_a_vec_in_a_shared_buffer() {
+        let rows = value_matrix();
+        for a in &rows {
+            let ta = Tuple::new(a.clone());
+            assert_eq!(hash_of(&ta), hash_of(a), "{a:?}");
+            assert_eq!(format!("{ta:?}"), format!("Tuple {{ values: {a:?} }}"));
+            for b in &rows {
+                let tb = Tuple::new(b.clone());
+                assert_eq!(ta == tb, a == b, "{a:?} vs {b:?}");
+                assert_eq!(ta.cmp(&tb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        let row = Tuple::of_text(&["rat", "prot1", "immune"]);
+        assert_eq!(
+            format!("{row:?}"),
+            r#"Tuple { values: [Text("rat"), Text("prot1"), Text("immune")] }"#
+        );
+        assert!(std::mem::size_of::<Tuple>() <= 24);
+        // A clone shares the buffer.
+        assert!(Arc::ptr_eq(&row.values, &row.clone().values));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub fn state_ratio(instances: &[&Database]) -> f64 {
     let Some(first) = instances.first() else { return 1.0 };
     let mut ratios = Vec::new();
     for relation in first.schema().relation_names() {
-        let populated = instances.iter().any(|db| !db.relation_contents(relation).is_empty());
+        let populated = instances.iter().any(|db| db.table(relation).is_ok_and(|t| !t.is_empty()));
         if populated {
             ratios.push(state_ratio_for_relation(instances, relation));
         }

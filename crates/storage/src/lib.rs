@@ -4,8 +4,7 @@
 //! each participant maintains a local relational instance. This crate is the
 //! from-scratch substitute for both roles:
 //!
-//! * [`Table`] — a primary-key-indexed relation with optional secondary
-//!   indexes.
+//! * [`Table`] — a relation whose rows are hashed by primary key.
 //! * [`Database`] — a set of tables conforming to a
 //!   [`orchestra_model::Schema`], with update application, constraint
 //!   enforcement and in-memory snapshots. Implements

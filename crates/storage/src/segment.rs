@@ -11,7 +11,8 @@
 //!                      Publish, MembershipFrontier, RetireParticipant,
 //!                      Prune)
 //! wal.<gen>.p<id>.log  one segment per participant shard
-//!                      (CommitReconciliation, Decisions), created lazily
+//!                      (CommitReconciliation, Decisions), created when the
+//!                      participant registers or a new generation starts
 //! ```
 //!
 //! Durable commits on different shards now append to different files under
@@ -257,9 +258,15 @@ impl SegmentedWal {
 
     /// Appends one record to its segment: publishes and other log-shard
     /// records to `wal.<gen>.log`, reconciliation commits and decisions to
-    /// the owning participant's segment (created on first use). The stamp is
-    /// taken before the write; the write itself holds only the target
-    /// segment's mutex.
+    /// the owning participant's segment. The stamp is taken before the write;
+    /// the write itself holds only the target segment's mutex.
+    ///
+    /// A policy registration also creates the participant's segment, so its
+    /// commits append to a file that already exists: creating a file is a
+    /// file-system metadata operation whose latency swings with the state of
+    /// the file system, and it belongs to set-up, not to a reconciliation.
+    /// (A segment missing anyway — a directory written before registration
+    /// created segments — is created on first use.)
     pub fn append(&self, record: &WalRecord) -> Result<()> {
         let (epoch, causal) = match record {
             WalRecord::Publish { epoch, .. } => {
@@ -278,8 +285,29 @@ impl SegmentedWal {
             SegmentId::Participant(p) => self.shard_segment(p)?,
             SegmentId::Log => Arc::clone(&self.log),
         };
-        let result = segment.lock().expect("segment lock").append(&payload);
-        result
+        segment.lock().expect("segment lock").append(&payload)?;
+        if let WalRecord::RegisterPolicy { policy } = record {
+            self.shard_segment(policy.owner())?;
+        }
+        Ok(())
+    }
+
+    /// Starts the next generation in the same directory: a fresh log-shard
+    /// segment and an empty segment for every participant that has one in
+    /// this generation, under this generation's flush policy and
+    /// observability sink — so a snapshot, not the first commit after it,
+    /// creates the files. Retiring this generation's files is the caller's
+    /// ([`delete_generation`]).
+    pub fn next_generation(&self) -> Result<SegmentedWal> {
+        let next = SegmentedWal::create(&self.dir, self.generation + 1)?;
+        next.set_flush_policy(self.flush_policy());
+        next.set_observability(&self.observability());
+        let participants: Vec<u32> =
+            self.shards.lock().expect("shard segment map lock").keys().copied().collect();
+        for id in participants {
+            next.shard_segment(ParticipantId(id))?;
+        }
+        Ok(next)
     }
 
     /// The segment of a participant shard, created (empty, with the current
@@ -500,6 +528,38 @@ mod tests {
         assert!(dir.join("wal.0.p1.log").exists());
         assert!(dir.join("wal.0.p2.log").exists());
         assert_eq!(list_shard_segments(&dir, 0).unwrap(), vec![ParticipantId(1), ParticipantId(2)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn registration_and_the_next_generation_create_the_participant_segments() {
+        let dir = tmp_dir("registration");
+        let wal = SegmentedWal::create(&dir, 0).unwrap();
+        let register = WalRecord::RegisterPolicy {
+            policy: orchestra_model::TrustPolicy::new(ParticipantId(5)),
+        };
+        wal.append(&register).unwrap();
+        // The record lands in the log shard; the segment exists, empty.
+        assert!(dir.join("wal.0.p5.log").exists());
+        assert_eq!(wal.segment_count(), 2);
+        assert_eq!(wal.records(), 1);
+        wal.set_flush_policy(FlushPolicy::EveryAppend);
+
+        let next = wal.next_generation().unwrap();
+        assert_eq!(next.generation(), 1);
+        assert_eq!(next.segment_count(), 2);
+        assert_eq!(next.records(), 0);
+        assert!(dir.join("wal.1.log").exists());
+        assert!(dir.join("wal.1.p5.log").exists());
+        // The flush policy came along, for the segment made ahead of use.
+        assert_eq!(next.flush_policy(), FlushPolicy::EveryAppend);
+        next.append(&commit(5, 1, 0)).unwrap();
+        assert_eq!(next.unsynced_records(), 0);
+        drop((wal, next));
+        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
+        assert_eq!(replay, vec![register]);
+        let (_, replay) = SegmentedWal::open(&dir, 1).unwrap();
+        assert_eq!(replay, vec![commit(5, 1, 0)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,58 +1,28 @@
-//! A single relation: primary-key-indexed rows plus optional secondary
-//! indexes.
+//! A single relation: rows hashed by primary key.
 
 use crate::error::{Result, StorageError};
-use orchestra_model::{KeyValue, RelationSchema, Tuple, Value};
+use orchestra_model::{KeyValue, RelationSchema, Tuple};
 use rustc_hash::FxHashMap;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::fmt;
 
-/// A non-unique secondary index over a subset of columns.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SecondaryIndex {
-    /// Column indexes this index covers, in order.
-    columns: Vec<usize>,
-    /// Index data: projected values -> primary keys of matching rows.
-    entries: BTreeMap<Vec<Value>, Vec<KeyValue>>,
-}
-
-impl SecondaryIndex {
-    fn new(columns: Vec<usize>) -> Self {
-        SecondaryIndex { columns, entries: BTreeMap::new() }
-    }
-
-    fn project(&self, tuple: &Tuple) -> Vec<Value> {
-        tuple.project(&self.columns)
-    }
-
-    fn add(&mut self, tuple: &Tuple, key: &KeyValue) {
-        self.entries.entry(self.project(tuple)).or_default().push(key.clone());
-    }
-
-    fn remove(&mut self, tuple: &Tuple, key: &KeyValue) {
-        let proj = self.project(tuple);
-        if let Some(keys) = self.entries.get_mut(&proj) {
-            keys.retain(|k| k != key);
-            if keys.is_empty() {
-                self.entries.remove(&proj);
-            }
-        }
-    }
-}
-
-/// A relation instance: rows indexed by primary key, plus any number of
-/// named secondary indexes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A relation instance: rows indexed by primary key.
+///
+/// Rows live in a hash table keyed by [`KeyValue`], whose hash is the one the
+/// key carries, so a probe hashes eight bytes and compares values only on a
+/// hash match. The table has no order of its own: [`Table::iter`],
+/// [`Table::rows`] and `Debug` sort by key, so whatever reads rows out sees
+/// them in key order whatever order they went in.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Table {
     schema: RelationSchema,
-    rows: BTreeMap<KeyValue, Tuple>,
-    indexes: FxHashMap<String, SecondaryIndex>,
+    rows: FxHashMap<KeyValue, Tuple>,
 }
 
 impl Table {
     /// Creates an empty table for the given relation schema.
     pub fn new(schema: RelationSchema) -> Self {
-        Table { schema, rows: BTreeMap::new(), indexes: FxHashMap::default() }
+        Table { schema, rows: FxHashMap::default() }
     }
 
     /// The relation schema of this table.
@@ -82,35 +52,14 @@ impl Table {
 
     /// Iterates over all rows in primary-key order.
     pub fn iter(&self) -> impl Iterator<Item = (&KeyValue, &Tuple)> {
-        self.rows.iter()
+        let mut rows: Vec<_> = self.rows.iter().collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        rows.into_iter()
     }
 
     /// All rows, in primary-key order.
     pub fn rows(&self) -> Vec<Tuple> {
-        self.rows.values().cloned().collect()
-    }
-
-    /// Declares a named secondary index over the given columns. Existing rows
-    /// are indexed immediately.
-    pub fn create_index(&mut self, name: impl Into<String>, columns: &[&str]) -> Result<()> {
-        let col_idx: Vec<usize> = columns
-            .iter()
-            .map(|c| self.schema.column_index(c))
-            .collect::<std::result::Result<_, _>>()?;
-        let mut index = SecondaryIndex::new(col_idx);
-        for (key, tuple) in &self.rows {
-            index.add(tuple, key);
-        }
-        self.indexes.insert(name.into(), index);
-        Ok(())
-    }
-
-    /// Looks up rows via a secondary index. Returns `None` if the index does
-    /// not exist; otherwise the matching tuples (possibly empty).
-    pub fn index_lookup(&self, index: &str, values: &[Value]) -> Option<Vec<Tuple>> {
-        let idx = self.indexes.get(index)?;
-        let keys = idx.entries.get(values).cloned().unwrap_or_default();
-        Some(keys.iter().filter_map(|k| self.rows.get(k).cloned()).collect())
+        self.iter().map(|(_, row)| row.clone()).collect()
     }
 
     /// Validates and inserts a tuple. Inserting a tuple identical to one
@@ -136,9 +85,6 @@ impl Table {
                 key: key.to_string(),
             }),
             Entry::Vacant(slot) => {
-                for idx in self.indexes.values_mut() {
-                    idx.add(tuple, key);
-                }
                 slot.insert(tuple.clone());
                 Ok(())
             }
@@ -156,9 +102,6 @@ impl Table {
     /// [`Table::delete`] for a caller that already holds the tuple's key.
     pub fn delete_keyed(&mut self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
         self.expect_row(key, tuple)?;
-        for idx in self.indexes.values_mut() {
-            idx.remove(tuple, key);
-        }
         self.rows.remove(key);
         Ok(())
     }
@@ -190,10 +133,6 @@ impl Table {
                 relation: self.schema.name().to_owned(),
                 key: to_key.to_string(),
             });
-        }
-        for idx in self.indexes.values_mut() {
-            idx.remove(from, from_key);
-            idx.add(to, to_key);
         }
         if moves {
             self.rows.remove(from_key);
@@ -261,6 +200,23 @@ impl Table {
         self.schema.validate_tuple(to).is_ok()
             && self.rows.get(from_key) == Some(from)
             && (to_key == from_key || self.rows.get(to_key).map_or(true, |other| other == to))
+    }
+}
+
+/// The derived form, `Table { schema, rows: {key: row, ..} }`, with the rows
+/// in key order.
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct InKeyOrder<'a>(&'a Table);
+        impl fmt::Debug for InKeyOrder<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("rows", &InKeyOrder(self))
+            .finish()
     }
 }
 
@@ -363,34 +319,6 @@ mod tests {
         assert!(t.can_modify(&func("rat", "prot1", "a"), &func("rat", "prot1", "b")));
         assert!(!t.can_modify(&func("rat", "prot1", "z"), &func("rat", "prot1", "b")));
         assert!(!t.can_insert(&Tuple::of_text(&["wrong-arity"])));
-    }
-
-    #[test]
-    fn secondary_index_lookup() {
-        let mut t = function_table();
-        t.create_index("by_function", &["function"]).unwrap();
-        t.insert(&func("rat", "prot1", "immune")).unwrap();
-        t.insert(&func("mouse", "prot2", "immune")).unwrap();
-        t.insert(&func("dog", "prot3", "cell-resp")).unwrap();
-        let immune = t.index_lookup("by_function", &[Value::text("immune")]).unwrap();
-        assert_eq!(immune.len(), 2);
-        let none = t.index_lookup("by_function", &[Value::text("nothing")]).unwrap();
-        assert!(none.is_empty());
-        assert!(t.index_lookup("missing_index", &[Value::text("x")]).is_none());
-
-        // Index is maintained across deletes and modifies.
-        t.delete(&func("rat", "prot1", "immune")).unwrap();
-        t.modify(&func("mouse", "prot2", "immune"), &func("mouse", "prot2", "cell-resp")).unwrap();
-        let immune = t.index_lookup("by_function", &[Value::text("immune")]).unwrap();
-        assert!(immune.is_empty());
-        let resp = t.index_lookup("by_function", &[Value::text("cell-resp")]).unwrap();
-        assert_eq!(resp.len(), 2);
-    }
-
-    #[test]
-    fn index_on_unknown_column_is_an_error() {
-        let mut t = function_table();
-        assert!(t.create_index("bad", &["nope"]).is_err());
     }
 
     #[test]

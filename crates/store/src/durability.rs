@@ -13,7 +13,9 @@
 //! * `wal.<generation>.log` — the log-shard segment of the current
 //!   generation (publishes, policy registrations, retention records);
 //! * `wal.<generation>.p<id>.log` — one segment per participant shard
-//!   (reconciliation commits and decisions), created on first use;
+//!   (reconciliation commits and decisions), created when the participant
+//!   registers and again for each new generation, so a commit never creates
+//!   a file;
 //! * `snapshot.orc` — the most recent compacting snapshot
 //!   ([`orchestra_storage::StoreSnapshot`]), which names the generation that
 //!   continues after it.
@@ -93,7 +95,7 @@ impl FileWalBackend {
     }
 
     /// Number of live segments in the current generation (1 log shard plus
-    /// one per participant shard that has committed).
+    /// one per participant shard that has registered or committed).
     pub fn segment_count(&self) -> usize {
         self.wal.read().expect("wal lock").segment_count()
     }
@@ -160,13 +162,11 @@ impl FileWalBackend {
         let next = old + 1;
         snapshot.wal_generation = next;
         snapshot::write_snapshot(&self.dir, &snapshot)?;
-        let new_wal = SegmentedWal::create(&self.dir, next)?;
         // The flush (group-commit) policy and the observability sink are
-        // properties of the backend, not of one generation's files: carry
-        // them over.
-        new_wal.set_flush_policy(wal.flush_policy());
+        // properties of the backend, not of one generation's files: the next
+        // generation carries them over, with every participant's segment.
+        let new_wal = wal.next_generation()?;
         let obs = wal.observability();
-        new_wal.set_observability(&obs);
         obs.metrics.counter("snapshot.installs").inc();
         obs.tracer.event("snapshot.install", &[("generation", next)]);
         *wal = new_wal;

@@ -3,12 +3,13 @@
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    flatten, flatten_keyed, Epoch, ParticipantId, Priority, ReconciliationId, Schema, Transaction,
-    Tuple, Update, UpdateOp, Value,
+    flatten, flatten_keyed, Epoch, KeyValue, ParticipantId, Priority, ReconciliationId,
+    RelationSchema, Schema, Transaction, Tuple, Update, UpdateOp, Value,
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
 use orchestra_storage::{Database, LogEntry, StorageError, Table};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn p(i: u32) -> ParticipantId {
@@ -145,6 +146,100 @@ fn raw_update_strategy() -> impl Strategy<Value = Update> {
         (relation(), tuple()).prop_map(|(r, t)| Update::delete(r, t, p(2))),
         (relation(), tuple(), tuple()).prop_map(|(r, from, to)| Update::modify(r, from, to, p(3))),
     ]
+}
+
+/// A [`Table`] as it was before its rows were hashed: the same rows in a
+/// `BTreeMap`, printed by the derived `Debug` under the same names.
+mod reference {
+    use orchestra_model::{KeyValue, RelationSchema, Tuple, UpdateOp};
+    use std::collections::BTreeMap;
+
+    #[derive(Debug)]
+    pub struct Table {
+        pub schema: RelationSchema,
+        pub rows: BTreeMap<KeyValue, Tuple>,
+    }
+
+    impl Table {
+        /// Applies `op` by `orchestra_storage::Table`'s rules; returns whether
+        /// it applied.
+        pub fn apply(&mut self, op: &UpdateOp) -> bool {
+            match op {
+                UpdateOp::Insert(t) => {
+                    let key = self.schema.key_of(t);
+                    self.schema.validate_tuple(t).is_ok()
+                        && match self.rows.get(&key) {
+                            Some(row) => row == t,
+                            None => self.rows.insert(key, t.clone()).is_none(),
+                        }
+                }
+                UpdateOp::Delete(t) => {
+                    let key = self.schema.key_of(t);
+                    self.rows.get(&key) == Some(t) && self.rows.remove(&key).is_some()
+                }
+                UpdateOp::Modify { from, to } => {
+                    let (from_key, to_key) = (self.schema.key_of(from), self.schema.key_of(to));
+                    let applies = self.schema.validate_tuple(to).is_ok()
+                        && self.rows.get(&from_key) == Some(from)
+                        && (from_key == to_key
+                            || self.rows.get(&to_key).map_or(true, |other| other == to));
+                    if applies {
+                        self.rows.remove(&from_key);
+                        self.rows.insert(to_key, to.clone());
+                    }
+                    applies
+                }
+            }
+        }
+    }
+}
+
+/// Applies `op` to `table`; returns whether it applied.
+fn apply_to(table: &mut Table, op: &UpdateOp) -> bool {
+    match op {
+        UpdateOp::Insert(t) => table.insert(t),
+        UpdateOp::Delete(t) => table.delete(t),
+        UpdateOp::Modify { from, to } => table.modify(from, to),
+    }
+    .is_ok()
+}
+
+/// The indexes of `ops` in another order: the groups of keys that
+/// key-changing modifications tie together go in the order `ranks` gives
+/// them, and each group's operations keep theirs. An operation reads and
+/// writes its own group's rows only, so each does what it did in the original
+/// order, and the rows are the same rows, stored in another order.
+fn shuffle_key_groups(rel: &RelationSchema, ops: &[UpdateOp], ranks: &[u64]) -> Vec<usize> {
+    fn root(parent: &[usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            i = parent[i];
+        }
+        i
+    }
+    let touched: Vec<Vec<KeyValue>> = ops
+        .iter()
+        .map(|op| match op {
+            UpdateOp::Insert(t) | UpdateOp::Delete(t) => vec![rel.key_of(t)],
+            UpdateOp::Modify { from, to } => vec![rel.key_of(from), rel.key_of(to)],
+        })
+        .collect();
+    let mut keys: Vec<&KeyValue> = touched.iter().flatten().collect();
+    keys.sort();
+    keys.dedup();
+    let index = |key: &KeyValue| keys.binary_search(&key).unwrap();
+    // Union-find over the keys, joined by every key-changing modification.
+    let mut parent: Vec<usize> = (0..keys.len()).collect();
+    for op_keys in &touched {
+        let a = root(&parent, index(&op_keys[0]));
+        let b = root(&parent, index(op_keys.last().unwrap()));
+        parent[a] = b;
+    }
+    let group_of: Vec<usize> =
+        touched.iter().map(|op_keys| root(&parent, index(&op_keys[0]))).collect();
+    let mut order: Vec<usize> = (0..ops.len()).collect();
+    // A stable sort: a group's operations keep their order.
+    order.sort_by_key(|&i| ranks[group_of[i] % ranks.len()]);
+    order
 }
 
 /// The variant of a storage error, with what it says left out.
@@ -357,8 +452,8 @@ proptest! {
     }
 
     /// The keyed and unkeyed `Table` operations are one implementation: the
-    /// same verdict from `can_*`, the same error, the same rows and secondary
-    /// index after every step of a random sequence with stale, missing,
+    /// same verdict from `can_*`, the same error, the same rows after every
+    /// step of a random sequence with stale, missing,
     /// duplicate and ill-typed cases and key-changing modifications — and
     /// `can_*` says whether the operation then succeeds. So are `Database`'s
     /// `apply_update` and `apply_keyed`, unknown relations included.
@@ -369,7 +464,6 @@ proptest! {
         let schema = bioinformatics_schema();
         let rel = schema.relation("Function").unwrap();
         let mut unkeyed = Table::new(rel.clone());
-        unkeyed.create_index("by_function", &["function"]).unwrap();
         let mut keyed = unkeyed.clone();
         for op in ops.iter().filter(|u| u.relation == "Function").map(|u| &u.op) {
             let (can, can_keyed, done, done_keyed) = match op {
@@ -418,6 +512,39 @@ proptest! {
             prop_assert_eq!(done.as_ref().err().map(error_kind), done_keyed.as_ref().err().map(error_kind));
             prop_assert_eq!(&unkeyed, &keyed);
         }
+    }
+
+    /// A hashed table reads out as a `BTreeMap` of the same rows would:
+    /// `iter`, `relation_contents` and `Debug` match the reference row for
+    /// row and byte for byte, after the operations run in the order generated
+    /// and after they run with the groups of keys they touch in another
+    /// order — so the same rows went in in another order.
+    #[test]
+    fn a_table_reads_out_in_key_order_whatever_order_its_rows_went_in(
+        ops in prop::collection::vec(raw_update_strategy(), 1..40),
+        ranks in prop::collection::vec(0u64..u64::MAX, 8),
+    ) {
+        let schema = bioinformatics_schema();
+        let rel = schema.relation("Function").unwrap();
+        let ops: Vec<UpdateOp> =
+            ops.into_iter().filter(|u| u.relation == "Function").map(|u| u.op).collect();
+        let mut model = reference::Table { schema: rel.clone(), rows: BTreeMap::new() };
+        let verdicts: Vec<bool> = ops.iter().map(|op| model.apply(op)).collect();
+
+        let mut in_order = Table::new(rel.clone());
+        for (op, verdict) in ops.iter().zip(&verdicts) {
+            prop_assert_eq!(apply_to(&mut in_order, op), *verdict, "{:?}", op);
+        }
+        let mut db = Database::new(schema.clone());
+        for i in shuffle_key_groups(rel, &ops, &ranks) {
+            prop_assert_eq!(apply_to(db.table_mut("Function").unwrap(), &ops[i]), verdicts[i]);
+        }
+        let expected: Vec<_> = model.rows.iter().collect();
+        for table in [&in_order, db.table("Function").unwrap()] {
+            prop_assert_eq!(table.iter().collect::<Vec<_>>(), expected.clone());
+            prop_assert_eq!(format!("{table:?}"), format!("{model:?}"));
+        }
+        prop_assert_eq!(db.relation_contents("Function"), model.rows.into_iter().collect::<Vec<_>>());
     }
 
     /// The conflict relation between updates is symmetric.
