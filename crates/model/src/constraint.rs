@@ -68,14 +68,6 @@ impl Constraint {
         }
     }
 
-    /// The relation whose modifications can violate this constraint directly.
-    pub fn constrained_relation(&self) -> &str {
-        match self {
-            Constraint::ForeignKey { relation, .. } => relation,
-            Constraint::Unique { relation, .. } => relation,
-        }
-    }
-
     /// Checks that the constraint references only relations and columns that
     /// exist in the schema.
     pub fn validate_against(&self, schema: &Schema) -> Result<()> {
@@ -355,7 +347,6 @@ mod tests {
     #[test]
     fn names_and_display() {
         let fk = fk_constraint();
-        assert_eq!(fk.constrained_relation(), "XRef");
         assert!(fk.to_string().contains("fk:XRef->Function"));
     }
 }

@@ -96,8 +96,8 @@ impl fmt::Display for Epoch {
 /// events the publisher had observed when it published. Stamps of one
 /// publisher form a chain (`seq` is 1-based and gapless), so the store can
 /// ingest them in any interleaving, and a partitioned publisher can keep
-/// stamping offline; the DAG spanned by `parents` is what
-/// [`crate::causal::compare_clocks`] walks to order or merge histories.
+/// stamping offline. A stamp that `parents` covers
+/// ([`AntichainClock::covers`]) precedes this one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CausalStamp {
     /// The publishing participant.

@@ -38,7 +38,7 @@ pub mod tuple;
 pub mod update;
 pub mod value;
 
-pub use causal::{compare_clocks, AntichainClock, CausalRelation, StampId};
+pub use causal::{AntichainClock, StampId};
 pub use conflict::{ConflictKey, ConflictKind};
 pub use constraint::{Constraint, InstanceView};
 pub use error::{ModelError, Result};

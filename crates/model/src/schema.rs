@@ -215,11 +215,6 @@ impl Schema {
         self.relations.get(name).ok_or_else(|| ModelError::UnknownRelation(name.to_owned()))
     }
 
-    /// Returns true if the schema declares the relation.
-    pub fn has_relation(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
-    }
-
     /// Iterates over all relation schemas in name order.
     pub fn relations(&self) -> impl Iterator<Item = &RelationSchema> {
         self.relations.values()
@@ -388,9 +383,6 @@ mod tests {
     #[test]
     fn schema_lookup() {
         let schema = bioinformatics_schema();
-        assert!(schema.has_relation("Function"));
-        assert!(schema.has_relation("XRef"));
-        assert!(!schema.has_relation("Gene"));
         assert_eq!(schema.len(), 2);
         assert!(!schema.is_empty());
         assert!(schema.relation("Function").is_ok());

@@ -150,7 +150,7 @@ impl AcceptanceRule {
 
     /// The common case in the paper's figures: "updates from participant `p`
     /// get priority `v`".
-    pub fn trust_participant(p: ParticipantId, priority: impl Into<Priority>) -> Self {
+    fn trust_participant(p: ParticipantId, priority: impl Into<Priority>) -> Self {
         AcceptanceRule::new(Predicate::FromParticipant(p), priority)
     }
 }

@@ -57,16 +57,6 @@ impl Tuple {
         values[index] = value;
         Tuple::new(values)
     }
-
-    /// Consumes the tuple, returning its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values.to_vec()
-    }
-
-    /// Projects the tuple onto the given column indexes, in the given order.
-    pub fn project(&self, indexes: &[usize]) -> Vec<Value> {
-        indexes.iter().map(|&i| self.values[i].clone()).collect()
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -213,12 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_preserves_order() {
-        let t = Tuple::of_text(&["rat", "prot1", "immune"]);
-        assert_eq!(t.project(&[2, 0]), vec![Value::text("immune"), Value::text("rat")]);
-    }
-
-    #[test]
     fn display_formats() {
         let t = Tuple::of_text(&["mouse", "prot2"]);
         assert_eq!(t.to_string(), "(mouse, prot2)");
@@ -307,12 +291,5 @@ mod tests {
         let a = Tuple::of_text(&["a", "b"]);
         let b = Tuple::of_text(&["a", "c"]);
         assert!(a < b);
-    }
-
-    #[test]
-    fn into_values_round_trip() {
-        let t = Tuple::new(vec![Value::int(1), Value::text("x")]);
-        let vs = t.clone().into_values();
-        assert_eq!(Tuple::from(vs), t);
     }
 }

@@ -58,7 +58,7 @@ pub enum Value {
 
 impl Value {
     /// Returns the type of the value, or `None` for [`Value::Null`].
-    pub fn value_type(&self) -> Option<ValueType> {
+    fn value_type(&self) -> Option<ValueType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(ValueType::Int),
@@ -90,22 +90,6 @@ impl Value {
     /// Convenience constructor for integer values.
     pub fn int(v: i64) -> Value {
         Value::Int(v)
-    }
-
-    /// Returns the text content if this is a text value.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer content if this is an integer value.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
     }
 
     /// A rank used to order values of different types deterministically.
@@ -312,10 +296,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert_eq!(Value::text("x").as_text(), Some("x"));
-        assert_eq!(Value::int(3).as_text(), None);
-        assert_eq!(Value::int(3).as_int(), Some(3));
-        assert_eq!(Value::text("x").as_int(), None);
         assert!(Value::Null.is_null());
         assert!(!Value::int(0).is_null());
     }

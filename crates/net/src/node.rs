@@ -18,7 +18,7 @@ impl NodeId {
     /// Derives a node identifier from an arbitrary byte string, using a
     /// SplitMix64-based hash expanded to 128 bits. The construction is
     /// deterministic so simulations are reproducible.
-    pub fn hash_bytes(bytes: &[u8]) -> NodeId {
+    fn hash_bytes(bytes: &[u8]) -> NodeId {
         let mut h1: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut h2: u64 = 0xD1B5_4A32_D192_ED03;
         for &b in bytes {

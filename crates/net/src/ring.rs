@@ -57,7 +57,7 @@ impl Ring {
     }
 
     /// Builds an overlay with a specific leaf-set size.
-    pub fn with_leaf_set(mut members: Vec<NodeId>, leaf_set_size: usize) -> Ring {
+    fn with_leaf_set(mut members: Vec<NodeId>, leaf_set_size: usize) -> Ring {
         members.sort_unstable();
         members.dedup();
         let mut ring = Ring { members, routing: FxHashMap::default(), leaf_set_size };

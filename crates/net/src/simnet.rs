@@ -8,7 +8,6 @@
 use crate::node::NodeId;
 use crate::ring::Ring;
 use orchestra_obs::{Counter, MetricsRegistry};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Cumulative statistics of a simulated network.
@@ -35,7 +34,7 @@ impl NetworkStats {
 /// counters — either detached (the default) or, via
 /// [`SimNetwork::with_observability`], the shared cells a
 /// [`MetricsRegistry`] snapshots under `net.*` keys. A per-instance
-/// baseline keeps [`SimNetwork::stats`] / [`SimNetwork::reset_stats`]
+/// baseline, read when the network is made, keeps [`SimNetwork::stats`]
 /// scoped to this network while the registry keeps cumulative totals.
 #[derive(Debug, Default)]
 struct AtomicStats {
@@ -43,22 +42,21 @@ struct AtomicStats {
     hops: Counter,
     bytes: Counter,
     latency_us: Counter,
-    base: Mutex<NetworkStats>,
+    base: NetworkStats,
 }
 
 impl AtomicStats {
     fn resolved(registry: &MetricsRegistry) -> AtomicStats {
-        let stats = AtomicStats {
+        let mut stats = AtomicStats {
             messages: registry.counter("net.messages"),
             hops: registry.counter("net.hops"),
             bytes: registry.counter("net.bytes"),
             latency_us: registry.counter("net.latency_us"),
-            base: Mutex::new(NetworkStats::default()),
+            base: NetworkStats::default(),
         };
         // The registry cells may already carry traffic from earlier
         // networks; start this instance's view at zero.
-        let raw = stats.raw();
-        *stats.base.lock().expect("stats base lock") = raw;
+        stats.base = stats.raw();
         stats
     }
 
@@ -72,8 +70,7 @@ impl AtomicStats {
     }
 
     fn snapshot(&self) -> NetworkStats {
-        let raw = self.raw();
-        let base = *self.base.lock().expect("stats base lock");
+        let (raw, base) = (self.raw(), self.base);
         NetworkStats {
             messages: raw.messages.saturating_sub(base.messages),
             hops: raw.hops.saturating_sub(base.hops),
@@ -81,16 +78,11 @@ impl AtomicStats {
             latency_us: raw.latency_us.saturating_sub(base.latency_us),
         }
     }
-
-    fn reset(&self) {
-        let raw = self.raw();
-        *self.base.lock().expect("stats base lock") = raw;
-    }
 }
 
 /// A deterministic virtual-time network over a DHT overlay.
 ///
-/// Every message charged through the network adds `latency_per_message` per
+/// Every message charged through the network adds the per-message latency per
 /// overlay hop to the virtual clock, mirroring the paper's setup where every
 /// message (and reply) transmission is delayed by at least 500 µs. Replies are
 /// modelled as direct (single-hop) messages, as in Pastry, where the reply is
@@ -148,19 +140,9 @@ impl SimNetwork {
         self.ring.join(node);
     }
 
-    /// The per-message latency.
-    pub fn latency_per_message(&self) -> Duration {
-        Duration::from_micros(self.latency_per_message_us)
-    }
-
     /// Cumulative statistics so far.
     pub fn stats(&self) -> NetworkStats {
         self.stats.snapshot()
-    }
-
-    /// Resets the statistics (e.g. between measured reconciliations).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     fn charge(&self, hops: u64, bytes: u64) {
@@ -231,7 +213,8 @@ mod tests {
     #[test]
     fn default_latency_matches_the_paper() {
         let net = network(4);
-        assert_eq!(net.latency_per_message(), Duration::from_micros(500));
+        net.send_direct(net.ring().members()[0], net.ring().members()[1], 1);
+        assert_eq!(net.stats().latency_us, 500);
     }
 
     #[test]
@@ -257,16 +240,6 @@ mod tests {
         assert!(stats.hops >= 2);
         assert_eq!(stats.bytes, 320);
         assert!(stats.latency().as_micros() as u64 == stats.latency_us);
-    }
-
-    #[test]
-    fn reset_clears_stats() {
-        let net = network(4);
-        let from = net.ring().members()[0];
-        net.round_trip(from, NodeId::hash_u64(1), 1, 1);
-        assert!(net.stats().messages > 0);
-        net.reset_stats();
-        assert_eq!(net.stats(), NetworkStats::default());
     }
 
     #[test]
@@ -320,10 +293,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters["net.messages"], 3);
         assert_eq!(snap.counters["net.bytes"], 25);
-        // reset_stats rebaselines the view without clearing the registry.
-        net2.reset_stats();
-        assert_eq!(net2.stats(), NetworkStats::default());
-        assert_eq!(registry.snapshot().counters["net.messages"], 3);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub fn parse_text(input: &str) -> Result<Vec<ParsedEvent>, String> {
 }
 
 /// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

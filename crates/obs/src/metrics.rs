@@ -161,7 +161,7 @@ impl HistogramSnapshot {
 
     /// The quantile `num/den` as the inclusive upper bound of the bucket
     /// containing the nearest-rank observation. Integer arithmetic only.
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
+    fn quantile(&self, num: u64, den: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }

@@ -6,7 +6,7 @@
 //! so many participants — one per thread — publish and reconcile against the
 //! same store concurrently. Reconciliation uses the store's session API:
 //! candidates are streamed in bounded pages
-//! ([`Participant::reconcile_batch_size`]), decided by the client-centric
+//! ([`Participant::set_reconcile_batch_size`]), decided by the client-centric
 //! engine, and the decisions are committed atomically with the session.
 
 use crate::report::{ReconcileReport, ResolutionReport, TimingBreakdown};
@@ -284,11 +284,6 @@ impl Participant {
         self.obs.metrics.counter("participant.local_us").add(timing.local.as_micros() as u64);
     }
 
-    /// The page size used for session-based candidate retrieval.
-    pub fn reconcile_batch_size(&self) -> usize {
-        self.reconcile_batch_size
-    }
-
     /// Sets the page size for session-based candidate retrieval (clamped to
     /// at least 1).
     pub fn set_reconcile_batch_size(&mut self, size: usize) {
@@ -334,8 +329,8 @@ impl Participant {
         self.engine.extension_cache().retain(|id| soft.is_deferred(id));
     }
 
-    /// Number of flattened extensions held by the engine's cache (for the
-    /// retention workload's client-side live-set accounting).
+    /// Number of flattened extensions held by the engine's cache: what
+    /// [`Participant::prune_caches`] keeps, the chains still deferred.
     pub fn engine_cache_len(&self) -> usize {
         self.engine.extension_cache().len()
     }

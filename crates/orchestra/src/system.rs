@@ -301,13 +301,6 @@ impl<S: UpdateStore> CdssSystem<S> {
         Ok(out)
     }
 
-    /// Records a participant's instance checkpoint at the store (see
-    /// [`Participant::checkpoint_to_store`]).
-    pub fn checkpoint_participant(&mut self, id: ParticipantId) -> Result<()> {
-        let (store, participant) = self.store_and_participant(id)?;
-        participant.checkpoint_to_store(store)
-    }
-
     /// The current database instances of every participant, in id order.
     pub fn instances(&self) -> Vec<&Database> {
         self.participants.values().map(Participant::instance).collect()
@@ -941,21 +934,6 @@ mod tests {
         for id in system.participant_ids() {
             assert_eq!(system.participant(id).unwrap().instance().total_tuples(), 3);
         }
-    }
-
-    #[test]
-    fn checkpoint_participant_records_at_the_store() {
-        let mut system = fully_trusting_system(2);
-        system
-            .execute(p(1), vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))])
-            .unwrap();
-        system.publish_and_reconcile(p(1)).unwrap();
-        system.publish_and_reconcile(p(2)).unwrap();
-        system.checkpoint_participant(p(1)).unwrap();
-        let checkpoint = orchestra_store::UpdateStore::instance_checkpoint(system.store(), p(1))
-            .expect("checkpoint recorded");
-        assert_eq!(checkpoint.relations["Function"].len(), 1);
-        assert!(system.checkpoint_participant(p(9)).is_err());
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl CandidateTransaction {
     /// candidates for the same root transaction share a fingerprint exactly
     /// when their antecedent chains are identical, which is what makes the
     /// flattened extension reusable across reconciliations.
-    pub fn member_fingerprint(&self) -> u64 {
+    fn member_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut hasher = rustc_hash::FxHasher::default();
         for (id, _) in &self.members {
@@ -344,7 +344,7 @@ impl CandidateTransaction {
     /// (empty if they do not conflict). Shared member transactions are
     /// excluded from both sides before comparison, as required by
     /// Definition 4.
-    pub fn direct_conflict_keys(
+    fn direct_conflict_keys(
         &self,
         other: &CandidateTransaction,
         schema: &Schema,

@@ -22,9 +22,7 @@
 //! for ordering and merge decisions.
 
 use crate::error::{Result, StorageError};
-use orchestra_model::{
-    compare_clocks, AntichainClock, CausalRelation, CausalStamp, Epoch, ParticipantId, StampId,
-};
+use orchestra_model::{AntichainClock, CausalStamp, Epoch, ParticipantId, StampId};
 use std::collections::BTreeMap;
 
 /// Publication status of one epoch.
@@ -64,9 +62,8 @@ pub struct CausalNode {
 /// The frontier doubles as the per-publisher FIFO validator: a publisher's
 /// next acceptable stamp is always `frontier.seq_of(publisher) + 1`, whether
 /// the publisher was online or buffered the stamp while partitioned. Pruning
-/// drops DAG nodes but never the frontier, so comparisons against pruned
-/// history degrade gracefully (unknown parents act as roots) and sequence
-/// validation keeps working.
+/// drops DAG nodes but never the frontier, so sequence validation keeps
+/// working.
 #[derive(Debug, Clone, Default)]
 pub struct CausalRegistry {
     pub(crate) enabled: bool,
@@ -147,31 +144,9 @@ impl CausalRegistry {
         Ok(())
     }
 
-    /// The recorded parent frontier of a stamp (`None` once pruned or never
-    /// ingested — [`compare_clocks`] treats that as a root).
-    pub fn parents_of(&self, id: StampId) -> Option<AntichainClock> {
-        self.nodes.get(&id).map(|n| n.parents.clone())
-    }
-
     /// The arrival epoch a stamp was ingested at, if its node is live.
     pub fn epoch_of(&self, id: StampId) -> Option<Epoch> {
         self.nodes.get(&id).map(|n| n.epoch)
-    }
-
-    /// The stamp ingested at an arrival epoch, if its node is live.
-    pub fn stamp_at_epoch(&self, epoch: Epoch) -> Option<StampId> {
-        self.nodes.iter().find(|(_, n)| n.epoch == epoch).map(|(&id, _)| id)
-    }
-
-    /// Compares two frontiers over the recorded DAG (see
-    /// [`compare_clocks`]).
-    pub fn compare(
-        &self,
-        subject: &AntichainClock,
-        other: &AntichainClock,
-        budget: usize,
-    ) -> CausalRelation {
-        compare_clocks(subject, other, |id| self.parents_of(id), budget)
     }
 
     /// Drops the DAG nodes of every stamp whose arrival epoch is at or below
@@ -431,24 +406,6 @@ mod tests {
         // A parent at or behind the frontier is fine.
         causal.ingest(&stamp(2, 1, &[StampId::new(p(1), 1)]), Epoch(2)).unwrap();
         assert_eq!(causal.epoch_of(StampId::new(p(2), 1)), Some(Epoch(2)));
-        assert_eq!(causal.stamp_at_epoch(Epoch(1)), Some(StampId::new(p(1), 1)));
-    }
-
-    #[test]
-    fn causal_compare_walks_the_recorded_dag() {
-        let mut causal = CausalRegistry::default();
-        causal.enable();
-        causal.ingest(&stamp(1, 1, &[]), Epoch(1)).unwrap();
-        causal.ingest(&stamp(1, 2, &[StampId::new(p(1), 1)]), Epoch(2)).unwrap();
-        causal.ingest(&stamp(2, 1, &[StampId::new(p(1), 1)]), Epoch(3)).unwrap();
-        let newer = AntichainClock::from_stamps([StampId::new(p(1), 2)]);
-        let older = AntichainClock::from_stamps([StampId::new(p(1), 1)]);
-        let side = AntichainClock::from_stamps([StampId::new(p(2), 1)]);
-        assert!(matches!(
-            causal.compare(&newer, &older, 100),
-            CausalRelation::StrictDescends { .. }
-        ));
-        assert!(matches!(causal.compare(&newer, &side, 100), CausalRelation::DivergedSince { .. }));
     }
 
     #[test]
@@ -467,13 +424,5 @@ mod tests {
         assert_eq!(reg.causal().len(), 1);
         // FIFO validation survives: the next stamp is still #4.
         assert_eq!(reg.causal().next_seq(p(1)), 4);
-        assert_eq!(reg.causal().parents_of(StampId::new(p(1), 1)), None);
-        // Comparing against pruned history treats unknown parents as roots.
-        let head = AntichainClock::from_stamps([StampId::new(p(1), 3)]);
-        let pruned = AntichainClock::from_stamps([StampId::new(p(1), 1)]);
-        assert!(matches!(
-            reg.causal().compare(&head, &pruned, 100),
-            CausalRelation::StrictDescends { .. }
-        ));
     }
 }

@@ -23,8 +23,7 @@
 
 use crate::error::{Result, StorageError};
 use orchestra_model::{
-    flatten_own, Epoch, NetUpdates, ParticipantId, RelName, Schema, Transaction, TransactionId,
-    Tuple,
+    flatten_own, Epoch, NetUpdates, RelName, Schema, Transaction, TransactionId, Tuple,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
@@ -198,11 +197,6 @@ impl TransactionLog {
         self.next_pos
     }
 
-    /// Number of entries removed by retention so far.
-    pub fn pruned_entries(&self) -> u64 {
-        self.next_pos - self.entries.len() as u64
-    }
-
     /// Looks up a transaction's log entry by id.
     pub fn entry(&self, id: TransactionId) -> Option<&LogEntry> {
         self.by_id.get(&id).map(|pos| &self.entries[pos])
@@ -235,16 +229,6 @@ impl TransactionLog {
         self.entries.values()
     }
 
-    /// Transactions published in the given epoch, in publication order.
-    pub fn in_epoch(&self, epoch: Epoch) -> Vec<&Transaction> {
-        self.by_epoch
-            .get(&epoch.as_u64())
-            .map(|positions| {
-                positions.iter().map(|pos| self.entries[pos].transaction.as_ref()).collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Transactions published in epochs `(after, up_to]`, in publication
     /// order. This is the "relevant transactions" query of the paper: the
     /// updates a participant has not yet seen.
@@ -259,15 +243,6 @@ impl TransactionLog {
             }
         }
         out
-    }
-
-    /// Transactions published by a specific participant, in publication order.
-    pub fn by_participant(&self, participant: ParticipantId) -> Vec<&Transaction> {
-        self.entries
-            .values()
-            .filter(|e| e.transaction.origin() == participant)
-            .map(|e| e.transaction.as_ref())
-            .collect()
     }
 
     /// The positions of the direct antecedents of a transaction (see
@@ -420,7 +395,7 @@ impl TransactionLog {
 mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
-    use orchestra_model::Update;
+    use orchestra_model::{ParticipantId, Update};
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -442,7 +417,6 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert!(!log.is_empty());
         assert_eq!(log.total_published(), 1);
-        assert_eq!(log.pruned_entries(), 0);
         assert_eq!(log.get(x.id()).unwrap(), &x);
         assert_eq!(log.epoch_of(x.id()), Some(Epoch(1)));
         assert_eq!(log.position_of(x.id()), Some(0));
@@ -467,12 +441,9 @@ mod tests {
         log.publish(Epoch(2), x2.clone()).unwrap();
         log.publish(Epoch(4), x3.clone()).unwrap();
 
-        assert_eq!(log.in_epoch(Epoch(2)), vec![&x2]);
-        assert!(log.in_epoch(Epoch(3)).is_empty());
         assert_eq!(log.in_range(Epoch(0), Epoch(4)).len(), 3);
         assert_eq!(log.in_range(Epoch(1), Epoch(4)), vec![&x2, &x3]);
         assert_eq!(log.in_range(Epoch(4), Epoch(4)).len(), 0);
-        assert_eq!(log.by_participant(p(1)), vec![&x1, &x3]);
     }
 
     #[test]
@@ -696,13 +667,11 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(log.len(), 2);
         assert_eq!(log.total_published(), 4);
-        assert_eq!(log.pruned_entries(), 2);
         // Surviving positions are unchanged; pruned ids resolve to nothing.
         assert_eq!(log.position_of(d2.id()), Some(2));
         assert_eq!(log.position_of(live.id()), Some(3));
         assert!(log.get(d0.id()).is_none());
         assert!(log.epoch_of(d1.id()).is_none());
-        assert!(log.in_epoch(Epoch(1)).is_empty());
         assert_eq!(log.in_range(Epoch(0), Epoch(4)).len(), 2);
         // A sparse log rebuilds its indexes with positions intact.
         let mut back = as_decoded(&log);

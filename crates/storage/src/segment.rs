@@ -77,7 +77,7 @@ impl FrameStamp {
     /// The deterministic merge order: `(epoch, seq)` first, causal tie-break
     /// ([`StampId::tie_break`]) on collisions, stamped records ahead of
     /// stampless ones so the order is total either way.
-    pub fn merge_cmp(&self, other: &FrameStamp) -> std::cmp::Ordering {
+    fn merge_cmp(&self, other: &FrameStamp) -> std::cmp::Ordering {
         (self.epoch, self.seq).cmp(&(other.epoch, other.seq)).then_with(|| {
             match (self.stamp, other.stamp) {
                 (Some(a), Some(b)) => a.tie_break(b),

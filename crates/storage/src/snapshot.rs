@@ -32,12 +32,12 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_FILE: &str = "snapshot.orc";
 
 /// File name of the WAL's log-shard segment for a given generation.
-pub fn wal_file_name(generation: u64) -> String {
+fn wal_file_name(generation: u64) -> String {
     format!("wal.{generation}.log")
 }
 
 /// File name of a participant shard's WAL segment for a given generation.
-pub fn shard_wal_file_name(generation: u64, participant: ParticipantId) -> String {
+fn shard_wal_file_name(generation: u64, participant: ParticipantId) -> String {
     format!("wal.{generation}.p{}.log", participant.as_u32())
 }
 

@@ -142,11 +142,6 @@ impl DhtStore {
         self.network.lock().expect("network lock").stats()
     }
 
-    /// Number of overlay members.
-    pub fn overlay_len(&self) -> usize {
-        self.network.lock().expect("network lock").ring().len()
-    }
-
     /// The overlay node of a participant (public for the network-centric
     /// driver and for tests).
     pub fn peer_node(&self, participant: ParticipantId) -> NodeId {
@@ -505,7 +500,6 @@ mod tests {
     #[test]
     fn registration_joins_peers_to_the_overlay() {
         let s = store(5);
-        assert_eq!(s.overlay_len(), 5);
         assert_eq!(s.catalog().participants().len(), 5);
     }
 

@@ -119,9 +119,9 @@ impl FabricConfig {
 ///
 /// The fabric keeps the shards' logs identical (replicated log) and each
 /// participant's policy, relevance, decisions and sessions at its home shard
-/// only — see the [module docs](crate::fabric). Shard stores are exposed
-/// through [`StoreFabric::shard_stores`] so a driver can front each with its
-/// own [`StoreService`](crate::StoreService).
+/// only — see the [module docs](crate::fabric). A driver fronts each shard
+/// store, reached through [`StoreFabric::shard`], with its own
+/// [`StoreService`](crate::StoreService).
 ///
 /// # Registration order
 ///
@@ -161,7 +161,7 @@ impl StoreFabric {
     }
 
     /// The home shard store of `participant`.
-    pub fn home_store(&self, participant: ParticipantId) -> &CentralStore {
+    fn home_store(&self, participant: ParticipantId) -> &CentralStore {
         &self.shards[self.router.home_of(participant)]
     }
 

@@ -23,7 +23,7 @@
 //! [`crate::UpdateStore::commit_reconciliation`] (or aborts it), exactly as
 //! in the client-centric mode.
 
-use crate::api::{SessionId, StoreTiming, Timed, UpdateStore};
+use crate::api::{SessionId, Timed, UpdateStore};
 use crate::dht::DhtStore;
 use orchestra_model::{Epoch, ParticipantId, ReconciliationId, TransactionId};
 use orchestra_recon::extension::{candidates_by_key, conflict_sets, FlatExtension};
@@ -157,30 +157,6 @@ impl DhtStore {
     }
 }
 
-/// Splits a plan into the engine's inputs, keeping the session handle —
-/// convenience for callers that feed the plan into the reconciliation
-/// engine and then commit the session.
-pub fn into_engine_inputs(
-    plan: NetworkCentricPlan,
-) -> (SessionId, Vec<CandidateTransaction>, FxHashMap<TransactionId, FxHashSet<TransactionId>>) {
-    (plan.session, plan.candidates, plan.conflicts)
-}
-
-/// The total store timing of a plan's follow-up commit plus the retrieval:
-/// helper mirroring [`crate::ReconciliationSession::commit`]'s accounting.
-pub fn commit_plan(
-    store: &DhtStore,
-    plan: &NetworkCentricPlan,
-    retrieval: StoreTiming,
-    accepted: &[TransactionId],
-    rejected: &[TransactionId],
-) -> Result<StoreTiming> {
-    let commit = store.commit_reconciliation(plan.session, accepted, rejected)?;
-    let mut total = retrieval;
-    total.accumulate(commit);
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,15 +249,10 @@ mod tests {
         let s = store(3);
         let x2 = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         s.publish(p(2), vec![x2.clone()]).unwrap();
-        let timed = s.begin_network_centric_reconciliation(p(1)).unwrap();
-        let retrieval = timed.timing;
-        let plan = timed.value;
-        let (session, candidates, conflicts) = into_engine_inputs(plan.clone());
-        assert_eq!(candidates.len(), 1);
-        assert!(conflicts.is_empty());
-        assert_eq!(session, plan.session);
-        let total = commit_plan(&s, &plan, retrieval, &[x2.id()], &[]).unwrap();
-        assert!(total.total() >= retrieval.total());
+        let plan = s.begin_network_centric_reconciliation(p(1)).unwrap().value;
+        assert_eq!(plan.candidates.len(), 1);
+        assert!(plan.conflicts.is_empty());
+        s.commit_reconciliation(plan.session, &[x2.id()], &[]).unwrap();
         assert!(s.accepted_set(p(1)).contains(&x2.id()));
         assert_eq!(s.current_reconciliation(p(1)), ReconciliationId(1));
     }

@@ -29,16 +29,10 @@
 //!   [`ServiceConfig::frame_latency_us`] on the driver's
 //!   [`VirtualClock`], so thousands of in-flight sessions overlap their
 //!   wait time on one OS thread.
-//!
-//! A retention [`AutoPruner`] can be attached to the service
-//! ([`StoreService::attach_pruner`]); it is stopped (thread joined) when the
-//! service shuts down or is dropped, tying the background prune loop to the
-//! server lifecycle.
 
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 use crate::client::{SessionClient, ShardClient};
 use crate::protocol::{StoreRequest, StoreResponse};
-use crate::pruner::AutoPruner;
 use orchestra_model::{CausalStamp, Epoch, ParticipantId, Transaction, TransactionId};
 use orchestra_net::{NodeId, SimNetwork, Transport};
 use orchestra_obs::{key_with, Counter, Histogram, Obs, Tracer};
@@ -257,8 +251,7 @@ impl ServiceStats {
 /// The handle is not generic over the store: workers capture the store
 /// reference at [`StoreService::start`] time. Dropping the handle (or calling
 /// [`StoreService::shutdown`]) closes the routes — workers drain what is
-/// queued, then exit when the last [`ServiceClient`] is gone — and stops any
-/// attached [`AutoPruner`].
+/// queued, then exit when the last [`ServiceClient`] is gone.
 pub struct StoreService {
     server: NodeId,
     clock: VirtualClock,
@@ -267,7 +260,6 @@ pub struct StoreService {
     shared: Rc<ServiceShared>,
     frame_latency_us: u64,
     busy_retries: u32,
-    pruner: RefCell<Option<AutoPruner>>,
 }
 
 impl StoreService {
@@ -282,7 +274,7 @@ impl StoreService {
     }
 
     /// The overlay node id a participant's client frames originate from.
-    pub fn client_node(participant: ParticipantId) -> NodeId {
+    fn client_node(participant: ParticipantId) -> NodeId {
         NodeId::hash_u64(0x5e51_0000_0000u64 + u64::from(participant.as_u32()))
     }
 
@@ -363,7 +355,6 @@ impl StoreService {
             shared,
             frame_latency_us: config.frame_latency_us,
             busy_retries: config.busy_retries,
-            pruner: RefCell::new(None),
         }
     }
 
@@ -401,27 +392,11 @@ impl StoreService {
         }
     }
 
-    /// Attaches a retention pruner to the service lifecycle: it keeps
-    /// pruning in the background and is stopped (thread joined) by
-    /// [`StoreService::shutdown`] or drop. Replaces (and stops) any
-    /// previously attached pruner.
-    pub fn attach_pruner(&self, pruner: AutoPruner) {
-        *self.pruner.borrow_mut() = Some(pruner);
-    }
-
-    /// Completed prune rounds of the attached pruner (`0` if none).
-    pub fn prune_rounds(&self) -> usize {
-        self.pruner.borrow().as_ref().map_or(0, AutoPruner::rounds)
-    }
-
     /// Closes the service: drops the routes (workers exit once the queued
-    /// frames and the last live client are gone) and stops the attached
-    /// pruner, joining its thread. Idempotent; also run on drop.
+    /// frames and the last live client are gone). Idempotent; also run on
+    /// drop.
     pub fn shutdown(&self) {
         self.routes.borrow_mut().take();
-        if let Some(pruner) = self.pruner.borrow_mut().take() {
-            pruner.stop();
-        }
     }
 }
 
@@ -747,9 +722,7 @@ mod tests {
     use orchestra_model::{TrustPolicy, Tuple, Update};
     use orchestra_storage::RetentionPolicy;
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -1022,32 +995,6 @@ mod tests {
         let sheds = trace.lines().filter(|l| l.contains("admission.shed")).count() as u64;
         assert_eq!(sheds, stats.busy_rejections, "one shed event per Busy rejection");
         assert!(trace.contains("admission.backoff"), "retries must trace their backoff: {trace}");
-    }
-
-    #[test]
-    fn attached_pruner_stops_with_the_service() {
-        let s = Arc::new(mutual_store(2));
-        let clock = VirtualClock::new();
-        let mut ex = LocalExecutor::new(clock);
-        let net = Rc::new(SimNetwork::new(vec![StoreService::server_node()]));
-        let service = StoreService::start(&*s, &ServiceConfig::default(), &mut ex, net);
-
-        let rounds = Arc::new(AtomicU64::new(0));
-        let pruner_rounds = Arc::clone(&rounds);
-        let pruner_store = Arc::clone(&s);
-        service.attach_pruner(AutoPruner::spawn(Duration::from_millis(2), move || {
-            pruner_rounds.fetch_add(1, Ordering::SeqCst);
-            pruner_store.prune_to_horizon()
-        }));
-        while rounds.load(Ordering::SeqCst) == 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        service.shutdown();
-        // `shutdown` joins the pruner thread, so no further round can start.
-        let at_shutdown = rounds.load(Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rounds.load(Ordering::SeqCst), at_shutdown);
-        assert_eq!(service.prune_rounds(), 0, "the pruner is detached after shutdown");
     }
 
     #[test]

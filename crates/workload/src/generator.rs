@@ -132,11 +132,8 @@ impl WorkloadGenerator {
     /// to its current `instance`. Within the transaction, successive updates
     /// to the same key chain correctly (a revision reads the value written by
     /// the previous update).
-    pub fn next_transaction(
-        &mut self,
-        participant: ParticipantId,
-        instance: &Database,
-    ) -> Vec<Update> {
+    #[cfg(test)]
+    fn next_transaction(&mut self, participant: ParticipantId, instance: &Database) -> Vec<Update> {
         self.transaction_over(participant, instance, &mut PendingWrites::default())
     }
 

@@ -57,7 +57,7 @@ pub struct RetentionSample {
 
 impl RetentionSample {
     /// Log plus relevance entries — the store's live set.
-    pub fn live_set(&self) -> usize {
+    fn live_set(&self) -> usize {
         self.live_log_entries + self.live_relevance_entries
     }
 }

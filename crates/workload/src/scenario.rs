@@ -64,13 +64,6 @@ pub struct ScenarioResult {
     pub time_per_reconciliation: Duration,
 }
 
-impl ScenarioResult {
-    /// Average total (store + local) time per participant.
-    pub fn total_time_per_participant(&self) -> Duration {
-        self.store_time_per_participant + self.local_time_per_participant
-    }
-}
-
 /// Builds the trust policies of the paper's evaluation: every participant
 /// trusts every other participant at the same priority.
 pub fn mutual_trust_policies(participants: usize, priority: u32) -> Vec<TrustPolicy> {
@@ -215,21 +208,6 @@ pub struct ChurnResult {
     pub samples: Vec<ChurnSample>,
 }
 
-impl ChurnResult {
-    /// Mean store time per *covered epoch* over a slice of the samples —
-    /// the per-unit-of-new-work cost. For an O(new-epochs) store this stays
-    /// flat as history grows; for a full-rescan store it climbs.
-    pub fn store_micros_per_epoch(&self, from: usize, to: usize) -> f64 {
-        let slice = &self.samples[from.min(self.samples.len())..to.min(self.samples.len())];
-        let micros: u64 = slice.iter().map(|s| s.store_micros).sum();
-        let epochs: u64 = slice.iter().map(|s| s.epochs_covered).sum();
-        if epochs == 0 {
-            return 0.0;
-        }
-        micros as f64 / epochs as f64
-    }
-}
-
 /// A mutual-trust confederation over `store` with the churn schedules'
 /// generator seeding — shared by every runner of a [`ChurnConfig`], so their
 /// trajectories stay comparable.
@@ -361,7 +339,6 @@ mod tests {
         assert!(result.state_ratio <= config.participants as f64);
         assert!(result.overall_state_ratio >= 1.0);
         assert!(result.accepted > 0, "some sharing must have happened");
-        assert!(result.total_time_per_participant() > Duration::ZERO);
     }
 
     #[test]
@@ -418,8 +395,6 @@ mod tests {
         assert!(result.state_ratio >= 1.0);
         // Samples carry real coverage information.
         assert!(result.samples.iter().any(|s| s.epochs_covered > 1));
-        let per_epoch = result.store_micros_per_epoch(0, result.samples.len());
-        assert!(per_epoch >= 0.0);
     }
 
     #[test]
