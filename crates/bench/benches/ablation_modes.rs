@@ -187,7 +187,6 @@ fn bench_conflict_detection(c: &mut Criterion) {
                     if !orchestra_recon::extension::conflict_keys_between(
                         &flattened[i],
                         &flattened[j],
-                        &schema,
                     )
                     .is_empty()
                     {

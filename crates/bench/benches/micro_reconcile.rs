@@ -5,7 +5,9 @@
 //! delta (the benchmark's `durable_crash` shape, where the per-applied-update
 //! constant is what matters), thin candidates as the store hands them out
 //! reconciled by every participant trusting them (`wide_insert`'s fan-out),
-//! and thin modifications against an instance of `deep_conflict`'s size.
+//! and thin modifications against an instance of `deep_conflict`'s size —
+//! and `FindConflicts` alone over forked modification chains
+//! (`deep_conflict`'s candidate sets).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orchestra_model::schema::bioinformatics_schema;
@@ -13,9 +15,13 @@ use orchestra_model::{
     flatten, flatten_own, ParticipantId, Priority, ReconciliationId, Transaction, TrustPolicy,
     Tuple, Update,
 };
+use orchestra_recon::extension::{direct_conflicts, FlatExtension};
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
 use orchestra_storage::Database;
 use orchestra_store::StoreCatalog;
+use orchestra_workload::ZipfSampler;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -265,12 +271,70 @@ fn bench_large_instance(c: &mut Criterion) {
     group.finish();
 }
 
+/// `deep_conflict`'s candidate sets at `FindConflicts`: 40 one-update
+/// transactions from eight equally trusted participants on 12 keys drawn
+/// Zipf (s = 1.5), as the store hands them to a participant that has
+/// accepted none of them. A transaction revises a value an earlier one wrote
+/// on its key, usually the latest and otherwise an older one, so chains fork:
+/// candidates share antecedents, some extensions contain others, and
+/// divergent revisions of one value conflict. An iteration finds the direct
+/// conflicts among the 40 flattenings; divide the mean by 40 for the time per
+/// candidate.
+fn bench_conflict_heavy(c: &mut Criterion) {
+    const CANDIDATES: usize = 40;
+    let schema = bioinformatics_schema();
+    let store = StoreCatalog::new(schema.clone());
+    let publishers: Vec<ParticipantId> = (2..10).map(p).collect();
+    let policy =
+        publishers.iter().fold(TrustPolicy::new(p(1)), |policy, &who| policy.trusting(who, 1u32));
+    store.register_policy(policy);
+
+    let keys = ZipfSampler::new(12, 1.5);
+    let mut rng = StdRng::seed_from_u64(42);
+    // Every value written on each key, oldest first.
+    let mut written: Vec<Vec<Tuple>> = vec![Vec::new(); keys.len()];
+    for i in 0..CANDIDATES {
+        let who = publishers[i % publishers.len()];
+        let key = keys.sample(&mut rng);
+        let next = func(key, i);
+        let update = match written[key].len() {
+            0 => Update::insert("Function", next.clone(), who),
+            n => {
+                let from = if rng.gen_range(0..3) > 0 { n - 1 } else { rng.gen_range(0..n) };
+                Update::modify("Function", written[key][from].clone(), next.clone(), who)
+            }
+        };
+        written[key].push(next);
+        let txn = Transaction::from_parts(who, i as u64, vec![update]).unwrap();
+        store.publish(who, vec![txn]).unwrap();
+    }
+    let session = store.open_session(p(1), false).unwrap().session;
+    let candidates: Vec<CandidateTransaction> =
+        store.batch(session, CANDIDATES).unwrap().candidates.into_iter().map(|(c, _)| c).collect();
+    assert_eq!(candidates.len(), CANDIDATES);
+    let flats: Vec<Arc<FlatExtension>> =
+        candidates.iter().map(|cand| cand.flattened_shared(&schema)).collect();
+    let conflicts = direct_conflicts(&candidates, &flats, &schema);
+    assert!(!conflicts.is_empty(), "divergent revisions conflict");
+    assert!(candidates.iter().any(|cand| cand.members.len() > 2), "chains fork");
+
+    let mut group = c.benchmark_group("conflict_heavy");
+    group.sample_size(20);
+    group.measurement_time(Duration::from_secs(5));
+    group.warm_up_time(Duration::from_secs(1));
+    group.bench_function(BenchmarkId::new("find_conflicts", CANDIDATES), |b| {
+        b.iter(|| direct_conflicts(&candidates, &flats, &schema))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_flatten,
     bench_reconcile,
     bench_wide_txn_own_delta,
     bench_thin_fanout,
-    bench_large_instance
+    bench_large_instance,
+    bench_conflict_heavy
 );
 criterion_main!(benches);

@@ -85,6 +85,11 @@ impl NetUpdates {
         })
     }
 
+    /// How many `(relation, key)` pairs [`NetUpdates::touched`] yields.
+    pub fn touched_len(&self) -> usize {
+        self.keys.len()
+    }
+
     /// Every `(relation, key)` pair read or written, with the update that
     /// touches it. A pair touched by two updates appears twice.
     pub fn touched(&self) -> impl Iterator<Item = (&str, &KeyValue, &Update)> {

@@ -7,7 +7,7 @@ use crate::tuple::{KeyValue, Tuple};
 use std::fmt;
 
 /// The kind of an update, without its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UpdateKind {
     /// `+R(ā; i)` — insertion of a tuple.
     Insert,
@@ -135,47 +135,49 @@ impl Update {
     }
 
     /// Like [`Update::conflicts_with`] but returns the kind of conflict, which
-    /// the reconciliation algorithm uses to build conflict groups.
+    /// the reconciliation algorithm uses to build conflict groups, and the
+    /// key it is on.
+    ///
+    /// Two updates conflict only over one relation and at one first key:
+    /// the key of the tuple each reads or, for an insertion, inserts. That
+    /// key is the one reported, and [`Update::conflict_kind_keyed`] decides
+    /// the rest.
     pub fn conflict_kind_with(
         &self,
         other: &Update,
         schema: &Schema,
     ) -> Option<(crate::conflict::ConflictKind, KeyValue)> {
-        use crate::conflict::ConflictKind;
         if self.relation != other.relation {
             return None;
         }
+        let kind = self.conflict_kind_keyed(other)?;
         let rel = schema.relation(&self.relation).ok()?;
+        let first_key = |u: &Update| u.read_tuple().or(u.written_tuple()).map(|t| rel.key_of(t));
+        let key = first_key(self)?;
+        (first_key(other)? == key).then_some((kind, key))
+    }
+
+    /// The Section 4 conflict table for two updates over one relation that
+    /// touch the same key first: the key of the tuple each reads or, for an
+    /// insertion, inserts — the first key [`crate::NetUpdates::iter`] hands
+    /// out with it. [`Update::conflict_kind_with`] is this check behind that
+    /// key comparison.
+    ///
+    /// A caller that already holds both first keys, and has seen them equal,
+    /// decides the conflict from the tuples alone, with no schema and no key
+    /// derived.
+    pub fn conflict_kind_keyed(&self, other: &Update) -> Option<crate::conflict::ConflictKind> {
+        use crate::conflict::ConflictKind;
         match (&self.op, &other.op) {
             (UpdateOp::Insert(a), UpdateOp::Insert(b)) => {
-                if rel.key_of(a) == rel.key_of(b) && a != b {
-                    Some((ConflictKind::DivergentInsert, rel.key_of(a)))
-                } else {
-                    None
-                }
+                (a != b).then_some(ConflictKind::DivergentInsert)
             }
-            (UpdateOp::Delete(d), UpdateOp::Insert(w))
-            | (UpdateOp::Insert(w), UpdateOp::Delete(d)) => {
-                if rel.key_of(d) == rel.key_of(w) {
-                    Some((ConflictKind::DeleteVersusWrite, rel.key_of(d)))
-                } else {
-                    None
-                }
-            }
-            (UpdateOp::Delete(d), UpdateOp::Modify { from, .. })
-            | (UpdateOp::Modify { from, .. }, UpdateOp::Delete(d)) => {
-                if rel.key_of(d) == rel.key_of(from) {
-                    Some((ConflictKind::DeleteVersusWrite, rel.key_of(d)))
-                } else {
-                    None
-                }
+            (UpdateOp::Delete(_), UpdateOp::Insert(_) | UpdateOp::Modify { .. })
+            | (UpdateOp::Insert(_) | UpdateOp::Modify { .. }, UpdateOp::Delete(_)) => {
+                Some(ConflictKind::DeleteVersusWrite)
             }
             (UpdateOp::Modify { from: f1, to: t1 }, UpdateOp::Modify { from: f2, to: t2 }) => {
-                if f1 == f2 && t1 != t2 {
-                    Some((ConflictKind::DivergentModify, rel.key_of(f1)))
-                } else {
-                    None
-                }
+                (f1 == f2 && t1 != t2).then_some(ConflictKind::DivergentModify)
             }
             _ => None,
         }

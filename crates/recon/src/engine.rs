@@ -215,7 +215,7 @@ impl ReconcileEngine {
                 continue;
             }
             let applied = if cand.members.iter().any(|(id, _)| used.contains(id)) {
-                instance.apply_net(&cand.flattened_excluding(schema, &used))
+                instance.apply_net(&cand.flattened_excluding(schema, |id| used.contains(id)))
             } else {
                 instance.apply_net(flat)
             };
@@ -329,9 +329,9 @@ impl ReconcileEngine {
             }
         }
         // 7-8: conflicts with the participant's own delta -> reject. Every
-        // conflicting pair of updates shares a touched key, so probing the
-        // own delta's index with the candidate's keys finds them all.
-        if !conflict_keys_with(flat, own_by_key, &self.schema).is_empty() {
+        // conflicting pair of updates touches one key first, so probing the
+        // own delta's index with the candidate's first keys finds them all.
+        if !conflict_keys_with(flat, own_by_key).is_empty() {
             return TransactionDecision::Reject;
         }
         TransactionDecision::Accept

@@ -9,7 +9,9 @@
 //! unit of user-driven conflict resolution.
 
 use crate::extension::{direct_conflicts, CandidateTransaction, ExtensionCache, FlatExtension};
-use orchestra_model::{ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId};
+use orchestra_model::{
+    ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId, Tuple, UpdateKind,
+};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
@@ -161,8 +163,8 @@ impl SoftState {
         // the other's extension) rides along with its subsumer, and
         // transactions proposing the same net change merge, so each option
         // represents one distinct final value the user can pick.
-        let by_id: FxHashMap<TransactionId, &CandidateTransaction> =
-            deferred.iter().map(|c| (c.id, c)).collect();
+        let position: FxHashMap<TransactionId, usize> =
+            deferred.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
         let mut group_keys: Vec<ConflictKey> = groups.keys().cloned().collect();
         group_keys.sort();
         for key in group_keys {
@@ -175,10 +177,10 @@ impl SoftState {
             // contains the others).
             let mut clusters: Vec<(TransactionId, Vec<TransactionId>)> = Vec::new();
             for id in member_ids {
-                let cand = by_id[&id];
+                let cand = &deferred[position[&id]];
                 let mut placed = false;
                 for (rep, cluster_members) in &mut clusters {
-                    let rep_cand = by_id[rep];
+                    let rep_cand = &deferred[position[rep]];
                     if rep_cand.subsumes(cand) {
                         cluster_members.push(id);
                         placed = true;
@@ -199,28 +201,14 @@ impl SoftState {
             // Merge clusters whose representatives propose the same net
             // change (two participants independently publishing the same
             // value fall into one option).
-            let mut options: Vec<(Vec<String>, ConflictOption)> = Vec::new();
+            let mut options: Vec<(Vec<Change<'_>>, ConflictOption)> = Vec::new();
             for (rep, cluster_members) in clusters {
-                let rep_cand = by_id[&rep];
-                let mut change: Vec<String> = cache
-                    .flattened(rep_cand, schema)
-                    .updates()
-                    .iter()
-                    .map(|u| {
-                        format!(
-                            "{} {} {:?} -> {:?}",
-                            u.relation,
-                            u.kind(),
-                            u.read_tuple(),
-                            u.written_tuple()
-                        )
-                    })
-                    .collect();
-                change.sort();
+                let flat = &flattened[position[&rep]];
+                let change = net_change(flat);
                 match options.iter_mut().find(|(c, _)| *c == change) {
                     Some((_, opt)) => opt.transactions.extend(cluster_members),
                     None => {
-                        let description = change.join("; ");
+                        let description = describe(flat);
                         options.push((
                             change,
                             ConflictOption { transactions: cluster_members, description },
@@ -238,6 +226,36 @@ impl SoftState {
             self.deferred.insert(cand.id, cand);
         }
     }
+}
+
+/// One net update as an option compares it: relation, kind, the tuple read
+/// and the tuple written. The proposing participant is left out.
+type Change<'a> = (&'a str, UpdateKind, Option<&'a Tuple>, Option<&'a Tuple>);
+
+/// The net change a flattened extension proposes, as a sorted multiset:
+/// two options are one exactly when these are equal.
+fn net_change(flat: &FlatExtension) -> Vec<Change<'_>> {
+    let mut change: Vec<Change<'_>> = flat
+        .updates()
+        .iter()
+        .map(|u| (u.relation.as_str(), u.kind(), u.read_tuple(), u.written_tuple()))
+        .collect();
+    change.sort_unstable();
+    change
+}
+
+/// The rendering of a flattened extension's net change that an option shows
+/// the resolving user: one line per net update, sorted, joined by `; `.
+fn describe(flat: &FlatExtension) -> String {
+    let mut lines: Vec<String> = flat
+        .updates()
+        .iter()
+        .map(|u| {
+            format!("{} {} {:?} -> {:?}", u.relation, u.kind(), u.read_tuple(), u.written_tuple())
+        })
+        .collect();
+    lines.sort();
+    lines.join("; ")
 }
 
 #[cfg(test)]
@@ -320,6 +338,34 @@ mod tests {
         let sizes: Vec<usize> = group.options.iter().map(|o| o.transactions.len()).collect();
         assert!(sizes.contains(&2));
         assert!(sizes.contains(&1));
+    }
+
+    #[test]
+    fn options_merge_on_the_same_net_change_in_any_order_from_anyone() {
+        let schema = bioinformatics_schema();
+        let mut s = SoftState::new();
+        let (a, b) = (func("rat", "prot1", "a"), func("mouse", "prot2", "b"));
+        let insert = |t: &Tuple, who| Update::insert("Function", t.clone(), p(who));
+        let forward = cand(2, 0, vec![insert(&a, 2), insert(&b, 2)]);
+        let backward = cand(3, 0, vec![insert(&b, 3), insert(&a, 3)]);
+        let other = cand(4, 0, vec![insert(&func("rat", "prot1", "c"), 4)]);
+        let ids = [forward.id, backward.id, other.id];
+        s.rebuild(
+            ReconciliationId(1),
+            vec![forward, backward, other],
+            &schema,
+            &Default::default(),
+        );
+
+        assert_eq!(s.conflict_groups().len(), 1);
+        let options = &s.conflict_groups()[0].options;
+        assert_eq!(options.len(), 2);
+        assert_eq!(options[0].transactions, ids[..2]);
+        assert_eq!(options[1].transactions, ids[2..]);
+        // Lines sorted and joined, as the resolving user reads them.
+        let line = |t: &Tuple| format!("Function insert None -> Some({t:?})");
+        assert_eq!(options[0].description, format!("{}; {}", line(&b), line(&a)));
+        assert_eq!(options[1].description, line(&func("rat", "prot1", "c")));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use orchestra_model::{
     flatten_own, Epoch, NetUpdates, RelName, Schema, Transaction, TransactionId, Tuple,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -36,8 +36,10 @@ use std::sync::{Arc, OnceLock};
 /// construction, replay streams, point lookups) hand out shared references
 /// instead of deep copies.
 ///
-/// An entry also carries its transaction's own flattening, derived state
-/// that `Debug` and equality leave out (see [`LogEntry::own_flattening`]).
+/// An entry also carries its transaction's own flattening and the positions
+/// of its direct antecedents: derived state that `Debug`, equality and the
+/// snapshot and WAL bytes leave out (see [`LogEntry::own_flattening`] and
+/// [`TransactionLog::transaction_extension`]).
 #[derive(Clone)]
 pub struct LogEntry {
     /// Epoch in which the transaction was published.
@@ -46,12 +48,20 @@ pub struct LogEntry {
     pub transaction: Arc<Transaction>,
     /// [`flatten_own`] of the transaction's updates, derived on first use.
     own_flattening: OnceLock<Option<Arc<NetUpdates>>>,
+    /// The log positions of the transaction's direct antecedents, chased on
+    /// first use.
+    antecedents: OnceLock<Box<[u64]>>,
 }
 
 impl LogEntry {
     /// An entry for a transaction published in `epoch`.
     pub fn new(epoch: Epoch, transaction: Arc<Transaction>) -> Self {
-        LogEntry { epoch, transaction, own_flattening: OnceLock::new() }
+        LogEntry {
+            epoch,
+            transaction,
+            own_flattening: OnceLock::new(),
+            antecedents: OnceLock::new(),
+        }
     }
 
     /// The transaction's updates as their own flattening, with their keys —
@@ -248,24 +258,38 @@ impl TransactionLog {
     /// The positions of the direct antecedents of a transaction (see
     /// [`TransactionLog::antecedents_of`]).
     fn antecedent_positions(&self, txn: &Transaction, before: u64) -> Vec<u64> {
+        debug_assert!(self.position_of(txn.id()).map_or(true, |own| before <= own));
         let mut out: Vec<u64> = Vec::new();
         for u in txn.updates() {
             let Some(read) = u.read_tuple() else { continue };
             let Some(writers) = self.writers.get(&u.relation).and_then(|m| m.get(read)) else {
                 continue;
             };
-            // Most recent writer strictly before `before`, excluding the
-            // transaction itself.
-            if let Some(&pos) = writers
-                .iter()
-                .rfind(|&&p| p < before && self.entries[&p].transaction.id() != txn.id())
-            {
+            // Most recent writer strictly before `before`: for a published
+            // transaction that is its own position, so it never finds itself.
+            if let Some(&pos) = writers.iter().rfind(|&&p| p < before) {
                 if !out.contains(&pos) {
                     out.push(pos);
                 }
             }
         }
         out
+    }
+
+    /// The direct antecedent positions of the live entry at `pos`, chased
+    /// through the writers index the first time they are asked for and
+    /// memoised in the entry.
+    ///
+    /// The memo never goes stale. Later publications take later positions,
+    /// so they cannot be the most recent writer before `pos`. Pruning keeps
+    /// every direct antecedent of a surviving entry (see
+    /// [`TransactionLog::pinned_ancestors`]), so the most recent live writer
+    /// before `pos` is the same entry before and after a prune.
+    fn entry_antecedents(&self, pos: u64) -> &[u64] {
+        let entry = &self.entries[&pos];
+        entry
+            .antecedents
+            .get_or_init(|| self.antecedent_positions(&entry.transaction, pos).into_boxed_slice())
     }
 
     /// The direct antecedents of a transaction (Definition 3's `ante(X)`):
@@ -276,7 +300,8 @@ impl TransactionLog {
     /// `before` bounds the search to transactions published strictly before
     /// the given log position (pass `self.total_published()` for a
     /// transaction not yet in the log, or its own position for a published
-    /// one).
+    /// one). For a published transaction `before` must not exceed its own
+    /// position: one that reads a tuple it also writes would list itself.
     pub fn antecedents_of(
         &self,
         txn: &Transaction,
@@ -296,35 +321,44 @@ impl TransactionLog {
     /// publication order with the root transaction last.
     ///
     /// The root transaction itself is always included (as the last element).
+    ///
+    /// The chase walks each entry's memoised antecedent positions: a
+    /// transaction's read tuples are looked up in the writers index once per
+    /// log entry, however many participants build an extension through it.
+    /// Only a root that is not in the log is chased through the index.
     pub fn transaction_extension(
         &self,
         root: &Transaction,
-        schema: &Schema,
         already_applied: &FxHashSet<TransactionId>,
     ) -> Vec<TransactionId> {
-        let root_pos = self.position_of(root.id()).unwrap_or(self.next_pos);
-        let mut members: FxHashSet<TransactionId> = FxHashSet::default();
-        let mut stack: Vec<(TransactionId, u64)> = Vec::new();
-        for ante in self.antecedents_of(root, schema, root_pos) {
-            if !already_applied.contains(&ante) && members.insert(ante) {
-                if let Some(pos) = self.position_of(ante) {
-                    stack.push((ante, pos));
+        let unpublished;
+        let direct = match self.by_id.get(&root.id()) {
+            Some(&pos) => self.entry_antecedents(pos),
+            None => {
+                unpublished = self.antecedent_positions(root, self.next_pos);
+                &unpublished
+            }
+        };
+        let mut ordered: Vec<TransactionId> = Vec::new();
+        if !direct.is_empty() {
+            // An antecedent precedes whatever names it, so popping the
+            // highest position first reaches every member after all of its
+            // dependents have pushed it: its copies pop back to back, and it
+            // is chased once.
+            let mut pending: BinaryHeap<u64> = direct.iter().copied().collect();
+            let mut last = None;
+            while let Some(pos) = pending.pop() {
+                if last.replace(pos) == Some(pos) {
+                    continue;
+                }
+                let id = self.entries[&pos].transaction.id();
+                if !already_applied.contains(&id) {
+                    ordered.push(id);
+                    pending.extend(self.entry_antecedents(pos));
                 }
             }
+            ordered.reverse();
         }
-        while let Some((id, pos)) = stack.pop() {
-            if let Some(txn) = self.get(id) {
-                for ante in self.antecedents_of(txn, schema, pos) {
-                    if !already_applied.contains(&ante) && members.insert(ante) {
-                        if let Some(p) = self.position_of(ante) {
-                            stack.push((ante, p));
-                        }
-                    }
-                }
-            }
-        }
-        let mut ordered: Vec<TransactionId> = members.into_iter().collect();
-        ordered.sort_by_key(|id| self.position_of(*id).unwrap_or(u64::MAX));
         ordered.push(root.id());
         ordered
     }
@@ -360,16 +394,15 @@ impl TransactionLog {
             }
         }
         // Seed 2: the direct antecedents of every retained entry.
-        for (&pos, entry) in self.entries.iter().filter(|(_, e)| e.epoch > horizon) {
-            for ante in self.antecedent_positions(&entry.transaction, pos) {
+        for (&pos, _) in self.entries.iter().filter(|(_, e)| e.epoch > horizon) {
+            for &ante in self.entry_antecedents(pos) {
                 pin(ante, &mut pinned, &mut stack);
             }
         }
         // Transitive closure over antecedent links.
+        let _ = schema; // antecedent chasing is on exact tuple values
         while let Some(pos) = stack.pop() {
-            let txn = Arc::clone(&self.entries[&pos].transaction);
-            let _ = schema; // antecedent chasing is on exact tuple values
-            for ante in self.antecedent_positions(&txn, pos) {
+            for &ante in self.entry_antecedents(pos) {
                 pin(ante, &mut pinned, &mut stack);
             }
         }
@@ -496,7 +529,6 @@ mod tests {
 
     #[test]
     fn transaction_extension_transitively_closes() {
-        let schema = bioinformatics_schema();
         let mut log = TransactionLog::new();
         let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
         let x1 = txn(
@@ -523,13 +555,13 @@ mod tests {
         log.publish(Epoch(2), x1.clone()).unwrap();
         log.publish(Epoch(3), x2.clone()).unwrap();
 
-        let ext = log.transaction_extension(&x2, &schema, &FxHashSet::default());
+        let ext = log.transaction_extension(&x2, &FxHashSet::default());
         assert_eq!(ext, vec![x0.id(), x1.id(), x2.id()]);
 
         // If the middle transaction is already applied, the chase stops there.
         let mut applied = FxHashSet::default();
         applied.insert(x1.id());
-        let ext = log.transaction_extension(&x2, &schema, &applied);
+        let ext = log.transaction_extension(&x2, &applied);
         assert_eq!(ext, vec![x2.id()]);
     }
 
@@ -545,7 +577,6 @@ mod tests {
 
     #[test]
     fn rebuild_indexes_after_decoding() {
-        let schema = bioinformatics_schema();
         let mut log = TransactionLog::new();
         let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
         let x1 = txn(
@@ -566,7 +597,7 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.total_published(), 2);
         assert_eq!(back.get(x0.id()).unwrap(), &x0);
-        let ext = back.transaction_extension(&x1, &schema, &FxHashSet::default());
+        let ext = back.transaction_extension(&x1, &FxHashSet::default());
         assert_eq!(ext.len(), 2);
     }
 
@@ -605,7 +636,7 @@ mod tests {
         log.publish(Epoch(3), y0.clone()).unwrap();
         log.publish(Epoch(4), x2.clone()).unwrap();
 
-        let unpruned = log.transaction_extension(&x2, &schema, &FxHashSet::default());
+        let unpruned = log.transaction_extension(&x2, &FxHashSet::default());
 
         // Horizon 3: x0, x1 and y0 are candidates for pruning, but all three
         // are pinned — x1 as x2's antecedent (and last writer of "b"), x0 as
@@ -634,7 +665,7 @@ mod tests {
         assert!(pinned.contains(&log.position_of(y0.id()).unwrap()));
 
         // Pruning never changes the extension of a live transaction.
-        let after = log.transaction_extension(&x2, &schema, &FxHashSet::default());
+        let after = log.transaction_extension(&x2, &FxHashSet::default());
         assert_eq!(unpruned, after);
     }
 
@@ -679,5 +710,157 @@ mod tests {
         assert_eq!(back.position_of(d2.id()), Some(2));
         assert_eq!(back.total_published(), 4);
         assert_eq!(format!("{back:?}"), format!("{log:?}"));
+    }
+
+    /// A diamond: x3 reads what x1 and x2 wrote, and both read what x0
+    /// inserted. x0 is reached twice and listed once; an applied x1 stops
+    /// the chase through it, not through x2.
+    #[test]
+    fn an_antecedent_reached_twice_is_listed_once_in_publication_order() {
+        let mut log = TransactionLog::new();
+        let modify = |from: Tuple, to: Tuple, who| Update::modify("Function", from, to, p(who));
+        let x0 = txn(
+            1,
+            0,
+            vec![
+                Update::insert("Function", func("rat", "k1", "a"), p(1)),
+                Update::insert("Function", func("rat", "k2", "c"), p(1)),
+            ],
+        );
+        let x1 = txn(2, 0, vec![modify(func("rat", "k1", "a"), func("rat", "k1", "b"), 2)]);
+        let x2 = txn(3, 0, vec![modify(func("rat", "k2", "c"), func("rat", "k2", "d"), 3)]);
+        let x3 = txn(
+            4,
+            0,
+            vec![
+                modify(func("rat", "k1", "b"), func("rat", "k1", "e"), 4),
+                modify(func("rat", "k2", "d"), func("rat", "k2", "f"), 4),
+            ],
+        );
+        for (epoch, x) in [&x0, &x1, &x2, &x3].into_iter().enumerate() {
+            log.publish(Epoch(epoch as u64 + 1), x.clone()).unwrap();
+        }
+        let none = FxHashSet::default();
+        let ext = log.transaction_extension(&x3, &none);
+        assert_eq!(ext, vec![x0.id(), x1.id(), x2.id(), x3.id()]);
+        let applied: FxHashSet<TransactionId> = [x1.id()].into_iter().collect();
+        let ext = log.transaction_extension(&x3, &applied);
+        assert_eq!(ext, vec![x0.id(), x2.id(), x3.id()]);
+        let applied: FxHashSet<TransactionId> = [x1.id(), x2.id()].into_iter().collect();
+        assert_eq!(log.transaction_extension(&x3, &applied), vec![x3.id()]);
+
+        // A root not in the log is chased through the writers index.
+        let y = txn(5, 0, vec![modify(func("rat", "k1", "e"), func("rat", "k1", "g"), 5)]);
+        let ext = log.transaction_extension(&y, &none);
+        assert_eq!(ext, vec![x0.id(), x1.id(), x2.id(), x3.id(), y.id()]);
+    }
+
+    /// Publishes `steps` of a log of one-update transactions, one per epoch,
+    /// over three keys: each key goes through rounds of insert `a`, `a → b`,
+    /// `b → a`, delete `a` (three steps per move). Every value is written
+    /// again in the next round, and the deletion cuts a round off from the
+    /// next, so pruning has something to remove.
+    fn publish_chains(log: &mut TransactionLog, steps: std::ops::Range<u64>) {
+        for step in steps {
+            let key = format!("k{}", step % 3);
+            let (a, b) = (func("rat", &key, "a"), func("rat", &key, "b"));
+            let who = p(1 + (step % 4) as u32);
+            let update = match (step / 3) % 4 {
+                0 => Update::insert("Function", a, who),
+                1 => Update::modify("Function", a, b, who),
+                2 => Update::modify("Function", b, a, who),
+                _ => Update::delete("Function", a, who),
+            };
+            log.publish(Epoch(step + 1), txn(who.0, step, vec![update])).unwrap();
+        }
+    }
+
+    /// Every live root's extension, with nothing applied and with `applied`
+    /// applied.
+    fn extensions(
+        log: &TransactionLog,
+        applied: &FxHashSet<TransactionId>,
+    ) -> BTreeMap<TransactionId, [Vec<TransactionId>; 2]> {
+        let none = FxHashSet::default();
+        let extension = |root, applied| log.transaction_extension(root, applied);
+        log.entries()
+            .map(|entry| {
+                let root = &entry.transaction;
+                (root.id(), [extension(root, &none), extension(root, applied)])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_antecedent_memo_never_goes_stale() {
+        let schema = bioinformatics_schema();
+        let mut log = TransactionLog::new();
+        // Half the memos are filled before the rest of the log is published.
+        publish_chains(&mut log, 0..11);
+        extensions(&log, &FxHashSet::default());
+        publish_chains(&mut log, 11..24);
+        let applied: FxHashSet<TransactionId> =
+            log.entries().step_by(3).map(|entry| entry.transaction.id()).collect();
+        let live = extensions(&log, &applied);
+        assert!(log.entries().all(|entry| entry.antecedents.get().is_some()), "memos filled");
+        assert!(live.values().any(|[ext, _]| ext.len() > 3), "the log has chains");
+
+        // A clone carries the memos; a snapshot round trip drops them.
+        assert_eq!(extensions(&log.clone(), &applied), live);
+        let snapshot = crate::snapshot::StoreSnapshot {
+            schema: schema.clone(),
+            registry: crate::EpochRegistry::new(),
+            log: log.clone(),
+            membership_frontier: Epoch::ZERO,
+            pruned_through: Epoch::ZERO,
+            participants: Vec::new(),
+            wal_generation: 0,
+        };
+        let mut decoded =
+            crate::codec::decode_snapshot(&crate::codec::encode_snapshot(&snapshot)).unwrap().log;
+        decoded.rebuild_indexes();
+        assert!(decoded.entries().all(|entry| entry.antecedents.get().is_none()));
+        assert_eq!(extensions(&decoded, &applied), live);
+
+        // Pruned with every memo filled, the survivors keep theirs: every
+        // surviving root's extension is what it was before the prune, and
+        // what a memo-free copy of the pruned log chases.
+        let horizon = Epoch(16);
+        let pinned = log.pinned_ancestors(&schema, horizon);
+        assert!(log.prune_below(horizon, &pinned) > 0, "something is pruned");
+        log.rebuild_indexes();
+        assert!(log.entries().all(|entry| entry.antecedents.get().is_some()), "memos kept");
+        let pruned = extensions(&log, &applied);
+        assert!(pruned.len() < live.len() && pruned.values().any(|[ext, _]| ext.len() > 3));
+        for (root, ext) in &pruned {
+            assert_eq!(ext, &live[root]);
+        }
+        let mut fresh = as_decoded(&log);
+        fresh.rebuild_indexes();
+        assert_eq!(extensions(&fresh, &applied), pruned);
+    }
+
+    #[test]
+    fn a_log_entrys_debug_and_equality_leave_the_memo_out() {
+        let mut log = TransactionLog::new();
+        let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
+        let x1 = txn(
+            2,
+            0,
+            vec![Update::modify(
+                "Function",
+                func("rat", "prot1", "a"),
+                func("rat", "prot1", "b"),
+                p(2),
+            )],
+        );
+        log.publish(Epoch(1), x0).unwrap();
+        log.publish(Epoch(2), x1.clone()).unwrap();
+        log.transaction_extension(&x1, &FxHashSet::default());
+        let entry = log.entry(x1.id()).unwrap();
+        assert_eq!(entry.antecedents.get().map(|memo| &memo[..]), Some(&[0u64][..]));
+        let bare = LogEntry::new(entry.epoch, Arc::clone(&entry.transaction));
+        assert_eq!(entry, &bare);
+        assert_eq!(format!("{entry:?}"), format!("{bare:?}"));
     }
 }

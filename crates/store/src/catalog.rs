@@ -1934,7 +1934,7 @@ fn build_candidate(
     rescan: bool,
 ) -> (CandidateTransaction, usize) {
     let txn = &entry.transaction;
-    let member_ids = log.transaction_extension(txn, schema, accepted);
+    let member_ids = log.transaction_extension(txn, accepted);
     let mut members = Vec::with_capacity(member_ids.len());
     let mut fetched = 0usize;
     for id in member_ids {
