@@ -182,7 +182,7 @@ fn bench_thin_fanout(c: &mut Criterion) {
         })
         .collect();
     store.publish(p(2), txns).unwrap();
-    let session = store.open_session(p(1), false).unwrap().session;
+    let session = store.open_session(p(1)).unwrap().session;
     let candidates: Vec<CandidateTransaction> =
         store.batch(session, 64).unwrap().candidates.into_iter().map(|(c, _)| c).collect();
     assert_eq!(candidates.len(), 64);
@@ -308,7 +308,7 @@ fn bench_conflict_heavy(c: &mut Criterion) {
         let txn = Transaction::from_parts(who, i as u64, vec![update]).unwrap();
         store.publish(who, vec![txn]).unwrap();
     }
-    let session = store.open_session(p(1), false).unwrap().session;
+    let session = store.open_session(p(1)).unwrap().session;
     let candidates: Vec<CandidateTransaction> =
         store.batch(session, CANDIDATES).unwrap().candidates.into_iter().map(|(c, _)| c).collect();
     assert_eq!(candidates.len(), CANDIDATES);

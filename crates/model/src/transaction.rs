@@ -90,12 +90,6 @@ impl Transaction {
         }
         Ok(())
     }
-
-    /// Returns true if any update of `self` conflicts with any update of
-    /// `other` under the schema (the paper's transaction-level conflict).
-    pub fn conflicts_with(&self, other: &Transaction, schema: &Schema) -> bool {
-        self.updates.iter().any(|a| other.updates.iter().any(|b| a.conflicts_with(b, schema)))
-    }
 }
 
 impl fmt::Display for Transaction {
@@ -149,35 +143,6 @@ mod tests {
         assert!(!x.is_empty());
         assert_eq!(x.updates(), &[u1, u2]);
         assert!(x.to_string().starts_with("X3:7: {"));
-    }
-
-    #[test]
-    fn transaction_conflict_is_any_pairwise_update_conflict() {
-        let schema = bioinformatics_schema();
-        let x1 = Transaction::from_parts(
-            p(3),
-            0,
-            vec![Update::insert("Function", func("rat", "prot1", "cell-metab"), p(3))],
-        )
-        .unwrap();
-        let x2 = Transaction::from_parts(
-            p(2),
-            1,
-            vec![
-                Update::insert("Function", func("mouse", "prot2", "immune"), p(2)),
-                Update::insert("Function", func("rat", "prot1", "cell-resp"), p(2)),
-            ],
-        )
-        .unwrap();
-        let x3 = Transaction::from_parts(
-            p(2),
-            0,
-            vec![Update::insert("Function", func("mouse", "prot2", "immune"), p(2))],
-        )
-        .unwrap();
-        assert!(x1.conflicts_with(&x2, &schema));
-        assert!(x2.conflicts_with(&x1, &schema));
-        assert!(!x1.conflicts_with(&x3, &schema));
     }
 
     #[test]

@@ -323,12 +323,6 @@ impl CandidateTransaction {
         hasher.finish()
     }
 
-    /// The update footprint `uf` of the extension: every member update, in
-    /// publication order.
-    pub fn update_footprint(&self) -> Vec<Update> {
-        self.members.iter().flat_map(|(_, us)| us.iter().cloned()).collect()
-    }
-
     /// The flattened update extension — the net effect of the whole extension
     /// with intermediate steps removed — with the keys it touches.
     pub fn flattened(&self, schema: &Schema) -> FlatExtension {
@@ -354,25 +348,6 @@ impl CandidateTransaction {
     pub fn subsumes(&self, other: &CandidateTransaction) -> bool {
         let mine = self.member_ids();
         other.members.iter().all(|(id, _)| mine.contains(id))
-    }
-
-    /// Definition 4 (*direct conflict*): the two extensions conflict on
-    /// updates that do not come from shared member transactions.
-    pub fn directly_conflicts_with(&self, other: &CandidateTransaction, schema: &Schema) -> bool {
-        !self.direct_conflict_keys(other, schema).is_empty()
-    }
-
-    /// The conflict-group keys on which the two candidates directly conflict
-    /// (empty if they do not conflict). Shared member transactions are
-    /// excluded from both sides before comparison, as required by
-    /// Definition 4.
-    fn direct_conflict_keys(
-        &self,
-        other: &CandidateTransaction,
-        schema: &Schema,
-    ) -> Vec<ConflictKey> {
-        let (mine, theirs) = (self.member_ids(), other.member_ids());
-        self.conflict_keys_excluding(other, |id| mine.contains(id) && theirs.contains(id), schema)
     }
 
     /// The conflict-group keys on which the two candidates' extensions
@@ -520,7 +495,6 @@ mod tests {
         let cand = CandidateTransaction::new(&x1, Priority(1), vec![x0.clone()]);
         assert_eq!(cand.members.len(), 2);
         assert_eq!(cand.member_ids().len(), 2);
-        assert_eq!(cand.update_footprint().len(), 2);
         let flat = cand.flattened(&schema);
         assert_eq!(flat.updates().len(), 1);
         assert_eq!(flat.updates()[0].written_tuple().unwrap(), &func("rat", "prot1", "immune"));
@@ -546,6 +520,17 @@ mod tests {
         assert!(big.subsumes(&small));
         assert!(!small.subsumes(&big));
         assert!(big.subsumes(&big.clone()));
+    }
+
+    /// The members of a candidate's extension as the spec takes them.
+    fn members(cand: &CandidateTransaction) -> Vec<orchestra_spec::Member<'_>> {
+        cand.members.iter().map(|(id, updates)| (*id, updates.as_slice())).collect()
+    }
+
+    /// Definition 4 between two candidates, as the spec states it.
+    fn definition_4(a: &CandidateTransaction, b: &CandidateTransaction) -> Vec<ConflictKey> {
+        let schema = bioinformatics_schema();
+        orchestra_spec::direct_conflict(&schema, &members(a), &members(b)).into_iter().collect()
     }
 
     #[test]
@@ -577,38 +562,37 @@ mod tests {
         );
         let c1 = CandidateTransaction::new(&x1, Priority(1), vec![x0.clone()]);
         let c2 = CandidateTransaction::new(&x2, Priority(1), vec![x0.clone()]);
-        assert!(c1.directly_conflicts_with(&c2, &schema));
-        let keys = c1.direct_conflict_keys(&c2, &schema);
-        assert_eq!(keys.len(), 1);
+        let keys = definition_4(&c1, &c2);
 
         // Without excluding the shared member, the flattened extensions are
         // both inserts of divergent values; with the exclusion they are
         // modifies, which is the conflict the paper wants to report.
         let kinds: Vec<_> = keys.iter().map(|k| k.kind).collect();
         assert_eq!(kinds, vec![orchestra_model::ConflictKind::DivergentModify]);
+        let candidates = [c1, c2];
+        let flats: Vec<_> = candidates.iter().map(|c| c.flattened_shared(&schema)).collect();
+        assert_eq!(direct_conflicts(&candidates, &flats, &schema), vec![(0, 1, keys)]);
     }
 
     #[test]
     fn no_conflict_between_identical_extensions() {
-        let schema = bioinformatics_schema();
         let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "v"), p(1))]);
         let c1 = CandidateTransaction::new(&x0, Priority(1), vec![]);
         let c2 = CandidateTransaction::new(&x0, Priority(2), vec![]);
         // A candidate shares all members with a copy of itself, so there is
         // nothing left to conflict on.
-        assert!(!c1.directly_conflicts_with(&c2, &schema));
+        assert!(definition_4(&c1, &c2).is_empty());
     }
 
     #[test]
     fn divergent_inserts_directly_conflict() {
-        let schema = bioinformatics_schema();
         let x1 =
             txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(2))]);
         let x2 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
         let c1 = CandidateTransaction::new(&x1, Priority(1), vec![]);
         let c2 = CandidateTransaction::new(&x2, Priority(1), vec![]);
-        assert!(c1.directly_conflicts_with(&c2, &schema));
-        assert!(c2.directly_conflicts_with(&c1, &schema));
+        assert!(!definition_4(&c1, &c2).is_empty());
+        assert_eq!(definition_4(&c1, &c2), definition_4(&c2, &c1));
     }
 
     #[test]
@@ -663,7 +647,7 @@ mod tests {
 
     mod oracle {
         use super::*;
-        use orchestra_model::{flatten, ConflictKind};
+        use orchestra_model::ConflictKind;
         use proptest::prelude::*;
         use std::collections::BTreeSet;
 
@@ -704,55 +688,6 @@ mod tests {
                     Update::insert("XRef", xref, origin)
                 }
             }
-        }
-
-        /// Definition 4 over every pair of candidates, as the paper states
-        /// it, but only on the pairs `FindConflicts` compares: those whose
-        /// full flattened extensions touch a common `(relation, key)` pair
-        /// (see `definition_4_counts_a_pair_that_meets_only_without_its_shared_members`
-        /// for a pair this leaves out). A pair is skipped when one extension
-        /// contains the other; otherwise both are flattened without their
-        /// shared members and every update of one is compared with every
-        /// update of the other through [`Update::conflict_kind_with`].
-        fn definition_4_on_key_sharing_pairs(
-            candidates: &[CandidateTransaction],
-            schema: &Schema,
-        ) -> BTreeSet<(usize, usize, BTreeSet<ConflictKey>)> {
-            let touched = |cand: &CandidateTransaction| -> BTreeSet<(String, KeyValue)> {
-                let flat = cand.flattened(schema);
-                flat.touched()
-                    .map(|(relation, key, _)| (relation.to_owned(), key.clone()))
-                    .collect()
-            };
-            let mut found = BTreeSet::new();
-            for i in 0..candidates.len() {
-                for j in i + 1..candidates.len() {
-                    let (a, b) = (&candidates[i], &candidates[j]);
-                    if touched(a).is_disjoint(&touched(b)) || a.subsumes(b) || b.subsumes(a) {
-                        continue;
-                    }
-                    let (mine, theirs) = (a.member_ids(), b.member_ids());
-                    let net = |cand: &CandidateTransaction| {
-                        let members = cand.members.iter();
-                        let kept =
-                            members.filter(|(id, _)| !(mine.contains(id) && theirs.contains(id)));
-                        flatten(schema, kept.flat_map(|(_, updates)| updates.iter()))
-                    };
-                    let (left, right) = (net(a), net(b));
-                    let keys: BTreeSet<ConflictKey> = left
-                        .iter()
-                        .flat_map(|u| right.iter().map(move |o| (u, o)))
-                        .filter_map(|(u, o)| {
-                            let (kind, key) = u.conflict_kind_with(o, schema)?;
-                            Some(ConflictKey::new(kind, u.relation.clone(), key))
-                        })
-                        .collect();
-                    if !keys.is_empty() {
-                        found.insert((i, j, keys));
-                    }
-                }
-            }
-            found
         }
 
         proptest! {
@@ -796,11 +731,12 @@ mod tests {
                 }
             }
 
-            /// `direct_conflicts` is Definition 4, on the pairs whose full
-            /// flattenings share a key, over random candidate sets: six
-            /// transactions, each a candidate two times in three, with any
-            /// earlier ones as its extension, so candidates share
-            /// antecedents and some extensions contain others.
+            /// `direct_conflicts` is the spec's Definition 4 (on the pairs
+            /// whose full flattenings share a key, its one departure from
+            /// the paper), over random candidate sets: six transactions,
+            /// each a candidate two times in three, with any earlier ones as
+            /// its extension, so candidates share antecedents and some
+            /// extensions contain others.
             #[test]
             fn direct_conflicts_is_definition_4_on_key_sharing_pairs(
                 pool in prop::collection::vec(prop::collection::vec(spec(), 1..4), 6),
@@ -835,15 +771,21 @@ mod tests {
                     .into_iter()
                     .map(|(i, j, keys)| (i, j, keys.into_iter().collect()))
                     .collect();
-                prop_assert_eq!(found, definition_4_on_key_sharing_pairs(&candidates, &schema));
+                let pairs = (0..candidates.len()).flat_map(|i| (i + 1..candidates.len()).map(move |j| (i, j)));
+                let expected = pairs
+                    .map(|(i, j)| (i, j, definition_4(&candidates[i], &candidates[j]).into_iter().collect()))
+                    .filter(|(_, _, keys): &(usize, usize, BTreeSet<ConflictKey>)| !keys.is_empty())
+                    .collect();
+                prop_assert_eq!(found, expected);
             }
         }
 
         /// The known gap against Definition 4 (ROADMAP item 3): both
         /// candidates extend a shared `a → b`, one back to `a` and the other
         /// on to `c`. Their full flattenings are nothing and `a → c`, which
-        /// share no key, so `direct_conflicts` never compares them; without
-        /// the shared member they are `b → a` against `b → c`, a divergent
+        /// share no key, so `direct_conflicts` never compares them, and
+        /// neither does the spec's one departure from the paper; without the
+        /// shared member they are `b → a` against `b → c`, a divergent
         /// modify.
         #[test]
         #[ignore = "known gap against Definition 4, ROADMAP item 3"]
@@ -859,15 +801,12 @@ mod tests {
                 CandidateTransaction::new(&back, Priority(1), vec![shared.clone()]),
                 CandidateTransaction::new(&on, Priority(1), vec![shared]),
             ];
-            assert!(candidates[0].directly_conflicts_with(&candidates[1], &schema));
+            let keys = definition_4(&candidates[0], &candidates[1]);
+            let kinds: Vec<ConflictKind> = keys.iter().map(|key| key.kind).collect();
+            assert_eq!(kinds, vec![ConflictKind::DivergentModify]);
             let flats: Vec<Arc<FlatExtension>> =
                 candidates.iter().map(|cand| cand.flattened_shared(&schema)).collect();
-            let found = direct_conflicts(&candidates, &flats, &schema);
-            let kinds: Vec<(usize, usize, Vec<ConflictKind>)> = found
-                .into_iter()
-                .map(|(i, j, keys)| (i, j, keys.iter().map(|key| key.kind).collect()))
-                .collect();
-            assert_eq!(kinds, vec![(0, 1, vec![ConflictKind::DivergentModify])]);
+            assert_eq!(direct_conflicts(&candidates, &flats, &schema), vec![(0, 1, keys)]);
         }
     }
 }

@@ -2,8 +2,6 @@
 //!
 //! This crate implements Sections 4 and 5 of the paper:
 //!
-//! * [`append_only`] — the append-only reconciliation problem (Definition 2),
-//!   where every transaction can be considered independently.
 //! * [`extension`] — candidate transactions carrying their transaction
 //!   extension (Definition 3), flattened update extension (with the keys it
 //!   touches, computed once), subsumption and the *direct conflict* relation
@@ -20,13 +18,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod append_only;
 pub mod engine;
 pub mod extension;
 pub mod resolution;
 pub mod softstate;
 
-pub use append_only::append_only_reconcile;
 pub use engine::{ReconcileEngine, ReconcileInput, ReconcileOutcome, TransactionDecision};
 pub use extension::{CandidateTransaction, ExtensionCache, FlatExtension};
 pub use resolution::{ResolutionChoice, ResolutionOutcome};

@@ -59,9 +59,7 @@
 //! between the cursor and the session epoch; [`StoreCatalog::batch`] then
 //! materialises candidate extensions page by page, sharing the log's update
 //! lists by reference count — peak memory is bounded by the page size, not
-//! by history. The pre-cursor full-log path survives as the `rescan` session
-//! mode, the tests' reference route for this one
-//! ([`crate::RetrievalMode::RescanBaseline`] names them).
+//! by history.
 //!
 //! # Convergence-horizon retention
 //!
@@ -352,9 +350,6 @@ struct SessionState {
     next: usize,
     /// Accepted-set snapshot taken at open, used for extension pruning.
     accepted: Arc<FxHashSet<TransactionId>>,
-    /// The tests' reference route: deep-copy candidate update lists as the
-    /// pre-cursor code did.
-    rescan: bool,
 }
 
 /// A freshly opened session (see [`StoreCatalog::open_session`]).
@@ -836,17 +831,11 @@ impl StoreCatalog {
     /// until [`StoreCatalog::commit_session`]; aborting leaves the catalogue
     /// byte-identical.
     ///
-    /// With `rescan` set, the entries are recomputed by scanning the full
-    /// publication log (origin, decision and trust re-filtered per call, the
-    /// decided set rebuilt from scratch) — the pre-cursor route the
-    /// equivalence tests compare against. Semantics are identical; cost is
-    /// O(total history) per open instead of O(new epochs).
-    ///
     /// At most one session may be open per participant: overlapping sessions
     /// for the same participant would commit duplicate reconciliation
     /// numbers and could move the epoch cursor backwards, so the second
     /// open errors. Sessions for *different* participants overlap freely.
-    pub fn open_session(&self, participant: ParticipantId, rescan: bool) -> Result<OpenedSession> {
+    pub fn open_session(&self, participant: ParticipantId) -> Result<OpenedSession> {
         let shard_arc = self.ensure_shard(participant);
         // Lock order: log before shard.
         let log = self.log.read().expect("log lock");
@@ -860,58 +849,25 @@ impl StoreCatalog {
         let previous = shard.epoch_cursor();
         let epoch = log.registry.largest_stable_epoch();
 
-        let (pending, accepted) = if rescan {
-            // Baseline: rebuild the decided set and re-evaluate trust over
-            // the full log slice, as the pre-cursor code did on every call.
-            let decided: FxHashSet<TransactionId> = shard
-                .record
-                .accepted_set()
-                .iter()
-                .chain(shard.record.rejected_set().iter())
-                .copied()
-                .collect();
-            let pending: Vec<RelevanceEntry> = log
-                .log
-                .entries()
-                .filter(|e| e.epoch > previous && e.epoch <= epoch)
-                .map(|e| e.transaction.as_ref())
-                .filter(|t| t.origin() != participant)
-                .filter(|t| !decided.contains(&t.id()))
-                .map(|t| (t.id(), shard.policy.priority_of_transaction(t, &self.schema)))
-                .filter(|(_, priority)| priority.is_trusted())
-                .collect();
-            let accepted: FxHashSet<TransactionId> =
-                shard.record.accepted_set().iter().copied().collect();
-            (pending, Arc::new(accepted))
-        } else {
-            // Incremental path: walk only the index entries between the
-            // cursor and the session epoch; the decided filter is O(1) per
-            // entry against the incrementally maintained sets.
-            let mut pending = Vec::new();
-            if epoch > previous {
-                for entries in
-                    shard.relevance.range((previous.as_u64() + 1)..=epoch.as_u64()).map(|(_, e)| e)
-                {
-                    for (id, priority) in entries {
-                        if shard.record.decision(*id).is_none() {
-                            pending.push((*id, *priority));
-                        }
+        // Walk only the index entries between the cursor and the session
+        // epoch; the decided filter is O(1) per entry against the
+        // incrementally maintained sets.
+        let mut pending = Vec::new();
+        if epoch > previous {
+            for entries in
+                shard.relevance.range((previous.as_u64() + 1)..=epoch.as_u64()).map(|(_, e)| e)
+            {
+                for (id, priority) in entries {
+                    if shard.record.decision(*id).is_none() {
+                        pending.push((*id, *priority));
                     }
                 }
             }
-            (pending, shard.record.accepted_snapshot())
-        };
+        }
+        let accepted = shard.record.accepted_snapshot();
 
-        let state = SessionState {
-            participant,
-            recno,
-            epoch,
-            previous,
-            pending,
-            next: 0,
-            accepted,
-            rescan,
-        };
+        let state =
+            SessionState { participant, recno, epoch, previous, pending, next: 0, accepted };
         let handle = self.next_session.fetch_add(1, Ordering::Relaxed);
         let opened = OpenedSession {
             session: SessionId(handle),
@@ -957,7 +913,7 @@ impl StoreCatalog {
         // candidates under the log lock alone (the accepted snapshot was
         // pinned at open) — no catalogue lock is acquired while the session
         // table is held.
-        let (participant, entries, accepted, rescan, exhausted) = {
+        let (participant, entries, accepted, exhausted) = {
             let mut sessions = self.sessions.lock().expect("session table lock");
             let state = sessions.get_mut(&session.as_u64()).ok_or_else(|| {
                 StorageError::Session(format!("unknown session {}", session.as_u64()))
@@ -966,15 +922,14 @@ impl StoreCatalog {
             let entries = state.pending[state.next..end].to_vec();
             state.next = end;
             let exhausted = end == state.pending.len();
-            (state.participant, entries, Arc::clone(&state.accepted), state.rescan, exhausted)
+            (state.participant, entries, Arc::clone(&state.accepted), exhausted)
         };
 
         let log = self.log.read().expect("log lock");
         let mut candidates = Vec::with_capacity(entries.len());
         for (id, priority) in entries {
             let Some(entry) = log.log.entry(id) else { continue };
-            let built = build_candidate(&log.log, &self.schema, &accepted, entry, priority, rescan);
-            candidates.push(built);
+            candidates.push(build_candidate(&log.log, &self.schema, &accepted, entry, priority));
         }
         Ok(SessionBatch { participant, candidates, exhausted })
     }
@@ -1491,7 +1446,7 @@ impl StoreCatalog {
                 }
                 let Some(entry) = log.log.entry(*id) else { continue };
                 let (candidate, _) =
-                    build_candidate(&log.log, &self.schema, &accepted, entry, *priority, false);
+                    build_candidate(&log.log, &self.schema, &accepted, entry, *priority);
                 out.push(candidate);
             }
         }
@@ -1919,19 +1874,16 @@ fn apply_reconciliation(
 /// Builds the candidate (transaction extension plus priority) for a trusted
 /// transaction, excluding antecedents the participant has already accepted.
 /// Returns the candidate together with the number of extension members that
-/// had to be fetched (used by the DHT store's message accounting). In
-/// `rescan` mode every member's update list is deep-copied, reproducing the
-/// pre-interning baseline cost; otherwise members share the log's update
-/// lists by reference count, and an extension that is the root alone comes
-/// with the root entry's own flattening, derived the first time it is needed
-/// and shared by every participant since.
+/// had to be fetched (used by the DHT store's message accounting). Members
+/// share the log's update lists by reference count, and an extension that is
+/// the root alone comes with the root entry's own flattening, derived the
+/// first time it is needed and shared by every participant since.
 fn build_candidate(
     log: &TransactionLog,
     schema: &Schema,
     accepted: &FxHashSet<TransactionId>,
     entry: &LogEntry,
     priority: Priority,
-    rescan: bool,
 ) -> (CandidateTransaction, usize) {
     let txn = &entry.transaction;
     let member_ids = log.transaction_extension(txn, accepted);
@@ -1942,16 +1894,13 @@ fn build_candidate(
             continue;
         }
         if let Some(t) = log.get(id) {
-            let updates = if rescan { Arc::new(t.updates().to_vec()) } else { t.shared_updates() };
-            members.push((id, updates));
+            members.push((id, t.shared_updates()));
             fetched += 1;
         }
     }
-    let root_updates = if rescan { Arc::new(txn.updates().to_vec()) } else { txn.shared_updates() };
-    members.push((txn.id(), root_updates));
-    // Only the root alone, holding the entry's own list (a rescan holds a
-    // copy), is what the entry's flattening flattens.
-    let shared = if rescan || fetched > 0 { None } else { entry.own_flattening(schema) };
+    members.push((txn.id(), txn.shared_updates()));
+    // Only the root alone is what the entry's flattening flattens.
+    let shared = if fetched > 0 { None } else { entry.own_flattening(schema) };
     let candidate = CandidateTransaction::from_members(txn.id(), priority, members);
     (candidate.with_shared_flattening(shared), fetched)
 }
@@ -2012,6 +1961,7 @@ mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{AcceptanceRule, Tuple, Update, UpdateKind};
+    use orchestra_spec::Spec;
     use proptest::prelude::*;
 
     fn p(i: u32) -> ParticipantId {
@@ -2026,17 +1976,24 @@ mod tests {
         Transaction::from_parts(p(i), j, updates).unwrap()
     }
 
+    /// The trust policies of the paper's Figure 1.
+    fn policies() -> [TrustPolicy; 3] {
+        [
+            TrustPolicy::new(p(1)).trusting(p(2), 1u32).trusting(p(3), 1u32),
+            TrustPolicy::new(p(2)).trusting(p(1), 2u32).trusting(p(3), 1u32),
+            TrustPolicy::new(p(3)).trusting(p(2), 1u32),
+        ]
+    }
+
     fn catalog_with_policies() -> StoreCatalog {
         let cat = StoreCatalog::new(bioinformatics_schema());
-        cat.register_policy(TrustPolicy::new(p(1)).trusting(p(2), 1u32).trusting(p(3), 1u32));
-        cat.register_policy(TrustPolicy::new(p(2)).trusting(p(1), 2u32).trusting(p(3), 1u32));
-        cat.register_policy(TrustPolicy::new(p(3)).trusting(p(2), 1u32));
+        policies().into_iter().for_each(|policy| cat.register_policy(policy));
         cat
     }
 
     /// Drains every entry of a fresh session, committing nothing.
     fn session_entries(cat: &StoreCatalog, participant: ParticipantId) -> Vec<RelevanceEntry> {
-        let opened = cat.open_session(participant, false).unwrap();
+        let opened = cat.open_session(participant).unwrap();
         let mut out = Vec::new();
         loop {
             let batch = cat.batch(opened.session, 100).unwrap();
@@ -2070,7 +2027,7 @@ mod tests {
         cat.publish(p(3), vec![x3.clone()]).unwrap();
         cat.publish(p(2), vec![x2.clone()]).unwrap();
 
-        let opened = cat.open_session(p(2), false).unwrap();
+        let opened = cat.open_session(p(2)).unwrap();
         assert_eq!(opened.recno, ReconciliationId(1));
         assert_eq!(opened.previous, Epoch::ZERO);
         assert_eq!(opened.epoch, Epoch(2));
@@ -2127,7 +2084,7 @@ mod tests {
         cat.publish(p(2), vec![x1.clone()]).unwrap();
 
         // p1 trusts both; the candidate for x1 must carry x0 as a member.
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         let batch = cat.batch(opened.session, 10).unwrap();
         cat.abort_session(opened.session);
         let (cand, fetched) =
@@ -2139,7 +2096,7 @@ mod tests {
 
         // Once p1 has accepted x0, the extension stops at x1.
         cat.record_decisions(p(1), &[x0.id()], &[]).unwrap();
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         let batch = cat.batch(opened.session, 10).unwrap();
         cat.abort_session(opened.session);
         let (cand, fetched) =
@@ -2149,12 +2106,8 @@ mod tests {
     }
 
     /// Drains one page of a fresh session for `participant`, aborting it.
-    fn one_page(
-        cat: &StoreCatalog,
-        participant: ParticipantId,
-        rescan: bool,
-    ) -> Vec<CandidateTransaction> {
-        let opened = cat.open_session(participant, rescan).unwrap();
+    fn one_page(cat: &StoreCatalog, participant: ParticipantId) -> Vec<CandidateTransaction> {
+        let opened = cat.open_session(participant).unwrap();
         let batch = cat.batch(opened.session, 10).unwrap();
         cat.abort_session(opened.session);
         batch.candidates.into_iter().map(|(c, _)| c).collect()
@@ -2196,7 +2149,7 @@ mod tests {
 
         // p1 and p2 both reconcile x3, the root alone: one flattening, shared
         // by both and equal to the one either would have computed.
-        let (of_p1, of_p2) = (one_page(&cat, p(1), false), one_page(&cat, p(2), false));
+        let (of_p1, of_p2) = (one_page(&cat, p(1)), one_page(&cat, p(2)));
         let (a, b) = (find(&of_p1, x3.id()), find(&of_p2, x3.id()));
         let (a_flat, b_flat) = (a.shared_flattening().unwrap(), b.shared_flattening().unwrap());
         assert!(Arc::ptr_eq(a_flat, b_flat));
@@ -2204,8 +2157,6 @@ mod tests {
         // x2's extension is x3 and x2: a chain, flattened by the participant.
         assert!(find(&of_p1, x2.id()).shared_flattening().is_none());
         assert!(find(&of_p1, twice.id()).shared_flattening().is_none());
-        // A rescan copies the updates, so it shares nothing.
-        assert!(find(&one_page(&cat, p(1), true), x3.id()).shared_flattening().is_none());
     }
 
     #[test]
@@ -2214,7 +2165,7 @@ mod tests {
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         cat.publish(p(3), vec![x]).unwrap();
         assert_eq!(cat.epoch_cursor(p(1)), Epoch::ZERO);
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         assert_eq!((opened.recno, opened.epoch), (ReconciliationId(1), Epoch(1)));
         // Nothing durable changed yet.
         assert_eq!(cat.current_reconciliation(p(1)), ReconciliationId::default());
@@ -2225,7 +2176,7 @@ mod tests {
 
         let y = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
         cat.publish(p(2), vec![y]).unwrap();
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         assert_eq!(opened.recno, ReconciliationId(2));
         assert_eq!(opened.previous, Epoch(1));
         assert_eq!(opened.epoch, Epoch(2));
@@ -2238,7 +2189,7 @@ mod tests {
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         cat.publish(p(3), vec![x]).unwrap();
         let before = format!("{cat:?}");
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         assert_eq!(cat.open_sessions(), 1);
         assert!(cat.abort_session(opened.session));
         assert_eq!(cat.open_sessions(), 0);
@@ -2259,13 +2210,13 @@ mod tests {
         // must fail until the first finishes. Different participants overlap
         // freely (covered by the interleaved-session integration test).
         let cat = catalog_with_policies();
-        let first = cat.open_session(p(1), false).unwrap();
-        assert!(matches!(cat.open_session(p(1), false), Err(StorageError::Session(_))));
-        let other = cat.open_session(p(2), false).unwrap();
+        let first = cat.open_session(p(1)).unwrap();
+        assert!(matches!(cat.open_session(p(1)), Err(StorageError::Session(_))));
+        let other = cat.open_session(p(2)).unwrap();
         cat.abort_session(other.session);
         cat.commit_session(first.session, &[], &[]).unwrap();
         // After the commit, a fresh session opens with the next recno.
-        let second = cat.open_session(p(1), false).unwrap();
+        let second = cat.open_session(p(1)).unwrap();
         assert_eq!(second.recno, ReconciliationId(2));
         cat.abort_session(second.session);
     }
@@ -2286,30 +2237,33 @@ mod tests {
         assert_eq!(cat.largest_stable_epoch(), Epoch(1));
     }
 
+    /// The relevance index, the epoch cursor and the decided filter hand
+    /// every participant's session what the executable spec retrieves.
     #[test]
-    fn relevance_index_matches_rescan_baseline() {
-        let cat = catalog_with_policies();
+    fn relevance_index_matches_the_spec() {
+        fn publish(cat: &StoreCatalog, spec: &mut Spec, txn: Transaction) {
+            cat.publish(txn.origin(), vec![txn.clone()]).unwrap();
+            spec.execute(txn.clone());
+            spec.publish(txn.origin(), &[txn.id()]);
+        }
+        let (cat, mut spec) =
+            (catalog_with_policies(), Spec::new(bioinformatics_schema(), policies()));
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
+        publish(&cat, &mut spec, x3);
         let x1 = txn(1, 0, vec![Update::insert("Function", func("dog", "prot9", "z"), p(1))]);
+        publish(&cat, &mut spec, x1);
+        // p1 reconciles what it has seen, and the catalogue records the
+        // spec's decisions; then p2 publishes.
+        let decided = spec.reconcile(p(1));
+        let opened = cat.open_session(p(1)).unwrap();
+        cat.commit_session(opened.session, &decided[0], &decided[1]).unwrap();
         let x2 = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-        cat.publish(p(3), vec![x3]).unwrap();
-        cat.publish(p(1), vec![x1]).unwrap();
-        cat.publish(p(2), vec![x2.clone()]).unwrap();
-        cat.record_decisions(p(1), &[x2.id()], &[]).unwrap();
+        publish(&cat, &mut spec, x2);
 
         for participant in [p(1), p(2), p(3)] {
-            let incremental = session_entries(&cat, participant);
-            let opened = cat.open_session(participant, true).unwrap();
-            let mut rescan = Vec::new();
-            loop {
-                let batch = cat.batch(opened.session, 100).unwrap();
-                rescan.extend(batch.candidates.iter().map(|(c, _)| (c.id, c.priority)));
-                if batch.exhausted {
-                    break;
-                }
-            }
-            cat.abort_session(opened.session);
-            assert_eq!(incremental, rescan, "divergence for participant {participant}");
+            let retrieved = spec.retrieve(participant).into_iter().map(|c| (c.id, c.priority));
+            let retrieved: Vec<RelevanceEntry> = retrieved.collect();
+            assert_eq!(session_entries(&cat, participant), retrieved, "{participant} diverged");
         }
     }
 
@@ -2541,7 +2495,7 @@ mod tests {
         let x1 = txn(1, 0, vec![Update::insert("Function", func("dog", "prot9", "z"), p(1))]);
         cat.publish(p(3), vec![x3.clone()]).unwrap();
         cat.publish(p(2), vec![x2.clone()]).unwrap();
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[x3.id()], &[x2.id()]).unwrap();
         cat.publish(p(1), vec![x1]).unwrap();
         cat.record_decisions(p(2), &[], &[x3.id()]).unwrap();
@@ -2599,7 +2553,7 @@ mod tests {
         run_history(&cat);
         let mut derived = 0;
         for who in [p(2), p(3), p(4)] {
-            let opened = cat.open_session(who, false).unwrap();
+            let opened = cat.open_session(who).unwrap();
             let batch = cat.batch(opened.session, 10).unwrap();
             let ids: Vec<TransactionId> = batch.candidates.iter().map(|(c, _)| c.id).collect();
             derived +=
@@ -2716,7 +2670,7 @@ mod tests {
 
         // p1 reconciles, deciding x3 but leaving x2 undecided (deferred
         // client-side); the store's recovery stream must re-offer exactly x2.
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[x3.id()], &[]).unwrap();
         let undecided = cat.undecided_candidates(p(1));
         assert_eq!(undecided.len(), 1);
@@ -2748,7 +2702,7 @@ mod tests {
     /// Opens a session, accepts every streamed candidate (roots and
     /// members) and commits.
     fn reconcile_accept_all(cat: &StoreCatalog, participant: ParticipantId) {
-        let opened = cat.open_session(participant, false).unwrap();
+        let opened = cat.open_session(participant).unwrap();
         let mut accepted = Vec::new();
         loop {
             let batch = cat.batch(opened.session, 64).unwrap();
@@ -2803,7 +2757,7 @@ mod tests {
         // after every cursor has passed: p1 defers (commits no decision).
         let y = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
         cat.publish(p(2), vec![y.clone()]).unwrap();
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[], &[]).unwrap(); // deferred
         reconcile_accept_all(&cat, p(2));
         reconcile_accept_all(&cat, p(3));
@@ -2830,7 +2784,7 @@ mod tests {
         assert_eq!(cat.convergence_horizon(), Epoch(1));
         // An unregistered participant's session pins at its (zero) cursor —
         // the session opened against the pre-horizon state.
-        let opened = cat.open_session(p(9), false).unwrap();
+        let opened = cat.open_session(p(9)).unwrap();
         assert_eq!(cat.convergence_horizon(), Epoch::ZERO);
         cat.abort_session(opened.session);
         assert_eq!(cat.convergence_horizon(), Epoch(1));
@@ -2877,7 +2831,7 @@ mod tests {
         }
         for participant in [p(1), p(3)] {
             let collect = |store: &StoreCatalog| {
-                let opened = store.open_session(participant, false).unwrap();
+                let opened = store.open_session(participant).unwrap();
                 let batch = store.batch(opened.session, 64).unwrap();
                 store.abort_session(opened.session);
                 batch
@@ -2933,7 +2887,7 @@ mod tests {
         // receives no relevance for later publishes.
         cat.retire_participant(p(3)).unwrap();
         assert_eq!(cat.participants(), vec![p(1), p(2)]);
-        assert!(matches!(cat.open_session(p(3), false), Err(StorageError::Retention(_))));
+        assert!(matches!(cat.open_session(p(3)), Err(StorageError::Retention(_))));
         assert_eq!(cat.convergence_horizon(), Epoch(1));
         let report = cat.prune_to_horizon().unwrap();
         assert_eq!(report.horizon, Epoch(1));
@@ -3108,7 +3062,7 @@ mod tests {
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         cat.publish(p(3), vec![x.clone()]).unwrap();
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         let copy = cat.clone();
         assert_eq!(copy.open_sessions(), 0);
         assert_eq!(copy.log_len(), 1);
@@ -3190,7 +3144,7 @@ mod tests {
         cat.enable_causal_mode().unwrap();
         let x2 = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
         cat.publish_causal(stamp(&cat, p(2)), vec![x2.clone()]).unwrap();
-        let opened = cat.open_session(p(1), false).unwrap();
+        let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[x3.id()], &[x2.id()]).unwrap();
         let x1 = txn(1, 0, vec![Update::insert("Function", func("dog", "prot9", "z"), p(1))]);
         cat.publish_causal(stamp(&cat, p(1)), vec![x1]).unwrap();

@@ -24,50 +24,22 @@ use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the store retrieves the relevant transactions for a reconciliation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetrievalMode {
-    /// Cursor-based incremental retrieval: walk the per-epoch trust-evaluated
-    /// relevance index from the participant's epoch cursor; per-session work
-    /// is proportional to the newly published epochs.
-    #[default]
-    Incremental,
-    /// The pre-cursor route: rescan the full publication log, re-filter by
-    /// trust and decision record, and rebuild the decided set on every
-    /// session open; per-session work grows with total history. Kept as the
-    /// tests' reference route for the incremental path
-    /// (`tests/store_equivalence_smoke.rs`,
-    /// `catalog::tests::relevance_index_matches_rescan_baseline`,
-    /// `scenario::tests::churn_decisions_are_identical_across_retrieval_modes`).
-    RescanBaseline,
-}
-
 /// Centralised update store backed by the embedded relational engine.
 #[derive(Debug, Clone)]
 pub struct CentralStore {
     catalog: StoreCatalog,
-    retrieval: RetrievalMode,
 }
 
 impl CentralStore {
-    /// Creates an empty central store for the given schema, using incremental
-    /// cursor-based retrieval.
+    /// Creates an empty central store for the given schema.
     pub fn new(schema: Schema) -> Self {
-        CentralStore::with_retrieval(schema, RetrievalMode::Incremental)
-    }
-
-    /// Creates an empty central store with an explicit retrieval mode.
-    pub fn with_retrieval(schema: Schema, retrieval: RetrievalMode) -> Self {
-        CentralStore { catalog: StoreCatalog::new(schema), retrieval }
+        CentralStore { catalog: StoreCatalog::new(schema) }
     }
 
     /// Creates an empty central store over an explicit durability backend
     /// (see [`crate::Durability`]).
     pub fn with_durability(schema: Schema, durability: crate::Durability) -> Self {
-        CentralStore {
-            catalog: StoreCatalog::with_durability(schema, durability),
-            retrieval: RetrievalMode::default(),
-        }
+        CentralStore { catalog: StoreCatalog::with_durability(schema, durability) }
     }
 
     /// Creates an empty central store whose state is made durable in `dir`
@@ -83,10 +55,7 @@ impl CentralStore {
     /// and the store keeps appending to the same log (see
     /// [`StoreCatalog::recover`]).
     pub fn recover(dir: &std::path::Path) -> Result<Self> {
-        Ok(CentralStore {
-            catalog: StoreCatalog::recover(dir)?,
-            retrieval: RetrievalMode::default(),
-        })
+        Ok(CentralStore { catalog: StoreCatalog::recover(dir)? })
     }
 
     /// Takes a compacting snapshot of a durable store (see
@@ -149,8 +118,7 @@ impl UpdateStore for CentralStore {
     }
 
     fn begin_reconciliation(&self, participant: ParticipantId) -> Result<Timed<SessionInfo>> {
-        let rescan = self.retrieval == RetrievalMode::RescanBaseline;
-        let timed = self.timed(|cat| cat.open_session(participant, rescan));
+        let timed = self.timed(|cat| cat.open_session(participant));
         let timing = timed.timing;
         timed.value.map(|opened| Timed::new(opened.info(), timing))
     }

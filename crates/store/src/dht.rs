@@ -245,7 +245,7 @@ impl UpdateStore for DhtStore {
     fn begin_reconciliation(&self, participant: ParticipantId) -> Result<Timed<SessionInfo>> {
         let peer = self.peer_node(participant);
         let start = Instant::now();
-        let opened = self.catalog.open_session(participant, false)?;
+        let opened = self.catalog.open_session(participant)?;
         // Figure 7 asks every transaction controller of the new epochs; the
         // catalogue's relevance index holds only what the participant
         // trusts, so the ones that answer "not for you" are derived here.

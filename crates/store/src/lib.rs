@@ -66,7 +66,7 @@ pub mod service;
 
 pub use api::{ReconciliationSession, SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 pub use catalog::{OpenedSession, SessionBatch, StoreCatalog};
-pub use central::{CentralStore, RetrievalMode};
+pub use central::CentralStore;
 pub use client::{poll_ready, InProcessClient, SessionClient, ShardClient};
 pub use dht::DhtStore;
 pub use durability::{Durability, FileWalBackend};

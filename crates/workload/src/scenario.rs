@@ -311,7 +311,10 @@ fn run_churn<S: UpdateStore>(
 mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
+    use orchestra_model::TransactionId;
+    use orchestra_spec::{Decided, Group, Spec};
     use orchestra_store::{CentralStore, DhtStore};
+    use std::collections::BTreeSet;
 
     fn tiny_config() -> ScenarioConfig {
         ScenarioConfig {
@@ -397,19 +400,59 @@ mod tests {
         assert!(result.samples.iter().any(|s| s.epochs_covered > 1));
     }
 
+    /// The tiny churn decides, step by step, what the executable spec
+    /// decides on the same schedule, and ends in the spec's instances.
     #[test]
-    fn churn_decisions_are_identical_across_retrieval_modes() {
-        use orchestra_store::RetrievalMode;
+    fn churn_decisions_are_the_specs() {
         let config = tiny_churn();
-        let incremental = run_churn_scenario(CentralStore::new(bioinformatics_schema()), &config);
-        let rescan = run_churn_scenario(
-            CentralStore::with_retrieval(bioinformatics_schema(), RetrievalMode::RescanBaseline),
-            &config,
-        );
-        assert_eq!(incremental.accepted, rescan.accepted);
-        assert_eq!(incremental.rejected, rescan.rejected);
-        assert_eq!(incremental.deferred, rescan.deferred);
-        assert_eq!(incremental.state_ratio, rescan.state_ratio);
+        let mut conf = churn_confederation(CentralStore::new(bioinformatics_schema()), &config);
+        let ids = conf.system.participant_ids();
+        let policies = ids.iter().map(|&id| conf.system.participant(id).unwrap().policy().clone());
+        let mut spec = Spec::new(bioinformatics_schema(), policies.collect::<Vec<_>>());
+        let sorted = |ids: &[TransactionId]| ids.iter().copied().collect::<BTreeSet<_>>();
+        let mut executed = Vec::new();
+        for step in churn_schedule(&config, &ids) {
+            let outcome = conf.apply(&step, &Driver::sequential()).unwrap();
+            let decided: Vec<Decided> = match &step {
+                // A churn turn generates into an empty pending list, then
+                // publishes all of it.
+                Step::Generate { who, .. } => {
+                    let pending = conf.system.participant(*who).unwrap().pending_publications();
+                    executed = pending.iter().map(|txn| txn.id()).collect();
+                    pending.iter().for_each(|txn| spec.execute(txn.clone()));
+                    Vec::new()
+                }
+                Step::Publish(who) => {
+                    let epoch = (!executed.is_empty()).then(|| spec.publish(who[0], &executed));
+                    assert_eq!(outcome.published, vec![(who[0], epoch)]);
+                    Vec::new()
+                }
+                Step::Reconcile(who) => who.iter().map(|&id| spec.reconcile(id)).collect(),
+                Step::Resolve { who, option } => {
+                    let kept = |g: &Group| (g.key.clone(), Some(option % g.options.len()));
+                    let choices: Vec<_> = spec.groups(*who).iter().map(kept).collect();
+                    (!choices.is_empty())
+                        .then(|| spec.resolve(*who, &choices))
+                        .into_iter()
+                        .collect()
+                }
+                _ => unreachable!("a churn schedule has no {step:?}"),
+            };
+            let expected: Vec<_> =
+                decided.iter().map(|[a, r, d]| [a, r, d].map(|ids| sorted(ids))).collect();
+            let reconciled =
+                outcome.reconciled.iter().map(|(_, r)| [&r.accepted, &r.rejected, &r.deferred]);
+            let resolved = outcome
+                .resolved
+                .iter()
+                .map(|(_, r)| [&r.newly_accepted, &r.newly_rejected, &r.still_deferred]);
+            let reported: Vec<_> =
+                reconciled.chain(resolved).map(|r| r.map(|ids| sorted(ids))).collect();
+            assert_eq!(reported, expected, "{step:?}");
+        }
+        for id in ids {
+            assert_eq!(conf.system.participant(id).unwrap().instance(), &spec.peer(id).instance);
+        }
     }
 
     #[test]

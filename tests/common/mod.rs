@@ -6,7 +6,8 @@
 
 use orchestra::{CdssSystem, Participant};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{KeyValue, ParticipantId, TransactionId, Tuple};
+use orchestra_model::{KeyValue, ParticipantId, Transaction, TransactionId, Tuple};
+use orchestra_spec::{Group, Spec};
 use orchestra_store::UpdateStore;
 use orchestra_workload::{mutual_trust_policies, Confederation, Driver, Outcome, Step};
 use proptest::prelude::*;
@@ -144,21 +145,147 @@ pub fn snapshot<S: UpdateStore>(system: &CdssSystem<S>) -> Snapshot {
         .collect()
 }
 
-/// Runs a schedule on a fresh confederation over `store` and returns where
-/// it ended up.
-pub fn run<S: UpdateStore>(
+/// A fresh confederation over `store`, in causal mode if asked.
+fn started<S: UpdateStore>(store: S, participants: u32, causal: bool) -> Confederation<S> {
+    let conf = confederation(store, participants);
+    if causal {
+        conf.system.enable_causal_mode().expect("fresh store accepts causal mode");
+    }
+    conf
+}
+
+/// Runs a schedule on a fresh confederation over `store` under `driver` and
+/// returns where it ended up. The spec checks the same schedule's
+/// [sequential run](run); every driver reaches that run's decisions.
+pub fn run_on<S: UpdateStore>(
     store: S,
     participants: u32,
     causal: bool,
     steps: &[Step],
     driver: &Driver<S>,
 ) -> Snapshot {
-    let mut conf = confederation(store, participants);
-    if causal {
-        conf.system.enable_causal_mode().expect("fresh store accepts causal mode");
-    }
+    let mut conf = started(store, participants, causal);
     conf.run(steps, driver, |_| ()).expect("step succeeds");
     snapshot(&conf.system)
+}
+
+/// Runs a schedule under the sequential driver, checked against the
+/// executable spec, and returns where it ended up.
+pub fn run<S: UpdateStore>(store: S, participants: u32, causal: bool, steps: &[Step]) -> Snapshot {
+    run_checked(store, participants, causal, steps, |_, _, _| ())
+}
+
+/// [`run`], in lockstep with the spec: after every step that decides
+/// something each participant's instance, decisions and deferred set, and
+/// the deciders' conflict groups, are the spec's; `check` sees both sides
+/// after every step; and the spec meets its functional requirements.
+pub fn run_checked<S: UpdateStore>(
+    store: S,
+    participants: u32,
+    causal: bool,
+    steps: &[Step],
+    mut check: impl FnMut(&Step, &CdssSystem<S>, &Spec),
+) -> Snapshot {
+    assert!(participants <= 12, "the spec is quadratic; keep it to small confederations");
+    let mut conf = started(store, participants, causal);
+    let ids = conf.system.participant_ids();
+    fn of<S: UpdateStore>(system: &CdssSystem<S>, id: ParticipantId) -> &Participant {
+        system.participant(id).expect("listed")
+    }
+    let policies = ids.iter().map(|&id| of(&conf.system, id).policy().clone());
+    let mut spec = Spec::new(bioinformatics_schema(), policies.collect::<Vec<_>>());
+    for step in steps {
+        // What each participant holds back: its pending transactions, then
+        // the batches it buffered offline.
+        let held = |id| {
+            let (participant, ids) =
+                (of(&conf.system, id), |b: &[Transaction]| b.iter().map(Transaction::id).collect());
+            let buffered = participant.buffered_publications().iter().map(|(_, b)| ids(b));
+            std::iter::once(ids(participant.pending_publications()))
+                .chain(buffered)
+                .collect::<Vec<Vec<_>>>()
+        };
+        let before: Vec<Vec<Vec<TransactionId>>> = ids.iter().map(|&id| held(id)).collect();
+        conf.apply(step, &Driver::sequential()).expect("step succeeds");
+        let system = &conf.system;
+        let mut published = Vec::new();
+        for (&id, batches) in ids.iter().zip(before) {
+            let pending = of(system, id).pending_publications().iter().skip(batches[0].len());
+            pending.for_each(|t| spec.execute(t.clone()));
+            for batch in batches.into_iter().filter(|b| !b.is_empty()) {
+                published.extend(system.store().epoch_of(batch[0]).map(|epoch| (epoch, id, batch)));
+            }
+        }
+        published.sort();
+        for (epoch, who, batch) in published {
+            assert_eq!(spec.publish(who, &batch), epoch, "the store numbers epochs as the spec");
+        }
+        let online = |id: &&ParticipantId| !of(system, **id).is_offline();
+        let deciders: Vec<ParticipantId> = match step {
+            Step::Resolve { who, option } if online(&who) => {
+                spec_resolve(&mut spec, *who, *option, false).into_iter().collect()
+            }
+            Step::ResolveAll => ids
+                .iter()
+                .filter(online)
+                .flat_map(|&id| spec_resolve(&mut spec, id, 0, true))
+                .collect(),
+            Step::Reconcile(wave) => {
+                let wave: Vec<ParticipantId> = wave.iter().filter(online).copied().collect();
+                for &id in &wave {
+                    spec.reconcile(id);
+                }
+                wave
+            }
+            _ => Vec::new(),
+        };
+        // After a step that decided something, the state is the spec's, and
+        // so are the deciders' conflict groups.
+        if !deciders.is_empty() {
+            assert_eq!(snapshot(system), spec_snapshot(&spec, &ids), "{step:?} left another state");
+        }
+        for &id in &deciders {
+            let groups = of(system, id).deferred_conflicts().iter().map(|g| Group {
+                key: g.key.clone(),
+                options: g.options.iter().map(|o| o.transactions.clone()).collect(),
+            });
+            assert_eq!(groups.collect::<Vec<_>>(), spec.groups(id), "{id}'s groups after {step:?}");
+        }
+        check(step, system, &spec);
+    }
+    assert_eq!(snapshot(&conf.system), spec_snapshot(&spec, &ids), "the run ended elsewhere");
+    spec.check_requirements().expect("the spec meets its requirements");
+    snapshot(&conf.system)
+}
+
+/// The spec's side of a resolving turn: `who` keeps option `option` of
+/// every open conflict group, and is returned if it resolved something.
+/// Nothing happens without a group, unless `rerun` asks for the deferred set
+/// to be re-run regardless.
+fn spec_resolve(
+    spec: &mut Spec,
+    who: ParticipantId,
+    option: usize,
+    rerun: bool,
+) -> Option<ParticipantId> {
+    let kept = |g: &Group| (g.key.clone(), Some(option % g.options.len()));
+    let choices: Vec<_> = spec.groups(who).iter().map(kept).collect();
+    let due = !choices.is_empty() || rerun && !spec.peer(who).deferred.is_empty();
+    if due {
+        spec.resolve(who, &choices);
+    }
+    due.then_some(who)
+}
+
+/// The spec's side of a [`Snapshot`].
+fn spec_snapshot(spec: &Spec, ids: &[ParticipantId]) -> Snapshot {
+    let view = |id: &ParticipantId| {
+        let peer = spec.peer(*id);
+        let decided = |a| sorted(peer.decided.iter().filter(|d| *d.1 == a).map(|d| *d.0));
+        let function = peer.instance.relation_contents("Function");
+        (function, decided(true), decided(false), sorted(peer.deferred.iter().copied()))
+    };
+    ids.iter().map(view).collect()
 }
 
 /// The decisions of one step, without its timings: two runs that decide the

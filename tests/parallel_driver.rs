@@ -133,11 +133,10 @@ mod equivalence {
             let mut steps = turns.concat();
             // Final catch-up wave.
             steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
-            let run = |driver| {
-                let store = CentralStore::new(bioinformatics_schema());
-                common::run(store, PARTICIPANTS, false, &steps, &driver)
-            };
-            prop_assert_eq!(run(Driver::sequential()), run(Driver::threads()), "drivers diverged");
+            let store = || CentralStore::new(bioinformatics_schema());
+            let sequential = common::run(store(), PARTICIPANTS, false, &steps);
+            let threads = common::run_on(store(), PARTICIPANTS, false, &steps, &Driver::threads());
+            prop_assert_eq!(sequential, threads, "drivers diverged");
         }
     }
 

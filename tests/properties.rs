@@ -7,6 +7,7 @@ use orchestra_model::{
     RelationSchema, Schema, Transaction, Tuple, Update, UpdateOp, Value,
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
+use orchestra_spec::{check_state, Verdict};
 use orchestra_storage::{Database, LogEntry, StorageError, Table};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -287,21 +288,6 @@ fn grouped_candidates(groups: &[CandidateGroup], base: &Database) -> Vec<Candida
         }
     }
     candidates
-}
-
-/// `CheckState` steps 5 to 8 as the paper words them: a candidate is rejected
-/// iff some update of its flattened extension is incompatible with the
-/// instance, or conflicts with some update of the flattened own delta — every
-/// pair compared, no index.
-fn oracle_rejects(
-    cand: &CandidateTransaction,
-    own_flat: &[Update],
-    instance: &Database,
-    schema: &Schema,
-) -> bool {
-    let extension = flatten(schema, &cand.update_footprint());
-    extension.iter().any(|u| !instance.is_compatible(u))
-        || extension.iter().any(|u| own_flat.iter().any(|own| u.conflicts_with(own, schema)))
 }
 
 proptest! {
@@ -668,8 +654,8 @@ proptest! {
         }
     }
 
-    /// The engine's key-indexed `CheckState` agrees with the paper's
-    /// definition taken literally ([`oracle_rejects`]), for candidates with
+    /// The engine's key-indexed `CheckState` agrees with the spec's, the
+    /// paper's taken literally (every pair compared, no index), for candidates with
     /// antecedent chains against a non-empty own delta; and the instance ends
     /// up as if the accepted extensions had been applied one after the other,
     /// each without the members an earlier one already applied.
@@ -702,12 +688,14 @@ proptest! {
         }
         let candidates = grouped_candidates(&groups, &base_db);
 
-        let own_flat = flatten(&schema, &own_updates);
         let (mut accepted, mut rejected) = (Vec::new(), Vec::new());
         let mut expected = instance.clone();
         let mut applied = std::collections::HashSet::new();
         for cand in &candidates {
-            if oracle_rejects(cand, &own_flat, &instance, &schema) {
+            let members: Vec<_> = cand.members.iter().map(|(id, u)| (*id, u.as_slice())).collect();
+            let (dirty, decided) = (Default::default(), Default::default());
+            let verdict = check_state(&schema, &members, &instance, &own_updates, &dirty, &decided);
+            if verdict == Verdict::Reject {
                 rejected.push(cand.id);
                 continue;
             }

@@ -28,20 +28,28 @@ const WAVES: &[Turn] = &[EditPublish, EditPublishWave];
 const PARTITIONED_WAVES: &[Turn] =
     &[EditPublish, EditPublish, EditPublishWave, EditPublishWave, Resolve, Partition, Heal];
 
-/// Where the schedule ends up under one driver, after a heal and a final
-/// catch-up wave. The service driver also routes its *publishes* through
-/// the framed protocol, so the proptests cover the framed publish (scalar
-/// and causal-stamped) as well as the session protocol.
-fn run(turns: &[Vec<Step>], driver: Driver<CentralStore>, causal: bool) -> common::Snapshot {
+/// Where the schedule ends up under one driver (none: the sequential run,
+/// checked against the spec), after a heal and a final catch-up wave. The
+/// service driver also routes its *publishes* through the framed protocol,
+/// so the proptests cover the framed publish (scalar and causal-stamped) as
+/// well as the session protocol.
+fn run(
+    turns: &[Vec<Step>],
+    driver: Option<Driver<CentralStore>>,
+    causal: bool,
+) -> common::Snapshot {
     let mut steps = turns.concat();
     steps.push(Step::Heal);
     steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
     let store = CentralStore::new(bioinformatics_schema());
-    common::run(store, PARTICIPANTS, causal, &steps, &driver)
+    match driver {
+        None => common::run(store, PARTICIPANTS, causal, &steps),
+        Some(driver) => common::run_on(store, PARTICIPANTS, causal, &steps, &driver),
+    }
 }
 
-fn service() -> Driver<CentralStore> {
-    Driver::service(ServiceConfig::default())
+fn service() -> Option<Driver<CentralStore>> {
+    Some(Driver::service(ServiceConfig::default()))
 }
 
 proptest! {
@@ -55,8 +63,8 @@ proptest! {
     fn service_driver_is_equivalent_on_scalar_schedules(
         turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, WAVES, 1..30)
     ) {
-        let sequential = run(&turns, Driver::sequential(), false);
-        prop_assert_eq!(&sequential, &run(&turns, Driver::threads(), false), "threads diverged");
+        let sequential = run(&turns, None, false);
+        prop_assert_eq!(&sequential, &run(&turns, Some(Driver::threads()), false), "threads diverged");
         prop_assert_eq!(&sequential, &run(&turns, service(), false), "service driver diverged");
     }
 }
@@ -71,8 +79,8 @@ proptest! {
     fn service_driver_is_equivalent_on_causal_schedules(
         turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, WAVES, 1..20)
     ) {
-        let sequential = run(&turns, Driver::sequential(), true);
-        prop_assert_eq!(&sequential, &run(&turns, Driver::threads(), true), "threads diverged");
+        let sequential = run(&turns, None, true);
+        prop_assert_eq!(&sequential, &run(&turns, Some(Driver::threads()), true), "threads diverged");
         prop_assert_eq!(&sequential, &run(&turns, service(), true), "service driver diverged");
     }
 }
@@ -88,7 +96,7 @@ proptest! {
     fn service_driver_is_equivalent_on_partitioned_schedules(
         turns in common::schedule(PARTICIPANTS, KEY_POOL, VALUE_POOL, PARTITIONED_WAVES, 1..30)
     ) {
-        let sequential = run(&turns, Driver::sequential(), true);
+        let sequential = run(&turns, None, true);
         prop_assert_eq!(&sequential, &run(&turns, service(), true), "service driver diverged");
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! The property test generalises it: randomized interleaved
 //! publish/reconcile/resolve schedules must yield identical final instances
-//! and identical accept/reject/defer decisions across the incremental
-//! central store, the rescan-baseline central store, the DHT store
-//! (client-centric), and the DHT store's network-centric mode.
+//! and identical accept/reject/defer decisions across the central store, the
+//! DHT store (client-centric), and the DHT store's network-centric mode. The
+//! sequential runs are checked against the executable spec step by step, and
+//! so is what every participant's session would drain.
 
 mod common;
 
@@ -102,7 +103,7 @@ fn central_and_dht_final_instances_are_identical() {
 mod random_schedules {
     use super::*;
     use common::Turn::{Edit, Publish, PublishReconcile, ResolveChosen};
-    use orchestra_store::RetrievalMode;
+    use orchestra_spec::{Candidate, Spec};
     use orchestra_workload::{Driver, Step};
     use proptest::prelude::*;
 
@@ -110,15 +111,47 @@ mod random_schedules {
     const KEY_POOL: usize = 6;
     const VALUE_POOL: usize = 4;
 
-    /// Runs the turns against a store under a driver — so the DHT's
-    /// network-centric mode rides the same schedule — and ends with a
-    /// catch-up publish + reconcile for every participant.
-    fn run<S: UpdateStore>(store: S, turns: &[Vec<Step>], driver: Driver<S>) -> common::Snapshot {
+    /// Runs the turns against a store under a driver (none: the sequential
+    /// run, checked against the spec) — so the DHT's network-centric mode
+    /// rides the same schedule — and ends with a catch-up publish +
+    /// reconcile for every participant.
+    fn run<S: UpdateStore>(
+        store: S,
+        turns: &[Vec<Step>],
+        driver: Option<Driver<S>>,
+    ) -> common::Snapshot {
         let mut steps = turns.concat();
         for who in (1..=PARTICIPANTS).map(p) {
             steps.extend(common::turn(PublishReconcile, who, &[], 0, 0));
         }
-        common::run(store, PARTICIPANTS, false, &steps, &driver)
+        match driver {
+            None => common::run_checked(store, PARTICIPANTS, false, &steps, drains_the_spec),
+            Some(driver) => common::run_on(store, PARTICIPANTS, false, &steps, &driver),
+        }
+    }
+
+    /// After a publish, every participant's session would drain what the
+    /// spec retrieves: the same candidates, priorities and extension
+    /// members, in publication order.
+    fn drains_the_spec<S: UpdateStore>(step: &Step, system: &CdssSystem<S>, spec: &Spec) {
+        if !matches!(step, Step::Publish(_)) {
+            return;
+        }
+        let store = system.store();
+        for who in system.participant_ids() {
+            let session = store.begin_reconciliation(who).expect("a session opens").value.session;
+            let page = store.next_batch(session, 1 << 16).expect("a page").value;
+            store.abort_reconciliation(session).expect("the session aborts");
+            let drained: Vec<Candidate> = page
+                .into_iter()
+                .map(|c| Candidate {
+                    id: c.id,
+                    priority: c.priority,
+                    members: c.members.iter().map(|(id, _)| *id).collect(),
+                })
+                .collect();
+            assert_eq!(drained, spec.retrieve(who), "{who}'s session drained otherwise");
+        }
     }
 
     proptest! {
@@ -138,17 +171,11 @@ mod random_schedules {
             )
         ) {
             let schema = bioinformatics_schema;
-            let central = run(CentralStore::new(schema()), &turns, Driver::sequential());
-            let rescan = run(
-                CentralStore::with_retrieval(schema(), RetrievalMode::RescanBaseline),
-                &turns,
-                Driver::sequential(),
-            );
-            let dht = run(DhtStore::new(schema()), &turns, Driver::sequential());
+            let central = run(CentralStore::new(schema()), &turns, None);
+            let dht = run(DhtStore::new(schema()), &turns, None);
             let network_centric =
-                run(DhtStore::new(schema()), &turns, Driver::network_centric());
+                run(DhtStore::new(schema()), &turns, Some(Driver::network_centric()));
 
-            prop_assert_eq!(&central, &rescan, "rescan baseline diverged");
             prop_assert_eq!(&central, &dht, "dht store diverged");
             prop_assert_eq!(&central, &network_centric, "network-centric mode diverged");
         }
