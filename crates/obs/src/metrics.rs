@@ -211,6 +211,16 @@ struct RegistryInner {
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
+/// The handle named `name` in `map`, created on first use: the name is
+/// copied into a key only then.
+fn resolve<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.lock().expect("metrics lock poisoned");
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
 /// A shared sink of named metrics. Cloning shares the underlying maps.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
@@ -226,20 +236,17 @@ impl MetricsRegistry {
     /// Resolves (creating on first use) the counter named `name`. Call at
     /// setup time and keep the returned handle for the hot path.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("metrics lock poisoned");
-        map.entry(name.to_string()).or_default().clone()
+        resolve(&self.inner.counters, name)
     }
 
     /// Resolves (creating on first use) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().expect("metrics lock poisoned");
-        map.entry(name.to_string()).or_default().clone()
+        resolve(&self.inner.gauges, name)
     }
 
     /// Resolves (creating on first use) the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.inner.histograms.lock().expect("metrics lock poisoned");
-        map.entry(name.to_string()).or_default().clone()
+        resolve(&self.inner.histograms, name)
     }
 
     /// A point-in-time copy of every metric.

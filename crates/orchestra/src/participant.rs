@@ -14,7 +14,7 @@ use orchestra_model::{
     flatten_keyed, AntichainClock, CausalStamp, NetUpdates, ParticipantId, Schema, Transaction,
     TransactionId, TrustPolicy, Update,
 };
-use orchestra_obs::Obs;
+use orchestra_obs::{Counter, Obs};
 use orchestra_recon::{
     resolution::resolve_conflicts, CandidateTransaction, ConflictGroup, ReconcileEngine,
     ReconcileInput, ResolutionChoice, SoftState,
@@ -86,6 +86,9 @@ pub struct Participant {
     /// `participant.store_us` / `participant.local_us` counters there, and
     /// publish / reconcile / resolution milestones emit trace events.
     obs: Obs,
+    /// The sink's `participant.store_us` and `participant.local_us`
+    /// counters, resolved once per [`Participant::set_observability`].
+    timing_counters: [Counter; 2],
     /// Locally mirrored rejected set: loaded from the store once (on the
     /// first reconciliation) and extended with this participant's own
     /// decisions afterwards, so steady-state reconciliations never re-read
@@ -125,6 +128,7 @@ impl Participant {
             last_published_updates: Vec::new(),
             total_timing: TimingBreakdown::default(),
             obs: Obs::disabled(),
+            timing_counters: Default::default(),
             rejected_cache: None,
             offline: false,
             buffered: Vec::new(),
@@ -273,6 +277,8 @@ impl Participant {
     /// is enabled.
     pub fn set_observability(&mut self, obs: &Obs) {
         self.obs = obs.clone();
+        self.timing_counters =
+            ["participant.store_us", "participant.local_us"].map(|name| obs.metrics.counter(name));
     }
 
     /// Accumulates one operation's timing into the cumulative view *and*
@@ -280,8 +286,9 @@ impl Participant {
     /// `TimingBreakdown` summing in drivers.
     fn record_timing(&mut self, timing: TimingBreakdown) {
         self.total_timing.accumulate(timing);
-        self.obs.metrics.counter("participant.store_us").add(timing.store.as_micros() as u64);
-        self.obs.metrics.counter("participant.local_us").add(timing.local.as_micros() as u64);
+        let [store_us, local_us] = &self.timing_counters;
+        store_us.add(timing.store.as_micros() as u64);
+        local_us.add(timing.local.as_micros() as u64);
     }
 
     /// Sets the page size for session-based candidate retrieval (clamped to
@@ -819,6 +826,29 @@ mod tests {
         assert!(p2.instance().contains_tuple_exact("Function", &func("rat", "prot1", "immune")));
         assert!(report2.timing.total() >= report2.timing.local);
         assert!(p2.total_timing().total() >= report2.timing.total());
+    }
+
+    #[test]
+    fn timing_lands_in_the_sink_bound_last() {
+        let (store, mut p1, mut p2) = setup_pair();
+        for i in 0..40 {
+            let tuple = func("rat", &format!("prot{i}"), "a");
+            p2.execute_transaction(vec![Update::insert("Function", tuple, p(2))]).unwrap();
+        }
+        p2.publish(&store).unwrap();
+        let (first, other) = (Obs::disabled(), Obs::disabled());
+        p1.set_observability(&first);
+        p1.set_observability(&other);
+        p1.reconcile(&store).unwrap();
+        let spent = p1.total_timing();
+        let micros = [spent.store.as_micros() as u64, spent.local.as_micros() as u64];
+        assert!(micros[0] + micros[1] > 0, "reconciling 40 candidates takes time");
+        let counters = |obs: &Obs| {
+            ["participant.store_us", "participant.local_us"]
+                .map(|name| obs.metrics.counter(name).get())
+        };
+        assert_eq!(counters(&other), micros);
+        assert_eq!(counters(&first), [0, 0]);
     }
 
     #[test]

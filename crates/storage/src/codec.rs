@@ -922,7 +922,7 @@ pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
     let mut e = Enc::new(SNAPSHOT_MAGIC);
     enc_schema(&mut e, &snapshot.schema);
     e.u64(snapshot.registry.records.len() as u64);
-    for (&epoch, record) in &snapshot.registry.records {
+    for (epoch, record) in snapshot.registry.records() {
         e.u64(epoch);
         enc_participant(&mut e, record.publisher);
         e.u8(match record.status {
@@ -942,8 +942,8 @@ pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
     }
     enc_clock(&mut e, &causal.frontier);
     e.u64(snapshot.log.entries.len() as u64);
-    for (&pos, entry) in &snapshot.log.entries {
-        e.u64(pos);
+    for (pos, entry) in &snapshot.log.entries {
+        e.u64(*pos);
         e.u64(entry.epoch.as_u64());
         enc_transaction(&mut e, &entry.transaction);
     }
@@ -986,8 +986,9 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
     let mut d = Dec::new(&payload[1..]);
     let schema = dec_schema(&mut d)?;
     let mut registry = EpochRegistry::new();
-    let records = d.usize()?;
-    for _ in 0..records {
+    let records_len = d.usize()?;
+    let mut records = Vec::with_capacity(records_len);
+    for _ in 0..records_len {
         let epoch = d.u64()?;
         let publisher = dec_participant(&mut d)?;
         let status = match d.u8()? {
@@ -995,9 +996,9 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
             1 => PublicationStatus::Finished,
             other => return Err(StorageError::Persistence(format!("invalid status tag {other}"))),
         };
-        registry.records.insert(epoch, EpochRecord { publisher, status });
+        records.push((epoch, EpochRecord { publisher, status }));
     }
-    registry.next = d.u64()?;
+    registry.restore(records, d.u64()?)?;
     registry.stable = d.u64()?;
     {
         let causal = registry.causal_mut();
@@ -1017,9 +1018,17 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
         let pos = d.u64()?;
         let epoch = Epoch(d.u64()?);
         let transaction = Arc::new(dec_transaction(&mut d)?);
-        log.entries.insert(pos, LogEntry::new(epoch, transaction));
+        log.push_decoded(pos, LogEntry::new(epoch, transaction))?;
     }
     log.next_pos = d.u64()?;
+    if let Some((last, _)) = log.entries.last() {
+        if *last >= log.next_pos {
+            return Err(StorageError::Persistence(format!(
+                "snapshot log entry at position {last} is not below the position counter {}",
+                log.next_pos
+            )));
+        }
+    }
     let membership_frontier = Epoch(d.u64()?);
     let pruned_through = Epoch(d.u64()?);
     let participants_len = d.usize()?;
@@ -1256,6 +1265,58 @@ mod tests {
         assert!(decode_record(&padded).is_err());
         // An unknown record tag is rejected.
         assert!(decode_record(&[WAL_MAGIC, 0xEE]).is_err());
+    }
+
+    /// A snapshot whose log goes back in position or epoch, whose last log
+    /// position is not below the counter, or whose epoch records skip an
+    /// epoch decodes to a typed error, never to an unsorted index.
+    #[test]
+    fn out_of_order_snapshots_are_typed_errors() {
+        let mut registry = EpochRegistry::new();
+        let mut log = TransactionLog::new();
+        for (local, epoch) in [(0, Epoch(1)), (1, Epoch(1)), (2, Epoch(2))] {
+            if registry.latest_allocated() < epoch {
+                registry.begin_publish(ParticipantId(1));
+                registry.finish_publish(epoch).unwrap();
+            }
+            log.publish(epoch, sample_transaction(1, local)).unwrap();
+        }
+        let encode = |registry: &EpochRegistry, log: &TransactionLog| {
+            encode_snapshot(&StoreSnapshot {
+                schema: bioinformatics_schema(),
+                registry: registry.clone(),
+                log: log.clone(),
+                membership_frontier: Epoch::ZERO,
+                pruned_through: Epoch::ZERO,
+                participants: Vec::new(),
+                wal_generation: 0,
+            })
+        };
+        let refused =
+            |payload: &[u8]| matches!(decode_snapshot(payload), Err(StorageError::Persistence(_)));
+        let back = decode_snapshot(&encode(&registry, &log)).unwrap();
+        assert_eq!(format!("{:?}", back.registry), format!("{registry:?}"));
+        assert_eq!(format!("{:?}", back.log), format!("{log:?}"));
+
+        let mut positions_back = log.clone();
+        positions_back.entries.swap(0, 1);
+        assert!(refused(&encode(&registry, &positions_back)));
+        let mut epochs_back = log.clone();
+        epochs_back.entries[2].1.epoch = Epoch::ZERO;
+        assert!(refused(&encode(&registry, &epochs_back)));
+        let mut counter_behind = log.clone();
+        counter_behind.next_pos = 2;
+        assert!(refused(&encode(&registry, &counter_behind)));
+
+        // The records follow the schema as (epoch, publisher, status)
+        // triples of one byte each here: make the second one epoch 3.
+        let mut schema = Enc::new(SNAPSHOT_MAGIC);
+        enc_schema(&mut schema, &bioinformatics_schema());
+        let records = schema.buf.len();
+        let mut skipping = encode(&registry, &log);
+        assert_eq!(skipping[records..records + 5], [2, 1, 1, 1, 2]);
+        skipping[records + 4] = 3;
+        assert!(refused(&skipping));
     }
 
     #[test]

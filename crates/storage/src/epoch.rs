@@ -23,7 +23,8 @@
 
 use crate::error::{Result, StorageError};
 use orchestra_model::{AntichainClock, CausalStamp, Epoch, ParticipantId, StampId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 /// Publication status of one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,9 +171,12 @@ impl CausalRegistry {
 }
 
 /// The epoch sequence plus per-epoch publication records.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct EpochRegistry {
-    pub(crate) records: BTreeMap<u64, EpochRecord>,
+    /// The records of the unpruned epochs, oldest first: epochs are
+    /// allocated consecutively and pruned from the front, so the live ones
+    /// are exactly `next - records.len() .. next`.
+    pub(crate) records: VecDeque<EpochRecord>,
     pub(crate) next: u64,
     /// The stable frontier, advanced incrementally as publications finish so
     /// that [`EpochRegistry::largest_stable_epoch`] is O(1) instead of a scan
@@ -181,6 +185,19 @@ pub struct EpochRegistry {
     /// The causal side: stamp DAG, ingest frontier, mode switch (disabled —
     /// and empty — in scalar mode).
     pub(crate) causal: CausalRegistry,
+}
+
+impl fmt::Debug for EpochRegistry {
+    /// Renders the records as an epoch → record map.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let records: BTreeMap<u64, &EpochRecord> = self.records().collect();
+        f.debug_struct("EpochRegistry")
+            .field("records", &records)
+            .field("next", &self.next)
+            .field("stable", &self.stable)
+            .field("causal", &self.causal)
+            .finish()
+    }
 }
 
 impl Default for EpochRegistry {
@@ -193,7 +210,7 @@ impl EpochRegistry {
     /// Creates an empty registry; the first allocated epoch will be 1.
     pub fn new() -> Self {
         EpochRegistry {
-            records: BTreeMap::new(),
+            records: VecDeque::new(),
             next: 1,
             stable: 0,
             causal: CausalRegistry::default(),
@@ -210,45 +227,82 @@ impl EpochRegistry {
         &mut self.causal
     }
 
+    /// The oldest unpruned epoch (`next` when no record is live).
+    fn first(&self) -> u64 {
+        self.next - self.records.len() as u64
+    }
+
+    /// The live records with their epochs, oldest first.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &EpochRecord)> + '_ {
+        (self.first()..).zip(&self.records)
+    }
+
+    /// Where an epoch's record sits in `records`, if the epoch is not
+    /// below the oldest live one (the index may be past the end).
+    fn index_of(&self, epoch: Epoch) -> Option<usize> {
+        usize::try_from(epoch.as_u64().checked_sub(self.first())?).ok()
+    }
+
+    /// Installs the records and the allocation counter a snapshot carries,
+    /// refusing records that skip an epoch or do not end at the last
+    /// allocated one (`next - 1`).
+    pub(crate) fn restore(&mut self, records: Vec<(u64, EpochRecord)>, next: u64) -> Result<()> {
+        let first = next.checked_sub(records.len() as u64).ok_or_else(|| {
+            StorageError::Persistence(format!(
+                "snapshot holds {} epoch records but only {next} allocated epochs",
+                records.len()
+            ))
+        })?;
+        for (expected, (epoch, _)) in (first..).zip(&records) {
+            if *epoch != expected {
+                return Err(StorageError::Persistence(format!(
+                    "snapshot epoch records are not consecutive up to epoch {}: found {epoch} \
+                     where {expected} belongs",
+                    next - 1
+                )));
+            }
+        }
+        self.records = records.into_iter().map(|(_, record)| record).collect();
+        self.next = next;
+        Ok(())
+    }
+
     /// Allocates the next epoch for a publishing peer and marks it started.
     pub fn begin_publish(&mut self, publisher: ParticipantId) -> Epoch {
         let epoch = Epoch(self.next);
         self.next += 1;
-        self.records
-            .insert(epoch.as_u64(), EpochRecord { publisher, status: PublicationStatus::Started });
+        self.records.push_back(EpochRecord { publisher, status: PublicationStatus::Started });
         epoch
     }
 
     /// Marks an epoch's publication as finished.
     pub fn finish_publish(&mut self, epoch: Epoch) -> Result<()> {
-        match self.records.get_mut(&epoch.as_u64()) {
-            Some(rec) => {
-                rec.status = PublicationStatus::Finished;
-                // Advance the stable frontier over every consecutively
-                // finished epoch. Each epoch is crossed exactly once over the
-                // registry's lifetime, so the amortised cost is O(1).
-                while self
-                    .records
-                    .get(&(self.stable + 1))
-                    .map(|r| r.status == PublicationStatus::Finished)
-                    .unwrap_or(false)
-                {
-                    self.stable += 1;
-                }
-                Ok(())
-            }
-            None => Err(StorageError::UnknownEpoch(epoch.as_u64())),
+        let record = self
+            .index_of(epoch)
+            .and_then(|index| self.records.get_mut(index))
+            .ok_or(StorageError::UnknownEpoch(epoch.as_u64()))?;
+        record.status = PublicationStatus::Finished;
+        // Advance the stable frontier over every consecutively finished
+        // epoch. Each epoch is crossed exactly once over the registry's
+        // lifetime, so the amortised cost is O(1).
+        while self.status(Epoch(self.stable + 1)) == Some(PublicationStatus::Finished) {
+            self.stable += 1;
         }
+        Ok(())
+    }
+
+    fn record(&self, epoch: Epoch) -> Option<&EpochRecord> {
+        self.index_of(epoch).and_then(|index| self.records.get(index))
     }
 
     /// The publication status of an epoch, if it has been allocated.
     pub fn status(&self, epoch: Epoch) -> Option<PublicationStatus> {
-        self.records.get(&epoch.as_u64()).map(|r| r.status)
+        self.record(epoch).map(|r| r.status)
     }
 
     /// The peer publishing in an epoch, if it has been allocated.
     pub fn publisher(&self, epoch: Epoch) -> Option<ParticipantId> {
-        self.records.get(&epoch.as_u64()).map(|r| r.publisher)
+        self.record(epoch).map(|r| r.publisher)
     }
 
     /// The most recently allocated epoch (`Epoch::ZERO` if none).
@@ -272,11 +326,12 @@ impl EpochRegistry {
     /// answer [`EpochRegistry::status`] / [`EpochRegistry::publisher`] with
     /// `None`, exactly like never-allocated ones.
     pub fn prune_through(&mut self, through: Epoch) -> u64 {
-        let before = self.records.len();
-        self.records.retain(|&e, _| e > through.as_u64());
+        let through_len = through.as_u64().saturating_add(1).saturating_sub(self.first());
+        let pruned = self.records.len().min(usize::try_from(through_len).unwrap_or(usize::MAX));
+        self.records.drain(..pruned);
         // Causal DAG nodes live and die with their arrival epoch's record.
         self.causal.prune_through(through);
-        (before - self.records.len()) as u64
+        pruned as u64
     }
 
     /// Number of live (unpruned) epoch records.

@@ -10,9 +10,9 @@
 //!   enforcement and in-memory snapshots. Implements
 //!   [`orchestra_model::InstanceView`], so integrity constraints and the
 //!   reconciliation algorithm's `CheckState` can evaluate against it.
-//! * [`TransactionLog`] — the append-only log of published transactions, with
-//!   epoch and per-participant indexes (the `updates` table of the paper's
-//!   central store design).
+//! * [`TransactionLog`] — the append-only log of published transactions, one
+//!   vector in position (and so epoch) order with id and written-tuple
+//!   indexes (the `updates` table of the paper's central store design).
 //! * [`EpochRegistry`] — the epoch sequence with started/finished publication
 //!   records and the "largest stable epoch" computation of Section 5.2.1.
 //! * [`ParticipantRecord`] — one participant's record of accepted and

@@ -14,12 +14,15 @@
 //! increasing **log position**. Positions are the publication order the
 //! antecedent chase and the replay streams rely on, so they never change —
 //! retention ([`TransactionLog::prune_below`]) removes entries but leaves the
-//! surviving positions untouched, which is why the entries live in a sparse
-//! ordered map rather than a dense vector. A pruned log answers every query
-//! exactly like the unpruned one *for the transactions that can still be
-//! reached*: the [`TransactionLog::pinned_ancestors`] closure computes the
-//! set of sub-horizon entries that future antecedent chases can still reach,
-//! and pruning retains exactly those.
+//! surviving positions untouched. Positions are also assigned in epoch order
+//! (a publish never goes back to an earlier epoch), so the entries live in
+//! one vector sorted by both: a lookup by position indexes it directly while
+//! the positions it asks about are dense, and an epoch range is two binary
+//! searches. A pruned log answers every query exactly like the unpruned one
+//! *for the transactions that can still be reached*: the
+//! [`TransactionLog::pinned_ancestors`] closure computes the set of
+//! sub-horizon entries that future antecedent chases can still reach, and
+//! pruning retains exactly those.
 
 use crate::error::{Result, StorageError};
 use orchestra_model::{
@@ -100,39 +103,59 @@ impl PartialEq for LogEntry {
 
 impl Eq for LogEntry {}
 
-/// Append-only log of published transactions with epoch, id and
-/// written-tuple indexes, supporting convergence-horizon retention.
+/// Append-only log of published transactions with id and written-tuple
+/// indexes, supporting convergence-horizon retention.
 #[derive(Clone, Default)]
 pub struct TransactionLog {
-    /// Live entries keyed by permanent log position (publication order).
-    /// Dense until the first prune, sparse afterwards. `pub(crate)` for the
-    /// binary snapshot codec ([`crate::codec`]), which rebuilds the log field
-    /// by field and re-derives the indexes.
-    pub(crate) entries: BTreeMap<u64, LogEntry>,
+    /// Live entries with their permanent log positions, in position order —
+    /// which is also epoch order. Dense until the first prune; afterwards
+    /// only pinned entries remain below the pruned horizon, and the entries
+    /// above it stay dense. `pub(crate)` for the binary snapshot codec
+    /// ([`crate::codec`]), which rebuilds the log entry by entry through
+    /// [`TransactionLog::push_decoded`] and re-derives the indexes.
+    pub(crate) entries: Vec<(u64, LogEntry)>,
     /// The next position to assign — the number of transactions ever
     /// published, including pruned ones.
     pub(crate) next_pos: u64,
     by_id: FxHashMap<TransactionId, u64>,
-    by_epoch: BTreeMap<u64, Vec<u64>>,
     /// For each relation, then each tuple value ever written in it, the log
     /// positions of the live transactions that wrote it, in publication
-    /// order. Two levels so lookups borrow the update's relation and tuple —
-    /// the hot paths (indexing a publish, chasing antecedents) never clone a
-    /// tuple except the first time a value is written.
+    /// order. Two levels so lookups borrow the update's relation and tuple.
     writers: FxHashMap<RelName, FxHashMap<Tuple, Vec<u64>>>,
 }
 
 impl fmt::Debug for TransactionLog {
-    /// Canonical rendering: only the entries themselves (position order) and
-    /// the position counter are printed. The lookup indexes are derived state
-    /// whose hash-map layout depends on insertion history; excluding them
-    /// keeps the output identical between a live log and one rebuilt by crash
-    /// recovery — including a pruned one.
+    /// Canonical rendering: only the entries themselves (a position → entry
+    /// map) and the position counter are printed. The lookup indexes are
+    /// derived state whose hash-map layout depends on insertion history;
+    /// excluding them keeps the output identical between a live log and one
+    /// rebuilt by crash recovery — including a pruned one.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries: BTreeMap<u64, &LogEntry> =
+            self.entries.iter().map(|(pos, entry)| (*pos, entry)).collect();
         f.debug_struct("TransactionLog")
-            .field("entries", &self.entries)
+            .field("entries", &entries)
             .field("next_pos", &self.next_pos)
             .finish_non_exhaustive()
+    }
+}
+
+/// Adds the entry at `pos` to the id and writers indexes.
+fn index_entry(
+    by_id: &mut FxHashMap<TransactionId, u64>,
+    writers: &mut FxHashMap<RelName, FxHashMap<Tuple, Vec<u64>>>,
+    pos: u64,
+    transaction: &Transaction,
+) {
+    by_id.insert(transaction.id(), pos);
+    for update in transaction.updates() {
+        let Some(written) = update.written_tuple() else { continue };
+        let by_tuple = match writers.get_mut(&update.relation) {
+            Some(by_tuple) => by_tuple,
+            None => writers.entry(update.relation.clone()).or_default(),
+        };
+        // One hash per written value; the clone is a reference-count bump.
+        by_tuple.entry(written.clone()).or_default().push(pos);
     }
 }
 
@@ -146,38 +169,50 @@ impl TransactionLog {
     /// prune).
     pub fn rebuild_indexes(&mut self) {
         self.by_id.clear();
-        self.by_epoch.clear();
         self.writers.clear();
-        let positions: Vec<u64> = self.entries.keys().copied().collect();
-        for pos in positions {
-            self.index_entry(pos);
+        for (pos, entry) in &self.entries {
+            index_entry(&mut self.by_id, &mut self.writers, *pos, &entry.transaction);
         }
     }
 
-    fn index_entry(&mut self, pos: u64) {
-        let entry = &self.entries[&pos];
-        self.by_id.insert(entry.transaction.id(), pos);
-        self.by_epoch.entry(entry.epoch.as_u64()).or_default().push(pos);
-        let transaction = Arc::clone(&entry.transaction);
-        for update in transaction.updates() {
-            let Some(written) = update.written_tuple() else { continue };
-            let by_tuple = match self.writers.get_mut(&update.relation) {
-                Some(by_tuple) => by_tuple,
-                None => self.writers.entry(update.relation.clone()).or_default(),
-            };
-            // Clone the tuple only on the first write of this value —
-            // repeats (the common case under a Zipfian workload) just push.
-            match by_tuple.get_mut(written) {
-                Some(positions) => positions.push(pos),
-                None => {
-                    by_tuple.insert(written.clone(), vec![pos]);
-                }
+    /// Appends one decoded snapshot entry, refusing one that would leave the
+    /// entries out of position or epoch order.
+    pub(crate) fn push_decoded(&mut self, pos: u64, entry: LogEntry) -> Result<()> {
+        if let Some((last_pos, last)) = self.entries.last() {
+            if pos <= *last_pos || entry.epoch < last.epoch {
+                return Err(StorageError::Persistence(format!(
+                    "snapshot log entry at position {pos}, epoch {} follows position \
+                     {last_pos}, epoch {}",
+                    entry.epoch, last.epoch
+                )));
             }
         }
+        self.entries.push((pos, entry));
+        Ok(())
+    }
+
+    /// Where the live entry at log position `pos` sits in `entries`. The
+    /// entries above the last prune are dense, so a live entry there sits as
+    /// far from the last entry as its position is from the last position;
+    /// anything else (a pinned entry below the pruned horizon) is found by
+    /// binary search.
+    fn index_of(&self, pos: u64) -> Option<usize> {
+        let (last, _) = self.entries.last()?;
+        let back = usize::try_from(last.checked_sub(pos)?).ok()?;
+        match self.entries.len().checked_sub(back + 1) {
+            Some(index) if self.entries[index].0 == pos => Some(index),
+            _ => self.entries.binary_search_by_key(&pos, |(p, _)| *p).ok(),
+        }
+    }
+
+    /// The live entry at a position the indexes hold.
+    fn at(&self, pos: u64) -> &LogEntry {
+        &self.entries[self.index_of(pos).expect("indexed positions are live")].1
     }
 
     /// Appends a published transaction. Publishing the same transaction id
-    /// twice is an error.
+    /// twice is an error, and so is an epoch below the last entry's: log
+    /// positions follow epoch order.
     pub fn publish(&mut self, epoch: Epoch, transaction: Transaction) -> Result<()> {
         if self.by_id.contains_key(&transaction.id()) {
             return Err(StorageError::TransactionLog(format!(
@@ -185,10 +220,19 @@ impl TransactionLog {
                 transaction.id()
             )));
         }
+        if let Some((_, last)) = self.entries.last() {
+            if epoch < last.epoch {
+                return Err(StorageError::TransactionLog(format!(
+                    "transaction {} published in epoch {epoch}, before the log's last epoch {}",
+                    transaction.id(),
+                    last.epoch
+                )));
+            }
+        }
         let pos = self.next_pos;
         self.next_pos += 1;
-        self.entries.insert(pos, LogEntry::new(epoch, Arc::new(transaction)));
-        self.index_entry(pos);
+        index_entry(&mut self.by_id, &mut self.writers, pos, &transaction);
+        self.entries.push((pos, LogEntry::new(epoch, Arc::new(transaction))));
         Ok(())
     }
 
@@ -209,7 +253,7 @@ impl TransactionLog {
 
     /// Looks up a transaction's log entry by id.
     pub fn entry(&self, id: TransactionId) -> Option<&LogEntry> {
-        self.by_id.get(&id).map(|pos| &self.entries[pos])
+        self.by_id.get(&id).map(|&pos| self.at(pos))
     }
 
     /// Looks up a transaction by id.
@@ -236,23 +280,17 @@ impl TransactionLog {
 
     /// All live entries, in publication order.
     pub fn entries(&self) -> impl Iterator<Item = &LogEntry> + '_ {
-        self.entries.values()
+        self.entries.iter().map(|(_, entry)| entry)
     }
 
     /// Transactions published in epochs `(after, up_to]`, in publication
     /// order. This is the "relevant transactions" query of the paper: the
     /// updates a participant has not yet seen.
     pub fn in_range(&self, after: Epoch, up_to: Epoch) -> Vec<&Transaction> {
-        let mut out = Vec::new();
-        if up_to <= after {
-            return out;
-        }
-        for (_, positions) in self.by_epoch.range((after.as_u64() + 1)..=(up_to.as_u64())) {
-            for pos in positions {
-                out.push(self.entries[pos].transaction.as_ref());
-            }
-        }
-        out
+        let start = self.entries.partition_point(|(_, entry)| entry.epoch <= after);
+        let end = self.entries.partition_point(|(_, entry)| entry.epoch <= up_to);
+        let range = self.entries.get(start..end).unwrap_or_default();
+        range.iter().map(|(_, entry)| entry.transaction.as_ref()).collect()
     }
 
     /// The positions of the direct antecedents of a transaction (see
@@ -286,7 +324,7 @@ impl TransactionLog {
     /// [`TransactionLog::pinned_ancestors`]), so the most recent live writer
     /// before `pos` is the same entry before and after a prune.
     fn entry_antecedents(&self, pos: u64) -> &[u64] {
-        let entry = &self.entries[&pos];
+        let entry = self.at(pos);
         entry
             .antecedents
             .get_or_init(|| self.antecedent_positions(&entry.transaction, pos).into_boxed_slice())
@@ -311,7 +349,7 @@ impl TransactionLog {
         let _ = schema; // antecedent chasing is on exact tuple values
         self.antecedent_positions(txn, before)
             .into_iter()
-            .map(|pos| self.entries[&pos].transaction.id())
+            .map(|pos| self.at(pos).transaction.id())
             .collect()
     }
 
@@ -351,7 +389,7 @@ impl TransactionLog {
                 if last.replace(pos) == Some(pos) {
                     continue;
                 }
-                let id = self.entries[&pos].transaction.id();
+                let id = self.at(pos).transaction.id();
                 if !already_applied.contains(&id) {
                     ordered.push(id);
                     pending.extend(self.entry_antecedents(pos));
@@ -383,7 +421,7 @@ impl TransactionLog {
         let mut pinned: FxHashSet<u64> = FxHashSet::default();
         let mut stack: Vec<u64> = Vec::new();
         let pin = |pos: u64, pinned: &mut FxHashSet<u64>, stack: &mut Vec<u64>| {
-            if self.entries[&pos].epoch <= horizon && pinned.insert(pos) {
+            if self.at(pos).epoch <= horizon && pinned.insert(pos) {
                 stack.push(pos);
             }
         };
@@ -394,7 +432,8 @@ impl TransactionLog {
             }
         }
         // Seed 2: the direct antecedents of every retained entry.
-        for (&pos, _) in self.entries.iter().filter(|(_, e)| e.epoch > horizon) {
+        let retained = self.entries.partition_point(|(_, entry)| entry.epoch <= horizon);
+        for &(pos, _) in &self.entries[retained..] {
             for &ante in self.entry_antecedents(pos) {
                 pin(ante, &mut pinned, &mut stack);
             }
@@ -415,7 +454,7 @@ impl TransactionLog {
     /// unchanged.
     pub fn prune_below(&mut self, horizon: Epoch, pinned: &FxHashSet<u64>) -> u64 {
         let before = self.entries.len();
-        self.entries.retain(|pos, entry| entry.epoch > horizon || pinned.contains(pos));
+        self.entries.retain(|(pos, entry)| entry.epoch > horizon || pinned.contains(pos));
         let removed = (before - self.entries.len()) as u64;
         if removed > 0 {
             self.rebuild_indexes();
@@ -755,12 +794,12 @@ mod tests {
         assert_eq!(ext, vec![x0.id(), x1.id(), x2.id(), x3.id(), y.id()]);
     }
 
-    /// Publishes `steps` of a log of one-update transactions, one per epoch,
-    /// over three keys: each key goes through rounds of insert `a`, `a → b`,
-    /// `b → a`, delete `a` (three steps per move). Every value is written
-    /// again in the next round, and the deletion cuts a round off from the
-    /// next, so pruning has something to remove.
-    fn publish_chains(log: &mut TransactionLog, steps: std::ops::Range<u64>) {
+    /// Publishes `steps` of a log of one-update transactions, `per_epoch` to
+    /// an epoch, over three keys: each key goes through rounds of insert
+    /// `a`, `a → b`, `b → a`, delete `a` (three steps per move). Every value
+    /// is written again in the next round, and the deletion cuts a round off
+    /// from the next, so pruning has something to remove.
+    fn publish_chains(log: &mut TransactionLog, steps: std::ops::Range<u64>, per_epoch: u64) {
         for step in steps {
             let key = format!("k{}", step % 3);
             let (a, b) = (func("rat", &key, "a"), func("rat", &key, "b"));
@@ -771,7 +810,7 @@ mod tests {
                 2 => Update::modify("Function", b, a, who),
                 _ => Update::delete("Function", a, who),
             };
-            log.publish(Epoch(step + 1), txn(who.0, step, vec![update])).unwrap();
+            log.publish(Epoch(step / per_epoch + 1), txn(who.0, step, vec![update])).unwrap();
         }
     }
 
@@ -796,9 +835,9 @@ mod tests {
         let schema = bioinformatics_schema();
         let mut log = TransactionLog::new();
         // Half the memos are filled before the rest of the log is published.
-        publish_chains(&mut log, 0..11);
+        publish_chains(&mut log, 0..11, 1);
         extensions(&log, &FxHashSet::default());
-        publish_chains(&mut log, 11..24);
+        publish_chains(&mut log, 11..24, 1);
         let applied: FxHashSet<TransactionId> =
             log.entries().step_by(3).map(|entry| entry.transaction.id()).collect();
         let live = extensions(&log, &applied);
@@ -838,6 +877,100 @@ mod tests {
         let mut fresh = as_decoded(&log);
         fresh.rebuild_indexes();
         assert_eq!(extensions(&fresh, &applied), pruned);
+    }
+
+    /// Definition 3 read off the live entries alone: the root at `index`
+    /// and, transitively, each member's latest earlier writer of every tuple
+    /// it reads, in log order.
+    fn scanned_extension(entries: &[&LogEntry], index: usize) -> Vec<TransactionId> {
+        let writes = |q: usize, u: &Update| {
+            let reads =
+                |w: &Update| w.relation == u.relation && w.written_tuple() == u.read_tuple();
+            entries[q].transaction.updates().iter().any(reads)
+        };
+        let (mut members, mut todo) = (std::collections::BTreeSet::from([index]), vec![index]);
+        while let Some(i) = todo.pop() {
+            for u in entries[i].transaction.updates().iter().filter(|u| u.read_tuple().is_some()) {
+                if let Some(q) = (0..i).rev().find(|&q| writes(q, u)) {
+                    if members.insert(q) {
+                        todo.push(q);
+                    }
+                }
+            }
+        }
+        members.into_iter().map(|q| entries[q].transaction.id()).collect()
+    }
+
+    /// Every lookup agrees with a linear scan of `entries()`: `entry`, `get`
+    /// and `epoch_of` for every transaction ever published (pruned ones
+    /// answer nothing), `in_range` for every pair of epoch bounds, and the
+    /// extension of every live root.
+    fn assert_lookups_match_a_scan(log: &TransactionLog, published: &[Transaction]) {
+        let entries: Vec<&LogEntry> = log.entries().collect();
+        for txn in published {
+            let scanned = entries.iter().copied().find(|e| e.transaction.id() == txn.id());
+            assert_eq!(log.entry(txn.id()), scanned, "{}", txn.id());
+            assert_eq!(log.get(txn.id()), scanned.map(|e| e.transaction.as_ref()));
+            assert_eq!(log.epoch_of(txn.id()), scanned.map(|e| e.epoch));
+        }
+        let last = entries.last().map_or(0, |e| e.epoch.as_u64());
+        for after in 0..=last + 1 {
+            for up_to in 0..=last + 1 {
+                let scanned: Vec<&Transaction> = entries
+                    .iter()
+                    .filter(|e| e.epoch.as_u64() > after && e.epoch.as_u64() <= up_to)
+                    .map(|e| e.transaction.as_ref())
+                    .collect();
+                assert_eq!(log.in_range(Epoch(after), Epoch(up_to)), scanned, "({after}, {up_to}]");
+            }
+        }
+        for (index, entry) in entries.iter().enumerate() {
+            let chased = log.transaction_extension(&entry.transaction, &FxHashSet::default());
+            assert_eq!(chased, scanned_extension(&entries, index));
+        }
+    }
+
+    #[test]
+    fn a_sparse_log_answers_like_a_scan_before_and_after_a_snapshot() {
+        let schema = bioinformatics_schema();
+        let mut log = TransactionLog::new();
+        publish_chains(&mut log, 0..36, 2);
+        let published: Vec<Transaction> =
+            log.entries().map(|entry| entry.transaction.as_ref().clone()).collect();
+        let horizon = Epoch(11);
+        let pinned = log.pinned_ancestors(&schema, horizon);
+        assert!(log.prune_below(horizon, &pinned) > 0, "something is pruned");
+        let below: Vec<u64> =
+            log.entries.iter().filter(|(_, e)| e.epoch <= horizon).map(|(pos, _)| *pos).collect();
+        assert!(!below.is_empty(), "pinned entries stay below the horizon");
+        assert!(below.windows(2).any(|w| w[1] > w[0] + 1), "and they are sparse");
+        assert_lookups_match_a_scan(&log, &published);
+
+        let snapshot = crate::snapshot::StoreSnapshot {
+            schema: schema.clone(),
+            registry: crate::EpochRegistry::new(),
+            log: log.clone(),
+            membership_frontier: Epoch::ZERO,
+            pruned_through: horizon,
+            participants: Vec::new(),
+            wal_generation: 0,
+        };
+        let payload = crate::codec::encode_snapshot(&snapshot);
+        let mut decoded = crate::codec::decode_snapshot(&payload).unwrap().log;
+        decoded.rebuild_indexes();
+        assert_eq!(format!("{decoded:?}"), format!("{log:?}"));
+        assert_lookups_match_a_scan(&decoded, &published);
+    }
+
+    #[test]
+    fn a_publish_cannot_go_back_an_epoch() {
+        let mut log = TransactionLog::new();
+        let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
+        let x1 = txn(2, 0, vec![Update::insert("Function", func("rat", "prot2", "a"), p(2))]);
+        log.publish(Epoch(2), x0).unwrap();
+        assert!(matches!(log.publish(Epoch(1), x1.clone()), Err(StorageError::TransactionLog(_))));
+        assert_eq!(log.total_published(), 1);
+        log.publish(Epoch(2), x1).unwrap();
     }
 
     #[test]

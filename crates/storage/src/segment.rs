@@ -679,6 +679,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A sync flushes the segments written since the last one, a freshly
+    /// created empty segment included, and skips the rest.
+    #[test]
+    fn a_sync_skips_the_segments_with_nothing_new() {
+        let dir = tmp_dir("clean-sync");
+        let obs = Obs::enabled();
+        let syncs = obs.metrics.counter("wal.syncs");
+        let wal = SegmentedWal::create(&dir, 0).unwrap();
+        wal.set_observability(&obs);
+        wal.append(&commit(1, 1, 0)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(syncs.get(), 2, "the created log segment and participant 1's");
+
+        wal.append(&publish(2, 1)).unwrap();
+        wal.append(&commit(2, 1, 1)).unwrap();
+        wal.shard_segment(ParticipantId(3)).unwrap();
+        assert_eq!(wal.segment_count(), 4);
+        wal.sync().unwrap();
+        assert_eq!(syncs.get(), 5, "the log, participant 2 and participant 3; not participant 1");
+        assert_eq!(wal.unsynced_records(), 0);
+
+        wal.sync().unwrap();
+        assert_eq!(syncs.get(), 5, "nothing was written since");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn parallel_appends_on_distinct_shards_interleave_safely() {
         let dir = tmp_dir("parallel");

@@ -196,6 +196,9 @@ pub struct FrameLog {
     /// Records appended since the last sync (drives the group-commit
     /// policies).
     unsynced: u64,
+    /// Whether the file was created or appended to since the last sync:
+    /// [`FrameLog::sync`] skips the `fsync` when it was not.
+    dirty: bool,
     last_sync: Instant,
     obs: WalObs,
 }
@@ -216,7 +219,8 @@ impl FrameLog {
         file.read_to_end(&mut bytes)
             .map_err(|e| StorageError::Persistence(format!("read {}: {e}", path.display())))?;
         let (frames, valid) = decode_frames(&bytes);
-        if valid < bytes.len() {
+        let torn = valid < bytes.len();
+        if torn {
             file.set_len(valid as u64)
                 .map_err(|e| StorageError::Persistence(format!("truncate torn tail: {e}")))?;
         }
@@ -229,6 +233,8 @@ impl FrameLog {
             bytes: valid as u64,
             flush: FlushPolicy::default(),
             unsynced: 0,
+            // Cutting a torn tail changed the file.
+            dirty: torn,
             last_sync: Instant::now(),
             obs: WalObs::default(),
         };
@@ -264,6 +270,7 @@ impl FrameLog {
             bytes: 0,
             flush: FlushPolicy::default(),
             unsynced: 0,
+            dirty: true,
             last_sync: Instant::now(),
             obs: WalObs::default(),
         })
@@ -303,6 +310,7 @@ impl FrameLog {
         self.records += 1;
         self.bytes += frame.len() as u64;
         self.unsynced += 1;
+        self.dirty = true;
         self.obs.appends.inc();
         self.obs.append_bytes.add(frame.len() as u64);
         let due = match self.flush {
@@ -319,11 +327,17 @@ impl FrameLog {
 
     /// Flushes the log to stable storage (`fsync`) and resets the
     /// group-commit counters. Called by `append` per the flush policy, or
-    /// explicitly by the owner.
+    /// explicitly by the owner. A log that was neither created nor appended
+    /// to since its last sync has nothing to flush: the call returns without
+    /// an `fsync` and without counting one under `wal.syncs`.
     pub fn sync(&mut self) -> Result<()> {
+        if !self.dirty {
+            return Ok(());
+        }
         let _span = self.obs.tracer.span("wal.sync", &[("unsynced", self.unsynced)]);
         self.file.sync_data().map_err(|e| StorageError::Persistence(format!("sync: {e}")))?;
         self.obs.syncs.inc();
+        self.dirty = false;
         self.unsynced = 0;
         self.last_sync = Instant::now();
         Ok(())

@@ -17,8 +17,8 @@
 //!   take its write lock (they serialise, exactly like the paper's single
 //!   epoch allocator); retrievals share its read lock;
 //! * a **per-participant shard** (`RwLock` each) holds that participant's
-//!   trust policy, its slice of the per-epoch trust-evaluated relevance
-//!   index, its epoch cursor and its durable decision record
+//!   trust policy, its slice of the trust-evaluated relevance index, its
+//!   epoch cursor and its durable decision record
 //!   ([`orchestra_storage::ParticipantRecord`]). Reconciliations and
 //!   decision commits from different participants touch different shards and
 //!   proceed in parallel;
@@ -40,8 +40,11 @@
 //!
 //! Reconciliation cost must scale with the *new* epochs a participant has not
 //! yet seen, not with total history. Each shard therefore maintains a
-//! per-epoch, trust-evaluated relevance index and an epoch cursor advanced at
-//! session commit. The index is extended at publication time, exactly where
+//! trust-evaluated relevance index and an epoch cursor advanced at session
+//! commit. The index is one flat vector of `(epoch, transaction, priority)`
+//! entries in epoch order: epochs only grow, so a publish appends, the
+//! entries between two epochs are two binary searches away, and a prune
+//! cuts a prefix. It is extended at publication time, exactly where
 //! the paper pushes trust-predicate evaluation into the store, and holds
 //! **trusted entries only**: nothing downstream — the session filter, the
 //! convergence horizon, the deferred-set recovery stream — ever reads an
@@ -99,12 +102,59 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// One entry of the per-epoch relevance index: a transaction the participant
-/// trusts, with the (non-zero) priority its policy assigned at publication
-/// time. Untrusted transactions are never stored: no reader of the index
-/// wants them, and the one consumer that counts them — the DHT store's
-/// Figure 7 accounting — asks [`StoreCatalog::untrusted_undecided`] instead.
+/// One entry of the relevance index: a transaction the participant trusts,
+/// with the (non-zero) priority its policy assigned at publication time.
+/// Untrusted transactions are never stored: no reader of the index wants
+/// them, and the one consumer that counts them — the DHT store's Figure 7
+/// accounting — asks [`StoreCatalog::untrusted_undecided`] instead.
 type RelevanceEntry = (TransactionId, Priority);
+
+/// One participant's slice of the relevance index: its entries with their
+/// publication epochs, in epoch order. Epochs only grow, so a publish
+/// appends, an epoch range is two binary searches and a prune cuts a prefix.
+#[derive(Clone, Default)]
+struct RelevanceSlice(Vec<(Epoch, RelevanceEntry)>);
+
+impl RelevanceSlice {
+    /// Appends an entry of `epoch`, which is at or above every stored one.
+    fn push(&mut self, epoch: Epoch, entry: RelevanceEntry) {
+        debug_assert!(self.0.last().map_or(true, |(last, _)| *last <= epoch));
+        self.0.push((epoch, entry));
+    }
+
+    /// The entries of epochs `(after, up_to]`, in publication order.
+    fn range(&self, after: Epoch, up_to: Epoch) -> &[(Epoch, RelevanceEntry)] {
+        let start = self.0.partition_point(|(epoch, _)| *epoch <= after);
+        let end = self.0.partition_point(|(epoch, _)| *epoch <= up_to);
+        self.0.get(start..end).unwrap_or_default()
+    }
+
+    /// Drops the entries at or below `horizon`, returning how many went.
+    fn prune_through(&mut self, horizon: Epoch) -> u64 {
+        let pruned = self.0.partition_point(|(epoch, _)| *epoch <= horizon);
+        self.0.drain(..pruned);
+        pruned as u64
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+impl fmt::Debug for RelevanceSlice {
+    /// Renders the slice as an epoch → entries map.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut by_epoch: BTreeMap<u64, Vec<RelevanceEntry>> = BTreeMap::new();
+        for (epoch, entry) in &self.0 {
+            by_epoch.entry(epoch.as_u64()).or_default().push(*entry);
+        }
+        by_epoch.fmt(f)
+    }
+}
 
 /// Appends the update origins a predicate can match to `out`, or returns
 /// `false` when no finite set bounds them (`out` is then meaningless). An
@@ -293,8 +343,8 @@ struct ParticipantShard {
     /// relevance entries and cannot open sessions (re-registering rejoins it
     /// as a late member).
     retired: bool,
-    /// Per-epoch trust-evaluated candidates.
-    relevance: BTreeMap<u64, Vec<RelevanceEntry>>,
+    /// Trust-evaluated candidates, in epoch order.
+    relevance: RelevanceSlice,
     /// Relevance entries exist only for epochs strictly above this floor.
     /// Raised to the membership frontier at (late) registration and to the
     /// horizon at every prune, so a recovered shard's rebuilt index matches
@@ -317,7 +367,7 @@ impl ParticipantShard {
             policy,
             registered,
             retired: false,
-            relevance: BTreeMap::new(),
+            relevance: RelevanceSlice::default(),
             relevance_floor: Epoch::ZERO,
             cursor: None,
             record: ParticipantRecord::new(),
@@ -765,7 +815,6 @@ impl StoreCatalog {
                 if !shard.registered || shard.retired {
                     continue;
                 }
-                let mut entries: Vec<RelevanceEntry> = Vec::new();
                 for txn in &transactions {
                     // Skip by transaction *origin* (not by publisher),
                     // matching the relevance filter and `register_policy`'s
@@ -777,11 +826,8 @@ impl StoreCatalog {
                     }
                     let priority = shard.policy.priority_of_transaction(txn, &self.schema);
                     if priority.is_trusted() {
-                        entries.push((txn.id(), priority));
+                        shard.relevance.push(epoch, (txn.id(), priority));
                     }
-                }
-                if !entries.is_empty() {
-                    shard.relevance.entry(epoch.as_u64()).or_default().extend(entries);
                 }
             }
         }
@@ -852,18 +898,13 @@ impl StoreCatalog {
         // Walk only the index entries between the cursor and the session
         // epoch; the decided filter is O(1) per entry against the
         // incrementally maintained sets.
-        let mut pending = Vec::new();
-        if epoch > previous {
-            for entries in
-                shard.relevance.range((previous.as_u64() + 1)..=epoch.as_u64()).map(|(_, e)| e)
-            {
-                for (id, priority) in entries {
-                    if shard.record.decision(*id).is_none() {
-                        pending.push((*id, *priority));
-                    }
-                }
-            }
-        }
+        let pending: Vec<RelevanceEntry> = shard
+            .relevance
+            .range(previous, epoch)
+            .iter()
+            .map(|(_, entry)| *entry)
+            .filter(|(id, _)| shard.record.decision(*id).is_none())
+            .collect();
         let accepted = shard.record.accepted_snapshot();
 
         let state =
@@ -1044,12 +1085,7 @@ impl StoreCatalog {
     /// transaction its policy trusts) pair.
     pub fn relevance_len(&self) -> usize {
         let map = self.shards.read().expect("shard map lock");
-        map.values()
-            .map(|shard| {
-                let shard = shard.read().expect("shard lock");
-                shard.relevance.values().map(Vec::len).sum::<usize>()
-            })
-            .sum()
+        map.values().map(|shard| shard.read().expect("shard lock").relevance.len()).sum()
     }
 
     /// Advances the membership frontier to `epoch` (monotone; smaller values
@@ -1439,16 +1475,14 @@ impl StoreCatalog {
         }
         let accepted = shard.record.accepted_snapshot();
         let mut out = Vec::new();
-        for entries in shard.relevance.range(1..=cursor.as_u64()).map(|(_, e)| e) {
-            for (id, priority) in entries {
-                if shard.record.decision(*id).is_some() {
-                    continue;
-                }
-                let Some(entry) = log.log.entry(*id) else { continue };
-                let (candidate, _) =
-                    build_candidate(&log.log, &self.schema, &accepted, entry, *priority);
-                out.push(candidate);
+        for &(_, (id, priority)) in shard.relevance.range(Epoch::ZERO, cursor) {
+            if shard.record.decision(id).is_some() {
+                continue;
             }
+            let Some(entry) = log.log.entry(id) else { continue };
+            let (candidate, _) =
+                build_candidate(&log.log, &self.schema, &accepted, entry, priority);
+            out.push(candidate);
         }
         out
     }
@@ -1537,16 +1571,15 @@ impl StoreCatalog {
 
     /// Rebuilds every registered shard's relevance-index slice from the log
     /// in a single pass (unregistered and retired shards hold none). The
-    /// per-epoch entry order matches the publish-time extension because log
-    /// positions are assigned in publication order and each epoch's
-    /// transactions occupy a contiguous position range.
+    /// entry order matches the publish-time extension because log positions
+    /// are assigned in publication order, which is epoch order.
     fn rebuild_relevance(&self) {
         let log = self.log.read().expect("log lock");
         let map = self.shards.read().expect("shard map lock");
         let mut guards: Vec<std::sync::RwLockWriteGuard<'_, ParticipantShard>> =
             map.values().map(|shard| shard.write().expect("shard lock")).collect();
         for shard in guards.iter_mut() {
-            shard.relevance = BTreeMap::new();
+            shard.relevance.clear();
         }
         for entry in log.log.entries() {
             let txn = entry.transaction.as_ref();
@@ -1559,11 +1592,7 @@ impl StoreCatalog {
                 }
                 let priority = shard.policy.priority_of_transaction(txn, &self.schema);
                 if priority.is_trusted() {
-                    shard
-                        .relevance
-                        .entry(entry.epoch.as_u64())
-                        .or_default()
-                        .push((txn.id(), priority));
+                    shard.relevance.push(entry.epoch, (txn.id(), priority));
                 }
             }
         }
@@ -1596,7 +1625,7 @@ impl StoreCatalog {
                     retired: p.retired,
                     // Rebuilt by `recover`'s final `rebuild_relevance` pass,
                     // after the WAL tail has replayed on top.
-                    relevance: BTreeMap::new(),
+                    relevance: RelevanceSlice::default(),
                     relevance_floor: p.relevance_floor,
                     cursor: p.cursor,
                     record,
@@ -1723,12 +1752,11 @@ impl StoreCatalog {
     }
 }
 
-/// Builds a participant's slice of the per-epoch relevance index from the
-/// publication log restricted to epochs above `floor` — used when a policy is
-/// registered late (the floor is the membership frontier) and when recovery
-/// re-derives the index a snapshot does not carry (the floor is the shard's
-/// recorded one, so a pruned store's pinned sub-horizon entries do not leak
-/// back in). The slice skips the participant's own transactions (by
+/// Builds a participant's slice of the relevance index from the publication
+/// log restricted to epochs above `floor` — used when a policy is registered
+/// (the floor is the membership frontier, or the pruned horizon when that is
+/// higher, so a pruned store's pinned sub-horizon entries do not leak back
+/// in). The slice skips the participant's own transactions (by
 /// *origin*) and everything its policy does not trust, matching the
 /// publish-time extension.
 fn relevance_slice(
@@ -1736,9 +1764,9 @@ fn relevance_slice(
     schema: &Schema,
     policy: &TrustPolicy,
     floor: Epoch,
-) -> BTreeMap<u64, Vec<RelevanceEntry>> {
+) -> RelevanceSlice {
     let participant = policy.owner();
-    let mut index: BTreeMap<u64, Vec<RelevanceEntry>> = BTreeMap::new();
+    let mut index = RelevanceSlice::default();
     for entry in log.entries() {
         if entry.epoch <= floor {
             continue;
@@ -1749,7 +1777,7 @@ fn relevance_slice(
         }
         let priority = policy.priority_of_transaction(txn, schema);
         if priority.is_trusted() {
-            index.entry(entry.epoch.as_u64()).or_default().push((txn.id(), priority));
+            index.push(entry.epoch, (txn.id(), priority));
         }
     }
     index
@@ -1785,12 +1813,13 @@ fn converged_horizon<'a>(
         // Everything below the shard's floor was decided before the floor
         // rose (registration floors start empty, prune floors require full
         // decision), so the scan is over the live slice only.
-        for (&epoch, entries) in shard.relevance.range(..=h) {
-            let undecided = entries.iter().any(|(id, _)| shard.record.decision(*id).is_none());
-            if undecided {
-                h = epoch - 1;
-                break;
-            }
+        let undecided = shard
+            .relevance
+            .range(Epoch::ZERO, Epoch(h))
+            .iter()
+            .find(|(_, (id, _))| shard.record.decision(*id).is_none());
+        if let Some((epoch, _)) = undecided {
+            h = epoch.as_u64() - 1;
         }
         if h == 0 {
             return Epoch::ZERO;
@@ -1817,12 +1846,7 @@ fn prune_locked(
     let mut pruned_relevance_entries = 0u64;
     let mut pruned_checkpoints = 0u64;
     for shard in shards.iter_mut() {
-        if !shard.relevance.is_empty() {
-            let keep = shard.relevance.split_off(&(horizon.as_u64() + 1));
-            pruned_relevance_entries +=
-                shard.relevance.values().map(|v| v.len() as u64).sum::<u64>();
-            shard.relevance = keep;
-        }
+        pruned_relevance_entries += shard.relevance.prune_through(horizon);
         if shard.registered {
             shard.relevance_floor = shard.relevance_floor.max(horizon);
         }
@@ -2281,14 +2305,81 @@ mod tests {
         assert_eq!(found, vec![(x2.id(), Priority(3))]);
     }
 
-    /// A shard's stored relevance slice, epoch by epoch.
+    /// A shard's stored relevance slice, with each entry's epoch.
     fn stored_slice(
         cat: &StoreCatalog,
         participant: ParticipantId,
-    ) -> BTreeMap<u64, Vec<RelevanceEntry>> {
+    ) -> Vec<(Epoch, RelevanceEntry)> {
         cat.shard_of(participant)
-            .map(|shard| shard.read().unwrap().relevance.clone())
+            .map(|shard| shard.read().unwrap().relevance.0.clone())
             .unwrap_or_default()
+    }
+
+    /// Several entries per epoch, cursors at different epochs and a deferred
+    /// pair: every participant's session range (cursor, stable epoch], its
+    /// deferred stream (0, cursor] and the horizon just below the first
+    /// undecided entry are what the spec says — live, after a prune that
+    /// cuts the slices' first epoch, and after recovery.
+    #[test]
+    fn relevance_ranges_match_the_spec_across_prune_and_recovery() {
+        fn publish(cat: &StoreCatalog, spec: &mut Spec, who: u32, batch: &[(u64, &str, &str)]) {
+            let txns: Vec<Transaction> = batch
+                .iter()
+                .map(|&(j, prot, f)| {
+                    txn(who, j, vec![Update::insert("Function", func("rat", prot, f), p(who))])
+                })
+                .collect();
+            cat.publish(p(who), txns.clone()).unwrap();
+            let ids: Vec<TransactionId> = txns.iter().map(Transaction::id).collect();
+            txns.into_iter().for_each(|txn| spec.execute(txn));
+            spec.publish(p(who), &ids);
+        }
+        fn reconcile(cat: &StoreCatalog, spec: &mut Spec, who: u32) {
+            let decided = spec.reconcile(p(who));
+            let opened = cat.open_session(p(who)).unwrap();
+            cat.commit_session(opened.session, &decided[0], &decided[1]).unwrap();
+        }
+        fn check(cat: &StoreCatalog, spec: &Spec) {
+            for who in [p(1), p(2), p(3)] {
+                let retrieved: Vec<RelevanceEntry> =
+                    spec.retrieve(who).into_iter().map(|c| (c.id, c.priority)).collect();
+                assert_eq!(session_entries(cat, who), retrieved, "{who}'s session");
+                let deferred: std::collections::BTreeSet<TransactionId> =
+                    cat.undecided_candidates(who).into_iter().map(|c| c.id).collect();
+                assert_eq!(deferred, spec.peer(who).deferred, "{who}'s deferred stream");
+            }
+            // p1 defers the epoch 2 / epoch 3 pair; nothing else is open.
+            assert_eq!(cat.convergence_horizon(), Epoch(1));
+        }
+
+        let dir = tmp_dir("relevance-ranges");
+        let cat = durable_catalog(&dir);
+        let mut spec = Spec::new(bioinformatics_schema(), policies());
+        cat.set_retention(RetentionPolicy::ConvergedOnly);
+        cat.close_membership().unwrap();
+        publish(&cat, &mut spec, 1, &[(0, "a1", "f"), (1, "a2", "f")]);
+        publish(&cat, &mut spec, 2, &[(0, "b1", "f"), (1, "b2", "f"), (2, "k", "x")]);
+        publish(&cat, &mut spec, 3, &[(0, "c1", "f"), (1, "k", "y")]);
+        reconcile(&cat, &mut spec, 1);
+        publish(&cat, &mut spec, 2, &[(3, "b3", "f"), (4, "b4", "f")]);
+        publish(&cat, &mut spec, 3, &[(2, "c2", "f"), (3, "c3", "f")]);
+        reconcile(&cat, &mut spec, 2);
+        reconcile(&cat, &mut spec, 3);
+        publish(&cat, &mut spec, 1, &[(2, "a3", "f"), (3, "a4", "f")]);
+        assert_eq!(spec.peer(p(1)).deferred.len(), 2, "p1 defers p2's and p3's k");
+        check(&cat, &spec);
+
+        let report = cat.prune_to_horizon().unwrap();
+        assert_eq!(report.horizon, Epoch(1));
+        assert_eq!(report.pruned_relevance_entries, 2, "p2's entries of p1's first batch");
+        check(&cat, &spec);
+        let live = format!("{cat:?}");
+        drop(cat);
+
+        let recovered = StoreCatalog::recover(&dir).unwrap();
+        assert_eq!(format!("{recovered:?}"), live);
+        check(&recovered, &spec);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The trust index's edges: per origin the owners that may trust it, and
@@ -2358,7 +2449,7 @@ mod tests {
         assert!(stored_slice(&cat, p(1)).is_empty(), "p1 no longer trusts p2");
         let x3 = insert_by(3, 0);
         cat.publish(p(3), vec![x3.clone()]).unwrap();
-        assert_eq!(stored_slice(&cat, p(1)), BTreeMap::from([(2, vec![(x3.id(), Priority(2))])]));
+        assert_eq!(stored_slice(&cat, p(1)), vec![(Epoch(2), (x3.id(), Priority(2)))]);
 
         // Bounded → unbounded → bounded moves the owner between the two
         // halves of the index and back.
@@ -2391,7 +2482,7 @@ mod tests {
         assert!(stored_slice(&cat, p(1)).is_empty());
         let x = insert_by(2, 2);
         cat.publish(p(2), vec![x.clone()]).unwrap();
-        assert_eq!(stored_slice(&cat, p(1)), BTreeMap::from([(3, vec![(x.id(), Priority(1))])]));
+        assert_eq!(stored_slice(&cat, p(1)), vec![(Epoch(3), (x.id(), Priority(1)))]);
     }
 
     /// A publish at a pinned epoch is a publish: the same log, the same
@@ -2434,7 +2525,8 @@ mod tests {
                 assert_eq!(session_entries(&replica, p(i)), session_entries(&home, p(i)));
             }
             assert!(stored_slice(&replica, p(4)).is_empty(), "nobody p4 trusts has published");
-            assert_eq!(stored_slice(&replica, p(3)).len(), 1, "p3 trusts p2 only");
+            let p3: Vec<Epoch> = stored_slice(&replica, p(3)).iter().map(|(e, _)| *e).collect();
+            assert_eq!(p3, [Epoch(2); 2], "p3 trusts p2 only: its one batch of two");
             assert_eq!(trust_edges(&replica), trust_edges(&home));
         }
     }
@@ -2513,7 +2605,7 @@ mod tests {
         cat.publish_replica(p(2), Epoch(2), vec![insert_by(2, 0)]).unwrap();
         let live = format!("{cat:?}");
         let slices: Vec<_> = (1..=3).map(|i| stored_slice(&cat, p(i))).collect();
-        assert_eq!(slices.iter().map(BTreeMap::len).collect::<Vec<_>>(), [1, 1, 1]);
+        assert_eq!(slices.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1]);
         drop(cat);
 
         let recovered = StoreCatalog::recover(&dir).unwrap();
@@ -2610,8 +2702,13 @@ mod tests {
             assert_eq!(format!("{twin:?}"), live, "clone diverged");
             assert_eq!(format!("{recovered:?}"), live, "recovered catalogue diverged");
             // p3 and p4 trust p1's transaction, nobody p2's but p1; p2 is gone.
-            assert_eq!(stored_slice(&cat, p(3)).values().last().unwrap().len(), 1);
-            assert_eq!(stored_slice(&cat, p(4)).values().last().unwrap().len(), 2);
+            let in_last_epoch = |i| {
+                let slice = stored_slice(&cat, p(i));
+                let last = slice.last().unwrap().0;
+                slice.iter().filter(|(epoch, _)| *epoch == last).count()
+            };
+            assert_eq!(in_last_epoch(3), 1);
+            assert_eq!(in_last_epoch(4), 2);
             assert!(stored_slice(&cat, p(2)).is_empty());
             std::fs::remove_dir_all(&dir).ok();
             std::fs::remove_dir_all(&copy).ok();
@@ -3357,13 +3454,13 @@ mod tests {
     /// own and untrusted transactions left out.
     fn brute_force_slices(
         cat: &StoreCatalog,
-    ) -> BTreeMap<ParticipantId, BTreeMap<u64, Vec<RelevanceEntry>>> {
+    ) -> BTreeMap<ParticipantId, Vec<(Epoch, RelevanceEntry)>> {
         let log = cat.log.read().unwrap();
         let shards = cat.shards.read().unwrap();
         let mut all = BTreeMap::new();
         for (id, shard) in shards.iter() {
             let shard = shard.read().unwrap();
-            let mut slice: BTreeMap<u64, Vec<RelevanceEntry>> = BTreeMap::new();
+            let mut slice = Vec::new();
             for entry in log.log.entries() {
                 let txn = entry.transaction.as_ref();
                 if !shard.registered || entry.epoch <= shard.relevance_floor || txn.origin() == *id
@@ -3372,7 +3469,7 @@ mod tests {
                 }
                 let priority = shard.policy.priority_of_transaction(txn, cat.schema());
                 if priority != Priority::UNTRUSTED {
-                    slice.entry(entry.epoch.as_u64()).or_default().push((txn.id(), priority));
+                    slice.push((entry.epoch, (txn.id(), priority)));
                 }
             }
             all.insert(*id, slice);
@@ -3428,7 +3525,7 @@ mod tests {
                 let expected = brute_force_slices(&cat);
                 for (id, slice) in &expected {
                     prop_assert_eq!(&stored_slice(&cat, *id), slice, "shard {}", id);
-                    prop_assert!(slice.values().flatten().all(|(_, pr)| *pr != Priority::UNTRUSTED));
+                    prop_assert!(slice.iter().all(|(_, (_, pr))| *pr != Priority::UNTRUSTED));
                 }
             }
             // The incrementally maintained index is the one a rebuild
