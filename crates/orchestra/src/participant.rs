@@ -1,18 +1,27 @@
 //! A CDSS participant: local instance, trust policy, publication and
 //! reconciliation.
 //!
-//! Participants talk to the update store through a *shared reference*
-//! (`&S where S: UpdateStore + ?Sized`): the store synchronises internally,
-//! so many participants — one per thread — publish and reconcile against the
-//! same store concurrently. Reconciliation uses the store's session API:
+//! A participant publishes and reconciles through a [`SessionClient`] and
+//! nothing else: the same code runs in-process, over one framed service and
+//! over a sharded fabric. Reconciliation uses the client's session protocol:
 //! candidates are streamed in bounded pages
 //! ([`Participant::set_reconcile_batch_size`]), decided by the client-centric
 //! engine, and the decisions are committed atomically with the session.
+//!
+//! What the engine needs besides the candidates the participant keeps
+//! itself: mirrors of its accepted and rejected record, its last committed
+//! reconciliation number and the causal frontier it has observed (each
+//! session brings the frontier it covers). The store stays the record of
+//! truth; the participant touches it directly only to load those mirrors in
+//! [`Participant::rebuild_from_store`], to write an instance checkpoint
+//! ([`Participant::checkpoint_to_store`]), to read the frontier at heal time
+//! ([`Participant::rejoin`]) and to record a conflict resolution's decisions
+//! ([`Participant::resolve_conflicts`]).
 
 use crate::report::{ReconcileReport, ResolutionReport, TimingBreakdown};
 use orchestra_model::{
-    flatten_keyed, AntichainClock, CausalStamp, NetUpdates, ParticipantId, Schema, Transaction,
-    TransactionId, TrustPolicy, Update,
+    flatten_keyed, AntichainClock, CausalStamp, NetUpdates, ParticipantId, ReconciliationId,
+    Schema, Transaction, TransactionId, TrustPolicy, Update,
 };
 use orchestra_obs::{Counter, Obs};
 use orchestra_recon::{
@@ -23,6 +32,7 @@ use orchestra_storage::{Database, InstanceCheckpoint, Result, StorageError};
 use orchestra_store::{
     poll_ready, InProcessClient, SessionClient, SessionInfo, StoreTiming, Timed, UpdateStore,
 };
+use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,11 +99,19 @@ pub struct Participant {
     /// The sink's `participant.store_us` and `participant.local_us`
     /// counters, resolved once per [`Participant::set_observability`].
     timing_counters: [Counter; 2],
-    /// Locally mirrored rejected set: loaded from the store once (on the
-    /// first reconciliation) and extended with this participant's own
-    /// decisions afterwards, so steady-state reconciliations never re-read
-    /// the whole rejected record. Shared (`Arc`) with the engine per run.
-    rejected_cache: Option<std::sync::Arc<rustc_hash::FxHashSet<TransactionId>>>,
+    /// Mirror of the participant's accepted record at the store: loaded by
+    /// [`Participant::rebuild_from_store`], extended with its own published
+    /// transactions and with the acceptances each commit or resolution
+    /// carried once the store acknowledged them. Shared (`Arc`) with the
+    /// engine per run.
+    accepted: Arc<FxHashSet<TransactionId>>,
+    /// Mirror of the participant's rejected record, maintained alongside
+    /// `accepted` by the store's rule: acceptance is final, so an accepted
+    /// id leaves this set and is never re-added.
+    rejected: Arc<FxHashSet<TransactionId>>,
+    /// The number of the participant's most recent committed reconciliation
+    /// (the default before the first).
+    recno: ReconciliationId,
     /// True while the participant is partitioned from the store: publishing
     /// stamps and buffers batches locally, reconciliation is refused until
     /// [`Participant::rejoin`].
@@ -102,12 +120,11 @@ pub struct Participant {
     /// drained into the store on rejoin.
     buffered: Vec<(CausalStamp, Vec<Transaction>)>,
     /// The per-publisher sequence number the participant's next causal stamp
-    /// will carry (1-based; resynchronised from the store before each online
-    /// stamped publish).
+    /// will carry (1-based; loaded by [`Participant::rebuild_from_store`]).
     causal_seq: u64,
     /// The causal frontier this participant has observed — its own stamps
-    /// plus the store frontier merged in at each reconciliation. The next
-    /// stamp names it as its parent set.
+    /// plus the frontier of each session it committed. The next stamp names
+    /// it as its parent set.
     observed: AntichainClock,
 }
 
@@ -129,7 +146,9 @@ impl Participant {
             total_timing: TimingBreakdown::default(),
             obs: Obs::disabled(),
             timing_counters: Default::default(),
-            rejected_cache: None,
+            accepted: Arc::default(),
+            rejected: Arc::default(),
+            recno: ReconciliationId::default(),
             offline: false,
             buffered: Vec::new(),
             causal_seq: 1,
@@ -154,6 +173,10 @@ impl Participant {
     ///   earlier reconciliations deferred, so the dirty-value set and the
     ///   conflict groups are rebuilt from them — a crash no longer silently
     ///   drops conflicts awaiting user resolution.
+    ///
+    /// It also loads what the participant mirrors of its store record: the
+    /// accepted and rejected sets, the last reconciliation number, the next
+    /// causal sequence number and the causal frontier.
     ///
     /// When the store holds an [`InstanceCheckpoint`] for this participant
     /// (see [`Participant::checkpoint_to_store`]), the instance starts from
@@ -207,14 +230,16 @@ impl Participant {
         }
         participant.next_local_txn = max_local;
         participant.last_published_updates = own_delta;
+        participant.accepted = store.accepted_set(participant.id);
+        participant.rejected = store.rejected_set(participant.id);
+        participant.recno = store.current_reconciliation(participant.id);
         participant.causal_seq = store.next_publisher_seq(participant.id);
         participant.observed.merge(&store.causal_frontier());
 
         let deferred = store.undecided_candidates(participant.id);
         if !deferred.is_empty() {
-            let recno = store.current_reconciliation(participant.id);
             participant.soft.rebuild(
-                recno,
+                participant.recno,
                 deferred,
                 participant.engine.schema(),
                 participant.engine.extension_cache(),
@@ -297,32 +322,26 @@ impl Participant {
         self.reconcile_batch_size = size.max(1);
     }
 
-    /// The participant's rejected set: read from the store on first use
-    /// (already a shared snapshot — a reference-count bump), then maintained
-    /// incrementally from this participant's own decisions (it is the only
-    /// writer of its decision record), so steady-state reconciliations do
-    /// O(new rejections) work instead of re-reading the whole record.
-    fn rejected_set_cached<S: UpdateStore + ?Sized>(
-        &mut self,
-        store: &S,
-    ) -> std::sync::Arc<rustc_hash::FxHashSet<TransactionId>> {
-        match &self.rejected_cache {
-            Some(set) => std::sync::Arc::clone(set),
-            None => {
-                let set = store.rejected_set(self.id);
-                self.rejected_cache = Some(std::sync::Arc::clone(&set));
-                set
-            }
-        }
+    /// The participant's mirror of its decision record at the store: the
+    /// transactions it has accepted and those it has rejected.
+    pub fn decision_record(&self) -> (&FxHashSet<TransactionId>, &FxHashSet<TransactionId>) {
+        (&self.accepted, &self.rejected)
     }
 
-    /// Folds freshly recorded rejections into the local mirror. `Arc::make_mut`
-    /// is copy-free in the steady state: the engine's borrow has been dropped
-    /// by the time decisions are recorded.
-    fn extend_rejected_cache(&mut self, rejected: &[TransactionId]) {
-        if let Some(cache) = &mut self.rejected_cache {
-            std::sync::Arc::make_mut(cache).extend(rejected.iter().copied());
+    /// Folds decisions the store has acknowledged into the mirrors, by the
+    /// store's own rule: an acceptance is final and clears a rejection; a
+    /// rejection of an accepted id is void. The participant is the only
+    /// writer of its record, so the mirrors stay equal to it. `Arc::make_mut`
+    /// is copy-free in the steady state: the engine's borrow has been
+    /// dropped by then.
+    fn mirror_decisions(&mut self, accepted: &[TransactionId], rejected: &[TransactionId]) {
+        let accepted_set = Arc::make_mut(&mut self.accepted);
+        let rejected_set = Arc::make_mut(&mut self.rejected);
+        for id in accepted {
+            rejected_set.remove(id);
+            accepted_set.insert(*id);
         }
+        rejected_set.extend(rejected.iter().filter(|id| !accepted_set.contains(*id)).copied());
     }
 
     /// Shrinks the participant's soft caches to what can still be needed:
@@ -378,8 +397,7 @@ impl Participant {
         &mut self,
         store: &S,
     ) -> Result<Option<orchestra_model::Epoch>> {
-        let client = InProcessClient::new(store, self.id);
-        poll_ready(self.publish_with(store, &client))
+        poll_ready(self.publish_with(&InProcessClient::new(store, self.id)))
     }
 
     /// The one publish routine: the batch travels through `client` —
@@ -388,10 +406,11 @@ impl Participant {
     /// [`FabricClient`](orchestra_store::FabricClient) — and the cost the
     /// client reports (store time in-process, virtual frame time when
     /// framed) is charged to store time. Decisions and store state end up
-    /// identical on every path.
-    pub async fn publish_with<S: UpdateStore + ?Sized, C: SessionClient>(
+    /// identical on every path. Once the store has assigned the epoch, the
+    /// batch counts as accepted in the participant's mirror, as it does at
+    /// the store.
+    pub async fn publish_with<C: SessionClient>(
         &mut self,
-        store: &S,
         client: &C,
     ) -> Result<Option<orchestra_model::Epoch>> {
         if self.pending_publish.is_empty() {
@@ -407,15 +426,10 @@ impl Participant {
             self.buffered.push((stamp, batch));
             return Ok(None);
         }
-        let txns = batch.len() as u64;
-        let stamp = store.causal_mode().then(|| {
-            // Resynchronise the client-side sequence (a participant built
-            // with `new` against a store that already holds its stamps would
-            // otherwise replay a taken sequence number).
-            self.causal_seq = self.causal_seq.max(store.next_publisher_seq(self.id));
-            self.next_stamp()
-        });
+        let ids: Vec<TransactionId> = batch.iter().map(Transaction::id).collect();
+        let stamp = client.causal_mode().then(|| self.next_stamp());
         let published = client.publish(stamp, batch).await?;
+        self.mirror_decisions(&ids, &[]);
         self.record_timing(TimingBreakdown {
             store: published.timing.total(),
             local: Duration::ZERO,
@@ -425,7 +439,7 @@ impl Participant {
             &[
                 ("participant", u64::from(self.id.as_u32())),
                 ("epoch", published.value.as_u64()),
-                ("txns", txns),
+                ("txns", ids.len() as u64),
             ],
         );
         Ok(Some(published.value))
@@ -465,17 +479,24 @@ impl Participant {
     /// carry causal stamps). On an error the failing batch and its
     /// successors stay buffered and the participant stays offline, so the
     /// rejoin can be retried.
+    ///
+    /// Healing is the one time the participant reads the store's causal
+    /// frontier directly: it merges everything published while it was away,
+    /// so its next stamp names it as parents.
     pub fn rejoin<S: UpdateStore + ?Sized>(
         &mut self,
         store: &S,
     ) -> Result<Vec<orchestra_model::Epoch>> {
+        let client = InProcessClient::new(store, self.id);
         let mut epochs = Vec::with_capacity(self.buffered.len());
         while let Some((stamp, batch)) = self.buffered.first() {
-            let published = store.publish_stamped(stamp.clone(), batch.clone())?;
+            let ids: Vec<TransactionId> = batch.iter().map(Transaction::id).collect();
+            let published = poll_ready(client.publish(Some(stamp.clone()), batch.clone()))?;
             self.buffered.remove(0);
+            self.mirror_decisions(&ids, &[]);
             self.record_timing(TimingBreakdown {
                 store: published.timing.total(),
-                local: std::time::Duration::ZERO,
+                local: Duration::ZERO,
             });
             epochs.push(published.value);
         }
@@ -516,7 +537,7 @@ impl Participant {
             relations,
             next_local: self.next_local_txn,
             epoch: store.epoch_cursor(self.id),
-            accepted_through: store.accepted_set(self.id).len() as u64,
+            accepted_through: self.accepted.len() as u64,
         };
         store.record_instance_checkpoint(self.id, checkpoint)
     }
@@ -530,8 +551,7 @@ impl Participant {
     /// This is the blocking form of [`Participant::reconcile_with`]: the
     /// same code, polled once over the [`InProcessClient`].
     pub fn reconcile<S: UpdateStore + ?Sized>(&mut self, store: &S) -> Result<ReconcileReport> {
-        let client = InProcessClient::new(store, self.id);
-        poll_ready(self.reconcile_with(store, &client))
+        poll_ready(self.reconcile_with(&InProcessClient::new(store, self.id)))
     }
 
     /// The one reconcile routine: the paged session protocol travels through
@@ -543,9 +563,8 @@ impl Participant {
     /// driver includes queueing at the service. Over a
     /// [`FabricClient`](orchestra_store::FabricClient) the session is one
     /// session at the participant's home shard.
-    pub async fn reconcile_with<S: UpdateStore + ?Sized, C: SessionClient>(
+    pub async fn reconcile_with<C: SessionClient>(
         &mut self,
-        store: &S,
         client: &C,
     ) -> Result<ReconcileReport> {
         self.require_online()?;
@@ -562,7 +581,7 @@ impl Participant {
         };
         let mut retrieval = began.timing;
         retrieval.accumulate(drained.timing);
-        self.decide_and_commit(store, client, info, retrieval, drained.value, None).await
+        self.decide_and_commit(client, info, retrieval, drained.value, None).await
     }
 
     /// Reconciles in the network-centric mode of Section 5: antecedent
@@ -578,18 +597,11 @@ impl Participant {
         self.require_online()?;
         let Timed { value: plan, timing: retrieval } =
             store.begin_network_centric_reconciliation(self.id)?;
-        let info = SessionInfo {
-            session: plan.session,
-            recno: plan.recno,
-            epoch: plan.epoch,
-            pending: plan.candidates.len(),
-        };
         let client = InProcessClient::new(store, self.id);
         let conflicts = Some(plan.conflicts);
         poll_ready(self.decide_and_commit(
-            store,
             &client,
-            info,
+            plan.info,
             retrieval,
             plan.candidates,
             conflicts,
@@ -611,10 +623,9 @@ impl Participant {
     /// client-centric engine over the streamed candidates against the
     /// participant's soft-state snapshots, apply, commit the session through
     /// `client` (aborting it if the commit fails), and absorb the outcome
-    /// into the participant's caches, timing and report.
-    async fn decide_and_commit<S: UpdateStore + ?Sized, C: SessionClient>(
+    /// into the participant's mirrors, timing and report.
+    async fn decide_and_commit<C: SessionClient>(
         &mut self,
-        store: &S,
         client: &C,
         session: SessionInfo,
         retrieval: StoreTiming,
@@ -623,16 +634,13 @@ impl Participant {
             rustc_hash::FxHashMap<TransactionId, rustc_hash::FxHashSet<TransactionId>>,
         >,
     ) -> Result<ReconcileReport> {
-        let previously_rejected = self.rejected_set_cached(store);
-        let previously_accepted = store.accepted_set(self.id);
-
         let local_start = Instant::now();
         let input = ReconcileInput {
             recno: session.recno,
             candidates,
             own_updates: std::mem::take(&mut self.last_published_updates),
-            previously_rejected,
-            previously_accepted,
+            previously_rejected: Arc::clone(&self.rejected),
+            previously_accepted: Arc::clone(&self.accepted),
             precomputed_conflicts,
         };
         let outcome = self.engine.reconcile(input, &mut self.instance, &mut self.soft);
@@ -647,11 +655,12 @@ impl Participant {
                 return Err(e);
             }
         };
-        self.extend_rejected_cache(&outcome.rejected);
+        self.mirror_decisions(&outcome.accepted_members, &outcome.rejected);
+        self.recno = session.recno;
         // The session's candidates covered everything at or behind the
-        // store's causal frontier, so the participant has now observed it
-        // (a no-op merge on scalar stores, whose frontier is empty).
-        self.observed.merge(&store.causal_frontier());
+        // frontier it opened at, so the participant has now observed it (a
+        // no-op merge on scalar stores, whose frontier is empty).
+        self.observed.merge(&session.frontier);
 
         let mut store_time = retrieval;
         store_time.accumulate(commit_timing);
@@ -691,19 +700,15 @@ impl Participant {
             "conflict.resolve",
             &[("participant", u64::from(self.id.as_u32())), ("choices", choices.len() as u64)],
         );
-        let previously_rejected = self.rejected_set_cached(store);
-        let previously_accepted = store.accepted_set(self.id);
-        let recno = store.current_reconciliation(self.id);
-
         let local_start = Instant::now();
         let outcome = resolve_conflicts(
             &self.engine,
-            recno,
+            self.recno,
             choices,
             &mut self.instance,
             &mut self.soft,
-            &previously_rejected,
-            previously_accepted,
+            &self.rejected,
+            Arc::clone(&self.accepted),
         );
         let local_elapsed = local_start.elapsed();
 
@@ -711,7 +716,7 @@ impl Participant {
         rejected_all.extend(outcome.rerun.rejected.iter().copied());
         let record_timing =
             store.record_decisions(self.id, &outcome.rerun.accepted_members, &rejected_all)?;
-        self.extend_rejected_cache(&rejected_all);
+        self.mirror_decisions(&outcome.rerun.accepted_members, &rejected_all);
 
         let timing = TimingBreakdown { store: record_timing.total(), local: local_elapsed };
         self.record_timing(timing);

@@ -525,7 +525,7 @@ impl<S: UpdateStore> CdssSystem<S> {
             let task_outcomes = Rc::clone(&outcomes);
             phase.ex.spawn(async move {
                 for (id, participant, client) in &mut publishers {
-                    let result = participant.publish_with(store, client).await;
+                    let result = participant.publish_with(client).await;
                     task_outcomes.borrow_mut().push((*id, result));
                 }
             });
@@ -546,7 +546,7 @@ impl<S: UpdateStore> CdssSystem<S> {
                 let task_outcomes = Rc::clone(&outcomes);
                 phase.ex.spawn(async move {
                     let start_us = task_clock.now_us();
-                    let result = participant.reconcile_with(store, &client).await;
+                    let result = participant.reconcile_with(&client).await;
                     let latency_us = task_clock.now_us() - start_us;
                     task_outcomes.borrow_mut().push((id, result, latency_us));
                 });

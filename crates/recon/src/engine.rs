@@ -49,8 +49,8 @@ pub struct ReconcileInput {
     /// maintained record is lent to the engine instead of being copied per
     /// reconciliation.
     pub previously_rejected: Arc<FxHashSet<TransactionId>>,
-    /// Transactions this participant has accepted so far (the store's shared
-    /// snapshot). Extensions are defined over *undecided* antecedents
+    /// Transactions this participant has accepted so far (shared, like
+    /// `previously_rejected`). Extensions are defined over *undecided* antecedents
     /// (Definition 3), so the engine prunes accepted members from every
     /// candidate — in particular from deferred candidates carried across
     /// reconciliations, whose chains would otherwise go stale as their

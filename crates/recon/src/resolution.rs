@@ -40,9 +40,10 @@ pub struct ResolutionOutcome {
 /// Applies the user's resolution choices and re-runs reconciliation over the
 /// remaining deferred transactions.
 ///
-/// `previously_rejected` is the participant's rejected set from the update
-/// store; the newly rejected transactions are added to it by the caller after
-/// this returns. `previously_accepted` is the matching accepted snapshot,
+/// `previously_rejected` is the participant's rejected set (its mirror of
+/// the update store's record); the newly rejected transactions are added to
+/// it by the caller after this returns. `previously_accepted` is the matching
+/// accepted set,
 /// which the rerun uses to keep candidate extensions on Definition 3
 /// (accepted members are pruned). `own_updates` should normally be empty —
 /// resolution is not a publication step.

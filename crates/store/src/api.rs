@@ -25,9 +25,10 @@
 //!   [`UpdateStore::abort_reconciliation`] (which leaves store state
 //!   untouched).
 //!
-//! [`ReconciliationSession`] is the ergonomic RAII handle over the raw
-//! session calls: it accumulates per-call timing, streams batches, and aborts
-//! on drop if neither finaliser ran.
+//! Participants do not call these methods themselves: they publish and
+//! reconcile through a [`SessionClient`](crate::SessionClient), whose
+//! [`InProcessClient`](crate::InProcessClient) is the thin in-process
+//! adapter over this trait.
 
 use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction,
@@ -97,8 +98,9 @@ impl SessionId {
 
 /// Metadata of a freshly opened reconciliation session: the reconciliation
 /// number the store will assign at commit, the epoch the session is pinned
-/// to, and an upper bound on the candidates still to stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// to, an upper bound on the candidates still to stream, and the causal
+/// frontier the session covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionInfo {
     /// The session handle for the follow-up `next_batch` / `commit` /
     /// `abort` calls.
@@ -114,6 +116,11 @@ pub struct SessionInfo {
     /// entries pinned at open, every one trusted by the participant's policy
     /// (untrusted transactions are never offered, so never counted).
     pub pending: usize,
+    /// The store's causal ingest frontier at open, captured under the same
+    /// log lock that pins `epoch`: every stamp in it is at or behind the
+    /// session's epoch, so a participant that commits the session has
+    /// observed it. Empty on a scalar store.
+    pub frontier: AntichainClock,
 }
 
 /// The update store interface used by participants.
@@ -265,9 +272,9 @@ pub trait UpdateStore: Send + Sync {
     }
 
     /// The store's causal ingest frontier: the deepest ingested stamp per
-    /// publisher (empty for scalar-only stores). A reconciling participant
-    /// merges this into its observed clock — the store holds everything at
-    /// or behind its frontier.
+    /// publisher (empty for scalar-only stores) — the store holds everything
+    /// at or behind it. A reconciling participant learns it from its
+    /// session's [`SessionInfo::frontier`]; a rejoining one reads it here.
     fn causal_frontier(&self) -> AntichainClock {
         AntichainClock::default()
     }
@@ -372,110 +379,6 @@ pub trait UpdateStore: Send + Sync {
 
 /// Compile-time proof that the trait stays object-safe.
 const _: fn(&dyn UpdateStore) = |_| {};
-
-/// RAII handle over one paged reconciliation at a store.
-///
-/// Obtained from [`ReconciliationSession::open`]; stream candidates with
-/// [`ReconciliationSession::next_batch`] (or drain everything with
-/// [`ReconciliationSession::drain`]), then finish with
-/// [`ReconciliationSession::commit`] or [`ReconciliationSession::abort`].
-/// Dropping an unfinished session aborts it at the store, so durable state is
-/// never left pinned to a half-run reconciliation.
-#[derive(Debug)]
-pub struct ReconciliationSession<'a, S: UpdateStore + ?Sized> {
-    store: &'a S,
-    info: SessionInfo,
-    timing: StoreTiming,
-    finished: bool,
-}
-
-impl<'a, S: UpdateStore + ?Sized> ReconciliationSession<'a, S> {
-    /// Opens a session for `participant` at `store`.
-    pub fn open(store: &'a S, participant: ParticipantId) -> Result<Self> {
-        let opened = store.begin_reconciliation(participant)?;
-        Ok(ReconciliationSession {
-            store,
-            info: opened.value,
-            timing: opened.timing,
-            finished: false,
-        })
-    }
-
-    /// The reconciliation number the store will assign at commit.
-    pub fn recno(&self) -> ReconciliationId {
-        self.info.recno
-    }
-
-    /// The epoch the session is pinned to.
-    pub fn epoch(&self) -> Epoch {
-        self.info.epoch
-    }
-
-    /// Upper bound on the candidates still to stream.
-    pub fn pending_hint(&self) -> usize {
-        self.info.pending
-    }
-
-    /// Store-side cost accumulated by this session so far (open plus every
-    /// batch; the commit call reports its own cost).
-    pub fn timing(&self) -> StoreTiming {
-        self.timing
-    }
-
-    /// The next batch of at most `max_candidates` candidates, in publication
-    /// order. Empty means exhausted.
-    pub fn next_batch(&mut self, max_candidates: usize) -> Result<Vec<CandidateTransaction>> {
-        let batch = self.store.next_batch(self.info.session, max_candidates)?;
-        self.timing.accumulate(batch.timing);
-        Ok(batch.value)
-    }
-
-    /// Streams every remaining candidate in pages of `batch_size`, bounding
-    /// the store-side working set per call, and returns them concatenated.
-    /// A short page signals end of stream (the trait contract), so no extra
-    /// empty-page probe is issued.
-    pub fn drain(&mut self, batch_size: usize) -> Result<Vec<CandidateTransaction>> {
-        let size = batch_size.max(1);
-        let mut out = Vec::new();
-        loop {
-            let batch = self.next_batch(size)?;
-            let done = batch.len() < size;
-            out.extend(batch);
-            if done {
-                return Ok(out);
-            }
-        }
-    }
-
-    /// Commits the session (see [`UpdateStore::commit_reconciliation`]) and
-    /// returns the total store cost of the whole session including the
-    /// commit.
-    pub fn commit(
-        mut self,
-        accepted: &[TransactionId],
-        rejected: &[TransactionId],
-    ) -> Result<StoreTiming> {
-        self.finished = true;
-        let commit = self.store.commit_reconciliation(self.info.session, accepted, rejected)?;
-        let mut total = self.timing;
-        total.accumulate(commit);
-        Ok(total)
-    }
-
-    /// Aborts the session, leaving store state untouched.
-    pub fn abort(mut self) -> Result<()> {
-        self.finished = true;
-        self.store.abort_reconciliation(self.info.session)
-    }
-}
-
-impl<S: UpdateStore + ?Sized> Drop for ReconciliationSession<'_, S> {
-    fn drop(&mut self) {
-        if !self.finished {
-            let _ = self.store.abort_reconciliation(self.info.session);
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -403,7 +403,7 @@ struct SessionState {
 }
 
 /// A freshly opened session (see [`StoreCatalog::open_session`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct OpenedSession {
     /// The session handle.
     pub session: SessionId,
@@ -415,16 +415,19 @@ pub struct OpenedSession {
     pub epoch: Epoch,
     /// Number of pinned undecided entries — every one a trusted candidate.
     pub pending: usize,
+    /// The causal frontier at open (see [`SessionInfo::frontier`]).
+    pub frontier: AntichainClock,
 }
 
 impl OpenedSession {
     /// The trait-level view of this session.
-    pub fn info(&self) -> SessionInfo {
+    pub fn info(self) -> SessionInfo {
         SessionInfo {
             session: self.session,
             recno: self.recno,
             epoch: self.epoch,
             pending: self.pending,
+            frontier: self.frontier,
         }
     }
 }
@@ -539,8 +542,8 @@ impl StoreCatalog {
     }
 
     /// The store's causal ingest frontier: the deepest ingested stamp per
-    /// publisher. Participants merge this into their observed clock after
-    /// reconciling (the store has everything at or behind its frontier).
+    /// publisher (the store has everything at or behind it). Every session
+    /// carries the frontier it opened at ([`SessionInfo::frontier`]).
     pub fn causal_frontier(&self) -> AntichainClock {
         self.log.read().expect("log lock").registry.causal().frontier().clone()
     }
@@ -916,6 +919,7 @@ impl StoreCatalog {
             previous,
             epoch,
             pending: state.pending.len(),
+            frontier: log.registry.causal().frontier().clone(),
         };
         // Check-and-insert atomically under the session-table lock, so two
         // racing opens for the same participant cannot both succeed — and
@@ -3230,6 +3234,31 @@ mod tests {
         }
         assert_eq!(format!("{cat:?}"), before, "rejected stamp mutated the catalogue");
         assert_eq!(cat.largest_stable_epoch(), Epoch(1));
+    }
+
+    #[test]
+    fn a_session_carries_the_frontier_it_was_opened_at() {
+        let cat = catalog_with_policies();
+        let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
+        cat.publish(p(3), vec![x]).unwrap();
+        let scalar = cat.open_session(p(1)).unwrap().info();
+        assert!(scalar.frontier.is_empty(), "a scalar store has no frontier");
+        cat.abort_session(scalar.session);
+
+        cat.enable_causal_mode().unwrap();
+        for (i, publisher) in [p(3), p(2)].into_iter().enumerate() {
+            let key = format!("prot{}", i + 2);
+            let y = txn(
+                publisher.0,
+                1,
+                vec![Update::insert("Function", func("rat", &key, "b"), publisher)],
+            );
+            cat.publish_causal(stamp(&cat, publisher), vec![y]).unwrap();
+        }
+        let causal = cat.open_session(p(1)).unwrap().info();
+        assert_eq!(causal.frontier, cat.causal_frontier());
+        assert_eq!(causal.frontier.to_string(), "{p2:1,p3:1}");
+        cat.abort_session(causal.session);
     }
 
     #[test]

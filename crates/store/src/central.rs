@@ -275,7 +275,7 @@ impl UpdateStore for CentralStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ReconciliationSession;
+    use crate::client::drained;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{Priority, Tuple, Update};
 
@@ -309,20 +309,19 @@ mod tests {
 
         // p3 trusts only p2, so x1 is filtered out store-side and nothing is
         // relevant.
-        let mut session = ReconciliationSession::open(&s, p(3)).unwrap();
-        assert_eq!(session.recno(), ReconciliationId(1));
-        assert_eq!(session.epoch(), Epoch(2));
-        assert!(session.drain(16).unwrap().is_empty());
-        session.commit(&[], &[]).unwrap();
+        let (info, candidates) = drained(&s, p(3), 16).value;
+        assert_eq!(info.recno, ReconciliationId(1));
+        assert_eq!(info.epoch, Epoch(2));
+        assert!(candidates.is_empty());
+        s.commit_reconciliation(info.session, &[], &[]).unwrap();
 
         // p2 trusts both p1 and p3.
-        let mut session = ReconciliationSession::open(&s, p(2)).unwrap();
-        let candidates = session.drain(16).unwrap();
+        let (info, candidates) = drained(&s, p(2), 16).value;
         assert_eq!(candidates.len(), 2);
         let prios: Vec<Priority> = candidates.iter().map(|c| c.priority).collect();
         assert!(prios.contains(&Priority(1)));
         assert!(prios.contains(&Priority(2)));
-        session.abort().unwrap();
+        s.abort_reconciliation(info.session).unwrap();
     }
 
     #[test]
@@ -330,15 +329,15 @@ mod tests {
         let s = store();
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         s.publish(p(3), vec![x3.clone()]).unwrap();
-        let mut session = ReconciliationSession::open(&s, p(2)).unwrap();
-        assert_eq!(session.drain(16).unwrap().len(), 1);
-        session.commit(&[x3.id()], &[]).unwrap();
+        let (info, candidates) = drained(&s, p(2), 16).value;
+        assert_eq!(candidates.len(), 1);
+        s.commit_reconciliation(info.session, &[x3.id()], &[]).unwrap();
 
         // Nothing new published: the second reconciliation sees nothing.
-        let mut session = ReconciliationSession::open(&s, p(2)).unwrap();
-        assert_eq!(session.recno(), ReconciliationId(2));
-        assert!(session.drain(16).unwrap().is_empty());
-        session.commit(&[], &[]).unwrap();
+        let (info, candidates) = drained(&s, p(2), 16).value;
+        assert_eq!(info.recno, ReconciliationId(2));
+        assert!(candidates.is_empty());
+        s.commit_reconciliation(info.session, &[], &[]).unwrap();
         assert_eq!(s.current_reconciliation(p(2)), ReconciliationId(2));
     }
 
@@ -347,8 +346,8 @@ mod tests {
         let s = store();
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         s.publish(p(3), vec![x3.clone()]).unwrap();
-        let session = ReconciliationSession::open(&s, p(1)).unwrap();
-        session.commit(&[], &[x3.id()]).unwrap();
+        let session = s.begin_reconciliation(p(1)).unwrap().value.session;
+        s.commit_reconciliation(session, &[], &[x3.id()]).unwrap();
         assert!(s.rejected_set(p(1)).contains(&x3.id()));
         assert!(s.accepted_set(p(3)).contains(&x3.id()));
         assert_eq!(s.transaction(x3.id()).unwrap().as_ref(), &x3);
@@ -386,23 +385,9 @@ mod tests {
         );
         s.publish(p(3), vec![x0.clone()]).unwrap();
         s.publish(p(2), vec![x1.clone()]).unwrap();
-        let mut session = ReconciliationSession::open(&s, p(1)).unwrap();
-        let candidates = session.drain(16).unwrap();
-        session.abort().unwrap();
+        let (info, candidates) = drained(&s, p(1), 16).value;
+        s.abort_reconciliation(info.session).unwrap();
         let cand_x1 = candidates.iter().find(|c| c.id == x1.id()).unwrap();
         assert_eq!(cand_x1.members.len(), 2);
-    }
-
-    #[test]
-    fn dropping_an_unfinished_session_aborts_it() {
-        let s = store();
-        let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        s.publish(p(3), vec![x3]).unwrap();
-        {
-            let _session = ReconciliationSession::open(&s, p(1)).unwrap();
-            assert_eq!(s.catalog().open_sessions(), 1);
-        }
-        assert_eq!(s.catalog().open_sessions(), 0);
-        assert_eq!(s.current_reconciliation(p(1)), ReconciliationId::default());
     }
 }

@@ -38,6 +38,10 @@ pub trait SessionClient {
     /// The participant this client acts for.
     fn participant(&self) -> ParticipantId;
 
+    /// Whether the store is in causal mode, i.e. whether a publish must
+    /// carry a client-allocated [`CausalStamp`].
+    fn causal_mode(&self) -> bool;
+
     /// Opens a reconciliation session (fabric: at the participant's home
     /// shard).
     async fn begin_session(&self) -> Result<Timed<SessionInfo>>;
@@ -108,6 +112,10 @@ impl<'a, S: UpdateStore + ?Sized> InProcessClient<'a, S> {
 impl<S: UpdateStore + ?Sized> SessionClient for InProcessClient<'_, S> {
     fn participant(&self) -> ParticipantId {
         self.participant
+    }
+
+    fn causal_mode(&self) -> bool {
+        self.store.causal_mode()
     }
 
     async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
@@ -192,4 +200,23 @@ pub fn poll_ready<T>(future: impl Future<Output = Result<T>>) -> Result<T> {
                 .to_string(),
         )),
     }
+}
+
+/// Opens a session for `participant` over an [`InProcessClient`] and drains
+/// it in pages of `page`: the session and its candidates, at the cost of the
+/// begin and every page. The session stays open for the test to commit or
+/// abort.
+#[cfg(test)]
+pub(crate) fn drained<S: UpdateStore + ?Sized>(
+    store: &S,
+    participant: ParticipantId,
+    page: usize,
+) -> Timed<(SessionInfo, Vec<CandidateTransaction>)> {
+    let client = InProcessClient::new(store, participant);
+    let began = poll_ready(client.begin_session()).expect("session opens");
+    let drained =
+        poll_ready(client.drain_candidates(began.value.session, page)).expect("session drains");
+    let mut timing = began.timing;
+    timing.accumulate(drained.timing);
+    Timed::new((began.value, drained.value), timing)
 }

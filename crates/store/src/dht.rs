@@ -467,7 +467,7 @@ impl UpdateStore for DhtStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ReconciliationSession;
+    use crate::client::drained;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{Tuple, Update};
 
@@ -557,8 +557,7 @@ mod tests {
         s.publish(p(2), vec![x1.clone()]).unwrap();
         let stats_before = s.network_stats().messages;
 
-        let mut session = ReconciliationSession::open(&s, p(1)).unwrap();
-        let candidates = session.drain(16).unwrap();
+        let Timed { value: (info, candidates), timing } = drained(&s, p(1), 16);
         assert_eq!(candidates.len(), 2);
         let cand_x1 = candidates.iter().find(|c| c.id == x1.id()).unwrap();
         assert_eq!(cand_x1.members.len(), 2);
@@ -572,9 +571,8 @@ mod tests {
             "only {} messages charged",
             stats_after - stats_before
         );
-        let timing = session.timing();
         assert!(timing.network >= Duration::from_micros(14 * 500));
-        session.abort().unwrap();
+        s.abort_reconciliation(info.session).unwrap();
     }
 
     #[test]
@@ -596,16 +594,14 @@ mod tests {
 
         let one_page = build();
         let before = one_page.network_stats().messages;
-        let mut session = ReconciliationSession::open(&one_page, p(1)).unwrap();
-        let all = session.drain(100).unwrap();
-        session.abort().unwrap();
+        let (info, all) = drained(&one_page, p(1), 100).value;
+        one_page.abort_reconciliation(info.session).unwrap();
         let one_page_messages = one_page.network_stats().messages - before;
 
         let paged = build();
         let before = paged.network_stats().messages;
-        let mut session = ReconciliationSession::open(&paged, p(1)).unwrap();
-        let pages = session.drain(1).unwrap();
-        session.abort().unwrap();
+        let (info, pages) = drained(&paged, p(1), 1).value;
+        paged.abort_reconciliation(info.session).unwrap();
         let paged_messages = paged.network_stats().messages - before;
 
         assert_eq!(
@@ -624,9 +620,9 @@ mod tests {
         let x = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         s.publish(p(2), vec![x]).unwrap();
         let before = s.network_stats().messages;
-        let mut session = ReconciliationSession::open(&s, p(1)).unwrap();
-        assert!(session.drain(16).unwrap().is_empty());
-        session.abort().unwrap();
+        let (info, candidates) = drained(&s, p(1), 16).value;
+        assert!(candidates.is_empty());
+        s.abort_reconciliation(info.session).unwrap();
         assert!(s.network_stats().messages > before);
     }
 
@@ -652,10 +648,9 @@ mod tests {
         // p5's transaction is trusted but already decided.
         s.record_decisions(p(1), &[], &[ids[3]]).unwrap();
         let before = s.network_stats().messages;
-        let mut session = ReconciliationSession::open(&s, p(1)).unwrap();
-        let candidates = session.drain(page).unwrap();
+        let (info, candidates) = drained(&s, p(1), page).value;
         assert_eq!(candidates.iter().map(|c| c.id).collect::<Vec<_>>(), vec![ids[0]]);
-        session.abort().unwrap();
+        s.abort_reconciliation(info.session).unwrap();
         s.network_stats().messages - before
     }
 
@@ -675,9 +670,9 @@ mod tests {
         let s = store(3);
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         s.publish(p(3), vec![x.clone()]).unwrap();
-        let session = ReconciliationSession::open(&s, p(1)).unwrap();
+        let session = s.begin_reconciliation(p(1)).unwrap().value.session;
         let before = s.network_stats().messages;
-        session.commit(&[x.id()], &[]).unwrap();
+        s.commit_reconciliation(session, &[x.id()], &[]).unwrap();
         assert!(s.network_stats().messages > before);
         assert!(s.accepted_set(p(1)).contains(&x.id()));
         assert_eq!(s.current_reconciliation(p(1)), ReconciliationId(1));
@@ -692,10 +687,9 @@ mod tests {
             s.register_participant(TrustPolicy::new(p(2)).trusting(p(1), 1u32));
             let x = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
             let mut timing = s.publish(p(2), vec![x]).unwrap().timing;
-            let mut session = ReconciliationSession::open(&s, p(1)).unwrap();
-            session.drain(16).unwrap();
-            timing.accumulate(session.timing());
-            session.abort().unwrap();
+            let session = drained(&s, p(1), 16);
+            timing.accumulate(session.timing);
+            s.abort_reconciliation(session.value.0.session).unwrap();
             timing.network
         };
         assert!(run(Duration::from_millis(5)) > run(Duration::from_micros(10)));

@@ -406,6 +406,11 @@ impl<C: ShardClient> SessionClient for FabricClient<C> {
         self.clients[0].participant()
     }
 
+    /// The home shard's mode: causal mode is switched on at every shard.
+    fn causal_mode(&self) -> bool {
+        self.home().causal_mode()
+    }
+
     async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
         self.home().begin_session().await
     }
@@ -469,8 +474,8 @@ impl<C: ShardClient> SessionClient for FabricClient<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::drained;
     use crate::service::StoreService;
-    use crate::ReconciliationSession;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{Tuple, Update};
     use orchestra_net::SimNetwork;
@@ -598,10 +603,9 @@ mod tests {
     /// One reconciliation of each of `1..=n` against `store`, in-process.
     fn reconcile_in_process<S: UpdateStore>(store: &S, n: u32) {
         for i in 1..=n {
-            let mut session = ReconciliationSession::open(store, p(i)).unwrap();
-            let candidates = session.drain(2).unwrap();
+            let (info, candidates) = drained(store, p(i), 2).value;
             let (accepted, rejected) = accept_all_but_the_first_origin(&candidates);
-            session.commit(&accepted, &rejected).unwrap();
+            store.commit_reconciliation(info.session, &accepted, &rejected).unwrap();
         }
     }
 
@@ -759,11 +763,11 @@ mod tests {
             }
         }
         for i in 1..=n {
-            let mut fabric_session = ReconciliationSession::open(&fabric, p(i)).unwrap();
-            let mut single_session = ReconciliationSession::open(&single, p(i)).unwrap();
+            let fabric_session = fabric.begin_reconciliation(p(i)).unwrap().value.session;
+            let single_session = single.begin_reconciliation(p(i)).unwrap().value.session;
             loop {
-                let fabric_page = fabric_session.next_batch(4).unwrap();
-                let single_page = single_session.next_batch(4).unwrap();
+                let fabric_page = fabric.next_batch(fabric_session, 4).unwrap().value;
+                let single_page = single.next_batch(single_session, 4).unwrap().value;
                 assert_eq!(
                     fabric_page.iter().map(|c| c.id).collect::<Vec<_>>(),
                     single_page.iter().map(|c| c.id).collect::<Vec<_>>(),
@@ -773,8 +777,8 @@ mod tests {
                     break;
                 }
             }
-            fabric_session.commit(&[], &[]).unwrap();
-            single_session.commit(&[], &[]).unwrap();
+            fabric.commit_reconciliation(fabric_session, &[], &[]).unwrap();
+            single.commit_reconciliation(single_session, &[], &[]).unwrap();
             assert_eq!(fabric.epoch_cursor(p(i)), single.epoch_cursor(p(i)));
         }
     }

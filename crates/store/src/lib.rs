@@ -5,11 +5,11 @@
 //! reconciliation, and hold the per-participant accepted/rejected record so
 //! that clients carry only soft state. This crate provides:
 //!
-//! * [`UpdateStore`] — the store interface used by participants: object-safe,
-//!   `&self` throughout (implementations shard state internally so many
-//!   participants publish and reconcile in parallel against one shared
-//!   reference), with per-call [`StoreTiming`] returned in [`Timed`] values
-//!   and session-based paged retrieval ([`ReconciliationSession`]).
+//! * [`UpdateStore`] — the store interface: object-safe, `&self` throughout
+//!   (implementations shard state internally so many participants publish
+//!   and reconcile in parallel against one shared reference), with per-call
+//!   [`StoreTiming`] returned in [`Timed`] values and session-based paged
+//!   retrieval ([`SessionInfo`]).
 //! * [`CentralStore`] — the centralised implementation backed by the
 //!   `orchestra-storage` engine (the paper's RDBMS-based store,
 //!   Section 5.2.1), with decoupled publish/reconcile epochs and store-side
@@ -34,20 +34,6 @@
 //!   compacting snapshots, and [`StoreCatalog::recover`] (or
 //!   [`CentralStore::recover`]) rebuilds byte-identical durable state after a
 //!   crash.
-//!
-//! # Migration from the `&mut self` trait
-//!
-//! Until PR 2 the trait took `&mut self` everywhere, retrieval materialised
-//! every candidate in one `RelevantTransactions` vector, and store cost was
-//! read back through a `take_timing` accumulator. The mapping to the new API:
-//!
-//! | old | new |
-//! |-----|-----|
-//! | `store.begin_reconciliation(p)?` | `ReconciliationSession::open(&store, p)?` + `session.drain(n)?` |
-//! | `store.record_decisions(p, a, r)` after a reconciliation | `session.commit(a, r)?` |
-//! | `store.take_timing()` | per-call `Timed::timing` / the session's `timing()` |
-//! | `store.accepted_set(p)` (fresh `FxHashSet`) | shared `Arc` snapshot |
-//! | `store.transaction(id)` (deep clone) | `Arc<Transaction>` sharing the log |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,7 +50,7 @@ pub mod protocol;
 pub mod pruner;
 pub mod service;
 
-pub use api::{ReconciliationSession, SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
+pub use api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 pub use catalog::{OpenedSession, SessionBatch, StoreCatalog};
 pub use central::CentralStore;
 pub use client::{poll_ready, InProcessClient, SessionClient, ShardClient};

@@ -2,8 +2,8 @@
 //!
 //! Section 5 of the paper contrasts two ways of organising reconciliation.
 //! The *client-centric* algorithm (implemented by [`crate::DhtStore`]'s
-//! session-based [`UpdateStore`] retrieval plus the local `ReconcileUpdates`
-//! engine) retrieves every relevant transaction and its antecedent chain to
+//! session-based [`crate::UpdateStore`] retrieval plus the local
+//! `ReconcileUpdates` engine) retrieves every relevant transaction and its antecedent chain to
 //! the reconciling peer and performs all conflict detection locally. The
 //! *network-centric* alternative distributes that work across the network:
 //! transaction controllers resolve antecedent chains and compute flattened
@@ -18,14 +18,15 @@
 //! tests assert; what changes is where the computation happens and the
 //! message pattern charged to the simulated network.
 //!
-//! Under the session API the plan carries the open [`SessionId`]: the caller
-//! decides against the plan's candidates and then finishes the session with
-//! [`crate::UpdateStore::commit_reconciliation`] (or aborts it), exactly as
-//! in the client-centric mode.
+//! Under the session API the plan carries the open session's [`SessionInfo`]:
+//! the caller decides against the plan's candidates and then finishes the
+//! session with [`crate::UpdateStore::commit_reconciliation`] (or aborts it),
+//! exactly as in the client-centric mode.
 
-use crate::api::{SessionId, Timed, UpdateStore};
+use crate::api::{SessionInfo, Timed};
+use crate::client::{poll_ready, InProcessClient, SessionClient};
 use crate::dht::DhtStore;
-use orchestra_model::{Epoch, ParticipantId, ReconciliationId, TransactionId};
+use orchestra_model::{ParticipantId, TransactionId};
 use orchestra_recon::extension::{candidates_by_key, conflict_sets, FlatExtension};
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::Result;
@@ -45,11 +46,7 @@ const SUMMARY_BYTES_PER_UPDATE: u64 = 96;
 pub struct NetworkCentricPlan {
     /// The open reconciliation session at the store; decisions are recorded
     /// by committing it.
-    pub session: SessionId,
-    /// The reconciliation number the commit will record.
-    pub recno: ReconciliationId,
-    /// The epoch the session is pinned to.
-    pub epoch: Epoch,
+    pub info: SessionInfo,
     /// The candidates, exactly as the client-centric mode would stream them.
     pub candidates: Vec<CandidateTransaction>,
     /// Pairwise direct conflicts between candidate roots, as detected by the
@@ -75,22 +72,14 @@ impl DhtStore {
         // pinning, trust evaluation, extension computation). The
         // epoch-allocator, epoch-controller and coordinator round trips are
         // identical in both modes.
-        let opened = self.begin_reconciliation(participant)?;
-        let mut timing = opened.timing;
-        let info = opened.value;
+        let client = InProcessClient::new(self, participant);
+        let Timed { value: info, mut timing } = poll_ready(client.begin_session())?;
 
-        // Drain the whole session page by page (the distribution work below
-        // needs the full candidate set to group summaries by key).
-        let mut candidates = Vec::new();
-        loop {
-            let batch = self.next_batch(info.session, 64)?;
-            timing.accumulate(batch.timing);
-            let done = batch.value.len() < 64;
-            candidates.extend(batch.value);
-            if done {
-                break;
-            }
-        }
+        // Drain the whole session (the distribution work below needs the
+        // full candidate set to group summaries by key).
+        let drained = poll_ready(client.drain_candidates(info.session, 64))?;
+        timing.accumulate(drained.timing);
+        let candidates = drained.value;
 
         let schema = self.catalog().schema().clone();
         let peer = self.peer_node(participant);
@@ -144,24 +133,16 @@ impl DhtStore {
         // the keys live.
         let conflicts = conflict_sets(&candidates, &flattened, &schema);
 
-        Ok(Timed::new(
-            NetworkCentricPlan {
-                session: info.session,
-                recno: info.recno,
-                epoch: info.epoch,
-                candidates,
-                conflicts,
-            },
-            timing,
-        ))
+        Ok(Timed::new(NetworkCentricPlan { info, candidates, conflicts }, timing))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UpdateStore;
     use orchestra_model::schema::bioinformatics_schema;
-    use orchestra_model::{Transaction, TrustPolicy, Tuple, Update};
+    use orchestra_model::{ReconciliationId, Transaction, TrustPolicy, Tuple, Update};
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -204,7 +185,7 @@ mod tests {
         assert!(plan.conflicts[&x2.id()].contains(&x3.id()));
         assert!(plan.conflicts[&x3.id()].contains(&x2.id()));
         assert!(!plan.conflicts.contains_key(&x4.id()));
-        s.abort_reconciliation(plan.session).unwrap();
+        s.abort_reconciliation(plan.info.session).unwrap();
     }
 
     #[test]
@@ -227,15 +208,14 @@ mod tests {
 
         let client_centric = build();
         let before = client_centric.network_stats().messages;
-        let mut session = crate::api::ReconciliationSession::open(&client_centric, p(1)).unwrap();
-        session.drain(64).unwrap();
-        session.abort().unwrap();
+        let (info, _) = crate::client::drained(&client_centric, p(1), 64).value;
+        client_centric.abort_reconciliation(info.session).unwrap();
         let client_messages = client_centric.network_stats().messages - before;
 
         let network_centric = build();
         let before = network_centric.network_stats().messages;
         let plan = network_centric.begin_network_centric_reconciliation(p(1)).unwrap().value;
-        network_centric.abort_reconciliation(plan.session).unwrap();
+        network_centric.abort_reconciliation(plan.info.session).unwrap();
         let network_messages = network_centric.network_stats().messages - before;
 
         assert!(
@@ -252,7 +232,7 @@ mod tests {
         let plan = s.begin_network_centric_reconciliation(p(1)).unwrap().value;
         assert_eq!(plan.candidates.len(), 1);
         assert!(plan.conflicts.is_empty());
-        s.commit_reconciliation(plan.session, &[x2.id()], &[]).unwrap();
+        s.commit_reconciliation(plan.info.session, &[x2.id()], &[]).unwrap();
         assert!(s.accepted_set(p(1)).contains(&x2.id()));
         assert_eq!(s.current_reconciliation(p(1)), ReconciliationId(1));
     }

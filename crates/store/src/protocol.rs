@@ -5,7 +5,7 @@
 //! frame representation: the service, the clients and the fabric pass the
 //! enums through `orchestra-rt` channels and charge the network with each
 //! frame's *modelled* size ([`StoreRequest::frame_bytes`]); nothing encodes
-//! them to bytes yet. When real frames land (ROADMAP item 3) the byte codec
+//! them to bytes yet. When real frames land (ROADMAP item 6) the byte codec
 //! is written fresh, in binary with its version byte, on
 //! `orchestra_storage::codec`'s varint primitives.
 

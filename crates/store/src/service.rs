@@ -260,6 +260,8 @@ pub struct StoreService {
     shared: Rc<ServiceShared>,
     frame_latency_us: u64,
     busy_retries: u32,
+    /// The store's causal mode, read once at start and handed to clients.
+    causal: bool,
 }
 
 impl StoreService {
@@ -293,7 +295,8 @@ impl StoreService {
     /// worker tasks onto `ex`, each serving its own bounded inbox against
     /// `store`. Frame traffic is charged to the `net` transport; latencies
     /// use the executor's [`VirtualClock`]. A fabric starts one service per
-    /// shard, each under its own [`StoreService::shard_server_node`].
+    /// shard, each under its own [`StoreService::shard_server_node`]. The
+    /// store's causal mode is read here, once, for the clients to report.
     ///
     /// Panics if the config violates its invariants; call
     /// [`ServiceConfig::validate`] first to surface the violation as a typed
@@ -355,6 +358,7 @@ impl StoreService {
             shared,
             frame_latency_us: config.frame_latency_us,
             busy_retries: config.busy_retries,
+            causal: store.causal_mode(),
         }
     }
 
@@ -374,6 +378,7 @@ impl StoreService {
             busy_retries: self.busy_retries,
             tracer: self.shared.tracer.clone(),
             shard: self.shared.shard,
+            causal: self.causal,
         }
     }
 
@@ -549,6 +554,7 @@ pub struct ServiceClient {
     busy_retries: u32,
     tracer: Tracer,
     shard: Option<u64>,
+    causal: bool,
 }
 
 impl ServiceClient {
@@ -593,6 +599,11 @@ impl ServiceClient {
 impl SessionClient for ServiceClient {
     fn participant(&self) -> ParticipantId {
         self.participant
+    }
+
+    /// The mode the service read from its store when it started.
+    fn causal_mode(&self) -> bool {
+        self.causal
     }
 
     /// Opens a reconciliation session, retrying [`StoreResponse::Busy`]
@@ -717,7 +728,7 @@ impl ShardClient for ServiceClient {
 mod tests {
     use super::*;
     use crate::central::CentralStore;
-    use crate::ReconciliationSession;
+    use crate::client::drained;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{TrustPolicy, Tuple, Update};
     use orchestra_storage::RetentionPolicy;
@@ -805,10 +816,9 @@ mod tests {
         direct.publish(p(1), vec![txn(1, 0, "k1")]).unwrap();
         direct.publish(p(2), vec![txn(2, 0, "k2")]).unwrap();
         for i in 1..=3 {
-            let mut session = ReconciliationSession::open(&direct, p(i)).unwrap();
-            let candidates = session.drain(8).unwrap();
+            let (info, candidates) = drained(&direct, p(i), 8).value;
             let accepted = all_member_ids(&candidates);
-            session.commit(&accepted, &[]).unwrap();
+            direct.commit_reconciliation(info.session, &accepted, &[]).unwrap();
         }
 
         for i in 1..=3 {
@@ -1054,10 +1064,9 @@ mod tests {
                 .publish(p(1 + round % 3), vec![txn(1 + round % 3, u64::from(round), &key)])
                 .unwrap();
             for i in 1..=3 {
-                let mut session = ReconciliationSession::open(&reference, p(i)).unwrap();
-                let candidates = session.drain(4).unwrap();
+                let (info, candidates) = drained(&reference, p(i), 4).value;
                 let accepted = all_member_ids(&candidates);
-                session.commit(&accepted, &[]).unwrap();
+                reference.commit_reconciliation(info.session, &accepted, &[]).unwrap();
             }
         }
         for i in 1..=3 {

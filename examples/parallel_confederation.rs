@@ -7,7 +7,7 @@
 use orchestra::{CdssSystem, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, Transaction, TrustPolicy, Tuple, Update};
-use orchestra_store::{CentralStore, ReconciliationSession, UpdateStore};
+use orchestra_store::{CentralStore, UpdateStore};
 
 fn func(org: &str, prot: &str, f: &str) -> Tuple {
     Tuple::of_text(&[org, prot, f])
@@ -54,29 +54,30 @@ fn main() {
     println!("{} transactions published from {} threads", store.catalog().log_len(), n);
 
     // One participant walks a paged reconciliation session by hand: open,
-    // stream bounded batches, commit. Aborting (or dropping) the session
-    // instead would leave the store byte-identical.
+    // stream bounded batches, commit. Aborting the session instead would
+    // leave the store byte-identical.
     let me = ParticipantId(1);
-    let mut session = ReconciliationSession::open(&store, me).unwrap();
+    let opened = store.begin_reconciliation(me).unwrap();
+    let session = opened.value;
     println!(
         "session opened: recno {}, pinned to epoch {}, ≤ {} candidates pending",
-        session.recno(),
-        session.epoch(),
-        session.pending_hint()
+        session.recno, session.epoch, session.pending
     );
+    let mut timing = opened.timing;
     let mut accepted = Vec::new();
     let mut pages = 0;
     loop {
-        let batch = session.next_batch(2).unwrap();
-        if batch.is_empty() {
+        let batch = store.next_batch(session.session, 2).unwrap();
+        timing.accumulate(batch.timing);
+        if batch.value.is_empty() {
             break;
         }
         pages += 1;
-        for candidate in &batch {
+        for candidate in &batch.value {
             accepted.extend(candidate.member_ids());
         }
     }
-    let timing = session.commit(&accepted, &[]).unwrap();
+    timing.accumulate(store.commit_reconciliation(session.session, &accepted, &[]).unwrap());
     println!(
         "streamed {} candidates over {} pages, committed in {:?} store time",
         accepted.len(),

@@ -155,8 +155,10 @@ fn started<S: UpdateStore>(store: S, participants: u32, causal: bool) -> Confede
 }
 
 /// Runs a schedule on a fresh confederation over `store` under `driver` and
-/// returns where it ended up. The spec checks the same schedule's
-/// [sequential run](run); every driver reaches that run's decisions.
+/// returns where it ended up, checking after every step that each
+/// participant mirrors its decision record. The spec checks the same
+/// schedule's [sequential run](run); every driver reaches that run's
+/// decisions.
 pub fn run_on<S: UpdateStore>(
     store: S,
     participants: u32,
@@ -165,8 +167,20 @@ pub fn run_on<S: UpdateStore>(
     driver: &Driver<S>,
 ) -> Snapshot {
     let mut conf = started(store, participants, causal);
-    conf.run(steps, driver, |_| ()).expect("step succeeds");
+    for step in steps {
+        conf.apply(step, driver).expect("step succeeds");
+        assert_mirrors(&conf.system, step);
+    }
     snapshot(&conf.system)
+}
+
+/// Every participant's mirror of its decision record equals the store's.
+fn assert_mirrors<S: UpdateStore>(system: &CdssSystem<S>, step: &Step) {
+    for id in system.participant_ids() {
+        let (accepted, rejected) = system.participant(id).expect("listed").decision_record();
+        assert_eq!(*accepted, *system.store().accepted_set(id), "{id}'s accepted after {step:?}");
+        assert_eq!(*rejected, *system.store().rejected_set(id), "{id}'s rejected after {step:?}");
+    }
 }
 
 /// Runs a schedule under the sequential driver, checked against the
@@ -175,10 +189,11 @@ pub fn run<S: UpdateStore>(store: S, participants: u32, causal: bool, steps: &[S
     run_checked(store, participants, causal, steps, |_, _, _| ())
 }
 
-/// [`run`], in lockstep with the spec: after every step that decides
-/// something each participant's instance, decisions and deferred set, and
-/// the deciders' conflict groups, are the spec's; `check` sees both sides
-/// after every step; and the spec meets its functional requirements.
+/// [`run`], in lockstep with the spec: after every step each participant's
+/// mirror of its decision record is the store's; after every step that
+/// decides something each participant's instance, decisions and deferred
+/// set, and the deciders' conflict groups, are the spec's; `check` sees both
+/// sides after every step; and the spec meets its functional requirements.
 pub fn run_checked<S: UpdateStore>(
     store: S,
     participants: u32,
@@ -208,6 +223,7 @@ pub fn run_checked<S: UpdateStore>(
         let before: Vec<Vec<Vec<TransactionId>>> = ids.iter().map(|&id| held(id)).collect();
         conf.apply(step, &Driver::sequential()).expect("step succeeds");
         let system = &conf.system;
+        assert_mirrors(system, step);
         let mut published = Vec::new();
         for (&id, batches) in ids.iter().zip(before) {
             let pending = of(system, id).pending_publications().iter().skip(batches[0].len());

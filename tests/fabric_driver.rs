@@ -13,7 +13,8 @@ use common::Turn::{EditPublish, EditPublishWave};
 use common::{func, p, Turn};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
-    CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction, TransactionId, Update,
+    CausalStamp, Epoch, ParticipantId, ReconciliationId, StampId, Transaction, TransactionId,
+    Update,
 };
 use orchestra_obs::{Obs, Tracer};
 use orchestra_recon::CandidateTransaction;
@@ -197,6 +198,28 @@ fn a_session_costs_three_frames_and_a_publish_one_per_shard() {
     }
 }
 
+/// A framed fabric session brings the causal frontier it covers: p1 and p2
+/// are homed on different shards of two, p2 reconciles at its home shard
+/// after p1's stamped publish, and the next stamp p2 allocates (buffered
+/// offline, so it can be read) names p1's as a parent.
+#[test]
+fn a_framed_fabric_session_hands_its_frontier_to_the_next_stamp() {
+    let mut system = common::confederation(fabric(2), 2).system;
+    let router = system.store().router();
+    assert_ne!(router.home_of(p(1)), router.home_of(p(2)), "one participant per shard");
+    system.enable_causal_mode().unwrap();
+    let config = FabricConfig { shards: 2, ..FabricConfig::default() };
+    let edit = |who, key| vec![Update::insert("Function", func("org", key, "f"), who)];
+    system.execute(p(1), edit(p(1), "k1")).unwrap();
+    system.run_fabric_round(&[p(1)], &[p(2)], &config).unwrap();
+    system.partition(&[p(2)]).unwrap();
+    system.execute(p(2), edit(p(2), "k2")).unwrap();
+    system.run_fabric_round(&[p(2)], &[], &config).unwrap();
+    let (stamp, _) = &system.participant(p(2)).unwrap().buffered_publications()[0];
+    assert!(stamp.parents.covers(StampId::new(p(1), 1)), "p2's stamp {stamp:?}");
+    system.heal().unwrap();
+}
+
 /// A shard client that records which session calls reach it, refuses them on
 /// demand, and serves nothing else.
 struct SessionProbe {
@@ -220,12 +243,17 @@ impl SessionClient for SessionProbe {
         p(1)
     }
 
+    fn causal_mode(&self) -> bool {
+        false
+    }
+
     async fn begin_session(&self) -> Result<Timed<SessionInfo>> {
         let info = SessionInfo {
             session: SessionId(10 + self.shard as u64),
             recno: ReconciliationId(1),
             epoch: Epoch::ZERO,
             pending: 0,
+            frontier: Default::default(),
         };
         self.called("begin", Timed::new(info, StoreTiming::default()))
     }

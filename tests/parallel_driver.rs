@@ -8,7 +8,7 @@ mod common;
 use common::{func, p};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, Transaction, TransactionId, Update};
-use orchestra_store::{CentralStore, ReconciliationSession, UpdateStore};
+use orchestra_store::{poll_ready, CentralStore, InProcessClient, SessionClient, UpdateStore};
 use orchestra_workload::mutual_trust_policies;
 
 /// Eight threads — one per participant — publish and reconcile concurrently
@@ -56,12 +56,14 @@ fn eight_threads_publish_and_reconcile_against_one_store() {
 
                             // Reconcile: stream everything, accept everything
                             // (all keys are distinct, so nothing conflicts).
-                            let mut session = ReconciliationSession::open(store, me).unwrap();
-                            let candidates = session.drain(4).unwrap();
+                            let client = InProcessClient::new(store, me);
+                            let info = poll_ready(client.begin_session()).unwrap().value;
+                            let candidates =
+                                poll_ready(client.drain_candidates(info.session, 4)).unwrap().value;
                             let accepted: Vec<TransactionId> =
                                 candidates.iter().flat_map(|c| c.member_ids()).collect();
-                            recnos.push(session.recno().0);
-                            session.commit(&accepted, &[]).unwrap();
+                            recnos.push(info.recno.0);
+                            poll_ready(client.commit(info.session, &accepted, &[])).unwrap();
                         }
                         (me, published, recnos)
                     })

@@ -9,7 +9,7 @@ mod common;
 use common::Turn::{EditPublish, EditPublishWave, Heal, Partition, Resolve};
 use common::{func, p, Turn};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::Update;
+use orchestra_model::{StampId, Update};
 use orchestra_store::{CentralStore, ServiceConfig, UpdateStore};
 use orchestra_workload::{Driver, Step};
 use proptest::prelude::*;
@@ -99,6 +99,25 @@ proptest! {
         let sequential = run(&turns, None, true);
         prop_assert_eq!(&sequential, &run(&turns, service(), true), "service driver diverged");
     }
+}
+
+/// A framed session brings the causal frontier it covers: p2 reconciles
+/// through the service after p1's stamped publish, and the next stamp p2
+/// allocates (buffered offline, so it can be read) names p1's as a parent.
+#[test]
+fn a_framed_session_hands_its_frontier_to_the_next_stamp() {
+    let mut system = common::confederation(CentralStore::new(bioinformatics_schema()), 2).system;
+    system.enable_causal_mode().unwrap();
+    let config = ServiceConfig::default();
+    let edit = |who, key| vec![Update::insert("Function", func("org", key, "f"), who)];
+    system.execute(p(1), edit(p(1), "k1")).unwrap();
+    system.run_service_round(&[p(1)], &[p(2)], &config).unwrap();
+    system.partition(&[p(2)]).unwrap();
+    system.execute(p(2), edit(p(2), "k2")).unwrap();
+    system.run_service_round(&[p(2)], &[], &config).unwrap();
+    let (stamp, _) = &system.participant(p(2)).unwrap().buffered_publications()[0];
+    assert!(stamp.parents.covers(StampId::new(p(1), 1)), "p2's stamp {stamp:?}");
+    system.heal().unwrap();
 }
 
 /// A cap of one open session forces every concurrent `Begin` but one into

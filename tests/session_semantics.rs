@@ -5,7 +5,10 @@
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, Transaction, TrustPolicy, Tuple, Update};
-use orchestra_store::{CentralStore, ReconciliationSession, UpdateStore};
+use orchestra_recon::CandidateTransaction;
+use orchestra_store::{
+    poll_ready, CentralStore, InProcessClient, SessionClient, SessionId, UpdateStore,
+};
 
 fn p(i: u32) -> ParticipantId {
     ParticipantId(i)
@@ -17,6 +20,21 @@ fn func(org: &str, prot: &str, f: &str) -> Tuple {
 
 fn txn(i: u32, j: u64, updates: Vec<Update>) -> Transaction {
     Transaction::from_parts(p(i), j, updates).unwrap()
+}
+
+/// Opens a session for `who` over the in-process client; returns its handle.
+fn begin(store: &CentralStore, who: ParticipantId) -> SessionId {
+    poll_ready(InProcessClient::new(store, who).begin_session()).unwrap().value.session
+}
+
+/// Drains an open session of `who`'s in pages of `page`.
+fn drain(
+    store: &CentralStore,
+    who: ParticipantId,
+    session: SessionId,
+    page: usize,
+) -> Vec<CandidateTransaction> {
+    poll_ready(InProcessClient::new(store, who).drain_candidates(session, page)).unwrap().value
 }
 
 /// A store with three mutually trusting participants and a spread of
@@ -74,18 +92,18 @@ fn abort_leaves_store_state_byte_identical() {
     let before = format!("{:?}", store.catalog());
 
     // Open, page through, and abort — mid-stream, not only when exhausted.
-    let mut session = ReconciliationSession::open(&store, p(1)).unwrap();
-    let first_page = session.next_batch(1).unwrap();
+    let session = begin(&store, p(1));
+    let first_page = store.next_batch(session, 1).unwrap().value;
     assert!(!first_page.is_empty());
-    session.abort().unwrap();
+    store.abort_reconciliation(session).unwrap();
     assert_eq!(format!("{:?}", store.catalog()), before, "abort mutated durable state");
 
-    // An implicitly dropped session aborts too.
-    {
-        let mut dropped = ReconciliationSession::open(&store, p(3)).unwrap();
-        let _ = dropped.next_batch(1).unwrap();
-    }
-    assert_eq!(format!("{:?}", store.catalog()), before, "drop-abort mutated durable state");
+    // A session drained to its end and aborted through the client too.
+    let client = InProcessClient::new(&store, p(3));
+    let session = begin(&store, p(3));
+    assert!(!drain(&store, p(3), session, 1).is_empty());
+    poll_ready(client.abort(session)).unwrap();
+    assert_eq!(format!("{:?}", store.catalog()), before, "client abort mutated durable state");
 
     // Observable queries agree: no reconciliation recorded, cursor unmoved.
     assert_eq!(store.current_reconciliation(p(1)), Default::default());
@@ -93,9 +111,9 @@ fn abort_leaves_store_state_byte_identical() {
     assert_eq!(store.catalog().open_sessions(), 0);
 
     // After the aborts, a fresh session sees exactly what the first one saw.
-    let mut retry = ReconciliationSession::open(&store, p(1)).unwrap();
-    assert_eq!(retry.next_batch(1).unwrap()[0].id, first_page[0].id);
-    retry.abort().unwrap();
+    let retry = begin(&store, p(1));
+    assert_eq!(store.next_batch(retry, 1).unwrap().value[0].id, first_page[0].id);
+    store.abort_reconciliation(retry).unwrap();
 }
 
 #[test]
@@ -103,11 +121,11 @@ fn interleaved_sessions_do_not_observe_each_others_undecided_candidates() {
     let store = populated_store();
 
     // Two sessions from different participants, opened back to back.
-    let mut s1 = ReconciliationSession::open(&store, p(1)).unwrap();
-    let mut s3 = ReconciliationSession::open(&store, p(3)).unwrap();
+    let s1 = begin(&store, p(1));
+    let s3 = begin(&store, p(3));
 
     // p1 sees p2's chain and p3's insert; p3 sees p2's chain and p1's insert.
-    let c1 = s1.drain(1).unwrap();
+    let c1 = drain(&store, p(1), s1, 1);
     let ids1: Vec<_> = c1.iter().map(|c| c.id).collect();
     assert!(ids1.contains(
         &txn(3, 0, vec![Update::insert("Function", func("mouse", "prot2", "w"), p(3))]).id()
@@ -115,12 +133,12 @@ fn interleaved_sessions_do_not_observe_each_others_undecided_candidates() {
 
     // p1 commits decisions mid-flight of p3's session.
     let accepted: Vec<_> = ids1.clone();
-    s1.commit(&accepted, &[]).unwrap();
+    store.commit_reconciliation(s1, &accepted, &[]).unwrap();
 
     // p3's already-open session streams its own snapshot: p1's concurrent
     // decisions are p1's alone and must not leak into (or filter) p3's
     // candidate stream.
-    let c3 = s3.drain(1).unwrap();
+    let c3 = drain(&store, p(3), s3, 1);
     let ids3: Vec<_> = c3.iter().map(|c| c.id).collect();
     assert!(ids3.contains(
         &txn(1, 0, vec![Update::insert("Function", func("dog", "prot3", "x"), p(1))]).id()
@@ -129,7 +147,7 @@ fn interleaved_sessions_do_not_observe_each_others_undecided_candidates() {
         ids3.iter().all(|id| id.participant != p(3)),
         "a participant never sees its own transactions"
     );
-    s3.commit(&ids3, &[]).unwrap();
+    store.commit_reconciliation(s3, &ids3, &[]).unwrap();
 
     // Decision records stayed per-participant.
     for id in &ids1 {
@@ -156,21 +174,21 @@ fn paged_retrieval_equals_single_shot_retrieval() {
     let store = populated_store();
     let paged = store.clone();
 
-    let mut single = ReconciliationSession::open(&store, p(1)).unwrap();
-    let all = single.drain(1_000).unwrap();
-    single.abort().unwrap();
+    let single = begin(&store, p(1));
+    let all = drain(&store, p(1), single, 1_000);
+    store.abort_reconciliation(single).unwrap();
 
-    let mut paged_session = ReconciliationSession::open(&paged, p(1)).unwrap();
+    let paged_session = begin(&paged, p(1));
     let mut pages = Vec::new();
     loop {
-        let page = paged_session.next_batch(1).unwrap();
+        let page = paged.next_batch(paged_session, 1).unwrap().value;
         if page.is_empty() {
             break;
         }
         assert!(page.len() <= 1, "page exceeded max_candidates");
         pages.extend(page);
     }
-    paged_session.abort().unwrap();
+    paged.abort_reconciliation(paged_session).unwrap();
 
     assert_eq!(all.len(), pages.len());
     for (a, b) in all.iter().zip(pages.iter()) {
@@ -190,8 +208,9 @@ fn sessions_are_pinned_to_their_open_epoch() {
     // A publish that lands *after* a session opened must not leak into the
     // session's stream; it becomes visible to the next session.
     let store = populated_store();
-    let mut session = ReconciliationSession::open(&store, p(1)).unwrap();
-    let pinned_epoch = session.epoch();
+    let client = InProcessClient::new(&store, p(1));
+    let session = poll_ready(client.begin_session()).unwrap().value;
+    let pinned_epoch = session.epoch;
 
     store
         .publish(
@@ -200,16 +219,16 @@ fn sessions_are_pinned_to_their_open_epoch() {
         )
         .unwrap();
 
-    let ids: Vec<_> = session.drain(2).unwrap().iter().map(|c| c.id).collect();
+    let ids: Vec<_> = drain(&store, p(1), session.session, 2).iter().map(|c| c.id).collect();
     assert!(
         !ids.contains(&orchestra_model::TransactionId::new(p(2), 2)),
         "a post-open publish leaked into the session"
     );
-    session.commit(&ids, &[]).unwrap();
+    poll_ready(client.commit(session.session, &ids, &[])).unwrap();
 
-    let mut next = ReconciliationSession::open(&store, p(1)).unwrap();
-    assert!(next.epoch() > pinned_epoch);
-    let next_ids: Vec<_> = next.drain(2).unwrap().iter().map(|c| c.id).collect();
+    let next = poll_ready(client.begin_session()).unwrap().value;
+    assert!(next.epoch > pinned_epoch);
+    let next_ids: Vec<_> = drain(&store, p(1), next.session, 2).iter().map(|c| c.id).collect();
     assert_eq!(next_ids, vec![orchestra_model::TransactionId::new(p(2), 2)]);
-    next.commit(&next_ids, &[]).unwrap();
+    poll_ready(client.commit(next.session, &next_ids, &[])).unwrap();
 }

@@ -18,7 +18,8 @@
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, Transaction, TrustPolicy, Tuple, Update};
 use orchestra_store::{
-    CentralStore, FlushPolicy, ReconciliationSession, RetentionPolicy, UpdateStore,
+    poll_ready, CentralStore, FlushPolicy, InProcessClient, RetentionPolicy, SessionClient,
+    UpdateStore,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -78,14 +79,20 @@ fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
                     .expect("valid transaction");
                     store.publish(p(i), vec![txn]).expect("publish succeeds");
                     if round % 3 == i as u64 % 3 {
-                        let mut session =
-                            ReconciliationSession::open(store, p(i)).expect("session opens");
-                        let candidates = session.drain(16).expect("drain succeeds");
+                        let client = InProcessClient::new(store, p(i));
+                        let session = poll_ready(client.begin_session())
+                            .expect("session opens")
+                            .value
+                            .session;
+                        let candidates = poll_ready(client.drain_candidates(session, 16))
+                            .expect("drain succeeds")
+                            .value;
                         let accepted: Vec<_> = candidates
                             .iter()
                             .flat_map(|c| c.members.iter().map(|(id, _)| *id))
                             .collect();
-                        session.commit(&accepted, &[]).expect("commit succeeds");
+                        poll_ready(client.commit(session, &accepted, &[]))
+                            .expect("commit succeeds");
                     }
                 }
             });
