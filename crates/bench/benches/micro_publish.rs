@@ -58,7 +58,7 @@ fn bench_publish(c: &mut Criterion) {
                 }
                 let (publisher, txn) = &batches[next];
                 next += 1;
-                catalogue.publish(*publisher, vec![txn.clone()]).unwrap()
+                catalogue.publish(*publisher, None, None, vec![txn.clone()]).unwrap()
             });
         });
     }

@@ -181,7 +181,7 @@ fn bench_thin_fanout(c: &mut Criterion) {
             Transaction::from_parts(p(2), local, updates).unwrap()
         })
         .collect();
-    store.publish(p(2), txns).unwrap();
+    store.publish(p(2), None, None, txns).unwrap();
     let session = store.open_session(p(1)).unwrap().session;
     let candidates: Vec<CandidateTransaction> =
         store.batch(session, 64).unwrap().candidates.into_iter().map(|(c, _)| c).collect();
@@ -306,7 +306,7 @@ fn bench_conflict_heavy(c: &mut Criterion) {
         };
         written[key].push(next);
         let txn = Transaction::from_parts(who, i as u64, vec![update]).unwrap();
-        store.publish(who, vec![txn]).unwrap();
+        store.publish(who, None, None, vec![txn]).unwrap();
     }
     let session = store.open_session(p(1)).unwrap().session;
     let candidates: Vec<CandidateTransaction> =

@@ -484,8 +484,8 @@ impl<S: UpdateStore> CdssSystem<S> {
     /// `served` says which services each phase starts (every one reports
     /// into the system's sink) and `client_for` how a participant reaches
     /// them; that is all that differs between a single service and a fabric.
-    /// `labels` name the two phase spans. Every id is validated before
-    /// anything is published. The result is reported per served store, i.e.
+    /// `labels` name the two phase spans. Every id and every served config
+    /// is validated before anything is published. The result is reported per served store, i.e.
     /// in the fabric round's shape; a single service is its one-shard case.
     fn run_round<T: UpdateStore, C: SessionClient>(
         &mut self,
@@ -500,6 +500,7 @@ impl<S: UpdateStore> CdssSystem<S> {
         require_known(participants, publish_ids.iter().chain(reconcile_ids))?;
         let mut served = served(store);
         for (_, config, _) in &mut served {
+            config.validate()?;
             config.obs = obs.clone();
         }
         let clock = VirtualClock::new();
@@ -684,8 +685,11 @@ mod tests {
     }
 
     fn fully_trusting_system(n: u32) -> CdssSystem<CentralStore> {
-        let schema = bioinformatics_schema();
-        let mut system = CdssSystem::new(schema.clone(), CentralStore::new(schema));
+        fully_trusting(CentralStore::new(bioinformatics_schema()), n)
+    }
+
+    fn fully_trusting<S: UpdateStore>(store: S, n: u32) -> CdssSystem<S> {
+        let mut system = CdssSystem::new(bioinformatics_schema(), store);
         for i in 1..=n {
             let mut policy = TrustPolicy::new(p(i));
             for j in 1..=n {
@@ -852,6 +856,44 @@ mod tests {
         // Unknown ids are rejected up front.
         assert!(served.run_service_round(&[], &[p(9)], &config).is_err());
         assert!(served.run_service_round(&[p(9)], &[], &config).is_err());
+    }
+
+    /// An invalid service config fails the round with a typed error before
+    /// anything is published — on one service and on a fabric alike — and
+    /// leaves the pending edits for a valid round to publish.
+    #[test]
+    fn an_invalid_service_config_fails_the_round_before_anything_publishes() {
+        fn edit_each<S: UpdateStore>(system: &mut CdssSystem<S>) {
+            for id in system.participant_ids() {
+                let prot = format!("prot{id}");
+                system
+                    .execute(id, vec![Update::insert("Function", func("rat", &prot, "a"), id)])
+                    .unwrap();
+            }
+        }
+        let broken = ServiceConfig { workers: 0, ..ServiceConfig::default() };
+
+        let mut served = fully_trusting_system(2);
+        edit_each(&mut served);
+        let ids = served.participant_ids();
+        let error = served.run_service_round(&ids, &ids, &broken).unwrap_err();
+        assert!(matches!(error, StorageError::Session(_)), "got {error}");
+        assert_eq!(served.store().catalog().log_len(), 0);
+        served.run_service_round(&ids, &ids, &ServiceConfig::default()).unwrap();
+        assert_eq!(served.store().catalog().log_len(), 2);
+
+        let mut sharded = fully_trusting(StoreFabric::new(bioinformatics_schema(), 2), 2);
+        edit_each(&mut sharded);
+        let log_lens = |system: &CdssSystem<StoreFabric>| {
+            (0..2).map(|shard| system.store().shard(shard).catalog().log_len()).collect::<Vec<_>>()
+        };
+        let config = FabricConfig { shards: 2, service: broken };
+        let error = sharded.run_fabric_round(&ids, &ids, &config).unwrap_err();
+        assert!(matches!(error, StorageError::Session(_)), "got {error}");
+        assert_eq!(log_lens(&sharded), [0, 0]);
+        let config = FabricConfig { shards: 2, service: ServiceConfig::default() };
+        sharded.run_fabric_round(&ids, &ids, &config).unwrap();
+        assert_eq!(log_lens(&sharded), [2, 2]);
     }
 
     #[test]

@@ -445,18 +445,6 @@ pub struct SessionBatch {
     pub exhausted: bool,
 }
 
-/// Where a publish gets its epoch (see `StoreCatalog::publish_impl`).
-#[derive(Clone, Copy)]
-enum Epochs {
-    /// A live publish: this store assigns the next epoch.
-    Assign,
-    /// A live publish at the epoch another fabric shard assigned.
-    Pinned(Epoch),
-    /// WAL replay of a publish recorded at this epoch: no WAL append, and no
-    /// relevance extension — `recover` rebuilds every slice once at the end.
-    Replayed(Epoch),
-}
-
 /// The logical contents of an update store, sharded for concurrent access.
 pub struct StoreCatalog {
     schema: Schema,
@@ -516,22 +504,17 @@ impl StoreCatalog {
     }
 
     /// Switches the catalogue to causal mode: publishers allocate their own
-    /// [`CausalStamp`]s client-side and publish through
-    /// [`StoreCatalog::publish_causal`]; scalar [`StoreCatalog::publish`] is
-    /// rejected from then on. Idempotent, durable (WAL-logged), and one-way —
-    /// arrival epochs keep being allocated as the linear extension either
-    /// way, so cursors, sessions and retention are unaffected.
+    /// [`CausalStamp`]s client-side and [`StoreCatalog::publish`] under
+    /// them; an unstamped publish is rejected from then on. Idempotent,
+    /// durable (WAL-logged), and one-way — arrival epochs keep being
+    /// allocated as the linear extension either way, so cursors, sessions
+    /// and retention are unaffected.
     pub fn enable_causal_mode(&self) -> Result<()> {
-        self.enable_causal_mode_impl(true)
-    }
-
-    fn enable_causal_mode_impl(&self, durable: bool) -> Result<()> {
         let mut log = self.log.write().expect("log lock");
         if log.registry.causal().is_enabled() {
             return Ok(());
         }
-        let record = (durable && self.durability.is_durable())
-            .then_some(WalRecord::EpochMode { causal: true });
+        let record = self.durability.is_durable().then_some(WalRecord::EpochMode { causal: true });
         log.registry.causal_mut().enable();
         if let Some(record) = record {
             // Under the log write lock: every record after this one in the
@@ -603,14 +586,12 @@ impl StoreCatalog {
     /// is setup-time work (the trait signature has no error channel), and a
     /// store whose very first writes fail should not come up at all.
     pub fn register_policy(&self, policy: TrustPolicy) {
-        self.register_policy_impl(policy, true);
-    }
-
-    fn register_policy_impl(&self, policy: TrustPolicy, durable: bool) {
         let participant = policy.owner();
         // Lock order: log before shard map.
         let log = self.log.read().expect("log lock");
-        let record = (durable && self.durability.is_durable())
+        let record = self
+            .durability
+            .is_durable()
             .then(|| WalRecord::RegisterPolicy { policy: policy.clone() });
         let shared = self.ensure_shard(participant);
         let mut shard = shared.write().expect("shard lock");
@@ -678,75 +659,30 @@ impl StoreCatalog {
     /// Publishes a batch of transactions from a peer as one epoch, marking
     /// the publisher's own transactions as accepted by it and extending the
     /// relevance index of every registered participant that trusts one of
-    /// them with the new epoch's trust evaluation. Publishes serialise on the
-    /// log shard's write lock; they run in parallel with session paging only
-    /// up to that lock.
+    /// them with the new epoch's trust evaluation, then (on a durable
+    /// catalogue) appending a [`WalRecord::Publish`] — or a
+    /// [`WalRecord::PublishCausal`] for a stamped batch. Publishes serialise
+    /// on the log shard's write lock; they run in parallel with session
+    /// paging only up to that lock.
+    ///
+    /// * `stamp` — the batch's client-allocated [`CausalStamp`], required in
+    ///   causal mode and refused outside it. The store validates its
+    ///   per-publisher FIFO sequence and parent frontier and ingests it into
+    ///   the causal DAG; its publisher must be `participant`.
+    /// * `pinned` — the epoch another fabric shard already assigned the
+    ///   batch (a replica publish), or the epoch a WAL record carries.
+    ///   Errors, before anything is mutated, if this store's next epoch is
+    ///   not `pinned`. The relevance extension covers the policies
+    ///   registered *on this store*: a fabric registers each policy at its
+    ///   owner's home shard only, so every shard extends exactly its own
+    ///   participants' slices.
     pub fn publish(
         &self,
         participant: ParticipantId,
-        transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        self.publish_impl(participant, transactions, Epochs::Assign, None)
-    }
-
-    /// Publishes a causally stamped batch (causal mode only). The stamp was
-    /// allocated client-side — the store validates its per-publisher FIFO
-    /// sequence and parent frontier, ingests it into the causal DAG, and
-    /// assigns the arrival epoch exactly as a scalar publish would.
-    pub fn publish_causal(
-        &self,
-        stamp: CausalStamp,
-        transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        self.publish_impl(stamp.publisher, transactions, Epochs::Assign, Some(&stamp))
-    }
-
-    /// Publishes a batch at a **pinned epoch**: the batch was already
-    /// published at another fabric shard, which assigned `epoch`. Everything
-    /// else is [`StoreCatalog::publish`] — the log append, the publisher's
-    /// own-accept record, the relevance extension for the policies
-    /// registered *on this store* (a fabric registers each policy at its
-    /// owner's home shard only, so every shard extends exactly its own
-    /// participants' slices) and, on a durable catalogue, the WAL record.
-    /// Errors, before anything is mutated, if this store's next epoch is not
-    /// `epoch` — the fabric's fan-out reached shards in different orders.
-    pub fn publish_replica(
-        &self,
-        participant: ParticipantId,
-        epoch: Epoch,
-        transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        self.publish_impl(participant, transactions, Epochs::Pinned(epoch), None)
-    }
-
-    /// Causal-mode counterpart of [`StoreCatalog::publish_replica`]: the
-    /// stamp is validated and ingested exactly as the home shard did, so
-    /// every shard's causal registry stays identical.
-    pub fn publish_replica_stamped(
-        &self,
-        stamp: &CausalStamp,
-        epoch: Epoch,
-        transactions: Vec<Transaction>,
-    ) -> Result<Epoch> {
-        self.publish_impl(stamp.publisher, transactions, Epochs::Pinned(epoch), Some(stamp))
-    }
-
-    /// The publish path shared by scalar and causal publishes, live callers
-    /// and WAL replay. Live calls ([`Epochs::Assign`], [`Epochs::Pinned`])
-    /// extend the relevance index and append a [`WalRecord::Publish`] (or
-    /// [`WalRecord::PublishCausal`] when `stamp` is given) inside the log
-    /// write lock once the batch has fully applied; [`Epochs::Replayed`]
-    /// skips both. A pinned or replayed epoch must be the one this store
-    /// would assign next.
-    fn publish_impl(
-        &self,
-        participant: ParticipantId,
-        transactions: Vec<Transaction>,
-        epochs: Epochs,
         stamp: Option<&CausalStamp>,
+        pinned: Option<Epoch>,
+        transactions: Vec<Transaction>,
     ) -> Result<Epoch> {
-        let replay = matches!(epochs, Epochs::Replayed(_));
-        let durable = !replay && self.durability.is_durable();
         let publisher = self.ensure_shard(participant);
         let mut log = self.log.write().expect("log lock");
 
@@ -765,6 +701,12 @@ impl StoreCatalog {
                     )));
                 }
             }
+            Some(stamp) if stamp.publisher != participant => {
+                return Err(StorageError::Causal(format!(
+                    "participant {participant} cannot publish under {}'s stamp",
+                    stamp.publisher
+                )));
+            }
             Some(stamp) => log.registry.causal().validate(stamp)?,
         }
         let mut batch_ids: FxHashSet<TransactionId> = FxHashSet::default();
@@ -777,7 +719,7 @@ impl StoreCatalog {
             }
         }
 
-        if let Epochs::Pinned(expected) | Epochs::Replayed(expected) = epochs {
+        if let Some(expected) = pinned {
             let next = Epoch(log.registry.latest_allocated().as_u64() + 1);
             if next != expected {
                 return Err(StorageError::Persistence(format!(
@@ -793,44 +735,37 @@ impl StoreCatalog {
             // mutation, and the log lock has been held throughout.
             log.registry.causal_mut().ingest(stamp, epoch)?;
         }
-        // Only replay skips the per-shard relevance extension: the index is
-        // derived state, and `recover` batch-rebuilds every shard's slice
-        // from the final log in one pass at the end (exactly as a snapshot
-        // load derives it) instead of re-evaluating trust shard by shard at
-        // every replayed publish.
-        if !replay {
-            // Only the shards whose policy can trust one of the batch's
-            // origins are visited (`Transaction::new` guarantees every update
-            // carries its transaction's origin). Registration holds the log
-            // read lock, so the index cannot gain an edge under this publish;
-            // a concurrent retirement can only shrink it, and the retired
-            // shard is skipped below.
-            let shards = self
-                .trust
-                .lock()
-                .expect("trust index lock")
-                .candidates(transactions.iter().map(Transaction::origin));
-            // Each shard is locked once per *batch*, not once per
-            // transaction — the whole block runs inside the log write lock,
-            // so the serialised section should stay as short as possible.
-            for (other, shard) in &shards {
-                let mut shard = shard.write().expect("shard lock");
-                if !shard.registered || shard.retired {
+        // Only the shards whose policy can trust one of the batch's
+        // origins are visited (`Transaction::new` guarantees every update
+        // carries its transaction's origin). Registration holds the log
+        // read lock, so the index cannot gain an edge under this publish;
+        // a concurrent retirement can only shrink it, and the retired
+        // shard is skipped below.
+        let shards = self
+            .trust
+            .lock()
+            .expect("trust index lock")
+            .candidates(transactions.iter().map(Transaction::origin));
+        // Each shard is locked once per *batch*, not once per
+        // transaction — the whole block runs inside the log write lock,
+        // so the serialised section should stay as short as possible.
+        for (other, shard) in &shards {
+            let mut shard = shard.write().expect("shard lock");
+            if !shard.registered || shard.retired {
+                continue;
+            }
+            for txn in &transactions {
+                // Skip by transaction *origin* (not by publisher),
+                // matching the relevance filter and `register_policy`'s
+                // rebuild: a participant is never offered its own
+                // transactions even if someone else published them on
+                // its behalf.
+                if txn.origin() == *other {
                     continue;
                 }
-                for txn in &transactions {
-                    // Skip by transaction *origin* (not by publisher),
-                    // matching the relevance filter and `register_policy`'s
-                    // rebuild: a participant is never offered its own
-                    // transactions even if someone else published them on
-                    // its behalf.
-                    if txn.origin() == *other {
-                        continue;
-                    }
-                    let priority = shard.policy.priority_of_transaction(txn, &self.schema);
-                    if priority.is_trusted() {
-                        shard.relevance.push(epoch, (txn.id(), priority));
-                    }
+                let priority = shard.policy.priority_of_transaction(txn, &self.schema);
+                if priority.is_trusted() {
+                    shard.relevance.push(epoch, (txn.id(), priority));
                 }
             }
         }
@@ -839,7 +774,7 @@ impl StoreCatalog {
             for txn in &transactions {
                 publisher.record.record(txn.id(), Decision::Accepted);
             }
-            let record = durable.then(|| match stamp {
+            let record = self.durability.is_durable().then(|| match stamp {
                 Some(stamp) => WalRecord::PublishCausal {
                     epoch,
                     stamp: stamp.clone(),
@@ -1101,16 +1036,12 @@ impl StoreCatalog {
     /// pruning) fixes the semantics and pruned and unpruned stores keep
     /// making identical decisions. Returns the frontier now in force.
     pub fn advance_membership_frontier(&self, epoch: Epoch) -> Result<Epoch> {
-        self.advance_membership_frontier_impl(epoch, true)
-    }
-
-    fn advance_membership_frontier_impl(&self, epoch: Epoch, durable: bool) -> Result<Epoch> {
         let mut log = self.log.write().expect("log lock");
         if epoch <= log.membership_frontier {
             return Ok(log.membership_frontier);
         }
-        let record = (durable && self.durability.is_durable())
-            .then_some(WalRecord::MembershipFrontier { epoch });
+        let record =
+            self.durability.is_durable().then_some(WalRecord::MembershipFrontier { epoch });
         log.membership_frontier = epoch;
         if let Some(record) = record {
             self.durability.append(&record)?;
@@ -1134,17 +1065,13 @@ impl StoreCatalog {
     /// unknown or unregistered participants keeps the WAL record stream
     /// replayable.
     pub fn retire_participant(&self, participant: ParticipantId) -> Result<()> {
-        self.retire_participant_impl(participant, true)
-    }
-
-    fn retire_participant_impl(&self, participant: ParticipantId, durable: bool) -> Result<()> {
         let Some(shard) = self.shard_of(participant) else {
             return Err(StorageError::Retention(format!(
                 "cannot retire unknown participant {participant}"
             )));
         };
-        let record = (durable && self.durability.is_durable())
-            .then_some(WalRecord::RetireParticipant { participant });
+        let record =
+            self.durability.is_durable().then_some(WalRecord::RetireParticipant { participant });
         let mut shard = shard.write().expect("shard lock");
         if !shard.registered {
             return Err(StorageError::Retention(format!(
@@ -1290,24 +1217,6 @@ impl StoreCatalog {
         })
     }
 
-    /// Replays a recorded prune at the recorded horizon — no recomputation,
-    /// mirroring how `Publish` replays assert the recorded epoch. The prune
-    /// closure itself is deterministic over durable state, so
-    /// recover-then-prune and prune-then-recover are byte-identical.
-    fn replay_prune(&self, horizon: Epoch) -> Result<()> {
-        self.with_all_shards_write(|log, guards| {
-            if horizon <= log.pruned_through {
-                return Err(StorageError::Persistence(format!(
-                    "WAL replay diverged: Prune record horizon {horizon} at or below \
-                     already-pruned {}",
-                    log.pruned_through
-                )));
-            }
-            prune_locked(log, guards, horizon, &self.schema);
-            Ok(())
-        })
-    }
-
     /// The participant's most recent committed reconciliation number.
     pub fn current_reconciliation(&self, participant: ParticipantId) -> ReconciliationId {
         self.shard_of(participant)
@@ -1432,16 +1341,9 @@ impl StoreCatalog {
         participant: ParticipantId,
         checkpoint: InstanceCheckpoint,
     ) -> Result<()> {
-        self.record_instance_checkpoint_impl(participant, checkpoint, true)
-    }
-
-    fn record_instance_checkpoint_impl(
-        &self,
-        participant: ParticipantId,
-        checkpoint: InstanceCheckpoint,
-        durable: bool,
-    ) -> Result<()> {
-        let record = (durable && self.durability.is_durable())
+        let record = self
+            .durability
+            .is_durable()
             .then(|| WalRecord::InstanceCheckpoint { participant, checkpoint: checkpoint.clone() });
         let shard = self.ensure_shard(participant);
         let mut shard = shard.write().expect("shard lock");
@@ -1529,10 +1431,12 @@ impl StoreCatalog {
     /// Rebuilds a catalogue from a durability directory: loads the snapshot
     /// (if one exists), re-derives every index the snapshot does not carry
     /// (log indexes, the per-participant relevance slices, the `Arc`-snapshot
-    /// accepted/rejected sets), replays the current WAL generation on top,
-    /// and reattaches the write side so the recovered store keeps appending
-    /// to the same log. The result is byte-identical durable state — the
-    /// recovery tests pin this down through the canonical `Debug` rendering.
+    /// accepted/rejected sets), replays the current WAL generation on top
+    /// through the live write path, and reattaches the write side so the
+    /// recovered store keeps appending to the same log. Replay runs while the
+    /// catalogue is still [`Durability::Ephemeral`], so it appends nothing.
+    /// The result is byte-identical durable state — the recovery tests pin
+    /// this down through the canonical `Debug` rendering.
     pub fn recover(dir: &Path) -> Result<StoreCatalog> {
         let snap = snapshot::read_snapshot(dir)?;
         let generation = snap.as_ref().map(|s| s.wal_generation).unwrap_or(0);
@@ -1563,49 +1467,15 @@ impl StoreCatalog {
         for record in records {
             catalog.replay(record)?;
         }
-        // Relevance indexes are derived state: replay defers them entirely
-        // (see `publish_impl`) and one pass over the final log rebuilds every
-        // registered shard's slice — byte-identical to the incrementally
-        // maintained live index, as the recovery-equivalence tests pin down.
-        catalog.rebuild_relevance();
         let mut catalog = catalog;
         catalog.durability = Durability::FileWal(FileWalBackend::reattach(dir, wal));
         Ok(catalog)
     }
 
-    /// Rebuilds every registered shard's relevance-index slice from the log
-    /// in a single pass (unregistered and retired shards hold none). The
-    /// entry order matches the publish-time extension because log positions
-    /// are assigned in publication order, which is epoch order.
-    fn rebuild_relevance(&self) {
-        let log = self.log.read().expect("log lock");
-        let map = self.shards.read().expect("shard map lock");
-        let mut guards: Vec<std::sync::RwLockWriteGuard<'_, ParticipantShard>> =
-            map.values().map(|shard| shard.write().expect("shard lock")).collect();
-        for shard in guards.iter_mut() {
-            shard.relevance.clear();
-        }
-        for entry in log.log.entries() {
-            let txn = entry.transaction.as_ref();
-            for shard in guards.iter_mut() {
-                if !shard.registered
-                    || entry.epoch <= shard.relevance_floor
-                    || txn.origin() == shard.policy.owner()
-                {
-                    continue;
-                }
-                let priority = shard.policy.priority_of_transaction(txn, &self.schema);
-                if priority.is_trusted() {
-                    shard.relevance.push(entry.epoch, (txn.id(), priority));
-                }
-            }
-        }
-    }
-
     /// Builds the in-memory state a snapshot describes, re-deriving the
-    /// derived structures: log indexes and `Arc`-snapshot decision sets.
-    /// Relevance-index slices are left empty — `recover` (the only caller)
-    /// rebuilds them in one pass once the WAL tail has replayed.
+    /// derived structures: log indexes, `Arc`-snapshot decision sets and
+    /// every registered shard's relevance slice (the WAL tail then extends
+    /// the slices publish by publish, as the live run did).
     fn from_snapshot(snap: StoreSnapshot) -> Result<StoreCatalog> {
         let StoreSnapshot {
             schema,
@@ -1621,15 +1491,18 @@ impl StoreCatalog {
         for p in participants {
             let mut record = p.record;
             record.rebuild_sets();
+            let relevance = if p.registered {
+                relevance_slice(&log, &schema, &p.policy, p.relevance_floor)
+            } else {
+                RelevanceSlice::default()
+            };
             shards.insert(
                 p.id,
                 Arc::new(RwLock::new(ParticipantShard {
                     policy: p.policy,
                     registered: p.registered,
                     retired: p.retired,
-                    // Rebuilt by `recover`'s final `rebuild_relevance` pass,
-                    // after the WAL tail has replayed on top.
-                    relevance: RelevanceSlice::default(),
+                    relevance,
                     relevance_floor: p.relevance_floor,
                     cursor: p.cursor,
                     record,
@@ -1649,8 +1522,11 @@ impl StoreCatalog {
         })
     }
 
-    /// Applies one WAL record during recovery, through the same code paths
-    /// live callers use (minus the re-append).
+    /// Applies one WAL record during recovery through the public write
+    /// methods live callers use: a recorded publish becomes a publish pinned
+    /// at its recorded epoch. Only a commit (whose session is soft state)
+    /// and a prune (at its recorded horizon, not a recomputed one) apply
+    /// their effect directly.
     fn replay(&self, record: WalRecord) -> Result<()> {
         match record {
             WalRecord::Init { schema } => {
@@ -1660,9 +1536,12 @@ impl StoreCatalog {
                     ));
                 }
             }
-            WalRecord::RegisterPolicy { policy } => self.register_policy_impl(policy, false),
+            WalRecord::RegisterPolicy { policy } => self.register_policy(policy),
             WalRecord::Publish { participant, epoch, transactions } => {
-                self.publish_impl(participant, transactions, Epochs::Replayed(epoch), None)?;
+                self.publish(participant, None, Some(epoch), transactions)?;
+            }
+            WalRecord::PublishCausal { epoch, stamp, transactions } => {
+                self.publish(stamp.publisher, Some(&stamp), Some(epoch), transactions)?;
             }
             WalRecord::CommitReconciliation { participant, recno, epoch, accepted, rejected } => {
                 let shard = self.ensure_shard(participant);
@@ -1670,39 +1549,34 @@ impl StoreCatalog {
                 apply_reconciliation(&mut shard, recno, epoch, &accepted, &rejected);
             }
             WalRecord::Decisions { participant, accepted, rejected } => {
-                let shard = self.ensure_shard(participant);
-                let mut shard = shard.write().expect("shard lock");
-                for id in accepted {
-                    shard.record.record(id, Decision::Accepted);
-                }
-                for id in rejected {
-                    shard.record.record(id, Decision::Rejected);
-                }
+                self.record_decisions(participant, &accepted, &rejected)?;
             }
             WalRecord::MembershipFrontier { epoch } => {
-                self.advance_membership_frontier_impl(epoch, false)?;
+                self.advance_membership_frontier(epoch)?;
             }
             WalRecord::RetireParticipant { participant } => {
-                self.retire_participant_impl(participant, false)?;
+                self.retire_participant(participant)?;
             }
-            WalRecord::Prune { horizon } => {
-                self.replay_prune(horizon)?;
-            }
+            // The prune closure is deterministic over durable state, so
+            // recover-then-prune and prune-then-recover are byte-identical.
+            WalRecord::Prune { horizon } => self.with_all_shards_write(|log, guards| {
+                if horizon <= log.pruned_through {
+                    return Err(StorageError::Persistence(format!(
+                        "WAL replay diverged: Prune record horizon {horizon} at or below \
+                         already-pruned {}",
+                        log.pruned_through
+                    )));
+                }
+                prune_locked(log, guards, horizon, &self.schema);
+                Ok(())
+            })?,
             WalRecord::EpochMode { causal } => {
                 if causal {
-                    self.enable_causal_mode_impl(false)?;
+                    self.enable_causal_mode()?;
                 }
             }
-            WalRecord::PublishCausal { epoch, stamp, transactions } => {
-                self.publish_impl(
-                    stamp.publisher,
-                    transactions,
-                    Epochs::Replayed(epoch),
-                    Some(&stamp),
-                )?;
-            }
             WalRecord::InstanceCheckpoint { participant, checkpoint } => {
-                self.record_instance_checkpoint_impl(participant, checkpoint, false)?;
+                self.record_instance_checkpoint(participant, checkpoint)?;
             }
         }
         Ok(())
@@ -2038,7 +1912,7 @@ mod tests {
     fn publish_assigns_epochs_and_marks_own_accepted() {
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        let e = cat.publish(p(3), vec![x.clone()]).unwrap();
+        let e = cat.publish(p(3), None, None, vec![x.clone()]).unwrap();
         assert_eq!(e, Epoch(1));
         assert!(cat.accepted_set(p(3)).contains(&x.id()));
         assert_eq!(cat.largest_stable_epoch(), Epoch(1));
@@ -2052,8 +1926,8 @@ mod tests {
         let cat = catalog_with_policies();
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         let x2 = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
-        cat.publish(p(2), vec![x2.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x2.clone()]).unwrap();
 
         let opened = cat.open_session(p(2)).unwrap();
         assert_eq!(opened.recno, ReconciliationId(1));
@@ -2075,7 +1949,7 @@ mod tests {
     fn priorities_follow_registered_policies() {
         let cat = catalog_with_policies();
         let from1 = txn(1, 0, vec![Update::insert("Function", func("a", "b", "c"), p(1))]);
-        cat.publish(p(1), vec![from1.clone()]).unwrap();
+        cat.publish(p(1), None, None, vec![from1.clone()]).unwrap();
         assert_eq!(cat.priority_for(p(2), &from1), Priority(2));
         assert_eq!(cat.priority_for(p(3), &from1), Priority::UNTRUSTED);
         // Unregistered participants trust nothing.
@@ -2087,6 +1961,8 @@ mod tests {
         unregistered
             .publish(
                 p(7),
+                None,
+                None,
                 vec![txn(7, 0, vec![Update::insert("Function", func("x", "y", "z"), p(7))])],
             )
             .unwrap();
@@ -2108,8 +1984,8 @@ mod tests {
                 p(2),
             )],
         );
-        cat.publish(p(3), vec![x0.clone()]).unwrap();
-        cat.publish(p(2), vec![x1.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x0.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x1.clone()]).unwrap();
 
         // p1 trusts both; the candidate for x1 must carry x0 as a member.
         let opened = cat.open_session(p(1)).unwrap();
@@ -2169,9 +2045,9 @@ mod tests {
                 ),
             ],
         );
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
-        cat.publish(p(2), vec![x2.clone()]).unwrap();
-        cat.publish(p(3), vec![twice.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x2.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![twice.clone()]).unwrap();
         let find =
             |page: &[CandidateTransaction], id| page.iter().find(|c| c.id == id).cloned().unwrap();
 
@@ -2191,7 +2067,7 @@ mod tests {
     fn committed_sessions_advance_the_cursor_and_recno() {
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x]).unwrap();
+        cat.publish(p(3), None, None, vec![x]).unwrap();
         assert_eq!(cat.epoch_cursor(p(1)), Epoch::ZERO);
         let opened = cat.open_session(p(1)).unwrap();
         assert_eq!((opened.recno, opened.epoch), (ReconciliationId(1), Epoch(1)));
@@ -2203,7 +2079,7 @@ mod tests {
         assert_eq!(cat.epoch_cursor(p(1)), Epoch(1));
 
         let y = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-        cat.publish(p(2), vec![y]).unwrap();
+        cat.publish(p(2), None, None, vec![y]).unwrap();
         let opened = cat.open_session(p(1)).unwrap();
         assert_eq!(opened.recno, ReconciliationId(2));
         assert_eq!(opened.previous, Epoch(1));
@@ -2215,7 +2091,7 @@ mod tests {
     fn aborted_sessions_change_nothing_and_unknown_handles_error() {
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x]).unwrap();
+        cat.publish(p(3), None, None, vec![x]).unwrap();
         let before = format!("{cat:?}");
         let opened = cat.open_session(p(1)).unwrap();
         assert_eq!(cat.open_sessions(), 1);
@@ -2256,11 +2132,11 @@ mod tests {
         // relevance entry or decision leaks.
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x.clone()]).unwrap();
         let before = format!("{cat:?}");
         let y = txn(3, 1, vec![Update::insert("Function", func("rat", "prot2", "b"), p(3))]);
-        assert!(cat.publish(p(3), vec![y.clone(), x.clone()]).is_err());
-        assert!(cat.publish(p(3), vec![y.clone(), y.clone()]).is_err());
+        assert!(cat.publish(p(3), None, None, vec![y.clone(), x.clone()]).is_err());
+        assert!(cat.publish(p(3), None, None, vec![y.clone(), y.clone()]).is_err());
         assert_eq!(format!("{cat:?}"), before, "failed publish mutated the catalogue");
         assert_eq!(cat.largest_stable_epoch(), Epoch(1));
     }
@@ -2270,7 +2146,7 @@ mod tests {
     #[test]
     fn relevance_index_matches_the_spec() {
         fn publish(cat: &StoreCatalog, spec: &mut Spec, txn: Transaction) {
-            cat.publish(txn.origin(), vec![txn.clone()]).unwrap();
+            cat.publish(txn.origin(), None, None, vec![txn.clone()]).unwrap();
             spec.execute(txn.clone());
             spec.publish(txn.origin(), &[txn.id()]);
         }
@@ -2300,7 +2176,7 @@ mod tests {
         let cat = StoreCatalog::new(bioinformatics_schema());
         cat.register_policy(TrustPolicy::new(p(2)));
         let x2 = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
-        cat.publish(p(2), vec![x2.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x2.clone()]).unwrap();
 
         // p1 registers only after the publication; its index must cover the
         // already-published epoch.
@@ -2333,7 +2209,7 @@ mod tests {
                     txn(who, j, vec![Update::insert("Function", func("rat", prot, f), p(who))])
                 })
                 .collect();
-            cat.publish(p(who), txns.clone()).unwrap();
+            cat.publish(p(who), None, None, txns.clone()).unwrap();
             let ids: Vec<TransactionId> = txns.iter().map(Transaction::id).collect();
             txns.into_iter().for_each(|txn| spec.execute(txn));
             spec.publish(p(who), &ids);
@@ -2449,10 +2325,10 @@ mod tests {
         cat.register_policy(TrustPolicy::new(p(1)).trusting(p(3), 2u32));
         // The stale edge p2 → p1 is gone.
         assert_eq!(trust_edges(&cat), (BTreeMap::from([(p(3), vec![p(1)])]), vec![]));
-        cat.publish(p(2), vec![insert_by(2, 0)]).unwrap();
+        cat.publish(p(2), None, None, vec![insert_by(2, 0)]).unwrap();
         assert!(stored_slice(&cat, p(1)).is_empty(), "p1 no longer trusts p2");
         let x3 = insert_by(3, 0);
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
         assert_eq!(stored_slice(&cat, p(1)), vec![(Epoch(2), (x3.id(), Priority(2)))]);
 
         // Bounded → unbounded → bounded moves the owner between the two
@@ -2470,12 +2346,12 @@ mod tests {
         let policy = TrustPolicy::new(p(1)).trusting(p(2), 1u32);
         cat.register_policy(policy.clone());
         cat.register_policy(TrustPolicy::new(p(2)));
-        cat.publish(p(2), vec![insert_by(2, 0)]).unwrap();
+        cat.publish(p(2), None, None, vec![insert_by(2, 0)]).unwrap();
         assert_eq!(cat.relevance_len(), 1);
 
         cat.retire_participant(p(1)).unwrap();
         assert_eq!(trust_edges(&cat), (BTreeMap::new(), vec![]));
-        cat.publish(p(2), vec![insert_by(2, 1)]).unwrap();
+        cat.publish(p(2), None, None, vec![insert_by(2, 1)]).unwrap();
         assert_eq!(cat.relevance_len(), 0, "a retired participant is not visited");
 
         // Rejoining re-adds the edge; history at or below the frontier is
@@ -2485,7 +2361,7 @@ mod tests {
         assert_eq!(trust_edges(&cat), (BTreeMap::from([(p(2), vec![p(1)])]), vec![]));
         assert!(stored_slice(&cat, p(1)).is_empty());
         let x = insert_by(2, 2);
-        cat.publish(p(2), vec![x.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x.clone()]).unwrap();
         assert_eq!(stored_slice(&cat, p(1)), vec![(Epoch(3), (x.id(), Priority(1)))]);
     }
 
@@ -2508,12 +2384,17 @@ mod tests {
                 let batch = vec![insert_by(who, seq), insert_by(who, seq + 10)];
                 let epoch = if causal {
                     let stamp = stamp(&home, p(who));
-                    let epoch = home.publish_causal(stamp.clone(), batch.clone()).unwrap();
-                    assert_eq!(replica.publish_replica_stamped(&stamp, epoch, batch), Ok(epoch));
+                    let epoch = home
+                        .publish(stamp.clone().publisher, Some(&stamp.clone()), None, batch.clone())
+                        .unwrap();
+                    assert_eq!(
+                        replica.publish(stamp.publisher, Some(&stamp), Some(epoch), batch),
+                        Ok(epoch)
+                    );
                     epoch
                 } else {
-                    let epoch = home.publish(p(who), batch.clone()).unwrap();
-                    assert_eq!(replica.publish_replica(p(who), epoch, batch), Ok(epoch));
+                    let epoch = home.publish(p(who), None, None, batch.clone()).unwrap();
+                    assert_eq!(replica.publish(p(who), None, Some(epoch), batch), Ok(epoch));
                     epoch
                 };
                 assert_eq!(replica.largest_stable_epoch(), epoch);
@@ -2542,26 +2423,28 @@ mod tests {
     #[test]
     fn a_mismatching_pinned_epoch_errors_before_anything_is_mutated() {
         let cat = catalog_with_policies();
-        cat.publish(p(3), vec![insert_by(3, 0)]).unwrap();
+        cat.publish(p(3), None, None, vec![insert_by(3, 0)]).unwrap();
         let before = format!("{cat:?}");
         for wrong in [Epoch(1), Epoch(3)] {
-            let error = cat.publish_replica(p(2), wrong, vec![insert_by(2, 0)]).unwrap_err();
+            let error = cat.publish(p(2), None, Some(wrong), vec![insert_by(2, 0)]).unwrap_err();
             assert!(error.to_string().contains("next epoch is e2"), "got {error}");
             assert_eq!(format!("{cat:?}"), before);
             assert_eq!(cat.relevance_len(), 2, "p1 and p2 hold p3's entry and nothing else");
         }
-        assert_eq!(cat.publish_replica(p(2), Epoch(2), vec![insert_by(2, 0)]), Ok(Epoch(2)));
+        assert_eq!(cat.publish(p(2), None, Some(Epoch(2)), vec![insert_by(2, 0)]), Ok(Epoch(2)));
         assert_eq!(cat.largest_stable_epoch(), Epoch(2));
 
         let causal = catalog_with_policies();
         causal.enable_causal_mode().unwrap();
         let stamp = stamp(&causal, p(2));
         let before = format!("{causal:?}");
-        assert!(causal.publish_replica_stamped(&stamp, Epoch(2), vec![insert_by(2, 0)]).is_err());
+        assert!(causal
+            .publish(stamp.publisher, Some(&stamp), Some(Epoch(2)), vec![insert_by(2, 0)])
+            .is_err());
         assert_eq!(format!("{causal:?}"), before);
         assert_eq!(causal.next_publisher_seq(p(2)), 1, "the stamp was not ingested");
         assert_eq!(
-            causal.publish_replica_stamped(&stamp, Epoch(1), vec![insert_by(2, 0)]),
+            causal.publish(stamp.publisher, Some(&stamp), Some(Epoch(1)), vec![insert_by(2, 0)]),
             Ok(Epoch(1))
         );
     }
@@ -2589,24 +2472,24 @@ mod tests {
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         let x2 = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
         let x1 = txn(1, 0, vec![Update::insert("Function", func("dog", "prot9", "z"), p(1))]);
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
-        cat.publish(p(2), vec![x2.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x2.clone()]).unwrap();
         let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[x3.id()], &[x2.id()]).unwrap();
-        cat.publish(p(1), vec![x1]).unwrap();
+        cat.publish(p(1), None, None, vec![x1]).unwrap();
         cat.record_decisions(p(2), &[], &[x3.id()]).unwrap();
         cat.register_policy(TrustPolicy::new(p(4)).trusting(p(1), 3u32));
     }
 
     /// On a durable catalogue a pinned publish is logged like any other, so
-    /// a fabric shard recovers as an ordinary store: `recover` replays it
-    /// without extending relevance and rebuilds every slice at the end.
+    /// a fabric shard recovers as an ordinary store: `recover` replays every
+    /// recorded publish as a pinned publish, extending relevance as it goes.
     #[test]
     fn a_pinned_publish_is_durable_and_recovers_byte_identically() {
         let dir = tmp_dir("pinned");
         let cat = durable_catalog(&dir);
-        cat.publish(p(1), vec![insert_by(1, 0)]).unwrap();
-        cat.publish_replica(p(2), Epoch(2), vec![insert_by(2, 0)]).unwrap();
+        cat.publish(p(1), None, None, vec![insert_by(1, 0)]).unwrap();
+        cat.publish(p(2), None, Some(Epoch(2)), vec![insert_by(2, 0)]).unwrap();
         let live = format!("{cat:?}");
         let slices: Vec<_> = (1..=3).map(|i| stored_slice(&cat, p(i))).collect();
         assert_eq!(slices.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1]);
@@ -2631,7 +2514,7 @@ mod tests {
         // The recovered catalogue still serves sessions and stays durable:
         // another publish lands in the same WAL and survives another crash.
         let y = txn(2, 1, vec![Update::insert("Function", func("cat", "prot5", "q"), p(2))]);
-        recovered.publish(p(2), vec![y]).unwrap();
+        recovered.publish(p(2), None, None, vec![y]).unwrap();
         let live2 = format!("{recovered:?}");
         drop(recovered);
         let recovered2 = StoreCatalog::recover(&dir).unwrap();
@@ -2700,7 +2583,7 @@ mod tests {
             // One batch, two origins, one of them published on its behalf.
             let batch = vec![insert_by(1, 7), insert_by(2, 7)];
             for store in [&cat, &twin, &recovered] {
-                store.publish(p(1), batch.clone()).unwrap();
+                store.publish(p(1), None, None, batch.clone()).unwrap();
             }
             let live = format!("{cat:?}");
             assert_eq!(format!("{twin:?}"), live, "clone diverged");
@@ -2732,9 +2615,27 @@ mod tests {
         // The old generation's log is gone; the snapshot carries the state.
         assert!(!snapshot::wal_path(&dir, 0).exists());
 
-        // Post-snapshot records replay on top of the snapshot.
+        // Post-snapshot records replay on top of the snapshot, and the tail
+        // changes who has to look at a publish: a late registration, a
+        // retirement and a prune, each followed by a publish that extends
+        // the relevance index they left.
         let z = txn(3, 1, vec![Update::insert("Function", func("owl", "prot7", "w"), p(3))]);
-        cat.publish(p(3), vec![z]).unwrap();
+        cat.publish(p(3), None, None, vec![z]).unwrap();
+        cat.register_policy(TrustPolicy::new(p(5)).trusting(p(3), 2u32));
+        let w = txn(3, 2, vec![Update::insert("Function", func("owl", "prot8", "w"), p(3))]);
+        cat.publish(p(3), None, None, vec![w]).unwrap();
+        cat.retire_participant(p(4)).unwrap();
+        let v = txn(1, 1, vec![Update::insert("Function", func("cat", "prot3", "v"), p(1))]);
+        cat.publish(p(1), None, None, vec![v]).unwrap();
+        cat.set_retention(RetentionPolicy::ConvergedOnly);
+        cat.advance_membership_frontier(Epoch(5)).unwrap();
+        for i in [1, 2, 3, 5] {
+            reconcile_accept_all(&cat, p(i));
+        }
+        assert!(cat.prune_to_horizon().unwrap().horizon > Epoch::ZERO);
+        let u = txn(3, 3, vec![Update::insert("Function", func("owl", "prot9", "u"), p(3))]);
+        cat.publish(p(3), None, None, vec![u]).unwrap();
+        assert!(cat.relevance_len() > 0);
         let live = format!("{cat:?}");
         drop(cat);
         let recovered = StoreCatalog::recover(&dir).unwrap();
@@ -2763,8 +2664,8 @@ mod tests {
         let cat = catalog_with_policies();
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
         let x2 = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "b"), p(2))]);
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
-        cat.publish(p(2), vec![x2.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x2.clone()]).unwrap();
         // Before any reconciliation the cursor is zero: nothing was offered,
         // so nothing counts as previously deferred.
         assert!(cat.undecided_candidates(p(1)).is_empty());
@@ -2824,9 +2725,9 @@ mod tests {
         let x1 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "v1"), p(1))]);
         let x2 = txn(2, 0, vec![Update::delete("Function", func("rat", "prot1", "v1"), p(2))]);
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "v1"), p(3))]);
-        cat.publish(p(1), vec![x1.clone()]).unwrap();
-        cat.publish(p(2), vec![x2]).unwrap();
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
+        cat.publish(p(1), None, None, vec![x1.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![x2]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
         for i in 1..=3 {
             reconcile_accept_all(cat, p(i));
         }
@@ -2844,7 +2745,7 @@ mod tests {
         assert_eq!(cat.convergence_horizon(), Epoch::ZERO);
 
         let x = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
-        cat.publish(p(1), vec![x.clone()]).unwrap();
+        cat.publish(p(1), None, None, vec![x.clone()]).unwrap();
         // Cursors still at zero.
         assert_eq!(cat.convergence_horizon(), Epoch::ZERO);
         reconcile_accept_all(&cat, p(1));
@@ -2857,7 +2758,7 @@ mod tests {
         // An undecided trusted entry below a cursor pins the horizon even
         // after every cursor has passed: p1 defers (commits no decision).
         let y = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-        cat.publish(p(2), vec![y.clone()]).unwrap();
+        cat.publish(p(2), None, None, vec![y.clone()]).unwrap();
         let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[], &[]).unwrap(); // deferred
         reconcile_accept_all(&cat, p(2));
@@ -2879,7 +2780,7 @@ mod tests {
         let cat = fully_trusting(2);
         cat.close_membership().unwrap();
         let x = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
-        cat.publish(p(1), vec![x]).unwrap();
+        cat.publish(p(1), None, None, vec![x]).unwrap();
         reconcile_accept_all(&cat, p(1));
         reconcile_accept_all(&cat, p(2));
         assert_eq!(cat.convergence_horizon(), Epoch(1));
@@ -2928,7 +2829,7 @@ mod tests {
         // live value must chase to the pinned writer on each.
         let x4 = txn(2, 1, vec![Update::delete("Function", func("rat", "prot1", "v1"), p(2))]);
         for store in [&cat, &unpruned] {
-            store.publish(p(2), vec![x4.clone()]).unwrap();
+            store.publish(p(2), None, None, vec![x4.clone()]).unwrap();
         }
         for participant in [p(1), p(3)] {
             let collect = |store: &StoreCatalog| {
@@ -2956,7 +2857,7 @@ mod tests {
                 i,
                 vec![Update::insert("Function", func("rat", &format!("prot{i}"), "a"), p(1))],
             );
-            cat.publish(p(1), vec![x]).unwrap();
+            cat.publish(p(1), None, None, vec![x]).unwrap();
         }
         reconcile_accept_all(&cat, p(1));
         reconcile_accept_all(&cat, p(2));
@@ -2974,7 +2875,7 @@ mod tests {
         cat.set_retention(RetentionPolicy::ConvergedOnly);
         cat.close_membership().unwrap();
         let x = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
-        cat.publish(p(1), vec![x.clone()]).unwrap();
+        cat.publish(p(1), None, None, vec![x.clone()]).unwrap();
         reconcile_accept_all(&cat, p(1));
         reconcile_accept_all(&cat, p(2));
 
@@ -2994,7 +2895,7 @@ mod tests {
         assert_eq!(report.horizon, Epoch(1));
 
         let y = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-        cat.publish(p(2), vec![y]).unwrap();
+        cat.publish(p(2), None, None, vec![y]).unwrap();
         assert_eq!(cat.relevance_len(), 1, "only p1 indexes the new epoch");
 
         // Retiring twice, or retiring an unknown/unregistered participant,
@@ -3009,7 +2910,7 @@ mod tests {
             let cat = fully_trusting(2);
             cat.set_retention(RetentionPolicy::ConvergedOnly);
             let x = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(1))]);
-            cat.publish(p(1), vec![x]).unwrap();
+            cat.publish(p(1), None, None, vec![x]).unwrap();
             reconcile_accept_all(&cat, p(1));
             reconcile_accept_all(&cat, p(2));
             cat.advance_membership_frontier(Epoch(1)).unwrap();
@@ -3024,7 +2925,7 @@ mod tests {
             }
             cat.register_policy(policy);
             let y = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-            cat.publish(p(2), vec![y]).unwrap();
+            cat.publish(p(2), None, None, vec![y]).unwrap();
             session_entries(&cat, p(3))
         };
         let pruned = build(true);
@@ -3054,9 +2955,9 @@ mod tests {
             let t = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "v"), p(2))]);
             let del = txn(1, 0, vec![Update::delete("Function", func("rat", "prot1", "v"), p(1))]);
             let re = txn(1, 1, vec![Update::insert("Function", func("rat", "prot1", "v"), p(1))]);
-            cat.publish(p(2), vec![t.clone()]).unwrap();
-            cat.publish(p(1), vec![del]).unwrap();
-            cat.publish(p(1), vec![re]).unwrap();
+            cat.publish(p(2), None, None, vec![t.clone()]).unwrap();
+            cat.publish(p(1), None, None, vec![del]).unwrap();
+            cat.publish(p(1), None, None, vec![re]).unwrap();
             for i in 1..=3 {
                 reconcile_accept_all(&cat, p(i));
             }
@@ -3114,7 +3015,7 @@ mod tests {
             // Post-prune activity lands after the Prune record (or in the
             // fresh generation).
             let z = txn(2, 1, vec![Update::insert("Function", func("owl", "prot7", "w"), p(2))]);
-            cat.publish(p(2), vec![z]).unwrap();
+            cat.publish(p(2), None, None, vec![z]).unwrap();
             let live = format!("{cat:?}");
             drop(cat);
             let recovered = StoreCatalog::recover(&dir).unwrap();
@@ -3162,7 +3063,7 @@ mod tests {
     fn clones_copy_durable_state_but_not_sessions() {
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x.clone()]).unwrap();
         let opened = cat.open_session(p(1)).unwrap();
         let copy = cat.clone();
         assert_eq!(copy.open_sessions(), 0);
@@ -3187,10 +3088,10 @@ mod tests {
         assert!(!cat.causal_mode());
         let premature = CausalStamp::new(p(3), 1, AntichainClock::default());
         assert!(matches!(
-            cat.publish_causal(premature, vec![x.clone()]),
+            cat.publish(premature.publisher, Some(&premature), None, vec![x.clone()]),
             Err(StorageError::Causal(_))
         ));
-        cat.publish(p(3), vec![x]).unwrap();
+        cat.publish(p(3), None, None, vec![x]).unwrap();
 
         cat.enable_causal_mode().unwrap();
         cat.enable_causal_mode().unwrap(); // idempotent
@@ -3198,10 +3099,13 @@ mod tests {
         // Causal mode rejects scalar publishes, atomically.
         let before = format!("{cat:?}");
         let y = txn(3, 1, vec![Update::insert("Function", func("rat", "prot2", "b"), p(3))]);
-        assert!(matches!(cat.publish(p(3), vec![y.clone()]), Err(StorageError::Causal(_))));
+        assert!(matches!(
+            cat.publish(p(3), None, None, vec![y.clone()]),
+            Err(StorageError::Causal(_))
+        ));
         assert_eq!(format!("{cat:?}"), before, "rejected scalar publish mutated the catalogue");
         // The stamped path works and keeps allocating arrival epochs.
-        let epoch = cat.publish_causal(stamp(&cat, p(3)), vec![y]).unwrap();
+        let epoch = cat.publish(p(3), Some(&stamp(&cat, p(3))), None, vec![y]).unwrap();
         assert_eq!(epoch, Epoch(2));
         assert_eq!(cat.largest_stable_epoch(), Epoch(2));
         assert_eq!(cat.causal_frontier().to_string(), "{p3:1}");
@@ -3213,7 +3117,7 @@ mod tests {
         let cat = catalog_with_policies();
         cat.enable_causal_mode().unwrap();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish_causal(stamp(&cat, p(3)), vec![x]).unwrap();
+        cat.publish(p(3), Some(&stamp(&cat, p(3))), None, vec![x]).unwrap();
         let before = format!("{cat:?}");
         // A sequence gap, a replayed sequence and an unknown parent all fail
         // without allocating an epoch or leaking a relevance entry.
@@ -3228,10 +3132,16 @@ mod tests {
             ),
         ] {
             assert!(matches!(
-                cat.publish_causal(bad, vec![y.clone()]),
+                cat.publish(bad.publisher, Some(&bad), None, vec![y.clone()]),
                 Err(StorageError::Causal(_))
             ));
         }
+        // So does a valid stamp published for another participant.
+        let theirs = stamp(&cat, p(3));
+        assert!(matches!(
+            cat.publish(p(2), Some(&theirs), None, vec![y.clone()]),
+            Err(StorageError::Causal(_))
+        ));
         assert_eq!(format!("{cat:?}"), before, "rejected stamp mutated the catalogue");
         assert_eq!(cat.largest_stable_epoch(), Epoch(1));
     }
@@ -3240,7 +3150,7 @@ mod tests {
     fn a_session_carries_the_frontier_it_was_opened_at() {
         let cat = catalog_with_policies();
         let x = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x]).unwrap();
+        cat.publish(p(3), None, None, vec![x]).unwrap();
         let scalar = cat.open_session(p(1)).unwrap().info();
         assert!(scalar.frontier.is_empty(), "a scalar store has no frontier");
         cat.abort_session(scalar.session);
@@ -3253,7 +3163,7 @@ mod tests {
                 1,
                 vec![Update::insert("Function", func("rat", &key, "b"), publisher)],
             );
-            cat.publish_causal(stamp(&cat, publisher), vec![y]).unwrap();
+            cat.publish(publisher, Some(&stamp(&cat, publisher)), None, vec![y]).unwrap();
         }
         let causal = cat.open_session(p(1)).unwrap().info();
         assert_eq!(causal.frontier, cat.causal_frontier());
@@ -3266,14 +3176,14 @@ mod tests {
         let dir = tmp_dir("causal-replay");
         let cat = durable_catalog(&dir);
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
         cat.enable_causal_mode().unwrap();
         let x2 = txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(2))]);
-        cat.publish_causal(stamp(&cat, p(2)), vec![x2.clone()]).unwrap();
+        cat.publish(p(2), Some(&stamp(&cat, p(2))), None, vec![x2.clone()]).unwrap();
         let opened = cat.open_session(p(1)).unwrap();
         cat.commit_session(opened.session, &[x3.id()], &[x2.id()]).unwrap();
         let x1 = txn(1, 0, vec![Update::insert("Function", func("dog", "prot9", "z"), p(1))]);
-        cat.publish_causal(stamp(&cat, p(1)), vec![x1]).unwrap();
+        cat.publish(p(1), Some(&stamp(&cat, p(1))), None, vec![x1]).unwrap();
         let live = format!("{cat:?}");
         drop(cat);
 
@@ -3285,7 +3195,7 @@ mod tests {
         // mode switch survives a snapshot compaction too.
         recovered.snapshot().unwrap();
         let y = txn(2, 1, vec![Update::insert("Function", func("cat", "prot5", "q"), p(2))]);
-        recovered.publish_causal(stamp(&recovered, p(2)), vec![y]).unwrap();
+        recovered.publish(p(2), Some(&stamp(&recovered, p(2))), None, vec![y]).unwrap();
         let live2 = format!("{recovered:?}");
         drop(recovered);
         let recovered2 = StoreCatalog::recover(&dir).unwrap();
@@ -3299,7 +3209,7 @@ mod tests {
         let dir = tmp_dir("checkpoint");
         let cat = durable_catalog(&dir);
         let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), vec![x3.clone()]).unwrap();
+        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
         let checkpoint = InstanceCheckpoint {
             relations: BTreeMap::from([("Function".to_string(), vec![func("rat", "prot1", "a")])]),
             next_local: 1,
@@ -3548,7 +3458,7 @@ mod tests {
                                 tape.transaction(origin, local * 4 + u64::from(k))
                             })
                             .collect();
-                        cat.publish(publisher, batch).unwrap();
+                        cat.publish(publisher, None, None, batch).unwrap();
                     }
                 }
                 let expected = brute_force_slices(&cat);

@@ -16,7 +16,8 @@
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 use crate::catalog::StoreCatalog;
 use orchestra_model::{
-    Epoch, ParticipantId, ReconciliationId, Schema, Transaction, TransactionId, TrustPolicy,
+    CausalStamp, Epoch, ParticipantId, ReconciliationId, Schema, Transaction, TransactionId,
+    TrustPolicy,
 };
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::Result;
@@ -100,6 +101,20 @@ impl CentralStore {
         let value = f(&self.catalog);
         Timed::new(value, StoreTiming { compute: start.elapsed(), network: Duration::ZERO })
     }
+
+    /// The one catalogue publish behind the trait's four publish methods
+    /// (see [`StoreCatalog::publish`]), timed.
+    fn published(
+        &self,
+        participant: ParticipantId,
+        stamp: Option<&CausalStamp>,
+        pinned: Option<Epoch>,
+        transactions: Vec<Transaction>,
+    ) -> Result<Timed<Epoch>> {
+        let timed = self.timed(|cat| cat.publish(participant, stamp, pinned, transactions));
+        let timing = timed.timing;
+        timed.value.map(|epoch| Timed::new(epoch, timing))
+    }
 }
 
 impl UpdateStore for CentralStore {
@@ -112,9 +127,7 @@ impl UpdateStore for CentralStore {
         participant: ParticipantId,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let timed = self.timed(|cat| cat.publish(participant, transactions));
-        let timing = timed.timing;
-        timed.value.map(|epoch| Timed::new(epoch, timing))
+        self.published(participant, None, None, transactions)
     }
 
     fn begin_reconciliation(&self, participant: ParticipantId) -> Result<Timed<SessionInfo>> {
@@ -218,12 +231,10 @@ impl UpdateStore for CentralStore {
 
     fn publish_stamped(
         &self,
-        stamp: orchestra_model::CausalStamp,
+        stamp: CausalStamp,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let timed = self.timed(|cat| cat.publish_causal(stamp, transactions));
-        let timing = timed.timing;
-        timed.value.map(|epoch| Timed::new(epoch, timing))
+        self.published(stamp.publisher, Some(&stamp), None, transactions)
     }
 
     fn publish_replica(
@@ -232,20 +243,16 @@ impl UpdateStore for CentralStore {
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let timed = self.timed(|cat| cat.publish_replica(participant, epoch, transactions));
-        let timing = timed.timing;
-        timed.value.map(|epoch| Timed::new(epoch, timing))
+        self.published(participant, None, Some(epoch), transactions)
     }
 
     fn publish_replica_stamped(
         &self,
-        stamp: orchestra_model::CausalStamp,
+        stamp: CausalStamp,
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let timed = self.timed(|cat| cat.publish_replica_stamped(&stamp, epoch, transactions));
-        let timing = timed.timing;
-        timed.value.map(|epoch| Timed::new(epoch, timing))
+        self.published(stamp.publisher, Some(&stamp), Some(epoch), transactions)
     }
 
     fn record_instance_checkpoint(

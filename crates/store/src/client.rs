@@ -159,10 +159,7 @@ impl<S: UpdateStore + ?Sized> SessionClient for InProcessClient<'_, S> {
         stamp: Option<CausalStamp>,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        match stamp {
-            Some(stamp) => self.store.publish_stamped(stamp, transactions),
-            None => self.store.publish(self.participant, transactions),
-        }
+        publish_on(self.store, self.participant, stamp, None, transactions)
     }
 }
 
@@ -173,10 +170,25 @@ impl<S: UpdateStore + ?Sized> ShardClient for InProcessClient<'_, S> {
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        match stamp {
-            Some(stamp) => self.store.publish_replica_stamped(stamp, epoch, transactions),
-            None => self.store.publish_replica(self.participant, epoch, transactions),
-        }
+        publish_on(self.store, self.participant, stamp, Some(epoch), transactions)
+    }
+}
+
+/// The one publish, mapped onto the trait's four publish methods: `stamp`
+/// picks the causal form, `pinned` the replica form. A stamped publish is
+/// the stamp's publisher's, so `participant` is not consulted then.
+pub(crate) fn publish_on<S: UpdateStore + ?Sized>(
+    store: &S,
+    participant: ParticipantId,
+    stamp: Option<CausalStamp>,
+    pinned: Option<Epoch>,
+    transactions: Vec<Transaction>,
+) -> Result<Timed<Epoch>> {
+    match (stamp, pinned) {
+        (None, None) => store.publish(participant, transactions),
+        (Some(stamp), None) => store.publish_stamped(stamp, transactions),
+        (None, Some(epoch)) => store.publish_replica(participant, epoch, transactions),
+        (Some(stamp), Some(epoch)) => store.publish_replica_stamped(stamp, epoch, transactions),
     }
 }
 

@@ -29,7 +29,8 @@
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
 use crate::catalog::StoreCatalog;
 use orchestra_model::{
-    Epoch, ParticipantId, ReconciliationId, Schema, Transaction, TransactionId, TrustPolicy,
+    CausalStamp, Epoch, ParticipantId, ReconciliationId, Schema, Transaction, TransactionId,
+    TrustPolicy,
 };
 use orchestra_net::{NetworkStats, NodeId, SimNetwork};
 use orchestra_recon::CandidateTransaction;
@@ -164,6 +165,54 @@ impl DhtStore {
         REQUEST_BYTES + UPDATE_BYTES * txn.len() as u64
     }
 
+    /// The one publish behind [`UpdateStore::publish`] and
+    /// [`UpdateStore::publish_stamped`]: the logical publication (epoch
+    /// allocation + log append) happens first so that every Figure 6 message
+    /// is charged against the *actually allocated* epoch.
+    fn publish_charged(
+        &self,
+        participant: ParticipantId,
+        stamp: Option<&CausalStamp>,
+        transactions: Vec<Transaction>,
+    ) -> Result<Timed<Epoch>> {
+        let peer = self.peer_node(participant);
+        let start = Instant::now();
+        let txn_refs: Vec<(TransactionId, u64)> =
+            transactions.iter().map(|t| (t.id(), DhtStore::txn_bytes(t))).collect();
+        let epoch = self.catalog.publish(participant, stamp, None, transactions)?;
+        let compute = start.elapsed();
+
+        let ((), network) = self.charged(|net| {
+            // Figure 6, messages 1-4: epoch allocation round trip, with the
+            // allocator informing the epoch controller of the allocated
+            // epoch. A causal publish skips it: its stamp was allocated
+            // client-side.
+            if stamp.is_none() {
+                let allocator =
+                    net.send_to_key(peer, self.allocator_key, REQUEST_BYTES).unwrap_or(peer);
+                let epoch_controller = net
+                    .send_to_key(allocator, DhtStore::epoch_key(epoch), REQUEST_BYTES)
+                    .unwrap_or(allocator);
+                net.send_direct(epoch_controller, allocator, REQUEST_BYTES);
+                net.send_direct(allocator, peer, REQUEST_BYTES);
+            }
+
+            // Figure 6, message 5: publish the transaction IDs at the epoch
+            // controller; message 6: confirmation.
+            let id_bytes = REQUEST_BYTES + 16 * txn_refs.len() as u64;
+            let controller =
+                net.send_to_key(peer, DhtStore::epoch_key(epoch), id_bytes).unwrap_or(peer);
+            net.send_direct(controller, peer, REQUEST_BYTES);
+
+            // The peer then sends each transaction to its transaction
+            // controller.
+            for (id, bytes) in &txn_refs {
+                net.send_to_key(peer, DhtStore::txn_key(*id), *bytes);
+            }
+        });
+        Ok(Timed::new(epoch, StoreTiming { compute, network }))
+    }
+
     /// Runs a message-charging block under the network lock, returning the
     /// closure's value and the virtual latency charged by *this* block alone
     /// (exact even under concurrent callers, because the lock is held for
@@ -204,42 +253,7 @@ impl UpdateStore for DhtStore {
         participant: ParticipantId,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let peer = self.peer_node(participant);
-        let start = Instant::now();
-        // The logical publication (epoch allocation + log append) happens
-        // first so that every Figure 6 message is charged against the
-        // *actually allocated* epoch.
-        let txn_refs: Vec<(TransactionId, u64)> =
-            transactions.iter().map(|t| (t.id(), DhtStore::txn_bytes(t))).collect();
-        let epoch = self.catalog.publish(participant, transactions)?;
-        let compute = start.elapsed();
-
-        let ((), network) = self.charged(|net| {
-            // Figure 6, messages 1-4: epoch allocation round trip, with the
-            // allocator informing the epoch controller of the allocated
-            // epoch.
-            let allocator =
-                net.send_to_key(peer, self.allocator_key, REQUEST_BYTES).unwrap_or(peer);
-            let epoch_controller = net
-                .send_to_key(allocator, DhtStore::epoch_key(epoch), REQUEST_BYTES)
-                .unwrap_or(allocator);
-            net.send_direct(epoch_controller, allocator, REQUEST_BYTES);
-            net.send_direct(allocator, peer, REQUEST_BYTES);
-
-            // Figure 6, message 5: publish the transaction IDs at the epoch
-            // controller; message 6: confirmation.
-            let id_bytes = REQUEST_BYTES + 16 * txn_refs.len() as u64;
-            let controller =
-                net.send_to_key(peer, DhtStore::epoch_key(epoch), id_bytes).unwrap_or(peer);
-            net.send_direct(controller, peer, REQUEST_BYTES);
-
-            // The peer then sends each transaction to its transaction
-            // controller.
-            for (id, bytes) in &txn_refs {
-                net.send_to_key(peer, DhtStore::txn_key(*id), *bytes);
-            }
-        });
-        Ok(Timed::new(epoch, StoreTiming { compute, network }))
+        self.publish_charged(participant, None, transactions)
     }
 
     fn begin_reconciliation(&self, participant: ParticipantId) -> Result<Timed<SessionInfo>> {
@@ -411,31 +425,10 @@ impl UpdateStore for DhtStore {
 
     fn publish_stamped(
         &self,
-        stamp: orchestra_model::CausalStamp,
+        stamp: CausalStamp,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let participant = stamp.publisher;
-        let peer = self.peer_node(participant);
-        let start = Instant::now();
-        let txn_refs: Vec<(TransactionId, u64)> =
-            transactions.iter().map(|t| (t.id(), DhtStore::txn_bytes(t))).collect();
-        let epoch = self.catalog.publish_causal(stamp, transactions)?;
-        let compute = start.elapsed();
-
-        let ((), network) = self.charged(|net| {
-            // Causal publication skips Figure 6's allocation round trip (the
-            // stamp was allocated client-side): the peer publishes the id
-            // list straight at the arrival epoch's controller and then each
-            // transaction at its controller.
-            let id_bytes = REQUEST_BYTES + 16 * txn_refs.len() as u64;
-            let controller =
-                net.send_to_key(peer, DhtStore::epoch_key(epoch), id_bytes).unwrap_or(peer);
-            net.send_direct(controller, peer, REQUEST_BYTES);
-            for (id, bytes) in &txn_refs {
-                net.send_to_key(peer, DhtStore::txn_key(*id), *bytes);
-            }
-        });
-        Ok(Timed::new(epoch, StoreTiming { compute, network }))
+        self.publish_charged(stamp.publisher, Some(&stamp), transactions)
     }
 
     fn record_instance_checkpoint(

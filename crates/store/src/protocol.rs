@@ -1,11 +1,13 @@
 //! The wire protocol of the store service.
 //!
-//! [`StoreRequest`] / [`StoreResponse`] are the explicit wire enums, one
-//! variant per paged-session, publish or replication step. They are the only
-//! frame representation: the service, the clients and the fabric pass the
-//! enums through `orchestra-rt` channels and charge the network with each
-//! frame's *modelled* size ([`StoreRequest::frame_bytes`]); nothing encodes
-//! them to bytes yet. When real frames land (ROADMAP item 6) the byte codec
+//! [`StoreRequest`] / [`StoreResponse`] are the explicit wire enums: one
+//! request variant per paged-session step plus one
+//! [`Publish`](StoreRequest::Publish), stamped in causal mode and pinned
+//! when it replicates a batch to a fabric shard. They are the only frame
+//! representation: the service, the clients and the fabric pass the enums
+//! through `orchestra-rt` channels and charge the network with each frame's
+//! *modelled* size ([`StoreRequest::frame_bytes`]); nothing encodes them to
+//! bytes yet. When real frames land (ROADMAP item 6) the byte codec
 //! is written fresh, in binary with its version byte, on
 //! `orchestra_storage::codec`'s varint primitives.
 
@@ -14,7 +16,7 @@ use crate::dht::{REQUEST_BYTES, UPDATE_BYTES};
 use orchestra_model::{CausalStamp, Epoch, ParticipantId, Transaction, TransactionId};
 use orchestra_recon::CandidateTransaction;
 
-/// A request frame: one paged-session, publish or replication protocol step.
+/// A request frame: one paged-session or publish protocol step.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreRequest {
     /// Open a reconciliation session (subject to admission control).
@@ -43,40 +45,18 @@ pub enum StoreRequest {
         /// The session handle.
         session: SessionId,
     },
-    /// Publish a batch of transactions as one epoch.
+    /// Publish a batch of transactions as one epoch. Stamped in causal
+    /// mode; pinned when it replicates a batch already published at another
+    /// fabric shard (the shard extends the relevance of the participants
+    /// homed on it, like any publish).
     Publish {
         /// The publishing participant.
         participant: ParticipantId,
-        /// The batch.
-        transactions: Vec<Transaction>,
-    },
-    /// Publish a causally stamped batch (causal mode).
-    PublishStamped {
-        /// The client-allocated stamp.
-        stamp: CausalStamp,
-        /// The batch.
-        transactions: Vec<Transaction>,
-    },
-    /// Replicate a batch already published elsewhere in the fabric: publish
-    /// it on this shard at the epoch the home shard assigned (the shard
-    /// extends the relevance of the participants homed on it, like any
-    /// publish).
-    Replicate {
-        /// The publishing participant (home shard elsewhere).
-        participant: ParticipantId,
-        /// The epoch the home shard assigned; this shard must derive the
-        /// same number or fail.
-        epoch: Epoch,
-        /// The batch.
-        transactions: Vec<Transaction>,
-    },
-    /// Replicate a causally stamped batch published elsewhere in the fabric
-    /// (causal mode counterpart of [`StoreRequest::Replicate`]).
-    ReplicateStamped {
-        /// The client-allocated stamp.
-        stamp: CausalStamp,
-        /// The epoch the home shard assigned.
-        epoch: Epoch,
+        /// The client-allocated stamp (causal mode).
+        stamp: Option<CausalStamp>,
+        /// The epoch the home shard assigned (a replica); this shard must
+        /// derive the same number or fail.
+        pinned: Option<Epoch>,
         /// The batch.
         transactions: Vec<Transaction>,
     },
@@ -93,10 +73,7 @@ impl StoreRequest {
             StoreRequest::Commit { accepted, rejected, .. } => {
                 REQUEST_BYTES + 16 * (accepted.len() + rejected.len()) as u64
             }
-            StoreRequest::Publish { transactions, .. }
-            | StoreRequest::PublishStamped { transactions, .. }
-            | StoreRequest::Replicate { transactions, .. }
-            | StoreRequest::ReplicateStamped { transactions, .. } => {
+            StoreRequest::Publish { transactions, .. } => {
                 REQUEST_BYTES
                     + transactions
                         .iter()
@@ -119,7 +96,7 @@ pub enum StoreResponse {
     Committed,
     /// The session aborted (durable state untouched).
     Aborted,
-    /// The publish (or replication) was assigned this epoch.
+    /// The publish was assigned (or, pinned, confirmed at) this epoch.
     Published(Epoch),
     /// Admission control rejected a `Begin`: the service is at its open
     /// session cap. Retryable — back off and try again.
@@ -170,7 +147,7 @@ impl StoreResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orchestra_model::{Priority, Tuple, Update};
+    use orchestra_model::{AntichainClock, Priority, Tuple, Update};
     use std::sync::Arc;
 
     fn p(i: u32) -> ParticipantId {
@@ -195,14 +172,31 @@ mod tests {
     fn frame_bytes_follow_the_dht_cost_model() {
         let begin = StoreRequest::Begin { participant: p(1) };
         assert_eq!(begin.frame_bytes(), REQUEST_BYTES);
-        let publish = StoreRequest::Publish { participant: p(1), transactions: vec![txn(1, 0)] };
-        assert_eq!(publish.frame_bytes(), 2 * REQUEST_BYTES + UPDATE_BYTES);
-        let replicate = StoreRequest::Replicate {
+        // Every publish costs the same: frame header + one transaction
+        // header + one update's payload, whether it is stamped, pinned
+        // (a fabric replica) or both.
+        let stamp = CausalStamp::new(p(1), 1, AntichainClock::default());
+        for (stamp, pinned) in [
+            (None, None),
+            (Some(stamp.clone()), None),
+            (None, Some(Epoch(1))),
+            (Some(stamp), Some(Epoch(1))),
+        ] {
+            let publish = StoreRequest::Publish {
+                participant: p(1),
+                stamp,
+                pinned,
+                transactions: vec![txn(1, 0)],
+            };
+            assert_eq!(publish.frame_bytes(), 2 * REQUEST_BYTES + UPDATE_BYTES, "{publish:?}");
+        }
+        let two = StoreRequest::Publish {
             participant: p(1),
-            epoch: Epoch(1),
-            transactions: vec![txn(1, 0)],
+            stamp: None,
+            pinned: Some(Epoch(2)),
+            transactions: vec![txn(1, 1), txn(1, 2)],
         };
-        assert_eq!(replicate.frame_bytes(), publish.frame_bytes());
+        assert_eq!(two.frame_bytes(), 3 * REQUEST_BYTES + 2 * UPDATE_BYTES);
         let batch = StoreResponse::Batch(vec![candidate()]);
         // Frame header + one candidate header + one member (header + one
         // update's payload).

@@ -1,15 +1,16 @@
 //! Confederation-as-a-service: the update store served over framed
 //! request/response messages.
 //!
-//! Until PR 8 every driver called the [`UpdateStore`] trait in-process and a
-//! confederation-scale run needed one OS thread per reconciling participant.
-//! This module turns the store into a *service*: the paged session protocol
+//! Called in-process, the [`UpdateStore`] trait needs one OS thread per
+//! reconciling participant at confederation scale. This module turns the
+//! store into a *service*: the paged session protocol
 //! ([`UpdateStore::begin_reconciliation`] / [`UpdateStore::next_batch`] /
 //! [`UpdateStore::commit_reconciliation`] / [`UpdateStore::abort_reconciliation`])
-//! plus [`UpdateStore::publish`] / [`UpdateStore::publish_stamped`] become
-//! [`StoreRequest`] / [`StoreResponse`] frames carried over a
-//! [`SimNetwork`], served by a **bounded worker pool** on the hand-rolled
-//! [`orchestra_rt`] runtime.
+//! plus the one publish — stamped in causal mode, pinned when a fabric
+//! replicates it, served by whichever of the trait's four publish methods
+//! that combination names — become [`StoreRequest`] / [`StoreResponse`]
+//! frames carried over a [`SimNetwork`], served by a **bounded worker pool**
+//! on the hand-rolled [`orchestra_rt`] runtime.
 //!
 //! # Architecture
 //!
@@ -31,7 +32,7 @@
 //!   wait time on one OS thread.
 
 use crate::api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
-use crate::client::{SessionClient, ShardClient};
+use crate::client::{publish_on, SessionClient, ShardClient};
 use crate::protocol::{StoreRequest, StoreResponse};
 use orchestra_model::{CausalStamp, Epoch, ParticipantId, Transaction, TransactionId};
 use orchestra_net::{NodeId, SimNetwork, Transport};
@@ -194,27 +195,6 @@ impl ServiceShared {
                 self.tracer.event(name, &all);
             }
             None => self.tracer.event(name, fields),
-        }
-    }
-
-    /// Answers a publish or replicate (`event` names which): the assigned
-    /// epoch, traced with its publisher and batch size, or the failure.
-    fn published(
-        &self,
-        event: &'static str,
-        publisher: ParticipantId,
-        txns: u64,
-        published: Result<Timed<Epoch>>,
-    ) -> StoreResponse {
-        match published {
-            Ok(Timed { value: epoch, .. }) => {
-                let publisher = u64::from(publisher.as_u32());
-                let fields =
-                    [("participant", publisher), ("epoch", epoch.as_u64()), ("txns", txns)];
-                self.trace(event, &fields);
-                StoreResponse::Published(epoch)
-            }
-            Err(error) => StoreResponse::Failed(error.to_string()),
         }
     }
 }
@@ -508,25 +488,21 @@ fn serve<S: UpdateStore + ?Sized>(
             }
             Err(error) => StoreResponse::Failed(error.to_string()),
         },
-        StoreRequest::Publish { participant, transactions } => {
+        StoreRequest::Publish { participant, stamp, pinned, transactions } => {
+            // A pinned publish is a fabric shard's replica of the batch.
+            let event = if pinned.is_some() { "replicate" } else { "publish" };
+            let publisher = stamp.as_ref().map_or(participant, |stamp| stamp.publisher);
             let txns = transactions.len() as u64;
-            let published = store.publish(participant, transactions);
-            shared.published("publish", participant, txns, published)
-        }
-        StoreRequest::PublishStamped { stamp, transactions } => {
-            let (publisher, txns) = (stamp.publisher, transactions.len() as u64);
-            let published = store.publish_stamped(stamp, transactions);
-            shared.published("publish", publisher, txns, published)
-        }
-        StoreRequest::Replicate { participant, epoch, transactions } => {
-            let txns = transactions.len() as u64;
-            let published = store.publish_replica(participant, epoch, transactions);
-            shared.published("replicate", participant, txns, published)
-        }
-        StoreRequest::ReplicateStamped { stamp, epoch, transactions } => {
-            let (publisher, txns) = (stamp.publisher, transactions.len() as u64);
-            let published = store.publish_replica_stamped(stamp, epoch, transactions);
-            shared.published("replicate", publisher, txns, published)
+            match publish_on(store, participant, stamp, pinned, transactions) {
+                Ok(Timed { value: epoch, .. }) => {
+                    let publisher = u64::from(publisher.as_u32());
+                    let fields =
+                        [("participant", publisher), ("epoch", epoch.as_u64()), ("txns", txns)];
+                    shared.trace(event, &fields);
+                    StoreResponse::Published(epoch)
+                }
+                Err(error) => StoreResponse::Failed(error.to_string()),
+            }
         }
     }
 }
@@ -585,10 +561,19 @@ impl ServiceClient {
         StoreTiming { compute: Duration::ZERO, network }
     }
 
-    /// Issues a publish or replicate request; all four answer `Published`.
-    async fn published(&self, request: StoreRequest) -> Result<Timed<Epoch>> {
+    /// Issues a publish request, pinned at `pinned` when it replicates.
+    async fn published(
+        &self,
+        stamp: Option<CausalStamp>,
+        pinned: Option<Epoch>,
+        transactions: Vec<Transaction>,
+    ) -> Result<Timed<Epoch>> {
         let start_us = self.clock.now_us();
-        match self.request(request).await? {
+        let participant = self.participant;
+        match self
+            .request(StoreRequest::Publish { participant, stamp, pinned, transactions })
+            .await?
+        {
             StoreResponse::Published(epoch) => Ok(Timed::new(epoch, self.cost_since(start_us))),
             StoreResponse::Failed(message) => Err(remote_error(message)),
             other => Err(protocol_error("Published", &other)),
@@ -700,11 +685,7 @@ impl SessionClient for ServiceClient {
         stamp: Option<CausalStamp>,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let request = match stamp {
-            Some(stamp) => StoreRequest::PublishStamped { stamp, transactions },
-            None => StoreRequest::Publish { participant: self.participant, transactions },
-        };
-        self.published(request).await
+        self.published(stamp, None, transactions).await
     }
 }
 
@@ -715,12 +696,7 @@ impl ShardClient for ServiceClient {
         epoch: Epoch,
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
-        let participant = self.participant;
-        let request = match stamp {
-            Some(stamp) => StoreRequest::ReplicateStamped { stamp, epoch, transactions },
-            None => StoreRequest::Replicate { participant, epoch, transactions },
-        };
-        self.published(request).await
+        self.published(stamp, Some(epoch), transactions).await
     }
 }
 

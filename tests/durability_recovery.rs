@@ -131,13 +131,22 @@ fn recovery_is_idempotent() {
     let steps = schedule(&[(EditPublish, 1, 0, 0), (EditPublish, 2, 0, 1), (Reconcile, 3, 0, 0)]);
     apply(&mut conf, &steps, &mut Vec::new());
     let fingerprint = format!("{:?}", conf.system.store().catalog());
+    // Replay runs before the write side is attached, so a recovery appends
+    // nothing: the WAL holds exactly what the live store wrote.
+    let wal = |store: &CentralStore| {
+        let backend = store.catalog().durability().file_backend().expect("durable store");
+        (backend.wal_records(), backend.wal_bytes())
+    };
+    let written = wal(conf.system.store());
     drop(conf);
 
     let first = CentralStore::recover(&dir).expect("first recovery");
     assert_eq!(format!("{:?}", first.catalog()), fingerprint);
+    assert_eq!(wal(&first), written, "the first recovery appended to the WAL");
     drop(first);
     let second = CentralStore::recover(&dir).expect("second recovery");
     assert_eq!(format!("{:?}", second.catalog()), fingerprint);
+    assert_eq!(wal(&second), written, "the second recovery appended to the WAL");
     std::fs::remove_dir_all(&dir).ok();
 }
 
