@@ -45,7 +45,7 @@ impl StampId {
     /// The deterministic tie-break between two stamps that the scalar order
     /// cannot separate: deeper per-publisher chains first, then the smaller
     /// publisher id. Total, antisymmetric, and independent of arrival order —
-    /// the WAL segment merge and conflict bookkeeping use it so every replica
+    /// the WAL's replay order and conflict bookkeeping use it so every replica
     /// linearises ties identically.
     pub fn tie_break(self, other: StampId) -> std::cmp::Ordering {
         other.seq.cmp(&self.seq).then(self.publisher.cmp(&other.publisher))

@@ -1,14 +1,15 @@
 //! WAL and snapshot inspection tool.
 //!
-//! Pretty-prints any WAL segment (`wal.<gen>.log`, `wal.<gen>.p<id>.log`) or
-//! snapshot (`snapshot.orc`): per-frame offsets, payload lengths, CRCs (with
-//! verification), `(epoch, seq)` stamps and one-line record summaries. The
-//! tool never writes — point it at a live directory or a torn-tail report and
-//! read.
+//! A durability directory holds one WAL file per generation
+//! (`wal.<gen>.log`, every record of the generation) plus the snapshot
+//! (`snapshot.orc`). The tool pretty-prints either: per-frame offsets,
+//! payload lengths, CRCs (with verification), `(epoch, seq)` stamps and
+//! one-line record summaries. It never writes — point it at a live
+//! directory or a torn-tail report and read.
 //!
 //! ```text
-//! wal_dump <file>...          dump the given segment/snapshot files
-//! wal_dump <dir>              dump every wal.*.log and snapshot.orc in dir
+//! wal_dump <file>...          dump the given wal.<gen>.log / snapshot.orc files
+//! wal_dump <dir>              dump every wal.<gen>.log and snapshot.orc in dir
 //! ```
 
 use orchestra_storage::codec::{decode_record, decode_snapshot};
@@ -21,7 +22,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: wal_dump <segment-or-snapshot-file|durability-dir>...");
+        eprintln!("usage: wal_dump <wal.<gen>.log|snapshot.orc|durability-dir>...");
         eprintln!("  prints frame offsets, CRCs, (epoch, seq) stamps and record summaries");
         return if args.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
     }
@@ -30,7 +31,7 @@ fn main() -> ExitCode {
         let path = Path::new(arg);
         let files = if path.is_dir() { dir_files(path) } else { vec![path.to_path_buf()] };
         if files.is_empty() {
-            eprintln!("{}: no WAL segments or snapshot found", path.display());
+            eprintln!("{}: no wal.<gen>.log or snapshot.orc found", path.display());
             failed = true;
         }
         for file in files {
@@ -47,25 +48,25 @@ fn main() -> ExitCode {
     }
 }
 
-/// The dumpable files of a durability directory: every WAL segment (sorted)
-/// then the snapshot.
+/// The dumpable files of a durability directory: every WAL generation file
+/// (sorted) then the snapshot.
 fn dir_files(dir: &Path) -> Vec<PathBuf> {
-    let mut segments = Vec::new();
+    let mut files = Vec::new();
     let mut snapshot = None;
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if name.starts_with("wal.") && name.ends_with(".log") {
-                segments.push(entry.path());
+                files.push(entry.path());
             } else if name == "snapshot.orc" {
                 snapshot = Some(entry.path());
             }
         }
     }
-    segments.sort();
-    segments.extend(snapshot);
-    segments
+    files.sort();
+    files.extend(snapshot);
+    files
 }
 
 fn dump_file(path: &Path) -> Result<(), String> {
@@ -116,7 +117,7 @@ fn dump_file(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints the stamp and a one-line summary of a WAL-segment frame payload.
+/// Prints the stamp and a one-line summary of a WAL frame payload.
 fn describe_record(payload: &[u8]) {
     match parse_stamp(payload) {
         Ok((stamp, record_bytes)) => {

@@ -18,8 +18,8 @@
 //! * [`ParticipantRecord`] — one participant's record of accepted and
 //!   rejected transactions, which the paper moves into the update store so
 //!   that client state stays soft.
-//! * [`wal`] / [`segment`] / [`snapshot`] — the durability layer: per-shard
-//!   append-only segments of CRC-checked [`WalRecord`] frames plus a
+//! * [`wal`] / [`segment`] / [`snapshot`] — the durability layer: one
+//!   append-only file of CRC-checked [`WalRecord`] frames per generation plus a
 //!   compacting [`StoreSnapshot`], from which
 //!   `orchestra_store::StoreCatalog::recover` rebuilds the exact durable
 //!   store state after a crash. [`codec`] is the one encoding both use —

@@ -5,9 +5,10 @@
 //! captures the full durable state — schema, epoch registry, publication log
 //! and per-participant records — in one CRC-checked frame, and names the WAL
 //! *generation* that continues after it: recovery loads the snapshot, then
-//! replays only `wal.<generation>.log`. Taking a snapshot starts a fresh
-//! (empty) generation and deletes the old log, so the on-disk footprint is
-//! bounded by one snapshot plus the records since it.
+//! replays only that generation's one file, `wal.<generation>.log`. Taking a
+//! snapshot starts a fresh (empty) generation file and deletes the old one,
+//! so the on-disk footprint is bounded by one snapshot plus the records
+//! since it.
 //!
 //! Derived state (the log's lookup indexes, the decision records'
 //! accepted/rejected `Arc` sets, the store's relevance index) is *not*
@@ -16,7 +17,8 @@
 //!
 //! Snapshots are written to a temporary file and atomically renamed into
 //! place, so a crash mid-snapshot leaves the previous snapshot (and its WAL
-//! generation) intact.
+//! generation) intact. The old generation may be deleted only after a
+//! [`sync_dir`] has made the rename and the new generation's file durable.
 
 use crate::decisions::ParticipantRecord;
 use crate::epoch::EpochRegistry;
@@ -31,29 +33,24 @@ use std::path::{Path, PathBuf};
 /// File name of the snapshot inside a durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.orc";
 
-/// File name of the WAL's log-shard segment for a given generation.
-fn wal_file_name(generation: u64) -> String {
-    format!("wal.{generation}.log")
-}
-
-/// File name of a participant shard's WAL segment for a given generation.
-fn shard_wal_file_name(generation: u64, participant: ParticipantId) -> String {
-    format!("wal.{generation}.p{}.log", participant.as_u32())
-}
-
-/// Path of the WAL's log-shard segment inside a durability directory.
+/// Path of a generation's WAL file, `wal.<generation>.log`, inside a
+/// durability directory. It holds every record of the generation.
 pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(wal_file_name(generation))
-}
-
-/// Path of a participant shard's WAL segment inside a durability directory.
-pub fn shard_wal_path(dir: &Path, generation: u64, participant: ParticipantId) -> PathBuf {
-    dir.join(shard_wal_file_name(generation, participant))
+    dir.join(format!("wal.{generation}.log"))
 }
 
 /// Path of the snapshot inside a durability directory.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
+}
+
+/// Makes a durability directory's entries durable. Under POSIX a rename into
+/// the directory, or a file created in it, survives a crash only once the
+/// directory itself has been synced.
+pub fn sync_dir(dir: &Path) -> Result<()> {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| StorageError::Persistence(format!("sync directory {}: {e}", dir.display())))
 }
 
 /// A participant's materialised local instance at one reconciliation point,
@@ -129,8 +126,9 @@ pub struct StoreSnapshot {
     pub wal_generation: u64,
 }
 
-/// Writes a snapshot as a single CRC-checked frame, atomically (temp file +
-/// rename), then syncs it to stable storage.
+/// Writes a snapshot as a single CRC-checked frame, atomically: the temp file
+/// is synced, then renamed into place. The rename is durable once the caller
+/// syncs the directory ([`sync_dir`]).
 pub fn write_snapshot(dir: &Path, snapshot: &StoreSnapshot) -> Result<()> {
     std::fs::create_dir_all(dir)
         .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
@@ -285,11 +283,18 @@ mod tests {
     }
 
     #[test]
+    fn directory_syncs_report_typed_errors() {
+        let dir = tmp_dir("dir-sync");
+        sync_dir(&dir).unwrap();
+        assert!(matches!(sync_dir(&dir.join("missing")), Err(StorageError::Persistence(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn wal_paths_follow_the_generation() {
         let dir = Path::new("/x");
         assert_eq!(wal_path(dir, 0), Path::new("/x/wal.0.log"));
         assert_eq!(wal_path(dir, 12), Path::new("/x/wal.12.log"));
-        assert_eq!(shard_wal_path(dir, 3, ParticipantId(7)), Path::new("/x/wal.3.p7.log"));
         assert_eq!(snapshot_path(dir), Path::new("/x/snapshot.orc"));
     }
 }

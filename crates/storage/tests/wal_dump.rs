@@ -1,6 +1,7 @@
 //! Runs the `wal_dump` inspection tool over a WAL generation holding one
-//! record of every kind: it must summarise each record, report every segment
-//! intact, and flag a flipped payload byte as a CRC mismatch.
+//! record of every kind: it must summarise each record, report the
+//! generation's one file intact, and flag a flipped payload byte as a CRC
+//! mismatch.
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
@@ -106,18 +107,19 @@ fn wal_dump_summarises_every_record_kind_and_flags_a_flipped_byte() {
         let lines = out.lines().filter(|line| line.contains(&summary)).count();
         assert_eq!(lines, 1, "{kind}: {lines} summary line(s) in\n{out}");
     }
-    let segments = out.lines().filter(|line| line.starts_with("== ")).count();
-    let intact = out.lines().filter(|line| line.ends_with("intact frame(s), no torn tail")).count();
-    assert!(segments > 1, "records of every kind span several segments:\n{out}");
-    assert_eq!(intact, segments, "every segment is intact:\n{out}");
+    let files: Vec<&str> = out.lines().filter(|line| line.starts_with("== ")).collect();
+    assert_eq!(files.len(), 1, "one file holds every kind:\n{out}");
+    assert!(files[0].contains("wal.0.log"), "{out}");
+    let intact = format!("{} intact frame(s), no torn tail", records.len());
+    assert!(out.lines().any(|line| line.trim() == intact), "the file is intact:\n{out}");
     assert!(!out.contains("MISMATCH"));
 
-    // Flip the first payload byte of the log segment's first frame (past
-    // its 4-byte length and 4-byte CRC).
-    let log_segment = dir.join("wal.0.log");
-    let mut bytes = std::fs::read(&log_segment).unwrap();
+    // Flip the first payload byte of the first frame (past its 4-byte
+    // length and 4-byte CRC).
+    let wal_file = dir.join("wal.0.log");
+    let mut bytes = std::fs::read(&wal_file).unwrap();
     bytes[8] ^= 0xff;
-    std::fs::write(&log_segment, bytes).unwrap();
+    std::fs::write(&wal_file, bytes).unwrap();
     let (_, out) = wal_dump(&dir);
     let mismatch = out.lines().find(|line| line.contains("MISMATCH")).unwrap_or_else(|| {
         panic!("a flipped payload byte went unnoticed:\n{out}");

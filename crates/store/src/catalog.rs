@@ -1447,9 +1447,7 @@ impl StoreCatalog {
                 dir.display()
             )));
         }
-        // Open every segment of the generation and replay the merged
-        // `(epoch, seq)` order — deterministic regardless of how many
-        // segments the records were spread over.
+        // Replay the generation's file in `(epoch, seq)` stamp order.
         let (wal, records) = SegmentedWal::open(dir, generation)?;
         let mut records = records.into_iter();
 

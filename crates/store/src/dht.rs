@@ -93,9 +93,9 @@ impl DhtStore {
     }
 
     /// Reopens a durable DHT store from its durability directory, exactly
-    /// like [`crate::CentralStore::recover`]: snapshot load plus merged
-    /// segment replay rebuild byte-identical catalogue state, and the store
-    /// keeps appending to the same segments. The simulated network restarts
+    /// like [`crate::CentralStore::recover`]: snapshot load plus WAL replay
+    /// rebuild byte-identical catalogue state, and the store keeps appending
+    /// to the same generation's file. The simulated network restarts
     /// empty (message statistics are not durable state).
     pub fn recover(dir: &std::path::Path) -> Result<Self> {
         Ok(DhtStore {

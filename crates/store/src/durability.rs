@@ -3,29 +3,25 @@
 //! The catalogue logs every state-changing operation through a
 //! [`Durability`] value: [`Durability::Ephemeral`] (the default) drops the
 //! records and keeps the store purely in-memory, while
-//! [`Durability::FileWal`] appends them to a generation of per-shard
-//! [`orchestra_storage::SegmentedWal`] segments inside a durability
-//! directory, from which [`crate::StoreCatalog::recover`] rebuilds the exact
-//! durable state.
+//! [`Durability::FileWal`] appends them to the current WAL generation
+//! ([`orchestra_storage::SegmentedWal`]) inside a durability directory, from
+//! which [`crate::StoreCatalog::recover`] rebuilds the exact durable state.
 //!
-//! A durability directory holds:
+//! A durability directory holds two files:
 //!
-//! * `wal.<generation>.log` — the log-shard segment of the current
-//!   generation (publishes, policy registrations, retention records);
-//! * `wal.<generation>.p<id>.log` — one segment per participant shard
-//!   (reconciliation commits and decisions), created when the participant
-//!   registers and again for each new generation, so a commit never creates
-//!   a file;
+//! * `wal.<generation>.log` — every record of the current generation:
+//!   publishes, policy registrations, reconciliation commits, decisions,
+//!   checkpoints and retention records;
 //! * `snapshot.orc` — the most recent compacting snapshot
 //!   ([`orchestra_storage::StoreSnapshot`]), which names the generation that
 //!   continues after it.
 //!
 //! Appends happen while the catalogue holds the lock guarding the state the
 //! record describes (the log shard's write lock for publishes, the
-//! participant shard's write lock for decision commits), so each segment's
-//! order always matches apply order, and commits on *different* shards write
-//! to different segments concurrently. Recovery merges the segments by their
-//! `(epoch, seq)` stamps (see [`orchestra_storage::segment`]).
+//! participant shard's write lock for decision commits); the file's own
+//! mutex is taken innermost. A round boundary's [`FileWalBackend::sync`] is
+//! one `fdatasync`. Recovery replays the file in `(epoch, seq)` stamp order
+//! (see [`orchestra_storage::segment`]).
 //!
 //! Records and snapshots are written by the binary codec
 //! ([`orchestra_storage::codec`]) — the only durable encoding there is.
@@ -42,10 +38,9 @@ use std::sync::RwLock;
 #[derive(Debug)]
 pub struct FileWalBackend {
     dir: PathBuf,
-    /// The current generation's segments. Appends hold the read side (they
-    /// synchronise per segment inside), so commits on different shards run
-    /// in parallel; only snapshot installation takes the write side to swap
-    /// generations.
+    /// The current generation. Appends hold the read side (they serialise on
+    /// the file's mutex inside); only snapshot installation takes the write
+    /// side to swap generations.
     wal: RwLock<SegmentedWal>,
 }
 
@@ -53,7 +48,8 @@ impl FileWalBackend {
     /// Starts a *fresh* durability directory for a new store: creates the
     /// directory, refuses to clobber existing durable state (use
     /// [`crate::StoreCatalog::recover`] for that), and writes the
-    /// [`WalRecord::Init`] record pinning the schema.
+    /// [`WalRecord::Init`] record pinning the schema, then syncs the
+    /// directory so the new file's name is durable.
     pub fn create(dir: &Path, schema: &orchestra_model::Schema) -> Result<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
@@ -64,9 +60,7 @@ impl FileWalBackend {
             )));
         }
         let wal_path = snapshot::wal_path(dir, 0);
-        if (wal_path.exists() && std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0) > 0)
-            || !segment::list_shard_segments(dir, 0)?.is_empty()
-        {
+        if wal_path.exists() && std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0) > 0 {
             return Err(StorageError::Persistence(format!(
                 "{} already holds a WAL; recover the existing store instead",
                 dir.display()
@@ -74,12 +68,13 @@ impl FileWalBackend {
         }
         let wal = SegmentedWal::create(dir, 0)?;
         wal.append(&WalRecord::Init { schema: schema.clone() })?;
+        snapshot::sync_dir(dir)?;
         Ok(FileWalBackend { dir: dir.to_path_buf(), wal: RwLock::new(wal) })
     }
 
     /// Reattaches the write side to a directory whose state has just been
-    /// recovered: continues appending to the segments recovery opened
-    /// (positioned at their ends, stamps continuing where they left off).
+    /// recovered: continues appending to the file recovery opened
+    /// (positioned at its end, stamps continuing where they left off).
     pub(crate) fn reattach(dir: &Path, wal: SegmentedWal) -> Self {
         FileWalBackend { dir: dir.to_path_buf(), wal: RwLock::new(wal) }
     }
@@ -94,13 +89,12 @@ impl FileWalBackend {
         self.wal.read().expect("wal lock").generation()
     }
 
-    /// Number of live segments in the current generation (1 log shard plus
-    /// one per participant shard that has registered or committed).
+    /// Number of WAL files in the current generation: always 1.
     pub fn segment_count(&self) -> usize {
-        self.wal.read().expect("wal lock").segment_count()
+        1
     }
 
-    /// Binds the WAL's segments — current and future generations — to a
+    /// Binds the WAL — current and future generations — to a
     /// shared observability sink: appends, syncs and replays count under the
     /// `wal.*` metrics, and snapshot installs emit a `snapshot.install`
     /// trace event plus the `snapshot.installs` counter.
@@ -110,10 +104,9 @@ impl FileWalBackend {
 
     /// Sets when WAL appends `fsync` (see
     /// [`orchestra_storage::FlushPolicy`]): `EveryAppend` for one sync per
-    /// record, `EveryN`/`Interval` for group commit — applied per segment,
-    /// so each shard's segment batches its own commits. The policy survives
-    /// snapshot compaction (it is re-applied to each new generation's
-    /// segments).
+    /// record, `EveryN`/`Interval` for group commit, which batches the
+    /// commits of every participant behind one `fsync`. The policy survives
+    /// snapshot compaction (each new generation inherits it).
     pub fn set_flush_policy(&self, policy: orchestra_storage::FlushPolicy) {
         self.wal.read().expect("wal lock").set_flush_policy(policy);
     }
@@ -124,36 +117,37 @@ impl FileWalBackend {
     }
 
     /// Records appended since the WAL's last `fsync` (the group-commit
-    /// window still at risk under media failure), across all segments.
+    /// window still at risk under media failure).
     pub fn unsynced_records(&self) -> u64 {
         self.wal.read().expect("wal lock").unsynced_records()
     }
 
-    /// Records appended to the current generation, across all segments
-    /// (including the `Init` record on generation 0).
+    /// Records appended to the current generation (including the `Init`
+    /// record on generation 0).
     pub fn wal_records(&self) -> u64 {
         self.wal.read().expect("wal lock").records()
     }
 
-    /// Bytes in the current generation, across all segments.
+    /// Bytes in the current generation.
     pub fn wal_bytes(&self) -> u64 {
         self.wal.read().expect("wal lock").bytes()
     }
 
-    /// Appends one record to its shard's segment.
+    /// Appends one record to the current generation.
     pub(crate) fn append(&self, record: &WalRecord) -> Result<()> {
         self.wal.read().expect("wal lock").append(record)
     }
 
-    /// Flushes every segment to stable storage.
+    /// Flushes the current generation to stable storage: one `fdatasync`,
+    /// or none if nothing was written since the last one.
     pub fn sync(&self) -> Result<()> {
         self.wal.read().expect("wal lock").sync()
     }
 
     /// Installs a compacting snapshot: writes `snapshot` (stamped with the
-    /// *next* generation) atomically, starts fresh
-    /// segments for that generation, and deletes the old generation's
-    /// segment files. The caller must hold whatever catalogue locks make
+    /// *next* generation) atomically, starts that generation's file, syncs
+    /// the directory so both are durable, and only then deletes the old
+    /// generation's file. The caller must hold whatever catalogue locks make
     /// `snapshot` a consistent cut — records appended after this call belong
     /// to the new generation and replay on top of the snapshot.
     pub(crate) fn install_snapshot(&self, mut snapshot: StoreSnapshot) -> Result<u64> {
@@ -163,14 +157,18 @@ impl FileWalBackend {
         snapshot.wal_generation = next;
         snapshot::write_snapshot(&self.dir, &snapshot)?;
         // The flush (group-commit) policy and the observability sink are
-        // properties of the backend, not of one generation's files: the next
-        // generation carries them over, with every participant's segment.
+        // properties of the backend, not of one generation's file: the next
+        // generation carries them over.
         let new_wal = wal.next_generation()?;
         let obs = wal.observability();
         obs.metrics.counter("snapshot.installs").inc();
         obs.tracer.event("snapshot.install", &[("generation", next)]);
         *wal = new_wal;
         drop(wal);
+        // The snapshot's rename and the new file survive a crash only once
+        // the directory is synced; until then a crash may bring back the old
+        // snapshot, which still needs the old generation.
+        snapshot::sync_dir(&self.dir)?;
         // Best-effort: the old generation is unreachable (the snapshot names
         // the new one), so a failed delete only wastes disk.
         segment::delete_generation(&self.dir, old).ok();
@@ -242,6 +240,37 @@ mod tests {
             FileWalBackend::create(&dir, &bioinformatics_schema()),
             Err(StorageError::Persistence(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_snapshot_install_leaves_one_wal_file_the_new_generations() {
+        use orchestra_model::{ParticipantId, Transaction, TrustPolicy, Tuple, Update};
+        let dir = tmp_dir("one-file");
+        let schema = bioinformatics_schema();
+        let backend = FileWalBackend::create(&dir, &schema).unwrap();
+        let cat = crate::StoreCatalog::with_durability(schema, Durability::FileWal(backend));
+        let files = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        for i in 1..=4u32 {
+            let p = ParticipantId(i);
+            cat.register_policy(TrustPolicy::new(p).trusting(ParticipantId(i % 4 + 1), 1u32));
+            let tuple = Tuple::of_text(&["org", &format!("prot{i}"), "f"]);
+            let txn =
+                Transaction::from_parts(p, 0, vec![Update::insert("Function", tuple, p)]).unwrap();
+            cat.publish(p, None, None, vec![txn]).unwrap();
+        }
+        assert_eq!(files(), ["wal.0.log"]);
+        assert_eq!(cat.snapshot().unwrap(), 1);
+        assert_eq!(files(), ["snapshot.orc", "wal.1.log"]);
+        assert_eq!(cat.snapshot().unwrap(), 2);
+        assert_eq!(files(), ["snapshot.orc", "wal.2.log"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
