@@ -26,8 +26,9 @@ use std::sync::Arc;
 /// needs one — the conflict indexes, the dirty-value probe, the instance's
 /// compatibility check and its apply — borrows it from here.
 ///
-/// The keys are held without spare capacity: an update store keeps one of
-/// these per published transaction (see [`flatten_own`]).
+/// The keys are held without spare capacity: a published transaction keeps
+/// one of these as long as it lives (see
+/// [`crate::Transaction::own_flattening`]).
 #[derive(Debug, Clone)]
 pub struct NetUpdates {
     /// Shared: when nothing had to be rewritten this is the flattened
@@ -159,7 +160,11 @@ pub fn flatten<'a>(schema: &Schema, updates: impl IntoIterator<Item = &'a Update
 /// When the extension is a single transaction whose updates touch pairwise
 /// distinct keys, no chain forms and the net updates *are* the transaction's
 /// updates: its list is shared, not rebuilt. That test is made here, on what
-/// the input is, so no caller chooses between the two routes.
+/// the input is, so no caller chooses between the two routes. A caller
+/// holding the one member as a [`crate::Transaction`] asks it instead
+/// ([`crate::Transaction::own_flattening`]): the transaction derives that
+/// flattening once and shares it with every holder, so reconciling or
+/// replaying it alone keys it once for the whole confederation.
 pub fn flatten_keyed<'a>(
     schema: &Schema,
     members: impl IntoIterator<Item = &'a Arc<Vec<Update>>>,

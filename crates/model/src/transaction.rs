@@ -2,11 +2,12 @@
 //! participant.
 
 use crate::error::{ModelError, Result};
+use crate::flatten::{flatten_own, NetUpdates};
 use crate::ids::{ParticipantId, TransactionId};
 use crate::schema::Schema;
 use crate::update::Update;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A transaction `X_{i:j}`: an ordered sequence of updates originated by a
 /// single participant and published atomically.
@@ -14,12 +15,18 @@ use std::sync::Arc;
 /// The paper's semantics treat the transaction as the unit of acceptance,
 /// rejection and deferral: either all of its updates are applied at a
 /// reconciliation, or none are.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A transaction also carries its own flattening once something has asked
+/// for it: derived state that `Debug`, equality and the snapshot and WAL
+/// bytes leave out (see [`Transaction::own_flattening`]).
+#[derive(Clone)]
 pub struct Transaction {
     id: TransactionId,
     /// Shared so that cloning a transaction (store-side retrieval, candidate
     /// construction) bumps a reference count instead of deep-copying updates.
     updates: Arc<Vec<Update>>,
+    /// [`flatten_own`] of the updates, derived on first use.
+    own_flattening: OnceLock<Option<Arc<NetUpdates>>>,
 }
 
 impl Transaction {
@@ -37,7 +44,7 @@ impl Transaction {
                 )));
             }
         }
-        Ok(Transaction { id, updates: Arc::new(updates) })
+        Ok(Transaction { id, updates: Arc::new(updates), own_flattening: OnceLock::new() })
     }
 
     /// Convenience constructor that builds the [`TransactionId`] from its
@@ -90,7 +97,39 @@ impl Transaction {
         }
         Ok(())
     }
+
+    /// The updates as their own flattening, with their keys — what
+    /// [`crate::flatten_keyed`] returns for this transaction alone when it
+    /// shares the update list — or none when the transaction touches a key
+    /// twice.
+    ///
+    /// Derived at most once per transaction, on the first call, and shared
+    /// by every holder of the same `Arc<Transaction>`: an update store hands
+    /// out its log's copy, so every participant that reconciles or replays
+    /// the transaction alone uses one flattening. `schema` must be Σ, the
+    /// schema every participant of the confederation is built over, so the
+    /// keys are the ones each participant's engine would derive. Nothing
+    /// calls this on the publish path.
+    pub fn own_flattening(&self, schema: &Schema) -> Option<&Arc<NetUpdates>> {
+        self.own_flattening
+            .get_or_init(|| flatten_own(schema, &self.updates).map(Arc::new))
+            .as_ref()
+    }
 }
+
+impl fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transaction").field("id", &self.id).field("updates", &self.updates).finish()
+    }
+}
+
+impl PartialEq for Transaction {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id && self.updates == other.updates
+    }
+}
+
+impl Eq for Transaction {}
 
 impl fmt::Display for Transaction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -20,8 +20,8 @@
 
 use crate::report::{ReconcileReport, ResolutionReport, TimingBreakdown};
 use orchestra_model::{
-    flatten_keyed, AntichainClock, CausalStamp, NetUpdates, ParticipantId, ReconciliationId,
-    Schema, Transaction, TransactionId, TrustPolicy, Update,
+    flatten_keyed, AntichainClock, CausalStamp, ParticipantId, ReconciliationId, Schema,
+    Transaction, TransactionId, TrustPolicy, Update,
 };
 use orchestra_obs::{Counter, Obs};
 use orchestra_recon::{
@@ -184,6 +184,11 @@ impl Participant {
     /// `accepted_through` is replayed — so the rebuild survives
     /// `ConvergedOnly` retention having pruned the transactions the prefix
     /// was built from.
+    ///
+    /// `schema` must be the store's schema Σ. Replay fills the flattening
+    /// that the log's copy of a transaction memoises for every participant
+    /// ([`Transaction::own_flattening`]); keys derived from another schema
+    /// would reach the whole confederation.
     pub fn rebuild_from_store<S: UpdateStore + ?Sized>(
         schema: Schema,
         config: ParticipantConfig,
@@ -225,8 +230,18 @@ impl Participant {
                     }
                 }
             }
-            let members: Vec<Arc<Vec<Update>>> = unit.iter().map(|t| t.shared_updates()).collect();
-            Self::apply_lenient(&mut participant.instance, &flatten_keyed(&schema, &members));
+            // A unit of one transaction reuses the flattening the log's copy
+            // of it memoises for every participant; a chain is flattened here.
+            let shared = match unit.as_slice() {
+                [txn] => txn.own_flattening(&schema).cloned(),
+                _ => None,
+            };
+            let net = shared.unwrap_or_else(|| {
+                let members: Vec<Arc<Vec<Update>>> =
+                    unit.iter().map(|t| t.shared_updates()).collect();
+                Arc::new(flatten_keyed(&schema, &members))
+            });
+            participant.instance.apply_net_lenient(&net);
         }
         participant.next_local_txn = max_local;
         participant.last_published_updates = own_delta;
@@ -246,17 +261,6 @@ impl Participant {
             );
         }
         Ok(participant)
-    }
-
-    /// Applies net updates one by one, tolerating effects that are already
-    /// present or no longer applicable (replay of accepted transactions may
-    /// encounter values that a later accepted transaction already superseded).
-    fn apply_lenient(instance: &mut Database, net: &NetUpdates) {
-        for (update, keys) in net.iter() {
-            if !instance.already_satisfied(update, keys) {
-                let _ = instance.apply_keyed(update, keys);
-            }
-        }
     }
 
     /// The participant's identity.

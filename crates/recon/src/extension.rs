@@ -29,8 +29,8 @@ use std::sync::Arc;
 ///
 /// The updates may alias the update store's log: an extension that is one
 /// transaction touching pairwise distinct keys flattens to that transaction's
-/// own shared update list, so holding a `FlatExtension` can keep a log entry's
-/// updates alive, and nothing here may assume it owns them.
+/// own shared update list, so holding a `FlatExtension` can keep a published
+/// transaction's updates alive, and nothing here may assume it owns them.
 pub type FlatExtension = NetUpdates;
 
 /// Updates indexed by the `(relation, key)` pair each touches first (see
@@ -260,7 +260,7 @@ impl CandidateTransaction {
 
     /// Hands the candidate the flattening of its root transaction that the
     /// update store derived once for every participant reconciling it (see
-    /// [`orchestra_storage::LogEntry::own_flattening`]).
+    /// [`orchestra_model::Transaction::own_flattening`]).
     pub fn with_shared_flattening(mut self, flat: Option<&Arc<FlatExtension>>) -> Self {
         self.shared = flat.cloned();
         self

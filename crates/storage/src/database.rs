@@ -150,6 +150,38 @@ impl Database {
         }
     }
 
+    /// Applies `update` unless the state already shows its effect: what
+    /// [`Database::already_satisfied`] and then [`Database::apply_keyed`] do,
+    /// in one step. Returns `Ok(false)` for a satisfied effect, `Ok(true)`
+    /// for an applied update, and otherwise `apply_keyed`'s error with the
+    /// instance unchanged.
+    ///
+    /// An insert and a modification that keeps its key (the updates replay
+    /// and reconciliation apply) look the table up once, validate once and
+    /// probe the row map once. The order of the two steps holds: a satisfied
+    /// effect is skipped before anything is validated, and validation comes
+    /// before a key conflict. Every other case takes the two steps: a
+    /// deletion, a modification that moves a tuple to another key, a schema
+    /// with declared constraints (they read the instance before the row is
+    /// written), a relation with no table, and no keys handed over.
+    pub fn apply_unless_satisfied(&mut self, update: &Update, keys: &[KeyValue]) -> Result<bool> {
+        if let ([key], []) = (keys, self.schema.constraints()) {
+            if let Some(table) = self.tables.get_mut(update.relation.as_str()) {
+                match &update.op {
+                    UpdateOp::Insert(t) => return table.insert_unless_present(key, t),
+                    UpdateOp::Modify { from, to } => {
+                        return table.modify_in_place_unless_satisfied(key, from, to)
+                    }
+                    UpdateOp::Delete(_) => {}
+                }
+            }
+        }
+        if self.already_satisfied(update, keys) {
+            return Ok(false);
+        }
+        self.apply_keyed(update, keys).map(|()| true)
+    }
+
     /// Applies a sequence of updates atomically: if any update fails, all
     /// previously applied updates of the sequence are rolled back and the
     /// error is returned.
@@ -178,16 +210,26 @@ impl Database {
     pub fn apply_net(&mut self, net: &NetUpdates) -> Result<usize> {
         let mut applied: Vec<&Update> = Vec::with_capacity(net.updates().len());
         for (update, keys) in net.iter() {
-            if self.already_satisfied(update, keys) {
-                continue;
+            match self.apply_unless_satisfied(update, keys) {
+                Ok(true) => applied.push(update),
+                Ok(false) => {}
+                Err(e) => {
+                    self.undo(applied.into_iter());
+                    return Err(e);
+                }
             }
-            if let Err(e) = self.apply_keyed(update, keys) {
-                self.undo(applied.into_iter());
-                return Err(e);
-            }
-            applied.push(update);
         }
         Ok(applied.len())
+    }
+
+    /// Applies net updates one by one for replay, skipping those whose effect
+    /// is already present and dropping those that no longer apply: replaying
+    /// accepted transactions meets values that a later accepted transaction
+    /// already superseded. Every update that applies stays applied.
+    pub fn apply_net_lenient(&mut self, net: &NetUpdates) {
+        for (update, keys) in net.iter() {
+            let _ = self.apply_unless_satisfied(update, keys);
+        }
     }
 
     /// Reverses updates this instance has just applied, last first, without

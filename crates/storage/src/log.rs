@@ -25,9 +25,7 @@
 //! pruning retains exactly those.
 
 use crate::error::{Result, StorageError};
-use orchestra_model::{
-    flatten_own, Epoch, NetUpdates, RelName, Schema, Transaction, TransactionId, Tuple,
-};
+use orchestra_model::{Epoch, RelName, Schema, Transaction, TransactionId, Tuple};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
@@ -37,20 +35,19 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The transaction is stored behind an [`Arc`] so that read paths (candidate
 /// construction, replay streams, point lookups) hand out shared references
-/// instead of deep copies.
+/// instead of deep copies — and with them the transaction's own flattening,
+/// memoised on the shared [`Transaction`] (see
+/// [`Transaction::own_flattening`]).
 ///
-/// An entry also carries its transaction's own flattening and the positions
-/// of its direct antecedents: derived state that `Debug`, equality and the
-/// snapshot and WAL bytes leave out (see [`LogEntry::own_flattening`] and
-/// [`TransactionLog::transaction_extension`]).
+/// An entry also carries the positions of its transaction's direct
+/// antecedents: derived state that `Debug`, equality and the snapshot and WAL
+/// bytes leave out (see [`TransactionLog::entry_antecedents`]).
 #[derive(Clone)]
 pub struct LogEntry {
     /// Epoch in which the transaction was published.
     pub epoch: Epoch,
     /// The published transaction, shared with every reader.
     pub transaction: Arc<Transaction>,
-    /// [`flatten_own`] of the transaction's updates, derived on first use.
-    own_flattening: OnceLock<Option<Arc<NetUpdates>>>,
     /// The log positions of the transaction's direct antecedents, chased on
     /// first use.
     antecedents: OnceLock<Box<[u64]>>,
@@ -59,30 +56,7 @@ pub struct LogEntry {
 impl LogEntry {
     /// An entry for a transaction published in `epoch`.
     pub fn new(epoch: Epoch, transaction: Arc<Transaction>) -> Self {
-        LogEntry {
-            epoch,
-            transaction,
-            own_flattening: OnceLock::new(),
-            antecedents: OnceLock::new(),
-        }
-    }
-
-    /// The transaction's updates as their own flattening, with their keys —
-    /// what [`orchestra_model::flatten_keyed`] returns for this transaction
-    /// alone when it shares the update list — or none when the transaction
-    /// touches a key twice.
-    ///
-    /// Derived at most once per entry, on the first call, and shared by every
-    /// participant whose candidate extension is this transaction alone, so
-    /// the keys of a transaction trusted by many are derived once. `schema`
-    /// is the update store's: Σ, the schema every participant of the
-    /// confederation is built over, so the keys are the ones each
-    /// participant's engine would derive. Nothing calls this on the publish
-    /// path.
-    pub fn own_flattening(&self, schema: &Schema) -> Option<&Arc<NetUpdates>> {
-        self.own_flattening
-            .get_or_init(|| flatten_own(schema, &self.transaction.shared_updates()).map(Arc::new))
-            .as_ref()
+        LogEntry { epoch, transaction, antecedents: OnceLock::new() }
     }
 }
 
@@ -293,8 +267,16 @@ impl TransactionLog {
         range.iter().map(|(_, entry)| entry.transaction.as_ref()).collect()
     }
 
-    /// The positions of the direct antecedents of a transaction (see
-    /// [`TransactionLog::antecedents_of`]).
+    /// The positions of the direct antecedents of a transaction (Definition
+    /// 3's `ante(X)`): for each tuple value that `txn` deletes or modifies,
+    /// the most recently published transaction that inserted that tuple
+    /// value or modified some tuple into it.
+    ///
+    /// `before` bounds the search to transactions published strictly before
+    /// the given log position (`self.next_pos` for a transaction not yet in
+    /// the log, or its own position for a published one). For a published
+    /// transaction `before` must not exceed its own position: one that reads
+    /// a tuple it also writes would list itself.
     fn antecedent_positions(&self, txn: &Transaction, before: u64) -> Vec<u64> {
         debug_assert!(self.position_of(txn.id()).map_or(true, |own| before <= own));
         let mut out: Vec<u64> = Vec::new();
@@ -314,43 +296,24 @@ impl TransactionLog {
         out
     }
 
-    /// The direct antecedent positions of the live entry at `pos`, chased
-    /// through the writers index the first time they are asked for and
-    /// memoised in the entry.
+    /// The positions of the direct antecedents of the live entry at `pos`,
+    /// chased through the writers index the first time they are asked for
+    /// and memoised in the entry.
     ///
     /// The memo never goes stale. Later publications take later positions,
     /// so they cannot be the most recent writer before `pos`. Pruning keeps
     /// every direct antecedent of a surviving entry (see
     /// [`TransactionLog::pinned_ancestors`]), so the most recent live writer
     /// before `pos` is the same entry before and after a prune.
-    fn entry_antecedents(&self, pos: u64) -> &[u64] {
+    ///
+    /// # Panics
+    /// Panics if no live entry holds `pos` (see
+    /// [`TransactionLog::position_of`]).
+    pub fn entry_antecedents(&self, pos: u64) -> &[u64] {
         let entry = self.at(pos);
         entry
             .antecedents
             .get_or_init(|| self.antecedent_positions(&entry.transaction, pos).into_boxed_slice())
-    }
-
-    /// The direct antecedents of a transaction (Definition 3's `ante(X)`):
-    /// for each tuple value that `txn` deletes or modifies, the most recently
-    /// published transaction that inserted that tuple value or modified some
-    /// tuple into it.
-    ///
-    /// `before` bounds the search to transactions published strictly before
-    /// the given log position (pass `self.total_published()` for a
-    /// transaction not yet in the log, or its own position for a published
-    /// one). For a published transaction `before` must not exceed its own
-    /// position: one that reads a tuple it also writes would list itself.
-    pub fn antecedents_of(
-        &self,
-        txn: &Transaction,
-        schema: &Schema,
-        before: u64,
-    ) -> Vec<TransactionId> {
-        let _ = schema; // antecedent chasing is on exact tuple values
-        self.antecedent_positions(txn, before)
-            .into_iter()
-            .map(|pos| self.at(pos).transaction.id())
-            .collect()
     }
 
     /// The transaction extension of Definition 3: the transitive closure of a
@@ -520,7 +483,6 @@ mod tests {
 
     #[test]
     fn antecedents_follow_written_tuples() {
-        let schema = bioinformatics_schema();
         let mut log = TransactionLog::new();
         // X3:0 inserts, X3:1 modifies the inserted value: antecedent of X3:1
         // is X3:0.
@@ -538,16 +500,14 @@ mod tests {
         );
         log.publish(Epoch(1), x0.clone()).unwrap();
         log.publish(Epoch(1), x1.clone()).unwrap();
-        let antes = log.antecedents_of(&x1, &schema, log.position_of(x1.id()).unwrap());
-        assert_eq!(antes, vec![x0.id()]);
+        let antes = log.entry_antecedents(log.position_of(x1.id()).unwrap());
+        assert_eq!(antes, [log.position_of(x0.id()).unwrap()]);
         // The insert has no antecedent.
-        let antes0 = log.antecedents_of(&x0, &schema, 0);
-        assert!(antes0.is_empty());
+        assert!(log.entry_antecedents(log.position_of(x0.id()).unwrap()).is_empty());
     }
 
     #[test]
     fn antecedents_pick_latest_writer() {
-        let schema = bioinformatics_schema();
         let mut log = TransactionLog::new();
         let x0 = txn(1, 0, vec![Update::insert("Function", func("rat", "prot1", "v"), p(1))]);
         let x1 = txn(
@@ -562,8 +522,8 @@ mod tests {
         log.publish(Epoch(1), x0).unwrap();
         log.publish(Epoch(2), x1.clone()).unwrap();
         log.publish(Epoch(3), x2.clone()).unwrap();
-        let antes = log.antecedents_of(&x2, &schema, log.position_of(x2.id()).unwrap());
-        assert_eq!(antes, vec![x1.id()]);
+        let antes = log.entry_antecedents(log.position_of(x2.id()).unwrap());
+        assert_eq!(antes, [log.position_of(x1.id()).unwrap()]);
     }
 
     #[test]

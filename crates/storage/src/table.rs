@@ -74,19 +74,28 @@ impl Table {
     ///
     /// # Panics
     /// Panics if `key` is not the key of `tuple`: a row filed under another
-    /// key would be unreachable through its own.
+    /// key would be unreachable through its own. When a row equal to `tuple`
+    /// is already under `key` the call is a no-op and checks nothing.
     pub fn insert_keyed(&mut self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
-        self.schema.validate_tuple(tuple)?;
-        assert!(self.schema.is_key_of(key, tuple), "{key} is not the key of {tuple}");
+        // A row equal to `tuple` passed the checks when it went in.
+        self.insert_unless_present(key, tuple).map(drop)
+    }
+
+    /// Inserts `tuple` under `key` unless it is there already (`Ok(false)`,
+    /// with nothing checked), in one probe of the row map.
+    pub(crate) fn insert_unless_present(&mut self, key: &KeyValue, tuple: &Tuple) -> Result<bool> {
         match self.rows.entry(key.clone()) {
-            Entry::Occupied(row) if row.get() == tuple => Ok(()),
-            Entry::Occupied(_) => Err(StorageError::DuplicateKey {
-                relation: self.schema.name().to_owned(),
-                key: key.to_string(),
-            }),
-            Entry::Vacant(slot) => {
-                slot.insert(tuple.clone());
-                Ok(())
+            Entry::Occupied(row) if row.get() == tuple => Ok(false),
+            slot => {
+                self.schema.validate_tuple(tuple)?;
+                assert!(self.schema.is_key_of(key, tuple), "{key} is not the key of {tuple}");
+                match slot {
+                    Entry::Occupied(_) => Err(duplicate_key(&self.schema, key)),
+                    Entry::Vacant(slot) => {
+                        slot.insert(tuple.clone());
+                        Ok(true)
+                    }
+                }
             }
         }
     }
@@ -101,7 +110,7 @@ impl Table {
 
     /// [`Table::delete`] for a caller that already holds the tuple's key.
     pub fn delete_keyed(&mut self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
-        self.expect_row(key, tuple)?;
+        expect_row(&self.schema, self.rows.get(key), tuple)?;
         self.rows.remove(key);
         Ok(())
     }
@@ -126,13 +135,10 @@ impl Table {
     ) -> Result<()> {
         self.schema.validate_tuple(to)?;
         assert!(self.schema.is_key_of(to_key, to), "{to_key} is not the key of {to}");
-        self.expect_row(from_key, from)?;
+        expect_row(&self.schema, self.rows.get(from_key), from)?;
         let moves = to_key != from_key;
         if moves && self.rows.get(to_key).is_some_and(|other| other != to) {
-            return Err(StorageError::DuplicateKey {
-                relation: self.schema.name().to_owned(),
-                key: to_key.to_string(),
-            });
+            return Err(duplicate_key(&self.schema, to_key));
         }
         if moves {
             self.rows.remove(from_key);
@@ -143,20 +149,33 @@ impl Table {
         Ok(())
     }
 
-    /// The row under `key` must be exactly `tuple`.
-    fn expect_row(&self, key: &KeyValue, tuple: &Tuple) -> Result<()> {
-        match self.rows.get(key) {
-            None => Err(StorageError::MissingTuple {
-                relation: self.schema.name().to_owned(),
-                tuple: tuple.to_string(),
-            }),
-            Some(existing) if existing != tuple => Err(StorageError::StaleTuple {
-                relation: self.schema.name().to_owned(),
-                expected: tuple.to_string(),
-                found: existing.to_string(),
-            }),
-            Some(_) => Ok(()),
+    /// [`Table::modify_keyed`] for a modification that keeps `key`, unless
+    /// the table already shows its effect: `to` is in place and `from` is
+    /// gone. Returns `Ok(false)` then, without validating anything;
+    /// otherwise validates `from` and `to` (as [`orchestra_model::Update`]'s
+    /// own check does) and replaces the row, `Ok(true)`, or fails as
+    /// `modify_keyed` would. The row map is probed once.
+    ///
+    /// # Panics
+    /// Panics if `key` is not the key of `to`.
+    pub(crate) fn modify_in_place_unless_satisfied(
+        &mut self,
+        key: &KeyValue,
+        from: &Tuple,
+        to: &Tuple,
+    ) -> Result<bool> {
+        let row = self.rows.get_mut(key);
+        if row.as_deref().is_some_and(|row| row == to && row != from) {
+            return Ok(false);
         }
+        self.schema.validate_tuple(from)?;
+        self.schema.validate_tuple(to)?;
+        assert!(self.schema.is_key_of(key, to), "{key} is not the key of {to}");
+        expect_row(&self.schema, row.as_deref(), from)?;
+        if let Some(row) = row {
+            *row = to.clone();
+        }
+        Ok(true)
     }
 
     /// Checks whether an insertion of `tuple` would succeed, without applying
@@ -201,6 +220,27 @@ impl Table {
             && self.rows.get(from_key) == Some(from)
             && (to_key == from_key || self.rows.get(to_key).map_or(true, |other| other == to))
     }
+}
+
+/// The row a table holds under some key (`row`) must be exactly `tuple`.
+fn expect_row(schema: &RelationSchema, row: Option<&Tuple>, tuple: &Tuple) -> Result<()> {
+    match row {
+        None => Err(StorageError::MissingTuple {
+            relation: schema.name().to_owned(),
+            tuple: tuple.to_string(),
+        }),
+        Some(existing) if existing != tuple => Err(StorageError::StaleTuple {
+            relation: schema.name().to_owned(),
+            expected: tuple.to_string(),
+            found: existing.to_string(),
+        }),
+        Some(_) => Ok(()),
+    }
+}
+
+/// Another row already holds `key`.
+fn duplicate_key(schema: &RelationSchema, key: &KeyValue) -> StorageError {
+    StorageError::DuplicateKey { relation: schema.name().to_owned(), key: key.to_string() }
 }
 
 /// The derived form, `Table { schema, rows: {key: row, ..} }`, with the rows

@@ -1309,20 +1309,19 @@ impl StoreCatalog {
             let shard = shard.read().expect("shard lock");
             shard.record.accepted_in_order().iter().skip(skip as usize).copied().collect()
         };
-        let log = self.log.read().expect("log lock");
+        let log = &self.log.read().expect("log lock").log;
         let mut units: Vec<Vec<Arc<Transaction>>> = Vec::new();
         let mut current: Vec<Arc<Transaction>> = Vec::new();
-        let mut current_ids: FxHashSet<TransactionId> = FxHashSet::default();
+        let mut current_positions: FxHashSet<u64> = FxHashSet::default();
         for id in order {
-            let Some(txn) = log.log.get_arc(id) else { continue };
-            let pos = log.log.position_of(id).unwrap_or(u64::MAX);
-            let antecedents = log.log.antecedents_of(&txn, &self.schema, pos);
-            let joins = !current.is_empty() && antecedents.iter().any(|a| current_ids.contains(a));
+            let (Some(txn), Some(pos)) = (log.get_arc(id), log.position_of(id)) else { continue };
+            let joins = !current.is_empty()
+                && log.entry_antecedents(pos).iter().any(|a| current_positions.contains(a));
             if !joins && !current.is_empty() {
                 units.push(std::mem::take(&mut current));
-                current_ids.clear();
+                current_positions.clear();
             }
-            current_ids.insert(id);
+            current_positions.insert(pos);
             current.push(txn);
         }
         if !current.is_empty() {
@@ -1776,8 +1775,9 @@ fn apply_reconciliation(
 /// Returns the candidate together with the number of extension members that
 /// had to be fetched (used by the DHT store's message accounting). Members
 /// share the log's update lists by reference count, and an extension that is
-/// the root alone comes with the root entry's own flattening, derived the
-/// first time it is needed and shared by every participant since.
+/// the root alone comes with the root transaction's own flattening
+/// ([`Transaction::own_flattening`]), derived the first time it is needed and
+/// shared by every participant since — rebuilds that replay it included.
 fn build_candidate(
     log: &TransactionLog,
     schema: &Schema,
@@ -1799,8 +1799,8 @@ fn build_candidate(
         }
     }
     members.push((txn.id(), txn.shared_updates()));
-    // Only the root alone is what the entry's flattening flattens.
-    let shared = if fetched > 0 { None } else { entry.own_flattening(schema) };
+    // Only the root alone is what the transaction's flattening flattens.
+    let shared = if fetched > 0 { None } else { txn.own_flattening(schema) };
     let candidate = CandidateTransaction::from_members(txn.id(), priority, members);
     (candidate.with_shared_flattening(shared), fetched)
 }

@@ -8,7 +8,7 @@ use orchestra_model::{
 };
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
 use orchestra_spec::{check_state, Verdict};
-use orchestra_storage::{Database, LogEntry, StorageError, Table};
+use orchestra_storage::{Database, StorageError, Table, TransactionLog};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -405,27 +405,32 @@ proptest! {
         }
     }
 
-    /// A log entry's own flattening — the one the store derives once and
-    /// hands to every participant reconciling the transaction alone — is
+    /// A transaction's own flattening — the one it derives once and hands to
+    /// every participant reconciling or replaying it alone — is
     /// `flatten_keyed` of that transaction: the same updates in the same
     /// order with the same keys, which the chaining route gives too. It is
     /// there exactly when `flatten_keyed` shares the transaction's list, so
-    /// not when a key is touched twice, and it is derived once.
+    /// not when a key is touched twice. It is derived once for every holder
+    /// of the log's copy, and it is no part of the transaction's value: a
+    /// transaction that holds it is equal to, and prints as, one that never
+    /// derived it.
     #[test]
-    fn a_log_entrys_own_flattening_is_its_transactions_keyed_flattening(
+    fn a_transactions_own_flattening_is_its_keyed_flattening(
         updates in prop::collection::vec(raw_update_strategy(), 1..6)
     ) {
         let schema = bioinformatics_schema();
-        let updates = updates.into_iter().map(|u| Update { origin: p(1), ..u }).collect();
-        let txn = Arc::new(Transaction::from_parts(p(1), 0, updates).unwrap());
-        let entry = LogEntry::new(Epoch(1), Arc::clone(&txn));
+        let updates: Vec<Update> = updates.into_iter().map(|u| Update { origin: p(1), ..u }).collect();
+        let fresh = Transaction::from_parts(p(1), 0, updates).unwrap();
+        let mut log = TransactionLog::new();
+        log.publish(Epoch(1), fresh.clone()).unwrap();
+        let txn = log.get_arc(fresh.id()).unwrap();
         let own = txn.shared_updates();
         let keyed = flatten_keyed(&schema, [&own]);
         // An empty second member sends the same updates down the chains.
         let chained = flatten_keyed(&schema, [&own, &Arc::new(Vec::new())]);
         prop_assert!(!chained.shares(&own));
 
-        let derived = entry.own_flattening(&schema);
+        let derived = txn.own_flattening(&schema);
         prop_assert_eq!(derived.is_some(), keyed.shares(&own));
         if let Some(derived) = derived {
             prop_assert!(derived.shares(&own));
@@ -433,8 +438,10 @@ proptest! {
             prop_assert_eq!(&derived, &keyed.iter().collect::<Vec<_>>());
             prop_assert_eq!(&derived, &chained.iter().collect::<Vec<_>>());
         }
-        let again = entry.own_flattening(&schema).map(Arc::as_ptr);
-        prop_assert_eq!(derived.map(Arc::as_ptr), again);
+        let again = log.get_arc(fresh.id()).unwrap();
+        prop_assert_eq!(derived.map(Arc::as_ptr), again.own_flattening(&schema).map(Arc::as_ptr));
+        prop_assert_eq!(txn.as_ref(), &fresh);
+        prop_assert_eq!(format!("{txn:?}"), format!("{fresh:?}"));
     }
 
     /// The keyed and unkeyed `Table` operations are one implementation: the
@@ -497,6 +504,65 @@ proptest! {
             let (done, done_keyed) = (unkeyed.apply_update(update), keyed.apply_keyed(update, keys));
             prop_assert_eq!(done.as_ref().err().map(error_kind), done_keyed.as_ref().err().map(error_kind));
             prop_assert_eq!(&unkeyed, &keyed);
+        }
+    }
+
+    /// `apply_unless_satisfied` is `already_satisfied` and then `apply_keyed`
+    /// in one step: after every update of a random sequence — stale,
+    /// missing, duplicate and ill-typed tuples, key-changing modifications
+    /// and unknown relations among them — the two give the same
+    /// `Ok(applied?)` or the same error, and leave the same rows. Over the
+    /// flattened chunks of the sequence, `apply_net` gives what the two steps
+    /// give with the instance put back on an error, and the lenient replay
+    /// loop what they give with every error dropped.
+    #[test]
+    fn the_one_probe_apply_is_the_satisfied_test_then_the_keyed_apply(
+        ops in prop::collection::vec(raw_update_strategy(), 1..40),
+        chunk in 1usize..6,
+    ) {
+        let schema = bioinformatics_schema();
+        let two_steps = |db: &mut Database, update: &Update, keys: &[KeyValue]| {
+            if db.already_satisfied(update, keys) {
+                Ok(false)
+            } else {
+                db.apply_keyed(update, keys).map(|()| true)
+            }
+        };
+        let mut one = Database::new(schema.clone());
+        let mut two = one.clone();
+        for op in &ops {
+            let net = flatten_keyed(&schema, [&Arc::new(vec![op.clone()])]);
+            let (update, keys) = net.iter().next().unwrap();
+            let (got, expected) =
+                (one.apply_unless_satisfied(update, keys), two_steps(&mut two, update, keys));
+            prop_assert_eq!(got.as_ref().map_err(error_kind), expected.as_ref().map_err(error_kind));
+            prop_assert_eq!(&one, &two);
+        }
+
+        let mut lenient = Database::new(schema.clone());
+        let mut lenient_two = lenient.clone();
+        for ops in ops.chunks(chunk) {
+            let net = flatten_keyed(&schema, [&Arc::new(ops.to_vec())]);
+            let before = lenient.clone();
+            let (mut atomic, mut expected) = (before.clone(), before.clone());
+            let mut applied = Ok(0);
+            for (update, keys) in net.iter() {
+                match two_steps(&mut expected, update, keys) {
+                    Ok(done) => applied = applied.map(|n| n + usize::from(done)),
+                    Err(e) => {
+                        (applied, expected) = (Err(error_kind(&e)), before.clone());
+                        break;
+                    }
+                }
+            }
+            prop_assert_eq!(atomic.apply_net(&net).map_err(|e| error_kind(&e)), applied);
+            prop_assert_eq!(&atomic, &expected);
+
+            lenient.apply_net_lenient(&net);
+            for (update, keys) in net.iter() {
+                let _ = two_steps(&mut lenient_two, update, keys);
+            }
+            prop_assert_eq!(&lenient, &lenient_two);
         }
     }
 
