@@ -19,6 +19,7 @@ use orchestra_recon::{
 };
 use orchestra_storage::Database;
 use orchestra_store::{DhtStore, UpdateStore};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn p(i: u32) -> ParticipantId {
@@ -170,8 +171,8 @@ fn bench_conflict_detection(c: &mut Criterion) {
     // against a naive all-pairs scan over the same flattened extensions.
     let schema = bioinformatics_schema();
     let candidates = chained_candidates(300, true);
-    let flattened: Vec<FlatExtension> =
-        candidates.iter().map(|cand| cand.flattened(&schema)).collect();
+    let flattened: Vec<&Arc<FlatExtension>> =
+        candidates.iter().map(|cand| cand.flattening(&schema)).collect();
 
     let mut group = c.benchmark_group("conflict_detection");
     group.sample_size(20);
@@ -185,8 +186,8 @@ fn bench_conflict_detection(c: &mut Criterion) {
                     // The keyed comparison only materialises work for pairs
                     // sharing a key; measure via the shared helper.
                     if !orchestra_recon::extension::conflict_keys_between(
-                        &flattened[i],
-                        &flattened[j],
+                        flattened[i],
+                        flattened[j],
                     )
                     .is_empty()
                     {

@@ -313,7 +313,7 @@ fn bench_conflict_heavy(c: &mut Criterion) {
         store.batch(session, CANDIDATES).unwrap().candidates.into_iter().map(|(c, _)| c).collect();
     assert_eq!(candidates.len(), CANDIDATES);
     let flats: Vec<Arc<FlatExtension>> =
-        candidates.iter().map(|cand| cand.flattened_shared(&schema)).collect();
+        candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
     let conflicts = direct_conflicts(&candidates, &flats, &schema);
     assert!(!conflicts.is_empty(), "divergent revisions conflict");
     assert!(candidates.iter().any(|cand| cand.members.len() > 2), "chains fork");

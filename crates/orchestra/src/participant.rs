@@ -253,12 +253,7 @@ impl Participant {
 
         let deferred = store.undecided_candidates(participant.id);
         if !deferred.is_empty() {
-            participant.soft.rebuild(
-                participant.recno,
-                deferred,
-                participant.engine.schema(),
-                participant.engine.extension_cache(),
-            );
+            participant.soft.rebuild(participant.recno, deferred, participant.engine.schema());
         }
         Ok(participant)
     }
@@ -346,23 +341,6 @@ impl Participant {
             accepted_set.insert(*id);
         }
         rejected_set.extend(rejected.iter().filter(|id| !accepted_set.contains(*id)).copied());
-    }
-
-    /// Shrinks the participant's soft caches to what can still be needed:
-    /// the flattened-extension cache keeps only chains whose root is still
-    /// deferred. The engine already prunes the cache after every
-    /// reconciliation; this is the explicit hook retention-minded drivers
-    /// call alongside [`store-side pruning`](orchestra_store::StoreCatalog::prune_to_horizon)
-    /// so client memory tracks the deferred set rather than history.
-    pub fn prune_caches(&mut self) {
-        let soft = &self.soft;
-        self.engine.extension_cache().retain(|id| soft.is_deferred(id));
-    }
-
-    /// Number of flattened extensions held by the engine's cache: what
-    /// [`Participant::prune_caches`] keeps, the chains still deferred.
-    pub fn engine_cache_len(&self) -> usize {
-        self.engine.extension_cache().len()
     }
 
     /// Executes a transaction against the local instance. The updates must
@@ -958,44 +936,6 @@ mod tests {
         assert_eq!(report.rejected.len(), 1, "remote delete must be rejected");
         assert!(report.accepted.is_empty());
         assert!(p1.instance().contains_tuple_exact("Function", &func("rat", "prot1", "immune")));
-    }
-
-    #[test]
-    fn prune_caches_tracks_the_deferred_set() {
-        let schema = bioinformatics_schema();
-        let store = CentralStore::new(schema.clone());
-        let policy1 = TrustPolicy::new(p(1)).trusting(p(2), 1u32).trusting(p(3), 1u32);
-        let policy2 = TrustPolicy::new(p(2));
-        let policy3 = TrustPolicy::new(p(3));
-        store.register_participant(policy1.clone());
-        store.register_participant(policy2.clone());
-        store.register_participant(policy3.clone());
-        let mut p1 = Participant::new(schema.clone(), ParticipantConfig::new(policy1));
-        let mut p2 = Participant::new(schema.clone(), ParticipantConfig::new(policy2));
-        let mut p3 = Participant::new(schema, ParticipantConfig::new(policy3));
-
-        // Equal-priority conflict: p1 defers both options.
-        p2.execute_transaction(vec![Update::insert("Function", func("rat", "prot1", "x"), p(2))])
-            .unwrap();
-        p2.publish_and_reconcile(&store).unwrap();
-        p3.execute_transaction(vec![Update::insert("Function", func("rat", "prot1", "y"), p(3))])
-            .unwrap();
-        p3.publish_and_reconcile(&store).unwrap();
-        p1.publish_and_reconcile(&store).unwrap();
-        assert!(!p1.deferred_conflicts().is_empty());
-        let cached = p1.engine_cache_len();
-        assert!(cached > 0, "deferred chains must be cached");
-
-        // Pruning keeps exactly the still-deferred chains...
-        p1.prune_caches();
-        assert_eq!(p1.engine_cache_len(), cached);
-
-        // ...and drops them once the conflict resolves.
-        let key = p1.deferred_conflicts()[0].key.clone();
-        p1.resolve_conflicts(&store, &[ResolutionChoice { group: key, chosen_option: Some(0) }])
-            .unwrap();
-        p1.prune_caches();
-        assert_eq!(p1.engine_cache_len(), 0);
     }
 
     #[test]

@@ -178,11 +178,6 @@ impl<S: UpdateStore> CdssSystem<S> {
         self.participants.get(&id)
     }
 
-    /// Mutable access to a participant by id.
-    pub fn participant_mut(&mut self, id: ParticipantId) -> Option<&mut Participant> {
-        self.participants.get_mut(&id)
-    }
-
     fn require(&mut self, id: ParticipantId) -> Result<&mut Participant> {
         self.participants.get_mut(&id).ok_or_else(|| unknown_participant(id))
     }

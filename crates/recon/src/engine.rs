@@ -9,8 +9,7 @@
 //! the deferred ones.
 
 use crate::extension::{
-    by_key, conflict_keys_with, conflict_sets, CandidateTransaction, ExtensionCache, FlatExtension,
-    KeyIndex,
+    by_key, conflict_keys_with, conflict_sets, CandidateTransaction, FlatExtension, KeyIndex,
 };
 use crate::softstate::{ConflictGroup, SoftState};
 use orchestra_model::{flatten_keyed, Priority, ReconciliationId, Schema, TransactionId, Update};
@@ -101,30 +100,25 @@ impl ReconcileOutcome {
     }
 }
 
-/// The client-centric reconciliation engine.
+/// The client-centric reconciliation engine. It holds nothing but the
+/// schema: a candidate carries its own flattening (see
+/// [`CandidateTransaction::flattening`]), and a deferred candidate keeps it
+/// in the soft state, so an unchanged chain is flattened once however often
+/// it is re-presented.
 #[derive(Debug, Clone)]
 pub struct ReconcileEngine {
     schema: Schema,
-    /// Memoised flattened extensions: a deferred candidate whose antecedent
-    /// chain has not changed is never re-flattened across reconciliations.
-    cache: ExtensionCache,
 }
 
 impl ReconcileEngine {
     /// Creates an engine for the given schema.
     pub fn new(schema: Schema) -> Self {
-        ReconcileEngine { schema, cache: ExtensionCache::new() }
+        ReconcileEngine { schema }
     }
 
     /// The schema the engine reconciles over.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// The engine's flattened-extension cache (for inspection in tests and
-    /// benchmarks).
-    pub fn extension_cache(&self) -> &ExtensionCache {
-        &self.cache
     }
 
     /// Runs `ReconcileUpdates` (Figure 4): decides every candidate, applies
@@ -156,18 +150,13 @@ impl ReconcileEngine {
 
         // Lines 5-8: per-candidate flattened extensions and CheckState. A
         // candidate that is one transaction arrives with the flattening the
-        // store derived once for every participant, and is used as it is;
-        // any other is flattened once, through the cache (a candidate
-        // deferred by an earlier reconciliation arrives with an unchanged
-        // antecedent chain and is not re-flattened). Every later step reads
-        // that one flattening and its keys.
-        let flats: Vec<Arc<FlatExtension>> = candidates
-            .iter()
-            .map(|cand| match cand.shared_flattening() {
-                Some(shared) => Arc::clone(shared),
-                None => self.cache.flattened(cand, schema),
-            })
-            .collect();
+        // store derived once for every participant; a candidate re-presented
+        // from the soft state with an unchanged chain arrives with the one it
+        // was deferred with; any other is flattened here. Every later step
+        // reads that one flattening and its keys, and the clones deferred
+        // below carry it into the soft state.
+        let flats: Vec<Arc<FlatExtension>> =
+            candidates.iter().map(|cand| Arc::clone(cand.flattening(schema))).collect();
         let mut decisions: FxHashMap<TransactionId, TransactionDecision> = FxHashMap::default();
         for (cand, flat) in candidates.iter().zip(&flats) {
             let decision = self.check_state(
@@ -257,10 +246,9 @@ impl ReconcileEngine {
 
         // Line 21: UpdateSoftState. The common case first: nothing was
         // deferred before this run and nothing is now, so the soft state is
-        // already what a rebuild would produce and no flattening can recur.
+        // already what a rebuild would produce.
         if soft.deferred().is_empty() && outcome.deferred.is_empty() {
             soft.advance(input.recno);
-            self.cache.retain(|_| false);
             return outcome;
         }
         // Otherwise previously deferred transactions remain deferred
@@ -270,6 +258,8 @@ impl ReconcileEngine {
         // soft state never holds a member whose effects are already in the
         // instance (and crash recovery, which rebuilds deferred candidates
         // from the store's current accepted set, reproduces the same chains).
+        // A chain that loses a member there is flattened again by the
+        // rebuild; every other one keeps its flattening.
         let mut all_deferred: Vec<CandidateTransaction> =
             soft.deferred().values().cloned().collect();
         all_deferred.sort_by_key(|c| c.id);
@@ -293,11 +283,7 @@ impl ReconcileEngine {
                 input.previously_accepted.contains(id) || used.contains(id)
             });
         }
-        soft.rebuild(input.recno, all_deferred, schema, &self.cache);
-        // Accepted and rejected transactions are durably decided at the store
-        // and never reappear as candidates; only deferred chains can recur,
-        // so only their flattenings are worth keeping.
-        self.cache.retain(|id| soft.is_deferred(id));
+        soft.rebuild(input.recno, all_deferred, schema);
         outcome.conflict_groups = soft.conflict_groups().to_vec();
         outcome
     }
@@ -409,6 +395,7 @@ impl ReconcileEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolution::{resolve_conflicts, ResolutionChoice};
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{ParticipantId, Transaction, Tuple};
 
@@ -724,22 +711,41 @@ mod tests {
         }
     }
 
+    /// The flattening the soft state holds for a deferred candidate.
+    fn deferred_flattening(soft: &SoftState, id: TransactionId) -> Arc<FlatExtension> {
+        Arc::clone(soft.deferred()[&id].flattening(&bioinformatics_schema()))
+    }
+
     #[test]
     fn unchanged_deferred_chains_are_flattened_once() {
         let (engine, mut db, mut soft) = setup();
+        // Two conflicts: x1 against x2, and the chain y0 → y1 against y2.
         let x1 = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let x2 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "b"), p(3))]);
+        let y0 = txn(2, 1, vec![Update::insert("Function", func("mouse", "prot2", "a"), p(2))]);
+        let y1 = txn(
+            2,
+            2,
+            vec![Update::modify(
+                "Function",
+                func("mouse", "prot2", "a"),
+                func("mouse", "prot2", "c"),
+                p(2),
+            )],
+        );
+        let y2 = txn(4, 0, vec![Update::insert("Function", func("mouse", "prot2", "d"), p(4))]);
+        let chain = CandidateTransaction::new(&y1, Priority(1), vec![y0]);
         engine.reconcile(
             ReconcileInput {
                 recno: ReconciliationId(1),
-                candidates: vec![cand(&x1, 1), cand(&x2, 1)],
+                candidates: vec![cand(&x1, 1), cand(&x2, 1), chain, cand(&y2, 1)],
                 ..Default::default()
             },
             &mut db,
             &mut soft,
         );
-        let (_, misses_after_first) = engine.extension_cache().stats();
-        assert_eq!(engine.extension_cache().len(), 2, "both deferred chains stay cached");
+        assert_eq!(soft.conflict_groups().len(), 2);
+        let deferred_with = deferred_flattening(&soft, y1.id());
 
         // A second reconciliation with no new candidates re-presents the
         // deferred chains via the soft state; nothing is re-flattened.
@@ -748,28 +754,70 @@ mod tests {
             &mut db,
             &mut soft,
         );
-        let (hits, misses) = engine.extension_cache().stats();
-        assert_eq!(misses, misses_after_first, "unchanged chains must not re-flatten");
-        assert!(hits > 0, "soft-state rebuild must hit the cache");
+        assert!(Arc::ptr_eq(&deferred_with, &deferred_flattening(&soft, y1.id())));
+
+        // Resolving the other conflict re-runs the engine over every deferred
+        // chain; the unchanged chain is deferred again with its flattening.
+        let group = soft.conflict_groups().iter().find(|g| g.transactions().contains(&x1.id()));
+        let choice = ResolutionChoice { group: group.unwrap().key.clone(), chosen_option: Some(0) };
+        let resolved = resolve_conflicts(
+            &engine,
+            ReconciliationId(3),
+            &[choice],
+            &mut db,
+            &mut soft,
+            &FxHashSet::default(),
+            Arc::default(),
+        );
+        assert_eq!(resolved.rerun.accepted_roots.len(), 1);
+        assert!(soft.is_deferred(y1.id()) && soft.is_deferred(y2.id()));
+        assert!(Arc::ptr_eq(&deferred_with, &deferred_flattening(&soft, y1.id())));
     }
 
     #[test]
-    fn decided_candidates_are_pruned_from_the_cache() {
+    fn a_deferred_chain_is_flattened_again_once_an_antecedent_is_accepted() {
         let (engine, mut db, mut soft) = setup();
-        let x1 =
-            txn(2, 0, vec![Update::insert("Function", func("mouse", "prot2", "immune"), p(2))]);
-        let out = engine.reconcile(
+        let insert = Update::insert("Function", func("mouse", "prot2", "a"), p(2));
+        let y0 = txn(2, 0, vec![insert.clone()]);
+        let y1 = txn(
+            2,
+            1,
+            vec![Update::modify(
+                "Function",
+                func("mouse", "prot2", "a"),
+                func("mouse", "prot2", "c"),
+                p(2),
+            )],
+        );
+        let y2 = txn(3, 0, vec![Update::insert("Function", func("mouse", "prot2", "d"), p(3))]);
+        let chain = CandidateTransaction::new(&y1, Priority(1), vec![y0.clone()]);
+        engine.reconcile(
             ReconcileInput {
                 recno: ReconciliationId(1),
-                candidates: vec![cand(&x1, 1)],
+                candidates: vec![chain, cand(&y2, 1)],
                 ..Default::default()
             },
             &mut db,
             &mut soft,
         );
-        assert_eq!(out.accepted_roots, vec![x1.id()]);
-        // The accepted candidate can never reappear; its flattening is gone.
-        assert!(engine.extension_cache().is_empty());
+        let deferred_with = deferred_flattening(&soft, y1.id());
+
+        // y0 is accepted before the next run: the chain is pruned to y1.
+        db.apply_update(&insert).unwrap();
+        engine.reconcile(
+            ReconcileInput {
+                recno: ReconciliationId(2),
+                previously_accepted: Arc::new([y0.id()].into_iter().collect()),
+                ..Default::default()
+            },
+            &mut db,
+            &mut soft,
+        );
+        let pruned = &soft.deferred()[&y1.id()];
+        assert_eq!(pruned.members.len(), 1);
+        let flattening = deferred_flattening(&soft, y1.id());
+        assert!(!Arc::ptr_eq(&deferred_with, &flattening));
+        assert_eq!(flattening.updates(), pruned.flattened(engine.schema()).updates());
     }
 
     #[test]
@@ -797,12 +845,11 @@ mod tests {
         // Nothing was deferred before or after: the soft state was only
         // advanced, and reads exactly as a rebuild from no candidates would.
         let mut rebuilt = SoftState::new();
-        rebuilt.rebuild(ReconciliationId(7), vec![], engine.schema(), &ExtensionCache::new());
+        rebuilt.rebuild(ReconciliationId(7), vec![], engine.schema());
         assert_eq!(soft.dirty_len(), rebuilt.dirty_len());
         assert_eq!(soft.deferred(), rebuilt.deferred());
         assert_eq!(soft.conflict_groups(), rebuilt.conflict_groups());
         assert_eq!(soft.last_recno(), rebuilt.last_recno());
-        assert!(engine.extension_cache().is_empty());
     }
 
     #[test]

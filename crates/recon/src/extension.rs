@@ -215,7 +215,8 @@ pub fn conflict_sets(
 /// as handed to the reconciliation engine by the update store.
 ///
 /// `Debug` and equality are over the id, the priority and the members: the
-/// shared flattening a candidate may carry is derived from them.
+/// flattening a candidate carries is derived from them (see
+/// [`CandidateTransaction::flattening`]).
 #[derive(Clone)]
 pub struct CandidateTransaction {
     /// The root transaction id (the transaction the peer is deciding on).
@@ -226,11 +227,16 @@ pub struct CandidateTransaction {
     /// The transaction extension: every member transaction (undecided
     /// antecedents first, root last), in publication order, with its updates.
     /// The update lists are shared (`Arc`) with the update store's log, so
-    /// building and cloning candidates never copies an update.
+    /// building and cloning candidates never copies an update. Once the
+    /// candidate is flattened, members are dropped only through
+    /// [`CandidateTransaction::prune_accepted_members`], which flattens the
+    /// changed chain again.
     pub members: Vec<(TransactionId, Arc<Vec<Update>>)>,
-    /// The root's own flattening, as the update store derived it once for
-    /// every participant (see [`CandidateTransaction::shared_flattening`]).
-    shared: Option<Arc<FlatExtension>>,
+    /// The flattened extension, handed over by the update store or derived
+    /// on first use; a clone made once it is filled shares it. A candidate
+    /// has one owner at a time, so unlike the transaction's own flattening,
+    /// which every participant reads, the slot takes no atomic operation.
+    flattening: OnceCell<Arc<FlatExtension>>,
 }
 
 impl CandidateTransaction {
@@ -255,37 +261,33 @@ impl CandidateTransaction {
         priority: Priority,
         members: Vec<(TransactionId, Arc<Vec<Update>>)>,
     ) -> Self {
-        CandidateTransaction { id, priority, members, shared: None }
+        CandidateTransaction { id, priority, members, flattening: OnceCell::new() }
     }
 
     /// Hands the candidate the flattening of its root transaction that the
     /// update store derived once for every participant reconciling it (see
-    /// [`orchestra_model::Transaction::own_flattening`]).
+    /// [`orchestra_model::Transaction::own_flattening`]). It is kept only
+    /// when the extension is the root alone and the flattening is that
+    /// root's update list itself, shared rather than rebuilt — so it is
+    /// exactly what [`Self::flattened`] would compute.
     pub fn with_shared_flattening(mut self, flat: Option<&Arc<FlatExtension>>) -> Self {
-        self.shared = flat.cloned();
+        if let (Some(flat), [(id, updates)]) = (flat, self.members.as_slice()) {
+            if *id == self.id && flat.shares(updates) {
+                self.flattening = OnceCell::from(Arc::clone(flat));
+            }
+        }
         self
     }
 
-    /// The flattened extension the update store shares with every
-    /// participant: present when the extension is the root alone and the
-    /// flattening handed over is that root's update list itself, shared
-    /// rather than rebuilt — so it is exactly what [`Self::flattened`] would
-    /// compute.
-    pub fn shared_flattening(&self) -> Option<&Arc<FlatExtension>> {
-        let shared = self.shared.as_ref()?;
-        match self.members.as_slice() {
-            [(id, updates)] if *id == self.id && shared.shares(updates) => Some(shared),
-            _ => None,
-        }
-    }
-
-    /// The flattened update extension, shared: the store's flattening when
-    /// the candidate carries one, a fresh one otherwise.
-    pub fn flattened_shared(&self, schema: &Schema) -> Arc<FlatExtension> {
-        match self.shared_flattening() {
-            Some(shared) => Arc::clone(shared),
-            None => Arc::new(self.flattened(schema)),
-        }
+    /// The flattened update extension, derived at most once per member
+    /// list: the store's flattening when the candidate carries one, else
+    /// [`Self::flattened`] on the first call. A candidate deferred across
+    /// reconciliations keeps it in the soft state, so `UpdateSoftState` and
+    /// every later run that re-presents the unchanged chain read the same
+    /// [`Arc`]. `schema` must be Σ, as for
+    /// [`orchestra_model::Transaction::own_flattening`].
+    pub fn flattening(&self, schema: &Schema) -> &Arc<FlatExtension> {
+        self.flattening.get_or_init(|| Arc::new(self.flattened(schema)))
     }
 
     /// The ids of every member of the extension (antecedents plus root).
@@ -307,20 +309,9 @@ impl CandidateTransaction {
     pub fn prune_accepted_members(&mut self, accepted: impl Fn(&TransactionId) -> bool) {
         if self.members.iter().any(|(id, _)| *id != self.id && accepted(id)) {
             self.members.retain(|(id, _)| *id == self.id || !accepted(id));
+            // A changed chain is flattened again.
+            self.flattening.take();
         }
-    }
-
-    /// An order-sensitive fingerprint of the extension's member list. Two
-    /// candidates for the same root transaction share a fingerprint exactly
-    /// when their antecedent chains are identical, which is what makes the
-    /// flattened extension reusable across reconciliations.
-    fn member_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = rustc_hash::FxHasher::default();
-        for (id, _) in &self.members {
-            id.hash(&mut hasher);
-        }
-        hasher.finish()
     }
 
     /// The flattened update extension — the net effect of the whole extension
@@ -382,80 +373,6 @@ impl PartialEq for CandidateTransaction {
 }
 
 impl Eq for CandidateTransaction {}
-
-/// Memoised flattened update extensions, each with the keys it touches.
-///
-/// A reconciliation flattens every candidate at most once: a candidate that
-/// carries the store's [shared flattening](CandidateTransaction::shared_flattening)
-/// is not flattened by the participant at all, every other one is flattened
-/// through this cache. `CheckState`'s dirty-value and own-delta probes,
-/// `FindConflicts`, the apply step (unless a shared antecedent was already
-/// applied) and `UpdateSoftState` all read that one [`FlatExtension`] and its
-/// borrowed keys. Across reconciliations, a deferred candidate is
-/// re-presented — with an unchanged antecedent chain — until its conflict
-/// resolves. The cache holds the flattening of every deferred candidate,
-/// shared ones included, keyed by `(root id, member fingerprint)`, so an
-/// unchanged chain is re-used for free, while a chain that gained or lost
-/// members (for example because an antecedent was accepted in the meantime)
-/// misses and is recomputed.
-///
-/// Entries are shared ([`Arc`]), so a cache hit costs one reference-count
-/// bump. The owner is responsible for pruning entries for transactions that
-/// can no longer reappear (see [`ExtensionCache::retain`]).
-#[derive(Debug, Clone, Default)]
-pub struct ExtensionCache {
-    entries: std::cell::RefCell<CacheMap>,
-    hits: std::cell::Cell<u64>,
-    misses: std::cell::Cell<u64>,
-}
-
-/// Cached flattenings keyed by `(root id, member fingerprint)`.
-type CacheMap = FxHashMap<(TransactionId, u64), Arc<FlatExtension>>;
-
-impl ExtensionCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ExtensionCache::default()
-    }
-
-    /// The flattened update extension of a candidate, computed at most once
-    /// per distinct antecedent chain (and not at all when the candidate
-    /// carries the store's shared flattening).
-    pub fn flattened(&self, cand: &CandidateTransaction, schema: &Schema) -> Arc<FlatExtension> {
-        let key = (cand.id, cand.member_fingerprint());
-        if let Some(hit) = self.entries.borrow().get(&key) {
-            self.hits.set(self.hits.get() + 1);
-            return Arc::clone(hit);
-        }
-        self.misses.set(self.misses.get() + 1);
-        let flat = cand.flattened_shared(schema);
-        self.entries.borrow_mut().insert(key, Arc::clone(&flat));
-        flat
-    }
-
-    /// Drops every entry whose root transaction fails the predicate. Called
-    /// after a reconciliation with "is still deferred": accepted and rejected
-    /// transactions are durably decided at the store and never reappear as
-    /// candidates, so their flattenings are dead weight.
-    pub fn retain(&self, keep: impl Fn(TransactionId) -> bool) {
-        self.entries.borrow_mut().retain(|(id, _), _| keep(*id));
-    }
-
-    /// Number of cached flattenings.
-    pub fn len(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
-    /// Returns true if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -570,7 +487,7 @@ mod tests {
         let kinds: Vec<_> = keys.iter().map(|k| k.kind).collect();
         assert_eq!(kinds, vec![orchestra_model::ConflictKind::DivergentModify]);
         let candidates = [c1, c2];
-        let flats: Vec<_> = candidates.iter().map(|c| c.flattened_shared(&schema)).collect();
+        let flats: Vec<_> = candidates.iter().map(|c| Arc::clone(c.flattening(&schema))).collect();
         assert_eq!(direct_conflicts(&candidates, &flats, &schema), vec![(0, 1, keys)]);
     }
 
@@ -762,7 +679,7 @@ mod tests {
                     })
                     .collect();
                 let flats: Vec<Arc<FlatExtension>> =
-                    candidates.iter().map(|cand| cand.flattened_shared(&schema)).collect();
+                    candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
                 let found: Vec<(usize, usize, Vec<ConflictKey>)> =
                     direct_conflicts(&candidates, &flats, &schema);
                 let pairs: Vec<(usize, usize)> = found.iter().map(|(i, j, _)| (*i, *j)).collect();
@@ -805,7 +722,7 @@ mod tests {
             let kinds: Vec<ConflictKind> = keys.iter().map(|key| key.kind).collect();
             assert_eq!(kinds, vec![ConflictKind::DivergentModify]);
             let flats: Vec<Arc<FlatExtension>> =
-                candidates.iter().map(|cand| cand.flattened_shared(&schema)).collect();
+                candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
             assert_eq!(direct_conflicts(&candidates, &flats, &schema), vec![(0, 1, keys)]);
         }
     }

@@ -24,6 +24,6 @@ pub mod resolution;
 pub mod softstate;
 
 pub use engine::{ReconcileEngine, ReconcileInput, ReconcileOutcome, TransactionDecision};
-pub use extension::{CandidateTransaction, ExtensionCache, FlatExtension};
+pub use extension::{CandidateTransaction, FlatExtension};
 pub use resolution::{ResolutionChoice, ResolutionOutcome};
 pub use softstate::{ConflictGroup, ConflictOption, SoftState};

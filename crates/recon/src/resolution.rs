@@ -101,7 +101,7 @@ pub fn resolve_conflicts(
     // Clear the soft state (the deferred set has been drained) and re-run
     // reconciliation treating the remaining deferred transactions as freshly
     // published.
-    soft.rebuild(recno, Vec::new(), engine.schema(), engine.extension_cache());
+    soft.rebuild(recno, Vec::new(), engine.schema());
     let mut all_rejected = previously_rejected.clone();
     all_rejected.extend(rejected_now.iter().copied());
     let input = ReconcileInput {

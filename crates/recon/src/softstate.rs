@@ -8,7 +8,7 @@
 //! the deferred transactions applicable), and conflict groups/options are the
 //! unit of user-driven conflict resolution.
 
-use crate::extension::{direct_conflicts, CandidateTransaction, ExtensionCache, FlatExtension};
+use crate::extension::{direct_conflicts, CandidateTransaction, FlatExtension};
 use orchestra_model::{
     ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId, Tuple, UpdateKind,
 };
@@ -130,12 +130,16 @@ impl SoftState {
     /// candidates are grouped by conflict key, and within each group the
     /// candidates proposing an identical net change are combined into a single
     /// option.
+    ///
+    /// Each candidate's flattening is read from the candidate itself (see
+    /// [`CandidateTransaction::flattening`]): one deferred by an earlier
+    /// reconciliation with an unchanged chain, or handed over by the engine
+    /// that just flattened it, is not flattened again.
     pub fn rebuild(
         &mut self,
         recno: ReconciliationId,
         deferred: Vec<CandidateTransaction>,
         schema: &Schema,
-        cache: &ExtensionCache,
     ) {
         self.dirty.clear();
         self.conflict_groups.clear();
@@ -145,7 +149,7 @@ impl SoftState {
         // Every key a deferred candidate's flattened extension touches is
         // dirty; pairwise direct conflicts are grouped by conflict key.
         let flattened: Vec<Arc<FlatExtension>> =
-            deferred.iter().map(|c| cache.flattened(c, schema)).collect();
+            deferred.iter().map(|c| Arc::clone(c.flattening(schema))).collect();
         for flat in &flattened {
             for (_, key, update) in flat.touched() {
                 self.dirty.entry(update.relation.clone()).or_default().insert(key.clone());
@@ -293,12 +297,7 @@ mod tests {
         let c1 =
             cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
-        s.rebuild(
-            ReconciliationId(1),
-            vec![c1.clone(), c2.clone()],
-            &schema,
-            &ExtensionCache::default(),
-        );
+        s.rebuild(ReconciliationId(1), vec![c1.clone(), c2.clone()], &schema);
 
         assert_eq!(s.last_recno(), ReconciliationId(1));
         assert!(s.is_dirty("Function", &KeyValue::of_text(&["rat", "prot1"])));
@@ -325,12 +324,7 @@ mod tests {
             cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
         let diff =
             cand(4, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(4))]);
-        s.rebuild(
-            ReconciliationId(2),
-            vec![same_a, same_b, diff],
-            &schema,
-            &ExtensionCache::default(),
-        );
+        s.rebuild(ReconciliationId(2), vec![same_a, same_b, diff], &schema);
 
         assert_eq!(s.conflict_groups().len(), 1);
         let group = &s.conflict_groups()[0];
@@ -350,12 +344,7 @@ mod tests {
         let backward = cand(3, 0, vec![insert(&b, 3), insert(&a, 3)]);
         let other = cand(4, 0, vec![insert(&func("rat", "prot1", "c"), 4)]);
         let ids = [forward.id, backward.id, other.id];
-        s.rebuild(
-            ReconciliationId(1),
-            vec![forward, backward, other],
-            &schema,
-            &Default::default(),
-        );
+        s.rebuild(ReconciliationId(1), vec![forward, backward, other], &schema);
 
         assert_eq!(s.conflict_groups().len(), 1);
         let options = &s.conflict_groups()[0].options;
@@ -374,10 +363,10 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "b"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema, &ExtensionCache::default());
+        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema);
         assert_eq!(s.dirty_len(), 1);
 
-        s.rebuild(ReconciliationId(2), vec![], &schema, &ExtensionCache::default());
+        s.rebuild(ReconciliationId(2), vec![], &schema);
         assert_eq!(s.dirty_len(), 0);
         assert!(s.deferred().is_empty());
         assert!(s.conflict_groups().is_empty());
@@ -390,7 +379,7 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let id = c1.id;
-        s.rebuild(ReconciliationId(1), vec![c1], &schema, &ExtensionCache::default());
+        s.rebuild(ReconciliationId(1), vec![c1], &schema);
         let removed = s.remove_deferred(id).unwrap();
         assert_eq!(removed.id, id);
         assert!(s.remove_deferred(id).is_none());
@@ -402,7 +391,7 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema, &ExtensionCache::default());
+        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema);
         assert!(s.conflict_groups().is_empty());
         assert_eq!(s.dirty_len(), 2);
     }

@@ -91,7 +91,7 @@ impl DhtStore {
         // controllers (not involving the peer).
         let mut flattened: Vec<Arc<FlatExtension>> = Vec::with_capacity(candidates.len());
         for cand in &candidates {
-            let net = cand.flattened_shared(&schema);
+            let net = Arc::clone(cand.flattening(&schema));
             let antecedents: Vec<TransactionId> =
                 cand.members.iter().map(|(id, _)| *id).filter(|id| *id != cand.id).collect();
             let summary_bytes =

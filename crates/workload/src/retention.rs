@@ -125,20 +125,16 @@ fn record(result: &mut RetentionChurnResult, sample: RetentionSample) {
     result.samples.push(sample);
 }
 
-fn prune_pass(system: &mut CdssSystem<CentralStore>, result: &mut RetentionChurnResult) {
+fn prune_pass(system: &CdssSystem<CentralStore>, result: &mut RetentionChurnResult) {
     let report = system.store().prune_to_horizon().expect("prune succeeds");
     if !report.is_noop() {
         result.prunes += 1;
         result.pruned_log_entries += report.pruned_log_entries;
         result.pruned_relevance_entries += report.pruned_relevance_entries;
         result.last_pinned = report.pinned;
-        // Client-side counterpart: shrink every participant's extension
-        // cache to its still-deferred chains.
-        for id in system.participant_ids() {
-            if let Some(participant) = system.participant_mut(id) {
-                participant.prune_caches();
-            }
-        }
+        // Nothing to prune client-side: a participant's flattenings live on
+        // its deferred candidates, so its memory already tracks the
+        // deferred set.
     }
 }
 
@@ -164,12 +160,12 @@ pub fn run_retention_scenario(
     for (round, turns) in churn_turns(churn, &ids).chunks(ids.len()).enumerate() {
         conf.run(&turns.concat(), &driver, |_| ()).expect("churn step succeeds");
         if config.prune_every_rounds > 0 && (round + 1) % config.prune_every_rounds == 0 {
-            prune_pass(&mut conf.system, &mut result);
+            prune_pass(&conf.system, &mut result);
         }
         record(&mut result, sample(&conf.system, round));
     }
     conf.run(&converge(&ids), &driver, |_| ()).expect("catch-up step succeeds");
-    prune_pass(&mut conf.system, &mut result);
+    prune_pass(&conf.system, &mut result);
     record(&mut result, sample(&conf.system, churn.rounds));
 
     result.totals = conf.closing_totals();

@@ -189,8 +189,8 @@ fn run_fixed_schedule(store: CentralStore) -> (Confederation<CentralStore>, Vec<
 /// The fixed schedule written through the WAL recovers to the catalogue the
 /// live store held, and that catalogue and its decision stream are the ones
 /// an ephemeral store reaches (the `Debug` fingerprint excludes the
-/// durability backend): writing the per-participant segments changes nothing
-/// a participant can observe.
+/// durability backend): writing every record to the generation's one
+/// `wal.<gen>.log` file changes nothing a participant can observe.
 #[test]
 fn the_durable_layout_recovers_the_same_catalogue() {
     let dir = scratch_dir();
@@ -209,8 +209,8 @@ fn the_durable_layout_recovers_the_same_catalogue() {
 
 /// Prune-then-crash and crash-then-prune reach the same durable state (the
 /// `Prune` record does not persist the pinned-ancestor closure, so this
-/// checks replay re-derives it identically through the segmented merge
-/// path).
+/// checks that replaying the one `wal.<gen>.log` file re-derives it
+/// identically).
 #[test]
 fn pruning_commutes_with_recovery() {
     let dir_a = scratch_dir();
@@ -254,7 +254,7 @@ fn recovery_refuses_a_frame_without_the_magic_byte() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let mut payload = vec![0, 0, 0, 0]; // stamp: epoch 0, seq 0, no causal id
     payload.extend_from_slice(br#"{"Init":{"schema":{"relations":[],"constraints":[]}}}"#);
-    std::fs::write(dir.join("wal.0.log"), encode_frame(&payload)).expect("write segment");
+    std::fs::write(dir.join("wal.0.log"), encode_frame(&payload)).expect("write wal.0.log");
     assert!(matches!(CentralStore::recover(&dir), Err(StorageError::Persistence(_))));
     std::fs::remove_dir_all(&dir).ok();
 
