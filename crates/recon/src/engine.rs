@@ -149,8 +149,9 @@ impl ReconcileEngine {
         let own_by_key = by_key(&own);
 
         // Lines 5-8: per-candidate flattened extensions and CheckState. A
-        // candidate that is one transaction arrives with the flattening the
-        // store derived once for every participant; a candidate re-presented
+        // candidate from the store arrives with the flattening it derived
+        // once for every participant: the transaction's own for one
+        // transaction, the chain memo's for a chain; a candidate re-presented
         // from the soft state with an unchanged chain arrives with the one it
         // was deferred with; any other is flattened here. Every later step
         // reads that one flattening and its keys, and the clones deferred

@@ -264,17 +264,17 @@ impl CandidateTransaction {
         CandidateTransaction { id, priority, members, flattening: OnceCell::new() }
     }
 
-    /// Hands the candidate the flattening of its root transaction that the
-    /// update store derived once for every participant reconciling it (see
-    /// [`orchestra_model::Transaction::own_flattening`]). It is kept only
-    /// when the extension is the root alone and the flattening is that
-    /// root's update list itself, shared rather than rebuilt — so it is
-    /// exactly what [`Self::flattened`] would compute.
+    /// Hands the candidate the flattening the update store derived once for
+    /// every participant reconciling the same member list: for the root
+    /// alone, the root transaction's own flattening (see
+    /// [`orchestra_model::Transaction::own_flattening`]); for a chain, the
+    /// store's memo entry for exactly these members. `flat` must be what
+    /// [`Self::flattened`] computes for the members as they stand — the
+    /// store keys its memo by the member list to guarantee it — and it is
+    /// kept until [`Self::prune_accepted_members`] changes them.
     pub fn with_shared_flattening(mut self, flat: Option<&Arc<FlatExtension>>) -> Self {
-        if let (Some(flat), [(id, updates)]) = (flat, self.members.as_slice()) {
-            if *id == self.id && flat.shares(updates) {
-                self.flattening = OnceCell::from(Arc::clone(flat));
-            }
+        if let Some(flat) = flat {
+            self.flattening = OnceCell::from(Arc::clone(flat));
         }
         self
     }

@@ -27,13 +27,15 @@
 //!   durable changes until a session commits, so aborting one leaves the
 //!   catalogue byte-identical.
 //!
-//! Lock order is strictly `log → shard map → shard`, with the session table
-//! and the trust index innermost: either may be taken while catalogue locks
-//! are held (session open does, so a new session is visible to a concurrent
-//! prune before the log lock is released; registration and retirement update
-//! the index under the shard lock, so it always describes the shard's
-//! current policy), but no catalogue lock is ever acquired while holding
-//! one of them. That discipline makes the catalogue deadlock-free by
+//! Lock order is strictly `log → shard map → shard`, with the session table,
+//! the trust index and the chain memo innermost: any of them may be taken
+//! while catalogue locks are held (session open does, so a new session is
+//! visible to a concurrent prune before the log lock is released;
+//! registration and retirement update the index under the shard lock, so it
+//! always describes the shard's current policy; candidate building reads and
+//! fills the memo under the log read lock), but no other lock is ever
+//! acquired while holding one of them, and the memo's is not held while a
+//! chain is flattened. That discipline makes the catalogue deadlock-free by
 //! construction.
 //!
 //! # Incremental, paged retrieval
@@ -64,6 +66,21 @@
 //! lists by reference count — peak memory is bounded by the page size, not
 //! by history.
 //!
+//! # Flattened once for the whole confederation
+//!
+//! A candidate comes with its flattened extension when the store already
+//! holds it. For the root alone that is the transaction's own flattening.
+//! For a chain it is the **chain memo**: soft state keyed by the exact
+//! member list (antecedents, then the root), so participants whose accepted
+//! sets cut a root's extension the same way share one flattening. A root is
+//! offered in the one session whose range covers its epoch, and a deferred
+//! candidate keeps its flattening in the participant's soft state, so an
+//! entry is dead once every registered, unretired participant's cursor has
+//! passed its root's epoch, even while the root stays undecided. Commits and
+//! retirements sweep it by that cursor minimum. A prune needs no sweep of
+//! its own: its horizon never passes that minimum. The memo is in no
+//! rendering, snapshot, WAL record or clone.
+//!
 //! # Convergence-horizon retention
 //!
 //! Left alone, the log, the relevance index and the durable state grow with
@@ -88,7 +105,7 @@ use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, Predicate, Priority, ReconciliationId,
     Schema, Transaction, TransactionId, TrustPolicy,
 };
-use orchestra_recon::CandidateTransaction;
+use orchestra_recon::{CandidateTransaction, FlatExtension};
 use orchestra_storage::snapshot::{self, ParticipantSnapshot, StoreSnapshot};
 use orchestra_storage::wal::WalRecord;
 use orchestra_storage::{
@@ -402,6 +419,29 @@ struct SessionState {
     accepted: Arc<FxHashSet<TransactionId>>,
 }
 
+/// The chain flattenings handed to candidates (see the module docs): soft
+/// state, like the session table.
+#[derive(Default)]
+struct ChainMemo {
+    /// Each chain's flattening, keyed by its member ids (antecedents in
+    /// publication order, root last), with the root's epoch.
+    chains: FxHashMap<Box<[TransactionId]>, (Epoch, Arc<FlatExtension>)>,
+    /// The smallest root epoch in `chains`, while it is not empty.
+    oldest: Epoch,
+}
+
+impl ChainMemo {
+    /// Drops every chain whose root is at or below `epoch`; visits the
+    /// chains only when the oldest root is among them.
+    fn evict_through(&mut self, epoch: Epoch) {
+        if self.chains.is_empty() || self.oldest > epoch {
+            return;
+        }
+        self.chains.retain(|_, (root, _)| *root > epoch);
+        self.oldest = self.chains.values().map(|(root, _)| *root).min().unwrap_or_default();
+    }
+}
+
 /// A freshly opened session (see [`StoreCatalog::open_session`]).
 #[derive(Debug, Clone)]
 pub struct OpenedSession {
@@ -464,6 +504,11 @@ pub struct StoreCatalog {
     /// durable state: a recovered catalogue starts at the default
     /// (`KeepAll`) until the operator sets it again.
     retention: RwLock<RetentionPolicy>,
+    /// Chain flattenings shared across participants (see [`ChainMemo`]).
+    /// Taken under the log read lock by candidate building and under no
+    /// lock by a sweep; never held while another lock is acquired or a
+    /// chain is flattened.
+    chains: Mutex<ChainMemo>,
 }
 
 impl StoreCatalog {
@@ -483,6 +528,7 @@ impl StoreCatalog {
             next_session: AtomicU64::new(1),
             durability,
             retention: RwLock::new(RetentionPolicy::default()),
+            chains: Mutex::default(),
         }
     }
 
@@ -909,7 +955,7 @@ impl StoreCatalog {
         let mut candidates = Vec::with_capacity(entries.len());
         for (id, priority) in entries {
             let Some(entry) = log.log.entry(id) else { continue };
-            candidates.push(build_candidate(&log.log, &self.schema, &accepted, entry, priority));
+            candidates.push(self.build_candidate(&log.log, &accepted, entry, priority));
         }
         Ok(SessionBatch { participant, candidates, exhausted })
     }
@@ -954,6 +1000,8 @@ impl StoreCatalog {
             // and in apply order.
             self.durability.append(&record)?;
         }
+        drop(shard);
+        self.sweep_chains(epoch);
         Ok((participant, recno, epoch))
     }
 
@@ -1088,6 +1136,8 @@ impl StoreCatalog {
             // the participant's record stream in apply order.
             self.durability.append(&record)?;
         }
+        drop(shard);
+        self.sweep_chains(Epoch(u64::MAX));
         Ok(())
     }
 
@@ -1385,8 +1435,7 @@ impl StoreCatalog {
                 continue;
             }
             let Some(entry) = log.log.entry(id) else { continue };
-            let (candidate, _) =
-                build_candidate(&log.log, &self.schema, &accepted, entry, priority);
+            let (candidate, _) = self.build_candidate(&log.log, &accepted, entry, priority);
             out.push(candidate);
         }
         out
@@ -1425,6 +1474,88 @@ impl StoreCatalog {
             })
             .map(Transaction::id)
             .collect()
+    }
+
+    /// Builds the candidate (transaction extension plus priority) for a
+    /// trusted transaction, excluding antecedents the participant has already
+    /// accepted. Returns the candidate together with the number of extension
+    /// members that had to be fetched (used by the DHT store's message
+    /// accounting). Members share the log's update lists by reference count.
+    /// The candidate comes with a flattening derived once for every
+    /// participant: the root transaction's own
+    /// ([`Transaction::own_flattening`]) when the extension is the root
+    /// alone, shared by rebuilds that replay it too, and the chain memo's
+    /// entry for its exact member list otherwise
+    /// ([`StoreCatalog::chain_flattening`]).
+    fn build_candidate(
+        &self,
+        log: &TransactionLog,
+        accepted: &FxHashSet<TransactionId>,
+        entry: &LogEntry,
+        priority: Priority,
+    ) -> (CandidateTransaction, usize) {
+        let txn = &entry.transaction;
+        // The extension names live entries only, the root last.
+        let ids = log.transaction_extension(txn, accepted);
+        let members: Vec<_> = ids
+            .iter()
+            .map(|&id| (id, log.get(id).expect("extension member in the log").shared_updates()))
+            .collect();
+        let fetched = members.len() - 1;
+        let candidate = CandidateTransaction::from_members(txn.id(), priority, members);
+        let flat = if fetched == 0 {
+            txn.own_flattening(&self.schema).cloned()
+        } else {
+            Some(self.chain_flattening(ids, entry.epoch, &candidate))
+        };
+        (candidate.with_shared_flattening(flat.as_ref()), fetched)
+    }
+
+    /// The memoised flattening of the chain `ids` (root last, published in
+    /// `epoch`), flattened from `candidate` on a miss — outside the memo
+    /// lock, so two builders may race; the first insert wins and the other
+    /// adopts its [`Arc`].
+    fn chain_flattening(
+        &self,
+        ids: Vec<TransactionId>,
+        epoch: Epoch,
+        candidate: &CandidateTransaction,
+    ) -> Arc<FlatExtension> {
+        if let Some((_, flat)) = self.chains.lock().expect("chain memo lock").chains.get(&*ids) {
+            return Arc::clone(flat);
+        }
+        let flat = Arc::new(candidate.flattened(&self.schema));
+        let mut memo = self.chains.lock().expect("chain memo lock");
+        memo.oldest = if memo.chains.is_empty() { epoch } else { memo.oldest.min(epoch) };
+        Arc::clone(&memo.chains.entry(ids.into_boxed_slice()).or_insert((epoch, flat)).1)
+    }
+
+    /// Evicts the memoised chains no session will offer again: those whose
+    /// root every registered, unretired participant's cursor has passed. A
+    /// participant calls it when its cursor moves to `passed` (a commit) or
+    /// leaves the minimum altogether (a retirement, `Epoch(u64::MAX)`); the
+    /// shards are read only when the memo holds a root at or below
+    /// `passed`, which is the only way this call can release one. Takes no
+    /// lock while holding the memo's.
+    fn sweep_chains(&self, passed: Epoch) {
+        {
+            let memo = self.chains.lock().expect("chain memo lock");
+            if memo.chains.is_empty() || memo.oldest > passed {
+                return;
+            }
+        }
+        let floor = self
+            .shards
+            .read()
+            .expect("shard map lock")
+            .values()
+            .filter_map(|shard| {
+                let shard = shard.read().expect("shard lock");
+                (shard.registered && !shard.retired).then(|| shard.epoch_cursor())
+            })
+            .min()
+            .unwrap_or(Epoch(u64::MAX));
+        self.chains.lock().expect("chain memo lock").evict_through(floor);
     }
 
     /// Rebuilds a catalogue from a durability directory: loads the snapshot
@@ -1516,6 +1647,7 @@ impl StoreCatalog {
             next_session: AtomicU64::new(1),
             durability: Durability::Ephemeral,
             retention: RwLock::new(RetentionPolicy::default()),
+            chains: Mutex::default(),
         })
     }
 
@@ -1770,41 +1902,6 @@ fn apply_reconciliation(
     shard.cursor = Some(epoch);
 }
 
-/// Builds the candidate (transaction extension plus priority) for a trusted
-/// transaction, excluding antecedents the participant has already accepted.
-/// Returns the candidate together with the number of extension members that
-/// had to be fetched (used by the DHT store's message accounting). Members
-/// share the log's update lists by reference count, and an extension that is
-/// the root alone comes with the root transaction's own flattening
-/// ([`Transaction::own_flattening`]), derived the first time it is needed and
-/// shared by every participant since — rebuilds that replay it included.
-fn build_candidate(
-    log: &TransactionLog,
-    schema: &Schema,
-    accepted: &FxHashSet<TransactionId>,
-    entry: &LogEntry,
-    priority: Priority,
-) -> (CandidateTransaction, usize) {
-    let txn = &entry.transaction;
-    let member_ids = log.transaction_extension(txn, accepted);
-    let mut members = Vec::with_capacity(member_ids.len());
-    let mut fetched = 0usize;
-    for id in member_ids {
-        if id == txn.id() {
-            continue;
-        }
-        if let Some(t) = log.get(id) {
-            members.push((id, t.shared_updates()));
-            fetched += 1;
-        }
-    }
-    members.push((txn.id(), txn.shared_updates()));
-    // Only the root alone is what the transaction's flattening flattens.
-    let shared = if fetched > 0 { None } else { txn.own_flattening(schema) };
-    let candidate = CandidateTransaction::from_members(txn.id(), priority, members);
-    (candidate.with_shared_flattening(shared), fetched)
-}
-
 impl Clone for StoreCatalog {
     /// Deep-copies the durable catalogue state (log, registry, shards).
     /// Open sessions are soft state and are *not* cloned — the clone starts
@@ -1831,6 +1928,7 @@ impl Clone for StoreCatalog {
             next_session: AtomicU64::new(1),
             durability: Durability::Ephemeral,
             retention: RwLock::new(self.retention()),
+            chains: Mutex::default(),
         }
     }
 }
@@ -2025,21 +2123,16 @@ mod tests {
     #[test]
     fn a_root_alone_carries_its_entrys_flattening_to_every_participant() {
         let cat = catalog_with_policies();
-        let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "v1"), p(3))]);
-        let x2 = txn(
-            2,
-            0,
-            vec![Update::modify(
-                "Function",
-                func("rat", "prot1", "v1"),
-                func("rat", "prot1", "v2"),
-                p(2),
-            )],
-        );
+        let v = |value| func("rat", "prot1", value);
+        let x3 = txn(3, 0, vec![Update::insert("Function", v("v1"), p(3))]);
+        // Both read x3's tuple: for a participant that has not accepted x3,
+        // each is a chain behind it.
+        let y3 = txn(3, 1, vec![Update::modify("Function", v("v1"), v("v2"), p(3))]);
+        let x2 = txn(2, 0, vec![Update::modify("Function", v("v1"), v("v3"), p(2))]);
         // One key twice: no flattening of its own.
         let twice = txn(
             3,
-            1,
+            2,
             vec![
                 Update::insert("Function", func("dog", "prot9", "a"), p(3)),
                 Update::modify(
@@ -2050,22 +2143,124 @@ mod tests {
                 ),
             ],
         );
-        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
-        cat.publish(p(2), None, None, vec![x2.clone()]).unwrap();
-        cat.publish(p(3), None, None, vec![twice.clone()]).unwrap();
+        for (who, t) in [(3, &x3), (3, &y3), (2, &x2), (3, &twice)] {
+            cat.publish(p(who), None, None, vec![t.clone()]).unwrap();
+        }
         let find =
             |page: &[CandidateTransaction], id| page.iter().find(|c| c.id == id).cloned().unwrap();
+        let schema = cat.schema();
 
-        // p1 and p2 both reconcile x3, the root alone: one flattening, shared
-        // by both and equal to the one either would have computed.
+        // p1 and p2 have accepted nothing of p3's, so they cut every root's
+        // extension the same way: one flattening per member list, shared by
+        // both and equal to the one either would have computed.
         let (of_p1, of_p2) = (one_page(&cat, p(1)), one_page(&cat, p(2)));
-        let (a, b) = (find(&of_p1, x3.id()), find(&of_p2, x3.id()));
-        let (a_flat, b_flat) = (a.flattening(cat.schema()), b.flattening(cat.schema()));
-        assert!(Arc::ptr_eq(a_flat, b_flat));
-        assert_eq!(a_flat.updates(), a.flattened(cat.schema()).updates());
-        // x2's extension is x3 and x2: a chain, flattened by the participant.
-        assert!(!handed_a_flattening(&find(&of_p1, x2.id()), cat.schema()));
-        assert!(!handed_a_flattening(&find(&of_p1, twice.id()), cat.schema()));
+        for root in [x3.id(), y3.id()] {
+            let (a, b) = (find(&of_p1, root), find(&of_p2, root));
+            assert_eq!(a.members, b.members);
+            let (a_flat, b_flat) = (a.flattening(schema), b.flattening(schema));
+            assert!(Arc::ptr_eq(a_flat, b_flat));
+            assert_eq!(a_flat.updates(), a.flattened(schema).updates());
+        }
+        assert_eq!(find(&of_p1, y3.id()).members.len(), 2);
+        assert!(!handed_a_flattening(&find(&of_p1, twice.id()), schema));
+
+        // Once p1 has accepted x3, x2 is the root alone, handed x2's own
+        // flattening rather than the chain's.
+        let chain = find(&of_p1, x2.id());
+        assert_eq!(chain.members.len(), 2);
+        cat.record_decisions(p(1), &[x3.id()], &[]).unwrap();
+        let alone = find(&one_page(&cat, p(1)), x2.id());
+        assert_eq!(alone.members.len(), 1);
+        let own = cat.transaction(x2.id()).unwrap();
+        let own = own.own_flattening(schema).unwrap();
+        assert!(Arc::ptr_eq(alone.flattening(schema), own));
+        assert!(!Arc::ptr_eq(alone.flattening(schema), chain.flattening(schema)));
+        assert_eq!(own.updates(), alone.flattened(schema).updates());
+    }
+
+    /// The root epochs of the memoised chains, in ascending order.
+    fn memo_roots(cat: &StoreCatalog) -> Vec<Epoch> {
+        let memo = cat.chains.lock().expect("chain memo lock");
+        let mut roots: Vec<Epoch> = memo.chains.values().map(|(root, _)| *root).collect();
+        roots.sort();
+        roots
+    }
+
+    /// Opens a session for `participant`, builds every candidate and commits
+    /// deciding nothing: the roots stay undecided and the cursor moves to the
+    /// session epoch, which it returns.
+    fn reconcile_deferring_all(cat: &StoreCatalog, participant: ParticipantId) -> Epoch {
+        let opened = cat.open_session(participant).unwrap();
+        while !cat.batch(opened.session, 64).unwrap().exhausted {}
+        cat.commit_session(opened.session, &[], &[]).unwrap().2
+    }
+
+    /// Publishes one modify per step on a single key, each by the next of
+    /// three participants: every transaction after the first is a chain
+    /// behind all of its predecessors.
+    fn publish_chain(cat: &StoreCatalog, steps: std::ops::Range<u64>) {
+        let v = |step: u64| func("rat", "prot1", &format!("v{step}"));
+        for step in steps {
+            let who = (step % 3) as u32 + 1;
+            let update = if step == 0 {
+                Update::insert("Function", v(0), p(who))
+            } else {
+                Update::modify("Function", v(step - 1), v(step), p(who))
+            };
+            cat.publish(p(who), None, None, vec![txn(who, step, vec![update])]).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_chain_memo_holds_a_root_until_every_cursor_has_passed_it() {
+        let cat = fully_trusting(3);
+        publish_chain(&cat, 0..6);
+        // p3 reconciles once and then stays away: it pins what lies above.
+        let stayed_at = reconcile_deferring_all(&cat, p(3));
+        assert!(!memo_roots(&cat).is_empty());
+        publish_chain(&cat, 6..12);
+        for i in [1, 2] {
+            reconcile_deferring_all(&cat, p(i));
+        }
+        let pinned = memo_roots(&cat);
+        assert!(!pinned.is_empty());
+        assert!(pinned.iter().all(|root| *root > stayed_at), "{pinned:?} ≤ {stayed_at}");
+
+        // Once p3 has committed past the last epoch too, nothing is left.
+        reconcile_deferring_all(&cat, p(3));
+        assert_eq!(memo_roots(&cat), []);
+
+        // A retirement releases the pin a participant that stays away holds.
+        publish_chain(&cat, 12..18);
+        for i in [1, 2] {
+            reconcile_deferring_all(&cat, p(i));
+        }
+        assert!(!memo_roots(&cat).is_empty());
+        cat.retire_participant(p(3)).unwrap();
+        assert_eq!(memo_roots(&cat), []);
+    }
+
+    #[test]
+    fn a_prune_leaves_no_memoised_chain_at_or_below_its_horizon() {
+        let cat = fully_trusting(3);
+        cat.set_retention(RetentionPolicy::ConvergedOnly);
+        cat.close_membership().unwrap();
+        publish_chain(&cat, 0..6);
+        reconcile_accept_all(&cat, p(3));
+        publish_chain(&cat, 6..12);
+        for i in [1, 2] {
+            reconcile_accept_all(&cat, p(i));
+        }
+        let before = memo_roots(&cat);
+        let horizon = cat.prune_to_horizon().unwrap().horizon;
+        assert!(horizon > Epoch::ZERO);
+        // The horizon is at most p3's cursor, which the commits already
+        // swept through; the chains above it, which p3 will still be
+        // offered, stay.
+        let after = memo_roots(&cat);
+        assert!(!after.is_empty());
+        assert!(after.iter().all(|root| *root > horizon));
+        assert_eq!(after, before.into_iter().filter(|root| *root > horizon).collect::<Vec<_>>());
     }
 
     #[test]
@@ -2527,14 +2722,30 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The flattenings sessions derive on log entries are in no rendering and
-    /// no comparison: the live catalogue reads as, and equals, its recovered
-    /// twin, whose entries have derived nothing.
+    /// The flattenings sessions derive, on log entries and in the chain
+    /// memo, are in no rendering, no comparison and no durable byte: the live
+    /// catalogue reads as, and equals, a twin that ran the same durable
+    /// history without building a candidate, its clone and its recovered
+    /// self, all three with nothing derived.
     #[test]
     fn derived_flattenings_leave_the_recovered_twin_identical() {
-        let dir = tmp_dir("flattenings");
-        let cat = durable_catalog(&dir);
-        run_history(&cat);
+        let (dir, twin_dir) = (tmp_dir("flattenings"), tmp_dir("flattenings-twin"));
+        let (cat, twin) = (durable_catalog(&dir), durable_catalog(&twin_dir));
+        // Reads x3's tuple: a chain behind x3 for p2, which rejected x3.
+        let y3 = txn(
+            3,
+            1,
+            vec![Update::modify(
+                "Function",
+                func("rat", "prot1", "a"),
+                func("rat", "prot1", "b"),
+                p(3),
+            )],
+        );
+        for store in [&cat, &twin] {
+            run_history(store);
+            store.publish(p(3), None, None, vec![y3.clone()]).unwrap();
+        }
         let mut derived = 0;
         for who in [p(2), p(3), p(4)] {
             let opened = cat.open_session(who).unwrap();
@@ -2546,18 +2757,75 @@ mod tests {
                 .filter(|(c, _)| handed_a_flattening(c, cat.schema()))
                 .count();
             cat.commit_session(opened.session, &ids, &[]).unwrap();
+            let opened = twin.open_session(who).unwrap();
+            twin.commit_session(opened.session, &ids, &[]).unwrap();
         }
-        assert!(derived >= 3, "every participant reconciled a root alone");
+        assert!(derived >= 4, "every participant reconciled a root alone, p2 a chain too");
+        // p1 has not reconciled since y3, so the chain stays memoised.
+        assert!(!memo_roots(&cat).is_empty());
+        assert_eq!(memo_roots(&twin), []);
+        let copy = cat.clone();
+        assert_eq!(memo_roots(&copy), []);
         let entries = |cat: &StoreCatalog| -> Vec<LogEntry> {
             cat.log.read().expect("log lock").log.entries().cloned().collect()
         };
         let (live, live_entries) = (format!("{cat:?}"), entries(&cat));
+        assert_eq!(format!("{twin:?}"), live);
+        assert_eq!(format!("{copy:?}"), live);
+        let wal_bytes = |cat: &StoreCatalog| cat.durability().file_backend().unwrap().wal_bytes();
+        assert_eq!(wal_bytes(&cat), wal_bytes(&twin));
+        cat.snapshot().unwrap();
+        twin.snapshot().unwrap();
+        let snapshot_bytes = |dir: &Path| std::fs::read(snapshot::snapshot_path(dir)).unwrap();
+        assert_eq!(snapshot_bytes(&dir), snapshot_bytes(&twin_dir));
         drop(cat);
 
         let recovered = StoreCatalog::recover(&dir).unwrap();
+        assert_eq!(memo_roots(&recovered), []);
         assert_eq!(format!("{recovered:?}"), live);
         assert_eq!(entries(&recovered), live_entries);
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&twin_dir).ok();
+    }
+
+    /// Two participants paging the same chain on two threads both get its
+    /// flattening, and one [`Arc`] of it: whichever builder loses the race
+    /// to insert adopts the winner's.
+    #[test]
+    fn racing_builders_of_one_chain_share_one_flattening() {
+        for _ in 0..16 {
+            let cat = catalog_with_policies();
+            let v = |value| func("rat", "prot1", value);
+            let x3 = txn(3, 0, vec![Update::insert("Function", v("v1"), p(3))]);
+            let y3 = txn(3, 1, vec![Update::modify("Function", v("v1"), v("v2"), p(3))]);
+            cat.publish(p(3), None, None, vec![x3]).unwrap();
+            let chain = y3.id();
+            cat.publish(p(3), None, None, vec![y3]).unwrap();
+            let sessions = [p(1), p(2)].map(|who| cat.open_session(who).unwrap().session);
+            let start = std::sync::Barrier::new(2);
+            let chains: Vec<CandidateTransaction> = std::thread::scope(|scope| {
+                let racers: Vec<_> = sessions
+                    .iter()
+                    .map(|session| {
+                        let (cat, start) = (&cat, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            let batch = cat.batch(*session, 10).unwrap();
+                            batch.candidates.into_iter().map(|(c, _)| c).find(|c| c.id == chain)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|racer| racer.join().unwrap().unwrap()).collect()
+            });
+            let schema = cat.schema();
+            assert_eq!(chains[0].members.len(), 2);
+            assert!(handed_a_flattening(&chains[0], schema));
+            assert!(Arc::ptr_eq(chains[0].flattening(schema), chains[1].flattening(schema)));
+            for chain in &chains {
+                assert_eq!(chain.flattening(schema).updates(), chain.flattened(schema).updates());
+            }
+            assert_eq!(memo_roots(&cat), [Epoch(2)]);
+        }
     }
 
     #[test]
