@@ -1267,6 +1267,40 @@ mod tests {
         assert!(decode_record(&[WAL_MAGIC, 0xEE]).is_err());
     }
 
+    /// A transaction holding an update of another origin decodes to a typed
+    /// error, never to a `Transaction`: WAL publishes and snapshot log
+    /// entries alike decode through `Transaction::new`, so every decoded
+    /// update carries its transaction's origin, which is what deciding trust
+    /// by origin rests on.
+    #[test]
+    fn a_transaction_with_a_foreign_update_is_refused() {
+        let txn = sample_transaction(3, 0);
+        let publish = |second_origin: ParticipantId| {
+            let mut e = Enc::new(WAL_MAGIC);
+            e.u8(2);
+            enc_participant(&mut e, txn.origin());
+            e.u64(1);
+            e.u64(1);
+            enc_txn_id(&mut e, txn.id());
+            e.u64(txn.len() as u64);
+            for (i, update) in txn.updates().iter().enumerate() {
+                let origin = if i == 1 { second_origin } else { update.origin };
+                enc_update(&mut e, &Update { origin, ..update.clone() });
+            }
+            e.buf
+        };
+        let record = WalRecord::Publish {
+            participant: txn.origin(),
+            epoch: Epoch(1),
+            transactions: vec![txn.clone()],
+        };
+        assert_eq!(publish(txn.origin()), encode_record(&record, Codec::Binary));
+        assert!(matches!(
+            decode_record(&publish(ParticipantId(4))),
+            Err(StorageError::Persistence(message)) if message.contains("decoded transaction invalid")
+        ));
+    }
+
     /// A snapshot whose log goes back in position or epoch, whose last log
     /// position is not below the counter, or whose epoch records skip an
     /// epoch decodes to a typed error, never to an unsorted index.

@@ -55,10 +55,14 @@
 //! reverse adjacency (`TrustIndex`: update origin → the shards whose policy
 //! holds a positive rule that can match an update of that origin, plus the
 //! shards holding a positive rule no origin set bounds) and evaluates the
-//! real policy on those shards alone. That is complete: a transaction is
+//! real policy on those shards alone — once per transaction, by its origin,
+//! when the origin decides every positive rule
+//! ([`TrustPolicy::priority_by_origin`]). That is complete: a transaction is
 //! trusted only if every one of its updates is, every update of a
 //! transaction carries the transaction's origin, and a policy outside the
 //! visited set has no positive rule that can match an update of that origin.
+//! A snapshot load builds every slice the same way, in one pass over the
+//! log.
 //!
 //! Opening a session pins the undecided `(transaction, priority)` entries
 //! between the cursor and the session epoch; [`StoreCatalog::batch`] then
@@ -102,8 +106,8 @@
 use crate::api::{SessionId, SessionInfo};
 use crate::durability::{Durability, FileWalBackend};
 use orchestra_model::{
-    AntichainClock, CausalStamp, Epoch, ParticipantId, Predicate, Priority, ReconciliationId,
-    Schema, Transaction, TransactionId, TrustPolicy,
+    AntichainClock, CausalStamp, Epoch, ParticipantId, Priority, ReconciliationId, Schema,
+    Transaction, TransactionId, TrustPolicy,
 };
 use orchestra_recon::{CandidateTransaction, FlatExtension};
 use orchestra_storage::snapshot::{self, ParticipantSnapshot, StoreSnapshot};
@@ -173,68 +177,6 @@ impl fmt::Debug for RelevanceSlice {
     }
 }
 
-/// Appends the update origins a predicate can match to `out`, or returns
-/// `false` when no finite set bounds them (`out` is then meaningless). An
-/// over-approximation read off the predicate's shape, never an evaluation —
-/// `And` intersects its bounded children (none bounded: unbounded), `Or` is
-/// unbounded as soon as one child is, and everything that does not name an
-/// origin (`Not` included) is unbounded.
-fn bounded_origins(predicate: &Predicate, out: &mut Vec<ParticipantId>) -> bool {
-    match predicate {
-        Predicate::False => true,
-        Predicate::FromParticipant(p) => {
-            out.push(*p);
-            true
-        }
-        Predicate::FromAnyOf(ps) => {
-            out.extend_from_slice(ps);
-            true
-        }
-        Predicate::Or(children) => children.iter().all(|child| bounded_origins(child, out)),
-        Predicate::And(children) => {
-            let mut meet: Option<Vec<ParticipantId>> = None;
-            for child in children {
-                let mut origins = Vec::new();
-                if bounded_origins(child, &mut origins) {
-                    if let Some(meet) = &mut meet {
-                        meet.retain(|p| origins.contains(p));
-                    } else {
-                        meet = Some(origins);
-                    }
-                }
-            }
-            match meet {
-                Some(meet) => {
-                    out.extend(meet);
-                    true
-                }
-                None => false,
-            }
-        }
-        Predicate::True
-        | Predicate::OverRelation(_)
-        | Predicate::OfKind(_)
-        | Predicate::WritesValue { .. }
-        | Predicate::Not(_) => false,
-    }
-}
-
-/// The update origins a policy can give a non-zero priority, sorted and
-/// distinct: the union over its positive rules (zero-priority rules trust
-/// nothing), `None` when one of them is unbounded. The owner's own updates
-/// are not listed — a participant is never offered its own transactions.
-fn trusted_origins(policy: &TrustPolicy) -> Option<Vec<ParticipantId>> {
-    let mut origins = Vec::new();
-    for rule in policy.rules().iter().filter(|rule| rule.priority.is_trusted()) {
-        if !bounded_origins(&rule.predicate, &mut origins) {
-            return None;
-        }
-    }
-    origins.sort_unstable();
-    origins.dedup();
-    Some(origins)
-}
-
 /// A participant's shard as the shard map and the trust index share it.
 type SharedShard = Arc<RwLock<ParticipantShard>>;
 
@@ -268,7 +210,7 @@ impl TrustIndex {
     }
 
     fn insert(&mut self, policy: &TrustPolicy, shard: &SharedShard) {
-        match trusted_origins(policy) {
+        match policy.trusted_origins() {
             None => {
                 self.any_origin.insert(policy.owner(), Arc::clone(shard));
             }
@@ -285,7 +227,7 @@ impl TrustIndex {
 
     /// Removes exactly the edges `insert(policy, _)` added.
     fn remove(&mut self, policy: &TrustPolicy) {
-        match trusted_origins(policy) {
+        match policy.trusted_origins() {
             None => {
                 self.any_origin.remove(&policy.owner());
             }
@@ -795,23 +737,14 @@ impl StoreCatalog {
         // Each shard is locked once per *batch*, not once per
         // transaction — the whole block runs inside the log write lock,
         // so the serialised section should stay as short as possible.
-        for (other, shard) in &shards {
+        for (_, shard) in &shards {
             let mut shard = shard.write().expect("shard lock");
             if !shard.registered || shard.retired {
                 continue;
             }
             for txn in &transactions {
-                // Skip by transaction *origin* (not by publisher),
-                // matching the relevance filter and `register_policy`'s
-                // rebuild: a participant is never offered its own
-                // transactions even if someone else published them on
-                // its behalf.
-                if txn.origin() == *other {
-                    continue;
-                }
-                let priority = shard.policy.priority_of_transaction(txn, &self.schema);
-                if priority.is_trusted() {
-                    shard.relevance.push(epoch, (txn.id(), priority));
+                if let Some(entry) = relevance_entry(&shard.policy, txn, &self.schema) {
+                    shard.relevance.push(epoch, entry);
                 }
             }
         }
@@ -1294,7 +1227,7 @@ impl StoreCatalog {
     /// ([`Priority::UNTRUSTED`] if the participant has no registered policy).
     pub fn priority_for(&self, participant: ParticipantId, txn: &Transaction) -> Priority {
         self.policy(participant)
-            .map(|p| p.priority_of_transaction(txn, &self.schema))
+            .map(|p| p.priority_by_origin(txn, &self.schema))
             .unwrap_or(Priority::UNTRUSTED)
     }
 
@@ -1470,7 +1403,7 @@ impl StoreCatalog {
             .filter(|txn| {
                 txn.origin() != participant
                     && shard.record.decision(txn.id()).is_none()
-                    && shard.policy.priority_of_transaction(txn, &self.schema).is_untrusted()
+                    && shard.policy.priority_by_origin(txn, &self.schema).is_untrusted()
             })
             .map(Transaction::id)
             .collect()
@@ -1601,9 +1534,12 @@ impl StoreCatalog {
     }
 
     /// Builds the in-memory state a snapshot describes, re-deriving the
-    /// derived structures: log indexes, `Arc`-snapshot decision sets and
-    /// every registered shard's relevance slice (the WAL tail then extends
-    /// the slices publish by publish, as the live run did).
+    /// derived structures: log indexes, `Arc`-snapshot decision sets, the
+    /// trust index and every registered shard's relevance slice (the WAL
+    /// tail then extends the slices publish by publish, as the live run
+    /// did). The slices are built in one pass over the log that offers each
+    /// entry to the shards the trust index lists for its origin, exactly as
+    /// a publish does.
     fn from_snapshot(snap: StoreSnapshot) -> Result<StoreCatalog> {
         let StoreSnapshot {
             schema,
@@ -1619,18 +1555,13 @@ impl StoreCatalog {
         for p in participants {
             let mut record = p.record;
             record.rebuild_sets();
-            let relevance = if p.registered {
-                relevance_slice(&log, &schema, &p.policy, p.relevance_floor)
-            } else {
-                RelevanceSlice::default()
-            };
             shards.insert(
                 p.id,
                 Arc::new(RwLock::new(ParticipantShard {
                     policy: p.policy,
                     registered: p.registered,
                     retired: p.retired,
-                    relevance,
+                    relevance: RelevanceSlice::default(),
                     relevance_floor: p.relevance_floor,
                     cursor: p.cursor,
                     record,
@@ -1638,10 +1569,22 @@ impl StoreCatalog {
                 })),
             );
         }
+        let trust = TrustIndex::over(&shards);
+        for entry in log.entries() {
+            let txn = entry.transaction.as_ref();
+            for (_, shard) in trust.candidates(std::iter::once(txn.origin())) {
+                let mut shard = shard.write().expect("shard lock");
+                if entry.epoch > shard.relevance_floor {
+                    if let Some(relevant) = relevance_entry(&shard.policy, txn, &schema) {
+                        shard.relevance.push(entry.epoch, relevant);
+                    }
+                }
+            }
+        }
         Ok(StoreCatalog {
             schema,
             log: RwLock::new(LogShard { registry, log, membership_frontier, pruned_through }),
-            trust: Mutex::new(TrustIndex::over(&shards)),
+            trust: Mutex::new(trust),
             shards: RwLock::new(shards),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
@@ -1759,32 +1702,40 @@ impl StoreCatalog {
     }
 }
 
+/// The relevance entry `policy` gives `txn`, decided by origin where the
+/// policy allows ([`TrustPolicy::priority_by_origin`]): none for a
+/// transaction it does not trust, nor for one of its owner's own. The skip
+/// goes by transaction *origin*, not by publisher, so a participant is never
+/// offered its own transactions even if someone else published them on its
+/// behalf.
+fn relevance_entry(
+    policy: &TrustPolicy,
+    txn: &Transaction,
+    schema: &Schema,
+) -> Option<RelevanceEntry> {
+    if txn.origin() == policy.owner() {
+        return None;
+    }
+    let priority = policy.priority_by_origin(txn, schema);
+    priority.is_trusted().then(|| (txn.id(), priority))
+}
+
 /// Builds a participant's slice of the relevance index from the publication
 /// log restricted to epochs above `floor` — used when a policy is registered
 /// (the floor is the membership frontier, or the pruned horizon when that is
 /// higher, so a pruned store's pinned sub-horizon entries do not leak back
-/// in). The slice skips the participant's own transactions (by
-/// *origin*) and everything its policy does not trust, matching the
-/// publish-time extension.
+/// in). The slice holds what [`relevance_entry`] gives each entry, matching
+/// the publish-time extension.
 fn relevance_slice(
     log: &TransactionLog,
     schema: &Schema,
     policy: &TrustPolicy,
     floor: Epoch,
 ) -> RelevanceSlice {
-    let participant = policy.owner();
     let mut index = RelevanceSlice::default();
-    for entry in log.entries() {
-        if entry.epoch <= floor {
-            continue;
-        }
-        let txn = entry.transaction.as_ref();
-        if txn.origin() == participant {
-            continue;
-        }
-        let priority = policy.priority_of_transaction(txn, schema);
-        if priority.is_trusted() {
-            index.push(entry.epoch, (txn.id(), priority));
+    for entry in log.entries().filter(|entry| entry.epoch > floor) {
+        if let Some(relevant) = relevance_entry(policy, entry.transaction.as_ref(), schema) {
+            index.push(entry.epoch, relevant);
         }
     }
     index
@@ -1958,7 +1909,7 @@ impl fmt::Debug for StoreCatalog {
 mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
-    use orchestra_model::{AcceptanceRule, Tuple, Update, UpdateKind};
+    use orchestra_model::{AcceptanceRule, Predicate, Tuple, Update, UpdateKind};
     use orchestra_spec::Spec;
     use proptest::prelude::*;
 
@@ -2399,7 +2350,11 @@ mod tests {
     /// pair: every participant's session range (cursor, stable epoch], its
     /// deferred stream (0, cursor] and the horizon just below the first
     /// undecided entry are what the spec says — live, after a prune that
-    /// cuts the slices' first epoch, and after recovery.
+    /// cuts the slices' first epoch, and after recovery from a snapshot
+    /// (whose slices are built in one pass over the log) plus a WAL tail.
+    /// p4's rule reads the relation, so the origin cannot decide it and every
+    /// publish evaluates it per update; p5 trusts a set of origins, decided
+    /// by origin like the Figure 1 policies.
     #[test]
     fn relevance_ranges_match_the_spec_across_prune_and_recovery() {
         fn publish(cat: &StoreCatalog, spec: &mut Spec, who: u32, batch: &[(u64, &str, &str)]) {
@@ -2420,7 +2375,7 @@ mod tests {
             cat.commit_session(opened.session, &decided[0], &decided[1]).unwrap();
         }
         fn check(cat: &StoreCatalog, spec: &Spec) {
-            for who in [p(1), p(2), p(3)] {
+            for who in [p(1), p(2), p(3), p(4), p(5)] {
                 let retrieved: Vec<RelevanceEntry> =
                     spec.retrieve(who).into_iter().map(|c| (c.id, c.priority)).collect();
                 assert_eq!(session_entries(cat, who), retrieved, "{who}'s session");
@@ -2428,13 +2383,22 @@ mod tests {
                     cat.undecided_candidates(who).into_iter().map(|c| c.id).collect();
                 assert_eq!(deferred, spec.peer(who).deferred, "{who}'s deferred stream");
             }
-            // p1 defers the epoch 2 / epoch 3 pair; nothing else is open.
+            // p1 and p4 defer the epoch 2 / epoch 3 pair; nothing else is
+            // open.
             assert_eq!(cat.convergence_horizon(), Epoch(1));
         }
 
         let dir = tmp_dir("relevance-ranges");
         let cat = durable_catalog(&dir);
-        let mut spec = Spec::new(bioinformatics_schema(), policies());
+        let over_function = Predicate::OverRelation("Function".into());
+        let extra = [
+            TrustPolicy::new(p(4)).with_rule(AcceptanceRule::new(over_function, 1u32)),
+            TrustPolicy::new(p(5))
+                .with_rule(AcceptanceRule::new(Predicate::FromAnyOf(vec![p(1), p(3)]), 2u32)),
+        ];
+        extra.iter().for_each(|policy| cat.register_policy(policy.clone()));
+        let mut spec = Spec::new(bioinformatics_schema(), policies().into_iter().chain(extra));
+        assert_eq!(trust_edges(&cat).1, vec![p(4)], "only p4 is evaluated on every publish");
         cat.set_retention(RetentionPolicy::ConvergedOnly);
         cat.close_membership().unwrap();
         publish(&cat, &mut spec, 1, &[(0, "a1", "f"), (1, "a2", "f")]);
@@ -2445,13 +2409,17 @@ mod tests {
         publish(&cat, &mut spec, 3, &[(2, "c2", "f"), (3, "c3", "f")]);
         reconcile(&cat, &mut spec, 2);
         reconcile(&cat, &mut spec, 3);
+        cat.snapshot().unwrap();
         publish(&cat, &mut spec, 1, &[(2, "a3", "f"), (3, "a4", "f")]);
+        reconcile(&cat, &mut spec, 4);
+        reconcile(&cat, &mut spec, 5);
         assert_eq!(spec.peer(p(1)).deferred.len(), 2, "p1 defers p2's and p3's k");
+        assert_eq!(spec.peer(p(4)).deferred.len(), 2, "p4 defers p2's and p3's k");
         check(&cat, &spec);
 
         let report = cat.prune_to_horizon().unwrap();
         assert_eq!(report.horizon, Epoch(1));
-        assert_eq!(report.pruned_relevance_entries, 2, "p2's entries of p1's first batch");
+        assert_eq!(report.pruned_relevance_entries, 6, "p2's, p4's and p5's of p1's first batch");
         check(&cat, &spec);
         let live = format!("{cat:?}");
         drop(cat);
@@ -2479,43 +2447,6 @@ mod tests {
 
     fn insert_by(i: u32, j: u64) -> Transaction {
         txn(i, j, vec![Update::insert("Function", func("rat", &format!("p{i}-{j}"), "a"), p(i))])
-    }
-
-    #[test]
-    fn trusted_origins_follow_the_predicate_grammar() {
-        use Predicate::{And, False, FromAnyOf, FromParticipant, Not, OfKind, Or, True};
-        let set = |ids: &[u32]| Some(ids.iter().map(|i| p(*i)).collect::<Vec<_>>());
-        let kind = || OfKind(UpdateKind::Insert);
-        for (predicate, expected) in [
-            (True, None),
-            (False, set(&[])),
-            (FromParticipant(p(2)), set(&[2])),
-            (FromAnyOf(vec![p(3), p(2), p(3)]), set(&[2, 3])),
-            (Predicate::OverRelation("Function".into()), None),
-            (kind(), None),
-            (Not(Box::new(FromParticipant(p(2)))), None),
-            (And(vec![]), None),
-            (And(vec![True, kind()]), None),
-            (And(vec![kind(), FromParticipant(p(2))]), set(&[2])),
-            (And(vec![FromAnyOf(vec![p(2), p(3)]), FromParticipant(p(3))]), set(&[3])),
-            (And(vec![FromParticipant(p(2)), FromParticipant(p(3))]), set(&[])),
-            (Or(vec![]), set(&[])),
-            (Or(vec![FromParticipant(p(2)), FromAnyOf(vec![p(4)])]), set(&[2, 4])),
-            (Or(vec![FromParticipant(p(2)), kind()]), None),
-            (Or(vec![And(vec![True, FromParticipant(p(5))]), False]), set(&[5])),
-        ] {
-            let policy = TrustPolicy::new(p(1)).with_rule(AcceptanceRule::new(predicate, 1u32));
-            assert_eq!(trusted_origins(&policy), expected, "{}", policy.rules()[0].predicate);
-        }
-        // Only positive rules count: a zero-priority `True` trusts nothing.
-        let policy = TrustPolicy::new(p(1))
-            .with_rule(AcceptanceRule::new(True, 0u32))
-            .trusting(p(3), 1u32)
-            .trusting(p(2), 1u32);
-        assert_eq!(trusted_origins(&policy), set(&[2, 3]));
-        assert_eq!(trusted_origins(&TrustPolicy::new(p(1))), set(&[]));
-        let open = policy.with_rule(AcceptanceRule::new(kind(), 2u32));
-        assert_eq!(trusted_origins(&open), None);
     }
 
     #[test]
