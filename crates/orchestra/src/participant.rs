@@ -90,8 +90,6 @@ pub struct Participant {
     /// publications (a participant may publish several times between
     /// reconciliations) and consumed by the reconciliation that covers them.
     last_published_updates: Vec<Update>,
-    /// Cumulative timing across all operations.
-    total_timing: TimingBreakdown,
     /// Shared observability sink: every timing accumulation also bumps the
     /// `participant.store_us` / `participant.local_us` counters there, and
     /// publish / reconcile / resolution milestones emit trace events.
@@ -143,7 +141,6 @@ impl Participant {
             reconcile_batch_size: DEFAULT_RECONCILE_BATCH_SIZE,
             pending_publish: Vec::new(),
             last_published_updates: Vec::new(),
-            total_timing: TimingBreakdown::default(),
             obs: Obs::disabled(),
             timing_counters: Default::default(),
             accepted: Arc::default(),
@@ -289,27 +286,20 @@ impl Participant {
         &self.pending_publish
     }
 
-    /// Cumulative timing across every operation performed so far.
-    pub fn total_timing(&self) -> TimingBreakdown {
-        self.total_timing
-    }
-
-    /// Points the participant at a shared observability sink. Timing keeps
-    /// accumulating into [`Participant::total_timing`] (the view) while the
-    /// sink's `participant.store_us` / `participant.local_us` counters see
-    /// the same micros, and trace events are recorded when the sink's tracer
-    /// is enabled.
+    /// Points the participant at a shared observability sink: the sink's
+    /// `participant.store_us` / `participant.local_us` counters accumulate
+    /// every operation's timing, and trace events are recorded when the
+    /// sink's tracer is enabled.
     pub fn set_observability(&mut self, obs: &Obs) {
         self.obs = obs.clone();
         self.timing_counters =
             ["participant.store_us", "participant.local_us"].map(|name| obs.metrics.counter(name));
     }
 
-    /// Accumulates one operation's timing into the cumulative view *and*
-    /// the shared metric counters — the single sink that replaced ad-hoc
-    /// `TimingBreakdown` summing in drivers.
+    /// Accumulates one operation's timing into the shared metric counters —
+    /// the single sink that replaced ad-hoc `TimingBreakdown` summing in
+    /// drivers.
     fn record_timing(&mut self, timing: TimingBreakdown) {
-        self.total_timing.accumulate(timing);
         let [store_us, local_us] = &self.timing_counters;
         store_us.add(timing.store.as_micros() as u64);
         local_us.add(timing.local.as_micros() as u64);
@@ -812,7 +802,6 @@ mod tests {
         assert_eq!(report2.accepted.len(), 1);
         assert!(p2.instance().contains_tuple_exact("Function", &func("rat", "prot1", "immune")));
         assert!(report2.timing.total() >= report2.timing.local);
-        assert!(p2.total_timing().total() >= report2.timing.total());
     }
 
     #[test]
@@ -826,8 +815,7 @@ mod tests {
         let (first, other) = (Obs::disabled(), Obs::disabled());
         p1.set_observability(&first);
         p1.set_observability(&other);
-        p1.reconcile(&store).unwrap();
-        let spent = p1.total_timing();
+        let spent = p1.reconcile(&store).unwrap().timing;
         let micros = [spent.store.as_micros() as u64, spent.local.as_micros() as u64];
         assert!(micros[0] + micros[1] > 0, "reconciling 40 candidates takes time");
         let counters = |obs: &Obs| {

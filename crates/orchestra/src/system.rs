@@ -158,6 +158,28 @@ impl<S: UpdateStore> CdssSystem<S> {
         Ok(self.participants.remove(&id).expect("checked above"))
     }
 
+    /// Restarts the store ([`UpdateStore::restart`]): the store is replaced
+    /// by the one a restarted store process holds, recovered from everything
+    /// it wrote. The participants keep their memory, as peers that are
+    /// processes of their own do. On an error the store stays as it was.
+    pub fn restart_store(&mut self) -> Result<()> {
+        self.store = self.store.restart()?;
+        Ok(())
+    }
+
+    /// Replaces a participant by one rebuilt from the store alone under the
+    /// same trust policy ([`Participant::rebuild_from_store`]): a peer that
+    /// lost its memory. What it had not published, pending or buffered while
+    /// partitioned, is lost with it, and it comes back online.
+    pub fn rebuild_participant(&mut self, id: ParticipantId) -> Result<()> {
+        let config = ParticipantConfig::new(self.require(id)?.policy().clone());
+        let mut rebuilt =
+            Participant::rebuild_from_store(self.schema.clone(), config, &self.store)?;
+        rebuilt.set_observability(&self.obs);
+        self.participants.insert(id, rebuilt);
+        Ok(())
+    }
+
     /// The identities of all participants, in order.
     pub fn participant_ids(&self) -> Vec<ParticipantId> {
         self.participants.keys().copied().collect()

@@ -35,7 +35,7 @@ use orchestra_model::{
     TransactionId, TrustPolicy,
 };
 use orchestra_recon::CandidateTransaction;
-use orchestra_storage::{InstanceCheckpoint, Result, StorageError};
+use orchestra_storage::{InstanceCheckpoint, PruneReport, Result, StorageError};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -374,6 +374,38 @@ pub trait UpdateStore: Send + Sync {
             return self.accepted_replay_units(participant);
         }
         Vec::new()
+    }
+
+    // --- Administration: snapshot, retention, restart --------------------
+    //
+    // The defaults error: the fabric, whose shards keep no write-ahead log,
+    // has none of the three. The central and DHT stores override the lot by
+    // delegating to their catalogue.
+
+    /// Takes a compacting snapshot of a durable store and starts a fresh WAL
+    /// generation, which it returns. Errors on an ephemeral store.
+    fn snapshot(&self) -> Result<u64> {
+        Err(StorageError::Persistence("this store does not take snapshots".to_string()))
+    }
+
+    /// Prunes converged history per the store's retention policy (see
+    /// [`orchestra_storage::RetentionPolicy`]); decisions stay.
+    fn prune_to_horizon(&self) -> Result<PruneReport> {
+        Err(StorageError::Persistence("this store does not prune".to_string()))
+    }
+
+    /// The store a restarted store process holds, reopened from everything
+    /// this one wrote to its directory; the caller drops this one for it.
+    /// A recovered store whose durable state does not render byte-identically
+    /// to this one's is an error, not a store. The retention policy is
+    /// configuration and carries over. Errors on an ephemeral store.
+    fn restart(&self) -> Result<Self>
+    where
+        Self: Sized,
+    {
+        Err(StorageError::Persistence(
+            "this store cannot restart from a write-ahead log".to_string(),
+        ))
     }
 }
 

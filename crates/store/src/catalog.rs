@@ -1533,6 +1533,26 @@ impl StoreCatalog {
         Ok(catalog)
     }
 
+    /// [`StoreCatalog::recover`] from this catalogue's directory, refused
+    /// unless it renders byte-identically to this one, under this one's
+    /// retention policy (see [`UpdateStore::restart`](crate::UpdateStore)).
+    pub fn restart(&self) -> Result<StoreCatalog> {
+        let Durability::FileWal(backend) = &self.durability else {
+            return Err(StorageError::Persistence(
+                "cannot restart an ephemeral catalogue".to_string(),
+            ));
+        };
+        let recovered = StoreCatalog::recover(backend.dir())?;
+        if format!("{recovered:?}") != format!("{self:?}") {
+            return Err(StorageError::Persistence(format!(
+                "the catalogue recovered from {} differs from the one that crashed",
+                backend.dir().display()
+            )));
+        }
+        recovered.set_retention(self.retention());
+        Ok(recovered)
+    }
+
     /// Builds the in-memory state a snapshot describes, re-deriving the
     /// derived structures: log indexes, `Arc`-snapshot decision sets, the
     /// trust index and every registered shard's relevance slice (the WAL
@@ -2421,11 +2441,7 @@ mod tests {
         assert_eq!(report.horizon, Epoch(1));
         assert_eq!(report.pruned_relevance_entries, 6, "p2's, p4's and p5's of p1's first batch");
         check(&cat, &spec);
-        let live = format!("{cat:?}");
-        drop(cat);
-
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live);
+        let recovered = cat.restart().unwrap();
         check(&recovered, &spec);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2621,13 +2637,10 @@ mod tests {
         let cat = durable_catalog(&dir);
         cat.publish(p(1), None, None, vec![insert_by(1, 0)]).unwrap();
         cat.publish(p(2), None, Some(Epoch(2)), vec![insert_by(2, 0)]).unwrap();
-        let live = format!("{cat:?}");
         let slices: Vec<_> = (1..=3).map(|i| stored_slice(&cat, p(i))).collect();
         assert_eq!(slices.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1]);
-        drop(cat);
 
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live, "recovered state diverged");
+        let recovered = cat.restart().unwrap();
         assert_eq!((1..=3).map(|i| stored_slice(&recovered, p(i))).collect::<Vec<_>>(), slices);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2637,19 +2650,12 @@ mod tests {
         let dir = tmp_dir("replay");
         let cat = durable_catalog(&dir);
         run_history(&cat);
-        let live = format!("{cat:?}");
-        drop(cat);
-
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live, "recovered state diverged");
+        let recovered = cat.restart().unwrap();
         // The recovered catalogue still serves sessions and stays durable:
         // another publish lands in the same WAL and survives another crash.
         let y = txn(2, 1, vec![Update::insert("Function", func("cat", "prot5", "q"), p(2))]);
         recovered.publish(p(2), None, None, vec![y]).unwrap();
-        let live2 = format!("{recovered:?}");
-        drop(recovered);
-        let recovered2 = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered2:?}"), live2);
+        recovered.restart().expect("the second crash recovers byte-identically");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2709,11 +2715,9 @@ mod tests {
         twin.snapshot().unwrap();
         let snapshot_bytes = |dir: &Path| std::fs::read(snapshot::snapshot_path(dir)).unwrap();
         assert_eq!(snapshot_bytes(&dir), snapshot_bytes(&twin_dir));
-        drop(cat);
 
-        let recovered = StoreCatalog::recover(&dir).unwrap();
+        let recovered = cat.restart().unwrap();
         assert_eq!(memo_roots(&recovered), []);
-        assert_eq!(format!("{recovered:?}"), live);
         assert_eq!(entries(&recovered), live_entries);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&twin_dir).ok();
@@ -2843,10 +2847,7 @@ mod tests {
         let u = txn(3, 3, vec![Update::insert("Function", func("owl", "prot9", "u"), p(3))]);
         cat.publish(p(3), None, None, vec![u]).unwrap();
         assert!(cat.relevance_len() > 0);
-        let live = format!("{cat:?}");
-        drop(cat);
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live);
+        let recovered = cat.restart().unwrap();
         assert_eq!(recovered.durability().file_backend().unwrap().generation(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3223,10 +3224,7 @@ mod tests {
             // fresh generation).
             let z = txn(2, 1, vec![Update::insert("Function", func("owl", "prot7", "w"), p(2))]);
             cat.publish(p(2), None, None, vec![z]).unwrap();
-            let live = format!("{cat:?}");
-            drop(cat);
-            let recovered = StoreCatalog::recover(&dir).unwrap();
-            assert_eq!(format!("{recovered:?}"), live, "pruned recovery diverged");
+            cat.restart().expect("pruned recovery is byte-identical");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -3256,11 +3254,9 @@ mod tests {
         let twin = cat.clone();
         twin.prune_to_horizon().unwrap();
         let pruned_live = format!("{twin:?}");
-        drop(cat);
 
         // Path B: crash before the prune, recover, then prune.
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        recovered.set_retention(RetentionPolicy::ConvergedOnly);
+        let recovered = cat.restart().unwrap();
         recovered.prune_to_horizon().unwrap();
         assert_eq!(format!("{recovered:?}"), pruned_live, "prune/recover order changed state");
         std::fs::remove_dir_all(&dir).ok();
@@ -3391,11 +3387,7 @@ mod tests {
         cat.commit_session(opened.session, &[x3.id()], &[x2.id()]).unwrap();
         let x1 = txn(1, 0, vec![Update::insert("Function", func("dog", "prot9", "z"), p(1))]);
         cat.publish(p(1), Some(&stamp(&cat, p(1))), None, vec![x1]).unwrap();
-        let live = format!("{cat:?}");
-        drop(cat);
-
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live, "recovered causal state diverged");
+        let recovered = cat.restart().unwrap();
         assert!(recovered.causal_mode());
         assert_eq!(recovered.next_publisher_seq(p(2)), 2);
         // The recovered store keeps accepting stamped publishes — and the
@@ -3403,10 +3395,7 @@ mod tests {
         recovered.snapshot().unwrap();
         let y = txn(2, 1, vec![Update::insert("Function", func("cat", "prot5", "q"), p(2))]);
         recovered.publish(p(2), Some(&stamp(&recovered, p(2))), None, vec![y]).unwrap();
-        let live2 = format!("{recovered:?}");
-        drop(recovered);
-        let recovered2 = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered2:?}"), live2);
+        let recovered2 = recovered.restart().unwrap();
         assert!(recovered2.causal_mode());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3426,17 +3415,12 @@ mod tests {
         cat.record_instance_checkpoint(p(3), checkpoint.clone()).unwrap();
         assert_eq!(cat.instance_checkpoint(p(3)), Some(checkpoint.clone()));
         assert_eq!(cat.instance_checkpoint(p(1)), None);
-        let live = format!("{cat:?}");
-        drop(cat);
-
         // WAL replay restores the checkpoint…
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live);
+        let recovered = cat.restart().unwrap();
         assert_eq!(recovered.instance_checkpoint(p(3)), Some(checkpoint.clone()));
         // …and so does a snapshot compaction.
         recovered.snapshot().unwrap();
-        drop(recovered);
-        let recovered2 = StoreCatalog::recover(&dir).unwrap();
+        let recovered2 = recovered.restart().unwrap();
         assert_eq!(recovered2.instance_checkpoint(p(3)), Some(checkpoint));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3491,10 +3475,7 @@ mod tests {
         assert!(cat.prune_to_horizon().unwrap().is_noop());
 
         // The WAL-replayed prune drops exactly the same checkpoint.
-        let live = format!("{cat:?}");
-        drop(cat);
-        let recovered = StoreCatalog::recover(&dir).unwrap();
-        assert_eq!(format!("{recovered:?}"), live, "replayed prune diverged from the live one");
+        let recovered = cat.restart().unwrap();
         assert_eq!(recovered.instance_checkpoint(p(3)), None);
         assert!(recovered.instance_checkpoint(p(2)).is_some());
         std::fs::remove_dir_all(&dir).ok();

@@ -59,12 +59,6 @@ impl CentralStore {
         Ok(CentralStore { catalog: StoreCatalog::recover(dir)? })
     }
 
-    /// Takes a compacting snapshot of a durable store (see
-    /// [`StoreCatalog::snapshot`]). Returns the new WAL generation.
-    pub fn snapshot(&self) -> Result<u64> {
-        self.catalog.snapshot()
-    }
-
     /// Sets the retention policy (see
     /// [`orchestra_storage::RetentionPolicy`]); builder form for
     /// construction chains.
@@ -74,7 +68,7 @@ impl CentralStore {
     }
 
     /// Sets the retention policy. Takes effect at the next
-    /// [`CentralStore::prune_to_horizon`].
+    /// [`UpdateStore::prune_to_horizon`].
     pub fn set_retention(&self, policy: orchestra_storage::RetentionPolicy) {
         self.catalog.set_retention(policy);
     }
@@ -82,12 +76,6 @@ impl CentralStore {
     /// The retention policy in force.
     pub fn retention(&self) -> orchestra_storage::RetentionPolicy {
         self.catalog.retention()
-    }
-
-    /// Prunes converged history per the retention policy (see
-    /// [`StoreCatalog::prune_to_horizon`]).
-    pub fn prune_to_horizon(&self) -> Result<orchestra_storage::PruneReport> {
-        self.catalog.prune_to_horizon()
     }
 
     /// The underlying catalogue (for inspection in tests and tools).
@@ -276,6 +264,18 @@ impl UpdateStore for CentralStore {
         skip: u64,
     ) -> Vec<Vec<Arc<Transaction>>> {
         self.catalog.accepted_replay_units_after(participant, skip)
+    }
+
+    fn snapshot(&self) -> Result<u64> {
+        self.catalog.snapshot()
+    }
+
+    fn prune_to_horizon(&self) -> Result<orchestra_storage::PruneReport> {
+        self.catalog.prune_to_horizon()
+    }
+
+    fn restart(&self) -> Result<Self> {
+        Ok(CentralStore { catalog: self.catalog.restart()? })
     }
 }
 

@@ -86,32 +86,10 @@ impl DhtStore {
 
     /// Creates an empty DHT store whose state is made durable in `dir`
     /// through the file-backed write-ahead log. Refuses to clobber an
-    /// existing durable store — use [`DhtStore::recover`] for that.
+    /// existing durable store; a crash reopens it ([`UpdateStore::restart`]).
     pub fn durable(schema: Schema, dir: &std::path::Path) -> Result<Self> {
         let backend = crate::FileWalBackend::create(dir, &schema)?;
         Ok(DhtStore::with_durability(schema, crate::Durability::FileWal(backend)))
-    }
-
-    /// Reopens a durable DHT store from its durability directory, exactly
-    /// like [`crate::CentralStore::recover`]: snapshot load plus WAL replay
-    /// rebuild byte-identical catalogue state, and the store keeps appending
-    /// to the same generation's file. The simulated network restarts
-    /// empty (message statistics are not durable state).
-    pub fn recover(dir: &std::path::Path) -> Result<Self> {
-        Ok(DhtStore {
-            catalog: StoreCatalog::recover(dir)?,
-            network: Mutex::new(SimNetwork::with_latency(
-                Vec::new(),
-                Duration::from_micros(SimNetwork::PAPER_LATENCY_US),
-            )),
-            allocator_key: NodeId::hash_str("orchestra/epoch-allocator"),
-        })
-    }
-
-    /// Takes a compacting snapshot of a durable store (see
-    /// [`StoreCatalog::snapshot`]). Returns the new WAL generation.
-    pub fn snapshot(&self) -> Result<u64> {
-        self.catalog.snapshot()
     }
 
     /// The underlying catalogue (for inspection in tests and tools).
@@ -129,13 +107,6 @@ impl DhtStore {
     /// The retention policy in force.
     pub fn retention(&self) -> orchestra_storage::RetentionPolicy {
         self.catalog.retention()
-    }
-
-    /// Prunes converged history per the retention policy (see
-    /// [`StoreCatalog::prune_to_horizon`]). Not charged to the cost model:
-    /// in a real deployment each controller prunes its own slice locally.
-    pub fn prune_to_horizon(&self) -> Result<orchestra_storage::PruneReport> {
-        self.catalog.prune_to_horizon()
     }
 
     /// Cumulative network statistics (messages, hops, bytes, latency).
@@ -454,6 +425,26 @@ impl UpdateStore for DhtStore {
         skip: u64,
     ) -> Vec<Vec<Arc<Transaction>>> {
         self.catalog.accepted_replay_units_after(participant, skip)
+    }
+
+    fn snapshot(&self) -> Result<u64> {
+        self.catalog.snapshot()
+    }
+
+    /// Not charged to the cost model: in a real deployment each controller
+    /// prunes its own slice locally.
+    fn prune_to_horizon(&self) -> Result<orchestra_storage::PruneReport> {
+        self.catalog.prune_to_horizon()
+    }
+
+    /// The overlay is the peers, not the store's state: it carries over with
+    /// its message statistics.
+    fn restart(&self) -> Result<Self> {
+        Ok(DhtStore {
+            catalog: self.catalog.restart()?,
+            network: Mutex::new(self.network.lock().expect("network lock").clone()),
+            allocator_key: self.allocator_key,
+        })
     }
 }
 

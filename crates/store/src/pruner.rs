@@ -41,7 +41,7 @@ struct Progress {
 /// A background thread that prunes converged history on a fixed interval.
 ///
 /// ```no_run
-/// use orchestra_store::{AutoPruner, CentralStore, RetentionPolicy};
+/// use orchestra_store::{AutoPruner, CentralStore, RetentionPolicy, UpdateStore};
 /// use orchestra_model::Schema;
 /// use std::sync::Arc;
 /// use std::time::Duration;

@@ -1,5 +1,5 @@
-//! The crash-restart churn scenario: kill the store (and every participant's
-//! soft state) mid-wave, recover from the write-ahead log, finish the
+//! The crash-restart churn scenario: kill the store mid-wave together with
+//! every participant's memory, restart it from the write-ahead log, finish the
 //! schedule, and check that the confederation ends up exactly where an
 //! uninterrupted run would have.
 //!
@@ -8,27 +8,24 @@
 //! twice with the same seed:
 //!
 //! * the **baseline** runs uninterrupted over an ephemeral store;
-//! * the **durable** run uses a WAL-backed [`CentralStore`]; once the stable
-//!   epoch crosses the configured threshold the whole system is dropped
-//!   mid-round — simulating a process crash that loses the in-memory
-//!   catalogue, every instance, every deferred conflict and every pending
-//!   own-publish delta. The store is then recovered from disk
-//!   ([`CentralStore::recover`]), every participant is rebuilt from the store
-//!   alone ([`Participant::rebuild_from_store`]), and the schedule resumes at
-//!   the exact point it was interrupted.
+//! * the **durable** run uses a WAL-backed [`CentralStore`] and takes a
+//!   [`Step::Snapshot`] every few rounds. Once the stable epoch crosses the
+//!   configured threshold, mid-round, a [`Step::Crash`] restarts the store
+//!   from disk, losing the in-memory catalogue, and a [`Step::Rebuild`] of
+//!   everyone rebuilds every participant from the store alone, losing every
+//!   instance, deferred conflict and pending own-publish delta. The schedule
+//!   then resumes at the exact point it was interrupted.
 //!
 //! The report records whether the recovered run reached identical decisions
 //! (accept/reject/defer/resolution totals and final state ratio) and whether
-//! the recovered catalogue was byte-identical to the pre-crash one (compared
-//! through the canonical durable-state `Debug` rendering).
+//! the restart recovered a catalogue byte-identical to the one that crashed,
+//! which the crash step itself checks.
 
-use crate::scenario::{churn_confederation, churn_schedule, mutual_trust_policies, ChurnConfig};
-use crate::schedule::{churn_turns, ChurnTotals, Confederation, Driver, Step};
-use orchestra::{CdssSystem, Participant, ParticipantConfig};
+use crate::scenario::{churn_confederation, churn_schedule, ChurnConfig};
+use crate::schedule::{churn_turns, ChurnTotals, Driver, Step};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_store::CentralStore;
 use std::path::Path;
-use std::time::Instant;
 
 /// Configuration of one crash-restart run.
 #[derive(Debug, Clone)]
@@ -67,8 +64,9 @@ pub struct CrashChurnReport {
     pub recovered: ChurnTotals,
     /// Whether the two runs reached identical decisions (they must).
     pub decisions_match: bool,
-    /// Whether the recovered catalogue's durable state was byte-identical to
-    /// the pre-crash one (canonical `Debug` comparison; it must be).
+    /// Whether the crash restarted the store: [`Step::Crash`] refuses a
+    /// recovered catalogue whose durable state is not byte-identical to the
+    /// pre-crash one (canonical `Debug` comparison; it must be).
     pub durable_state_identical: bool,
     /// The round the crash interrupted.
     pub crash_round: usize,
@@ -78,33 +76,6 @@ pub struct CrashChurnReport {
     pub crash_epoch: u64,
     /// Records in the current WAL generation at the crash.
     pub wal_records_at_crash: u64,
-    /// Wall-clock cost of `CentralStore::recover` (snapshot load + replay).
-    pub recover_micros: u64,
-}
-
-/// Applies `turns[from..]`, taking a compacting snapshot before every
-/// `snapshot_every`-th turn (0 = never). With a `crash_at` epoch it stops
-/// after the first turn that leaves the store's stable epoch at or beyond it
-/// and returns that turn's index.
-fn run_turns(
-    conf: &mut Confederation<CentralStore>,
-    turns: &[Vec<Step>],
-    from: usize,
-    snapshot_every: usize,
-    crash_at: Option<u64>,
-) -> Option<usize> {
-    let driver = Driver::sequential();
-    for (at, turn) in turns.iter().enumerate().skip(from) {
-        if at > 0 && snapshot_every > 0 && at % snapshot_every == 0 {
-            conf.system.store().snapshot().expect("snapshot succeeds");
-        }
-        conf.run(turn, &driver, |_| ()).expect("churn step succeeds");
-        let stable = conf.system.store().catalog().largest_stable_epoch().as_u64();
-        if crash_at.is_some_and(|epoch| stable >= epoch) {
-            return Some(at);
-        }
-    }
-    None
 }
 
 /// Runs the crash-restart experiment in `dir` (which must not already hold a
@@ -124,48 +95,35 @@ pub fn run_crash_restart_scenario(dir: &Path, config: &CrashChurnConfig) -> Cras
     baseline.run(&churn_schedule(churn, &ids), &driver, |_| ()).expect("churn step succeeds");
     let baseline = baseline.closing_totals();
 
-    // The durable run, up to the crash. The crash falls between two turns:
-    // mid-round, so some of the round's due participants have reconciled and
-    // the rest have not, but never between an execute and its publish.
-    let turns = churn_turns(churn, &ids);
-    let store = CentralStore::durable(schema.clone(), dir).expect("fresh durability directory");
-    let mut conf = churn_confederation(store, churn);
-    // Snapshots fall on round boundaries.
+    // The durable run: the same turns, with a snapshot on every
+    // `snapshot_every_rounds`-th round boundary.
     let snapshot_every = config.snapshot_every_rounds * ids.len();
-    let crash_turn = run_turns(&mut conf, &turns, 0, snapshot_every, Some(config.crash_at_epoch))
-        .expect("crash_at_epoch lies beyond the schedule; lower it or raise rounds");
-
-    // The crash: record what the durable state looked like, then drop every
-    // in-memory structure — catalogue, sessions, instances, soft state. The
-    // generators and the totals so far are the schedule's, not the system's.
-    let Confederation { system, generators, totals } = conf;
-    let crash_epoch = system.store().catalog().largest_stable_epoch().as_u64();
-    let fingerprint = format!("{:?}", system.store().catalog());
-    let wal_records_at_crash =
-        system.store().catalog().durability().file_backend().expect("durable store").wal_records();
-    drop(system);
-
-    // Recovery: reopen the store from disk, then rebuild every participant
-    // from the store alone.
-    let recover_start = Instant::now();
-    let store = CentralStore::recover(dir).expect("store recovers");
-    let recover_micros = recover_start.elapsed().as_micros() as u64;
-    let durable_state_identical = format!("{:?}", store.catalog()) == fingerprint;
-    let rebuilt: Vec<Participant> = mutual_trust_policies(churn.participants, 1)
-        .into_iter()
-        .map(|policy| {
-            Participant::rebuild_from_store(schema.clone(), ParticipantConfig::new(policy), &store)
-                .expect("participant rebuilds")
-        })
-        .collect();
-    let mut system = CdssSystem::new(schema, store);
-    for participant in rebuilt {
-        system.adopt_participant(participant).expect("unique participants");
+    let turns = churn_turns(churn, &ids).into_iter().enumerate().map(|(at, mut turn)| {
+        if at > 0 && snapshot_every > 0 && at % snapshot_every == 0 {
+            turn.insert(0, Step::Snapshot);
+        }
+        turn
+    });
+    let store = CentralStore::durable(schema, dir).expect("fresh durability directory");
+    let mut conf = churn_confederation(store, churn);
+    // The crash falls between two turns: mid-round, so some of the round's
+    // due participants have reconciled and the rest have not, but never
+    // between an execute and its publish. The generators and the totals so
+    // far are the schedule's, not the system's, and survive it.
+    let mut crash = None;
+    for (at, turn) in turns.enumerate() {
+        conf.run(&turn, &driver, |_| ()).expect("churn step succeeds");
+        let catalog = conf.system.store().catalog();
+        let epoch = catalog.largest_stable_epoch().as_u64();
+        if crash.is_none() && epoch >= config.crash_at_epoch {
+            let wal_records = catalog.durability().file_backend().expect("durable").wal_records();
+            let restarted = conf.apply(&Step::Crash, &driver).is_ok();
+            conf.apply(&Step::Rebuild(ids.clone()), &driver).expect("participants rebuild");
+            crash = Some((at, epoch, wal_records, restarted));
+        }
     }
-
-    // Resume the schedule at the turn right after the crash.
-    let mut conf = Confederation { system, generators, totals };
-    run_turns(&mut conf, &turns, crash_turn + 1, snapshot_every, None);
+    let (crash_turn, crash_epoch, wal_records_at_crash, durable_state_identical) =
+        crash.expect("crash_at_epoch lies beyond the schedule; lower it or raise rounds");
     conf.apply(&Step::Reconcile(ids.clone()), &driver).expect("catch-up wave succeeds");
     let recovered = conf.closing_totals();
 
@@ -178,7 +136,6 @@ pub fn run_crash_restart_scenario(dir: &Path, config: &CrashChurnConfig) -> Cras
         crash_participant_index: crash_turn % ids.len(),
         crash_epoch,
         wal_records_at_crash,
-        recover_micros,
     }
 }
 

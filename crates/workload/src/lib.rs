@@ -11,7 +11,10 @@
 //! `Vec` of [`Step`]s — applied to a [`Confederation`] under a [`Driver`]
 //! ([`schedule`]); every runner ([`scenario`], [`scale`], [`crash`],
 //! [`offline`], [`retention`]) builds one and folds the step outcomes into
-//! the paper's metrics (state ratio, store time, local time) or its own.
+//! the paper's metrics (state ratio, store time, local time) or its own. A
+//! snapshot, a prune, a store crash and a participant rebuild are steps too,
+//! so the crash and retention runners place them when they build the
+//! schedule and call no store administration themselves.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

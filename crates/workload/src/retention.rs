@@ -1,6 +1,6 @@
-//! The long-horizon retention scenario: the churn schedule with periodic
-//! convergence-horizon pruning, sampling the store's **live set** as history
-//! grows.
+//! The long-horizon retention scenario: the churn schedule with a
+//! [`Step::Prune`] every few rounds, sampling the store's **live set** as
+//! history grows.
 //!
 //! The live set is what a bounded-memory store actually has to hold: live
 //! transaction-log entries plus live relevance-index entries. Under
@@ -13,10 +13,9 @@
 //! that and the boundedness of the `ConvergedOnly` live set.
 
 use crate::scenario::{churn_confederation, ChurnConfig};
-use crate::schedule::{churn_turns, converge, ChurnTotals, Driver};
+use crate::schedule::{churn_turns, converge, ChurnTotals, Driver, Outcome, Step};
 use orchestra::CdssSystem;
 use orchestra_store::{CentralStore, RetentionPolicy};
-use std::time::{Duration, Instant};
 
 /// Configuration of one retention run.
 #[derive(Debug, Clone)]
@@ -25,8 +24,8 @@ pub struct RetentionChurnConfig {
     pub churn: ChurnConfig,
     /// The retention policy the store runs under.
     pub retention: RetentionPolicy,
-    /// Call `prune_to_horizon` every this many rounds (0 = never; the
-    /// final catch-up prune still runs unless the policy is `KeepAll`).
+    /// Prune after every this many rounds (0 = never; the final catch-up
+    /// prune still runs, and under `KeepAll` every prune is a no-op).
     pub prune_every_rounds: usize,
 }
 
@@ -80,12 +79,6 @@ pub struct RetentionChurnResult {
     pub peak_live_set: usize,
     /// Transactions ever published by the end of the run.
     pub total_published: u64,
-    /// Store-side time summed over every participant.
-    pub store_time: Duration,
-    /// Local (client algorithm) time summed over every participant.
-    pub local_time: Duration,
-    /// Wall-clock time of the whole run.
-    pub wall: Duration,
     /// Per-round samples, in order, plus one final post-catch-up sample.
     pub samples: Vec<RetentionSample>,
 }
@@ -125,16 +118,15 @@ fn record(result: &mut RetentionChurnResult, sample: RetentionSample) {
     result.samples.push(sample);
 }
 
-fn prune_pass(system: &CdssSystem<CentralStore>, result: &mut RetentionChurnResult) {
-    let report = system.store().prune_to_horizon().expect("prune succeeds");
-    if !report.is_noop() {
+/// Adds an effective prune's report to the result. Nothing is pruned
+/// client-side: a participant's flattenings live on its deferred candidates,
+/// so its memory already tracks the deferred set.
+fn fold(result: &mut RetentionChurnResult, outcome: Outcome) {
+    if let Some(report) = outcome.pruned.filter(|report| !report.is_noop()) {
         result.prunes += 1;
         result.pruned_log_entries += report.pruned_log_entries;
         result.pruned_relevance_entries += report.pruned_relevance_entries;
         result.last_pinned = report.pinned;
-        // Nothing to prune client-side: a participant's flattenings live on
-        // its deferred candidates, so its memory already tracks the
-        // deferred set.
     }
 }
 
@@ -148,7 +140,6 @@ pub fn run_retention_scenario(
     store.set_retention(config.retention);
     let churn = &config.churn;
     assert!(churn.participants >= 1, "a round is one turn per participant");
-    let start = Instant::now();
     let mut conf = churn_confederation(store, churn);
     // Every participant of the run is registered up front: declare the
     // membership closed, otherwise the horizon is pinned at zero forever.
@@ -156,26 +147,27 @@ pub fn run_retention_scenario(
     let ids = conf.system.participant_ids();
     let driver = Driver::sequential();
 
-    let mut result = RetentionChurnResult::default();
-    for (round, turns) in churn_turns(churn, &ids).chunks(ids.len()).enumerate() {
-        conf.run(&turns.concat(), &driver, |_| ()).expect("churn step succeeds");
-        if config.prune_every_rounds > 0 && (round + 1) % config.prune_every_rounds == 0 {
-            prune_pass(&conf.system, &mut result);
+    // One batch of steps per sample: each round, with a prune after every
+    // `prune_every_rounds`-th, then the catch-up with its prune.
+    let every = config.prune_every_rounds;
+    let turns = churn_turns(churn, &ids);
+    let rounds = turns.chunks(ids.len()).enumerate().map(|(round, turns)| {
+        let mut steps = turns.concat();
+        if every > 0 && (round + 1) % every == 0 {
+            steps.push(Step::Prune);
         }
+        steps
+    });
+    let catch_up = converge(&ids).into_iter().chain([Step::Prune]).collect();
+
+    let mut result = RetentionChurnResult::default();
+    for (round, steps) in rounds.chain([catch_up]).enumerate() {
+        let folded = |outcome| fold(&mut result, outcome);
+        conf.run(&steps, &driver, folded).expect("churn step succeeds");
         record(&mut result, sample(&conf.system, round));
     }
-    conf.run(&converge(&ids), &driver, |_| ()).expect("catch-up step succeeds");
-    prune_pass(&conf.system, &mut result);
-    record(&mut result, sample(&conf.system, churn.rounds));
-
     result.totals = conf.closing_totals();
     result.total_published = conf.system.store().catalog().log_total_published();
-    for id in ids {
-        let timing = conf.system.participant(id).expect("participant exists").total_timing();
-        result.store_time += timing.store;
-        result.local_time += timing.local;
-    }
-    result.wall = start.elapsed();
     result
 }
 

@@ -9,9 +9,13 @@
 //! `Vec<Step>` and folds the [`Outcome`]s; the integration tests generate one
 //! and call the same `apply`.
 //!
-//! What is specific to one store type and not on [`UpdateStore`] — snapshots,
-//! pruning, crash and recovery, retirement, a late registration — is not a
-//! step: a runner calls it on [`Confederation::system`] between two steps.
+//! The store's own events are steps too, because the contract must hold
+//! across them: a snapshot, a prune, a store crash and a participant that
+//! loses its memory each leave every later decision as it was. They reach the
+//! store through [`UpdateStore`]'s administration methods, which a store
+//! without the capability refuses with a typed error. What is not a step —
+//! retirement, a late registration, reading the store's state — a runner
+//! does on [`Confederation::system`] between two steps.
 
 use crate::generator::{WorkloadConfig, WorkloadGenerator};
 use crate::swissprot::SwissProtPools;
@@ -21,7 +25,7 @@ use orchestra_model::{Epoch, KeyValue, ModelError, ParticipantId, TrustPolicy, T
 use orchestra_recon::ResolutionChoice;
 use orchestra_storage::{Database, Result, StorageError};
 use orchestra_store::{
-    DhtStore, FabricConfig, ServiceConfig, ServiceStats, StoreFabric, UpdateStore,
+    DhtStore, FabricConfig, PruneReport, ServiceConfig, ServiceStats, StoreFabric, UpdateStore,
 };
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
@@ -76,6 +80,21 @@ pub enum Step {
     Partition(Vec<ParticipantId>),
     /// Every partitioned participant rejoins, delivering what it buffered.
     Heal,
+    /// The store takes a compacting snapshot ([`UpdateStore::snapshot`]).
+    Snapshot,
+    /// The store prunes converged history under its retention policy
+    /// ([`UpdateStore::prune_to_horizon`]); [`Outcome::pruned`] carries the
+    /// report.
+    Prune,
+    /// The store process is killed and restarted from everything it wrote
+    /// ([`UpdateStore::restart`], which refuses a recovered catalogue that
+    /// does not render byte-identically to the one that crashed). The
+    /// participants keep their memory: they are processes of their own.
+    Crash,
+    /// The participants lose their memory and are rebuilt from the store
+    /// alone, each under its own policy
+    /// ([`orchestra::Participant::rebuild_from_store`]).
+    Rebuild(Vec<ParticipantId>),
 }
 
 /// What one [`Step`] did; the fields of the other kinds of step stay at
@@ -96,6 +115,8 @@ pub struct Outcome {
     pub resolved: Vec<(ParticipantId, ResolutionReport)>,
     /// Buffered batches a `Heal` step delivered.
     pub healed_batches: usize,
+    /// The report of a `Prune` step.
+    pub pruned: Option<PruneReport>,
     /// Framed: virtual latency of each session of the wave, begin to commit
     /// including queueing, in participant order.
     pub latencies_us: Vec<u64>,
@@ -267,9 +288,10 @@ fn served(round: orchestra::ServiceDriveReport) -> Outcome {
 /// A confederation under a schedule: the system, each participant's workload
 /// generator, and the decision totals of the steps applied so far.
 ///
-/// The fields are public because a crash takes the first and spares the
-/// other two: a runner drops `system`, recovers the store, rebuilds the
-/// participants and carries on with the same generators and totals.
+/// The fields are public: a runner reads the system between two steps, and
+/// participants built elsewhere are assembled into a confederation from the
+/// three. A [`Step::Crash`] replaces the store inside `system` and spares
+/// everything else.
 #[derive(Debug)]
 pub struct Confederation<S: UpdateStore> {
     /// The participants and the store they share.
@@ -353,6 +375,15 @@ impl<S: UpdateStore> Confederation<S> {
                 let healed = system.heal()?;
                 let healed_batches = healed.iter().map(|(_, epochs)| epochs.len()).sum();
                 Outcome { healed_batches, ..Outcome::default() }
+            }
+            Step::Snapshot => system.store().snapshot().map(|_| Outcome::default())?,
+            Step::Prune => {
+                Outcome { pruned: Some(system.store().prune_to_horizon()?), ..Outcome::default() }
+            }
+            Step::Crash => system.restart_store().map(|()| Outcome::default())?,
+            Step::Rebuild(ids) => {
+                ids.iter().try_for_each(|&id| system.rebuild_participant(id))?;
+                Outcome::default()
             }
         };
         outcome.wall = start.elapsed();
@@ -511,4 +542,115 @@ pub(crate) fn wave_schedule(
 /// away, and one more wave records the re-run decisions.
 pub(crate) fn converge(ids: &[ParticipantId]) -> [Step; 3] {
     [Step::Reconcile(ids.to_vec()), Step::ResolveAll, Step::Reconcile(ids.to_vec())]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::mutual_trust_policies;
+    use orchestra_store::CentralStore;
+
+    const EVERYONE: [ParticipantId; 3] = [ParticipantId(1), ParticipantId(2), ParticipantId(3)];
+
+    /// Three mutually trusting participants over `store`: 1 and 2 write one
+    /// key two ways, and everyone reconciles, so 3 defers a conflict.
+    fn conflicted<S: UpdateStore>(store: S) -> Confederation<S> {
+        let mut conf = Confederation::new(store, mutual_trust_policies(3, 1));
+        let [p1, p2, _] = EVERYONE;
+        let steps = [
+            Step::Edit { who: p1, key: 0, value: 0 },
+            Step::Edit { who: p2, key: 0, value: 1 },
+            Step::Publish(vec![p1, p2]),
+            Step::Reconcile(EVERYONE.to_vec()),
+        ];
+        conf.run(&steps, &Driver::sequential(), |_| ()).expect("steps succeed");
+        conf
+    }
+
+    fn refused<S: UpdateStore>(conf: &mut Confederation<S>, step: Step) -> bool {
+        matches!(conf.apply(&step, &Driver::sequential()), Err(StorageError::Persistence(_)))
+    }
+
+    /// Each participant's `Function` instance and deferred set.
+    fn memory<S: UpdateStore>(system: &CdssSystem<S>) -> Vec<String> {
+        let render = |id| {
+            let participant = system.participant(id).expect("listed");
+            let mut deferred: Vec<String> =
+                participant.soft_state().deferred().keys().map(|id| id.to_string()).collect();
+            deferred.sort();
+            let function = participant.instance().relation_contents("Function");
+            format!("{function:?} deferred {}", deferred.join(" "))
+        };
+        EVERYONE.into_iter().map(render).collect()
+    }
+
+    #[test]
+    fn an_ephemeral_store_refuses_a_crash_and_a_snapshot_but_prunes() {
+        let mut conf = conflicted(CentralStore::new(bioinformatics_schema()));
+        let before = format!("{:?}", conf.system.store().catalog());
+        assert!(refused(&mut conf, Step::Crash) && refused(&mut conf, Step::Snapshot));
+        assert_eq!(format!("{:?}", conf.system.store().catalog()), before);
+        // Pruning needs no log: under `KeepAll` it reports the live log.
+        let pruned = conf.apply(&Step::Prune, &Driver::sequential()).expect("prune").pruned;
+        assert_eq!(pruned.expect("a report").live_log_entries, 2);
+        let unknown = conf.apply(&Step::Rebuild(vec![ParticipantId(9)]), &Driver::sequential());
+        assert!(matches!(unknown, Err(StorageError::Model(_))));
+    }
+
+    /// The fabric's shards keep no WAL, so it refuses the store's events;
+    /// a rebuild needs only the records its shards hold.
+    #[test]
+    fn a_fabric_refuses_the_store_events_and_rebuilds_from_its_shards() {
+        let mut conf = conflicted(StoreFabric::new(bioinformatics_schema(), 2));
+        for step in [Step::Snapshot, Step::Prune, Step::Crash] {
+            assert!(refused(&mut conf, step));
+        }
+        let before = memory(&conf.system);
+        assert!(before[2].ends_with("deferred X1:0 X2:0"), "3 defers the conflict: {before:?}");
+        let rebuilt = conf.apply(&Step::Rebuild(EVERYONE.to_vec()), &Driver::sequential());
+        rebuilt.expect("participants rebuild");
+        assert_eq!(memory(&conf.system), before);
+    }
+
+    /// A crash restarts a durable DHT store from its directory: the same
+    /// catalogue, and the schedule goes on. A directory that lost a record
+    /// restarts to another catalogue, which the step refuses.
+    #[test]
+    fn a_crash_restarts_a_durable_dht_store_byte_identically() {
+        let dir = std::env::temp_dir()
+            .join(format!("orchestra-schedule-test-{}-dht", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut conf =
+            conflicted(DhtStore::durable(bioinformatics_schema(), &dir).expect("fresh directory"));
+        let catalog =
+            |conf: &Confederation<DhtStore>| format!("{:?}", conf.system.store().catalog());
+        let before = catalog(&conf);
+        conf.apply(&Step::Crash, &Driver::sequential()).expect("the store restarts");
+        assert_eq!(catalog(&conf), before);
+
+        // Then a snapshot, a write, a crash with everyone rebuilt, and a
+        // wave in the paper's network-centric mode.
+        let steps = [
+            Step::Snapshot,
+            Step::Edit { who: EVERYONE[2], key: 1, value: 2 },
+            Step::Publish(vec![EVERYONE[2]]),
+            Step::Crash,
+            Step::Rebuild(EVERYONE.to_vec()),
+            Step::Reconcile(EVERYONE.to_vec()),
+        ];
+        conf.run(&steps, &Driver::network_centric(), |_| ()).expect("the schedule goes on");
+        assert!(memory(&conf.system)[0].contains("prot1"), "1 accepted 3's write");
+
+        // Cut the last byte of the generation's log: recovery drops the torn
+        // record, and the crash refuses what it recovered.
+        let before = catalog(&conf);
+        let generation =
+            conf.system.store().catalog().durability().file_backend().map(|b| b.generation());
+        let wal = orchestra_storage::snapshot::wal_path(&dir, generation.expect("durable"));
+        let file = std::fs::OpenOptions::new().write(true).open(&wal).expect("open the log");
+        file.set_len(file.metadata().expect("the log's length").len() - 1).expect("cut the log");
+        assert!(refused(&mut conf, Step::Crash));
+        assert_eq!(catalog(&conf), before, "a refused crash keeps the store");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -6,18 +6,18 @@
 //! Three labs share data through a WAL-backed central store. Alice and Bob
 //! publish divergent curations of the same protein; Carol trusts both equally,
 //! so her reconciliation defers the conflict for human resolution. Before she
-//! resolves it the process "crashes": every in-memory structure (catalogue,
-//! instances, deferred conflicts) is dropped. The store is then recovered
-//! from its durability directory (snapshot + WAL replay) and each participant
-//! is rebuilt from the store alone — Carol's deferred conflict is still there
-//! to resolve, and the confederation finishes exactly as if nothing had
-//! happened.
+//! resolves it everything "crashes": the store restarts from its durability
+//! directory (snapshot + WAL replay, checked byte-identical to the catalogue
+//! that crashed), and each participant, having lost its instance and its
+//! deferred conflicts, is rebuilt from the store alone — Carol's deferred
+//! conflict is still there to resolve, and the confederation finishes exactly
+//! as if nothing had happened.
 
-use orchestra::{CdssSystem, Participant, ParticipantConfig};
+use orchestra::{CdssSystem, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, TrustPolicy, Tuple, Update};
 use orchestra_recon::ResolutionChoice;
-use orchestra_store::CentralStore;
+use orchestra_store::{CentralStore, UpdateStore};
 
 fn main() {
     let schema = bioinformatics_schema();
@@ -88,32 +88,16 @@ fn main() {
         .unwrap();
     system.publish(bob).unwrap();
 
-    let before = format!("{:?}", system.store().catalog());
     println!(
         "crash! dropping the catalogue, all instances and {} deferred conflict(s)",
         system.participant(carol).unwrap().deferred_conflicts().len()
     );
-    drop(system);
 
-    // ---- After the crash: recover the store, rebuild the participants. ----
-    let store = CentralStore::recover(&dir).expect("store recovers");
-    assert_eq!(format!("{:?}", store.catalog()), before, "recovered state must be identical");
+    // ---- The crash: restart the store, rebuild the participants. ----
+    system.restart_store().expect("the store restarts byte-identically");
     println!("store recovered byte-identically from snapshot + WAL replay");
-
-    let rebuilt: Vec<Participant> = policies
-        .iter()
-        .map(|policy| {
-            Participant::rebuild_from_store(
-                schema.clone(),
-                ParticipantConfig::new(policy.clone()),
-                &store,
-            )
-            .unwrap()
-        })
-        .collect();
-    let mut system = CdssSystem::new(schema, store);
-    for participant in rebuilt {
-        system.adopt_participant(participant).unwrap();
+    for id in [alice, bob, carol] {
+        system.rebuild_participant(id).unwrap();
     }
 
     // Carol's deferred conflict survived the crash (rebuilt from the store's

@@ -39,8 +39,9 @@ pub fn confederation<S: UpdateStore>(store: S, participants: u32) -> Confederati
     Confederation::new(store, mutual_trust_policies(participants as usize, 1))
 }
 
-/// A confederation of participants the store already knows: rebuilt from it
-/// after a crash, carried over one, or registered by hand.
+/// A confederation of participants the store already knows, built outside a
+/// schedule: carried over from another store, or registered by hand. A crash
+/// and a rebuild inside a schedule are [`Step::Crash`] and [`Step::Rebuild`].
 pub fn adopt<S: UpdateStore>(store: S, participants: Vec<Participant>) -> Confederation<S> {
     let mut system = CdssSystem::new(bioinformatics_schema(), store);
     for participant in participants {
@@ -302,6 +303,19 @@ fn spec_snapshot(spec: &Spec, ids: &[ParticipantId]) -> Snapshot {
         (function, decided(true), decided(false), sorted(peer.deferred.iter().copied()))
     };
     ids.iter().map(view).collect()
+}
+
+/// Applies the steps under the sequential driver and appends the decisions
+/// of each to `log`, so two runs can be compared step for step. The store's
+/// own events (a snapshot, a prune, a crash, a rebuild) decide nothing and
+/// log nothing, so a run with them logs what the same run without them does.
+pub fn logged<S: UpdateStore>(conf: &mut Confederation<S>, steps: &[Step], log: &mut Vec<String>) {
+    for step in steps {
+        let outcome = conf.apply(step, &Driver::sequential()).expect("step succeeds");
+        if !matches!(step, Step::Snapshot | Step::Prune | Step::Crash | Step::Rebuild(_)) {
+            log.push(decisions(&outcome));
+        }
+    }
 }
 
 /// The decisions of one step, without its timings: two runs that decide the

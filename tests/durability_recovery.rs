@@ -3,26 +3,27 @@
 //! and must drive every subsequent decision identically.
 //!
 //! The property test generates arbitrary publish/reconcile/resolve schedules
-//! over a small confederation, optionally takes a compacting snapshot midway,
-//! "crashes" at an arbitrary point, recovers, and checks:
+//! over a small confederation and runs each twice: uninterrupted, and with a
+//! [`Step::Crash`] of the store at an arbitrary point, optionally preceded by
+//! a compacting [`Step::Snapshot`], and followed by a [`Step::Rebuild`] of
+//! every participant from the recovered store alone. It checks:
 //!
 //! * the recovered catalogue's durable-state `Debug` rendering is identical
-//!   to the live store's at the crash point;
-//! * rebuilding every participant from the recovered store and finishing the
-//!   schedule reaches decisions identical to the uninterrupted run — the
-//!   instance, the own-publish delta *and* the deferred conflict state all
-//!   survive the crash.
+//!   to the live store's at the crash point (the crash step refuses it
+//!   otherwise);
+//! * the finished schedule reaches decisions identical to the uninterrupted
+//!   run — the instance, the own-publish delta *and* the deferred conflict
+//!   state all survive the crash.
 
 mod common;
 
 use common::Turn::{EditPublish, Reconcile, Resolve};
-use common::{p, Turn};
-use orchestra::{Participant, ParticipantConfig};
+use common::{logged, p, Turn};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_store::{CentralStore, RetentionPolicy};
-use orchestra_workload::{mutual_trust_policies, Confederation, Driver, Step};
+use orchestra_store::{CentralStore, RetentionPolicy, UpdateStore};
+use orchestra_workload::{Confederation, Driver, Step};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn scratch_dir() -> PathBuf {
     common::scratch_dir("recovery-prop")
@@ -30,19 +31,20 @@ fn scratch_dir() -> PathBuf {
 
 const PARTICIPANTS: u32 = 3;
 
-/// Applies the steps; their decisions are summarised into `log` so two runs
-/// can be compared step for step.
-fn apply(conf: &mut Confederation<CentralStore>, steps: &[Step], log: &mut Vec<String>) {
-    conf.run(steps, &Driver::sequential(), |outcome| log.push(common::decisions(&outcome)))
-        .expect("step succeeds");
-}
-
 fn fresh(store: CentralStore) -> Confederation<CentralStore> {
     common::confederation(store, PARTICIPANTS)
 }
 
-fn everyone() -> Step {
-    Step::Reconcile((1..=PARTICIPANTS).map(p).collect())
+fn durable(dir: &Path) -> CentralStore {
+    CentralStore::durable(bioinformatics_schema(), dir).expect("fresh dir")
+}
+
+fn everyone() -> Vec<orchestra_model::ParticipantId> {
+    (1..=PARTICIPANTS).map(p).collect()
+}
+
+fn crash(conf: &mut Confederation<CentralStore>) {
+    conf.apply(&Step::Crash, &Driver::sequential()).expect("the store restarts byte-identically");
 }
 
 proptest! {
@@ -63,55 +65,32 @@ proptest! {
         let crash_at = crash_at.min(turns.len());
         let snapshot_at = (snapshot_raw < 40).then_some(snapshot_raw);
 
-        // Uninterrupted reference run (ephemeral store).
+        // The same schedule over a durable store, with a snapshot before
+        // turn `snapshot_at` if that lands before the crash, and before turn
+        // `crash_at` the crash, after which every participant is rebuilt from
+        // the store alone. Both runs end with everyone reconciling once more.
+        let mut crashed = Vec::new();
+        for i in 0..=turns.len() {
+            if snapshot_at == Some(i) && i < crash_at {
+                crashed.push(Step::Snapshot);
+            }
+            if i == crash_at {
+                crashed.extend([Step::Crash, Step::Rebuild(everyone())]);
+            }
+            crashed.extend(turns.get(i).into_iter().flatten().cloned());
+        }
+        crashed.push(Step::Reconcile(everyone()));
+        let uninterrupted = [turns.concat(), vec![Step::Reconcile(everyone())]].concat();
+
         let mut reference = fresh(CentralStore::new(bioinformatics_schema()));
         let mut reference_log = Vec::new();
-        apply(&mut reference, &turns.concat(), &mut reference_log);
-
-        // Durable run, crashed at `crash_at` (optionally snapshotting at
-        // `snapshot_at` if that lands before the crash).
+        logged(&mut reference, &uninterrupted, &mut reference_log);
         let dir = scratch_dir();
-        let mut conf = fresh(
-            CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh dir"),
-        );
+        let mut conf = fresh(durable(&dir));
         let mut log = Vec::new();
-        for (i, turn) in turns[..crash_at].iter().enumerate() {
-            if snapshot_at == Some(i) {
-                conf.system.store().snapshot().expect("snapshot succeeds");
-            }
-            apply(&mut conf, turn, &mut log);
-        }
+        logged(&mut conf, &crashed, &mut log);
 
-        // Crash: capture the durable fingerprint, drop all in-memory state.
-        let fingerprint = format!("{:?}", conf.system.store().catalog());
-        drop(conf);
-
-        // Recover the store and rebuild every participant from it alone.
-        let store = CentralStore::recover(&dir).expect("store recovers");
-        prop_assert_eq!(
-            format!("{:?}", store.catalog()),
-            fingerprint,
-            "recovered durable state diverged"
-        );
-        let rebuilt: Vec<Participant> = mutual_trust_policies(PARTICIPANTS as usize, 1)
-            .into_iter()
-            .map(|policy| {
-                Participant::rebuild_from_store(
-                    bioinformatics_schema(),
-                    ParticipantConfig::new(policy),
-                    &store,
-                )
-                .expect("participant rebuilds")
-            })
-            .collect();
-        let mut conf = common::adopt(store, rebuilt);
-
-        // Finish the schedule; every remaining decision must match the
-        // uninterrupted run's.
-        apply(&mut conf, &turns[crash_at..].concat(), &mut log);
-        // Final catch-up: everyone reconciles once more in both runs.
-        apply(&mut reference, &[everyone()], &mut reference_log);
-        apply(&mut conf, &[everyone()], &mut log);
+        // Every decision after the crash matches the uninterrupted run's.
         prop_assert_eq!(&log, &reference_log, "decision streams diverged");
         prop_assert_eq!(
             common::snapshot(&conf.system),
@@ -127,26 +106,21 @@ proptest! {
 #[test]
 fn recovery_is_idempotent() {
     let dir = scratch_dir();
-    let mut conf = fresh(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh dir"));
+    let mut conf = fresh(durable(&dir));
     let steps = schedule(&[(EditPublish, 1, 0, 0), (EditPublish, 2, 0, 1), (Reconcile, 3, 0, 0)]);
-    apply(&mut conf, &steps, &mut Vec::new());
-    let fingerprint = format!("{:?}", conf.system.store().catalog());
+    logged(&mut conf, &steps, &mut Vec::new());
     // Replay runs before the write side is attached, so a recovery appends
     // nothing: the WAL holds exactly what the live store wrote.
-    let wal = |store: &CentralStore| {
-        let backend = store.catalog().durability().file_backend().expect("durable store");
+    let wal = |conf: &Confederation<CentralStore>| {
+        let durability = conf.system.store().catalog().durability();
+        let backend = durability.file_backend().expect("durable store");
         (backend.wal_records(), backend.wal_bytes())
     };
-    let written = wal(conf.system.store());
-    drop(conf);
-
-    let first = CentralStore::recover(&dir).expect("first recovery");
-    assert_eq!(format!("{:?}", first.catalog()), fingerprint);
-    assert_eq!(wal(&first), written, "the first recovery appended to the WAL");
-    drop(first);
-    let second = CentralStore::recover(&dir).expect("second recovery");
-    assert_eq!(format!("{:?}", second.catalog()), fingerprint);
-    assert_eq!(wal(&second), written, "the second recovery appended to the WAL");
+    let written = wal(&conf);
+    for recovery in ["first", "second"] {
+        crash(&mut conf);
+        assert_eq!(wal(&conf), written, "the {recovery} recovery appended to the WAL");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -173,7 +147,7 @@ fn fixed_schedule() -> Vec<Step> {
         (Reconcile, 2, 0, 0),
         (Resolve, 2, 0, 0),
     ]);
-    steps.push(everyone());
+    steps.push(Step::Reconcile(everyone()));
     steps
 }
 
@@ -182,7 +156,7 @@ fn fixed_schedule() -> Vec<Step> {
 fn run_fixed_schedule(store: CentralStore) -> (Confederation<CentralStore>, Vec<String>) {
     let mut conf = fresh(store);
     let mut log = Vec::new();
-    apply(&mut conf, &fixed_schedule(), &mut log);
+    logged(&mut conf, &fixed_schedule(), &mut log);
     (conf, log)
 }
 
@@ -194,15 +168,13 @@ fn run_fixed_schedule(store: CentralStore) -> (Confederation<CentralStore>, Vec<
 #[test]
 fn the_durable_layout_recovers_the_same_catalogue() {
     let dir = scratch_dir();
-    let (conf, log) =
-        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh"));
-    let fingerprint = format!("{:?}", conf.system.store().catalog());
-    drop(conf);
-    let recovered = CentralStore::recover(&dir).expect("recovery");
-    assert_eq!(format!("{:?}", recovered.catalog()), fingerprint, "recovery diverged");
-
+    let (mut conf, log) = run_fixed_schedule(durable(&dir));
+    crash(&mut conf);
     let (ephemeral, ephemeral_log) = run_fixed_schedule(CentralStore::new(bioinformatics_schema()));
-    assert_eq!(format!("{:?}", ephemeral.system.store().catalog()), fingerprint);
+    assert_eq!(
+        format!("{:?}", ephemeral.system.store().catalog()),
+        format!("{:?}", conf.system.store().catalog())
+    );
     assert_eq!(ephemeral_log, log);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -213,30 +185,23 @@ fn the_durable_layout_recovers_the_same_catalogue() {
 /// identically).
 #[test]
 fn pruning_commutes_with_recovery() {
-    let dir_a = scratch_dir();
-    let (conf, _) =
-        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir_a).expect("fresh"));
-    conf.system.store().set_retention(RetentionPolicy::ConvergedOnly);
-    let report_a = conf.system.store().prune_to_horizon().expect("prune");
-    drop(conf);
-    let recovered_a = CentralStore::recover(&dir_a).expect("recovery after prune");
-
-    let dir_b = scratch_dir();
-    let (conf, _) =
-        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir_b).expect("fresh"));
-    drop(conf);
-    let recovered_b = CentralStore::recover(&dir_b).expect("recovery before prune");
-    recovered_b.set_retention(RetentionPolicy::ConvergedOnly);
-    let report_b = recovered_b.prune_to_horizon().expect("prune after recovery");
-
-    assert_eq!(report_a.is_noop(), report_b.is_noop());
+    let run = |events: [Step; 2]| {
+        let dir = scratch_dir();
+        let (mut conf, _) = run_fixed_schedule(durable(&dir));
+        conf.system.store().set_retention(RetentionPolicy::ConvergedOnly);
+        let mut report = None;
+        for event in &events {
+            let outcome = conf.apply(event, &Driver::sequential()).expect("step succeeds");
+            report = report.or(outcome.pruned);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        (report.expect("a prune report").is_noop(), format!("{:?}", conf.system.store().catalog()))
+    };
     assert_eq!(
-        format!("{:?}", recovered_a.catalog()),
-        format!("{:?}", recovered_b.catalog()),
+        run([Step::Prune, Step::Crash]),
+        run([Step::Crash, Step::Prune]),
         "prune and recovery do not commute"
     );
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
 }
 
 /// A directory holding a frame that is intact (length and CRC hold) but
@@ -260,8 +225,7 @@ fn recovery_refuses_a_frame_without_the_magic_byte() {
 
     // A healthy directory whose snapshot is replaced by a JSON one.
     let dir = scratch_dir();
-    let (conf, _) =
-        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh"));
+    let (conf, _) = run_fixed_schedule(durable(&dir));
     conf.system.store().snapshot().expect("snapshot succeeds");
     drop(conf);
     CentralStore::recover(&dir).expect("the binary snapshot recovers");
@@ -277,8 +241,7 @@ fn recovery_refuses_a_frame_without_the_magic_byte() {
 #[test]
 fn snapshot_round_trips_through_the_codec() {
     let dir = scratch_dir();
-    let (conf, _) =
-        run_fixed_schedule(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh"));
+    let (conf, _) = run_fixed_schedule(durable(&dir));
     conf.system.store().snapshot().expect("snapshot succeeds");
     drop(conf);
 
@@ -298,24 +261,18 @@ fn snapshot_round_trips_through_the_codec() {
 fn snapshot_positions_do_not_change_recovery() {
     for snapshot_last in [false, true] {
         let dir = scratch_dir();
-        let mut conf =
-            fresh(CentralStore::durable(bioinformatics_schema(), &dir).expect("fresh dir"));
-        let mut log = Vec::new();
-        apply(&mut conf, &schedule(&[(EditPublish, 1, 0, 0), (Reconcile, 2, 0, 0)]), &mut log);
-        if !snapshot_last {
-            conf.system.store().snapshot().expect("snapshot succeeds");
-        }
-        apply(&mut conf, &schedule(&[(EditPublish, 2, 1, 2), (Reconcile, 1, 0, 0)]), &mut log);
-        if snapshot_last {
-            conf.system.store().snapshot().expect("snapshot succeeds");
-            // Nothing after the snapshot: the WAL tail is empty.
-            let durability = conf.system.store().catalog().durability();
-            assert_eq!(durability.file_backend().expect("durable").wal_records(), 0);
-        }
-        let fingerprint = format!("{:?}", conf.system.store().catalog());
-        drop(conf);
-        let recovered = CentralStore::recover(&dir).expect("recovery");
-        assert_eq!(format!("{:?}", recovered.catalog()), fingerprint);
+        let mut conf = fresh(durable(&dir));
+        let snapshot = |last: bool| (last == snapshot_last).then_some(Step::Snapshot);
+        let mut steps = schedule(&[(EditPublish, 1, 0, 0), (Reconcile, 2, 0, 0)]);
+        steps.extend(snapshot(false));
+        steps.extend(schedule(&[(EditPublish, 2, 1, 2), (Reconcile, 1, 0, 0)]));
+        steps.extend(snapshot(true));
+        logged(&mut conf, &steps, &mut Vec::new());
+        // Nothing after a last snapshot: the WAL tail is empty.
+        let durability = conf.system.store().catalog().durability();
+        let tail = durability.file_backend().expect("durable").wal_records();
+        assert_eq!(tail == 0, snapshot_last);
+        crash(&mut conf);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,20 +10,20 @@
 //! * the **reference** run over an ephemeral `KeepAll` store that never
 //!   prunes;
 //! * the **pruned** run over a *durable* store under a generated policy
-//!   (`ConvergedOnly` or `KeepLastN`), pruning at arbitrary step indices and
-//!   crashing (dropping the store, keeping the clients) at an arbitrary
-//!   point.
+//!   (`ConvergedOnly` or `KeepLastN`), with a [`Step::Prune`] at arbitrary
+//!   step indices and a [`Step::Crash`] (the store restarts, the clients
+//!   keep their memory) at an arbitrary point.
 //!
 //! Checks: the recovered store is byte-identical to the pre-crash one (prune
-//! records replay deterministically); recover-then-prune equals
-//! prune-then-recover; every decision in the step log, every durable
-//! accept/reject set and every final instance matches the reference run.
+//! records replay deterministically; the crash step refuses it otherwise);
+//! recover-then-prune equals prune-then-recover; every decision in the step
+//! log, every durable accept/reject set and every final instance matches the
+//! reference run.
 
 mod common;
 
-use common::p;
 use common::Turn::{EditPublish, Reconcile, Resolve};
-use orchestra::Participant;
+use common::{logged, p};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{Tuple, Update};
 use orchestra_store::{CentralStore, RetentionPolicy, UpdateStore};
@@ -46,11 +46,12 @@ fn policy_strategy() -> impl Strategy<Value = RetentionPolicy> {
     })
 }
 
-/// Applies the steps; their decisions are summarised into `log` so two runs
-/// can be compared step for step.
-fn apply(conf: &mut Confederation<CentralStore>, steps: &[Step], log: &mut Vec<String>) {
-    conf.run(steps, &Driver::sequential(), |outcome| log.push(common::decisions(&outcome)))
-        .expect("step succeeds");
+/// The catalogue of a copy of the confederation's store after one more
+/// [`Step::Prune`]: the copy is ephemeral, so the run itself is untouched.
+fn pruned_copy(conf: &Confederation<CentralStore>) -> String {
+    let mut copy = Confederation::new(conf.system.store().clone(), Vec::new());
+    copy.apply(&Step::Prune, &Driver::sequential()).expect("prune succeeds");
+    format!("{:?}", copy.system.store().catalog())
 }
 
 /// Registers every policy and closes membership — identical setup on both
@@ -115,54 +116,36 @@ proptest! {
             }
             if prune_at.contains(&i) {
                 // Prune only the retention store; the reference keeps all.
-                pruned.system.store().prune_to_horizon().expect("prune succeeds");
+                logged(&mut pruned, &[Step::Prune], &mut log);
             }
             if crash_at == i {
                 // Crash: the store's memory is lost (clients keep theirs —
-                // the store is a separate process). Recovery must be
+                // the store is a separate process), and recovery must be
                 // byte-identical, including every prune replay.
-                let live = format!("{:?}", pruned.system.store().catalog());
-                // Prune-then-recover ≡ recover-then-prune: an ephemeral twin
-                // pruned now must match the recovered store pruned after.
-                let twin = pruned.system.store().clone();
-                let clients: Vec<Participant> =
-                    pruned.system.participant_ids().into_iter().map(|id| {
-                        pruned.system.participant(id).expect("listed").clone()
-                    }).collect();
-                drop(pruned);
-                let recovered = CentralStore::recover(&dir).expect("store recovers");
-                prop_assert_eq!(
-                    format!("{:?}", recovered.catalog()),
-                    live,
-                    "recovered durable state diverged"
-                );
-                recovered.set_retention(policy);
-                twin.prune_to_horizon().expect("twin prune succeeds");
-                let probe = recovered.clone();
-                probe.prune_to_horizon().expect("probe prune succeeds");
-                prop_assert_eq!(
-                    format!("{:?}", probe.catalog()),
-                    format!("{:?}", twin.catalog()),
-                    "prune does not commute with recovery"
-                );
-                pruned = common::adopt(recovered, clients);
+                // Prune-then-recover ≡ recover-then-prune: a copy pruned
+                // before the crash must match the recovered store pruned
+                // after it.
+                let twin = pruned_copy(&pruned);
+                logged(&mut pruned, &[Step::Crash], &mut log);
+                let probe = pruned_copy(&pruned);
+                prop_assert_eq!(probe, twin, "prune does not commute with recovery");
             }
             if retired && is_turn_of(turn, p(3)) {
                 continue;
             }
-            apply(&mut reference, turn, &mut reference_log);
-            apply(&mut pruned, turn, &mut log);
+            logged(&mut reference, turn, &mut reference_log);
+            logged(&mut pruned, turn, &mut log);
         }
 
         // Catch-up: everyone still active reconciles once more, then one
         // final prune on the retention store.
         let active = (1..=PARTICIPANTS).map(p).filter(|&who| !(retired && who == p(3)));
         let active = Step::Reconcile(active.collect());
-        apply(&mut reference, std::slice::from_ref(&active), &mut reference_log);
-        apply(&mut pruned, std::slice::from_ref(&active), &mut log);
-        let store = pruned.system.store();
-        let report = store.prune_to_horizon().expect("final prune succeeds");
-        prop_assert!(report.horizon >= store.catalog().pruned_through());
+        logged(&mut reference, std::slice::from_ref(&active), &mut reference_log);
+        logged(&mut pruned, std::slice::from_ref(&active), &mut log);
+        let report = pruned.apply(&Step::Prune, &Driver::sequential()).expect("final prune");
+        let horizon = report.pruned.expect("a prune report").horizon;
+        prop_assert!(horizon >= pruned.system.store().catalog().pruned_through());
 
         prop_assert_eq!(&log, &reference_log, "decision streams diverged");
         prop_assert_eq!(
@@ -203,10 +186,11 @@ fn a_converging_schedule_actually_prunes() {
                 Update::insert("Function", tuple.clone(), p(1))
             };
             conf.system.execute(p(1), vec![update]).expect("toggle applies");
-            apply(conf, &[Step::Publish(vec![p(1)])], log);
-            apply(conf, &follow, log);
+            logged(conf, &[Step::Publish(vec![p(1)])], log);
+            logged(conf, &follow, log);
         }
-        pruned_total += pruned.system.store().prune_to_horizon().unwrap().pruned_log_entries;
+        let report = pruned.apply(&Step::Prune, &Driver::sequential()).unwrap().pruned;
+        pruned_total += report.expect("a prune report").pruned_log_entries;
     }
     let (store, reference_store) = (pruned.system.store(), reference.system.store());
     assert_eq!(log, reference_log, "decision streams diverged");
