@@ -63,7 +63,7 @@ impl Predicate {
     /// Evaluates the predicate against an update. Column lookups that cannot
     /// be resolved (unknown relation or column) evaluate to `false` rather
     /// than erroring, so that a policy written for one schema degrades safely.
-    pub fn matches(&self, update: &Update, schema: &crate::schema::Schema) -> bool {
+    fn matches(&self, update: &Update, schema: &crate::schema::Schema) -> bool {
         match self {
             Predicate::True => true,
             Predicate::False => false,

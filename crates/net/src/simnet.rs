@@ -23,13 +23,6 @@ pub struct NetworkStats {
     pub latency_us: u64,
 }
 
-impl NetworkStats {
-    /// The accumulated virtual latency as a [`Duration`].
-    pub fn latency(&self) -> Duration {
-        Duration::from_micros(self.latency_us)
-    }
-}
-
 /// Atomic counterpart of [`NetworkStats`], backed by `orchestra-obs`
 /// counters — either detached (the default) or, via
 /// [`SimNetwork::with_observability`], the shared cells a
@@ -239,7 +232,6 @@ mod tests {
         assert_eq!(stats.messages, 2);
         assert!(stats.hops >= 2);
         assert_eq!(stats.bytes, 320);
-        assert!(stats.latency().as_micros() as u64 == stats.latency_us);
     }
 
     #[test]

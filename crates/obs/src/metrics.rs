@@ -12,18 +12,13 @@ use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing (in normal use) 64-bit counter.
 ///
-/// Detached counters ([`Counter::detached`]) are not registered anywhere —
+/// Default counters (`Counter::default()`) are not registered anywhere —
 /// components use them as their default sink so the counting code path is
 /// identical whether or not a registry is attached.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A free-standing counter not tied to any registry.
-    pub fn detached() -> Self {
-        Counter::default()
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -52,11 +47,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// A free-standing gauge not tied to any registry.
-    pub fn detached() -> Self {
-        Gauge::default()
-    }
-
     /// Sets the level.
     #[inline]
     pub fn set(&self, v: i64) {
@@ -104,11 +94,6 @@ impl Default for HistogramInner {
 pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
-    /// A free-standing histogram not tied to any registry.
-    pub fn detached() -> Self {
-        Histogram::default()
-    }
-
     #[inline]
     fn bucket_of(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
@@ -331,7 +316,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_values_by_bit_length() {
-        let h = Histogram::detached();
+        let h = Histogram::default();
         for v in [0, 1, 2, 3, 4, 1000, u64::MAX] {
             h.record(v);
         }
@@ -347,7 +332,7 @@ mod tests {
 
     #[test]
     fn quantiles_walk_buckets_without_floats() {
-        let h = Histogram::detached();
+        let h = Histogram::default();
         for _ in 0..99 {
             h.record(10); // bucket 4, upper bound 15
         }

@@ -12,10 +12,10 @@ use orchestra_model::{
     flatten_keyed, ConflictKey, KeyValue, NetUpdates, Priority, Schema, Transaction, TransactionId,
     Update,
 };
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use std::cell::OnceCell;
-use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 
 /// A flattened update extension together with the `(relation, key)` pairs it
@@ -82,76 +82,169 @@ pub(crate) fn conflict_keys_with(flat: &FlatExtension, other: &KeyIndex<'_>) -> 
 /// comparing only updates that touch a common `(relation, key)` pair first —
 /// which every conflicting pair does.
 pub fn conflict_keys_between(left: &FlatExtension, right: &FlatExtension) -> Vec<ConflictKey> {
-    conflict_keys_with(left, &by_key(right))
+    conflict_keys(&TouchedPairs::new([left, right]).meetings())
 }
 
-/// The candidates (by position) touching one `(relation, key)` pair, in
-/// position order. Nearly every pair is touched by one candidate, so the
-/// first is held inline and only a second one allocates.
-#[derive(Debug)]
-pub struct Touching {
-    first: usize,
-    rest: Vec<usize>,
+/// One `(relation, key)` pair a flattening touches: the flattening's
+/// position, the update touching the pair and whether it is the key that
+/// update touches first, under the pair's hash.
+struct Touch<'a> {
+    hash: u64,
+    position: usize,
+    key: &'a KeyValue,
+    update: &'a Update,
+    first: bool,
 }
 
-impl Touching {
-    /// The touching candidates' positions, ascending (at least one).
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(self.first).chain(self.rest.iter().copied())
+impl Touch<'_> {
+    /// The touched relation.
+    fn relation(&self) -> &str {
+        self.update.relation.as_str()
+    }
+
+    /// Whether both touch one `(relation, key)` pair.
+    fn same_pair(&self, other: &Touch<'_>) -> bool {
+        self.key == other.key && self.relation() == other.relation()
     }
 }
 
-/// Indexes candidates (by position) under every `(relation, key)` pair their
-/// flattened extensions touch, each candidate at most once per pair.
-pub fn candidates_by_key(flats: &[Arc<FlatExtension>]) -> FxHashMap<(&str, &KeyValue), Touching> {
-    index_candidates(flats, |_, _| {})
+/// The maximal runs of consecutive items that `same` holds between.
+fn runs<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> impl Iterator<Item = &[T]> {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let len = rest.iter().position(|item| !same(first, item)).unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
 }
 
-/// [`candidates_by_key`], calling `touched_twice(i, j)` for every pair of
-/// candidates `i < j` as it files `j` under a pair `i` touches (once per
-/// such pair of keys).
-fn index_candidates(
-    flats: &[Arc<FlatExtension>],
-    mut touched_twice: impl FnMut(usize, usize),
-) -> FxHashMap<(&str, &KeyValue), Touching> {
-    let touched = flats.iter().map(|flat| flat.touched_len()).sum();
-    let mut by_key: FxHashMap<(&str, &KeyValue), Touching> =
-        FxHashMap::with_capacity_and_hasher(touched, Default::default());
-    for (j, flat) in flats.iter().enumerate() {
-        for (relation, key, _) in flat.touched() {
-            match by_key.entry((relation, key)) {
-                Entry::Vacant(vacant) => {
-                    vacant.insert(Touching { first: j, rest: Vec::new() });
-                }
-                // A candidate's entries under one pair are consecutive, so
-                // comparing with the last entry deduplicates.
-                Entry::Occupied(mut occupied) => {
-                    let touching = occupied.get_mut();
-                    if *touching.rest.last().unwrap_or(&touching.first) != j {
-                        touching.iter().for_each(|i| touched_twice(i, j));
-                        touching.rest.push(j);
-                    }
+/// Every `(relation, key)` pair some flattenings touch, as one run of
+/// touches per pair, each run in position order.
+///
+/// One pass files every touched pair of every flattening in one vector and
+/// sorts it by `(hash, position)`. A run of equal hashes then holds one pair
+/// unless two pairs collide on the hash; such a run is reordered by the
+/// pairs themselves, so colliding pairs never meet.
+struct TouchedPairs<'a> {
+    touches: Vec<Touch<'a>>,
+    /// Whether two pairs collided on a hash.
+    collided: bool,
+}
+
+impl<'a> TouchedPairs<'a> {
+    fn new(flats: impl IntoIterator<Item = &'a FlatExtension> + Clone) -> Self {
+        let hasher = BuildHasherDefault::<FxHasher>::default();
+        let touched = flats.clone().into_iter().map(FlatExtension::touched_len).sum();
+        let mut touches = Vec::with_capacity(touched);
+        for (position, flat) in flats.into_iter().enumerate() {
+            for (update, keys) in flat.iter() {
+                for (nth, key) in keys.iter().enumerate() {
+                    let hash = hasher.hash_one((update.relation.as_str(), key));
+                    touches.push(Touch { hash, position, key, update, first: nth == 0 });
                 }
             }
         }
+        touches.sort_unstable_by_key(|touch| (touch.hash, touch.position));
+        let mut collided = false;
+        let mut start = 0;
+        while start < touches.len() {
+            let hash = touches[start].hash;
+            let len = touches[start..].iter().position(|touch| touch.hash != hash);
+            let end = len.map_or(touches.len(), |len| start + len);
+            let run = &mut touches[start..end];
+            if !run.iter().all(|touch| touch.same_pair(&run[0])) {
+                collided = true;
+                run.sort_by(|a, b| {
+                    (a.relation(), a.key, a.position).cmp(&(b.relation(), b.key, b.position))
+                });
+            }
+            start = end;
+        }
+        TouchedPairs { touches, collided }
     }
-    by_key
+
+    /// The touches of each pair.
+    fn runs(&self) -> impl Iterator<Item = &[Touch<'a>]> {
+        let collided = self.collided;
+        runs(&self.touches, move |a, b| a.hash == b.hash && (!collided || a.same_pair(b)))
+    }
+
+    /// Every meeting of two flattenings at a pair they touch.
+    fn meetings(&self) -> Vec<Meeting<'_>> {
+        let mut found = Vec::new();
+        for run in self.runs() {
+            for (n, a) in run.iter().enumerate() {
+                for b in run[n + 1..].iter().filter(|b| b.position != a.position) {
+                    found.push(Meeting { pair: (a.position, b.position), at: (a, b) });
+                }
+            }
+        }
+        found
+    }
+}
+
+/// Two flattenings touching one `(relation, key)` pair: their positions
+/// `(i, j)`, `i < j`, and their touches there.
+struct Meeting<'a> {
+    pair: (usize, usize),
+    at: (&'a Touch<'a>, &'a Touch<'a>),
+}
+
+/// The conflict-group keys of `meetings`, sorted and each once. Two updates
+/// conflict only if they touch one pair first, and then
+/// [`Update::conflict_kind_keyed`] decides it, so the meetings of two
+/// flattenings carry every conflict between them.
+fn conflict_keys(meetings: &[Meeting<'_>]) -> Vec<ConflictKey> {
+    let mut keys = Vec::new();
+    for (a, b) in meetings.iter().map(|meeting| meeting.at).filter(|(a, b)| a.first && b.first) {
+        if let Some(kind) = a.update.conflict_kind_keyed(b.update) {
+            keys.push(ConflictKey::new(kind, a.update.relation.clone(), a.key.clone()));
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Calls `each_key(relation, key, touching)` for every `(relation, key)`
+/// pair that `flats` touch, with the positions of the flattenings touching
+/// it, ascending and each once.
+pub fn candidates_by_key(
+    flats: &[Arc<FlatExtension>],
+    mut each_key: impl FnMut(&str, &KeyValue, &[usize]),
+) {
+    let mut touching = Vec::new();
+    for run in TouchedPairs::new(flats.iter().map(|flat| &**flat)).runs() {
+        touching.clear();
+        touching.extend(run.iter().map(|touch| touch.position));
+        touching.dedup();
+        each_key(run[0].relation(), run[0].key, &touching);
+    }
+}
+
+/// Whether the extension whose member ids are `members` subsumes `other`'s:
+/// it contains every member of it.
+pub(crate) fn subsumes(members: &FxHashSet<TransactionId>, other: &CandidateTransaction) -> bool {
+    other.members.iter().all(|(id, _)| members.contains(id))
 }
 
 /// `FindConflicts` (Figure 5): the pairwise direct conflicts among
 /// `candidates`, whose flattened extensions are `flats` (in the same order).
 /// Returns `(i, j, keys)` for every pair `i < j` that directly conflicts, with
-/// the conflict-group keys it conflicts on, in ascending `(i, j)` order;
-/// pairs where one candidate subsumes the other are skipped.
+/// the conflict-group keys it conflicts on (sorted), in ascending `(i, j)`
+/// order; pairs where one candidate subsumes the other are skipped.
 ///
-/// A hash index from touched `(relation, key)` pairs to candidates keeps the
+/// One sorted pass over every touched `(relation, key)` pair keeps the
 /// common case near-linear (the paper's analysis assumes a hash table-based
-/// conflict detection step): only candidates whose flattened extensions
-/// touch a common key are compared. A pair that shares no extension member
-/// is compared on those flattenings, by key. A pair that shares members
-/// gets the exact Definition 4 check: both extensions are flattened again
-/// without the shared members. Member ids and key indexes are built only for
-/// candidates in a compared pair, each at most once.
+/// conflict detection step): the pairs are sorted by hash, and only
+/// candidates whose flattened extensions touch a common key are compared.
+/// The same pass decides a pair that shares no extension member: its
+/// conflicts are those of its updates at the keys they both touch first. A
+/// pair that shares members gets the exact Definition 4 check: both
+/// extensions are flattened again without the shared members. Member ids
+/// are built only for candidates in a compared pair, each at most once.
 ///
 /// Two candidates that share a member can conflict under Definition 4 while
 /// their full flattenings touch no common key: a shared `a → b` that one
@@ -163,30 +256,28 @@ pub fn direct_conflicts(
     flats: &[Arc<FlatExtension>],
     schema: &Schema,
 ) -> Vec<(usize, usize, Vec<ConflictKey>)> {
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    index_candidates(flats, |i, j| pairs.push((i, j)));
+    let touched = TouchedPairs::new(flats.iter().map(|flat| &**flat));
+    let mut meetings = touched.meetings();
     let mut found = Vec::new();
-    if pairs.is_empty() {
+    if meetings.is_empty() {
         return found;
     }
-    pairs.sort_unstable();
-    pairs.dedup();
+    meetings.sort_unstable_by_key(|meeting| meeting.pair);
 
     let member_ids: Vec<OnceCell<FxHashSet<TransactionId>>> =
         candidates.iter().map(|_| OnceCell::new()).collect();
-    let indexes: Vec<OnceCell<KeyIndex<'_>>> = flats.iter().map(|_| OnceCell::new()).collect();
-    for (i, j) in pairs {
+    for pair in runs(&meetings, |a, b| a.pair == b.pair) {
+        let (i, j) = pair[0].pair;
         let a = member_ids[i].get_or_init(|| candidates[i].member_ids());
         let b = member_ids[j].get_or_init(|| candidates[j].member_ids());
-        if b.iter().all(|id| a.contains(id)) || a.iter().all(|id| b.contains(id)) {
-            // One extension subsumes the other.
+        if subsumes(a, &candidates[j]) || subsumes(b, &candidates[i]) {
             continue;
         }
         let keys = if a.iter().any(|id| b.contains(id)) {
             let shared = |id: &TransactionId| a.contains(id) && b.contains(id);
             candidates[i].conflict_keys_excluding(&candidates[j], shared, schema)
         } else {
-            conflict_keys_with(&flats[i], indexes[j].get_or_init(|| by_key(&flats[j])))
+            conflict_keys(pair)
         };
         if !keys.is_empty() {
             found.push((i, j, keys));
@@ -334,13 +425,6 @@ impl CandidateTransaction {
         flatten_keyed(schema, members.map(|(_, updates)| updates))
     }
 
-    /// Returns true if this candidate subsumes `other`: its extension is a
-    /// superset of the other's extension.
-    pub fn subsumes(&self, other: &CandidateTransaction) -> bool {
-        let mine = self.member_ids();
-        other.members.iter().all(|(id, _)| mine.contains(id))
-    }
-
     /// The conflict-group keys on which the two candidates' extensions
     /// conflict once the members `shared` names are left out of both.
     fn conflict_keys_excluding(
@@ -434,9 +518,9 @@ mod tests {
         );
         let small = CandidateTransaction::new(&x0, Priority(1), vec![]);
         let big = CandidateTransaction::new(&x1, Priority(1), vec![x0.clone()]);
-        assert!(big.subsumes(&small));
-        assert!(!small.subsumes(&big));
-        assert!(big.subsumes(&big.clone()));
+        assert!(subsumes(&big.member_ids(), &small));
+        assert!(!subsumes(&small.member_ids(), &big));
+        assert!(subsumes(&big.member_ids(), &big.clone()));
     }
 
     /// The members of a candidate's extension as the spec takes them.
@@ -528,10 +612,14 @@ mod tests {
             ]),
             flat(vec![Update::insert("Function", func("rat", "prot1", "d"), p(1))]),
         ];
-        let by_key = candidates_by_key(&flats);
+        let mut by_key = FxHashMap::default();
+        candidates_by_key(&flats, |relation, key, touching| {
+            let previous = by_key.insert((relation.to_string(), key.clone()), touching.to_vec());
+            assert!(previous.is_none(), "{relation} {key} is visited once");
+        });
         let touching = |protein: &str| {
             let key = KeyValue::of_text(&["rat", protein]);
-            by_key[&("Function", &key)].iter().collect::<Vec<usize>>()
+            by_key[&("Function".to_string(), key)].clone()
         };
         assert_eq!(by_key.len(), 3);
         assert_eq!(touching("prot1"), vec![0, 2, 3]);
@@ -695,6 +783,137 @@ mod tests {
                     .collect();
                 prop_assert_eq!(found, expected);
             }
+        }
+
+        /// `direct_conflicts` by brute force: every pair `i < j` whose
+        /// flattenings share a touched `(relation, key)`, where neither
+        /// extension subsumes the other, with the keys on which
+        /// `conflict_kind_with` finds a conflict between any update of one
+        /// side and any of the other (each side flattened without the
+        /// members both share), sorted.
+        fn all_pairs(
+            candidates: &[CandidateTransaction],
+            flats: &[Arc<FlatExtension>],
+        ) -> Vec<(usize, usize, Vec<ConflictKey>)> {
+            let schema = bioinformatics_schema();
+            let touched = |flat: &FlatExtension| -> BTreeSet<(String, KeyValue)> {
+                flat.touched()
+                    .map(|(relation, key, _)| (relation.to_string(), key.clone()))
+                    .collect()
+            };
+            let mut found = Vec::new();
+            for j in 0..candidates.len() {
+                for i in 0..j {
+                    if touched(&flats[i]).is_disjoint(&touched(&flats[j])) {
+                        continue;
+                    }
+                    let (a, b) = (candidates[i].member_ids(), candidates[j].member_ids());
+                    if a.is_subset(&b) || b.is_subset(&a) {
+                        continue;
+                    }
+                    let shared = |id: &TransactionId| a.contains(id) && b.contains(id);
+                    let left = candidates[i].flattened_excluding(&schema, shared);
+                    let right = candidates[j].flattened_excluding(&schema, shared);
+                    let mut keys: Vec<ConflictKey> = left
+                        .updates()
+                        .iter()
+                        .flat_map(|u| right.updates().iter().map(move |o| (u, o)))
+                        .filter_map(|(u, o)| {
+                            let (kind, key) = u.conflict_kind_with(o, &schema)?;
+                            Some(ConflictKey::new(kind, u.relation.clone(), key))
+                        })
+                        .collect();
+                    keys.sort();
+                    keys.dedup();
+                    if !keys.is_empty() {
+                        found.push((i, j, keys));
+                    }
+                }
+            }
+            found.sort_by_key(|(i, j, _)| (*i, *j));
+            found
+        }
+
+        /// Candidates of `txns`: transaction `root` is one when its pick is
+        /// not 0, with the earlier transactions its mask names as its
+        /// extension.
+        fn candidates_of(txns: &[Transaction], picks: &[(u8, u16)]) -> Vec<CandidateTransaction> {
+            picks
+                .iter()
+                .enumerate()
+                .filter(|(_, (pick, _))| *pick > 0)
+                .map(|(root, (_, mask))| {
+                    let antecedents = (0..root).filter(|a| mask & (1 << a) != 0);
+                    let antecedents = antecedents.map(|a| txns[a].clone()).collect();
+                    CandidateTransaction::new(&txns[root], Priority(1), antecedents)
+                })
+                .collect()
+        }
+
+        /// Twelve one-update transactions on three keys: runs of three or
+        /// more candidates at one key, and key-changing modifies, make every
+        /// case of the sorted pass occur (`the_sorted_pass_meets_runs_and_keys_touched_twice`).
+        fn small_universe() -> impl Strategy<Value = (Vec<Vec<Spec>>, Vec<(u8, u16)>)> {
+            let pool = prop::collection::vec(prop::collection::vec(spec(), 1..3), 12);
+            (pool, prop::collection::vec((0u8..3, 0u16..4096), 12))
+        }
+
+        fn transactions(pool: Vec<Vec<Spec>>) -> Vec<Transaction> {
+            let each = |(i, specs): (usize, Vec<Spec>)| {
+                let origin = p(i as u32 + 1);
+                txn(origin.0, 0, specs.into_iter().map(|s| update(s, origin)).collect())
+            };
+            pool.into_iter().enumerate().map(each).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The sorted pass finds exactly the pairs, and the keys, of a
+            /// brute-force scan over all pairs.
+            #[test]
+            fn direct_conflicts_is_the_all_pairs_scan(case in small_universe()) {
+                let (pool, picks) = case;
+                let schema = bioinformatics_schema();
+                let candidates = candidates_of(&transactions(pool), &picks);
+                let flats: Vec<Arc<FlatExtension>> =
+                    candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
+                prop_assert_eq!(direct_conflicts(&candidates, &flats, &schema), all_pairs(&candidates, &flats));
+            }
+        }
+
+        /// The cases the all-pairs proptest relies on: three candidates
+        /// touching one key, one of them touching it twice (a deletion of
+        /// `k1` and a move from `k0` onto `k1`), and a pair that meets only
+        /// at a key one side touches first and the other second.
+        #[test]
+        fn the_sorted_pass_meets_runs_and_keys_touched_twice() {
+            let schema = bioinformatics_schema();
+            let txns = transactions(vec![
+                vec![(1, 1, 0, (0, 0)), (3, 0, 0, (1, 1))],
+                vec![(0, 1, 2, (0, 0))],
+                vec![(2, 1, 0, (1, 2))],
+                vec![(3, 2, 0, (1, 0))],
+            ]);
+            let candidates = candidates_of(&txns, &[(1, 0); 4]);
+            let flats: Vec<Arc<FlatExtension>> =
+                candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
+            let k1 = KeyValue::of_text(&["rat", "k1"]);
+            let twice = flats[0].touched().filter(|(_, key, _)| **key == k1).count();
+            assert_eq!(twice, 2, "{:?}", flats[0]);
+            let mut touching = Vec::new();
+            candidates_by_key(&flats, |_, key, positions| {
+                if *key == k1 {
+                    touching = positions.to_vec();
+                }
+            });
+            assert_eq!(touching, vec![0, 1, 2, 3]);
+            // The deletion of `k1` meets the insertion and the in-place
+            // modify there; the move onto `k1` meets everyone only second.
+            let found = direct_conflicts(&candidates, &flats, &schema);
+            assert_eq!(found, all_pairs(&candidates, &flats));
+            let pairs: Vec<(usize, usize)> = found.iter().map(|(i, j, _)| (*i, *j)).collect();
+            assert_eq!(pairs, vec![(0, 1), (0, 2)]);
         }
 
         /// The known gap against Definition 4 (ROADMAP item 3): both

@@ -8,24 +8,57 @@
 //! the deferred transactions applicable), and conflict groups/options are the
 //! unit of user-driven conflict resolution.
 
-use crate::extension::{direct_conflicts, CandidateTransaction, FlatExtension};
+use crate::extension::{direct_conflicts, subsumes, CandidateTransaction, FlatExtension};
 use orchestra_model::{
     ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId, Tuple, UpdateKind,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::cell::OnceCell;
+use std::fmt;
 use std::sync::Arc;
 
 /// A group of transactions within a conflict group that make the same
 /// modification to the conflicting key value. At most one option per conflict
 /// group can be accepted when the user resolves the conflict.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `Debug` and equality are over the transactions and the
+/// [`ConflictOption::description`].
+#[derive(Clone)]
 pub struct ConflictOption {
     /// The transactions proposing this modification.
     pub transactions: Vec<TransactionId>,
-    /// A rendering of the proposed net change, for display to the resolving
-    /// user.
-    pub description: String,
+    /// The flattened extension of the option's representative: the net
+    /// change every transaction of the option proposes.
+    change: Arc<FlatExtension>,
 }
+
+impl ConflictOption {
+    /// A rendering of the proposed net change, for display to the resolving
+    /// user: one line per net update, sorted, joined by `; `. It is rendered
+    /// on each call; reconciliation itself never reads it.
+    pub fn description(&self) -> String {
+        describe(&self.change)
+    }
+}
+
+impl fmt::Debug for ConflictOption {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConflictOption")
+            .field("transactions", &self.transactions)
+            .field("description", &self.description())
+            .finish()
+    }
+}
+
+impl PartialEq for ConflictOption {
+    fn eq(&self, other: &Self) -> bool {
+        self.transactions == other.transactions
+            && (Arc::ptr_eq(&self.change, &other.change)
+                || self.description() == other.description())
+    }
+}
+
+impl Eq for ConflictOption {}
 
 /// All options recorded for one conflict-group key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,28 +202,34 @@ impl SoftState {
         // represents one distinct final value the user can pick.
         let position: FxHashMap<TransactionId, usize> =
             deferred.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+        // Each clustered candidate's member ids, built once for every group
+        // it is in: `subsumes(member_ids(a), b)` says whether `a`'s extension
+        // contains `b`'s.
+        let member_sets: Vec<OnceCell<FxHashSet<TransactionId>>> =
+            deferred.iter().map(|_| OnceCell::new()).collect();
+        let member_ids = |at: usize| member_sets[at].get_or_init(|| deferred[at].member_ids());
         let mut group_keys: Vec<ConflictKey> = groups.keys().cloned().collect();
         group_keys.sort();
         for key in group_keys {
             let members = &groups[&key];
-            let mut member_ids: Vec<TransactionId> = members.iter().copied().collect();
-            member_ids.sort();
+            let mut ids: Vec<TransactionId> = members.iter().copied().collect();
+            ids.sort();
 
             // Cluster members along subsumption chains. The representative of
             // a cluster is its maximal member (the one whose extension
             // contains the others).
             let mut clusters: Vec<(TransactionId, Vec<TransactionId>)> = Vec::new();
-            for id in member_ids {
-                let cand = &deferred[position[&id]];
+            for id in ids {
+                let at = position[&id];
                 let mut placed = false;
                 for (rep, cluster_members) in &mut clusters {
-                    let rep_cand = &deferred[position[rep]];
-                    if rep_cand.subsumes(cand) {
+                    let rep_at = position[rep];
+                    if subsumes(member_ids(rep_at), &deferred[at]) {
                         cluster_members.push(id);
                         placed = true;
                         break;
                     }
-                    if cand.subsumes(rep_cand) {
+                    if subsumes(member_ids(at), &deferred[rep_at]) {
                         cluster_members.push(id);
                         *rep = id;
                         placed = true;
@@ -212,11 +251,9 @@ impl SoftState {
                 match options.iter_mut().find(|(c, _)| *c == change) {
                     Some((_, opt)) => opt.transactions.extend(cluster_members),
                     None => {
-                        let description = describe(flat);
-                        options.push((
-                            change,
-                            ConflictOption { transactions: cluster_members, description },
-                        ));
+                        let transactions = cluster_members;
+                        let option = ConflictOption { transactions, change: Arc::clone(flat) };
+                        options.push((change, option));
                     }
                 }
             }
@@ -353,8 +390,8 @@ mod tests {
         assert_eq!(options[1].transactions, ids[2..]);
         // Lines sorted and joined, as the resolving user reads them.
         let line = |t: &Tuple| format!("Function insert None -> Some({t:?})");
-        assert_eq!(options[0].description, format!("{}; {}", line(&b), line(&a)));
-        assert_eq!(options[1].description, line(&func("rat", "prot1", "c")));
+        assert_eq!(options[0].description(), format!("{}; {}", line(&b), line(&a)));
+        assert_eq!(options[1].description(), line(&func("rat", "prot1", "c")));
     }
 
     #[test]

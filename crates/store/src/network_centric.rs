@@ -115,20 +115,20 @@ impl DhtStore {
         // forwarded to the controller of every key it touches; each key
         // controller compares the summaries it received and reports verdicts
         // to the reconciling peer.
-        for ((relation, key), received) in &candidates_by_key(&flattened) {
+        candidates_by_key(&flattened, |relation, key, received| {
             // One summary message per candidate touching the key, one verdict
             // reply from the key controller to the reconciling peer.
             let ((), latency) = self.charged(|network| {
                 let key_node = orchestra_net::NodeId::hash_str(&format!("key/{relation}/{key}"));
                 if let Some(owner) = network.ring().owner_of(key_node) {
-                    for _ in received.iter() {
+                    for _ in received {
                         network.send_to_key(owner, key_node, CONTROL_BYTES);
                     }
                     network.send_direct(owner, peer, CONTROL_BYTES);
                 }
             });
             timing.network += latency;
-        }
+        });
         // The verdicts are the engine's own `FindConflicts`, computed where
         // the keys live.
         let conflicts = conflict_sets(&candidates, &flattened, &schema);

@@ -11,9 +11,8 @@
 //! The pruner is deliberately closure-based: it captures whatever pruning
 //! entry point fits the deployment (a `CentralStore` behind an `Arc`, a
 //! `DhtStore`, a bare catalogue) rather than imposing a store type. Shutdown
-//! is clean and prompt — dropping the pruner (or calling
-//! [`AutoPruner::stop`]) wakes the thread through a condvar and joins it, so
-//! no prune runs after the handle is gone.
+//! is clean and prompt — dropping the pruner wakes the thread through a
+//! condvar and joins it, so no prune runs after the handle is gone.
 
 use orchestra_obs::Obs;
 use orchestra_storage::{PruneReport, Result};
@@ -53,7 +52,7 @@ struct Progress {
 ///     AutoPruner::spawn(Duration::from_secs(30), move || store.prune_to_horizon())
 /// };
 /// // ... publish / reconcile ...
-/// pruner.stop(); // or just drop it
+/// drop(pruner); // stops the thread and waits for it
 /// ```
 #[derive(Debug)]
 pub struct AutoPruner {
@@ -140,24 +139,16 @@ impl AutoPruner {
     pub fn last_report(&self) -> Option<Result<PruneReport>> {
         self.progress.last.lock().expect("pruner report").clone()
     }
+}
 
+impl Drop for AutoPruner {
     /// Stops the thread and waits for it: any in-flight prune finishes, no
-    /// new one starts. Idempotent; also invoked by `Drop`.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+    /// new one starts.
+    fn drop(&mut self) {
         let Some(thread) = self.thread.take() else { return };
         *self.signal.stopped.lock().expect("pruner stop flag") = true;
         self.signal.wake.notify_all();
         thread.join().expect("auto-pruner thread panicked");
-    }
-}
-
-impl Drop for AutoPruner {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -177,7 +168,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(pruner.rounds() >= 1);
-        pruner.stop();
+        drop(pruner);
         let after_stop = runs.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(runs.load(Ordering::SeqCst), after_stop, "no prune after stop");
@@ -200,7 +191,7 @@ mod tests {
         while pruner.rounds() < 2 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        pruner.stop();
+        drop(pruner);
         assert!(obs.metrics.counter("pruner.rounds").get() >= 2);
         assert_eq!(obs.metrics.counter("pruner.errors").get(), 0);
         assert!(obs.tracer.export().contains("prune"), "rounds must run under a prune span");
@@ -223,6 +214,6 @@ mod tests {
         while pruner.rounds() == seen {
             std::thread::sleep(Duration::from_millis(2));
         }
-        pruner.stop();
+        drop(pruner);
     }
 }

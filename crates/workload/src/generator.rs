@@ -111,11 +111,6 @@ impl WorkloadGenerator {
         &self.config
     }
 
-    /// The value pools in use.
-    pub fn pools(&self) -> &SwissProtPools {
-        &self.pools
-    }
-
     /// Number of cross-reference tuples for one newly inserted key, averaging
     /// `xref_mean`.
     fn sample_xref_count(&mut self) -> usize {

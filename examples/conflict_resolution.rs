@@ -65,7 +65,7 @@ fn main() {
         for group in participant.deferred_conflicts() {
             println!("conflict group {}:", group.key);
             for (i, option) in group.options.iter().enumerate() {
-                println!("  option {i}: {} (from {:?})", option.description, option.transactions);
+                println!("  option {i}: {} (from {:?})", option.description(), option.transactions);
             }
         }
     }

@@ -108,7 +108,7 @@ fn main() {
     let keep = groups[0]
         .options
         .iter()
-        .position(|o| o.description.contains("cell-metabolism"))
+        .position(|o| o.description().contains("cell-metabolism"))
         .expect("bob's option");
     system
         .resolve_conflicts(

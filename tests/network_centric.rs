@@ -176,3 +176,19 @@ fn network_centric_mode_composes_with_later_client_centric_runs() {
     // Previously accepted transactions are not replayed.
     assert!(!second.accepted.contains(&first.accepted[0]));
 }
+
+#[test]
+fn network_centric_plan_charges_pinned_message_and_byte_totals() {
+    // The key controllers' fan-out is one summary per candidate touching a
+    // key plus one verdict per key, whatever order the keys are visited in:
+    // the traffic a network-centric reconciliation charges is pinned.
+    let (store, policies) = populated_store(5);
+    let mut participant =
+        Participant::new(bioinformatics_schema(), ParticipantConfig::new(policies[0].clone()));
+    let before = store.network_stats();
+    participant.reconcile_network_centric(&store).unwrap();
+    let after = store.network_stats();
+    let charged =
+        (after.messages - before.messages, after.hops - before.hops, after.bytes - before.bytes);
+    assert_eq!(charged, (42, 43, 3936), "(messages, hops, bytes)");
+}
