@@ -41,15 +41,6 @@ impl StampId {
     pub fn new(publisher: ParticipantId, seq: u64) -> Self {
         StampId { publisher, seq }
     }
-
-    /// The deterministic tie-break between two stamps that the scalar order
-    /// cannot separate: deeper per-publisher chains first, then the smaller
-    /// publisher id. Total, antisymmetric, and independent of arrival order —
-    /// the WAL's replay order and conflict bookkeeping use it so every replica
-    /// linearises ties identically.
-    pub fn tie_break(self, other: StampId) -> std::cmp::Ordering {
-        other.seq.cmp(&self.seq).then(self.publisher.cmp(&other.publisher))
-    }
 }
 
 impl fmt::Display for StampId {
@@ -203,17 +194,6 @@ mod tests {
         assert!(merged.merge(&a));
         assert!(!merged.merge(&a), "idempotent");
         assert_eq!(merged, a);
-    }
-
-    #[test]
-    fn tie_break_is_total_and_deterministic() {
-        use std::cmp::Ordering;
-        // Deeper chain first.
-        assert_eq!(s(5, 9).tie_break(s(1, 3)), Ordering::Less);
-        // Equal depth: smaller publisher first.
-        assert_eq!(s(1, 4).tie_break(s(2, 4)), Ordering::Less);
-        assert_eq!(s(2, 4).tie_break(s(1, 4)), Ordering::Greater);
-        assert_eq!(s(2, 4).tie_break(s(2, 4)), Ordering::Equal);
     }
 
     #[test]

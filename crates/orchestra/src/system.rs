@@ -95,11 +95,6 @@ impl<S: UpdateStore> CdssSystem<S> {
         }
     }
 
-    /// The system's observability sink.
-    pub fn observability(&self) -> &Obs {
-        &self.obs
-    }
-
     /// The schema shared by all participants.
     pub fn schema(&self) -> &Schema {
         &self.schema

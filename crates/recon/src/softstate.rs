@@ -113,7 +113,7 @@ impl SoftState {
     }
 
     /// The number of dirty key values.
-    pub fn dirty_len(&self) -> usize {
+    pub(crate) fn dirty_len(&self) -> usize {
         self.dirty.values().map(FxHashSet::len).sum()
     }
 
@@ -123,7 +123,8 @@ impl SoftState {
     }
 
     /// Returns true if the transaction is currently deferred.
-    pub fn is_deferred(&self, id: TransactionId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_deferred(&self, id: TransactionId) -> bool {
         self.deferred.contains_key(&id)
     }
 
@@ -133,7 +134,8 @@ impl SoftState {
     }
 
     /// The reconciliation that last rebuilt the soft state.
-    pub fn last_recno(&self) -> ReconciliationId {
+    #[cfg(test)]
+    pub(crate) fn last_recno(&self) -> ReconciliationId {
         self.last_recno
     }
 

@@ -4,7 +4,8 @@
 //! (`wal.<gen>.log`, every record of the generation) plus the snapshot
 //! (`snapshot.orc`). The tool pretty-prints either: per-frame offsets,
 //! payload lengths, CRCs (with verification), `(epoch, seq)` stamps and
-//! one-line record summaries. It never writes — point it at a live
+//! one-line record summaries. The stamp is informational: recovery replays
+//! the frames in file order. The tool never writes — point it at a live
 //! directory or a torn-tail report and read.
 //!
 //! ```text
@@ -23,7 +24,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: wal_dump <wal.<gen>.log|snapshot.orc|durability-dir>...");
-        eprintln!("  prints frame offsets, CRCs, (epoch, seq) stamps and record summaries");
+        eprintln!("  prints frame offsets, CRCs, (epoch, seq) stamps and record summaries;");
+        eprintln!("  the stamp is informational: recovery replays frames in file order");
         return if args.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
     }
     let mut failed = false;
@@ -141,13 +143,14 @@ fn describe_snapshot(payload: &[u8]) {
         Ok(snap) => {
             println!(
                 "  snapshot: generation {}, {} epoch record(s), {} log entr(ies), \
-                 {} participant(s), membership frontier {}, pruned through {}",
+                 {} participant(s), membership frontier {}, pruned through {}, retention {:?}",
                 snap.wal_generation,
                 snap.registry.len(),
                 snap.log.len(),
                 snap.participants.len(),
                 snap.membership_frontier.as_u64(),
                 snap.pruned_through.as_u64(),
+                snap.retention,
             );
             let causal = snap.registry.causal();
             if causal.is_enabled() {
@@ -231,5 +234,6 @@ fn summarise(record: &WalRecord) -> String {
             checkpoint.next_local,
             checkpoint.accepted_through,
         ),
+        WalRecord::Retention { policy } => format!("Retention {policy:?}"),
     }
 }

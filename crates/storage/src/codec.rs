@@ -34,6 +34,7 @@ use crate::decisions::{Decision, ParticipantRecord};
 use crate::epoch::{CausalNode, EpochRecord, EpochRegistry, PublicationStatus};
 use crate::error::{Result, StorageError};
 use crate::log::{LogEntry, TransactionLog};
+use crate::retention::RetentionPolicy;
 use crate::snapshot::{InstanceCheckpoint, ParticipantSnapshot, StoreSnapshot};
 use crate::wal::WalRecord;
 use orchestra_model::schema::{ColumnDef, RelationSchema};
@@ -735,6 +736,26 @@ fn dec_schema(d: &mut Dec<'_>) -> Result<Schema> {
     Ok(schema)
 }
 
+fn enc_retention(e: &mut Enc, policy: RetentionPolicy) {
+    match policy {
+        RetentionPolicy::KeepAll => e.u8(0),
+        RetentionPolicy::ConvergedOnly => e.u8(1),
+        RetentionPolicy::KeepLastN(n) => {
+            e.u8(2);
+            e.u64(n);
+        }
+    }
+}
+
+fn dec_retention(d: &mut Dec<'_>) -> Result<RetentionPolicy> {
+    Ok(match d.u8()? {
+        0 => RetentionPolicy::KeepAll,
+        1 => RetentionPolicy::ConvergedOnly,
+        2 => RetentionPolicy::KeepLastN(d.u64()?),
+        other => return Err(StorageError::Persistence(format!("invalid retention tag {other}"))),
+    })
+}
+
 // ---------------------------------------------------------------------------
 // WAL records
 // ---------------------------------------------------------------------------
@@ -805,6 +826,10 @@ pub fn encode_record(record: &WalRecord, _codec: Codec) -> Vec<u8> {
             enc_participant(&mut e, *participant);
             enc_checkpoint(&mut e, checkpoint);
         }
+        WalRecord::Retention { policy } => {
+            e.u8(11);
+            enc_retention(&mut e, *policy);
+        }
     }
     e.buf
 }
@@ -861,6 +886,7 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord> {
             let checkpoint = dec_checkpoint(&mut d)?;
             WalRecord::InstanceCheckpoint { participant, checkpoint }
         }
+        11 => WalRecord::Retention { policy: dec_retention(&mut d)? },
         other => return Err(StorageError::Persistence(format!("invalid record tag {other}"))),
     };
     d.finish()?;
@@ -950,6 +976,7 @@ pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
     e.u64(snapshot.log.next_pos);
     e.u64(snapshot.membership_frontier.as_u64());
     e.u64(snapshot.pruned_through.as_u64());
+    enc_retention(&mut e, snapshot.retention);
     e.u64(snapshot.participants.len() as u64);
     for p in &snapshot.participants {
         enc_participant(&mut e, p.id);
@@ -1031,6 +1058,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
     }
     let membership_frontier = Epoch(d.u64()?);
     let pruned_through = Epoch(d.u64()?);
+    let retention = dec_retention(&mut d)?;
     let participants_len = d.usize()?;
     let mut participants = Vec::with_capacity(participants_len);
     for _ in 0..participants_len {
@@ -1071,6 +1099,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
         log,
         membership_frontier,
         pruned_through,
+        retention,
         participants,
         wal_generation,
     })
@@ -1164,6 +1193,8 @@ mod tests {
                     accepted_through: 3,
                 },
             },
+            WalRecord::Retention { policy: RetentionPolicy::ConvergedOnly },
+            WalRecord::Retention { policy: RetentionPolicy::KeepLastN(300) },
         ]
     }
 
@@ -1322,6 +1353,7 @@ mod tests {
                 log: log.clone(),
                 membership_frontier: Epoch::ZERO,
                 pruned_through: Epoch::ZERO,
+                retention: RetentionPolicy::KeepAll,
                 participants: Vec::new(),
                 wal_generation: 0,
             })
@@ -1375,6 +1407,7 @@ mod tests {
             log,
             membership_frontier: Epoch(2),
             pruned_through: Epoch::ZERO,
+            retention: RetentionPolicy::ConvergedOnly,
             participants: vec![ParticipantSnapshot {
                 id: p,
                 policy: TrustPolicy::new(p).trusting(ParticipantId(2), 1u32),
@@ -1403,6 +1436,7 @@ mod tests {
             p.record.rebuild_sets();
         }
         assert_eq!(back.wal_generation, 5);
+        assert_eq!(back.retention, RetentionPolicy::ConvergedOnly);
         assert_eq!(back.schema, snapshot.schema);
         assert_eq!(back.registry.largest_stable_epoch(), Epoch(1));
         assert_eq!(back.registry.latest_allocated(), Epoch(2));

@@ -93,7 +93,7 @@ impl CausalRegistry {
 
     /// The deepest ingested sequence of a publisher (0 if it never
     /// published).
-    pub fn last_seq(&self, publisher: ParticipantId) -> u64 {
+    pub(crate) fn last_seq(&self, publisher: ParticipantId) -> u64 {
         self.frontier.seq_of(publisher).unwrap_or(0)
     }
 

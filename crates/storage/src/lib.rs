@@ -19,11 +19,12 @@
 //!   rejected transactions, which the paper moves into the update store so
 //!   that client state stays soft.
 //! * [`wal`] / [`segment`] / [`snapshot`] — the durability layer: one
-//!   append-only file of CRC-checked [`WalRecord`] frames per generation plus a
-//!   compacting [`StoreSnapshot`], from which
-//!   `orchestra_store::StoreCatalog::recover` rebuilds the exact durable
-//!   store state after a crash. [`codec`] is the one encoding both use —
-//!   nothing else in the workspace is ever serialised.
+//!   append-only file of CRC-checked [`WalRecord`] frames per generation,
+//!   written through [`FileWalBackend`] under one lock, plus a compacting
+//!   [`StoreSnapshot`], from which `orchestra_store::StoreCatalog::recover`
+//!   rebuilds the exact durable store state after a crash by replaying the
+//!   file in the order it was written. [`codec`] is the one encoding both
+//!   use — nothing else in the workspace is ever serialised.
 //! * [`retention`] — convergence-horizon retention: the [`RetentionPolicy`]
 //!   knob and [`PruneReport`] accounting behind the bounded-memory store
 //!   (`orchestra_store::StoreCatalog::prune_to_horizon`), plus the
@@ -50,7 +51,7 @@ pub use epoch::{CausalNode, CausalRegistry, EpochRegistry, PublicationStatus};
 pub use error::{Result, StorageError};
 pub use log::{LogEntry, TransactionLog};
 pub use retention::{PruneReport, RetentionPolicy};
-pub use segment::{FrameStamp, SegmentedWal};
+pub use segment::{FileWalBackend, FrameStamp};
 pub use snapshot::{InstanceCheckpoint, ParticipantSnapshot, StoreSnapshot};
 pub use table::Table;
 pub use wal::{FlushPolicy, FrameLog, WalRecord};

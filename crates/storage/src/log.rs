@@ -812,6 +812,7 @@ mod tests {
             log: log.clone(),
             membership_frontier: Epoch::ZERO,
             pruned_through: Epoch::ZERO,
+            retention: crate::RetentionPolicy::ConvergedOnly,
             participants: Vec::new(),
             wal_generation: 0,
         };
@@ -912,6 +913,7 @@ mod tests {
             log: log.clone(),
             membership_frontier: Epoch::ZERO,
             pruned_through: horizon,
+            retention: crate::RetentionPolicy::ConvergedOnly,
             participants: Vec::new(),
             wal_generation: 0,
         };

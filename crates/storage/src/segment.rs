@@ -1,5 +1,5 @@
-//! One WAL file per generation, with stamped frames and a deterministic
-//! replay order.
+//! The write side of a durability directory: one WAL file per generation,
+//! behind one lock.
 //!
 //! A WAL *generation* is the single append-only file `wal.<gen>.log` in the
 //! durability directory. Every record of the generation — `Init`, policy
@@ -9,11 +9,15 @@
 //! durable with one `fdatasync`, a snapshot creates one file and deletes one,
 //! and recovery opens one.
 //!
-//! The file's mutex is a leaf lock: an append takes it while the catalogue
-//! holds the lock guarding the state the record describes, and takes no
-//! other lock under it. Group commit ([`FlushPolicy`]) applies to the file.
+//! [`FileWalBackend`] holds the generation — its file, its number, its
+//! append counter, its epoch watermark and its observability sink — behind
+//! one mutex, and that mutex is a leaf lock: an append takes it while the
+//! store catalogue holds the lock guarding the state the record describes,
+//! and takes no other lock under it. Two records whose states depend on
+//! each other are therefore appended in dependency order, and **file order is
+//! the replay order**: recovery applies the records exactly as it reads them.
 //!
-//! # Stamps and the replay order
+//! # Stamps
 //!
 //! Every frame payload carries a stamp ahead of the record bytes:
 //!
@@ -21,63 +25,33 @@
 //! varint(epoch) | varint(seq) | varint(publisher+1) | varint(pubseq) | record
 //! ```
 //!
-//! `seq` comes from one atomic counter, so it is unique and any two appends
-//! ordered by happens-before (through the catalogue's lock order) get
-//! increasing values. `epoch` is the generation's *epoch watermark*:
-//! publishes (scalar and causal) raise it to their own arrival epoch, every
-//! other record reads it. The watermark is monotone, and a record's stamp
-//! dominates the stamps of every record it causally depends on — a
-//! reconciliation pinned to epoch `e` is only possible after the publishes
-//! through `e` were appended, so its stamp epoch is `≥ e` and its `seq`
-//! larger than theirs.
-//!
-//! The last two varints carry the *causal* identity of a causal-mode publish
-//! (`publisher + 1` so that `0` means "no causal stamp", `pubseq` its
-//! per-publisher sequence). Recovery replays the file's records sorted by
-//! `(epoch, seq)` with ties broken by the deterministic causal tie-break
-//! ([`StampId::tie_break`]: deeper per-publisher chain first, then the
-//! smaller publisher). The stamp is taken before the file's mutex, so two
-//! concurrent appends may reach the file out of `seq` order; the sort puts
-//! them back. Within one manager's lifetime `seq` never collides, so the
-//! tie-break only decides between frames written by independent sequencers
-//! — and it decides them identically on every replica.
+//! `seq` counts the generation's appends and `epoch` is its *epoch
+//! watermark*: publishes (scalar and causal) raise it to their own arrival
+//! epoch, every other record reads it. Both are taken under the generation's
+//! mutex, so `seq` strictly increases in file order. The last two varints
+//! carry the causal identity of a causal-mode publish (`publisher + 1` so
+//! that `0` means "no causal stamp", `pubseq` its per-publisher sequence).
+//! Replay does not read the stamp; it is there for inspection (`wal_dump`).
 
 use crate::codec::{read_varint, write_varint};
 use crate::error::{Result, StorageError};
-use crate::snapshot::wal_path;
+use crate::snapshot::{self, wal_path, StoreSnapshot};
 use crate::wal::{FlushPolicy, FrameLog, WalRecord};
-use orchestra_model::{ParticipantId, StampId};
+use orchestra_model::{ParticipantId, Schema, StampId};
 use orchestra_obs::Obs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// The replay-ordering stamp carried ahead of every frame payload.
+/// The stamp carried ahead of every frame payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameStamp {
     /// The epoch watermark at append time (a publish's own arrival epoch).
     pub epoch: u64,
-    /// The manager's global append sequence.
+    /// The generation's append sequence.
     pub seq: u64,
     /// The causal identity of a causal-mode publish (`None` for scalar-mode
     /// and non-publish records).
     pub stamp: Option<StampId>,
-}
-
-impl FrameStamp {
-    /// The deterministic merge order: `(epoch, seq)` first, causal tie-break
-    /// ([`StampId::tie_break`]) on collisions, stamped records ahead of
-    /// stampless ones so the order is total either way.
-    fn merge_cmp(&self, other: &FrameStamp) -> std::cmp::Ordering {
-        (self.epoch, self.seq).cmp(&(other.epoch, other.seq)).then_with(|| {
-            match (self.stamp, other.stamp) {
-                (Some(a), Some(b)) => a.tie_break(b),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => std::cmp::Ordering::Equal,
-            }
-        })
-    }
 }
 
 /// Splits a stamped frame payload into its [`FrameStamp`] and record bytes.
@@ -115,164 +89,195 @@ fn stamp_payload(stamp: FrameStamp, record: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// A write-ahead log generation: the one file `wal.<gen>.log` of stamped
-/// frames.
-///
-/// Appends take `&self`: the stamp comes from atomics, and the file write
-/// holds only the file's own (leaf) mutex.
+/// One WAL generation: everything an append reads or writes.
 #[derive(Debug)]
-pub struct SegmentedWal {
-    dir: PathBuf,
-    generation: u64,
-    seq: AtomicU64,
-    /// Largest epoch ever carried by a publish append; stamps every
-    /// non-publish record without touching the log shard's lock.
-    epoch_watermark: AtomicU64,
-    /// Boxed so the durability enum that holds a generation stays small.
-    log: Box<Mutex<FrameLog>>,
-    /// The sink the file reports into, carried over to the next generation
-    /// (disabled by default; see [`SegmentedWal::set_observability`]).
-    obs: Mutex<Obs>,
+struct Generation {
+    log: FrameLog,
+    number: u64,
+    /// The next append's `seq`.
+    seq: u64,
+    /// Largest epoch carried by a publish appended to this generation.
+    epoch: u64,
+    /// The sink the file reports into, carried over to the next generation.
+    obs: Obs,
 }
 
-impl SegmentedWal {
-    fn with_log(dir: &Path, generation: u64, log: FrameLog, seq: u64, epoch: u64) -> Self {
-        SegmentedWal {
-            dir: dir.to_path_buf(),
-            generation,
-            seq: AtomicU64::new(seq),
-            epoch_watermark: AtomicU64::new(epoch),
-            log: Box::new(Mutex::new(log)),
-            obs: Mutex::new(Obs::disabled()),
-        }
+impl Generation {
+    fn create(dir: &Path, number: u64, obs: Obs) -> Result<Generation> {
+        let mut log = FrameLog::create(&wal_path(dir, number))?;
+        log.set_observability(&obs);
+        Ok(Generation { log, number, seq: 0, epoch: 0, obs })
     }
+}
 
-    /// Creates a fresh, empty generation (truncating any existing file of
-    /// the same name).
-    pub fn create(dir: &Path, generation: u64) -> Result<Self> {
+/// The write side of a file-backed durability directory: the current WAL
+/// generation behind one mutex.
+///
+/// A durability directory holds two files: `wal.<generation>.log`, every
+/// record of the current generation, and `snapshot.orc`, the most recent
+/// compacting [`StoreSnapshot`], which names the generation that continues
+/// after it. The store catalogue (`orchestra_store::StoreCatalog`) appends
+/// through this type and recovers with [`FileWalBackend::open`].
+#[derive(Debug)]
+pub struct FileWalBackend {
+    dir: PathBuf,
+    wal: Mutex<Generation>,
+}
+
+impl FileWalBackend {
+    /// Starts a *fresh* durability directory for a new store: creates the
+    /// directory, refuses to clobber existing durable state (recover that
+    /// instead), and writes the [`WalRecord::Init`] record pinning the
+    /// schema, then syncs the directory so the new file's name is durable.
+    pub fn create(dir: &Path, schema: &Schema) -> Result<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
-        let log = FrameLog::create(&wal_path(dir, generation))?;
-        Ok(SegmentedWal::with_log(dir, generation, log, 0, 0))
+        if snapshot::snapshot_path(dir).exists() {
+            return Err(StorageError::Persistence(format!(
+                "{} already holds a snapshot; recover the existing store instead",
+                dir.display()
+            )));
+        }
+        let wal_file = wal_path(dir, 0);
+        if wal_file.exists() && std::fs::metadata(&wal_file).map(|m| m.len()).unwrap_or(0) > 0 {
+            return Err(StorageError::Persistence(format!(
+                "{} already holds a WAL; recover the existing store instead",
+                dir.display()
+            )));
+        }
+        let backend = FileWalBackend {
+            dir: dir.to_path_buf(),
+            wal: Mutex::new(Generation::create(dir, 0, Obs::disabled())?),
+        };
+        backend.append(&WalRecord::Init { schema: schema.clone() })?;
+        snapshot::sync_dir(dir)?;
+        Ok(backend)
     }
 
-    /// Opens a generation's file, truncating a torn tail, and returns the
-    /// manager positioned for appends together with the records in
-    /// `(epoch, seq)` order — the deterministic replay order.
+    /// Opens a generation's file for recovery, truncating a torn tail, and
+    /// returns the backend positioned for appends together with the records
+    /// in file order — the replay order.
     pub fn open(dir: &Path, generation: u64) -> Result<(Self, Vec<WalRecord>)> {
         let (log, frames) = FrameLog::open(&wal_path(dir, generation))?;
-        let mut stamped = Vec::with_capacity(frames.len());
-        let mut max_seq = 0u64;
-        let mut max_epoch = 0u64;
+        let mut records = Vec::with_capacity(frames.len());
+        let (mut seq, mut epoch) = (0, 0);
         for frame in &frames {
             let (stamp, record_bytes) = parse_stamp(frame)?;
-            max_seq = max_seq.max(stamp.seq + 1);
-            max_epoch = max_epoch.max(stamp.epoch);
-            stamped.push((stamp, WalRecord::decode(record_bytes)?));
+            seq = stamp.seq + 1;
+            epoch = epoch.max(stamp.epoch);
+            records.push(WalRecord::decode(record_bytes)?);
         }
-        stamped.sort_by(|(a, _), (b, _)| a.merge_cmp(b));
-        let records = stamped.into_iter().map(|(_, record)| record).collect();
-        Ok((SegmentedWal::with_log(dir, generation, log, max_seq, max_epoch), records))
+        let generation = Generation { log, number: generation, seq, epoch, obs: Obs::disabled() };
+        Ok((FileWalBackend { dir: dir.to_path_buf(), wal: Mutex::new(generation) }, records))
     }
 
-    /// [`SegmentedWal::open`] with observability bound from the start: the
-    /// file reports into `obs`, the replay is counted under
-    /// `wal.replayed_frames`, and a `wal.replay` trace event records it.
-    pub fn open_observed(dir: &Path, generation: u64, obs: &Obs) -> Result<(Self, Vec<WalRecord>)> {
-        let (wal, records) = SegmentedWal::open(dir, generation)?;
-        wal.set_observability(obs);
-        obs.metrics.counter("wal.replayed_frames").add(records.len() as u64);
-        obs.tracer
-            .event("wal.replay", &[("frames", records.len() as u64), ("generation", generation)]);
-        Ok((wal, records))
+    fn lock(&self) -> MutexGuard<'_, Generation> {
+        self.wal.lock().expect("wal lock")
     }
 
-    /// Binds this generation's file, and the generations started from it,
-    /// to a shared observability sink (see [`FrameLog::set_observability`]).
-    pub fn set_observability(&self, obs: &Obs) {
-        *self.obs.lock().expect("wal obs lock") = obs.clone();
-        self.log.lock().expect("wal file lock").set_observability(obs);
-    }
-
-    /// The sink this generation's file reports into.
-    pub fn observability(&self) -> Obs {
-        self.obs.lock().expect("wal obs lock").clone()
-    }
-
-    /// Appends one stamped record to the generation's file. The stamp is
-    /// taken before the write; the write itself holds only the file's mutex.
-    pub fn append(&self, record: &WalRecord) -> Result<()> {
-        let (epoch, causal) = match record {
-            WalRecord::Publish { epoch, .. } => {
-                self.epoch_watermark.fetch_max(epoch.as_u64(), Ordering::SeqCst);
-                (epoch.as_u64(), None)
-            }
-            WalRecord::PublishCausal { epoch, stamp, .. } => {
-                self.epoch_watermark.fetch_max(epoch.as_u64(), Ordering::SeqCst);
-                (epoch.as_u64(), Some(stamp.id()))
-            }
-            _ => (self.epoch_watermark.load(Ordering::SeqCst), None),
-        };
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let payload = stamp_payload(FrameStamp { epoch, seq, stamp: causal }, &record.encode());
-        self.log.lock().expect("wal file lock").append(&payload)
-    }
-
-    /// Starts the next generation in the same directory: a fresh file under
-    /// this generation's flush policy and observability sink. Retiring this
-    /// generation's file is the caller's ([`delete_generation`]).
-    pub fn next_generation(&self) -> Result<SegmentedWal> {
-        let next = SegmentedWal::create(&self.dir, self.generation + 1)?;
-        next.set_flush_policy(self.flush_policy());
-        next.set_observability(&self.observability());
-        Ok(next)
-    }
-
-    /// Flushes the generation's file to stable storage: one `fdatasync`, or
-    /// none if nothing was written since the last one.
-    pub fn sync(&self) -> Result<()> {
-        self.log.lock().expect("wal file lock").sync()
-    }
-
-    /// Sets when appends `fsync`.
-    pub fn set_flush_policy(&self, policy: FlushPolicy) {
-        self.log.lock().expect("wal file lock").set_flush_policy(policy);
-    }
-
-    /// The flush policy appends run under.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.log.lock().expect("wal file lock").flush_policy()
-    }
-
-    /// Records in this generation.
-    pub fn records(&self) -> u64 {
-        self.log.lock().expect("wal file lock").records()
-    }
-
-    /// Bytes in this generation.
-    pub fn bytes(&self) -> u64 {
-        self.log.lock().expect("wal file lock").bytes()
-    }
-
-    /// Records appended since the last `fsync`.
-    pub fn unsynced_records(&self) -> u64 {
-        self.log.lock().expect("wal file lock").unsynced_records()
-    }
-
-    /// The generation this manager appends to.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The directory holding the generation's file.
+    /// The durability directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
+
+    /// The current WAL generation.
+    pub fn generation(&self) -> u64 {
+        self.lock().number
+    }
+
+    /// Number of WAL files in the current generation: always 1. Kept because
+    /// `examples/benchmark` reports it (`storage.segments`).
+    pub fn segment_count(&self) -> usize {
+        1
+    }
+
+    /// Binds the WAL — current and future generations — to a shared
+    /// observability sink: appends and syncs count under the `wal.*`
+    /// metrics, and snapshot installs emit a `snapshot.install` trace event
+    /// plus the `snapshot.installs` counter.
+    pub fn set_observability(&self, obs: &Obs) {
+        let mut wal = self.lock();
+        wal.obs = obs.clone();
+        wal.log.set_observability(obs);
+    }
+
+    /// Accepts the one [`FlushPolicy`] there is and changes nothing: appends
+    /// reach the operating system, and [`FileWalBackend::sync`] makes them
+    /// durable. Kept only because `examples/benchmark` calls it; the next
+    /// change to the benchmark removes both.
+    pub fn set_flush_policy(&self, _policy: FlushPolicy) {}
+
+    /// Records appended since the WAL's last `fsync`.
+    pub fn unsynced_records(&self) -> u64 {
+        self.lock().log.unsynced_records()
+    }
+
+    /// Records appended to the current generation (including the `Init`
+    /// record on generation 0).
+    pub fn wal_records(&self) -> u64 {
+        self.lock().log.records()
+    }
+
+    /// Bytes in the current generation.
+    pub fn wal_bytes(&self) -> u64 {
+        self.lock().log.bytes()
+    }
+
+    /// Appends one stamped record to the current generation. The record is
+    /// encoded before the lock is taken; the stamp and the write happen
+    /// under it, so `seq` order is file order.
+    pub fn append(&self, record: &WalRecord) -> Result<()> {
+        let bytes = record.encode();
+        let mut wal = self.lock();
+        let (epoch, causal) = match record {
+            WalRecord::Publish { epoch, .. } => (epoch.as_u64(), None),
+            WalRecord::PublishCausal { epoch, stamp, .. } => (epoch.as_u64(), Some(stamp.id())),
+            _ => (wal.epoch, None),
+        };
+        wal.epoch = wal.epoch.max(epoch);
+        let stamp = FrameStamp { epoch, seq: wal.seq, stamp: causal };
+        wal.seq += 1;
+        wal.log.append(&stamp_payload(stamp, &bytes))
+    }
+
+    /// Flushes the current generation to stable storage: one `fdatasync`,
+    /// or none if nothing was written since the last one.
+    pub fn sync(&self) -> Result<()> {
+        self.lock().log.sync()
+    }
+
+    /// Installs a compacting snapshot: writes `snapshot` (stamped with the
+    /// *next* generation) atomically, starts that generation's file, syncs
+    /// the directory so both are durable, and only then deletes the old
+    /// generation's file. The caller must hold whatever locks make
+    /// `snapshot` a consistent cut — records appended after this call belong
+    /// to the new generation and replay on top of the snapshot.
+    pub fn install_snapshot(&self, mut snapshot: StoreSnapshot) -> Result<u64> {
+        let mut wal = self.lock();
+        let old = wal.number;
+        let next = old + 1;
+        snapshot.wal_generation = next;
+        snapshot::write_snapshot(&self.dir, &snapshot)?;
+        // The observability sink belongs to the backend, not to one
+        // generation's file: the next generation carries it over.
+        *wal = Generation::create(&self.dir, next, wal.obs.clone())?;
+        wal.obs.metrics.counter("snapshot.installs").inc();
+        wal.obs.tracer.event("snapshot.install", &[("generation", next)]);
+        drop(wal);
+        // The snapshot's rename and the new file survive a crash only once
+        // the directory is synced; until then a crash may bring back the old
+        // snapshot, which still needs the old generation.
+        snapshot::sync_dir(&self.dir)?;
+        // Best-effort: the old generation is unreachable (the snapshot names
+        // the new one), so a failed delete only wastes disk.
+        delete_generation(&self.dir, old).ok();
+        Ok(next)
+    }
 }
 
-/// Deletes a generation's file (used after a snapshot has superseded it). A
+/// Deletes a generation's file (after a snapshot has superseded it). A
 /// missing file is fine; other I/O errors are reported.
-pub fn delete_generation(dir: &Path, generation: u64) -> Result<()> {
+fn delete_generation(dir: &Path, generation: u64) -> Result<()> {
     let path = wal_path(dir, generation);
     match std::fs::remove_file(&path) {
         Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
@@ -285,7 +290,13 @@ pub fn delete_generation(dir: &Path, generation: u64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::EpochRegistry;
+    use crate::log::TransactionLog;
+    use crate::retention::RetentionPolicy;
+    use crate::wal::decode_frames;
+    use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{Epoch, ReconciliationId, TransactionId};
+    use std::sync::Arc;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -303,6 +314,33 @@ mod tests {
             .collect();
         names.sort();
         names
+    }
+
+    fn fresh(dir: &Path) -> FileWalBackend {
+        FileWalBackend::create(dir, &bioinformatics_schema()).unwrap()
+    }
+
+    /// The records of generation `generation`, without generation 0's
+    /// leading `Init`.
+    fn replay(dir: &Path, generation: u64) -> Vec<WalRecord> {
+        let (_, mut records) = FileWalBackend::open(dir, generation).unwrap();
+        if generation == 0 {
+            assert!(matches!(records.remove(0), WalRecord::Init { .. }));
+        }
+        records
+    }
+
+    fn empty_snapshot() -> StoreSnapshot {
+        StoreSnapshot {
+            schema: bioinformatics_schema(),
+            registry: EpochRegistry::new(),
+            log: TransactionLog::new(),
+            membership_frontier: Epoch::ZERO,
+            pruned_through: Epoch::ZERO,
+            retention: RetentionPolicy::KeepAll,
+            participants: vec![],
+            wal_generation: 0,
+        }
     }
 
     fn publish(p: u32, epoch: u64) -> WalRecord {
@@ -340,80 +378,37 @@ mod tests {
     }
 
     #[test]
-    fn merge_cmp_breaks_ties_causally_and_deterministically() {
-        let base = FrameStamp { epoch: 3, seq: 5, stamp: None };
-        let a = FrameStamp { epoch: 3, seq: 5, stamp: Some(StampId::new(ParticipantId(1), 4)) };
-        let b = FrameStamp { epoch: 3, seq: 5, stamp: Some(StampId::new(ParticipantId(2), 9)) };
-        // Epoch, then seq, dominate.
-        assert!(FrameStamp { epoch: 2, seq: 9, stamp: None }.merge_cmp(&base).is_lt());
-        assert!(FrameStamp { epoch: 3, seq: 4, stamp: None }.merge_cmp(&base).is_lt());
-        // On a full collision the deeper chain wins, stamped before
-        // stampless, and the order is antisymmetric.
-        assert!(b.merge_cmp(&a).is_lt());
-        assert!(a.merge_cmp(&b).is_gt());
-        assert!(a.merge_cmp(&base).is_lt());
-        assert!(base.merge_cmp(&a).is_gt());
-        assert!(base.merge_cmp(&base).is_eq());
-    }
-
-    #[test]
-    fn merged_open_replays_in_stamp_order() {
-        let causal = WalRecord::PublishCausal {
-            epoch: Epoch(3),
-            stamp: orchestra_model::CausalStamp::new(
-                ParticipantId(3),
-                1,
-                orchestra_model::AntichainClock::new(),
-            ),
-            transactions: vec![],
-        };
-        let records = vec![
-            publish(1, 1),
-            commit(2, 1, 1),
-            publish(3, 2),
-            commit(2, 2, 2),
-            commit(4, 1, 2),
-            WalRecord::MembershipFrontier { epoch: Epoch(2) },
-            causal,
-        ];
-        let dir = tmp_dir("merge");
-        let wal = SegmentedWal::create(&dir, 0).unwrap();
-        for record in &records {
-            wal.append(record).unwrap();
-        }
-        drop(wal);
-        assert_eq!(files(&dir), ["wal.0.log"]);
-        let (reopened, replay) = SegmentedWal::open(&dir, 0).unwrap();
-        assert_eq!(replay, records);
-        assert_eq!(reopened.records(), records.len() as u64);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn appends_continue_after_reopen_without_stamp_collisions() {
         let dir = tmp_dir("reopen");
         {
-            let wal = SegmentedWal::create(&dir, 0).unwrap();
+            let wal = fresh(&dir);
             wal.append(&publish(1, 1)).unwrap();
             wal.append(&commit(2, 1, 1)).unwrap();
         }
-        let (wal, replay) = SegmentedWal::open(&dir, 0).unwrap();
-        assert_eq!(replay.len(), 2);
+        let (wal, records) = FileWalBackend::open(&dir, 0).unwrap();
+        assert_eq!(records.len(), 3);
         wal.append(&commit(2, 2, 1)).unwrap();
         wal.append(&publish(1, 2)).unwrap();
         drop(wal);
-        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
-        assert_eq!(replay, vec![publish(1, 1), commit(2, 1, 1), commit(2, 2, 1), publish(1, 2)]);
+        assert_eq!(
+            replay(&dir, 0),
+            vec![publish(1, 1), commit(2, 1, 1), commit(2, 2, 1), publish(1, 2)]
+        );
+        // The reopened backend continued the sequence and the watermark.
+        let (_, frames) = FrameLog::open(&wal_path(&dir, 0)).unwrap();
+        let stamps: Vec<(u64, u64)> =
+            frames.iter().map(|f| parse_stamp(f).map(|(s, _)| (s.seq, s.epoch)).unwrap()).collect();
+        assert_eq!(stamps, [(0, 0), (1, 1), (2, 1), (3, 1), (4, 2)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A crash mid-append tears the one file's last frame; reopening keeps
-    /// every record before it, from every participant.
+    /// A crash mid-append tears the file's last frame; reopening keeps every
+    /// record before it, from every participant.
     #[test]
-    fn torn_tail_in_one_segment_does_not_hurt_the_others() {
+    fn a_torn_tail_keeps_every_record_before_it() {
         let dir = tmp_dir("torn");
         {
-            let wal = SegmentedWal::create(&dir, 0).unwrap();
+            let wal = fresh(&dir);
             wal.append(&publish(1, 1)).unwrap();
             wal.append(&commit(2, 1, 1)).unwrap();
             wal.append(&commit(3, 1, 1)).unwrap();
@@ -422,24 +417,24 @@ mod tests {
         let file = dir.join("wal.0.log");
         let bytes = std::fs::read(&file).unwrap();
         std::fs::write(&file, &bytes[..bytes.len() - 3]).unwrap();
-        let (wal, replay) = SegmentedWal::open(&dir, 0).unwrap();
-        assert_eq!(replay, vec![publish(1, 1), commit(2, 1, 1), commit(3, 1, 1)]);
-        assert_eq!(wal.records(), 3);
+        let (wal, records) = FileWalBackend::open(&dir, 0).unwrap();
+        assert_eq!(records[1..], [publish(1, 1), commit(2, 1, 1), commit(3, 1, 1)]);
+        assert_eq!(wal.wal_records(), 4);
         // The writer resumes at the end of the last intact frame.
         wal.append(&commit(2, 2, 1)).unwrap();
         drop(wal);
-        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
-        assert_eq!(replay.len(), 4);
+        assert_eq!(replay(&dir, 0).len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn delete_generation_removes_all_segments() {
+    fn delete_generation_removes_the_generation_file() {
         let dir = tmp_dir("delete");
-        let wal = SegmentedWal::create(&dir, 4).unwrap();
+        let (wal, _) = FileWalBackend::open(&dir, 4).unwrap();
         wal.append(&commit(1, 1, 0)).unwrap();
         wal.append(&commit(2, 1, 0)).unwrap();
         drop(wal);
+        assert_eq!(files(&dir), ["wal.4.log"]);
         delete_generation(&dir, 4).unwrap();
         assert!(files(&dir).is_empty());
         // Deleting again is a no-op.
@@ -448,23 +443,27 @@ mod tests {
     }
 
     #[test]
-    fn flush_policy_reaches_every_segment() {
-        let dir = tmp_dir("flush");
-        let wal = SegmentedWal::create(&dir, 0).unwrap();
-        wal.set_flush_policy(FlushPolicy::EveryN(10));
-        wal.append(&commit(1, 1, 0)).unwrap();
-        wal.append(&commit(2, 1, 0)).unwrap();
-        assert_eq!(wal.flush_policy(), FlushPolicy::EveryN(10));
-        assert_eq!(wal.unsynced_records(), 2);
+    fn a_snapshot_install_starts_an_empty_generation_and_retires_the_old() {
+        let dir = tmp_dir("install");
+        let wal = fresh(&dir);
+        wal.append(&publish(1, 3)).unwrap();
+        wal.append(&commit(2, 1, 3)).unwrap();
+        assert_eq!(wal.unsynced_records(), 3);
         wal.sync().unwrap();
         assert_eq!(wal.unsynced_records(), 0);
-        // The next generation inherits the policy.
-        wal.set_flush_policy(FlushPolicy::EveryAppend);
-        let next = wal.next_generation().unwrap();
-        assert_eq!(next.generation(), 1);
-        assert_eq!(next.flush_policy(), FlushPolicy::EveryAppend);
-        next.append(&commit(1, 2, 0)).unwrap();
-        assert_eq!(next.unsynced_records(), 0);
+        assert_eq!(wal.install_snapshot(empty_snapshot()).unwrap(), 1);
+        assert_eq!(wal.generation(), 1);
+        assert_eq!(files(&dir), ["snapshot.orc", "wal.1.log"]);
+        let snap = snapshot::read_snapshot(&dir).unwrap().unwrap();
+        assert_eq!(snap.wal_generation, 1);
+        // The new generation starts its stamps afresh.
+        wal.append(&commit(2, 2, 3)).unwrap();
+        assert_eq!((wal.wal_records(), wal.unsynced_records()), (1, 1));
+        drop(wal);
+        let (_, frames) = FrameLog::open(&wal_path(&dir, 1)).unwrap();
+        let (stamp, _) = parse_stamp(&frames[0]).unwrap();
+        assert_eq!((stamp.seq, stamp.epoch), (0, 0));
+        assert_eq!(replay(&dir, 1), [commit(2, 2, 3)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -473,28 +472,22 @@ mod tests {
         let dir = tmp_dir("observed");
         let obs = Obs::enabled();
         let syncs = obs.metrics.counter("wal.syncs");
-        {
-            let wal = SegmentedWal::create(&dir, 0).unwrap();
-            wal.set_observability(&obs);
-            wal.append(&publish(1, 1)).unwrap();
-            wal.append(&commit(2, 1, 1)).unwrap();
-            wal.sync().unwrap();
-            assert_eq!(syncs.get(), 1);
-            // The next generation reports into the same sink.
-            let next = wal.next_generation().unwrap();
-            next.append(&commit(2, 2, 1)).unwrap();
-            next.sync().unwrap();
-            assert_eq!(syncs.get(), 2);
-        }
+        let wal = fresh(&dir);
+        wal.set_observability(&obs);
+        wal.append(&publish(1, 1)).unwrap();
+        wal.append(&commit(2, 1, 1)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(syncs.get(), 1);
+        // The next generation reports into the same sink.
+        wal.install_snapshot(empty_snapshot()).unwrap();
+        wal.append(&commit(2, 2, 1)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(syncs.get(), 2);
         assert_eq!(obs.metrics.counter("wal.appends").get(), 3);
         assert!(obs.metrics.counter("wal.append_bytes").get() > 0);
-
-        // Observed reopen counts the replay once.
-        let (wal, replay) = SegmentedWal::open_observed(&dir, 0, &obs).unwrap();
-        assert_eq!(replay.len(), 2);
-        assert_eq!(obs.metrics.counter("wal.replayed_frames").get(), 2);
-        assert!(wal.observability().tracer.is_enabled());
-        assert!(obs.tracer.export().contains("wal.replay\tframes=2"));
+        assert_eq!(obs.metrics.counter("snapshot.installs").get(), 1);
+        let trace = obs.tracer.export();
+        assert!(trace.contains("snapshot.install\tgeneration=1"), "{trace}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -505,7 +498,7 @@ mod tests {
         let dir = tmp_dir("one-sync");
         let obs = Obs::enabled();
         let syncs = obs.metrics.counter("wal.syncs");
-        let wal = SegmentedWal::create(&dir, 0).unwrap();
+        let wal = fresh(&dir);
         wal.set_observability(&obs);
         wal.sync().unwrap();
         let participants = 8u32;
@@ -532,10 +525,10 @@ mod tests {
     #[test]
     fn parallel_appends_on_distinct_shards_interleave_safely() {
         let dir = tmp_dir("parallel");
-        let wal = std::sync::Arc::new(SegmentedWal::create(&dir, 0).unwrap());
+        let wal = Arc::new(fresh(&dir));
         let threads: Vec<_> = (1..=4u32)
             .map(|p| {
-                let wal = std::sync::Arc::clone(&wal);
+                let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..50 {
                         wal.append(&commit(p, i, 0)).unwrap();
@@ -546,14 +539,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(wal.records(), 200);
+        assert_eq!(wal.wal_records(), 201);
         drop(wal);
         assert_eq!(files(&dir), ["wal.0.log"]);
-        let (_, replay) = SegmentedWal::open(&dir, 0).unwrap();
-        assert_eq!(replay.len(), 200);
+        let records = replay(&dir, 0);
+        assert_eq!(records.len(), 200);
         // Each thread's records replay in its append order.
         for p in 1..=4u32 {
-            let recnos: Vec<u64> = replay
+            let recnos: Vec<u64> = records
                 .iter()
                 .filter_map(|r| match r {
                     WalRecord::CommitReconciliation { participant, recno, .. }
@@ -566,6 +559,55 @@ mod tests {
                 .collect();
             assert_eq!(recnos, (0..50).collect::<Vec<_>>());
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Eight threads append through one generation: the stamp is taken under
+    /// the file's lock, so `seq` strictly increases in file order, and
+    /// `open` hands the records back in that order.
+    #[test]
+    fn concurrent_appends_stamp_seq_in_file_order() {
+        let dir = tmp_dir("stamp-order");
+        let wal = Arc::new(fresh(&dir));
+        let threads: Vec<_> = (1..=8u32)
+            .map(|p| {
+                let wal = Arc::clone(&wal);
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        let record = if i % 5 == 0 {
+                            publish(p, u64::from(p) * 100 + i)
+                        } else {
+                            commit(p, i, 0)
+                        };
+                        wal.append(&record).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(wal.wal_records(), 401);
+        drop(wal);
+        assert_eq!(files(&dir), ["wal.0.log"]);
+
+        let bytes = std::fs::read(wal_path(&dir, 0)).unwrap();
+        let (frames, _) = decode_frames(&bytes);
+        let mut in_file_order = Vec::new();
+        let mut watermark = 0;
+        for (i, frame) in frames.iter().enumerate() {
+            let (stamp, body) = parse_stamp(frame).unwrap();
+            assert_eq!(stamp.seq, i as u64, "seq follows file order");
+            let record = WalRecord::decode(body).unwrap();
+            if let WalRecord::Publish { epoch, .. } = record {
+                watermark = watermark.max(epoch.as_u64());
+            } else {
+                assert_eq!(stamp.epoch, watermark, "non-publishes carry the watermark");
+            }
+            in_file_order.push(record);
+        }
+        let (_, records) = FileWalBackend::open(&dir, 0).unwrap();
+        assert_eq!(records, in_file_order);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -24,6 +24,7 @@ use crate::decisions::ParticipantRecord;
 use crate::epoch::EpochRegistry;
 use crate::error::{Result, StorageError};
 use crate::log::TransactionLog;
+use crate::retention::RetentionPolicy;
 use crate::wal::{decode_frames, encode_frame};
 use orchestra_model::{Epoch, ParticipantId, Schema, TrustPolicy, Tuple};
 use std::collections::BTreeMap;
@@ -119,6 +120,8 @@ pub struct StoreSnapshot {
     pub membership_frontier: Epoch,
     /// Epochs at or below this have been pruned by retention.
     pub pruned_through: Epoch,
+    /// The retention policy the store prunes under.
+    pub retention: RetentionPolicy,
     /// Every participant shard, in participant order.
     pub participants: Vec<ParticipantSnapshot>,
     /// The WAL generation that continues after this snapshot: recovery
@@ -204,6 +207,7 @@ mod tests {
             log,
             membership_frontier: Epoch(2),
             pruned_through: Epoch::ZERO,
+            retention: RetentionPolicy::KeepLastN(4),
             participants: vec![ParticipantSnapshot {
                 id: p,
                 policy: TrustPolicy::new(p).trusting(ParticipantId(2), 1u32),
@@ -238,6 +242,7 @@ mod tests {
         assert_eq!(back.registry.largest_stable_epoch(), Epoch(1));
         assert_eq!(back.membership_frontier, Epoch(2));
         assert_eq!(back.pruned_through, Epoch::ZERO);
+        assert_eq!(back.retention, RetentionPolicy::KeepLastN(4));
         back.log.rebuild_indexes();
         assert_eq!(back.log.len(), 1);
         let participant = &mut back.participants[0];

@@ -22,17 +22,13 @@
 //! WAL. Payloads are written by the binary codec ([`crate::codec`]); the
 //! `wal_dump` tool renders them for inspection.
 //!
-//! The default crash model is process death: appends reach the operating
-//! system before the call returns (one `write` syscall per frame), but the
-//! log is not `fsync`ed per record. Callers that need media-failure
-//! durability pick a [`FlushPolicy`]: `EveryAppend` syncs each record (the
-//! classic one-fsync-per-commit), while the **group-commit** policies
-//! (`EveryN`, `Interval`) batch many appends behind one `fsync`, amortising
-//! the dominant cost without changing the record order — WAL order still
-//! equals apply order, and a torn tail past the last intact frame is
-//! truncated on the next open exactly as before.
+//! Appends reach the operating system before the call returns (one `write`
+//! syscall per frame), which survives process death. Surviving media
+//! failure takes an explicit [`FrameLog::sync`]: the store syncs once per
+//! round boundary, so one `fdatasync` covers every record of the round.
 
 use crate::error::{Result, StorageError};
+use crate::retention::RetentionPolicy;
 use crate::snapshot::InstanceCheckpoint;
 use orchestra_model::{
     CausalStamp, Epoch, ParticipantId, ReconciliationId, Schema, Transaction, TransactionId,
@@ -42,7 +38,6 @@ use orchestra_obs::{Counter, Obs, Tracer};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame payload (guards against interpreting a
 /// corrupt length prefix as a multi-gigabyte allocation).
@@ -134,27 +129,18 @@ pub fn decode_frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
     (frames, pos)
 }
 
-/// When the log `fsync`s what it has appended.
+/// When the log `fsync`s what it has appended: never on append. Frames
+/// reach the operating system per append, surviving process death but not
+/// media failure, until an explicit [`FrameLog::sync`].
 ///
-/// The knob behind group commit: `EveryN` and `Interval` batch many appends
-/// behind one `fsync`. A policy only adds syncs — it never delays or reorders
-/// the appends themselves, so replay order is identical under every policy.
+/// Kept only because `examples/benchmark` passes it to
+/// [`crate::FileWalBackend::set_flush_policy`]; the next change to the
+/// benchmark removes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
-    /// Never `fsync` on append (the default): frames reach the operating
-    /// system per append, surviving process death but not media failure.
-    /// Callers may still [`FrameLog::sync`] explicitly.
+    /// Never `fsync` on append.
     #[default]
     OsBuffered,
-    /// `fsync` after every append — one sync per record, the classic
-    /// durability/latency trade.
-    EveryAppend,
-    /// Group commit by count: `fsync` once every `n` appends (`n` is clamped
-    /// to at least 1).
-    EveryN(u64),
-    /// Group commit by time: `fsync` on the first append after this much
-    /// time has passed since the last sync.
-    Interval(Duration),
 }
 
 /// Observability handles of one frame log: detached (free-standing
@@ -166,7 +152,6 @@ struct WalObs {
     appends: Counter,
     append_bytes: Counter,
     syncs: Counter,
-    replayed: Counter,
     tracer: Tracer,
 }
 
@@ -176,7 +161,6 @@ impl WalObs {
             appends: obs.metrics.counter("wal.appends"),
             append_bytes: obs.metrics.counter("wal.append_bytes"),
             syncs: obs.metrics.counter("wal.syncs"),
-            replayed: obs.metrics.counter("wal.replayed_frames"),
             tracer: obs.tracer.clone(),
         }
     }
@@ -192,14 +176,11 @@ pub struct FrameLog {
     path: PathBuf,
     records: u64,
     bytes: u64,
-    flush: FlushPolicy,
-    /// Records appended since the last sync (drives the group-commit
-    /// policies).
+    /// Records appended since the last sync.
     unsynced: u64,
     /// Whether the file was created or appended to since the last sync:
     /// [`FrameLog::sync`] skips the `fsync` when it was not.
     dirty: bool,
-    last_sync: Instant,
     obs: WalObs,
 }
 
@@ -231,26 +212,11 @@ impl FrameLog {
             path: path.to_path_buf(),
             records: frames.len() as u64,
             bytes: valid as u64,
-            flush: FlushPolicy::default(),
             unsynced: 0,
             // Cutting a torn tail changed the file.
             dirty: torn,
-            last_sync: Instant::now(),
             obs: WalObs::default(),
         };
-        Ok((log, frames))
-    }
-
-    /// [`FrameLog::open`] with observability bound from the start: the
-    /// recovered frames are counted under `wal.replayed_frames` and a
-    /// `wal.replay` trace event records the replay.
-    pub fn open_observed(path: &Path, obs: &Obs) -> Result<(FrameLog, Vec<Vec<u8>>)> {
-        let (mut log, frames) = FrameLog::open(path)?;
-        log.set_observability(obs);
-        log.obs.replayed.add(frames.len() as u64);
-        log.obs
-            .tracer
-            .event("wal.replay", &[("frames", frames.len() as u64), ("bytes", log.bytes)]);
         Ok((log, frames))
     }
 
@@ -268,40 +234,27 @@ impl FrameLog {
             path: path.to_path_buf(),
             records: 0,
             bytes: 0,
-            flush: FlushPolicy::default(),
             unsynced: 0,
             dirty: true,
-            last_sync: Instant::now(),
             obs: WalObs::default(),
         })
     }
 
     /// Binds the log's counters (`wal.appends`, `wal.append_bytes`,
-    /// `wal.syncs`, `wal.replayed_frames`) and trace events to a shared
-    /// sink. Until this is called the counters are free-standing and the
-    /// tracer is disabled, so an unobserved log costs only relaxed atomics.
+    /// `wal.syncs`) and its sync spans to a shared sink. Until this is
+    /// called the counters are free-standing and the tracer is disabled, so
+    /// an unobserved log costs only relaxed atomics.
     pub fn set_observability(&mut self, obs: &Obs) {
         self.obs = WalObs::resolved(obs);
     }
 
-    /// Sets when appends `fsync` (see [`FlushPolicy`]).
-    pub fn set_flush_policy(&mut self, policy: FlushPolicy) {
-        self.flush = policy;
-    }
-
-    /// The current flush policy.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        self.flush
-    }
-
-    /// Records appended since the last `fsync` (0 under `EveryAppend`).
+    /// Records appended since the last `fsync`.
     pub fn unsynced_records(&self) -> u64 {
         self.unsynced
     }
 
     /// Appends one frame. The frame is handed to the operating system in a
-    /// single write before the call returns, and `fsync`ed when the flush
-    /// policy says so.
+    /// single write before the call returns; it is not `fsync`ed.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
         let frame = encode_frame(payload);
         self.file.write_all(&frame).map_err(|e| {
@@ -313,23 +266,13 @@ impl FrameLog {
         self.dirty = true;
         self.obs.appends.inc();
         self.obs.append_bytes.add(frame.len() as u64);
-        let due = match self.flush {
-            FlushPolicy::OsBuffered => false,
-            FlushPolicy::EveryAppend => true,
-            FlushPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            FlushPolicy::Interval(window) => self.last_sync.elapsed() >= window,
-        };
-        if due {
-            self.sync()?;
-        }
         Ok(())
     }
 
-    /// Flushes the log to stable storage (`fsync`) and resets the
-    /// group-commit counters. Called by `append` per the flush policy, or
-    /// explicitly by the owner. A log that was neither created nor appended
-    /// to since its last sync has nothing to flush: the call returns without
-    /// an `fsync` and without counting one under `wal.syncs`.
+    /// Flushes the log to stable storage (`fdatasync`) and resets the
+    /// unsynced count. A log that was neither created nor appended to since
+    /// its last sync has nothing to flush: the call returns without an
+    /// `fsync` and without counting one under `wal.syncs`.
     pub fn sync(&mut self) -> Result<()> {
         if !self.dirty {
             return Ok(());
@@ -339,7 +282,6 @@ impl FrameLog {
         self.obs.syncs.inc();
         self.dirty = false;
         self.unsynced = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -460,6 +402,12 @@ pub enum WalRecord {
         /// The materialised instance (replaces any earlier checkpoint).
         checkpoint: InstanceCheckpoint,
     },
+    /// The retention policy was set. Durable so that a recovered store
+    /// prunes under the policy the crashed one ran.
+    Retention {
+        /// The policy now in force.
+        policy: RetentionPolicy,
+    },
 }
 
 impl WalRecord {
@@ -571,40 +519,30 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One explicit sync covers every append since the last one, whatever
+    /// their number, and never reorders them.
     #[test]
     fn group_commit_batches_fsyncs_without_reordering() {
         let path = tmp("group-commit");
         std::fs::remove_file(&path).ok();
+        let obs = Obs::enabled();
         {
             let (mut log, _) = FrameLog::open(&path).unwrap();
-            assert_eq!(log.flush_policy(), FlushPolicy::OsBuffered);
-            log.set_flush_policy(FlushPolicy::EveryN(3));
+            log.set_observability(&obs);
             for i in 0..7u8 {
                 log.append(&[i]).unwrap();
+                if i % 3 == 2 {
+                    log.sync().unwrap();
+                }
             }
             // Two batches of three synced; one record still buffered.
             assert_eq!(log.unsynced_records(), 1);
+            assert_eq!(obs.metrics.counter("wal.syncs").get(), 2);
         }
         // Reopen: every record is intact and in append order regardless of
         // which sync batch it fell into — WAL order equals apply order.
-        let (mut log, frames) = FrameLog::open(&path).unwrap();
+        let (_, frames) = FrameLog::open(&path).unwrap();
         assert_eq!(frames, (0..7u8).map(|i| vec![i]).collect::<Vec<_>>());
-
-        // EveryAppend leaves nothing unsynced; an explicit sync resets the
-        // counter under any policy.
-        log.set_flush_policy(FlushPolicy::EveryAppend);
-        log.append(b"synced").unwrap();
-        assert_eq!(log.unsynced_records(), 0);
-        log.set_flush_policy(FlushPolicy::OsBuffered);
-        log.append(b"buffered").unwrap();
-        assert_eq!(log.unsynced_records(), 1);
-        log.sync().unwrap();
-        assert_eq!(log.unsynced_records(), 0);
-
-        // A zero-length interval syncs on the next append.
-        log.set_flush_policy(FlushPolicy::Interval(Duration::ZERO));
-        log.append(b"interval").unwrap();
-        assert_eq!(log.unsynced_records(), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -614,9 +552,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let (mut log, _) = FrameLog::open(&path).unwrap();
-            log.set_flush_policy(FlushPolicy::EveryN(2));
             log.append(b"a").unwrap();
             log.append(b"b").unwrap();
+            log.sync().unwrap();
             log.append(b"c").unwrap(); // unsynced tail record
         }
         // A crash mid-append leaves garbage past the last intact frame.
@@ -631,29 +569,22 @@ mod tests {
     }
 
     #[test]
-    fn observed_logs_report_appends_syncs_and_replay() {
+    fn observed_logs_report_appends_and_syncs() {
         let path = tmp("observed");
         std::fs::remove_file(&path).ok();
         let obs = Obs::enabled();
-        {
-            let (mut log, _) = FrameLog::open_observed(&path, &obs).unwrap();
-            log.append(b"one").unwrap();
-            log.append(b"four").unwrap();
-            log.sync().unwrap();
-        }
+        let (mut log, _) = FrameLog::open(&path).unwrap();
+        log.set_observability(&obs);
+        log.append(b"one").unwrap();
+        log.append(b"four").unwrap();
+        log.sync().unwrap();
+        // Nothing new: no second fsync.
+        log.sync().unwrap();
         assert_eq!(obs.metrics.counter("wal.appends").get(), 2);
         assert_eq!(obs.metrics.counter("wal.append_bytes").get(), (8 + 3) + (8 + 4));
         assert_eq!(obs.metrics.counter("wal.syncs").get(), 1);
-        assert_eq!(obs.metrics.counter("wal.replayed_frames").get(), 0);
-
-        // Reopen: the two intact frames count as replayed, and the sync
-        // span plus the replay event land in the trace.
-        let (_, frames) = FrameLog::open_observed(&path, &obs).unwrap();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(obs.metrics.counter("wal.replayed_frames").get(), 2);
         let trace = obs.tracer.export();
         assert!(trace.contains("wal.sync"), "missing sync span: {trace}");
-        assert!(trace.contains("wal.replay\tframes=2"), "missing replay event: {trace}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -726,6 +657,7 @@ mod tests {
                     accepted_through: 2,
                 },
             },
+            WalRecord::Retention { policy: RetentionPolicy::KeepLastN(3) },
         ];
         for record in records {
             assert_eq!(WalRecord::decode(&record.encode()).unwrap(), record);

@@ -8,7 +8,7 @@ use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction, TrustPolicy,
     Tuple, Update,
 };
-use orchestra_storage::{InstanceCheckpoint, SegmentedWal, WalRecord};
+use orchestra_storage::{FileWalBackend, InstanceCheckpoint, RetentionPolicy, WalRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -74,6 +74,7 @@ fn every_kind() -> Vec<(&'static str, WalRecord)> {
                 },
             },
         ),
+        ("Retention", WalRecord::Retention { policy: RetentionPolicy::ConvergedOnly }),
     ]
 }
 
@@ -93,8 +94,9 @@ fn wal_dump_summarises_every_record_kind_and_flags_a_flipped_byte() {
     let dir = fresh_dir();
     let records = every_kind();
     {
-        let wal = SegmentedWal::create(&dir, 0).unwrap();
-        for (_, record) in &records {
+        // `create` writes the `Init` record itself.
+        let wal = FileWalBackend::create(&dir, &bioinformatics_schema()).unwrap();
+        for (_, record) in &records[1..] {
             wal.append(record).unwrap();
         }
         wal.sync().unwrap();

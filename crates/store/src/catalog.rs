@@ -114,7 +114,7 @@ use orchestra_storage::snapshot::{self, ParticipantSnapshot, StoreSnapshot};
 use orchestra_storage::wal::WalRecord;
 use orchestra_storage::{
     Decision, EpochRegistry, InstanceCheckpoint, LogEntry, ParticipantRecord, PruneReport, Result,
-    RetentionPolicy, SegmentedWal, StorageError, TransactionLog,
+    RetentionPolicy, StorageError, TransactionLog,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
@@ -442,9 +442,9 @@ pub struct StoreCatalog {
     /// Appends happen under the lock guarding the mutated state, so WAL
     /// order always matches apply order.
     durability: Durability,
-    /// How aggressively converged history is pruned. Configuration, not
-    /// durable state: a recovered catalogue starts at the default
-    /// (`KeepAll`) until the operator sets it again.
+    /// How aggressively converged history is pruned. Durable: setting it
+    /// appends a [`WalRecord::Retention`], and snapshots carry it, so a
+    /// recovered catalogue prunes under the policy the crashed one ran.
     retention: RwLock<RetentionPolicy>,
     /// Chain flattenings shared across participants (see [`ChainMemo`]).
     /// Taken under the log read lock by candidate building and under no
@@ -481,8 +481,20 @@ impl StoreCatalog {
 
     /// Sets the retention policy. Takes effect at the next
     /// [`StoreCatalog::prune_to_horizon`]; nothing is pruned eagerly.
+    ///
+    /// # Panics
+    /// On a durable catalogue, panics if the WAL append fails, like
+    /// [`StoreCatalog::register_policy`]: the policy is configuration with no
+    /// error channel, and a store that cannot log it should not run on.
     pub fn set_retention(&self, policy: RetentionPolicy) {
-        *self.retention.write().expect("retention lock") = policy;
+        let mut retention = self.retention.write().expect("retention lock");
+        *retention = policy;
+        // Appended inside the retention write lock, so a snapshot (which
+        // reads the policy under its cut) sees either the old policy and
+        // this record in the next generation, or the new one.
+        self.durability
+            .append(&WalRecord::Retention { policy })
+            .expect("WAL append of a retention policy");
     }
 
     /// Whether the catalogue is in causal mode (see
@@ -1494,10 +1506,11 @@ impl StoreCatalog {
     /// Rebuilds a catalogue from a durability directory: loads the snapshot
     /// (if one exists), re-derives every index the snapshot does not carry
     /// (log indexes, the per-participant relevance slices, the `Arc`-snapshot
-    /// accepted/rejected sets), replays the current WAL generation on top
-    /// through the live write path, and reattaches the write side so the
-    /// recovered store keeps appending to the same log. Replay runs while the
-    /// catalogue is still [`Durability::Ephemeral`], so it appends nothing.
+    /// accepted/rejected sets), replays the current WAL generation on top,
+    /// in file order, through the live write path, and keeps the backend
+    /// that opened the file, so the recovered store appends to the same log.
+    /// Replay runs while the catalogue is still [`Durability::Ephemeral`],
+    /// so it appends nothing.
     /// The result is byte-identical durable state — the recovery tests pin
     /// this down through the canonical `Debug` rendering.
     pub fn recover(dir: &Path) -> Result<StoreCatalog> {
@@ -1510,8 +1523,10 @@ impl StoreCatalog {
                 dir.display()
             )));
         }
-        // Replay the generation's file in `(epoch, seq)` stamp order.
-        let (wal, records) = SegmentedWal::open(dir, generation)?;
+        // Replay the generation's file in the order it was written: every
+        // append ran under the catalogue lock guarding the state its record
+        // changes, so file order respects every dependency between records.
+        let (backend, records) = FileWalBackend::open(dir, generation)?;
         let mut records = records.into_iter();
 
         let catalog = match snap {
@@ -1529,13 +1544,13 @@ impl StoreCatalog {
             catalog.replay(record)?;
         }
         let mut catalog = catalog;
-        catalog.durability = Durability::FileWal(FileWalBackend::reattach(dir, wal));
+        catalog.durability = Durability::FileWal(backend);
         Ok(catalog)
     }
 
     /// [`StoreCatalog::recover`] from this catalogue's directory, refused
-    /// unless it renders byte-identically to this one, under this one's
-    /// retention policy (see [`UpdateStore::restart`](crate::UpdateStore)).
+    /// unless it renders byte-identically to this one, retention policy
+    /// included (see [`UpdateStore::restart`](crate::UpdateStore)).
     pub fn restart(&self) -> Result<StoreCatalog> {
         let Durability::FileWal(backend) = &self.durability else {
             return Err(StorageError::Persistence(
@@ -1549,7 +1564,6 @@ impl StoreCatalog {
                 backend.dir().display()
             )));
         }
-        recovered.set_retention(self.retention());
         Ok(recovered)
     }
 
@@ -1567,6 +1581,7 @@ impl StoreCatalog {
             mut log,
             membership_frontier,
             pruned_through,
+            retention,
             participants,
             ..
         } = snap;
@@ -1609,7 +1624,7 @@ impl StoreCatalog {
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(1),
             durability: Durability::Ephemeral,
-            retention: RwLock::new(RetentionPolicy::default()),
+            retention: RwLock::new(retention),
             chains: Mutex::default(),
         })
     }
@@ -1670,6 +1685,7 @@ impl StoreCatalog {
             WalRecord::InstanceCheckpoint { participant, checkpoint } => {
                 self.record_instance_checkpoint(participant, checkpoint)?;
             }
+            WalRecord::Retention { policy } => self.set_retention(policy),
         }
         Ok(())
     }
@@ -1685,9 +1701,9 @@ impl StoreCatalog {
                 "cannot snapshot an ephemeral catalogue".to_string(),
             ));
         };
-        // Lock order: log → shard map → shards (all read). Holding every
-        // read lock blocks writers, so no record can slip between the cut
-        // and the generation switch.
+        // Lock order: log → shard map → shards → retention (all read).
+        // Holding every read lock blocks writers, so no record can slip
+        // between the cut and the generation switch.
         let log = self.log.read().expect("log lock");
         let map = self.shards.read().expect("shard map lock");
         let mut ids: Vec<ParticipantId> = map.keys().copied().collect();
@@ -1709,12 +1725,14 @@ impl StoreCatalog {
                 checkpoint: shard.checkpoint.clone(),
             })
             .collect();
+        let retention = self.retention.read().expect("retention lock");
         let snap = StoreSnapshot {
             schema: self.schema.clone(),
             registry: log.registry.clone(),
             log: log.log.clone(),
             membership_frontier: log.membership_frontier,
             pruned_through: log.pruned_through,
+            retention: *retention,
             participants,
             wal_generation: 0, // stamped by install_snapshot
         };
@@ -1906,10 +1924,10 @@ impl Clone for StoreCatalog {
 
 impl fmt::Debug for StoreCatalog {
     /// Renders the *durable* state only (schema, log shard, participant
-    /// shards in id order). The session table and the handle counter are
-    /// soft state and are deliberately excluded, so an aborted session
-    /// leaves the Debug rendering byte-identical — the property the session
-    /// tests pin down.
+    /// shards in id order, retention policy). The session table and the
+    /// handle counter are soft state and are deliberately excluded, so an
+    /// aborted session leaves the Debug rendering byte-identical — the
+    /// property the session tests pin down.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let log = self.log.read().expect("log lock");
         let shards = self.shards.read().expect("shard map lock");
@@ -1921,6 +1939,7 @@ impl fmt::Debug for StoreCatalog {
             .field("schema", &self.schema)
             .field("log", &*log)
             .field("shards", &ordered)
+            .field("retention", &self.retention())
             .finish_non_exhaustive()
     }
 }

@@ -3,9 +3,9 @@
 //! The catalogue logs every state-changing operation through a
 //! [`Durability`] value: [`Durability::Ephemeral`] (the default) drops the
 //! records and keeps the store purely in-memory, while
-//! [`Durability::FileWal`] appends them to the current WAL generation
-//! ([`orchestra_storage::SegmentedWal`]) inside a durability directory, from
-//! which [`crate::StoreCatalog::recover`] rebuilds the exact durable state.
+//! [`Durability::FileWal`] appends them to the current WAL generation of a
+//! durability directory through [`FileWalBackend`], from which
+//! [`crate::StoreCatalog::recover`] rebuilds the exact durable state.
 //!
 //! A durability directory holds two files:
 //!
@@ -18,163 +18,18 @@
 //!
 //! Appends happen while the catalogue holds the lock guarding the state the
 //! record describes (the log shard's write lock for publishes, the
-//! participant shard's write lock for decision commits); the file's own
-//! mutex is taken innermost. A round boundary's [`FileWalBackend::sync`] is
-//! one `fdatasync`. Recovery replays the file in `(epoch, seq)` stamp order
-//! (see [`orchestra_storage::segment`]).
+//! participant shard's write lock for decision commits); the WAL's one
+//! mutex is taken innermost. Records that depend on each other therefore
+//! reach the file in dependency order, and recovery replays the file in the
+//! order it reads it. A round boundary's [`FileWalBackend::sync`] is one
+//! `fdatasync`.
 //!
 //! Records and snapshots are written by the binary codec
 //! ([`orchestra_storage::codec`]) — the only durable encoding there is.
 
-use orchestra_obs::Obs;
-use orchestra_storage::segment::{self, SegmentedWal};
-use orchestra_storage::snapshot::{self, StoreSnapshot};
+pub use orchestra_storage::segment::FileWalBackend;
 use orchestra_storage::wal::WalRecord;
-use orchestra_storage::{Result, StorageError};
-use std::path::{Path, PathBuf};
-use std::sync::RwLock;
-
-/// The write side of a file-backed durability directory.
-#[derive(Debug)]
-pub struct FileWalBackend {
-    dir: PathBuf,
-    /// The current generation. Appends hold the read side (they serialise on
-    /// the file's mutex inside); only snapshot installation takes the write
-    /// side to swap generations.
-    wal: RwLock<SegmentedWal>,
-}
-
-impl FileWalBackend {
-    /// Starts a *fresh* durability directory for a new store: creates the
-    /// directory, refuses to clobber existing durable state (use
-    /// [`crate::StoreCatalog::recover`] for that), and writes the
-    /// [`WalRecord::Init`] record pinning the schema, then syncs the
-    /// directory so the new file's name is durable.
-    pub fn create(dir: &Path, schema: &orchestra_model::Schema) -> Result<Self> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| StorageError::Persistence(format!("create {}: {e}", dir.display())))?;
-        if snapshot::snapshot_path(dir).exists() {
-            return Err(StorageError::Persistence(format!(
-                "{} already holds a snapshot; recover the existing store instead",
-                dir.display()
-            )));
-        }
-        let wal_path = snapshot::wal_path(dir, 0);
-        if wal_path.exists() && std::fs::metadata(&wal_path).map(|m| m.len()).unwrap_or(0) > 0 {
-            return Err(StorageError::Persistence(format!(
-                "{} already holds a WAL; recover the existing store instead",
-                dir.display()
-            )));
-        }
-        let wal = SegmentedWal::create(dir, 0)?;
-        wal.append(&WalRecord::Init { schema: schema.clone() })?;
-        snapshot::sync_dir(dir)?;
-        Ok(FileWalBackend { dir: dir.to_path_buf(), wal: RwLock::new(wal) })
-    }
-
-    /// Reattaches the write side to a directory whose state has just been
-    /// recovered: continues appending to the file recovery opened
-    /// (positioned at its end, stamps continuing where they left off).
-    pub(crate) fn reattach(dir: &Path, wal: SegmentedWal) -> Self {
-        FileWalBackend { dir: dir.to_path_buf(), wal: RwLock::new(wal) }
-    }
-
-    /// The durability directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The current WAL generation.
-    pub fn generation(&self) -> u64 {
-        self.wal.read().expect("wal lock").generation()
-    }
-
-    /// Number of WAL files in the current generation: always 1.
-    pub fn segment_count(&self) -> usize {
-        1
-    }
-
-    /// Binds the WAL — current and future generations — to a
-    /// shared observability sink: appends, syncs and replays count under the
-    /// `wal.*` metrics, and snapshot installs emit a `snapshot.install`
-    /// trace event plus the `snapshot.installs` counter.
-    pub fn set_observability(&self, obs: &Obs) {
-        self.wal.read().expect("wal lock").set_observability(obs);
-    }
-
-    /// Sets when WAL appends `fsync` (see
-    /// [`orchestra_storage::FlushPolicy`]): `EveryAppend` for one sync per
-    /// record, `EveryN`/`Interval` for group commit, which batches the
-    /// commits of every participant behind one `fsync`. The policy survives
-    /// snapshot compaction (each new generation inherits it).
-    pub fn set_flush_policy(&self, policy: orchestra_storage::FlushPolicy) {
-        self.wal.read().expect("wal lock").set_flush_policy(policy);
-    }
-
-    /// The WAL's current flush policy.
-    pub fn flush_policy(&self) -> orchestra_storage::FlushPolicy {
-        self.wal.read().expect("wal lock").flush_policy()
-    }
-
-    /// Records appended since the WAL's last `fsync` (the group-commit
-    /// window still at risk under media failure).
-    pub fn unsynced_records(&self) -> u64 {
-        self.wal.read().expect("wal lock").unsynced_records()
-    }
-
-    /// Records appended to the current generation (including the `Init`
-    /// record on generation 0).
-    pub fn wal_records(&self) -> u64 {
-        self.wal.read().expect("wal lock").records()
-    }
-
-    /// Bytes in the current generation.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.read().expect("wal lock").bytes()
-    }
-
-    /// Appends one record to the current generation.
-    pub(crate) fn append(&self, record: &WalRecord) -> Result<()> {
-        self.wal.read().expect("wal lock").append(record)
-    }
-
-    /// Flushes the current generation to stable storage: one `fdatasync`,
-    /// or none if nothing was written since the last one.
-    pub fn sync(&self) -> Result<()> {
-        self.wal.read().expect("wal lock").sync()
-    }
-
-    /// Installs a compacting snapshot: writes `snapshot` (stamped with the
-    /// *next* generation) atomically, starts that generation's file, syncs
-    /// the directory so both are durable, and only then deletes the old
-    /// generation's file. The caller must hold whatever catalogue locks make
-    /// `snapshot` a consistent cut — records appended after this call belong
-    /// to the new generation and replay on top of the snapshot.
-    pub(crate) fn install_snapshot(&self, mut snapshot: StoreSnapshot) -> Result<u64> {
-        let mut wal = self.wal.write().expect("wal lock");
-        let old = wal.generation();
-        let next = old + 1;
-        snapshot.wal_generation = next;
-        snapshot::write_snapshot(&self.dir, &snapshot)?;
-        // The flush (group-commit) policy and the observability sink are
-        // properties of the backend, not of one generation's file: the next
-        // generation carries them over.
-        let new_wal = wal.next_generation()?;
-        let obs = wal.observability();
-        obs.metrics.counter("snapshot.installs").inc();
-        obs.tracer.event("snapshot.install", &[("generation", next)]);
-        *wal = new_wal;
-        drop(wal);
-        // The snapshot's rename and the new file survive a crash only once
-        // the directory is synced; until then a crash may bring back the old
-        // snapshot, which still needs the old generation.
-        snapshot::sync_dir(&self.dir)?;
-        // Best-effort: the old generation is unreachable (the snapshot names
-        // the new one), so a failed delete only wastes disk.
-        segment::delete_generation(&self.dir, old).ok();
-        Ok(next)
-    }
-}
+use orchestra_storage::Result;
 
 /// How (and whether) the catalogue makes its state durable.
 #[derive(Debug, Default)]
@@ -215,6 +70,8 @@ impl Durability {
 mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
+    use orchestra_storage::StorageError;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

@@ -47,7 +47,6 @@ pub mod durability;
 pub mod fabric;
 pub mod network_centric;
 pub mod protocol;
-pub mod pruner;
 pub mod service;
 
 pub use api::{SessionId, SessionInfo, StoreTiming, Timed, UpdateStore};
@@ -59,8 +58,7 @@ pub use durability::{Durability, FileWalBackend};
 pub use fabric::{FabricClient, FabricConfig, ShardRouter, StoreFabric};
 pub use network_centric::NetworkCentricPlan;
 pub use protocol::{StoreRequest, StoreResponse};
-pub use pruner::AutoPruner;
 pub use service::{ServiceClient, ServiceConfig, ServiceStats, StoreService};
-// Retention and group-commit knobs, re-exported so drivers need not depend
-// on `orchestra-storage` directly.
+// The retention knobs and the flush policy, re-exported so drivers need not
+// depend on `orchestra-storage` directly.
 pub use orchestra_storage::{FlushPolicy, PruneReport, RetentionPolicy};

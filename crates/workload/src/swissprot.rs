@@ -107,7 +107,7 @@ impl SwissProtPools {
 
     /// The function value at an index (0 is the most popular rank when
     /// combined with a Zipfian sampler).
-    pub fn function(&self, index: usize) -> &str {
+    fn function(&self, index: usize) -> &str {
         &self.functions[index % self.functions.len()]
     }
 

@@ -276,3 +276,44 @@ fn snapshot_positions_do_not_change_recovery() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Copies a durability directory's files, as a crash that keeps the disk
+/// would leave them, so the copy recovers while the original keeps running.
+fn copy_dir(from: &Path) -> PathBuf {
+    let to = scratch_dir();
+    std::fs::create_dir_all(&to).expect("scratch dir");
+    for entry in std::fs::read_dir(from).expect("read durability dir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy");
+    }
+    to
+}
+
+/// The retention policy is durable state: a `ConvergedOnly` store recovered
+/// through `CentralStore::recover` — which, unlike a restart, knows nothing
+/// of the store that crashed — reports `ConvergedOnly`, whether the policy
+/// comes back from the WAL or from a snapshot taken after it was set, and
+/// then prunes exactly as its uncrashed twin does.
+#[test]
+fn a_recovered_store_keeps_its_retention_policy() {
+    for snapshot in [false, true] {
+        let dir = scratch_dir();
+        let (conf, _) = run_fixed_schedule(durable(&dir));
+        let live = conf.system.store();
+        live.set_retention(RetentionPolicy::ConvergedOnly);
+        live.catalog().close_membership().expect("membership closes");
+        if snapshot {
+            live.snapshot().expect("snapshot succeeds");
+        }
+        let copy = copy_dir(&dir);
+        let recovered = CentralStore::recover(&copy).expect("the copy recovers");
+        assert_eq!(recovered.retention(), RetentionPolicy::ConvergedOnly, "snapshot: {snapshot}");
+
+        let report = live.prune_to_horizon().expect("the live store prunes");
+        assert!(!report.is_noop(), "the schedule leaves converged history to prune");
+        assert_eq!(recovered.prune_to_horizon().expect("the recovered store prunes"), report);
+        assert_eq!(format!("{:?}", recovered.catalog()), format!("{:?}", live.catalog()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&copy).ok();
+    }
+}

@@ -1,7 +1,7 @@
-//! Compacting snapshots under concurrent load: 8 threads publish and
-//! reconcile against one durable [`CentralStore`] (with group-commit WAL
-//! flushing) while snapshots — and retention prunes — run concurrently, and
-//! recovery must still rebuild byte-identical durable state.
+//! Compacting snapshots under concurrent load: 8 threads publish, reconcile
+//! and sync the WAL against one durable [`CentralStore`] while snapshots —
+//! and retention prunes — run concurrently, and recovery must still rebuild
+//! byte-identical durable state.
 //!
 //! Consistent-cut audit (why this is safe, kept in sync with
 //! `StoreCatalog::snapshot`): the snapshot takes the log read lock, the
@@ -18,8 +18,7 @@
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, Transaction, TrustPolicy, Tuple, Update};
 use orchestra_store::{
-    poll_ready, CentralStore, FlushPolicy, InProcessClient, RetentionPolicy, SessionClient,
-    UpdateStore,
+    poll_ready, CentralStore, InProcessClient, RetentionPolicy, SessionClient, UpdateStore,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -43,14 +42,7 @@ fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
     let dir = scratch_dir("load");
     let schema = bioinformatics_schema();
     let store = CentralStore::durable(schema, &dir).expect("fresh dir");
-    // Group commit (satellite of the same PR): batches of appends share one
-    // fsync; the stress run proves order survives concurrency.
-    store
-        .catalog()
-        .durability()
-        .file_backend()
-        .expect("durable store")
-        .set_flush_policy(FlushPolicy::EveryN(8));
+    let wal = store.catalog().durability().file_backend().expect("durable store");
     for i in 1..=THREADS {
         let mut policy = TrustPolicy::new(p(i));
         for j in 1..=THREADS {
@@ -93,6 +85,11 @@ fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
                             .collect();
                         poll_ready(client.commit(session, &accepted, &[]))
                             .expect("commit succeeds");
+                    }
+                    // Every writer syncs the WAL now and then: syncs race
+                    // appends and generation switches without reordering.
+                    if round % 8 == 7 {
+                        wal.sync().expect("sync under load succeeds");
                     }
                 }
             });
