@@ -13,8 +13,7 @@
 //! reconciliation number and the causal frontier it has observed (each
 //! session brings the frontier it covers). The store stays the record of
 //! truth; the participant touches it directly only to load those mirrors in
-//! [`Participant::rebuild_from_store`], to write an instance checkpoint
-//! ([`Participant::checkpoint_to_store`]), to read the frontier at heal time
+//! [`Participant::rebuild_from_store`], to read the frontier at heal time
 //! ([`Participant::rejoin`]) and to record a conflict resolution's decisions
 //! ([`Participant::resolve_conflicts`]).
 
@@ -28,7 +27,7 @@ use orchestra_recon::{
     resolution::resolve_conflicts, CandidateTransaction, ConflictGroup, ReconcileEngine,
     ReconcileInput, ResolutionChoice, SoftState,
 };
-use orchestra_storage::{Database, InstanceCheckpoint, Result, StorageError};
+use orchestra_storage::{Database, Result, StorageError};
 use orchestra_store::{
     poll_ready, InProcessClient, SessionClient, SessionInfo, StoreTiming, Timed, UpdateStore,
 };
@@ -175,12 +174,11 @@ impl Participant {
     /// accepted and rejected sets, the last reconciliation number, the next
     /// causal sequence number and the causal frontier.
     ///
-    /// When the store holds an [`InstanceCheckpoint`] for this participant
-    /// (see [`Participant::checkpoint_to_store`]), the instance starts from
-    /// the checkpointed tuples and only the acceptance-order *suffix* past
-    /// `accepted_through` is replayed — so the rebuild survives
-    /// `ConvergedOnly` retention having pruned the transactions the prefix
-    /// was built from.
+    /// The instance is soft state only while the store keeps its history:
+    /// when retention has pruned a transaction this participant accepted,
+    /// the replay would apply what is left of it (an insert whose delete
+    /// is gone) and produce a wrong instance, so the rebuild refuses with
+    /// [`StorageError::Retention`] instead.
     ///
     /// `schema` must be the store's schema Σ. Replay fills the flattening
     /// that the log's copy of a transaction memoises for every participant
@@ -193,18 +191,19 @@ impl Participant {
     ) -> Result<Self> {
         let mut participant = Participant::new(schema.clone(), config);
         let cursor = store.epoch_cursor(participant.id);
-        let mut skip = 0u64;
-        if let Some(checkpoint) = store.instance_checkpoint(participant.id) {
-            // The instance is still empty, so no row's effect can be present
-            // already; a row that does not apply is dropped, as in replay.
-            for (relation, tuples) in &checkpoint.relations {
-                for tuple in tuples {
-                    let row = Update::insert(relation, tuple.clone(), participant.id);
-                    let _ = participant.instance.apply_update(&row);
-                }
-            }
-            participant.next_local_txn = checkpoint.next_local;
-            skip = checkpoint.accepted_through;
+        // The replay units hold the accepted ids the log still has; the
+        // accepted set holds every accepted id, pruned or not.
+        let units = store.accepted_replay_units(participant.id);
+        let accepted = store.accepted_set(participant.id);
+        let replayed: usize = units.iter().map(Vec::len).sum();
+        if replayed < accepted.len() {
+            return Err(StorageError::Retention(format!(
+                "participant {} accepted {} transactions but the store keeps {}; \
+                 retention pruned the history its instance is rebuilt from",
+                participant.id,
+                accepted.len(),
+                replayed
+            )));
         }
         let mut max_local = participant.next_local_txn;
         let mut own_delta: Vec<Update> = Vec::new();
@@ -218,7 +217,7 @@ impl Participant {
         // session pins always covers every finished epoch, so an own
         // publication past the cursor is exactly one no reconciliation has
         // consumed yet.
-        for unit in store.accepted_replay_units_after(participant.id, skip) {
+        for unit in units {
             for txn in &unit {
                 if txn.origin() == participant.id {
                     max_local = max_local.max(txn.id().local + 1);
@@ -242,7 +241,7 @@ impl Participant {
         }
         participant.next_local_txn = max_local;
         participant.last_published_updates = own_delta;
-        participant.accepted = store.accepted_set(participant.id);
+        participant.accepted = accepted;
         participant.rejected = store.rejected_set(participant.id);
         participant.recno = store.current_reconciliation(participant.id);
         participant.causal_seq = store.next_publisher_seq(participant.id);
@@ -479,39 +478,6 @@ impl Participant {
             &[("participant", u64::from(self.id.as_u32())), ("batches", epochs.len() as u64)],
         );
         Ok(epochs)
-    }
-
-    /// Records the participant's materialised instance at the store as an
-    /// [`InstanceCheckpoint`], so a later [`Participant::rebuild_from_store`]
-    /// survives `ConvergedOnly` retention pruning the transactions the
-    /// instance was built from. Call at a quiescent point: unpublished local
-    /// transactions would be baked into the checkpoint without being in the
-    /// store, so the call refuses while any are pending.
-    pub fn checkpoint_to_store<S: UpdateStore + ?Sized>(&self, store: &S) -> Result<()> {
-        if !self.pending_publish.is_empty() {
-            return Err(StorageError::Causal(format!(
-                "participant {} has {} unpublished transactions; publish before checkpointing",
-                self.id,
-                self.pending_publish.len()
-            )));
-        }
-        let mut relations = std::collections::BTreeMap::new();
-        for name in self.instance.schema().relation_names() {
-            let mut tuples: Vec<orchestra_model::Tuple> =
-                self.instance.relation_contents(name).into_iter().map(|(_, t)| t).collect();
-            if tuples.is_empty() {
-                continue;
-            }
-            tuples.sort();
-            relations.insert(name.to_string(), tuples);
-        }
-        let checkpoint = InstanceCheckpoint {
-            relations,
-            next_local: self.next_local_txn,
-            epoch: store.epoch_cursor(self.id),
-            accepted_through: self.accepted.len() as u64,
-        };
-        store.record_instance_checkpoint(self.id, checkpoint)
     }
 
     /// Reconciles against the update store: opens a session, streams the
@@ -1013,12 +979,12 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rebuild_survives_converged_pruning() {
+    fn rebuild_refuses_history_that_retention_pruned() {
         use orchestra_storage::RetentionPolicy;
         let (store, mut p1, mut p2) = setup_pair();
         // Superseded history — an insert later deleted — is what
         // `ConvergedOnly` pruning can actually drop (still-live effects stay
-        // pinned), and exactly what a checkpoint-less rebuild would need.
+        // pinned), and exactly what a replay needs.
         let step = |p1: &mut Participant, p2: &mut Participant, update: Update| {
             p1.execute_transaction(vec![update]).unwrap();
             p1.publish_and_reconcile(&store).unwrap();
@@ -1027,46 +993,32 @@ mod tests {
         step(&mut p1, &mut p2, Update::insert("Function", func("rat", "prot1", "v1"), p(1)));
         step(&mut p1, &mut p2, Update::delete("Function", func("rat", "prot1", "v1"), p(1)));
         step(&mut p1, &mut p2, Update::insert("Function", func("rat", "prot1", "v2"), p(1)));
+        let rebuild = || {
+            Participant::rebuild_from_store(
+                bioinformatics_schema(),
+                ParticipantConfig::new(p1.policy().clone()),
+                &store,
+            )
+        };
+        // Before the prune the history is whole and the rebuild is exact.
+        let whole = rebuild().unwrap();
+        assert_eq!(
+            whole.instance().relation_contents("Function"),
+            p1.instance().relation_contents("Function")
+        );
 
-        // A checkpoint with unpublished local transactions is refused.
-        p1.execute_transaction(vec![Update::insert("Function", func("cow", "prot3", "x"), p(1))])
-            .unwrap();
-        assert!(p1.checkpoint_to_store(&store).is_err());
-        p1.publish_and_reconcile(&store).unwrap();
-        p2.reconcile(&store).unwrap();
-        p1.checkpoint_to_store(&store).unwrap();
-
-        // One more accepted unit after the checkpoint: the rebuild must
-        // apply it on top of the checkpointed prefix.
-        step(&mut p1, &mut p2, Update::insert("Function", func("cow", "prot4", "y"), p(1)));
-
-        // Prune everything converged: the superseded insert/delete pair
-        // leaves the log for good.
+        // Prune everything converged: superseded history leaves the log, and
+        // a replay of what is left would not reproduce the live instance.
         store.catalog().close_membership().unwrap();
         store.catalog().set_retention(RetentionPolicy::ConvergedOnly);
         let report = store.catalog().prune_to_horizon().unwrap();
         assert!(report.pruned_log_entries > 0, "prune must drop history: {report:?}");
 
-        let rebuilt = Participant::rebuild_from_store(
-            bioinformatics_schema(),
-            ParticipantConfig::new(p1.policy().clone()),
-            &store,
-        )
-        .unwrap();
-        assert_eq!(
-            rebuilt.instance().relation_contents("Function"),
-            p1.instance().relation_contents("Function"),
-            "checkpointed rebuild must reproduce the live instance"
+        let refused = rebuild().err();
+        assert!(
+            matches!(&refused, Some(StorageError::Retention(m)) if m.contains("participant p1")),
+            "a rebuild over pruned history must refuse, naming p1: {refused:?}"
         );
-        assert_eq!(rebuilt.pending_publications().len(), 0);
-        // The next local transaction id continues where the live
-        // participant left off (no id reuse after recovery).
-        let id = rebuilt.clone().execute_transaction(vec![Update::insert(
-            "Function",
-            func("cow", "prot5", "z"),
-            p(1),
-        )]);
-        assert_eq!(id.unwrap().local, 5);
     }
 
     #[test]

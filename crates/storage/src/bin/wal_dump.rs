@@ -224,16 +224,6 @@ fn summarise(record: &WalRecord) -> String {
             transactions.iter().map(|t| t.updates().len()).sum::<usize>(),
             stamp.parents,
         ),
-        WalRecord::InstanceCheckpoint { participant, checkpoint } => format!(
-            "InstanceCheckpoint p{} through epoch {} ({} relation(s), {} tuple(s), \
-             next local {}, accepted through {})",
-            participant.as_u32(),
-            checkpoint.epoch.as_u64(),
-            checkpoint.relations.len(),
-            checkpoint.relations.values().map(Vec::len).sum::<usize>(),
-            checkpoint.next_local,
-            checkpoint.accepted_through,
-        ),
         WalRecord::Retention { policy } => format!("Retention {policy:?}"),
     }
 }

@@ -35,7 +35,7 @@ use crate::epoch::{CausalNode, EpochRecord, EpochRegistry, PublicationStatus};
 use crate::error::{Result, StorageError};
 use crate::log::{LogEntry, TransactionLog};
 use crate::retention::RetentionPolicy;
-use crate::snapshot::{InstanceCheckpoint, ParticipantSnapshot, StoreSnapshot};
+use crate::snapshot::{ParticipantSnapshot, StoreSnapshot};
 use crate::wal::WalRecord;
 use orchestra_model::schema::{ColumnDef, RelationSchema};
 use orchestra_model::{
@@ -453,38 +453,6 @@ fn dec_causal_stamp(d: &mut Dec<'_>) -> Result<CausalStamp> {
     Ok(CausalStamp::new(publisher, seq, parents))
 }
 
-fn enc_checkpoint(e: &mut Enc, checkpoint: &InstanceCheckpoint) {
-    e.u64(checkpoint.relations.len() as u64);
-    for (relation, tuples) in &checkpoint.relations {
-        e.str(relation);
-        e.u64(tuples.len() as u64);
-        for tuple in tuples {
-            enc_tuple(e, tuple);
-        }
-    }
-    e.u64(checkpoint.next_local);
-    e.u64(checkpoint.epoch.as_u64());
-    e.u64(checkpoint.accepted_through);
-}
-
-fn dec_checkpoint(d: &mut Dec<'_>) -> Result<InstanceCheckpoint> {
-    let relations_len = d.usize()?;
-    let mut relations = BTreeMap::new();
-    for _ in 0..relations_len {
-        let relation = d.str()?;
-        let tuples_len = d.usize()?;
-        let mut tuples = Vec::with_capacity(tuples_len);
-        for _ in 0..tuples_len {
-            tuples.push(dec_tuple(d)?);
-        }
-        relations.insert(relation, tuples);
-    }
-    let next_local = d.u64()?;
-    let epoch = Epoch(d.u64()?);
-    let accepted_through = d.u64()?;
-    Ok(InstanceCheckpoint { relations, next_local, epoch, accepted_through })
-}
-
 fn enc_predicate(e: &mut Enc, predicate: &Predicate) {
     match predicate {
         Predicate::True => e.u8(0),
@@ -821,11 +789,6 @@ pub fn encode_record(record: &WalRecord, _codec: Codec) -> Vec<u8> {
                 enc_transaction(&mut e, txn);
             }
         }
-        WalRecord::InstanceCheckpoint { participant, checkpoint } => {
-            e.u8(10);
-            enc_participant(&mut e, *participant);
-            enc_checkpoint(&mut e, checkpoint);
-        }
         WalRecord::Retention { policy } => {
             e.u8(11);
             enc_retention(&mut e, *policy);
@@ -881,11 +844,7 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord> {
             }
             WalRecord::PublishCausal { epoch, stamp, transactions }
         }
-        10 => {
-            let participant = dec_participant(&mut d)?;
-            let checkpoint = dec_checkpoint(&mut d)?;
-            WalRecord::InstanceCheckpoint { participant, checkpoint }
-        }
+        // Tag 10 was the instance checkpoint: retired, never to be reused.
         11 => WalRecord::Retention { policy: dec_retention(&mut d)? },
         other => return Err(StorageError::Persistence(format!("invalid record tag {other}"))),
     };
@@ -992,13 +951,6 @@ pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
         }
         e.u64(p.relevance_floor.as_u64());
         enc_record_map(&mut e, &p.record);
-        match &p.checkpoint {
-            Some(checkpoint) => {
-                e.u8(1);
-                enc_checkpoint(&mut e, checkpoint);
-            }
-            None => e.u8(0),
-        }
     }
     e.u64(snapshot.wal_generation);
     e.buf
@@ -1073,13 +1025,6 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
         };
         let relevance_floor = Epoch(d.u64()?);
         let record = dec_record_map(&mut d)?;
-        let checkpoint = match d.u8()? {
-            0 => None,
-            1 => Some(dec_checkpoint(&mut d)?),
-            other => {
-                return Err(StorageError::Persistence(format!("invalid checkpoint tag {other}")))
-            }
-        };
         participants.push(ParticipantSnapshot {
             id,
             policy,
@@ -1088,7 +1033,6 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
             cursor,
             relevance_floor,
             record,
-            checkpoint,
         });
     }
     let wal_generation = d.u64()?;
@@ -1180,18 +1124,6 @@ mod tests {
                     ]),
                 ),
                 transactions: vec![sample_transaction(3, 1)],
-            },
-            WalRecord::InstanceCheckpoint {
-                participant: p,
-                checkpoint: InstanceCheckpoint {
-                    relations: BTreeMap::from([
-                        ("Function".to_string(), vec![Tuple::of_text(&["rat", "prot1", "a"])]),
-                        ("Term".to_string(), vec![]),
-                    ]),
-                    next_local: 5,
-                    epoch: Epoch(2),
-                    accepted_through: 3,
-                },
             },
             WalRecord::Retention { policy: RetentionPolicy::ConvergedOnly },
             WalRecord::Retention { policy: RetentionPolicy::KeepLastN(300) },
@@ -1294,8 +1226,16 @@ mod tests {
         let mut padded = binary.clone();
         padded.push(0);
         assert!(decode_record(&padded).is_err());
-        // An unknown record tag is rejected.
-        assert!(decode_record(&[WAL_MAGIC, 0xEE]).is_err());
+        // An unknown record tag is rejected, and so is the retired tag 10
+        // (instance checkpoints): a typed error, not a panic.
+        for tag in [0xEE, 10] {
+            let refused = decode_record(&[WAL_MAGIC, tag]);
+            let expected = format!("invalid record tag {tag}");
+            assert!(
+                matches!(&refused, Err(StorageError::Persistence(m)) if *m == expected),
+                "{refused:?}"
+            );
+        }
     }
 
     /// A transaction holding an update of another origin decodes to a typed
@@ -1416,15 +1356,6 @@ mod tests {
                 cursor: Some(e1),
                 relevance_floor: Epoch::ZERO,
                 record,
-                checkpoint: Some(InstanceCheckpoint {
-                    relations: BTreeMap::from([(
-                        "Function".to_string(),
-                        vec![Tuple::of_text(&["rat", "prot1", "a"])],
-                    )]),
-                    next_local: 1,
-                    epoch: e1,
-                    accepted_through: 1,
-                }),
             }],
             wal_generation: 5,
         };
@@ -1447,7 +1378,7 @@ mod tests {
             Some(Epoch(1)),
             "causal DAG node survives the snapshot"
         );
-        assert_eq!(back.participants[0].checkpoint, snapshot.participants[0].checkpoint);
+        assert_eq!(back.participants[0].cursor, Some(e1));
         assert_eq!(back.log.get(txn.id()).unwrap(), &txn);
         assert_eq!(back.participants.len(), 1);
         assert_eq!(back.participants[0].record.accepted_set().len(), 1);

@@ -37,11 +37,14 @@
 //!
 //! The trade-off is the paper's soft-state rebuild: a participant
 //! reconstructing its *instance* from the store replays its accepted
-//! transactions, and with `ConvergedOnly` retention the sub-horizon part of
-//! that stream is gone. Confederations that rely on client rebuild below the
-//! horizon should keep [`RetentionPolicy::KeepAll`] (the default) or checkpoint
-//! instances out of band; decisions, deferred conflicts and everything the
-//! reconciliation protocol itself needs survive pruning in full.
+//! transactions, and a prune may drop part of that stream (a superseded
+//! insert's delete, say). Replaying the rest would build a wrong instance,
+//! so a rebuild whose replay holds fewer transactions than the participant
+//! accepted refuses with [`crate::StorageError::Retention`]. Confederations
+//! that rebuild participants from the store should keep
+//! [`RetentionPolicy::KeepAll`] (the default); decisions, deferred conflicts
+//! and everything the reconciliation protocol itself needs survive pruning
+//! in full.
 
 use orchestra_model::Epoch;
 
@@ -95,10 +98,6 @@ pub struct PruneReport {
     pub pinned: u64,
     /// Live log entries remaining after the pass.
     pub live_log_entries: u64,
-    /// Superseded instance checkpoints dropped by this pass (checkpoints of
-    /// retired or unregistered participants whose epoch fell behind the
-    /// horizon — nothing will ever rebuild from them).
-    pub pruned_checkpoints: u64,
 }
 
 impl PruneReport {
@@ -107,7 +106,6 @@ impl PruneReport {
         self.pruned_log_entries == 0
             && self.pruned_relevance_entries == 0
             && self.pruned_epoch_records == 0
-            && self.pruned_checkpoints == 0
     }
 }
 

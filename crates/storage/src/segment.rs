@@ -4,8 +4,8 @@
 //! A WAL *generation* is the single append-only file `wal.<gen>.log` in the
 //! durability directory. Every record of the generation — `Init`, policy
 //! registrations, publishes (scalar and causal), reconciliation commits,
-//! decisions, instance checkpoints and the retention records — appends to it
-//! through one [`FrameLog`]. A round boundary therefore makes the whole store
+//! decisions and the retention records — appends to it through one
+//! [`FrameLog`]. A round boundary therefore makes the whole store
 //! durable with one `fdatasync`, a snapshot creates one file and deletes one,
 //! and recovery opens one.
 //!

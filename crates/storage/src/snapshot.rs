@@ -54,29 +54,21 @@ pub fn sync_dir(dir: &Path) -> Result<()> {
         .map_err(|e| StorageError::Persistence(format!("sync directory {}: {e}", dir.display())))
 }
 
-/// A participant's materialised local instance at one reconciliation point,
-/// stored centrally so that `rebuild_from_store` keeps working after
-/// ConvergedOnly retention has pruned the transactions the instance was built
-/// from (the one known retention trade, carried since the retention PR).
+/// A participant's materialised instance at one reconciliation point. No
+/// store records one: a rebuild replays the acceptance order, and refuses
+/// once retention pruned part of it.
 ///
-/// Tuples are kept sorted per relation so equal instances serialise (and
-/// `Debug`-render) byte-identically regardless of the apply order that
-/// produced them.
+/// Kept only because the benchmark's `TimedStore` names it; ROADMAP item 1's
+/// debts drop it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceCheckpoint {
     /// Materialised tuples per relation name.
     pub relations: BTreeMap<String, Vec<Tuple>>,
-    /// The participant's next local transaction number when it checkpointed.
+    /// The participant's next local transaction number.
     pub next_local: u64,
-    /// The reconciliation epoch the instance reflects: replaying decisions
-    /// strictly above it on top of the checkpoint reproduces the live
-    /// instance.
+    /// The reconciliation epoch the instance reflects.
     pub epoch: Epoch,
-    /// How many entries of the participant's acceptance-order prefix the
-    /// checkpoint folds in. Replay skips exactly this many accepted
-    /// transactions (counting pruned ones) and applies only the suffix —
-    /// epoch-based filtering would be wrong because late conflict resolution
-    /// can accept old-epoch transactions after the checkpoint was taken.
+    /// How many entries of the acceptance order the instance folds in.
     pub accepted_through: u64,
 }
 
@@ -103,8 +95,6 @@ pub struct ParticipantSnapshot {
     pub relevance_floor: Epoch,
     /// Its durable decision and reconciliation record.
     pub record: ParticipantRecord,
-    /// Its latest instance checkpoint, if it has taken one.
-    pub checkpoint: Option<InstanceCheckpoint>,
 }
 
 /// The complete durable state of an update store at one point in time.
@@ -216,15 +206,6 @@ mod tests {
                 cursor: Some(epoch),
                 relevance_floor: Epoch::ZERO,
                 record,
-                checkpoint: Some(InstanceCheckpoint {
-                    relations: BTreeMap::from([(
-                        "Function".to_string(),
-                        vec![Tuple::of_text(&["rat", "prot1", "a"])],
-                    )]),
-                    next_local: 1,
-                    epoch,
-                    accepted_through: 1,
-                }),
             }],
             wal_generation: 3,
         }
@@ -250,11 +231,6 @@ mod tests {
         assert!(!participant.retired);
         assert_eq!(participant.cursor, Some(Epoch(1)));
         assert_eq!(participant.relevance_floor, Epoch::ZERO);
-        let checkpoint = participant.checkpoint.as_ref().unwrap();
-        assert_eq!(checkpoint.next_local, 1);
-        assert_eq!(checkpoint.epoch, Epoch(1));
-        assert_eq!(checkpoint.accepted_through, 1);
-        assert_eq!(checkpoint.relations["Function"].len(), 1);
         participant.record.rebuild_sets();
         assert_eq!(participant.record.accepted_set().len(), 1);
         assert_eq!(participant.record.last_reconciliation(), Some((ReconciliationId(1), Epoch(1))));

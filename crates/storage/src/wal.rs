@@ -29,7 +29,6 @@
 
 use crate::error::{Result, StorageError};
 use crate::retention::RetentionPolicy;
-use crate::snapshot::InstanceCheckpoint;
 use orchestra_model::{
     CausalStamp, Epoch, ParticipantId, ReconciliationId, Schema, Transaction, TransactionId,
     TrustPolicy,
@@ -394,14 +393,6 @@ pub enum WalRecord {
         /// The published transactions, in batch order.
         transactions: Vec<Transaction>,
     },
-    /// A participant checkpointed its materialised local instance into the
-    /// store, so `rebuild_from_store` survives ConvergedOnly pruning.
-    InstanceCheckpoint {
-        /// The checkpointing participant.
-        participant: ParticipantId,
-        /// The materialised instance (replaces any earlier checkpoint).
-        checkpoint: InstanceCheckpoint,
-    },
     /// The retention policy was set. Durable so that a recovered store
     /// prunes under the policy the crashed one ran.
     Retention {
@@ -644,18 +635,6 @@ mod tests {
                     )]),
                 ),
                 transactions: vec![txn.clone()],
-            },
-            WalRecord::InstanceCheckpoint {
-                participant: p,
-                checkpoint: InstanceCheckpoint {
-                    relations: std::collections::BTreeMap::from([(
-                        "Function".to_string(),
-                        vec![Tuple::of_text(&["rat", "prot1", "a"])],
-                    )]),
-                    next_local: 2,
-                    epoch: Epoch(1),
-                    accepted_through: 2,
-                },
             },
             WalRecord::Retention { policy: RetentionPolicy::KeepLastN(3) },
         ];

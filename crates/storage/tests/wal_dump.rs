@@ -8,7 +8,7 @@ use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction, TrustPolicy,
     Tuple, Update,
 };
-use orchestra_storage::{FileWalBackend, InstanceCheckpoint, RetentionPolicy, WalRecord};
+use orchestra_storage::{FileWalBackend, RetentionPolicy, WalRecord};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -60,18 +60,6 @@ fn every_kind() -> Vec<(&'static str, WalRecord)> {
                 epoch: Epoch(2),
                 stamp: CausalStamp::new(p(2), 1, AntichainClock::default()),
                 transactions: vec![y],
-            },
-        ),
-        (
-            "InstanceCheckpoint",
-            WalRecord::InstanceCheckpoint {
-                participant: p(2),
-                checkpoint: InstanceCheckpoint {
-                    relations: Default::default(),
-                    next_local: 1,
-                    epoch: Epoch(2),
-                    accepted_through: 1,
-                },
             },
         ),
         ("Retention", WalRecord::Retention { policy: RetentionPolicy::ConvergedOnly }),

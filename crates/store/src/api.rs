@@ -29,6 +29,17 @@
 //! reconcile through a [`SessionClient`](crate::SessionClient), whose
 //! [`InProcessClient`](crate::InProcessClient) is the thin in-process
 //! adapter over this trait.
+//!
+//! # Recovery reads
+//!
+//! A participant that lost its memory rebuilds from the store alone: its
+//! instance from [`UpdateStore::accepted_replay_units`], its deferred
+//! conflicts from [`UpdateStore::undecided_candidates`], its mirrors from the
+//! accepted and rejected sets. That holds only while the store keeps the
+//! history: once retention pruned a transaction the participant accepted,
+//! the replay units hold fewer transactions than
+//! [`UpdateStore::accepted_set`], and the rebuild refuses with
+//! [`StorageError::Retention`] instead of replaying what is left.
 
 use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction,
@@ -220,8 +231,12 @@ pub trait UpdateStore: Send + Sync {
     /// lagging view, so its own write to a key can land locally before a
     /// remotely published one it only accepts later. Each entry shares the
     /// log's copy. This is a recovery path and is not charged to the
-    /// reconciliation cost model.
-    fn accepted_transactions(&self, participant: ParticipantId) -> Vec<Arc<Transaction>>;
+    /// reconciliation cost model. The default flattens
+    /// [`UpdateStore::accepted_replay_units`], which is the same list in the
+    /// same order.
+    fn accepted_transactions(&self, participant: ParticipantId) -> Vec<Arc<Transaction>> {
+        self.accepted_replay_units(participant).into_iter().flatten().collect()
+    }
 
     /// The epoch in which a transaction was published, if it is in the log.
     /// Recovery path (used to tell which of a rebuilt participant's own
@@ -234,7 +249,10 @@ pub trait UpdateStore: Send + Sync {
     /// the newly accepted slice of one candidate extension. The participant
     /// applied each unit's *flattened* net effect, so reconstruction must
     /// flatten per unit too (a chain that collapsed to a no-op must replay
-    /// as a no-op). Recovery path; not charged to the cost model.
+    /// as a no-op). An accepted transaction that retention pruned from the
+    /// log is left out, so the units hold fewer transactions than
+    /// [`UpdateStore::accepted_set`] exactly when a prune took part of the
+    /// participant's history. Recovery path; not charged to the cost model.
     fn accepted_replay_units(&self, participant: ParticipantId) -> Vec<Vec<Arc<Transaction>>>;
 
     /// The epoch cursor of the participant's most recent *committed*
@@ -245,7 +263,7 @@ pub trait UpdateStore: Send + Sync {
     /// participant's epoch cursor, in publication order with extensions —
     /// exactly the candidates its earlier reconciliations deferred. This is
     /// the second half of the paper's soft-state property: together with
-    /// [`UpdateStore::accepted_transactions`] it lets a participant that lost
+    /// [`UpdateStore::accepted_replay_units`] it lets a participant that lost
     /// all local state rebuild both its instance *and* its deferred conflict
     /// state from the store. Recovery path; not charged to the cost model.
     fn undecided_candidates(&self, participant: ParticipantId) -> Vec<CandidateTransaction>;
@@ -339,10 +357,11 @@ pub trait UpdateStore: Send + Sync {
         Err(StorageError::Persistence("this store does not support fabric replication".to_string()))
     }
 
-    /// Durably records a participant's materialised instance checkpoint, so
-    /// rebuilding from the store survives retention pruning the transactions
-    /// the instance was built from. The default errors (store without
-    /// checkpoint support).
+    /// Records an instance checkpoint; the default errors, and no store
+    /// overrides it.
+    ///
+    /// Kept only because the benchmark's `TimedStore` names it; ROADMAP item
+    /// 1's debts drop it.
     fn record_instance_checkpoint(
         &self,
         participant: ParticipantId,
@@ -352,19 +371,22 @@ pub trait UpdateStore: Send + Sync {
         Err(StorageError::Causal("this store does not support instance checkpoints".to_string()))
     }
 
-    /// The participant's latest instance checkpoint, if it has recorded one.
+    /// A recorded instance checkpoint; the default has none, and no store
+    /// overrides it.
+    ///
+    /// Kept only because the benchmark's `TimedStore` names it; ROADMAP item
+    /// 1's debts drop it.
     fn instance_checkpoint(&self, participant: ParticipantId) -> Option<InstanceCheckpoint> {
         let _ = participant;
         None
     }
 
-    /// Like [`UpdateStore::accepted_replay_units`], but skipping the first
-    /// `skip` entries of the participant's acceptance order — the prefix an
-    /// [`InstanceCheckpoint`] already folds in. `skip` counts acceptance
-    /// *order* entries (pruned ones included), which only the store can index
-    /// correctly, so there is deliberately no default in terms of
-    /// `accepted_replay_units` (that would over-skip on a pruned store).
-    /// Recovery path; not charged to the cost model.
+    /// [`UpdateStore::accepted_replay_units`] without the first `skip`
+    /// acceptance-order entries; the default answers `skip == 0` only, and
+    /// no store overrides it.
+    ///
+    /// Kept only because the benchmark's `TimedStore` names it; ROADMAP item
+    /// 1's debts drop it.
     fn accepted_replay_units_after(
         &self,
         participant: ParticipantId,

@@ -113,8 +113,8 @@ use orchestra_recon::{CandidateTransaction, FlatExtension};
 use orchestra_storage::snapshot::{self, ParticipantSnapshot, StoreSnapshot};
 use orchestra_storage::wal::WalRecord;
 use orchestra_storage::{
-    Decision, EpochRegistry, InstanceCheckpoint, LogEntry, ParticipantRecord, PruneReport, Result,
-    RetentionPolicy, StorageError, TransactionLog,
+    Decision, EpochRegistry, LogEntry, ParticipantRecord, PruneReport, Result, RetentionPolicy,
+    StorageError, TransactionLog,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
@@ -313,11 +313,6 @@ struct ParticipantShard {
     /// first commit; falls back to the decision record's history).
     cursor: Option<Epoch>,
     record: ParticipantRecord,
-    /// The participant's latest materialised instance checkpoint, if it has
-    /// taken one (durable — carried by snapshots and the WAL, rendered by
-    /// `Debug`). Lets `rebuild_from_store` survive ConvergedOnly pruning of
-    /// the transactions the instance was built from.
-    checkpoint: Option<InstanceCheckpoint>,
 }
 
 impl ParticipantShard {
@@ -330,7 +325,6 @@ impl ParticipantShard {
             relevance_floor: Epoch::ZERO,
             cursor: None,
             record: ParticipantRecord::new(),
-            checkpoint: None,
         }
     }
 
@@ -1243,27 +1237,6 @@ impl StoreCatalog {
             .unwrap_or(Priority::UNTRUSTED)
     }
 
-    /// The transactions the participant has accepted, in **acceptance
-    /// order**, each sharing the log's copy. This is the replay stream used
-    /// to reconstruct a participant's instance from the store (the paper's
-    /// soft-state property). Acceptance order — not publication order — is
-    /// the order the participant's instance applied the effects: a
-    /// participant executes its own transactions against a lagging view, so
-    /// its own write can land locally before a remotely published one it
-    /// only accepts at a later reconciliation.
-    pub fn accepted_in_acceptance_order(
-        &self,
-        participant: ParticipantId,
-    ) -> Vec<Arc<Transaction>> {
-        let Some(shard) = self.shard_of(participant) else { return Vec::new() };
-        let accepted: Vec<TransactionId> = {
-            let shard = shard.read().expect("shard lock");
-            shard.record.accepted_in_order().to_vec()
-        };
-        let log = self.log.read().expect("log lock");
-        accepted.into_iter().filter_map(|id| log.log.get_arc(id)).collect()
-    }
-
     /// Looks up a published transaction, sharing the log's copy.
     pub fn transaction(&self, id: TransactionId) -> Option<Arc<Transaction>> {
         self.log.read().expect("log lock").log.get_arc(id)
@@ -1283,27 +1256,13 @@ impl StoreCatalog {
     /// modify-and-modify-back chain accepted as one extension applied
     /// nothing, which per-transaction replay would get wrong). Derived
     /// entirely from durable state: the acceptance order and the log's
-    /// antecedent index.
+    /// antecedent index. An accepted id the log no longer holds (retention
+    /// pruned it) is left out, so the units hold fewer transactions than the
+    /// accepted set exactly when pruning took part of the history.
     pub fn accepted_replay_units(&self, participant: ParticipantId) -> Vec<Vec<Arc<Transaction>>> {
-        self.accepted_replay_units_after(participant, 0)
-    }
-
-    /// Like [`StoreCatalog::accepted_replay_units`], but skipping the first
-    /// `skip` entries of the acceptance order — the prefix an
-    /// [`InstanceCheckpoint`] already folds in. The skip counts *acceptance
-    /// order* entries, pruned ones included: the grouping below silently
-    /// drops ids the log no longer holds, so skipping against the returned
-    /// units would over-skip live transactions on a pruned store.
-    pub fn accepted_replay_units_after(
-        &self,
-        participant: ParticipantId,
-        skip: u64,
-    ) -> Vec<Vec<Arc<Transaction>>> {
         let Some(shard) = self.shard_of(participant) else { return Vec::new() };
-        let order: Vec<TransactionId> = {
-            let shard = shard.read().expect("shard lock");
-            shard.record.accepted_in_order().iter().skip(skip as usize).copied().collect()
-        };
+        let order: Vec<TransactionId> =
+            shard.read().expect("shard lock").record.accepted_in_order().to_vec();
         let log = &self.log.read().expect("log lock").log;
         let mut units: Vec<Vec<Arc<Transaction>>> = Vec::new();
         let mut current: Vec<Arc<Transaction>> = Vec::new();
@@ -1323,38 +1282,6 @@ impl StoreCatalog {
             units.push(current);
         }
         units
-    }
-
-    /// Records a participant's instance checkpoint, replacing any earlier
-    /// one. The checkpoint is durable state (WAL-logged, carried by
-    /// snapshots): after ConvergedOnly retention has pruned the transactions
-    /// an instance was built from, `rebuild_from_store` restarts from the
-    /// checkpoint and replays only the acceptance-order suffix.
-    pub fn record_instance_checkpoint(
-        &self,
-        participant: ParticipantId,
-        checkpoint: InstanceCheckpoint,
-    ) -> Result<()> {
-        let record = self
-            .durability
-            .is_durable()
-            .then(|| WalRecord::InstanceCheckpoint { participant, checkpoint: checkpoint.clone() });
-        let shard = self.ensure_shard(participant);
-        let mut shard = shard.write().expect("shard lock");
-        shard.checkpoint = Some(checkpoint);
-        if let Some(record) = record {
-            // Inside the shard write lock: the checkpoint lands in the
-            // participant's record stream in apply order, after every
-            // decision it folds in.
-            self.durability.append(&record)?;
-        }
-        Ok(())
-    }
-
-    /// The participant's latest instance checkpoint, if it has taken one.
-    pub fn instance_checkpoint(&self, participant: ParticipantId) -> Option<InstanceCheckpoint> {
-        self.shard_of(participant)
-            .and_then(|shard| shard.read().expect("shard lock").checkpoint.clone())
     }
 
     /// The relevant, trusted transactions at or before the participant's
@@ -1600,7 +1527,6 @@ impl StoreCatalog {
                     relevance_floor: p.relevance_floor,
                     cursor: p.cursor,
                     record,
-                    checkpoint: p.checkpoint,
                 })),
             );
         }
@@ -1682,9 +1608,6 @@ impl StoreCatalog {
                     self.enable_causal_mode()?;
                 }
             }
-            WalRecord::InstanceCheckpoint { participant, checkpoint } => {
-                self.record_instance_checkpoint(participant, checkpoint)?;
-            }
             WalRecord::Retention { policy } => self.set_retention(policy),
         }
         Ok(())
@@ -1722,7 +1645,6 @@ impl StoreCatalog {
                 cursor: shard.cursor,
                 relevance_floor: shard.relevance_floor,
                 record: shard.record.clone(),
-                checkpoint: shard.checkpoint.clone(),
             })
             .collect();
         let retention = self.retention.read().expect("retention lock");
@@ -1840,23 +1762,10 @@ fn prune_locked(
     let pruned_log_entries = log.log.prune_below(horizon, &pinned);
     let pruned_epoch_records = log.registry.prune_through(horizon);
     let mut pruned_relevance_entries = 0u64;
-    let mut pruned_checkpoints = 0u64;
     for shard in shards.iter_mut() {
         pruned_relevance_entries += shard.relevance.prune_through(horizon);
         if shard.registered {
             shard.relevance_floor = shard.relevance_floor.max(horizon);
-        }
-        // A checkpoint of a retired (or never-completed-registration) shard is
-        // superseded once the horizon passes it: retirement is final — a
-        // returning participant re-registers as a late member floored at the
-        // membership frontier — so nothing will ever rebuild from the old
-        // instance image. Registered shards keep theirs: it is the rebuild
-        // base under ConvergedOnly retention.
-        if (!shard.registered || shard.retired)
-            && shard.checkpoint.as_ref().is_some_and(|c| c.epoch <= horizon)
-        {
-            shard.checkpoint = None;
-            pruned_checkpoints += 1;
         }
     }
     log.pruned_through = horizon;
@@ -1867,7 +1776,6 @@ fn prune_locked(
         pruned_epoch_records,
         pinned: pinned_count,
         live_log_entries: log.log.len() as u64,
-        pruned_checkpoints,
     }
 }
 
@@ -3420,109 +3328,33 @@ mod tests {
     }
 
     #[test]
-    fn instance_checkpoints_are_durable_and_survive_compaction() {
-        let dir = tmp_dir("checkpoint");
-        let cat = durable_catalog(&dir);
-        let x3 = txn(3, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(3))]);
-        cat.publish(p(3), None, None, vec![x3.clone()]).unwrap();
-        let checkpoint = InstanceCheckpoint {
-            relations: BTreeMap::from([("Function".to_string(), vec![func("rat", "prot1", "a")])]),
-            next_local: 1,
-            epoch: Epoch(1),
-            accepted_through: 1,
-        };
-        cat.record_instance_checkpoint(p(3), checkpoint.clone()).unwrap();
-        assert_eq!(cat.instance_checkpoint(p(3)), Some(checkpoint.clone()));
-        assert_eq!(cat.instance_checkpoint(p(1)), None);
-        // WAL replay restores the checkpoint…
-        let recovered = cat.restart().unwrap();
-        assert_eq!(recovered.instance_checkpoint(p(3)), Some(checkpoint.clone()));
-        // …and so does a snapshot compaction.
-        recovered.snapshot().unwrap();
-        let recovered2 = recovered.restart().unwrap();
-        assert_eq!(recovered2.instance_checkpoint(p(3)), Some(checkpoint));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn retired_checkpoints_prune_past_the_horizon_and_commute_with_recovery() {
-        let dir = tmp_dir("checkpoint-prune");
-        let cat = {
-            let schema = bioinformatics_schema();
-            let backend = FileWalBackend::create(&dir, &schema).unwrap();
-            let cat = StoreCatalog::with_durability(schema, Durability::FileWal(backend));
-            for i in 1..=4 {
-                let mut policy = TrustPolicy::new(p(i));
-                for j in 1..=4 {
-                    if i != j {
-                        policy = policy.trusting(p(j), 1u32);
-                    }
-                }
-                cat.register_policy(policy);
-            }
-            cat
-        };
-        cat.set_retention(RetentionPolicy::ConvergedOnly);
-        cat.close_membership().unwrap();
-        converged_insert_delete_insert(&cat);
-        reconcile_accept_all(&cat, p(4));
-        let checkpoint = |epoch: u64| InstanceCheckpoint {
-            relations: BTreeMap::new(),
-            next_local: 0,
-            epoch: Epoch(epoch),
-            accepted_through: 0,
-        };
-        // Three checkpoints at the converged point: a registered shard (kept
-        // — it is the ConvergedOnly rebuild base), a retired shard behind the
-        // horizon (superseded — dropped), and a retired shard whose
-        // checkpoint claims an epoch past the horizon (kept until the
-        // horizon passes it).
-        cat.record_instance_checkpoint(p(2), checkpoint(3)).unwrap();
-        cat.record_instance_checkpoint(p(3), checkpoint(3)).unwrap();
-        cat.record_instance_checkpoint(p(4), checkpoint(9)).unwrap();
-        cat.retire_participant(p(3)).unwrap();
-        cat.retire_participant(p(4)).unwrap();
-
-        let report = cat.prune_to_horizon().unwrap();
-        assert_eq!(report.horizon, Epoch(3));
-        assert_eq!(report.pruned_checkpoints, 1);
-        assert_eq!(cat.instance_checkpoint(p(3)), None);
-        assert!(cat.instance_checkpoint(p(2)).is_some(), "registered rebuild base kept");
-        assert!(cat.instance_checkpoint(p(4)).is_some(), "post-horizon checkpoint kept");
-
-        // A second pass with an unchanged horizon is a no-op.
-        assert!(cat.prune_to_horizon().unwrap().is_noop());
-
-        // The WAL-replayed prune drops exactly the same checkpoint.
-        let recovered = cat.restart().unwrap();
-        assert_eq!(recovered.instance_checkpoint(p(3)), None);
-        assert!(recovered.instance_checkpoint(p(2)).is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn replay_units_after_skip_count_pruned_entries() {
-        // Acceptance order [x1, x2, x3] where pruning removes x1 and x2 (the
-        // superseded insert and the delete). A checkpoint through the first
-        // two acceptance entries must still replay x3: the skip indexes the
-        // full acceptance order, not the surviving units.
+    fn replay_units_leave_out_what_retention_pruned() {
+        // Acceptance order [x1, x2, x3]: an insert, its delete and a
+        // re-insert. Pruning drops superseded history, so afterwards the
+        // units hold fewer transactions than the accepted set — the count a
+        // rebuild checks before it replays.
         let cat = fully_trusting(3);
         cat.set_retention(RetentionPolicy::ConvergedOnly);
         cat.close_membership().unwrap();
         let (_, x3) = converged_insert_delete_insert(&cat);
-        let order: Vec<TransactionId> = {
-            let shard = cat.shard_of(p(1)).unwrap();
-            let shard = shard.read().expect("shard lock");
-            shard.record.accepted_in_order().to_vec()
+        let replayed = |cat: &StoreCatalog| -> Vec<TransactionId> {
+            cat.accepted_replay_units(p(1)).iter().flatten().map(|t| t.id()).collect()
         };
+        let order = cat
+            .shard_of(p(1))
+            .unwrap()
+            .read()
+            .expect("shard lock")
+            .record
+            .accepted_in_order()
+            .to_vec();
         assert_eq!(order.len(), 3);
+        assert_eq!(replayed(&cat), order, "the whole history replays in acceptance order");
         let report = cat.prune_to_horizon().unwrap();
         assert!(report.pruned_log_entries > 0);
-        let after = cat.accepted_replay_units_after(p(1), 2);
-        let ids: Vec<TransactionId> = after.iter().flatten().map(|t| t.id()).collect();
-        assert_eq!(ids, vec![x3.id()]);
-        // Skipping the full prefix leaves nothing.
-        assert!(cat.accepted_replay_units_after(p(1), 3).is_empty());
+        let kept = replayed(&cat);
+        assert!(kept.len() < cat.accepted_set(p(1)).len(), "kept {kept:?}");
+        assert!(kept.iter().all(|id| order.contains(id)) && kept.last() == Some(&x3.id()));
     }
 
     /// A bounded stream of choices a property case decodes its policies and

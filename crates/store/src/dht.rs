@@ -358,10 +358,6 @@ impl UpdateStore for DhtStore {
         self.catalog.transaction(id)
     }
 
-    fn accepted_transactions(&self, participant: ParticipantId) -> Vec<Arc<Transaction>> {
-        self.catalog.accepted_in_acceptance_order(participant)
-    }
-
     fn epoch_of(&self, id: TransactionId) -> Option<Epoch> {
         self.catalog.epoch_of(id)
     }
@@ -400,31 +396,6 @@ impl UpdateStore for DhtStore {
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
         self.publish_charged(stamp.publisher, Some(&stamp), transactions)
-    }
-
-    fn record_instance_checkpoint(
-        &self,
-        participant: ParticipantId,
-        checkpoint: orchestra_storage::InstanceCheckpoint,
-    ) -> Result<()> {
-        // A recovery/setup path like registration: not charged to the
-        // reconciliation cost model.
-        self.catalog.record_instance_checkpoint(participant, checkpoint)
-    }
-
-    fn instance_checkpoint(
-        &self,
-        participant: ParticipantId,
-    ) -> Option<orchestra_storage::InstanceCheckpoint> {
-        self.catalog.instance_checkpoint(participant)
-    }
-
-    fn accepted_replay_units_after(
-        &self,
-        participant: ParticipantId,
-        skip: u64,
-    ) -> Vec<Vec<Arc<Transaction>>> {
-        self.catalog.accepted_replay_units_after(participant, skip)
     }
 
     fn snapshot(&self) -> Result<u64> {

@@ -10,8 +10,8 @@
 //! A durability directory holds two files:
 //!
 //! * `wal.<generation>.log` — every record of the current generation:
-//!   publishes, policy registrations, reconciliation commits, decisions,
-//!   checkpoints and retention records;
+//!   publishes, policy registrations, reconciliation commits, decisions
+//!   and retention records;
 //! * `snapshot.orc` — the most recent compacting snapshot
 //!   ([`orchestra_storage::StoreSnapshot`]), which names the generation that
 //!   continues after it.

@@ -16,10 +16,10 @@
 //!   [`ShardRouter::home_of`]`(participant)` and nowhere else, so that shard
 //!   alone keeps its relevance index (every publish, primary or pinned,
 //!   extends the slices of the policies registered where it lands), its
-//!   decision record, epoch cursor, reconciliation number and instance
-//!   checkpoint. The paper's contract — a participant's decisions are a
-//!   function of the published log and *its own* policy and record — makes
-//!   the reader the natural shard key.
+//!   decision record, epoch cursor and reconciliation number. The paper's
+//!   contract — a participant's decisions are a function of the published
+//!   log and *its own* policy and record — makes the reader the natural
+//!   shard key.
 //! * **A fabric session is one ordinary shard session** at the home shard:
 //!   begin, page, commit and abort are forwarded there unchanged, and the
 //!   home shard streams exactly what a single store would, because it holds
@@ -56,7 +56,7 @@ use orchestra_model::{
 };
 use orchestra_obs::Tracer;
 use orchestra_recon::CandidateTransaction;
-use orchestra_storage::{InstanceCheckpoint, Result};
+use orchestra_storage::Result;
 use rustc_hash::FxHashSet;
 use std::sync::{Arc, Mutex};
 
@@ -286,10 +286,6 @@ impl UpdateStore for StoreFabric {
         self.shards[0].transaction(id)
     }
 
-    fn accepted_transactions(&self, participant: ParticipantId) -> Vec<Arc<Transaction>> {
-        self.home_store(participant).accepted_transactions(participant)
-    }
-
     fn epoch_of(&self, id: TransactionId) -> Option<Epoch> {
         self.shards[0].epoch_of(id)
     }
@@ -335,26 +331,6 @@ impl UpdateStore for StoreFabric {
         transactions: Vec<Transaction>,
     ) -> Result<Timed<Epoch>> {
         self.publish_ordered(stamp.publisher, Some(stamp), transactions)
-    }
-
-    fn record_instance_checkpoint(
-        &self,
-        participant: ParticipantId,
-        checkpoint: InstanceCheckpoint,
-    ) -> Result<()> {
-        self.home_store(participant).record_instance_checkpoint(participant, checkpoint)
-    }
-
-    fn instance_checkpoint(&self, participant: ParticipantId) -> Option<InstanceCheckpoint> {
-        self.home_store(participant).instance_checkpoint(participant)
-    }
-
-    fn accepted_replay_units_after(
-        &self,
-        participant: ParticipantId,
-        skip: u64,
-    ) -> Vec<Vec<Arc<Transaction>>> {
-        self.home_store(participant).accepted_replay_units_after(participant, skip)
     }
 }
 

@@ -18,7 +18,9 @@
 //! records replay deterministically; the crash step refuses it otherwise);
 //! recover-then-prune equals prune-then-recover; every decision in the step
 //! log, every durable accept/reject set and every final instance matches the
-//! reference run.
+//! reference run. A rebuild is the one thing pruning may refuse: the fixed
+//! schedule below checks that it does, with a typed error, where the
+//! unpruned store rebuilds every participant exactly.
 
 mod common;
 
@@ -26,6 +28,7 @@ use common::Turn::{EditPublish, Reconcile, Resolve};
 use common::{logged, p};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{Tuple, Update};
+use orchestra_storage::StorageError;
 use orchestra_store::{CentralStore, RetentionPolicy, UpdateStore};
 use orchestra_workload::{Confederation, Driver, Step};
 use proptest::prelude::*;
@@ -200,4 +203,16 @@ fn a_converging_schedule_actually_prunes() {
     // Only the live suffix survives: the last insert plus the undecided /
     // recent window, never the whole toggle history.
     assert!(store.catalog().log_len() <= 3, "live set was {}", store.catalog().log_len());
+
+    // A rebuild replays what each participant accepted. The `KeepAll` store
+    // still has all of it and rebuilds everyone to their live selves; the
+    // pruned store lost part of it, so the step refuses and the live
+    // participants stay.
+    let everyone = Step::Rebuild((1..=PARTICIPANTS).map(p).collect());
+    let live = common::snapshot(&pruned.system);
+    let refused = pruned.apply(&everyone, &Driver::sequential()).err();
+    assert!(matches!(refused, Some(StorageError::Retention(_))), "{refused:?}");
+    assert_eq!(common::snapshot(&pruned.system), live);
+    reference.apply(&everyone, &Driver::sequential()).expect("a KeepAll store rebuilds");
+    assert_eq!(common::snapshot(&reference.system), live);
 }

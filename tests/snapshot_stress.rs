@@ -1,7 +1,10 @@
 //! Compacting snapshots under concurrent load: 8 threads publish, reconcile
 //! and sync the WAL against one durable [`CentralStore`] while snapshots —
 //! and retention prunes — run concurrently, and recovery must still rebuild
-//! byte-identical durable state.
+//! byte-identical durable state. The writers' last rounds run after the last
+//! snapshot, so the generation recovery replays holds interleaved publishes
+//! and commits of every thread: replaying them in any order but the file's
+//! yields another catalogue.
 //!
 //! Consistent-cut audit (why this is safe, kept in sync with
 //! `StoreCatalog::snapshot`): the snapshot takes the log read lock, the
@@ -21,6 +24,7 @@ use orchestra_store::{
     poll_ready, CentralStore, InProcessClient, RetentionPolicy, SessionClient, UpdateStore,
 };
 use std::path::PathBuf;
+use std::sync::Barrier;
 use std::time::Duration;
 
 fn p(i: u32) -> ParticipantId {
@@ -36,6 +40,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 const THREADS: u32 = 8;
 const ROUNDS: u64 = 24;
+/// Rounds every writer runs after the snapshot thread has finished.
+const TAIL: u64 = 6;
 
 #[test]
 fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
@@ -55,11 +61,16 @@ fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
     store.catalog().close_membership().expect("close membership");
     store.set_retention(RetentionPolicy::ConvergedOnly);
 
+    // The writers and the snapshot thread meet here before the tail rounds.
+    let tail = Barrier::new(THREADS as usize + 1);
     std::thread::scope(|scope| {
         for i in 1..=THREADS {
-            let store = &store;
+            let (store, tail) = (&store, &tail);
             scope.spawn(move || {
                 for round in 0..ROUNDS {
+                    if round == ROUNDS - TAIL {
+                        tail.wait();
+                    }
                     // Distinct keys per thread: the load exercises locking,
                     // not conflict semantics (covered elsewhere).
                     let tuple = Tuple::of_text(&[&format!("org{i}"), &format!("prot{round}"), "v"]);
@@ -95,8 +106,8 @@ fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
             });
         }
         // The snapshot + prune thread: compaction and retention race the
-        // publishers the whole run.
-        let store = &store;
+        // publishers until their tail rounds.
+        let (store, tail) = (&store, &tail);
         scope.spawn(move || {
             for round in 0..8 {
                 std::thread::sleep(Duration::from_millis(2));
@@ -105,13 +116,15 @@ fn snapshots_under_publish_reconcile_load_recover_byte_identically() {
                     store.prune_to_horizon().expect("prune under load succeeds");
                 }
             }
+            tail.wait();
         });
     });
 
     // Quiesce, then restart: the recovered catalogue must match byte for
-    // byte.
+    // byte, replaying a generation that holds every writer's tail.
     let generation = store.catalog().durability().file_backend().expect("durable").generation();
     assert!(generation >= 8, "snapshots must have advanced the WAL generation");
+    assert!(wal.wal_records() >= THREADS as u64 * TAIL, "the tail lands in the last generation");
     let recovered = store.restart().expect("the store recovers byte-identically");
 
     // The recovered store keeps serving: one more publish + snapshot +

@@ -106,7 +106,7 @@ fn a_participant_resumes_from_a_handed_over_instance() {
     p1.publish_and_reconcile(&store).unwrap();
 
     // Hand a copy of the instance to a new participant as its initial state
-    // (a durable copy is `checkpoint_to_store`'s job).
+    // (the store keeps no copy: `rebuild_from_store` replays the history).
     let handed_over = p1.instance().clone();
     let resumed = Participant::new(
         schema,
