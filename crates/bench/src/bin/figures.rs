@@ -1,4 +1,5 @@
-//! Regenerates every figure of the paper's evaluation section.
+//! Regenerates every figure of the paper's evaluation section (Figures
+//! 8-12) and Figure 3's trade-off between the reconciliation modes.
 //!
 //! Usage:
 //!
@@ -13,13 +14,13 @@
 //! without running a figure.
 
 use orchestra_bench::{
-    fig08_transaction_size, fig09_recon_interval_ratio, fig10_recon_interval_time,
-    fig11_participants_ratio, fig12_participants_time, render_table, write_csv, write_json,
-    FigureScale,
+    fig03_reconciliation_modes, fig08_transaction_size, fig09_recon_interval_ratio,
+    fig10_recon_interval_time, fig11_participants_ratio, fig12_participants_time, render_table,
+    write_csv, write_json, FigureScale,
 };
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: figures [--fig N]... [--full] [--out DIR]   (N: 8, 9, 10, 11, 12)";
+const USAGE: &str = "usage: figures [--fig N]... [--full] [--out DIR]   (N: 3, 8, 9, 10, 11, 12)";
 
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -38,7 +39,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
             "--fig" => {
                 let value = args.next().ok_or("--fig needs a figure number")?;
                 match value.parse() {
-                    Ok(n @ 8..=12) => figures.push(n),
+                    Ok(n @ (3 | 8..=12)) => figures.push(n),
                     _ => return Err(format!("unknown figure {value:?}")),
                 }
             }
@@ -49,7 +50,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
         }
     }
     if figures.is_empty() {
-        figures = vec![8, 9, 10, 11, 12];
+        figures = vec![3, 8, 9, 10, 11, 12];
     }
     Ok(Some(Args { figures, scale, out }))
 }
@@ -68,6 +69,21 @@ fn main() {
     };
     for fig in &args.figures {
         let (title, header, rows): (&str, &[&str], Vec<Vec<String>>) = match fig {
+            3 => (
+                "Figure 3: client-centric vs. network-centric reconciliation on the DHT store",
+                &["mode", "messages", "network_ms", "decision_fingerprint"],
+                fig03_reconciliation_modes(args.scale)
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.mode.clone(),
+                            r.messages.to_string(),
+                            float(r.network_ms),
+                            r.decision_fingerprint.to_string(),
+                        ]
+                    })
+                    .collect(),
+            ),
             8 => (
                 "Figure 8: transaction size vs. state ratio (10 peers, constant updates per reconciliation)",
                 &["transaction_size", "transactions_per_reconciliation", "state_ratio"],
@@ -123,7 +139,7 @@ fn main() {
                     })
                     .collect(),
             ),
-            other => unreachable!("parse_args admits figures 8-12 only, got {other}"),
+            other => unreachable!("parse_args admits figures 3 and 8-12 only, got {other}"),
         };
         println!("{}", render_table(title, header, &rows));
         let stem = format!("fig{fig:02}");
@@ -155,10 +171,10 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_errors_and_good_ones_parse() {
-        for bad in ["--fig abc", "--fig 7", "--fig", "--fig 9 --out", "--quick"] {
+        for bad in ["--fig abc", "--fig 7", "--fig 2", "--fig", "--fig 9 --out", "--quick"] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected, not defaulted");
         }
-        assert_eq!(parse("").unwrap().unwrap().figures, vec![8, 9, 10, 11, 12]);
+        assert_eq!(parse("").unwrap().unwrap().figures, vec![3, 8, 9, 10, 11, 12]);
         assert_eq!(
             parse("--fig 9 --full --fig 11 --out d"),
             Ok(Some(Args { figures: vec![9, 11], scale: FigureScale::Full, out: "d".into() }))

@@ -2,11 +2,12 @@
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_store::{CentralStore, DhtStore};
-use orchestra_workload::{run_scenario, ScenarioConfig, WorkloadConfig};
+use orchestra_workload::{
+    decision_fingerprint, run_scenario, scenario_schedule, Driver, ScenarioConfig, WorkloadConfig,
+};
 
 /// How large an experiment to run. `Quick` keeps every figure under a few
-/// seconds (for CI and `cargo bench`); `Full` uses parameter ranges closer to
-/// the paper's.
+/// seconds (for CI); `Full` uses parameter ranges closer to the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigureScale {
     /// Reduced ranges for fast runs.
@@ -52,6 +53,46 @@ fn base_scenario(
         workload: base_workload(txn_size),
         seed: 20060627, // SIGMOD 2006's opening day; any fixed seed works.
     }
+}
+
+/// One row of Figure 3's trade-off: one reconciliation mode over the DHT
+/// store.
+#[derive(Debug, Clone)]
+pub struct Fig03Row {
+    /// `"client_centric"` or `"network_centric"`.
+    pub mode: String,
+    /// Messages charged to the simulated network over the run.
+    pub messages: u64,
+    /// Virtual time charged to the simulated network over the run, in
+    /// milliseconds.
+    pub network_ms: f64,
+    /// Order-invariant fingerprint of every participant's decisions.
+    pub decision_fingerprint: u64,
+}
+
+/// Figure 3: client-centric against network-centric reconciliation
+/// (Section 5) on the DHT store, one schedule run in each mode (10 peers,
+/// reconciliation interval 4, single-update transactions). The decisions
+/// are the same; the network-centric mode charges more messages for less
+/// work at the reconciling peer.
+pub fn fig03_reconciliation_modes(scale: FigureScale) -> Vec<Fig03Row> {
+    let config = base_scenario(10, 4, 1, scale);
+    [("client_centric", Driver::sequential()), ("network_centric", Driver::network_centric())]
+        .into_iter()
+        .map(|(mode, driver)| {
+            let (mut conf, steps) =
+                scenario_schedule(DhtStore::new(bioinformatics_schema()), &config);
+            conf.run(&steps, &driver, |_| ()).expect("the schedule runs");
+            let store = conf.system.store();
+            let network = store.network_stats();
+            Fig03Row {
+                mode: mode.into(),
+                messages: network.messages,
+                network_ms: network.latency_us as f64 / 1000.0,
+                decision_fingerprint: decision_fingerprint(store, &conf.system.participant_ids()),
+            }
+        })
+        .collect()
 }
 
 /// One row of Figure 8: transaction size versus state ratio, holding the
@@ -241,6 +282,19 @@ pub fn fig12_participants_time(scale: FigureScale) -> Vec<Fig12Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fig03_network_centric_decides_alike_with_more_messages() {
+        let rows = fig03_reconciliation_modes(FigureScale::Quick);
+        let [client, network] = &rows[..] else { panic!("two modes, got {rows:?}") };
+        assert_eq!(client.decision_fingerprint, network.decision_fingerprint);
+        assert!(
+            network.messages > client.messages,
+            "network-centric {} <= client-centric {} messages",
+            network.messages,
+            client.messages
+        );
+    }
 
     #[test]
     fn fig08_rows_hold_updates_per_reconciliation_constant() {

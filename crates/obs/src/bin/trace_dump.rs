@@ -5,7 +5,8 @@
 //! and renders them three ways:
 //!
 //! ```text
-//! trace_dump <file>...             pretty-print events, indented by span depth
+//! trace_dump <file>...             pretty-print events, indented by span depth,
+//!                                  then the self-time budget per span name
 //! trace_dump --timeline <file>...  per-shard timeline: events, sessions and
 //!                                  admission sheds per shard, with skew bars
 //! trace_dump --json <file>...      JSON array of events
@@ -15,8 +16,13 @@
 //! it counts sessions, publishes and `admission.shed` events per `shard`
 //! field value. A session runs at its participant's home shard and a publish
 //! reaches every shard, so the columns show the participants' spread over
-//! the shards and any skew in who gets turned away.
+//! the shards and any skew in who gets turned away. The budget is the one
+//! that answers "which layer is slow": per span name, how many closed, their
+//! total and self time, and the self time's share of the root spans' time
+//! (`cargo run --release --example engine_trace` captures the engine's
+//! Figure 5 phases).
 
+use orchestra_obs::budget::Budget;
 use orchestra_obs::export::{export_json, parse_text, ParsedEvent};
 use orchestra_obs::EventKind;
 use std::collections::BTreeMap;
@@ -24,8 +30,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: trace_dump [--timeline|--json] <trace-file>...
-  pretty-prints an orchestra-obs trace; --timeline groups by shard,
-  --json exports the events as a JSON array";
+  pretty-prints an orchestra-obs trace and its self-time budget;
+  --timeline groups by shard, --json exports the events as a JSON array";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,6 +77,7 @@ fn dump_file(path: &Path, timeline: bool, json: bool) -> Result<(), String> {
         print_timeline(&events);
     } else {
         print_pretty(&events);
+        print_budget(&Budget::of(&events));
     }
     println!();
     Ok(())
@@ -103,6 +110,26 @@ fn print_pretty(events: &[ParsedEvent]) {
             marker,
             e.name,
             fields.join(" ")
+        );
+    }
+}
+
+/// Per span name: count, total and self time, and the self time's share of
+/// the root spans' time, largest self time first.
+fn print_budget(budget: &Budget) {
+    println!("  self-time budget: {} us in root spans", budget.root_us);
+    println!(
+        "  {:<28} {:>8} {:>12} {:>12} {:>7}",
+        "span", "count", "total_us", "self_us", "self %"
+    );
+    for row in &budget.rows {
+        println!(
+            "  {:<28} {:>8} {:>12} {:>12} {:>6.1}%",
+            row.name,
+            row.count,
+            row.total_us,
+            row.self_us,
+            100.0 * budget.share(row)
         );
     }
 }

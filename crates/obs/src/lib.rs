@@ -21,8 +21,10 @@
 //! The [`Obs`] bundle groups one tracer and one registry so call sites can
 //! thread a single handle. Traces are exported in a line-oriented text
 //! format ([`export`]) that the `trace_dump` binary pretty-prints,
-//! JSON-exports, or renders as a per-shard timeline.
+//! JSON-exports, or renders as a per-shard timeline; its default view ends
+//! with the trace's self-time [`budget`].
 
+pub mod budget;
 pub mod export;
 pub mod metrics;
 pub mod trace;

@@ -147,18 +147,14 @@ impl Tracer {
     }
 
     /// Opens a root span. The span closes (records a `Close` event) when the
-    /// returned guard drops.
+    /// returned guard drops; [`Span::child`] nests spans under it.
     #[inline]
     pub fn span(&self, name: &'static str, fields: &[(&'static str, u64)]) -> Span {
-        self.span_under(0, name, fields)
-    }
-
-    fn span_under(&self, parent: u64, name: &'static str, fields: &[(&'static str, u64)]) -> Span {
         match &self.inner {
-            None => Span { inner: None, id: 0, name: "", parent: 0 },
+            None => Span::default(),
             Some(inner) => {
-                let id = Self::record(inner, EventKind::Open, 0, parent, name, fields);
-                Span { inner: Some(Arc::clone(inner)), id, name, parent }
+                let id = Self::record(inner, EventKind::Open, 0, 0, name, fields);
+                Span { inner: Some(Arc::clone(inner)), id, name, parent: 0 }
             }
         }
     }
@@ -209,8 +205,9 @@ impl Tracer {
 }
 
 /// An open span; records a `Close` event when dropped. Disabled-tracer
-/// spans are inert.
-#[derive(Debug)]
+/// spans are inert, and so is [`Span::default`]: the span a caller with no
+/// tracer in reach hands to code that takes one.
+#[derive(Debug, Default)]
 pub struct Span {
     inner: Option<Arc<Mutex<TraceState>>>,
     id: u64,
@@ -228,7 +225,7 @@ impl Span {
     #[inline]
     pub fn child(&self, name: &'static str, fields: &[(&'static str, u64)]) -> Span {
         match &self.inner {
-            None => Span { inner: None, id: 0, name: "", parent: 0 },
+            None => Span::default(),
             Some(inner) => {
                 let id = Tracer::record(inner, EventKind::Open, 0, self.id, name, fields);
                 Span { inner: Some(Arc::clone(inner)), id, name, parent: self.id }

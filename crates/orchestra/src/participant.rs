@@ -22,7 +22,7 @@ use orchestra_model::{
     flatten_keyed, AntichainClock, CausalStamp, ParticipantId, ReconciliationId, Schema,
     Transaction, TransactionId, TrustPolicy, Update,
 };
-use orchestra_obs::{Counter, Obs};
+use orchestra_obs::{Counter, Obs, Span};
 use orchestra_recon::{
     resolution::resolve_conflicts, CandidateTransaction, ConflictGroup, ReconcileEngine,
     ReconcileInput, ResolutionChoice, SoftState,
@@ -249,7 +249,8 @@ impl Participant {
 
         let deferred = store.undecided_candidates(participant.id);
         if !deferred.is_empty() {
-            participant.soft.rebuild(participant.recno, deferred, participant.engine.schema());
+            let schema = participant.engine.schema();
+            participant.soft.rebuild(participant.recno, deferred, schema, &Span::default());
         }
         Ok(participant)
     }
@@ -506,8 +507,7 @@ impl Participant {
         client: &C,
     ) -> Result<ReconcileReport> {
         self.require_online()?;
-        let _span =
-            self.obs.tracer.span("reconcile", &[("participant", u64::from(self.id.as_u32()))]);
+        let span = self.reconcile_span();
         let began = client.begin_session().await?;
         let info = began.value;
         let drained = match client.drain_candidates(info.session, self.reconcile_batch_size).await {
@@ -519,7 +519,7 @@ impl Participant {
         };
         let mut retrieval = began.timing;
         retrieval.accumulate(drained.timing);
-        self.decide_and_commit(client, info, retrieval, drained.value, None).await
+        self.decide_and_commit(client, info, retrieval, drained.value, None, &span).await
     }
 
     /// Reconciles in the network-centric mode of Section 5: antecedent
@@ -533,6 +533,7 @@ impl Participant {
         store: &orchestra_store::DhtStore,
     ) -> Result<ReconcileReport> {
         self.require_online()?;
+        let span = self.reconcile_span();
         let Timed { value: plan, timing: retrieval } =
             store.begin_network_centric_reconciliation(self.id)?;
         let client = InProcessClient::new(store, self.id);
@@ -543,7 +544,13 @@ impl Participant {
             retrieval,
             plan.candidates,
             conflicts,
+            &span,
         ))
+    }
+
+    /// The span a reconciliation runs in; the engine's phases open under it.
+    fn reconcile_span(&self) -> Span {
+        self.obs.tracer.span("reconcile", &[("participant", u64::from(self.id.as_u32()))])
     }
 
     /// Refuses store-touching operations while partitioned.
@@ -561,7 +568,8 @@ impl Participant {
     /// client-centric engine over the streamed candidates against the
     /// participant's soft-state snapshots, apply, commit the session through
     /// `client` (aborting it if the commit fails), and absorb the outcome
-    /// into the participant's mirrors, timing and report.
+    /// into the participant's mirrors, timing and report. The engine's
+    /// phases run under `span`.
     async fn decide_and_commit<C: SessionClient>(
         &mut self,
         client: &C,
@@ -571,6 +579,7 @@ impl Participant {
         precomputed_conflicts: Option<
             rustc_hash::FxHashMap<TransactionId, rustc_hash::FxHashSet<TransactionId>>,
         >,
+        span: &Span,
     ) -> Result<ReconcileReport> {
         let local_start = Instant::now();
         let input = ReconcileInput {
@@ -581,7 +590,7 @@ impl Participant {
             previously_accepted: Arc::clone(&self.accepted),
             precomputed_conflicts,
         };
-        let outcome = self.engine.reconcile(input, &mut self.instance, &mut self.soft);
+        let outcome = self.engine.reconcile(input, &mut self.instance, &mut self.soft, span);
         let local_elapsed = local_start.elapsed();
 
         let committed =
@@ -634,7 +643,7 @@ impl Participant {
         choices: &[ResolutionChoice],
     ) -> Result<ResolutionReport> {
         self.require_online()?;
-        let _span = self.obs.tracer.span(
+        let span = self.obs.tracer.span(
             "conflict.resolve",
             &[("participant", u64::from(self.id.as_u32())), ("choices", choices.len() as u64)],
         );
@@ -647,6 +656,7 @@ impl Participant {
             &mut self.soft,
             &self.rejected,
             Arc::clone(&self.accepted),
+            &span,
         );
         let local_elapsed = local_start.elapsed();
 

@@ -13,6 +13,7 @@ use crate::extension::{
 };
 use crate::softstate::{ConflictGroup, SoftState};
 use orchestra_model::{flatten_keyed, Priority, ReconciliationId, Schema, TransactionId, Update};
+use orchestra_obs::Span;
 use orchestra_storage::Database;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
@@ -125,14 +126,20 @@ impl ReconcileEngine {
     /// the accepted ones to `instance`, and rebuilds `soft` from the deferred
     /// ones (previously deferred transactions remain deferred and keep their
     /// dirty marks).
+    ///
+    /// Each phase of Figure 5 runs in a child of `span`, the caller's
+    /// `reconcile` span: `check_state` (flattening included),
+    /// `find_conflicts`, `do_group`, `apply` and `update_soft_state`.
     pub fn reconcile(
         &self,
         input: ReconcileInput,
         instance: &mut Database,
         soft: &mut SoftState,
+        span: &Span,
     ) -> ReconcileOutcome {
         let schema = &self.schema;
         let mut candidates = input.candidates;
+        let phase = span.child("check_state", &[("candidates", candidates.len() as u64)]);
         // Keep every extension on Definition 3: drop members the participant
         // has already accepted. Store-built candidates arrive pruned (the
         // store excludes the accepted set when it builds extensions), so this
@@ -170,17 +177,21 @@ impl ReconcileEngine {
             );
             decisions.insert(cand.id, decision);
         }
+        drop(phase);
 
         // Line 9: FindConflicts — pairwise direct conflicts between
         // candidates, skipping pairs where one subsumes the other. In
         // network-centric mode the conflicts arrive precomputed from the
         // store and the local step is skipped.
+        let phase = span.child("find_conflicts", &[]);
         let conflicts = input
             .precomputed_conflicts
-            .unwrap_or_else(|| conflict_sets(&candidates, &flats, schema));
+            .unwrap_or_else(|| conflict_sets(&candidates, &flats, schema, &phase));
+        drop(phase);
 
         // Lines 10-12: DoGroup per priority, in decreasing order. It only
         // ever revises the decisions of conflicting candidates.
+        let phase = span.child("do_group", &[("conflicting", conflicts.len() as u64)]);
         if !conflicts.is_empty() {
             let by_id: FxHashMap<TransactionId, &CandidateTransaction> =
                 candidates.iter().map(|c| (c.id, c)).collect();
@@ -192,12 +203,14 @@ impl ReconcileEngine {
                 Self::do_group(prio, &candidates, &conflicts, &by_id, &mut decisions);
             }
         }
+        drop(phase);
 
         // Lines 14-19: apply accepted candidates. An extension none of whose
         // members has been applied yet is applied as flattened above; one
         // that shares an antecedent with an already applied candidate is
         // re-flattened without the used members, so shared antecedents are
         // applied exactly once.
+        let phase = span.child("apply", &[]);
         let mut used: FxHashSet<TransactionId> = FxHashSet::default();
         let mut outcome = ReconcileOutcome { recno: input.recno, ..Default::default() };
         for (cand, flat) in candidates.iter().zip(&flats) {
@@ -244,10 +257,12 @@ impl ReconcileEngine {
                 TransactionDecision::Defer | TransactionDecision::Accept => {}
             }
         }
+        drop(phase);
 
         // Line 21: UpdateSoftState. The common case first: nothing was
         // deferred before this run and nothing is now, so the soft state is
         // already what a rebuild would produce.
+        let phase = span.child("update_soft_state", &[("deferred", outcome.deferred.len() as u64)]);
         if soft.deferred().is_empty() && outcome.deferred.is_empty() {
             soft.advance(input.recno);
             return outcome;
@@ -284,7 +299,7 @@ impl ReconcileEngine {
                 input.previously_accepted.contains(id) || used.contains(id)
             });
         }
-        soft.rebuild(input.recno, all_deferred, schema);
+        soft.rebuild(input.recno, all_deferred, schema, &phase);
         outcome.conflict_groups = soft.conflict_groups().to_vec();
         outcome
     }
@@ -432,7 +447,7 @@ mod tests {
             candidates: vec![cand(&x1, 1), cand(&x2, 1)],
             ..Default::default()
         };
-        let out = engine.reconcile(input, &mut db, &mut soft);
+        let out = engine.reconcile(input, &mut db, &mut soft, &Span::default());
         assert_eq!(out.accepted_roots.len(), 2);
         assert!(out.rejected.is_empty());
         assert!(out.deferred.is_empty());
@@ -452,7 +467,7 @@ mod tests {
             candidates: vec![cand(&x1, 1), cand(&x2, 1)],
             ..Default::default()
         };
-        let out = engine.reconcile(input, &mut db, &mut soft);
+        let out = engine.reconcile(input, &mut db, &mut soft, &Span::default());
         assert!(out.accepted_roots.is_empty());
         assert_eq!(out.deferred.len(), 2);
         assert!(db.is_empty());
@@ -474,7 +489,7 @@ mod tests {
             candidates: vec![cand(&low, 1), cand(&high, 5)],
             ..Default::default()
         };
-        let out = engine.reconcile(input, &mut db, &mut soft);
+        let out = engine.reconcile(input, &mut db, &mut soft, &Span::default());
         assert_eq!(out.accepted_roots, vec![high.id()]);
         assert_eq!(out.rejected, vec![low.id()]);
         assert!(out.deferred.is_empty());
@@ -495,7 +510,7 @@ mod tests {
             own_updates: vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(1))],
             ..Default::default()
         };
-        let out = engine.reconcile(input, &mut db, &mut soft);
+        let out = engine.reconcile(input, &mut db, &mut soft, &Span::default());
         assert_eq!(out.rejected, vec![remote.id()]);
         assert!(db.contains_tuple_exact("Function", &func("rat", "prot1", "cell-resp")));
     }
@@ -520,7 +535,7 @@ mod tests {
             candidates: vec![cand(&remote, 1)],
             ..Default::default()
         };
-        let out = engine.reconcile(input, &mut db, &mut soft);
+        let out = engine.reconcile(input, &mut db, &mut soft, &Span::default());
         assert_eq!(out.rejected, vec![remote.id()]);
     }
 
@@ -547,7 +562,7 @@ mod tests {
             previously_rejected: Arc::new(rejected),
             ..Default::default()
         };
-        let out = engine.reconcile(input, &mut db, &mut soft);
+        let out = engine.reconcile(input, &mut db, &mut soft, &Span::default());
         assert_eq!(out.rejected, vec![x1.id()]);
         assert!(db.is_empty());
     }
@@ -567,6 +582,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert!(soft.is_dirty("Function", &orchestra_model::KeyValue::of_text(&["rat", "prot1"])));
 
@@ -582,6 +598,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(out.deferred, vec![x3.id()]);
         assert!(db.is_empty());
@@ -607,6 +624,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(out.accepted_roots.len(), 2);
         // base appears once in accepted_members even though it is in both
@@ -632,6 +650,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert!(out.accepted_roots.is_empty());
         assert_eq!(out.deferred.len(), 3);
@@ -652,6 +671,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         // The high-priority transaction is applied; both low-priority
         // transactions conflict with it and are rejected, not deferred.
@@ -701,6 +721,7 @@ mod tests {
                 },
                 &mut db,
                 &mut soft,
+                &Span::default(),
             );
             assert_eq!(out.accepted_roots, vec![high.id()]);
             assert_eq!(out.deferred.len(), 2, "only d1/d2 defer (low id {low_participant})");
@@ -744,6 +765,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(soft.conflict_groups().len(), 2);
         let deferred_with = deferred_flattening(&soft, y1.id());
@@ -754,6 +776,7 @@ mod tests {
             ReconcileInput { recno: ReconciliationId(2), ..Default::default() },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert!(Arc::ptr_eq(&deferred_with, &deferred_flattening(&soft, y1.id())));
 
@@ -769,6 +792,7 @@ mod tests {
             &mut soft,
             &FxHashSet::default(),
             Arc::default(),
+            &Span::default(),
         );
         assert_eq!(resolved.rerun.accepted_roots.len(), 1);
         assert!(soft.is_deferred(y1.id()) && soft.is_deferred(y2.id()));
@@ -800,6 +824,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         let deferred_with = deferred_flattening(&soft, y1.id());
 
@@ -813,6 +838,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         let pruned = &soft.deferred()[&y1.id()];
         assert_eq!(pruned.members.len(), 1);
@@ -838,6 +864,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(out.accepted_roots, vec![accepted.id()]);
         assert_eq!(out.rejected, vec![rejected.id()]);
@@ -846,7 +873,7 @@ mod tests {
         // Nothing was deferred before or after: the soft state was only
         // advanced, and reads exactly as a rebuild from no candidates would.
         let mut rebuilt = SoftState::new();
-        rebuilt.rebuild(ReconciliationId(7), vec![], engine.schema());
+        rebuilt.rebuild(ReconciliationId(7), vec![], engine.schema(), &Span::default());
         assert_eq!(soft.dirty_len(), rebuilt.dirty_len());
         assert_eq!(soft.deferred(), rebuilt.deferred());
         assert_eq!(soft.conflict_groups(), rebuilt.conflict_groups());
@@ -868,6 +895,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(out.accepted_roots, vec![remote.id()]);
         // Nothing new was applied; the value was already there.

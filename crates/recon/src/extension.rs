@@ -12,6 +12,7 @@ use orchestra_model::{
     flatten_keyed, ConflictKey, KeyValue, NetUpdates, Priority, Schema, Transaction, TransactionId,
     Update,
 };
+use orchestra_obs::Span;
 use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use std::cell::OnceCell;
 use std::fmt;
@@ -81,7 +82,7 @@ pub(crate) fn conflict_keys_with(flat: &FlatExtension, other: &KeyIndex<'_>) -> 
 /// Finds the conflict-group keys on which two flattened update sets conflict,
 /// comparing only updates that touch a common `(relation, key)` pair first —
 /// which every conflicting pair does.
-pub fn conflict_keys_between(left: &FlatExtension, right: &FlatExtension) -> Vec<ConflictKey> {
+fn conflict_keys_between(left: &FlatExtension, right: &FlatExtension) -> Vec<ConflictKey> {
     conflict_keys(&TouchedPairs::new([left, right]).meetings())
 }
 
@@ -251,11 +252,17 @@ pub(crate) fn subsumes(members: &FxHashSet<TransactionId>, other: &CandidateTran
 /// takes back to `a` and the other on to `c` flattens to nothing beside
 /// `a → c`, but without the shared member it is `b → a` against `b → c`.
 /// Such a pair is not compared.
+///
+/// The sorted pass, with the disjoint pairs it decides, runs in a
+/// `pair_pass` child of `span`, and the pairs that share members in a
+/// `shared_member_pairs` child.
 pub fn direct_conflicts(
     candidates: &[CandidateTransaction],
     flats: &[Arc<FlatExtension>],
     schema: &Schema,
+    span: &Span,
 ) -> Vec<(usize, usize, Vec<ConflictKey>)> {
+    let pair_pass = span.child("pair_pass", &[("candidates", candidates.len() as u64)]);
     let touched = TouchedPairs::new(flats.iter().map(|flat| &**flat));
     let mut meetings = touched.meetings();
     let mut found = Vec::new();
@@ -266,6 +273,9 @@ pub fn direct_conflicts(
 
     let member_ids: Vec<OnceCell<FxHashSet<TransactionId>>> =
         candidates.iter().map(|_| OnceCell::new()).collect();
+    // A pair that shares members is decided after the pass, in its place in
+    // `found`.
+    let mut sharing = Vec::new();
     for pair in runs(&meetings, |a, b| a.pair == b.pair) {
         let (i, j) = pair[0].pair;
         let a = member_ids[i].get_or_init(|| candidates[i].member_ids());
@@ -273,16 +283,27 @@ pub fn direct_conflicts(
         if subsumes(a, &candidates[j]) || subsumes(b, &candidates[i]) {
             continue;
         }
-        let keys = if a.iter().any(|id| b.contains(id)) {
-            let shared = |id: &TransactionId| a.contains(id) && b.contains(id);
-            candidates[i].conflict_keys_excluding(&candidates[j], shared, schema)
+        if a.iter().any(|id| b.contains(id)) {
+            sharing.push(found.len());
+            found.push((i, j, Vec::new()));
         } else {
-            conflict_keys(pair)
-        };
-        if !keys.is_empty() {
-            found.push((i, j, keys));
+            let keys = conflict_keys(pair);
+            if !keys.is_empty() {
+                found.push((i, j, keys));
+            }
         }
     }
+    drop(pair_pass);
+
+    let _shared = span.child("shared_member_pairs", &[("pairs", sharing.len() as u64)]);
+    for at in sharing {
+        let (i, j, _) = found[at];
+        let a = member_ids[i].get_or_init(|| candidates[i].member_ids());
+        let b = member_ids[j].get_or_init(|| candidates[j].member_ids());
+        let shared = |id: &TransactionId| a.contains(id) && b.contains(id);
+        found[at].2 = candidates[i].conflict_keys_excluding(&candidates[j], shared, schema);
+    }
+    found.retain(|(_, _, keys)| !keys.is_empty());
     found
 }
 
@@ -292,9 +313,10 @@ pub fn conflict_sets(
     candidates: &[CandidateTransaction],
     flats: &[Arc<FlatExtension>],
     schema: &Schema,
+    span: &Span,
 ) -> FxHashMap<TransactionId, FxHashSet<TransactionId>> {
     let mut conflicts: FxHashMap<TransactionId, FxHashSet<TransactionId>> = FxHashMap::default();
-    for (i, j, _) in direct_conflicts(candidates, flats, schema) {
+    for (i, j, _) in direct_conflicts(candidates, flats, schema, span) {
         let (a, b) = (candidates[i].id, candidates[j].id);
         conflicts.entry(a).or_default().insert(b);
         conflicts.entry(b).or_default().insert(a);
@@ -572,7 +594,10 @@ mod tests {
         assert_eq!(kinds, vec![orchestra_model::ConflictKind::DivergentModify]);
         let candidates = [c1, c2];
         let flats: Vec<_> = candidates.iter().map(|c| Arc::clone(c.flattening(&schema))).collect();
-        assert_eq!(direct_conflicts(&candidates, &flats, &schema), vec![(0, 1, keys)]);
+        assert_eq!(
+            direct_conflicts(&candidates, &flats, &schema, &Span::default()),
+            vec![(0, 1, keys)]
+        );
     }
 
     #[test]
@@ -769,7 +794,7 @@ mod tests {
                 let flats: Vec<Arc<FlatExtension>> =
                     candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
                 let found: Vec<(usize, usize, Vec<ConflictKey>)> =
-                    direct_conflicts(&candidates, &flats, &schema);
+                    direct_conflicts(&candidates, &flats, &schema, &Span::default());
                 let pairs: Vec<(usize, usize)> = found.iter().map(|(i, j, _)| (*i, *j)).collect();
                 prop_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "ascending (i, j)");
                 let found: BTreeSet<(usize, usize, BTreeSet<ConflictKey>)> = found
@@ -878,7 +903,7 @@ mod tests {
                 let candidates = candidates_of(&transactions(pool), &picks);
                 let flats: Vec<Arc<FlatExtension>> =
                     candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
-                prop_assert_eq!(direct_conflicts(&candidates, &flats, &schema), all_pairs(&candidates, &flats));
+                prop_assert_eq!(direct_conflicts(&candidates, &flats, &schema, &Span::default()), all_pairs(&candidates, &flats));
             }
         }
 
@@ -910,7 +935,7 @@ mod tests {
             assert_eq!(touching, vec![0, 1, 2, 3]);
             // The deletion of `k1` meets the insertion and the in-place
             // modify there; the move onto `k1` meets everyone only second.
-            let found = direct_conflicts(&candidates, &flats, &schema);
+            let found = direct_conflicts(&candidates, &flats, &schema, &Span::default());
             assert_eq!(found, all_pairs(&candidates, &flats));
             let pairs: Vec<(usize, usize)> = found.iter().map(|(i, j, _)| (*i, *j)).collect();
             assert_eq!(pairs, vec![(0, 1), (0, 2)]);
@@ -942,7 +967,10 @@ mod tests {
             assert_eq!(kinds, vec![ConflictKind::DivergentModify]);
             let flats: Vec<Arc<FlatExtension>> =
                 candidates.iter().map(|cand| Arc::clone(cand.flattening(&schema))).collect();
-            assert_eq!(direct_conflicts(&candidates, &flats, &schema), vec![(0, 1, keys)]);
+            assert_eq!(
+                direct_conflicts(&candidates, &flats, &schema, &Span::default()),
+                vec![(0, 1, keys)]
+            );
         }
     }
 }

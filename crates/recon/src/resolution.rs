@@ -12,6 +12,7 @@ use crate::engine::{ReconcileEngine, ReconcileInput, ReconcileOutcome};
 use crate::extension::CandidateTransaction;
 use crate::softstate::SoftState;
 use orchestra_model::{ConflictKey, ReconciliationId, TransactionId, Update};
+use orchestra_obs::Span;
 use orchestra_storage::Database;
 use rustc_hash::FxHashSet;
 
@@ -46,7 +47,9 @@ pub struct ResolutionOutcome {
 /// accepted set,
 /// which the rerun uses to keep candidate extensions on Definition 3
 /// (accepted members are pruned). `own_updates` should normally be empty —
-/// resolution is not a publication step.
+/// resolution is not a publication step. The rerun is a `reconcile` child of
+/// `span`, with the engine's phases under it.
+#[allow(clippy::too_many_arguments)]
 pub fn resolve_conflicts(
     engine: &ReconcileEngine,
     recno: ReconciliationId,
@@ -55,6 +58,7 @@ pub fn resolve_conflicts(
     soft: &mut SoftState,
     previously_rejected: &FxHashSet<TransactionId>,
     previously_accepted: std::sync::Arc<FxHashSet<TransactionId>>,
+    span: &Span,
 ) -> ResolutionOutcome {
     let mut outcome = ResolutionOutcome::default();
 
@@ -101,7 +105,7 @@ pub fn resolve_conflicts(
     // Clear the soft state (the deferred set has been drained) and re-run
     // reconciliation treating the remaining deferred transactions as freshly
     // published.
-    soft.rebuild(recno, Vec::new(), engine.schema());
+    soft.rebuild(recno, Vec::new(), engine.schema(), &Span::default());
     let mut all_rejected = previously_rejected.clone();
     all_rejected.extend(rejected_now.iter().copied());
     let input = ReconcileInput {
@@ -112,7 +116,8 @@ pub fn resolve_conflicts(
         previously_accepted,
         precomputed_conflicts: None,
     };
-    outcome.rerun = engine.reconcile(input, instance, soft);
+    let rerun = span.child("reconcile", &[("candidates", input.candidates.len() as u64)]);
+    outcome.rerun = engine.reconcile(input, instance, soft, &rerun);
     outcome
 }
 
@@ -154,6 +159,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(out.deferred.len(), 2);
         (engine, db, soft, x1, x2)
@@ -177,6 +183,7 @@ mod tests {
             &mut soft,
             &FxHashSet::default(),
             std::sync::Arc::default(),
+            &Span::default(),
         );
         assert_eq!(outcome.newly_rejected, vec![x1.id()]);
         assert_eq!(outcome.rerun.accepted_roots, vec![x2.id()]);
@@ -199,6 +206,7 @@ mod tests {
             &mut soft,
             &FxHashSet::default(),
             std::sync::Arc::default(),
+            &Span::default(),
         );
         let mut rejected = outcome.newly_rejected.clone();
         rejected.sort();
@@ -228,6 +236,7 @@ mod tests {
             },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         assert_eq!(soft.conflict_groups().len(), 2);
 
@@ -244,6 +253,7 @@ mod tests {
             &mut soft,
             &FxHashSet::default(),
             std::sync::Arc::default(),
+            &Span::default(),
         );
         assert_eq!(outcome.newly_rejected, vec![a2.id()]);
         assert!(outcome.rerun.accepted_roots.contains(&a1.id()));
@@ -271,6 +281,7 @@ mod tests {
             &mut soft,
             &FxHashSet::default(),
             std::sync::Arc::default(),
+            &Span::default(),
         );
         assert!(outcome.newly_rejected.is_empty());
         // Nothing was resolved, so both transactions re-defer.

@@ -12,6 +12,7 @@ use crate::extension::{direct_conflicts, subsumes, CandidateTransaction, FlatExt
 use orchestra_model::{
     ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId, Tuple, UpdateKind,
 };
+use orchestra_obs::Span;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cell::OnceCell;
 use std::fmt;
@@ -169,12 +170,14 @@ impl SoftState {
     /// Each candidate's flattening is read from the candidate itself (see
     /// [`CandidateTransaction::flattening`]): one deferred by an earlier
     /// reconciliation with an unchanged chain, or handed over by the engine
-    /// that just flattened it, is not flattened again.
+    /// that just flattened it, is not flattened again. The conflict pairs
+    /// are found under `span` (see [`direct_conflicts`]).
     pub fn rebuild(
         &mut self,
         recno: ReconciliationId,
         deferred: Vec<CandidateTransaction>,
         schema: &Schema,
+        span: &Span,
     ) {
         self.dirty.clear();
         self.conflict_groups.clear();
@@ -191,7 +194,7 @@ impl SoftState {
             }
         }
         let mut groups: FxHashMap<ConflictKey, FxHashSet<TransactionId>> = FxHashMap::default();
-        for (i, j, keys) in direct_conflicts(&deferred, &flattened, schema) {
+        for (i, j, keys) in direct_conflicts(&deferred, &flattened, schema, span) {
             for key in keys {
                 groups.entry(key).or_default().extend([deferred[i].id, deferred[j].id]);
             }
@@ -336,7 +339,7 @@ mod tests {
         let c1 =
             cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1.clone(), c2.clone()], &schema);
+        s.rebuild(ReconciliationId(1), vec![c1.clone(), c2.clone()], &schema, &Span::default());
 
         assert_eq!(s.last_recno(), ReconciliationId(1));
         assert!(s.is_dirty("Function", &KeyValue::of_text(&["rat", "prot1"])));
@@ -363,7 +366,7 @@ mod tests {
             cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
         let diff =
             cand(4, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(4))]);
-        s.rebuild(ReconciliationId(2), vec![same_a, same_b, diff], &schema);
+        s.rebuild(ReconciliationId(2), vec![same_a, same_b, diff], &schema, &Span::default());
 
         assert_eq!(s.conflict_groups().len(), 1);
         let group = &s.conflict_groups()[0];
@@ -383,7 +386,7 @@ mod tests {
         let backward = cand(3, 0, vec![insert(&b, 3), insert(&a, 3)]);
         let other = cand(4, 0, vec![insert(&func("rat", "prot1", "c"), 4)]);
         let ids = [forward.id, backward.id, other.id];
-        s.rebuild(ReconciliationId(1), vec![forward, backward, other], &schema);
+        s.rebuild(ReconciliationId(1), vec![forward, backward, other], &schema, &Span::default());
 
         assert_eq!(s.conflict_groups().len(), 1);
         let options = &s.conflict_groups()[0].options;
@@ -402,10 +405,10 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "b"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema);
+        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema, &Span::default());
         assert_eq!(s.dirty_len(), 1);
 
-        s.rebuild(ReconciliationId(2), vec![], &schema);
+        s.rebuild(ReconciliationId(2), vec![], &schema, &Span::default());
         assert_eq!(s.dirty_len(), 0);
         assert!(s.deferred().is_empty());
         assert!(s.conflict_groups().is_empty());
@@ -418,7 +421,7 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let id = c1.id;
-        s.rebuild(ReconciliationId(1), vec![c1], &schema);
+        s.rebuild(ReconciliationId(1), vec![c1], &schema, &Span::default());
         let removed = s.remove_deferred(id).unwrap();
         assert_eq!(removed.id, id);
         assert!(s.remove_deferred(id).is_none());
@@ -430,7 +433,7 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema);
+        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema, &Span::default());
         assert!(s.conflict_groups().is_empty());
         assert_eq!(s.dirty_len(), 2);
     }

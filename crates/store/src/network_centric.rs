@@ -27,6 +27,7 @@ use crate::api::{SessionInfo, Timed};
 use crate::client::{poll_ready, InProcessClient, SessionClient};
 use crate::dht::DhtStore;
 use orchestra_model::{ParticipantId, TransactionId};
+use orchestra_obs::Span;
 use orchestra_recon::extension::{candidates_by_key, conflict_sets, FlatExtension};
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::Result;
@@ -131,7 +132,7 @@ impl DhtStore {
         });
         // The verdicts are the engine's own `FindConflicts`, computed where
         // the keys live.
-        let conflicts = conflict_sets(&candidates, &flattened, &schema);
+        let conflicts = conflict_sets(&candidates, &flattened, &schema, &Span::default());
 
         Ok(Timed::new(NetworkCentricPlan { info, candidates, conflicts }, timing))
     }

@@ -36,12 +36,13 @@ pub use retention::{
     run_retention_scenario, RetentionChurnConfig, RetentionChurnResult, RetentionSample,
 };
 pub use scale::{
-    run_churn_scale, run_churn_scale_fabric_observed, run_churn_scale_observed,
-    zipf_fanin_policies, ScaleConfig, ScaleDriver, ScaleRunResult,
+    decision_fingerprint, run_churn_scale, run_churn_scale_fabric_observed,
+    run_churn_scale_observed, zipf_fanin_policies, ScaleConfig, ScaleDriver, ScaleRunResult,
 };
 pub use scenario::{
-    mutual_trust_policies, run_churn_concurrent, run_churn_scenario, run_scenario, ChurnConfig,
-    ChurnResult, ChurnSample, ScenarioConfig, ScenarioResult,
+    mutual_trust_policies, run_churn_concurrent, run_churn_scenario, run_churn_scenario_observed,
+    run_scenario, scenario_schedule, ChurnConfig, ChurnResult, ChurnSample, ScenarioConfig,
+    ScenarioResult,
 };
 pub use schedule::{ChurnTotals, Confederation, Driver, Outcome, Step};
 pub use swissprot::SwissProtPools;

@@ -272,7 +272,7 @@ pub fn zipf_fanin_policies(
 }
 
 /// Order-invariant fingerprint of every participant's decision record.
-fn decision_fingerprint<S: UpdateStore>(store: &S, ids: &[ParticipantId]) -> u64 {
+pub fn decision_fingerprint<S: UpdateStore>(store: &S, ids: &[ParticipantId]) -> u64 {
     let mut combined = 0u64;
     for &id in ids {
         let mut hasher = FxHasher::default();

@@ -2,9 +2,11 @@
 //! workload and report the paper's metrics.
 
 use crate::generator::WorkloadConfig;
+use crate::scale::decision_fingerprint;
 use crate::schedule::{churn_turns, wave_schedule, Confederation, Driver, Step};
 use orchestra::TimingBreakdown;
 use orchestra_model::{ParticipantId, TrustPolicy};
+use orchestra_obs::Obs;
 use orchestra_store::UpdateStore;
 use rustc_hash::FxHashMap;
 use std::time::{Duration, Instant};
@@ -80,9 +82,13 @@ pub fn mutual_trust_policies(participants: usize, priority: u32) -> Vec<TrustPol
         .collect()
 }
 
-/// Runs one experiment: `rounds` cycles in which every participant executes
-/// its share of the workload, publishes, and reconciles.
-pub fn run_scenario<S: UpdateStore>(store: S, config: &ScenarioConfig) -> ScenarioResult {
+/// One experiment's mutual-trust confederation over `store` and its
+/// schedule: `rounds` cycles in which every participant executes its share
+/// of the workload, publishes, and reconciles.
+pub fn scenario_schedule<S: UpdateStore>(
+    store: S,
+    config: &ScenarioConfig,
+) -> (Confederation<S>, Vec<Step>) {
     let mut conf = Confederation::new(store, mutual_trust_policies(config.participants, 1));
     conf.seed_generators(&config.workload, config.seed, 7919);
     let ids = conf.system.participant_ids();
@@ -94,8 +100,13 @@ pub fn run_scenario<S: UpdateStore>(store: S, config: &ScenarioConfig) -> Scenar
             Step::Reconcile(vec![id]),
         ]
     };
-    let steps: Vec<Step> = (0..config.rounds).flat_map(|_| ids.iter().flat_map(turn)).collect();
+    let steps = (0..config.rounds).flat_map(|_| ids.iter().flat_map(turn)).collect();
+    (conf, steps)
+}
 
+/// Runs one experiment ([`scenario_schedule`]) under the sequential driver.
+pub fn run_scenario<S: UpdateStore>(store: S, config: &ScenarioConfig) -> ScenarioResult {
+    let (mut conf, steps) = scenario_schedule(store, config);
     let mut total_timing = TimingBreakdown::default();
     conf.run(&steps, &Driver::sequential(), |outcome| {
         for (_, report) in outcome.reconciled {
@@ -204,6 +215,9 @@ pub struct ChurnResult {
     pub total_wall: Duration,
     /// Final state ratio over the `Function` relation.
     pub state_ratio: f64,
+    /// Order-invariant fingerprint of every participant's decision record
+    /// at the store when the run ended.
+    pub decision_fingerprint: u64,
     /// Per-reconciliation samples, in execution order.
     pub samples: Vec<ChurnSample>,
 }
@@ -231,7 +245,19 @@ pub(crate) fn churn_schedule(config: &ChurnConfig, ids: &[ParticipantId]) -> Vec
 /// Runs a churn experiment: a long interleaved publish/reconcile history over
 /// the given store, sampling the store-side cost of every reconciliation.
 pub fn run_churn_scenario<S: UpdateStore>(store: S, config: &ChurnConfig) -> ChurnResult {
-    run_churn(store, config, churn_schedule, &Driver::sequential())
+    run_churn_scenario_observed(store, config, &Obs::disabled())
+}
+
+/// [`run_churn_scenario`] reporting into a caller-supplied observability
+/// sink shared by every participant. When its tracer is enabled, each
+/// reconciliation and each resolution records a wall-clock span with the
+/// engine's Figure 5 phases under it (see `examples/engine_trace.rs`).
+pub fn run_churn_scenario_observed<S: UpdateStore>(
+    store: S,
+    config: &ChurnConfig,
+    obs: &Obs,
+) -> ChurnResult {
+    run_churn(store, config, churn_schedule, &Driver::sequential(), obs)
 }
 
 /// Runs the concurrent-churn scenario: the schedule of
@@ -258,7 +284,7 @@ pub fn run_churn_concurrent<S: UpdateStore>(
             ids,
         )
     };
-    run_churn(store, config, waved, driver)
+    run_churn(store, config, waved, driver, &Obs::disabled())
 }
 
 /// The churn runners' one body: they differ in the schedule they build and
@@ -268,9 +294,12 @@ fn run_churn<S: UpdateStore>(
     config: &ChurnConfig,
     schedule: impl Fn(&ChurnConfig, &[ParticipantId]) -> Vec<Step>,
     driver: &Driver<S>,
+    obs: &Obs,
 ) -> ChurnResult {
     let mut conf = churn_confederation(store, config);
-    let steps = schedule(config, &conf.system.participant_ids());
+    conf.system.set_observability(obs);
+    let ids = conf.system.participant_ids();
+    let steps = schedule(config, &ids);
 
     let mut result = ChurnResult::default();
     let mut last_epoch: FxHashMap<ParticipantId, u64> = FxHashMap::default();
@@ -304,6 +333,7 @@ fn run_churn<S: UpdateStore>(
     result.deferred = totals.deferred;
     result.resolutions = totals.resolutions;
     result.state_ratio = totals.state_ratio;
+    result.decision_fingerprint = decision_fingerprint(conf.system.store(), &ids);
     result
 }
 

@@ -5,18 +5,21 @@
 //!   byte-identical traces, and the fabric capture is reproducible too.
 //! * **Decision invariance** — turning the tracer on changes no decision:
 //!   fingerprints, session counts and state ratios are identical with
-//!   tracing enabled and disabled, for both the service and fabric drivers.
+//!   tracing enabled and disabled, for the service and fabric drivers and
+//!   for the sequential churn scenario, whose trace nests the engine's
+//!   phase spans in `reconcile` spans.
 //! * **Near-zero disabled cost** — a disabled tracer reduces every span and
 //!   event call to one `Option` check; a comparative microbench pins that
 //!   below the enabled tracer's cost.
 
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_obs::{export, Obs};
+use orchestra_obs::{export, EventKind, Obs};
 use orchestra_store::CentralStore;
 use orchestra_workload::{
-    run_churn_scale, run_churn_scale_fabric_observed, run_churn_scale_observed, ScaleConfig,
-    ScaleDriver,
+    run_churn_scale, run_churn_scale_fabric_observed, run_churn_scale_observed, run_churn_scenario,
+    run_churn_scenario_observed, ChurnConfig, ScaleConfig, ScaleDriver, WorkloadConfig,
 };
+use std::collections::HashMap;
 
 /// A schedule small enough for debug-build CI but large enough to exercise
 /// publish fan-out, sessions, batching and the final catch-up wave.
@@ -122,6 +125,42 @@ fn tracing_changes_no_decisions() {
     // And they all agree with each other — the service and fabric drivers
     // replay one schedule.
     assert_eq!(dark.decision_fingerprint, dark_fabric.decision_fingerprint);
+
+    // The sequential churn scenario on a contended universe, so conflicts
+    // are deferred and resolved, with the engine's phase spans on.
+    let churn = ChurnConfig {
+        participants: 4,
+        rounds: 10,
+        transactions_per_publish: 1,
+        max_reconcile_interval: 3,
+        resolve_every: 3,
+        workload: WorkloadConfig {
+            transaction_size: 1,
+            key_universe: 12,
+            function_pool: 8,
+            value_zipf_exponent: 1.5,
+            key_zipf_exponent: 1.2,
+            xref_mean: 7.3,
+        },
+        seed: 11,
+    };
+    let dark_churn = run_churn_scenario(CentralStore::new(bioinformatics_schema()), &churn);
+    let obs = Obs::enabled();
+    let lit_churn =
+        run_churn_scenario_observed(CentralStore::new(bioinformatics_schema()), &churn, &obs);
+    assert!(dark_churn.deferred > 0 && dark_churn.resolutions > 0);
+    assert_eq!(dark_churn.decision_fingerprint, lit_churn.decision_fingerprint);
+    assert_eq!(dark_churn.state_ratio, lit_churn.state_ratio);
+    let events = obs.tracer.events();
+    let opened: Vec<_> = events.iter().filter(|e| e.kind == EventKind::Open).collect();
+    let name_of: HashMap<u64, &str> = opened.iter().map(|e| (e.span, e.name)).collect();
+    for phase in ["check_state", "find_conflicts", "do_group", "apply", "update_soft_state"] {
+        let spans: Vec<_> = opened.iter().filter(|e| e.name == phase).collect();
+        assert!(!spans.is_empty(), "the trace has no {phase} span");
+        for span in spans {
+            assert_eq!(name_of.get(&span.parent), Some(&"reconcile"), "{phase} outside reconcile");
+        }
+    }
 }
 
 #[test]

@@ -6,6 +6,7 @@ use orchestra_model::{
     flatten, flatten_keyed, Epoch, KeyValue, ParticipantId, Priority, ReconciliationId,
     RelationSchema, Schema, Transaction, Tuple, Update, UpdateOp, Value,
 };
+use orchestra_obs::Span;
 use orchestra_recon::{CandidateTransaction, ReconcileEngine, ReconcileInput, SoftState};
 use orchestra_spec::{check_state, Verdict};
 use orchestra_storage::{Database, StorageError, Table, TransactionLog};
@@ -647,6 +648,7 @@ proptest! {
                 },
                 &mut db,
                 &mut soft,
+                &Span::default(),
             );
             (outcome, db)
         };
@@ -709,6 +711,7 @@ proptest! {
             ReconcileInput { recno: ReconciliationId(1), candidates, ..Default::default() },
             &mut db,
             &mut soft,
+            &Span::default(),
         );
         // The instance holds at most one tuple for the contested key.
         prop_assert!(db.relation_contents("Function").len() <= 1);
@@ -788,6 +791,7 @@ proptest! {
             },
             &mut db,
             &mut SoftState::new(),
+            &Span::default(),
         );
         prop_assert_eq!(outcome.accepted_roots, accepted);
         prop_assert_eq!(outcome.rejected, rejected);
