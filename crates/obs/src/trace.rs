@@ -26,7 +26,7 @@ pub enum TimeSource {
 
 impl TimeSource {
     /// A wall-clock source anchored at "now".
-    pub fn wall() -> Self {
+    fn wall() -> Self {
         TimeSource::Wall(Instant::now())
     }
 

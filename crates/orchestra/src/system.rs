@@ -765,7 +765,9 @@ mod tests {
         assert_eq!(system.participant_ids(), vec![p(1), p(2)]);
         // The store forgot the registration (but not the decision record);
         // further driving of the retired id errors at the system.
-        assert_eq!(system.store().catalog().participants(), vec![p(1), p(2)]);
+        let catalog = system.store().catalog();
+        assert!(catalog.policy(p(1)).is_some() && catalog.policy(p(2)).is_some());
+        assert!(catalog.policy(p(3)).is_none());
         assert!(system.reconcile(p(3)).is_err());
         assert!(system.retire_participant(p(3)).is_err());
         assert!(system.retire_participant(p(9)).is_err());

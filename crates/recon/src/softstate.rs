@@ -72,7 +72,8 @@ pub struct ConflictGroup {
 
 impl ConflictGroup {
     /// Every transaction involved in the group, across all options.
-    pub fn transactions(&self) -> Vec<TransactionId> {
+    #[cfg(test)]
+    pub(crate) fn transactions(&self) -> Vec<TransactionId> {
         let mut out = Vec::new();
         for opt in &self.options {
             for t in &opt.transactions {

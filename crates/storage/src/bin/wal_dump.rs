@@ -16,7 +16,6 @@
 use orchestra_storage::codec::{decode_record, decode_snapshot};
 use orchestra_storage::segment::parse_stamp;
 use orchestra_storage::wal::{crc32, WalRecord};
-use orchestra_storage::Decision;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -142,10 +141,10 @@ fn describe_snapshot(payload: &[u8]) {
     match decode_snapshot(payload) {
         Ok(snap) => {
             println!(
-                "  snapshot: generation {}, {} epoch record(s), {} log entr(ies), \
+                "  snapshot: generation {}, {} epoch(s) allocated, {} log entr(ies), \
                  {} participant(s), membership frontier {}, pruned through {}, retention {:?}",
                 snap.wal_generation,
-                snap.registry.len(),
+                snap.registry.latest_allocated().as_u64(),
                 snap.log.len(),
                 snap.participants.len(),
                 snap.membership_frontier.as_u64(),
@@ -161,14 +160,19 @@ fn describe_snapshot(payload: &[u8]) {
                 );
             }
             for p in &snap.participants {
-                let accepted = p.record.with_decision(Decision::Accepted).len();
-                let rejected = p.record.with_decision(Decision::Rejected).len();
+                let last = match p.record.last_reconciliation() {
+                    Some((recno, epoch)) => {
+                        format!("(recno {}, epoch {})", recno.0, epoch.as_u64())
+                    }
+                    None => "none".to_string(),
+                };
                 println!(
-                    "    p{}: registered={}, retired={}, cursor={:?}, +{accepted} -{rejected}",
+                    "    p{}: registered={}, retired={}, +{} -{}, last reconciliation {last}",
                     p.id.as_u32(),
                     p.registered,
                     p.retired,
-                    p.cursor.map(|e| e.as_u64()),
+                    p.record.accepted_in_order().len(),
+                    p.record.rejected_snapshot().len(),
                 );
             }
         }

@@ -15,7 +15,7 @@
 //! └──────┴─────┴─────────────────────────┘
 //! ```
 //!
-//! and a snapshot payload starts with `0xC5` instead. [`decode_record`] and
+//! and a snapshot payload starts with `0xC6` instead. [`decode_record`] and
 //! [`decode_snapshot`] reject a payload whose first byte is not their magic
 //! with a typed [`StorageError::Persistence`].
 //!
@@ -30,8 +30,8 @@
 //! Payloads travel inside the CRC-32 [`crate::wal::FrameLog`] frame format,
 //! which is what detects torn tails and bit flips.
 
-use crate::decisions::{Decision, ParticipantRecord};
-use crate::epoch::{CausalNode, EpochRecord, EpochRegistry, PublicationStatus};
+use crate::decisions::ParticipantRecord;
+use crate::epoch::{CausalNode, EpochRegistry};
 use crate::error::{Result, StorageError};
 use crate::log::{LogEntry, TransactionLog};
 use crate::retention::RetentionPolicy;
@@ -43,13 +43,13 @@ use orchestra_model::{
     Priority, ReconciliationId, RelName, Schema, StampId, Transaction, TransactionId, TrustPolicy,
     Tuple, Update, UpdateKind, UpdateOp, Value, ValueType,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// First byte of a WAL-record payload.
 pub(crate) const WAL_MAGIC: u8 = 0xC1;
-/// First byte of a snapshot payload.
-pub(crate) const SNAPSHOT_MAGIC: u8 = 0xC5;
+/// First byte of a snapshot payload. `0xC5` marked an earlier layout: it is
+/// refused like any other byte, and never reused.
+pub(crate) const SNAPSHOT_MAGIC: u8 = 0xC6;
 
 /// The encoding of WAL records and snapshots. There is exactly one; the enum
 /// and [`encode_record`]'s second argument remain only because
@@ -856,67 +856,39 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord> {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-fn enc_record_map(e: &mut Enc, record: &ParticipantRecord) {
-    // The decision map is hash-backed: write it sorted by transaction id so
-    // equal records encode byte-identically.
-    let decisions: BTreeMap<TransactionId, Decision> =
-        record.decisions.iter().map(|(&id, &d)| (id, d)).collect();
-    e.u64(decisions.len() as u64);
-    for (id, decision) in decisions {
-        enc_txn_id(e, id);
-        e.u8(match decision {
-            Decision::Accepted => 0,
-            Decision::Rejected => 1,
-        });
-    }
-    enc_txn_ids(e, &record.accepted_order);
-    e.u64(record.reconciliations.len() as u64);
-    for (recno, epoch) in &record.reconciliations {
-        e.u64(recno.0);
-        e.u64(epoch.as_u64());
+fn enc_record(e: &mut Enc, record: &ParticipantRecord) {
+    enc_txn_ids(e, record.accepted_in_order());
+    // The rejected set is hash-backed: write it sorted so equal records
+    // encode byte-identically.
+    enc_txn_ids(e, &record.rejected_sorted());
+    match record.last_reconciliation() {
+        Some((recno, epoch)) => {
+            e.u8(1);
+            e.u64(recno.0);
+            e.u64(epoch.as_u64());
+        }
+        None => e.u8(0),
     }
 }
 
-fn dec_record_map(d: &mut Dec<'_>) -> Result<ParticipantRecord> {
-    let mut record = ParticipantRecord::new();
-    let decisions = d.usize()?;
-    for _ in 0..decisions {
-        let id = dec_txn_id(d)?;
-        let decision = match d.u8()? {
-            0 => Decision::Accepted,
-            1 => Decision::Rejected,
-            other => {
-                return Err(StorageError::Persistence(format!("invalid decision tag {other}")))
-            }
-        };
-        record.decisions.insert(id, decision);
-    }
-    record.accepted_order = dec_txn_ids(d)?;
-    let reconciliations = d.usize()?;
-    for _ in 0..reconciliations {
-        let recno = ReconciliationId(d.u64()?);
-        let epoch = Epoch(d.u64()?);
-        record.reconciliations.push((recno, epoch));
-    }
-    // Derived sets stay empty: the caller rebuilds them.
-    Ok(record)
+fn dec_record(d: &mut Dec<'_>) -> Result<ParticipantRecord> {
+    let accepted_order = dec_txn_ids(d)?;
+    let rejected = dec_txn_ids(d)?;
+    let last = match d.u8()? {
+        0 => None,
+        1 => Some((ReconciliationId(d.u64()?), Epoch(d.u64()?))),
+        other => {
+            return Err(StorageError::Persistence(format!("invalid reconciliation tag {other}")))
+        }
+    };
+    ParticipantRecord::restore(accepted_order, rejected, last)
 }
 
 /// Serialises a snapshot as a frame payload.
 pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
     let mut e = Enc::new(SNAPSHOT_MAGIC);
     enc_schema(&mut e, &snapshot.schema);
-    e.u64(snapshot.registry.records.len() as u64);
-    for (epoch, record) in snapshot.registry.records() {
-        e.u64(epoch);
-        enc_participant(&mut e, record.publisher);
-        e.u8(match record.status {
-            PublicationStatus::Started => 0,
-            PublicationStatus::Finished => 1,
-        });
-    }
     e.u64(snapshot.registry.next);
-    e.u64(snapshot.registry.stable);
     let causal = &snapshot.registry.causal;
     e.bool(causal.enabled);
     e.u64(causal.nodes.len() as u64);
@@ -942,21 +914,14 @@ pub fn encode_snapshot(snapshot: &StoreSnapshot) -> Vec<u8> {
         enc_policy(&mut e, &p.policy);
         e.bool(p.registered);
         e.bool(p.retired);
-        match p.cursor {
-            Some(cursor) => {
-                e.u8(1);
-                e.u64(cursor.as_u64());
-            }
-            None => e.u8(0),
-        }
         e.u64(p.relevance_floor.as_u64());
-        enc_record_map(&mut e, &p.record);
+        enc_record(&mut e, &p.record);
     }
     e.u64(snapshot.wal_generation);
     e.buf
 }
 
-/// Deserialises a snapshot from a frame payload. Derived indexes and sets
+/// Deserialises a snapshot from a frame payload. The log's derived indexes
 /// are *not* rebuilt — callers do that.
 pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
     if payload.first() != Some(&SNAPSHOT_MAGIC) {
@@ -965,20 +930,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
     let mut d = Dec::new(&payload[1..]);
     let schema = dec_schema(&mut d)?;
     let mut registry = EpochRegistry::new();
-    let records_len = d.usize()?;
-    let mut records = Vec::with_capacity(records_len);
-    for _ in 0..records_len {
-        let epoch = d.u64()?;
-        let publisher = dec_participant(&mut d)?;
-        let status = match d.u8()? {
-            0 => PublicationStatus::Started,
-            1 => PublicationStatus::Finished,
-            other => return Err(StorageError::Persistence(format!("invalid status tag {other}"))),
-        };
-        records.push((epoch, EpochRecord { publisher, status }));
-    }
-    registry.restore(records, d.u64()?)?;
-    registry.stable = d.u64()?;
+    registry.next = d.u64()?;
     {
         let causal = registry.causal_mut();
         causal.enabled = d.bool()?;
@@ -1000,11 +952,19 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
         log.push_decoded(pos, LogEntry::new(epoch, transaction))?;
     }
     log.next_pos = d.u64()?;
-    if let Some((last, _)) = log.entries.last() {
+    if let Some((last, entry)) = log.entries.last() {
         if *last >= log.next_pos {
             return Err(StorageError::Persistence(format!(
                 "snapshot log entry at position {last} is not below the position counter {}",
                 log.next_pos
+            )));
+        }
+        // Entries are in epoch order, so the last one bounds them all.
+        if entry.epoch > registry.latest_allocated() {
+            return Err(StorageError::Persistence(format!(
+                "snapshot log entry at epoch {} is above the last allocated epoch {}",
+                entry.epoch,
+                registry.latest_allocated()
             )));
         }
     }
@@ -1014,25 +974,13 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
     let participants_len = d.usize()?;
     let mut participants = Vec::with_capacity(participants_len);
     for _ in 0..participants_len {
-        let id = dec_participant(&mut d)?;
-        let policy = dec_policy(&mut d)?;
-        let registered = d.bool()?;
-        let retired = d.bool()?;
-        let cursor = match d.u8()? {
-            0 => None,
-            1 => Some(Epoch(d.u64()?)),
-            other => return Err(StorageError::Persistence(format!("invalid cursor tag {other}"))),
-        };
-        let relevance_floor = Epoch(d.u64()?);
-        let record = dec_record_map(&mut d)?;
         participants.push(ParticipantSnapshot {
-            id,
-            policy,
-            registered,
-            retired,
-            cursor,
-            relevance_floor,
-            record,
+            id: dec_participant(&mut d)?,
+            policy: dec_policy(&mut d)?,
+            registered: d.bool()?,
+            retired: d.bool()?,
+            relevance_floor: Epoch(d.u64()?),
+            record: dec_record(&mut d)?,
         });
     }
     let wal_generation = d.u64()?;
@@ -1052,6 +1000,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<StoreSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decisions::Decision;
     use orchestra_model::schema::bioinformatics_schema;
 
     fn sample_transaction(participant: u32, local: u64) -> Transaction {
@@ -1184,7 +1133,8 @@ mod tests {
             r#""pruned_through":0,"participants":[],"wal_generation":1}"#,
         )
         .as_bytes();
-        for payload in [&json_record[..], json_snapshot, &[], &[0x00], &[0xFF, 0xFE]] {
+        // 0xC5 opened the previous snapshot layout.
+        for payload in [&json_record[..], json_snapshot, &[], &[0x00], &[0xFF, 0xFE], &[0xC5, 0]] {
             assert!(matches!(decode_record(payload), Err(StorageError::Persistence(_))));
             assert!(matches!(decode_snapshot(payload), Err(StorageError::Persistence(_))));
         }
@@ -1273,19 +1223,29 @@ mod tests {
     }
 
     /// A snapshot whose log goes back in position or epoch, whose last log
-    /// position is not below the counter, or whose epoch records skip an
-    /// epoch decodes to a typed error, never to an unsorted index.
+    /// position is not below the position counter, whose last log epoch is
+    /// not below the epoch counter, or whose participant accepts an id twice
+    /// or both accepts and rejects it decodes to a typed error, never to an
+    /// unsorted index or a record that could not have been recorded.
     #[test]
     fn out_of_order_snapshots_are_typed_errors() {
         let mut registry = EpochRegistry::new();
         let mut log = TransactionLog::new();
         for (local, epoch) in [(0, Epoch(1)), (1, Epoch(1)), (2, Epoch(2))] {
             if registry.latest_allocated() < epoch {
-                registry.begin_publish(ParticipantId(1));
-                registry.finish_publish(epoch).unwrap();
+                registry.allocate();
             }
             log.publish(epoch, sample_transaction(1, local)).unwrap();
         }
+        let (a, b, c) = (
+            TransactionId::new(ParticipantId(1), 0),
+            TransactionId::new(ParticipantId(1), 1),
+            TransactionId::new(ParticipantId(2), 0),
+        );
+        let mut record = ParticipantRecord::new();
+        record.record(a, Decision::Accepted);
+        record.record(b, Decision::Accepted);
+        record.record(c, Decision::Rejected);
         let encode = |registry: &EpochRegistry, log: &TransactionLog| {
             encode_snapshot(&StoreSnapshot {
                 schema: bioinformatics_schema(),
@@ -1294,15 +1254,24 @@ mod tests {
                 membership_frontier: Epoch::ZERO,
                 pruned_through: Epoch::ZERO,
                 retention: RetentionPolicy::KeepAll,
-                participants: Vec::new(),
+                participants: vec![ParticipantSnapshot {
+                    id: ParticipantId(3),
+                    policy: TrustPolicy::new(ParticipantId(3)),
+                    registered: true,
+                    retired: false,
+                    relevance_floor: Epoch::ZERO,
+                    record: record.clone(),
+                }],
                 wal_generation: 0,
             })
         };
         let refused =
             |payload: &[u8]| matches!(decode_snapshot(payload), Err(StorageError::Persistence(_)));
-        let back = decode_snapshot(&encode(&registry, &log)).unwrap();
+        let payload = encode(&registry, &log);
+        let back = decode_snapshot(&payload).unwrap();
         assert_eq!(format!("{:?}", back.registry), format!("{registry:?}"));
         assert_eq!(format!("{:?}", back.log), format!("{log:?}"));
+        assert_eq!(format!("{:?}", back.participants[0].record), format!("{record:?}"));
 
         let mut positions_back = log.clone();
         positions_back.entries.swap(0, 1);
@@ -1313,25 +1282,38 @@ mod tests {
         let mut counter_behind = log.clone();
         counter_behind.next_pos = 2;
         assert!(refused(&encode(&registry, &counter_behind)));
+        let mut epoch_counter_behind = registry.clone();
+        epoch_counter_behind.next = 2;
+        assert!(refused(&encode(&epoch_counter_behind, &log)));
 
-        // The records follow the schema as (epoch, publisher, status)
-        // triples of one byte each here: make the second one epoch 3.
-        let mut schema = Enc::new(SNAPSHOT_MAGIC);
-        enc_schema(&mut schema, &bioinformatics_schema());
-        let records = schema.buf.len();
-        let mut skipping = encode(&registry, &log);
-        assert_eq!(skipping[records..records + 5], [2, 1, 1, 1, 2]);
-        skipping[records + 4] = 3;
-        assert!(refused(&skipping));
+        // The participant's record ends the payload, before the one-byte
+        // WAL generation: swap in records `record` could never hold.
+        let record_bytes = |accepted: &[TransactionId], rejected: &[TransactionId]| {
+            let mut e = Enc::new(0);
+            enc_txn_ids(&mut e, accepted);
+            enc_txn_ids(&mut e, rejected);
+            e.u8(0);
+            e.buf.split_off(1)
+        };
+        let good = record_bytes(&[a, b], &[c]);
+        let at = payload.len() - good.len() - 1;
+        assert_eq!(payload[at..at + good.len()], good);
+        let swapped = |bytes: Vec<u8>| {
+            let mut swapped = payload.clone();
+            swapped.splice(at..at + good.len(), bytes);
+            swapped
+        };
+        assert!(!refused(&swapped(record_bytes(&[b, a], &[c]))));
+        assert!(refused(&swapped(record_bytes(&[a, a], &[c]))), "accepted twice");
+        assert!(refused(&swapped(record_bytes(&[a, b], &[a]))), "accepted and rejected");
     }
 
     #[test]
     fn snapshots_round_trip() {
         let p = ParticipantId(1);
         let mut registry = EpochRegistry::new();
-        let e1 = registry.begin_publish(p);
-        registry.finish_publish(e1).unwrap();
-        registry.begin_publish(ParticipantId(2));
+        let e1 = registry.allocate();
+        registry.allocate();
         registry.causal_mut().enable();
         registry.causal_mut().ingest(&CausalStamp::new(p, 1, AntichainClock::new()), e1).unwrap();
         let mut log = TransactionLog::new();
@@ -1353,7 +1335,6 @@ mod tests {
                 policy: TrustPolicy::new(p).trusting(ParticipantId(2), 1u32),
                 registered: true,
                 retired: false,
-                cursor: Some(e1),
                 relevance_floor: Epoch::ZERO,
                 record,
             }],
@@ -1363,13 +1344,9 @@ mod tests {
         assert_eq!(payload[0], SNAPSHOT_MAGIC);
         let mut back = decode_snapshot(&payload).unwrap();
         back.log.rebuild_indexes();
-        for p in &mut back.participants {
-            p.record.rebuild_sets();
-        }
         assert_eq!(back.wal_generation, 5);
         assert_eq!(back.retention, RetentionPolicy::ConvergedOnly);
         assert_eq!(back.schema, snapshot.schema);
-        assert_eq!(back.registry.largest_stable_epoch(), Epoch(1));
         assert_eq!(back.registry.latest_allocated(), Epoch(2));
         assert!(back.registry.causal().is_enabled());
         assert_eq!(back.registry.causal().last_seq(p), 1);
@@ -1378,16 +1355,16 @@ mod tests {
             Some(Epoch(1)),
             "causal DAG node survives the snapshot"
         );
-        assert_eq!(back.participants[0].cursor, Some(e1));
         assert_eq!(back.log.get(txn.id()).unwrap(), &txn);
         assert_eq!(back.participants.len(), 1);
-        assert_eq!(back.participants[0].record.accepted_set().len(), 1);
-        assert_eq!(back.participants[0].record.rejected_set().len(), 1);
+        assert_eq!(back.participants[0].record.accepted_snapshot().len(), 1);
+        assert_eq!(back.participants[0].record.rejected_snapshot().len(), 1);
         assert_eq!(
             back.participants[0].record.last_reconciliation(),
             Some((ReconciliationId(1), Epoch(1)))
         );
-        // The full rendering (decision maps, orders, cursors) matches.
+        // The full rendering (acceptance order, rejected set, last
+        // reconciliation) matches.
         assert_eq!(
             format!("{:?}", back.participants[0].record),
             format!("{:?}", snapshot.participants[0].record)

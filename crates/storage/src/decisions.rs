@@ -1,17 +1,22 @@
-//! Per-participant accept/reject decision records and reconciliation history.
+//! Per-participant accept/reject decision records.
 //!
 //! The paper moves the sets of applied and rejected transactions from the
 //! participant into the update store, so that each client holds only soft
 //! state and can be reconstructed from the store. This module is that record:
-//! for every participant it keeps the decision made about each transaction and
-//! the epoch associated with each of its reconciliations.
+//! for every participant it keeps each fact once — the order in which it
+//! accepted transactions, the set it rejected, and its last reconciliation
+//! `(recno, epoch)`, which is also its epoch cursor. The accepted set is the
+//! acceptance order's members, and the two sets are disjoint; nothing else
+//! restates a decision, and earlier reconciliations are not kept because
+//! nothing reads them.
 //!
 //! [`ParticipantRecord`] is the single-participant building block. The update
 //! store keeps one per participant *shard*, so that decisions from different
 //! participants never contend on a shared structure.
 
+use crate::error::{Result, StorageError};
 use orchestra_model::{Epoch, ReconciliationId, TransactionId};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::sync::Arc;
 
 /// The durable decision a participant has recorded about a transaction.
@@ -32,18 +37,13 @@ pub enum Decision {
 
 /// One participant's durable reconciliation record.
 ///
-/// Besides the authoritative decision map, the record maintains the accepted
-/// and rejected sets *incrementally* behind [`Arc`]s, so that a
+/// The accepted and rejected sets sit behind [`Arc`]s, so that a
 /// reconciliation can consult them in O(1) and callers can take a snapshot
 /// with a reference-count bump instead of cloning a fresh set per call —
 /// the key to making per-reconciliation work scale with new epochs rather
 /// than with total history.
 #[derive(Clone, Default)]
 pub struct ParticipantRecord {
-    /// Authoritative decision map. `pub(crate)` (like the other durable
-    /// fields) so the snapshot codec ([`crate::codec`]) can write and rebuild
-    /// the record; the derived sets are never written, only rebuilt.
-    pub(crate) decisions: FxHashMap<TransactionId, Decision>,
     /// Transaction ids in the order the participant first *accepted* them.
     /// This is the order the participant's instance applied their effects
     /// (own transactions at execute/publish time, remote ones as their
@@ -54,30 +54,26 @@ pub struct ParticipantRecord {
     /// makes the instance reconstructible from the store (the paper's
     /// soft-state property); replaying in publication order diverges on
     /// exactly those interleavings.
-    pub(crate) accepted_order: Vec<TransactionId>,
-    pub(crate) reconciliations: Vec<(ReconciliationId, Epoch)>,
+    accepted_order: Vec<TransactionId>,
+    /// The members of `accepted_order`, for O(1) lookups.
     accepted: Arc<FxHashSet<TransactionId>>,
+    /// Rejected transactions; never an accepted one.
     rejected: Arc<FxHashSet<TransactionId>>,
+    /// The most recent committed reconciliation and the epoch it covered.
+    last: Option<(ReconciliationId, Epoch)>,
 }
 
 impl std::fmt::Debug for ParticipantRecord {
-    /// Canonical rendering: the hash-backed decision map and derived sets are
-    /// printed in sorted order, so two records holding the same durable state
-    /// render identically regardless of insertion history. Crash recovery
-    /// relies on this — a recovered store is verified byte-for-byte against
-    /// the live one through its `Debug` output.
+    /// Canonical rendering: the hash-backed rejected set is printed in sorted
+    /// order, so two records holding the same durable state render
+    /// identically regardless of insertion history. Crash recovery relies on
+    /// this — a recovered store is verified byte-for-byte against the live
+    /// one through its `Debug` output.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let decisions: std::collections::BTreeMap<_, _> = self.decisions.iter().collect();
-        let mut accepted: Vec<_> = self.accepted.iter().collect();
-        accepted.sort();
-        let mut rejected: Vec<_> = self.rejected.iter().collect();
-        rejected.sort();
         f.debug_struct("ParticipantRecord")
-            .field("decisions", &decisions)
             .field("accepted_order", &self.accepted_order)
-            .field("reconciliations", &self.reconciliations)
-            .field("accepted", &accepted)
-            .field("rejected", &rejected)
+            .field("rejected", &self.rejected_sorted())
+            .field("last", &self.last)
             .finish()
     }
 }
@@ -88,30 +84,66 @@ impl ParticipantRecord {
         ParticipantRecord::default()
     }
 
-    /// Records a decision about a transaction. A later decision overwrites an
-    /// earlier one only if the earlier one was not `Accepted` (acceptance is
-    /// monotone: accepted transactions are never rolled back).
+    /// Rebuilds a record from its durable parts (a decoded snapshot),
+    /// refusing an id accepted twice or both accepted and rejected.
+    pub(crate) fn restore(
+        accepted_order: Vec<TransactionId>,
+        rejected: Vec<TransactionId>,
+        last: Option<(ReconciliationId, Epoch)>,
+    ) -> Result<Self> {
+        let mut accepted = FxHashSet::default();
+        for &id in &accepted_order {
+            if !accepted.insert(id) {
+                return Err(StorageError::Persistence(format!("{id} is accepted twice")));
+            }
+        }
+        let mut rejected_set = FxHashSet::default();
+        for id in rejected {
+            if accepted.contains(&id) {
+                return Err(StorageError::Persistence(format!(
+                    "{id} is both accepted and rejected"
+                )));
+            }
+            if !rejected_set.insert(id) {
+                return Err(StorageError::Persistence(format!("{id} is rejected twice")));
+            }
+        }
+        Ok(ParticipantRecord {
+            accepted_order,
+            accepted: Arc::new(accepted),
+            rejected: Arc::new(rejected_set),
+            last,
+        })
+    }
+
+    /// Records a decision about a transaction. An accepted transaction stays
+    /// accepted (accepted transactions are never rolled back); a rejected one
+    /// moves to the accepted set if a later decision accepts it.
     ///
     /// `Arc::make_mut` keeps the update copy-free in the steady state: the
     /// sets are only deep-copied when an outstanding snapshot still shares
     /// them.
     pub fn record(&mut self, txn: TransactionId, decision: Decision) {
-        match self.decisions.get(&txn) {
-            Some(Decision::Accepted) => {}
-            _ => {
-                self.decisions.insert(txn, decision);
-                match decision {
-                    Decision::Accepted => {
-                        Arc::make_mut(&mut self.rejected).remove(&txn);
-                        Arc::make_mut(&mut self.accepted).insert(txn);
-                        self.accepted_order.push(txn);
-                    }
-                    Decision::Rejected => {
-                        Arc::make_mut(&mut self.rejected).insert(txn);
-                    }
+        if self.accepted.contains(&txn) {
+            return;
+        }
+        match decision {
+            Decision::Accepted => {
+                if self.rejected.contains(&txn) {
+                    Arc::make_mut(&mut self.rejected).remove(&txn);
                 }
+                Arc::make_mut(&mut self.accepted).insert(txn);
+                self.accepted_order.push(txn);
+            }
+            Decision::Rejected => {
+                Arc::make_mut(&mut self.rejected).insert(txn);
             }
         }
+    }
+
+    /// Whether the participant has accepted or rejected the transaction.
+    pub fn is_decided(&self, txn: TransactionId) -> bool {
+        self.accepted.contains(&txn) || self.rejected.contains(&txn)
     }
 
     /// The accepted transactions in the order they were first accepted — the
@@ -121,34 +153,11 @@ impl ParticipantRecord {
         &self.accepted_order
     }
 
-    /// Rebuilds the derived accepted/rejected sets (used after decoding a
-    /// snapshot, mirroring `TransactionLog::rebuild_indexes`).
-    pub fn rebuild_sets(&mut self) {
-        let accepted = Arc::make_mut(&mut self.accepted);
-        let rejected = Arc::make_mut(&mut self.rejected);
-        accepted.clear();
-        rejected.clear();
-        for (&id, &d) in &self.decisions {
-            match d {
-                Decision::Accepted => accepted.insert(id),
-                Decision::Rejected => rejected.insert(id),
-            };
-        }
-    }
-
-    /// The decision recorded about a transaction, if any.
-    pub fn decision(&self, txn: TransactionId) -> Option<Decision> {
-        self.decisions.get(&txn).copied()
-    }
-
-    /// The incrementally maintained accepted set.
-    pub fn accepted_set(&self) -> &FxHashSet<TransactionId> {
-        &self.accepted
-    }
-
-    /// The incrementally maintained rejected set.
-    pub fn rejected_set(&self) -> &FxHashSet<TransactionId> {
-        &self.rejected
+    /// The rejected transactions, sorted by id.
+    pub fn rejected_sorted(&self) -> Vec<TransactionId> {
+        let mut out: Vec<TransactionId> = self.rejected.iter().copied().collect();
+        out.sort_unstable();
+        out
     }
 
     /// A shared snapshot of the accepted set: a reference-count bump, not a
@@ -164,33 +173,20 @@ impl ParticipantRecord {
         Arc::clone(&self.rejected)
     }
 
-    /// All decided transactions with the decision `wanted`, sorted by id.
-    pub fn with_decision(&self, wanted: Decision) -> Vec<TransactionId> {
-        let mut out: Vec<TransactionId> =
-            self.decisions.iter().filter(|(_, &d)| d == wanted).map(|(&id, _)| id).collect();
-        out.sort();
-        out
-    }
-
     /// Records that the participant performed reconciliation `recno` against
     /// the given epoch.
     pub fn record_reconciliation(&mut self, recno: ReconciliationId, epoch: Epoch) {
-        self.reconciliations.push((recno, epoch));
+        self.last = Some((recno, epoch));
     }
 
     /// The most recent reconciliation, if any.
     pub fn last_reconciliation(&self) -> Option<(ReconciliationId, Epoch)> {
-        self.reconciliations.last().copied()
+        self.last
     }
 
     /// The next reconciliation number.
     pub fn next_reconciliation_id(&self) -> ReconciliationId {
-        self.last_reconciliation().map(|(r, _)| r.next()).unwrap_or(ReconciliationId(1))
-    }
-
-    /// The full reconciliation history.
-    pub fn reconciliations(&self) -> &[(ReconciliationId, Epoch)] {
-        &self.reconciliations
+        self.last.map(|(r, _)| r.next()).unwrap_or(ReconciliationId(1))
     }
 }
 
@@ -211,12 +207,11 @@ mod tests {
         p1.record(x(3, 0), Decision::Rejected);
         p2.record(x(2, 0), Decision::Rejected);
 
-        assert_eq!(p1.decision(x(2, 0)), Some(Decision::Accepted));
-        assert_eq!(p1.decision(x(3, 0)), Some(Decision::Rejected));
-        assert_eq!(p2.decision(x(2, 0)), Some(Decision::Rejected));
-        assert_eq!(p2.decision(x(3, 0)), None);
-        assert_eq!(p1.with_decision(Decision::Accepted), vec![x(2, 0)]);
-        assert_eq!(p1.with_decision(Decision::Rejected), vec![x(3, 0)]);
+        assert_eq!(p1.accepted_in_order(), &[x(2, 0)]);
+        assert_eq!(p1.rejected_sorted(), vec![x(3, 0)]);
+        assert_eq!(p2.accepted_in_order(), &[]);
+        assert_eq!(p2.rejected_sorted(), vec![x(2, 0)]);
+        assert!(p1.is_decided(x(3, 0)) && !p2.is_decided(x(3, 0)));
     }
 
     #[test]
@@ -226,21 +221,30 @@ mod tests {
         rec.record(x(3, 0), Decision::Accepted);
         // Rejection superseded by acceptance moves between the sets.
         rec.record(x(2, 0), Decision::Accepted);
-        assert!(rec.accepted_set().contains(&x(2, 0)) && rec.accepted_set().contains(&x(3, 0)));
-        assert!(rec.rejected_set().is_empty());
+        rec.record(x(4, 0), Decision::Rejected);
+        rec.record_reconciliation(ReconciliationId(2), Epoch(5));
+        assert_eq!(rec.accepted_snapshot().len(), 2);
+        assert_eq!(rec.rejected_sorted(), vec![x(4, 0)]);
 
-        // A decoded record carries the durable fields only; the sets come
-        // back through rebuild_sets.
-        let mut back = ParticipantRecord {
-            decisions: rec.decisions.clone(),
-            accepted_order: rec.accepted_order.clone(),
-            reconciliations: rec.reconciliations.clone(),
-            ..ParticipantRecord::new()
-        };
-        assert!(back.accepted_set().is_empty());
-        back.rebuild_sets();
-        assert_eq!(back.accepted_set(), rec.accepted_set());
+        let back = ParticipantRecord::restore(
+            rec.accepted_in_order().to_vec(),
+            rec.rejected_sorted(),
+            rec.last_reconciliation(),
+        )
+        .unwrap();
+        assert_eq!(back.accepted_snapshot(), rec.accepted_snapshot());
         assert_eq!(format!("{back:?}"), format!("{rec:?}"));
+
+        // The parts of a record that could not have been recorded are refused.
+        let refused = |accepted: &[TransactionId], rejected: &[TransactionId]| {
+            matches!(
+                ParticipantRecord::restore(accepted.to_vec(), rejected.to_vec(), None),
+                Err(StorageError::Persistence(_))
+            )
+        };
+        assert!(refused(&[x(2, 0), x(2, 0)], &[]));
+        assert!(refused(&[x(2, 0)], &[x(2, 0)]));
+        assert!(refused(&[], &[x(4, 0), x(4, 0)]));
     }
 
     #[test]
@@ -248,12 +252,12 @@ mod tests {
         let mut rec = ParticipantRecord::new();
         rec.record(x(2, 0), Decision::Accepted);
         rec.record(x(2, 0), Decision::Rejected);
-        assert_eq!(rec.decision(x(2, 0)), Some(Decision::Accepted));
+        assert!(rec.rejected_sorted().is_empty());
         // A rejection can later be superseded by acceptance (conflict
         // resolution can accept a previously deferred option).
         rec.record(x(3, 0), Decision::Rejected);
         rec.record(x(3, 0), Decision::Accepted);
-        assert_eq!(rec.decision(x(3, 0)), Some(Decision::Accepted));
+        assert!(rec.rejected_sorted().is_empty());
         assert_eq!(rec.accepted_in_order(), &[x(2, 0), x(3, 0)]);
     }
 
@@ -267,7 +271,6 @@ mod tests {
         // unaffected.
         rec.record(x(2, 1), Decision::Accepted);
         assert!(!snap.contains(&x(2, 1)));
-        assert!(rec.accepted_set().contains(&x(2, 1)));
         // A fresh snapshot sees the new decision.
         assert!(rec.accepted_snapshot().contains(&x(2, 1)));
     }
@@ -282,6 +285,5 @@ mod tests {
         rec.record_reconciliation(ReconciliationId(2), Epoch(7));
         assert_eq!(rec.last_reconciliation(), Some((ReconciliationId(2), Epoch(7))));
         assert_eq!(rec.next_reconciliation_id(), ReconciliationId(3));
-        assert_eq!(rec.reconciliations().len(), 2);
     }
 }

@@ -1,12 +1,21 @@
-//! Epoch allocation and publication bookkeeping.
+//! Epoch allocation.
 //!
 //! Section 5.2.1 of the paper: an epoch counter (an SQL sequence in the
 //! original implementation) timestamps each batch of published transactions.
-//! Because publishing is not instantaneous, each peer records when it starts
-//! and when it finishes publishing; a reconciling peer then uses the *largest
-//! stable epoch* — the latest epoch not preceded by an unfinished epoch — as
-//! its reconciliation point, so that no transaction can later appear "in the
-//! past".
+//! There, publishing into an RDBMS is not instantaneous, so each peer records
+//! when it starts and when it finishes publishing, and a reconciling peer
+//! uses the *largest stable epoch* — the latest epoch not preceded by an
+//! unfinished one — as its reconciliation point, so that no transaction can
+//! later appear "in the past".
+//!
+//! Here every allocated epoch is already stable, so the registry keeps no
+//! per-epoch records: `orchestra_store::StoreCatalog::publish` allocates an
+//! epoch, writes the batch and ends the publication within one hold of the
+//! log write lock, and every reader of the counter takes that lock, so no
+//! reader ever sees a started but unfinished epoch. A publish that is not
+//! atomic — one whose batch reaches the store in several steps, as a durable
+//! distributed fabric's would — needs the started/finished records and the
+//! stable frontier back.
 //!
 //! # Causal mode
 //!
@@ -23,29 +32,7 @@
 
 use crate::error::{Result, StorageError};
 use orchestra_model::{AntichainClock, CausalStamp, Epoch, ParticipantId, StampId};
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
-
-/// Publication status of one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PublicationStatus {
-    /// The publishing peer has requested the epoch but not finished writing
-    /// its transactions.
-    Started,
-    /// The publishing peer has finished writing all transactions for the
-    /// epoch.
-    Finished,
-}
-
-/// One allocated epoch and who is publishing in it.
-///
-/// Fields are `pub(crate)` so the binary codec ([`crate::codec`]) can
-/// serialise and rebuild records without an intermediate representation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct EpochRecord {
-    pub(crate) publisher: ParticipantId,
-    pub(crate) status: PublicationStatus,
-}
+use std::collections::BTreeMap;
 
 /// One ingested causal stamp's durable DAG node: the parent frontier it
 /// descends from and the arrival epoch the store assigned on ingest.
@@ -170,34 +157,14 @@ impl CausalRegistry {
     }
 }
 
-/// The epoch sequence plus per-epoch publication records.
-#[derive(Clone)]
+/// The epoch allocation counter plus the causal side.
+#[derive(Debug, Clone)]
 pub struct EpochRegistry {
-    /// The records of the unpruned epochs, oldest first: epochs are
-    /// allocated consecutively and pruned from the front, so the live ones
-    /// are exactly `next - records.len() .. next`.
-    pub(crate) records: VecDeque<EpochRecord>,
+    /// The next epoch to allocate; epochs below it are allocated.
     pub(crate) next: u64,
-    /// The stable frontier, advanced incrementally as publications finish so
-    /// that [`EpochRegistry::largest_stable_epoch`] is O(1) instead of a scan
-    /// over every epoch ever allocated.
-    pub(crate) stable: u64,
     /// The causal side: stamp DAG, ingest frontier, mode switch (disabled —
     /// and empty — in scalar mode).
     pub(crate) causal: CausalRegistry,
-}
-
-impl fmt::Debug for EpochRegistry {
-    /// Renders the records as an epoch → record map.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let records: BTreeMap<u64, &EpochRecord> = self.records().collect();
-        f.debug_struct("EpochRegistry")
-            .field("records", &records)
-            .field("next", &self.next)
-            .field("stable", &self.stable)
-            .field("causal", &self.causal)
-            .finish()
-    }
 }
 
 impl Default for EpochRegistry {
@@ -209,12 +176,7 @@ impl Default for EpochRegistry {
 impl EpochRegistry {
     /// Creates an empty registry; the first allocated epoch will be 1.
     pub fn new() -> Self {
-        EpochRegistry {
-            records: VecDeque::new(),
-            next: 1,
-            stable: 0,
-            causal: CausalRegistry::default(),
-        }
+        EpochRegistry { next: 1, causal: CausalRegistry::default() }
     }
 
     /// The causal side of the registry (stamp DAG, ingest frontier, mode).
@@ -227,82 +189,11 @@ impl EpochRegistry {
         &mut self.causal
     }
 
-    /// The oldest unpruned epoch (`next` when no record is live).
-    fn first(&self) -> u64 {
-        self.next - self.records.len() as u64
-    }
-
-    /// The live records with their epochs, oldest first.
-    pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &EpochRecord)> + '_ {
-        (self.first()..).zip(&self.records)
-    }
-
-    /// Where an epoch's record sits in `records`, if the epoch is not
-    /// below the oldest live one (the index may be past the end).
-    fn index_of(&self, epoch: Epoch) -> Option<usize> {
-        usize::try_from(epoch.as_u64().checked_sub(self.first())?).ok()
-    }
-
-    /// Installs the records and the allocation counter a snapshot carries,
-    /// refusing records that skip an epoch or do not end at the last
-    /// allocated one (`next - 1`).
-    pub(crate) fn restore(&mut self, records: Vec<(u64, EpochRecord)>, next: u64) -> Result<()> {
-        let first = next.checked_sub(records.len() as u64).ok_or_else(|| {
-            StorageError::Persistence(format!(
-                "snapshot holds {} epoch records but only {next} allocated epochs",
-                records.len()
-            ))
-        })?;
-        for (expected, (epoch, _)) in (first..).zip(&records) {
-            if *epoch != expected {
-                return Err(StorageError::Persistence(format!(
-                    "snapshot epoch records are not consecutive up to epoch {}: found {epoch} \
-                     where {expected} belongs",
-                    next - 1
-                )));
-            }
-        }
-        self.records = records.into_iter().map(|(_, record)| record).collect();
-        self.next = next;
-        Ok(())
-    }
-
-    /// Allocates the next epoch for a publishing peer and marks it started.
-    pub fn begin_publish(&mut self, publisher: ParticipantId) -> Epoch {
+    /// Allocates the next epoch.
+    pub fn allocate(&mut self) -> Epoch {
         let epoch = Epoch(self.next);
         self.next += 1;
-        self.records.push_back(EpochRecord { publisher, status: PublicationStatus::Started });
         epoch
-    }
-
-    /// Marks an epoch's publication as finished.
-    pub fn finish_publish(&mut self, epoch: Epoch) -> Result<()> {
-        let record = self
-            .index_of(epoch)
-            .and_then(|index| self.records.get_mut(index))
-            .ok_or(StorageError::UnknownEpoch(epoch.as_u64()))?;
-        record.status = PublicationStatus::Finished;
-        // Advance the stable frontier over every consecutively finished
-        // epoch. Each epoch is crossed exactly once over the registry's
-        // lifetime, so the amortised cost is O(1).
-        while self.status(Epoch(self.stable + 1)) == Some(PublicationStatus::Finished) {
-            self.stable += 1;
-        }
-        Ok(())
-    }
-
-    fn record(&self, epoch: Epoch) -> Option<&EpochRecord> {
-        self.index_of(epoch).and_then(|index| self.records.get(index))
-    }
-
-    /// The publication status of an epoch, if it has been allocated.
-    pub fn status(&self, epoch: Epoch) -> Option<PublicationStatus> {
-        self.record(epoch).map(|r| r.status)
-    }
-
-    /// The peer publishing in an epoch, if it has been allocated.
-    pub fn publisher(&self, epoch: Epoch) -> Option<ParticipantId> {
-        self.record(epoch).map(|r| r.publisher)
     }
 
     /// The most recently allocated epoch (`Epoch::ZERO` if none).
@@ -313,35 +204,19 @@ impl EpochRegistry {
     /// The largest stable epoch: the greatest epoch `e` such that every
     /// allocated epoch `≤ e` has finished publishing. A reconciling peer uses
     /// this as its reconciliation epoch so that no unpublished transaction
-    /// can precede it.
+    /// can precede it. It is the latest allocated epoch, which holds only
+    /// because the store allocates an epoch and finishes publishing in it
+    /// within one hold of its log write lock, the lock every reader of this
+    /// registry takes (see the module docs).
     pub fn largest_stable_epoch(&self) -> Epoch {
-        Epoch(self.stable)
+        self.latest_allocated()
     }
 
-    /// Drops the publication records of every epoch at or below `through`,
-    /// keeping the allocation counter and the stable frontier intact — the
-    /// retention layer calls this for epochs below the convergence horizon,
-    /// which are always finished (the horizon never passes the stable
-    /// frontier). Returns the number of records removed. Pruned epochs
-    /// answer [`EpochRegistry::status`] / [`EpochRegistry::publisher`] with
-    /// `None`, exactly like never-allocated ones.
-    pub fn prune_through(&mut self, through: Epoch) -> u64 {
-        let through_len = through.as_u64().saturating_add(1).saturating_sub(self.first());
-        let pruned = self.records.len().min(usize::try_from(through_len).unwrap_or(usize::MAX));
-        self.records.drain(..pruned);
-        // Causal DAG nodes live and die with their arrival epoch's record.
+    /// Drops the causal DAG nodes of every epoch at or below `through`,
+    /// keeping the allocation counter and the causal frontier intact — the
+    /// retention layer calls this for epochs below the convergence horizon.
+    pub fn prune_through(&mut self, through: Epoch) {
         self.causal.prune_through(through);
-        pruned as u64
-    }
-
-    /// Number of live (unpruned) epoch records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Returns true if no epoch has been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -356,69 +231,23 @@ mod tests {
     #[test]
     fn epochs_are_allocated_sequentially_from_one() {
         let mut reg = EpochRegistry::new();
-        assert!(reg.is_empty());
-        assert_eq!(reg.begin_publish(p(1)), Epoch(1));
-        assert_eq!(reg.begin_publish(p(2)), Epoch(2));
+        assert_eq!(reg.allocate(), Epoch(1));
+        assert_eq!(reg.allocate(), Epoch(2));
         assert_eq!(reg.latest_allocated(), Epoch(2));
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.publisher(Epoch(1)), Some(p(1)));
-        assert_eq!(reg.publisher(Epoch(2)), Some(p(2)));
-        assert_eq!(reg.publisher(Epoch(3)), None);
-    }
-
-    #[test]
-    fn stable_epoch_stops_at_first_unfinished() {
-        let mut reg = EpochRegistry::new();
-        let e1 = reg.begin_publish(p(1));
-        let e2 = reg.begin_publish(p(2));
-        let e3 = reg.begin_publish(p(3));
-        assert_eq!(reg.largest_stable_epoch(), Epoch::ZERO);
-
-        reg.finish_publish(e1).unwrap();
-        assert_eq!(reg.largest_stable_epoch(), Epoch(1));
-
-        // Epoch 3 finishes before epoch 2: the stable frontier stays at 1.
-        reg.finish_publish(e3).unwrap();
-        assert_eq!(reg.largest_stable_epoch(), Epoch(1));
-
-        reg.finish_publish(e2).unwrap();
-        assert_eq!(reg.largest_stable_epoch(), Epoch(3));
-    }
-
-    #[test]
-    fn finish_of_unknown_epoch_is_error() {
-        let mut reg = EpochRegistry::new();
-        assert!(matches!(reg.finish_publish(Epoch(5)), Err(StorageError::UnknownEpoch(5))));
-    }
-
-    #[test]
-    fn status_transitions() {
-        let mut reg = EpochRegistry::new();
-        let e = reg.begin_publish(p(1));
-        assert_eq!(reg.status(e), Some(PublicationStatus::Started));
-        reg.finish_publish(e).unwrap();
-        assert_eq!(reg.status(e), Some(PublicationStatus::Finished));
-        assert_eq!(reg.status(Epoch(99)), None);
+        assert_eq!(reg.largest_stable_epoch(), Epoch(2));
     }
 
     #[test]
     fn pruning_keeps_the_counter_and_frontier() {
         let mut reg = EpochRegistry::new();
-        for i in 1..=4u32 {
-            let e = reg.begin_publish(p(i));
-            reg.finish_publish(e).unwrap();
+        for _ in 1..=4 {
+            reg.allocate();
         }
-        assert_eq!(reg.prune_through(Epoch(2)), 2);
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.status(Epoch(1)), None);
-        assert_eq!(reg.publisher(Epoch(2)), None);
-        assert_eq!(reg.publisher(Epoch(3)), Some(p(3)));
+        reg.prune_through(Epoch(2));
         // Allocation continues where it left off; stability is unaffected.
         assert_eq!(reg.largest_stable_epoch(), Epoch(4));
-        assert_eq!(reg.begin_publish(p(9)), Epoch(5));
+        assert_eq!(reg.allocate(), Epoch(5));
         assert_eq!(reg.latest_allocated(), Epoch(5));
-        // Pruning the same range again is a no-op.
-        assert_eq!(reg.prune_through(Epoch(2)), 0);
     }
 
     #[test]
@@ -468,11 +297,10 @@ mod tests {
         let mut reg = EpochRegistry::new();
         reg.causal_mut().enable();
         for seq in 1..=3u64 {
-            let e = reg.begin_publish(p(1));
+            let e = reg.allocate();
             let parents: &[StampId] =
                 &(seq > 1).then(|| StampId::new(p(1), seq - 1)).into_iter().collect::<Vec<_>>();
             reg.causal_mut().ingest(&stamp(1, seq, parents), e).unwrap();
-            reg.finish_publish(e).unwrap();
         }
         assert_eq!(reg.causal().len(), 3);
         reg.prune_through(Epoch(2));

@@ -37,8 +37,6 @@ pub enum StorageError {
         /// Rendering of the tuple actually present.
         found: String,
     },
-    /// The requested epoch or publication record does not exist.
-    UnknownEpoch(u64),
     /// A transaction id was published twice or referenced before publication.
     TransactionLog(String),
     /// Persistence failed: an I/O error, or a payload the codec rejects.
@@ -68,7 +66,6 @@ impl fmt::Display for StorageError {
                 f,
                 "relation `{relation}` holds {found} where the update expected {expected}"
             ),
-            StorageError::UnknownEpoch(e) => write!(f, "unknown epoch {e}"),
             StorageError::TransactionLog(msg) => write!(f, "transaction log error: {msg}"),
             StorageError::Persistence(msg) => write!(f, "persistence error: {msg}"),
             StorageError::Session(msg) => write!(f, "reconciliation session error: {msg}"),
@@ -116,6 +113,5 @@ mod tests {
             found: "(b)".into(),
         };
         assert!(stale.to_string().contains("expected"));
-        assert!(StorageError::UnknownEpoch(7).to_string().contains('7'));
     }
 }

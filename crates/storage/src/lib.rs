@@ -13,11 +13,13 @@
 //! * [`TransactionLog`] — the append-only log of published transactions, one
 //!   vector in position (and so epoch) order with id and written-tuple
 //!   indexes (the `updates` table of the paper's central store design).
-//! * [`EpochRegistry`] — the epoch sequence with started/finished publication
-//!   records and the "largest stable epoch" computation of Section 5.2.1.
-//! * [`ParticipantRecord`] — one participant's record of accepted and
-//!   rejected transactions, which the paper moves into the update store so
-//!   that client state stays soft.
+//! * [`EpochRegistry`] — the epoch allocation counter of Section 5.2.1 and
+//!   the causal stamp registry. Every allocated epoch is stable, because the
+//!   store allocates and finishes a publication under one lock, so it keeps
+//!   no per-epoch publication records.
+//! * [`ParticipantRecord`] — one participant's acceptance order, rejected
+//!   set and last reconciliation, which the paper moves into the update
+//!   store so that client state stays soft.
 //! * [`wal`] / [`segment`] / [`snapshot`] — the durability layer: one
 //!   append-only file of CRC-checked [`WalRecord`] frames per generation,
 //!   written through [`FileWalBackend`] under one lock, plus a compacting
@@ -47,7 +49,7 @@ pub mod wal;
 
 pub use database::Database;
 pub use decisions::{Decision, ParticipantRecord};
-pub use epoch::{CausalNode, CausalRegistry, EpochRegistry, PublicationStatus};
+pub use epoch::{CausalNode, CausalRegistry, EpochRegistry};
 pub use error::{Result, StorageError};
 pub use log::{LogEntry, TransactionLog};
 pub use retention::{PruneReport, RetentionPolicy};

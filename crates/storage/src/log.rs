@@ -754,6 +754,17 @@ mod tests {
         assert_eq!(ext, vec![x0.id(), x1.id(), x2.id(), x3.id(), y.id()]);
     }
 
+    /// A registry that has allocated every epoch `log` holds, as a snapshot
+    /// of it must carry.
+    fn registry_through(log: &TransactionLog) -> crate::EpochRegistry {
+        let last = log.entries().map(|entry| entry.epoch).max().unwrap_or_default();
+        let mut registry = crate::EpochRegistry::new();
+        while registry.latest_allocated() < last {
+            registry.allocate();
+        }
+        registry
+    }
+
     /// Publishes `steps` of a log of one-update transactions, `per_epoch` to
     /// an epoch, over three keys: each key goes through rounds of insert
     /// `a`, `a → b`, `b → a`, delete `a` (three steps per move). Every value
@@ -808,7 +819,7 @@ mod tests {
         assert_eq!(extensions(&log.clone(), &applied), live);
         let snapshot = crate::snapshot::StoreSnapshot {
             schema: schema.clone(),
-            registry: crate::EpochRegistry::new(),
+            registry: registry_through(&log),
             log: log.clone(),
             membership_frontier: Epoch::ZERO,
             pruned_through: Epoch::ZERO,
@@ -909,7 +920,7 @@ mod tests {
 
         let snapshot = crate::snapshot::StoreSnapshot {
             schema: schema.clone(),
-            registry: crate::EpochRegistry::new(),
+            registry: registry_through(&log),
             log: log.clone(),
             membership_frontier: Epoch::ZERO,
             pruned_through: horizon,

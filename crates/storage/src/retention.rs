@@ -33,7 +33,7 @@
 //! | pinned ancestors at or below the horizon | yes (live-value lineage) |
 //! | other sub-horizon log entries | dropped |
 //! | sub-horizon relevance-index slices | dropped (every trusted entry is decided) |
-//! | sub-horizon epoch publication records | dropped |
+//! | sub-horizon causal DAG nodes | dropped (the frontier stays) |
 //!
 //! The trade-off is the paper's soft-state rebuild: a participant
 //! reconstructing its *instance* from the store replays its accepted
@@ -92,7 +92,8 @@ pub struct PruneReport {
     pub pruned_log_entries: u64,
     /// Relevance-index entries removed by this pass (summed over shards).
     pub pruned_relevance_entries: u64,
-    /// Epoch publication records removed by this pass.
+    /// Epochs newly pruned by this pass: the horizon less the previous
+    /// pruned-through mark.
     pub pruned_epoch_records: u64,
     /// Sub-horizon entries retained as pinned ancestors.
     pub pinned: u64,

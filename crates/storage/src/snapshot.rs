@@ -10,10 +10,10 @@
 //! so the on-disk footprint is bounded by one snapshot plus the records
 //! since it.
 //!
-//! Derived state (the log's lookup indexes, the decision records'
-//! accepted/rejected `Arc` sets, the store's relevance index) is *not*
-//! serialised — it is re-derived after loading, exactly as the in-memory
-//! structures were first built.
+//! Derived state (the log's lookup indexes, the accepted set that mirrors a
+//! record's acceptance order, the store's relevance index) is *not*
+//! serialised — it is re-derived while or after loading, exactly as the
+//! in-memory structures were first built.
 //!
 //! Snapshots are written to a temporary file and atomically renamed into
 //! place, so a crash mid-snapshot leaves the previous snapshot (and its WAL
@@ -72,9 +72,10 @@ pub struct InstanceCheckpoint {
     pub accepted_through: u64,
 }
 
-/// One participant's durable slice of the store: policy, registration flag,
-/// epoch cursor and decision record. The relevance index is derived state and
-/// is rebuilt from the log after loading.
+/// One participant's durable slice of the store: policy, registration flags
+/// and decision record (whose last reconciliation is the epoch cursor). The
+/// relevance index is derived state and is rebuilt from the log after
+/// loading.
 #[derive(Debug, Clone)]
 pub struct ParticipantSnapshot {
     /// The participant.
@@ -86,14 +87,12 @@ pub struct ParticipantSnapshot {
     /// Whether the participant has been retired (it keeps its decision
     /// record but no longer pins the convergence horizon).
     pub retired: bool,
-    /// The epoch cursor of its last committed reconciliation, if any.
-    pub cursor: Option<Epoch>,
     /// Relevance-index entries exist only for epochs strictly above this
     /// floor (raised by the membership frontier at registration time and by
     /// every prune). Recovery rebuilds the index from the log restricted to
     /// the floor, reproducing the live slice exactly.
     pub relevance_floor: Epoch,
-    /// Its durable decision and reconciliation record.
+    /// Its acceptance order, rejected set and last reconciliation.
     pub record: ParticipantRecord,
 }
 
@@ -102,7 +101,9 @@ pub struct ParticipantSnapshot {
 pub struct StoreSnapshot {
     /// The schema the store serves.
     pub schema: Schema,
-    /// The epoch registry (allocation counter and publication records).
+    /// The epoch registry: the allocation counter and the causal side. It
+    /// holds no per-epoch records, since every allocated epoch is stable
+    /// (see [`crate::epoch`]).
     pub registry: EpochRegistry,
     /// The published-transaction log (indexes re-derived after loading).
     pub log: TransactionLog,
@@ -178,8 +179,7 @@ mod tests {
     fn sample_snapshot() -> StoreSnapshot {
         let p = ParticipantId(1);
         let mut registry = EpochRegistry::new();
-        let epoch = registry.begin_publish(p);
-        registry.finish_publish(epoch).unwrap();
+        let epoch = registry.allocate();
         let mut log = TransactionLog::new();
         let txn = Transaction::from_parts(
             p,
@@ -203,7 +203,6 @@ mod tests {
                 policy: TrustPolicy::new(p).trusting(ParticipantId(2), 1u32),
                 registered: true,
                 retired: false,
-                cursor: Some(epoch),
                 relevance_floor: Epoch::ZERO,
                 record,
             }],
@@ -226,13 +225,11 @@ mod tests {
         assert_eq!(back.retention, RetentionPolicy::KeepLastN(4));
         back.log.rebuild_indexes();
         assert_eq!(back.log.len(), 1);
-        let participant = &mut back.participants[0];
+        let participant = &back.participants[0];
         assert!(participant.registered);
         assert!(!participant.retired);
-        assert_eq!(participant.cursor, Some(Epoch(1)));
         assert_eq!(participant.relevance_floor, Epoch::ZERO);
-        participant.record.rebuild_sets();
-        assert_eq!(participant.record.accepted_set().len(), 1);
+        assert_eq!(participant.record.accepted_snapshot().len(), 1);
         assert_eq!(participant.record.last_reconciliation(), Some((ReconciliationId(1), Epoch(1))));
         std::fs::remove_dir_all(&dir).ok();
     }

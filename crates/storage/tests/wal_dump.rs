@@ -1,14 +1,19 @@
 //! Runs the `wal_dump` inspection tool over a WAL generation holding one
 //! record of every kind: it must summarise each record, report the
 //! generation's one file intact, and flag a flipped payload byte as a CRC
-//! mismatch.
+//! mismatch. A second case dumps a snapshot: one summary line plus one line
+//! per participant.
 
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{
     AntichainClock, CausalStamp, Epoch, ParticipantId, ReconciliationId, Transaction, TrustPolicy,
     Tuple, Update,
 };
-use orchestra_storage::{FileWalBackend, RetentionPolicy, WalRecord};
+use orchestra_storage::snapshot::write_snapshot;
+use orchestra_storage::{
+    Decision, EpochRegistry, FileWalBackend, ParticipantRecord, ParticipantSnapshot,
+    RetentionPolicy, StoreSnapshot, TransactionLog, WalRecord,
+};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -71,15 +76,16 @@ fn wal_dump(dir: &Path) -> (bool, String) {
     (output.status.success(), String::from_utf8(output.stdout).unwrap())
 }
 
-fn fresh_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("orchestra-wal-dump-{}", std::process::id()));
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("orchestra-wal-dump-{}-{name}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
 }
 
 #[test]
 fn wal_dump_summarises_every_record_kind_and_flags_a_flipped_byte() {
-    let dir = fresh_dir();
+    let dir = fresh_dir("every-kind");
     let records = every_kind();
     {
         // `create` writes the `Init` record itself.
@@ -115,5 +121,56 @@ fn wal_dump_summarises_every_record_kind_and_flags_a_flipped_byte() {
         panic!("a flipped payload byte went unnoticed:\n{out}");
     });
     assert!(mismatch.contains("frame 0 @ 0"), "got {mismatch}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn wal_dump_summarises_a_snapshot_and_each_participant() {
+    let dir = fresh_dir("snapshot");
+    let mut registry = EpochRegistry::new();
+    let mut log = TransactionLog::new();
+    for i in 1..=2 {
+        log.publish(registry.allocate(), txn(i, 0)).unwrap();
+    }
+    let participant = |i: u32, record: ParticipantRecord| ParticipantSnapshot {
+        id: p(i),
+        policy: TrustPolicy::new(p(i)),
+        registered: true,
+        retired: false,
+        relevance_floor: Epoch::ZERO,
+        record,
+    };
+    let mut first = ParticipantRecord::new();
+    first.record(txn(1, 0).id(), Decision::Accepted);
+    first.record(txn(2, 0).id(), Decision::Rejected);
+    first.record_reconciliation(ReconciliationId(3), Epoch(2));
+    let mut second = ParticipantRecord::new();
+    second.record(txn(2, 0).id(), Decision::Accepted);
+    let snapshot = StoreSnapshot {
+        schema: bioinformatics_schema(),
+        registry,
+        log,
+        membership_frontier: Epoch::ZERO,
+        pruned_through: Epoch::ZERO,
+        retention: RetentionPolicy::KeepAll,
+        participants: vec![participant(1, first), participant(2, second)],
+        wal_generation: 4,
+    };
+    write_snapshot(&dir, &snapshot).unwrap();
+
+    let (ok, out) = wal_dump(&dir);
+    assert!(ok, "wal_dump failed:\n{out}");
+    let summaries: Vec<&str> = out.lines().filter(|line| line.contains("snapshot: ")).collect();
+    assert_eq!(summaries.len(), 1, "{out}");
+    assert!(summaries[0].contains("generation 4, 2 epoch(s) allocated, 2 log entr(ies)"), "{out}");
+    let participants: Vec<&str> = out.lines().filter(|line| line.starts_with("    p")).collect();
+    assert_eq!(
+        participants,
+        [
+            "    p1: registered=true, retired=false, +1 -1, last reconciliation (recno 3, epoch 2)",
+            "    p2: registered=true, retired=false, +1 -0, last reconciliation none",
+        ],
+        "{out}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -17,9 +17,9 @@
 //!   take its write lock (they serialise, exactly like the paper's single
 //!   epoch allocator); retrievals share its read lock;
 //! * a **per-participant shard** (`RwLock` each) holds that participant's
-//!   trust policy, its slice of the trust-evaluated relevance index, its
-//!   epoch cursor and its durable decision record
-//!   ([`orchestra_storage::ParticipantRecord`]). Reconciliations and
+//!   trust policy, its slice of the trust-evaluated relevance index and its
+//!   durable decision record ([`orchestra_storage::ParticipantRecord`]),
+//!   whose last reconciliation is its epoch cursor. Reconciliations and
 //!   decision commits from different participants touch different shards and
 //!   proceed in parallel;
 //! * a **session table** (`Mutex`, held only for pointer-sized bookkeeping)
@@ -287,8 +287,9 @@ struct LogShard {
     pruned_through: Epoch,
 }
 
-/// One participant's shard: policy, relevance index slice, epoch cursor and
-/// durable decision record.
+/// One participant's shard: policy, relevance index slice and durable
+/// decision record. The record's last reconciliation is the epoch cursor;
+/// the shard keeps no second copy of it.
 #[derive(Debug, Clone)]
 struct ParticipantShard {
     policy: TrustPolicy,
@@ -309,9 +310,6 @@ struct ParticipantShard {
     /// horizon at every prune, so a recovered shard's rebuilt index matches
     /// the live one exactly.
     relevance_floor: Epoch,
-    /// The epoch of the last committed reconciliation (`None` until the
-    /// first commit; falls back to the decision record's history).
-    cursor: Option<Epoch>,
     record: ParticipantRecord,
 }
 
@@ -323,15 +321,14 @@ impl ParticipantShard {
             retired: false,
             relevance: RelevanceSlice::default(),
             relevance_floor: Epoch::ZERO,
-            cursor: None,
             record: ParticipantRecord::new(),
         }
     }
 
+    /// The epoch of the last committed reconciliation (`Epoch::ZERO` before
+    /// the first).
     fn epoch_cursor(&self) -> Epoch {
-        self.cursor.unwrap_or_else(|| {
-            self.record.last_reconciliation().map(|(_, e)| e).unwrap_or_default()
-        })
+        self.record.last_reconciliation().map(|(_, e)| e).unwrap_or_default()
     }
 }
 
@@ -638,18 +635,6 @@ impl StoreCatalog {
         shard.registered.then(|| shard.policy.clone())
     }
 
-    /// All registered participants, in order.
-    pub fn participants(&self) -> Vec<ParticipantId> {
-        let map = self.shards.read().expect("shard map lock");
-        let mut ids: Vec<ParticipantId> = map
-            .iter()
-            .filter(|(_, shard)| shard.read().expect("shard lock").registered)
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort();
-        ids
-    }
-
     /// Publishes a batch of transactions from a peer as one epoch, marking
     /// the publisher's own transactions as accepted by it and extending the
     /// relevance index of every registered participant that trusts one of
@@ -723,7 +708,7 @@ impl StoreCatalog {
             }
         }
 
-        let epoch = log.registry.begin_publish(participant);
+        let epoch = log.registry.allocate();
         if let Some(stamp) = stamp {
             // Cannot fail: the stamp was validated above, before any
             // mutation, and the log lock has been held throughout.
@@ -772,7 +757,6 @@ impl StoreCatalog {
             for txn in transactions {
                 log.log.publish(epoch, txn)?;
             }
-            log.registry.finish_publish(epoch)?;
             if let Some(record) = record {
                 // Appended while still holding the log write lock *and* the
                 // publisher's shard write lock: concurrent publishes reach
@@ -826,7 +810,7 @@ impl StoreCatalog {
             .range(previous, epoch)
             .iter()
             .map(|(_, entry)| *entry)
-            .filter(|(id, _)| shard.record.decision(*id).is_none())
+            .filter(|(id, _)| !shard.record.is_decided(*id))
             .collect();
         let accepted = shard.record.accepted_snapshot();
 
@@ -982,15 +966,6 @@ impl StoreCatalog {
             self.durability.append(&record)?;
         }
         Ok(())
-    }
-
-    /// The membership frontier: no participant registering from now on needs
-    /// relevance entries at or below it (late joiners see only post-frontier
-    /// history). `Epoch::ZERO` (the initial value) means membership is open
-    /// and the convergence horizon — and with it all pruning — is pinned at
-    /// zero.
-    pub fn membership_frontier(&self) -> Epoch {
-        self.log.read().expect("log lock").membership_frontier
     }
 
     /// The epoch the catalogue has pruned through (`Epoch::ZERO` before the
@@ -1166,7 +1141,7 @@ impl StoreCatalog {
 
     /// Prunes everything at or below the policy-capped convergence horizon,
     /// except the pinned-ancestor set: log entries, per-epoch relevance
-    /// slices and epoch publication records go; decision sets stay. Runs
+    /// slices and causal DAG nodes go; decision sets stay. Runs
     /// under the log write lock plus every shard's write lock (sorted — the
     /// same total order as [`StoreCatalog::snapshot`]), so sessions,
     /// publishes and commits never observe a half-pruned catalogue; the WAL
@@ -1303,7 +1278,7 @@ impl StoreCatalog {
         let accepted = shard.record.accepted_snapshot();
         let mut out = Vec::new();
         for &(_, (id, priority)) in shard.relevance.range(Epoch::ZERO, cursor) {
-            if shard.record.decision(id).is_some() {
+            if shard.record.is_decided(id) {
                 continue;
             }
             let Some(entry) = log.log.entry(id) else { continue };
@@ -1341,7 +1316,7 @@ impl StoreCatalog {
             .into_iter()
             .filter(|txn| {
                 txn.origin() != participant
-                    && shard.record.decision(txn.id()).is_none()
+                    && !shard.record.is_decided(txn.id())
                     && shard.policy.priority_by_origin(txn, &self.schema).is_untrusted()
             })
             .map(Transaction::id)
@@ -1515,8 +1490,6 @@ impl StoreCatalog {
         log.rebuild_indexes();
         let mut shards: FxHashMap<ParticipantId, SharedShard> = FxHashMap::default();
         for p in participants {
-            let mut record = p.record;
-            record.rebuild_sets();
             shards.insert(
                 p.id,
                 Arc::new(RwLock::new(ParticipantShard {
@@ -1525,8 +1498,7 @@ impl StoreCatalog {
                     retired: p.retired,
                     relevance: RelevanceSlice::default(),
                     relevance_floor: p.relevance_floor,
-                    cursor: p.cursor,
-                    record,
+                    record: p.record,
                 })),
             );
         }
@@ -1642,7 +1614,6 @@ impl StoreCatalog {
                 policy: shard.policy.clone(),
                 registered: shard.registered,
                 retired: shard.retired,
-                cursor: shard.cursor,
                 relevance_floor: shard.relevance_floor,
                 record: shard.record.clone(),
             })
@@ -1735,7 +1706,7 @@ fn converged_horizon<'a>(
             .relevance
             .range(Epoch::ZERO, Epoch(h))
             .iter()
-            .find(|(_, (id, _))| shard.record.decision(*id).is_none());
+            .find(|(_, (id, _))| !shard.record.is_decided(*id));
         if let Some((epoch, _)) = undecided {
             h = epoch.as_u64() - 1;
         }
@@ -1746,11 +1717,12 @@ fn converged_horizon<'a>(
     Epoch(h)
 }
 
-/// Prunes the guarded state through `horizon`: drops sub-horizon log entries
-/// outside the pinned-ancestor closure, sub-horizon epoch publication
-/// records, and every shard's sub-horizon relevance slices; raises the
-/// relevance floors and the pruned-through mark. Deterministic over durable
-/// state — live pruning and WAL replay share this exact function.
+/// Prunes the guarded state through `horizon`, which lies above the current
+/// pruned-through mark: drops sub-horizon log entries outside the
+/// pinned-ancestor closure, sub-horizon causal DAG nodes, and every shard's
+/// sub-horizon relevance slices; raises the relevance floors and the
+/// pruned-through mark. Deterministic over durable state — live pruning and
+/// WAL replay share this exact function.
 fn prune_locked(
     log: &mut LogShard,
     shards: &mut [std::sync::RwLockWriteGuard<'_, ParticipantShard>],
@@ -1760,7 +1732,8 @@ fn prune_locked(
     let pinned = log.log.pinned_ancestors(schema, horizon);
     let pinned_count = pinned.len() as u64;
     let pruned_log_entries = log.log.prune_below(horizon, &pinned);
-    let pruned_epoch_records = log.registry.prune_through(horizon);
+    let pruned_epoch_records = horizon.as_u64() - log.pruned_through.as_u64();
+    log.registry.prune_through(horizon);
     let mut pruned_relevance_entries = 0u64;
     for shard in shards.iter_mut() {
         pruned_relevance_entries += shard.relevance.prune_through(horizon);
@@ -1779,9 +1752,9 @@ fn prune_locked(
     }
 }
 
-/// Applies a committed reconciliation to a participant shard: decisions,
-/// the `(recno, epoch)` reconciliation record, and the epoch cursor move
-/// together. Shared by the live commit path and WAL replay.
+/// Applies a committed reconciliation to a participant shard: the decisions
+/// and the `(recno, epoch)` reconciliation record, which is the epoch cursor,
+/// move together. Shared by the live commit path and WAL replay.
 fn apply_reconciliation(
     shard: &mut ParticipantShard,
     recno: ReconciliationId,
@@ -1796,7 +1769,6 @@ fn apply_reconciliation(
         shard.record.record(*id, Decision::Rejected);
     }
     shard.record.record_reconciliation(recno, epoch);
-    shard.cursor = Some(epoch);
 }
 
 impl Clone for StoreCatalog {
@@ -1887,6 +1859,16 @@ mod tests {
         cat
     }
 
+    /// The registered participants, in order.
+    fn registered(cat: &StoreCatalog) -> Vec<ParticipantId> {
+        let mut ids: Vec<ParticipantId> = (cat.shards.read().unwrap().iter())
+            .filter(|(_, shard)| shard.read().unwrap().registered)
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort();
+        ids
+    }
+
     /// Drains every entry of a fresh session, committing nothing.
     fn session_entries(cat: &StoreCatalog, participant: ParticipantId) -> Vec<RelevanceEntry> {
         let opened = cat.open_session(participant).unwrap();
@@ -1911,7 +1893,7 @@ mod tests {
         assert!(cat.accepted_set(p(3)).contains(&x.id()));
         assert_eq!(cat.largest_stable_epoch(), Epoch(1));
         assert_eq!(cat.transaction(x.id()).unwrap().as_ref(), &x);
-        assert_eq!(cat.participants(), vec![p(1), p(2), p(3)]);
+        assert_eq!(registered(&cat), vec![p(1), p(2), p(3)]);
         assert_eq!(cat.log_len(), 1);
     }
 
@@ -1960,7 +1942,7 @@ mod tests {
                 vec![txn(7, 0, vec![Update::insert("Function", func("x", "y", "z"), p(7))])],
             )
             .unwrap();
-        assert!(unregistered.participants().is_empty());
+        assert!(registered(&unregistered).is_empty());
         assert!(unregistered.policy(p(7)).is_none());
     }
 
@@ -2779,6 +2761,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A commit moves the participant's last reconciliation and keeps no
+    /// earlier one, so committing 20 more empty sessions leaves the snapshot
+    /// as large as it was after the first, and the cursor and reconciliation
+    /// number come back through `snapshot` → `recover` and through `restart`.
+    #[test]
+    fn empty_sessions_leave_the_snapshot_size_unchanged() {
+        let dir = tmp_dir("empty-sessions");
+        let cat = durable_catalog(&dir);
+        cat.publish(p(1), None, None, vec![insert_by(1, 0)]).unwrap();
+        let mut snapshot_bytes = Vec::new();
+        for (sessions, recno) in [(1, 1), (20, 21)] {
+            for _ in 0..sessions {
+                let opened = cat.open_session(p(1)).unwrap();
+                cat.commit_session(opened.session, &[], &[]).unwrap();
+            }
+            cat.snapshot().unwrap();
+            snapshot_bytes.push(std::fs::metadata(snapshot::snapshot_path(&dir)).unwrap().len());
+            let expected = (Epoch(1), ReconciliationId(recno));
+            let state = |c: &StoreCatalog| (c.epoch_cursor(p(1)), c.current_reconciliation(p(1)));
+            assert_eq!(state(&cat), expected);
+            assert_eq!(state(&StoreCatalog::recover(&dir).unwrap()), expected);
+            assert_eq!(state(&cat.restart().unwrap()), expected);
+        }
+        assert_eq!(snapshot_bytes[0], snapshot_bytes[1]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn ephemeral_catalogues_refuse_to_snapshot() {
         let cat = catalog_with_policies();
@@ -2875,7 +2884,7 @@ mod tests {
         // Membership open: nothing is ever prunable.
         assert_eq!(cat.convergence_horizon(), Epoch::ZERO);
         cat.close_membership().unwrap();
-        assert_eq!(cat.membership_frontier(), Epoch(u64::MAX));
+        assert_eq!(cat.log.read().unwrap().membership_frontier, Epoch(u64::MAX));
         // Empty store: stable frontier caps at zero.
         assert_eq!(cat.convergence_horizon(), Epoch::ZERO);
 
@@ -3023,7 +3032,7 @@ mod tests {
         // the others' stay. It can no longer reconcile, is not listed, and
         // receives no relevance for later publishes.
         cat.retire_participant(p(3)).unwrap();
-        assert_eq!(cat.participants(), vec![p(1), p(2)]);
+        assert_eq!(registered(&cat), vec![p(1), p(2)]);
         assert!(matches!(cat.open_session(p(3)), Err(StorageError::Retention(_))));
         assert_eq!(cat.convergence_horizon(), Epoch(1));
         let report = cat.prune_to_horizon().unwrap();
@@ -3116,7 +3125,7 @@ mod tests {
         assert_eq!(cat.advance_membership_frontier(Epoch(5)).unwrap(), Epoch(5));
         // A smaller value is a no-op, not a rollback.
         assert_eq!(cat.advance_membership_frontier(Epoch(3)).unwrap(), Epoch(5));
-        assert_eq!(cat.membership_frontier(), Epoch(5));
+        assert_eq!(cat.log.read().unwrap().membership_frontier, Epoch(5));
     }
 
     #[test]
@@ -3198,7 +3207,7 @@ mod tests {
         let copy = cat.clone();
         assert_eq!(copy.open_sessions(), 0);
         assert_eq!(copy.log_len(), 1);
-        assert_eq!(copy.participants(), cat.participants());
+        assert_eq!(registered(&copy), registered(&cat));
         // The clone is independent: decisions recorded in one do not leak
         // into the other.
         copy.record_decisions(p(1), &[x.id()], &[]).unwrap();

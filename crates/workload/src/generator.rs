@@ -106,11 +106,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
-    }
-
     /// Number of cross-reference tuples for one newly inserted key, averaging
     /// `xref_mean`.
     fn sample_xref_count(&mut self) -> usize {

@@ -100,7 +100,7 @@ impl SwissProtPools {
     }
 
     /// The `(organism, protein)` key at an index.
-    pub fn key(&self, index: usize) -> (&str, &str) {
+    fn key(&self, index: usize) -> (&str, &str) {
         let (o, p) = &self.keys[index % self.keys.len()];
         (o, p)
     }
