@@ -19,8 +19,8 @@
 
 use crate::report::{ReconcileReport, ResolutionReport, TimingBreakdown};
 use orchestra_model::{
-    flatten_keyed, AntichainClock, CausalStamp, ParticipantId, ReconciliationId, Schema,
-    Transaction, TransactionId, TrustPolicy, Update,
+    flatten_keyed, AntichainClock, CausalStamp, ConflictKey, ParticipantId, ReconciliationId,
+    Schema, Transaction, TransactionId, TrustPolicy, Update,
 };
 use orchestra_obs::{Counter, Obs, Span};
 use orchestra_recon::{
@@ -576,9 +576,7 @@ impl Participant {
         session: SessionInfo,
         retrieval: StoreTiming,
         candidates: Vec<CandidateTransaction>,
-        precomputed_conflicts: Option<
-            rustc_hash::FxHashMap<TransactionId, rustc_hash::FxHashSet<TransactionId>>,
-        >,
+        precomputed_conflicts: Option<Vec<(usize, usize, Vec<ConflictKey>)>>,
         span: &Span,
     ) -> Result<ReconcileReport> {
         let local_start = Instant::now();

@@ -7,15 +7,22 @@
 //! It decides every candidate (accept / reject / defer), applies the accepted
 //! ones, and rebuilds the soft state (dirty values and conflict groups) from
 //! the deferred ones.
+//!
+//! A run names a candidate by its position in the candidate list, as the
+//! paper's figures do: the verdicts are one vector in that order, and
+//! `FindConflicts` hands `DoGroup` the sorted `(i, j, keys)` pairs that
+//! [`direct_conflicts`] returns, which the network-centric mode computes at
+//! the store instead. The own-delta check of `CheckState` asks the question
+//! `FindConflicts` asks, of the participant's own net delta.
 
-use crate::extension::{
-    by_key, conflict_keys_with, conflict_sets, CandidateTransaction, FlatExtension, KeyIndex,
-};
+use crate::extension::{direct_conflicts, CandidateTransaction, FlatExtension, TouchedPairs};
 use crate::softstate::{ConflictGroup, SoftState};
-use orchestra_model::{flatten_keyed, Priority, ReconciliationId, Schema, TransactionId, Update};
+use orchestra_model::{
+    flatten_keyed, ConflictKey, Priority, ReconciliationId, Schema, TransactionId, Update,
+};
 use orchestra_obs::Span;
 use orchestra_storage::Database;
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::sync::Arc;
 
 /// The decision made about one candidate transaction.
@@ -58,10 +65,11 @@ pub struct ReconcileInput {
     pub previously_accepted: Arc<FxHashSet<TransactionId>>,
     /// Pairwise direct conflicts already computed elsewhere (the
     /// network-centric mode of Section 5, where conflict detection is
-    /// distributed across the peers owning the conflicting keys). When
+    /// distributed across the peers owning the conflicting keys), as
+    /// [`direct_conflicts`] returns them: positions into `candidates`. When
     /// present, the engine skips its own `FindConflicts` step and uses these;
     /// when absent, conflicts are detected locally (client-centric mode).
-    pub precomputed_conflicts: Option<FxHashMap<TransactionId, FxHashSet<TransactionId>>>,
+    pub precomputed_conflicts: Option<Vec<(usize, usize, Vec<ConflictKey>)>>,
 }
 
 /// The result of one reconciliation run.
@@ -83,22 +91,6 @@ pub struct ReconcileOutcome {
     pub applied: usize,
     /// The conflict groups recorded for the deferred transactions.
     pub conflict_groups: Vec<ConflictGroup>,
-}
-
-impl ReconcileOutcome {
-    /// The decision recorded for a root transaction, if it was part of this
-    /// run.
-    pub fn decision_of(&self, id: TransactionId) -> Option<TransactionDecision> {
-        if self.accepted_roots.contains(&id) {
-            Some(TransactionDecision::Accept)
-        } else if self.rejected.contains(&id) {
-            Some(TransactionDecision::Reject)
-        } else if self.deferred.contains(&id) {
-            Some(TransactionDecision::Defer)
-        } else {
-            None
-        }
-    }
 }
 
 /// The client-centric reconciliation engine. It holds nothing but the
@@ -150,10 +142,18 @@ impl ReconcileEngine {
             }
         }
         let candidates = candidates;
-        // The participant's own net delta, indexed once per run by the keys
-        // it touches; every candidate probes the index with its own keys.
-        let own = flatten_keyed(schema, [&Arc::new(input.own_updates)]);
-        let own_by_key = by_key(&own);
+        debug_assert!(
+            {
+                let mut ids: Vec<TransactionId> = candidates.iter().map(|c| c.id).collect();
+                ids.sort_unstable();
+                ids.windows(2).all(|pair| pair[0] != pair[1])
+            },
+            "a candidate is presented once"
+        );
+        // The participant's own net delta, its touches sorted once per run;
+        // every candidate probes them with its own keys.
+        let own_delta = flatten_keyed(schema, [&Arc::new(input.own_updates)]);
+        let own = TouchedPairs::new([&own_delta]);
 
         // Lines 5-8: per-candidate flattened extensions and CheckState. A
         // candidate from the store arrives with the flattening it derived
@@ -165,18 +165,13 @@ impl ReconcileEngine {
         // below carry it into the soft state.
         let flats: Vec<Arc<FlatExtension>> =
             candidates.iter().map(|cand| Arc::clone(cand.flattening(schema))).collect();
-        let mut decisions: FxHashMap<TransactionId, TransactionDecision> = FxHashMap::default();
-        for (cand, flat) in candidates.iter().zip(&flats) {
-            let decision = self.check_state(
-                cand,
-                flat,
-                instance,
-                soft,
-                &own_by_key,
-                &input.previously_rejected,
-            );
-            decisions.insert(cand.id, decision);
-        }
+        let mut decisions: Vec<TransactionDecision> = candidates
+            .iter()
+            .zip(&flats)
+            .map(|(cand, flat)| {
+                self.check_state(cand, flat, instance, soft, &own, &input.previously_rejected)
+            })
+            .collect();
         drop(phase);
 
         // Line 9: FindConflicts — pairwise direct conflicts between
@@ -186,21 +181,18 @@ impl ReconcileEngine {
         let phase = span.child("find_conflicts", &[]);
         let conflicts = input
             .precomputed_conflicts
-            .unwrap_or_else(|| conflict_sets(&candidates, &flats, schema, &phase));
+            .unwrap_or_else(|| direct_conflicts(&candidates, &flats, schema, &phase));
         drop(phase);
 
         // Lines 10-12: DoGroup per priority, in decreasing order. It only
         // ever revises the decisions of conflicting candidates.
-        let phase = span.child("do_group", &[("conflicting", conflicts.len() as u64)]);
+        let phase = span.child("do_group", &[("pairs", conflicts.len() as u64)]);
         if !conflicts.is_empty() {
-            let by_id: FxHashMap<TransactionId, &CandidateTransaction> =
-                candidates.iter().map(|c| (c.id, c)).collect();
             let mut priorities: Vec<Priority> = candidates.iter().map(|c| c.priority).collect();
             priorities.sort_unstable();
             priorities.dedup();
-            priorities.reverse();
-            for prio in priorities {
-                Self::do_group(prio, &candidates, &conflicts, &by_id, &mut decisions);
+            for prio in priorities.into_iter().rev() {
+                Self::do_group(prio, &candidates, &conflicts, &mut decisions);
             }
         }
         drop(phase);
@@ -213,8 +205,8 @@ impl ReconcileEngine {
         let phase = span.child("apply", &[]);
         let mut used: FxHashSet<TransactionId> = FxHashSet::default();
         let mut outcome = ReconcileOutcome { recno: input.recno, ..Default::default() };
-        for (cand, flat) in candidates.iter().zip(&flats) {
-            if decisions[&cand.id] != TransactionDecision::Accept {
+        for ((cand, flat), decision) in candidates.iter().zip(&flats).zip(&mut decisions) {
+            if *decision != TransactionDecision::Accept {
                 continue;
             }
             let applied = if cand.members.iter().any(|(id, _)| used.contains(id)) {
@@ -237,7 +229,7 @@ impl ReconcileEngine {
                     // application fails despite the checks (e.g. an exotic
                     // constraint interaction), the instance is as it was
                     // before the attempt and the transaction is rejected.
-                    decisions.insert(cand.id, TransactionDecision::Reject);
+                    *decision = TransactionDecision::Reject;
                 }
             }
         }
@@ -248,8 +240,8 @@ impl ReconcileEngine {
         // durably records it accepted, so it is no longer deferred (and must
         // not linger in the soft state where a user could "resolve" a
         // transaction the store has already committed to).
-        for cand in &candidates {
-            match decisions[&cand.id] {
+        for (cand, decision) in candidates.iter().zip(&decisions) {
+            match decision {
                 TransactionDecision::Reject => outcome.rejected.push(cand.id),
                 TransactionDecision::Defer if !used.contains(&cand.id) => {
                     outcome.deferred.push(cand.id)
@@ -279,21 +271,19 @@ impl ReconcileEngine {
         let mut all_deferred: Vec<CandidateTransaction> =
             soft.deferred().values().cloned().collect();
         all_deferred.sort_by_key(|c| c.id);
-        for cand in &candidates {
-            if decisions[&cand.id] == TransactionDecision::Defer
-                && !all_deferred.iter().any(|c| c.id == cand.id)
-            {
+        for (cand, decision) in candidates.iter().zip(&decisions) {
+            if *decision == TransactionDecision::Defer && !soft.is_deferred(cand.id) {
                 all_deferred.push(cand.clone());
             }
         }
         // Previously deferred transactions that were decided in this run
         // (possible during conflict resolution), or accepted as members of an
         // accepted extension, drop out of the deferred set — the store's
-        // durable record is authoritative.
-        all_deferred.retain(|c| {
-            !used.contains(&c.id)
-                && decisions.get(&c.id).map(|d| *d == TransactionDecision::Defer).unwrap_or(true)
-        });
+        // durable record is authoritative. Every accepted root is a used
+        // member, so a rejected root is the only other way out.
+        let rejected_again: Vec<TransactionId> =
+            outcome.rejected.iter().copied().filter(|id| soft.is_deferred(*id)).collect();
+        all_deferred.retain(|c| !used.contains(&c.id) && !rejected_again.contains(&c.id));
         for cand in &mut all_deferred {
             cand.prune_accepted_members(|id| {
                 input.previously_accepted.contains(id) || used.contains(id)
@@ -306,14 +296,15 @@ impl ReconcileEngine {
 
     /// `CheckState` (Figure 5): decide a candidate against the dirty-value
     /// set, previous decisions, the materialised instance, and the
-    /// participant's own delta for this reconciliation.
+    /// participant's own delta for this reconciliation, whose touches `own`
+    /// holds.
     fn check_state(
         &self,
         cand: &CandidateTransaction,
         flat: &FlatExtension,
         instance: &Database,
         soft: &SoftState,
-        own_by_key: &KeyIndex<'_>,
+        own: &TouchedPairs<'_>,
         previously_rejected: &FxHashSet<TransactionId>,
     ) -> TransactionDecision {
         // 1-2: touches a dirty value -> defer.
@@ -330,79 +321,46 @@ impl ReconcileEngine {
                 return TransactionDecision::Reject;
             }
         }
-        // 7-8: conflicts with the participant's own delta -> reject. Every
-        // conflicting pair of updates touches one key first, so probing the
-        // own delta's index with the candidate's first keys finds them all.
-        if !conflict_keys_with(flat, own_by_key).is_empty() {
+        // 7-8: conflicts with the participant's own delta -> reject.
+        if own.conflict_with(flat) {
             return TransactionDecision::Reject;
         }
         TransactionDecision::Accept
     }
 
-    /// `DoGroup` (Figure 5): within one priority group, reject transactions
-    /// that conflict with higher-priority accepted transactions, defer those
-    /// that conflict with higher-priority deferred transactions, and defer
-    /// both members of any conflicting pair within the group.
+    /// `DoGroup` (Figure 5) for the candidates of priority `prio`, over the
+    /// conflicting pairs of positions: reject a candidate that conflicts
+    /// with a higher-priority accepted one, else defer one that conflicts
+    /// with a higher-priority deferred one, then defer both sides of every
+    /// conflict within the group that neither side lost.
     fn do_group(
         prio: Priority,
         candidates: &[CandidateTransaction],
-        conflicts: &FxHashMap<TransactionId, FxHashSet<TransactionId>>,
-        by_id: &FxHashMap<TransactionId, &CandidateTransaction>,
-        decisions: &mut FxHashMap<TransactionId, TransactionDecision>,
+        conflicts: &[(usize, usize, Vec<ConflictKey>)],
+        decisions: &mut [TransactionDecision],
     ) {
-        let group: Vec<TransactionId> = candidates
-            .iter()
-            .filter(|c| c.priority == prio)
-            .filter(|c| decisions[&c.id] != TransactionDecision::Reject)
-            .map(|c| c.id)
-            .collect();
-
-        // Conflicts with strictly higher-priority transactions. The verdict
-        // is aggregated over the *whole* conflict set before being applied:
-        // one accepted higher-priority conflict rejects the transaction, no
-        // matter how many deferred higher-priority conflicts it also has.
-        // (An earlier version decided per conflict while iterating a hash
-        // set, so a Defer encountered after a Reject overwrote it and the
-        // outcome depended on hash-iteration order.)
-        for &t in &group {
-            let Some(cs) = conflicts.get(&t) else { continue };
-            let mut any_accepted = false;
-            let mut any_deferred = false;
-            for &c in cs {
-                let Some(other) = by_id.get(&c) else { continue };
-                if other.priority <= prio {
-                    continue;
-                }
-                match decisions[&c] {
-                    TransactionDecision::Accept => any_accepted = true,
-                    TransactionDecision::Defer => any_deferred = true,
-                    TransactionDecision::Reject => {}
-                }
-            }
-            if any_accepted {
-                // Reject is sticky: it wins over any deferred conflict.
-                decisions.insert(t, TransactionDecision::Reject);
-            } else if any_deferred {
-                decisions.insert(t, TransactionDecision::Defer);
+        use TransactionDecision::{Accept, Defer, Reject};
+        let of = |at: usize| candidates[at].priority;
+        // Conflicts with strictly higher-priority candidates, whose verdicts
+        // this group cannot change. Reject is sticky: one accepted
+        // higher-priority conflict rejects the candidate, however many
+        // deferred ones it also has, so the order of the pairs is immaterial.
+        for &(i, j, _) in conflicts {
+            let (low, high) = match (of(i), of(j)) {
+                (a, b) if a == prio && b > prio => (i, j),
+                (a, b) if b == prio && a > prio => (j, i),
+                _ => continue,
+            };
+            match decisions[high] {
+                Accept => decisions[low] = Reject,
+                Defer if decisions[low] != Reject => decisions[low] = Defer,
+                Defer | Reject => {}
             }
         }
-
-        // Conflicts within the group — the members not rejected above:
-        // defer both sides. A conflicting pair is named in its members'
-        // conflict sets, so those are walked, not every pair of the group.
-        let in_group = |id: &TransactionId, decisions: &FxHashMap<_, _>| {
-            by_id.get(id).is_some_and(|c| c.priority == prio)
-                && decisions[id] != TransactionDecision::Reject
-        };
-        for a in &group {
-            if !in_group(a, decisions) {
-                continue;
-            }
-            for b in conflicts.get(a).into_iter().flatten() {
-                if in_group(b, decisions) {
-                    decisions.insert(*a, TransactionDecision::Defer);
-                    decisions.insert(*b, TransactionDecision::Defer);
-                }
+        // Conflicts within the group: defer both sides.
+        for &(i, j, _) in conflicts {
+            if of(i) == prio && of(j) == prio && decisions[i] != Reject && decisions[j] != Reject {
+                (decisions[i], decisions[j]) = (Defer, Defer);
             }
         }
     }
@@ -453,7 +411,7 @@ mod tests {
         assert!(out.deferred.is_empty());
         assert_eq!(db.total_tuples(), 2);
         assert_eq!(out.applied, 2);
-        assert_eq!(out.decision_of(x1.id()), Some(TransactionDecision::Accept));
+        assert_eq!(out.accepted_roots, vec![x1.id(), x2.id()]);
     }
 
     #[test]
@@ -685,14 +643,14 @@ mod tests {
     fn reject_is_sticky_regardless_of_conflict_iteration_order() {
         // Regression test for an order-dependence bug in DoGroup: a candidate
         // conflicting with BOTH an accepted and a deferred higher-priority
-        // transaction must be rejected. The old code iterated the conflict
-        // hash set and overwrote decisions per conflict, so whenever the
-        // deferred conflict happened to be visited after the accepted one the
-        // Reject became a Defer. The low-priority candidate's id is varied so
-        // that every hash-iteration order of its conflict set is exercised.
-        for (d2_participant, low_participant) in
-            [(4u32, 5u32), (8, 4), (8, 5), (8, 9), (14, 4), (4, 9)]
-        {
+        // transaction must be rejected, whichever conflict is met first. An
+        // earlier DoGroup overwrote the decision per conflict, so a Defer met
+        // after the Reject won. DoGroup meets the pairs in position order, so
+        // `high` comes first or last among the candidates; the ids vary too.
+        let orders = [(4u32, 5u32), (8, 4), (8, 5), (8, 9), (14, 4), (4, 9)]
+            .into_iter()
+            .flat_map(|ids| [(ids, true), (ids, false)]);
+        for ((d2_participant, low_participant), high_first) in orders {
             let (engine, mut db, mut soft) = setup();
             // `high` is alone at priority 9 on key (rat, prot1): accepted.
             let high = txn(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
@@ -713,12 +671,14 @@ mod tests {
                     Update::insert("Function", func("rat", "prot2", "y"), p(low_participant)),
                 ],
             );
+            let mut candidates = vec![cand(&d1, 5), cand(&d2, 5), cand(&low, 1)];
+            if high_first {
+                candidates.insert(0, cand(&high, 9));
+            } else {
+                candidates.push(cand(&high, 9));
+            }
             let out = engine.reconcile(
-                ReconcileInput {
-                    recno: ReconciliationId(1),
-                    candidates: vec![cand(&high, 9), cand(&d1, 5), cand(&d2, 5), cand(&low, 1)],
-                    ..Default::default()
-                },
+                ReconcileInput { recno: ReconciliationId(1), candidates, ..Default::default() },
                 &mut db,
                 &mut soft,
                 &Span::default(),
@@ -726,8 +686,8 @@ mod tests {
             assert_eq!(out.accepted_roots, vec![high.id()]);
             assert_eq!(out.deferred.len(), 2, "only d1/d2 defer (low id {low_participant})");
             assert_eq!(
-                out.decision_of(low.id()),
-                Some(TransactionDecision::Reject),
+                out.rejected,
+                vec![low.id()],
                 "low-priority candidate {low_participant} must be rejected, not deferred"
             );
         }

@@ -7,13 +7,19 @@
 //! itself. The *update extension* (Section 4.2) is the flattened update
 //! footprint of that list — the net changes the reconciling peer would apply
 //! if it accepted the transaction.
+//!
+//! [`direct_conflicts`] is the one conflict detector. Its sorted
+//! `(i, j, keys)` list over candidate positions is the only form a conflict
+//! takes: `DoGroup`, the soft-state rebuild and the network-centric plan all
+//! read it, and `CheckState`'s own-delta rule probes the same sorted touches
+//! built over the participant's own net delta.
 
 use orchestra_model::{
     flatten_keyed, ConflictKey, KeyValue, NetUpdates, Priority, Schema, Transaction, TransactionId,
     Update,
 };
 use orchestra_obs::Span;
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use rustc_hash::{FxHashSet, FxHasher};
 use std::cell::OnceCell;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
@@ -34,10 +40,6 @@ use std::sync::Arc;
 /// transaction's updates alive, and nothing here may assume it owns them.
 pub type FlatExtension = NetUpdates;
 
-/// Updates indexed by the `(relation, key)` pair each touches first (see
-/// [`first_keys`]).
-pub(crate) type KeyIndex<'a> = FxHashMap<(&'a str, &'a KeyValue), Vec<&'a Update>>;
-
 /// Every update of `flat` that touches a key, with the key it touches first:
 /// that of the tuple it reads or, for an insertion, inserts. Two updates
 /// conflict only if they touch one `(relation, key)` pair first, and then
@@ -46,37 +48,9 @@ fn first_keys(flat: &FlatExtension) -> impl Iterator<Item = (&Update, &KeyValue)
     flat.iter().filter_map(|(update, keys)| Some((update, keys.first()?)))
 }
 
-/// Indexes a flattened extension's updates by the pair each touches first,
-/// borrowing every key.
-pub(crate) fn by_key(flat: &FlatExtension) -> KeyIndex<'_> {
-    let mut index = KeyIndex::with_capacity_and_hasher(flat.updates().len(), Default::default());
-    for (update, key) in first_keys(flat) {
-        index.entry((update.relation.as_str(), key)).or_default().push(update);
-    }
-    index
-}
-
-/// The conflict-group keys on which `flat`'s updates conflict with the
-/// updates indexed in `other`.
-///
-/// This is [`Update::conflict_kind_with`] over every pair of updates, one
-/// from each side: a pair that touches different keys first never conflicts,
-/// so probing by first key loses nothing while avoiding the quadratic
-/// comparison of unrelated updates, and at a shared first key the check
-/// needs neither the schema nor another key.
-pub(crate) fn conflict_keys_with(flat: &FlatExtension, other: &KeyIndex<'_>) -> Vec<ConflictKey> {
-    let mut keys = Vec::new();
-    for (u, key) in first_keys(flat) {
-        for other in other.get(&(u.relation.as_str(), key)).into_iter().flatten() {
-            if let Some(kind) = u.conflict_kind_keyed(other) {
-                let ck = ConflictKey::new(kind, u.relation.clone(), key.clone());
-                if !keys.contains(&ck) {
-                    keys.push(ck);
-                }
-            }
-        }
-    }
-    keys
+/// The hash a touched `(relation, key)` pair is sorted by.
+fn pair_hash(relation: &str, key: &KeyValue) -> u64 {
+    BuildHasherDefault::<FxHasher>::default().hash_one((relation, key))
 }
 
 /// Finds the conflict-group keys on which two flattened update sets conflict,
@@ -110,7 +84,7 @@ impl Touch<'_> {
 }
 
 /// The maximal runs of consecutive items that `same` holds between.
-fn runs<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> impl Iterator<Item = &[T]> {
+pub(crate) fn runs<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> impl Iterator<Item = &[T]> {
     let mut rest = items;
     std::iter::from_fn(move || {
         let first = rest.first()?;
@@ -128,21 +102,20 @@ fn runs<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> impl Iterator<Item = &
 /// sorts it by `(hash, position)`. A run of equal hashes then holds one pair
 /// unless two pairs collide on the hash; such a run is reordered by the
 /// pairs themselves, so colliding pairs never meet.
-struct TouchedPairs<'a> {
+pub(crate) struct TouchedPairs<'a> {
     touches: Vec<Touch<'a>>,
     /// Whether two pairs collided on a hash.
     collided: bool,
 }
 
 impl<'a> TouchedPairs<'a> {
-    fn new(flats: impl IntoIterator<Item = &'a FlatExtension> + Clone) -> Self {
-        let hasher = BuildHasherDefault::<FxHasher>::default();
+    pub(crate) fn new(flats: impl IntoIterator<Item = &'a FlatExtension> + Clone) -> Self {
         let touched = flats.clone().into_iter().map(FlatExtension::touched_len).sum();
         let mut touches = Vec::with_capacity(touched);
         for (position, flat) in flats.into_iter().enumerate() {
             for (update, keys) in flat.iter() {
                 for (nth, key) in keys.iter().enumerate() {
-                    let hash = hasher.hash_one((update.relation.as_str(), key));
+                    let hash = pair_hash(update.relation.as_str(), key);
                     touches.push(Touch { hash, position, key, update, first: nth == 0 });
                 }
             }
@@ -170,6 +143,26 @@ impl<'a> TouchedPairs<'a> {
     fn runs(&self) -> impl Iterator<Item = &[Touch<'a>]> {
         let collided = self.collided;
         runs(&self.touches, move |a, b| a.hash == b.hash && (!collided || a.same_pair(b)))
+    }
+
+    /// Whether an update of `flat` conflicts with a touching update: each
+    /// update of `flat` is found by binary search at the pair it touches
+    /// first, and [`Update::conflict_kind_keyed`], with `flat`'s update as
+    /// the receiver, decides it against every update touching that pair
+    /// first. This is the question [`direct_conflicts`] asks of two
+    /// flattenings that share no member.
+    pub(crate) fn conflict_with(&self, flat: &FlatExtension) -> bool {
+        !self.touches.is_empty()
+            && first_keys(flat).any(|(update, key)| {
+                let relation = update.relation.as_str();
+                let hash = pair_hash(relation, key);
+                let start = self.touches.partition_point(|touch| touch.hash < hash);
+                self.touches[start..]
+                    .iter()
+                    .take_while(|touch| touch.hash == hash)
+                    .filter(|touch| touch.first && touch.key == key && touch.relation() == relation)
+                    .any(|touch| update.conflict_kind_keyed(touch.update).is_some())
+            })
     }
 
     /// Every meeting of two flattenings at a pair they touch.
@@ -305,23 +298,6 @@ pub fn direct_conflicts(
     }
     found.retain(|(_, _, keys)| !keys.is_empty());
     found
-}
-
-/// The [`direct_conflicts`] as `DoGroup` consumes them: every conflicting
-/// root transaction with the roots it directly conflicts with.
-pub fn conflict_sets(
-    candidates: &[CandidateTransaction],
-    flats: &[Arc<FlatExtension>],
-    schema: &Schema,
-    span: &Span,
-) -> FxHashMap<TransactionId, FxHashSet<TransactionId>> {
-    let mut conflicts: FxHashMap<TransactionId, FxHashSet<TransactionId>> = FxHashMap::default();
-    for (i, j, _) in direct_conflicts(candidates, flats, schema, span) {
-        let (a, b) = (candidates[i].id, candidates[j].id);
-        conflicts.entry(a).or_default().insert(b);
-        conflicts.entry(b).or_default().insert(a);
-    }
-    conflicts
 }
 
 /// A trusted, undecided transaction together with its transaction extension,
@@ -485,6 +461,7 @@ mod tests {
     use super::*;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{ParticipantId, Tuple};
+    use rustc_hash::FxHashMap;
 
     fn p(i: u32) -> ParticipantId {
         ParticipantId(i)
@@ -637,16 +614,16 @@ mod tests {
             ]),
             flat(vec![Update::insert("Function", func("rat", "prot1", "d"), p(1))]),
         ];
-        let mut by_key = FxHashMap::default();
+        let mut seen = FxHashMap::default();
         candidates_by_key(&flats, |relation, key, touching| {
-            let previous = by_key.insert((relation.to_string(), key.clone()), touching.to_vec());
+            let previous = seen.insert((relation.to_string(), key.clone()), touching.to_vec());
             assert!(previous.is_none(), "{relation} {key} is visited once");
         });
         let touching = |protein: &str| {
             let key = KeyValue::of_text(&["rat", protein]);
-            by_key[&("Function".to_string(), key)].clone()
+            seen[&("Function".to_string(), key)].clone()
         };
-        assert_eq!(by_key.len(), 3);
+        assert_eq!(seen.len(), 3);
         assert_eq!(touching("prot1"), vec![0, 2, 3]);
         assert_eq!(touching("prot2"), vec![1]);
         assert_eq!(touching("prot3"), vec![2]);

@@ -8,7 +8,7 @@
 //! the deferred transactions applicable), and conflict groups/options are the
 //! unit of user-driven conflict resolution.
 
-use crate::extension::{direct_conflicts, subsumes, CandidateTransaction, FlatExtension};
+use crate::extension::{direct_conflicts, runs, subsumes, CandidateTransaction, FlatExtension};
 use orchestra_model::{
     ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId, Tuple, UpdateKind,
 };
@@ -125,7 +125,6 @@ impl SoftState {
     }
 
     /// Returns true if the transaction is currently deferred.
-    #[cfg(test)]
     pub(crate) fn is_deferred(&self, id: TransactionId) -> bool {
         self.deferred.contains_key(&id)
     }
@@ -186,7 +185,7 @@ impl SoftState {
         self.last_recno = recno;
 
         // Every key a deferred candidate's flattened extension touches is
-        // dirty; pairwise direct conflicts are grouped by conflict key.
+        // dirty.
         let flattened: Vec<Arc<FlatExtension>> =
             deferred.iter().map(|c| Arc::clone(c.flattening(schema))).collect();
         for flat in &flattened {
@@ -194,56 +193,50 @@ impl SoftState {
                 self.dirty.entry(update.relation.clone()).or_default().insert(key.clone());
             }
         }
-        let mut groups: FxHashMap<ConflictKey, FxHashSet<TransactionId>> = FxHashMap::default();
-        for (i, j, keys) in direct_conflicts(&deferred, &flattened, schema, span) {
+        // Pairwise direct conflicts are grouped by conflict key: one entry
+        // per key and candidate conflicting on it, sorted, so each group is
+        // one run, the groups follow in key order and a group's candidates
+        // in id order.
+        let conflicts = direct_conflicts(&deferred, &flattened, schema, span);
+        let mut on_key: Vec<(&ConflictKey, TransactionId, usize)> = Vec::new();
+        for (i, j, keys) in &conflicts {
             for key in keys {
-                groups.entry(key).or_default().extend([deferred[i].id, deferred[j].id]);
+                on_key.extend([(key, deferred[*i].id, *i), (key, deferred[*j].id, *j)]);
             }
         }
+        on_key.sort_unstable();
+        on_key.dedup();
 
         // Within each group, combine compatible transactions into the same
         // option: a transaction subsumed by another (it is an antecedent of
         // the other's extension) rides along with its subsumer, and
         // transactions proposing the same net change merge, so each option
         // represents one distinct final value the user can pick.
-        let position: FxHashMap<TransactionId, usize> =
-            deferred.iter().enumerate().map(|(i, c)| (c.id, i)).collect();
+        //
         // Each clustered candidate's member ids, built once for every group
         // it is in: `subsumes(member_ids(a), b)` says whether `a`'s extension
         // contains `b`'s.
         let member_sets: Vec<OnceCell<FxHashSet<TransactionId>>> =
             deferred.iter().map(|_| OnceCell::new()).collect();
         let member_ids = |at: usize| member_sets[at].get_or_init(|| deferred[at].member_ids());
-        let mut group_keys: Vec<ConflictKey> = groups.keys().cloned().collect();
-        group_keys.sort();
-        for key in group_keys {
-            let members = &groups[&key];
-            let mut ids: Vec<TransactionId> = members.iter().copied().collect();
-            ids.sort();
-
+        for group in runs(&on_key, |a, b| a.0 == b.0) {
             // Cluster members along subsumption chains. The representative of
-            // a cluster is its maximal member (the one whose extension
-            // contains the others).
-            let mut clusters: Vec<(TransactionId, Vec<TransactionId>)> = Vec::new();
-            for id in ids {
-                let at = position[&id];
-                let mut placed = false;
-                for (rep, cluster_members) in &mut clusters {
-                    let rep_at = position[rep];
-                    if subsumes(member_ids(rep_at), &deferred[at]) {
+            // a cluster, named by its position, is its maximal member (the
+            // one whose extension contains the others).
+            let mut clusters: Vec<(usize, Vec<TransactionId>)> = Vec::new();
+            for &(_, id, at) in group {
+                let gathers = |rep: usize| {
+                    subsumes(member_ids(rep), &deferred[at])
+                        || subsumes(member_ids(at), &deferred[rep])
+                };
+                match clusters.iter_mut().find(|(rep, _)| gathers(*rep)) {
+                    Some((rep, cluster_members)) => {
+                        if !subsumes(member_ids(*rep), &deferred[at]) {
+                            *rep = at;
+                        }
                         cluster_members.push(id);
-                        placed = true;
-                        break;
                     }
-                    if subsumes(member_ids(at), &deferred[rep_at]) {
-                        cluster_members.push(id);
-                        *rep = id;
-                        placed = true;
-                        break;
-                    }
-                }
-                if !placed {
-                    clusters.push((id, vec![id]));
+                    None => clusters.push((at, vec![id])),
                 }
             }
 
@@ -252,7 +245,7 @@ impl SoftState {
             // value fall into one option).
             let mut options: Vec<(Vec<Change<'_>>, ConflictOption)> = Vec::new();
             for (rep, cluster_members) in clusters {
-                let flat = &flattened[position[&rep]];
+                let flat = &flattened[rep];
                 let change = net_change(flat);
                 match options.iter_mut().find(|(c, _)| *c == change) {
                     Some((_, opt)) => opt.transactions.extend(cluster_members),
@@ -264,7 +257,7 @@ impl SoftState {
                 }
             }
             self.conflict_groups.push(ConflictGroup {
-                key,
+                key: group[0].0.clone(),
                 options: options.into_iter().map(|(_, o)| o).collect(),
             });
         }

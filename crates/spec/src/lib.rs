@@ -475,9 +475,9 @@ impl Spec {
     /// change, compared without origins, are one option.
     pub fn groups(&self, who: ParticipantId) -> Vec<Group> {
         let deferred = self.deferred(who);
-        let mut by_key: BTreeMap<ConflictKey, BTreeSet<usize>> = BTreeMap::new();
+        let mut on_key: BTreeMap<ConflictKey, BTreeSet<usize>> = BTreeMap::new();
         for (i, j, keys) in self.find_conflicts(&deferred) {
-            keys.into_iter().for_each(|key| by_key.entry(key).or_default().extend([i, j]));
+            keys.into_iter().for_each(|key| on_key.entry(key).or_default().extend([i, j]));
         }
         let contains = |a: usize, b: usize| {
             deferred[b].members.iter().all(|m| deferred[a].members.contains(m))
@@ -511,7 +511,7 @@ impl Spec {
             }
             Group { key, options: options.into_iter().map(|(_, option)| option).collect() }
         };
-        by_key.into_iter().map(group).collect()
+        on_key.into_iter().map(group).collect()
     }
 
     /// The functional requirements of a reconciling replica: an accept or a

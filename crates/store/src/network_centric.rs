@@ -18,6 +18,11 @@
 //! tests assert; what changes is where the computation happens and the
 //! message pattern charged to the simulated network.
 //!
+//! The key controllers' verdicts are the list the engine's own
+//! `FindConflicts` would compute, [`direct_conflicts`]' sorted `(i, j, keys)`
+//! over positions into the plan's candidates, so the engine takes them as
+//! they are and runs no pair pass of its own.
+//!
 //! Under the session API the plan carries the open session's [`SessionInfo`]:
 //! the caller decides against the plan's candidates and then finishes the
 //! session with [`crate::UpdateStore::commit_reconciliation`] (or aborts it),
@@ -26,12 +31,11 @@
 use crate::api::{SessionInfo, Timed};
 use crate::client::{poll_ready, InProcessClient, SessionClient};
 use crate::dht::DhtStore;
-use orchestra_model::{ParticipantId, TransactionId};
+use orchestra_model::{ConflictKey, ParticipantId, TransactionId};
 use orchestra_obs::Span;
-use orchestra_recon::extension::{candidates_by_key, conflict_sets, FlatExtension};
+use orchestra_recon::extension::{candidates_by_key, direct_conflicts, FlatExtension};
 use orchestra_recon::CandidateTransaction;
 use orchestra_storage::Result;
-use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
 /// Approximate size of a control message in bytes.
@@ -50,9 +54,10 @@ pub struct NetworkCentricPlan {
     pub info: SessionInfo,
     /// The candidates, exactly as the client-centric mode would stream them.
     pub candidates: Vec<CandidateTransaction>,
-    /// Pairwise direct conflicts between candidate roots, as detected by the
-    /// key controllers.
-    pub conflicts: FxHashMap<TransactionId, FxHashSet<TransactionId>>,
+    /// Pairwise direct conflicts between the candidates, as detected by the
+    /// key controllers: `(i, j, keys)` for positions `i < j` into
+    /// `candidates`, as [`direct_conflicts`] returns them.
+    pub conflicts: Vec<(usize, usize, Vec<ConflictKey>)>,
 }
 
 impl DhtStore {
@@ -132,7 +137,7 @@ impl DhtStore {
         });
         // The verdicts are the engine's own `FindConflicts`, computed where
         // the keys live.
-        let conflicts = conflict_sets(&candidates, &flattened, &schema, &Span::default());
+        let conflicts = direct_conflicts(&candidates, &flattened, &schema, &Span::default());
 
         Ok(Timed::new(NetworkCentricPlan { info, candidates, conflicts }, timing))
     }
@@ -155,6 +160,17 @@ mod tests {
 
     fn txn(i: u32, j: u64, updates: Vec<Update>) -> Transaction {
         Transaction::from_parts(p(i), j, updates).unwrap()
+    }
+
+    /// The conflicts the client-centric engine would find among the plan's
+    /// candidates.
+    fn client_centric_conflicts(
+        plan: &NetworkCentricPlan,
+    ) -> Vec<(usize, usize, Vec<ConflictKey>)> {
+        let schema = bioinformatics_schema();
+        let flats: Vec<Arc<FlatExtension>> =
+            plan.candidates.iter().map(|c| Arc::clone(c.flattening(&schema))).collect();
+        direct_conflicts(&plan.candidates, &flats, &schema, &Span::default())
     }
 
     fn store(n: u32) -> DhtStore {
@@ -182,10 +198,11 @@ mod tests {
         s.publish(p(4), vec![x4.clone()]).unwrap();
 
         let plan = s.begin_network_centric_reconciliation(p(1)).unwrap().value;
-        assert_eq!(plan.candidates.len(), 3);
-        assert!(plan.conflicts[&x2.id()].contains(&x3.id()));
-        assert!(plan.conflicts[&x3.id()].contains(&x2.id()));
-        assert!(!plan.conflicts.contains_key(&x4.id()));
+        let ids: Vec<TransactionId> = plan.candidates.iter().map(|c| c.id).collect();
+        assert_eq!(ids, vec![x2.id(), x3.id(), x4.id()]);
+        assert_eq!(plan.conflicts, client_centric_conflicts(&plan));
+        let pairs: Vec<(usize, usize)> = plan.conflicts.iter().map(|(i, j, _)| (*i, *j)).collect();
+        assert_eq!(pairs, vec![(0, 1)], "x2 and x3 conflict, x4 with nobody");
         s.abort_reconciliation(plan.info.session).unwrap();
     }
 
@@ -232,6 +249,7 @@ mod tests {
         s.publish(p(2), vec![x2.clone()]).unwrap();
         let plan = s.begin_network_centric_reconciliation(p(1)).unwrap().value;
         assert_eq!(plan.candidates.len(), 1);
+        assert_eq!(plan.conflicts, client_centric_conflicts(&plan));
         assert!(plan.conflicts.is_empty());
         s.commit_reconciliation(plan.info.session, &[x2.id()], &[]).unwrap();
         assert!(s.accepted_set(p(1)).contains(&x2.id()));

@@ -1,12 +1,13 @@
-//! What the schedule-driven integration tests share: a small mutually
-//! trusting [`Confederation`], one strategy generating schedules of
-//! [`Step`]s for it, and the renderings two runs are compared by. Each test
-//! binary uses a part of it.
+//! What the schedule-driven integration tests share: a small
+//! [`Confederation`] whose participants trust each other, at one priority or
+//! at ranks of their own, one strategy generating schedules of [`Step`]s for
+//! it, and the renderings two runs are compared by. Each test binary uses a
+//! part of it.
 #![allow(dead_code)]
 
 use orchestra::{CdssSystem, Participant};
 use orchestra_model::schema::bioinformatics_schema;
-use orchestra_model::{KeyValue, ParticipantId, Transaction, TransactionId, Tuple};
+use orchestra_model::{KeyValue, ParticipantId, Transaction, TransactionId, TrustPolicy, Tuple};
 use orchestra_spec::{Group, Spec};
 use orchestra_store::UpdateStore;
 use orchestra_workload::{mutual_trust_policies, Confederation, Driver, Outcome, Step};
@@ -32,11 +33,28 @@ pub fn scratch_dir(test: &str) -> PathBuf {
     dir
 }
 
-/// `participants` participants, ids from 1, each trusting every other at one
-/// priority — so conflicting writes are deferred, not settled by trust —
-/// registered with `store`.
+/// The policies of `participants` participants, ids from 1, each trusting
+/// every other at one priority — so conflicting writes are deferred, not
+/// settled by trust.
+pub fn mutual(participants: u32) -> Vec<TrustPolicy> {
+    mutual_trust_policies(participants as usize, 1)
+}
+
+/// The policies of `ranks.len()` participants, ids from 1: participant `i`
+/// trusts participant `j ≠ i` at priority `ranks[i - 1][j - 1]`.
+pub fn ranked(ranks: &[Vec<u32>]) -> Vec<TrustPolicy> {
+    let policy = |(i, row): (usize, &Vec<u32>)| {
+        let others = row.iter().enumerate().filter(|(j, _)| *j != i);
+        others.fold(TrustPolicy::new(p(i as u32 + 1)), |policy, (j, rank)| {
+            policy.trusting(p(j as u32 + 1), *rank)
+        })
+    };
+    ranks.iter().enumerate().map(policy).collect()
+}
+
+/// [`mutual`]'s participants registered with `store`.
 pub fn confederation<S: UpdateStore>(store: S, participants: u32) -> Confederation<S> {
-    Confederation::new(store, mutual_trust_policies(participants as usize, 1))
+    Confederation::new(store, mutual(participants))
 }
 
 /// A confederation of participants the store already knows, built outside a
@@ -146,28 +164,28 @@ pub fn snapshot<S: UpdateStore>(system: &CdssSystem<S>) -> Snapshot {
         .collect()
 }
 
-/// A fresh confederation over `store`, in causal mode if asked.
-fn started<S: UpdateStore>(store: S, participants: u32, causal: bool) -> Confederation<S> {
-    let conf = confederation(store, participants);
+/// A fresh confederation of `policies` over `store`, in causal mode if asked.
+fn started<S: UpdateStore>(store: S, policies: Vec<TrustPolicy>, causal: bool) -> Confederation<S> {
+    let conf = Confederation::new(store, policies);
     if causal {
         conf.system.enable_causal_mode().expect("fresh store accepts causal mode");
     }
     conf
 }
 
-/// Runs a schedule on a fresh confederation over `store` under `driver` and
-/// returns where it ended up, checking after every step that each
+/// Runs a schedule on a fresh confederation of `policies` over `store` under
+/// `driver` and returns where it ended up, checking after every step that each
 /// participant mirrors its decision record. The spec checks the same
 /// schedule's [sequential run](run); every driver reaches that run's
 /// decisions.
 pub fn run_on<S: UpdateStore>(
     store: S,
-    participants: u32,
+    policies: Vec<TrustPolicy>,
     causal: bool,
     steps: &[Step],
     driver: &Driver<S>,
 ) -> Snapshot {
-    let mut conf = started(store, participants, causal);
+    let mut conf = started(store, policies, causal);
     for step in steps {
         conf.apply(step, driver).expect("step succeeds");
         assert_mirrors(&conf.system, step);
@@ -186,8 +204,13 @@ fn assert_mirrors<S: UpdateStore>(system: &CdssSystem<S>, step: &Step) {
 
 /// Runs a schedule under the sequential driver, checked against the
 /// executable spec, and returns where it ended up.
-pub fn run<S: UpdateStore>(store: S, participants: u32, causal: bool, steps: &[Step]) -> Snapshot {
-    run_checked(store, participants, causal, steps, |_, _, _| ())
+pub fn run<S: UpdateStore>(
+    store: S,
+    policies: Vec<TrustPolicy>,
+    causal: bool,
+    steps: &[Step],
+) -> Snapshot {
+    run_checked(store, policies, causal, steps, |_, _, _| ())
 }
 
 /// [`run`], in lockstep with the spec: after every step each participant's
@@ -197,13 +220,13 @@ pub fn run<S: UpdateStore>(store: S, participants: u32, causal: bool, steps: &[S
 /// sides after every step; and the spec meets its functional requirements.
 pub fn run_checked<S: UpdateStore>(
     store: S,
-    participants: u32,
+    policies: Vec<TrustPolicy>,
     causal: bool,
     steps: &[Step],
     mut check: impl FnMut(&Step, &CdssSystem<S>, &Spec),
 ) -> Snapshot {
-    assert!(participants <= 12, "the spec is quadratic; keep it to small confederations");
-    let mut conf = started(store, participants, causal);
+    assert!(policies.len() <= 12, "the spec is quadratic; keep it to small confederations");
+    let mut conf = started(store, policies, causal);
     let ids = conf.system.participant_ids();
     fn of<S: UpdateStore>(system: &CdssSystem<S>, id: ParticipantId) -> &Participant {
         system.participant(id).expect("listed")

@@ -56,15 +56,16 @@ fn assert_all_routes_agree(turns: &[Vec<Step>], causal: bool) {
     // Final catch-up wave.
     steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
     let central = || CentralStore::new(bioinformatics_schema());
-    let sequential = common::run(central(), PARTICIPANTS, causal, &steps);
+    let sequential = common::run(central(), common::mutual(PARTICIPANTS), causal, &steps);
     let service = Driver::service(ServiceConfig::default());
-    let service = common::run_on(central(), PARTICIPANTS, causal, &steps, &service);
+    let service = common::run_on(central(), common::mutual(PARTICIPANTS), causal, &steps, &service);
     assert_eq!(sequential, service, "single-service driver diverged");
     for shards in [1, SHARDS] {
         let driver = Driver::fabric(FabricConfig { shards, ..FabricConfig::default() });
-        let framed = common::run_on(fabric(shards), PARTICIPANTS, causal, &steps, &driver);
+        let framed =
+            common::run_on(fabric(shards), common::mutual(PARTICIPANTS), causal, &steps, &driver);
         assert_eq!(sequential, framed, "framed {shards}-shard fabric diverged");
-        let in_process = common::run(fabric(shards), PARTICIPANTS, causal, &steps);
+        let in_process = common::run(fabric(shards), common::mutual(PARTICIPANTS), causal, &steps);
         assert_eq!(sequential, in_process, "in-process {shards}-shard fabric diverged");
     }
 }

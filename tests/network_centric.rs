@@ -4,6 +4,7 @@
 use orchestra::{Participant, ParticipantConfig};
 use orchestra_model::schema::bioinformatics_schema;
 use orchestra_model::{ParticipantId, TrustPolicy, Tuple, Update};
+use orchestra_obs::{EventKind, Obs};
 use orchestra_store::{DhtStore, UpdateStore};
 
 fn p(i: u32) -> ParticipantId {
@@ -191,4 +192,35 @@ fn network_centric_plan_charges_pinned_message_and_byte_totals() {
     let charged =
         (after.messages - before.messages, after.hops - before.hops, after.bytes - before.bytes);
     assert_eq!(charged, (42, 43, 3936), "(messages, hops, bytes)");
+}
+
+#[test]
+fn network_centric_find_conflicts_opens_no_pair_pass() {
+    // The plan hands the engine the conflicts its key controllers found, so
+    // the engine's `find_conflicts` runs no sorted pass of its own; the
+    // client-centric engine's runs one.
+    let pair_passes = |network_centric: bool| {
+        let (store, policies) = populated_store(5);
+        let mut participant =
+            Participant::new(bioinformatics_schema(), ParticipantConfig::new(policies[0].clone()));
+        let obs = Obs::enabled();
+        participant.set_observability(&obs);
+        let report = if network_centric {
+            participant.reconcile_network_centric(&store)
+        } else {
+            participant.reconcile(&store)
+        };
+        assert_eq!(report.unwrap().deferred.len(), 2, "the rat/prot1 conflict is found");
+        let events = obs.tracer.events();
+        let opened: Vec<_> = events.iter().filter(|e| e.kind == EventKind::Open).collect();
+        let find_conflicts: Vec<u64> =
+            opened.iter().filter(|e| e.name == "find_conflicts").map(|e| e.span).collect();
+        assert_eq!(find_conflicts.len(), 1, "one reconcile, one find_conflicts");
+        opened
+            .iter()
+            .filter(|e| e.name == "pair_pass" && find_conflicts.contains(&e.parent))
+            .count()
+    };
+    assert_eq!(pair_passes(false), 1, "client-centric find_conflicts runs the pair pass");
+    assert_eq!(pair_passes(true), 0, "network-centric find_conflicts takes the plan's conflicts");
 }

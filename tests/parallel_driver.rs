@@ -136,8 +136,8 @@ mod equivalence {
             // Final catch-up wave.
             steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
             let store = || CentralStore::new(bioinformatics_schema());
-            let sequential = common::run(store(), PARTICIPANTS, false, &steps);
-            let threads = common::run_on(store(), PARTICIPANTS, false, &steps, &Driver::threads());
+            let sequential = common::run(store(), common::mutual(PARTICIPANTS), false, &steps);
+            let threads = common::run_on(store(), common::mutual(PARTICIPANTS), false, &steps, &Driver::threads());
             prop_assert_eq!(sequential, threads, "drivers diverged");
         }
     }

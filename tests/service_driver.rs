@@ -43,8 +43,10 @@ fn run(
     steps.push(Step::Reconcile((1..=PARTICIPANTS).map(p).collect()));
     let store = CentralStore::new(bioinformatics_schema());
     match driver {
-        None => common::run(store, PARTICIPANTS, causal, &steps),
-        Some(driver) => common::run_on(store, PARTICIPANTS, causal, &steps, &driver),
+        None => common::run(store, common::mutual(PARTICIPANTS), causal, &steps),
+        Some(driver) => {
+            common::run_on(store, common::mutual(PARTICIPANTS), causal, &steps, &driver)
+        }
     }
 }
 

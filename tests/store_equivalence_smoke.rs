@@ -11,7 +11,9 @@
 //! and identical accept/reject/defer decisions across the central store, the
 //! DHT store (client-centric), and the DHT store's network-centric mode. The
 //! sequential runs are checked against the executable spec step by step, and
-//! so is what every participant's session would drain.
+//! so is what every participant's session would drain. A second family does
+//! the same with participants that rank each other at different priorities,
+//! so `DoGroup`'s rules across priorities meet the spec too.
 
 mod common;
 
@@ -103,6 +105,7 @@ fn central_and_dht_final_instances_are_identical() {
 mod random_schedules {
     use super::*;
     use common::Turn::{Edit, Publish, PublishReconcile, ResolveChosen};
+    use orchestra_model::TrustPolicy;
     use orchestra_spec::{Candidate, Spec};
     use orchestra_workload::{Driver, Step};
     use proptest::prelude::*;
@@ -111,12 +114,13 @@ mod random_schedules {
     const KEY_POOL: usize = 6;
     const VALUE_POOL: usize = 4;
 
-    /// Runs the turns against a store under a driver (none: the sequential
-    /// run, checked against the spec) — so the DHT's network-centric mode
-    /// rides the same schedule — and ends with a catch-up publish +
-    /// reconcile for every participant.
+    /// Runs the turns against a confederation of `policies` over a store
+    /// under a driver (none: the sequential run, checked against the spec) —
+    /// so the DHT's network-centric mode rides the same schedule — and ends
+    /// with a catch-up publish + reconcile for every participant.
     fn run<S: UpdateStore>(
         store: S,
+        policies: Vec<TrustPolicy>,
         turns: &[Vec<Step>],
         driver: Option<Driver<S>>,
     ) -> common::Snapshot {
@@ -125,8 +129,8 @@ mod random_schedules {
             steps.extend(common::turn(PublishReconcile, who, &[], 0, 0));
         }
         match driver {
-            None => common::run_checked(store, PARTICIPANTS, false, &steps, drains_the_spec),
-            Some(driver) => common::run_on(store, PARTICIPANTS, false, &steps, &driver),
+            None => common::run_checked(store, policies, false, &steps, drains_the_spec),
+            Some(driver) => common::run_on(store, policies, false, &steps, &driver),
         }
     }
 
@@ -170,13 +174,44 @@ mod random_schedules {
                 1..40,
             )
         ) {
-            let schema = bioinformatics_schema;
-            let central = run(CentralStore::new(schema()), &turns, None);
-            let dht = run(DhtStore::new(schema()), &turns, None);
+            let (schema, mutual) = (bioinformatics_schema, || common::mutual(PARTICIPANTS));
+            let central = run(CentralStore::new(schema()), mutual(), &turns, None);
+            let dht = run(DhtStore::new(schema()), mutual(), &turns, None);
             let network_centric =
-                run(DhtStore::new(schema()), &turns, Some(Driver::network_centric()));
+                run(DhtStore::new(schema()), mutual(), &turns, Some(Driver::network_centric()));
 
             prop_assert_eq!(&central, &dht, "dht store diverged");
+            prop_assert_eq!(&central, &network_centric, "network-centric mode diverged");
+        }
+
+        /// Every participant ranks every other at a priority of 1..=3, so a
+        /// conflict is often settled by trust: the lower side is rejected
+        /// under a higher accepted candidate and deferred under a higher
+        /// deferred one. The central store's run is checked against the spec
+        /// step by step, and the network-centric mode, whose conflicts arrive
+        /// precomputed, ends in the same state.
+        #[test]
+        fn mixed_priorities_agree_with_the_spec(
+            ranks in prop::collection::vec(
+                prop::collection::vec(1u32..4, PARTICIPANTS as usize),
+                PARTICIPANTS as usize,
+            ),
+            turns in common::schedule(
+                PARTICIPANTS,
+                KEY_POOL,
+                VALUE_POOL,
+                &[Edit, Edit, Publish, PublishReconcile, ResolveChosen],
+                1..40,
+            )
+        ) {
+            let schema = bioinformatics_schema;
+            let central = run(CentralStore::new(schema()), common::ranked(&ranks), &turns, None);
+            let network_centric = run(
+                DhtStore::new(schema()),
+                common::ranked(&ranks),
+                &turns,
+                Some(Driver::network_centric()),
+            );
             prop_assert_eq!(&central, &network_centric, "network-centric mode diverged");
         }
     }
