@@ -16,6 +16,11 @@
 //! [`Participant::rebuild_from_store`], to read the frontier at heal time
 //! ([`Participant::rejoin`]) and to record a conflict resolution's decisions
 //! ([`Participant::resolve_conflicts`]).
+//!
+//! A conflict resolution is one more engine run: the soft state rejects the
+//! options the user did not keep, the rejections join the rejected mirror,
+//! and the remaining deferred transactions are decided again by the helper
+//! a session decides with, so one routine builds every engine input.
 
 use crate::report::{ReconcileReport, ResolutionReport, TimingBreakdown};
 use orchestra_model::{
@@ -24,8 +29,8 @@ use orchestra_model::{
 };
 use orchestra_obs::{Counter, Obs, Span};
 use orchestra_recon::{
-    resolution::resolve_conflicts, CandidateTransaction, ConflictGroup, ReconcileEngine,
-    ReconcileInput, ResolutionChoice, SoftState,
+    CandidateTransaction, ConflictGroup, ReconcileEngine, ReconcileInput, ReconcileOutcome,
+    ResolutionChoice, SoftState,
 };
 use orchestra_storage::{Database, Result, StorageError};
 use orchestra_store::{
@@ -250,7 +255,7 @@ impl Participant {
         let deferred = store.undecided_candidates(participant.id);
         if !deferred.is_empty() {
             let schema = participant.engine.schema();
-            participant.soft.rebuild(participant.recno, deferred, schema, &Span::default());
+            participant.soft.rebuild(deferred, schema, &Span::default());
         }
         Ok(participant)
     }
@@ -317,12 +322,12 @@ impl Participant {
         (&self.accepted, &self.rejected)
     }
 
-    /// Folds decisions the store has acknowledged into the mirrors, by the
-    /// store's own rule: an acceptance is final and clears a rejection; a
-    /// rejection of an accepted id is void. The participant is the only
-    /// writer of its record, so the mirrors stay equal to it. `Arc::make_mut`
-    /// is copy-free in the steady state: the engine's borrow has been
-    /// dropped by then.
+    /// Folds decisions into the mirrors by the store's own rule: an
+    /// acceptance is final and clears a rejection; a rejection of an accepted
+    /// id is void. The participant is the only writer of its record, and
+    /// records each decision folded here with the store before its operation
+    /// returns, so the mirrors stay equal to it. `Arc::make_mut` is copy-free
+    /// in the steady state: no engine run holds a borrow at that point.
     fn mirror_decisions(&mut self, accepted: &[TransactionId], rejected: &[TransactionId]) {
         let accepted_set = Arc::make_mut(&mut self.accepted);
         let rejected_set = Arc::make_mut(&mut self.rejected);
@@ -580,15 +585,9 @@ impl Participant {
         span: &Span,
     ) -> Result<ReconcileReport> {
         let local_start = Instant::now();
-        let input = ReconcileInput {
-            recno: session.recno,
-            candidates,
-            own_updates: std::mem::take(&mut self.last_published_updates),
-            previously_rejected: Arc::clone(&self.rejected),
-            previously_accepted: Arc::clone(&self.accepted),
-            precomputed_conflicts,
-        };
-        let outcome = self.engine.reconcile(input, &mut self.instance, &mut self.soft, span);
+        let own_updates = std::mem::take(&mut self.last_published_updates);
+        let outcome =
+            self.decide(session.recno, candidates, own_updates, precomputed_conflicts, span);
         let local_elapsed = local_start.elapsed();
 
         let committed =
@@ -618,9 +617,31 @@ impl Participant {
             accepted: outcome.accepted_roots,
             rejected: outcome.rejected,
             deferred: outcome.deferred,
-            conflict_groups: outcome.conflict_groups,
             timing,
         })
+    }
+
+    /// Runs the engine over `candidates` against the participant's instance,
+    /// soft state and mirrors, under `span`: the one place a reconciliation's
+    /// input is built, for a session and for a resolution's rerun alike. The
+    /// mirrors are lent to the engine, never copied.
+    fn decide(
+        &mut self,
+        recno: ReconciliationId,
+        candidates: Vec<CandidateTransaction>,
+        own_updates: Vec<Update>,
+        precomputed_conflicts: Option<Vec<(usize, usize, Vec<ConflictKey>)>>,
+        span: &Span,
+    ) -> ReconcileOutcome {
+        let input = ReconcileInput {
+            recno,
+            candidates,
+            own_updates,
+            previously_rejected: Arc::clone(&self.rejected),
+            previously_accepted: Arc::clone(&self.accepted),
+            precomputed_conflicts,
+        };
+        self.engine.reconcile(input, &mut self.instance, &mut self.soft, span)
     }
 
     /// Publishes pending transactions (if any) and then reconciles — the
@@ -633,8 +654,19 @@ impl Participant {
         self.reconcile(store)
     }
 
-    /// Resolves deferred conflicts according to the user's choices, records
-    /// the resulting decisions at the store, and returns what changed.
+    /// Resolves deferred conflicts according to the user's choices (Section
+    /// 4.2): the soft state rejects the options not kept
+    /// ([`SoftState::resolve`]), the rejections join the participant's
+    /// rejected record, and the remaining deferred transactions are
+    /// reconciled again as if freshly published — one more engine run, a
+    /// `reconcile` span inside this one's `conflict.resolve`, whose
+    /// `CheckState` rejects a transaction whose extension holds a rejected
+    /// one. Every decision is recorded at the store in one call, and the
+    /// report says what changed.
+    ///
+    /// A choice that keeps an option its group does not have is refused with
+    /// [`StorageError::Resolution`] before the instance, the soft state, the
+    /// mirrors or the store change.
     pub fn resolve_conflicts<S: UpdateStore + ?Sized>(
         &mut self,
         store: &S,
@@ -646,23 +678,20 @@ impl Participant {
             &[("participant", u64::from(self.id.as_u32())), ("choices", choices.len() as u64)],
         );
         let local_start = Instant::now();
-        let outcome = resolve_conflicts(
-            &self.engine,
-            self.recno,
-            choices,
-            &mut self.instance,
-            &mut self.soft,
-            &self.rejected,
-            Arc::clone(&self.accepted),
-            &span,
-        );
+        let (mut rejected, remaining) = self.soft.resolve(choices)?;
+        // The user's rejections join the record before the rerun, as the
+        // spec's `Peer::decide` takes them, so the rerun's `CheckState`
+        // rejects a kept transaction whose extension holds one (rules 3–4).
+        self.mirror_decisions(&[], &rejected);
+        let rerun = span.child("reconcile", &[("candidates", remaining.len() as u64)]);
+        let outcome = self.decide(self.recno, remaining, Vec::new(), None, &rerun);
+        drop(rerun);
         let local_elapsed = local_start.elapsed();
 
-        let mut rejected_all = outcome.newly_rejected.clone();
-        rejected_all.extend(outcome.rerun.rejected.iter().copied());
+        rejected.extend(&outcome.rejected);
         let record_timing =
-            store.record_decisions(self.id, &outcome.rerun.accepted_members, &rejected_all)?;
-        self.mirror_decisions(&outcome.rerun.accepted_members, &rejected_all);
+            store.record_decisions(self.id, &outcome.accepted_members, &rejected)?;
+        self.mirror_decisions(&outcome.accepted_members, &rejected);
 
         let timing = TimingBreakdown { store: record_timing.total(), local: local_elapsed };
         self.record_timing(timing);
@@ -670,16 +699,16 @@ impl Participant {
             "conflict.resolved",
             &[
                 ("participant", u64::from(self.id.as_u32())),
-                ("accepted", outcome.rerun.accepted_roots.len() as u64),
-                ("rejected", rejected_all.len() as u64),
-                ("deferred", outcome.rerun.deferred.len() as u64),
+                ("accepted", outcome.accepted_roots.len() as u64),
+                ("rejected", rejected.len() as u64),
+                ("deferred", outcome.deferred.len() as u64),
             ],
         );
 
         Ok(ResolutionReport {
-            newly_rejected: rejected_all,
-            newly_accepted: outcome.rerun.accepted_roots,
-            still_deferred: outcome.rerun.deferred,
+            newly_rejected: rejected,
+            newly_accepted: outcome.accepted_roots,
+            still_deferred: outcome.deferred,
             timing,
         })
     }
@@ -1029,8 +1058,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn conflict_resolution_round_trip() {
+    /// A store and a participant p1 that trusts p2 and p3 equally and has
+    /// deferred their rival values for (rat, prot1): one conflict group of
+    /// two options.
+    fn deferred_conflict() -> (CentralStore, Participant) {
         let schema = bioinformatics_schema();
         let store = CentralStore::new(schema.clone());
         // p1 trusts p2 and p3 equally; p2 and p3 trust nobody.
@@ -1062,6 +1093,12 @@ mod tests {
         let report = p1.publish_and_reconcile(&store).unwrap();
         assert_eq!(report.deferred.len(), 2);
         assert_eq!(p1.deferred_conflicts().len(), 1);
+        (store, p1)
+    }
+
+    #[test]
+    fn conflict_resolution_round_trip() {
+        let (store, mut p1) = deferred_conflict();
 
         // Resolve in favour of p3's value.
         let group = &p1.deferred_conflicts()[0];
@@ -1079,5 +1116,27 @@ mod tests {
         assert!(resolution.still_deferred.is_empty());
         assert!(p1.instance().contains_tuple_exact("Function", &func("rat", "prot1", "immune")));
         assert!(p1.deferred_conflicts().is_empty());
+    }
+
+    #[test]
+    fn resolving_with_an_option_the_group_lacks_is_refused_and_changes_nothing() {
+        let (store, mut p1) = deferred_conflict();
+        let groups = p1.deferred_conflicts().to_vec();
+        let deferred = p1.soft_state().deferred().clone();
+        let instance = p1.instance().relation_contents("Function");
+        let record = (p1.accepted.clone(), p1.rejected.clone());
+
+        // The group has options 0 and 1: keeping option 2 would reject both,
+        // and rejections are final.
+        let choice = ResolutionChoice { group: groups[0].key.clone(), chosen_option: Some(2) };
+        let refused = p1.resolve_conflicts(&store, &[choice]);
+        assert!(matches!(refused, Err(StorageError::Resolution(_))), "got {refused:?}");
+
+        assert_eq!(p1.deferred_conflicts(), groups);
+        assert_eq!(*p1.soft_state().deferred(), deferred);
+        assert_eq!(p1.instance().relation_contents("Function"), instance);
+        assert_eq!((p1.accepted.clone(), p1.rejected.clone()), record);
+        assert_eq!(store.rejected_set(p1.id()), record.1);
+        assert_eq!(store.accepted_set(p1.id()), record.0);
     }
 }

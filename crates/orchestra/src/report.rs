@@ -2,7 +2,6 @@
 //! conflict-resolution outcomes and timing breakdowns.
 
 use orchestra_model::{Epoch, ReconciliationId, TransactionId};
-use orchestra_recon::ConflictGroup;
 use std::time::Duration;
 
 /// Time spent during one operation, split the way the paper's Figures 10 and
@@ -45,8 +44,6 @@ pub struct ReconcileReport {
     pub rejected: Vec<TransactionId>,
     /// Root transactions deferred pending user resolution.
     pub deferred: Vec<TransactionId>,
-    /// Conflict groups currently recorded in the participant's soft state.
-    pub conflict_groups: Vec<ConflictGroup>,
     /// Timing breakdown of the operation.
     pub timing: TimingBreakdown,
 }

@@ -16,7 +16,7 @@
 //! `FindConflicts` asks, of the participant's own net delta.
 
 use crate::extension::{direct_conflicts, CandidateTransaction, FlatExtension, TouchedPairs};
-use crate::softstate::{ConflictGroup, SoftState};
+use crate::softstate::SoftState;
 use orchestra_model::{
     flatten_keyed, ConflictKey, Priority, ReconciliationId, Schema, TransactionId, Update,
 };
@@ -57,11 +57,11 @@ pub struct ReconcileInput {
     /// reconciliation.
     pub previously_rejected: Arc<FxHashSet<TransactionId>>,
     /// Transactions this participant has accepted so far (shared, like
-    /// `previously_rejected`). Extensions are defined over *undecided* antecedents
-    /// (Definition 3), so the engine prunes accepted members from every
-    /// candidate — in particular from deferred candidates carried across
-    /// reconciliations, whose chains would otherwise go stale as their
-    /// antecedents get accepted.
+    /// `previously_rejected`). Extensions are defined over *undecided*
+    /// antecedents (Definition 3): candidates arrive without accepted
+    /// members, and the engine prunes them from the deferred candidates it
+    /// carries across reconciliations, whose chains would otherwise go stale
+    /// as their antecedents get accepted.
     pub previously_accepted: Arc<FxHashSet<TransactionId>>,
     /// Pairwise direct conflicts already computed elsewhere (the
     /// network-centric mode of Section 5, where conflict detection is
@@ -89,8 +89,6 @@ pub struct ReconcileOutcome {
     /// How many net updates were applied to the local instance (updates
     /// whose effect was already present are not counted).
     pub applied: usize,
-    /// The conflict groups recorded for the deferred transactions.
-    pub conflict_groups: Vec<ConflictGroup>,
 }
 
 /// The client-centric reconciliation engine. It holds nothing but the
@@ -130,18 +128,20 @@ impl ReconcileEngine {
         span: &Span,
     ) -> ReconcileOutcome {
         let schema = &self.schema;
-        let mut candidates = input.candidates;
+        let candidates = input.candidates;
         let phase = span.child("check_state", &[("candidates", candidates.len() as u64)]);
-        // Keep every extension on Definition 3: drop members the participant
-        // has already accepted. Store-built candidates arrive pruned (the
-        // store excludes the accepted set when it builds extensions), so this
-        // only bites candidates re-presented by conflict resolution.
-        if !input.previously_accepted.is_empty() {
-            for cand in &mut candidates {
-                cand.prune_accepted_members(|id| input.previously_accepted.contains(id));
-            }
-        }
-        let candidates = candidates;
+        // Every extension arrives on Definition 3, with no member the
+        // participant has accepted: the store excludes the accepted set when
+        // it builds extensions, and a resolution re-presents deferred
+        // candidates that `UpdateSoftState` pruned in every run since they
+        // were deferred (a run that keeps a deferred set rebuilds it).
+        debug_assert!(
+            candidates.iter().all(|cand| {
+                let accepted = |id: &TransactionId| input.previously_accepted.contains(id);
+                cand.members.iter().all(|(id, _)| *id == cand.id || !accepted(id))
+            }),
+            "a candidate arrives without accepted members"
+        );
         debug_assert!(
             {
                 let mut ids: Vec<TransactionId> = candidates.iter().map(|c| c.id).collect();
@@ -161,7 +161,7 @@ impl ReconcileEngine {
         // transaction, the chain memo's for a chain; a candidate re-presented
         // from the soft state with an unchanged chain arrives with the one it
         // was deferred with; any other is flattened here. Every later step
-        // reads that one flattening and its keys, and the clones deferred
+        // reads that one flattening and its keys, and the candidates deferred
         // below carry it into the soft state.
         let flats: Vec<Arc<FlatExtension>> =
             candidates.iter().map(|cand| Arc::clone(cand.flattening(schema))).collect();
@@ -256,41 +256,38 @@ impl ReconcileEngine {
         // already what a rebuild would produce.
         let phase = span.child("update_soft_state", &[("deferred", outcome.deferred.len() as u64)]);
         if soft.deferred().is_empty() && outcome.deferred.is_empty() {
-            soft.advance(input.recno);
             return outcome;
         }
         // Otherwise previously deferred transactions remain deferred
-        // alongside the newly deferred ones. Their chains are pruned against
-        // everything accepted up to and *including* this run (probing the
-        // two sets in place — the accepted history is never copied), so the
-        // soft state never holds a member whose effects are already in the
-        // instance (and crash recovery, which rebuilds deferred candidates
-        // from the store's current accepted set, reproduces the same chains).
-        // A chain that loses a member there is flattened again by the
-        // rebuild; every other one keeps its flattening.
-        let mut all_deferred: Vec<CandidateTransaction> =
-            soft.deferred().values().cloned().collect();
-        all_deferred.sort_by_key(|c| c.id);
-        for (cand, decision) in candidates.iter().zip(&decisions) {
-            if *decision == TransactionDecision::Defer && !soft.is_deferred(cand.id) {
-                all_deferred.push(cand.clone());
-            }
-        }
-        // Previously deferred transactions that were decided in this run
-        // (possible during conflict resolution), or accepted as members of an
-        // accepted extension, drop out of the deferred set — the store's
-        // durable record is authoritative. Every accepted root is a used
-        // member, so a rejected root is the only other way out.
-        let rejected_again: Vec<TransactionId> =
-            outcome.rejected.iter().copied().filter(|id| soft.is_deferred(*id)).collect();
-        all_deferred.retain(|c| !used.contains(&c.id) && !rejected_again.contains(&c.id));
+        // alongside the newly deferred ones, all moved into the rebuild. No
+        // candidate is among the former, so no rejected root is either.
+        debug_assert!(
+            candidates.iter().all(|cand| !soft.is_deferred(cand.id)),
+            "regular sessions never present a deferred candidate again, and a resolution \
+             starts from an empty soft state"
+        );
+        let mut all_deferred = soft.take_deferred();
+        let deferred = candidates.into_iter().zip(decisions);
+        all_deferred.extend(
+            deferred.filter_map(|(cand, d)| (d == TransactionDecision::Defer).then_some(cand)),
+        );
+        // A transaction accepted as a member of an accepted extension drops
+        // out of the deferred set — the store's durable record is
+        // authoritative. The chains left are pruned against everything
+        // accepted up to and *including* this run (probing the two sets in
+        // place — the accepted history is never copied), so the soft state
+        // never holds a member whose effects are already in the instance
+        // (and crash recovery, which rebuilds deferred candidates from the
+        // store's current accepted set, reproduces the same chains). A chain
+        // that loses a member there is flattened again by the rebuild; every
+        // other one keeps its flattening.
+        all_deferred.retain(|cand| !used.contains(&cand.id));
         for cand in &mut all_deferred {
             cand.prune_accepted_members(|id| {
                 input.previously_accepted.contains(id) || used.contains(id)
             });
         }
-        soft.rebuild(input.recno, all_deferred, schema, &phase);
-        outcome.conflict_groups = soft.conflict_groups().to_vec();
+        soft.rebuild(all_deferred, schema, &phase);
         outcome
     }
 
@@ -369,7 +366,7 @@ impl ReconcileEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolution::{resolve_conflicts, ResolutionChoice};
+    use crate::ResolutionChoice;
     use orchestra_model::schema::bioinformatics_schema;
     use orchestra_model::{ParticipantId, Transaction, Tuple};
 
@@ -429,8 +426,8 @@ mod tests {
         assert!(out.accepted_roots.is_empty());
         assert_eq!(out.deferred.len(), 2);
         assert!(db.is_empty());
-        assert_eq!(out.conflict_groups.len(), 1);
-        assert_eq!(out.conflict_groups[0].options.len(), 2);
+        assert_eq!(soft.conflict_groups().len(), 1);
+        assert_eq!(soft.conflict_groups()[0].options.len(), 2);
         assert!(soft.is_deferred(x1.id()));
         assert!(soft.is_deferred(x2.id()));
     }
@@ -744,17 +741,15 @@ mod tests {
         // chain; the unchanged chain is deferred again with its flattening.
         let group = soft.conflict_groups().iter().find(|g| g.transactions().contains(&x1.id()));
         let choice = ResolutionChoice { group: group.unwrap().key.clone(), chosen_option: Some(0) };
-        let resolved = resolve_conflicts(
-            &engine,
-            ReconciliationId(3),
-            &[choice],
-            &mut db,
-            &mut soft,
-            &FxHashSet::default(),
-            Arc::default(),
-            &Span::default(),
-        );
-        assert_eq!(resolved.rerun.accepted_roots.len(), 1);
+        let (rejected, remaining) = soft.resolve(&[choice]).unwrap();
+        let rerun = ReconcileInput {
+            recno: ReconciliationId(3),
+            candidates: remaining,
+            previously_rejected: Arc::new(rejected.into_iter().collect()),
+            ..Default::default()
+        };
+        let resolved = engine.reconcile(rerun, &mut db, &mut soft, &Span::default());
+        assert_eq!(resolved.accepted_roots.len(), 1);
         assert!(soft.is_deferred(y1.id()) && soft.is_deferred(y2.id()));
         assert!(Arc::ptr_eq(&deferred_with, &deferred_flattening(&soft, y1.id())));
     }
@@ -828,16 +823,15 @@ mod tests {
         );
         assert_eq!(out.accepted_roots, vec![accepted.id()]);
         assert_eq!(out.rejected, vec![rejected.id()]);
-        assert!(out.deferred.is_empty() && out.conflict_groups.is_empty());
+        assert!(out.deferred.is_empty());
 
-        // Nothing was deferred before or after: the soft state was only
-        // advanced, and reads exactly as a rebuild from no candidates would.
+        // Nothing was deferred before or after: the soft state was left
+        // alone, and reads exactly as a rebuild from no candidates would.
         let mut rebuilt = SoftState::new();
-        rebuilt.rebuild(ReconciliationId(7), vec![], engine.schema(), &Span::default());
+        rebuilt.rebuild(vec![], engine.schema(), &Span::default());
         assert_eq!(soft.dirty_len(), rebuilt.dirty_len());
         assert_eq!(soft.deferred(), rebuilt.deferred());
         assert_eq!(soft.conflict_groups(), rebuilt.conflict_groups());
-        assert_eq!(soft.last_recno(), rebuilt.last_recno());
     }
 
     #[test]

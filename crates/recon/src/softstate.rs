@@ -1,22 +1,35 @@
 //! Client-side soft state: dirty values, deferred transactions, conflict
-//! groups and options.
+//! groups and options, and the user's resolution of those groups.
 //!
 //! The paper keeps this state soft (reconstructible from the update store):
 //! deferred transactions are those whose conflicts have no unique winner, the
 //! *dirty value* set contains every key value such a transaction reads or
 //! writes (so that later transactions touching those keys also defer, keeping
 //! the deferred transactions applicable), and conflict groups/options are the
-//! unit of user-driven conflict resolution.
+//! unit of user-driven conflict resolution (Section 4.2): picking an option
+//! of a group rejects the others ([`SoftState::resolve`]), and the remaining
+//! deferred transactions are reconciled again as if freshly published.
 
 use crate::extension::{direct_conflicts, runs, subsumes, CandidateTransaction, FlatExtension};
-use orchestra_model::{
-    ConflictKey, KeyValue, ReconciliationId, RelName, Schema, TransactionId, Tuple, UpdateKind,
-};
+use orchestra_model::{ConflictKey, KeyValue, RelName, Schema, TransactionId, Tuple, UpdateKind};
 use orchestra_obs::Span;
+use orchestra_storage::{Result, StorageError};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
+
+/// One user decision: for the conflict group identified by `group`, keep the
+/// option at index `chosen_option` (all other options' transactions are
+/// rejected). To reject *every* option of a group, pass `chosen_option:
+/// None`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResolutionChoice {
+    /// The conflict group being resolved.
+    pub group: ConflictKey,
+    /// Index of the option to keep, or `None` to reject all options.
+    pub chosen_option: Option<usize>,
+}
 
 /// A group of transactions within a conflict group that make the same
 /// modification to the conflicting key value. At most one option per conflict
@@ -98,8 +111,6 @@ pub struct SoftState {
     deferred: FxHashMap<TransactionId, CandidateTransaction>,
     /// Conflict groups recorded by the most recent reconciliation.
     conflict_groups: Vec<ConflictGroup>,
-    /// The reconciliation that last rebuilt this soft state.
-    last_recno: ReconciliationId,
 }
 
 impl SoftState {
@@ -115,6 +126,7 @@ impl SoftState {
     }
 
     /// The number of dirty key values.
+    #[cfg(test)]
     pub(crate) fn dirty_len(&self) -> usize {
         self.dirty.values().map(FxHashSet::len).sum()
     }
@@ -134,32 +146,69 @@ impl SoftState {
         &self.conflict_groups
     }
 
-    /// The reconciliation that last rebuilt the soft state.
-    #[cfg(test)]
-    pub(crate) fn last_recno(&self) -> ReconciliationId {
-        self.last_recno
+    /// Moves the deferred candidates out, by id. The dirty values and the
+    /// conflict groups stay until the next [`SoftState::rebuild`].
+    pub(crate) fn take_deferred(&mut self) -> Vec<CandidateTransaction> {
+        let mut deferred: Vec<CandidateTransaction> =
+            self.deferred.drain().map(|(_, cand)| cand).collect();
+        deferred.sort_unstable_by_key(|cand| cand.id);
+        deferred
     }
 
-    /// Removes a transaction from the deferred set (because the user rejected
-    /// it, or it was accepted after conflict resolution). Dirty values and
-    /// conflict groups are rebuilt on the next [`SoftState::rebuild`].
-    pub fn remove_deferred(&mut self, id: TransactionId) -> Option<CandidateTransaction> {
-        self.deferred.remove(&id)
-    }
-
-    /// Records that reconciliation `recno` ran with nothing deferred before it
-    /// and nothing deferred by it: the state is already what
-    /// [`SoftState::rebuild`] with no candidates would produce, so only the
-    /// reconciliation number moves.
-    pub fn advance(&mut self, recno: ReconciliationId) {
-        debug_assert!(self.deferred.is_empty() && self.dirty_len() == 0);
-        debug_assert!(self.conflict_groups.is_empty());
-        self.last_recno = recno;
+    /// The soft-state half of conflict resolution (Section 4.2): for each
+    /// choice, the transactions of the group's options other than the kept
+    /// one are rejected, and the kept option's transactions are cleared of
+    /// the rejections the choices before it made (a keep wins over a losing
+    /// option of an earlier choice). A choice naming no recorded group is
+    /// ignored.
+    ///
+    /// Returns the deferred transactions so rejected, sorted, and the
+    /// remaining deferred candidates, by id, which the caller reconciles
+    /// again as if freshly published once the rejections are part of its
+    /// rejected record. The soft state is left empty: no deferred set, no
+    /// dirty value, no group.
+    ///
+    /// A choice that keeps an option its group does not have is refused
+    /// with [`StorageError::Resolution`] before anything changes: rejections
+    /// are final, and such a choice would reject every option of the group.
+    pub fn resolve(
+        &mut self,
+        choices: &[ResolutionChoice],
+    ) -> Result<(Vec<TransactionId>, Vec<CandidateTransaction>)> {
+        let mut rejected: FxHashSet<TransactionId> = FxHashSet::default();
+        for choice in choices {
+            let Some(group) = self.conflict_groups.iter().find(|g| g.key == choice.group) else {
+                continue;
+            };
+            let kept = choice.chosen_option;
+            if let Some(at) = kept.filter(|&at| at >= group.options.len()) {
+                return Err(StorageError::Resolution(format!(
+                    "conflict group {} has {} options; option {at} does not exist",
+                    group.key,
+                    group.options.len()
+                )));
+            }
+            for (at, option) in group.options.iter().enumerate() {
+                if Some(at) != kept {
+                    rejected.extend(option.transactions.iter().copied());
+                }
+            }
+            if let Some(at) = kept {
+                for id in &group.options[at].transactions {
+                    rejected.remove(id);
+                }
+            }
+        }
+        self.dirty.clear();
+        self.conflict_groups.clear();
+        let (rejected, remaining): (Vec<CandidateTransaction>, Vec<CandidateTransaction>) =
+            self.take_deferred().into_iter().partition(|cand| rejected.contains(&cand.id));
+        Ok((rejected.into_iter().map(|cand| cand.id).collect(), remaining))
     }
 
     /// Implements the paper's `UpdateSoftState` (Figure 5): clears the soft
     /// state of the previous reconciliation and rebuilds it from the set of
-    /// transactions deferred at `recno`.
+    /// deferred transactions, which it takes over.
     ///
     /// For every deferred candidate the dirty-value set receives every key its
     /// flattened extension touches; pairwise direct conflicts between deferred
@@ -172,17 +221,10 @@ impl SoftState {
     /// reconciliation with an unchanged chain, or handed over by the engine
     /// that just flattened it, is not flattened again. The conflict pairs
     /// are found under `span` (see [`direct_conflicts`]).
-    pub fn rebuild(
-        &mut self,
-        recno: ReconciliationId,
-        deferred: Vec<CandidateTransaction>,
-        schema: &Schema,
-        span: &Span,
-    ) {
+    pub fn rebuild(&mut self, deferred: Vec<CandidateTransaction>, schema: &Schema, span: &Span) {
         self.dirty.clear();
         self.conflict_groups.clear();
         self.deferred.clear();
-        self.last_recno = recno;
 
         // Every key a deferred candidate's flattened extension touches is
         // dirty.
@@ -333,9 +375,8 @@ mod tests {
         let c1 =
             cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1.clone(), c2.clone()], &schema, &Span::default());
+        s.rebuild(vec![c1.clone(), c2.clone()], &schema, &Span::default());
 
-        assert_eq!(s.last_recno(), ReconciliationId(1));
         assert!(s.is_dirty("Function", &KeyValue::of_text(&["rat", "prot1"])));
         assert!(!s.is_dirty("Function", &KeyValue::of_text(&["mouse", "prot2"])));
         assert!(s.is_deferred(c1.id));
@@ -360,7 +401,7 @@ mod tests {
             cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "immune"), p(3))]);
         let diff =
             cand(4, 0, vec![Update::insert("Function", func("rat", "prot1", "cell-resp"), p(4))]);
-        s.rebuild(ReconciliationId(2), vec![same_a, same_b, diff], &schema, &Span::default());
+        s.rebuild(vec![same_a, same_b, diff], &schema, &Span::default());
 
         assert_eq!(s.conflict_groups().len(), 1);
         let group = &s.conflict_groups()[0];
@@ -380,7 +421,7 @@ mod tests {
         let backward = cand(3, 0, vec![insert(&b, 3), insert(&a, 3)]);
         let other = cand(4, 0, vec![insert(&func("rat", "prot1", "c"), 4)]);
         let ids = [forward.id, backward.id, other.id];
-        s.rebuild(ReconciliationId(1), vec![forward, backward, other], &schema, &Span::default());
+        s.rebuild(vec![forward, backward, other], &schema, &Span::default());
 
         assert_eq!(s.conflict_groups().len(), 1);
         let options = &s.conflict_groups()[0].options;
@@ -399,26 +440,48 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "b"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema, &Span::default());
+        s.rebuild(vec![c1, c2], &schema, &Span::default());
         assert_eq!(s.dirty_len(), 1);
 
-        s.rebuild(ReconciliationId(2), vec![], &schema, &Span::default());
+        s.rebuild(vec![], &schema, &Span::default());
         assert_eq!(s.dirty_len(), 0);
         assert!(s.deferred().is_empty());
         assert!(s.conflict_groups().is_empty());
-        assert_eq!(s.last_recno(), ReconciliationId(2));
+    }
+
+    /// Two conflicting inserts on (rat, prot1), deferred: options `a`, `b`.
+    fn deferred_pair(schema: &Schema) -> (SoftState, CandidateTransaction, CandidateTransaction) {
+        let mut s = SoftState::new();
+        let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
+        let c2 = cand(3, 0, vec![Update::insert("Function", func("rat", "prot1", "b"), p(3))]);
+        s.rebuild(vec![c1.clone(), c2.clone()], schema, &Span::default());
+        (s, c1, c2)
     }
 
     #[test]
-    fn remove_deferred_returns_the_candidate() {
+    fn resolve_hands_back_the_deferred_candidates_and_empties_the_state() {
         let schema = bioinformatics_schema();
-        let mut s = SoftState::new();
-        let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
-        let id = c1.id;
-        s.rebuild(ReconciliationId(1), vec![c1], &schema, &Span::default());
-        let removed = s.remove_deferred(id).unwrap();
-        assert_eq!(removed.id, id);
-        assert!(s.remove_deferred(id).is_none());
+        let (mut s, c1, c2) = deferred_pair(&schema);
+        let group = s.conflict_groups()[0].key.clone();
+        let choice = ResolutionChoice { group, chosen_option: Some(1) };
+        let (rejected, remaining) = s.resolve(&[choice]).unwrap();
+        assert_eq!(rejected, vec![c1.id]);
+        assert_eq!(remaining.iter().map(|c| c.id).collect::<Vec<_>>(), vec![c2.id]);
+        assert!(s.deferred().is_empty() && s.conflict_groups().is_empty());
+        assert_eq!(s.dirty_len(), 0);
+    }
+
+    #[test]
+    fn resolve_refuses_an_option_the_group_lacks_and_changes_nothing() {
+        let schema = bioinformatics_schema();
+        let (mut s, c1, c2) = deferred_pair(&schema);
+        let group = s.conflict_groups()[0].key.clone();
+        let valid = ResolutionChoice { group: group.clone(), chosen_option: Some(0) };
+        let out_of_range = ResolutionChoice { group, chosen_option: Some(2) };
+        let refused = s.resolve(&[valid, out_of_range]);
+        assert!(matches!(refused, Err(StorageError::Resolution(_))), "got {refused:?}");
+        assert!(s.is_deferred(c1.id) && s.is_deferred(c2.id));
+        assert_eq!((s.conflict_groups().len(), s.dirty_len()), (1, 1));
     }
 
     #[test]
@@ -427,7 +490,7 @@ mod tests {
         let mut s = SoftState::new();
         let c1 = cand(2, 0, vec![Update::insert("Function", func("rat", "prot1", "a"), p(2))]);
         let c2 = cand(3, 0, vec![Update::insert("Function", func("mouse", "prot2", "b"), p(3))]);
-        s.rebuild(ReconciliationId(1), vec![c1, c2], &schema, &Span::default());
+        s.rebuild(vec![c1, c2], &schema, &Span::default());
         assert!(s.conflict_groups().is_empty());
         assert_eq!(s.dirty_len(), 2);
     }

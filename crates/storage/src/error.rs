@@ -50,6 +50,9 @@ pub enum StorageError {
     /// A causal stamp was rejected (out-of-order per-publisher sequence,
     /// unknown parent, or a causal operation in scalar mode).
     Causal(String),
+    /// A conflict resolution kept an option its conflict group does not
+    /// have.
+    Resolution(String),
 }
 
 impl fmt::Display for StorageError {
@@ -71,6 +74,7 @@ impl fmt::Display for StorageError {
             StorageError::Session(msg) => write!(f, "reconciliation session error: {msg}"),
             StorageError::Retention(msg) => write!(f, "retention error: {msg}"),
             StorageError::Causal(msg) => write!(f, "causal stamp error: {msg}"),
+            StorageError::Resolution(msg) => write!(f, "conflict resolution error: {msg}"),
         }
     }
 }

@@ -43,16 +43,17 @@ pub enum Step {
         /// How many transactions to draw.
         transactions: usize,
     },
-    /// `who` writes `value` under `key` of the `Function` relation: an
-    /// insertion if its instance lacks the key, a revision if it holds
-    /// another value, nothing if it holds this one.
+    /// `who` writes, in one transaction, each `(key, value)` of `writes`
+    /// under the `Function` relation: the value of index `value` under the
+    /// protein of index `key`, as an insertion if its instance lacks the
+    /// key, a revision if it holds another value, nothing if it holds this
+    /// one. The keys are distinct; a transaction that writes nothing is not
+    /// executed.
     Edit {
         /// The executing participant.
         who: ParticipantId,
-        /// Index of the protein written.
-        key: usize,
-        /// Index of the function written.
-        value: usize,
+        /// The `(key, value)` index pairs written.
+        writes: Vec<(usize, usize)>,
     },
     /// The participants publish their pending transactions, one after
     /// another in the order given, so the epoch order is the schedule's.
@@ -359,9 +360,13 @@ impl<S: UpdateStore> Confederation<S> {
                 let batch = generator.next_batch(*who, instance, *transactions);
                 execute(system, *who, batch)
             }
-            Step::Edit { who, key, value } => {
-                let update = edit(instance_of(system, *who)?, *who, *key, *value);
-                execute(system, *who, update.map(|update| vec![update]))
+            Step::Edit { who, writes } => {
+                let instance = instance_of(system, *who)?;
+                let updates: Vec<Update> = writes
+                    .iter()
+                    .filter_map(|&(key, value)| edit(instance, *who, key, value))
+                    .collect();
+                execute(system, *who, (!updates.is_empty()).then_some(updates))
             }
             Step::Publish(ids) => driver.round(system, ids, &[])?,
             Step::Reconcile(ids) => match online(system, ids.iter().copied()) {
@@ -433,7 +438,7 @@ fn execute<S: UpdateStore>(
     outcome
 }
 
-/// The write of a [`Step::Edit`] against `instance`, if it changes anything.
+/// One write of a [`Step::Edit`] against `instance`, if it changes anything.
 fn edit(instance: &Database, who: ParticipantId, key: usize, value: usize) -> Option<Update> {
     let protein = format!("prot{key}");
     let tuple = Tuple::of_text(&["org", &protein, &format!("f{value}")]);
@@ -558,8 +563,8 @@ mod tests {
         let mut conf = Confederation::new(store, mutual_trust_policies(3, 1));
         let [p1, p2, _] = EVERYONE;
         let steps = [
-            Step::Edit { who: p1, key: 0, value: 0 },
-            Step::Edit { who: p2, key: 0, value: 1 },
+            Step::Edit { who: p1, writes: vec![(0, 0)] },
+            Step::Edit { who: p2, writes: vec![(0, 1)] },
             Step::Publish(vec![p1, p2]),
             Step::Reconcile(EVERYONE.to_vec()),
         ];
@@ -632,7 +637,7 @@ mod tests {
         // wave in the paper's network-centric mode.
         let steps = [
             Step::Snapshot,
-            Step::Edit { who: EVERYONE[2], key: 1, value: 2 },
+            Step::Edit { who: EVERYONE[2], writes: vec![(1, 2)] },
             Step::Publish(vec![EVERYONE[2]]),
             Step::Crash,
             Step::Rebuild(EVERYONE.to_vec()),

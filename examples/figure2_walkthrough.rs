@@ -124,7 +124,8 @@ fn main() {
         "  DEFER: {}",
         report4.deferred.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(", ")
     );
-    println!("  Conflict groups awaiting resolution: {}", report4.conflict_groups.len());
+    let groups = system.participant(p1).unwrap().deferred_conflicts().len();
+    println!("  Conflict groups awaiting resolution: {groups}");
 
     println!("\nFigure 2 reproduced: every instance matches the paper's table.");
 }

@@ -103,7 +103,7 @@ pub fn turn(
     key: usize,
     value: usize,
 ) -> Vec<Step> {
-    let edit = Step::Edit { who, key, value };
+    let edit = Step::Edit { who, writes: vec![(key, value)] };
     let publish = Step::Publish(vec![who]);
     match kind {
         Turn::Edit => vec![edit],

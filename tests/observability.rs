@@ -161,6 +161,13 @@ fn tracing_changes_no_decisions() {
             assert_eq!(name_of.get(&span.parent), Some(&"reconcile"), "{phase} outside reconcile");
         }
     }
+    // A resolution's rerun is one more `reconcile`, inside its span.
+    let resolutions: Vec<_> = opened.iter().filter(|e| e.name == "conflict.resolve").collect();
+    assert!(!resolutions.is_empty(), "the trace has no conflict.resolve span");
+    for resolution in resolutions {
+        let rerun = opened.iter().any(|e| e.name == "reconcile" && e.parent == resolution.span);
+        assert!(rerun, "a resolution without its rerun");
+    }
 }
 
 #[test]

@@ -13,7 +13,9 @@
 //! sequential runs are checked against the executable spec step by step, and
 //! so is what every participant's session would drain. A second family does
 //! the same with participants that rank each other at different priorities,
-//! so `DoGroup`'s rules across priorities meet the spec too.
+//! so `DoGroup`'s rules across priorities meet the spec too. A third opens
+//! every schedule with a resolution in which a kept transaction has an
+//! antecedent the same resolution rejects, so the rerun must reject it.
 
 mod common;
 
@@ -105,7 +107,7 @@ fn central_and_dht_final_instances_are_identical() {
 mod random_schedules {
     use super::*;
     use common::Turn::{Edit, Publish, PublishReconcile, ResolveChosen};
-    use orchestra_model::TrustPolicy;
+    use orchestra_model::{TransactionId, TrustPolicy};
     use orchestra_spec::{Candidate, Spec};
     use orchestra_workload::{Driver, Step};
     use proptest::prelude::*;
@@ -124,14 +126,20 @@ mod random_schedules {
         turns: &[Vec<Step>],
         driver: Option<Driver<S>>,
     ) -> common::Snapshot {
-        let mut steps = turns.concat();
-        for who in (1..=PARTICIPANTS).map(p) {
-            steps.extend(common::turn(PublishReconcile, who, &[], 0, 0));
-        }
+        let steps = caught_up(turns);
         match driver {
             None => common::run_checked(store, policies, false, &steps, drains_the_spec),
             Some(driver) => common::run_on(store, policies, false, &steps, &driver),
         }
+    }
+
+    /// The turns, then a publish and reconcile of every participant in turn.
+    fn caught_up(turns: &[Vec<Step>]) -> Vec<Step> {
+        let mut steps = turns.concat();
+        for who in (1..=PARTICIPANTS).map(p) {
+            steps.extend(common::turn(PublishReconcile, who, &[], 0, 0));
+        }
+        steps
     }
 
     /// After a publish, every participant's session would drain what the
@@ -213,6 +221,86 @@ mod random_schedules {
                 Some(Driver::network_centric()),
             );
             prop_assert_eq!(&central, &network_centric, "network-centric mode diverged");
+        }
+
+        /// A transaction `T` kept by one choice of a resolution wins over its
+        /// losing option in an earlier group (keep wins). The rerun decides
+        /// it again, against a rejected record that holds the user's
+        /// rejections, as the spec does.
+        ///
+        /// p2's `Y` inserts key `b`; p3's `T` writes `b` and inserts key
+        /// `a > b`; p4's `X` inserts `a`. In a chained case p3's `U` inserts
+        /// `b` first and `T` revises `U`'s value, so `T`'s extension holds
+        /// `U`. p1 trusts the three at one priority and defers them all:
+        /// group `b` has the options `[Y]` and `[T]` (`[U, T]` when chained),
+        /// group `a` the options `[T]` and `[X]`. Keeping option 0 of both
+        /// rejects `X` (and `U`) and keeps `T`. Chained, the rerun must
+        /// reject `T` by `CheckState` rules 3–4 for `U` and accept `Y`;
+        /// otherwise `T` and `Y` defer again. Random turns follow.
+        #[test]
+        fn a_kept_transaction_is_decided_again_by_the_rerun(
+            keys in (0..KEY_POOL - 1, 0..KEY_POOL)
+                .prop_map(|(b, up)| (b, b + 1 + up % (KEY_POOL - 1 - b))),
+            values in (0..VALUE_POOL, 0..VALUE_POOL, 1..VALUE_POOL),
+            setting in (0..6usize, 0..2usize, 1u32..4, 0..2u64),
+            ranks in prop::collection::vec(
+                prop::collection::vec(1u32..4, PARTICIPANTS as usize),
+                PARTICIPANTS as usize,
+            ),
+            turns in common::schedule(
+                PARTICIPANTS,
+                KEY_POOL,
+                VALUE_POOL,
+                &[Edit, Edit, Publish, PublishReconcile, ResolveChosen],
+                0..20,
+            )
+        ) {
+            let ((b, a), (start, c, x_off)) = (keys, values);
+            let (order, wave, rank, chained) = setting;
+            let value = |offset: usize| (start + offset) % VALUE_POOL;
+            let edit = |who: u32, writes: Vec<(usize, usize)>| Step::Edit { who: p(who), writes };
+            let mut steps = vec![edit(2, vec![(b, value(0))])];
+            if chained == 1 {
+                steps.push(edit(3, vec![(b, value(1))]));
+            }
+            let publishers = [[2, 3, 4], [2, 4, 3], [3, 2, 4], [3, 4, 2], [4, 2, 3], [4, 3, 2]];
+            let reconcilers =
+                if wave == 0 { vec![p(1)] } else { (1..=PARTICIPANTS).map(p).collect() };
+            let resolve = Step::Resolve { who: p(1), option: 0 };
+            steps.extend([
+                edit(3, vec![(b, value(2)), (a, c)]),
+                edit(4, vec![(a, (c + x_off) % VALUE_POOL)]),
+                Step::Publish(publishers[order].iter().map(|&who| p(who)).collect()),
+                Step::Reconcile(reconcilers),
+                resolve.clone(),
+            ]);
+            steps.extend(turns.concat());
+            let mut ranks = ranks;
+            ranks[0] = vec![rank; PARTICIPANTS as usize];
+
+            let id = |who: u32, local: u64| TransactionId::new(p(who), local);
+            let (y, u, t, x) = (id(2, 0), id(3, 0), id(3, chained), id(4, 0));
+            let mut resolved = false;
+            let check = |step: &Step, system: &CdssSystem<CentralStore>, spec: &Spec| {
+                drains_the_spec(step, system, spec);
+                if resolved || *step != resolve {
+                    return;
+                }
+                resolved = true;
+                let store = system.store();
+                let (accepted, rejected) = (store.accepted_set(p(1)), store.rejected_set(p(1)));
+                let deferred = system.participant(p(1)).expect("p1").soft_state().deferred();
+                if chained == 1 {
+                    assert!([u, t, x].iter().all(|id| rejected.contains(id)), "{rejected:?}");
+                    assert!(accepted.contains(&y) && deferred.is_empty(), "{accepted:?}");
+                } else {
+                    assert_eq!(rejected.iter().collect::<Vec<_>>(), [&x]);
+                    assert!(deferred.contains_key(&t) && deferred.contains_key(&y), "{deferred:?}");
+                }
+            };
+            let store = CentralStore::new(bioinformatics_schema());
+            common::run_checked(store, common::ranked(&ranks), false, &caught_up(&[steps]), check);
+            prop_assert!(resolved, "the opening resolution ran");
         }
     }
 }
